@@ -61,7 +61,7 @@ func PartitionSpecs(machines []pet.MachineSpec, global []int, n int) (shards [][
 	return shards, globals
 }
 
-// NewOpenShard builds an open (incrementally-fed) engine owning only the
+// NewOpenShard builds a caller-fed engine (see NewOpen) owning only the
 // given machine subset of the matrix — one shard of a Cluster. The engine
 // runs the full event pipeline of the simulator over its machines alone;
 // because a task's completion-time PMF depends only on the queues of the
@@ -75,10 +75,7 @@ func NewOpenShard(m *pet.Matrix, machines []pet.MachineSpec, mapper Mapper, drop
 	for i := range local {
 		local[i].Index = i
 	}
-	e := newEngineWith(m, local, mapper, dropper, cfg)
-	e.open = true
-	e.initFailures()
-	return e
+	return newEngineWith(m, local, mapper, dropper, cfg)
 }
 
 // QueuedSuccessProbability returns the chance of success (Eq. 2) the
@@ -140,7 +137,7 @@ func (e *Engine) ObserveDecision(v *router.ShardView, ts *TaskState) {
 // typically resolve the same registry specs once per shard.
 type ShardBuilder func(shard int) (Mapper, core.Policy, error)
 
-// Cluster is a set of shard-scoped open engines behind a routing policy —
+// Cluster is a set of shard-scoped engines behind a routing policy —
 // the sharded form of the admission system. The machines are partitioned
 // round-robin (PartitionMachines); every arriving task is routed to one
 // shard and admitted through that shard's full pipeline; shard results
@@ -163,13 +160,13 @@ type Cluster struct {
 }
 
 // NewCluster partitions the matrix's machines into n shards and builds one
-// open engine per shard. Per-shard configuration is derived from cfg: the
+// engine per shard. Per-shard configuration is derived from cfg: the
 // boundary-exclusion window is split evenly across shards (each shard
 // excludes BoundaryExclusion/n of its first and last tasks, keeping the
 // excluded total comparable to the unsharded run), and failure seeds are
 // offset by the shard index so shards fail independently. With n = 1 the
 // single shard is configured exactly as cfg, machine for machine — a
-// 1-shard cluster is bit-identical to the unsharded open engine.
+// 1-shard cluster is the unsharded engine.
 func NewCluster(m *pet.Matrix, n int, pol router.Policy, build ShardBuilder, cfg Config) (*Cluster, error) {
 	if m == nil {
 		return nil, fmt.Errorf("sim: cluster over nil matrix")
@@ -336,7 +333,11 @@ func (cl *Cluster) Feed(t *workload.Task) (shard int, ts *TaskState) {
 	shard = cl.Route(t.Type, t.Arrival, t.Deadline)
 	eng := cl.engines[shard]
 	ts = eng.Feed(t)
-	eng.ObserveDecision(cl.views[shard], ts)
+	// Nobody reads the view of a lone shard (Route skips the policy), so
+	// skip the per-task forecast that feeds it.
+	if len(cl.engines) > 1 {
+		eng.ObserveDecision(cl.views[shard], ts)
+	}
 	return shard, ts
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/hpcclab/taskdrop/internal/core"
 	"github.com/hpcclab/taskdrop/internal/pet"
@@ -62,10 +63,14 @@ type Mapper interface {
 	Map(ev *MappingEvent)
 }
 
-// Engine simulates one trial: one PET matrix, one trace, one mapper, one
-// dropping policy.
+// Engine simulates one trial: one PET matrix, one arrival sequence, one
+// mapper, one dropping policy. There is one event loop (step) and one way
+// in for arrivals (Feed); New merely remembers a trace for RunContext to
+// feed.
 type Engine struct {
-	pet     *pet.Matrix
+	pet *pet.Matrix
+	// trace is the arrival sequence RunContext feeds before draining; nil
+	// when the caller feeds the engine itself (NewOpen, NewOpenShard).
 	trace   *workload.Trace
 	mapper  Mapper
 	dropper core.Policy
@@ -79,21 +84,18 @@ type Engine struct {
 	clock    pmf.Tick
 	machines []*Machine
 	batch    []*TaskState
-	// tasks holds one heap-allocated state per arrived (or, in trace mode,
-	// pre-loaded) task; pointer elements keep batch/queue references stable
-	// when an open engine appends new arrivals.
-	tasks       []*TaskState
-	nextArrival int
-	totalSlots  int
-	failures    []machineFailureState
+	// tasks holds one heap-allocated state per arrived task, in arrival
+	// order; pointer elements keep batch/queue references stable as Feed
+	// appends.
+	tasks      []*TaskState
+	totalSlots int
+	failures   []machineFailureState
 	// removed flags machines taken out of the live set at runtime (nil
 	// until the first RemoveMachine); addedTypes records the types of
 	// runtime-added machines in order. Both serialize via EngineSnapshot;
 	// an engine that never churns carries no membership state at all.
 	removed    []bool
 	addedTypes []int
-	// open marks an incrementally-fed engine (see NewOpen/Feed).
-	open bool
 	// coldChains disables the persistent chain caches (every machine's is
 	// invalidated at each event), restoring the wipe-everything recycle
 	// discipline. It exists for the warm-vs-cold differential tests, which
@@ -135,37 +137,21 @@ func (e *Engine) transition(ts *TaskState, to Status) {
 	}
 }
 
-// New builds an engine. A nil dropper defaults to core.ReactiveOnly. The
-// calculus' compaction budget can be adjusted through Calc() before Run.
+// New builds an engine that RunContext drives over the trace: every task
+// is fed in arrival order, then the system drains. A nil dropper defaults
+// to core.ReactiveOnly. The calculus' compaction budget can be adjusted
+// through Calc() before Run.
 func New(m *pet.Matrix, tr *workload.Trace, mapper Mapper, dropper core.Policy, cfg Config) *Engine {
 	if tr == nil {
 		panic("sim: nil trace")
 	}
-	e := newEngine(m, mapper, dropper, cfg)
+	e := NewOpen(m, mapper, dropper, cfg)
 	e.trace = tr
-	// One backing array for the fixed-length trace; per-task allocation is
-	// only needed when an open engine grows its task list.
-	states := make([]TaskState, len(tr.Tasks))
-	e.tasks = make([]*TaskState, len(tr.Tasks))
-	for i := range tr.Tasks {
-		states[i] = TaskState{Task: &tr.Tasks[i], Machine: -1}
-		e.tasks[i] = &states[i]
-	}
 	return e
 }
 
-// newEngine builds the trace-independent engine core shared by New and
-// NewOpen, owning every machine of the matrix.
-func newEngine(m *pet.Matrix, mapper Mapper, dropper core.Policy, cfg Config) *Engine {
-	if m == nil {
-		panic("sim: nil PET matrix")
-	}
-	return newEngineWith(m, m.Machines(), mapper, dropper, cfg)
-}
-
 // newEngineWith builds an engine over an explicit machine set — the full
-// matrix for the classic engine, a shard's partition for a shard-scoped
-// one (see NewOpenShard). The specs' Index fields must equal their
+// matrix (NewOpen) or a shard's partition of it (NewOpenShard). The specs' Index fields must equal their
 // positions so queue bookkeeping, failure state and mapper-visible indexes
 // agree.
 func newEngineWith(m *pet.Matrix, specs []pet.MachineSpec, mapper Mapper, dropper core.Policy, cfg Config) *Engine {
@@ -200,6 +186,7 @@ func newEngineWith(m *pet.Matrix, specs []pet.MachineSpec, mapper Mapper, droppe
 		e.machines[i] = &Machine{Spec: s, completeAt: noCompletion, cache: e.calc.NewChainCache()}
 	}
 	e.totalSlots = len(specs) * cfg.QueueCap
+	e.initFailures()
 	return e
 }
 
@@ -220,56 +207,65 @@ func (e *Engine) Run() *Result {
 	return res
 }
 
-// RunContext executes the trial like Run but polls ctx between events:
+// RunContext executes the trial like Run but polls ctx between arrivals:
 // when ctx is cancelled mid-run the simulation stops where it is and
 // (nil, ctx.Err()) is returned. The engine is not reusable afterwards.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	done := ctx.Done()
-	e.initFailures()
-	for {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
+	if e.trace != nil {
+		for i := range e.trace.Tasks {
+			if done != nil {
+				select {
+				case <-done:
+					return nil, ctx.Err()
+				default:
+				}
 			}
-		}
-		// Candidate events, tie-broken in order: completion, arrival,
-		// failure/repair.
-		cm, ct := e.nextCompletion()
-		at := pmf.Tick(-1)
-		if e.nextArrival < len(e.tasks) {
-			at = e.tasks[e.nextArrival].Task.Arrival
-		}
-		fm, ft, isRepair := -1, noCompletion, false
-		if e.failures != nil {
-			fm, ft, isRepair = e.nextFailureEvent()
-		}
-
-		switch {
-		case ct != noCompletion && (at < 0 || ct <= at) && (ft == noCompletion || ct <= ft):
-			e.advance(ct)
-			e.handleCompletion(e.machines[cm])
-		case at >= 0 && (ft == noCompletion || at <= ft):
-			e.advance(at)
-			e.handleArrival()
-		case ft != noCompletion && e.hasWork():
-			e.advance(ft)
-			if isRepair {
-				e.handleRepair(fm)
-			} else {
-				e.handleFailure(fm)
-			}
-		default:
-			return e.finish(), nil
+			e.Feed(&e.trace.Tasks[i])
 		}
 	}
+	return e.Drain(), nil
+}
+
+// unbounded is the step limit of a drain: every outstanding event is due.
+const unbounded = pmf.Tick(math.MaxInt64)
+
+// step is the event loop's body: it fires the earliest completion, failure
+// or repair due by limit and reports whether one fired. The tie-break of
+// the whole simulator is written here and nowhere else: completion ≤
+// arrival < failure. A completion at t ≤ limit fires (it ties ahead of an
+// arrival at the same tick, and ahead of a failure at the same tick); a
+// failure or repair fires only strictly before limit (an arrival at limit
+// ties ahead of it). With no arrival to come (limit unbounded) failure
+// events fire only while some task can still make progress, so an
+// otherwise-drained system terminates.
+func (e *Engine) step(limit pmf.Tick) bool {
+	cm, ct := e.nextCompletion()
+	fm, ft, isRepair := -1, noCompletion, false
+	if e.failures != nil {
+		fm, ft, isRepair = e.nextFailureEvent()
+	}
+	switch {
+	case ct != noCompletion && ct <= limit && (ft == noCompletion || ct <= ft):
+		e.advance(ct)
+		e.handleCompletion(e.machines[cm])
+	case ft != noCompletion && ft < limit && (limit != unbounded || e.hasWork()):
+		e.advance(ft)
+		if isRepair {
+			e.handleRepair(fm)
+		} else {
+			e.handleFailure(fm)
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // hasWork reports whether any task can still make progress — it gates
-// failure-event processing so an otherwise-drained system terminates.
+// failure-event processing during the drain.
 func (e *Engine) hasWork() bool {
-	if e.nextArrival < len(e.tasks) || len(e.batch) > 0 {
+	if len(e.batch) > 0 {
 		return true
 	}
 	for _, m := range e.machines {
@@ -297,14 +293,6 @@ func (e *Engine) advance(t pmf.Tick) {
 		panic(fmt.Sprintf("sim: clock moving backwards: %d -> %d", e.clock, t))
 	}
 	e.clock = t
-}
-
-func (e *Engine) handleArrival() {
-	ts := e.tasks[e.nextArrival]
-	e.nextArrival++
-	e.arrive(ts)
-	e.batch = append(e.batch, ts)
-	e.mappingEvent(false)
 }
 
 func (e *Engine) handleCompletion(m *Machine) {

@@ -38,11 +38,10 @@ type machineFailureState struct {
 	draws int64
 }
 
-// initFailures seeds per-machine failure processes. It is idempotent: an
-// open engine initializes failures at construction, and the drain path
-// (RunContext) must not re-seed them mid-run.
+// initFailures seeds per-machine failure processes at construction, so
+// failure events can fire from the first Feed.
 func (e *Engine) initFailures() {
-	if !e.cfg.Failures.Enabled() || e.failures != nil {
+	if !e.cfg.Failures.Enabled() {
 		return
 	}
 	root := stats.NewRNG(e.cfg.Failures.Seed)

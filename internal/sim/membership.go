@@ -9,7 +9,7 @@ import (
 	"github.com/hpcclab/taskdrop/internal/stats"
 )
 
-// Dynamic membership: an open engine's machine set can change between
+// Dynamic membership: an engine's machine set can change between
 // events. RemoveMachine takes a machine out of the live set (killing its
 // running task and either handing its pending queue back to the batch or
 // force-dropping it), ReviveMachine brings it back, and AddMachine grows
@@ -62,11 +62,8 @@ func (e *Engine) AddedMachineTypes() []int {
 // queue entries are handed back to the batch for remapping when handoff is
 // true, or force-dropped as failed otherwise. The machine's chain-state
 // cache is invalidated and the mapping pipeline runs so handed-off tasks
-// are reconsidered immediately. Only open engines support membership.
+// are reconsidered immediately.
 func (e *Engine) RemoveMachine(i int, handoff bool) error {
-	if !e.open {
-		return fmt.Errorf("sim: RemoveMachine on a trace-driven engine")
-	}
 	if i < 0 || i >= len(e.machines) {
 		return fmt.Errorf("sim: RemoveMachine(%d) of %d machines", i, len(e.machines))
 	}
@@ -115,9 +112,6 @@ func (e *Engine) detachMachine(i int, handoff bool) {
 // schedule that came due while the machine was out is stale (it would move
 // the clock backwards); the process is re-armed from now.
 func (e *Engine) ReviveMachine(i int) error {
-	if !e.open {
-		return fmt.Errorf("sim: ReviveMachine on a trace-driven engine")
-	}
 	if i < 0 || i >= len(e.machines) {
 		return fmt.Errorf("sim: ReviveMachine(%d) of %d machines", i, len(e.machines))
 	}
@@ -146,9 +140,6 @@ func (e *Engine) ReviveMachine(i int) error {
 // added). The new machine starts idle with an empty queue; the mapping
 // pipeline runs so deferred batch tasks can claim its slots immediately.
 func (e *Engine) AddMachine(mt pet.MachineType) (int, error) {
-	if !e.open {
-		return -1, fmt.Errorf("sim: AddMachine on a trace-driven engine")
-	}
 	i, err := e.attachMachine(mt)
 	if err != nil {
 		return -1, err

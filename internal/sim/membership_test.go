@@ -131,22 +131,6 @@ func TestAddMachine(t *testing.T) {
 	}
 }
 
-// TestMembershipOnTraceDrivenEngine: the classic engine's determinism
-// contract excludes runtime membership; the operations must refuse.
-func TestMembershipOnTraceDrivenEngine(t *testing.T) {
-	m := testMatrix(t, 2, pmf.Delta(10))
-	eng := New(m, makeTrace([]pmf.Tick{0}, []pmf.Tick{50}, []pmf.Tick{10}), fifoMapper{}, nil, cfgNoExclusion())
-	if err := eng.RemoveMachine(0, true); err == nil {
-		t.Fatal("RemoveMachine on trace-driven engine accepted")
-	}
-	if err := eng.ReviveMachine(0); err == nil {
-		t.Fatal("ReviveMachine on trace-driven engine accepted")
-	}
-	if _, err := eng.AddMachine(0); err == nil {
-		t.Fatal("AddMachine on trace-driven engine accepted")
-	}
-}
-
 // TestMembershipSnapshotRoundTrip extends the replay property to churned
 // engines: snapshot a live engine mid-churn (machine removed, machine
 // added), restore into a fresh replica, and require identical decisions,

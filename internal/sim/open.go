@@ -1,36 +1,29 @@
 package sim
 
 import (
-	"context"
-	"fmt"
-
 	"github.com/hpcclab/taskdrop/internal/core"
 	"github.com/hpcclab/taskdrop/internal/pet"
 	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
-// NewOpen builds an engine with no pre-loaded trace: arrivals are fed one
-// at a time through Feed, and the run ends with Drain. An open engine is
-// the core of the online admission service (internal/service) — it runs
-// the exact event pipeline of the offline simulator (reactive drops,
-// proactive dropping policy, mapping heuristic, machine execution), so for
-// the same (PET matrix, task sequence, configuration) the decisions and
-// the final Result are identical to a trace-driven Run.
+// NewOpen builds an engine with no trace of its own: arrivals are fed one
+// at a time through Feed, and the run ends with Drain. It is the core of
+// the online admission service (internal/service) and of the offline
+// simulator alike — New(...).Run is nothing but Feed over a trace followed
+// by Drain — so for the same (PET matrix, task sequence, configuration)
+// online and offline decisions and Results are identical by construction.
 func NewOpen(m *pet.Matrix, mapper Mapper, dropper core.Policy, cfg Config) *Engine {
-	e := newEngine(m, mapper, dropper, cfg)
-	e.open = true
-	// Trace-driven engines seed failure processes at the top of RunContext;
-	// an open engine may process failure events from the first Feed.
-	e.initFailures()
-	return e
+	if m == nil {
+		panic("sim: nil PET matrix")
+	}
+	return newEngineWith(m, m.Machines(), mapper, dropper, cfg)
 }
 
 // Feed advances the engine to t.Arrival (processing every completion,
-// failure and repair event due before it, exactly as the trace-driven
-// event loop would), injects the task into the batch, runs the mapping
-// pipeline, and returns the task's state. Inspecting the returned state
-// immediately yields the admission decision:
+// failure and repair event due before it), injects the task into the
+// batch, runs the mapping pipeline, and returns the task's state.
+// Inspecting the returned state immediately yields the admission decision:
 //
 //   - StatusQueued / StatusRunning: mapped to machine state.Machine;
 //   - StatusBatch: deferred — every queue slot is full, the task waits
@@ -40,11 +33,8 @@ func NewOpen(m *pet.Matrix, mapper Mapper, dropper core.Policy, cfg Config) *Eng
 //
 // Arrivals must be fed in non-decreasing time order; a task whose Arrival
 // lies before the engine clock is treated as arriving now (the clock never
-// moves backwards). Feed panics on a trace-driven engine.
+// moves backwards).
 func (e *Engine) Feed(t *workload.Task) *TaskState {
-	if !e.open {
-		panic("sim: Feed on a trace-driven engine; use NewOpen")
-	}
 	if t == nil {
 		panic("sim: Feed(nil)")
 	}
@@ -53,9 +43,6 @@ func (e *Engine) Feed(t *workload.Task) *TaskState {
 	}
 	ts := &TaskState{Task: t, Machine: -1}
 	e.tasks = append(e.tasks, ts)
-	// Keep nextArrival == len(tasks) so the drain loop (RunContext) sees no
-	// pending trace arrivals.
-	e.nextArrival = len(e.tasks)
 	e.arrive(ts)
 	e.batch = append(e.batch, ts)
 	e.mappingEvent(false)
@@ -63,57 +50,20 @@ func (e *Engine) Feed(t *workload.Task) *TaskState {
 }
 
 // AdvanceTo processes every completion, failure and repair event due up to
-// now and moves the clock there. Event ordering matches the trace-driven
-// loop: completions at t ≤ now fire (a completion ties ahead of an arrival
-// at the same tick), failure/repair events fire only strictly before now
-// (an arrival ties ahead of a failure), and a completion ties ahead of a
-// failure at the same tick.
+// now (see step for the ordering) and moves the clock there.
 func (e *Engine) AdvanceTo(now pmf.Tick) {
-	if !e.open {
-		panic("sim: AdvanceTo on a trace-driven engine")
+	for e.step(now) {
 	}
-	if now < e.clock {
-		panic(fmt.Sprintf("sim: AdvanceTo moving backwards: %d -> %d", e.clock, now))
-	}
-	for {
-		cm, ct := e.nextCompletion()
-		fm, ft, isRepair := -1, noCompletion, false
-		if e.failures != nil {
-			fm, ft, isRepair = e.nextFailureEvent()
-		}
-		switch {
-		case ct != noCompletion && ct <= now && (ft == noCompletion || ct <= ft):
-			e.advance(ct)
-			e.handleCompletion(e.machines[cm])
-		case ft != noCompletion && ft < now:
-			e.advance(ft)
-			if isRepair {
-				e.handleRepair(fm)
-			} else {
-				e.handleFailure(fm)
-			}
-		default:
-			e.advance(now)
-			return
-		}
-	}
+	e.advance(now)
 }
 
-// Drain runs the remaining events of an open engine to completion (all
-// queued work executed or dropped, consistent with the trace-driven drain)
-// and returns the Result. The engine is not reusable afterwards.
+// Drain runs the remaining events to completion (all queued work executed
+// or dropped) and returns the Result. The engine is not reusable
+// afterwards.
 func (e *Engine) Drain() *Result {
-	if !e.open {
-		panic("sim: Drain on a trace-driven engine; use Run")
+	for e.step(unbounded) {
 	}
-	// With no pending arrivals, RunContext is exactly the drain loop:
-	// completions and failure events until the system is idle, then finish.
-	res, err := e.RunContext(context.Background())
-	if err != nil {
-		// Unreachable: the background context is never cancelled.
-		panic(err)
-	}
-	return res
+	return e.finish()
 }
 
 // Live is a point-in-time census of every task the engine has seen,
@@ -162,8 +112,8 @@ func (e *Engine) LiveCounts() Live { return e.live }
 // recountLive recomputes the census from scratch; tests cross-check it
 // against the incremental counts.
 func (e *Engine) recountLive() Live {
-	lc := Live{Arrived: e.nextArrival}
-	for _, ts := range e.tasks[:e.nextArrival] {
+	lc := Live{Arrived: len(e.tasks)}
+	for _, ts := range e.tasks {
 		lc.add(ts.Status, 1)
 	}
 	return lc

@@ -9,8 +9,8 @@ import (
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
-// EngineSnapshot is the complete serializable state of an open engine
-// between events: every task the engine has seen, the machine queues (as
+// EngineSnapshot is the complete serializable state of an engine between
+// events: every task the engine has seen, the machine queues (as
 // task indexes), the clock, and the failure-process cursors. An engine
 // restored from a snapshot produces exactly the same decisions as the
 // original for any subsequent Feed sequence — the admission service's
@@ -64,13 +64,8 @@ type FailureSnapshot struct {
 	RepairAt   pmf.Tick `json:"repair_at"`
 }
 
-// Snapshot captures the engine's state between events. It is only valid
-// on an open engine (the admission path); the offline trace runner never
-// checkpoints.
+// Snapshot captures the engine's state between events.
 func (e *Engine) Snapshot() *EngineSnapshot {
-	if !e.open {
-		panic("sim: Snapshot on a trace-driven engine")
-	}
 	idx := make(map[*TaskState]int, len(e.tasks))
 	for i, ts := range e.tasks {
 		idx[ts] = i
@@ -114,15 +109,12 @@ func (e *Engine) Snapshot() *EngineSnapshot {
 	return s
 }
 
-// RestoreSnapshot loads s into e, which must be a freshly built open
-// engine (NewOpen / NewOpenShard with the same PET matrix, machine set and
+// RestoreSnapshot loads s into e, which must be a freshly built engine
+// (NewOpen / NewOpenShard with the same PET matrix, machine set and
 // configuration as the snapshotted one) that has not been fed. After a
 // successful restore the engine is indistinguishable from the original:
 // same clock, queues, batch, task history and failure cursors.
 func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
-	if !e.open {
-		return fmt.Errorf("sim: RestoreSnapshot on a trace-driven engine")
-	}
 	if len(e.tasks) != 0 || e.clock != 0 {
 		return fmt.Errorf("sim: RestoreSnapshot on a non-fresh engine (%d tasks, clock %d)", len(e.tasks), e.clock)
 	}
@@ -205,7 +197,7 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 			return fmt.Errorf("sim: snapshot failure cursor %d with %d draws", i, fc.Draws)
 		}
 		fs := &e.failures[i]
-		// initFailures already consumed the stream's first sample; discard
+		// Construction already consumed the stream's first sample; discard
 		// up to the snapshot's count, then overwrite the schedule.
 		for ; fs.draws < fc.Draws; fs.draws++ {
 			fs.rng.Exponential(1)
@@ -229,7 +221,6 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 	}
 
 	e.tasks = tasks
-	e.nextArrival = len(tasks)
 	e.clock = s.Clock
 	e.live = e.recountLive()
 	return nil

@@ -167,20 +167,6 @@ func TestRestoreSnapshotValidation(t *testing.T) {
 		t.Fatal("out-of-range batch index accepted")
 	}
 
-	// Trace-driven engines have no snapshots.
-	tr := makeTrace([]pmf.Tick{0}, []pmf.Tick{50}, []pmf.Tick{10})
-	closed := New(m, tr, fifoMapper{}, nil, cfg)
-	if err := closed.RestoreSnapshot(fresh().Snapshot()); err == nil {
-		t.Fatal("restore into trace-driven engine accepted")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Snapshot on trace-driven engine did not panic")
-			}
-		}()
-		closed.Snapshot()
-	}()
 }
 
 // TestJournalHookSeesTerminalEvents checks the WAL hook fires exactly once

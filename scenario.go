@@ -178,8 +178,8 @@ func WithMaxImpulses(n int) ScenarioOption {
 // pruning is shard-local by construction, so the calculus inside each
 // shard is the paper's calculus on a smaller system; with n > 1 the
 // boundary-exclusion window is split evenly across shards and failure
-// seeds are offset per shard. A 1-shard scenario runs the classic engine
-// bit-identically.
+// seeds are offset per shard. Every scenario runs on this cluster driver;
+// with one shard it is the unsharded engine itself.
 func WithShards(n int) ScenarioOption {
 	return func(s *Scenario) { s.shards = n }
 }
@@ -363,8 +363,9 @@ func (s *Scenario) trace(trial int) *workload.Trace {
 // Engine builds the simulation engine for one trial of the scenario, for
 // callers that need post-run introspection (per-task states, per-type and
 // per-machine breakdowns) beyond what Result carries. The engine is
-// always the classic unsharded one — it ignores WithShards; sharded
-// introspection goes through sim.Cluster (see WithShards).
+// always the unsharded, unchurned one — it ignores WithShards and
+// WithChurn; sharded introspection goes through sim.Cluster (see
+// WithShards).
 func (s *Scenario) Engine(trial int) (*Engine, error) {
 	if trial < 0 || trial >= s.trials {
 		return nil, fmt.Errorf("taskdrop: trial %d out of range [0,%d)", trial, s.trials)
@@ -380,41 +381,15 @@ func (s *Scenario) Engine(trial int) (*Engine, error) {
 	return eng, nil
 }
 
-// runTrial executes one seeded trial: the classic trace-driven engine for
-// the default single-shard scenario, the sharded cluster otherwise.
+// runTrial executes one seeded trial on a cluster of s.shards ≥ 1 shard
+// engines: the trace is routed task-by-task by the scenario's routing
+// policy, the trial's churn plan (empty unless WithChurn) is applied at
+// arrival boundaries, then the shards drain and their results merge. One
+// shard is the unsharded engine exactly (sim.Cluster routes nothing and
+// merges nothing), so there is no second driver. The run is
+// single-goroutine and fully deterministic for a fixed (seed, shard count,
+// router spec); trial-level parallelism comes from the worker pool.
 func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, error) {
-	var res *Result
-	var err error
-	if s.shards > 1 || s.churn.Enabled() {
-		// Churn always runs on the cluster driver, even single-shard: the
-		// membership operations live on the open engine underneath it. With
-		// an empty plan the 1-shard cluster is bit-identical to the classic
-		// engine.
-		res, err = s.runClusterTrial(ctx, trial)
-	} else {
-		var eng *Engine
-		eng, err = s.Engine(trial)
-		if err != nil {
-			return nil, err
-		}
-		res, err = eng.RunContext(ctx)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.onTrial != nil {
-		s.onTrial(trial, res)
-	}
-	return res, nil
-}
-
-// runClusterTrial executes one trial on a sharded cluster: the trace is
-// routed task-by-task across shard-scoped open engines by the scenario's
-// routing policy, then the shards drain and their results merge. The run
-// is single-goroutine and fully deterministic for a fixed (seed, shard
-// count, router spec); trial-level parallelism still comes from the
-// worker pool.
-func (s *Scenario) runClusterTrial(ctx context.Context, trial int) (*Result, error) {
 	pol, err := router.FromSpec(s.routerSpec)
 	if err != nil {
 		return nil, err
@@ -438,17 +413,14 @@ func (s *Scenario) runClusterTrial(ctx context.Context, trial int) (*Result, err
 	// schedules) and applied at arrival boundaries: every event due at or
 	// before a task's arrival fires before that task is routed, so the run
 	// stays a pure function of (trace, plan).
-	var plan []ChurnEvent
-	if s.churn.Enabled() {
-		cc := s.churn
-		cc.Seed = s.churn.Seed + int64(trial)
-		plan = sim.GenerateChurn(len(s.Matrix().Machines()), s.window, cc)
-	}
+	cc := s.churn
+	cc.Seed += int64(trial)
+	plan := sim.GenerateChurn(len(s.Matrix().Machines()), s.window, cc)
 	tr := s.trace(trial)
 	done := ctx.Done()
 	next := 0
 	for i := range tr.Tasks {
-		if done != nil && i%256 == 0 {
+		if done != nil {
 			select {
 			case <-done:
 				return nil, ctx.Err()
@@ -470,7 +442,11 @@ func (s *Scenario) runClusterTrial(ctx context.Context, trial int) (*Result, err
 			return nil, err
 		}
 	}
-	return cl.Drain(), nil
+	res := cl.Drain()
+	if s.onTrial != nil {
+		s.onTrial(trial, res)
+	}
+	return res, nil
 }
 
 // RunResult is the outcome of Scenario.Run: the raw per-trial results in
