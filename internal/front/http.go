@@ -125,7 +125,7 @@ func NewHandler(f *Front) http.Handler {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			f.metrics.rejected.Add(1)
-			httpError(w, http.StatusBadRequest, fmt.Errorf("front: bad decide body: %w", err))
+			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("front: bad decide body: %w", err))
 			return
 		}
 		if id := req.DecisionID; id != "" && f.dedup != nil {
@@ -133,15 +133,15 @@ func NewHandler(f *Front) http.Handler {
 			if !owner {
 				data, n, err := e.Await(r.Context())
 				if err != nil {
-					httpError(w, http.StatusConflict, fmt.Errorf("front: duplicate decision id %q: %w", id, err))
+					service.WriteError(w, http.StatusConflict, fmt.Errorf("front: duplicate decision id %q: %w", id, err))
 					return
 				}
 				if n != len(req.Tasks) {
-					httpError(w, http.StatusConflict, fmt.Errorf(
+					service.WriteError(w, http.StatusConflict, fmt.Errorf(
 						"front: decision id %q was acknowledged for %d tasks, retried with %d", id, n, len(req.Tasks)))
 					return
 				}
-				writeRawJSON(w, http.StatusOK, data)
+				service.WriteRawJSON(w, http.StatusOK, data)
 				return
 			}
 			resp, err := f.Decide(r.Context(), &req)
@@ -156,12 +156,12 @@ func NewHandler(f *Front) http.Handler {
 			data, err := json.Marshal(resp)
 			if err != nil {
 				f.dedup.Fail(id, err)
-				httpError(w, http.StatusInternalServerError, err)
+				service.WriteError(w, http.StatusInternalServerError, err)
 				return
 			}
 			data = append(data, '\n')
 			f.dedup.Commit(id, data, len(req.Tasks))
-			writeRawJSON(w, http.StatusOK, data)
+			service.WriteRawJSON(w, http.StatusOK, data)
 			return
 		}
 		resp, err := f.Decide(r.Context(), &req)
@@ -169,18 +169,18 @@ func NewHandler(f *Front) http.Handler {
 			decideError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		service.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
 		res, err := f.Drain(r.Context())
 		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err)
+			service.WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, &service.DrainResponse{Result: res})
+		service.WriteJSON(w, http.StatusOK, &service.DrainResponse{Result: res})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Stats())
+		service.WriteJSON(w, http.StatusOK, f.Stats())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		st := service.StatusResponse{
@@ -193,20 +193,20 @@ func NewHandler(f *Front) http.Handler {
 		if f.Draining() {
 			st.Status = "draining"
 		}
-		writeJSON(w, http.StatusOK, &st)
+		service.WriteJSON(w, http.StatusOK, &st)
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case f.Draining():
-			writeJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "draining"})
+			service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "draining"})
 		case f.NumReady() == 0:
-			writeJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "booting"})
+			service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "booting"})
 		default:
-			writeJSON(w, http.StatusOK, &service.ReadyResponse{Ready: true, Status: "ok"})
+			service.WriteJSON(w, http.StatusOK, &service.ReadyResponse{Ready: true, Status: "ok"})
 		}
 	})
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.tel.Traces())
+		service.WriteJSON(w, http.StatusOK, f.tel.Traces())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -281,13 +281,13 @@ func decideError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrWindowFull):
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err)
+		service.WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrNoBackends), errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err)
+		service.WriteError(w, http.StatusServiceUnavailable, err)
 	case isUpstream(err):
-		httpError(w, http.StatusBadGateway, err)
+		service.WriteError(w, http.StatusBadGateway, err)
 	default:
-		httpError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -300,25 +300,3 @@ func isUpstream(err error) bool {
 
 // errUpstream marks fan-out failures that wrapped a transport error.
 var errUpstream = errors.New("front: upstream failure")
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeRawJSON writes pre-encoded JSON bytes (already newline-terminated)
-// — the dedup replay path.
-func writeRawJSON(w http.ResponseWriter, code int, data []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(data)
-}

@@ -45,7 +45,7 @@ func NewHandler(c *Controller) http.Handler {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			c.metrics.rejected.Add(1)
-			httpError(w, http.StatusBadRequest, fmt.Errorf("service: bad decide body: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("service: bad decide body: %w", err))
 			return
 		}
 		if id := req.DecisionID; id != "" && c.dedup != nil {
@@ -55,15 +55,15 @@ func NewHandler(c *Controller) http.Handler {
 				// then replay the original acknowledged bytes.
 				data, n, err := e.Await(r.Context())
 				if err != nil {
-					httpError(w, http.StatusConflict, fmt.Errorf("service: duplicate decision id %q: %w", id, err))
+					WriteError(w, http.StatusConflict, fmt.Errorf("service: duplicate decision id %q: %w", id, err))
 					return
 				}
 				if n != len(req.Tasks) {
-					httpError(w, http.StatusConflict, fmt.Errorf(
+					WriteError(w, http.StatusConflict, fmt.Errorf(
 						"service: decision id %q was acknowledged for %d tasks, retried with %d", id, n, len(req.Tasks)))
 					return
 				}
-				writeRawJSON(w, http.StatusOK, data)
+				WriteRawJSON(w, http.StatusOK, data)
 				return
 			}
 			resp, err := c.Decide(r.Context(), &req)
@@ -77,7 +77,7 @@ func NewHandler(c *Controller) http.Handler {
 			data, err := json.Marshal(resp)
 			if err != nil {
 				c.dedup.Fail(id, err)
-				httpError(w, http.StatusInternalServerError, err)
+				WriteError(w, http.StatusInternalServerError, err)
 				return
 			}
 			data = append(data, '\n')
@@ -85,7 +85,7 @@ func NewHandler(c *Controller) http.Handler {
 			// replayed duplicate byte-identical to the original response.
 			c.dedup.Commit(id, data, len(req.Tasks))
 			c.metrics.ObserveLatency(time.Since(start))
-			writeRawJSON(w, http.StatusOK, data)
+			WriteRawJSON(w, http.StatusOK, data)
 			return
 		}
 		resp, err := c.Decide(r.Context(), &req)
@@ -94,45 +94,45 @@ func NewHandler(c *Controller) http.Handler {
 			return
 		}
 		c.metrics.ObserveLatency(time.Since(start))
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /v1/admin/machines", func(w http.ResponseWriter, r *http.Request) {
 		var req AdminMachineRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("service: bad admin body: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("service: bad admin body: %w", err))
 			return
 		}
 		resp, err := c.Admin(r.Context(), &req)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrDraining):
-				httpError(w, http.StatusServiceUnavailable, err)
+				WriteError(w, http.StatusServiceUnavailable, err)
 			case errors.Is(err, errAdminConflict):
-				httpError(w, http.StatusConflict, err)
+				WriteError(w, http.StatusConflict, err)
 			default:
-				httpError(w, http.StatusBadRequest, err)
+				WriteError(w, http.StatusBadRequest, err)
 			}
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
 		res, err := c.Drain(r.Context())
 		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err)
+			WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, &DrainResponse{Result: res})
+		WriteJSON(w, http.StatusOK, &DrainResponse{Result: res})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		shards, err := c.ShardStats(r.Context())
 		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, err)
+			WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, &StatsResponse{Router: c.policy.Name(), Shards: shards})
+		WriteJSON(w, http.StatusOK, &StatsResponse{Router: c.policy.Name(), Shards: shards})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		st := StatusResponse{
@@ -148,17 +148,17 @@ func NewHandler(c *Controller) http.Handler {
 		if c.Draining() {
 			st.Status = "draining"
 		}
-		writeJSON(w, http.StatusOK, &st)
+		WriteJSON(w, http.StatusOK, &st)
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if c.Draining() {
-			writeJSON(w, http.StatusServiceUnavailable, &ReadyResponse{Status: "draining"})
+			WriteJSON(w, http.StatusServiceUnavailable, &ReadyResponse{Status: "draining"})
 			return
 		}
-		writeJSON(w, http.StatusOK, &ReadyResponse{Ready: true, Status: "ok"})
+		WriteJSON(w, http.StatusOK, &ReadyResponse{Ready: true, Status: "ok"})
 	})
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Traces())
+		WriteJSON(w, http.StatusOK, c.Traces())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -311,27 +311,30 @@ func decideError(w http.ResponseWriter, err error) {
 	if code == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	httpError(w, code, err)
+	WriteError(w, code, err)
 }
 
 type errorBody struct {
 	Error string `json:"error"`
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
+// WriteError writes err as the JSON error body every taskdrop HTTP surface
+// (this handler, the front tier's) answers failures with.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, errorBody{Error: err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeRawJSON writes pre-encoded JSON bytes (already newline-terminated)
+// WriteRawJSON writes pre-encoded JSON bytes (already newline-terminated)
 // — the dedup path, where the response must be byte-identical to the
 // original acknowledgement.
-func writeRawJSON(w http.ResponseWriter, code int, data []byte) {
+func WriteRawJSON(w http.ResponseWriter, code int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(data)

@@ -417,7 +417,6 @@ func (sh *shard) recover() error {
 		sh.recovered = append(sh.recovered, *open)
 		open = nil
 	}
-	machines := sh.c.matrix.Machines()
 	err = rec.Replay(dir, func(r *journal.Record) error {
 		switch r.Kind {
 		case journal.KindBatch:
@@ -427,31 +426,15 @@ func (sh *shard) recover() error {
 				open = &recoveredBatch{id: r.ID, expect: int(r.NTasks)}
 			}
 		case journal.KindArrive:
-			ts := sh.eng.Feed(&workload.Task{
-				ID:         int(r.Seq),
-				Type:       pet.TaskType(r.Type),
-				Arrival:    r.Tick,
-				Deadline:   r.Deadline,
-				ExecByType: r.Exec,
-			})
+			ts := sh.eng.Feed(arriveTask(r))
 			sh.metrics.countDecision(actionOf(ts.Status))
 			sh.eng.ObserveDecision(sh.view, ts)
 			if r.Seq > sh.watermark {
 				sh.watermark = r.Seq
 			}
 			if open != nil {
-				// Re-derive the wire decision the live server acknowledged —
-				// the same status mapping decide() applies.
-				d := Decision{ID: r.ID, Seq: int(r.Seq), Shard: sh.id, Machine: -1, Action: actionOf(ts.Status)}
-				if d.Action == ActionMap {
-					d.Machine = sh.global[ts.Machine]
-					if d.Machine < len(machines) {
-						d.MachineName = machines[d.Machine].Name
-					} else {
-						d.MachineName = sh.c.machineName(d.Machine)
-					}
-				}
-				open.decisions = append(open.decisions, d)
+				// Re-derive the wire decision the live server acknowledged.
+				open.decisions = append(open.decisions, decisionOf(sh.eng, sh.global, sh.id, r.ID, r.Seq, ts))
 				open.now = sh.eng.Now()
 				if len(open.decisions) == open.expect {
 					closeOpen()
@@ -477,19 +460,6 @@ func (sh *shard) recover() error {
 	sh.updateMembershipGauges()
 	sh.eng.PublishLoad(sh.view)
 	return err
-}
-
-// actionOf maps a just-fed task's status onto the wire admission action —
-// the same mapping decide() applies.
-func actionOf(st sim.Status) Action {
-	switch st {
-	case sim.StatusQueued, sim.StatusRunning:
-		return ActionMap
-	case sim.StatusBatch:
-		return ActionDefer
-	default:
-		return ActionDrop
-	}
 }
 
 // installJournalHook wires the engine's terminal transitions (completion,
@@ -527,9 +497,24 @@ func (sh *shard) journalArrive(seq int64, t *workload.Task, id string) {
 	})
 }
 
-// journalDecision logs the acknowledged admission outcome (machine index
-// shard-local, matching what replay re-derives).
-func (sh *shard) journalDecision(seq int64, a Action, localMachine int) {
+// arriveTask reconstructs the engine task of one arrive record — the
+// inverse of journalArrive, shared by recovery and offline replay (the
+// recorded Exec already carries the resolved execution times, so no PET
+// fallback is needed).
+func arriveTask(rec *journal.Record) *workload.Task {
+	return &workload.Task{
+		ID:         int(rec.Seq),
+		Type:       pet.TaskType(rec.Type),
+		Arrival:    rec.Tick,
+		Deadline:   rec.Deadline,
+		ExecByType: rec.Exec,
+	}
+}
+
+// decisionRecord is the journal form of one admission outcome at shard
+// clock now (machine index shard-local): what the live shard logs and what
+// replay re-derives to match against it.
+func decisionRecord(seq int64, a Action, localMachine int, now pmf.Tick) journal.Record {
 	act := journal.ActDrop
 	switch a {
 	case ActionMap:
@@ -537,13 +522,19 @@ func (sh *shard) journalDecision(seq int64, a Action, localMachine int) {
 	case ActionDefer:
 		act = journal.ActDefer
 	}
-	_ = sh.jw.Append(&journal.Record{
+	return journal.Record{
 		Kind:    journal.KindDecision,
 		Seq:     seq,
 		Action:  act,
 		Machine: int32(localMachine),
-		Tick:    sh.eng.Now(),
-	})
+		Tick:    now,
+	}
+}
+
+// journalDecision logs the acknowledged admission outcome.
+func (sh *shard) journalDecision(seq int64, a Action, localMachine int) {
+	rec := decisionRecord(seq, a, localMachine, sh.eng.Now())
+	_ = sh.jw.Append(&rec)
 }
 
 // journalTrace logs one completed stage trace. It runs after the

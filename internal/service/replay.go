@@ -17,7 +17,6 @@ import (
 	"github.com/hpcclab/taskdrop/internal/router"
 	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/telemetry"
-	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
 // Offline journal replay (cmd/hcreplay).
@@ -36,28 +35,21 @@ import (
 // divergence.
 const robustnessTol = 1e-9
 
-// replayColdChains makes replay engines run with the persistent chain
-// caches disabled (sim.Config.ColdChains). The live server always records
-// warm; a cold verify pass recomputing the identical decision stream is
-// the end-to-end proof the caches are bitwise-transparent. Toggled by the
-// warm-vs-cold journal test.
-var replayColdChains bool
-
 // shardReplayer drives a from-scratch deterministic replay of one shard's
 // journal: a fresh engine (built from the manifest exactly as service.New
 // builds it), the shard's router view, and the derived records the replay
 // generates for comparison against the log.
 type shardReplayer struct {
 	man    Manifest
-	matrix *pet.Matrix
 	eng    *sim.Engine
 	view   *router.ShardView
 	global []int
 
-	watermark                 int64
-	requests                  int64
-	mapped, deferred, dropped int64
-	drained                   bool
+	watermark int64
+	// metrics tallies requests and decisions exactly as the live shard's
+	// counters do, for comparison against checkpoints.
+	metrics *Metrics
+	drained bool
 
 	// gen holds the derived records (decisions, terminal events, drain
 	// markers) the replay produces, awaiting match against logged ones.
@@ -66,8 +58,13 @@ type shardReplayer struct {
 
 // newShardReplayer rebuilds shard s's engine from a journal root's
 // manifest. The construction mirrors service.New: same cluster partition,
-// same per-shard mapper/dropper instances, same config split.
-func newShardReplayer(root string, s int) (*shardReplayer, error) {
+// same per-shard mapper/dropper instances, same config split. cold runs
+// the replay engine with the persistent chain caches disabled
+// (sim.Config.ColdChains): the live server always records warm, so a cold
+// pass re-deriving the identical decision stream is the end-to-end proof
+// the caches are bitwise-transparent. Every exported entry point replays
+// warm; the warm-vs-cold journal test passes true.
+func newShardReplayer(root string, s int, cold bool) (*shardReplayer, error) {
 	man, err := LoadManifest(root)
 	if err != nil {
 		return nil, err
@@ -88,7 +85,7 @@ func newShardReplayer(root string, s int) (*shardReplayer, error) {
 		BoundaryExclusion: man.BoundaryExclusion,
 		DropOnArrival:     man.DropOnArrival,
 		ReactiveGrace:     man.Grace,
-		ColdChains:        replayColdChains,
+		ColdChains:        cold,
 	}
 	cl, err := buildCluster(matrix, man.Partition, man.Shards, policy, func(int) (sim.Mapper, core.Policy, error) {
 		m, err := mapping.FromSpec(man.Mapper)
@@ -106,11 +103,11 @@ func newShardReplayer(root string, s int) (*shardReplayer, error) {
 	}
 	r := &shardReplayer{
 		man:       man,
-		matrix:    matrix,
 		eng:       cl.Shards()[s],
 		view:      cl.View(s),
 		global:    cl.GlobalMachines(s),
 		watermark: -1,
+		metrics:   newMetrics(),
 	}
 	r.eng.SetJournal(func(ts *sim.TaskState, now pmf.Tick) {
 		r.gen = append(r.gen, journal.Record{
@@ -123,47 +120,15 @@ func newShardReplayer(root string, s int) (*shardReplayer, error) {
 	return r, nil
 }
 
-// task reconstructs the engine task of one arrive record — the inverse of
-// journalArrive + makeTask (the recorded Exec already carries the resolved
-// execution times, so no PET fallback is needed).
-func (r *shardReplayer) task(rec *journal.Record) *workload.Task {
-	return &workload.Task{
-		ID:         int(rec.Seq),
-		Type:       pet.TaskType(rec.Type),
-		Arrival:    rec.Tick,
-		Deadline:   rec.Deadline,
-		ExecByType: rec.Exec,
-	}
-}
-
 // feed replays one arrive record through the engine, generating the
 // decision record the live service would have logged (the engine hook
 // generates the terminal events as a side effect of Feed).
 func (r *shardReplayer) feed(rec *journal.Record) *sim.TaskState {
-	ts := r.eng.Feed(r.task(rec))
+	ts := r.eng.Feed(arriveTask(rec))
 	r.eng.ObserveDecision(r.view, ts)
-	switch actionOf(ts.Status) {
-	case ActionMap:
-		r.mapped++
-	case ActionDefer:
-		r.deferred++
-	default:
-		r.dropped++
-	}
-	act := journal.ActDrop
-	switch actionOf(ts.Status) {
-	case ActionMap:
-		act = journal.ActMap
-	case ActionDefer:
-		act = journal.ActDefer
-	}
-	r.gen = append(r.gen, journal.Record{
-		Kind:    journal.KindDecision,
-		Seq:     rec.Seq,
-		Action:  act,
-		Machine: int32(ts.Machine),
-		Tick:    r.eng.Now(),
-	})
+	a := actionOf(ts.Status)
+	r.metrics.countDecision(a)
+	r.gen = append(r.gen, decisionRecord(rec.Seq, a, ts.Machine, r.eng.Now()))
 	if rec.Seq > r.watermark {
 		r.watermark = rec.Seq
 	}
@@ -234,10 +199,15 @@ type VerifyStats struct {
 // truncated tail (crash) is tolerated — the log is then a prefix of the
 // derived stream — but any interior disagreement is an error.
 func VerifyShard(root string, s int) (*VerifyStats, error) {
-	r, err := newShardReplayer(root, s)
+	r, err := newShardReplayer(root, s, false)
 	if err != nil {
 		return nil, err
 	}
+	return r.verify(root, s)
+}
+
+// verify is VerifyShard over an already-built replayer of shard s.
+func (r *shardReplayer) verify(root string, s int) (*VerifyStats, error) {
 	dir := ShardJournalDir(root, s)
 	segs, err := journal.Segments(dir)
 	if err != nil {
@@ -273,7 +243,7 @@ func VerifyShard(root string, s int) (*VerifyStats, error) {
 			st.Records++
 			switch rec.Kind {
 			case journal.KindBatch:
-				r.requests++
+				r.metrics.requests.Add(1)
 			case journal.KindArrive:
 				st.Arrives++
 				r.feed(rec)
@@ -346,9 +316,10 @@ func (r *shardReplayer) compareCheckpoint(payload []byte, s, seg int) error {
 	if cp.SeqWatermark != r.watermark {
 		return fmt.Errorf("shard %d: snapshot %d: watermark %d, replay at %d", s, seg, cp.SeqWatermark, r.watermark)
 	}
-	if cp.Requests != r.requests || cp.Mapped != r.mapped || cp.Deferred != r.deferred || cp.Dropped != r.dropped {
+	m := r.metrics
+	if cp.Requests != m.requests.Load() || cp.Mapped != m.mapped.Load() || cp.Deferred != m.deferred.Load() || cp.Dropped != m.dropped.Load() {
 		return fmt.Errorf("shard %d: snapshot %d: counters (req %d map %d defer %d drop %d), replay (req %d map %d defer %d drop %d)",
-			s, seg, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped, r.requests, r.mapped, r.deferred, r.dropped)
+			s, seg, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped, m.requests.Load(), m.mapped.Load(), m.deferred.Load(), m.dropped.Load())
 	}
 	for class, p := range cp.Robustness {
 		if got := r.view.ClassRobustness(class); math.Abs(got-p) > robustnessTol {
@@ -402,7 +373,7 @@ var errAuditStop = errors.New("audit: stop")
 // each queue, and finally the re-derived decision next to the logged one.
 // verbose additionally prints the candidate's full completion-time PMFs.
 func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) error {
-	r, err := newShardReplayer(root, s)
+	r, err := newShardReplayer(root, s, false)
 	if err != nil {
 		return err
 	}
@@ -468,7 +439,7 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 		return err
 	}
 
-	t := r.task(target)
+	t := arriveTask(target)
 	fmt.Fprintf(w, "decision seq %d (shard %d of %s)\n", seq, s, root)
 	fmt.Fprintf(w, "task: type=%d arrival=%d deadline=%d exec_by_type=%v\n", t.Type, t.Arrival, t.Deadline, t.ExecByType)
 
@@ -492,7 +463,6 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	if totalSlots > 0 {
 		pressure = float64(live.Batch) / float64(totalSlots)
 	}
-	machines := r.matrix.Machines()
 	calc := r.eng.Calc()
 	out := make(map[int]bool)
 	for _, ri := range r.eng.RemovedMachines() {
@@ -541,15 +511,7 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 
 	// Re-derive the decision and set it against the logged record.
 	ts := r.feed(target)
-	d := Decision{Seq: int(seq), Shard: s, Machine: -1, Action: actionOf(ts.Status)}
-	if d.Action == ActionMap {
-		d.Machine = r.global[ts.Machine]
-		if d.Machine >= 0 && d.Machine < len(machines) {
-			d.MachineName = machines[d.Machine].Name
-		} else {
-			d.MachineName = r.eng.Machines()[ts.Machine].Spec.Name
-		}
-	}
+	d := decisionOf(r.eng, r.global, s, "", seq, ts)
 	if d.Action == ActionMap {
 		fmt.Fprintf(w, "replayed decision: %s -> machine %d %q\n", d.Action, d.Machine, d.MachineName)
 	} else {

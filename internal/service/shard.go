@@ -143,7 +143,6 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			}
 			sh.journalBatch(n, req.DecisionID)
 		}
-		machines := sh.c.matrix.Machines()
 		decideOne := func(i int) {
 			spec := &req.Tasks[i]
 			a := traceAt(traces, i)
@@ -171,23 +170,7 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 				a.Mark(telemetry.StageCalculus, feedStart, time.Now())
 				sh.rec.End()
 			}
-			d := Decision{ID: spec.ID, Seq: int(seqs[i]), Shard: sh.id, Machine: -1}
-			switch st := ts.Status; {
-			case st == sim.StatusQueued || st == sim.StatusRunning:
-				d.Action = ActionMap
-				d.Machine = sh.global[ts.Machine]
-				if d.Machine < len(machines) {
-					d.MachineName = machines[d.Machine].Name
-				} else {
-					// Runtime-added machine: past the matrix, named by the
-					// controller's directory.
-					d.MachineName = sh.c.machineName(d.Machine)
-				}
-			case st == sim.StatusBatch:
-				d.Action = ActionDefer
-			default:
-				d.Action = ActionDrop
-			}
+			d := decisionOf(sh.eng, sh.global, sh.id, spec.ID, seqs[i], ts)
 			sh.eng.ObserveDecision(sh.view, ts)
 			sh.metrics.countDecision(d.Action)
 			sh.c.metrics.countDecision(d.Action)
@@ -252,6 +235,34 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 		return 0, ErrDraining
 	}
 	return now, nil
+}
+
+// actionOf maps a just-fed task's status onto the wire admission action.
+func actionOf(st sim.Status) Action {
+	switch st {
+	case sim.StatusQueued, sim.StatusRunning:
+		return ActionMap
+	case sim.StatusBatch:
+		return ActionDefer
+	default:
+		return ActionDrop
+	}
+}
+
+// decisionOf assembles the wire Decision of a task eng just fed — the one
+// assembly live decide, crash recovery and the offline audit share: the
+// action its status encodes and, when mapped, the machine's matrix-wide
+// index (global translates the shard-local one) and name. A shard engine
+// carries every machine's own name — partitioning re-indexes specs and
+// nothing else, and a runtime-added machine enters the controller's
+// directory under its engine name — so the name needs no second lookup.
+func decisionOf(eng *sim.Engine, global []int, shard int, id string, seq int64, ts *sim.TaskState) Decision {
+	d := Decision{ID: id, Seq: int(seq), Shard: shard, Machine: -1, Action: actionOf(ts.Status)}
+	if d.Action == ActionMap {
+		d.Machine = global[ts.Machine]
+		d.MachineName = eng.Machines()[ts.Machine].Spec.Name
+	}
+	return d
 }
 
 // snapshot reads the shard's live engine state through its decision loop.
