@@ -60,11 +60,6 @@ func diffCase(t *testing.T, r *rand.Rand, ws *Workspace, span Tick) {
 		t.Fatalf("NextCompletion mismatch (dl=%d):\n got %v\nwant %v", dl, got, wantNC)
 	}
 
-	wantCV := prev.Convolve(exec)
-	if got := ws.Convolve(prev, exec); !got.ApproxEqual(wantCV, 1e-12) {
-		t.Fatalf("Convolve mismatch:\n got %v\nwant %v", got, wantCV)
-	}
-
 	// Fused harvest-compaction vs naive chain step at a random budget.
 	budget := 1 + r.Intn(48)
 	want := wantNC.Compact(budget)

@@ -277,47 +277,6 @@ func (w *Workspace) nextCompletion(prev, exec PMF, dl Tick, maxN int, pat []uint
 	return w.mergeRuns(total)
 }
 
-// Convolve returns the distribution of X+Y for independent X ~ p and Y ~ q
-// with arena storage. Results are identical to PMF.Convolve up to
-// floating-point addition order (contributions accumulate in ascending
-// p-impulse order). The returned PMF is valid until Reset.
-func (w *Workspace) Convolve(p, q PMF) PMF {
-	if p.IsZero() || q.IsZero() {
-		return Zero()
-	}
-	lo := p.imp[0].T + q.imp[0].T
-	hi := p.imp[len(p.imp)-1].T + q.imp[len(q.imp)-1].T
-	total := len(p.imp) * len(q.imp)
-	if span := int(hi-lo) + 1; span > 0 && span <= maxDenseSpan {
-		if span*linearFillFactor <= total {
-			d := w.denseLinearWindow(span)
-			q0 := q.imp[0].T
-			for _, a := range p.imp {
-				row := d[a.T+q0-lo:]
-				ap := a.P
-				for _, b := range q.imp {
-					row[b.T-q0] += ap * b.P
-				}
-			}
-			return w.harvestLinear(d, lo, total)
-		}
-		d, bits := w.denseWindow(span)
-		for _, a := range p.imp {
-			for _, b := range q.imp {
-				i := uint(a.T + b.T - lo)
-				d[i] += a.P * b.P
-				bits[i>>6] |= 1 << (i & 63)
-			}
-		}
-		return w.harvest(d, bits, lo, total)
-	}
-	w.curs = w.curs[:0]
-	for _, a := range p.imp {
-		w.curs = append(w.curs, cursor{src: q.imp, shift: a.T, scale: a.P, t: q.imp[0].T + a.T})
-	}
-	return w.mergeRuns(total)
-}
-
 // denseWindow returns the zeroed span-cell accumulation window and its
 // touched-cell bitmap.
 func (w *Workspace) denseWindow(span int) ([]float64, []uint64) {
