@@ -19,28 +19,16 @@ SEED=1
 CUT=750 # tasks replayed before the churn/crash checkpoint (of 1500)
 ADDR=127.0.0.1:18193
 
-BIN="$(mktemp -d)"
-JDIR="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-    if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
-    rm -rf "$BIN" "$JDIR"
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/hcserve ./cmd/hcload ./cmd/hcreplay ./cmd/obslint
+. "$(dirname "$0")/lib.sh"
+smoke_build hcserve hcload hcreplay obslint
+smoke_tmpdir JDIR
 
 serve() {
     "$BIN/hcserve" -addr "$ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
         -shards 2 -router rr -boundary 100 \
         -journal-dir "$JDIR" -fsync always -snapshot-every 400 &
     SERVER_PID=$!
-    for _ in $(seq 1 50); do
-        curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && return 0
-        sleep 0.2
-    done
-    echo "server did not come up" >&2
-    return 1
+    wait_http "http://$ADDR/healthz"
 }
 
 # admin fires one membership operation and echoes the response.

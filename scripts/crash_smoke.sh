@@ -19,16 +19,9 @@ SEED=1
 CUT=750 # tasks replayed before the kill (of 1500 at this scale)
 ADDR=127.0.0.1:18189
 
-BIN="$(mktemp -d)"
-JDIR="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-    if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
-    rm -rf "$BIN" "$JDIR"
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/hcsim ./cmd/hcserve ./cmd/hcload ./cmd/hcreplay
+. "$(dirname "$0")/lib.sh"
+smoke_build hcsim hcserve hcload hcreplay
+smoke_tmpdir JDIR
 
 offline=$("$BIN/hcsim" -profile "$PROFILE" -mapper PAM -dropper heuristic \
     -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" | awk '/^robustness/{print $2}')
@@ -39,12 +32,7 @@ serve() {
         -shards "$SHARDS" -router rr -boundary 100 \
         -journal-dir "$JDIR" -fsync always -snapshot-every 400 &
     SERVER_PID=$!
-    for _ in $(seq 1 50); do
-        curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && return 0
-        sleep 0.2
-    done
-    echo "server did not come up" >&2
-    return 1
+    wait_http "http://$ADDR/healthz"
 }
 
 serve

@@ -21,36 +21,22 @@ B0=127.0.0.1:18291
 B1=127.0.0.1:18292
 FRONT=127.0.0.1:18290
 
-BIN="$(mktemp -d)"
-JDIR0="$(mktemp -d)"
-JDIR1="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
+SMOKE_PIDS="B0_PID B1_PID ROUTER_PID"
+smoke_build hcsim hcserve hcrouter hcload obslint
+smoke_tmpdir JDIR0
+smoke_tmpdir JDIR1
 B0_PID=""
 B1_PID=""
 ROUTER_PID=""
-cleanup() {
-    for pid in "$B0_PID" "$B1_PID" "$ROUTER_PID"; do
-        [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null || true
-    done
-    rm -rf "$BIN" "$JDIR0" "$JDIR1"
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/hcsim ./cmd/hcserve ./cmd/hcrouter ./cmd/hcload ./cmd/obslint
 
 offline=$("$BIN/hcsim" -profile "$PROFILE" -mapper PAM -dropper heuristic \
     -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" | awk '/^robustness/{print $2}')
 echo "offline robustness:   $offline %"
 
-# wait_ready URL — block until /readyz answers 200 (the boot gate: the
+# wait_ready ADDR — block until /readyz answers 200 (the boot gate: the
 # listener binds before journal recovery, answering 503 until serving).
-wait_ready() {
-    for _ in $(seq 1 100); do
-        curl -sf "http://$1/readyz" >/dev/null 2>&1 && return 0
-        sleep 0.2
-    done
-    echo "no 200 from http://$1/readyz" >&2
-    return 1
-}
+wait_ready() { wait_http "http://$1/readyz"; }
 
 start_backend() { # addr journal_dir partition -> pid
     # The daemon's stdout must not inherit the command-substitution pipe,
@@ -117,9 +103,8 @@ stop_fleet
 ### Phase 2: fresh fleet — kill -9 one backend mid-replay; the router
 ### sheds its classes onto the survivor and the replay still completes
 ### with zero duplicate acks.
-rm -rf "$JDIR0" "$JDIR1"
-JDIR0="$(mktemp -d)"
-JDIR1="$(mktemp -d)"
+smoke_tmpdir JDIR0
+smoke_tmpdir JDIR1
 start_fleet
 echo "fresh fleet up for the kill test"
 

@@ -20,26 +20,15 @@ SEED=1
 ADDR=127.0.0.1:18191
 DEBUG_ADDR=127.0.0.1:18192
 
-BIN="$(mktemp -d)"
-JDIR="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-    if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
-    rm -rf "$BIN" "$JDIR"
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/hcserve ./cmd/hcload ./cmd/hcreplay ./cmd/obslint
+. "$(dirname "$0")/lib.sh"
+smoke_build hcserve hcload hcreplay obslint
+smoke_tmpdir JDIR
 
 "$BIN/hcserve" -addr "$ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
     -shards 4 -router rr -journal-dir "$JDIR" -fsync interval \
     -trace-sample 1 -debug-addr "$DEBUG_ADDR" -log-format json &
 SERVER_PID=$!
-for _ in $(seq 1 50); do
-    curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && break
-    sleep 0.2
-done
-curl -sf "http://$ADDR/healthz" >/dev/null || { echo "server did not come up" >&2; exit 1; }
+wait_http "http://$ADDR/healthz"
 
 "$BIN/hcload" -addr "http://$ADDR" -profile "$PROFILE" \
     -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" -no-drain

@@ -15,24 +15,14 @@ SCALE=0.05
 SEED=1
 ADDR=127.0.0.1:18190
 
-BIN="$(mktemp -d)"
-JDIR="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-    if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
-    rm -rf "$BIN" "$JDIR"
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/hcserve ./cmd/hcload ./cmd/hcreplay
+. "$(dirname "$0")/lib.sh"
+smoke_build hcserve hcload hcreplay
+smoke_tmpdir JDIR
 
 "$BIN/hcserve" -addr "$ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
     -shards 2 -router rr -journal-dir "$JDIR" -fsync interval -snapshot-every 400 &
 SERVER_PID=$!
-for _ in $(seq 1 50); do
-    curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && break
-    sleep 0.2
-done
+wait_http "http://$ADDR/healthz"
 
 "$BIN/hcload" -addr "http://$ADDR" -profile "$PROFILE" \
     -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" -no-drain

@@ -19,15 +19,8 @@ SCALE=0.05
 SEED=1
 ADDR=127.0.0.1:18184
 
-BIN="$(mktemp -d)"
-SERVER_PID=""
-cleanup() {
-    if [ -n "$SERVER_PID" ]; then kill "$SERVER_PID" 2>/dev/null || true; fi
-    rm -rf "$BIN"
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/hcsim ./cmd/hcserve ./cmd/hcload
+. "$(dirname "$0")/lib.sh"
+smoke_build hcsim hcserve hcload
 
 offline=$("$BIN/hcsim" -profile "$PROFILE" -mapper PAM -dropper heuristic \
     -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" | awk '/^robustness/{print $2}')
@@ -36,10 +29,7 @@ echo "offline robustness:   $offline %"
 "$BIN/hcserve" -addr "$ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
     -shards "$SHARDS" -router "$ROUTER" -boundary 100 &
 SERVER_PID=$!
-for _ in $(seq 1 50); do
-    curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && break
-    sleep 0.2
-done
+wait_http "http://$ADDR/healthz"
 
 out=$("$BIN/hcload" -addr "http://$ADDR" -profile "$PROFILE" \
     -tasks "$TASKS" -scale "$SCALE" -seed "$SEED")
