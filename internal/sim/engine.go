@@ -151,9 +151,9 @@ func New(m *pet.Matrix, tr *workload.Trace, mapper Mapper, dropper core.Policy, 
 }
 
 // newEngineWith builds an engine over an explicit machine set — the full
-// matrix (NewOpen) or a shard's partition of it (NewOpenShard). The specs' Index fields must equal their
-// positions so queue bookkeeping, failure state and mapper-visible indexes
-// agree.
+// matrix (NewOpen) or a shard's partition of it (NewOpenShard). The specs'
+// Index fields must equal their positions so queue bookkeeping, failure
+// state and mapper-visible indexes agree.
 func newEngineWith(m *pet.Matrix, specs []pet.MachineSpec, mapper Mapper, dropper core.Policy, cfg Config) *Engine {
 	if m == nil || mapper == nil {
 		panic("sim: nil PET matrix or mapper")
@@ -211,15 +211,10 @@ func (e *Engine) Run() *Result {
 // when ctx is cancelled mid-run the simulation stops where it is and
 // (nil, ctx.Err()) is returned. The engine is not reusable afterwards.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	done := ctx.Done()
 	if e.trace != nil {
 		for i := range e.trace.Tasks {
-			if done != nil {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 			e.Feed(&e.trace.Tasks[i])
 		}

@@ -417,15 +417,10 @@ func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, error) {
 	cc.Seed += int64(trial)
 	plan := sim.GenerateChurn(len(s.Matrix().Machines()), s.window, cc)
 	tr := s.trace(trial)
-	done := ctx.Done()
 	next := 0
 	for i := range tr.Tasks {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		for next < len(plan) && plan[next].At <= tr.Tasks[i].Arrival {
 			if err := cl.ApplyChurn(plan[next]); err != nil {
