@@ -16,8 +16,10 @@ import (
 	taskdrop "github.com/hpcclab/taskdrop"
 	"github.com/hpcclab/taskdrop/internal/core"
 	"github.com/hpcclab/taskdrop/internal/expt"
+	"github.com/hpcclab/taskdrop/internal/mapping"
 	"github.com/hpcclab/taskdrop/internal/pet"
 	"github.com/hpcclab/taskdrop/internal/pmf"
+	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
@@ -117,6 +119,72 @@ func BenchmarkMapperStep(b *testing.B) {
 		if _, err := sys.Simulate(tr, "MinMin", taskdrop.ReactiveDropper()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// timedMapper runs the benchmark clock only inside the wrapped mapper's
+// Map calls that have exactly one slot to fill — the mapping event that
+// follows a completion in a full system — and counts them.
+type timedMapper struct {
+	sim.Mapper
+	b   *testing.B
+	ops int
+}
+
+func (m *timedMapper) Map(ev *sim.MappingEvent) {
+	free := 0
+	for _, mc := range ev.Machines() {
+		free += ev.FreeSlots(mc)
+	}
+	if free != 1 {
+		m.Mapper.Map(ev)
+		return
+	}
+	m.ops++
+	m.b.StartTimer()
+	m.Mapper.Map(ev)
+	m.b.StopTimer()
+}
+
+// BenchmarkPAMMapEvent measures one PAM mapping event in the regime the
+// mapper's cost is made in: every SPEC queue full, a batch of 64 or 256
+// unmapped tasks waiting, and one completion freeing one slot. One engine
+// is held in that oversubscribed steady state — the batch is topped back
+// up at the current clock before every completion fires — and each op is
+// one PAM.Map over it (candidate bounds, the convolutions that survive
+// them, the commit).
+func BenchmarkPAMMapEvent(b *testing.B) {
+	m := pet.Build(pet.SPECProfile(pet.DefaultProfileSeed), pet.DefaultProfileSeed, pet.DefaultBuildOptions())
+	pool := workload.Generate(m, workload.Config{TotalTasks: 4096, Window: workload.StandardWindow, GammaSlack: workload.DefaultGammaSlack}, 1).Tasks
+	for _, batch := range []int{64, 256} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			b.StopTimer()
+			tm := &timedMapper{Mapper: mapping.PAM{}, b: b}
+			eng := sim.NewOpen(m, tm, core.ReactiveOnly{}, sim.DefaultConfig())
+			fed := 0
+			for tm.ops < b.N {
+				for eng.LiveCounts().Batch < batch {
+					t := pool[fed%len(pool)]
+					t.ID, t.Arrival, t.Deadline = fed, eng.Now(), eng.Now()+t.Deadline-t.Arrival
+					fed++
+					eng.Feed(&t)
+				}
+				next := pmf.Tick(-1)
+				for _, mc := range eng.Machines() {
+					if !mc.Running() {
+						continue
+					}
+					head := mc.Queue()[0]
+					if at := head.Start + head.Task.ExecByType[mc.Type()]; next < 0 || at < next {
+						next = at
+					}
+				}
+				if next < 0 {
+					b.Fatal("no machine is running in an oversubscribed system")
+				}
+				eng.AdvanceTo(next)
+			}
+		})
 	}
 }
 

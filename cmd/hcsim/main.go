@@ -106,17 +106,19 @@ func main() {
 	start := time.Now()
 	var single *taskdrop.Result
 	var summary taskdrop.Summary
+	var calc taskdrop.CalcStats
 	switch {
 	case eng != nil && *trials == 1 && !*progress:
 		if single, err = eng.RunContext(ctx); err != nil {
 			log.Fatal(err)
 		}
+		calc = eng.Calc().Stats()
 	default:
 		rr, err := sc.Run(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		single, summary = rr.Trials[0], rr.Summary
+		single, summary, calc = rr.Trials[0], rr.Summary, rr.Calc
 		if eng != nil {
 			if _, err := eng.RunContext(ctx); err != nil {
 				log.Fatal(err)
@@ -134,6 +136,10 @@ func main() {
 		printSummary(summary)
 	} else {
 		printTrial(single)
+	}
+	if n := calc.CandidatesEvaluated + calc.CandidatesPruned; n > 0 {
+		fmt.Printf("mapper candidates     %d evaluated, %d pruned (%.1f %% ruled out unconvolved)\n",
+			calc.CandidatesEvaluated, calc.CandidatesPruned, 100*float64(calc.CandidatesPruned)/float64(n))
 	}
 	fmt.Printf("wall clock            %s\n", elapsed.Round(time.Millisecond))
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/hpcclab/taskdrop/internal/pet"
+	"github.com/hpcclab/taskdrop/internal/pmf"
 )
 
 // Allocation budgets for the steady-state hot paths, enforced by CI's
@@ -121,5 +123,57 @@ func TestPolicyDecideAllocsSteadyState(t *testing.T) {
 				t.Fatalf("steady-state %s decision allocates %.1f/op, budget %d", policy.Name(), avg, maxDecideAllocs)
 			}
 		})
+	}
+}
+
+// TestMapperScanAllocsSteadyState asserts the mapper's side of a mapping
+// event: a minimum-ECT scan of a 64-task batch against one machine's tail
+// — a mean lower bound per candidate from the cached cell moments, an
+// append only for the candidates the bound cannot rule out — allocates
+// nothing once the cache is warm.
+func TestMapperScanAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	calc := allocCalculus(t)
+	cc := calc.NewChainCache()
+	queue := allocQueue()
+	type candidate struct {
+		typ pet.TaskType
+		dl  pmf.Tick
+	}
+	batch := make([]candidate, 64)
+	for i := range batch {
+		batch[i] = candidate{pet.TaskType(i % calc.PET.NumTaskTypes()), pmf.Tick(300 + 37*i%900)}
+	}
+	pruned := 0
+	scan := func() {
+		calc.Recycle()
+		tail, start := calc.ChainStartCached(cc, 2, 100, queue)
+		for i := start; i < len(queue); i++ {
+			tail = tail.AppendTask(queue[i])
+		}
+		best := math.Inf(1)
+		for _, cand := range batch {
+			if tail.MeanLowerBound(cand.typ, cand.dl) >= best {
+				pruned++
+				continue
+			}
+			if ect := tail.Append(cand.typ, cand.dl).PMF().Mean(); ect < best {
+				best = ect
+			}
+		}
+		if math.IsInf(best, 1) {
+			t.Fatal("scan found no candidate")
+		}
+	}
+	for i := 0; i < 8; i++ {
+		scan()
+	}
+	if pruned == 0 {
+		t.Fatal("the bound pruned nothing; the scan does not exercise it")
+	}
+	if avg := testing.AllocsPerRun(200, scan); avg > maxCachedChainEvalAllocs {
+		t.Fatalf("warm 64-candidate mapper scan allocates %.1f/op, budget %d", avg, maxCachedChainEvalAllocs)
 	}
 }

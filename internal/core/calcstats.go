@@ -41,6 +41,15 @@ func (c *Calculus) observeWidth(n int) {
 	c.widthSum.Add(uint64(n))
 }
 
+// CountCandidate records one mapper candidate (a tentative append of a
+// batch task to a machine's tail) whose completion PMF was evaluated.
+func (c *Calculus) CountCandidate() { c.candEval.Add(1) }
+
+// CountPruned records n mapper candidates skipped unconvolved because the
+// mapper could show — from their mean lower bound, or from its own
+// ordering rule — that they could not change its choice.
+func (c *Calculus) CountPruned(n int) { c.candPruned.Add(uint64(n)) }
+
 // CalcStats is a point-in-time snapshot of a calculus' introspection
 // counters. Counts are cumulative since construction (Recycle does not
 // reset them).
@@ -68,6 +77,31 @@ type CalcStats struct {
 	// PinnedBytes is the impulse storage currently pinned across every
 	// ChainCache bound to this calculus — what survives a Recycle.
 	PinnedBytes int64
+	// CandidatesEvaluated/CandidatesPruned count mapper candidates whose
+	// completion PMF was looked up or convolved vs ruled out without one —
+	// the mapper's useful-work ratio.
+	CandidatesEvaluated uint64
+	CandidatesPruned    uint64
+}
+
+// Add folds o into st: counters and pinned bytes sum, the arena high-water
+// mark (a per-calculus peak) takes the maximum.
+func (st *CalcStats) Add(o CalcStats) {
+	st.ChainHits += o.ChainHits
+	st.ChainMisses += o.ChainMisses
+	st.RootHits += o.RootHits
+	st.RootMisses += o.RootMisses
+	for i := range st.Widths {
+		st.Widths[i] += o.Widths[i]
+	}
+	st.WidthSum += o.WidthSum
+	st.ArenaHighWaterBytes = max(st.ArenaHighWaterBytes, o.ArenaHighWaterBytes)
+	st.InvalidationsEvent += o.InvalidationsEvent
+	st.InvalidationsChurn += o.InvalidationsChurn
+	st.InvalidationsOverflow += o.InvalidationsOverflow
+	st.PinnedBytes += o.PinnedBytes
+	st.CandidatesEvaluated += o.CandidatesEvaluated
+	st.CandidatesPruned += o.CandidatesPruned
 }
 
 // Stats snapshots the calculus' introspection counters. Safe to call from
@@ -84,6 +118,8 @@ func (c *Calculus) Stats() CalcStats {
 		InvalidationsChurn:    c.invChurn.Load(),
 		InvalidationsOverflow: c.invOverflow.Load(),
 		PinnedBytes:           c.pinnedBytes.Load(),
+		CandidatesEvaluated:   c.candEval.Load(),
+		CandidatesPruned:      c.candPruned.Load(),
 	}
 	for i := range st.Widths {
 		st.Widths[i] = c.widths[i].Load()

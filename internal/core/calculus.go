@@ -74,10 +74,11 @@ type Calculus struct {
 	eph   chainTrie
 	roots []chainRoot
 
-	// execPat lazily caches one kernel occupancy pattern per PET cell
-	// (task type × machine type): execution PMFs are matrix constants, so
-	// every Eq. 1 append reuses the pattern instead of rebuilding it.
-	execPat [][]uint64
+	// cells lazily caches, per PET cell (task type × machine type), what
+	// the kernels derive from the execution PMF alone: execution PMFs are
+	// matrix constants, so every Eq. 1 append reuses the occupancy pattern
+	// and every mean lower bound the moments instead of re-walking exec.
+	cells []execCell
 
 	// Policy scratch, reused across Decide calls (see heuristicWalk,
 	// CompletionPMFs, SuccessProbs).
@@ -100,14 +101,28 @@ type Calculus struct {
 	invChurn    atomic.Uint64
 	invOverflow atomic.Uint64
 	pinnedBytes atomic.Int64
+	candEval    atomic.Uint64
+	candPruned  atomic.Uint64
+}
+
+// execCell is the per-PET-cell cache entry: the kernel occupancy pattern
+// and the moments of the cell's execution PMF. pat is nil until built.
+type execCell struct {
+	pat []uint64
+	mom pmf.Moments
 }
 
 // chainKey identifies one Eq. 1 transition out of a chain node: appending
-// a task of type t with truncation deadline dl. The machine type is fixed
-// by the root the node descends from.
+// a task of type t whose truncation deadline leaves the node's first k
+// impulses executing. The kernel reads the deadline exactly once, to find
+// that split, so (t, k) — not (t, deadline) — is what the result is a
+// function of: deadlines that cut the node's PMF at the same impulse share
+// one edge, and a node has at most types × (impulses + 1) edges however
+// diverse the deadlines appended to it. The machine type is fixed by the
+// root the node descends from.
 type chainKey struct {
-	t  pet.TaskType
-	dl pmf.Tick
+	t pet.TaskType
+	k int32
 }
 
 // chainEdge is one memoized transition.
@@ -117,10 +132,10 @@ type chainEdge struct {
 }
 
 // chainNode is one memoized chain state: the completion PMF of its prefix
-// plus the transitions already taken from it. Queues hold at most a
-// handful of tasks, so edges stay tiny and are scanned linearly (hits
-// transpose the found edge one slot forward, so a persistent root's
-// hottest candidate edges bubble ahead of stale deadlines).
+// plus the transitions already taken from it. Edges are scanned linearly:
+// queue-interior nodes carry a handful, and on a tail node, where every
+// mapper candidate branches, hits transpose the found edge one slot
+// forward so the hottest (type, split) pairs bubble to the front.
 type chainNode struct {
 	cp    pmf.PMF
 	edges []chainEdge
@@ -195,24 +210,25 @@ func (c *Calculus) exec(t pet.TaskType, mt pet.MachineType) pmf.PMF {
 	return c.PET.ExecPMF(t, mt)
 }
 
-// pattern returns the cached kernel occupancy pattern for (t, mt),
-// building it on first use.
-func (c *Calculus) pattern(t pet.TaskType, mt pet.MachineType) []uint64 {
+// cell returns the cached kernel inputs for (t, mt), building them on
+// first use.
+func (c *Calculus) cell(t pet.TaskType, mt pet.MachineType) *execCell {
 	nm := c.PET.NumMachineTypes()
-	if c.execPat == nil {
-		c.execPat = make([][]uint64, c.PET.NumTaskTypes()*nm)
+	if c.cells == nil {
+		c.cells = make([]execCell, c.PET.NumTaskTypes()*nm)
 	}
-	i := int(t)*nm + int(mt)
-	if c.execPat[i] == nil {
-		c.execPat[i] = pmf.Pattern(c.exec(t, mt))
+	ce := &c.cells[int(t)*nm+int(mt)]
+	if ce.pat == nil {
+		exec := c.exec(t, mt)
+		ce.pat, ce.mom = pmf.Pattern(exec), exec.Moments()
 	}
-	return c.execPat[i]
+	return ce
 }
 
 // appendPMF chains Eq. 1 once through the workspace kernel and compacts
 // the result (in place when freshly produced) to the calculus budget.
 func (c *Calculus) appendPMF(prev pmf.PMF, t pet.TaskType, dl pmf.Tick, mt pet.MachineType) pmf.PMF {
-	cp := c.ws.NextCompletionCompactPattern(prev, c.exec(t, mt), dl, c.MaxImpulses, c.pattern(t, mt))
+	cp := c.ws.NextCompletionCompactPattern(prev, c.exec(t, mt), dl, c.MaxImpulses, c.cell(t, mt).pat)
 	c.observeWidth(cp.Len())
 	return cp
 }
@@ -250,8 +266,9 @@ func (c *Calculus) rootFor(key chainRootKey) int32 {
 
 // ChainState is a memoized position in a completion-time chain: the
 // completion PMF of some prefix of kept tasks, rooted at a machine's
-// availability. Appending the same task (type and truncation deadline) to
-// the same state twice computes the convolution once. A state from the
+// availability. Appending a task of the same type whose truncation
+// deadline splits the state's PMF at the same impulse (see chainKey)
+// computes the convolution once. A state from the
 // per-event trie (cc == nil) is invalidated by Recycle, like the PMFs it
 // holds; a state from a persistent ChainCache is invalidated by the
 // cache's reset instead.
@@ -297,7 +314,8 @@ func (s ChainState) PMF() pmf.PMF { return s.trie().nodes[s.node].cp }
 func (s ChainState) Append(t pet.TaskType, dl pmf.Tick) ChainState {
 	c := s.c
 	tr := s.trie()
-	key := chainKey{t: t, dl: dl}
+	// Rank(dl-1) is the kernel's own split: the impulses strictly before dl.
+	key := chainKey{t: t, k: int32(tr.nodes[s.node].cp.Rank(dl - 1))}
 	edges := tr.nodes[s.node].edges
 	for i, e := range edges {
 		if e.key == key {
@@ -318,6 +336,14 @@ func (s ChainState) Append(t pet.TaskType, dl pmf.Tick) ChainState {
 	nd := &tr.nodes[s.node]
 	nd.edges = append(nd.edges, chainEdge{key: key, node: id})
 	return ChainState{c: c, cc: s.cc, mt: s.mt, node: id}
+}
+
+// MeanLowerBound returns a lower bound on s.Append(t, dl).PMF().Mean()
+// without convolving or touching the trie (-Inf when none can be given;
+// see pmf.NextCompletionMeanLowerBound). Mappers use it to skip candidates
+// that cannot beat their incumbent.
+func (s ChainState) MeanLowerBound(t pet.TaskType, dl pmf.Tick) float64 {
+	return pmf.NextCompletionMeanLowerBound(s.PMF(), s.c.exec(t, s.mt), s.c.cell(t, s.mt).mom, dl)
 }
 
 // AppendTask is Append for a QueueTask (strict-deadline truncation).

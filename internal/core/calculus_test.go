@@ -258,3 +258,61 @@ func TestCompletionMassConservedAlongQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestChainKeyIsTypeAndSplit pins the canonical trie key: deadlines that
+// split a state's PMF at the same impulse are one transition — one
+// convolution, one node — and that node's PMF is bitwise what a cold
+// Calculus.Append returns for each of the deadlines. A deadline on the
+// other side of an impulse is a different transition. Checked on the
+// per-event trie and through a persistent cache.
+func TestChainKeyIsTypeAndSplit(t *testing.T) {
+	m := pet.Build(pet.SPECProfile(pet.DefaultProfileSeed), pet.DefaultProfileSeed, pet.DefaultBuildOptions())
+	const mt, now = pet.MachineType(2), pmf.Tick(100)
+	queue := []QueueTask{{Type: 0, Deadline: 400, Running: true, Elapsed: 30}, {Type: 3, Deadline: 350}, {Type: 7, Deadline: 420}}
+	for _, cached := range []bool{false, true} {
+		c := NewCalculus(m)
+		var cc *ChainCache
+		if cached {
+			cc = c.NewChainCache()
+		}
+		s, start := c.ChainStartCached(cc, mt, now, queue)
+		for _, qt := range queue[start:] {
+			s = s.AppendTask(qt)
+		}
+		imps := s.PMF().Impulses()
+		if len(imps) < 8 {
+			t.Fatalf("cached=%v: tail PMF has %d impulses, too few to split", cached, len(imps))
+		}
+		// Two deadlines strictly between the same pair of impulses (the
+		// widest gap), and one past the upper impulse.
+		gap := 1
+		for i := 2; i < len(imps); i++ {
+			if imps[i].T-imps[i-1].T > imps[gap].T-imps[gap-1].T {
+				gap = i
+			}
+		}
+		dlA, dlB, dlC := imps[gap-1].T+1, imps[gap].T, imps[gap].T+1
+		if dlA == dlB {
+			t.Fatalf("cached=%v: no gap of two ticks in %v", cached, s.PMF())
+		}
+		const typ = pet.TaskType(5)
+		before := c.Stats()
+		a, b := s.Append(typ, dlA), s.Append(typ, dlB)
+		if a != b {
+			t.Fatalf("cached=%v: deadlines %d and %d (split %d) resolved to different nodes", cached, dlA, dlB, gap)
+		}
+		if st := c.Stats(); st.ChainMisses != before.ChainMisses+1 || st.ChainHits != before.ChainHits+1 {
+			t.Fatalf("cached=%v: equal-split appends cost %d misses and %d hits, want 1 and 1",
+				cached, st.ChainMisses-before.ChainMisses, st.ChainHits-before.ChainHits)
+		}
+		if other := s.Append(typ, dlC); other == a {
+			t.Fatalf("cached=%v: deadline %d (split %d) shared the node of split %d", cached, dlC, gap+1, gap)
+		}
+		cold := NewCalculus(m)
+		for _, dl := range []pmf.Tick{dlA, dlB} {
+			if want := cold.Append(s.PMF(), typ, dl, mt); !a.PMF().Equal(want) {
+				t.Fatalf("cached=%v: shared node differs from a cold append at deadline %d:\n got %v\nwant %v", cached, dl, a.PMF(), want)
+			}
+		}
+	}
+}

@@ -10,9 +10,9 @@ import (
 // Recycle wipes the calculus' per-event trie and arena because their
 // storage is shared across machines and events. But the Eq. 1 chains of a
 // single machine are a pure function of (availability root, appended
-// (type, deadline) sequence): if the root PMF is bitwise the inputs cold
-// evaluation would use, every memoized transition under it is bitwise what
-// cold evaluation would produce. A ChainCache exploits that: it owns a
+// (type, split) sequence — see chainKey): if the root PMF is bitwise the
+// inputs cold evaluation would use, every memoized transition under it is
+// bitwise what cold evaluation would produce. A ChainCache exploits that: it owns a
 // machine's trie and pins the trie's PMFs in its own arena, so the whole
 // structure survives Recycle; it is invalidated — wholesale, per machine —
 // only when the machine's root signature drifts.
@@ -107,10 +107,12 @@ const (
 
 // DefaultMaxPinnedImpulses bounds the impulse storage one machine's chain
 // cache pins before it is recycled wholesale (reason "overflow"): 16Ki
-// impulses = 256 KiB, roughly 500 budget-width chain nodes — far beyond
-// what a queue-bounded machine accumulates between natural signature
-// drifts, but a hard stop against deadline-diverse candidate edges pinning
-// memory without bound.
+// impulses = 256 KiB, roughly 500 budget-width chain nodes. Edges are
+// keyed by (type, split), so one node branches at most types × (budget+1)
+// ways whatever deadlines arrive; what the budget stops is depth — a
+// long-lived root under which the dropper's keep/drop scenarios and the
+// mapper's candidates keep opening new (type, split) paths level after
+// level without a signature drift ever clearing them.
 const DefaultMaxPinnedImpulses = 16 << 10
 
 // NewChainCache returns an empty persistent chain cache bound to c. The

@@ -89,17 +89,46 @@ func freeMachines(ev *sim.MappingEvent) []*sim.Machine {
 }
 
 // bestByECT returns the free machine giving task ts the minimum expected
-// completion time (mean of the Eq. 1 candidate completion PMF), and that
-// minimum.
-func bestByECT(ev *sim.MappingEvent, ts *sim.TaskState, free []*sim.Machine) (*sim.Machine, float64) {
+// completion time (ECT: the mean of the Eq. 1 candidate completion PMF),
+// and that minimum. cutoff is the ECT the caller's incumbent holds (+Inf
+// when it has none or takes any): the result is exact whenever the minimum
+// is below cutoff, and otherwise (nil, +Inf) or an ECT at or above cutoff —
+// which callers comparing against cutoff reject alike.
+//
+// That licence is what lets the scan skip convolutions. A machine whose
+// ECT lower bound already reaches the smaller of cutoff and the best so
+// far can neither take the minimum (only a strictly smaller ECT does) nor
+// come in under cutoff, so it is skipped at its turn and the machines
+// visited, their order and every tie-break stay those of the full scan.
+func bestByECT(ev *sim.MappingEvent, ts *sim.TaskState, free []*sim.Machine, cutoff float64) (*sim.Machine, float64) {
 	var best *sim.Machine
 	bestECT := math.Inf(1)
 	for _, m := range free {
+		if ev.CandidateMeanLowerBound(ts, m) >= min(bestECT, cutoff) {
+			ev.Pruned(1)
+			continue
+		}
 		if ect := ev.CandidateCompletion(ts, m).Mean(); ect < bestECT {
 			best, bestECT = m, ect
 		}
 	}
 	return best, bestECT
+}
+
+// noCutoff is bestByECT's cutoff for callers that take the minimum at any
+// ECT.
+var noCutoff = math.Inf(1)
+
+// cannotBeat reports whether lower bounds alone show that ts has no
+// candidate among free with an ECT below cutoff.
+func cannotBeat(ev *sim.MappingEvent, ts *sim.TaskState, free []*sim.Machine, cutoff float64) bool {
+	for _, m := range free {
+		if ev.CandidateMeanLowerBound(ts, m) < cutoff {
+			return false
+		}
+	}
+	ev.Pruned(len(free))
+	return true
 }
 
 // MinMin is the MinCompletion-MinCompletion batch heuristic (§V-B1): phase
@@ -125,7 +154,7 @@ func (MinMin) Map(ev *sim.MappingEvent) {
 			pickECT  = math.Inf(1)
 		)
 		for _, ts := range ev.Batch() {
-			m, ect := bestByECT(ev, ts, free)
+			m, ect := bestByECT(ev, ts, free, pickECT)
 			if ect < pickECT {
 				pickTask, pickMach, pickECT = ts, m, ect
 			}
@@ -158,14 +187,20 @@ func (MSD) Map(ev *sim.MappingEvent) {
 			pickECT  = math.Inf(1)
 		)
 		for _, ts := range ev.Batch() {
-			m, ect := bestByECT(ev, ts, free)
-			if m == nil {
-				continue
+			// A sooner deadline takes the pick at any ECT, an equal one
+			// only below the incumbent's, a later one never — so a later
+			// task is not evaluated at all.
+			cutoff := noCutoff
+			if pickTask != nil {
+				if ts.Task.Deadline > pickTask.Task.Deadline {
+					ev.Pruned(len(free))
+					continue
+				}
+				if ts.Task.Deadline == pickTask.Task.Deadline {
+					cutoff = pickECT
+				}
 			}
-			better := pickTask == nil ||
-				ts.Task.Deadline < pickTask.Task.Deadline ||
-				(ts.Task.Deadline == pickTask.Task.Deadline && ect < pickECT)
-			if better {
+			if m, ect := bestByECT(ev, ts, free, cutoff); ect < cutoff {
 				pickTask, pickMach, pickECT = ts, m, ect
 			}
 		}
@@ -200,6 +235,14 @@ func (PAM) Map(ev *sim.MappingEvent) {
 			pickExec = math.Inf(1)
 		)
 		for _, ts := range ev.Batch() {
+			// Phase 2 takes a task only at an ECT below pickECT+1e-9.
+			// Whichever machine phase 1 would choose, its ECT is at least
+			// the smallest lower bound over the free machines; if that
+			// already reaches the threshold the task cannot take the pick
+			// and none of its candidates is convolved.
+			if cannotBeat(ev, ts, free, pickECT+1e-9) {
+				continue
+			}
 			// Phase 1: machine with the highest chance of success; ties by
 			// lower expected completion.
 			var (
@@ -246,7 +289,7 @@ func (FCFS) Map(ev *sim.MappingEvent) {
 			return
 		}
 		ts := ev.Batch()[0]
-		m, _ := bestByECT(ev, ts, free)
+		m, _ := bestByECT(ev, ts, free, noCutoff)
 		ev.Assign(ts, m)
 	}
 }
@@ -280,7 +323,7 @@ func (SJF) Map(ev *sim.MappingEvent) {
 				pick, pickExec = ts, e
 			}
 		}
-		m, _ := bestByECT(ev, pick, free)
+		m, _ := bestByECT(ev, pick, free, noCutoff)
 		ev.Assign(pick, m)
 	}
 }
@@ -305,7 +348,7 @@ func (EDF) Map(ev *sim.MappingEvent) {
 				pick = ts
 			}
 		}
-		m, _ := bestByECT(ev, pick, free)
+		m, _ := bestByECT(ev, pick, free, noCutoff)
 		ev.Assign(pick, m)
 	}
 }
@@ -325,7 +368,7 @@ func (MCT) Map(ev *sim.MappingEvent) {
 			return
 		}
 		ts := ev.Batch()[0]
-		m, _ := bestByECT(ev, ts, free)
+		m, _ := bestByECT(ev, ts, free, noCutoff)
 		ev.Assign(ts, m)
 	}
 }
@@ -436,7 +479,7 @@ func (k KPB) Map(ev *sim.MappingEvent) {
 		if n < 1 {
 			n = 1
 		}
-		m, _ := bestByECT(ev, ts, free[:n])
+		m, _ := bestByECT(ev, ts, free[:n], noCutoff)
 		ev.Assign(ts, m)
 	}
 }

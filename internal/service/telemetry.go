@@ -115,18 +115,7 @@ func writeCalcMetrics(w io.Writer, c *Controller) {
 	shardHW := make([]int64, len(c.shards))
 	for s, sh := range c.shards {
 		st := sh.eng.Calc().Stats()
-		agg.ChainHits += st.ChainHits
-		agg.ChainMisses += st.ChainMisses
-		agg.RootHits += st.RootHits
-		agg.RootMisses += st.RootMisses
-		agg.InvalidationsEvent += st.InvalidationsEvent
-		agg.InvalidationsChurn += st.InvalidationsChurn
-		agg.InvalidationsOverflow += st.InvalidationsOverflow
-		agg.PinnedBytes += st.PinnedBytes
-		agg.WidthSum += st.WidthSum
-		for i := range st.Widths {
-			agg.Widths[i] += st.Widths[i]
-		}
+		agg.Add(st)
 		shardHW[s] = st.ArenaHighWaterBytes
 	}
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
@@ -143,6 +132,10 @@ func writeCalcMetrics(w io.Writer, c *Controller) {
 	p("taskdrop_chain_invalidations_total{reason=\"event\"} %d\n", agg.InvalidationsEvent)
 	p("taskdrop_chain_invalidations_total{reason=\"churn\"} %d\n", agg.InvalidationsChurn)
 	p("taskdrop_chain_invalidations_total{reason=\"overflow\"} %d\n", agg.InvalidationsOverflow)
+	p("# HELP taskdrop_mapper_candidates_total Mapper candidates (batch task x free machine) by outcome: evaluated = completion PMF looked up or convolved, pruned = skipped unconvolved because a lower bound on its expected completion time (or, under MSD, its deadline) showed it could not change the choice.\n")
+	p("# TYPE taskdrop_mapper_candidates_total counter\n")
+	p("taskdrop_mapper_candidates_total{outcome=\"evaluated\"} %d\n", agg.CandidatesEvaluated)
+	p("taskdrop_mapper_candidates_total{outcome=\"pruned\"} %d\n", agg.CandidatesPruned)
 	p("# HELP taskdrop_chain_pinned_bytes Impulse storage currently pinned across all persistent chain caches.\n")
 	p("# TYPE taskdrop_chain_pinned_bytes gauge\n")
 	p("taskdrop_chain_pinned_bytes %d\n", agg.PinnedBytes)

@@ -263,6 +263,8 @@ func TestMetricsChainInvalidationFamilies(t *testing.T) {
 		`taskdrop_chain_invalidations_total{reason="churn"} `,
 		`taskdrop_chain_invalidations_total{reason="overflow"} `,
 		"taskdrop_chain_pinned_bytes ",
+		`taskdrop_mapper_candidates_total{outcome="evaluated"} `,
+		`taskdrop_mapper_candidates_total{outcome="pruned"} `,
 	}
 	for pass, body := range map[string]string{"cold": scrape()} {
 		for _, line := range want {
@@ -282,6 +284,9 @@ func TestMetricsChainInvalidationFamilies(t *testing.T) {
 	// event-reason counter must have moved.
 	if strings.Contains(body, `taskdrop_chain_invalidations_total{reason="event"} 0`+"\n") {
 		t.Fatal("event invalidations still zero after a full trace")
+	}
+	if strings.Contains(body, `taskdrop_mapper_candidates_total{outcome="evaluated"} 0`+"\n") {
+		t.Fatal("no mapper candidate counted after a full trace")
 	}
 }
 

@@ -57,9 +57,24 @@ func (ev *MappingEvent) HasFreeSlot() bool {
 // batch heuristic costs a lookup, not a convolution. The returned PMF
 // aliases the calculus arena (valid within the current mapping event).
 func (ev *MappingEvent) CandidateCompletion(ts *TaskState, m *Machine) pmf.PMF {
+	ev.e.calc.CountCandidate()
 	tail := m.tailChain(ev.e.calc, ev.e.clock)
 	return tail.Append(ts.Task.Type, ts.Task.Deadline).PMF()
 }
+
+// CandidateMeanLowerBound returns a lower bound on
+// CandidateCompletion(ts, m).Mean() — the candidate's expected completion
+// time — at the cost of one pass over the machine's (memoized) tail PMF:
+// no convolution, no trie edge. -Inf when the calculus can give none. A mapper scanning
+// for a minimum ECT skips a candidate whose bound already reaches its
+// incumbent and reports the skip through Pruned.
+func (ev *MappingEvent) CandidateMeanLowerBound(ts *TaskState, m *Machine) float64 {
+	return m.tailChain(ev.e.calc, ev.e.clock).MeanLowerBound(ts.Task.Type, ts.Task.Deadline)
+}
+
+// Pruned records n candidates the mapper ruled out without evaluating
+// them (the "pruned" side of taskdrop_mapper_candidates_total).
+func (ev *MappingEvent) Pruned(n int) { ev.e.calc.CountPruned(n) }
 
 // SuccessProbability returns the chance of success (Eq. 2) task ts would
 // have if appended to machine m now.

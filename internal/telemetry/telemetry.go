@@ -164,6 +164,11 @@ type Active struct {
 	origin time.Time
 	mask   uint32
 	spans  [NumStages]Span
+	// busy is the summed length of the intervals recorded for each stage.
+	// It equals the span for a stage recorded once; for an Extended stage
+	// the span is the hull, which also covers whatever ran between the
+	// intervals, and busy is the stage's own time.
+	busy [NumStages]time.Duration
 }
 
 // Seq returns the decision sequence number being traced.
@@ -179,18 +184,23 @@ func (a *Active) Mark(st Stage, start, end time.Time) {
 		StartNS: int64(start.Sub(a.origin)),
 		EndNS:   int64(end.Sub(a.origin)),
 	}
+	a.busy[st] = end.Sub(start)
 	a.mask |= 1 << st
 }
 
 // Extend widens stage st to cover [start, end) as well — Mark semantics on
 // first use. The dropper span accumulates one Decide call per machine this
-// way, and the journal span merges the per-decision append with the
-// sub-batch commit.
+// way, and the journal span merges the arrive append, the decision append
+// and the sub-batch commit. The span keeps the hull of the intervals for
+// the trace timeline; their summed length is what the stage histogram
+// observes (see Finish), so the engine feed that runs between the journal
+// appends is not counted as journal time.
 func (a *Active) Extend(st Stage, start, end time.Time) {
 	if a.mask&(1<<st) == 0 {
 		a.Mark(st, start, end)
 		return
 	}
+	a.busy[st] += end.Sub(start)
 	sp := &a.spans[st]
 	if s := int64(start.Sub(a.origin)); s < sp.StartNS {
 		sp.StartNS = s
@@ -275,8 +285,9 @@ func (r *ShardRecorder) End() { r.active = nil }
 func (r *ShardRecorder) Active() *Active { return r.active }
 
 // Finish seals a into an immutable Trace, feeds the per-stage latency
-// histograms and publishes it into the shard's ring. Returns the trace so
-// the caller can also journal it.
+// histograms (each stage's busy time: the sum of its recorded intervals,
+// not the hull an Extended span displays) and publishes it into the
+// shard's ring. Returns the trace so the caller can also journal it.
 func (r *ShardRecorder) Finish(a *Active, shard int, action string) *Trace {
 	tr := &Trace{
 		Seq:    a.seq,
@@ -291,7 +302,7 @@ func (r *ShardRecorder) Finish(a *Active, shard int, action string) *Trace {
 		}
 		sp := a.spans[st]
 		tr.Spans = append(tr.Spans, sp)
-		r.t.stages[st].observe(sp.Duration())
+		r.t.stages[st].observe(a.busy[st])
 	}
 	// Stage enum order is not wall-clock order (the arrive-journal write
 	// precedes the calculus); present spans as a timeline.

@@ -56,6 +56,32 @@ func TestActiveMarkAndExtend(t *testing.T) {
 	}
 }
 
+// TestStageHistogramObservesBusyTime pins what the journal stage reports:
+// the arrive append and the decision append + commit bracket the engine
+// feed, so the span's hull covers the calculus too — the histogram must
+// see only the journal intervals' own 12 µs, the trace keeps the hull.
+func TestStageHistogramObservesBusyTime(t *testing.T) {
+	origin := time.Now()
+	at := func(us int) time.Time { return origin.Add(time.Duration(us) * time.Microsecond) }
+	a := &Active{seq: 1, origin: origin}
+	a.Extend(StageJournal, at(10), at(12))
+	a.Mark(StageCalculus, at(12), at(40))
+	a.Extend(StageJournal, at(40), at(43))
+	a.Extend(StageJournal, at(43), at(50))
+
+	tel := New(1, 1, 4)
+	tr := tel.Shard(0).Finish(a, 0, "map")
+	if j := tr.Spans[0]; j.Stage != StageJournal || j.Duration() != 40*time.Microsecond {
+		t.Fatalf("journal span = %+v, want the [10µs, 50µs] hull", j)
+	}
+	if got := time.Duration(tel.stages[StageJournal].sumNS.Load()); got != 12*time.Microsecond {
+		t.Fatalf("journal stage observed %v, want the 12µs the intervals sum to", got)
+	}
+	if got := time.Duration(tel.stages[StageCalculus].sumNS.Load()); got != 28*time.Microsecond {
+		t.Fatalf("calculus stage observed %v, want 28µs", got)
+	}
+}
+
 func TestSamplerSelectsBySequence(t *testing.T) {
 	tel := New(2, 4, 8)
 	origin := time.Now()

@@ -389,10 +389,14 @@ func (s *Scenario) Engine(trial int) (*Engine, error) {
 // merges nothing), so there is no second driver. The run is
 // single-goroutine and fully deterministic for a fixed (seed, shard count,
 // router spec); trial-level parallelism comes from the worker pool.
-func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, error) {
+//
+// Next to the Result it returns the trial's calculus counters, summed over
+// the shard engines.
+func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, CalcStats, error) {
+	var calc CalcStats
 	pol, err := router.FromSpec(s.routerSpec)
 	if err != nil {
-		return nil, err
+		return nil, calc, err
 	}
 	cl, err := sim.NewCluster(s.Matrix(), s.shards, pol, func(int) (sim.Mapper, core.Policy, error) {
 		m, err := s.newMapper()
@@ -402,7 +406,7 @@ func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, error) {
 		return m, s.dropper, nil
 	}, s.simConfig(trial))
 	if err != nil {
-		return nil, err
+		return nil, calc, err
 	}
 	if s.maxImpulses > 0 {
 		for _, eng := range cl.Shards() {
@@ -420,11 +424,11 @@ func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, error) {
 	next := 0
 	for i := range tr.Tasks {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, calc, err
 		}
 		for next < len(plan) && plan[next].At <= tr.Tasks[i].Arrival {
 			if err := cl.ApplyChurn(plan[next]); err != nil {
-				return nil, err
+				return nil, calc, err
 			}
 			next++
 		}
@@ -434,14 +438,17 @@ func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, error) {
 	// drain so the drained system reflects the full plan.
 	for ; next < len(plan); next++ {
 		if err := cl.ApplyChurn(plan[next]); err != nil {
-			return nil, err
+			return nil, calc, err
 		}
 	}
 	res := cl.Drain()
+	for _, eng := range cl.Shards() {
+		calc.Add(eng.Calc().Stats())
+	}
 	if s.onTrial != nil {
 		s.onTrial(trial, res)
 	}
-	return res, nil
+	return res, calc, nil
 }
 
 // RunResult is the outcome of Scenario.Run: the raw per-trial results in
@@ -449,6 +456,10 @@ func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, error) {
 type RunResult struct {
 	Trials  []*Result `json:"trials"`
 	Summary Summary   `json:"summary"`
+	// Calc sums the calculus counters of every trial's engines (chain
+	// cache hits, mapper candidates evaluated and pruned, ...): how the
+	// result was computed, not part of it, so it is not serialized.
+	Calc CalcStats `json:"-"`
 }
 
 // Run executes every trial across the worker pool and blocks until all
@@ -457,19 +468,24 @@ type RunResult struct {
 // identical for any WithWorkers value.
 func (s *Scenario) Run(ctx context.Context) (*RunResult, error) {
 	results := make([]*Result, s.trials)
+	calcs := make([]CalcStats, s.trials)
 	s.Matrix() // build once, outside the pool
 	err := runner.ForEach(ctx, s.workers, s.trials, func(ctx context.Context, t int) error {
-		res, err := s.runTrial(ctx, t)
+		res, calc, err := s.runTrial(ctx, t)
 		if err != nil {
 			return err
 		}
-		results[t] = res
+		results[t], calcs[t] = res, calc
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{Trials: results, Summary: runner.Summarize(results)}, nil
+	rr := &RunResult{Trials: results, Summary: runner.Summarize(results)}
+	for _, c := range calcs {
+		rr.Calc.Add(c)
+	}
+	return rr, nil
 }
 
 // TrialOutcome is one element of a Scenario.Stream: a completed trial, or
@@ -496,7 +512,7 @@ func (s *Scenario) Stream(ctx context.Context) <-chan TrialOutcome {
 		defer close(out)
 		s.Matrix()
 		err := runner.ForEach(ctx, s.workers, s.trials, func(ctx context.Context, t int) error {
-			res, err := s.runTrial(ctx, t)
+			res, _, err := s.runTrial(ctx, t)
 			if err != nil {
 				return err
 			}

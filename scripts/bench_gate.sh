@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # bench_gate.sh — CI benchmark-regression gate.
 #
-# Re-runs the two headline hot-path benchmarks and fails when either
+# Re-runs the three headline hot-path benchmarks and fails when any
 # regresses more than TOLERANCE_PCT in ns/op against the recorded
 # figures:
 #
-#   BenchmarkQueueChain  (package root)            vs BENCH_core.json
-#   BenchmarkEngineFeed  (internal/service)        vs BENCH_service.json
+#   BenchmarkQueueChain            (package root)      vs BENCH_core.json
+#   BenchmarkPAMMapEvent/batch=64  (package root)      vs BENCH_core.json
+#   BenchmarkEngineFeed            (internal/service)  vs BENCH_service.json
 #
 # Recorded figures follow the min-of-runs convention (see the JSON
 # notes): this host is a shared 1-CPU VM with ±20-30% run-to-run noise,
@@ -58,11 +59,14 @@ gate() { # gate <label> <recorded> <measured>
 }
 
 rec_chain=$(recorded BENCH_core.json BenchmarkQueueChain)
+rec_map=$(recorded BENCH_core.json BenchmarkPAMMapEvent/batch=64)
 rec_feed=$(recorded BENCH_service.json BenchmarkEngineFeed)
-[ -n "$rec_chain" ] && [ -n "$rec_feed" ] || { echo "bench_gate: recorded figures not found" >&2; exit 2; }
+[ -n "$rec_chain" ] && [ -n "$rec_map" ] && [ -n "$rec_feed" ] || { echo "bench_gate: recorded figures not found" >&2; exit 2; }
 
 got_chain=$(minbench . 'BenchmarkQueueChain$')
 gate BenchmarkQueueChain "$rec_chain" "$got_chain"
+got_map=$(minbench . 'BenchmarkPAMMapEvent/batch=64$')
+gate BenchmarkPAMMapEvent/batch=64 "$rec_map" "$got_map"
 got_feed=$(minbench ./internal/service/ 'BenchmarkEngineFeed$')
 gate BenchmarkEngineFeed "$rec_feed" "$got_feed"
 

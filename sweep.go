@@ -712,7 +712,7 @@ func (s *Sweep) Run(ctx context.Context) (*SweepResult, error) {
 	)
 	err := runner.ForEach(ctx, s.workers, len(s.cells)*s.trials, func(ctx context.Context, i int) error {
 		c, t := i/s.trials, i%s.trials
-		res, err := s.cells[c].sc.runTrial(ctx, t)
+		res, _, err := s.cells[c].sc.runTrial(ctx, t)
 		if err != nil {
 			return fmt.Errorf("%s (trial %d): %w", s.cellName(s.cells[c].coords), t, err)
 		}

@@ -169,6 +169,8 @@ type (
 	DropContext = core.Context
 	// Calculus evaluates completion-time PMFs and chances of success.
 	Calculus = core.Calculus
+	// CalcStats is a snapshot of a Calculus' introspection counters.
+	CalcStats = core.CalcStats
 	// RouterPolicy picks the admission shard for each arriving task of a
 	// sharded cluster (see WithShards / WithRouter / NewRouter).
 	RouterPolicy = router.Policy
