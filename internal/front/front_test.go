@@ -33,7 +33,16 @@ func testTrace(t testing.TB, tasks int, seed int64) *workload.Trace {
 // newBackends starts n partitioned shard servers over the video matrix.
 func newBackends(t testing.TB, n int) []string {
 	t.Helper()
+	urls, _ := newBackendControllers(t, n)
+	return urls
+}
+
+// newBackendControllers is newBackends that also hands back the
+// controllers behind the URLs.
+func newBackendControllers(t testing.TB, n int) ([]string, []*service.Controller) {
+	t.Helper()
 	urls := make([]string, n)
+	ctrls := make([]*service.Controller, n)
 	for k := 0; k < n; k++ {
 		c, err := service.New(service.Config{
 			Profile: "video", Mapper: "PAM", Dropper: "heuristic",
@@ -45,9 +54,9 @@ func newBackends(t testing.TB, n int) []string {
 		}
 		srv := httptest.NewServer(service.NewHandler(c))
 		t.Cleanup(srv.Close)
-		urls[k] = srv.URL
+		urls[k], ctrls[k] = srv.URL, c
 	}
-	return urls
+	return urls, ctrls
 }
 
 // newFront builds a Front over the backends and waits for full rotation.
