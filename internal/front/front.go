@@ -453,7 +453,7 @@ func (f *Front) send(ctx context.Context, req *service.DecideRequest, resp *serv
 	t0 := time.Now()
 	var out service.DecideResponse
 	err := f.client.PostJSON(ctx, b.url+"/v1/decide", &sub, &out)
-	f.metrics.observeUpstream(time.Since(t0))
+	f.metrics.upstream.Observe(time.Since(t0))
 	if err != nil {
 		return 0, err
 	}

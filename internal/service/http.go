@@ -1,11 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"github.com/hpcclab/taskdrop/internal/journal"
@@ -38,64 +40,7 @@ const maxDecideBody = 16 << 20
 // recovery found torn by a crash — gets 409 Conflict.
 func NewHandler(c *Controller) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/decide", func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		var req DecideRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDecideBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			c.metrics.rejected.Add(1)
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("service: bad decide body: %w", err))
-			return
-		}
-		if id := req.DecisionID; id != "" && c.dedup != nil {
-			e, owner := c.dedup.Begin(id)
-			if !owner {
-				// Duplicate: wait out a concurrent first attempt if need be,
-				// then replay the original acknowledged bytes.
-				data, n, err := e.Await(r.Context())
-				if err != nil {
-					WriteError(w, http.StatusConflict, fmt.Errorf("service: duplicate decision id %q: %w", id, err))
-					return
-				}
-				if n != len(req.Tasks) {
-					WriteError(w, http.StatusConflict, fmt.Errorf(
-						"service: decision id %q was acknowledged for %d tasks, retried with %d", id, n, len(req.Tasks)))
-					return
-				}
-				WriteRawJSON(w, http.StatusOK, data)
-				return
-			}
-			resp, err := c.Decide(r.Context(), &req)
-			if err != nil {
-				// A failed Decide left no engine state behind: release the ID
-				// so a retry re-executes.
-				c.dedup.Fail(id, err)
-				decideError(w, err)
-				return
-			}
-			data, err := json.Marshal(resp)
-			if err != nil {
-				c.dedup.Fail(id, err)
-				WriteError(w, http.StatusInternalServerError, err)
-				return
-			}
-			data = append(data, '\n')
-			// Commit the exact bytes being acknowledged — what makes a
-			// replayed duplicate byte-identical to the original response.
-			c.dedup.Commit(id, data, len(req.Tasks))
-			c.metrics.ObserveLatency(time.Since(start))
-			WriteRawJSON(w, http.StatusOK, data)
-			return
-		}
-		resp, err := c.Decide(r.Context(), &req)
-		if err != nil {
-			decideError(w, err)
-			return
-		}
-		c.metrics.ObserveLatency(time.Since(start))
-		WriteJSON(w, http.StatusOK, resp)
-	})
+	mux.Handle("POST /v1/decide", DecideHandler("service", c.Decide, c.dedup, decideError, &c.metrics.rejected, c.metrics.latency))
 	mux.HandleFunc("POST /v1/admin/machines", func(w http.ResponseWriter, r *http.Request) {
 		var req AdminMachineRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -162,67 +107,133 @@ func NewHandler(c *Controller) http.Handler {
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		c.metrics.WritePrometheus(w)
-		writeShardGauges(w, c)
-		writeMembershipGauges(w, c)
-		writeCalcMetrics(w, c)
-		c.tel.WritePrometheus(w)
-		telemetry.WriteRuntimeMetrics(w)
-		if c.jmetrics != nil {
-			writeJournalMetrics(w, c)
+		x := telemetry.NewWriter(w)
+		c.metrics.write(x)
+		writeShardGauges(x, c)
+		writeMembershipGauges(x, c)
+		writeCalcMetrics(x, c)
+		c.tel.WritePrometheus(x)
+		telemetry.WriteRuntimeMetrics(x)
+		if c.fsyncLatency != nil {
+			writeJournalMetrics(x, c)
 		}
 		if c.dedup != nil {
-			fmt.Fprintf(w, "# HELP taskdrop_dedup_hits_total Duplicate decision-ID requests served from the dedup window.\n")
-			fmt.Fprintf(w, "# TYPE taskdrop_dedup_hits_total counter\n")
-			fmt.Fprintf(w, "taskdrop_dedup_hits_total %d\n", c.dedup.Hits())
-			fmt.Fprintf(w, "# HELP taskdrop_dedup_entries Decision IDs currently retained in the dedup window.\n")
-			fmt.Fprintf(w, "# TYPE taskdrop_dedup_entries gauge\n")
-			fmt.Fprintf(w, "taskdrop_dedup_entries %d\n", c.dedup.Len())
+			x.Counter("taskdrop_dedup_hits_total", "Duplicate decision-ID requests served from the dedup window.").Int(c.dedup.Hits())
+			x.Gauge("taskdrop_dedup_entries", "Decision IDs currently retained in the dedup window.").Int(int64(c.dedup.Len()))
 		}
 		// Engine gauges come from the decision loops; skip them once drained
 		// (counters above still tell the whole story).
 		if snap, err := c.Stats(r.Context()); err == nil {
-			writeEngineGauges(w, c, snap)
+			writeEngineGauges(x, c, snap)
 		} else if res, ok := c.FinalResult(); ok {
-			fmt.Fprintf(w, "# HELP taskdrop_final_robustness_pct Robustness of the drained run.\n")
-			fmt.Fprintf(w, "# TYPE taskdrop_final_robustness_pct gauge\n")
-			fmt.Fprintf(w, "taskdrop_final_robustness_pct %g\n", res.RobustnessPct)
+			x.Gauge("taskdrop_final_robustness_pct", "Robustness of the drained run.").Float(res.RobustnessPct)
 		}
 	})
 	return mux
+}
+
+// DecideHandler is POST /v1/decide for both tiers — a shard server over
+// Controller.Decide, the router over Front.Decide — and the one place the
+// exactly-once protocol is written: the first request under a DecisionID
+// owns execution and commits the exact bytes it acknowledges to dedup; a
+// duplicate waits out an in-flight owner and replays those bytes, or gets
+// 409 when the original was acknowledged for a different task count, failed
+// while the duplicate waited, or was found torn by recovery. A failed
+// decide left no state behind, so it releases the ID and a retry
+// re-executes. tier prefixes the handler's own error texts; fail maps a
+// decide error onto the tier's status; rejected counts bodies refused
+// before decide; latency (nil for a tier that keeps none) observes
+// receipt-to-decision time of executed requests.
+func DecideHandler(
+	tier string,
+	decide func(context.Context, *DecideRequest) (*DecideResponse, error),
+	dedup *DedupWindow,
+	fail func(http.ResponseWriter, error),
+	rejected *atomic.Int64,
+	latency *telemetry.Histogram,
+) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		var req DecideRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDecideBody))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			rejected.Add(1)
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("%s: bad decide body: %w", tier, err))
+			return
+		}
+		id := req.DecisionID
+		owner := false
+		if id != "" && dedup != nil {
+			var e *dedupEntry
+			if e, owner = dedup.Begin(id); !owner {
+				data, n, err := e.Await(r.Context())
+				switch {
+				case err != nil:
+					WriteError(w, http.StatusConflict, fmt.Errorf("%s: duplicate decision id %q: %w", tier, id, err))
+				case n != len(req.Tasks):
+					WriteError(w, http.StatusConflict, fmt.Errorf(
+						"%s: decision id %q was acknowledged for %d tasks, retried with %d", tier, id, n, len(req.Tasks)))
+				default:
+					WriteRawJSON(w, http.StatusOK, data)
+				}
+				return
+			}
+		}
+		resp, err := decide(r.Context(), &req)
+		if err != nil {
+			if owner {
+				dedup.Fail(id, err)
+			}
+			fail(w, err)
+			return
+		}
+		data, err := json.Marshal(resp)
+		if err != nil {
+			if owner {
+				dedup.Fail(id, err)
+			}
+			WriteError(w, http.StatusInternalServerError, err)
+			return
+		}
+		data = append(data, '\n')
+		if owner {
+			// The exact bytes being acknowledged: what makes a replayed
+			// duplicate byte-identical to the original response.
+			dedup.Commit(id, data, len(req.Tasks))
+		}
+		if latency != nil {
+			latency.Observe(time.Since(start))
+		}
+		WriteRawJSON(w, http.StatusOK, data)
+	})
 }
 
 // writeShardGauges renders the per-shard series: decision counters from
 // each shard's metrics and load/robustness gauges from the lock-free
 // router views — none of it goes through a decision loop, so the scrape
 // stays cheap and never stalls behind admission work.
-func writeShardGauges(w http.ResponseWriter, c *Controller) {
-	fmt.Fprintf(w, "# HELP taskdrop_shard_decisions_total Admission decisions by shard and action.\n")
-	fmt.Fprintf(w, "# TYPE taskdrop_shard_decisions_total counter\n")
+func writeShardGauges(x *telemetry.Writer, c *Controller) {
+	x.Counter("taskdrop_shard_decisions_total", "Admission decisions by shard and action.")
 	for _, sh := range c.shards {
-		fmt.Fprintf(w, "taskdrop_shard_decisions_total{shard=\"%d\",action=\"map\"} %d\n", sh.id, sh.metrics.mapped.Load())
-		fmt.Fprintf(w, "taskdrop_shard_decisions_total{shard=\"%d\",action=\"defer\"} %d\n", sh.id, sh.metrics.deferred.Load())
-		fmt.Fprintf(w, "taskdrop_shard_decisions_total{shard=\"%d\",action=\"drop\"} %d\n", sh.id, sh.metrics.dropped.Load())
+		sh.metrics.writeActions(x, "shard", strconv.Itoa(sh.id))
 	}
-	fmt.Fprintf(w, "# HELP taskdrop_shard_queue_mass Outstanding tasks per shard (machine queues + deferred batch).\n")
-	fmt.Fprintf(w, "# TYPE taskdrop_shard_queue_mass gauge\n")
+	x.Gauge("taskdrop_shard_queue_mass", "Outstanding tasks per shard (machine queues + deferred batch).")
 	for _, sh := range c.shards {
-		fmt.Fprintf(w, "taskdrop_shard_queue_mass{shard=\"%d\"} %d\n", sh.id, sh.view.QueueMass())
+		x.Int(sh.view.QueueMass(), "shard", strconv.Itoa(sh.id))
 	}
-	fmt.Fprintf(w, "# HELP taskdrop_shard_free_slots Open queue slots per shard.\n")
-	fmt.Fprintf(w, "# TYPE taskdrop_shard_free_slots gauge\n")
+	x.Gauge("taskdrop_shard_free_slots", "Open queue slots per shard.")
 	for _, sh := range c.shards {
-		fmt.Fprintf(w, "taskdrop_shard_free_slots{shard=\"%d\"} %d\n", sh.id, sh.view.FreeSlots())
+		x.Int(sh.view.FreeSlots(), "shard", strconv.Itoa(sh.id))
 	}
-	fmt.Fprintf(w, "# HELP taskdrop_shard_robustness_estimate Mean expected on-time probability across task classes per shard.\n")
-	fmt.Fprintf(w, "# TYPE taskdrop_shard_robustness_estimate gauge\n")
+	x.Gauge("taskdrop_shard_robustness_estimate", "Mean expected on-time probability across task classes per shard.")
 	nt := c.matrix.NumTaskTypes()
 	for _, sh := range c.shards {
 		sum := 0.0
 		for class := 0; class < nt; class++ {
 			sum += sh.view.ClassRobustness(class)
 		}
-		fmt.Fprintf(w, "taskdrop_shard_robustness_estimate{shard=\"%d\"} %g\n", sh.id, sum/float64(nt))
+		x.Float(sum/float64(nt), "shard", strconv.Itoa(sh.id))
 	}
 }
 
@@ -230,67 +241,55 @@ func writeShardGauges(w http.ResponseWriter, c *Controller) {
 // counts, per-shard live/removed machine census, degraded flags, shed
 // (429) counters and rebalancer moves. Everything reads atomics or the
 // lock-free router views — no decision loop is touched.
-func writeMembershipGauges(w io.Writer, c *Controller) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP taskdrop_membership_ops_total Membership operations applied, by op.\n")
-	p("# TYPE taskdrop_membership_ops_total counter\n")
-	p("taskdrop_membership_ops_total{op=\"add\"} %d\n", c.memberOps[journal.MemberAdd].Load())
-	p("taskdrop_membership_ops_total{op=\"remove\"} %d\n", c.memberOps[journal.MemberRemove].Load())
-	p("taskdrop_membership_ops_total{op=\"revive\"} %d\n", c.memberOps[journal.MemberRevive].Load())
-	p("# HELP taskdrop_membership_live_machines Machines currently in the live set, per shard.\n")
-	p("# TYPE taskdrop_membership_live_machines gauge\n")
+func writeMembershipGauges(x *telemetry.Writer, c *Controller) {
+	x.Counter("taskdrop_membership_ops_total", "Membership operations applied, by op.")
+	x.Int(c.memberOps[journal.MemberAdd].Load(), "op", "add")
+	x.Int(c.memberOps[journal.MemberRemove].Load(), "op", "remove")
+	x.Int(c.memberOps[journal.MemberRevive].Load(), "op", "revive")
+	x.Gauge("taskdrop_membership_live_machines", "Machines currently in the live set, per shard.")
 	for _, sh := range c.shards {
-		p("taskdrop_membership_live_machines{shard=\"%d\"} %d\n", sh.id, sh.liveMachines.Load())
+		x.Int(sh.liveMachines.Load(), "shard", strconv.Itoa(sh.id))
 	}
-	p("# HELP taskdrop_membership_removed_machines Machines currently removed from the live set, per shard.\n")
-	p("# TYPE taskdrop_membership_removed_machines gauge\n")
+	x.Gauge("taskdrop_membership_removed_machines", "Machines currently removed from the live set, per shard.")
 	for _, sh := range c.shards {
-		p("taskdrop_membership_removed_machines{shard=\"%d\"} %d\n", sh.id, sh.removedMachines.Load())
+		x.Int(sh.removedMachines.Load(), "shard", strconv.Itoa(sh.id))
 	}
-	p("# HELP taskdrop_membership_degraded Whether the shard has no live machines (sheds with 429).\n")
-	p("# TYPE taskdrop_membership_degraded gauge\n")
+	x.Gauge("taskdrop_membership_degraded", "Whether the shard has no live machines (sheds with 429).")
 	for _, sh := range c.shards {
-		d := 0
+		var d int64
 		if sh.liveMachines.Load() == 0 {
 			d = 1
 		}
-		p("taskdrop_membership_degraded{shard=\"%d\"} %d\n", sh.id, d)
+		x.Int(d, "shard", strconv.Itoa(sh.id))
 	}
-	p("# HELP taskdrop_membership_shed_total Decide sub-batches shed by a degraded shard (HTTP 429).\n")
-	p("# TYPE taskdrop_membership_shed_total counter\n")
+	x.Counter("taskdrop_membership_shed_total", "Decide sub-batches shed by a degraded shard (HTTP 429).")
 	for _, sh := range c.shards {
-		p("taskdrop_membership_shed_total{shard=\"%d\"} %d\n", sh.id, sh.metrics.shed.Load())
+		x.Int(sh.metrics.shed.Load(), "shard", strconv.Itoa(sh.id))
 	}
-	p("# HELP taskdrop_rebalance_moves_total Machines migrated between shards by the rebalancer.\n")
-	p("# TYPE taskdrop_rebalance_moves_total counter\n")
-	p("taskdrop_rebalance_moves_total %d\n", c.rebalanceMoves.Load())
+	x.Counter("taskdrop_rebalance_moves_total", "Machines migrated between shards by the rebalancer.").Int(c.rebalanceMoves.Load())
 }
 
 // writeEngineGauges renders the live queue-state gauges.
-func writeEngineGauges(w http.ResponseWriter, c *Controller, snap Snapshot) {
+func writeEngineGauges(x *telemetry.Writer, c *Controller, snap Snapshot) {
 	machines := c.matrix.Machines()
-	fmt.Fprintf(w, "# HELP taskdrop_virtual_clock_ticks The server's virtual clock.\n")
-	fmt.Fprintf(w, "# TYPE taskdrop_virtual_clock_ticks gauge\n")
-	fmt.Fprintf(w, "taskdrop_virtual_clock_ticks %d\n", snap.Now)
-	fmt.Fprintf(w, "# HELP taskdrop_queue_depth Tasks queued per machine (incl. running).\n")
-	fmt.Fprintf(w, "# TYPE taskdrop_queue_depth gauge\n")
+	x.Gauge("taskdrop_virtual_clock_ticks", "The server's virtual clock.").Int(int64(snap.Now))
+	x.Gauge("taskdrop_queue_depth", "Tasks queued per machine (incl. running).")
 	for i, d := range snap.QueueDepths {
 		name := c.machineName(i)
 		if i < len(machines) {
 			name = machines[i].Name
 		}
-		fmt.Fprintf(w, "taskdrop_queue_depth{machine=\"%d\",name=%q} %d\n", i, name, d)
+		x.Int(int64(d), "machine", strconv.Itoa(i), "name", name)
 	}
-	fmt.Fprintf(w, "# HELP taskdrop_tasks Live task census by state.\n")
-	fmt.Fprintf(w, "# TYPE taskdrop_tasks gauge\n")
-	fmt.Fprintf(w, "taskdrop_tasks{state=\"batch\"} %d\n", snap.Live.Batch)
-	fmt.Fprintf(w, "taskdrop_tasks{state=\"queued\"} %d\n", snap.Live.Queued)
-	fmt.Fprintf(w, "taskdrop_tasks{state=\"running\"} %d\n", snap.Live.Running)
-	fmt.Fprintf(w, "taskdrop_tasks{state=\"on_time\"} %d\n", snap.Live.OnTime)
-	fmt.Fprintf(w, "taskdrop_tasks{state=\"late\"} %d\n", snap.Live.Late)
-	fmt.Fprintf(w, "taskdrop_tasks{state=\"dropped_reactive\"} %d\n", snap.Live.DroppedReactive)
-	fmt.Fprintf(w, "taskdrop_tasks{state=\"dropped_proactive\"} %d\n", snap.Live.DroppedProactive)
-	fmt.Fprintf(w, "taskdrop_tasks{state=\"failed\"} %d\n", snap.Live.Failed)
+	x.Gauge("taskdrop_tasks", "Live task census by state.")
+	x.Int(int64(snap.Live.Batch), "state", "batch")
+	x.Int(int64(snap.Live.Queued), "state", "queued")
+	x.Int(int64(snap.Live.Running), "state", "running")
+	x.Int(int64(snap.Live.OnTime), "state", "on_time")
+	x.Int(int64(snap.Live.Late), "state", "late")
+	x.Int(int64(snap.Live.DroppedReactive), "state", "dropped_reactive")
+	x.Int(int64(snap.Live.DroppedProactive), "state", "dropped_proactive")
+	x.Int(int64(snap.Live.Failed), "state", "failed")
 }
 
 // decideStatus maps controller errors onto HTTP statuses.

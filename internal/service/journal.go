@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"github.com/hpcclab/taskdrop/internal/journal"
@@ -130,34 +128,11 @@ var journalFsyncBuckets = []float64{
 	100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 100e-3, 1,
 }
 
-// journalMetrics aggregates journal observability across shards. The
-// fsync histogram is fed by writer callbacks (decide loops under
-// SyncAlways, background syncers under SyncInterval); totals are read
-// straight off the writers at scrape time.
-type journalMetrics struct {
-	histogram []atomic.Int64
-	sumNS     atomic.Int64
-}
-
-func newJournalMetrics() *journalMetrics {
-	return &journalMetrics{histogram: make([]atomic.Int64, len(journalFsyncBuckets)+1)}
-}
-
-// observeFsync records one fdatasync duration (concurrency-safe).
-func (jm *journalMetrics) observeFsync(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for ; i < len(journalFsyncBuckets); i++ {
-		if s <= journalFsyncBuckets[i] {
-			break
-		}
-	}
-	jm.histogram[i].Add(1)
-	jm.sumNS.Add(int64(d))
-}
-
-// writeJournalMetrics renders the journal's Prometheus series.
-func writeJournalMetrics(w io.Writer, c *Controller) {
+// writeJournalMetrics renders the journal's series: totals read straight
+// off the shard writers at scrape time, and the fsync histogram their
+// callbacks feed (decide loops under SyncAlways, background syncers under
+// SyncInterval).
+func writeJournalMetrics(x *telemetry.Writer, c *Controller) {
 	var records, bytes, fsyncs, snaps, lag int64
 	for _, sh := range c.shards {
 		records += sh.jw.Appended()
@@ -166,34 +141,12 @@ func writeJournalMetrics(w io.Writer, c *Controller) {
 		snaps += sh.jw.Checkpoints()
 		lag += sh.jw.Lag()
 	}
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP taskdrop_journal_records_total Journal records appended across shards.\n")
-	p("# TYPE taskdrop_journal_records_total counter\n")
-	p("taskdrop_journal_records_total %d\n", records)
-	p("# HELP taskdrop_journal_bytes_total Journal bytes appended across shards.\n")
-	p("# TYPE taskdrop_journal_bytes_total counter\n")
-	p("taskdrop_journal_bytes_total %d\n", bytes)
-	p("# HELP taskdrop_journal_fsyncs_total Completed journal fdatasyncs.\n")
-	p("# TYPE taskdrop_journal_fsyncs_total counter\n")
-	p("taskdrop_journal_fsyncs_total %d\n", fsyncs)
-	p("# HELP taskdrop_journal_snapshots_total Journal checkpoints written.\n")
-	p("# TYPE taskdrop_journal_snapshots_total counter\n")
-	p("taskdrop_journal_snapshots_total %d\n", snaps)
-	p("# HELP taskdrop_journal_lag_records Appended records not yet covered by an fsync.\n")
-	p("# TYPE taskdrop_journal_lag_records gauge\n")
-	p("taskdrop_journal_lag_records %d\n", lag)
-	jm := c.jmetrics
-	p("# HELP taskdrop_journal_fsync_latency_seconds Journal fdatasync latency.\n")
-	p("# TYPE taskdrop_journal_fsync_latency_seconds histogram\n")
-	var cum int64
-	for i, le := range journalFsyncBuckets {
-		cum += jm.histogram[i].Load()
-		p("taskdrop_journal_fsync_latency_seconds_bucket{le=\"%g\"} %d\n", le, cum)
-	}
-	cum += jm.histogram[len(journalFsyncBuckets)].Load()
-	p("taskdrop_journal_fsync_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	p("taskdrop_journal_fsync_latency_seconds_sum %g\n", float64(jm.sumNS.Load())/1e9)
-	p("taskdrop_journal_fsync_latency_seconds_count %d\n", cum)
+	x.Counter("taskdrop_journal_records_total", "Journal records appended across shards.").Int(records)
+	x.Counter("taskdrop_journal_bytes_total", "Journal bytes appended across shards.").Int(bytes)
+	x.Counter("taskdrop_journal_fsyncs_total", "Completed journal fdatasyncs.").Int(fsyncs)
+	x.Counter("taskdrop_journal_snapshots_total", "Journal checkpoints written.").Int(snaps)
+	x.Gauge("taskdrop_journal_lag_records", "Appended records not yet covered by an fsync.").Int(lag)
+	x.Histogram("taskdrop_journal_fsync_latency_seconds", "Journal fdatasync latency.").Observed(c.fsyncLatency)
 }
 
 // initJournal brings the controller's journal up before the shard loops
@@ -229,7 +182,7 @@ func (c *Controller) initJournal() error {
 	if err != nil {
 		return err
 	}
-	c.jmetrics = newJournalMetrics()
+	c.fsyncLatency = telemetry.NewHistogram(journalFsyncBuckets)
 
 	maxSeq := int64(-1)
 	for _, sh := range c.shards {
@@ -280,7 +233,7 @@ func (c *Controller) initJournal() error {
 		w, err := journal.OpenWriter(ShardJournalDir(root, sh.id), journal.WriterOptions{
 			Policy:   policy,
 			Interval: c.cfg.FsyncInterval,
-			OnFsync:  c.jmetrics.observeFsync,
+			OnFsync:  c.fsyncLatency.Observe,
 		})
 		if err != nil {
 			return err

@@ -1,10 +1,10 @@
 package service
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
+
+	"github.com/hpcclab/taskdrop/internal/telemetry"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the decision-latency
@@ -22,19 +22,20 @@ var latencyBuckets = []float64{
 type Metrics struct {
 	start time.Time
 
-	requests  atomic.Int64 // decide requests processed
-	tasks     atomic.Int64 // tasks decided
-	mapped    atomic.Int64
-	deferred  atomic.Int64
-	dropped   atomic.Int64 // drop decisions at admission (reactive at arrival)
-	rejected  atomic.Int64 // malformed specs rejected before reaching the loop
-	shed      atomic.Int64 // sub-batches shed by a degraded shard (429)
-	histogram []atomic.Int64
-	latSumNS  atomic.Int64
+	requests atomic.Int64 // decide requests processed
+	tasks    atomic.Int64 // tasks decided
+	mapped   atomic.Int64
+	deferred atomic.Int64
+	dropped  atomic.Int64 // drop decisions at admission (reactive at arrival)
+	rejected atomic.Int64 // malformed specs rejected before reaching the loop
+	shed     atomic.Int64 // sub-batches shed by a degraded shard (429)
+	// latency is the end-to-end decision latency over HTTP: request receipt
+	// to decision, including queueing behind the single-writer loop.
+	latency *telemetry.Histogram
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{start: time.Now(), histogram: make([]atomic.Int64, len(latencyBuckets)+1)}
+	return &Metrics{start: time.Now(), latency: telemetry.NewHistogram(latencyBuckets)}
 }
 
 // countDecision tallies one admission decision.
@@ -48,20 +49,6 @@ func (m *Metrics) countDecision(a Action) {
 	case ActionDrop:
 		m.dropped.Add(1)
 	}
-}
-
-// ObserveLatency records one end-to-end decision latency (request receipt
-// to decision, including queueing behind the single-writer loop).
-func (m *Metrics) ObserveLatency(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for ; i < len(latencyBuckets); i++ {
-		if s <= latencyBuckets[i] {
-			break
-		}
-	}
-	m.histogram[i].Add(1)
-	m.latSumNS.Add(int64(d))
 }
 
 // DropRate returns the fraction of decided tasks rejected at admission.
@@ -82,37 +69,23 @@ func (m *Metrics) DecisionsPerSecond() float64 {
 	return float64(m.tasks.Load()) / el
 }
 
-// WritePrometheus renders the metrics in Prometheus text exposition
-// format. Engine gauges (queue depths, live task census) are appended by
-// the controller, which owns that state.
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP taskdrop_decide_requests_total Decide requests processed.\n")
-	p("# TYPE taskdrop_decide_requests_total counter\n")
-	p("taskdrop_decide_requests_total %d\n", m.requests.Load())
-	p("# HELP taskdrop_decisions_total Admission decisions by action.\n")
-	p("# TYPE taskdrop_decisions_total counter\n")
-	p("taskdrop_decisions_total{action=\"map\"} %d\n", m.mapped.Load())
-	p("taskdrop_decisions_total{action=\"defer\"} %d\n", m.deferred.Load())
-	p("taskdrop_decisions_total{action=\"drop\"} %d\n", m.dropped.Load())
-	p("# HELP taskdrop_rejected_requests_total Requests rejected before decision (validation).\n")
-	p("# TYPE taskdrop_rejected_requests_total counter\n")
-	p("taskdrop_rejected_requests_total %d\n", m.rejected.Load())
-	p("# HELP taskdrop_drop_rate Fraction of decided tasks dropped at admission.\n")
-	p("# TYPE taskdrop_drop_rate gauge\n")
-	p("taskdrop_drop_rate %g\n", m.DropRate())
-	p("# HELP taskdrop_decisions_per_second Mean decision throughput since start.\n")
-	p("# TYPE taskdrop_decisions_per_second gauge\n")
-	p("taskdrop_decisions_per_second %g\n", m.DecisionsPerSecond())
-	p("# HELP taskdrop_decision_latency_seconds Decision latency (receipt to decision).\n")
-	p("# TYPE taskdrop_decision_latency_seconds histogram\n")
-	var cum int64
-	for i, le := range latencyBuckets {
-		cum += m.histogram[i].Load()
-		p("taskdrop_decision_latency_seconds_bucket{le=\"%g\"} %d\n", le, cum)
-	}
-	cum += m.histogram[len(latencyBuckets)].Load()
-	p("taskdrop_decision_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	p("taskdrop_decision_latency_seconds_sum %g\n", float64(m.latSumNS.Load())/1e9)
-	p("taskdrop_decision_latency_seconds_count %d\n", cum)
+// write renders the aggregate decision series. Engine gauges (queue
+// depths, live task census) are appended by the controller, which owns
+// that state.
+func (m *Metrics) write(x *telemetry.Writer) {
+	x.Counter("taskdrop_decide_requests_total", "Decide requests processed.").Int(m.requests.Load())
+	x.Counter("taskdrop_decisions_total", "Admission decisions by action.")
+	m.writeActions(x)
+	x.Counter("taskdrop_rejected_requests_total", "Requests rejected before decision (validation).").Int(m.rejected.Load())
+	x.Gauge("taskdrop_drop_rate", "Fraction of decided tasks dropped at admission.").Float(m.DropRate())
+	x.Gauge("taskdrop_decisions_per_second", "Mean decision throughput since start.").Float(m.DecisionsPerSecond())
+	x.Histogram("taskdrop_decision_latency_seconds", "Decision latency (receipt to decision).").Observed(m.latency)
+}
+
+// writeActions writes the map/defer/drop samples of the current family,
+// after the given leading labels.
+func (m *Metrics) writeActions(x *telemetry.Writer, labels ...string) {
+	x.Int(m.mapped.Load(), append(labels, "action", "map")...)
+	x.Int(m.deferred.Load(), append(labels, "action", "defer")...)
+	x.Int(m.dropped.Load(), append(labels, "action", "drop")...)
 }

@@ -212,9 +212,9 @@ type Controller struct {
 	// seq issues cluster-wide arrival sequence numbers at routing time.
 	seq atomic.Int64
 
-	// jmetrics aggregates journal observability; nil when journaling is
-	// off (Config.JournalDir empty).
-	jmetrics *journalMetrics
+	// fsyncLatency is the journal writers' fdatasync histogram; nil when
+	// journaling is off (Config.JournalDir empty).
+	fsyncLatency *telemetry.Histogram
 
 	// dir is the matrix-wide machine directory (names, types, shard
 	// ownership), covering runtime-added machines past the matrix.

@@ -1,8 +1,7 @@
 package service
 
 import (
-	"fmt"
-	"io"
+	"strconv"
 	"time"
 
 	"github.com/hpcclab/taskdrop/internal/core"
@@ -110,7 +109,7 @@ func (c *Controller) Traces() TraceSnapshot {
 // series, aggregated across the shard calculi (chain-trie effectiveness,
 // impulse-width distribution) plus the per-shard arena high-water gauge.
 // Reads only atomics — never goes through a decision loop.
-func writeCalcMetrics(w io.Writer, c *Controller) {
+func writeCalcMetrics(x *telemetry.Writer, c *Controller) {
 	var agg core.CalcStats
 	shardHW := make([]int64, len(c.shards))
 	for s, sh := range c.shards {
@@ -118,43 +117,28 @@ func writeCalcMetrics(w io.Writer, c *Controller) {
 		agg.Add(st)
 		shardHW[s] = st.ArenaHighWaterBytes
 	}
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP taskdrop_chain_cache_hits_total Eq. 1 chain evaluations served from the shared-prefix trie, by node kind.\n")
-	p("# TYPE taskdrop_chain_cache_hits_total counter\n")
-	p("taskdrop_chain_cache_hits_total{kind=\"edge\"} %d\n", agg.ChainHits)
-	p("taskdrop_chain_cache_hits_total{kind=\"root\"} %d\n", agg.RootHits)
-	p("# HELP taskdrop_chain_cache_misses_total Eq. 1 chain evaluations freshly convolved, by node kind.\n")
-	p("# TYPE taskdrop_chain_cache_misses_total counter\n")
-	p("taskdrop_chain_cache_misses_total{kind=\"edge\"} %d\n", agg.ChainMisses)
-	p("taskdrop_chain_cache_misses_total{kind=\"root\"} %d\n", agg.RootMisses)
-	p("# HELP taskdrop_chain_invalidations_total Persistent per-machine chain-cache resets, by reason: event = root signature drift, churn = membership change or snapshot restore, overflow = pinned-arena budget exceeded.\n")
-	p("# TYPE taskdrop_chain_invalidations_total counter\n")
-	p("taskdrop_chain_invalidations_total{reason=\"event\"} %d\n", agg.InvalidationsEvent)
-	p("taskdrop_chain_invalidations_total{reason=\"churn\"} %d\n", agg.InvalidationsChurn)
-	p("taskdrop_chain_invalidations_total{reason=\"overflow\"} %d\n", agg.InvalidationsOverflow)
-	p("# HELP taskdrop_mapper_candidates_total Mapper candidates (batch task x free machine) by outcome: evaluated = completion PMF looked up or convolved, pruned = skipped unconvolved because a lower bound on its expected completion time (or, under MSD, its deadline) showed it could not change the choice.\n")
-	p("# TYPE taskdrop_mapper_candidates_total counter\n")
-	p("taskdrop_mapper_candidates_total{outcome=\"evaluated\"} %d\n", agg.CandidatesEvaluated)
-	p("taskdrop_mapper_candidates_total{outcome=\"pruned\"} %d\n", agg.CandidatesPruned)
-	p("# HELP taskdrop_chain_pinned_bytes Impulse storage currently pinned across all persistent chain caches.\n")
-	p("# TYPE taskdrop_chain_pinned_bytes gauge\n")
-	p("taskdrop_chain_pinned_bytes %d\n", agg.PinnedBytes)
-	p("# HELP taskdrop_arena_high_water_bytes Peak committed impulse-arena footprint per shard calculus.\n")
-	p("# TYPE taskdrop_arena_high_water_bytes gauge\n")
+	x.Counter("taskdrop_chain_cache_hits_total", "Eq. 1 chain evaluations served from the shared-prefix trie, by node kind.")
+	x.Uint(agg.ChainHits, "kind", "edge")
+	x.Uint(agg.RootHits, "kind", "root")
+	x.Counter("taskdrop_chain_cache_misses_total", "Eq. 1 chain evaluations freshly convolved, by node kind.")
+	x.Uint(agg.ChainMisses, "kind", "edge")
+	x.Uint(agg.RootMisses, "kind", "root")
+	x.Counter("taskdrop_chain_invalidations_total", "Persistent per-machine chain-cache resets, by reason: event = root signature drift, churn = membership change or snapshot restore, overflow = pinned-arena budget exceeded.")
+	x.Uint(agg.InvalidationsEvent, "reason", "event")
+	x.Uint(agg.InvalidationsChurn, "reason", "churn")
+	x.Uint(agg.InvalidationsOverflow, "reason", "overflow")
+	x.Counter("taskdrop_mapper_candidates_total", "Mapper candidates (batch task x free machine) by outcome: evaluated = completion PMF looked up or convolved, pruned = skipped unconvolved because a lower bound on its expected completion time (or, under MSD, its deadline) showed it could not change the choice.")
+	x.Uint(agg.CandidatesEvaluated, "outcome", "evaluated")
+	x.Uint(agg.CandidatesPruned, "outcome", "pruned")
+	x.Gauge("taskdrop_chain_pinned_bytes", "Impulse storage currently pinned across all persistent chain caches.").Int(agg.PinnedBytes)
+	x.Gauge("taskdrop_arena_high_water_bytes", "Peak committed impulse-arena footprint per shard calculus.")
 	for s, hw := range shardHW {
-		p("taskdrop_arena_high_water_bytes{shard=\"%d\"} %d\n", s, hw)
+		x.Int(hw, "shard", strconv.Itoa(s))
 	}
-	p("# HELP taskdrop_pmf_impulse_width Impulse count of freshly computed Eq. 1 completion PMFs (post-compaction).\n")
-	p("# TYPE taskdrop_pmf_impulse_width histogram\n")
-	var cum uint64
-	for i := 0; i < core.NumWidthBuckets; i++ {
-		cum += agg.Widths[i]
-		if b := core.WidthBucketBound(i); b >= 0 {
-			p("taskdrop_pmf_impulse_width_bucket{le=\"%d\"} %d\n", b, cum)
-		} else {
-			p("taskdrop_pmf_impulse_width_bucket{le=\"+Inf\"} %d\n", cum)
-		}
+	bounds := make([]float64, core.NumWidthBuckets-1)
+	for i := range bounds {
+		bounds[i] = float64(core.WidthBucketBound(i))
 	}
-	p("taskdrop_pmf_impulse_width_sum %d\n", agg.WidthSum)
-	p("taskdrop_pmf_impulse_width_count %d\n", cum)
+	x.Histogram("taskdrop_pmf_impulse_width", "Impulse count of freshly computed Eq. 1 completion PMFs (post-compaction).").
+		IntBuckets(bounds, agg.Widths[:], agg.WidthSum)
 }

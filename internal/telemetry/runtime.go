@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"runtime/metrics"
 )
@@ -10,7 +8,7 @@ import (
 // gcPauseBuckets collapses the runtime's fine-grained GC pause histogram
 // into fixed Prometheus bounds (seconds): sub-10µs pauses are the
 // expected steady state, anything beyond 10ms is worth an alert.
-var gcPauseBuckets = [...]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
+var gcPauseBuckets = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 
 // runtimeSampleNames are the runtime/metrics series the exposition reads.
 // Indexes match the switch in WriteRuntimeMetrics.
@@ -27,26 +25,22 @@ var runtimeSampleNames = [...]string{
 // It allocates its sample slice per call so concurrent scrapes never
 // share buffers. Series whose runtime counterpart is unavailable are
 // omitted rather than emitted empty.
-func WriteRuntimeMetrics(w io.Writer) {
+func WriteRuntimeMetrics(x *Writer) {
 	samples := make([]metrics.Sample, len(runtimeSampleNames))
 	for i, name := range runtimeSampleNames {
 		samples[i].Name = name
 	}
 	metrics.Read(samples)
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
 
-	emitUint := func(i int, name, typ, help string) {
-		if samples[i].Value.Kind() != metrics.KindUint64 {
-			return
+	emitUint := func(i int, declare func(name, help string) *Writer, name, help string) {
+		if samples[i].Value.Kind() == metrics.KindUint64 {
+			declare(name, help).Uint(samples[i].Value.Uint64())
 		}
-		p("# HELP %s %s\n", name, help)
-		p("# TYPE %s %s\n", name, typ)
-		p("%s %d\n", name, samples[i].Value.Uint64())
 	}
-	emitUint(0, "taskdrop_go_goroutines", "gauge", "Live goroutines.")
-	emitUint(1, "taskdrop_go_heap_objects_bytes", "gauge", "Bytes occupied by live and unswept heap objects.")
-	emitUint(2, "taskdrop_go_memory_total_bytes", "gauge", "Total bytes of memory mapped by the Go runtime.")
-	emitUint(3, "taskdrop_go_gc_cycles_total", "counter", "Completed GC cycles.")
+	emitUint(0, x.Gauge, "taskdrop_go_goroutines", "Live goroutines.")
+	emitUint(1, x.Gauge, "taskdrop_go_heap_objects_bytes", "Bytes occupied by live and unswept heap objects.")
+	emitUint(2, x.Gauge, "taskdrop_go_memory_total_bytes", "Total bytes of memory mapped by the Go runtime.")
+	emitUint(3, x.Counter, "taskdrop_go_gc_cycles_total", "Completed GC cycles.")
 
 	if samples[4].Value.Kind() != metrics.KindFloat64Histogram {
 		return
@@ -55,7 +49,7 @@ func WriteRuntimeMetrics(w io.Writer) {
 	if h == nil {
 		return
 	}
-	var counts [len(gcPauseBuckets) + 1]uint64
+	counts := make([]uint64, len(gcPauseBuckets)+1)
 	var sum float64
 	for i, c := range h.Counts {
 		if c == 0 {
@@ -78,15 +72,6 @@ func WriteRuntimeMetrics(w io.Writer) {
 		}
 		sum += float64(c) * ub
 	}
-	p("# HELP taskdrop_go_gc_pause_seconds Stop-the-world GC pause latency (runtime/metrics /gc/pauses, rebinned; sum approximated by bucket upper bounds).\n")
-	p("# TYPE taskdrop_go_gc_pause_seconds histogram\n")
-	var cum uint64
-	for i, le := range gcPauseBuckets {
-		cum += counts[i]
-		p("taskdrop_go_gc_pause_seconds_bucket{le=\"%g\"} %d\n", le, cum)
-	}
-	cum += counts[len(gcPauseBuckets)]
-	p("taskdrop_go_gc_pause_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	p("taskdrop_go_gc_pause_seconds_sum %g\n", sum)
-	p("taskdrop_go_gc_pause_seconds_count %d\n", cum)
+	x.Histogram("taskdrop_go_gc_pause_seconds", "Stop-the-world GC pause latency (runtime/metrics /gc/pauses, rebinned; sum approximated by bucket upper bounds).").
+		Buckets(gcPauseBuckets, counts, sum)
 }

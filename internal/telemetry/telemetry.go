@@ -31,7 +31,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -242,26 +241,8 @@ func (r *ring) snapshot() []*Trace {
 // (seconds). Stages span three orders of magnitude: mailbox waits and acks
 // sit in the microseconds, the calculus in the tens-to-hundreds of
 // microseconds, journal commits under SyncAlways in the milliseconds.
-var stageLatencyBuckets = [...]float64{
+var stageLatencyBuckets = []float64{
 	1e-6, 5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 1e-3, 5e-3, 25e-3, 100e-3,
-}
-
-// stageHist is one stage's concurrency-safe latency histogram.
-type stageHist struct {
-	buckets [len(stageLatencyBuckets) + 1]atomic.Uint64
-	sumNS   atomic.Int64
-}
-
-func (h *stageHist) observe(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for ; i < len(stageLatencyBuckets); i++ {
-		if s <= stageLatencyBuckets[i] {
-			break
-		}
-	}
-	h.buckets[i].Add(1)
-	h.sumNS.Add(int64(d))
 }
 
 // ShardRecorder is one shard's tracer endpoint. The active field makes
@@ -302,7 +283,7 @@ func (r *ShardRecorder) Finish(a *Active, shard int, action string) *Trace {
 		}
 		sp := a.spans[st]
 		tr.Spans = append(tr.Spans, sp)
-		r.t.stages[st].observe(a.busy[st])
+		r.t.stages[st].Observe(a.busy[st])
 	}
 	// Stage enum order is not wall-clock order (the arrive-journal write
 	// precedes the calculus); present spans as a timeline.
@@ -317,7 +298,7 @@ func (r *ShardRecorder) Finish(a *Active, shard int, action string) *Trace {
 type Telemetry struct {
 	every   uint64
 	recs    []*ShardRecorder
-	stages  [NumStages]stageHist
+	stages  [NumStages]*Histogram
 	sampled atomic.Uint64
 }
 
@@ -337,6 +318,9 @@ func New(shards, sampleEvery, ringSize int) *Telemetry {
 		ringSize = DefaultRingSize
 	}
 	t := &Telemetry{}
+	for st := range t.stages {
+		t.stages[st] = NewHistogram(stageLatencyBuckets)
+	}
 	if sampleEvery > 0 {
 		t.every = uint64(sampleEvery)
 	}
@@ -381,26 +365,11 @@ func (t *Telemetry) Traces() []*Trace {
 // WritePrometheus renders the tracer's series: sampling configuration,
 // trace count, and the per-stage latency histogram (one histogram family
 // with a stage label).
-func (t *Telemetry) WritePrometheus(w io.Writer) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP taskdrop_trace_sample_every Stage-trace sampling period (0 = disabled).\n")
-	p("# TYPE taskdrop_trace_sample_every gauge\n")
-	p("taskdrop_trace_sample_every %d\n", t.every)
-	p("# HELP taskdrop_traces_sampled_total Decisions captured as stage-timed traces.\n")
-	p("# TYPE taskdrop_traces_sampled_total counter\n")
-	p("taskdrop_traces_sampled_total %d\n", t.sampled.Load())
-	p("# HELP taskdrop_decision_stage_latency_seconds Sampled per-stage decision latency (route, wait, calculus, dropper, journal, ack, proxy).\n")
-	p("# TYPE taskdrop_decision_stage_latency_seconds histogram\n")
+func (t *Telemetry) WritePrometheus(x *Writer) {
+	x.Gauge("taskdrop_trace_sample_every", "Stage-trace sampling period (0 = disabled).").Uint(t.every)
+	x.Counter("taskdrop_traces_sampled_total", "Decisions captured as stage-timed traces.").Uint(t.sampled.Load())
+	x.Histogram("taskdrop_decision_stage_latency_seconds", "Sampled per-stage decision latency (route, wait, calculus, dropper, journal, ack, proxy).")
 	for st := Stage(0); st < NumStages; st++ {
-		h := &t.stages[st]
-		var cum uint64
-		for i, le := range stageLatencyBuckets {
-			cum += h.buckets[i].Load()
-			p("taskdrop_decision_stage_latency_seconds_bucket{stage=%q,le=\"%g\"} %d\n", st.String(), le, cum)
-		}
-		cum += h.buckets[len(stageLatencyBuckets)].Load()
-		p("taskdrop_decision_stage_latency_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", st.String(), cum)
-		p("taskdrop_decision_stage_latency_seconds_sum{stage=%q} %g\n", st.String(), float64(h.sumNS.Load())/1e9)
-		p("taskdrop_decision_stage_latency_seconds_count{stage=%q} %d\n", st.String(), cum)
+		x.Observed(t.stages[st], "stage", st.String())
 	}
 }

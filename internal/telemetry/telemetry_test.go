@@ -169,13 +169,13 @@ func TestWritePrometheusLintsClean(t *testing.T) {
 		tel.Shard(int(seq)%2).Finish(a, int(seq)%2, "map")
 	}
 	var sb strings.Builder
-	tel.WritePrometheus(&sb)
+	tel.WritePrometheus(NewWriter(&sb))
 	if issues := Lint(strings.NewReader(sb.String())); len(issues) > 0 {
 		t.Fatalf("tracer exposition fails lint:\n%s\nexposition:\n%s", strings.Join(issues, "\n"), sb.String())
 	}
 
 	sb.Reset()
-	WriteRuntimeMetrics(&sb)
+	WriteRuntimeMetrics(NewWriter(&sb))
 	if issues := Lint(strings.NewReader(sb.String())); len(issues) > 0 {
 		t.Fatalf("runtime exposition fails lint:\n%s\nexposition:\n%s", strings.Join(issues, "\n"), sb.String())
 	}
