@@ -75,9 +75,9 @@ func TestNextCompletionMeanLowerBound(t *testing.T) {
 			prev := prevOf(r, Tick(r.Int63n(5000)), 1500)
 			return operands{prev, boundPMF(r, 1+r.Intn(25), 1, 1, 400), prev.Min() - Tick(r.Int63n(3))}
 		}},
-		// Output wider than the dense window: the k-way merge, where the
-		// massEps drops are not bounded per tick and no bound is offered.
-		{"merge", false, func(r *rand.Rand) operands {
+		// Output wider than the dense window: the portable fallback, where
+		// the massEps drops are not bounded per tick and no bound is offered.
+		{"wide-span", false, func(r *rand.Rand) operands {
 			prev := prevOf(r, Tick(r.Int63n(5000)), 2*maxDenseSpan)
 			for prev.Max()-prev.Min() < maxDenseSpan {
 				prev = prevOf(r, Tick(r.Int63n(5000)), 2*maxDenseSpan)

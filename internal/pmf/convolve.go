@@ -83,7 +83,10 @@ func (p PMF) ConditionalRemaining(elapsed Tick) PMF {
 
 // accumulator gathers (time, mass) contributions and merges them into a
 // sorted PMF. It collects into a slice and sort-merges once at the end,
-// which profiles faster than a map for the impulse counts seen here.
+// which profiles faster than a map for the impulse counts seen here. The
+// sort is stable, so equal-time contributions sum in the order they were
+// added — the nested-loop order every Workspace path also sums in, which
+// is what makes the arena kernels bit-identical to these methods.
 type accumulator struct {
 	buf []Impulse
 }
@@ -102,7 +105,7 @@ func (a *accumulator) finish() PMF {
 	if len(a.buf) == 0 {
 		return Zero()
 	}
-	sort.Slice(a.buf, func(i, j int) bool { return a.buf[i].T < a.buf[j].T })
+	sort.SliceStable(a.buf, func(i, j int) bool { return a.buf[i].T < a.buf[j].T })
 	out := a.buf[:0]
 	for _, im := range a.buf {
 		if n := len(out); n > 0 && out[n-1].T == im.T {

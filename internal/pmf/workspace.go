@@ -12,29 +12,23 @@ import (
 // allocations. Reset recycles the arena in O(1); the owner (one calculus
 // per simulation engine) calls it once per dropping decision.
 //
-// Two accumulation kernels replace the append-then-sort of the portable
-// PMF methods, chosen by output shape:
+// One accumulation kernel replaces the append-then-sort of the portable
+// PMF methods: masses accumulate into a reusable time-indexed dense window,
+// whose non-zero cells are harvested in order into the arena — O(n1·n2 +
+// span). Completion PMFs in this system span a few thousand ticks, so this
+// is the cache-friendly case. It accumulates one of two ways, chosen by
+// contributions per cell: sparse windows flag written cells in a bitmap so
+// the harvest cost tracks the contribution count, not the span; when the
+// window is tight relative to the contribution count (linearFillFactor)
+// the bitmap is skipped entirely — accumulation is a pure strided
+// load-add-store loop and the harvest is one range scan. An output span
+// past maxDenseSpan (0 of the 26.3 M kernel calls of `hcexp -fig all`) is
+// handed to the portable PMF.NextCompletion.
 //
-//   - dense: masses accumulate into a reusable time-indexed window, whose
-//     non-zero cells are harvested in order into the arena — O(n1·n2 +
-//     span). Completion PMFs in this system span a few thousand ticks, so
-//     this is the cache-friendly common case. When the window is tight
-//     relative to the contribution count (linearFillFactor) the kernel
-//     skips the touched-cell bitmap entirely: accumulation is a pure
-//     strided load-add-store loop and the harvest is one range scan.
-//   - merge: both operands are already time-sorted, so the output is the
-//     union of one sorted run per left-hand impulse (the right-hand PMF
-//     shifted and scaled); a k-way merge produces sorted, deduplicated
-//     output directly in O(n1·n2 · log n1) with no dependence on the time
-//     span. It takes over where a dense window would be too wide.
-//
-// Both kernels accumulate equal-time contributions in ascending left-
-// impulse order — the floating-point addition order of the naive nested
-// loop — so their results are bit-identical to each other. Against the
-// portable PMF methods they are equal up to the summation order of
-// equal-time ties (the portable accumulator sorts contributions with an
-// unstable sort, so its tie order is unspecified): identical impulse
-// times, masses within ULPs.
+// Every path sums equal-time contributions in ascending left-impulse
+// order — the floating-point addition order of the naive nested loop, and
+// the order the portable accumulator's stable sort preserves — so all of
+// them, the portable reference included, are bit-identical.
 //
 // A Workspace is not safe for concurrent use; each simulation engine owns
 // one.
@@ -45,8 +39,6 @@ type Workspace struct {
 	dense   []float64 // dense accumulation window, reused across calls
 	touched []uint64  // bitmap of written dense cells, so harvest skips zero runs
 	ebits   []uint64  // per-call bitmap of the exec impulse pattern, reused
-	curs    []cursor  // merge cursors, reused across calls
-	heap    []int32   // k-way merge heap of cursor indexes, reused
 
 	// peak is the arena high-water mark in impulses, and peakBytes its
 	// byte value published for concurrent metrics scrapes. commit guards
@@ -75,7 +67,8 @@ const (
 )
 
 // maxDenseSpan bounds the dense window (one float64 per tick of output
-// span); anything wider uses the merge kernel, which is span-independent.
+// span); anything wider goes to the portable reference, whose cost does not
+// depend on the span.
 const maxDenseSpan = 1 << 17
 
 // linearFillFactor selects between the two dense harvests: when the
@@ -128,22 +121,12 @@ func (w *Workspace) commit(base, n int) PMF {
 	return PMF{imp: w.block[base : base+n : base+n]}
 }
 
-// cursor walks one sorted run of output impulses: src shifted by shift and
-// scaled by scale. Its position in Workspace.curs is the merge tie-break.
-type cursor struct {
-	src   []Impulse
-	shift Tick
-	scale float64
-	pos   int
-	t     Tick // src[pos].T + shift, cached for the heap
-}
-
 // NextCompletion implements Eq. 1 of the paper with arena storage: given
 // the completion-time PMF of the predecessor task (prev, c_{i-1}) and the
 // execution-time PMF of the pending task (exec, e_i) with hard deadline dl
 // (δ_i), it returns the completion-time PMF of the pending task, c_i.
-// Results match PMF.NextCompletion up to the floating-point summation
-// order of equal-time ties (see the package comment on Workspace).
+// Results are bit-identical to PMF.NextCompletion for a non-empty exec (see
+// the comment on Workspace).
 //
 // The returned PMF may alias workspace memory; it is valid until Reset.
 func (w *Workspace) NextCompletion(prev, exec PMF, dl Tick) PMF {
@@ -154,8 +137,8 @@ func (w *Workspace) NextCompletion(prev, exec PMF, dl Tick) PMF {
 // with maxN > 0 the dense kernel bins over-budget output directly from the
 // accumulation window (identical to harvesting then compacting, without
 // materializing the intermediate impulses). maxN <= 0 harvests raw. The
-// merge kernel, the single-impulse shift-scale path and the pass-through
-// fast paths ignore maxN; the caller compacts those. pat, when non-nil,
+// wide-span fallback, the single-impulse shift-scale path and the
+// pass-through fast paths ignore maxN; the caller compacts those. pat, when non-nil,
 // is exec's precomputed occupancy pattern (see Pattern) — callers chaining
 // the same immutable exec PMFs repeatedly (the calculus, whose exec PMFs
 // are PET matrix cells) build each pattern once instead of per call.
@@ -261,20 +244,9 @@ func (w *Workspace) nextCompletion(prev, exec PMF, dl Tick, maxN int, pat []uint
 		}
 		return w.harvest(d, bits, lo, total)
 	}
-	// Wide output: k-way merge, one run per executing predecessor.
-	w.curs = w.curs[:0]
-	for _, a := range prev.imp[:k] {
-		w.curs = append(w.curs, cursor{src: exec.imp, shift: a.T, scale: a.P, t: exec.imp[0].T + a.T})
-	}
-	if k < len(prev.imp) {
-		// Predecessors completing at or after dl carry through unchanged.
-		// They form one sorted run whose times all exceed every executing
-		// predecessor's, so giving it the highest cursor index reproduces
-		// the nested-loop accumulation order exactly.
-		carry := prev.imp[k:]
-		w.curs = append(w.curs, cursor{src: carry, shift: 0, scale: 1, t: carry[0].T})
-	}
-	return w.mergeRuns(total)
+	// Wider than the dense window: the portable reference, in storage of
+	// its own rather than the arena's.
+	return prev.NextCompletion(exec, dl)
 }
 
 // denseWindow returns the zeroed span-cell accumulation window and its
@@ -582,87 +554,11 @@ forward:
 	return first, first, true
 }
 
-// mergeRuns k-way-merges the prepared cursors into fresh arena space.
-// total bounds the output size (the sum of run lengths). Ties on time pop
-// in ascending cursor order, fixing the accumulation order; accumulated
-// cells at or below massEps are dropped, as in the portable kernel.
-func (w *Workspace) mergeRuns(total int) PMF {
-	w.ensure(total)
-	base := w.used
-	out := w.block[base:base]
-
-	// Build the heap of cursor indexes keyed by (current time, index).
-	h := w.heap[:0]
-	for i := range w.curs {
-		h = append(h, int32(i))
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		w.siftDown(h, i)
-	}
-
-	for len(h) > 0 {
-		ci := h[0]
-		c := &w.curs[ci]
-		t := c.t
-		v := c.scale * c.src[c.pos].P
-		c.pos++
-		if c.pos < len(c.src) {
-			c.t = c.src[c.pos].T + c.shift
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			w.siftDown(h, 0)
-		}
-		if n := len(out); n > 0 && out[n-1].T == t {
-			out[n-1].P += v
-		} else {
-			if n > 0 && out[n-1].P <= massEps {
-				// The previous cell is complete and negligible: drop it.
-				out = out[:n-1]
-			}
-			out = append(out, Impulse{T: t, P: v})
-		}
-	}
-	if n := len(out); n > 0 && out[n-1].P <= massEps {
-		out = out[:n-1]
-	}
-	w.heap = h[:0]
-	return w.commit(base, len(out))
-}
-
-// siftDown restores the heap property at index i. Ordering is by cursor
-// time, ties broken by cursor index (ascending), which is what pins the
-// floating-point accumulation order.
-func (w *Workspace) siftDown(h []int32, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && w.cursLess(h[r], h[l]) {
-			m = r
-		}
-		if !w.cursLess(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-func (w *Workspace) cursLess(a, b int32) bool {
-	ca, cb := &w.curs[a], &w.curs[b]
-	return ca.t < cb.t || (ca.t == cb.t && a < b)
-}
-
 // NextCompletionCompact fuses NextCompletion with compaction to maxN
 // impulses — the per-task step of every completion chain. The dense kernel
 // bins its accumulation window straight into the arena; other paths
-// compact their result afterwards, in place when the kernel freshly
-// produced it. The distinction matters when the fast paths return prev
+// compact their result afterwards, in place when it is the arena's newest
+// allocation. The distinction matters when the fast paths return prev
 // itself (all mass carries through, or exec is empty): prev's storage
 // belongs to the caller — it may be a cached chain state other evaluations
 // still read — so an over-budget pass-through is compacted into fresh
