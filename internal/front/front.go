@@ -392,8 +392,8 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 				p = 1.0
 			}
 			subs[k].b.view.ObserveAdmission(req.Tasks[i].Type, p)
+			f.metrics.Count(resp.Decisions[i].Action)
 		}
-		f.metrics.countDecisions(resp, subs[k].idxs)
 	}
 
 	if act != nil {

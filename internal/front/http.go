@@ -24,9 +24,8 @@ type metrics struct {
 	rejected atomic.Int64 // malformed requests rejected before routing
 	shed     atomic.Int64 // requests shed on a full in-flight window (429)
 	reroutes atomic.Int64 // sub-batches rerouted off a failed backend
-	mapped   atomic.Int64
-	deferred atomic.Int64
-	dropped  atomic.Int64
+	// The merged decisions, by action.
+	service.ActionCounts
 	// upstream is the upstream decide round-trip, per sub-request.
 	upstream *telemetry.Histogram
 }
@@ -35,29 +34,13 @@ func newMetrics() *metrics {
 	return &metrics{upstream: telemetry.NewHistogram(upstreamBuckets)}
 }
 
-// countDecisions tallies the decisions at idxs of a merged response.
-func (m *metrics) countDecisions(resp *service.DecideResponse, idxs []int) {
-	for _, i := range idxs {
-		switch resp.Decisions[i].Action {
-		case service.ActionMap:
-			m.mapped.Add(1)
-		case service.ActionDefer:
-			m.deferred.Add(1)
-		case service.ActionDrop:
-			m.dropped.Add(1)
-		}
-	}
-}
-
 func (m *metrics) write(x *telemetry.Writer) {
 	x.Counter("taskdrop_router_requests_total", "Decide requests accepted for routing.").Int(m.requests.Load())
 	x.Counter("taskdrop_router_rejected_total", "Requests rejected before routing (validation).").Int(m.rejected.Load())
 	x.Counter("taskdrop_router_shed_total", "Requests shed on a full backend in-flight window (HTTP 429).").Int(m.shed.Load())
 	x.Counter("taskdrop_router_reroutes_total", "Sub-batches rerouted off a failed backend.").Int(m.reroutes.Load())
 	x.Counter("taskdrop_router_decisions_total", "Merged admission decisions by action.")
-	x.Int(m.mapped.Load(), "action", "map")
-	x.Int(m.deferred.Load(), "action", "defer")
-	x.Int(m.dropped.Load(), "action", "drop")
+	m.Write(x)
 	x.Histogram("taskdrop_router_upstream_latency_seconds", "Upstream decide round-trip latency (per sub-request, retries included).").Observed(m.upstream)
 }
 

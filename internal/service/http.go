@@ -33,11 +33,8 @@ const maxDecideBody = 16 << 20
 //	GET  /debug/traces — retained stage-timed decision traces (JSON; empty
 //	                   unless Config.TraceSample > 0)
 //
-// Requests carrying a DecisionID are idempotent: the first request with an
-// ID executes and its acknowledged bytes are retained in the controller's
-// dedup window; a retry of the same ID replays those exact bytes. A
-// duplicate whose task count disagrees with the original — or whose batch
-// recovery found torn by a crash — gets 409 Conflict.
+// Requests carrying a DecisionID are idempotent within the controller's
+// dedup window (see DecideHandler).
 func NewHandler(c *Controller) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/decide", DecideHandler("service", c.Decide, c.dedup, decideError, &c.metrics.rejected, c.metrics.latency))
@@ -216,7 +213,7 @@ func DecideHandler(
 func writeShardGauges(x *telemetry.Writer, c *Controller) {
 	x.Counter("taskdrop_shard_decisions_total", "Admission decisions by shard and action.")
 	for _, sh := range c.shards {
-		sh.metrics.writeActions(x, "shard", strconv.Itoa(sh.id))
+		sh.metrics.Write(x, "shard", strconv.Itoa(sh.id))
 	}
 	x.Gauge("taskdrop_shard_queue_mass", "Outstanding tasks per shard (machine queues + deferred batch).")
 	for _, sh := range c.shards {
@@ -292,25 +289,19 @@ func writeEngineGauges(x *telemetry.Writer, c *Controller, snap Snapshot) {
 	x.Int(int64(snap.Live.Failed), "state", "failed")
 }
 
-// decideStatus maps controller errors onto HTTP statuses.
-func decideStatus(err error) int {
-	if errors.Is(err, ErrDraining) {
-		return http.StatusServiceUnavailable
-	}
-	if errors.Is(err, ErrShardDegraded) {
-		return http.StatusTooManyRequests
-	}
-	return http.StatusBadRequest
-}
-
-// decideError writes one failed decide. A degraded-shard shed carries a
-// Retry-After so well-behaved clients pace their retries.
+// decideError maps controller errors onto HTTP statuses: draining → 503, a
+// degraded-shard shed → 429 with a Retry-After so well-behaved clients pace
+// their retries, anything else (validation) → 400.
 func decideError(w http.ResponseWriter, err error) {
-	code := decideStatus(err)
-	if code == http.StatusTooManyRequests {
+	switch {
+	case errors.Is(err, ErrDraining):
+		WriteError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrShardDegraded):
 		w.Header().Set("Retry-After", "1")
+		WriteError(w, http.StatusTooManyRequests, err)
+	default:
+		WriteError(w, http.StatusBadRequest, err)
 	}
-	WriteError(w, code, err)
 }
 
 type errorBody struct {

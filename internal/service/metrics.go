@@ -24,9 +24,7 @@ type Metrics struct {
 
 	requests atomic.Int64 // decide requests processed
 	tasks    atomic.Int64 // tasks decided
-	mapped   atomic.Int64
-	deferred atomic.Int64
-	dropped  atomic.Int64 // drop decisions at admission (reactive at arrival)
+	ActionCounts
 	rejected atomic.Int64 // malformed specs rejected before reaching the loop
 	shed     atomic.Int64 // sub-batches shed by a degraded shard (429)
 	// latency is the end-to-end decision latency over HTTP: request receipt
@@ -38,17 +36,35 @@ func newMetrics() *Metrics {
 	return &Metrics{start: time.Now(), latency: telemetry.NewHistogram(latencyBuckets)}
 }
 
+// ActionCounts tallies admission decisions by action: the counter triple
+// both tiers keep and expose (dropped = drop decisions at admission, i.e.
+// reactive at arrival).
+type ActionCounts struct{ mapped, deferred, dropped atomic.Int64 }
+
+// Count tallies one decision.
+func (c *ActionCounts) Count(a Action) {
+	switch a {
+	case ActionMap:
+		c.mapped.Add(1)
+	case ActionDefer:
+		c.deferred.Add(1)
+	case ActionDrop:
+		c.dropped.Add(1)
+	}
+}
+
+// Write writes the map/defer/drop samples of the current family, after
+// the given leading labels.
+func (c *ActionCounts) Write(x *telemetry.Writer, labels ...string) {
+	x.Int(c.mapped.Load(), append(labels, "action", "map")...)
+	x.Int(c.deferred.Load(), append(labels, "action", "defer")...)
+	x.Int(c.dropped.Load(), append(labels, "action", "drop")...)
+}
+
 // countDecision tallies one admission decision.
 func (m *Metrics) countDecision(a Action) {
 	m.tasks.Add(1)
-	switch a {
-	case ActionMap:
-		m.mapped.Add(1)
-	case ActionDefer:
-		m.deferred.Add(1)
-	case ActionDrop:
-		m.dropped.Add(1)
-	}
+	m.Count(a)
 }
 
 // DropRate returns the fraction of decided tasks rejected at admission.
@@ -75,17 +91,9 @@ func (m *Metrics) DecisionsPerSecond() float64 {
 func (m *Metrics) write(x *telemetry.Writer) {
 	x.Counter("taskdrop_decide_requests_total", "Decide requests processed.").Int(m.requests.Load())
 	x.Counter("taskdrop_decisions_total", "Admission decisions by action.")
-	m.writeActions(x)
+	m.Write(x)
 	x.Counter("taskdrop_rejected_requests_total", "Requests rejected before decision (validation).").Int(m.rejected.Load())
 	x.Gauge("taskdrop_drop_rate", "Fraction of decided tasks dropped at admission.").Float(m.DropRate())
 	x.Gauge("taskdrop_decisions_per_second", "Mean decision throughput since start.").Float(m.DecisionsPerSecond())
 	x.Histogram("taskdrop_decision_latency_seconds", "Decision latency (receipt to decision).").Observed(m.latency)
-}
-
-// writeActions writes the map/defer/drop samples of the current family,
-// after the given leading labels.
-func (m *Metrics) writeActions(x *telemetry.Writer, labels ...string) {
-	x.Int(m.mapped.Load(), append(labels, "action", "map")...)
-	x.Int(m.deferred.Load(), append(labels, "action", "defer")...)
-	x.Int(m.dropped.Load(), append(labels, "action", "drop")...)
 }

@@ -13,15 +13,14 @@ import (
 // follows belongs to it: samples carry no name of their own, so a sample
 // cannot precede its metadata or land in another family's block, and a
 // histogram series is always cumulative buckets, "+Inf", _sum, then a
-// _count equal to "+Inf". Declaring a family twice, sampling before any
-// declaration, or mixing scalar and bucket samples in one family is a bug
-// in the caller and panics. One Writer serves one scrape; write errors are
-// dropped, as a scrape whose peer has gone has nobody to report to.
+// _count equal to "+Inf". Declaring a family twice or sampling before any
+// declaration is a bug in the caller and panics. One Writer serves one
+// scrape; write errors are dropped, as a scrape whose peer has gone has
+// nobody to report to.
 type Writer struct {
 	w        io.Writer
 	buf      []byte
 	family   string
-	buckets  bool // the current family is a histogram
 	declared map[string]bool
 }
 
@@ -45,7 +44,7 @@ func (x *Writer) declare(name, typ, help string) *Writer {
 		panic("telemetry: metric family " + name + " declared twice")
 	}
 	x.declared[name] = true
-	x.family, x.buckets = name, typ == "histogram"
+	x.family = name
 	b := append(x.buf[:0], "# HELP "...)
 	b = append(b, name...)
 	b = append(b, ' ')
@@ -61,17 +60,17 @@ func (x *Writer) declare(name, typ, help string) *Writer {
 // Int writes one integer-valued sample of the current counter or gauge.
 // labels are name, value pairs.
 func (x *Writer) Int(v int64, labels ...string) {
-	x.flush(strconv.AppendInt(x.sample(false, "", labels, ""), v, 10))
+	x.flush(strconv.AppendInt(x.sample("", labels), v, 10))
 }
 
 // Uint is Int for unsigned counters.
 func (x *Writer) Uint(v uint64, labels ...string) {
-	x.flush(strconv.AppendUint(x.sample(false, "", labels, ""), v, 10))
+	x.flush(strconv.AppendUint(x.sample("", labels), v, 10))
 }
 
 // Float writes one float-valued sample of the current counter or gauge.
 func (x *Writer) Float(v float64, labels ...string) {
-	x.flush(appendFloat(x.sample(false, "", labels, ""), v))
+	x.flush(appendFloat(x.sample("", labels), v))
 }
 
 // Observed writes one series of the current histogram family from a live
@@ -90,16 +89,16 @@ func (x *Writer) Observed(h *Histogram, labels ...string) {
 // bucket.
 func (x *Writer) Buckets(bounds []float64, counts []uint64, sum float64, labels ...string) {
 	n := x.bucketLines(bounds, counts, labels)
-	x.flush(appendFloat(x.sample(true, "_sum", labels, ""), sum))
-	x.flush(strconv.AppendUint(x.sample(true, "_count", labels, ""), n, 10))
+	x.flush(appendFloat(x.sample("_sum", labels), sum))
+	x.flush(strconv.AppendUint(x.sample("_count", labels), n, 10))
 }
 
 // IntBuckets is Buckets for integer-valued observations, whose sum prints
 // as an integer.
 func (x *Writer) IntBuckets(bounds []float64, counts []uint64, sum uint64, labels ...string) {
 	n := x.bucketLines(bounds, counts, labels)
-	x.flush(strconv.AppendUint(x.sample(true, "_sum", labels, ""), sum, 10))
-	x.flush(strconv.AppendUint(x.sample(true, "_count", labels, ""), n, 10))
+	x.flush(strconv.AppendUint(x.sample("_sum", labels), sum, 10))
+	x.flush(strconv.AppendUint(x.sample("_count", labels), n, 10))
 }
 
 // bucketLines writes the cumulative _bucket lines and returns the total.
@@ -107,29 +106,26 @@ func (x *Writer) bucketLines(bounds []float64, counts []uint64, labels []string)
 	if len(counts) != len(bounds)+1 {
 		panic("telemetry: " + x.family + ": bucket counts do not match bounds")
 	}
+	withLE := append(labels[:len(labels):len(labels)], "le", "+Inf")
 	var cum uint64
 	for i, c := range counts {
 		cum += c
-		le := "+Inf"
 		if i < len(bounds) {
-			le = string(appendFloat(nil, bounds[i]))
+			withLE[len(labels)+1] = string(appendFloat(nil, bounds[i]))
+		} else {
+			withLE[len(labels)+1] = "+Inf"
 		}
-		x.flush(strconv.AppendUint(x.sample(true, "_bucket", labels, le), cum, 10))
+		x.flush(strconv.AppendUint(x.sample("_bucket", withLE), cum, 10))
 	}
 	return cum
 }
 
 // sample starts one sample line of the current family — name, suffix,
-// label set (le last) and the separating space — and returns it for the
-// value to be appended.
-func (x *Writer) sample(buckets bool, suffix string, labels []string, le string) []byte {
-	switch {
-	case x.family == "":
+// label set and the separating space — and returns it for the value to be
+// appended.
+func (x *Writer) sample(suffix string, labels []string) []byte {
+	if x.family == "" {
 		panic("telemetry: sample before any family declaration")
-	case buckets != x.buckets:
-		panic("telemetry: " + x.family + ": sample kind does not match the declared type")
-	case len(labels)%2 != 0:
-		panic("telemetry: " + x.family + ": odd label list")
 	}
 	b := append(x.buf[:0], x.family...)
 	b = append(b, suffix...)
@@ -137,19 +133,11 @@ func (x *Writer) sample(buckets bool, suffix string, labels []string, le string)
 	for i := 0; i < len(labels); i += 2 {
 		b = append(b, sep)
 		b = append(b, labels[i]...)
-		b = append(b, '=', '"')
-		b = appendEscaped(b, labels[i+1])
-		b = append(b, '"')
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, labels[i+1])
 		sep = ','
 	}
-	if le != "" {
-		b = append(b, sep)
-		b = append(b, `le="`...)
-		b = append(b, le...)
-		b = append(b, '"')
-		sep = ','
-	}
-	if sep == ',' {
+	if len(labels) > 0 {
 		b = append(b, '}')
 	}
 	return append(b, ' ')
@@ -163,21 +151,6 @@ func (x *Writer) flush(b []byte) {
 
 // appendFloat formats a float the way the exposition always has (%g).
 func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
-
-// appendEscaped appends a label value with the text format's escapes.
-func appendEscaped(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\\', '"':
-			b = append(b, '\\', c)
-		case '\n':
-			b = append(b, '\\', 'n')
-		default:
-			b = append(b, c)
-		}
-	}
-	return b
-}
 
 // Histogram is the tree's one latency histogram: fixed upper bounds in
 // seconds, safe for concurrent Observe and scrape.

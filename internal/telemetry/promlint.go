@@ -25,9 +25,9 @@ import (
 //   - counter samples are non-negative.
 //
 // It returns one human-readable issue per violation (empty = clean). It
-// is intentionally a linter, not a parser-library dependency: the repo's
-// exposition is hand-rolled, so the grammar check must not share code
-// with the code under test.
+// is intentionally a linter, not a parser-library dependency, and it
+// shares no code with Writer: the grammar check must stay independent of
+// the code under test.
 func Lint(r io.Reader) []string {
 	l := &linter{
 		types: make(map[string]string),

@@ -2,9 +2,10 @@
 // low-overhead, sampling-aware tracer that times every stage of a sampled
 // decision (route → shard mailbox wait → Eq. 1 calculus → dropper verdict
 // → journal append/fsync → ack), plus the shared plumbing the service's
-// observability surface is built from — per-stage latency histograms, a
-// Prometheus text-format linter, runtime/metrics exposition and a slog
-// constructor for the CLIs.
+// observability surface is built from — the Prometheus exposition Writer
+// and the Histogram every latency series of both tiers goes through, a
+// text-format linter that shares no code with them, runtime/metrics
+// exposition and a slog constructor for the CLIs.
 //
 // # Design constraints
 //
