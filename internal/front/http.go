@@ -40,7 +40,7 @@ func (m *metrics) write(x *telemetry.Writer) {
 	x.Counter("taskdrop_router_shed_total", "Requests shed on a full backend in-flight window (HTTP 429).").Int(m.shed.Load())
 	x.Counter("taskdrop_router_reroutes_total", "Sub-batches rerouted off a failed backend.").Int(m.reroutes.Load())
 	x.Counter("taskdrop_router_decisions_total", "Merged admission decisions by action.")
-	m.Write(x)
+	m.WriteActions(x)
 	x.Histogram("taskdrop_router_upstream_latency_seconds", "Upstream decide round-trip latency (per sub-request, retries included).").Observed(m.upstream)
 }
 
@@ -60,7 +60,10 @@ func (m *metrics) write(x *telemetry.Writer) {
 //	GET  /debug/traces — retained route→proxy→ack traces
 //
 // Client-supplied DecisionIDs are deduplicated at this tier exactly as a
-// single server would: a retry replays the originally acknowledged bytes.
+// single server would (service.DecideHandler): a retry replays the
+// originally acknowledged bytes. A failed fan-out acknowledged nothing and
+// releases the ID; the per-backend sub-IDs keep any upstream partial
+// commits idempotent independently.
 func NewHandler(f *Front) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/decide", service.DecideHandler("front", f.Decide, f.dedup, decideError, &f.metrics.rejected, nil))

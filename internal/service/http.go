@@ -213,7 +213,7 @@ func DecideHandler(
 func writeShardGauges(x *telemetry.Writer, c *Controller) {
 	x.Counter("taskdrop_shard_decisions_total", "Admission decisions by shard and action.")
 	for _, sh := range c.shards {
-		sh.metrics.Write(x, "shard", strconv.Itoa(sh.id))
+		sh.metrics.WriteActions(x, "shard", strconv.Itoa(sh.id))
 	}
 	x.Gauge("taskdrop_shard_queue_mass", "Outstanding tasks per shard (machine queues + deferred batch).")
 	for _, sh := range c.shards {

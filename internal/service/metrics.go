@@ -53,9 +53,9 @@ func (c *ActionCounts) Count(a Action) {
 	}
 }
 
-// Write writes the map/defer/drop samples of the current family, after
+// WriteActions writes the map/defer/drop samples of the current family, after
 // the given leading labels.
-func (c *ActionCounts) Write(x *telemetry.Writer, labels ...string) {
+func (c *ActionCounts) WriteActions(x *telemetry.Writer, labels ...string) {
 	x.Int(c.mapped.Load(), append(labels, "action", "map")...)
 	x.Int(c.deferred.Load(), append(labels, "action", "defer")...)
 	x.Int(c.dropped.Load(), append(labels, "action", "drop")...)
@@ -91,7 +91,7 @@ func (m *Metrics) DecisionsPerSecond() float64 {
 func (m *Metrics) write(x *telemetry.Writer) {
 	x.Counter("taskdrop_decide_requests_total", "Decide requests processed.").Int(m.requests.Load())
 	x.Counter("taskdrop_decisions_total", "Admission decisions by action.")
-	m.Write(x)
+	m.WriteActions(x)
 	x.Counter("taskdrop_rejected_requests_total", "Requests rejected before decision (validation).").Int(m.rejected.Load())
 	x.Gauge("taskdrop_drop_rate", "Fraction of decided tasks dropped at admission.").Float(m.DropRate())
 	x.Gauge("taskdrop_decisions_per_second", "Mean decision throughput since start.").Float(m.DecisionsPerSecond())

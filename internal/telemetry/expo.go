@@ -106,16 +106,15 @@ func (x *Writer) bucketLines(bounds []float64, counts []uint64, labels []string)
 	if len(counts) != len(bounds)+1 {
 		panic("telemetry: " + x.family + ": bucket counts do not match bounds")
 	}
-	withLE := append(labels[:len(labels):len(labels)], "le", "+Inf")
+	series := append(labels[:len(labels):len(labels)], "le", "+Inf")
+	le := &series[len(labels)+1]
 	var cum uint64
 	for i, c := range counts {
 		cum += c
-		if i < len(bounds) {
-			withLE[len(labels)+1] = string(appendFloat(nil, bounds[i]))
-		} else {
-			withLE[len(labels)+1] = "+Inf"
+		if *le = "+Inf"; i < len(bounds) {
+			*le = string(appendFloat(nil, bounds[i]))
 		}
-		x.flush(strconv.AppendUint(x.sample("_bucket", withLE), cum, 10))
+		x.flush(strconv.AppendUint(x.sample("_bucket", series), cum, 10))
 	}
 	return cum
 }
