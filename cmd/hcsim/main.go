@@ -141,6 +141,10 @@ func main() {
 		fmt.Printf("mapper candidates     %d evaluated, %d pruned (%.1f %% ruled out unconvolved)\n",
 			calc.CandidatesEvaluated, calc.CandidatesPruned, 100*float64(calc.CandidatesPruned)/float64(n))
 	}
+	if n := calc.WindowsBounded + calc.WindowsEvaluated; n > 0 {
+		fmt.Printf("dropper windows       %d bounded, %d evaluated (%.1f %% settled by the bound)\n",
+			calc.WindowsBounded, calc.WindowsEvaluated, 100*float64(calc.WindowsBounded)/float64(n))
+	}
 	fmt.Printf("wall clock            %s\n", elapsed.Round(time.Millisecond))
 
 	if eng != nil {

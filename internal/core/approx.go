@@ -84,7 +84,7 @@ func (a ApproxHeuristic) Decide(ctx *Context) []int {
 	if grace == FollowEngineGrace {
 		grace = ctx.Grace
 	}
-	if a.Beta < 1 || a.Eta < 1 || grace < 0 {
+	if !(a.Beta >= 1) || a.Eta < 1 || grace < 0 {
 		panic(fmt.Sprintf("core: invalid approx heuristic parameters β=%v η=%d g=%d", a.Beta, a.Eta, grace))
 	}
 	value := func(cp pmf.PMF, qt QueueTask) float64 {

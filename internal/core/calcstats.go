@@ -82,6 +82,13 @@ type CalcStats struct {
 	// the mapper's useful-work ratio.
 	CandidatesEvaluated uint64
 	CandidatesPruned    uint64
+	// WindowsBounded/WindowsEvaluated count the dropper's scenario
+	// comparisons: heuristic verdicts settled from the kept window alone
+	// (no task is worth more than 1) vs those that convolved the drop
+	// scenario; Optimal counts subtrees cut by the same bound vs leaves
+	// scored.
+	WindowsBounded   uint64
+	WindowsEvaluated uint64
 }
 
 // Add folds o into st: counters and pinned bytes sum, the arena high-water
@@ -102,6 +109,8 @@ func (st *CalcStats) Add(o CalcStats) {
 	st.PinnedBytes += o.PinnedBytes
 	st.CandidatesEvaluated += o.CandidatesEvaluated
 	st.CandidatesPruned += o.CandidatesPruned
+	st.WindowsBounded += o.WindowsBounded
+	st.WindowsEvaluated += o.WindowsEvaluated
 }
 
 // Stats snapshots the calculus' introspection counters. Safe to call from
@@ -120,6 +129,8 @@ func (c *Calculus) Stats() CalcStats {
 		PinnedBytes:           c.pinnedBytes.Load(),
 		CandidatesEvaluated:   c.candEval.Load(),
 		CandidatesPruned:      c.candPruned.Load(),
+		WindowsBounded:        c.winBounded.Load(),
+		WindowsEvaluated:      c.winEval.Load(),
 	}
 	for i := range st.Widths {
 		st.Widths[i] = c.widths[i].Load()

@@ -103,6 +103,8 @@ type Calculus struct {
 	pinnedBytes atomic.Int64
 	candEval    atomic.Uint64
 	candPruned  atomic.Uint64
+	winBounded  atomic.Uint64
+	winEval     atomic.Uint64
 }
 
 // execCell is the per-PET-cell cache entry: the kernel occupancy pattern

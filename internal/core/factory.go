@@ -34,7 +34,7 @@ func PolicyFromSpec(s string) (Policy, error) {
 		p = ReactiveOnly{}
 	case "heuristic":
 		h := Heuristic{Beta: params.Float("beta", DefaultBeta), Eta: params.Int("eta", DefaultEta)}
-		if h.Beta < 1 || h.Eta < 1 {
+		if !(h.Beta >= 1) || h.Eta < 1 { // !(>=) so that NaN is rejected
 			return nil, fmt.Errorf("core: heuristic requires beta >= 1 and eta >= 1, got %q", s)
 		}
 		p = h
@@ -42,7 +42,7 @@ func PolicyFromSpec(s string) (Policy, error) {
 		p = Optimal{}
 	case "threshold":
 		t := Threshold{Base: params.Float("base", DefaultThresholdBase), Adaptive: params.Bool("adaptive", true)}
-		if t.Base < 0 || t.Base > 1 {
+		if !(t.Base >= 0 && t.Base <= 1) {
 			return nil, fmt.Errorf("core: threshold base must be in [0,1], got %q", s)
 		}
 		p = t
@@ -52,7 +52,7 @@ func PolicyFromSpec(s string) (Policy, error) {
 			Eta:   params.Int("eta", DefaultEta),
 			Grace: pmf.Tick(params.Int64("grace", int64(FollowEngineGrace))),
 		}
-		if a.Beta < 1 || a.Eta < 1 || (a.Grace < 0 && a.Grace != FollowEngineGrace) {
+		if !(a.Beta >= 1) || a.Eta < 1 || (a.Grace < 0 && a.Grace != FollowEngineGrace) {
 			return nil, fmt.Errorf("core: approx requires beta >= 1, eta >= 1 and grace >= 0 (or -1 to follow the engine grace), got %q", s)
 		}
 		p = a

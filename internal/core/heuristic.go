@@ -43,7 +43,7 @@ func (h Heuristic) StableDecision() bool { return true }
 
 // Decide implements Policy.
 func (h Heuristic) Decide(ctx *Context) []int {
-	if h.Beta < 1 || h.Eta < 1 {
+	if !(h.Beta >= 1) || h.Eta < 1 { // written so that a NaN β fails
 		panic(fmt.Sprintf("core: invalid heuristic parameters β=%v η=%d", h.Beta, h.Eta))
 	}
 	return heuristicWalk(ctx, h.Beta, h.Eta, chanceOfSuccess, strictDeadline)
@@ -52,8 +52,16 @@ func (h Heuristic) Decide(ctx *Context) []int {
 // valueFunc scores one task's completion PMF; the heuristic maximizes the
 // window sum of this value. The paper's heuristic uses the chance of
 // success (Eq. 2); the approximate-computing extension uses expected
-// utility.
+// utility. Contract: the score is at most the PMF's total mass, i.e. ≤ 1 —
+// heuristicWalk and Optimal bound unevaluated scenarios by it.
 type valueFunc func(cp pmf.PMF, qt QueueTask) float64
+
+// valueSlack pads the "no task is worth more than 1" bound for the few
+// ulps by which float summation may leave a chain PMF's mass above 1
+// (largest excess seen over `hcexp -fig all`: 7.1e-15). It rests on
+// pmf.TestChainMassNeverExceedsOne, which holds every kernel path,
+// conditioned root and compaction to TotalMass ≤ 1 + 1e-12.
+const valueSlack = 1e-9
 
 // chanceOfSuccess is Eq. 2 as a valueFunc.
 func chanceOfSuccess(cp pmf.PMF, qt QueueTask) float64 {
@@ -121,6 +129,17 @@ func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc, dlOf de
 		}
 		// Keep scenario: tasks i..i+window; drop scenario: i+1..i+window.
 		vKeep, head := chainValue(prev, work[i:], window+1)
+		// The drop scenario scores `window` tasks, each at most 1, so when
+		// the kept side already reaches that ceiling Eq. 8 cannot hold and
+		// its chains are never convolved. (β=+Inf over vKeep=0 is NaN and
+		// falls through to the full comparison, which it also fails.)
+		if beta*vKeep >= float64(window)+valueSlack {
+			calc.winBounded.Add(1)
+			prev = head
+			i++
+			continue
+		}
+		calc.winEval.Add(1)
 		vDrop, _ := chainValue(prev, work[i+1:], window)
 
 		if vDrop > beta*vKeep {

@@ -10,10 +10,12 @@ import "math/bits"
 // which the paper keeps small (6 slots including the running task).
 //
 // The enumeration walks the keep/drop decision tree depth-first so that
-// shared queue prefixes are convolved once, not once per subset.
+// shared queue prefixes are convolved once, not once per subset, and
+// leaves a subtree unvisited when even a chance of success of 1 for every
+// task still undecided could not bring it level with the incumbent.
 //
 // Ties are broken toward fewer drops (so the keep-everything baseline
-// survives exact ties), then toward the first subset found in drop-first
+// survives exact ties), then toward the first subset found in keep-first
 // order.
 type Optimal struct{}
 
@@ -26,6 +28,7 @@ func (Optimal) StableDecision() bool { return true }
 
 // optimalSearch carries the shared state of one decision-tree walk.
 type optimalSearch struct {
+	calc  *Calculus
 	cands []QueueTask // droppable tasks (queue[first:last])
 	tail  []QueueTask // tasks after the candidates (at least the final one)
 
@@ -44,6 +47,7 @@ func (Optimal) Decide(ctx *Context) []int {
 	}
 	start, _ := ctx.ChainStart()
 	s := &optimalSearch{
+		calc:  ctx.Calc,
 		cands: q[first:last],
 		tail:  q[last:],
 	}
@@ -65,7 +69,16 @@ func (Optimal) Decide(ctx *Context) []int {
 // prefix sharing of the depth-first walk, the tail chains behind identical
 // survivor sets are also convolved only once per decision.
 func (s *optimalSearch) walk(i int, prev ChainState, sum float64, mask uint32) {
+	// Branch and bound: the tasks still to score are worth at most 1 each.
+	// A subtree whose ceiling stays below the incumbent's tie band holds no
+	// leaf the comparison below would accept, so skipping it changes
+	// neither the chosen mask nor the order in which ties are met.
+	if s.haveBest && sum+float64(len(s.cands)-i+len(s.tail))+valueSlack < s.bestR-1e-12 {
+		s.calc.winBounded.Add(1)
+		return
+	}
 	if i == len(s.cands) {
+		s.calc.winEval.Add(1)
 		for _, qt := range s.tail {
 			prev = prev.AppendTask(qt)
 			sum += prev.PMF().MassBefore(qt.Deadline)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -91,7 +92,7 @@ func TestHeuristicPanicsOnBadParams(t *testing.T) {
 	m := testMatrix(t, [][]pmf.PMF{{delta(10)}, {delta(10)}})
 	ctx := &Context{Calc: NewCalculus(m), Machine: 0, Now: 0,
 		Queue: []QueueTask{{Type: 0, Deadline: 100}, {Type: 1, Deadline: 100}}}
-	for _, h := range []Heuristic{{Beta: 0.5, Eta: 2}, {Beta: 1, Eta: 0}} {
+	for _, h := range []Heuristic{{Beta: 0.5, Eta: 2}, {Beta: 1, Eta: 0}, {Beta: math.NaN(), Eta: 2}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -104,8 +105,10 @@ func TestHeuristicPanicsOnBadParams(t *testing.T) {
 }
 
 // refHeuristic is an independent single-pass implementation of Fig. 4 /
-// Eq. 8 built directly on the portable pmf operations.
-func refHeuristic(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask, beta float64, eta, budget int) []int {
+// Eq. 8 built directly on the portable pmf operations: every keep and drop
+// scenario is convolved in full. grace > 0 is the approximate-computing
+// variant (expected utility, chains truncated at deadline+grace).
+func refHeuristic(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask, beta float64, eta, budget int, grace pmf.Tick) []int {
 	first := 0
 	var prev pmf.PMF
 	if len(q) > 0 && q[0].Running {
@@ -126,11 +129,11 @@ func refHeuristic(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask
 		cur := start
 		var head pmf.PMF
 		for k := 0; k < n && k < len(tasks); k++ {
-			cur = cur.NextCompletion(m.ExecPMF(tasks[k].Type, mt), tasks[k].Deadline).Compact(budget)
+			cur = cur.NextCompletion(m.ExecPMF(tasks[k].Type, mt), tasks[k].Deadline+grace).Compact(budget)
 			if k == 0 {
 				head = cur
 			}
-			sum += cur.MassBefore(tasks[k].Deadline)
+			sum += ExpectedUtility(cur, tasks[k].Deadline, grace)
 		}
 		return sum, head
 	}
@@ -153,19 +156,156 @@ func refHeuristic(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask
 	return drops
 }
 
+// TestHeuristicMatchesReference holds the walk — which settles a verdict
+// from the kept window alone whenever it can — to the reference that never
+// does, on three kinds of queue: tight deadlines (many doomed tasks, drop
+// scenarios evaluated), generous ones (tasks likely to succeed, where the
+// bound fires) and the utility-driven variant with a grace window.
 func TestHeuristicMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
-	for i := 0; i < 400; i++ {
-		m, q, now := randomQueueCase(r)
-		c := NewCalculus(m)
-		beta := 1 + r.Float64()*2
-		eta := 1 + r.Intn(3)
-		h := Heuristic{Beta: beta, Eta: eta}
-		got := h.Decide(&Context{Calc: c, Machine: 0, Now: now, Queue: q})
-		want := refHeuristic(m, 0, now, q, beta, eta, c.MaxImpulses)
-		if !reflect.DeepEqual(normalizeNil(got), normalizeNil(want)) {
-			t.Fatalf("case %d (β=%.2f η=%d queue=%d): got %v, want %v", i, beta, eta, len(q), got, want)
+	for _, v := range []struct {
+		name   string
+		slack  int // extra deadline slack, drawn per task from [0, slack]
+		approx bool
+	}{
+		{"tight", 0, false},
+		{"generous", 400, false},
+		{"approx", 200, true},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			var seen CalcStats
+			for i := 0; i < 400; i++ {
+				m, q, now := randomQueueCase(r)
+				for k := range q {
+					q[k].Deadline += pmf.Tick(r.Intn(v.slack + 1))
+				}
+				c := NewCalculus(m)
+				beta := 1 + r.Float64()*2
+				eta := 1 + r.Intn(3)
+				var p Policy = Heuristic{Beta: beta, Eta: eta}
+				grace := pmf.Tick(0)
+				if v.approx {
+					grace = 1 + pmf.Tick(r.Intn(60))
+					p = ApproxHeuristic{Beta: beta, Eta: eta, Grace: grace}
+				}
+				got := p.Decide(&Context{Calc: c, Machine: 0, Now: now, Queue: q})
+				want := refHeuristic(m, 0, now, q, beta, eta, c.MaxImpulses, grace)
+				if !reflect.DeepEqual(normalizeNil(got), normalizeNil(want)) {
+					t.Fatalf("case %d (β=%.2f η=%d g=%d queue=%d): got %v, want %v", i, beta, eta, grace, len(q), got, want)
+				}
+				seen.Add(c.Stats())
+			}
+			if seen.WindowsBounded == 0 || seen.WindowsEvaluated == 0 {
+				t.Fatalf("verdicts: %d bounded, %d evaluated; want both kinds", seen.WindowsBounded, seen.WindowsEvaluated)
+			}
+		})
+	}
+}
+
+// refOptimalDrops is Optimal.Decide without branch and bound: every leaf
+// of the keep-first decision tree is scored, under the same tie rule.
+func refOptimalDrops(ctx *Context) []int {
+	q := ctx.Queue
+	first, last := droppableBounds(q)
+	start, _ := ctx.ChainStart()
+	cands, tail := q[first:last], q[last:]
+	var (
+		bestR    float64
+		bestMask uint32
+		bestSize = -1
+	)
+	var walk func(i int, prev ChainState, sum float64, mask uint32)
+	walk = func(i int, prev ChainState, sum float64, mask uint32) {
+		if i == len(cands) {
+			for _, qt := range tail {
+				prev = prev.AppendTask(qt)
+				sum += prev.PMF().MassBefore(qt.Deadline)
+			}
+			size := bits.OnesCount32(mask)
+			if bestSize < 0 || sum > bestR+1e-12 || (sum >= bestR-1e-12 && size < bestSize) {
+				bestR, bestMask, bestSize = sum, mask, size
+			}
+			return
 		}
+		kept := prev.AppendTask(cands[i])
+		walk(i+1, kept, sum+kept.PMF().MassBefore(cands[i].Deadline), mask)
+		walk(i+1, prev, sum, mask|1<<i)
+	}
+	walk(0, start, 0, 0)
+	var drops []int
+	for b := range cands {
+		if bestMask&(1<<b) != 0 {
+			drops = append(drops, first+b)
+		}
+	}
+	return drops
+}
+
+// TestOptimalMatchesExhaustiveDropSet: the pruned subset search must pick
+// the very drop set the exhaustive one picks — not merely an equally
+// robust one — on random queues and on queues built to tie: identical
+// tasks, all hopeless (every p = 0), all certain (every p = 1).
+func TestOptimalMatchesExhaustiveDropSet(t *testing.T) {
+	r := rand.New(rand.NewSource(56))
+	same := func(n int, dl pmf.Tick) []QueueTask {
+		q := make([]QueueTask, n)
+		for i := range q {
+			q[i] = QueueTask{Type: 0, Deadline: dl}
+		}
+		return q
+	}
+	two := testMatrix(t, [][]pmf.PMF{{twoPoint(10, 0.5, 60)}})
+	det := testMatrix(t, [][]pmf.PMF{{delta(10)}, {delta(30)}})
+	type queueCase struct {
+		m   *pet.Matrix
+		q   []QueueTask
+		now pmf.Tick
+	}
+	cases := []struct {
+		name string
+		gen  func() queueCase
+	}{
+		{"random", func() queueCase {
+			m, q, now := randomQueueCase(r)
+			return queueCase{m, q, now}
+		}},
+		{"generous", func() queueCase {
+			m, q, now := randomQueueCase(r)
+			for k := range q {
+				q[k].Deadline += pmf.Tick(r.Intn(400))
+			}
+			return queueCase{m, q, now}
+		}},
+		// Deterministic executions: every p is 0 or 1, robustness is an
+		// integer, and a subtree's ceiling is often exactly the incumbent.
+		{"deterministic", func() queueCase {
+			q := make([]QueueTask, 3+r.Intn(4))
+			for i := range q {
+				q[i] = QueueTask{Type: pet.TaskType(r.Intn(2)), Deadline: pmf.Tick(5 + r.Intn(90))}
+			}
+			return queueCase{det, q, 0}
+		}},
+		// Same type, same deadline, some of them bound to miss it: every
+		// drop set of one size ties.
+		{"identical", func() queueCase { return queueCase{two, same(2+r.Intn(5), pmf.Tick(30+r.Intn(150))), 0} }},
+		{"hopeless", func() queueCase { return queueCase{two, same(2+r.Intn(5), 5), 0} }},
+		{"certain", func() queueCase { return queueCase{two, same(2+r.Intn(5), 1000), 0} }},
+	}
+	var seen CalcStats
+	for _, tc := range cases {
+		for i := 0; i < 150; i++ {
+			qc := tc.gen()
+			c := NewCalculus(qc.m)
+			got := (Optimal{}).Decide(&Context{Calc: c, Machine: 0, Now: qc.now, Queue: qc.q})
+			want := refOptimalDrops(&Context{Calc: NewCalculus(qc.m), Machine: 0, Now: qc.now, Queue: qc.q})
+			if !reflect.DeepEqual(normalizeNil(got), normalizeNil(want)) {
+				t.Fatalf("%s case %d (queue %v): dropped %v, exhaustive search %v", tc.name, i, qc.q, got, want)
+			}
+			seen.Add(c.Stats())
+		}
+	}
+	if seen.WindowsBounded == 0 || seen.WindowsEvaluated == 0 {
+		t.Fatalf("subtrees pruned %d, leaves scored %d; want both", seen.WindowsBounded, seen.WindowsEvaluated)
 	}
 }
 
@@ -370,6 +510,8 @@ func TestPolicyFromSpec(t *testing.T) {
 		{"approx:grace=-1", ApproxHeuristic{Beta: DefaultBeta, Eta: DefaultEta, Grace: FollowEngineGrace}},
 		{"optimal", Optimal{}},
 		{"none", ReactiveOnly{}},
+		// β = +Inf is the documented way to disable proactive dropping.
+		{"heuristic:beta=+Inf", Heuristic{Beta: math.Inf(1), Eta: DefaultEta}},
 	}
 	for _, c := range cases {
 		got, err := PolicyFromSpec(c.spec)
@@ -389,6 +531,9 @@ func TestPolicyFromSpec(t *testing.T) {
 		"heuristic:beta=0.5",      // out of range
 		"heuristic:eta=0",         // out of range
 		"threshold:base=1.5",      // out of range
+		"heuristic:beta=nan",      // NaN fails every < and > test: Eq. 8 would never fire
+		"approx:beta=NaN",         // same walk, same guard
+		"threshold:base=nan",      // ... nor would the threshold comparison
 		"approx:grace=-2",         // out of range (−1 is the follow-engine sentinel)
 		"optimal:anything=1",      // parameters on a parameterless policy
 		"heuristic:beta=1,beta=2", // duplicate key

@@ -130,6 +130,9 @@ func writeCalcMetrics(x *telemetry.Writer, c *Controller) {
 	x.Counter("taskdrop_mapper_candidates_total", "Mapper candidates (batch task x free machine) by outcome: evaluated = completion PMF looked up or convolved, pruned = skipped unconvolved because a lower bound on its expected completion time (or, under MSD, its deadline) showed it could not change the choice.")
 	x.Uint(agg.CandidatesEvaluated, "outcome", "evaluated")
 	x.Uint(agg.CandidatesPruned, "outcome", "pruned")
+	x.Counter("taskdrop_dropper_windows_total", "Dropper scenario comparisons by outcome: bounded = settled from the kept window alone because no task is worth more than 1 (heuristic verdict, or optimal subtree), evaluated = drop scenario convolved (heuristic verdict, or optimal leaf).")
+	x.Uint(agg.WindowsBounded, "outcome", "bounded")
+	x.Uint(agg.WindowsEvaluated, "outcome", "evaluated")
 	x.Gauge("taskdrop_chain_pinned_bytes", "Impulse storage currently pinned across all persistent chain caches.").Int(agg.PinnedBytes)
 	x.Gauge("taskdrop_arena_high_water_bytes", "Peak committed impulse-arena footprint per shard calculus.")
 	for s, hw := range shardHW {

@@ -265,6 +265,8 @@ func TestMetricsChainInvalidationFamilies(t *testing.T) {
 		"taskdrop_chain_pinned_bytes ",
 		`taskdrop_mapper_candidates_total{outcome="evaluated"} `,
 		`taskdrop_mapper_candidates_total{outcome="pruned"} `,
+		`taskdrop_dropper_windows_total{outcome="bounded"} `,
+		`taskdrop_dropper_windows_total{outcome="evaluated"} `,
 	}
 	for pass, body := range map[string]string{"cold": scrape()} {
 		for _, line := range want {
@@ -287,6 +289,9 @@ func TestMetricsChainInvalidationFamilies(t *testing.T) {
 	}
 	if strings.Contains(body, `taskdrop_mapper_candidates_total{outcome="evaluated"} 0`+"\n") {
 		t.Fatal("no mapper candidate counted after a full trace")
+	}
+	if strings.Contains(body, `taskdrop_dropper_windows_total{outcome="bounded"} 0`+"\n") {
+		t.Fatal("no dropper window settled by the bound after a full trace")
 	}
 }
 
