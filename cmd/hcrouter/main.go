@@ -19,8 +19,8 @@
 //
 // Endpoints match hcserve: POST /v1/decide, POST /v1/drain (fleet drain,
 // merged Result), GET /v1/stats (per-backend rotation state), /healthz,
-// /readyz (200 once >= 1 backend is in rotation), /metrics
-// (taskdrop_router_* families), /debug/traces.
+// /readyz (200 once every backend has been polled and >= 1 is in
+// rotation), /metrics (taskdrop_router_* families), /debug/traces.
 //
 // On SIGTERM/SIGINT the router stops its listener and pollers and exits.
 // It does NOT drain the backends — a router restart must not destroy

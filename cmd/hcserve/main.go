@@ -104,7 +104,6 @@ func main() {
 		grace         = flag.Int64("grace", 0, "reactive-drop grace window in ms (approximate-computing extension)")
 		dropOnArrival = flag.Bool("drop-on-arrival", false, "engage the proactive dropper on arrival events too (strict Fig. 4)")
 		boundary      = flag.Int("boundary", 0, "exclude first/last N tasks from the drain result's measured metrics")
-		backlog       = flag.Int("backlog", 256, "decide requests buffered behind the decision loop")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		journalDir    = flag.String("journal-dir", "", "enable the decision journal: per-shard WAL + snapshots under this directory (crash recovery, hcreplay)")
 		fsync         = flag.String("fsync", "interval", "journal durability policy: always | interval | never")
@@ -158,7 +157,6 @@ func main() {
 		Grace:              pmf.Tick(*grace),
 		DropOnArrival:      *dropOnArrival,
 		BoundaryExclusion:  *boundary,
-		Backlog:            *backlog,
 		DedupWindow:        *dedupWindow,
 		RebalanceEvery:     *rebalEvery,
 		RebalanceThreshold: *rebalThresh,

@@ -22,6 +22,11 @@ type backend struct {
 	// ready gates rotation membership: set by the poller when /readyz
 	// answers 200 ready, cleared by the poller or by a failed proxy.
 	ready atomic.Bool
+	// polled is set when the backend's first poll has finished, whatever
+	// its outcome: the router is not ready until every backend has been
+	// heard from (or given up on) once, so the first requests are routed
+	// over the whole fleet rather than over whichever backend answered first.
+	polled atomic.Bool
 	// window holds one token per in-flight decide sub-request.
 	window chan struct{}
 	// proxied counts decide sub-requests sent to this backend.
@@ -81,6 +86,7 @@ func (f *Front) poller(b *backend) {
 }
 
 func (f *Front) pollOnce(b *backend, probe *service.Client) {
+	defer b.polled.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Timeout)
 	defer cancel()
 

@@ -276,6 +276,22 @@ func (f *Front) NumReady() int {
 	return n
 }
 
+// Ready reports whether the router should take traffic: not draining,
+// every backend polled at least once, and at least one in rotation.
+// Gating on the first backend alone let early requests route over a
+// partial fleet and decide differently from a run that saw all of it.
+func (f *Front) Ready() bool {
+	if f.Draining() {
+		return false
+	}
+	for _, b := range f.backends {
+		if !b.polled.Load() {
+			return false
+		}
+	}
+	return f.NumReady() > 0
+}
+
 // nextSubID generates a fresh decision ID for one proxied sub-request.
 func (f *Front) nextSubID() string {
 	return fmt.Sprintf("%s-%d", f.cfg.IDNonce, f.subID.Add(1))

@@ -337,3 +337,58 @@ func TestFrontWireTagsAreSnakeCase(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontReadyWaitsForEveryBackend pins the router's readiness rule: one
+// backend in rotation is not enough while another has yet to answer its
+// first poll — routing over a partial fleet decides differently from
+// routing over all of it.
+func TestFrontReadyWaitsForEveryBackend(t *testing.T) {
+	urls := newBackends(t, 2)
+	// The second backend's /readyz hangs until released.
+	release := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+		service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "booting"})
+	}))
+	defer slow.Close()
+
+	f, err := New(Config{
+		Backends: []string{urls[0], slow.URL}, Profile: "video",
+		Poll: 10 * time.Millisecond, Timeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer close(release) // before f.Close: it waits out the in-flight poll
+	srv := httptest.NewServer(NewHandler(f))
+	defer srv.Close()
+	readyz := func() int {
+		resp, err := srv.Client().Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for f.NumReady() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the healthy backend never entered rotation")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz = %d with one backend still unpolled, want 503", code)
+	}
+	// Its first poll finishes — as a failure — and the router goes ready on
+	// the backend it has.
+	release <- struct{}{}
+	for readyz() != http.StatusOK {
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz never turned 200 after every backend was polled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

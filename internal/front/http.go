@@ -55,7 +55,8 @@ func (m *metrics) write(x *telemetry.Writer) {
 //	POST /v1/drain   — fleet drain; returns the merged Result
 //	GET  /v1/stats   — per-backend rotation state (front.StatsResponse)
 //	GET  /healthz    — liveness + fleet summary
-//	GET  /readyz     — 200 once at least one backend is in rotation
+//	GET  /readyz     — 200 once every backend has been polled and at
+//	                   least one is in rotation (Front.Ready)
 //	GET  /metrics    — Prometheus text exposition (taskdrop_router_*)
 //	GET  /debug/traces — retained route→proxy→ack traces
 //
@@ -95,7 +96,7 @@ func NewHandler(f *Front) http.Handler {
 		switch {
 		case f.Draining():
 			service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "draining"})
-		case f.NumReady() == 0:
+		case !f.Ready():
 			service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "booting"})
 		default:
 			service.WriteJSON(w, http.StatusOK, &service.ReadyResponse{Ready: true, Status: "ok"})

@@ -156,8 +156,12 @@ func (d *machineDir) size() int {
 	return len(d.names)
 }
 
-// machineName resolves a matrix-wide machine index to its name.
-func (c *Controller) machineName(g int) string { return c.dir.name(g) }
+// memberActions maps the wire operations onto journal membership actions.
+var memberActions = map[string]uint8{
+	AdminOpAdd:    journal.MemberAdd,
+	AdminOpRemove: journal.MemberRemove,
+	AdminOpRevive: journal.MemberRevive,
+}
 
 // Admin applies one membership operation. The operation runs on the
 // target shard's decision loop, is journaled and committed before the
@@ -170,32 +174,40 @@ func (c *Controller) Admin(ctx context.Context, req *AdminMachineRequest) (*Admi
 	if c.Draining() {
 		return nil, ErrDraining
 	}
-	switch req.Op {
-	case AdminOpAdd:
-		if req.Shard < 0 || req.Shard >= len(c.shards) {
-			return nil, fmt.Errorf("service: admin shard %d of %d", req.Shard, len(c.shards))
+	action, ok := memberActions[req.Op]
+	if !ok {
+		return nil, fmt.Errorf("service: admin op %q, want %q, %q or %q", req.Op, AdminOpAdd, AdminOpRemove, AdminOpRevive)
+	}
+	// The KindMembership record the operation will be logged as; NTasks
+	// carries the remove handoff flag (1 = pending queue handed back to the
+	// batch) and Machine is shard-local.
+	rec := journal.Record{Kind: journal.KindMembership, Action: action, Type: int32(req.Type)}
+	if req.Handoff {
+		rec.NTasks = 1
+	}
+	s := req.Shard
+	if action == journal.MemberAdd {
+		if s < 0 || s >= len(c.shards) {
+			return nil, fmt.Errorf("service: admin shard %d of %d", s, len(c.shards))
 		}
 		if req.Type < 0 || req.Type >= c.matrix.NumMachineTypes() {
 			return nil, fmt.Errorf("service: admin machine type %d of %d", req.Type, c.matrix.NumMachineTypes())
 		}
-		return c.adminOn(ctx, c.shards[req.Shard], req)
-	case AdminOpRemove, AdminOpRevive:
-		s, local, ok := c.dir.locate(req.Machine)
-		if !ok {
+	} else {
+		var local int
+		if s, local, ok = c.dir.locate(req.Machine); !ok {
 			return nil, fmt.Errorf("service: machine %d is not owned by this server", req.Machine)
 		}
-		r := *req
-		r.Shard = s
-		r.Machine = local // shard-local from here on
-		return c.adminOn(ctx, c.shards[s], &r)
-	default:
-		return nil, fmt.Errorf("service: admin op %q, want %q, %q or %q", req.Op, AdminOpAdd, AdminOpRemove, AdminOpRevive)
+		rec.Machine, rec.Type = int32(local), int32(c.dir.typeOf(req.Machine))
 	}
+	return c.adminOn(ctx, c.shards[s], req.Op, rec)
 }
 
-// adminOn executes one validated membership operation on sh's loop. For
-// remove/revive req.Machine is already shard-local.
-func (c *Controller) adminOn(ctx context.Context, sh *shard, req *AdminMachineRequest) (*AdminMachineResponse, error) {
+// adminOn executes one validated membership operation on sh's loop: it
+// applies the record it is about to log — the call recovery and replay
+// make on the records they read — so the log cannot say one thing and the
+// engine have done another.
+func (c *Controller) adminOn(ctx context.Context, sh *shard, op string, rec journal.Record) (*AdminMachineResponse, error) {
 	var resp *AdminMachineResponse
 	var aerr error
 	err := sh.do(ctx, func() {
@@ -203,37 +215,25 @@ func (c *Controller) adminOn(ctx context.Context, sh *shard, req *AdminMachineRe
 			aerr = ErrDraining
 			return
 		}
-		var local int
-		var action uint8
-		var mt int
-		switch req.Op {
-		case AdminOpAdd:
-			i, err := sh.eng.AddMachine(pet.MachineType(req.Type))
-			if err != nil {
-				aerr = fmt.Errorf("%w: %v", errAdminConflict, err)
-				return
-			}
-			local, action, mt = i, journal.MemberAdd, req.Type
-			g := c.dir.add(sh.eng.Machines()[i].Spec.Name, mt, sh.id, i)
-			sh.global = append(sh.global, g)
-		case AdminOpRemove:
-			if err := sh.eng.RemoveMachine(req.Machine, req.Handoff); err != nil {
-				aerr = fmt.Errorf("%w: %v", errAdminConflict, err)
-				return
-			}
-			local, action, mt = req.Machine, journal.MemberRemove, c.dir.typeOf(sh.global[req.Machine])
-		case AdminOpRevive:
-			if err := sh.eng.ReviveMachine(req.Machine); err != nil {
-				aerr = fmt.Errorf("%w: %v", errAdminConflict, err)
-				return
-			}
-			local, action, mt = req.Machine, journal.MemberRevive, c.dir.typeOf(sh.global[req.Machine])
+		if sh.journalFailed.Load() {
+			aerr = ErrJournalFailed
+			return
 		}
+		// Membership never moves the clock: the tick is the operation's.
+		rec.Tick = sh.eng.Now()
+		local, err := sh.applyMembership(&rec)
+		if err != nil {
+			aerr = fmt.Errorf("%w: %v", errAdminConflict, err)
+			return
+		}
+		// The record follows the terminal events the operation triggered,
+		// and an add learns its index by being applied.
+		rec.Machine = int32(local)
+		sh.emit(&rec)
 		if sh.jw != nil {
 			// Commit-before-ack, like a decide sub-batch: the membership
 			// record is durable before the client sees the acknowledgement,
 			// so recovery always restores the acknowledged membership.
-			sh.journalMembership(action, local, mt, req.Handoff)
 			if err := sh.commitJournal(); err != nil {
 				aerr = err
 				return
@@ -241,12 +241,12 @@ func (c *Controller) adminOn(ctx context.Context, sh *shard, req *AdminMachineRe
 		}
 		sh.eng.PublishLoad(sh.view)
 		sh.updateMembershipGauges()
-		c.memberOps[action].Add(1)
+		c.memberOps[rec.Action].Add(1)
 		resp = &AdminMachineResponse{
-			Op:           req.Op,
+			Op:           op,
 			Shard:        sh.id,
 			Machine:      sh.global[local],
-			MachineName:  c.machineName(sh.global[local]),
+			MachineName:  c.dir.name(sh.global[local]),
 			Now:          sh.eng.Now(),
 			LiveMachines: sh.eng.LiveMachines(),
 		}
@@ -254,54 +254,32 @@ func (c *Controller) adminOn(ctx context.Context, sh *shard, req *AdminMachineRe
 	if err != nil {
 		return nil, err
 	}
-	if aerr != nil {
-		return nil, aerr
-	}
-	if resp == nil {
-		return nil, ErrDraining
-	}
-	return resp, nil
+	return resp, aerr
 }
 
-// journalMembership logs one membership operation. NTasks carries the
-// remove handoff flag (1 = pending queue handed back to the batch).
-func (sh *shard) journalMembership(action uint8, local, mt int, handoff bool) {
-	h := int32(0)
-	if handoff {
-		h = 1
-	}
-	_ = sh.jw.Append(&journal.Record{
-		Kind:    journal.KindMembership,
-		Action:  action,
-		Machine: int32(local),
-		Type:    int32(mt),
-		NTasks:  h,
-		Tick:    sh.eng.Now(),
-	})
-}
-
-// applyMembership re-applies one journaled membership record to the
-// shard's engine during recovery — membership records are replay inputs
-// like arrives. Runs before the shard loop starts.
-func (sh *shard) applyMembership(r *journal.Record) error {
+// applyMembership applies one KindMembership record to the shard's engine
+// and returns the shard-local index of the machine it touched — the only
+// caller of the engine's three membership methods. The live loop applies
+// the record it is about to log, recovery and replay the records they
+// read: membership records are replay inputs like arrives. An added
+// machine enters the controller's directory under its engine name and the
+// next free matrix-wide index.
+func (sh *shard) applyMembership(r *journal.Record) (local int, err error) {
+	local = int(r.Machine)
 	switch r.Action {
 	case journal.MemberAdd:
-		i, err := sh.eng.AddMachine(pet.MachineType(r.Type))
-		if err != nil {
-			return fmt.Errorf("membership replay: %w", err)
+		if local, err = sh.eng.AddMachine(pet.MachineType(r.Type)); err == nil {
+			g := sh.c.dir.add(sh.eng.Machines()[local].Spec.Name, int(r.Type), sh.id, local)
+			sh.global = append(sh.global, g)
 		}
-		g := sh.c.dir.add(sh.eng.Machines()[i].Spec.Name, int(r.Type), sh.id, i)
-		sh.global = append(sh.global, g)
 	case journal.MemberRemove:
-		if err := sh.eng.RemoveMachine(int(r.Machine), r.NTasks != 0); err != nil {
-			return fmt.Errorf("membership replay: %w", err)
-		}
+		err = sh.eng.RemoveMachine(local, r.NTasks != 0)
 	case journal.MemberRevive:
-		if err := sh.eng.ReviveMachine(int(r.Machine)); err != nil {
-			return fmt.Errorf("membership replay: %w", err)
-		}
+		err = sh.eng.ReviveMachine(local)
+	default:
+		err = fmt.Errorf("membership op %d", r.Action)
 	}
-	return nil
+	return local, err
 }
 
 // registerAdded reconciles the shard's global index table with an engine

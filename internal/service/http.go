@@ -26,9 +26,10 @@ const maxDecideBody = 16 << 20
 //	                   drop counts
 //	GET  /healthz    — liveness + served (profile, mapper, dropper,
 //	                   shards, router, partition)
-//	GET  /readyz     — readiness: 200 once serving, 503 while draining
-//	                   (cmd/hcserve additionally 503s during journal
-//	                   recovery and shard boot; the router tier gates on it)
+//	GET  /readyz     — readiness: 200 once serving, 503 while draining or
+//	                   after a shard's journal failed (cmd/hcserve
+//	                   additionally 503s during journal recovery and shard
+//	                   boot; the router tier gates on it)
 //	GET  /metrics    — Prometheus text exposition (aggregate + per-shard)
 //	GET  /debug/traces — retained stage-timed decision traces (JSON; empty
 //	                   unless Config.TraceSample > 0)
@@ -49,7 +50,7 @@ func NewHandler(c *Controller) http.Handler {
 		resp, err := c.Admin(r.Context(), &req)
 		if err != nil {
 			switch {
-			case errors.Is(err, ErrDraining):
+			case errors.Is(err, ErrDraining), errors.Is(err, ErrJournalFailed):
 				WriteError(w, http.StatusServiceUnavailable, err)
 			case errors.Is(err, errAdminConflict):
 				WriteError(w, http.StatusConflict, err)
@@ -93,11 +94,14 @@ func NewHandler(c *Controller) http.Handler {
 		WriteJSON(w, http.StatusOK, &st)
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if c.Draining() {
+		switch {
+		case c.Draining():
 			WriteJSON(w, http.StatusServiceUnavailable, &ReadyResponse{Status: "draining"})
-			return
+		case c.journalFailed():
+			WriteJSON(w, http.StatusServiceUnavailable, &ReadyResponse{Status: "journal-failed"})
+		default:
+			WriteJSON(w, http.StatusOK, &ReadyResponse{Ready: true, Status: "ok"})
 		}
-		WriteJSON(w, http.StatusOK, &ReadyResponse{Ready: true, Status: "ok"})
 	})
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, c.Traces())
@@ -272,7 +276,7 @@ func writeEngineGauges(x *telemetry.Writer, c *Controller, snap Snapshot) {
 	x.Gauge("taskdrop_virtual_clock_ticks", "The server's virtual clock.").Int(int64(snap.Now))
 	x.Gauge("taskdrop_queue_depth", "Tasks queued per machine (incl. running).")
 	for i, d := range snap.QueueDepths {
-		name := c.machineName(i)
+		name := c.dir.name(i)
 		if i < len(machines) {
 			name = machines[i].Name
 		}
@@ -289,12 +293,12 @@ func writeEngineGauges(x *telemetry.Writer, c *Controller, snap Snapshot) {
 	x.Int(int64(snap.Live.Failed), "state", "failed")
 }
 
-// decideError maps controller errors onto HTTP statuses: draining → 503, a
-// degraded-shard shed → 429 with a Retry-After so well-behaved clients pace
-// their retries, anything else (validation) → 400.
+// decideError maps controller errors onto HTTP statuses: draining or a
+// failed journal → 503, a degraded-shard shed → 429 with a Retry-After so
+// well-behaved clients pace their retries, anything else (validation) → 400.
 func decideError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrJournalFailed):
 		WriteError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrShardDegraded):
 		w.Header().Set("Retry-After", "1")

@@ -73,6 +73,24 @@ func manifestFor(cfg Config) Manifest {
 	}
 }
 
+// config is manifestFor's inverse: the Config a manifest pins, every other
+// field left to its default. Offline replay hands it to build — the call
+// the server made — so a replayed shard is assembled as the served one was.
+func (m Manifest) config() Config {
+	return Config{
+		Profile:           m.Profile,
+		Mapper:            m.Mapper,
+		Dropper:           m.Dropper,
+		Shards:            m.Shards,
+		Router:            m.Router,
+		QueueCap:          m.QueueCap,
+		Grace:             m.Grace,
+		DropOnArrival:     m.DropOnArrival,
+		BoundaryExclusion: m.BoundaryExclusion,
+		Partition:         m.Partition,
+	}
+}
+
 // matches reports whether two manifests agree on every decision-shaping
 // field (Router intentionally excluded).
 func (m Manifest) matches(o Manifest) bool {
@@ -153,8 +171,8 @@ func writeJournalMetrics(x *telemetry.Writer, c *Controller) {
 // start: validate (or create) the manifest, recover every shard from its
 // log — restore the newest checkpoint, then re-feed the tail's arrive
 // records through the deterministic engine — and only then open the
-// writers and install the terminal-event hooks. Returns an error rather
-// than serving over a log it cannot continue safely.
+// writers, which turns emit from a no-op into the log. Returns an error
+// rather than serving over a log it cannot continue safely.
 func (c *Controller) initJournal() error {
 	root := c.cfg.JournalDir
 	if err := os.MkdirAll(root, 0o755); err != nil {
@@ -202,22 +220,6 @@ func (c *Controller) initJournal() error {
 	}
 	c.seq.Store(maxSeq + 1)
 
-	// Aggregate counters: decision counts re-derive exactly from the shard
-	// recoveries; the aggregate request counter is approximated by the sum
-	// of shard sub-batches (a multi-shard batch counted once per shard).
-	var reqs, mapped, deferred, dropped int64
-	for _, sh := range c.shards {
-		reqs += sh.metrics.requests.Load()
-		mapped += sh.metrics.mapped.Load()
-		deferred += sh.metrics.deferred.Load()
-		dropped += sh.metrics.dropped.Load()
-	}
-	c.metrics.requests.Store(reqs)
-	c.metrics.mapped.Store(mapped)
-	c.metrics.deferred.Store(deferred)
-	c.metrics.dropped.Store(dropped)
-	c.metrics.tasks.Store(mapped + deferred + dropped)
-
 	// Re-seed the dedup window from the recovered batches: a request that
 	// committed before the crash answers its retry with its original
 	// decisions; a torn batch poisons its ID so a retry cannot double-feed
@@ -239,7 +241,6 @@ func (c *Controller) initJournal() error {
 			return err
 		}
 		sh.jw = w
-		sh.installJournalHook()
 	}
 	return nil
 }
@@ -330,7 +331,6 @@ func (sh *shard) recover() error {
 	if err != nil {
 		return err
 	}
-	sh.watermark = -1
 	if rec.Snapshot != nil {
 		var cp ShardCheckpoint
 		if err := json.Unmarshal(rec.Snapshot, &cp); err != nil {
@@ -346,11 +346,17 @@ func (sh *shard) recover() error {
 		// never seen; register them before any tail record references one.
 		sh.registerAdded()
 		sh.watermark = cp.SeqWatermark
-		sh.metrics.requests.Store(cp.Requests)
-		sh.metrics.mapped.Store(cp.Mapped)
-		sh.metrics.deferred.Store(cp.Deferred)
-		sh.metrics.dropped.Store(cp.Dropped)
-		sh.metrics.tasks.Store(cp.Mapped + cp.Deferred + cp.Dropped)
+		// Into the shard's counters and the controller's aggregate alike,
+		// as admit counts the tail: decision counts re-derive exactly; the
+		// aggregate request counter is approximated by the sum of shard
+		// sub-batches (a multi-shard batch counted once per shard).
+		for _, m := range []*Metrics{sh.metrics, sh.c.metrics} {
+			m.requests.Add(cp.Requests)
+			m.mapped.Add(cp.Mapped)
+			m.deferred.Add(cp.Deferred)
+			m.dropped.Add(cp.Dropped)
+			m.tasks.Add(cp.Mapped + cp.Deferred + cp.Dropped)
+		}
 		for class, p := range cp.Robustness {
 			sh.view.SetClassRobustness(class, p)
 		}
@@ -375,19 +381,15 @@ func (sh *shard) recover() error {
 		case journal.KindBatch:
 			closeOpen()
 			sh.metrics.requests.Add(1)
+			sh.c.metrics.requests.Add(1)
 			if r.ID != "" {
 				open = &recoveredBatch{id: r.ID, expect: int(r.NTasks)}
 			}
 		case journal.KindArrive:
-			ts := sh.eng.Feed(arriveTask(r))
-			sh.metrics.countDecision(actionOf(ts.Status))
-			sh.eng.ObserveDecision(sh.view, ts)
-			if r.Seq > sh.watermark {
-				sh.watermark = r.Seq
-			}
+			// The wire decision the live server acknowledged, re-derived.
+			d := sh.admit(arriveTask(r), r.ID, nil)
 			if open != nil {
-				// Re-derive the wire decision the live server acknowledged.
-				open.decisions = append(open.decisions, decisionOf(sh.eng, sh.global, sh.id, r.ID, r.Seq, ts))
+				open.decisions = append(open.decisions, d)
 				open.now = sh.eng.Now()
 				if len(open.decisions) == open.expect {
 					closeOpen()
@@ -397,7 +399,7 @@ func (sh *shard) recover() error {
 			// Membership records are replay inputs like arrives: re-apply
 			// the operation so the engine crosses the churn point exactly as
 			// the live server did.
-			if err := sh.applyMembership(r); err != nil {
+			if _, err := sh.applyMembership(r); err != nil {
 				return err
 			}
 		}
@@ -415,45 +417,25 @@ func (sh *shard) recover() error {
 	return err
 }
 
-// installJournalHook wires the engine's terminal transitions (completion,
-// failure, reactive/proactive drop) into the shard's WAL. The hook runs
-// inside the decision loop (Feed, checkpointed drains), so appends are
-// single-writer like every other journal write.
-func (sh *shard) installJournalHook() {
-	sh.eng.SetJournal(func(ts *sim.TaskState, now pmf.Tick) {
-		_ = sh.jw.Append(&journal.Record{
-			Kind:   journal.KindEvent,
-			Seq:    int64(ts.Task.ID),
-			Action: uint8(ts.Status),
-			Tick:   now,
-		})
-	})
-}
-
-// journalBatch logs a decide sub-batch boundary; id carries the request's
-// idempotent decision ID (empty when the client sent none), which recovery
-// uses to re-seed the dedup window.
-func (sh *shard) journalBatch(n int, id string) {
-	_ = sh.jw.Append(&journal.Record{Kind: journal.KindBatch, NTasks: int32(n), ID: id})
-}
-
-// journalArrive logs one admitted arrival before it is fed.
-func (sh *shard) journalArrive(seq int64, t *workload.Task, id string) {
-	_ = sh.jw.Append(&journal.Record{
+// arriveRecord is the journal form of one admitted arrival: the input
+// record the live shard logs before feeding the task (its sequence number
+// is the task's ID; id is the client's label).
+func arriveRecord(t *workload.Task, id string) journal.Record {
+	return journal.Record{
 		Kind:     journal.KindArrive,
-		Seq:      seq,
+		Seq:      int64(t.ID),
 		Type:     int32(t.Type),
 		Tick:     t.Arrival,
 		Deadline: t.Deadline,
 		Exec:     t.ExecByType,
 		ID:       id,
-	})
+	}
 }
 
 // arriveTask reconstructs the engine task of one arrive record — the
-// inverse of journalArrive, shared by recovery and offline replay (the
-// recorded Exec already carries the resolved execution times, so no PET
-// fallback is needed).
+// inverse of arriveRecord, for recovery and offline replay (the recorded
+// Exec already carries the resolved execution times, so no PET fallback is
+// needed).
 func arriveTask(rec *journal.Record) *workload.Task {
 	return &workload.Task{
 		ID:         int(rec.Seq),
@@ -465,8 +447,7 @@ func arriveTask(rec *journal.Record) *workload.Task {
 }
 
 // decisionRecord is the journal form of one admission outcome at shard
-// clock now (machine index shard-local): what the live shard logs and what
-// replay re-derives to match against it.
+// clock now (machine index shard-local).
 func decisionRecord(seq int64, a Action, localMachine int, now pmf.Tick) journal.Record {
 	act := journal.ActDrop
 	switch a {
@@ -484,12 +465,6 @@ func decisionRecord(seq int64, a Action, localMachine int, now pmf.Tick) journal
 	}
 }
 
-// journalDecision logs the acknowledged admission outcome.
-func (sh *shard) journalDecision(seq int64, a Action, localMachine int) {
-	rec := decisionRecord(seq, a, localMachine, sh.eng.Now())
-	_ = sh.jw.Append(&rec)
-}
-
 // journalTrace logs one completed stage trace. It runs after the
 // sub-batch's commit (the trace's journal span must include the fsync),
 // so the record rides the next commit — or the writer's closing flush —
@@ -504,18 +479,22 @@ func (sh *shard) journalTrace(tr *telemetry.Trace) {
 	for i, sp := range tr.Spans {
 		rec.Spans[i] = journal.SpanRec{Stage: uint8(sp.Stage), StartNS: uint64(sp.StartNS), EndNS: uint64(sp.EndNS)}
 	}
-	_ = sh.jw.Append(&rec)
+	sh.emit(&rec)
 }
 
 // commitJournal makes the sub-batch durable per the fsync policy and
 // checkpoints when the segment has grown past the snapshot cadence. Called
-// on the decision loop before the sub-batch is acknowledged.
+// on the decision loop before the sub-batch (or membership operation) is
+// acknowledged — the shard's one commit point, so a failure here fails the
+// request with ErrJournalFailed and latches the shard out of service.
 func (sh *shard) commitJournal() error {
-	if err := sh.jw.Commit(); err != nil {
-		return err
+	err := sh.jw.Commit()
+	if every := sh.c.cfg.SnapshotEvery; err == nil && every > 0 && sh.jw.RecordsInSegment() >= every {
+		err = sh.checkpoint(false)
 	}
-	if every := sh.c.cfg.SnapshotEvery; every > 0 && sh.jw.RecordsInSegment() >= every {
-		return sh.checkpoint(false)
+	if err != nil {
+		sh.journalFailed.Store(true)
+		return fmt.Errorf("%w: %v", ErrJournalFailed, err)
 	}
 	return nil
 }

@@ -2,8 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -169,6 +173,13 @@ func TestJournalGracefulDrainThenReopen(t *testing.T) {
 	if maxWatermark != int64(len(tr.Tasks))-1 {
 		t.Fatalf("recovered watermark %d, want %d", maxWatermark, len(tr.Tasks)-1)
 	}
+	// The aggregate counters come back as the sum of the shards'.
+	if got := c2.metrics.tasks.Load(); got != int64(len(tr.Tasks)) {
+		t.Fatalf("recovered aggregate decided %d tasks, want %d", got, len(tr.Tasks))
+	}
+	if got, want := c2.metrics.requests.Load(), stats[0].Requests+stats[1].Requests; got != want {
+		t.Fatalf("recovered aggregate requests %d, want the shards' %d", got, want)
+	}
 
 	// New work continues the sequence where the drained run stopped.
 	last := tr.Tasks[len(tr.Tasks)-1]
@@ -221,8 +232,8 @@ func TestJournalBadFsyncSpec(t *testing.T) {
 
 // TestVerifyShardCleanAndCrashed proves hcreplay's core claim on real
 // journals: a drained log and a crashed log both verify — every logged
-// decision and event matches the from-scratch deterministic replay — and
-// a forged decision record is caught.
+// decision and event matches the from-scratch deterministic replay (what a
+// tampered log does is TestVerifyDetectsTampering's).
 func TestVerifyShardCleanAndCrashed(t *testing.T) {
 	tr := testTrace(t, 300, 11)
 	cfg := Config{
@@ -265,21 +276,279 @@ func TestVerifyShardCleanAndCrashed(t *testing.T) {
 	if _, err := VerifyAll(cfg.JournalDir); err != nil {
 		t.Fatalf("crashed journal failed verification: %v", err)
 	}
+}
 
-	// Forge a decision record onto shard 0's log: the replay cannot derive
-	// it, so verification must fail.
-	w, err := journal.OpenWriter(ShardJournalDir(cfg.JournalDir, 0), journal.WriterOptions{Policy: journal.SyncNever})
+// rewriteSegment replaces segment seg of a shard log with edit's output
+// over its records, re-framed by a real journal.Writer.
+func rewriteSegment(t *testing.T, dir string, seg int, edit func([]journal.Record) []journal.Record) {
+	t.Helper()
+	var recs []journal.Record
+	if err := journal.ScanSegment(journal.SegmentPath(dir, seg), func(r *journal.Record) error {
+		recs = append(recs, *r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	w, err := journal.OpenWriter(tmp, journal.WriterOptions{Policy: journal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(&journal.Record{Kind: journal.KindDecision, Seq: 999999, Action: journal.ActMap, Machine: 2, Tick: 1}); err != nil {
+	for i, r := range edit(recs) {
+		if err := w.Append(&r); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(journal.SegmentPath(tmp, 0), journal.SegmentPath(dir, seg)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteSnapshot replaces snapshot seg of a shard log with its edited
+// checkpoint, re-framed (length + CRC) by a real journal.Writer.
+func rewriteSnapshot(t *testing.T, dir string, seg int, edit func(*ShardCheckpoint)) {
+	t.Helper()
+	payload, err := journal.ReadSnapshotFile(journal.SnapshotPath(dir, seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp ShardCheckpoint
+	if err := json.Unmarshal(payload, &cp); err != nil {
+		t.Fatal(err)
+	}
+	edit(&cp)
+	if payload, err = json.Marshal(&cp); err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	w, err := journal.OpenWriter(tmp, journal.WriterOptions{Policy: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Checkpoint(payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyShard(cfg.JournalDir, 0); err == nil {
-		t.Fatal("forged decision record passed verification")
+	if err := os.Rename(journal.SnapshotPath(tmp, 0), journal.SnapshotPath(dir, seg)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVerifyDetectsTampering pins what stays independent now that replay
+// runs the live path's code: the comparison of the bytes on disk against a
+// from-scratch re-derivation. One edit to a copied 2-shard journal with
+// checkpoints — a derived record, an input record, a snapshot — must fail
+// verification and name the record or snapshot; the untouched copy passes.
+func TestVerifyDetectsTampering(t *testing.T) {
+	tr := testTrace(t, 300, 11)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 50,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, 200, 8)
+	if _, err := c.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// firstOf returns the index of the first record of segment 0 that
+	// satisfies pick, past the segment's first few records (interior).
+	firstOf := func(t *testing.T, recs []journal.Record, pick func(*journal.Record) bool) int {
+		t.Helper()
+		for i := 5; i < len(recs)-5; i++ {
+			if pick(&recs[i]) {
+				return i
+			}
+		}
+		t.Fatal("segment 0 holds no such record")
+		return -1
+	}
+	isMap := func(r *journal.Record) bool { return r.Kind == journal.KindDecision && r.Action == journal.ActMap }
+	for _, tc := range []struct {
+		name   string
+		tamper func(t *testing.T, shardDir string)
+		want   string // "" = must verify
+	}{
+		{"untouched", func(*testing.T, string) {}, ""},
+		{"decision machine changed", func(t *testing.T, dir string) {
+			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
+				recs[firstOf(t, recs, isMap)].Machine++
+				return recs
+			})
+		}, "record "},
+		{"terminal event removed", func(t *testing.T, dir string) {
+			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
+				i := firstOf(t, recs, func(r *journal.Record) bool { return r.Kind == journal.KindEvent })
+				return append(recs[:i], recs[i+1:]...)
+			})
+		}, "record "},
+		{"arrive deadline changed", func(t *testing.T, dir string) {
+			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
+				// A mapped task whose deadline had passed on arrival is
+				// dropped reactively instead: the arrive precedes its decision.
+				i := firstOf(t, recs, isMap)
+				for recs[i].Kind != journal.KindArrive {
+					i--
+				}
+				recs[i].Deadline = recs[i].Tick - 1
+				return recs
+			})
+		}, "record "},
+		{"checkpoint counter changed", func(t *testing.T, dir string) {
+			rewriteSnapshot(t, dir, 0, func(cp *ShardCheckpoint) { cp.Mapped++ })
+		}, "snapshot 0"},
+		{"forged trailing decision", func(t *testing.T, dir string) {
+			// The replay cannot derive a record nothing in the log leads to.
+			w, err := journal.OpenWriter(dir, journal.WriterOptions{Policy: journal.SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(&journal.Record{Kind: journal.KindDecision, Seq: 999999, Action: journal.ActMap, Machine: 2, Tick: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, "logged records beyond"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			if err := os.CopyFS(root, os.DirFS(cfg.JournalDir)); err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(t, ShardJournalDir(root, 0))
+			_, err := VerifyShard(root, 0)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("untouched copy failed verification: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatal("tampered journal passed verification")
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("verification failed without naming the %s: %v", strings.TrimSpace(tc.want), err)
+			}
+			// The tampering is confined to shard 0: its sibling still verifies.
+			if _, err := VerifyShard(root, 1); err != nil {
+				t.Fatalf("shard 1: %v", err)
+			}
+		})
+	}
+}
+
+// TestJournalFailureStopsAdmission pins fail-stop: once a shard's log has
+// lost a write the request that hit it fails with 503, later requests are
+// refused before they touch the engine, /readyz turns 503, and a restart
+// recovers the last committed state into a journal that verifies.
+func TestJournalFailureStopsAdmission(t *testing.T) {
+	tr := testTrace(t, 60, 23)
+	cfg := Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", JournalDir: t.TempDir(), Fsync: "never"}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServerFor(t, c)
+	decideRange(t, c, tr, 0, 40, 8)
+	arrived := func(c *Controller) int {
+		snap, err := c.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Live.Arrived
+	}
+	committed := arrived(c)
+
+	// Kill the log behind the controller's back: every later flush fails.
+	sh := c.shards[0]
+	if err := sh.do(context.Background(), func() { _ = sh.jw.Close() }); err != nil {
+		t.Fatal(err)
+	}
+	var after []int
+	for i := 40; i < 43; i++ {
+		task := tr.Tasks[i]
+		code, body := postDecide(t, srv, &DecideRequest{Tasks: []TaskSpec{{
+			Type: int(task.Type), Arrival: task.Arrival, Deadline: task.Deadline, ExecByType: task.ExecByType,
+		}}})
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("decide %d over a failed journal = %d %s, want 503", i-40, code, body)
+		}
+		after = append(after, arrived(c))
+	}
+	// The first request fed the engine and failed at its commit; the next
+	// two were refused on entry.
+	if after[0] != committed+1 || after[1] != after[0] || after[2] != after[0] {
+		t.Fatalf("arrived %d before the failure, then %v: later requests still reach the engine", committed, after)
+	}
+	if _, err := c.Admin(context.Background(), &AdminMachineRequest{Op: AdminOpAdd, Type: 0}); !errors.Is(err, ErrJournalFailed) {
+		t.Fatalf("admin over a failed journal: %v, want ErrJournalFailed", err)
+	}
+	resp, err := srv.Client().Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ready ReadyResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || ready.Ready || ready.Status != "journal-failed" {
+		t.Fatalf("/readyz = %d %+v, want 503 journal-failed", resp.StatusCode, ready)
+	}
+	crash(c)
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recovery after journal failure: %v", err)
+	}
+	if got := arrived(c2); got != committed {
+		t.Fatalf("recovered %d arrivals, want the %d committed before the failure", got, committed)
+	}
+	crash(c2)
+	if _, err := VerifyAll(cfg.JournalDir); err != nil {
+		t.Fatalf("journal after failure and recovery: %v", err)
+	}
+}
+
+// TestAuditNamesAddedMachine: the audit replays membership through the
+// live shard's applyMembership, so a task mapped to a runtime-added machine
+// is explained under the index the directory gave it — not a sentinel.
+func TestAuditNamesAddedMachine(t *testing.T) {
+	tr := testTrace(t, 200, 29)
+	cfg := Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", JournalDir: t.TempDir(), Fsync: "never"}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := admin(t, c, AdminMachineRequest{Op: AdminOpAdd, Type: 0})
+	if added.Machine != len(c.matrix.Machines()) || added.MachineName != "added-0#0" {
+		t.Fatalf("added machine = %d %q", added.Machine, added.MachineName)
+	}
+	seq := -1
+	for _, d := range decideRange(t, c, tr, 0, len(tr.Tasks), 4) {
+		if d.Machine == added.Machine {
+			seq = d.Seq
+			break
+		}
+	}
+	if seq < 0 {
+		t.Fatal("no task mapped to the added machine")
+	}
+	if _, err := c.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := AuditDecision(&buf, cfg.JournalDir, 0, int64(seq), false); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("replayed decision: map -> machine %d %q", added.Machine, added.MachineName)
+	if out := buf.String(); !strings.Contains(out, want) || strings.Contains(out, "machine -1") {
+		t.Errorf("audit output wants %q and no \"machine -1\":\n%s", want, out)
 	}
 }
 
@@ -317,11 +586,11 @@ func TestVerifyWarmJournalColdReplay(t *testing.T) {
 	}
 	var arrives int
 	for s := 0; s < cfg.Shards; s++ {
-		r, err := newShardReplayer(cfg.JournalDir, s, true)
+		sh, err := openReplay(cfg.JournalDir, s, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := r.verify(cfg.JournalDir, s)
+		st, err := sh.verify(cfg.JournalDir)
 		if err != nil {
 			t.Fatalf("cold replay diverged from the warm recording: %v", err)
 		}

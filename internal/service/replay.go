@@ -11,23 +11,25 @@ import (
 
 	"github.com/hpcclab/taskdrop/internal/core"
 	"github.com/hpcclab/taskdrop/internal/journal"
-	"github.com/hpcclab/taskdrop/internal/mapping"
-	"github.com/hpcclab/taskdrop/internal/pet"
-	"github.com/hpcclab/taskdrop/internal/pmf"
-	"github.com/hpcclab/taskdrop/internal/router"
-	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/telemetry"
 )
 
 // Offline journal replay (cmd/hcreplay).
 //
-// The journal's arrive records are the ground truth: a shard engine is
-// deterministic, so feeding them through a fresh engine built from the
+// The journal's arrive and membership records are the ground truth: a
+// shard is deterministic, so applying them to a fresh shard built from the
 // manifest re-derives every decision and terminal event. The logged
 // decision/event records and the checkpoints are therefore redundant by
-// construction — which is exactly what makes the log auditable: VerifyShard
+// construction — which is exactly what makes the log auditable: verify
 // recomputes the derived stream from scratch and fails on the first record
 // where the recomputation and the recording disagree.
+//
+// The replayer is a shard: openReplay obtains it from build, the
+// constructor service.New serves from, and applies the records through the
+// methods the live loop runs (see "One shard state machine" in the package
+// doc), so replay == live by construction. What stays independent, and is
+// what verification tests, is the comparison: the bytes on disk against a
+// re-derivation that starts from nothing.
 
 // robustnessTol bounds the acceptable divergence when comparing replayed
 // router EWMAs against checkpointed ones. Both sides run the same float
@@ -35,36 +37,10 @@ import (
 // divergence.
 const robustnessTol = 1e-9
 
-// shardReplayer drives a from-scratch deterministic replay of one shard's
-// journal: a fresh engine (built from the manifest exactly as service.New
-// builds it), the shard's router view, and the derived records the replay
-// generates for comparison against the log.
-type shardReplayer struct {
-	man    Manifest
-	eng    *sim.Engine
-	view   *router.ShardView
-	global []int
-
-	watermark int64
-	// metrics tallies requests and decisions exactly as the live shard's
-	// counters do, for comparison against checkpoints.
-	metrics *Metrics
-	drained bool
-
-	// gen holds the derived records (decisions, terminal events, drain
-	// markers) the replay produces, awaiting match against logged ones.
-	gen []journal.Record
-}
-
-// newShardReplayer rebuilds shard s's engine from a journal root's
-// manifest. The construction mirrors service.New: same cluster partition,
-// same per-shard mapper/dropper instances, same config split. cold runs
-// the replay engine with the persistent chain caches disabled
-// (sim.Config.ColdChains): the live server always records warm, so a cold
-// pass re-deriving the identical decision stream is the end-to-end proof
-// the caches are bitwise-transparent. Every exported entry point replays
-// warm; the warm-vs-cold journal test passes true.
-func newShardReplayer(root string, s int, cold bool) (*shardReplayer, error) {
+// openReplay returns shard s of the controller a journal root's manifest
+// pins, in replay mode: never served, no writer, emit queueing every
+// derived record in shard.gen for matching. cold is build's.
+func openReplay(root string, s int, cold bool) (*shard, error) {
 	man, err := LoadManifest(root)
 	if err != nil {
 		return nil, err
@@ -72,105 +48,12 @@ func newShardReplayer(root string, s int, cold bool) (*shardReplayer, error) {
 	if s < 0 || s >= man.Shards {
 		return nil, fmt.Errorf("service: shard %d out of range [0,%d)", s, man.Shards)
 	}
-	matrix, err := pet.CachedMatrix(man.Profile)
+	c, err := build(man.config(), cold)
 	if err != nil {
 		return nil, err
 	}
-	policy, err := router.FromSpec(man.Router)
-	if err != nil {
-		return nil, err
-	}
-	simCfg := sim.Config{
-		QueueCap:          man.QueueCap,
-		BoundaryExclusion: man.BoundaryExclusion,
-		DropOnArrival:     man.DropOnArrival,
-		ReactiveGrace:     man.Grace,
-		ColdChains:        cold,
-	}
-	cl, err := buildCluster(matrix, man.Partition, man.Shards, policy, func(int) (sim.Mapper, core.Policy, error) {
-		m, err := mapping.FromSpec(man.Mapper)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := core.PolicyFromSpec(man.Dropper)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, d, nil
-	}, simCfg)
-	if err != nil {
-		return nil, err
-	}
-	r := &shardReplayer{
-		man:       man,
-		eng:       cl.Shards()[s],
-		view:      cl.View(s),
-		global:    cl.GlobalMachines(s),
-		watermark: -1,
-		metrics:   newMetrics(),
-	}
-	r.eng.SetJournal(func(ts *sim.TaskState, now pmf.Tick) {
-		r.gen = append(r.gen, journal.Record{
-			Kind:   journal.KindEvent,
-			Seq:    int64(ts.Task.ID),
-			Action: uint8(ts.Status),
-			Tick:   now,
-		})
-	})
-	return r, nil
-}
-
-// feed replays one arrive record through the engine, generating the
-// decision record the live service would have logged (the engine hook
-// generates the terminal events as a side effect of Feed).
-func (r *shardReplayer) feed(rec *journal.Record) *sim.TaskState {
-	ts := r.eng.Feed(arriveTask(rec))
-	r.eng.ObserveDecision(r.view, ts)
-	a := actionOf(ts.Status)
-	r.metrics.countDecision(a)
-	r.gen = append(r.gen, decisionRecord(rec.Seq, a, ts.Machine, r.eng.Now()))
-	if rec.Seq > r.watermark {
-		r.watermark = rec.Seq
-	}
-	return ts
-}
-
-// applyMembership re-applies one journaled membership record to the
-// replayed engine — membership records are replay inputs like arrives,
-// never matched. For adds the global table grows with a -1 sentinel: the
-// controller's matrix-wide numbering for added machines spans all shards
-// and cannot be re-derived from one shard's log, and nothing the replay
-// verifies depends on it (generated records carry local indexes and
-// checkpoints compare engine snapshots).
-func (r *shardReplayer) applyMembership(rec *journal.Record) error {
-	switch rec.Action {
-	case journal.MemberAdd:
-		if _, err := r.eng.AddMachine(pet.MachineType(rec.Type)); err != nil {
-			return fmt.Errorf("membership replay: %w", err)
-		}
-		r.global = append(r.global, -1)
-		return nil
-	case journal.MemberRemove:
-		if err := r.eng.RemoveMachine(int(rec.Machine), rec.NTasks != 0); err != nil {
-			return fmt.Errorf("membership replay: %w", err)
-		}
-		return nil
-	case journal.MemberRevive:
-		if err := r.eng.ReviveMachine(int(rec.Machine)); err != nil {
-			return fmt.Errorf("membership replay: %w", err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("membership replay: op %d", rec.Action)
-	}
-}
-
-// drain replays a graceful drain: run the engine to completion (the hook
-// streams the terminal events) and generate the drain marker.
-func (r *shardReplayer) drain() {
-	r.eng.Drain()
-	r.drained = true
-	r.gen = append(r.gen, journal.Record{Kind: journal.KindDrain, Tick: r.eng.Now()})
+	c.shards[s].replay = true
+	return c.shards[s], nil
 }
 
 // VerifyStats summarizes one shard's verified log.
@@ -199,15 +82,16 @@ type VerifyStats struct {
 // truncated tail (crash) is tolerated — the log is then a prefix of the
 // derived stream — but any interior disagreement is an error.
 func VerifyShard(root string, s int) (*VerifyStats, error) {
-	r, err := newShardReplayer(root, s, false)
+	sh, err := openReplay(root, s, false)
 	if err != nil {
 		return nil, err
 	}
-	return r.verify(root, s)
+	return sh.verify(root)
 }
 
-// verify is VerifyShard over an already-built replayer of shard s.
-func (r *shardReplayer) verify(root string, s int) (*VerifyStats, error) {
+// verify is VerifyShard over a fresh replay shard.
+func (sh *shard) verify(root string) (*VerifyStats, error) {
+	s := sh.id
 	dir := ShardJournalDir(root, s)
 	segs, err := journal.Segments(dir)
 	if err != nil {
@@ -225,9 +109,9 @@ func (r *shardReplayer) verify(root string, s int) (*VerifyStats, error) {
 	st := &VerifyStats{Shard: s}
 	var logged []journal.Record // unmatched logged derived records
 	match := func() error {
-		for len(logged) > 0 && len(r.gen) > 0 {
-			want, got := logged[0], r.gen[0]
-			logged, r.gen = logged[1:], r.gen[1:]
+		for len(logged) > 0 && len(sh.gen) > 0 {
+			want, got := logged[0], sh.gen[0]
+			logged, sh.gen = logged[1:], sh.gen[1:]
 			if want.Kind != got.Kind || want.Seq != got.Seq || want.Tick != got.Tick ||
 				want.Action != got.Action || want.Machine != got.Machine {
 				return fmt.Errorf("shard %d: record %d: log has %s, replay derives %s",
@@ -243,15 +127,15 @@ func (r *shardReplayer) verify(root string, s int) (*VerifyStats, error) {
 			st.Records++
 			switch rec.Kind {
 			case journal.KindBatch:
-				r.metrics.requests.Add(1)
+				sh.metrics.requests.Add(1)
 			case journal.KindArrive:
 				st.Arrives++
-				r.feed(rec)
+				sh.admit(arriveTask(rec), rec.ID, nil)
 			case journal.KindDrain:
 				// Logged drain: the derived events for it may still be queued
 				// in `logged` (they precede the marker in the log); draining
 				// now generates their counterparts.
-				r.drain()
+				sh.drain()
 				logged = append(logged, *rec)
 			case journal.KindTrace:
 				// Stage timings are wall-clock observations — replay cannot
@@ -259,8 +143,8 @@ func (r *shardReplayer) verify(root string, s int) (*VerifyStats, error) {
 				st.Traces++
 			case journal.KindMembership:
 				st.Membership++
-				if err := r.applyMembership(rec); err != nil {
-					return err
+				if _, err := sh.applyMembership(rec); err != nil {
+					return fmt.Errorf("membership replay: %w", err)
 				}
 			default:
 				logged = append(logged, *rec)
@@ -282,7 +166,7 @@ func (r *shardReplayer) verify(root string, s int) (*VerifyStats, error) {
 			// older one and replays a longer tail. Skip it like Recover does.
 			continue
 		}
-		if err := r.compareCheckpoint(payload, s, seg); err != nil {
+		if err := sh.compareCheckpoint(payload, seg); err != nil {
 			return st, err
 		}
 		st.Checkpoints++
@@ -299,8 +183,8 @@ func (r *shardReplayer) verify(root string, s int) (*VerifyStats, error) {
 		return st, fmt.Errorf("shard %d: %d logged records beyond what replay derives (first: %s)",
 			s, len(logged), logged[0].String())
 	}
-	st.Unflushed = len(r.gen)
-	st.FinalSeqWatermark = r.watermark
+	st.Unflushed = len(sh.gen)
+	st.FinalSeqWatermark = sh.watermark
 	return st, nil
 }
 
@@ -308,21 +192,22 @@ func (r *shardReplayer) verify(root string, s int) (*VerifyStats, error) {
 // state. Engine snapshots are compared through their canonical JSON so
 // both sides share one serialization (the stored one already did the
 // round trip).
-func (r *shardReplayer) compareCheckpoint(payload []byte, s, seg int) error {
+func (sh *shard) compareCheckpoint(payload []byte, seg int) error {
+	s := sh.id
 	var cp ShardCheckpoint
 	if err := json.Unmarshal(payload, &cp); err != nil {
 		return fmt.Errorf("shard %d: snapshot %d: %w", s, seg, err)
 	}
-	if cp.SeqWatermark != r.watermark {
-		return fmt.Errorf("shard %d: snapshot %d: watermark %d, replay at %d", s, seg, cp.SeqWatermark, r.watermark)
+	if cp.SeqWatermark != sh.watermark {
+		return fmt.Errorf("shard %d: snapshot %d: watermark %d, replay at %d", s, seg, cp.SeqWatermark, sh.watermark)
 	}
-	m := r.metrics
+	m := sh.metrics
 	if cp.Requests != m.requests.Load() || cp.Mapped != m.mapped.Load() || cp.Deferred != m.deferred.Load() || cp.Dropped != m.dropped.Load() {
 		return fmt.Errorf("shard %d: snapshot %d: counters (req %d map %d defer %d drop %d), replay (req %d map %d defer %d drop %d)",
 			s, seg, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped, m.requests.Load(), m.mapped.Load(), m.deferred.Load(), m.dropped.Load())
 	}
 	for class, p := range cp.Robustness {
-		if got := r.view.ClassRobustness(class); math.Abs(got-p) > robustnessTol {
+		if got := sh.view.ClassRobustness(class); math.Abs(got-p) > robustnessTol {
 			return fmt.Errorf("shard %d: snapshot %d: class %d robustness %g, replay %g", s, seg, class, p, got)
 		}
 	}
@@ -333,7 +218,7 @@ func (r *shardReplayer) compareCheckpoint(payload []byte, s, seg int) error {
 	if err != nil {
 		return err
 	}
-	got, err := json.Marshal(r.eng.Snapshot())
+	got, err := json.Marshal(sh.eng.Snapshot())
 	if err != nil {
 		return err
 	}
@@ -372,11 +257,19 @@ var errAuditStop = errors.New("audit: stop")
 // arriving candidate on every machine, the dropping policy's verdict over
 // each queue, and finally the re-derived decision next to the logged one.
 // verbose additionally prints the candidate's full completion-time PMFs.
+//
+// Machines are printed under their matrix-wide index. For a runtime-added
+// machine that is the index the replaying controller's directory assigns
+// it — on a one-shard journal the live server's; on a multi-shard journal
+// the live numbering interleaved adds across shards in an order one
+// shard's log does not record, so the index can differ from the one the
+// live server answered with (the name and the shard-local index cannot).
 func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) error {
-	r, err := newShardReplayer(root, s, false)
+	sh, err := openReplay(root, s, false)
 	if err != nil {
 		return err
 	}
+	eng, cfg := sh.eng, sh.c.cfg
 	dir := ShardJournalDir(root, s)
 
 	// First pass: find the target arrive and capture the logged derived
@@ -427,11 +320,12 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 			if rec.Seq == seq {
 				return errAuditStop
 			}
-			r.feed(rec)
+			sh.admit(arriveTask(rec), rec.ID, nil)
 		case journal.KindDrain:
-			r.drain()
+			sh.drain()
 		case journal.KindMembership:
-			return r.applyMembership(rec)
+			_, err := sh.applyMembership(rec)
+			return err
 		}
 		return nil
 	})
@@ -446,41 +340,38 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	// The admission pipeline advances the clock to the arrival, runs the
 	// reactive sweep and the mapping event; advancing here (without feeding)
 	// exposes the queue state the dropper and mapper then consulted.
-	r.eng.AdvanceTo(t.Arrival)
-	now := r.eng.Now()
+	eng.AdvanceTo(t.Arrival)
+	now := eng.Now()
 	fmt.Fprintf(w, "clock at decision: %d\n", now)
 
-	dropper, err := core.PolicyFromSpec(r.man.Dropper)
+	dropper, err := core.PolicyFromSpec(cfg.Dropper)
 	if err != nil {
 		return err
 	}
-	live := r.eng.LiveCounts()
+	live := eng.LiveCounts()
 	// Live machines only: removed capacity advertises no slots, so it is
 	// out of the pressure denominator (matching the engine's proactive
 	// sweep under churn).
-	totalSlots := r.man.QueueCap * r.eng.LiveMachines()
+	totalSlots := cfg.QueueCap * eng.LiveMachines()
 	pressure := 0.0
 	if totalSlots > 0 {
 		pressure = float64(live.Batch) / float64(totalSlots)
 	}
-	calc := r.eng.Calc()
+	calc := eng.Calc()
 	out := make(map[int]bool)
-	for _, ri := range r.eng.RemovedMachines() {
+	for _, ri := range eng.RemovedMachines() {
 		out[ri] = true
 	}
 
 	fmt.Fprintf(w, "queues and Eq. 1 forecasts (deferred batch %d, pressure %.3f):\n", live.Batch, pressure)
-	for i, m := range r.eng.Machines() {
+	for i, m := range eng.Machines() {
 		mt := m.Spec.Type
-		g := -1
-		if i < len(r.global) {
-			g = r.global[i]
-		}
+		g := sh.global[i]
 		if out[i] {
 			fmt.Fprintf(w, "  machine %d %q (local %d): removed from the live set\n", g, m.Spec.Name, i)
 			continue
 		}
-		q := r.eng.CoreQueue(i)
+		q := eng.CoreQueue(i)
 		fmt.Fprintf(w, "  machine %d %q (local %d):\n", g, m.Spec.Name, i)
 		probs := calc.SuccessProbs(mt, now, q)
 		for j, qt := range q {
@@ -502,7 +393,7 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 		}
 		verdict := dropper.Decide(&core.Context{
 			Calc: calc, Machine: mt, Now: now, Queue: q,
-			BatchPressure: pressure, Grace: r.man.Grace,
+			BatchPressure: pressure, Grace: cfg.Grace,
 		})
 		if len(verdict) > 0 {
 			fmt.Fprintf(w, "    dropper %q would drop slots %v\n", dropper.Name(), verdict)
@@ -510,8 +401,7 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	}
 
 	// Re-derive the decision and set it against the logged record.
-	ts := r.feed(target)
-	d := decisionOf(r.eng, r.global, s, "", seq, ts)
+	d := sh.admit(t, "", nil)
 	if d.Action == ActionMap {
 		fmt.Fprintf(w, "replayed decision: %s -> machine %d %q\n", d.Action, d.Machine, d.MachineName)
 	} else {

@@ -29,6 +29,17 @@
 // the shard's machine count (the mapper and dropper scan shard-local
 // queues only), and on multi-core hosts the loops advance in parallel.
 //
+// # One shard state machine
+//
+// A shard's state is a deterministic function of the records applied to
+// it, and each kind is applied by one piece of code: build assembles the
+// shard (New serves it; replay takes the one the manifest pins),
+// shard.admit applies an arrival, shard.applyMembership a membership
+// operation, shard.drain the drain, and every derived record leaves through
+// shard.emit. The live loop, crash recovery, hcreplay -verify and hcreplay
+// -decision differ only in where records come from and where emit sends
+// them, so replay == live and recovered == uninterrupted by construction.
+//
 // # Memory model
 //
 // Each shard retains one small task record per decision so the drain
@@ -62,6 +73,20 @@ import (
 
 // ErrDraining is returned for work submitted after Drain has begun.
 var ErrDraining = errors.New("service: controller is draining")
+
+// ErrJournalFailed is returned by a shard whose write-ahead log has lost a
+// write: for the request whose own commit failed, and — before the engine
+// is touched — for every decide and membership operation after it. The
+// shard stops admitting rather than acknowledge onto a log that no longer
+// records; the HTTP layer answers 503 and /readyz turns 503, and a restart
+// recovers the state of the last good commit.
+var ErrJournalFailed = errors.New("service: journal write failed; shard stopped admitting")
+
+// mailboxDepth bounds the commands queued behind each shard's decision
+// loop before submitters block. Deep enough that a burst of HTTP handlers
+// never blocks on a healthy loop, shallow enough that a stalled one pushes
+// back within a few hundred requests.
+const mailboxDepth = 256
 
 // Config assembles an admission controller. Profile, Mapper, Dropper and
 // Router are registry specs — the same grammar as the CLI flags and the
@@ -108,9 +133,6 @@ type Config struct {
 	// service default is 0 (account for everything served); set 100 to
 	// mirror the paper's offline runs.
 	BoundaryExclusion int
-	// Backlog bounds decide requests queued behind each shard's decision
-	// loop before submitters block (default 256).
-	Backlog int
 	// JournalDir enables the event-sourced decision journal: every shard
 	// appends its admission events to a per-shard WAL under this directory
 	// and commits before acknowledging, so a crashed server recovers its
@@ -169,9 +191,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 6
-	}
-	if c.Backlog == 0 {
-		c.Backlog = 256
 	}
 	if c.Fsync == "" {
 		c.Fsync = "interval"
@@ -234,9 +253,40 @@ type Controller struct {
 	drained  chan struct{} // closed once every shard drained and results merged
 }
 
-// New resolves the specs, obtains the (cached) PET matrix, partitions the
-// machines into shards and starts one decision loop per shard.
+// New builds the controller, recovers every shard from its journal (when
+// journaling is on) and starts one decision loop per shard.
 func New(cfg Config) (*Controller, error) {
+	c, err := build(cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	// Recovery runs before the loops start: each shard restores its newest
+	// checkpoint and replays its log tail single-threaded, then the writers
+	// open (truncating any torn tail) and the loops take over.
+	if c.cfg.JournalDir != "" {
+		if err := c.initJournal(); err != nil {
+			return nil, err
+		}
+	}
+	for _, sh := range c.shards {
+		go sh.loop()
+	}
+	if c.cfg.RebalanceEvery > 0 && len(c.shards) > 1 {
+		c.rebalStop = make(chan struct{})
+		go c.rebalanceLoop()
+	}
+	return c, nil
+}
+
+// build resolves the specs, obtains the (cached) PET matrix and assembles
+// the cluster, its shards and the machine directory — everything short of
+// serving: no journal is touched and no goroutine started. It is the one
+// constructor of a shard: New serves what it returns, and offline replay
+// (openReplay) re-executes a journal on what it returns for the manifest's
+// Config, so the two cannot be assembled differently. cold disables the
+// persistent chain caches (sim.Config.ColdChains); only the warm-vs-cold
+// journal test passes true.
+func build(cfg Config, cold bool) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	matrix, err := pet.CachedMatrix(cfg.Profile)
 	if err != nil {
@@ -263,9 +313,6 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.BoundaryExclusion < 0 {
 		return nil, fmt.Errorf("service: boundary exclusion %d, want >= 0", cfg.BoundaryExclusion)
 	}
-	if cfg.Backlog < 1 {
-		return nil, fmt.Errorf("service: backlog %d, want >= 1", cfg.Backlog)
-	}
 	if cfg.TraceSample < 0 {
 		return nil, fmt.Errorf("service: trace sample %d, want >= 0", cfg.TraceSample)
 	}
@@ -291,6 +338,7 @@ func New(cfg Config) (*Controller, error) {
 		BoundaryExclusion: cfg.BoundaryExclusion,
 		DropOnArrival:     cfg.DropOnArrival,
 		ReactiveGrace:     cfg.Grace,
+		ColdChains:        cold,
 	}
 	tel := telemetry.New(cfg.Shards, cfg.TraceSample, cfg.TraceRing)
 	// Each shard resolves its own mapper and dropper instances: shard loops
@@ -335,10 +383,11 @@ func New(cfg Config) (*Controller, error) {
 			global:    cl.GlobalMachines(s),
 			metrics:   newMetrics(),
 			rec:       tel.Shard(s),
-			cmds:      make(chan func(), cfg.Backlog),
+			cmds:      make(chan func(), mailboxDepth),
 			loopDone:  make(chan struct{}),
 			watermark: -1,
 		}
+		sh.hookEngine()
 		c.shards[s] = sh
 	}
 	c.dir = newMachineDir(matrix.Machines())
@@ -347,21 +396,6 @@ func New(cfg Config) (*Controller, error) {
 			c.dir.claim(g, s, local)
 		}
 		sh.updateMembershipGauges()
-	}
-	// Recovery runs before the loops start: each shard restores its newest
-	// checkpoint and replays its log tail single-threaded, then the writers
-	// open (truncating any torn tail) and the loops take over.
-	if cfg.JournalDir != "" {
-		if err := c.initJournal(); err != nil {
-			return nil, err
-		}
-	}
-	for _, sh := range c.shards {
-		go sh.loop()
-	}
-	if cfg.RebalanceEvery > 0 && len(c.shards) > 1 {
-		c.rebalStop = make(chan struct{})
-		go c.rebalanceLoop()
 	}
 	return c, nil
 }
@@ -400,16 +434,14 @@ func partitionSize(s string, machines int) (int, error) {
 	return size, nil
 }
 
-// buildCluster constructs the controller's shard cluster — shared by New
-// and the offline replayer so a journaled partition server replays over
-// the exact same topology. An empty partition owns the whole matrix
-// (bit-identical to the pre-partition construction); "k/K" takes part k
-// of the matrix-wide round-robin deal and sub-shards it locally, with the
-// failure seeds displaced per part so sibling processes never share a
-// failure stream.
-func buildCluster(matrix *pet.Matrix, partition string, shards int, pol router.Policy, build sim.ShardBuilder, simCfg sim.Config) (*sim.Cluster, error) {
+// buildCluster constructs the controller's shard cluster. An empty
+// partition owns the whole matrix (bit-identical to the pre-partition
+// construction); "k/K" takes part k of the matrix-wide round-robin deal
+// and sub-shards it locally, with the failure seeds displaced per part so
+// sibling processes never share a failure stream.
+func buildCluster(matrix *pet.Matrix, partition string, shards int, pol router.Policy, perShard sim.ShardBuilder, simCfg sim.Config) (*sim.Cluster, error) {
 	if partition == "" {
-		return sim.NewCluster(matrix, shards, pol, build, simCfg)
+		return sim.NewCluster(matrix, shards, pol, perShard, simCfg)
 	}
 	k, total, err := parsePartition(partition, len(matrix.Machines()))
 	if err != nil {
@@ -418,11 +450,8 @@ func buildCluster(matrix *pet.Matrix, partition string, shards int, pol router.P
 	parts, globals := sim.PartitionMachines(matrix, total)
 	// 1009 (prime, far above any realistic shard count) spreads the
 	// per-part seed bases so part k's shards and part k+1's never collide.
-	return sim.NewClusterOver(matrix, parts[k], globals[k], shards, pol, build, simCfg, int64(k)*1009)
+	return sim.NewClusterOver(matrix, parts[k], globals[k], shards, pol, perShard, simCfg, int64(k)*1009)
 }
-
-// Config returns the resolved configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Matrix returns the served system's PET matrix.
 func (c *Controller) Matrix() *pet.Matrix { return c.matrix }
@@ -698,6 +727,18 @@ func (c *Controller) Draining() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.draining
+}
+
+// journalFailed reports whether any shard's write-ahead log has failed
+// (see ErrJournalFailed). Lock-free; /readyz answers 503 while it holds so
+// the router tier takes the server out of rotation.
+func (c *Controller) journalFailed() bool {
+	for _, sh := range c.shards {
+		if sh.journalFailed.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // FinalResult returns the merged drain result once available.

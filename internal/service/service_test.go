@@ -260,7 +260,6 @@ func TestControllerRejectsBadSpecs(t *testing.T) {
 		{Profile: "video", Dropper: "heuristic:betta=2"},
 		{Profile: "video", QueueCap: -1},
 		{Profile: "video", Grace: -5},
-		{Profile: "video", Backlog: -1},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted", cfg)

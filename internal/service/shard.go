@@ -10,6 +10,7 @@ import (
 	"github.com/hpcclab/taskdrop/internal/router"
 	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/telemetry"
+	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
 // shard is one admission shard: a shard-scoped open engine owned by one
@@ -43,6 +44,15 @@ type shard struct {
 	// Written only by the shard loop (and recovery, before the loop
 	// starts); the writer synchronizes its background syncer internally.
 	jw *journal.Writer
+	// journalFailed mirrors the writer's latched error (set by emit and
+	// commitJournal on the loop) so HTTP goroutines can read it: once true
+	// the shard refuses every state change with ErrJournalFailed.
+	journalFailed atomic.Bool
+	// replay marks an offline replay shard (openReplay): emit queues its
+	// records in gen, to be matched against the logged ones, instead of
+	// dropping them for want of a writer.
+	replay bool
+	gen    []journal.Record
 
 	// Loop-owned state: touched only by the goroutine running loop().
 	stopped bool
@@ -105,19 +115,27 @@ func (sh *shard) do(ctx context.Context, fn func()) error {
 // shard drained before processing.
 func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideResponse, idxs []int, seqs []int64, traces []*telemetry.Active) (pmf.Tick, error) {
 	var now pmf.Tick
-	var jerr error
+	var ferr error // why the loop refused or failed the sub-batch
 	committed := false
-	degraded := false
+	n := len(idxs)
+	if idxs == nil {
+		n = len(req.Tasks)
+	}
 	var submit time.Time
 	if traces != nil {
 		// Route span: origin (request receipt) to shard-loop submission.
 		submit = time.Now()
-		markRoute(traces, idxs, len(req.Tasks), submit)
+		markRoute(traces, idxs, n, submit)
 	}
 	err := sh.do(ctx, func() {
 		if sh.stopped || ctx.Err() != nil {
 			// Drained, or the submitter already gave up: leave the engine
 			// untouched so the failed request has no effect.
+			return
+		}
+		if sh.journalFailed.Load() {
+			// Fail-stop: before the batch record, before any feed.
+			ferr = ErrJournalFailed
 			return
 		}
 		if sh.eng.LiveMachines() == 0 {
@@ -127,76 +145,32 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			// client retry after a revive or rebalance.
 			sh.metrics.shed.Add(1)
 			sh.c.metrics.shed.Add(1)
-			degraded = true
+			ferr = ErrShardDegraded
 			return
 		}
 		if traces != nil {
 			// Wait span: submission until the single-writer loop picked the
 			// sub-batch up.
-			markSpans(traces, idxs, len(req.Tasks), telemetry.StageWait, submit, time.Now())
+			markSpans(traces, idxs, n, telemetry.StageWait, submit, time.Now())
 		}
 		sh.metrics.requests.Add(1)
-		if sh.jw != nil {
-			n := len(idxs)
-			if idxs == nil {
-				n = len(req.Tasks)
-			}
-			sh.journalBatch(n, req.DecisionID)
-		}
-		decideOne := func(i int) {
+		// The batch boundary carries the request's idempotent decision ID
+		// (empty when the client sent none); recovery re-seeds the dedup
+		// window from it.
+		sh.emit(&journal.Record{Kind: journal.KindBatch, NTasks: int32(n), ID: req.DecisionID})
+		eachIdx(idxs, n, func(i int) {
 			spec := &req.Tasks[i]
-			a := traceAt(traces, i)
+			var a *telemetry.Active
+			if traces != nil {
+				a = traces[i]
+			}
 			task := sh.c.makeTask(spec, int(seqs[i]))
-			if sh.jw != nil {
-				// The arrive record precedes Feed so the terminal events the
-				// feed triggers (via the engine hook) land after it in the log.
-				if a != nil {
-					js := time.Now()
-					sh.journalArrive(seqs[i], task, spec.ID)
-					a.Extend(telemetry.StageJournal, js, time.Now())
-				} else {
-					sh.journalArrive(seqs[i], task, spec.ID)
-				}
-			}
-			var feedStart time.Time
-			if a != nil {
-				// Publish the trace to nested instrumentation (TimedPolicy
-				// carves the dropper span out of the feed).
-				sh.rec.Begin(a)
-				feedStart = time.Now()
-			}
-			ts := sh.eng.Feed(task)
-			if a != nil {
-				a.Mark(telemetry.StageCalculus, feedStart, time.Now())
-				sh.rec.End()
-			}
-			d := decisionOf(sh.eng, sh.global, sh.id, spec.ID, seqs[i], ts)
-			sh.eng.ObserveDecision(sh.view, ts)
-			sh.metrics.countDecision(d.Action)
-			sh.c.metrics.countDecision(d.Action)
-			if sh.jw != nil {
-				if a != nil {
-					js := time.Now()
-					sh.journalDecision(seqs[i], d.Action, ts.Machine)
-					a.Extend(telemetry.StageJournal, js, time.Now())
-				} else {
-					sh.journalDecision(seqs[i], d.Action, ts.Machine)
-				}
-			}
-			if seqs[i] > sh.watermark {
-				sh.watermark = seqs[i]
-			}
-			resp.Decisions[i] = d
-		}
-		if idxs == nil {
-			for i := range req.Tasks {
-				decideOne(i)
-			}
-		} else {
-			for _, i := range idxs {
-				decideOne(i)
-			}
-		}
+			// The arrive record precedes the feed so the terminal events the
+			// feed triggers (via the engine hook) land after it in the log.
+			rec := arriveRecord(task, spec.ID)
+			sh.emitTimed(&rec, a)
+			resp.Decisions[i] = sh.admit(task, spec.ID, a)
+		})
 		if sh.jw != nil {
 			// Durability before acknowledgement: the sub-batch is committed
 			// (and fsynced, under SyncAlways) before the client sees it. A
@@ -204,26 +178,23 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			// the service must not keep acking onto a log losing writes.
 			if traces != nil {
 				cs := time.Now()
-				jerr = sh.commitJournal()
-				extendSpans(traces, idxs, len(req.Tasks), telemetry.StageJournal, cs, time.Now())
+				ferr = sh.commitJournal()
+				extendSpans(traces, idxs, n, telemetry.StageJournal, cs, time.Now())
 			} else {
-				jerr = sh.commitJournal()
+				ferr = sh.commitJournal()
 			}
 		}
 		now = sh.eng.Now()
 		committed = true
-		if traces != nil && jerr == nil {
-			sh.finishTraces(resp, idxs, len(req.Tasks), traces)
+		if traces != nil && ferr == nil {
+			sh.finishTraces(resp, idxs, n, traces)
 		}
 	})
 	if err != nil {
 		return 0, err
 	}
-	if jerr != nil {
-		return 0, jerr
-	}
-	if degraded {
-		return 0, ErrShardDegraded
+	if ferr != nil {
+		return 0, ferr
 	}
 	if !committed {
 		// The closure skipped: either the submitter's ctx was cancelled as
@@ -237,6 +208,113 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 	return now, nil
 }
 
+// admit is the one place an arrival changes a shard: the live loop calls it
+// on the task it just logged, crash recovery and offline replay on
+// arriveTask of the record they read. It feeds the engine, assembles the
+// wire decision, folds the outcome into the router view and both counter
+// sets, emits the derived decision record and advances the watermark — so
+// a recovered or replayed shard lands where the live one stood because it
+// ran the same statements, not a copy of them. id is the client's task
+// label; a is the sampled in-flight trace (nil when unsampled, and always
+// nil off the live path).
+func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Active) Decision {
+	var feedStart time.Time
+	if a != nil {
+		// Publish the trace to nested instrumentation (TimedPolicy carves
+		// the dropper span out of the feed).
+		sh.rec.Begin(a)
+		feedStart = time.Now()
+	}
+	ts := sh.eng.Feed(task)
+	if a != nil {
+		a.Mark(telemetry.StageCalculus, feedStart, time.Now())
+		sh.rec.End()
+	}
+	// The wire decision: the action the task's status encodes and, when
+	// mapped, the machine's matrix-wide index (global translates the
+	// shard-local one) and name. A shard engine carries every machine's own
+	// name — partitioning re-indexes specs and nothing else, and a
+	// runtime-added machine enters the controller's directory under its
+	// engine name — so the name needs no second lookup.
+	d := Decision{ID: id, Seq: task.ID, Shard: sh.id, Machine: -1, Action: actionOf(ts.Status)}
+	if d.Action == ActionMap {
+		d.Machine = sh.global[ts.Machine]
+		d.MachineName = sh.eng.Machines()[ts.Machine].Spec.Name
+	}
+	seq := int64(task.ID)
+	sh.eng.ObserveDecision(sh.view, ts)
+	sh.metrics.countDecision(d.Action)
+	sh.c.metrics.countDecision(d.Action)
+	rec := decisionRecord(seq, d.Action, ts.Machine, sh.eng.Now())
+	sh.emitTimed(&rec, a)
+	if seq > sh.watermark {
+		sh.watermark = seq
+	}
+	return d
+}
+
+// emit is the one exit of every journal record a shard produces (batch,
+// arrive, decision, terminal event, membership, drain, trace): appended to
+// the write-ahead log on a served shard, queued for matching against the
+// log on a replay shard, dropped on an unjournaled one and during recovery
+// (whose writer opens only after the tail is consumed). A method rather
+// than a func value so the records callers build stay on their stacks. A
+// failed append latches journalFailed; the sub-batch's commit then fails
+// the request.
+func (sh *shard) emit(rec *journal.Record) {
+	switch {
+	case sh.jw != nil:
+		if sh.jw.Append(rec) != nil {
+			sh.journalFailed.Store(true)
+		}
+	case sh.replay:
+		sh.gen = append(sh.gen, *rec)
+	}
+}
+
+// emitTimed is emit with the append attributed to the journal span of the
+// sampled trace a (nil when unsampled; only a journaling shard has a
+// journal span).
+func (sh *shard) emitTimed(rec *journal.Record, a *telemetry.Active) {
+	if a == nil || sh.jw == nil {
+		sh.emit(rec)
+		return
+	}
+	js := time.Now()
+	sh.emit(rec)
+	a.Extend(telemetry.StageJournal, js, time.Now())
+}
+
+// hookEngine routes the engine's terminal transitions (completion,
+// failure, reactive/proactive drop) into emit. Installed once, at build,
+// for every shard: the hook runs inside feeds, membership operations and
+// drains, so on a served shard the appends are single-writer like every
+// other journal write.
+func (sh *shard) hookEngine() {
+	sh.eng.SetJournal(func(ts *sim.TaskState, now pmf.Tick) {
+		sh.emit(&journal.Record{
+			Kind:   journal.KindEvent,
+			Seq:    int64(ts.Task.ID),
+			Action: uint8(ts.Status),
+			Tick:   now,
+		})
+	})
+}
+
+// eachIdx calls fn on every request slot of the sub-batch idxs selects
+// (nil = the first n slots, the single-shard fast path).
+func eachIdx(idxs []int, n int, fn func(i int)) {
+	if idxs == nil {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	for _, i := range idxs {
+		fn(i)
+	}
+}
+
 // actionOf maps a just-fed task's status onto the wire admission action.
 func actionOf(st sim.Status) Action {
 	switch st {
@@ -247,22 +325,6 @@ func actionOf(st sim.Status) Action {
 	default:
 		return ActionDrop
 	}
-}
-
-// decisionOf assembles the wire Decision of a task eng just fed — the one
-// assembly live decide, crash recovery and the offline audit share: the
-// action its status encodes and, when mapped, the machine's matrix-wide
-// index (global translates the shard-local one) and name. A shard engine
-// carries every machine's own name — partitioning re-indexes specs and
-// nothing else, and a runtime-added machine enters the controller's
-// directory under its engine name — so the name needs no second lookup.
-func decisionOf(eng *sim.Engine, global []int, shard int, id string, seq int64, ts *sim.TaskState) Decision {
-	d := Decision{ID: id, Seq: int(seq), Shard: shard, Machine: -1, Action: actionOf(ts.Status)}
-	if d.Action == ActionMap {
-		d.Machine = global[ts.Machine]
-		d.MachineName = eng.Machines()[ts.Machine].Spec.Name
-	}
-	return d
 }
 
 // snapshot reads the shard's live engine state through its decision loop.
@@ -310,16 +372,22 @@ func (sh *shard) snapshot(ctx context.Context) (ShardSnapshot, error) {
 	return snap, nil
 }
 
-// drainCmd runs the shard's virtual system to completion on the loop and
-// stops it. Executed as the loop's final command. With journaling on, the
-// drain's terminal events stream into the WAL (via the engine hook), a
-// drain marker and a final checkpoint make the log self-contained —
-// recovery after a graceful shutdown restores the checkpoint and replays
-// nothing — and the writer closes with a last fsync.
-func (sh *shard) drainCmd() {
+// drain runs the shard's virtual system to completion — the terminal
+// events stream out through the engine hook — and emits the drain marker.
+// The engine is not reusable afterwards.
+func (sh *shard) drain() {
 	sh.final = sh.eng.Drain()
+	sh.emit(&journal.Record{Kind: journal.KindDrain, Tick: sh.eng.Now()})
+}
+
+// drainCmd drains the shard on the loop and stops it. Executed as the
+// loop's final command. With journaling on, a final checkpoint after the
+// drain marker makes the log self-contained — recovery after a graceful
+// shutdown restores the checkpoint and replays nothing — and the writer
+// closes with a last fsync.
+func (sh *shard) drainCmd() {
+	sh.drain()
 	if sh.jw != nil {
-		_ = sh.jw.Append(&journal.Record{Kind: journal.KindDrain, Tick: sh.eng.Now()})
 		_ = sh.jw.Commit()
 		_ = sh.checkpoint(true)
 		_ = sh.jw.Close()

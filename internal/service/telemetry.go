@@ -16,30 +16,14 @@ import (
 // runs only on the sampled path — the unsampled path carries a nil slice
 // through one pointer check.
 
-// traceAt returns request slot i's in-flight trace, nil-safe.
-func traceAt(traces []*telemetry.Active, i int) *telemetry.Active {
-	if traces == nil {
-		return nil
-	}
-	return traces[i]
-}
-
 // eachTrace applies fn to every sampled trace of the sub-batch selected
-// by idxs (nil = the first n request slots, the single-shard fast path).
+// by idxs (see eachIdx).
 func eachTrace(traces []*telemetry.Active, idxs []int, n int, fn func(*telemetry.Active)) {
-	if idxs == nil {
-		for i := 0; i < n; i++ {
-			if a := traces[i]; a != nil {
-				fn(a)
-			}
-		}
-		return
-	}
-	for _, i := range idxs {
+	eachIdx(idxs, n, func(i int) {
 		if a := traces[i]; a != nil {
 			fn(a)
 		}
-	}
+	})
 }
 
 // markRoute closes the route span of every sampled trace in the
@@ -67,8 +51,8 @@ func extendSpans(traces []*telemetry.Active, idxs []int, n int, st telemetry.Sta
 // its journal trace record. Runs on the decision loop.
 func (sh *shard) finishTraces(resp *DecideResponse, idxs []int, n int, traces []*telemetry.Active) {
 	ackStart := time.Now()
-	finish := func(i int) {
-		a := traceAt(traces, i)
+	eachIdx(idxs, n, func(i int) {
+		a := traces[i]
 		if a == nil {
 			return
 		}
@@ -77,16 +61,7 @@ func (sh *shard) finishTraces(resp *DecideResponse, idxs []int, n int, traces []
 		if sh.jw != nil {
 			sh.journalTrace(tr)
 		}
-	}
-	if idxs == nil {
-		for i := 0; i < n; i++ {
-			finish(i)
-		}
-		return
-	}
-	for _, i := range idxs {
-		finish(i)
-	}
+	})
 }
 
 // TraceSnapshot is the GET /debug/traces payload: the sampling period and
