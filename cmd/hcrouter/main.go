@@ -51,11 +51,9 @@ func main() {
 		window      = flag.Int("window", 32, "max in-flight decide sub-requests per backend (excess sheds with 429)")
 		poll        = flag.Duration("poll", 250*time.Millisecond, "backend health/stats polling period")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-attempt upstream request timeout")
-		retries     = flag.Int("retries", 2, "upstream retry budget per sub-request (same backend, same decision ID)")
+		retries     = flag.Int("retries", 2, "upstream retry budget per sub-request (same backend, same decision ID; 0 = none)")
 		backoff     = flag.Duration("backoff", 50*time.Millisecond, "first upstream retry delay (doubles per attempt, jittered)")
-		dedupWindow = flag.Int("dedup-window", 0, "client decision-IDs remembered for idempotent retries (0: default 4096, negative disables)")
-		traceSample = flag.Int("trace-sample", 0, "stage-trace every Nth routed request (0 disables)")
-		traceRing   = flag.Int("trace-ring", telemetry.DefaultRingSize, "completed traces retained for /debug/traces")
+		traceSample = flag.Int("trace-sample", 0, "stage-trace every Nth routed request (0 disables; the last 256 are kept)")
 		logFormat   = flag.String("log-format", "text", "log output format: text | json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
 	)
@@ -79,6 +77,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	// front.Config reads a zero Retries as "use the default"; on the command
+	// line the default is spelled out, so an explicit 0 means none.
+	if *retries == 0 {
+		*retries = -1
+	}
 	f, err := front.New(front.Config{
 		Backends:    urls,
 		Profile:     *profileSpec,
@@ -88,9 +91,7 @@ func main() {
 		Timeout:     *timeout,
 		Retries:     *retries,
 		Backoff:     *backoff,
-		DedupWindow: *dedupWindow,
 		TraceSample: *traceSample,
-		TraceRing:   *traceRing,
 		// Startup nanoseconds namespace the generated sub-request IDs so a
 		// router restart can never collide with IDs a previous incarnation
 		// left in the backends' dedup windows.

@@ -8,7 +8,7 @@
 //
 // With -shards N the machines are partitioned into N independent
 // admission shards, each with its own single-writer decision loop, behind
-// a routing policy (-router rr|mass|p2c) — the sharded cluster
+// a routing policy (-router rr|mass|p2c|hash) — the sharded cluster
 // architecture that multiplies decision throughput while keeping the
 // paper's calculus exact per shard.
 //
@@ -18,8 +18,7 @@
 //	POST /v1/drain    graceful drain (all shards concurrently); returns the
 //	                  merged final trial Result
 //	POST /v1/admin/machines  dynamic membership: {"op":"add|remove|revive",...}
-//	                  journaled before acknowledgement; see -rebalance-every
-//	                  for the automatic variant
+//	                  journaled before acknowledgement
 //	GET  /v1/stats    per-shard queue depths, robustness estimates, drop counts
 //	GET  /healthz     liveness + served configuration
 //	GET  /readyz      readiness: 503 while the server boots (journal
@@ -38,7 +37,7 @@
 // With -partition k/K the server owns only the k-th of K disjoint machine
 // partitions of the profile — one process in a multi-process deployment
 // fronted by cmd/hcrouter. Decision IDs sent by the router (or any
-// client) are remembered in a bounded dedup window (-dedup-window) and a
+// client) are remembered in a bounded dedup window (the last 4096) and a
 // retried request replays the originally acknowledged bytes.
 //
 // With -trace-sample N every Nth decision is traced through its stages
@@ -64,7 +63,8 @@
 //
 // On SIGTERM/SIGINT the server stops accepting work, drains the virtual
 // system (flushing a final journal checkpoint so a later restart replays
-// nothing), and prints the final robustness accounting before exiting.
+// nothing), and prints the final robustness accounting before exiting; the
+// whole shutdown has 30 s (drainTimeout).
 package main
 
 import (
@@ -85,6 +85,10 @@ import (
 	"github.com/hpcclab/taskdrop/internal/telemetry"
 )
 
+// drainTimeout is the graceful-shutdown budget: HTTP shutdown plus the
+// drain of every shard.
+const drainTimeout = 30 * time.Second
+
 // handlerBox wraps the live handler so the boot→serving swap stores one
 // concrete type in the atomic.Value.
 type handlerBox struct{ h http.Handler }
@@ -99,20 +103,15 @@ func main() {
 		shards        = flag.Int("shards", 1, "admission shards (independent decision loops over partitioned machines)")
 		partition     = flag.String("partition", "", "own only machine partition k/K of the profile (e.g. 0/2); empty serves the whole matrix")
 		routerSpec    = flag.String("router", "rr", "shard-routing policy spec: rr | mass | p2c[:seed=..] | hash")
-		dedupWindow   = flag.Int("dedup-window", 0, "client decision-IDs remembered for idempotent retries (0: default 4096, negative disables)")
 		queueCap      = flag.Int("queue", 6, "machine queue capacity incl. running task")
 		grace         = flag.Int64("grace", 0, "reactive-drop grace window in ms (approximate-computing extension)")
 		dropOnArrival = flag.Bool("drop-on-arrival", false, "engage the proactive dropper on arrival events too (strict Fig. 4)")
 		boundary      = flag.Int("boundary", 0, "exclude first/last N tasks from the drain result's measured metrics")
-		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		journalDir    = flag.String("journal-dir", "", "enable the decision journal: per-shard WAL + snapshots under this directory (crash recovery, hcreplay)")
 		fsync         = flag.String("fsync", "interval", "journal durability policy: always | interval | never")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period under -fsync interval")
 		snapshotEvery = flag.Int("snapshot-every", 5000, "checkpoint a shard after this many WAL records in a segment (negative: only at drain)")
-		rebalEvery    = flag.Duration("rebalance-every", 0, "periodically migrate a machine from the most- to the least-loaded shard (0 disables; needs -shards > 1)")
-		rebalThresh   = flag.Float64("rebalance-threshold", 2.0, "queue-mass skew ratio (max/min) that triggers a rebalance move")
-		traceSample   = flag.Int("trace-sample", 0, "stage-trace every Nth decision by sequence number (0 disables tracing)")
-		traceRing     = flag.Int("trace-ring", telemetry.DefaultRingSize, "completed traces retained per shard for /debug/traces")
+		traceSample   = flag.Int("trace-sample", 0, "stage-trace every Nth decision by sequence number (0 disables tracing; the last 256 per shard are kept)")
 		logFormat     = flag.String("log-format", "text", "log output format: text | json")
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
 	)
@@ -147,26 +146,22 @@ func main() {
 	go func() { errCh <- srv.Serve(ln) }()
 
 	ctrl, err := service.New(service.Config{
-		Profile:            *profileSpec,
-		Mapper:             *mapperSpec,
-		Dropper:            *dropperSpec,
-		Shards:             *shards,
-		Partition:          *partition,
-		Router:             *routerSpec,
-		QueueCap:           *queueCap,
-		Grace:              pmf.Tick(*grace),
-		DropOnArrival:      *dropOnArrival,
-		BoundaryExclusion:  *boundary,
-		DedupWindow:        *dedupWindow,
-		RebalanceEvery:     *rebalEvery,
-		RebalanceThreshold: *rebalThresh,
-		JournalDir:         *journalDir,
-		Fsync:              *fsync,
-		FsyncInterval:      *fsyncInterval,
-		SnapshotEvery:      *snapshotEvery,
-		TraceSample:        *traceSample,
-		TraceRing:          *traceRing,
-		Logger:             logger,
+		Profile:           *profileSpec,
+		Mapper:            *mapperSpec,
+		Dropper:           *dropperSpec,
+		Shards:            *shards,
+		Partition:         *partition,
+		Router:            *routerSpec,
+		QueueCap:          *queueCap,
+		Grace:             pmf.Tick(*grace),
+		DropOnArrival:     *dropOnArrival,
+		BoundaryExclusion: *boundary,
+		JournalDir:        *journalDir,
+		Fsync:             *fsync,
+		FsyncInterval:     *fsyncInterval,
+		SnapshotEvery:     *snapshotEvery,
+		TraceSample:       *traceSample,
+		Logger:            logger,
 	})
 	if err != nil {
 		logger.Error("startup failed", "err", err)
@@ -188,10 +183,7 @@ func main() {
 			"dir", *journalDir, "fsync", *fsync, "snapshot_every", *snapshotEvery)
 	}
 	if *traceSample > 0 {
-		logger.Info("stage tracing enabled", "sample_every", *traceSample, "ring", *traceRing)
-	}
-	if *rebalEvery > 0 {
-		logger.Info("rebalancer enabled", "every", *rebalEvery, "threshold", *rebalThresh)
+		logger.Info("stage tracing enabled", "sample_every", *traceSample)
 	}
 
 	handler := service.NewHandler(ctrl)
@@ -231,7 +223,7 @@ func main() {
 
 	// Graceful drain: stop accepting connections, then run the virtual
 	// system to completion and report what the run achieved.
-	shCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
 		logger.Warn("http shutdown", "err", err)
@@ -243,7 +235,7 @@ func main() {
 	}
 	// If a client already drained via POST /v1/drain, this returns the
 	// stored result immediately; the only failure mode left is the
-	// drain-timeout budget expiring.
+	// drainTimeout budget expiring.
 	res, err := ctrl.Drain(shCtx)
 	if err != nil {
 		logger.Error("drain failed", "err", err)

@@ -5,7 +5,7 @@
 // complete, monotone stage-timed traces.
 //
 //	obslint -metrics http://127.0.0.1:9090/metrics
-//	obslint -metrics http://127.0.0.1:9090/metrics -require taskdrop_membership_ops_total,taskdrop_rebalance_moves_total
+//	obslint -metrics http://127.0.0.1:9090/metrics -require taskdrop_membership_ops_total,taskdrop_dedup_hits_total
 //	obslint -traces http://127.0.0.1:9090/debug/traces -min-traces 1
 //
 // Exit status 0 means every requested check passed; failures list each

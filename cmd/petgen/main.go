@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,8 +28,8 @@ func main() {
 	}
 }
 
-// run is the testable body of the command: it parses args, builds or loads
-// a matrix, and writes every report to stdout. Usage and flag-parse
+// run is the testable body of the command: it parses args, builds the
+// matrix, and writes every report to stdout. Usage and flag-parse
 // diagnostics go to stderr so piped report output stays clean.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("petgen", flag.ContinueOnError)
@@ -42,8 +41,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		bins        = fs.Int("bins", 25, "histogram bins per PMF")
 		stats       = fs.Bool("stats", false, "print per-cell stddev and quantiles")
 		dump        = fs.String("dump", "", "write the full PET impulse list to this CSV file")
-		save        = fs.String("save", "", "write the matrix as JSON to this file")
-		load        = fs.String("load", "", "load the matrix from a JSON file instead of building it")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -53,27 +50,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("invalid arguments")
 	}
 
-	var m *pet.Matrix
-	if *load != "" {
-		data, err := os.ReadFile(*load)
-		if err != nil {
-			return err
-		}
-		m, err = pet.UnmarshalMatrix(data)
-		if err != nil {
-			return err
-		}
-	} else {
-		profile, err := pet.ProfileByName(*profileName)
-		if err != nil {
-			return err
-		}
-		if *samples < 1 || *bins < 1 {
-			return fmt.Errorf("-samples and -bins must be >= 1")
-		}
-		m = pet.Build(profile, *seed, pet.BuildOptions{SamplesPerCell: *samples, BinsPerPMF: *bins})
+	profile, err := pet.ProfileFromSpec(*profileName)
+	if err != nil {
+		return err
 	}
-	profile := m.Profile()
+	if *samples < 1 || *bins < 1 {
+		return fmt.Errorf("-samples and -bins must be >= 1")
+	}
+	m := pet.Build(profile, *seed, pet.BuildOptions{SamplesPerCell: *samples, BinsPerPMF: *bins})
 
 	fmt.Fprintf(stdout, "PET matrix %q — %d task types × %d machine types, %d machines\n\n",
 		profile.Name, m.NumTaskTypes(), m.NumMachineTypes(), len(m.Machines()))
@@ -115,16 +99,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "\nwrote impulse dump to %s\n", *dump)
-	}
-	if *save != "" {
-		data, err := json.MarshalIndent(m, "", " ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*save, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\nwrote matrix JSON to %s\n", *save)
 	}
 	return nil
 }

@@ -201,12 +201,6 @@ func (c *Calculus) Recycle() {
 	c.roots = c.roots[:0]
 }
 
-// Epoch returns the recycle epoch, incremented by every Recycle. Callers
-// caching a ChainState (e.g. a machine's tail-completion state) key the
-// cache on it: a state from an older epoch points into recycled storage
-// and must not be used.
-func (c *Calculus) Epoch() uint64 { return c.epoch }
-
 // exec returns the execution-time PMF for (t, mt).
 func (c *Calculus) exec(t pet.TaskType, mt pet.MachineType) pmf.PMF {
 	return c.PET.ExecPMF(t, mt)

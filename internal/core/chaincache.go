@@ -132,14 +132,6 @@ func (cc *ChainCache) Gen() uint64 {
 	return cc.gen
 }
 
-// PinnedImpulses returns the impulse count currently pinned.
-func (cc *ChainCache) PinnedImpulses() int {
-	if cc == nil {
-		return 0
-	}
-	return cc.pin.committed
-}
-
 // Invalidate resets the cache, dropping every pinned chain, and records
 // the reason. Callers use it for lifecycle transitions the signature
 // cannot see (machine churn, snapshot restore). Invalidating an empty

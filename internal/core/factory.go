@@ -65,11 +65,6 @@ func PolicyFromSpec(s string) (Policy, error) {
 	return p, nil
 }
 
-// PolicyByName constructs a dropping policy from a (case-insensitive)
-// name or parameterized spec; it is the same resolution path as
-// PolicyFromSpec and is kept for callers that predate the spec grammar.
-func PolicyByName(name string) (Policy, error) { return PolicyFromSpec(name) }
-
 // PolicyNames lists the constructible policy names.
 func PolicyNames() []string {
 	return []string{"ReactDrop", "Heuristic", "Optimal", "Threshold", "Approx"}

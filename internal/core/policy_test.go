@@ -481,12 +481,12 @@ func TestThresholdZeroDisables(t *testing.T) {
 
 func TestPolicyByName(t *testing.T) {
 	for _, name := range []string{"reactdrop", "Reactive", "none", "heuristic", "OPTIMAL", "threshold"} {
-		p, err := PolicyByName(name)
+		p, err := PolicyFromSpec(name)
 		if err != nil || p == nil {
-			t.Errorf("PolicyByName(%q): %v", name, err)
+			t.Errorf("PolicyFromSpec(%q): %v", name, err)
 		}
 	}
-	if _, err := PolicyByName("bogus"); err == nil {
+	if _, err := PolicyFromSpec("bogus"); err == nil {
 		t.Error("unknown policy should error")
 	}
 	if len(PolicyNames()) != 5 {

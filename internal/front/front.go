@@ -83,17 +83,13 @@ type Config struct {
 	// service.ClientConfig; defaults 5s, 2, 50ms). Retries re-send the SAME
 	// sub-request (same decision ID) to the SAME backend; rerouting to
 	// another backend only happens after the retry budget is spent.
+	// Retries: 0 = default 2, negative = none.
 	Timeout time.Duration
 	Retries int
 	Backoff time.Duration
-	// DedupWindow bounds the front's own idempotency window for
-	// client-supplied DecisionIDs (0 = service.DefaultDedupWindow;
-	// negative disables).
-	DedupWindow int
 	// TraceSample stage-traces every Nth proxied request (route → proxy →
-	// ack); 0 disables. TraceRing bounds retained traces.
+	// ack); 0 disables.
 	TraceSample int
-	TraceRing   int
 	// IDNonce namespaces the front-generated sub-request decision IDs.
 	// Must differ between router restarts against the same backends (the
 	// CLI stamps startup nanoseconds) or stale dedup entries could answer
@@ -185,22 +181,20 @@ func New(cfg Config) (*Front, error) {
 	if cfg.Window < 1 {
 		return nil, fmt.Errorf("front: window %d, want >= 1", cfg.Window)
 	}
-	if cfg.TraceSample < 0 || cfg.TraceRing < 0 {
-		return nil, fmt.Errorf("front: negative trace settings")
+	if cfg.TraceSample < 0 {
+		return nil, fmt.Errorf("front: trace sample %d, want >= 0", cfg.TraceSample)
 	}
 	f := &Front{
 		cfg:     cfg,
 		matrix:  matrix,
 		policy:  policy,
 		client:  service.NewClient(cfg.HTTPClient, service.ClientConfig{Timeout: cfg.Timeout, Retries: cfg.Retries, Backoff: cfg.Backoff}),
-		tel:     telemetry.New(1, cfg.TraceSample, cfg.TraceRing),
+		tel:     telemetry.New(1, cfg.TraceSample, telemetry.DefaultRingSize),
 		log:     cfg.Logger,
+		dedup:   service.NewDedupWindow(service.DefaultDedupWindow),
 		metrics: newMetrics(),
 		drained: make(chan struct{}),
 		stop:    make(chan struct{}),
-	}
-	if cfg.DedupWindow >= 0 {
-		f.dedup = service.NewDedupWindow(cfg.DedupWindow)
 	}
 	nt := matrix.NumTaskTypes()
 	for i, u := range cfg.Backends {
@@ -230,7 +224,7 @@ func (f *Front) Matrix() *pet.Matrix { return f.matrix }
 // Policy returns the resolved routing policy.
 func (f *Front) Policy() router.Policy { return f.policy }
 
-// Dedup returns the front's idempotency window (nil when disabled).
+// Dedup returns the front's idempotency window.
 func (f *Front) Dedup() *service.DedupWindow { return f.dedup }
 
 // Telemetry returns the front's stage tracer.

@@ -46,8 +46,7 @@ func newBackendControllers(t testing.TB, n int) ([]string, []*service.Controller
 	for k := 0; k < n; k++ {
 		c, err := service.New(service.Config{
 			Profile: "video", Mapper: "PAM", Dropper: "heuristic",
-			Partition:   fmt.Sprintf("%d/%d", k, n),
-			DedupWindow: 0, // default window: the router's sub-IDs need it
+			Partition: fmt.Sprintf("%d/%d", k, n),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -238,7 +237,8 @@ func TestFrontReroutesOffDeadBackend(t *testing.T) {
 	}))
 	died.Close() // closed immediately: every dial fails
 
-	f := newFront(t, []string{urls[0], urls[1]}, func(c *Config) { c.Retries = 0 })
+	// Negative = no retries (zero would mean the default 2).
+	f := newFront(t, []string{urls[0], urls[1]}, func(c *Config) { c.Retries = -1 })
 	srv := httptest.NewServer(NewHandler(f))
 	defer srv.Close()
 
@@ -277,12 +277,18 @@ func TestFrontReroutesOffDeadBackend(t *testing.T) {
 	if f.metrics.reroutes.Load() == 0 {
 		t.Fatal("reroutes counter not incremented")
 	}
+	// With no retry budget every sub-request is one HTTP attempt, the ones
+	// sent to the dead backend included.
+	dead, live := f.backends[0].proxied.Load(), f.backends[1].proxied.Load()
+	if dead == 0 || f.client.Attempts() != dead+live {
+		t.Fatalf("%d attempts for %d sub-requests (%d to the dead backend), want one each", f.client.Attempts(), dead+live, dead)
+	}
 }
 
 func TestFrontMetricsPassLint(t *testing.T) {
 	tr := testTrace(t, 40, 2)
 	urls := newBackends(t, 2)
-	f := newFront(t, urls, func(c *Config) { c.TraceSample = 1; c.TraceRing = 16 })
+	f := newFront(t, urls, func(c *Config) { c.TraceSample = 1 })
 	srv := httptest.NewServer(NewHandler(f))
 	defer srv.Close()
 

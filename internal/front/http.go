@@ -110,10 +110,8 @@ func NewHandler(f *Front) http.Handler {
 		x := telemetry.NewWriter(w)
 		f.metrics.write(x)
 		writeBackendGauges(x, f)
-		if f.dedup != nil {
-			x.Counter("taskdrop_router_dedup_hits_total", "Duplicate decision-ID requests served from the router's dedup window.").Int(f.dedup.Hits())
-			x.Gauge("taskdrop_router_dedup_entries", "Decision IDs currently retained in the router's dedup window.").Int(int64(f.dedup.Len()))
-		}
+		x.Counter("taskdrop_router_dedup_hits_total", "Duplicate decision-ID requests served from the router's dedup window.").Int(f.dedup.Hits())
+		x.Gauge("taskdrop_router_dedup_entries", "Decision IDs currently retained in the router's dedup window.").Int(int64(f.dedup.Len()))
 		x.Counter("taskdrop_router_upstream_attempts_total", "Upstream HTTP attempts (first tries and retries).").Int(f.client.Attempts())
 		f.tel.WritePrometheus(x)
 		telemetry.WriteRuntimeMetrics(x)

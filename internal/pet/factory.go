@@ -45,10 +45,6 @@ func ProfileFromSpec(s string) (Profile, error) {
 	return p, nil
 }
 
-// ProfileByName returns a named evaluation profile; it is the same
-// resolution path as ProfileFromSpec.
-func ProfileByName(name string) (Profile, error) { return ProfileFromSpec(name) }
-
 // ProfileNames lists the constructible profile names.
 func ProfileNames() []string { return []string{"spec", "video", "homog"} }
 

@@ -266,11 +266,11 @@ func TestBuildDeterminism(t *testing.T) {
 
 func TestProfileByName(t *testing.T) {
 	for _, name := range []string{"spec", "SPECint", "video", "transcoding", "homog", "HOMOGENEOUS"} {
-		if _, err := ProfileByName(name); err != nil {
-			t.Errorf("ProfileByName(%q): %v", name, err)
+		if _, err := ProfileFromSpec(name); err != nil {
+			t.Errorf("ProfileFromSpec(%q): %v", name, err)
 		}
 	}
-	if _, err := ProfileByName("nope"); err == nil {
+	if _, err := ProfileFromSpec("nope"); err == nil {
 		t.Error("unknown profile should error")
 	}
 	if len(ProfileNames()) != 3 {

@@ -324,67 +324,3 @@ func TestParseChurnPlan(t *testing.T) {
 		}
 	}
 }
-
-// TestRebalanceOnce skews queue mass onto one shard and checks that a
-// rebalance pass migrates exactly one machine from the loaded shard to the
-// idle one — journaled through the same admin path as operator churn.
-func TestRebalanceOnce(t *testing.T) {
-	c, err := New(Config{
-		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
-		Shards: 2, Router: "hash:seed=1",
-		RebalanceThreshold: 1.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// With nothing queued the pass is a no-op.
-	if moved, err := c.RebalanceOnce(context.Background()); err != nil || moved {
-		t.Fatalf("idle rebalance = %v, %v; want no move", moved, err)
-	}
-
-	// The class-hash router pins every task of one class to one shard, so a
-	// single-class burst piles its queue mass there.
-	tr := testTrace(t, 300, 31)
-	req := DecideRequest{}
-	for _, task := range tr.Tasks {
-		if int(task.Type) != 0 {
-			continue
-		}
-		req.Tasks = append(req.Tasks, TaskSpec{
-			Type: int(task.Type), Arrival: 1,
-			Deadline: 100000, ExecByType: task.ExecByType,
-		})
-	}
-	if _, err := c.Decide(context.Background(), &req); err != nil {
-		t.Fatal(err)
-	}
-
-	moved, err := c.RebalanceOnce(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !moved {
-		t.Fatal("skewed shards did not trigger a migration")
-	}
-	if got := c.rebalanceMoves.Load(); got != 1 {
-		t.Fatalf("rebalance moves counter = %d, want 1", got)
-	}
-	stats, err := c.ShardStats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var live [2]int
-	for _, ss := range stats {
-		live[ss.Shard] = ss.LiveMachines
-	}
-	if live[0]+live[1] != len(c.matrix.Machines()) {
-		t.Fatalf("total live machines = %d, want %d (capacity conserved)", live[0]+live[1], len(c.matrix.Machines()))
-	}
-	if live[0] == live[1] {
-		t.Fatalf("live split %v unchanged by migration", live)
-	}
-	if _, err := c.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -42,8 +42,8 @@ type dedupEntry struct {
 	err  error  // permanent failure (poisoned entries)
 }
 
-// DefaultDedupWindow is the retained-response capacity when the caller
-// does not choose one (Config.DedupWindow = 0).
+// DefaultDedupWindow is the retained-response capacity of both tiers'
+// windows: a documented constant, not a setting.
 const DefaultDedupWindow = 4096
 
 // NewDedupWindow builds a window retaining up to capacity committed

@@ -118,10 +118,8 @@ func NewHandler(c *Controller) http.Handler {
 		if c.fsyncLatency != nil {
 			writeJournalMetrics(x, c)
 		}
-		if c.dedup != nil {
-			x.Counter("taskdrop_dedup_hits_total", "Duplicate decision-ID requests served from the dedup window.").Int(c.dedup.Hits())
-			x.Gauge("taskdrop_dedup_entries", "Decision IDs currently retained in the dedup window.").Int(int64(c.dedup.Len()))
-		}
+		x.Counter("taskdrop_dedup_hits_total", "Duplicate decision-ID requests served from the dedup window.").Int(c.dedup.Hits())
+		x.Gauge("taskdrop_dedup_entries", "Decision IDs currently retained in the dedup window.").Int(int64(c.dedup.Len()))
 		// Engine gauges come from the decision loops; skip them once drained
 		// (counters above still tell the whole story).
 		if snap, err := c.Stats(r.Context()); err == nil {
@@ -165,7 +163,7 @@ func DecideHandler(
 		}
 		id := req.DecisionID
 		owner := false
-		if id != "" && dedup != nil {
+		if id != "" {
 			var e *dedupEntry
 			if e, owner = dedup.Begin(id); !owner {
 				data, n, err := e.Await(r.Context())
@@ -239,9 +237,9 @@ func writeShardGauges(x *telemetry.Writer, c *Controller) {
 }
 
 // writeMembershipGauges renders the dynamic-membership series: operation
-// counts, per-shard live/removed machine census, degraded flags, shed
-// (429) counters and rebalancer moves. Everything reads atomics or the
-// lock-free router views — no decision loop is touched.
+// counts, per-shard live/removed machine census, degraded flags and shed
+// (429) counters. Everything reads atomics or the lock-free router views —
+// no decision loop is touched.
 func writeMembershipGauges(x *telemetry.Writer, c *Controller) {
 	x.Counter("taskdrop_membership_ops_total", "Membership operations applied, by op.")
 	x.Int(c.memberOps[journal.MemberAdd].Load(), "op", "add")
@@ -267,7 +265,6 @@ func writeMembershipGauges(x *telemetry.Writer, c *Controller) {
 	for _, sh := range c.shards {
 		x.Int(sh.metrics.shed.Load(), "shard", strconv.Itoa(sh.id))
 	}
-	x.Counter("taskdrop_rebalance_moves_total", "Machines migrated between shards by the rebalancer.").Int(c.rebalanceMoves.Load())
 }
 
 // writeEngineGauges renders the live queue-state gauges.

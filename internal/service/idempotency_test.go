@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -86,6 +87,21 @@ func TestHTTPIdempotentDecisionIDs(t *testing.T) {
 	}
 	if out.Decisions[0].Seq != 32 {
 		t.Fatalf("follow-up seq = %d, want 32 — duplicates advanced the engine", out.Decisions[0].Seq)
+	}
+
+	// The window is not a setting: a controller built from the zero Config
+	// serves the same protocol.
+	zc, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zc.Close()
+	zsrv := newTestServerFor(t, zc)
+	zreq := DecideRequest{DecisionID: "again", Tasks: []TaskSpec{{Type: 0, Arrival: 1, Deadline: 90000}}}
+	_, first := postDecide(t, zsrv, &zreq)
+	_, again := postDecide(t, zsrv, &zreq)
+	if !bytes.Equal(first, again) || !strings.Contains(getText(t, zsrv, "/metrics"), "\ntaskdrop_dedup_hits_total 1\n") {
+		t.Fatalf("zero Config: repeated decision ID answered %s then %s, want identical bytes and one dedup hit", first, again)
 	}
 }
 

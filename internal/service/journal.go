@@ -225,9 +225,7 @@ func (c *Controller) initJournal() error {
 	// decisions; a torn batch poisons its ID so a retry cannot double-feed
 	// the partially-applied arrivals. Seeding only covers batches after the
 	// newest checkpoint — older ones are beyond any sane retry window.
-	if c.dedup != nil {
-		c.seedDedup()
-	}
+	c.seedDedup()
 
 	// Writers open after recovery: OpenWriter truncates any torn tail, so
 	// it must not run until the replay has consumed the valid prefix.

@@ -113,12 +113,6 @@ type Config struct {
 	// matrix. K sibling processes with partitions 0/K..K-1/K cover the
 	// matrix exactly once — the multi-process deployment behind cmd/hcrouter.
 	Partition string
-	// DedupWindow bounds the idempotent-decision window: how many
-	// acknowledged responses the server retains, keyed by the request's
-	// DecisionID, so a retried request replays its original decisions
-	// byte-for-byte instead of re-admitting. 0 means DefaultDedupWindow;
-	// negative disables deduplication (DecisionIDs are still journaled).
-	DedupWindow int
 	// QueueCap bounds each machine queue, including the running task
 	// (default 6, the paper's setting).
 	QueueCap int
@@ -155,18 +149,6 @@ type Config struct {
 	// tracing — the decide path then reads no clock and allocates nothing
 	// for telemetry.
 	TraceSample int
-	// TraceRing bounds retained completed traces per shard (default
-	// telemetry.DefaultRingSize).
-	TraceRing int
-	// RebalanceEvery enables the background rebalancer: every period the
-	// controller compares per-shard queue mass and migrates one machine
-	// worth of capacity from the most to the least loaded shard (remove
-	// with queue handoff + add of the same type). 0 (the default) disables
-	// rebalancing; it only acts with 2+ shards.
-	RebalanceEvery time.Duration
-	// RebalanceThreshold is the queue-mass ratio (max/min) that triggers a
-	// migration (default 2; must be >= 1).
-	RebalanceThreshold float64
 	// Logger receives the controller's structured diagnostics (journal
 	// recovery, drain). Defaults to a discard logger; the CLIs pass their
 	// telemetry.NewLogger.
@@ -198,9 +180,6 @@ func (c Config) withDefaults() Config {
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 5000
 	}
-	if c.RebalanceThreshold == 0 {
-		c.RebalanceThreshold = 2
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -222,10 +201,10 @@ type Controller struct {
 	tel     *telemetry.Telemetry
 	log     *slog.Logger
 
-	// dedup retains acknowledged responses by decision ID for idempotent
-	// retries; nil when Config.DedupWindow is negative. The HTTP layer
-	// consults it (Decide itself stays dedup-free so embedded callers and
-	// the alloc budget are untouched).
+	// dedup retains the last DefaultDedupWindow acknowledged responses by
+	// decision ID for idempotent retries. The HTTP layer consults it
+	// (Decide itself stays dedup-free so embedded callers and the alloc
+	// budget are untouched).
 	dedup *DedupWindow
 
 	// seq issues cluster-wide arrival sequence numbers at routing time.
@@ -241,11 +220,6 @@ type Controller struct {
 	// memberOps counts membership operations by journal action
 	// (MemberAdd/MemberRemove/MemberRevive).
 	memberOps [3]atomic.Int64
-	// rebalanceMoves counts machine migrations by the background
-	// rebalancer; rebalStop (non-nil when enabled) stops its loop.
-	rebalanceMoves atomic.Int64
-	rebalStop      chan struct{}
-	rebalOnce      sync.Once
 
 	mu       sync.Mutex // guards draining flag and final result
 	draining bool
@@ -270,10 +244,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	for _, sh := range c.shards {
 		go sh.loop()
-	}
-	if c.cfg.RebalanceEvery > 0 && len(c.shards) > 1 {
-		c.rebalStop = make(chan struct{})
-		go c.rebalanceLoop()
 	}
 	return c, nil
 }
@@ -316,15 +286,6 @@ func build(cfg Config, cold bool) (*Controller, error) {
 	if cfg.TraceSample < 0 {
 		return nil, fmt.Errorf("service: trace sample %d, want >= 0", cfg.TraceSample)
 	}
-	if cfg.TraceRing < 0 {
-		return nil, fmt.Errorf("service: trace ring %d, want >= 0", cfg.TraceRing)
-	}
-	if cfg.RebalanceEvery < 0 {
-		return nil, fmt.Errorf("service: rebalance period %v, want >= 0", cfg.RebalanceEvery)
-	}
-	if cfg.RebalanceThreshold < 1 {
-		return nil, fmt.Errorf("service: rebalance threshold %g, want >= 1", cfg.RebalanceThreshold)
-	}
 	if cfg.JournalDir != "" {
 		if _, err := journal.ParseSyncPolicy(cfg.Fsync); err != nil {
 			return nil, err
@@ -340,7 +301,7 @@ func build(cfg Config, cold bool) (*Controller, error) {
 		ReactiveGrace:     cfg.Grace,
 		ColdChains:        cold,
 	}
-	tel := telemetry.New(cfg.Shards, cfg.TraceSample, cfg.TraceRing)
+	tel := telemetry.New(cfg.Shards, cfg.TraceSample, telemetry.DefaultRingSize)
 	// Each shard resolves its own mapper and dropper instances: shard loops
 	// advance concurrently and must not share stateful components. The
 	// dropper is wrapped with the shard's trace recorder so a sampled
@@ -369,10 +330,8 @@ func build(cfg Config, cold bool) (*Controller, error) {
 		shards:  make([]*shard, cfg.Shards),
 		tel:     tel,
 		log:     cfg.Logger,
+		dedup:   NewDedupWindow(DefaultDedupWindow),
 		drained: make(chan struct{}),
-	}
-	if cfg.DedupWindow >= 0 {
-		c.dedup = NewDedupWindow(cfg.DedupWindow)
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		sh := &shard{
@@ -687,9 +646,6 @@ func (c *Controller) Drain(ctx context.Context) (*sim.Result, error) {
 
 	if first {
 		c.log.Info("drain initiated", "shards", len(c.shards))
-		if c.rebalStop != nil {
-			c.rebalOnce.Do(func() { close(c.rebalStop) })
-		}
 		// The sends are unbounded-blocking by design: each loop is consuming
 		// its queue, so it always eventually accepts, and only this command
 		// can stop it. Goroutines decouple the waits from ctx and drain the

@@ -142,7 +142,7 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			// Degraded: every machine of this shard has been removed.
 			// Admitting would defer the tasks into a batch nothing can ever
 			// run — shed the sub-batch instead (429 on the wire) and let the
-			// client retry after a revive or rebalance.
+			// client retry after a revive or an add.
 			sh.metrics.shed.Add(1)
 			sh.c.metrics.shed.Add(1)
 			ferr = ErrShardDegraded

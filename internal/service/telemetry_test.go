@@ -305,7 +305,7 @@ func TestDecideTelemetryDisabledAllocsSteadyState(t *testing.T) {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
 	c, err := New(Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic",
-		TraceSample: 0, TraceRing: 64})
+		TraceSample: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,10 +236,6 @@ func (cl *Cluster) Shards() []*Engine { return cl.engines }
 // View returns shard s's router-visible state.
 func (cl *Cluster) View(s int) *router.ShardView { return cl.views[s] }
 
-// GlobalMachine translates shard s's local machine index to the
-// matrix-wide machine index.
-func (cl *Cluster) GlobalMachine(s, local int) int { return cl.global[s][local] }
-
 // GlobalMachines returns shard s's machines as matrix-wide indexes, in
 // shard-local order.
 func (cl *Cluster) GlobalMachines(s int) []int { return cl.global[s] }

@@ -39,16 +39,6 @@ func (ev *MappingEvent) FreeSlots(m *Machine) int {
 	return ev.e.cfg.QueueCap - len(m.queue)
 }
 
-// HasFreeSlot reports whether any machine has an open slot.
-func (ev *MappingEvent) HasFreeSlot() bool {
-	for _, m := range ev.e.machines {
-		if ev.FreeSlots(m) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // CandidateCompletion returns the completion-time PMF task ts would have
 // if appended to machine m's queue now (Eq. 1 chained onto the queue's
 // tail completion). The tail chain state is cached per machine per event

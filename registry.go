@@ -70,15 +70,3 @@ func ProfileNames() []string { return pet.ProfileNames() }
 
 // RouterNames lists the built-in shard-routing policies.
 func RouterNames() []string { return router.Names() }
-
-// MapperByName constructs a mapping heuristic from a name or spec.
-//
-// Deprecated: use NewMapper; both resolve through the same registry.
-func MapperByName(name string) (Mapper, error) { return NewMapper(name) }
-
-// DropperByName constructs a dropping policy from a name or spec — since
-// the registries are parameterized, "threshold:base=0.3,adaptive" works
-// here too.
-//
-// Deprecated: use NewDropper; both resolve through the same registry.
-func DropperByName(name string) (DropPolicy, error) { return NewDropper(name) }

@@ -104,14 +104,14 @@ func TestRegistryNameLists(t *testing.T) {
 }
 
 func TestDeprecatedShimsShareRegistry(t *testing.T) {
-	// The legacy ByName constructors must accept the parameterized grammar
-	// too — one resolution path for everything.
-	p, err := taskdrop.DropperByName("threshold:base=0.3,adaptive")
+	// The public constructors accept the parameterized grammar — one
+	// resolution path for everything.
+	p, err := taskdrop.NewDropper("threshold:base=0.3,adaptive")
 	if err != nil || p.Name() != "Threshold" {
-		t.Fatalf("DropperByName spec support broken: %v, %v", p, err)
+		t.Fatalf("NewDropper spec support broken: %v, %v", p, err)
 	}
-	m, err := taskdrop.MapperByName("kpb:percent=40")
+	m, err := taskdrop.NewMapper("kpb:percent=40")
 	if err != nil || m.Name() != "KPB" {
-		t.Fatalf("MapperByName spec support broken: %v, %v", m, err)
+		t.Fatalf("NewMapper spec support broken: %v, %v", m, err)
 	}
 }

@@ -10,7 +10,7 @@
 #   BenchmarkEngineFeed            (internal/service)  vs BENCH_service.json
 #
 # Recorded figures follow the min-of-runs convention (see the JSON
-# notes): this host is a shared 1-CPU VM with ±20-30% run-to-run noise,
+# notes): this host is a shared 2-vCPU VM with ±20-30% run-to-run noise,
 # so the gate also takes the minimum across COUNT runs before comparing,
 # and the default tolerance is deliberately wider than a quiet host
 # would need. Refresh the recordings (and history notes) whenever an

@@ -4,10 +4,10 @@
 # plan to fire remove/revive/add operations mid-replay without wedging the
 # load, (2) a fully degraded server (every machine removed) to shed
 # decides with 429 + Retry-After instead of accepting work it cannot run,
-# (3) the membership and rebalancer metric families to lint clean and be
-# present, (4) a kill -9 + restart to recover the exact post-churn
-# membership (byte-identical /v1/stats), and (5) `hcreplay -verify` to
-# re-derive every logged decision across the membership records.
+# (3) the membership metric families to lint clean and be present, (4) a
+# kill -9 + restart to recover the exact post-churn membership
+# (byte-identical /v1/stats), and (5) `hcreplay -verify` to re-derive
+# every logged decision across the membership records.
 #
 # Usage: scripts/churn_smoke.sh
 set -euo pipefail
@@ -68,10 +68,10 @@ grep -qi '^Retry-After:' "$BIN/probe.hdr" ||
     { echo "FAIL: degraded 429 carries no Retry-After" >&2; exit 1; }
 echo "degraded server sheds decides with 429 + Retry-After"
 
-# The membership/rebalancer observability surface lints clean and reports
+# The membership observability surface lints clean and reports
 # the degradation.
 "$BIN/obslint" -metrics "http://$ADDR/metrics" \
-    -require taskdrop_membership_ops_total,taskdrop_membership_live_machines,taskdrop_membership_removed_machines,taskdrop_membership_degraded,taskdrop_membership_shed_total,taskdrop_rebalance_moves_total
+    -require taskdrop_membership_ops_total,taskdrop_membership_live_machines,taskdrop_membership_removed_machines,taskdrop_membership_degraded,taskdrop_membership_shed_total
 curl -sf "http://$ADDR/metrics" -o "$BIN/metrics.degraded"
 grep -q 'taskdrop_membership_degraded{shard="0"} 1' "$BIN/metrics.degraded" ||
     { echo "FAIL: shard 0 not reported degraded" >&2; exit 1; }

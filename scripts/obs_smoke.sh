@@ -35,9 +35,9 @@ wait_http "http://$ADDR/healthz"
 
 # Metrics lint + trace completeness, against both the service listener
 # and the debug listener (the debug mux shares the service handler). The
-# dynamic-membership and rebalancer families must be present even on a
+# dynamic-membership families must be present even on a
 # server that saw no churn.
-REQUIRED_FAMILIES=taskdrop_membership_ops_total,taskdrop_membership_live_machines,taskdrop_membership_removed_machines,taskdrop_membership_degraded,taskdrop_membership_shed_total,taskdrop_rebalance_moves_total,taskdrop_chain_invalidations_total,taskdrop_chain_pinned_bytes,taskdrop_mapper_candidates_total,taskdrop_dropper_windows_total
+REQUIRED_FAMILIES=taskdrop_membership_ops_total,taskdrop_membership_live_machines,taskdrop_membership_removed_machines,taskdrop_membership_degraded,taskdrop_membership_shed_total,taskdrop_chain_invalidations_total,taskdrop_chain_pinned_bytes,taskdrop_mapper_candidates_total,taskdrop_dropper_windows_total
 "$BIN/obslint" -metrics "http://$ADDR/metrics" -require "$REQUIRED_FAMILIES" -traces "http://$ADDR/debug/traces" -min-traces 1
 "$BIN/obslint" -metrics "http://$DEBUG_ADDR/metrics" -require "$REQUIRED_FAMILIES" -traces "http://$DEBUG_ADDR/debug/traces" -min-traces 1
 echo "metrics lint clean; traces complete"

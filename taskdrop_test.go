@@ -61,8 +61,8 @@ func TestDropperConstructors(t *testing.T) {
 		t.Error("HeuristicDropperWith broken")
 	}
 	for _, name := range []string{"reactdrop", "heuristic", "optimal", "threshold"} {
-		if _, err := taskdrop.DropperByName(name); err != nil {
-			t.Errorf("DropperByName(%q): %v", name, err)
+		if _, err := taskdrop.NewDropper(name); err != nil {
+			t.Errorf("NewDropper(%q): %v", name, err)
 		}
 	}
 }
@@ -73,8 +73,8 @@ func TestMapperRegistryExposed(t *testing.T) {
 		t.Fatalf("MapperNames = %v", names)
 	}
 	for _, n := range names {
-		if _, err := taskdrop.MapperByName(n); err != nil {
-			t.Errorf("MapperByName(%q): %v", n, err)
+		if _, err := taskdrop.NewMapper(n); err != nil {
+			t.Errorf("NewMapper(%q): %v", n, err)
 		}
 	}
 }
