@@ -41,25 +41,28 @@ type QueueTask struct {
 // working (storage is then reclaimed by the garbage collector), it just
 // isn't allocation-free.
 //
-// The one exception is PMFs obtained through a persistent ChainCache
-// (ChainStartCached and appends descending from it): those are already
-// pinned in the cache's own arena and survive Recycle, staying valid
-// until the cache invalidates — which any mapping event may trigger. The
-// only safe lifetime across events therefore remains a CloneInto copy the
-// caller owns.
+// Chain PMFs (ChainStart, ChainStartCached and appends descending from
+// them, hence CompletionPMFs and Availability too) are pinned in a
+// ChainCache's own arena instead and stay valid until that cache
+// invalidates. A caller's cache survives Recycle and invalidates when any
+// mapping event drifts its root, so the only safe lifetime across events
+// remains a CloneInto copy the caller owns. The calculus-owned cache, which
+// serves every caller that passes none, invalidates at Recycle and when a
+// chain is started from a different root (machine type, clock or running
+// head): consume one queue's PMFs before starting on the next.
 //
 // # Shared-prefix chain cache
 //
-// Within one recycle epoch the calculus memoizes every Eq. 1 chain it
-// evaluates as a trie: ChainStart returns the (cached) availability root
-// for a (machine, now, running-head) triple and ChainState.Append walks or
-// extends the trie one task at a time. Policies evaluating many
-// drop-candidate scenarios over one queue — "the queue with task i
-// removed" — therefore share all common prefix convolutions instead of
-// rechaining from availability, and the mapper's tail-completion chains
-// reuse the prefixes the dropper already computed at the same event.
-// ChainStartCached extends the same sharing across events through a
-// per-machine persistent trie (see ChainCache in chaincache.go).
+// The calculus memoizes every Eq. 1 chain it evaluates in one structure,
+// the ChainCache trie (chaincache.go): ChainStartCached returns the cached
+// availability root of a queue and ChainState.Append walks or extends the
+// trie one task at a time. Policies evaluating many drop-candidate
+// scenarios over one queue — "the queue with task i removed" — therefore
+// share all common prefix convolutions instead of rechaining from
+// availability, and the mapper's tail-completion chains reuse the prefixes
+// the dropper already computed. The engine owns one cache per machine,
+// which carries the sharing across events; a caller without one shares
+// within an event through the calculus-owned cache.
 //
 // A Calculus owns a convolution workspace and is therefore not safe for
 // concurrent use; give each simulation engine (or test goroutine) its own.
@@ -68,11 +71,10 @@ type Calculus struct {
 	MaxImpulses int
 	ws          pmf.Workspace
 
-	// Per-event chain trie, recycled per epoch. Persistent per-machine
-	// tries live in ChainCaches (see chaincache.go) and survive Recycle.
+	// epoch counts Recycles. own is the cache behind ChainStartCached(nil,
+	// ...), invalidated by Recycle.
 	epoch uint64
-	eph   chainTrie
-	roots []chainRoot
+	own   *ChainCache
 
 	// cells lazily caches, per PET cell (task type × machine type), what
 	// the kernels derive from the execution PMF alone: execution PMFs are
@@ -143,9 +145,8 @@ type chainNode struct {
 	edges []chainEdge
 }
 
-// chainTrie is one arena of memoized chain nodes. The calculus owns an
-// ephemeral one (wiped by Recycle); every ChainCache owns a persistent
-// one (wiped only by invalidation).
+// chainTrie is one ChainCache's arena of memoized chain nodes, wiped by
+// the cache's invalidation.
 type chainTrie struct {
 	nodes []chainNode
 }
@@ -166,39 +167,25 @@ func (t *chainTrie) newNode(cp pmf.PMF) int32 {
 	return int32(len(t.nodes) - 1)
 }
 
-// chainRootKey identifies an availability root: machine type, event time
-// and the running head (if any). Everything Availability depends on.
-type chainRootKey struct {
-	mt      pet.MachineType
-	now     pmf.Tick
-	running bool
-	rt      pet.TaskType
-	elapsed pmf.Tick
-}
-
-type chainRoot struct {
-	key  chainRootKey
-	node int32
-}
-
 // NewCalculus returns a calculus over the given PET with the default
 // compaction budget.
 func NewCalculus(m *pet.Matrix) *Calculus {
-	return &Calculus{PET: m, MaxImpulses: pmf.DefaultMaxImpulses}
+	c := &Calculus{PET: m, MaxImpulses: pmf.DefaultMaxImpulses}
+	c.own = c.NewChainCache()
+	return c
 }
 
-// Recycle starts a new decision epoch: it reclaims the impulse arena and
-// the per-event chain trie in O(1), invalidating every PMF previously
-// returned by this calculus through them. The owning engine calls it once
-// per mapping event; steady-state chain evaluation after warm-up then
-// allocates nothing. Persistent ChainCaches — and every PMF pinned in
-// them — survive Recycle untouched; they are reclaimed per machine, by
-// invalidation.
+// Recycle starts a new decision epoch: it reclaims the impulse arena in
+// O(1) and invalidates the calculus-owned chain cache, and with them every
+// PMF previously returned by this calculus through either. The owning
+// engine calls it once per mapping event; steady-state chain evaluation
+// after warm-up then allocates nothing. The ChainCaches callers own — and
+// every PMF pinned in them — survive Recycle untouched; they are reclaimed
+// per machine, by invalidation.
 func (c *Calculus) Recycle() {
 	c.ws.Reset()
 	c.epoch++
-	c.eph.reset()
-	c.roots = c.roots[:0]
+	c.own.Invalidate(InvalidateEvent)
 }
 
 // exec returns the execution-time PMF for (t, mt).
@@ -237,79 +224,49 @@ func (c *Calculus) Append(prev pmf.PMF, t pet.TaskType, dl pmf.Tick, mt pet.Mach
 	return c.appendPMF(prev, t, dl, mt)
 }
 
-// availability computes the root PMF for the given key.
-func (c *Calculus) availability(key chainRootKey) pmf.PMF {
-	if key.running {
-		return c.ws.ConditionalRemainingShift(c.exec(key.rt, key.mt), key.elapsed, key.now)
+// availability computes the root PMF of queue q on machine type mt at now:
+// the running head's conditional completion time, or the free machine.
+func (c *Calculus) availability(mt pet.MachineType, now pmf.Tick, q []QueueTask) pmf.PMF {
+	if len(q) > 0 && q[0].Running {
+		return c.ws.ConditionalRemainingShift(c.exec(q[0].Type, mt), q[0].Elapsed, now)
 	}
-	return c.ws.Delta(key.now)
-}
-
-// rootFor returns the (cached) per-event trie root for the given
-// availability key.
-func (c *Calculus) rootFor(key chainRootKey) int32 {
-	for _, r := range c.roots {
-		if r.key == key {
-			c.rootHits.Add(1)
-			return r.node
-		}
-	}
-	c.rootMisses.Add(1)
-	id := c.eph.newNode(c.availability(key))
-	c.roots = append(c.roots, chainRoot{key: key, node: id})
-	return id
+	return c.ws.Delta(now)
 }
 
 // ChainState is a memoized position in a completion-time chain: the
 // completion PMF of some prefix of kept tasks, rooted at a machine's
 // availability. Appending a task of the same type whose truncation
 // deadline splits the state's PMF at the same impulse (see chainKey)
-// computes the convolution once. A state from the
-// per-event trie (cc == nil) is invalidated by Recycle, like the PMFs it
-// holds; a state from a persistent ChainCache is invalidated by the
-// cache's reset instead.
+// computes the convolution once. A state lives in the trie of the
+// ChainCache it was started from and is invalidated, like the PMFs it
+// holds, by that cache's reset.
 type ChainState struct {
 	c    *Calculus
-	cc   *ChainCache // nil: per-event trie
+	cc   *ChainCache
 	mt   pet.MachineType
 	node int32
 }
 
-// trie returns the node storage the state lives in.
-func (s ChainState) trie() *chainTrie {
-	if s.cc != nil {
-		return &s.cc.trie
-	}
-	return &s.c.eph
-}
-
 // ChainStart returns the chain state at machine mt's availability for
 // queue q at time now, together with the index of the first pending
-// (droppable) entry in q. If the head of q is running, the availability is
-// its conditional completion time; otherwise the machine is free now.
+// (droppable) entry in q, through the calculus-owned cache. If the head of
+// q is running, the availability is its conditional completion time;
+// otherwise the machine is free now.
 func (c *Calculus) ChainStart(mt pet.MachineType, now pmf.Tick, q []QueueTask) (ChainState, int) {
-	key := chainRootKey{mt: mt, now: now}
-	first := 0
-	if len(q) > 0 && q[0].Running {
-		key.running, key.rt, key.elapsed = true, q[0].Type, q[0].Elapsed
-		first = 1
-	}
-	return ChainState{c: c, mt: mt, node: c.rootFor(key)}, first
+	return c.ChainStartCached(nil, mt, now, q)
 }
 
-// PMF returns the completion PMF of the state's prefix. A per-event
-// state's PMF may alias the calculus arena (valid until Recycle); a
-// cached state's PMF is pinned (valid until the cache invalidates).
-func (s ChainState) PMF() pmf.PMF { return s.trie().nodes[s.node].cp }
+// PMF returns the completion PMF of the state's prefix, pinned in the
+// state's cache (valid until that cache invalidates).
+func (s ChainState) PMF() pmf.PMF { return s.cc.trie.nodes[s.node].cp }
 
 // Append chains one task of type t with truncation deadline dl onto the
 // state, reusing the memoized result if this transition was already
-// evaluated — within the current epoch for per-event states, since the
-// last invalidation for cached states. Fresh results under a cache are
-// pinned so they survive Recycle.
+// evaluated since the cache's last invalidation. Fresh results are pinned
+// in the cache, so a caller's cache carries them across Recycle.
 func (s ChainState) Append(t pet.TaskType, dl pmf.Tick) ChainState {
 	c := s.c
-	tr := s.trie()
+	tr := &s.cc.trie
 	// Rank(dl-1) is the kernel's own split: the impulses strictly before dl.
 	key := chainKey{t: t, k: int32(tr.nodes[s.node].cp.Rank(dl - 1))}
 	edges := tr.nodes[s.node].edges
@@ -324,10 +281,7 @@ func (s ChainState) Append(t pet.TaskType, dl pmf.Tick) ChainState {
 	}
 	c.chainMisses.Add(1)
 	prev := tr.nodes[s.node].cp
-	cp := c.appendPMF(prev, t, dl, s.mt)
-	if s.cc != nil {
-		cp = s.cc.adopt(prev, cp)
-	}
+	cp := s.cc.adopt(prev, c.appendPMF(prev, t, dl, s.mt))
 	id := tr.newNode(cp) // may grow tr.nodes; re-take the parent below
 	nd := &tr.nodes[s.node]
 	nd.edges = append(nd.edges, chainEdge{key: key, node: id})
@@ -351,7 +305,8 @@ func (s ChainState) AppendTask(qt QueueTask) ChainState {
 // becomes free for the first pending task, together with the index of the
 // first pending (droppable) entry in q. If the head of q is running, the
 // availability is its conditional completion time; otherwise the machine is
-// free now. The PMF may alias the calculus arena (valid until Recycle).
+// free now. The PMF is pinned in the calculus-owned cache (see the memory
+// contract).
 func (c *Calculus) Availability(mt pet.MachineType, now pmf.Tick, q []QueueTask) (avail pmf.PMF, firstPending int) {
 	s, first := c.ChainStart(mt, now, q)
 	return s.PMF(), first
@@ -360,7 +315,8 @@ func (c *Calculus) Availability(mt pet.MachineType, now pmf.Tick, q []QueueTask)
 // CompletionPMFs returns the completion-time PMF of every task in the
 // queue, in queue order, per Eq. 1. Index 0 of a running head is its
 // conditional completion time. Each PMF is compacted to the calculus
-// budget; all of them may alias the calculus arena (valid until Recycle).
+// budget and pinned in the calculus-owned cache: valid until Recycle or the
+// next chain started from another root (see the memory contract).
 // The returned slice is calculus-owned scratch, overwritten by the next
 // CompletionPMFs call (same contract as scratchQ): consume it within one
 // decision, or copy it out.

@@ -5,17 +5,21 @@ import (
 	"github.com/hpcclab/taskdrop/internal/pmf"
 )
 
-// Persistent per-machine chain cache.
+// ChainCache is the calculus' one chain memo: a trie of Eq. 1 chains under
+// one availability root.
 //
-// Recycle wipes the calculus' per-event trie and arena because their
-// storage is shared across machines and events. But the Eq. 1 chains of a
-// single machine are a pure function of (availability root, appended
-// (type, split) sequence — see chainKey): if the root PMF is bitwise the
-// inputs cold evaluation would use, every memoized transition under it is
-// bitwise what cold evaluation would produce. A ChainCache exploits that: it owns a
-// machine's trie and pins the trie's PMFs in its own arena, so the whole
-// structure survives Recycle; it is invalidated — wholesale, per machine —
-// only when the machine's root signature drifts.
+// Recycle wipes the calculus' arena because its storage is shared across
+// machines and events. But the Eq. 1 chains of a single machine are a pure
+// function of (availability root, appended (type, split) sequence — see
+// chainKey): if the root PMF is bitwise the inputs cold evaluation would
+// use, every memoized transition under it is bitwise what cold evaluation
+// would produce. A ChainCache exploits that: it owns a machine's trie and
+// pins the trie's PMFs in its own arena, so the whole structure survives
+// Recycle; it is invalidated — wholesale, per machine — only when the
+// machine's root signature drifts. The cache the calculus owns for callers
+// without one is the same structure on the shortest lifetime: Recycle
+// invalidates it too, which is the wipe-every-event discipline the
+// persistent caches are measured against (sim.Config.ColdChains).
 //
 // The root signature is where the time-shift tolerance lives. A running
 // head's availability is ConditionalRemainingShift(exec, elapsed, now):
@@ -65,6 +69,9 @@ type ChainCache struct {
 // the identical bit pattern, so a cached root (and every chain under it)
 // may be reused.
 type rootSig struct {
+	// mt is the machine type: constant for a machine's own cache, part of
+	// the root for the calculus-owned cache every machine type shares.
+	mt pet.MachineType
 	// running distinguishes the idle root Delta(now) from a conditional
 	// completion root.
 	running bool
@@ -117,20 +124,15 @@ const DefaultMaxPinnedImpulses = 16 << 10
 
 // NewChainCache returns an empty persistent chain cache bound to c. The
 // engine owns one per machine and passes it to ChainStartCached (directly
-// or via Context.ChainStart); a nil *ChainCache everywhere degrades to the
-// per-event trie.
+// or via Context.ChainStart); a caller that passes nil there shares the
+// cache the calculus owns, which lives until the next Recycle.
 func (c *Calculus) NewChainCache() *ChainCache {
 	return &ChainCache{c: c, maxPinned: DefaultMaxPinnedImpulses}
 }
 
 // Gen returns the cache generation, incremented by every reset. External
 // memos holding a ChainState from this cache must revalidate on it.
-func (cc *ChainCache) Gen() uint64 {
-	if cc == nil {
-		return 0
-	}
-	return cc.gen
-}
+func (cc *ChainCache) Gen() uint64 { return cc.gen }
 
 // Invalidate resets the cache, dropping every pinned chain, and records
 // the reason. Callers use it for lifecycle transitions the signature
@@ -138,7 +140,7 @@ func (cc *ChainCache) Gen() uint64 {
 // cache is a no-op and not counted. PMFs previously obtained through the
 // cache become invalid.
 func (cc *ChainCache) Invalidate(reason InvalidationReason) {
-	if cc == nil || (!cc.valid && cc.pin.committed == 0) {
+	if !cc.valid && cc.pin.committed == 0 {
 		return
 	}
 	cc.resetFor(reason)
@@ -192,21 +194,19 @@ func sameStorage(a, b pmf.PMF) bool {
 // state changes, and a pending overflow recycle is not triggered (an
 // overflowed cache still holds bitwise-correct chains until it is reset).
 func (c *Calculus) RootStable(cc *ChainCache, mt pet.MachineType, now pmf.Tick, q []QueueTask) bool {
-	if cc == nil || !cc.valid {
+	if !cc.valid {
 		return false
 	}
-	sig, _, _ := c.rootSignature(mt, now, q)
+	sig, _ := c.rootSignature(mt, now, q)
 	return sig == cc.sig
 }
 
-// rootSignature derives the cache signature, the first-pending index and
-// the per-event root key for (mt, now, q).
-func (c *Calculus) rootSignature(mt pet.MachineType, now pmf.Tick, q []QueueTask) (rootSig, int, chainRootKey) {
-	key := chainRootKey{mt: mt, now: now}
+// rootSignature derives the cache signature and the first-pending index
+// for (mt, now, q).
+func (c *Calculus) rootSignature(mt pet.MachineType, now pmf.Tick, q []QueueTask) (rootSig, int) {
 	first := 0
-	var sig rootSig
+	sig := rootSig{mt: mt}
 	if len(q) > 0 && q[0].Running {
-		key.running, key.rt, key.elapsed = true, q[0].Type, q[0].Elapsed
 		first = 1
 		sig.running = true
 		sig.rt = q[0].Type
@@ -225,22 +225,23 @@ func (c *Calculus) rootSignature(mt pet.MachineType, now pmf.Tick, q []QueueTask
 	} else {
 		sig.nowDep, sig.now = true, now
 	}
-	return sig, first, key
+	return sig, first
 }
 
-// ChainStartCached is ChainStart routed through a machine's persistent
-// cache: it revalidates the cached root against the current signature,
-// resetting the cache when the signature drifted (reason "event") or a
-// deferred overflow is pending, and returns a ChainState whose appends
-// memoize into — and pin inside — the cache. With cc == nil it falls back
-// to the per-event trie. Cached results are bitwise identical to cold
-// evaluation (see the ChainCache comment); hit/miss accounting uses the
-// same root/edge counters as the per-event trie.
+// ChainStartCached returns the chain state at the availability root of
+// queue q on machine type mt at now, and the index of q's first pending
+// entry, through cc: it revalidates the cached root against the current
+// signature, resetting the cache when the signature drifted (reason
+// "event") or a deferred overflow is pending, and returns a ChainState
+// whose appends memoize into — and pin inside — the cache. A nil cc stands
+// for the cache the calculus owns, whose chains live until the next Recycle
+// or the next start from a different root. Cached results are bitwise
+// identical to cold evaluation (see the ChainCache comment).
 func (c *Calculus) ChainStartCached(cc *ChainCache, mt pet.MachineType, now pmf.Tick, q []QueueTask) (ChainState, int) {
 	if cc == nil {
-		return c.ChainStart(mt, now, q)
+		cc = c.own
 	}
-	sig, first, key := c.rootSignature(mt, now, q)
+	sig, first := c.rootSignature(mt, now, q)
 	if cc.overflowed && cc.checked != c.epoch+1 {
 		// The budget blew during an earlier epoch; reset now that no
 		// decision holds the pinned PMFs.
@@ -255,7 +256,7 @@ func (c *Calculus) ChainStartCached(cc *ChainCache, mt pet.MachineType, now pmf.
 		return ChainState{c: c, cc: cc, mt: mt, node: cc.root}, first
 	}
 	c.rootMisses.Add(1)
-	avail := cc.pin.pin(c, c.availability(key))
+	avail := cc.pin.pin(c, c.availability(mt, now, q))
 	if cc.pin.committed > cc.maxPinned {
 		cc.overflowed = true
 	}

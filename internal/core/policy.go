@@ -12,8 +12,8 @@ type Context struct {
 	Calc *Calculus
 	// Cache is the machine's persistent chain cache when the caller owns
 	// one (the engine passes each machine's); policies route their chain
-	// roots through it via ChainStart. Nil falls back to the per-event
-	// trie with identical results.
+	// roots through it via ChainStart. Nil shares the cache the calculus
+	// owns (wiped by Recycle), with identical results.
 	Cache   *ChainCache
 	Machine pet.MachineType
 	Now     pmf.Tick

@@ -147,9 +147,11 @@ type Front struct {
 	metrics  *metrics
 
 	// seq numbers proxied requests front-locally (telemetry sampling);
-	// subID numbers generated sub-request decision IDs.
-	seq   atomic.Int64
-	subID atomic.Int64
+	// taskSeq numbers routed tasks (router.Task.Seq; from 0 with the
+	// process); subID numbers generated sub-request decision IDs.
+	seq     atomic.Int64
+	taskSeq atomic.Int64
+	subID   atomic.Int64
 
 	mu       sync.Mutex
 	draining bool
@@ -335,11 +337,13 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	// client under a fixed rotation), then group into per-backend
 	// sub-batches preserving request order.
 	byBackend := make([][]int, len(ready))
+	n := int64(len(req.Tasks))
+	base := f.taskSeq.Add(n) - n
 	for i := range req.Tasks {
 		t := &req.Tasks[i]
 		s := 0
 		if len(ready) > 1 {
-			s = f.policy.Route(router.Task{Class: t.Type, Arrival: t.Arrival, Deadline: t.Deadline}, views)
+			s = f.policy.Route(router.Task{Seq: base + int64(i), Class: t.Type, Arrival: t.Arrival, Deadline: t.Deadline}, views)
 		}
 		byBackend[s] = append(byBackend[s], i)
 	}

@@ -128,9 +128,6 @@ type Recovery struct {
 	TailSegments []int
 }
 
-// Empty reports whether there is nothing to recover.
-func (r *Recovery) Empty() bool { return r.Snapshot == nil && len(r.TailSegments) == 0 }
-
 // Replay streams the tail segments' records through fn in order.
 func (r *Recovery) Replay(dir string, fn func(*Record) error) error {
 	for _, seg := range r.TailSegments {
@@ -173,8 +170,7 @@ func Recover(dir string) (*Recovery, error) {
 }
 
 // ReplayAll streams every record of every segment in dir through fn, from
-// segment 0 — the from-scratch replay hcreplay -verify uses to prove the
-// log re-derives the recorded decisions.
+// segment 0 — how hcreplay -decision finds and replays up to one decision.
 func ReplayAll(dir string, fn func(*Record) error) error {
 	segs, err := Segments(dir)
 	if err != nil {

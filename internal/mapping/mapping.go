@@ -354,24 +354,12 @@ func (EDF) Map(ev *sim.MappingEvent) {
 }
 
 // MCT (Minimum Completion Time) maps tasks in arrival order, each to the
-// machine minimizing its expected completion time.
-type MCT struct{}
+// machine minimizing its expected completion time — FCFS under the name
+// the mapping literature gives it.
+type MCT struct{ FCFS }
 
 // Name implements sim.Mapper.
 func (MCT) Name() string { return "MCT" }
-
-// Map implements sim.Mapper.
-func (MCT) Map(ev *sim.MappingEvent) {
-	for len(ev.Batch()) > 0 {
-		free := freeMachines(ev)
-		if len(free) == 0 {
-			return
-		}
-		ts := ev.Batch()[0]
-		m, _ := bestByECT(ev, ts, free, noCutoff)
-		ev.Assign(ts, m)
-	}
-}
 
 // MET (Minimum Execution Time) maps tasks in arrival order, each to the
 // machine with its smallest mean execution time, ignoring queue state —

@@ -13,10 +13,13 @@
 //
 // Policies are consulted by a lock-free front-end: many goroutines may
 // call Route concurrently while shard decision loops publish their state
-// through ShardView atomics. No policy takes a lock; the mutable ones
-// (round-robin cursor, power-of-two RNG) advance a single atomic word.
-// The route hot path is budgeted at ≤ 2 allocations (all built-in
-// policies allocate zero); CI asserts the budget.
+// through ShardView atomics. No built-in policy has state of its own: a
+// route is a function of the task — its sequence number included, which
+// is where rr and p2c read their position — the policy's seed and the
+// published views, so a restarted process that restores its sequence
+// counter resumes routing where it stopped. The route hot path is budgeted
+// at ≤ 2 allocations (all built-in policies allocate zero); CI asserts the
+// budget.
 //
 // Policies resolve through the same parameterized spec grammar as
 // mappers, droppers and profiles (internal/spec):
@@ -53,6 +56,11 @@ const EWMAAlpha = 0.125
 // shard, nothing that would require parsing the full wire spec on the hot
 // path.
 type Task struct {
+	// Seq is the task's position in the caller's arrival order — the
+	// controller's cluster-wide sequence number, the offline trace's task
+	// ID, the router tier's own count. rr and p2c derive their choice from
+	// it and keep no cursor.
+	Seq int64
 	// Class is the task's PET row (task type).
 	Class int
 	// Arrival and Deadline are the task's absolute ticks.
@@ -217,24 +225,21 @@ type Policy interface {
 }
 
 // RoundRobin cycles through the shards in order, ignoring their state —
-// the zero-information baseline. The cursor is a single atomic, so
-// concurrent fronts interleave without locking.
-type RoundRobin struct {
-	next atomic.Uint64
-}
+// the zero-information baseline: task Seq goes to shard Seq mod n.
+type RoundRobin struct{}
 
-// NewRoundRobin returns a round-robin policy starting at shard 0.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
+// NewRoundRobin returns a round-robin policy.
+func NewRoundRobin() RoundRobin { return RoundRobin{} }
 
 // Name implements Policy.
-func (*RoundRobin) Name() string { return "rr" }
+func (RoundRobin) Name() string { return "rr" }
 
 // Route implements Policy.
-func (p *RoundRobin) Route(_ Task, views []*ShardView) int {
-	base := p.next.Add(1) - 1
+func (RoundRobin) Route(t Task, views []*ShardView) int {
+	base := uint64(t.Seq)
 	n := uint64(len(views))
-	// Walk forward past down shards; with nothing down this is exactly the
-	// plain cursor. When everything is down, land on the cursor's shard.
+	// Walk forward past down shards; with nothing down this is exactly
+	// Seq mod n. When everything is down, land on that shard.
 	for k := uint64(0); k < n; k++ {
 		i := int((base + k) % n)
 		if !views[i].Down() {
@@ -278,27 +283,23 @@ func (LeastMass) Route(_ Task, views []*ShardView) int {
 // (Mitzenmacher's power of two choices, applied to robustness instead of
 // queue length).
 //
-// The RNG is a counter-based splitmix64 advanced with one atomic add, so
-// concurrent routes never lock and a fixed seed makes a sequential request
-// stream reproducible.
+// The RNG is a counter-based splitmix64 whose counter is the task's
+// sequence number, so a fixed seed makes a request stream's routing
+// reproducible from any point in it.
 type PowerOfTwo struct {
-	state atomic.Uint64
+	seed uint64
 }
 
 // NewPowerOfTwo returns a power-of-two-choices policy seeded for
 // reproducible routing.
-func NewPowerOfTwo(seed int64) *PowerOfTwo {
-	p := &PowerOfTwo{}
-	p.state.Store(uint64(seed))
-	return p
-}
+func NewPowerOfTwo(seed int64) PowerOfTwo { return PowerOfTwo{seed: uint64(seed)} }
 
 // Name implements Policy.
-func (*PowerOfTwo) Name() string { return "p2c" }
+func (PowerOfTwo) Name() string { return "p2c" }
 
-// rand64 advances the counter-based splitmix64 stream by one draw.
-func (p *PowerOfTwo) rand64() uint64 {
-	x := p.state.Add(0x9E3779B97F4A7C15)
+// rand64 is draw seq of the seed's splitmix64 stream.
+func (p PowerOfTwo) rand64(seq int64) uint64 {
+	x := p.seed + (uint64(seq)+1)*0x9E3779B97F4A7C15
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -307,12 +308,12 @@ func (p *PowerOfTwo) rand64() uint64 {
 }
 
 // Route implements Policy.
-func (p *PowerOfTwo) Route(t Task, views []*ShardView) int {
+func (p PowerOfTwo) Route(t Task, views []*ShardView) int {
 	n := uint64(len(views))
 	if n == 1 {
 		return 0
 	}
-	r := p.rand64()
+	r := p.rand64(t.Seq)
 	i := int(r % n)
 	j := int((r >> 32) % (n - 1))
 	if j >= i {
@@ -345,8 +346,7 @@ func (p *PowerOfTwo) Route(t Task, views []*ShardView) int {
 // seeded, modulo the shard count). This is the router tier's default —
 // with task classes as partition keys, each backend's per-class EWMAs and
 // queue state see a stable workload mix, and a sequential client's routing
-// is a pure function of the task stream regardless of shard load. The
-// policy is stateless, so concurrent routes share nothing.
+// is a pure function of the task stream regardless of shard load.
 type ClassHash struct {
 	seed uint64
 }
@@ -395,8 +395,8 @@ func better(t Task, views []*ShardView, a, b int) bool {
 }
 
 // FromSpec resolves a routing-policy spec (see the package comment for the
-// grammar). Mutable policies (round-robin cursor, p2c RNG) are constructed
-// fresh per call, so two clusters never share routing state.
+// grammar). Policies are immutable values: two built from one spec route
+// the same Task over the same views identically.
 func FromSpec(s string) (Policy, error) {
 	name, params, err := spec.Parse(s)
 	if err != nil {

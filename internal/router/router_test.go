@@ -2,6 +2,7 @@ package router
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -51,11 +52,39 @@ func TestFromSpecFreshState(t *testing.T) {
 	}
 }
 
+// TestPoliciesRouteBySeq pins that rr and p2c keep no position of their
+// own: a route is a function of the task's Seq, so two instances of one
+// spec agree, and a policy asked about Seq 40..79 answers the same whether
+// or not it was asked about 0..39 first — a restarted controller, which
+// restores its sequence counter, routes on as the uninterrupted one.
+func TestPoliciesRouteBySeq(t *testing.T) {
+	for _, spec := range []string{"rr", "p2c:seed=5"} {
+		vs := views(3)
+		route := func(p Policy, lo, hi int) []int {
+			var out []int
+			for i := lo; i < hi; i++ {
+				out = append(out, p.Route(Task{Seq: int64(i), Class: i % 4}, vs))
+			}
+			return out
+		}
+		a, _ := FromSpec(spec)
+		b, _ := FromSpec(spec)
+		whole := route(a, 0, 80)
+		if got := route(b, 0, 80); !reflect.DeepEqual(got, whole) {
+			t.Errorf("%s: two instances route one Seq stream differently:\n%v\n%v", spec, whole, got)
+		}
+		fresh, _ := FromSpec(spec)
+		if got := route(fresh, 40, 80); !reflect.DeepEqual(got, whole[40:]) {
+			t.Errorf("%s: Seq 40..79 routed %v on a fresh policy, %v after 0..39", spec, got, whole[40:])
+		}
+	}
+}
+
 func TestRoundRobinCycles(t *testing.T) {
 	p := NewRoundRobin()
 	vs := views(3)
 	for i := 0; i < 9; i++ {
-		if got := p.Route(Task{}, vs); got != i%3 {
+		if got := p.Route(Task{Seq: int64(i)}, vs); got != i%3 {
 			t.Fatalf("route %d = %d, want %d", i, got, i%3)
 		}
 	}
@@ -117,7 +146,7 @@ func TestPowerOfTwoSecondChoiceDistinct(t *testing.T) {
 	}
 	counts := make([]int, 5)
 	for i := 0; i < 2000; i++ {
-		counts[p.Route(Task{Class: 1}, vs)]++
+		counts[p.Route(Task{Seq: int64(i), Class: 1}, vs)]++
 	}
 	if counts[0] != 0 {
 		t.Fatalf("shard 0 won %d pairs; the two choices are not distinct: %v", counts[0], counts)
@@ -245,7 +274,7 @@ func TestPoliciesSteerAroundDownShards(t *testing.T) {
 		vs[1].SetDown(true)
 		vs[2].SetDown(true)
 		for i := 0; i < 200; i++ {
-			task := Task{Class: i % 4}
+			task := Task{Seq: int64(i), Class: i % 4}
 			if got := p.Route(task, vs); got == 1 || got == 2 {
 				t.Fatalf("%s routed task %d to down shard %d", spec, i, got)
 			}
@@ -260,7 +289,7 @@ func TestPoliciesSteerAroundDownShards(t *testing.T) {
 		vs[2].SetLoad(2, 0, 4)
 		hit := make(map[int]bool)
 		for i := 0; i < 200; i++ {
-			hit[p.Route(Task{Class: i % 4}, vs)] = true
+			hit[p.Route(Task{Seq: int64(i), Class: i % 4}, vs)] = true
 		}
 		if !hit[1] && !hit[2] {
 			t.Fatalf("%s never routed to revived shards: %v", spec, hit)

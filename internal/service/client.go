@@ -118,7 +118,7 @@ func (cl *Client) PostJSON(ctx context.Context, url string, body, out any) error
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		lastErr = cl.post(ctx, url, data, out)
+		lastErr = cl.attempt(ctx, http.MethodPost, url, data, out)
 		if lastErr == nil || attempt >= cl.cfg.Retries || !retryable(lastErr) {
 			return lastErr
 		}
@@ -151,37 +151,11 @@ func (cl *Client) Shed429() int64 { return cl.shed429.Load() }
 // attempt under the per-attempt timeout — no retries. Health and stats
 // probes want fast failure, not a retry budget: the caller polls anyway.
 func (cl *Client) GetJSON(ctx context.Context, u string, out any) error {
-	cl.attempts.Add(1)
-	if cl.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cl.cfg.Timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := cl.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		he := &HTTPError{Status: resp.StatusCode, URL: u}
-		var eb errorBody
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil {
-			he.Msg = eb.Error
-		}
-		return he
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return cl.attempt(ctx, http.MethodGet, u, nil, out)
 }
 
-// post runs one attempt under the per-attempt timeout.
-func (cl *Client) post(ctx context.Context, u string, data []byte, out any) error {
+// attempt runs one request under the per-attempt timeout.
+func (cl *Client) attempt(ctx context.Context, method, u string, data []byte, out any) error {
 	cl.attempts.Add(1)
 	if cl.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -192,11 +166,13 @@ func (cl *Client) post(ctx context.Context, u string, data []byte, out any) erro
 	if data != nil {
 		rd = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, rd)
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := cl.http.Do(req)
 	if err != nil {
 		return err

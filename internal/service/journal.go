@@ -26,9 +26,9 @@ import (
 // Every shard loop appends its admission events (batch boundaries,
 // arrivals, decisions, terminal task events, drain) to its own WAL and
 // commits before acknowledging a decide sub-batch. Because a shard engine
-// is deterministic, the arrive records alone reconstruct its exact state
-// by replay; decision and event records make the log auditable
-// (cmd/hcreplay re-derives and compares them).
+// is deterministic, the input records alone reconstruct its exact state by
+// replay; decision and event records make the log auditable (recovery and
+// cmd/hcreplay re-derive and compare them, see shard.replayLog).
 
 // manifestName is the manifest file inside the journal root.
 const manifestName = "manifest.json"
@@ -169,9 +169,9 @@ func writeJournalMetrics(x *telemetry.Writer, c *Controller) {
 
 // initJournal brings the controller's journal up before the shard loops
 // start: validate (or create) the manifest, recover every shard from its
-// log — restore the newest checkpoint, then re-feed the tail's arrive
-// records through the deterministic engine — and only then open the
-// writers, which turns emit from a no-op into the log. Returns an error
+// log — restore the newest checkpoint, then walk the tail as hcreplay
+// -verify would (shard.replayLog) — and only then open the writers, which
+// turns emit from the walk's matching queue into the log. Returns an error
 // rather than serving over a log it cannot continue safely.
 func (c *Controller) initJournal() error {
 	root := c.cfg.JournalDir
@@ -205,7 +205,9 @@ func (c *Controller) initJournal() error {
 	maxSeq := int64(-1)
 	for _, sh := range c.shards {
 		start := time.Now()
-		if err := sh.recover(); err != nil {
+		sh.replay = true // until the writer opens, below
+		st, err := sh.recover()
+		if err != nil {
 			c.log.Error("journal recovery failed", "shard", sh.id, "dir", ShardJournalDir(root, sh.id), "err", err)
 			return fmt.Errorf("service: shard %d recovery: %w", sh.id, err)
 		}
@@ -213,6 +215,7 @@ func (c *Controller) initJournal() error {
 			"shard", sh.id,
 			"seq_watermark", sh.watermark,
 			"clock", int64(sh.eng.Now()),
+			"records", st.Records, "derived", st.Derived, "checkpoints", st.Checkpoints,
 			"elapsed", time.Since(start))
 		if sh.watermark > maxSeq {
 			maxSeq = sh.watermark
@@ -228,7 +231,11 @@ func (c *Controller) initJournal() error {
 	c.seedDedup()
 
 	// Writers open after recovery: OpenWriter truncates any torn tail, so
-	// it must not run until the replay has consumed the valid prefix.
+	// it must not run until the replay has consumed the valid prefix. What
+	// the walk derived past the end of the log (the records of the last
+	// inputs a crash cut off) is what the shard was about to write: it goes
+	// to the log first, riding the next commit, so the continued log is the
+	// one an uninterrupted shard leaves and keeps re-deriving.
 	for _, sh := range c.shards {
 		w, err := journal.OpenWriter(ShardJournalDir(root, sh.id), journal.WriterOptions{
 			Policy:   policy,
@@ -239,6 +246,10 @@ func (c *Controller) initJournal() error {
 			return err
 		}
 		sh.jw = w
+		for i := range sh.gen {
+			sh.emit(&sh.gen[i])
+		}
+		sh.replay, sh.gen = false, nil
 	}
 	return nil
 }
@@ -317,93 +328,46 @@ type recoveredBatch struct {
 // log, so neither replaying nor re-executing the request is safe.
 var errTornBatch = errors.New("batch torn by crash (journaled arrivals incomplete)")
 
-// recover rebuilds one shard's state from its log: restore the newest
-// checkpoint (engine snapshot, counters, robustness EWMAs, watermark),
-// then re-feed the tail segments' arrive records through the engine —
-// decisions re-derive deterministically, so the engine, the router view
-// and the counters land exactly where the crash left them. Runs before
-// the shard loop starts; no synchronization needed.
-func (sh *shard) recover() error {
-	dir := ShardJournalDir(sh.c.cfg.JournalDir, sh.id)
-	rec, err := journal.Recover(dir)
-	if err != nil {
-		return err
-	}
-	if rec.Snapshot != nil {
-		var cp ShardCheckpoint
-		if err := json.Unmarshal(rec.Snapshot, &cp); err != nil {
-			return fmt.Errorf("checkpoint decode: %w", err)
-		}
-		if cp.Engine == nil {
-			return fmt.Errorf("checkpoint without engine snapshot")
-		}
-		if err := sh.eng.RestoreSnapshot(cp.Engine); err != nil {
-			return err
-		}
-		// The checkpoint may carry runtime-added machines the directory has
-		// never seen; register them before any tail record references one.
-		sh.registerAdded()
-		sh.watermark = cp.SeqWatermark
-		// Into the shard's counters and the controller's aggregate alike,
-		// as admit counts the tail: decision counts re-derive exactly; the
-		// aggregate request counter is approximated by the sum of shard
-		// sub-batches (a multi-shard batch counted once per shard).
-		for _, m := range []*Metrics{sh.metrics, sh.c.metrics} {
-			m.requests.Add(cp.Requests)
-			m.mapped.Add(cp.Mapped)
-			m.deferred.Add(cp.Deferred)
-			m.dropped.Add(cp.Dropped)
-			m.tasks.Add(cp.Mapped + cp.Deferred + cp.Dropped)
-		}
-		for class, p := range cp.Robustness {
-			sh.view.SetClassRobustness(class, p)
-		}
-		sh.eng.PublishLoad(sh.view)
-	}
-	// open tracks the decide sub-batch currently being replayed, when it
-	// carries a decision ID; closeOpen retires it (complete or torn) into
-	// sh.recovered for dedup re-seeding.
+// recover rebuilds one shard's state from its log: replayLog from the
+// newest checkpoint on the served shard itself (which initJournal holds in
+// replay mode meanwhile), so the tail is applied by the statements that
+// wrote it and every decision, event and drain marker it holds is checked
+// against what they derive — a tail that does not re-derive refuses the
+// start, naming the record, instead of serving on state the log
+// contradicts. The walk's visitor keeps the dedup bookkeeping: each
+// ID-carrying sub-batch of the tail, complete or torn, lands in
+// sh.recovered; what the walk derived past the end of the log stays in
+// sh.gen for initJournal. Runs before the shard loop starts; no
+// synchronization needed.
+func (sh *shard) recover() (*VerifyStats, error) {
+	// open is the decide sub-batch being replayed, when it carries a
+	// decision ID; closeOpen retires it (complete or torn) into sh.recovered.
 	var open *recoveredBatch
 	closeOpen := func() {
 		if open == nil {
 			return
 		}
-		if open.err == nil && len(open.decisions) < open.expect {
+		if len(open.decisions) < open.expect {
 			open.err = errTornBatch
 		}
 		sh.recovered = append(sh.recovered, *open)
 		open = nil
 	}
-	err = rec.Replay(dir, func(r *journal.Record) error {
-		switch r.Kind {
-		case journal.KindBatch:
+	st, err := sh.replayLog(sh.c.cfg.JournalDir, true, func(r *journal.Record, d Decision) {
+		switch {
+		case r.Kind == journal.KindBatch:
 			closeOpen()
-			sh.metrics.requests.Add(1)
-			sh.c.metrics.requests.Add(1)
 			if r.ID != "" {
 				open = &recoveredBatch{id: r.ID, expect: int(r.NTasks)}
 			}
-		case journal.KindArrive:
-			// The wire decision the live server acknowledged, re-derived.
-			d := sh.admit(arriveTask(r), r.ID, nil)
-			if open != nil {
-				open.decisions = append(open.decisions, d)
-				open.now = sh.eng.Now()
-				if len(open.decisions) == open.expect {
-					closeOpen()
-				}
-			}
-		case journal.KindMembership:
-			// Membership records are replay inputs like arrives: re-apply
-			// the operation so the engine crosses the churn point exactly as
-			// the live server did.
-			if _, err := sh.applyMembership(r); err != nil {
-				return err
+		case r.Kind == journal.KindArrive && open != nil:
+			// d is the wire decision the live server acknowledged, re-derived.
+			open.decisions = append(open.decisions, d)
+			open.now = sh.eng.Now()
+			if len(open.decisions) == open.expect {
+				closeOpen()
 			}
 		}
-		// Decision, event and drain records re-derive from the arrives;
-		// hcreplay -verify consumes them, recovery does not.
-		return nil
 	})
 	// A log ending mid-batch is the torn tail of a crash.
 	closeOpen()
@@ -412,7 +376,7 @@ func (sh *shard) recover() error {
 	// around it from the first post-recovery request.
 	sh.updateMembershipGauges()
 	sh.eng.PublishLoad(sh.view)
-	return err
+	return st, err
 }
 
 // arriveRecord is the journal form of one admitted arrival: the input
@@ -431,9 +395,8 @@ func arriveRecord(t *workload.Task, id string) journal.Record {
 }
 
 // arriveTask reconstructs the engine task of one arrive record — the
-// inverse of arriveRecord, for recovery and offline replay (the recorded
-// Exec already carries the resolved execution times, so no PET fallback is
-// needed).
+// inverse of arriveRecord, for shard.apply (the recorded Exec already
+// carries the resolved execution times, so no PET fallback is needed).
 func arriveTask(rec *journal.Record) *workload.Task {
 	return &workload.Task{
 		ID:         int(rec.Seq),
@@ -520,4 +483,39 @@ func (sh *shard) checkpoint(drained bool) error {
 		return err
 	}
 	return sh.jw.Checkpoint(blob)
+}
+
+// restore is checkpoint's inverse: it loads one snapshot payload into a
+// freshly built shard.
+func (sh *shard) restore(payload []byte) error {
+	var cp ShardCheckpoint
+	if err := json.Unmarshal(payload, &cp); err != nil {
+		return fmt.Errorf("checkpoint decode: %w", err)
+	}
+	if cp.Engine == nil {
+		return fmt.Errorf("checkpoint without engine snapshot")
+	}
+	if err := sh.eng.RestoreSnapshot(cp.Engine); err != nil {
+		return err
+	}
+	// The checkpoint may carry runtime-added machines the directory has
+	// never seen; register them before any tail record references one.
+	sh.registerAdded()
+	sh.watermark = cp.SeqWatermark
+	// Into the shard's counters and the controller's aggregate alike, as
+	// apply counts the tail: decision counts re-derive exactly; the
+	// aggregate request counter is approximated by the sum of shard
+	// sub-batches (a multi-shard batch counted once per shard).
+	for _, m := range []*Metrics{sh.metrics, sh.c.metrics} {
+		m.requests.Add(cp.Requests)
+		m.mapped.Add(cp.Mapped)
+		m.deferred.Add(cp.Deferred)
+		m.dropped.Add(cp.Dropped)
+		m.tasks.Add(cp.Mapped + cp.Deferred + cp.Dropped)
+	}
+	for class, p := range cp.Robustness {
+		sh.view.SetClassRobustness(class, p)
+	}
+	sh.eng.PublishLoad(sh.view)
+	return nil
 }

@@ -57,41 +57,32 @@ func decideRange(t testing.TB, c *Controller, tr *workload.Trace, lo, hi, batch 
 // journaling controller mid-stream, reopen the journal, and the recovered
 // controller must (a) report byte-identical shard stats, (b) make exactly
 // the decisions an uninterrupted reference controller makes for the rest
-// of the stream — sequence numbers included — and (c) drain to the
-// identical final Result.
+// of the stream — sequence numbers and routing included — (c) drain to the
+// identical final Result, and (d) leave a journal that verifies. The kill
+// point is an input: four checkpoint cadences at one point, then every
+// point across two checkpoint intervals under each routing policy that
+// reads a position (rr, p2c) or the recovered views (mass).
 func TestJournalCrashRecovery(t *testing.T) {
-	for _, tc := range []struct {
-		shards, snapEvery int
-	}{
-		{1, 60},   // checkpoints + tail replay
-		{1, -1},   // no checkpoints: full replay from segment 0
-		{2, 60},   // sharded logs recover independently
-		{2, 7000}, // cadence never reached: snapshot exists only if drained
-	} {
-		t.Run(fmt.Sprintf("shards=%d/snap=%d", tc.shards, tc.snapEvery), func(t *testing.T) {
-			tr := testTrace(t, 400, 7)
-			jcfg := Config{
-				Profile: "video", Mapper: "PAM", Dropper: "heuristic",
-				Shards: tc.shards, Router: "rr",
-				JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: tc.snapEvery,
-			}
-			rcfg := jcfg
-			rcfg.JournalDir = ""
-
-			ref, err := New(rcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+	run := func(t *testing.T, jcfg Config, tr *workload.Trace, batch int, cuts []int) {
+		rcfg := jcfg
+		rcfg.JournalDir = ""
+		ref, err := New(rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := decideRange(t, ref, tr, 0, len(tr.Tasks), batch)
+		wantResult, err := ref.Drain(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cut := range cuts {
+			jcfg.JournalDir = t.TempDir()
 			jc, err := New(jcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			const cut = 250
-			wantHead := decideRange(t, ref, tr, 0, cut, 8)
-			gotHead := decideRange(t, jc, tr, 0, cut, 8)
-			if !reflect.DeepEqual(gotHead, wantHead) {
-				t.Fatal("journaled controller diverged from reference before the crash")
+			if got := decideRange(t, jc, tr, 0, cut, batch); !reflect.DeepEqual(got, want[:cut]) {
+				t.Fatalf("cut %d: journaled controller diverged from reference before the crash", cut)
 			}
 			pre, err := jc.ShardStats(context.Background())
 			if err != nil {
@@ -101,36 +92,63 @@ func TestJournalCrashRecovery(t *testing.T) {
 
 			jc2, err := New(jcfg)
 			if err != nil {
-				t.Fatalf("recovery: %v", err)
+				t.Fatalf("cut %d: recovery: %v", cut, err)
 			}
 			post, err := jc2.ShardStats(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(post, pre) {
-				t.Fatalf("recovered shard stats diverged:\n pre %+v\npost %+v", pre, post)
+				t.Fatalf("cut %d: recovered shard stats diverged:\n pre %+v\npost %+v", cut, pre, post)
 			}
-
-			wantTail := decideRange(t, ref, tr, cut, len(tr.Tasks), 8)
-			gotTail := decideRange(t, jc2, tr, cut, len(tr.Tasks), 8)
-			if !reflect.DeepEqual(gotTail, wantTail) {
-				t.Fatal("recovered controller diverged from reference after the crash")
-			}
+			gotTail := decideRange(t, jc2, tr, cut, len(tr.Tasks), batch)
 			if gotTail[0].Seq != cut {
-				t.Fatalf("first post-recovery seq = %d, want %d (no reissue, no gap)", gotTail[0].Seq, cut)
+				t.Fatalf("cut %d: first post-recovery seq = %d (no reissue, no gap)", cut, gotTail[0].Seq)
 			}
-
+			for i, d := range gotTail {
+				if d != want[cut+i] {
+					t.Fatalf("cut %d: recovered controller diverged from reference at task %d:\n got %+v\nwant %+v", cut, cut+i, d, want[cut+i])
+				}
+			}
 			got, err := jc2.Drain(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.Drain(context.Background())
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(got, wantResult) {
+				t.Fatalf("cut %d: drained results diverged:\n got %+v\nwant %+v", cut, got, wantResult)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("drained results diverged:\n got %+v\nwant %+v", got, want)
+			if _, err := VerifyAll(jcfg.JournalDir); err != nil {
+				t.Fatalf("cut %d: journal after crash and recovery: %v", cut, err)
 			}
+		}
+	}
+	base := Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", Fsync: "never"}
+	for _, tc := range []struct {
+		shards, snapEvery int
+	}{
+		{1, 60},   // checkpoints + tail replay
+		{1, -1},   // no checkpoints: full replay from segment 0
+		{2, 60},   // sharded logs recover independently
+		{2, 7000}, // cadence never reached: snapshot exists only if drained
+	} {
+		t.Run(fmt.Sprintf("shards=%d/snap=%d", tc.shards, tc.snapEvery), func(t *testing.T) {
+			cfg := base
+			cfg.Shards, cfg.Router, cfg.SnapshotEvery = tc.shards, "rr", tc.snapEvery
+			run(t, cfg, testTrace(t, 400, 7), 8, []int{250})
+		})
+	}
+	var sweep []int
+	for k := 60; k <= 110; k++ {
+		sweep = append(sweep, k)
+	}
+	for _, tc := range []struct {
+		router string
+		shards int
+	}{{"rr", 2}, {"mass", 2}, {"p2c", 3}} {
+		t.Run(fmt.Sprintf("sweep/%s/shards=%d", tc.router, tc.shards), func(t *testing.T) {
+			cfg := base
+			cfg.Shards, cfg.Router, cfg.SnapshotEvery = tc.shards, tc.router, 60
+			run(t, cfg, testTrace(t, 200, 7), 1, sweep)
 		})
 	}
 }
@@ -193,6 +211,85 @@ func TestJournalGracefulDrainThenReopen(t *testing.T) {
 		t.Fatalf("post-reopen seq = %d, want %d", resp.Decisions[0].Seq, len(tr.Tasks))
 	}
 	crash(c2)
+}
+
+// TestJournalRecoversDrainMarker kills the server between drainCmd's commit
+// of the drain marker and its final checkpoint: the marker is an input
+// record like any other, so the recovered shard is drained — not serving
+// the pre-drain queues under a log that says they are gone — takes the rest
+// of the trace, and its journal verifies.
+func TestJournalRecoversDrainMarker(t *testing.T) {
+	tr := testTrace(t, 200, 9)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 40,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, 120, 8)
+	sh := c.shards[0]
+	var cerr error
+	if err := sh.do(context.Background(), func() { sh.drain(); cerr = sh.jw.Commit() }); err != nil || cerr != nil {
+		t.Fatal(err, cerr)
+	}
+	crash(c)
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recovery across a drain marker: %v", err)
+	}
+	snap, err := c2.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Live.Batch != 0 || snap.Live.Queued != 0 || snap.Live.Running != 0 {
+		t.Fatalf("shard recovered un-drained past its drain marker: %+v", snap.Live)
+	}
+	if got := decideRange(t, c2, tr, 120, len(tr.Tasks), 8); got[0].Seq != 120 {
+		t.Fatalf("first post-recovery seq = %d, want 120", got[0].Seq)
+	}
+	crash(c2)
+	if _, err := VerifyAll(cfg.JournalDir); err != nil {
+		t.Fatalf("journal continued past a recovered drain marker: %v", err)
+	}
+}
+
+// TestJournalTornTailStaysVerifiable cuts a crashed log inside a sub-batch,
+// after an arrive whose decision never reached the disk: recovery
+// re-derives the decision, poisons nothing it should not, and logs what
+// the crash cut off before anything new, so the continued journal verifies
+// and recovers a second time.
+func TestJournalTornTailStaysVerifiable(t *testing.T) {
+	tr := testTrace(t, 200, 9)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, 80, 8)
+	crash(c)
+	rewriteSegment(t, ShardJournalDir(cfg.JournalDir, 0), 0, func(recs []journal.Record) []journal.Record {
+		if last := recs[len(recs)-1]; last.Kind != journal.KindDecision {
+			t.Fatalf("log ends in %s, want the last arrive's decision", last.String())
+		}
+		return recs[:len(recs)-1]
+	})
+	for _, upTo := range []int{140, 200} {
+		c, err = New(cfg)
+		if err != nil {
+			t.Fatalf("recovery before task %d: %v", upTo, err)
+		}
+		decideRange(t, c, tr, upTo-60, upTo, 8)
+		crash(c)
+		if _, err := VerifyAll(cfg.JournalDir); err != nil {
+			t.Fatalf("journal continued past a torn tail (to task %d): %v", upTo, err)
+		}
+	}
 }
 
 // TestJournalManifestMismatch refuses to continue a journal written under
@@ -344,6 +441,10 @@ func rewriteSnapshot(t *testing.T, dir string, seg int, edit func(*ShardCheckpoi
 // from-scratch re-derivation. One edit to a copied 2-shard journal with
 // checkpoints — a derived record, an input record, a snapshot — must fail
 // verification and name the record or snapshot; the untouched copy passes.
+// Recovery is the same walk from the newest checkpoint, so New refuses the
+// one edit that lands after it and resumes the untouched copy where the
+// live controller stood; an edit behind the newest checkpoint is in bytes
+// recovery never reads and stays hcreplay -verify's to find.
 func TestVerifyDetectsTampering(t *testing.T) {
 	tr := testTrace(t, 300, 11)
 	cfg := Config{
@@ -355,6 +456,16 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 	decideRange(t, c, tr, 0, 200, 8)
+	// The rows copy the journal as it stood here, every ack committed, so
+	// the untouched copy must recover to exactly these stats.
+	pre, err := c.ShardStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := t.TempDir()
+	if err := os.CopyFS(live, os.DirFS(cfg.JournalDir)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -376,20 +487,21 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		name   string
 		tamper func(t *testing.T, shardDir string)
 		want   string // "" = must verify
+		refuse string // "" = New must recover the copy (see above)
 	}{
-		{"untouched", func(*testing.T, string) {}, ""},
+		{"untouched", func(*testing.T, string) {}, "", ""},
 		{"decision machine changed", func(t *testing.T, dir string) {
 			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
 				recs[firstOf(t, recs, isMap)].Machine++
 				return recs
 			})
-		}, "record "},
+		}, "record ", ""},
 		{"terminal event removed", func(t *testing.T, dir string) {
 			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
 				i := firstOf(t, recs, func(r *journal.Record) bool { return r.Kind == journal.KindEvent })
 				return append(recs[:i], recs[i+1:]...)
 			})
-		}, "record "},
+		}, "record ", ""},
 		{"arrive deadline changed", func(t *testing.T, dir string) {
 			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
 				// A mapped task whose deadline had passed on arrival is
@@ -401,10 +513,10 @@ func TestVerifyDetectsTampering(t *testing.T) {
 				recs[i].Deadline = recs[i].Tick - 1
 				return recs
 			})
-		}, "record "},
+		}, "record ", ""},
 		{"checkpoint counter changed", func(t *testing.T, dir string) {
 			rewriteSnapshot(t, dir, 0, func(cp *ShardCheckpoint) { cp.Mapped++ })
-		}, "snapshot 0"},
+		}, "snapshot 0", ""},
 		{"forged trailing decision", func(t *testing.T, dir string) {
 			// The replay cannot derive a record nothing in the log leads to.
 			w, err := journal.OpenWriter(dir, journal.WriterOptions{Policy: journal.SyncNever})
@@ -417,11 +529,11 @@ func TestVerifyDetectsTampering(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}, "logged records beyond"},
+		}, "logged records beyond", "logged records beyond"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
-			if err := os.CopyFS(root, os.DirFS(cfg.JournalDir)); err != nil {
+			if err := os.CopyFS(root, os.DirFS(live)); err != nil {
 				t.Fatal(err)
 			}
 			tc.tamper(t, ShardJournalDir(root, 0))
@@ -437,6 +549,24 @@ func TestVerifyDetectsTampering(t *testing.T) {
 			// The tampering is confined to shard 0: its sibling still verifies.
 			if _, err := VerifyShard(root, 1); err != nil {
 				t.Fatalf("shard 1: %v", err)
+			}
+			rcfg := cfg
+			rcfg.JournalDir = root
+			c2, err := New(rcfg)
+			if tc.refuse != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.refuse) {
+					t.Fatalf("New over a tail that does not re-derive: %v, want an error containing %q", err, tc.refuse)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer crash(c2)
+			if tc.want == "" {
+				if post, err := c2.ShardStats(context.Background()); err != nil || !reflect.DeepEqual(post, pre) {
+					t.Fatalf("recovered shard stats diverged (%v):\n pre %+v\npost %+v", err, pre, post)
+				}
 			}
 		})
 	}
@@ -590,7 +720,7 @@ func TestVerifyWarmJournalColdReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := sh.verify(cfg.JournalDir)
+		st, err := sh.replayLog(cfg.JournalDir, false, nil)
 		if err != nil {
 			t.Fatalf("cold replay diverged from the warm recording: %v", err)
 		}

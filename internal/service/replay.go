@@ -14,22 +14,25 @@ import (
 	"github.com/hpcclab/taskdrop/internal/telemetry"
 )
 
-// Offline journal replay (cmd/hcreplay).
+// Journal replay: crash recovery and cmd/hcreplay.
 //
-// The journal's arrive and membership records are the ground truth: a
-// shard is deterministic, so applying them to a fresh shard built from the
-// manifest re-derives every decision and terminal event. The logged
-// decision/event records and the checkpoints are therefore redundant by
-// construction — which is exactly what makes the log auditable: verify
-// recomputes the derived stream from scratch and fails on the first record
+// The journal's input records (batch, arrive, membership, drain) are the
+// ground truth: a shard is deterministic, so applying them to a shard built
+// from the manifest re-derives every decision and terminal event. The
+// logged decision/event records and the checkpoints are therefore redundant
+// by construction — which is exactly what makes the log auditable:
+// replayLog recomputes the derived stream and fails on the first record
 // where the recomputation and the recording disagree.
 //
-// The replayer is a shard: openReplay obtains it from build, the
-// constructor service.New serves from, and applies the records through the
-// methods the live loop runs (see "One shard state machine" in the package
-// doc), so replay == live by construction. What stays independent, and is
-// what verification tests, is the comparison: the bytes on disk against a
-// re-derivation that starts from nothing.
+// There is one interpreter of input records (shard.apply) and one walk over
+// a log (shard.replayLog). hcreplay -verify is the walk from genesis on a
+// shard openReplay obtains from build, the constructor service.New serves
+// from; crash recovery is the same walk from the newest checkpoint on the
+// shard about to be served (shard.recover); both apply the records through
+// the methods the live loop runs (see "One shard state machine" in the
+// package doc), so replay == live and recovered == uninterrupted by
+// construction. What stays independent, and is what verification tests, is
+// the comparison: the bytes on disk against a re-derivation.
 
 // robustnessTol bounds the acceptable divergence when comparing replayed
 // router EWMAs against checkpointed ones. Both sides run the same float
@@ -56,7 +59,9 @@ func openReplay(root string, s int, cold bool) (*shard, error) {
 	return c.shards[s], nil
 }
 
-// VerifyStats summarizes one shard's verified log.
+// VerifyStats summarizes one walk over a shard's log (replayLog): the whole
+// log under hcreplay -verify, the tail behind the newest checkpoint at
+// recovery.
 type VerifyStats struct {
 	Shard       int
 	Records     int // logged records consumed
@@ -86,24 +91,57 @@ func VerifyShard(root string, s int) (*VerifyStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sh.verify(root)
+	return sh.replayLog(root, false, nil)
 }
 
-// verify is VerifyShard over a fresh replay shard.
-func (sh *shard) verify(root string) (*VerifyStats, error) {
+// apply is the one interpreter of the journal's input records: it changes
+// the shard as the live loop did when it wrote rec, through the same
+// methods, and returns the wire decision of an arrive. The derived records
+// this produces leave through emit.
+func (sh *shard) apply(rec *journal.Record) (Decision, error) {
+	switch rec.Kind {
+	case journal.KindBatch:
+		sh.metrics.requests.Add(1)
+		sh.c.metrics.requests.Add(1)
+	case journal.KindArrive:
+		return sh.admit(arriveTask(rec), rec.ID, nil), nil
+	case journal.KindMembership:
+		if _, err := sh.applyMembership(rec); err != nil {
+			return Decision{}, fmt.Errorf("membership replay: %w", err)
+		}
+	case journal.KindDrain:
+		sh.drain()
+	}
+	return Decision{}, nil
+}
+
+// replayLog is the one walk over a shard's log, on a shard in replay mode
+// (emit queues what the shard derives in sh.gen): from genesis on a fresh
+// shard (VerifyShard), or — fromCheckpoint — from the newest checkpoint
+// that reads back, restored first (recovery). It applies every input
+// record through apply, calling visit (when non-nil) with the record and
+// apply's decision; matches every logged decision, event and drain marker
+// against the derived stream; and compares every checkpoint it passes
+// against the replayed state. Derived records past the end of the log are
+// the suffix a crash cut off (Unflushed); logged ones the replay cannot
+// explain are an error.
+func (sh *shard) replayLog(root string, fromCheckpoint bool, visit func(*journal.Record, Decision)) (*VerifyStats, error) {
 	s := sh.id
 	dir := ShardJournalDir(root, s)
-	segs, err := journal.Segments(dir)
+	plan := &journal.Recovery{}
+	var err error
+	if fromCheckpoint {
+		plan, err = journal.Recover(dir)
+	} else {
+		plan.TailSegments, err = journal.Segments(dir)
+	}
 	if err != nil {
 		return nil, err
 	}
-	snaps, err := journal.Snapshots(dir)
-	if err != nil {
-		return nil, err
-	}
-	hasSnap := make(map[int]bool, len(snaps))
-	for _, k := range snaps {
-		hasSnap[k] = true
+	if plan.Snapshot != nil {
+		if err := sh.restore(plan.Snapshot); err != nil {
+			return nil, err
+		}
 	}
 
 	st := &VerifyStats{Shard: s}
@@ -122,48 +160,47 @@ func (sh *shard) verify(root string) (*VerifyStats, error) {
 		return nil
 	}
 
-	for _, seg := range segs {
+	for _, seg := range plan.TailSegments {
 		err := journal.ScanSegment(journal.SegmentPath(dir, seg), func(rec *journal.Record) error {
 			st.Records++
 			switch rec.Kind {
-			case journal.KindBatch:
-				sh.metrics.requests.Add(1)
-			case journal.KindArrive:
-				st.Arrives++
-				sh.admit(arriveTask(rec), rec.ID, nil)
-			case journal.KindDrain:
-				// Logged drain: the derived events for it may still be queued
-				// in `logged` (they precede the marker in the log); draining
-				// now generates their counterparts.
-				sh.drain()
-				logged = append(logged, *rec)
 			case journal.KindTrace:
 				// Stage timings are wall-clock observations — replay cannot
-				// re-derive them, so verification skips them by design.
+				// re-derive them, so the walk skips them by design.
 				st.Traces++
+				return nil
+			case journal.KindDecision, journal.KindEvent:
+				logged = append(logged, *rec)
+				return match()
+			case journal.KindArrive:
+				st.Arrives++
 			case journal.KindMembership:
 				st.Membership++
-				if _, err := sh.applyMembership(rec); err != nil {
-					return fmt.Errorf("membership replay: %w", err)
-				}
-			default:
+			case journal.KindDrain:
+				// The events the drain derives precede the marker in the log
+				// and are still queued in logged; applying it generates their
+				// counterparts and the marker's.
 				logged = append(logged, *rec)
+			}
+			d, err := sh.apply(rec)
+			if err != nil {
+				return err
+			}
+			if visit != nil {
+				visit(rec, d)
 			}
 			return match()
 		})
 		if err != nil {
 			return st, err
 		}
-		if !hasSnap[seg] {
-			continue
-		}
 		// Snapshot seg captures the state after every record of segment seg
 		// (the writer rotates at the checkpoint): compare it field by field
-		// against the replayed state at this exact boundary.
+		// against the replayed state at this exact boundary. An absent one is
+		// no checkpoint, and a torn one is not a log defect — recovery falls
+		// back to an older one and replays a longer tail.
 		payload, err := journal.ReadSnapshotFile(journal.SnapshotPath(dir, seg))
 		if err != nil {
-			// A torn snapshot is not a log defect — recovery falls back to an
-			// older one and replays a longer tail. Skip it like Recover does.
 			continue
 		}
 		if err := sh.compareCheckpoint(payload, seg); err != nil {
@@ -176,9 +213,6 @@ func (sh *shard) verify(root string) (*VerifyStats, error) {
 	// records the replay produced but the log never committed are the
 	// expected torn suffix. Logged records the replay cannot explain are
 	// not.
-	if err := match(); err != nil {
-		return st, err
-	}
 	if len(logged) > 0 {
 		return st, fmt.Errorf("shard %d: %d logged records beyond what replay derives (first: %s)",
 			s, len(logged), logged[0].String())
@@ -312,22 +346,14 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 		return fmt.Errorf("service: no arrive record with seq %d in shard %d of %s", seq, s, root)
 	}
 
-	// Second pass: replay every earlier arrive, stopping just before the
-	// target so the engine holds the exact pre-decision state.
+	// Second pass: apply every record before the target arrive, so the
+	// engine holds the exact pre-decision state.
 	err = journal.ReplayAll(dir, func(rec *journal.Record) error {
-		switch rec.Kind {
-		case journal.KindArrive:
-			if rec.Seq == seq {
-				return errAuditStop
-			}
-			sh.admit(arriveTask(rec), rec.ID, nil)
-		case journal.KindDrain:
-			sh.drain()
-		case journal.KindMembership:
-			_, err := sh.applyMembership(rec)
-			return err
+		if rec.Kind == journal.KindArrive && rec.Seq == seq {
+			return errAuditStop
 		}
-		return nil
+		_, err := sh.apply(rec)
+		return err
 	})
 	if err != nil && !errors.Is(err, errAuditStop) {
 		return err

@@ -36,9 +36,17 @@
 // shard (New serves it; replay takes the one the manifest pins),
 // shard.admit applies an arrival, shard.applyMembership a membership
 // operation, shard.drain the drain, and every derived record leaves through
-// shard.emit. The live loop, crash recovery, hcreplay -verify and hcreplay
-// -decision differ only in where records come from and where emit sends
-// them, so replay == live and recovered == uninterrupted by construction.
+// shard.emit. Reading a log back is as single: shard.apply interprets an
+// input record by calling those methods, and shard.replayLog is the one
+// walk over the segments — it applies the inputs, matches every logged
+// decision, event and drain marker against what emit derives, and compares
+// the checkpoints it passes. hcreplay -verify is that walk from genesis;
+// crash recovery is the same walk from the newest checkpoint, on the shard
+// about to be served, so a server resumes only on a tail its own
+// re-execution reproduces. The live loop, recovery, hcreplay -verify and
+// hcreplay -decision differ only in where records come from and where emit
+// sends them, so replay == live and recovered == uninterrupted by
+// construction.
 //
 // # Memory model
 //
@@ -235,8 +243,8 @@ func New(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	// Recovery runs before the loops start: each shard restores its newest
-	// checkpoint and replays its log tail single-threaded, then the writers
-	// open (truncating any torn tail) and the loops take over.
+	// checkpoint and replays and checks its log tail single-threaded, then
+	// the writers open (truncating any torn tail) and the loops take over.
 	if c.cfg.JournalDir != "" {
 		if err := c.initJournal(); err != nil {
 			return nil, err
@@ -394,10 +402,8 @@ func partitionSize(s string, machines int) (int, error) {
 }
 
 // buildCluster constructs the controller's shard cluster. An empty
-// partition owns the whole matrix (bit-identical to the pre-partition
-// construction); "k/K" takes part k of the matrix-wide round-robin deal
-// and sub-shards it locally, with the failure seeds displaced per part so
-// sibling processes never share a failure stream.
+// partition owns the whole matrix; "k/K" takes part k of the matrix-wide
+// round-robin deal and sub-shards it locally.
 func buildCluster(matrix *pet.Matrix, partition string, shards int, pol router.Policy, perShard sim.ShardBuilder, simCfg sim.Config) (*sim.Cluster, error) {
 	if partition == "" {
 		return sim.NewCluster(matrix, shards, pol, perShard, simCfg)
@@ -407,9 +413,7 @@ func buildCluster(matrix *pet.Matrix, partition string, shards int, pol router.P
 		return nil, err
 	}
 	parts, globals := sim.PartitionMachines(matrix, total)
-	// 1009 (prime, far above any realistic shard count) spreads the
-	// per-part seed bases so part k's shards and part k+1's never collide.
-	return sim.NewClusterOver(matrix, parts[k], globals[k], shards, pol, perShard, simCfg, int64(k)*1009)
+	return sim.NewClusterOver(matrix, parts[k], globals[k], shards, pol, perShard, simCfg)
 }
 
 // Matrix returns the served system's PET matrix.
@@ -496,7 +500,7 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	byShard := make([][]int, len(c.shards))
 	for i := range req.Tasks {
 		t := &req.Tasks[i]
-		s := c.cl.Route(pet.TaskType(t.Type), t.Arrival, t.Deadline)
+		s := c.cl.Route(seqs[i], pet.TaskType(t.Type), t.Arrival, t.Deadline)
 		byShard[s] = append(byShard[s], i)
 	}
 	type result struct {

@@ -48,9 +48,9 @@ type shard struct {
 	// commitJournal on the loop) so HTTP goroutines can read it: once true
 	// the shard refuses every state change with ErrJournalFailed.
 	journalFailed atomic.Bool
-	// replay marks an offline replay shard (openReplay): emit queues its
-	// records in gen, to be matched against the logged ones, instead of
-	// dropping them for want of a writer.
+	// replay marks a shard walking a log (openReplay's offline one, or the
+	// served one while it recovers): emit queues its records in gen, for
+	// replayLog to match against the logged ones.
 	replay bool
 	gen    []journal.Record
 
@@ -209,8 +209,8 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 }
 
 // admit is the one place an arrival changes a shard: the live loop calls it
-// on the task it just logged, crash recovery and offline replay on
-// arriveTask of the record they read. It feeds the engine, assembles the
+// on the task it just logged, apply — for crash recovery and offline replay
+// — on arriveTask of the record it read. It feeds the engine, assembles the
 // wire decision, folds the outcome into the router view and both counter
 // sets, emits the derived decision record and advances the watermark — so
 // a recovered or replayed shard lands where the live one stood because it
@@ -256,11 +256,11 @@ func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Active) Deci
 // emit is the one exit of every journal record a shard produces (batch,
 // arrive, decision, terminal event, membership, drain, trace): appended to
 // the write-ahead log on a served shard, queued for matching against the
-// log on a replay shard, dropped on an unjournaled one and during recovery
-// (whose writer opens only after the tail is consumed). A method rather
-// than a func value so the records callers build stay on their stacks. A
-// failed append latches journalFailed; the sub-batch's commit then fails
-// the request.
+// log on a shard replaying one (recovery included: the writer opens only
+// after the tail is consumed and matched), dropped on an unjournaled one. A
+// method rather than a func value so the records callers build stay on
+// their stacks. A failed append latches journalFailed; the sub-batch's
+// commit then fails the request.
 func (sh *shard) emit(rec *journal.Record) {
 	switch {
 	case sh.jw != nil:
@@ -383,8 +383,9 @@ func (sh *shard) drain() {
 // drainCmd drains the shard on the loop and stops it. Executed as the
 // loop's final command. With journaling on, a final checkpoint after the
 // drain marker makes the log self-contained — recovery after a graceful
-// shutdown restores the checkpoint and replays nothing — and the writer
-// closes with a last fsync.
+// shutdown restores the checkpoint and replays nothing; killed between the
+// two, it replays the marker and drains again — and the writer closes with
+// a last fsync.
 func (sh *shard) drainCmd() {
 	sh.drain()
 	if sh.jw != nil {

@@ -23,24 +23,23 @@ import (
 // the unsharded engine.
 func PartitionMachines(m *pet.Matrix, n int) (shards [][]pet.MachineSpec, global [][]int) {
 	all := m.Machines()
-	if n < 1 || n > len(all) {
-		panic(fmt.Sprintf("sim: %d shards for %d machines, want 1..%d", n, len(all), len(all)))
+	return PartitionSpecs(all, identity(len(all)), n)
+}
+
+// identity returns the index translation of a set that is the whole
+// matrix: 0..n-1.
+func identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	shards = make([][]pet.MachineSpec, n)
-	global = make([][]int, n)
-	for i, spec := range all {
-		s := i % n
-		spec.Index = len(shards[s]) // shard-local position
-		shards[s] = append(shards[s], spec)
-		global[s] = append(global[s], i)
-	}
-	return shards, global
+	return out
 }
 
 // PartitionSpecs deals an arbitrary machine subset round-robin into n
-// shards — the same deal as PartitionMachines, but over a slice that is
-// itself already a partition of the matrix (a multi-process deployment
-// gives each server one PartitionMachines part and sub-shards it locally).
+// shards — PartitionMachines' deal, over a slice that may itself already be
+// a partition of the matrix (a multi-process deployment gives each server
+// one PartitionMachines part and sub-shards it locally).
 // global[i] must be machines[i]'s matrix-wide index; the returned globals
 // compose the two translations, so globals[s][local] is still matrix-wide.
 func PartitionSpecs(machines []pet.MachineSpec, global []int, n int) (shards [][]pet.MachineSpec, globals [][]int) {
@@ -172,21 +171,15 @@ func NewCluster(m *pet.Matrix, n int, pol router.Policy, build ShardBuilder, cfg
 		return nil, fmt.Errorf("sim: cluster over nil matrix")
 	}
 	all := m.Machines()
-	global := make([]int, len(all))
-	for i := range global {
-		global[i] = i
-	}
-	return NewClusterOver(m, all, global, n, pol, build, cfg, 0)
+	return NewClusterOver(m, all, identity(len(all)), n, pol, build, cfg)
 }
 
 // NewClusterOver builds a cluster over an arbitrary machine subset of the
 // matrix — the multi-process form: a shard server owns one
 // PartitionMachines part of the matrix and sub-shards it locally, so K
 // servers of N shards each cover the matrix exactly once. global[i] is
-// machines[i]'s matrix-wide index; seedOffset displaces the per-shard
-// failure seeds so independent processes never share a failure stream
-// (NewCluster passes 0, keeping single-process clusters bit-identical).
-func NewClusterOver(m *pet.Matrix, machines []pet.MachineSpec, global []int, n int, pol router.Policy, build ShardBuilder, cfg Config, seedOffset int64) (*Cluster, error) {
+// machines[i]'s matrix-wide index.
+func NewClusterOver(m *pet.Matrix, machines []pet.MachineSpec, global []int, n int, pol router.Policy, build ShardBuilder, cfg Config) (*Cluster, error) {
 	if m == nil {
 		return nil, fmt.Errorf("sim: cluster over nil matrix")
 	}
@@ -213,7 +206,7 @@ func NewClusterOver(m *pet.Matrix, machines []pet.MachineSpec, global []int, n i
 		shardCfg := cfg
 		shardCfg.BoundaryExclusion = cfg.BoundaryExclusion / n
 		if shardCfg.Failures.Enabled() {
-			shardCfg.Failures.Seed += seedOffset + int64(s)
+			shardCfg.Failures.Seed += int64(s)
 		}
 		cl.engines[s] = NewOpenShard(m, parts[s], mapper, dropper, shardCfg)
 		cl.views[s] = router.NewShardView(m.NumTaskTypes())
@@ -305,14 +298,14 @@ func (cl *Cluster) ApplyChurn(ev ChurnEvent) error {
 	}
 }
 
-// Route picks the shard an arriving task is admitted through. It reads
-// only the policy's own state and the shard views' atomics, so any number
-// of goroutines may route concurrently with the shard loops.
-func (cl *Cluster) Route(class pet.TaskType, arrival, deadline pmf.Tick) int {
+// Route picks the shard the seq-th arriving task is admitted through. It
+// reads only the (immutable) policy and the shard views' atomics, so any
+// number of goroutines may route concurrently with the shard loops.
+func (cl *Cluster) Route(seq int64, class pet.TaskType, arrival, deadline pmf.Tick) int {
 	if len(cl.engines) == 1 {
 		return 0
 	}
-	s := cl.policy.Route(router.Task{Class: int(class), Arrival: arrival, Deadline: deadline}, cl.views)
+	s := cl.policy.Route(router.Task{Seq: seq, Class: int(class), Arrival: arrival, Deadline: deadline}, cl.views)
 	if s < 0 || s >= len(cl.engines) {
 		panic(fmt.Sprintf("sim: router %q returned shard %d of %d", cl.policy.Name(), s, len(cl.engines)))
 	}
@@ -326,7 +319,7 @@ func (cl *Cluster) Route(class pet.TaskType, arrival, deadline pmf.Tick) int {
 // cluster driver; the online service feeds shard engines from per-shard
 // loops instead.
 func (cl *Cluster) Feed(t *workload.Task) (shard int, ts *TaskState) {
-	shard = cl.Route(t.Type, t.Arrival, t.Deadline)
+	shard = cl.Route(int64(t.ID), t.Type, t.Arrival, t.Deadline)
 	eng := cl.engines[shard]
 	ts = eng.Feed(t)
 	// Nobody reads the view of a lone shard (Route skips the policy), so

@@ -66,7 +66,7 @@ func TestNewClusterOverEqualsFullClusterUnion(t *testing.T) {
 
 	clusters := make([]*Cluster, 2)
 	for k := range clusters {
-		cl, err := NewClusterOver(m, parts[k], globals[k], 1, router.NewRoundRobin(), pamHeuristic(t), Config{QueueCap: 6}, int64(k)*1009)
+		cl, err := NewClusterOver(m, parts[k], globals[k], 1, router.NewRoundRobin(), pamHeuristic(t), Config{QueueCap: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
