@@ -61,17 +61,44 @@ func BenchmarkFig9Cost(b *testing.B)             { benchFigure(b, "fig9") }
 func BenchmarkFig10Video(b *testing.B)           { benchFigure(b, "fig10") }
 func BenchmarkReactiveShare(b *testing.B)        { benchFigure(b, "drops") }
 
+// benchSPECTrace returns the SPEC system's matrix and trial 0's trace of a
+// scenario of the given shape: what every iteration of a single-trial
+// benchmark replays.
+func benchSPECTrace(b *testing.B, tasks int, window taskdrop.Tick, seed int64) (*taskdrop.Matrix, *taskdrop.Trace) {
+	b.Helper()
+	sc, err := taskdrop.NewScenario("spec", taskdrop.WithTasks(tasks), taskdrop.WithWindow(window), taskdrop.WithSeed(seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := sc.Trace(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sc.Matrix(), tr
+}
+
+// benchTrial runs the trace once under registry-named policies, resolved
+// per run as a scenario trial resolves them.
+func benchTrial(b *testing.B, m *taskdrop.Matrix, tr *taskdrop.Trace, mapperSpec, dropperSpec string) *taskdrop.Result {
+	b.Helper()
+	mapper, err := taskdrop.NewMapper(mapperSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dropper, err := taskdrop.NewDropper(dropperSpec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sim.New(m, tr, mapper, dropper, sim.DefaultConfig()).Run()
+}
+
 // BenchmarkEngineThroughput measures raw simulated tasks per second for
 // the paper's flagship combination (PAM + Heuristic) on the SPEC system.
 func BenchmarkEngineThroughput(b *testing.B) {
-	sys := taskdrop.SPECSystem()
-	tr := sys.Workload(2000, 13000, taskdrop.DefaultGammaSlack, 1)
+	m, tr := benchSPECTrace(b, 2000, 13000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.Simulate(tr, "PAM", taskdrop.HeuristicDropper())
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := benchTrial(b, m, tr, "PAM", "heuristic")
 		if err := res.Validate(); err != nil {
 			b.Fatal(err)
 		}
@@ -112,13 +139,10 @@ func BenchmarkDecideThreshold(b *testing.B) { benchDecide(b, core.NewThreshold()
 // BenchmarkMapperStep measures one full PAM mapping pass over a loaded
 // batch (25 unmapped tasks, one free slot per machine).
 func BenchmarkMapperStep(b *testing.B) {
-	sys := taskdrop.SPECSystem()
-	tr := sys.Workload(1000, 6500, taskdrop.DefaultGammaSlack, 2)
+	m, tr := benchSPECTrace(b, 1000, 6500, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Simulate(tr, "MinMin", taskdrop.ReactiveDropper()); err != nil {
-			b.Fatal(err)
-		}
+		benchTrial(b, m, tr, "MinMin", "reactdrop")
 	}
 }
 

@@ -94,13 +94,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// With -breakdown, trial 0 runs through an introspectable engine; for a
-	// single-trial scenario that engine run IS the result (no re-simulation).
+	// With -breakdown, trial 0 runs through an engine of its own with a
+	// recorder subscribed (an engine keeps no per-task records itself); for
+	// a single-trial scenario that engine run IS the result (no
+	// re-simulation).
 	var eng *taskdrop.Engine
+	var rec *taskdrop.Recorder
 	if *breakdown {
 		if eng, err = sc.Engine(0); err != nil {
 			log.Fatal(err)
 		}
+		rec = taskdrop.Record(eng)
 	}
 
 	start := time.Now()
@@ -147,9 +151,9 @@ func main() {
 	}
 	fmt.Printf("wall clock            %s\n", elapsed.Round(time.Millisecond))
 
-	if eng != nil {
+	if rec != nil {
 		fmt.Println()
-		types, machines := eng.Breakdown()
+		types, machines := rec.Breakdown()
 		taskdrop.FprintBreakdown(os.Stdout, types, machines)
 	}
 	_ = os.Stdout.Sync()

@@ -74,28 +74,45 @@ func ExampleNewSweep() {
 	// @600 tasks: dropping helps (paired Δ > 0): true
 }
 
-// Example demonstrates the minimal end-to-end flow: build a system,
-// generate an oversubscribed workload, and compare robustness with and
-// without the autonomous proactive dropping heuristic on identical
-// arrivals.
+// Example demonstrates the minimal end-to-end flow: one trial of an
+// oversubscribed workload with and without the autonomous proactive
+// dropping heuristic, on identical arrivals (same profile, shape and seed).
 func Example() {
-	sys := taskdrop.VideoSystem()
-	trace := sys.Workload(500, 3000, taskdrop.DefaultGammaSlack, 42)
-
-	with, _ := sys.Simulate(trace, "PAM", taskdrop.HeuristicDropper())
-	without, _ := sys.Simulate(trace, "PAM", taskdrop.ReactiveDropper())
-
-	fmt.Println("proactive dropping helps:", with.RobustnessPct > without.RobustnessPct)
+	robustness := func(dropper string) float64 {
+		sc, err := taskdrop.NewScenario("video",
+			taskdrop.WithMapper("PAM"),
+			taskdrop.WithDropper(dropper),
+			taskdrop.WithTasks(500),
+			taskdrop.WithWindow(3000),
+			taskdrop.WithSeed(42),
+		)
+		if err != nil {
+			panic(err)
+		}
+		rr, err := sc.Run(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		return rr.Trials[0].RobustnessPct
+	}
+	fmt.Println("proactive dropping helps:", robustness("heuristic") > robustness("reactdrop"))
 	// Output:
 	// proactive dropping helps: true
 }
 
-// ExampleSystem_Workload shows the deadline rule of §V-A: every task's
+// ExampleScenario_Trace shows the deadline rule of §V-A: every task's
 // deadline is its arrival plus its type's mean execution time plus
 // γ × the grand mean.
-func ExampleSystem_Workload() {
-	sys := taskdrop.VideoSystem()
-	trace := sys.Workload(3, 100, 1.0, 7)
+func ExampleScenario_Trace() {
+	sc, err := taskdrop.NewScenario("video",
+		taskdrop.WithTasks(3), taskdrop.WithWindow(100), taskdrop.WithGamma(1.0), taskdrop.WithSeed(7))
+	if err != nil {
+		panic(err)
+	}
+	trace, err := sc.Trace(0)
+	if err != nil {
+		panic(err)
+	}
 	for _, task := range trace.Tasks {
 		fmt.Println(task.Deadline > task.Arrival)
 	}
@@ -116,7 +133,7 @@ func ExampleHeuristicDropperWith() {
 }
 
 // ExampleMapperNames lists the built-in mapping heuristics that can be
-// passed to System.Simulate.
+// passed to WithMapper.
 func ExampleMapperNames() {
 	names := taskdrop.MapperNames()
 	fmt.Println(len(names) >= 6, names[0], names[2])

@@ -116,7 +116,7 @@ func (f *Front) pollOnce(b *backend, probe *service.Client) {
 	robustness := make([]float64, f.matrix.NumTaskTypes())
 	for _, sh := range stats.Shards {
 		batch += sh.Live.Batch
-		queued += sh.Live.Queued
+		queued += sh.Live.Queued + sh.Live.Running // in machine queues, as sim.Engine.PublishLoad counts them
 		free += int(sh.FreeSlots)
 		if sh.LiveMachines > 0 {
 			degraded = false

@@ -126,6 +126,42 @@ func TestFrontReplayAcrossPartitions(t *testing.T) {
 	}
 }
 
+// TestFrontQueueMassCountsRunningTasks: the load the router tier routes
+// and reports by is the load each backend publishes for itself — batch plus
+// everything in machine queues, the running heads included — not a lighter
+// reading that forgets up to one task per machine.
+func TestFrontQueueMassCountsRunningTasks(t *testing.T) {
+	urls, ctrls := newBackendControllers(t, 2)
+	f := newFront(t, urls, nil)
+	srv := httptest.NewServer(NewHandler(f))
+	defer srv.Close()
+	if _, err := service.Replay(context.Background(), srv.Client(), srv.URL, testTrace(t, 240, 9), service.ReplayConfig{
+		BatchSize: 8, Timeout: 5 * time.Second,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range ctrls {
+		shards, err := c.ShardStats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		running := 0
+		for _, sh := range shards {
+			running += sh.Live.Running
+		}
+		if running == 0 {
+			t.Fatalf("vacuous: the load left backend %d nothing running", i)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !polledStateCurrent(t, f, ctrls) {
+		if time.Now().After(deadline) {
+			t.Fatalf("polled backend load never equalled the backends' own queue mass: %+v", f.Stats().Backends)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestFrontDeterministicAcrossRestarts(t *testing.T) {
 	// Same trace, same backends-per-partition, same routing policy: the
 	// decision sequence is reproducible (the hash router is stateless and

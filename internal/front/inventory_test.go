@@ -187,7 +187,7 @@ func polledStateCurrent(t *testing.T, f *Front, ctrls []*service.Controller) boo
 		}
 		var mass, free int64
 		for _, sh := range shards {
-			mass += int64(sh.Live.Batch + sh.Live.Queued)
+			mass += sh.QueueMass
 			free += sh.FreeSlots
 		}
 		if st.Backends[i].QueueMass != mass || st.Backends[i].FreeSlots != free {

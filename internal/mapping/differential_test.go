@@ -172,8 +172,9 @@ func TestPrunedMappersMatchExhaustive(t *testing.T) {
 		cfg.ColdChains = cold
 		rec := &assignLog{Mapper: mapper}
 		e := sim.New(m, tr, rec, dropper, cfg)
+		tasks := sim.Record(e)
 		res := e.Run()
-		return outcome{rec.log, *res, e.TaskStates(), e.Calc().Stats()}
+		return outcome{rec.log, *res, tasks.TaskStates(), e.Calc().Stats()}
 	}
 	for _, p := range profiles {
 		for seed := int64(1); seed <= int64(seeds); seed++ {

@@ -55,11 +55,12 @@ func runWith(t testing.TB, m *pet.Matrix, mapperName string, tasks []workload.Ta
 		cfg.QueueCap = queueCap
 	}
 	e := sim.New(m, tr, mapper, core.ReactiveOnly{}, cfg)
+	rec := sim.Record(e)
 	res := e.Run()
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return e.TaskStates()
+	return rec.TaskStates()
 }
 
 // matrix1 builds a PET with len(cells) task types on one machine type.
@@ -298,8 +299,9 @@ func TestKPBRestrictsToBestExecSubset(t *testing.T) {
 	cfg := sim.DefaultConfig()
 	cfg.BoundaryExclusion = 0
 	e := sim.New(m, tr, mapper, core.ReactiveOnly{}, cfg)
+	rec := sim.Record(e)
 	e.Run()
-	for i, st := range e.TaskStates() {
+	for i, st := range rec.TaskStates() {
 		if st.Machine != 0 {
 			t.Fatalf("KPB task %d on machine %d, want 0", i, st.Machine)
 		}
@@ -320,9 +322,10 @@ func TestRandomAssignsEverythingDeterministically(t *testing.T) {
 		cfg := sim.DefaultConfig()
 		cfg.BoundaryExclusion = 0
 		e := sim.New(m, tr, mapping.NewRandom(3), core.ReactiveOnly{}, cfg)
+		rec := sim.Record(e)
 		e.Run()
 		var machines []int
-		for _, st := range e.TaskStates() {
+		for _, st := range rec.TaskStates() {
 			if st.Status != sim.StatusCompletedOnTime {
 				t.Fatalf("task %d status %v", st.Task.ID, st.Status)
 			}

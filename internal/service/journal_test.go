@@ -572,6 +572,71 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	}
 }
 
+// TestCheckpointCostIsFlat: a checkpoint holds what the shard has queued,
+// not what it has ever admitted, so the 12 000th task's checkpoint is no
+// bigger than an early one (allowing 2x for queue depth and digit widths).
+// When the engine snapshot listed every task fed, each checkpoint grew by
+// some 135 B per task admitted since the one before.
+func TestCheckpointCostIsFlat(t *testing.T) {
+	tr := testTrace(t, 12000, 31)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic", BoundaryExclusion: 100,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 400,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, len(tr.Tasks), 16)
+	crash(c) // no drain: the last checkpoint is one the cadence wrote under load
+	dir := ShardJournalDir(cfg.JournalDir, 0)
+	snaps, err := journal.Snapshots(dir)
+	if err != nil || len(snaps) < 10 {
+		t.Fatalf("%d checkpoints (%v), want at least 10", len(snaps), err)
+	}
+	size := func(seg int) int64 {
+		fi, err := os.Stat(journal.SnapshotPath(dir, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	if first, last := size(snaps[0]), size(snaps[len(snaps)-1]); last > 2*first {
+		t.Fatalf("checkpoint %d of %d is %d B, the first was %d B", len(snaps), len(snaps), last, first)
+	}
+}
+
+// TestRecoveryRefusesOldCheckpointFormat: a journal whose newest checkpoint
+// holds an engine snapshot of another format version is refused at restart
+// with the version named — not misread, and not replayed from genesis
+// behind the operator's back. The unversioned pre-tally format reads as
+// version 0.
+func TestRecoveryRefusesOldCheckpointFormat(t *testing.T) {
+	tr := testTrace(t, 120, 7)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 50,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, len(tr.Tasks), 4)
+	crash(c)
+	dir := ShardJournalDir(cfg.JournalDir, 0)
+	snaps, err := journal.Snapshots(dir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no checkpoint to age (%v)", err)
+	}
+	rewriteSnapshot(t, dir, snaps[len(snaps)-1], func(cp *ShardCheckpoint) { cp.Engine.Version = 0 })
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "format version 0") {
+		t.Fatalf("restart on an old-format checkpoint: %v, want a refusal naming format version 0", err)
+	}
+	if _, err := VerifyShard(cfg.JournalDir, 0); err == nil || !strings.Contains(err.Error(), "format version 0") {
+		t.Fatalf("verify over an old-format checkpoint: %v, want a failure naming format version 0", err)
+	}
+}
+
 // TestJournalFailureStopsAdmission pins fail-stop: once a shard's log has
 // lost a write the request that hit it fails with 503, later requests are
 // refused before they touch the engine, /readyz turns 503, and a restart

@@ -50,13 +50,17 @@
 //
 // # Memory model
 //
-// Each shard retains one small task record per decision so the drain
-// Result can account for the full run exactly like an offline trial
-// (including per-task utility and boundary exclusion). Live gauges are
-// O(1) — each engine maintains its lifecycle census incrementally — but
-// memory grows linearly with tasks served (~100 B/task). For multi-day
-// deployments, drain and restart per epoch to bound the history a
-// controller accounts for.
+// A shard holds a task while it is live — deferred in the batch or on a
+// machine queue, so at most the queue slots plus the backlog — and lets go
+// of it the moment it settles: the engine folds the outcome into a census
+// and a small tally (sim.Live, sim.Tally: counts by outcome, the grace
+// credit, and the outcomes of the first and last BoundaryExclusion
+// arrivals), and the drain Result is read off those, exactly as an offline
+// trial's is. Memory, a checkpoint's size and the time to write, restore
+// or verify one therefore follow what is queued now, not how many tasks
+// the shard has ever admitted; live gauges are O(1). What still grows with
+// tasks served is the journal's segment files, which nothing deletes yet,
+// and the bounded dedup window and trace ring do not.
 package service
 
 import (

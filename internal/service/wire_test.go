@@ -100,7 +100,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 		&StatsResponse{Router: "hash", Shards: []ShardSnapshot{{
 			Shard:        0,
 			Now:          512,
-			Live:         sim.Live{Arrived: 9, Batch: 1, Queued: 4, Running: 2, OnTime: 1, Late: 1},
+			Live:         sim.Live{Arrived: 9, Batch: 1, Queued: 4, Running: 2, Outcomes: sim.Outcomes{OnTime: 1, Late: 1}},
 			QueueDepths:  []int{2, 3},
 			Machines:     []int{0, 2},
 			LiveMachines: 2,

@@ -10,14 +10,10 @@ import (
 
 // TypeBreakdown is the terminal-state mix of one task type.
 type TypeBreakdown struct {
-	Type             pet.TaskType
-	Name             string
-	Total            int
-	OnTime           int
-	Late             int
-	DroppedReactive  int
-	DroppedProactive int
-	Failed           int
+	Type  pet.TaskType
+	Name  string
+	Total int
+	Outcomes
 }
 
 // RobustnessPct returns the type's on-time percentage.
@@ -38,9 +34,39 @@ type MachineBreakdown struct {
 	CostUSD   float64  // busy time × hourly price
 }
 
-// Breakdown aggregates per-type and per-machine statistics from a finished
-// engine. Call after Run.
-func (e *Engine) Breakdown() ([]TypeBreakdown, []MachineBreakdown) {
+// Recorder keeps the per-task records the engine itself lets go of: one
+// TaskState per settled task, as the terminal hook showed it. Tools that
+// need more than Result's counts — hcsim -breakdown, the differential test
+// suites — subscribe one before feeding; the admission service and
+// Scenario trials do not, and hold nothing per settled task.
+type Recorder struct {
+	e      *Engine
+	states []TaskState
+}
+
+// Record subscribes a new Recorder to e's terminal hook (SetJournal: it
+// takes the place of any hook installed before). Call it before the first
+// Feed.
+func Record(e *Engine) *Recorder {
+	r := &Recorder{e: e}
+	e.SetJournal(func(ts *TaskState, _ pmf.Tick) {
+		for len(r.states) <= ts.Seq {
+			r.states = append(r.states, TaskState{})
+		}
+		r.states[ts.Seq] = *ts
+	})
+	return r
+}
+
+// TaskStates returns the records in arrival order. After Run or Drain it
+// holds every task; before, a task still live is a zero TaskState (nil
+// Task). The slice is the recorder's own.
+func (r *Recorder) TaskStates() []TaskState { return r.states }
+
+// Breakdown aggregates per-type and per-machine statistics of a finished
+// run from the records and the engine's machines. Call after Run.
+func (r *Recorder) Breakdown() ([]TypeBreakdown, []MachineBreakdown) {
+	e := r.e
 	types := make([]TypeBreakdown, e.pet.NumTaskTypes())
 	names := e.pet.Profile().TaskTypeNames
 	for i := range types {
@@ -55,21 +81,11 @@ func (e *Engine) Breakdown() ([]TypeBreakdown, []MachineBreakdown) {
 			CostUSD:   float64(m.busy) / 3.6e6 * m.Spec.PriceHour,
 		}
 	}
-	for _, ts := range e.tasks {
+	for i := range r.states {
+		ts := &r.states[i]
 		tb := &types[ts.Task.Type]
 		tb.Total++
-		switch ts.Status {
-		case StatusCompletedOnTime:
-			tb.OnTime++
-		case StatusCompletedLate:
-			tb.Late++
-		case StatusDroppedReactive:
-			tb.DroppedReactive++
-		case StatusDroppedProactive:
-			tb.DroppedProactive++
-		case StatusFailed:
-			tb.Failed++
-		}
+		tb.add(ts.Status, 1)
 		if ts.Machine >= 0 && ts.Status != StatusDroppedReactive && ts.Status != StatusDroppedProactive {
 			mb := &machines[ts.Machine]
 			mb.Started++

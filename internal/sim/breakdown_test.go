@@ -14,9 +14,10 @@ func TestBreakdownConservation(t *testing.T) {
 	m := pet.Build(pet.VideoProfile(), 1, pet.BuildOptions{SamplesPerCell: 150, BinsPerPMF: 15})
 	tr := workload.Generate(m, workload.Config{TotalTasks: 500, Window: 2500, GammaSlack: 2}, 31)
 	e := New(m, tr, fifoMapper{}, core.NewHeuristic(), DefaultConfig())
+	rec := Record(e)
 	res := e.Run()
 
-	types, machines := e.Breakdown()
+	types, machines := rec.Breakdown()
 	if len(types) != m.NumTaskTypes() {
 		t.Fatalf("type breakdowns = %d", len(types))
 	}
@@ -52,7 +53,7 @@ func TestBreakdownConservation(t *testing.T) {
 }
 
 func TestBreakdownRobustnessPct(t *testing.T) {
-	tb := TypeBreakdown{Total: 4, OnTime: 1}
+	tb := TypeBreakdown{Total: 4, Outcomes: Outcomes{OnTime: 1}}
 	if got := tb.RobustnessPct(); got != 25 {
 		t.Fatalf("RobustnessPct = %v", got)
 	}
@@ -65,8 +66,9 @@ func TestFprintBreakdown(t *testing.T) {
 	m := pet.Build(pet.VideoProfile(), 1, pet.BuildOptions{SamplesPerCell: 100, BinsPerPMF: 10})
 	tr := workload.Generate(m, workload.Config{TotalTasks: 100, Window: 1000, GammaSlack: 2}, 32)
 	e := New(m, tr, fifoMapper{}, nil, DefaultConfig())
+	rec := Record(e)
 	e.Run()
-	types, machines := e.Breakdown()
+	types, machines := rec.Breakdown()
 	var b bytes.Buffer
 	FprintBreakdown(&b, types, machines)
 	out := b.String()

@@ -139,8 +139,9 @@ func TestOneShardClusterMatchesEngine(t *testing.T) {
 	}
 	// Per-task states match the engine's too, machine for machine.
 	ref := New(m, tr, pamLike{}, core.NewHeuristic(), cfg)
+	rec := Record(ref)
 	ref.Run()
-	for i, rs := range ref.TaskStates() {
+	for i, rs := range rec.TaskStates() {
 		cs := states[i]
 		if cs.Status != rs.Status || cs.Machine != rs.Machine || cs.Start != rs.Start || cs.Finish != rs.Finish {
 			t.Fatalf("task %d diverged: cluster %+v vs engine %+v", i, *cs, rs)

@@ -73,16 +73,17 @@ func TestHeuristicBoundMatchesExhaustiveRun(t *testing.T) {
 			tr := workload.Generate(m, workload.Config{
 				TotalTasks: 30000, Window: workload.StandardWindow, GammaSlack: workload.DefaultGammaSlack,
 			}.Scaled(0.1), 1)
-			run := func(dropper core.Policy) (*sim.Engine, *sim.Result) {
+			run := func(dropper core.Policy) (*sim.Engine, []sim.TaskState, *sim.Result) {
 				e := sim.New(m, tr, mapping.PAM{}, dropper, sim.DefaultConfig())
-				return e, e.Run()
+				rec := sim.Record(e)
+				res := e.Run()
+				return e, rec.TaskStates(), res
 			}
-			ref, want := run(exhaustiveHeuristic{})
-			eng, got := run(core.NewHeuristic())
+			ref, ws, want := run(exhaustiveHeuristic{})
+			eng, gs, got := run(core.NewHeuristic())
 			if *got != *want {
 				t.Fatalf("results differ:\n got %+v\nwant %+v", got, want)
 			}
-			gs, ws := eng.TaskStates(), ref.TaskStates()
 			if len(gs) != 3000 || len(ws) != len(gs) {
 				t.Fatalf("%d and %d task states, want 3000 each", len(gs), len(ws))
 			}

@@ -36,7 +36,7 @@ type Config struct {
 	// only once now ≥ deadline + ReactiveGrace. Zero reproduces the
 	// paper's model (no value after the deadline); non-zero supports the
 	// approximate-computing extension, where slightly-late completions
-	// still deliver partial utility (see sim.UtilityScore and
+	// still deliver partial utility (see Result.UtilityPct and
 	// core.ApproxHeuristic).
 	ReactiveGrace pmf.Tick
 	// ColdChains disables the per-machine persistent chain caches: every
@@ -81,13 +81,11 @@ type Engine struct {
 	calc          *core.Calculus
 	cfg           Config
 
-	clock    pmf.Tick
-	machines []*Machine
-	batch    []*TaskState
-	// tasks holds one heap-allocated state per arrived task, in arrival
-	// order; pointer elements keep batch/queue references stable as Feed
-	// appends.
-	tasks      []*TaskState
+	clock pmf.Tick
+	// A live task is held by the batch or by exactly one machine queue;
+	// a terminal one is held by nothing (see transition).
+	machines   []*Machine
+	batch      []*TaskState
 	totalSlots int
 	failures   []machineFailureState
 	// removed flags machines taken out of the live set at runtime (nil
@@ -102,37 +100,39 @@ type Engine struct {
 	// assert the caches never change a decision.
 	coldChains bool
 	// live is the incremental lifecycle census of arrived tasks, kept in
-	// sync by arrive/transition so LiveCounts is O(1) — the admission
+	// sync by Feed/transition so LiveCounts is O(1) — the admission
 	// service reads it on every metrics scrape without stalling the
-	// decision loop.
-	live Live
+	// decision loop. With tally it is the engine's whole account of the
+	// tasks that have settled: Result is a read of the two.
+	live  Live
+	tally Tally
 	// journal, when set, observes every terminal transition (completion,
 	// failure, drop) with the tick it happened at — the admission service's
-	// WAL hook (see SetJournal).
+	// WAL hook, or a Recorder (see SetJournal).
 	journal func(*TaskState, pmf.Tick)
 }
 
 // SetJournal installs (or clears, with nil) the terminal-transition hook:
 // fn fires inside every transition to a terminal status, in event order,
-// before the transition's mapping pipeline continues. The hook must not
-// mutate the engine.
+// before the transition's mapping pipeline continues, with the task's
+// record complete (Finish set). It is the last the engine shows of the
+// task. The hook must not mutate the engine.
 func (e *Engine) SetJournal(fn func(*TaskState, pmf.Tick)) { e.journal = fn }
 
-// arrive registers a task entering the system in the batch queue.
-func (e *Engine) arrive(ts *TaskState) {
-	ts.Status = StatusBatch
-	e.live.Arrived++
-	e.live.Batch++
-}
-
 // transition moves an arrived task to a new lifecycle state, keeping the
-// live census in sync. Every post-arrival status change must go through
-// here (TestLiveCountsStayConsistent cross-checks against a full recount).
+// live census in sync; a terminal state folds the task into the tally and
+// shows it to the journal hook. Every post-arrival status change must go
+// through here (TestLiveCountsStayConsistent cross-checks against a full
+// recount).
 func (e *Engine) transition(ts *TaskState, to Status) {
 	e.live.add(ts.Status, -1)
 	ts.Status = to
 	e.live.add(to, 1)
-	if e.journal != nil && to.Terminal() {
+	if !to.Terminal() {
+		return
+	}
+	e.settle(ts)
+	if e.journal != nil {
 		e.journal(ts, e.clock)
 	}
 }
@@ -161,6 +161,9 @@ func newEngineWith(m *pet.Matrix, specs []pet.MachineSpec, mapper Mapper, droppe
 	if cfg.QueueCap < 1 {
 		panic(fmt.Sprintf("sim: queue capacity %d, want >= 1", cfg.QueueCap))
 	}
+	if cfg.BoundaryExclusion < 0 {
+		panic(fmt.Sprintf("sim: boundary exclusion %d, want >= 0", cfg.BoundaryExclusion))
+	}
 	if len(specs) == 0 {
 		panic("sim: engine with no machines")
 	}
@@ -173,6 +176,7 @@ func newEngineWith(m *pet.Matrix, specs []pet.MachineSpec, mapper Mapper, droppe
 		dropper: dropper,
 		calc:    core.NewCalculus(m),
 		cfg:     cfg,
+		tally:   Tally{Tail: make([]Settled, cfg.BoundaryExclusion)},
 	}
 	if sd, ok := dropper.(core.StableDecider); ok {
 		e.dropperStable = sd.StableDecision()

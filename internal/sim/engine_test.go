@@ -88,11 +88,12 @@ func TestSingleTaskCompletesOnTime(t *testing.T) {
 	m := testMatrix(t, 1, pmf.Delta(10))
 	tr := makeTrace([]pmf.Tick{5}, []pmf.Tick{100}, []pmf.Tick{10})
 	e := New(m, tr, fifoMapper{}, nil, cfgNoExclusion())
+	rec := Record(e)
 	res := e.Run()
 	if res.OnTime != 1 || res.Late != 0 || res.DroppedReactive != 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	ts := e.TaskStates()[0]
+	ts := rec.TaskStates()[0]
 	if ts.Start != 5 || ts.Finish != 15 {
 		t.Fatalf("start/finish = %d/%d, want 5/15", ts.Start, ts.Finish)
 	}
@@ -108,11 +109,12 @@ func TestLateStartedTaskCompletesLate(t *testing.T) {
 	m := testMatrix(t, 1, pmf.Delta(10))
 	tr := makeTrace([]pmf.Tick{0, 1}, []pmf.Tick{200, 105}, []pmf.Tick{100, 10})
 	e := New(m, tr, fifoMapper{}, nil, cfgNoExclusion())
+	rec := Record(e)
 	res := e.Run()
 	if res.OnTime != 1 || res.Late != 1 {
 		t.Fatalf("result = %+v", res)
 	}
-	ts := e.TaskStates()[1]
+	ts := rec.TaskStates()[1]
 	if ts.Status != StatusCompletedLate || ts.Start != 100 || ts.Finish != 110 {
 		t.Fatalf("task 1 = %+v", ts)
 	}
@@ -151,6 +153,7 @@ func TestBatchExpiryReactiveDrop(t *testing.T) {
 		[]pmf.Tick{100, 100, 100},
 	)
 	e := New(m, tr, fifoMapper{}, nil, cfg)
+	rec := Record(e)
 	res := e.Run()
 	// Task 0 runs 0–100 (on time), task 1 runs 100–200 (starts 100 < 150,
 	// finishes late), task 2 (deadline 90) expires in the batch before the
@@ -158,7 +161,7 @@ func TestBatchExpiryReactiveDrop(t *testing.T) {
 	if res.OnTime != 1 || res.Late != 1 || res.DroppedReactive != 1 {
 		t.Fatalf("result = %+v", res)
 	}
-	if st := e.TaskStates()[2]; st.Status != StatusDroppedReactive || st.Machine != -1 {
+	if st := rec.TaskStates()[2]; st.Status != StatusDroppedReactive || st.Machine != -1 {
 		t.Fatalf("task 2 = %+v", st)
 	}
 }

@@ -86,20 +86,26 @@ func (e *Engine) nextFailureEvent() (machine int, at pmf.Tick, isRepair bool) {
 	return machine, at, isRepair
 }
 
+// killRunning fails the task machine m is executing, if any, at the
+// current clock and leaves the machine idle, the rest of its queue pending.
+func (e *Engine) killRunning(m *Machine) {
+	if !m.running {
+		return
+	}
+	ts := m.queue[0]
+	ts.Finish = e.clock
+	e.transition(ts, StatusFailed)
+	m.busy += e.clock - ts.Start // the wasted time is still billed
+	m.running = false
+	m.completeAt = noCompletion
+	m.removeAt(0)
+}
+
 // handleFailure takes machine i down: the running task dies, pending work
 // holds, and a repair is scheduled.
 func (e *Engine) handleFailure(i int) {
-	m := e.machines[i]
 	fs := &e.failures[i]
-	if m.running {
-		ts := m.queue[0]
-		e.transition(ts, StatusFailed)
-		ts.Finish = e.clock
-		m.busy += e.clock - ts.Start // the wasted time is still billed
-		m.running = false
-		m.completeAt = noCompletion
-		m.removeAt(0)
-	}
+	e.killRunning(e.machines[i])
 	fs.repairAt = e.clock + 1 + pmf.Tick(fs.rng.Exponential(float64(e.cfg.Failures.MeanRepair)))
 	fs.nextFailAt = noCompletion
 	fs.draws++

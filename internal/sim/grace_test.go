@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
@@ -67,8 +68,9 @@ func TestUtilityPctMatchesUtilityScore(t *testing.T) {
 	cfg := cfgNoExclusion()
 	cfg.ReactiveGrace = 25
 	e := New(m, makeTrace(arr, dl, ex), fifoMapper{}, nil, cfg)
+	rec := Record(e)
 	res := e.Run()
-	if got, want := res.UtilityPct, UtilityScore(e.TaskStates(), 25, 0); got != want {
-		t.Fatalf("UtilityPct %v != UtilityScore %v", got, want)
+	if got, want := res.UtilityPct, refUtilityScore(rec.TaskStates(), 25, 0); math.Abs(got-want) > 1e-9 || got <= res.RobustnessPct {
+		t.Fatalf("UtilityPct %v, task-by-task score %v, robustness %v", got, want, res.RobustnessPct)
 	}
 }

@@ -64,6 +64,7 @@ func TestEngineInvariantSweep(t *testing.T) {
 		tr := workload.Generate(m, wl, int64(i))
 
 		e := New(m, tr, fifoMapper{}, dropper, cfg)
+		rec := Record(e)
 		res := e.Run()
 		if err := res.Validate(); err != nil {
 			t.Fatalf("case %d (%+v): %v", i, cfg, err)
@@ -73,7 +74,7 @@ func TestEngineInvariantSweep(t *testing.T) {
 		if _, isReactive := dropper.(core.ReactiveOnly); isReactive || dropper == nil {
 			proactivePolicy = false
 		}
-		for _, ts := range e.TaskStates() {
+		for _, ts := range rec.TaskStates() {
 			dl := ts.Task.Deadline
 			switch ts.Status {
 			case StatusCompletedOnTime:

@@ -78,15 +78,7 @@ func (e *Engine) RemoveMachine(i int, handoff bool) error {
 // detachMachine is RemoveMachine without the mapping pipeline.
 func (e *Engine) detachMachine(i int, handoff bool) {
 	m := e.machines[i]
-	if m.running {
-		ts := m.queue[0]
-		e.transition(ts, StatusFailed)
-		ts.Finish = e.clock
-		m.busy += e.clock - ts.Start // the wasted time is still billed
-		m.running = false
-		m.completeAt = noCompletion
-		m.removeAt(0)
-	}
+	e.killRunning(m)
 	for len(m.queue) > 0 {
 		ts := m.removeAt(0)
 		if handoff {
@@ -94,8 +86,8 @@ func (e *Engine) detachMachine(i int, handoff bool) {
 			ts.Machine = -1
 			e.batch = append(e.batch, ts)
 		} else {
-			e.transition(ts, StatusFailed)
 			ts.Finish = e.clock
+			e.transition(ts, StatusFailed)
 		}
 	}
 	m.tailValid = false

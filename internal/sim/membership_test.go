@@ -44,7 +44,7 @@ func TestRemoveMachineHandoff(t *testing.T) {
 	// Handoff semantics: no task silently disappears — every previously
 	// queued task is failed (the running one), still queued elsewhere
 	// (remapped), deferred back to the batch, or terminal.
-	after := e.recountLive()
+	after := e.LiveCounts()
 	total := after.Queued + after.Batch + after.Running
 	if total == 0 && before.Queued+before.Batch > 1 {
 		t.Fatalf("handoff lost all pending work: before %+v, after %+v", before, after)
@@ -64,11 +64,11 @@ func TestRemoveMachineHandoff(t *testing.T) {
 
 func TestRemoveMachineForceDrop(t *testing.T) {
 	e := membershipEngine(t, 40)
-	before := e.recountLive()
+	before := e.LiveCounts()
 	if err := e.RemoveMachine(0, false); err != nil {
 		t.Fatal(err)
 	}
-	after := e.recountLive()
+	after := e.LiveCounts()
 	// Force-drop: the machine's pending queue died with it. Failures can
 	// only grow, and nothing was handed back to the batch beyond what the
 	// mapping pipeline re-deferred.

@@ -41,9 +41,9 @@ func (e *Engine) Feed(t *workload.Task) *TaskState {
 	if t.Arrival > e.clock {
 		e.AdvanceTo(t.Arrival)
 	}
-	ts := &TaskState{Task: t, Machine: -1}
-	e.tasks = append(e.tasks, ts)
-	e.arrive(ts)
+	ts := &TaskState{Task: t, Seq: e.live.Arrived, Status: StatusBatch, Machine: -1}
+	e.live.Arrived++
+	e.live.Batch++
 	e.batch = append(e.batch, ts)
 	e.mappingEvent(false)
 	return ts
@@ -68,17 +68,14 @@ func (e *Engine) Drain() *Result {
 
 // Live is a point-in-time census of every task the engine has seen,
 // grouped by lifecycle state — the online service's queue-depth and
-// robustness gauges read it between events.
+// robustness gauges read it between events. The live states count tasks
+// the engine still holds; Outcomes counts the ones it has let go of.
 type Live struct {
-	Arrived          int `json:"arrived"`
-	Batch            int `json:"batch"`
-	Queued           int `json:"queued"`
-	Running          int `json:"running"`
-	OnTime           int `json:"on_time"`
-	Late             int `json:"late"`
-	DroppedReactive  int `json:"dropped_reactive"`
-	DroppedProactive int `json:"dropped_proactive"`
-	Failed           int `json:"failed"`
+	Arrived int `json:"arrived"`
+	Batch   int `json:"batch"`
+	Queued  int `json:"queued"`
+	Running int `json:"running"`
+	Outcomes
 }
 
 // add shifts the census bucket of status s by d.
@@ -90,34 +87,14 @@ func (l *Live) add(s Status, d int) {
 		l.Queued += d
 	case StatusRunning:
 		l.Running += d
-	case StatusCompletedOnTime:
-		l.OnTime += d
-	case StatusCompletedLate:
-		l.Late += d
-	case StatusDroppedReactive:
-		l.DroppedReactive += d
-	case StatusDroppedProactive:
-		l.DroppedProactive += d
-	case StatusFailed:
-		l.Failed += d
+	default:
+		l.Outcomes.add(s, d)
 	}
 }
 
 // LiveCounts returns the census of arrived tasks. It is O(1): the engine
-// maintains the counts incrementally at every status transition, so the
-// admission service can expose queue gauges on each scrape without
-// walking its full decision history.
+// maintains the counts incrementally at every status transition.
 func (e *Engine) LiveCounts() Live { return e.live }
-
-// recountLive recomputes the census from scratch; tests cross-check it
-// against the incremental counts.
-func (e *Engine) recountLive() Live {
-	lc := Live{Arrived: len(e.tasks)}
-	for _, ts := range e.tasks {
-		lc.add(ts.Status, 1)
-	}
-	return lc
-}
 
 // QueueDepths returns the current queue length (including the running
 // task) of every machine, indexed by machine.

@@ -38,15 +38,17 @@ func TestOpenEngineMatchesTraceDriven(t *testing.T) {
 		cfg := cfgNoExclusion()
 
 		offline := New(m, tr, MCTLike(t), dropper, cfg)
+		offlineRec := Record(offline)
 		wantRes := offline.Run()
-		want := offline.TaskStates()
+		want := offlineRec.TaskStates()
 
 		open := NewOpen(m, MCTLike(t), dropper, cfg)
+		openRec := Record(open)
 		for i := range tr.Tasks {
 			open.Feed(&tr.Tasks[i])
 		}
 		gotRes := open.Drain()
-		got := open.TaskStates()
+		got := openRec.TaskStates()
 
 		if *gotRes != *wantRes {
 			t.Fatalf("dropper %v: open Result = %+v, want %+v", dropper, gotRes, wantRes)
@@ -117,16 +119,17 @@ func TestLiveCountsStayConsistent(t *testing.T) {
 	cfg := cfgNoExclusion()
 	cfg.Failures = FailureConfig{MTBF: 700, MeanRepair: 90, Seed: 8}
 	open := NewOpen(m, fifoMapper{}, core.NewHeuristic(), cfg)
+	rec := Record(open)
 	for i := range tr.Tasks {
 		open.Feed(&tr.Tasks[i])
 		if i%37 == 0 {
-			if got, want := open.LiveCounts(), open.recountLive(); got != want {
+			if got, want := open.LiveCounts(), recount(open, rec); got != want || got.Arrived != i+1 {
 				t.Fatalf("after feed %d: incremental %+v != recount %+v", i, got, want)
 			}
 		}
 	}
 	res := open.Drain()
-	got, want := open.LiveCounts(), open.recountLive()
+	got, want := open.LiveCounts(), recount(open, rec)
 	if got != want {
 		t.Fatalf("after drain: incremental %+v != recount %+v", got, want)
 	}

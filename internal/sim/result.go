@@ -32,9 +32,12 @@ type Result struct {
 	// RobustnessPct is the paper's robustness metric: percentage of
 	// measured tasks completed on time.
 	RobustnessPct float64 `json:"robustness_pct"`
-	// UtilityPct is the approximate-computing value metric: mean realized
-	// utility of measured tasks (%) with grace = Config.ReactiveGrace.
-	// With zero grace it equals RobustnessPct.
+	// UtilityPct is the approximate-computing value metric (the §VI
+	// extension): mean realized utility of measured tasks (%), where a
+	// task completed strictly before its deadline is worth 1, one
+	// finishing within Config.ReactiveGrace after it the linear remainder
+	// 1 − lateness/grace, and everything else (later completions, drops,
+	// failures) 0. With zero grace it equals RobustnessPct.
 	UtilityPct float64 `json:"utility_pct"`
 
 	// TotalCostUSD is the execution cost across machines (busy time ×
@@ -74,53 +77,36 @@ func (r *Result) Validate() error {
 	return nil
 }
 
-// buildResult derives the Result after drain.
+// buildResult reads the Result of a drained run off the tally and the
+// machines.
 func (e *Engine) buildResult() *Result {
-	r := &Result{Total: len(e.tasks), Makespan: e.clock}
-	lo := e.cfg.BoundaryExclusion
-	hi := len(e.tasks) - e.cfg.BoundaryExclusion
-	if hi < lo {
-		// Degenerate small traces: measure everything rather than nothing.
-		lo, hi = 0, len(e.tasks)
-	}
-	for i, ts := range e.tasks {
-		measured := i >= lo && i < hi
-		if measured {
-			r.Measured++
-		}
-		switch ts.Status {
-		case StatusCompletedOnTime:
-			r.OnTime++
-			if measured {
-				r.MOnTime++
-			}
-		case StatusCompletedLate:
-			r.Late++
-			if measured {
-				r.MLate++
-			}
-		case StatusDroppedReactive:
-			r.DroppedReactive++
-			if measured {
-				r.MDroppedReactive++
-			}
-		case StatusDroppedProactive:
-			r.DroppedProactive++
-			if measured {
-				r.MDroppedProactive++
-			}
-		case StatusFailed:
-			r.Failed++
-			if measured {
-				r.MFailed++
-			}
-		default:
-			panic(fmt.Sprintf("sim: task %d drained in non-terminal status %v", ts.Task.ID, ts.Status))
-		}
+	whole := e.live.Outcomes
+	m, credit := e.tally.measured(whole, e.live.Arrived)
+	r := &Result{
+		Total:            e.live.Arrived,
+		Makespan:         e.clock,
+		OnTime:           whole.OnTime,
+		Late:             whole.Late,
+		DroppedReactive:  whole.DroppedReactive,
+		DroppedProactive: whole.DroppedProactive,
+		Failed:           whole.Failed,
+
+		Measured:          m.total(),
+		MOnTime:           m.OnTime,
+		MLate:             m.Late,
+		MDroppedReactive:  m.DroppedReactive,
+		MDroppedProactive: m.DroppedProactive,
+		MFailed:           m.Failed,
 	}
 	if r.Measured > 0 {
 		r.RobustnessPct = 100 * float64(r.MOnTime) / float64(r.Measured)
-		r.UtilityPct = utilityScore(e.tasks, e.cfg.ReactiveGrace, e.cfg.BoundaryExclusion)
+		// Mean utility: 1 per on-time task, Credit/ReactiveGrace per late
+		// one (the linear remainder 1 − lateness/grace, 0 past the window).
+		utility := float64(r.MOnTime)
+		if credit > 0 {
+			utility += float64(credit) / float64(e.cfg.ReactiveGrace)
+		}
+		r.UtilityPct = 100 * utility / float64(r.Measured)
 	}
 	var busy pmf.Tick
 	var cost float64
@@ -192,14 +178,4 @@ func MergeResults(parts []*Result, totalMachines int) *Result {
 		panic(err)
 	}
 	return r
-}
-
-// TaskStates exposes a snapshot of the per-task records (in arrival order)
-// after Run, for tests and trace analysis tools.
-func (e *Engine) TaskStates() []TaskState {
-	out := make([]TaskState, len(e.tasks))
-	for i, ts := range e.tasks {
-		out[i] = *ts
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"github.com/hpcclab/taskdrop/internal/core"
@@ -9,49 +10,73 @@ import (
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
+// snapshotVersion is the EngineSnapshot format this build writes and
+// reads. Version 2 holds live tasks and the tally; its predecessor
+// (unversioned, so it reads as 0) held every task the engine had ever been
+// fed, under some of the same keys.
+const snapshotVersion = 2
+
 // EngineSnapshot is the complete serializable state of an engine between
-// events: every task the engine has seen, the machine queues (as
-// task indexes), the clock, and the failure-process cursors. An engine
-// restored from a snapshot produces exactly the same decisions as the
-// original for any subsequent Feed sequence — the admission service's
-// journal checkpoints are JSON encodings of this struct.
+// events: the tasks it holds — batch and machine queues — the census and
+// tally of the ones it has settled, the clock, and the failure-process
+// cursors. Its size follows what is queued, not what was ever admitted. An
+// engine restored from a snapshot produces exactly the same decisions, and
+// drains to the same Result, as the original for any subsequent Feed
+// sequence — the admission service's journal checkpoints are JSON encodings
+// of this struct.
 type EngineSnapshot struct {
-	Clock    pmf.Tick          `json:"clock"`
-	Tasks    []TaskSnapshot    `json:"tasks"`
+	Version int      `json:"version"`
+	Clock   pmf.Tick `json:"clock"`
+	Live    Live     `json:"live"`
+	Tally   Tally    `json:"tally"`
+	// Batch is the unmapped batch queue, in order.
+	Batch    []TaskSnapshot    `json:"batch,omitempty"`
 	Machines []MachineSnapshot `json:"machines"`
-	// Batch lists the unmapped batch queue as indexes into Tasks, in order.
-	Batch []int `json:"batch,omitempty"`
 	// Failures holds one cursor per machine when failure injection is on.
 	Failures []FailureSnapshot `json:"failures,omitempty"`
 	// Added lists the machine types of runtime-added machines (AddMachine)
 	// in order of addition; Removed lists the machine indexes currently out
 	// of the live set. Both are omitted on an engine whose membership never
-	// changed, keeping pre-churn snapshots byte-identical.
+	// changed.
 	Added   []int `json:"added,omitempty"`
 	Removed []int `json:"removed,omitempty"`
 }
 
-// TaskSnapshot is one task's full record: the immutable arrival data and
-// the mutable lifecycle state.
+// UnmarshalJSON decodes a snapshot of this build's format and refuses any
+// other by version, before a field of it is interpreted.
+func (s *EngineSnapshot) UnmarshalJSON(b []byte) error {
+	var v struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	if v.Version != snapshotVersion {
+		return fmt.Errorf("sim: engine snapshot is format version %d, this build reads version %d only", v.Version, snapshotVersion)
+	}
+	type fields EngineSnapshot // the same fields without this method
+	return json.Unmarshal(b, (*fields)(s))
+}
+
+// TaskSnapshot is one live task: the immutable arrival data, its arrival
+// ordinal, and when it started if it is running. Where it sits in the
+// snapshot says the rest (batch, or which machine's queue).
 type TaskSnapshot struct {
 	ID       int        `json:"id"`
+	Seq      int        `json:"seq"`
 	Type     int        `json:"type"`
 	Arrival  pmf.Tick   `json:"arrival"`
 	Deadline pmf.Tick   `json:"deadline"`
 	Exec     []pmf.Tick `json:"exec"`
-	Status   Status     `json:"status"`
-	Machine  int        `json:"machine"`
-	Start    pmf.Tick   `json:"start"`
-	Finish   pmf.Tick   `json:"finish"`
+	Start    pmf.Tick   `json:"start,omitempty"`
 }
 
-// MachineSnapshot is one machine's queue and execution state. Queue holds
-// indexes into EngineSnapshot.Tasks, head first.
+// MachineSnapshot is one machine's queue (head first) and execution state.
 type MachineSnapshot struct {
-	Queue      []int    `json:"queue,omitempty"`
-	Running    bool     `json:"running"`
-	CompleteAt pmf.Tick `json:"complete_at"`
-	Busy       pmf.Tick `json:"busy"`
+	Queue      []TaskSnapshot `json:"queue,omitempty"`
+	Running    bool           `json:"running"`
+	CompleteAt pmf.Tick       `json:"complete_at"`
+	Busy       pmf.Tick       `json:"busy"`
 }
 
 // FailureSnapshot is one machine's failure-process cursor. Draws counts
@@ -64,39 +89,67 @@ type FailureSnapshot struct {
 	RepairAt   pmf.Tick `json:"repair_at"`
 }
 
-// Snapshot captures the engine's state between events.
-func (e *Engine) Snapshot() *EngineSnapshot {
-	idx := make(map[*TaskState]int, len(e.tasks))
-	for i, ts := range e.tasks {
-		idx[ts] = i
-	}
-	s := &EngineSnapshot{
-		Clock:    e.clock,
-		Tasks:    make([]TaskSnapshot, len(e.tasks)),
-		Machines: make([]MachineSnapshot, len(e.machines)),
-	}
-	for i, ts := range e.tasks {
-		s.Tasks[i] = TaskSnapshot{
+// snapshotTasks serializes one queue of live tasks.
+func snapshotTasks(q []*TaskState) []TaskSnapshot {
+	var out []TaskSnapshot
+	for _, ts := range q {
+		out = append(out, TaskSnapshot{
 			ID:       ts.Task.ID,
+			Seq:      ts.Seq,
 			Type:     int(ts.Task.Type),
 			Arrival:  ts.Task.Arrival,
 			Deadline: ts.Task.Deadline,
 			Exec:     append([]pmf.Tick(nil), ts.Task.ExecByType...),
-			Status:   ts.Status,
-			Machine:  ts.Machine,
 			Start:    ts.Start,
-			Finish:   ts.Finish,
-		}
+		})
 	}
+	return out
+}
+
+// restoreTasks is snapshotTasks' inverse for a queue of machine (−1: the
+// batch) whose head is running when headRunning.
+func restoreTasks(q []TaskSnapshot, machine int, headRunning bool) []*TaskState {
+	var out []*TaskState
+	for i, t := range q {
+		ts := &TaskState{
+			Task: &workload.Task{
+				ID:         t.ID,
+				Type:       pet.TaskType(t.Type),
+				Arrival:    t.Arrival,
+				Deadline:   t.Deadline,
+				ExecByType: append([]pmf.Tick(nil), t.Exec...),
+			},
+			Seq:     t.Seq,
+			Status:  StatusQueued,
+			Machine: machine,
+			Start:   t.Start,
+		}
+		switch {
+		case machine < 0:
+			ts.Status = StatusBatch
+		case i == 0 && headRunning:
+			ts.Status = StatusRunning
+		}
+		out = append(out, ts)
+	}
+	return out
+}
+
+// Snapshot captures the engine's state between events.
+func (e *Engine) Snapshot() *EngineSnapshot {
+	s := &EngineSnapshot{
+		Version:  snapshotVersion,
+		Clock:    e.clock,
+		Live:     e.live,
+		Tally:    e.tally,
+		Batch:    snapshotTasks(e.batch),
+		Machines: make([]MachineSnapshot, len(e.machines)),
+	}
+	s.Tally.Tail = append([]Settled(nil), e.tally.Tail...)
 	for i, m := range e.machines {
-		ms := MachineSnapshot{Running: m.running, CompleteAt: m.completeAt, Busy: m.busy}
-		for _, ts := range m.queue {
-			ms.Queue = append(ms.Queue, idx[ts])
+		s.Machines[i] = MachineSnapshot{
+			Queue: snapshotTasks(m.queue), Running: m.running, CompleteAt: m.completeAt, Busy: m.busy,
 		}
-		s.Machines[i] = ms
-	}
-	for _, ts := range e.batch {
-		s.Batch = append(s.Batch, idx[ts])
 	}
 	for i := range e.failures {
 		fs := &e.failures[i]
@@ -113,10 +166,13 @@ func (e *Engine) Snapshot() *EngineSnapshot {
 // (NewOpen / NewOpenShard with the same PET matrix, machine set and
 // configuration as the snapshotted one) that has not been fed. After a
 // successful restore the engine is indistinguishable from the original:
-// same clock, queues, batch, task history and failure cursors.
+// same clock, queues, batch, census, tally and failure cursors.
 func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
-	if len(e.tasks) != 0 || e.clock != 0 {
-		return fmt.Errorf("sim: RestoreSnapshot on a non-fresh engine (%d tasks, clock %d)", len(e.tasks), e.clock)
+	if e.live.Arrived != 0 || e.clock != 0 {
+		return fmt.Errorf("sim: RestoreSnapshot on a non-fresh engine (%d tasks, clock %d)", e.live.Arrived, e.clock)
+	}
+	if len(s.Tally.Tail) != e.cfg.BoundaryExclusion {
+		return fmt.Errorf("sim: snapshot tallies a boundary of %d tasks, engine excludes %d", len(s.Tally.Tail), e.cfg.BoundaryExclusion)
 	}
 	// Re-attach runtime-added machines before any count check: the fresh
 	// engine was built over the original machine set, the snapshot covers
@@ -136,42 +192,13 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 		return fmt.Errorf("sim: snapshot has %d failure cursors for %d machines", len(s.Failures), len(e.machines))
 	}
 
-	tasks := make([]*TaskState, len(s.Tasks))
-	for i, t := range s.Tasks {
-		tasks[i] = &TaskState{
-			Task: &workload.Task{
-				ID:         t.ID,
-				Type:       pet.TaskType(t.Type),
-				Arrival:    t.Arrival,
-				Deadline:   t.Deadline,
-				ExecByType: append([]pmf.Tick(nil), t.Exec...),
-			},
-			Status:  t.Status,
-			Machine: t.Machine,
-			Start:   t.Start,
-			Finish:  t.Finish,
-		}
-	}
-	taskAt := func(i int) (*TaskState, error) {
-		if i < 0 || i >= len(tasks) {
-			return nil, fmt.Errorf("sim: snapshot references task %d of %d", i, len(tasks))
-		}
-		return tasks[i], nil
-	}
-
+	held := Live{Arrived: s.Live.Arrived, Batch: len(s.Batch), Outcomes: s.Live.Outcomes}
 	for i, ms := range s.Machines {
 		m := e.machines[i]
-		m.queue = m.queue[:0]
-		for _, ti := range ms.Queue {
-			ts, err := taskAt(ti)
-			if err != nil {
-				return err
-			}
-			m.queue = append(m.queue, ts)
-		}
-		if ms.Running && len(m.queue) == 0 {
+		if ms.Running && len(ms.Queue) == 0 {
 			return fmt.Errorf("sim: snapshot machine %d running with empty queue", i)
 		}
+		m.queue = append(m.queue[:0], restoreTasks(ms.Queue, i, ms.Running)...)
 		m.running = ms.Running
 		m.completeAt = ms.CompleteAt
 		m.busy = ms.Busy
@@ -181,15 +208,16 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 		// drift lazily, but a restored engine should not start life
 		// trusting chains cached for a different queue history.
 		m.cache.Invalidate(core.InvalidateChurn)
-	}
-
-	e.batch = e.batch[:0]
-	for _, ti := range s.Batch {
-		ts, err := taskAt(ti)
-		if err != nil {
-			return err
+		held.Queued += len(ms.Queue)
+		if ms.Running {
+			held.Queued--
+			held.Running++
 		}
-		e.batch = append(e.batch, ts)
+	}
+	e.batch = append(e.batch[:0], restoreTasks(s.Batch, -1, false)...)
+	if held != s.Live || held.Batch+held.Queued+held.Running+held.total() != held.Arrived {
+		return fmt.Errorf("sim: snapshot census %+v does not count the tasks it holds (%d batch, %d queued, %d running)",
+			s.Live, held.Batch, held.Queued, held.Running)
 	}
 
 	for i, fc := range s.Failures {
@@ -220,8 +248,9 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 		e.totalSlots -= e.cfg.QueueCap
 	}
 
-	e.tasks = tasks
 	e.clock = s.Clock
-	e.live = e.recountLive()
+	e.live = s.Live
+	e.tally = s.Tally
+	e.tally.Tail = append([]Settled(nil), s.Tally.Tail...)
 	return nil
 }

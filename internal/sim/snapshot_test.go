@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
@@ -160,13 +161,77 @@ func TestRestoreSnapshotValidation(t *testing.T) {
 		t.Fatal("failure-config mismatch accepted")
 	}
 
-	// Corrupt task index.
-	s := fresh().Snapshot()
-	s.Batch = []int{5}
+	// A census that does not count the tasks the snapshot holds.
+	s := e.Snapshot()
+	s.Live.Queued++
 	if err := fresh().RestoreSnapshot(s); err == nil {
-		t.Fatal("out-of-range batch index accepted")
+		t.Fatal("census disagreeing with the queues accepted")
+	}
+	s = e.Snapshot()
+	s.Live.OnTime++
+	if err := fresh().RestoreSnapshot(s); err == nil {
+		t.Fatal("census counting more tasks than arrived accepted")
 	}
 
+	// A tally kept for another boundary exclusion.
+	bcfg := cfg
+	bcfg.BoundaryExclusion = 3
+	if err := fresh().RestoreSnapshot(NewOpen(m, fifoMapper{}, nil, bcfg).Snapshot()); err == nil {
+		t.Fatal("boundary-exclusion mismatch accepted")
+	}
+}
+
+// TestSnapshotHoldsOnlyLiveTasks: a snapshot carries the tasks the engine
+// still holds and nothing per settled task, so its size follows the queues
+// and not the number of tasks ever fed.
+func TestSnapshotHoldsOnlyLiveTasks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Failures = FailureConfig{MTBF: 300, MeanRepair: 40, Seed: 2}
+	m := testMatrix(t, 3, pmf.Delta(10))
+	e := NewOpen(m, fifoMapper{}, nil, cfg)
+	tasks := randomOpenTasks(6000, 17)
+	var first int
+	for i := range tasks {
+		e.Feed(&tasks[i])
+		if n := i + 1; n == 600 || n == 6000 {
+			s := e.Snapshot()
+			held := len(s.Batch)
+			for _, ms := range s.Machines {
+				held += len(ms.Queue)
+			}
+			lc := e.LiveCounts()
+			if want := lc.Batch + lc.Queued + lc.Running; held != want || lc.total() == 0 {
+				t.Fatalf("after %d feeds the snapshot holds %d tasks, the engine %d live (census %+v)", n, held, want, lc)
+			}
+			blob, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == 0 {
+				first = len(blob)
+			} else if len(blob) > 2*first {
+				t.Fatalf("snapshot after 6000 feeds is %d B, after 600 it was %d B", len(blob), first)
+			}
+		}
+	}
+}
+
+// TestRestoreRefusesOldSnapshotFormat: the unversioned format that listed
+// every task ever fed shares keys with this one ("machines", "batch",
+// "queue") under other meanings; decoding refuses it by version, and names
+// the version, before any of them is read.
+func TestRestoreRefusesOldSnapshotFormat(t *testing.T) {
+	old := `{"clock":40,"tasks":[{"id":0,"type":0,"arrival":0,"deadline":50,"exec":[10],"status":2,"machine":0,"start":0,"finish":0}],` +
+		`"machines":[{"queue":[0],"running":true,"complete_at":10,"busy":0},{"running":false,"complete_at":-1,"busy":0}]}`
+	var s EngineSnapshot
+	err := json.Unmarshal([]byte(old), &s)
+	if err == nil || !strings.Contains(err.Error(), "version 0") {
+		t.Fatalf("old-format snapshot decoded: %v, want an error naming version 0", err)
+	}
+	future := strings.Replace(old, `{"clock"`, `{"version":3,"clock"`, 1)
+	if err := json.Unmarshal([]byte(future), &s); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("version-3 snapshot decoded: %v, want an error naming version 3", err)
+	}
 }
 
 // TestJournalHookSeesTerminalEvents checks the WAL hook fires exactly once

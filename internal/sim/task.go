@@ -72,9 +72,14 @@ func (s Status) String() string {
 	}
 }
 
-// TaskState is the simulator's mutable record of one task.
+// TaskState is the simulator's mutable record of one task. The engine
+// holds it while the task is live (in the batch or on a machine queue) and
+// lets go of it the moment it turns terminal.
 type TaskState struct {
-	Task    *workload.Task
+	Task *workload.Task
+	// Seq is the task's arrival ordinal in its engine: 0 for the first
+	// task fed, counting every arrival since.
+	Seq     int
 	Status  Status
 	Machine int      // machine index once assigned, −1 before
 	Start   pmf.Tick // execution start time (valid once running)

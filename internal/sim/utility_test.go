@@ -16,6 +16,24 @@ func mkState(status Status, deadline, finish pmf.Tick) TaskState {
 	}
 }
 
+// tallied settles the states, in order, as arrivals 0..n-1 of an engine
+// with the given grace and boundary exclusion, and reads the Result off
+// its tally — the scorer itself, with no simulation around it.
+func tallied(t *testing.T, states []TaskState, grace pmf.Tick, boundaryExclusion int) *Result {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.ReactiveGrace, cfg.BoundaryExclusion = grace, boundaryExclusion
+	e := NewOpen(testMatrix(t, 1, pmf.Delta(10)), fifoMapper{}, nil, cfg)
+	for i := range states {
+		ts := states[i]
+		ts.Seq = i
+		e.live.Arrived++
+		e.live.add(ts.Status, 1)
+		e.settle(&ts)
+	}
+	return e.buildResult()
+}
+
 func TestTaskUtility(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -32,8 +50,11 @@ func TestTaskUtility(t *testing.T) {
 		{"failed", mkState(StatusFailed, 100, 50), 10, 0},
 	}
 	for _, c := range cases {
-		if got := taskUtility(&c.ts, c.grace); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%s: utility = %v, want %v", c.name, got, c.want)
+		if got := refTaskUtility(&c.ts, c.grace); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: reference utility = %v, want %v", c.name, got, c.want)
+		}
+		if got := tallied(t, []TaskState{c.ts}, c.grace, 0).UtilityPct; math.Abs(got-100*c.want) > 1e-12 {
+			t.Errorf("%s: tallied utility = %v %%, want %v", c.name, got, 100*c.want)
 		}
 	}
 }
@@ -46,20 +67,22 @@ func TestUtilityScoreAveragesMeasuredWindow(t *testing.T) {
 		mkState(StatusDroppedProactive, 100, 0),  // 0.0
 		mkState(StatusCompletedOnTime, 100, 200), // excluded (boundary)
 	}
-	got := UtilityScore(states, 10, 1)
 	want := 100 * (1 + 0.5 + 0) / 3
-	if math.Abs(got-want) > 1e-9 {
+	if got := tallied(t, states, 10, 1).UtilityPct; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("score = %v, want %v", got, want)
+	}
+	if got := refUtilityScore(states, 10, 1); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("reference score = %v, want %v", got, want)
 	}
 }
 
 func TestUtilityScoreDegenerate(t *testing.T) {
-	if got := UtilityScore(nil, 10, 0); got != 0 {
+	if got := tallied(t, nil, 10, 0).UtilityPct; got != 0 {
 		t.Fatalf("empty score = %v", got)
 	}
 	// Exclusion larger than the trace measures everything.
 	states := []TaskState{mkState(StatusCompletedOnTime, 100, 90)}
-	if got := UtilityScore(states, 10, 5); math.Abs(got-100) > 1e-12 {
+	if got := tallied(t, states, 10, 5).UtilityPct; math.Abs(got-100) > 1e-12 {
 		t.Fatalf("degenerate exclusion score = %v", got)
 	}
 }
@@ -76,10 +99,13 @@ func TestUtilityScoreAtLeastRobustness(t *testing.T) {
 		dl[i] = arr[i] + 60
 		ex[i] = 10
 	}
-	e := New(m, makeTrace(arr, dl, ex), fifoMapper{}, nil, cfgNoExclusion())
-	res := e.Run()
-	util := UtilityScore(e.TaskStates(), 50, 0)
-	if util < res.RobustnessPct-1e-9 {
-		t.Fatalf("utility %v < robustness %v", util, res.RobustnessPct)
+	cfg := cfgNoExclusion()
+	cfg.ReactiveGrace = 50
+	res := New(m, makeTrace(arr, dl, ex), fifoMapper{}, nil, cfg).Run()
+	if res.Late == 0 {
+		t.Fatal("vacuous: no late completion to earn partial utility")
+	}
+	if res.UtilityPct < res.RobustnessPct-1e-9 {
+		t.Fatalf("utility %v < robustness %v", res.UtilityPct, res.RobustnessPct)
 	}
 }

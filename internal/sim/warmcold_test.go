@@ -23,14 +23,17 @@ import (
 // StableDecider skip (an empty drop decision memoized across events),
 // which the cold side never takes.
 
-// requireSameRun fails unless the two engines produced identical results
-// and identical per-task histories.
-func requireSameRun(t *testing.T, label string, warm, cold *Engine, rw, rc *Result) {
+// requireSameRun drives both engines through run, a recorder subscribed
+// to each, and fails unless they produced identical results and identical
+// per-task histories.
+func requireSameRun(t *testing.T, label string, warm, cold *Engine, run func(*Engine) *Result) {
 	t.Helper()
+	recW, recC := Record(warm), Record(cold)
+	rw, rc := run(warm), run(cold)
 	if *rw != *rc {
 		t.Fatalf("%s: results diverge:\nwarm %+v\ncold %+v", label, rw, rc)
 	}
-	tw, tc := warm.TaskStates(), cold.TaskStates()
+	tw, tc := recW.TaskStates(), recC.TaskStates()
 	if len(tw) != len(tc) {
 		t.Fatalf("%s: task counts diverge: warm %d cold %d", label, len(tw), len(tc))
 	}
@@ -90,7 +93,7 @@ func TestWarmVsColdDifferentialSweep(t *testing.T) {
 		coldCfg := cfg
 		coldCfg.ColdChains = true
 		cold := New(m, tr, fifoMapper{}, mk(), coldCfg)
-		requireSameRun(t, "sweep case", warm, cold, warm.Run(), cold.Run())
+		requireSameRun(t, "sweep case", warm, cold, (*Engine).Run)
 	}
 }
 
@@ -166,9 +169,9 @@ func TestWarmVsColdChurnDifferential(t *testing.T) {
 		coldCfg := cfgNoExclusion()
 		coldCfg.ColdChains = true
 		cold := NewOpen(m, fifoMapper{}, dropper(), coldCfg)
-		rw := churnScript(t, warm, tasks, 1234, machines)
-		rc := churnScript(t, cold, tasks, 1234, machines)
-		requireSameRun(t, "churn", warm, cold, rw, rc)
+		requireSameRun(t, "churn", warm, cold, func(e *Engine) *Result {
+			return churnScript(t, e, tasks, 1234, machines)
+		})
 		if warm.Calc().Stats().InvalidationsChurn == 0 {
 			t.Fatal("churn script produced no churn invalidations — differential is vacuous")
 		}
@@ -251,11 +254,12 @@ func FuzzWarmVsColdFeed(f *testing.F) {
 		}
 		const machines = 3
 		m := testMatrix(t, machines, pmf.Delta(10))
-		run := func(cold bool) (*Engine, *Result) {
+		run := func(cold bool) (*Recorder, *Result) {
 			cfg := cfgNoExclusion()
 			cfg.QueueCap = 2 + int(data[0])%4
 			cfg.ColdChains = cold
 			e := NewOpen(m, fifoMapper{}, core.NewHeuristic(), cfg)
+			rec := Record(e)
 			clock, id := pmf.Tick(0), 0
 			removed := false
 			for i := 1; i+2 < len(data) && id < 120; i += 3 {
@@ -287,7 +291,7 @@ func FuzzWarmVsColdFeed(f *testing.F) {
 					}
 				}
 			}
-			return e, e.Drain()
+			return rec, e.Drain()
 		}
 		warm, rw := run(false)
 		cold, rc := run(true)

@@ -361,11 +361,11 @@ func (s *Scenario) trace(trial int) *workload.Trace {
 }
 
 // Engine builds the simulation engine for one trial of the scenario, for
-// callers that need post-run introspection (per-task states, per-type and
-// per-machine breakdowns) beyond what Result carries. The engine is
-// always the unsharded, unchurned one — it ignores WithShards and
-// WithChurn; sharded introspection goes through sim.Cluster (see
-// WithShards).
+// callers that need more than Result carries: Record(engine) before
+// running it collects per-task states and the per-type and per-machine
+// breakdowns. The engine is always the unsharded, unchurned one — it
+// ignores WithShards and WithChurn; sharded introspection goes through
+// sim.Cluster (see WithShards).
 func (s *Scenario) Engine(trial int) (*Engine, error) {
 	if trial < 0 || trial >= s.trials {
 		return nil, fmt.Errorf("taskdrop: trial %d out of range [0,%d)", trial, s.trials)

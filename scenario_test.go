@@ -266,13 +266,15 @@ func TestScenarioEngineIntrospection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := taskdrop.Record(eng)
 	res := eng.Run()
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	types, machines := eng.Breakdown()
-	if len(types) == 0 || len(machines) == 0 {
-		t.Fatal("breakdown empty")
+	types, machines := rec.Breakdown()
+	if len(types) == 0 || len(machines) == 0 || len(rec.TaskStates()) != res.Total {
+		t.Fatalf("breakdown of %d types, %d machines, %d task records for %d tasks",
+			len(types), len(machines), len(rec.TaskStates()), res.Total)
 	}
 	// The engine path must agree exactly with Run's trial 0.
 	rr, err := sc.Run(context.Background())

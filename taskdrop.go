@@ -82,12 +82,6 @@
 // SweepResult renders itself (Table, CSV, JSON, Pivot); every figure of
 // the paper's evaluation (internal/expt, cmd/hcexp) is such a declaration.
 //
-// For one-off single trials the legacy System facade remains:
-//
-//	sys := taskdrop.SPECSystem()
-//	trace := sys.Workload(20000, taskdrop.StandardWindow, taskdrop.DefaultGammaSlack, 1)
-//	res, err := sys.Simulate(trace, "PAM", taskdrop.HeuristicDropper())
-//
 // The deeper APIs live in the internal packages and are re-exported here
 // through type aliases, so the whole system is scriptable from this single
 // import.
@@ -97,7 +91,6 @@ import (
 	"io"
 
 	"github.com/hpcclab/taskdrop/internal/core"
-	"github.com/hpcclab/taskdrop/internal/mapping"
 	"github.com/hpcclab/taskdrop/internal/pet"
 	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/router"
@@ -147,9 +140,12 @@ type (
 	ChurnEvent = sim.ChurnEvent
 	// Engine is the single-trial simulation engine (see Scenario.Engine).
 	Engine = sim.Engine
-	// TypeBreakdown is Engine.Breakdown's per-task-type statistics.
+	// Recorder collects the per-task records an Engine lets go of as
+	// tasks settle (see Record).
+	Recorder = sim.Recorder
+	// TypeBreakdown is Recorder.Breakdown's per-task-type statistics.
 	TypeBreakdown = sim.TypeBreakdown
-	// MachineBreakdown is Engine.Breakdown's per-machine statistics.
+	// MachineBreakdown is Recorder.Breakdown's per-machine statistics.
 	MachineBreakdown = sim.MachineBreakdown
 	// Mapper assigns batch tasks to machine queues.
 	Mapper = sim.Mapper
@@ -192,71 +188,6 @@ const (
 	DefaultBeta = core.DefaultBeta
 )
 
-// System bundles a built PET matrix with engine configuration — the
-// legacy single-trial facade, kept as a thin shim over the same internals
-// the Scenario API uses. New code should prefer NewScenario.
-type System struct {
-	// Matrix is the built PET matrix.
-	Matrix *Matrix
-	// Config is the engine configuration used by Simulate.
-	Config SimConfig
-}
-
-// NewSystem builds a System from a profile. The seed drives PET sampling,
-// making the system fully reproducible.
-func NewSystem(p Profile, seed int64) *System {
-	return &System{
-		Matrix: pet.Build(p, seed, pet.DefaultBuildOptions()),
-		Config: sim.DefaultConfig(),
-	}
-}
-
-// SPECSystem returns the paper's primary evaluation system: twelve
-// SPECint-like task types on eight inconsistently heterogeneous machines.
-func SPECSystem() *System {
-	return NewSystem(pet.SPECProfile(pet.DefaultProfileSeed), pet.DefaultProfileSeed)
-}
-
-// VideoSystem returns the §V-H validation system: four video transcoding
-// task types on four AWS VM types (two machines each).
-func VideoSystem() *System {
-	return NewSystem(pet.VideoProfile(), pet.DefaultProfileSeed)
-}
-
-// HomogeneousSystem returns the §V-E control system: eight identical
-// machines.
-func HomogeneousSystem() *System {
-	return NewSystem(pet.HomogeneousProfile(), pet.DefaultProfileSeed)
-}
-
-// Workload generates a Poisson arrival trace of totalTasks over window
-// ticks with deadline slack γ. The same (system, seed) pair always yields
-// the same trace, including pre-drawn realized execution times.
-func (s *System) Workload(totalTasks int, window Tick, gamma float64, seed int64) *Trace {
-	return workload.Generate(s.Matrix, workload.Config{
-		TotalTasks: totalTasks,
-		Window:     window,
-		GammaSlack: gamma,
-	}, seed)
-}
-
-// Simulate runs one trial with a mapping heuristic chosen by registry
-// spec (see NewMapper) and the given dropping policy (nil = reactive
-// only). For repeated-trial experiments prefer NewScenario.
-func (s *System) Simulate(tr *Trace, mapperSpec string, dropper DropPolicy) (*Result, error) {
-	m, err := mapping.FromSpec(mapperSpec)
-	if err != nil {
-		return nil, err
-	}
-	return s.SimulateWith(tr, m, dropper), nil
-}
-
-// SimulateWith runs one trial with an explicit Mapper implementation —
-// the extension point for custom scheduling research.
-func (s *System) SimulateWith(tr *Trace, m Mapper, dropper DropPolicy) *Result {
-	return sim.New(s.Matrix, tr, m, dropper, s.Config).Run()
-}
-
 // HeuristicDropper returns the paper's autonomous proactive dropping
 // heuristic with the tuned parameters η=2, β=1.
 func HeuristicDropper() DropPolicy { return core.NewHeuristic() }
@@ -280,8 +211,7 @@ func ThresholdDropper(base float64, adaptive bool) DropPolicy {
 func ReactiveDropper() DropPolicy { return core.ReactiveOnly{} }
 
 // SPECProfile, VideoProfile and HomogeneousProfile re-export the raw
-// profile constructors for callers who want to modify them before
-// NewSystem.
+// profile constructors.
 func SPECProfile(seed int64) Profile { return pet.SPECProfile(seed) }
 
 // VideoProfile returns the video transcoding profile.
@@ -295,7 +225,11 @@ func HomogeneousProfile() Profile { return pet.HomogeneousProfile() }
 // for concurrent use.
 func NewCalculus(m *Matrix) *Calculus { return core.NewCalculus(m) }
 
-// FprintBreakdown renders Engine.Breakdown's per-type and per-machine
+// Record subscribes a new Recorder to the engine's terminal hook; call it
+// before the engine runs.
+func Record(e *Engine) *Recorder { return sim.Record(e) }
+
+// FprintBreakdown renders Recorder.Breakdown's per-type and per-machine
 // statistics as aligned text.
 func FprintBreakdown(w io.Writer, types []TypeBreakdown, machines []MachineBreakdown) {
 	sim.FprintBreakdown(w, types, machines)

@@ -1,22 +1,30 @@
 package taskdrop_test
 
 import (
+	"context"
 	"testing"
 
 	taskdrop "github.com/hpcclab/taskdrop"
 )
 
-func tinyTrace(s *taskdrop.System, seed int64) *taskdrop.Trace {
-	return s.Workload(300, 2000, taskdrop.DefaultGammaSlack, seed)
-}
-
-func TestQuickstartFlow(t *testing.T) {
-	sys := taskdrop.SPECSystem()
-	tr := tinyTrace(sys, 1)
-	res, err := sys.Simulate(tr, "PAM", taskdrop.HeuristicDropper())
+// oneTrial runs a single seeded trial of a small scenario and returns its
+// Result.
+func oneTrial(t *testing.T, profile string, tasks int, window taskdrop.Tick, seed int64, opts ...taskdrop.ScenarioOption) *taskdrop.Result {
+	t.Helper()
+	base := []taskdrop.ScenarioOption{taskdrop.WithTasks(tasks), taskdrop.WithWindow(window), taskdrop.WithSeed(seed)}
+	sc, err := taskdrop.NewScenario(profile, append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rr, err := sc.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rr.Trials[0]
+}
+
+func TestQuickstartFlow(t *testing.T) {
+	res := oneTrial(t, "spec", 300, 2000, 1, taskdrop.WithMapper("PAM"), taskdrop.WithDropper("heuristic"))
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -26,21 +34,19 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestSystemConstructors(t *testing.T) {
-	for _, sys := range []*taskdrop.System{
-		taskdrop.SPECSystem(), taskdrop.VideoSystem(), taskdrop.HomogeneousSystem(),
-	} {
-		if sys.Matrix == nil || sys.Config.QueueCap != 6 {
-			t.Fatalf("bad system: %+v", sys)
+	for _, profile := range taskdrop.ProfileNames() {
+		sc, err := taskdrop.NewScenario(profile)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if n := len(taskdrop.SPECSystem().Matrix.Machines()); n != 8 {
-		t.Fatalf("SPEC machines = %d", n)
+		if m := sc.Matrix(); m == nil || len(m.Machines()) != 8 {
+			t.Fatalf("%s: bad system: %+v", profile, m)
+		}
 	}
 }
 
 func TestSimulateUnknownMapper(t *testing.T) {
-	sys := taskdrop.VideoSystem()
-	if _, err := sys.Simulate(tinyTrace(sys, 1), "not-a-mapper", nil); err == nil {
+	if _, err := taskdrop.NewScenario("video", taskdrop.WithMapper("not-a-mapper")); err == nil {
 		t.Fatal("unknown mapper must error")
 	}
 }
@@ -84,20 +90,10 @@ func TestProactiveDropperImprovesOversubscribedSystem(t *testing.T) {
 	// oversubscription, PAM+Heuristic completes at least as many tasks on
 	// time as PAM+ReactDrop, usually far more. Averaged over a few paired
 	// seeds to keep the assertion stable.
-	sys := taskdrop.SPECSystem()
 	var withDrop, without float64
 	for seed := int64(1); seed <= 4; seed++ {
-		tr := sys.Workload(2000, 13000, taskdrop.DefaultGammaSlack, seed)
-		a, err := sys.Simulate(tr, "PAM", taskdrop.HeuristicDropper())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := sys.Simulate(tr, "PAM", taskdrop.ReactiveDropper())
-		if err != nil {
-			t.Fatal(err)
-		}
-		withDrop += a.RobustnessPct
-		without += b.RobustnessPct
+		withDrop += oneTrial(t, "spec", 2000, 13000, seed, taskdrop.WithDropperPolicy(taskdrop.HeuristicDropper())).RobustnessPct
+		without += oneTrial(t, "spec", 2000, 13000, seed, taskdrop.WithDropperPolicy(taskdrop.ReactiveDropper())).RobustnessPct
 	}
 	if withDrop <= without {
 		t.Fatalf("proactive dropping did not help: %.1f%% vs %.1f%%", withDrop/4, without/4)
@@ -105,9 +101,8 @@ func TestProactiveDropperImprovesOversubscribedSystem(t *testing.T) {
 }
 
 func TestCustomMapperPluggable(t *testing.T) {
-	sys := taskdrop.VideoSystem()
-	tr := tinyTrace(sys, 2)
-	res := sys.SimulateWith(tr, greedy{}, taskdrop.HeuristicDropper())
+	res := oneTrial(t, "video", 300, 2000, 2,
+		taskdrop.WithMapperImpl(greedy{}), taskdrop.WithDropperPolicy(taskdrop.HeuristicDropper()))
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
