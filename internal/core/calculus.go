@@ -355,18 +355,3 @@ func (c *Calculus) SuccessProbs(mt pet.MachineType, now pmf.Tick, q []QueueTask)
 	}
 	return ps
 }
-
-// InstantaneousRobustness returns R_j of Eq. 3: the sum of the chances of
-// success of every task in the queue.
-func (c *Calculus) InstantaneousRobustness(mt pet.MachineType, now pmf.Tick, q []QueueTask) float64 {
-	sum := 0.0
-	s, start := c.ChainStart(mt, now, q)
-	if start == 1 {
-		sum += s.PMF().MassBefore(q[0].Deadline)
-	}
-	for i := start; i < len(q); i++ {
-		s = s.AppendTask(q[i])
-		sum += s.PMF().MassBefore(q[i].Deadline)
-	}
-	return sum
-}

@@ -119,21 +119,6 @@ func TestSuccessProbsPartial(t *testing.T) {
 	}
 }
 
-func TestInstantaneousRobustnessIsSumOfCoS(t *testing.T) {
-	m := testMatrix(t, [][]pmf.PMF{{twoPoint(10, 0.5, 60)}, {delta(20)}})
-	c := NewCalculus(m)
-	q := []QueueTask{
-		{Type: 0, Deadline: 50},
-		{Type: 1, Deadline: 35},
-	}
-	// Task 0: CoS 0.5. Task 1: starts at 10 (p=.5) → ends 30 < 35 ok;
-	// starts at 60 ≥ 35 → dropped. CoS = 0.5.
-	got := c.InstantaneousRobustness(0, 0, q)
-	if math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("R = %v, want 1.0", got)
-	}
-}
-
 func TestAppendMatchesManualEq1(t *testing.T) {
 	exec := twoPoint(1, 0.6, 2)
 	m := testMatrix(t, [][]pmf.PMF{{exec}})

@@ -104,7 +104,8 @@ func TestBatchDecisionIDRoundTrip(t *testing.T) {
 
 // TestMembershipRecordRoundTrip pins the dynamic-membership record kind:
 // every op survives the round trip, an out-of-range op byte is rejected,
-// and String renders the op name for hcreplay audits.
+// and String renders the op code (its names are sim.MemberKind's) and the
+// machine.
 func TestMembershipRecordRoundTrip(t *testing.T) {
 	for _, r := range []Record{
 		{Kind: KindMembership, Action: MemberAdd, Machine: 4, Type: 2, Tick: 512},
@@ -122,7 +123,7 @@ func TestMembershipRecordRoundTrip(t *testing.T) {
 		}
 	}
 	rm := Record{Kind: KindMembership, Action: MemberRemove, Machine: 7, NTasks: 1, Tick: 42}
-	if s := rm.String(); !bytes.Contains([]byte(s), []byte("remove")) || !bytes.Contains([]byte(s), []byte("machine=7")) {
+	if s := rm.String(); !bytes.Contains([]byte(s), []byte("op=1")) || !bytes.Contains([]byte(s), []byte("machine=7")) {
 		t.Fatalf("String() = %q, want the op and machine", s)
 	}
 	forged := AppendRecord(nil, &rm)[frameHeader:]
@@ -333,19 +334,21 @@ func TestCheckpointRotationAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Snapshot) != "state-after-20" || rec.SnapshotSeg != 1 {
+	// The walk starts at the newest snapshot but one: the tail holds a
+	// whole segment, and reaches the newest snapshot by replay.
+	if string(rec.Snapshot) != "state-after-10" || rec.SnapshotSeg != 0 {
 		t.Fatalf("recover picked snapshot %d %q", rec.SnapshotSeg, rec.Snapshot)
 	}
 	var tail []Record
 	if err := rec.Replay(dir, func(r *Record) error { tail = append(tail, *r); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tail, recs[20:30]) {
-		t.Fatalf("tail replay got %d records, want 10", len(tail))
+	if !reflect.DeepEqual(tail, recs[10:30]) {
+		t.Fatalf("tail replay got %d records, want 20", len(tail))
 	}
 
-	// Corrupt the newest snapshot: recovery must fall back to the older
-	// one and replay a longer tail.
+	// Corrupt the newest snapshot: one readable snapshot is left, so
+	// recovery falls back to genesis and replays everything.
 	if err := os.WriteFile(SnapshotPath(dir, 1), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -353,15 +356,15 @@ func TestCheckpointRotationAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Snapshot) != "state-after-10" || rec.SnapshotSeg != 0 {
-		t.Fatalf("fallback picked snapshot %d %q", rec.SnapshotSeg, rec.Snapshot)
+	if rec.Snapshot != nil || rec.SnapshotSeg != -1 {
+		t.Fatalf("fallback picked snapshot %d %q, want genesis", rec.SnapshotSeg, rec.Snapshot)
 	}
 	tail = tail[:0]
 	if err := rec.Replay(dir, func(r *Record) error { tail = append(tail, *r); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tail, recs[10:30]) {
-		t.Fatalf("fallback tail got %d records, want 20", len(tail))
+	if !reflect.DeepEqual(tail, recs) {
+		t.Fatalf("fallback tail got %d records, want 30", len(tail))
 	}
 
 	// From-scratch replay sees everything.

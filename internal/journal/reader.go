@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -9,48 +10,59 @@ import (
 	"os"
 )
 
-// maxSnapshotPayload bounds a snapshot file; engine snapshots grow with
-// the served task history (~100 B/task serialized), so the cap is
-// generous.
+// maxSnapshotPayload bounds a snapshot file. A shard checkpoint holds what
+// is queued, a few KB; the cap only keeps a corrupt length field from
+// making the reader allocate wildly.
 const maxSnapshotPayload = 256 << 20
 
-// scanValidPrefix reads framed records from the start of f and returns
-// the byte offset and record count of the longest valid prefix: the scan
-// stops at EOF, a partial frame, an over-limit length, or a CRC mismatch
-// — the torn-tail signatures of a crash mid-write. Only I/O failures
-// return an error.
-func scanValidPrefix(f *os.File) (offset int64, records int, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
+// readFrame reads one frame from br into buf (grown as needed) and returns
+// its checked payload. ok is false at EOF, a partial frame, a length over
+// limit or a CRC mismatch — the signatures of a write a crash tore.
+func readFrame(br *bufio.Reader, buf []byte, limit int) (payload []byte, ok bool) {
+	hdr, err := br.Peek(frameHeader)
+	if err != nil {
+		return buf, false
 	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	var hdr [frameHeader]byte
+	n, crc := int(binary.LittleEndian.Uint32(hdr)), binary.LittleEndian.Uint32(hdr[4:])
+	if n > limit {
+		return buf, false
+	}
+	_, _ = br.Discard(frameHeader) // just peeked: cannot fail
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return buf, false
+	}
+	return buf, crc32.Checksum(buf, crcTable) == crc
+}
+
+// scanFrames is the one loop over a segment's frames: it decodes every
+// record of r's longest valid prefix, hands it to fn (when non-nil), and
+// returns the prefix's byte length and record count — where the writer
+// truncates a torn tail and resumes. The scan ends silently where readFrame
+// stops; a payload that passes its checksum and does not decode is no torn
+// write — the format itself is off (foreign file, incompatible version) —
+// and is an error, as is one from fn.
+func scanFrames(name string, r io.Reader, fn func(*Record) error) (offset int64, records int, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return offset, records, nil // EOF or partial header: prefix ends
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxPayload {
+		var ok bool
+		if payload, ok = readFrame(br, payload, maxPayload); !ok {
 			return offset, records, nil
 		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
+		rec, err := DecodeRecord(payload)
+		if err != nil {
+			return offset, records, fmt.Errorf("journal: %s: record %d: %w", name, records, err)
 		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return offset, records, nil
+		if fn != nil {
+			if err := fn(&rec); err != nil {
+				return offset, records, err
+			}
 		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return offset, records, nil
-		}
-		if _, err := DecodeRecord(payload); err != nil {
-			// Structurally invalid but checksummed: not a torn write — the
-			// format itself is off (foreign file, incompatible version).
-			return offset, records, fmt.Errorf("journal: %s: record %d: %w", f.Name(), records, err)
-		}
-		offset += frameHeader + int64(n)
+		offset += frameHeader + int64(len(payload))
 		records++
 	}
 }
@@ -63,36 +75,8 @@ func ScanSegment(path string, fn func(*Record) error) error {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	var hdr [frameHeader]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n > maxPayload {
-			return nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return nil
-		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("journal: %s: %w", path, err)
-		}
-		if err := fn(&rec); err != nil {
-			return err
-		}
-	}
+	_, _, err = scanFrames(path, f, fn)
+	return err
 }
 
 // ReadSnapshotFile reads and CRC-verifies one snapshot payload.
@@ -101,23 +85,16 @@ func ReadSnapshotFile(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < frameHeader {
-		return nil, fmt.Errorf("journal: %s: snapshot truncated (%d bytes)", path, len(data))
-	}
-	n := binary.LittleEndian.Uint32(data)
-	crc := binary.LittleEndian.Uint32(data[4:])
-	if int(n) > maxSnapshotPayload || frameHeader+int(n) > len(data) {
-		return nil, fmt.Errorf("journal: %s: snapshot length %d exceeds file", path, n)
-	}
-	payload := data[frameHeader : frameHeader+int(n)]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, fmt.Errorf("journal: %s: snapshot CRC mismatch", path)
+	// No frame of the file is longer than the file.
+	payload, ok := readFrame(bufio.NewReader(bytes.NewReader(data)), nil, min(len(data), maxSnapshotPayload))
+	if !ok {
+		return nil, fmt.Errorf("journal: %s: snapshot frame truncated or corrupt (%d bytes)", path, len(data))
 	}
 	return payload, nil
 }
 
 // Recovery describes how to rebuild a shard's state from its log: the
-// newest snapshot that decodes cleanly (nil payload when replaying from
+// snapshot to start from (see Recover; nil payload when replaying from
 // scratch) and the ordered tail segments to replay after it.
 type Recovery struct {
 	// SnapshotSeg is the snapshot's segment index, -1 without one.
@@ -138,10 +115,15 @@ func (r *Recovery) Replay(dir string, fn func(*Record) error) error {
 	return nil
 }
 
-// Recover plans a shard's recovery: it picks the newest snapshot whose
-// payload verifies (falling back to older ones — a torn snapshot just
-// means replaying a longer tail) and lists the segments after it. An
-// absent or empty directory recovers to the empty plan.
+// Recover plans a shard's recovery: it bases the walk on the newest
+// snapshot but one whose payload verifies (genesis when fewer than two do;
+// a torn snapshot just means replaying a longer tail) and lists the
+// segments after it. The tail therefore always spans at least one whole
+// segment: the newest snapshot is reached by replay and checked against it
+// instead of trusted, and what the caller rebuilds from the tail alone — the
+// service's window of acknowledged decision IDs — is never empty because
+// the last commit happened to land on a checkpoint. An absent or empty
+// directory recovers to the empty plan.
 func Recover(dir string) (*Recovery, error) {
 	segs, err := Segments(dir)
 	if err != nil {
@@ -152,14 +134,15 @@ func Recover(dir string) (*Recovery, error) {
 		return nil, err
 	}
 	r := &Recovery{SnapshotSeg: -1}
-	for i := len(snaps) - 1; i >= 0; i-- {
+	for i, readable := len(snaps)-1, 0; i >= 0; i-- {
 		payload, err := ReadSnapshotFile(SnapshotPath(dir, snaps[i]))
 		if err != nil {
 			continue // fall back to the previous snapshot
 		}
-		r.SnapshotSeg = snaps[i]
-		r.Snapshot = payload
-		break
+		if readable++; readable == 2 {
+			r.SnapshotSeg, r.Snapshot = snaps[i], payload
+			break
+		}
 	}
 	for _, s := range segs {
 		if s > r.SnapshotSeg {

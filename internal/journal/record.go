@@ -135,7 +135,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 func AppendRecord(buf []byte, r *Record) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
-	p := len(buf)
 
 	buf = append(buf, recordVersion, byte(r.Kind))
 	switch r.Kind {
@@ -191,10 +190,16 @@ func AppendRecord(buf []byte, r *Record) []byte {
 		panic(fmt.Sprintf("journal: encoding unknown record kind %d", r.Kind))
 	}
 
-	payload := buf[p:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	sealFrame(buf[start:])
 	return buf
+}
+
+// sealFrame fills in the header of frame — frameHeader placeholder bytes
+// and the payload after them — with the payload's length and CRC-32C.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
 }
 
 // DecodeRecord parses one record payload (the bytes after the frame
@@ -379,12 +384,7 @@ func (r *Record) String() string {
 	case KindDrain:
 		return fmt.Sprintf("drain t=%d", r.Tick)
 	case KindMembership:
-		ops := [...]string{"add", "remove", "revive"}
-		op := "?"
-		if int(r.Action) < len(ops) {
-			op = ops[r.Action]
-		}
-		return fmt.Sprintf("membership op=%s machine=%d type=%d handoff=%d t=%d", op, r.Machine, r.Type, r.NTasks, r.Tick)
+		return fmt.Sprintf("membership op=%d machine=%d type=%d handoff=%d t=%d", r.Action, r.Machine, r.Type, r.NTasks, r.Tick)
 	case KindTrace:
 		return fmt.Sprintf("trace seq=%d spans=%d", r.Seq, len(r.Spans))
 	default:

@@ -2,9 +2,7 @@ package journal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -147,7 +145,7 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 		return nil, err
 	}
 	// Truncate a torn tail so appends continue at a record boundary.
-	valid, nrec, err := scanValidPrefix(f)
+	valid, nrec, err := scanFrames(path, f, nil)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -330,8 +328,8 @@ func (w *Writer) Checkpoint(payload []byte) error {
 	return nil
 }
 
-// writeSnapshotFile frames payload (length + CRC, same framing as WAL
-// records) into snap-<seg> via a fsynced temp-and-rename.
+// writeSnapshotFile frames payload as one WAL-style frame (sealFrame) into
+// snap-<seg> via a fsynced temp-and-rename.
 func writeSnapshotFile(dir string, seg int, payload []byte) error {
 	if len(payload) > maxSnapshotPayload {
 		return fmt.Errorf("journal: snapshot payload %d bytes exceeds %d", len(payload), maxSnapshotPayload)
@@ -341,13 +339,9 @@ func writeSnapshotFile(dir string, seg int, payload []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := tmp.Write(hdr[:]); err == nil {
-		_, err = tmp.Write(payload)
-	}
-	if err == nil {
+	frame := append(make([]byte, frameHeader, frameHeader+len(payload)), payload...)
+	sealFrame(frame)
+	if _, err = tmp.Write(frame); err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {

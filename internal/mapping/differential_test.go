@@ -126,7 +126,7 @@ type assignLog struct {
 func (l *assignLog) Map(ev *sim.MappingEvent) {
 	before := make([]int, len(ev.Machines()))
 	for i, m := range ev.Machines() {
-		before[i] = m.QueueLen()
+		before[i] = len(m.Queue())
 	}
 	l.Mapper.Map(ev)
 	for i, m := range ev.Machines() {

@@ -121,18 +121,6 @@ func (p PMF) MassBefore(t Tick) float64 {
 	return s
 }
 
-// MassAtOrAfter returns the probability mass at or after tick t. The
-// summation runs latest-impulse-first, matching the historical scan order
-// bit for bit.
-func (p PMF) MassAtOrAfter(t Tick) float64 {
-	s := 0.0
-	tail := p.imp[searchImpulses(p.imp, t):]
-	for i := len(tail) - 1; i >= 0; i-- {
-		s += tail[i].P
-	}
-	return s
-}
-
 // Min returns the earliest impulse time. It panics on an empty PMF.
 func (p PMF) Min() Tick {
 	if len(p.imp) == 0 {

@@ -85,51 +85,44 @@ func TestAtAndMassQueries(t *testing.T) {
 	if got := p.MassBefore(21); !almost(got, 0.5, 1e-12) {
 		t.Fatalf("MassBefore(21) = %v, want 0.5", got)
 	}
-	if got := p.MassAtOrAfter(20); !almost(got, 0.8, 1e-12) {
-		t.Fatalf("MassAtOrAfter(20) = %v, want 0.8", got)
-	}
 	if p.Min() != 10 || p.Max() != 30 {
 		t.Fatalf("Min/Max = %d/%d", p.Min(), p.Max())
 	}
 }
 
-// TestMassQueryBoundaryTicks pins the binary-searched MassBefore and
-// MassAtOrAfter at every boundary: below, at, between, and above the
-// impulse support, plus the empty PMF.
+// TestMassQueryBoundaryTicks pins the binary-searched MassBefore at every
+// boundary: below, at, between, and above the impulse support, plus the
+// empty PMF.
 func TestMassQueryBoundaryTicks(t *testing.T) {
 	p := FromImpulses([]Impulse{{T: 10, P: 0.2}, {T: 20, P: 0.3}, {T: 30, P: 0.5}})
 	cases := []struct {
-		t             Tick
-		before, after float64
+		t      Tick
+		before float64
 	}{
-		{-5, 0, 1}, // far below the support
-		{9, 0, 1},  // one tick below the first impulse
-		{10, 0, 1}, // exactly at the first impulse (strictly-before excludes it)
-		{11, 0.2, 0.8},
-		{19, 0.2, 0.8},
-		{20, 0.2, 0.8}, // exactly at a middle impulse
-		{21, 0.5, 0.5},
-		{30, 0.5, 0.5}, // exactly at the last impulse
-		{31, 1, 0},     // one past the last impulse
-		{1000, 1, 0},   // far above the support
+		{-5, 0}, // far below the support
+		{9, 0},  // one tick below the first impulse
+		{10, 0}, // exactly at the first impulse (strictly-before excludes it)
+		{11, 0.2},
+		{19, 0.2},
+		{20, 0.2}, // exactly at a middle impulse
+		{21, 0.5},
+		{30, 0.5}, // exactly at the last impulse
+		{31, 1},   // one past the last impulse
+		{1000, 1}, // far above the support
 	}
 	for _, c := range cases {
 		if got := p.MassBefore(c.t); !almost(got, c.before, 1e-12) {
 			t.Errorf("MassBefore(%d) = %v, want %v", c.t, got, c.before)
 		}
-		if got := p.MassAtOrAfter(c.t); !almost(got, c.after, 1e-12) {
-			t.Errorf("MassAtOrAfter(%d) = %v, want %v", c.t, got, c.after)
-		}
 	}
 	var zero PMF
-	if zero.MassBefore(10) != 0 || zero.MassAtOrAfter(10) != 0 {
-		t.Errorf("empty PMF mass queries = %v/%v, want 0/0",
-			zero.MassBefore(10), zero.MassAtOrAfter(10))
+	if zero.MassBefore(10) != 0 {
+		t.Errorf("empty PMF MassBefore = %v, want 0", zero.MassBefore(10))
 	}
 }
 
-// TestMassQueriesMatchLinearScan cross-checks the binary-searched queries
-// against the straightforward linear scans on random PMFs, at random cuts
+// TestMassQueriesMatchLinearScan cross-checks the binary-searched query
+// against the straightforward linear scan on random PMFs, at random cuts
 // and at every exact impulse tick and its neighbours.
 func TestMassQueriesMatchLinearScan(t *testing.T) {
 	linBefore := func(p PMF, cut Tick) float64 {
@@ -139,16 +132,6 @@ func TestMassQueriesMatchLinearScan(t *testing.T) {
 				break
 			}
 			s += im.P
-		}
-		return s
-	}
-	linAtOrAfter := func(p PMF, cut Tick) float64 {
-		s := 0.0
-		for i := p.Len() - 1; i >= 0; i-- {
-			if p.Impulses()[i].T < cut {
-				break
-			}
-			s += p.Impulses()[i].P
 		}
 		return s
 	}
@@ -163,9 +146,6 @@ func TestMassQueriesMatchLinearScan(t *testing.T) {
 			if got, want := p.MassBefore(cut), linBefore(p, cut); got != want {
 				t.Fatalf("MassBefore(%d) = %v, linear scan %v (pmf %v)", cut, got, want, p)
 			}
-			if got, want := p.MassAtOrAfter(cut), linAtOrAfter(p, cut); got != want {
-				t.Fatalf("MassAtOrAfter(%d) = %v, linear scan %v (pmf %v)", cut, got, want, p)
-			}
 		}
 	}
 }
@@ -175,10 +155,14 @@ func TestMassPartitionProperty(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		p := randomPMF(r, 20, 1000)
 		cut := Tick(r.Int63n(1200))
-		sum := p.MassBefore(cut) + p.MassAtOrAfter(cut)
-		if !almost(sum, p.TotalMass(), 1e-12) {
-			t.Fatalf("partition at %d: %v + %v != %v",
-				cut, p.MassBefore(cut), p.MassAtOrAfter(cut), p.TotalMass())
+		rest := 0.0
+		for _, im := range p.Impulses() {
+			if im.T >= cut {
+				rest += im.P
+			}
+		}
+		if sum := p.MassBefore(cut) + rest; !almost(sum, p.TotalMass(), 1e-12) {
+			t.Fatalf("partition at %d: %v + %v != %v", cut, p.MassBefore(cut), rest, p.TotalMass())
 		}
 	}
 }

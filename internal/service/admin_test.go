@@ -5,10 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/hpcclab/taskdrop/internal/journal"
+	"github.com/hpcclab/taskdrop/internal/sim"
 )
 
 // admin applies one membership operation and fails the test on error.
@@ -32,13 +36,13 @@ func TestAdminMembershipLifecycle(t *testing.T) {
 	nm := len(c.matrix.Machines())
 	// Remove every machine: the shard degrades to zero live capacity.
 	for m := 0; m < nm; m++ {
-		resp := admin(t, c, AdminMachineRequest{Op: AdminOpRemove, Machine: m, Handoff: true})
+		resp := admin(t, c, AdminMachineRequest{Op: "remove", Machine: m, Handoff: true})
 		if resp.LiveMachines != nm-1-m {
 			t.Fatalf("live after removing %d machines = %d, want %d", m+1, resp.LiveMachines, nm-1-m)
 		}
 	}
 	// Removing twice is a state conflict, not a malformed request.
-	if _, err := c.Admin(context.Background(), &AdminMachineRequest{Op: AdminOpRemove, Machine: 0}); !errors.Is(err, errAdminConflict) {
+	if _, err := c.Admin(context.Background(), &AdminMachineRequest{Op: "remove", Machine: 0}); !errors.Is(err, errAdminConflict) {
 		t.Fatalf("double remove: %v, want errAdminConflict", err)
 	}
 
@@ -52,7 +56,7 @@ func TestAdminMembershipLifecycle(t *testing.T) {
 	}
 
 	// Revive one machine: capacity is back and decides flow again.
-	if resp := admin(t, c, AdminMachineRequest{Op: AdminOpRevive, Machine: 3}); resp.LiveMachines != 1 {
+	if resp := admin(t, c, AdminMachineRequest{Op: "revive", Machine: 3}); resp.LiveMachines != 1 {
 		t.Fatalf("live after revive = %d, want 1", resp.LiveMachines)
 	}
 	if _, err := c.Decide(context.Background(), &req); err != nil {
@@ -60,7 +64,7 @@ func TestAdminMembershipLifecycle(t *testing.T) {
 	}
 
 	// Add a machine of an existing type: fresh global index past the matrix.
-	resp := admin(t, c, AdminMachineRequest{Op: AdminOpAdd, Shard: 0, Type: 1})
+	resp := admin(t, c, AdminMachineRequest{Op: "add", Shard: 0, Type: 1})
 	if resp.Machine != nm {
 		t.Fatalf("added machine global index = %d, want %d", resp.Machine, nm)
 	}
@@ -68,20 +72,33 @@ func TestAdminMembershipLifecycle(t *testing.T) {
 		t.Fatalf("add response %+v, want a name and 2 live machines", resp)
 	}
 	// The added machine is addressable for removal by its new index.
-	if got := admin(t, c, AdminMachineRequest{Op: AdminOpRemove, Machine: nm, Handoff: true}); got.LiveMachines != 1 {
+	if got := admin(t, c, AdminMachineRequest{Op: "remove", Machine: nm, Handoff: true}); got.LiveMachines != 1 {
 		t.Fatalf("live after removing added machine = %d, want 1", got.LiveMachines)
 	}
 
 	// Validation surface: unknown ops, out-of-range targets.
 	for _, bad := range []AdminMachineRequest{
 		{Op: "explode"},
-		{Op: AdminOpRemove, Machine: 999},
-		{Op: AdminOpAdd, Shard: 9, Type: 0},
-		{Op: AdminOpAdd, Shard: 0, Type: 99},
+		{Op: "remove", Machine: 999},
+		{Op: "add", Shard: 9, Type: 0},
+		{Op: "add", Shard: 0, Type: 99},
 	} {
 		if _, err := c.Admin(context.Background(), &bad); err == nil {
 			t.Errorf("admin accepted %+v", bad)
 		}
+	}
+	// Indexes far past anything the shard holds, and ones whose low 32 bits
+	// name a removed machine that a revive would accept: all not owned.
+	for _, g := range []int{-1, nm + 1, 1 << 31, 1<<32 + 1, 1<<32 + nm + 1, math.MaxInt} {
+		for _, op := range []string{"remove", "revive"} {
+			_, err := c.Admin(context.Background(), &AdminMachineRequest{Op: op, Machine: g})
+			if err == nil || errors.Is(err, errAdminConflict) || !strings.Contains(err.Error(), "not owned") {
+				t.Errorf("%s of machine %d: %v, want not owned", op, g, err)
+			}
+		}
+	}
+	if live := c.shards[0].liveMachines.Load(); live != 1 {
+		t.Errorf("live machines after the refused operations = %d, want 1", live)
 	}
 	if _, err := c.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -113,7 +130,7 @@ func TestAdminHTTP(t *testing.T) {
 	}
 
 	for m := 0; m < nm; m++ {
-		resp, body := post(AdminMachineRequest{Op: AdminOpRemove, Machine: m, Handoff: true})
+		resp, body := post(AdminMachineRequest{Op: "remove", Machine: m, Handoff: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("remove machine %d: %d %s", m, resp.StatusCode, body)
 		}
@@ -121,7 +138,7 @@ func TestAdminHTTP(t *testing.T) {
 		if err := json.Unmarshal(body, &ar); err != nil {
 			t.Fatal(err)
 		}
-		if ar.Op != AdminOpRemove || ar.Machine != m {
+		if ar.Op != "remove" || ar.Machine != m {
 			t.Fatalf("admin response %+v", ar)
 		}
 	}
@@ -141,10 +158,10 @@ func TestAdminHTTP(t *testing.T) {
 	}
 
 	// Conflict → 409; junk body → 400; unknown field → 400.
-	if resp, _ := post(AdminMachineRequest{Op: AdminOpRevive, Machine: 0}); resp.StatusCode != http.StatusOK {
+	if resp, _ := post(AdminMachineRequest{Op: "revive", Machine: 0}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("revive status = %d", resp.StatusCode)
 	}
-	if resp, _ := post(AdminMachineRequest{Op: AdminOpRevive, Machine: 0}); resp.StatusCode != http.StatusConflict {
+	if resp, _ := post(AdminMachineRequest{Op: "revive", Machine: 0}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("double revive status = %d, want 409", resp.StatusCode)
 	}
 	junk, err := http.Post(srv.URL+"/v1/admin/machines", "application/json", strings.NewReader(`{"op":`))
@@ -183,7 +200,9 @@ func TestAdminHTTP(t *testing.T) {
 // tentpole across churn: membership operations mid-trace are journaled
 // inputs, so a killed server recovers its post-churn machine set and the
 // decision stream re-derives identically to an uninterrupted reference
-// that saw the same operations.
+// that saw the same operations. Machines are added to shard 1 and then to
+// shard 0: an index handed out in arrival order would swap the two on the
+// restart, which recovers shard 0 first.
 func TestJournalCrashRecoveryWithMembership(t *testing.T) {
 	tr := testTrace(t, 400, 23)
 	jcfg := Config{
@@ -204,10 +223,10 @@ func TestJournalCrashRecoveryWithMembership(t *testing.T) {
 	}
 
 	// churn applies the same operation to both controllers.
-	churn := func(req AdminMachineRequest) {
+	churn := func(req AdminMachineRequest) *AdminMachineResponse {
 		t.Helper()
 		admin(t, ref, req)
-		admin(t, jc, req)
+		return admin(t, jc, req)
 	}
 
 	const cut = 250
@@ -217,15 +236,21 @@ func TestJournalCrashRecoveryWithMembership(t *testing.T) {
 		t.Fatal("journaled controller diverged before any churn")
 	}
 
-	churn(AdminMachineRequest{Op: AdminOpRemove, Machine: 2, Handoff: true})
-	churn(AdminMachineRequest{Op: AdminOpRemove, Machine: 5})
-	churn(AdminMachineRequest{Op: AdminOpAdd, Shard: 1, Type: 0})
+	churn(AdminMachineRequest{Op: "remove", Machine: 2, Handoff: true})
+	churn(AdminMachineRequest{Op: "remove", Machine: 5})
+	added := churn(AdminMachineRequest{Op: "add", Shard: 1, Type: 0})
+	churn(AdminMachineRequest{Op: "add", Shard: 0, Type: 1})
 	wantHead = decideRange(t, ref, tr, 100, cut, 8)
 	gotHead = decideRange(t, jc, tr, 100, cut, 8)
 	if !reflect.DeepEqual(gotHead, wantHead) {
 		t.Fatal("journaled controller diverged after churn")
 	}
-	churn(AdminMachineRequest{Op: AdminOpRevive, Machine: 2})
+	churn(AdminMachineRequest{Op: "revive", Machine: 2})
+	// Shard 1's next add would be machine added+2; until then the index is
+	// refused on the loop and logs nothing (the verifier counts below).
+	if _, err := jc.Admin(context.Background(), &AdminMachineRequest{Op: "remove", Machine: added.Machine + 2}); err == nil {
+		t.Fatalf("removed machine %d, which nothing holds", added.Machine+2)
+	}
 
 	pre, err := jc.ShardStats(context.Background())
 	if err != nil {
@@ -253,19 +278,25 @@ func TestJournalCrashRecoveryWithMembership(t *testing.T) {
 	// The recovered controller continues the stream exactly — the removed
 	// machine stays removed, the added machine keeps its place, and the
 	// revived machine is schedulable again.
-	wantTail := decideRange(t, ref, tr, cut, len(tr.Tasks), 8)
-	gotTail := decideRange(t, jc2, tr, cut, len(tr.Tasks), 8)
+	const mid = 330
+	wantTail := decideRange(t, ref, tr, cut, mid, 8)
+	gotTail := decideRange(t, jc2, tr, cut, mid, 8)
 	if !reflect.DeepEqual(gotTail, wantTail) {
 		t.Fatal("recovered controller diverged from reference after the crash")
 	}
 
-	// Post-recovery membership operations still resolve global indexes —
-	// including the runtime-added machine re-registered during recovery.
-	nm := len(jc2.matrix.Machines())
-	if resp := admin(t, jc2, AdminMachineRequest{Op: AdminOpRemove, Machine: nm, Handoff: true}); resp.Shard != 1 {
-		t.Fatalf("recovered added machine on shard %d, want 1", resp.Shard)
+	// Post-recovery membership operations still resolve global indexes: the
+	// one the live server answered shard 1's add with names that machine.
+	rm := AdminMachineRequest{Op: "remove", Machine: added.Machine, Handoff: true}
+	if resp := admin(t, jc2, rm); resp.Shard != 1 || resp.MachineName != added.MachineName {
+		t.Fatalf("machine %d is %q on shard %d after recovery, was %q on shard 1", added.Machine, resp.MachineName, resp.Shard, added.MachineName)
 	}
-	admin(t, ref, AdminMachineRequest{Op: AdminOpRemove, Machine: nm, Handoff: true})
+	admin(t, ref, rm)
+	wantTail = decideRange(t, ref, tr, mid, len(tr.Tasks), 8)
+	gotTail = decideRange(t, jc2, tr, mid, len(tr.Tasks), 8)
+	if !reflect.DeepEqual(gotTail, wantTail) {
+		t.Fatal("recovered controller diverged from reference after the post-recovery remove")
+	}
 
 	got, err := jc2.Drain(context.Background())
 	if err != nil {
@@ -288,8 +319,20 @@ func TestJournalCrashRecoveryWithMembership(t *testing.T) {
 	for _, st := range stats {
 		members += st.Membership
 	}
-	if members != 5 {
-		t.Errorf("verified %d membership records, want 5", members)
+	if members != 6 {
+		t.Errorf("verified %d membership records, want 6", members)
+	}
+}
+
+// TestMemberKindsAreJournalCodes pins what lets shard.applyMembership
+// convert a record's action code into the operation kind, not look it up.
+func TestMemberKindsAreJournalCodes(t *testing.T) {
+	for kind, code := range map[sim.MemberKind]uint8{
+		sim.MemberAdd: journal.MemberAdd, sim.MemberRemove: journal.MemberRemove, sim.MemberRevive: journal.MemberRevive,
+	} {
+		if uint8(kind) != code {
+			t.Errorf("sim kind %v is %d, the journal logs it as %d", kind, uint8(kind), code)
+		}
 	}
 }
 
@@ -302,13 +345,13 @@ func TestParseChurnPlan(t *testing.T) {
 	if len(plan) != 3 {
 		t.Fatalf("plan length = %d, want 3", len(plan))
 	}
-	if plan[0].AtTask != 100 || plan[0].Req.Op != AdminOpRemove || plan[0].Req.Handoff {
+	if plan[0].AtTask != 100 || plan[0].Req.Op != "remove" || plan[0].Req.Handoff {
 		t.Fatalf("plan[0] = %+v, want remove@100 with drop", plan[0])
 	}
-	if plan[1].AtTask != 50 || plan[1].Req.Op != AdminOpRevive || plan[1].Req.Machine != 2 {
+	if plan[1].AtTask != 50 || plan[1].Req.Op != "revive" || plan[1].Req.Machine != 2 {
 		t.Fatalf("plan[1] = %+v, want revive@50 machine 2", plan[1])
 	}
-	if plan[2].Req.Op != AdminOpAdd || plan[2].Req.Shard != 1 || plan[2].Req.Type != 3 {
+	if plan[2].Req.Op != "add" || plan[2].Req.Shard != 1 || plan[2].Req.Type != 3 {
 		t.Fatalf("plan[2] = %+v, want add shard 1 type 3", plan[2])
 	}
 	// A plain remove defaults to handing the queue off.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"github.com/hpcclab/taskdrop/internal/sim"
 )
 
 // Churn plans: hcload's fault-injection harness. A plan is a schedule of
@@ -21,15 +23,21 @@ type ChurnAction struct {
 	Req    AdminMachineRequest `json:"req"`
 }
 
+// churnGrammar spells the action of each operation, by sim.MemberKind:
+// remove hands the queue off unless :drop force-drops it, revive returns a
+// removed machine, add grows <shard> with a machine of <type>.
+var churnGrammar = [...]string{
+	sim.MemberAdd:    "<at>:add:<shard>:<type>",
+	sim.MemberRemove: "<at>:remove:<machine>[:drop]",
+	sim.MemberRevive: "<at>:revive:<machine>",
+}
+
 // ParseChurnPlan parses hcload's -churn grammar: comma-separated actions
-//
-//	<at>:remove:<machine>[:drop]   remove (queue handed off; :drop force-drops)
-//	<at>:revive:<machine>          revive a removed machine
-//	<at>:add:<shard>:<type>        add a machine of <type> to <shard>
-//
-// where <at> is the 0-based task index the action fires before and
-// <machine> is a matrix-wide machine index. Actions may be given in any
-// order; Replay fires them sorted by task index.
+// (churnGrammar), where <at> is the 0-based task index the action fires
+// before and <machine> is a matrix-wide machine index — for a machine an
+// earlier add of the plan creates, the index sim.Cluster.Global gives it.
+// Actions may be given in any order; Replay fires them sorted by task
+// index.
 func ParseChurnPlan(s string) ([]ChurnAction, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -44,45 +52,27 @@ func ParseChurnPlan(s string) ([]ChurnAction, error) {
 		if err != nil || at < 0 {
 			return nil, fmt.Errorf("service: churn action %q: bad task index %q", part, fields[0])
 		}
-		a := ChurnAction{AtTask: at}
-		switch op := fields[1]; op {
-		case AdminOpRemove:
-			m, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("service: churn action %q: bad machine %q", part, fields[2])
+		kind, ok := sim.ParseMemberKind(fields[1])
+		if !ok {
+			return nil, fmt.Errorf("service: churn action %q: op %q, want remove, revive or add", part, fields[1])
+		}
+		a := ChurnAction{AtTask: at, Req: AdminMachineRequest{Op: fields[1], Handoff: kind == sim.MemberRemove}}
+		args := fields[2:]
+		if kind == sim.MemberRemove && len(args) == 2 && args[1] == "drop" {
+			a.Req.Handoff, args = false, args[:1]
+		}
+		// An add names a shard and a type, the other two one machine.
+		dst, names := []*int{&a.Req.Machine}, []string{"machine"}
+		if kind == sim.MemberAdd {
+			dst, names = []*int{&a.Req.Shard, &a.Req.Type}, []string{"shard", "type"}
+		}
+		if len(args) != len(dst) {
+			return nil, fmt.Errorf("service: churn action %q, want %q", part, churnGrammar[kind])
+		}
+		for i, f := range args {
+			if *dst[i], err = strconv.Atoi(f); err != nil {
+				return nil, fmt.Errorf("service: churn action %q: bad %s %q", part, names[i], f)
 			}
-			a.Req = AdminMachineRequest{Op: AdminOpRemove, Machine: m, Handoff: true}
-			switch {
-			case len(fields) == 3:
-			case len(fields) == 4 && fields[3] == "drop":
-				a.Req.Handoff = false
-			default:
-				return nil, fmt.Errorf("service: churn action %q, want \"<at>:remove:<machine>[:drop]\"", part)
-			}
-		case AdminOpRevive:
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("service: churn action %q, want \"<at>:revive:<machine>\"", part)
-			}
-			m, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("service: churn action %q: bad machine %q", part, fields[2])
-			}
-			a.Req = AdminMachineRequest{Op: AdminOpRevive, Machine: m}
-		case AdminOpAdd:
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("service: churn action %q, want \"<at>:add:<shard>:<type>\"", part)
-			}
-			sh, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("service: churn action %q: bad shard %q", part, fields[2])
-			}
-			mt, err := strconv.Atoi(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("service: churn action %q: bad type %q", part, fields[3])
-			}
-			a.Req = AdminMachineRequest{Op: AdminOpAdd, Shard: sh, Type: mt}
-		default:
-			return nil, fmt.Errorf("service: churn action %q: op %q, want remove, revive or add", part, op)
 		}
 		plan = append(plan, a)
 	}

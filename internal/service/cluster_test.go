@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -105,7 +106,10 @@ func TestShardedControllerDeterminism(t *testing.T) {
 // sharded architecture exactly as the unsharded service does against the
 // unsharded engine: the online sharded controller must land on the same
 // routing and the same merged Result as the offline sim.Cluster for the
-// same (profile, specs, trace, router).
+// same (profile, specs, trace, router) — by the same work: the dropper
+// walks as many windows on either side, so the tracing wrapper around the
+// served dropper hides none of what the engine asks a policy
+// (core.StableDecider, the unchanged-queue skip).
 func TestShardedControllerMatchesOfflineCluster(t *testing.T) {
 	tr := testTrace(t, 500, 5)
 	c := newShardedController(t, 4, "p2c:seed=2")
@@ -124,6 +128,76 @@ func TestShardedControllerMatchesOfflineCluster(t *testing.T) {
 	}
 	want := cl.Drain()
 	if *got != *want {
+		t.Fatalf("online merged Result = %+v\nwant (offline cluster) %+v", got, want)
+	}
+	var online, offline core.CalcStats
+	for s, sh := range c.shards {
+		online.Add(sh.eng.Calc().Stats())
+		offline.Add(cl.Shards()[s].Calc().Stats())
+	}
+	if online.WindowsBounded != offline.WindowsBounded || online.WindowsEvaluated != offline.WindowsEvaluated || online.WindowsEvaluated == 0 {
+		t.Fatalf("dropper windows bounded/evaluated: online %d/%d, offline %d/%d",
+			online.WindowsBounded, online.WindowsEvaluated, offline.WindowsBounded, offline.WindowsEvaluated)
+	}
+}
+
+// TestControllerMatchesOfflineClusterUnderMembership is online == offline
+// across churn: the same remove-with-handoff, remove-and-drop, adds on both
+// shards, revive and removal of an added machine, at the same task
+// boundaries, through Controller.Admin and through Cluster.ApplyChurn. Both
+// sides apply an operation with one piece of code (Engine.ApplyMember) and
+// number machines by one rule (Cluster.Global), so every decision — the
+// matrix-wide index of a runtime-added machine included — and the drained
+// Result agree.
+func TestControllerMatchesOfflineClusterUnderMembership(t *testing.T) {
+	tr := testTrace(t, 500, 5)
+	c := newShardedController(t, 2, "rr")
+	cl := newOfflineCluster(t, 2, "rr")
+	nm := len(c.matrix.Machines())
+	op := func(kind sim.MemberKind, machine int, handoff bool) sim.ChurnEvent {
+		return sim.ChurnEvent{MemberOp: sim.MemberOp{Kind: kind, Machine: machine, Handoff: handoff}}
+	}
+	add := func(shard int, mt pet.MachineType) sim.ChurnEvent {
+		return sim.ChurnEvent{MemberOp: sim.MemberOp{Kind: sim.MemberAdd, Type: mt}, Shard: shard}
+	}
+	churn := map[int][]sim.ChurnEvent{
+		100: {op(sim.MemberRemove, 2, true)},
+		150: {op(sim.MemberRemove, 5, false)},
+		// Shard 1 first: its machine is nm+1 whichever add comes first.
+		200: {add(1, 0), add(0, 1)},
+		300: {op(sim.MemberRevive, 2, false)},
+		400: {op(sim.MemberRemove, nm+1, true)},
+	}
+	onAdded := 0
+	for i := range tr.Tasks {
+		for _, ev := range churn[i] {
+			admin(t, c, AdminMachineRequest{Op: ev.Kind.String(), Machine: ev.Machine, Shard: ev.Shard, Type: int(ev.Type), Handoff: ev.Handoff})
+			if err := cl.ApplyChurn(ev); err != nil {
+				t.Fatalf("offline %v before task %d: %v", ev.Kind, i, err)
+			}
+		}
+		got := decideRange(t, c, tr, i, i+1, 1)[0]
+		shard, ts := cl.Feed(&tr.Tasks[i])
+		want := Decision{ID: got.ID, Seq: i, Shard: shard, Machine: -1, Action: actionOf(ts.Status)}
+		if want.Action == ActionMap {
+			want.Machine = cl.Global(shard, ts.Machine)
+			want.MachineName = cl.Shards()[shard].Machines()[ts.Machine].Spec.Name
+		}
+		if got != want {
+			t.Fatalf("task %d: online %+v, offline %+v", i, got, want)
+		}
+		if got.Machine >= nm {
+			onAdded++
+		}
+	}
+	if onAdded == 0 {
+		t.Fatal("setup: nothing was mapped to a runtime-added machine")
+	}
+	got, err := c.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cl.Drain(); *got != *want {
 		t.Fatalf("online merged Result = %+v\nwant (offline cluster) %+v", got, want)
 	}
 }
@@ -228,8 +302,32 @@ func TestStatsEndpointAndShardMetrics(t *testing.T) {
 		t.Fatalf("shards arrived %d, want %d", totalArrived, tr.Len())
 	}
 
+	// Two adds on shard 1 of 2 take every other place past the matrix; the
+	// places between them are shard 0's, hold nothing, and so are nobody's
+	// machine: not in /v1/stats, not a queue-depth series, not removable.
+	nm := len(c.matrix.Machines())
+	for _, want := range []int{nm + 1, nm + 3} {
+		if got := admin(t, c, AdminMachineRequest{Op: "add", Shard: 1, Type: 0}).Machine; got != want {
+			t.Fatalf("add on shard 1 of 2 is machine %d, want %d", got, want)
+		}
+	}
+	getJSON(t, srv, "/v1/stats", &st)
+	if got, want := st.Shards[1].Machines, []int{1, 3, 5, 7, nm + 1, nm + 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard 1 machines = %v, want %v", got, want)
+	}
+	for _, hole := range []int{nm, nm + 2, nm + 5} {
+		_, err := c.Admin(ctx, &AdminMachineRequest{Op: "remove", Machine: hole})
+		if err == nil || errors.Is(err, errAdminConflict) || !strings.Contains(err.Error(), "not owned") {
+			t.Fatalf("remove of machine %d, which nothing holds: %v, want not owned", hole, err)
+		}
+	}
+
 	body := getText(t, srv, "/metrics")
+	if strings.Contains(body, `taskdrop_queue_depth{machine="`+strconv.Itoa(nm)+`"`) {
+		t.Errorf("metrics has a queue-depth series for machine %d, which nothing holds", nm)
+	}
 	for _, want := range []string{
+		`taskdrop_queue_depth{machine="` + strconv.Itoa(nm+3) + `",name="added-0#1"}`,
 		`taskdrop_shard_decisions_total{shard="0",action="map"}`,
 		`taskdrop_shard_decisions_total{shard="1",action="map"}`,
 		`taskdrop_shard_queue_mass{shard="0"}`,

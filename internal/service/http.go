@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hpcclab/taskdrop/internal/journal"
+	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/telemetry"
 )
 
@@ -123,7 +123,7 @@ func NewHandler(c *Controller) http.Handler {
 		// Engine gauges come from the decision loops; skip them once drained
 		// (counters above still tell the whole story).
 		if snap, err := c.Stats(r.Context()); err == nil {
-			writeEngineGauges(x, c, snap)
+			writeEngineGauges(x, snap)
 		} else if res, ok := c.FinalResult(); ok {
 			x.Gauge("taskdrop_final_robustness_pct", "Robustness of the drained run.").Float(res.RobustnessPct)
 		}
@@ -242,9 +242,9 @@ func writeShardGauges(x *telemetry.Writer, c *Controller) {
 // no decision loop is touched.
 func writeMembershipGauges(x *telemetry.Writer, c *Controller) {
 	x.Counter("taskdrop_membership_ops_total", "Membership operations applied, by op.")
-	x.Int(c.memberOps[journal.MemberAdd].Load(), "op", "add")
-	x.Int(c.memberOps[journal.MemberRemove].Load(), "op", "remove")
-	x.Int(c.memberOps[journal.MemberRevive].Load(), "op", "revive")
+	for k := range c.memberOps {
+		x.Int(c.memberOps[k].Load(), "op", sim.MemberKind(k).String())
+	}
 	x.Gauge("taskdrop_membership_live_machines", "Machines currently in the live set, per shard.")
 	for _, sh := range c.shards {
 		x.Int(sh.liveMachines.Load(), "shard", strconv.Itoa(sh.id))
@@ -268,16 +268,11 @@ func writeMembershipGauges(x *telemetry.Writer, c *Controller) {
 }
 
 // writeEngineGauges renders the live queue-state gauges.
-func writeEngineGauges(x *telemetry.Writer, c *Controller, snap Snapshot) {
-	machines := c.matrix.Machines()
+func writeEngineGauges(x *telemetry.Writer, snap Snapshot) {
 	x.Gauge("taskdrop_virtual_clock_ticks", "The server's virtual clock.").Int(int64(snap.Now))
 	x.Gauge("taskdrop_queue_depth", "Tasks queued per machine (incl. running).")
-	for i, d := range snap.QueueDepths {
-		name := c.dir.name(i)
-		if i < len(machines) {
-			name = machines[i].Name
-		}
-		x.Int(int64(d), "machine", strconv.Itoa(i), "name", name)
+	for _, q := range snap.Queues {
+		x.Int(int64(q.Depth), "machine", strconv.Itoa(q.Machine), "name", q.Name)
 	}
 	x.Gauge("taskdrop_tasks", "Live task census by state.")
 	x.Int(int64(snap.Live.Batch), "state", "batch")

@@ -108,12 +108,20 @@ func TestHTTPIdempotentDecisionIDs(t *testing.T) {
 // TestJournalReseedsDedupAfterCrash proves idempotency survives a process
 // crash: decision IDs acknowledged before a kill -9 are re-seeded from the
 // journal on recovery, and a post-restart retry returns the byte-identical
-// pre-crash response.
+// pre-crash response — also at a checkpoint cadence on which commits land
+// (every 20 records), where the log behind the newest checkpoint is empty
+// and the window has to come from the segment before it.
 func TestJournalReseedsDedupAfterCrash(t *testing.T) {
+	for _, every := range []int{-1, 20} {
+		t.Run(fmt.Sprintf("SnapshotEvery=%d", every), func(t *testing.T) { reseedsDedupAfterCrash(t, every) })
+	}
+}
+
+func reseedsDedupAfterCrash(t *testing.T, every int) {
 	tr := testTrace(t, 80, 13)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: every,
 	}
 	c1, err := New(cfg)
 	if err != nil {
@@ -145,7 +153,14 @@ func TestJournalReseedsDedupAfterCrash(t *testing.T) {
 	srv2 := httptest.NewServer(NewHandler(c2))
 	defer srv2.Close()
 
-	for lo := 0; lo < 40; lo += 10 {
+	// Without checkpoints the window is the whole log; with them it reaches
+	// back one segment at least, which at this cadence is a request or two:
+	// what is promised is the retry of the last acknowledged request.
+	retryFrom := 0
+	if every > 0 {
+		retryFrom = 30
+	}
+	for lo := retryFrom; lo < 40; lo += 10 {
 		id := fmt.Sprintf("crash-idem-%d", lo/10)
 		req := DecideRequest{DecisionID: id, Tasks: make([]TaskSpec, 10)}
 		for i, task := range tr.Tasks[lo : lo+10] {
@@ -170,10 +185,12 @@ func TestJournalReseedsDedupAfterCrash(t *testing.T) {
 
 // TestPartitionedControllersCoverMatrix builds two controllers over the
 // halves of the video matrix and checks the ownership arithmetic the
-// multi-process deployment relies on.
+// multi-process deployment relies on: every machine owned once, and a
+// machine added to each backend at runtime numbered apart from the other's.
 func TestPartitionedControllersCoverMatrix(t *testing.T) {
 	var owned int
 	var total int
+	var added [2]int
 	for k := 0; k < 2; k++ {
 		c, err := New(Config{
 			Profile: "video", Mapper: "PAM", Dropper: "heuristic",
@@ -187,9 +204,13 @@ func TestPartitionedControllersCoverMatrix(t *testing.T) {
 			t.Fatalf("partition %d/2 owns the whole matrix (%d machines)", k, c.NumMachines())
 		}
 		owned += c.NumMachines()
+		added[k] = admin(t, c, AdminMachineRequest{Op: "add", Type: 0}).Machine
 	}
 	if owned != total {
 		t.Fatalf("partitions own %d machines, matrix has %d", owned, total)
+	}
+	if added[0] != total || added[1] != total+1 {
+		t.Fatalf("first adds on partitions 0/2 and 1/2 are machines %v, want %d and %d", added, total, total+1)
 	}
 
 	for _, bad := range []string{"2/2", "-1/2", "0/0", "x/2", "0/", "1"} {

@@ -169,9 +169,9 @@ func writeJournalMetrics(x *telemetry.Writer, c *Controller) {
 
 // initJournal brings the controller's journal up before the shard loops
 // start: validate (or create) the manifest, recover every shard from its
-// log — restore the newest checkpoint, then walk the tail as hcreplay
-// -verify would (shard.replayLog) — and only then open the writers, which
-// turns emit from the walk's matching queue into the log. Returns an error
+// log — restore the newest checkpoint but one, then walk the tail as
+// hcreplay -verify would (shard.replayLog) — and only then open the writers,
+// which turns emit from the walk's matching queue into the log. Returns an error
 // rather than serving over a log it cannot continue safely.
 func (c *Controller) initJournal() error {
 	root := c.cfg.JournalDir
@@ -226,8 +226,10 @@ func (c *Controller) initJournal() error {
 	// Re-seed the dedup window from the recovered batches: a request that
 	// committed before the crash answers its retry with its original
 	// decisions; a torn batch poisons its ID so a retry cannot double-feed
-	// the partially-applied arrivals. Seeding only covers batches after the
-	// newest checkpoint — older ones are beyond any sane retry window.
+	// the partially-applied arrivals. Seeding covers the batches of the
+	// recovered tail, which journal.Recover makes at least one whole segment
+	// (SnapshotEvery records) long however close to a checkpoint the crash
+	// fell; a retry of something older than that is executed again.
 	c.seedDedup()
 
 	// Writers open after recovery: OpenWriter truncates any torn tail, so
@@ -329,8 +331,8 @@ type recoveredBatch struct {
 var errTornBatch = errors.New("batch torn by crash (journaled arrivals incomplete)")
 
 // recover rebuilds one shard's state from its log: replayLog from the
-// newest checkpoint on the served shard itself (which initJournal holds in
-// replay mode meanwhile), so the tail is applied by the statements that
+// checkpoint journal.Recover picks, on the served shard itself (which
+// initJournal holds in replay mode meanwhile), so the tail is applied by the statements that
 // wrote it and every decision, event and drain marker it holds is checked
 // against what they derive — a tail that does not re-derive refuses the
 // start, naming the record, instead of serving on state the log
@@ -498,9 +500,6 @@ func (sh *shard) restore(payload []byte) error {
 	if err := sh.eng.RestoreSnapshot(cp.Engine); err != nil {
 		return err
 	}
-	// The checkpoint may carry runtime-added machines the directory has
-	// never seen; register them before any tail record references one.
-	sh.registerAdded()
 	sh.watermark = cp.SeqWatermark
 	// Into the shard's counters and the controller's aggregate alike, as
 	// apply counts the tail: decision counts re-derive exactly; the

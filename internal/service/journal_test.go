@@ -680,7 +680,7 @@ func TestJournalFailureStopsAdmission(t *testing.T) {
 	if after[0] != committed+1 || after[1] != after[0] || after[2] != after[0] {
 		t.Fatalf("arrived %d before the failure, then %v: later requests still reach the engine", committed, after)
 	}
-	if _, err := c.Admin(context.Background(), &AdminMachineRequest{Op: AdminOpAdd, Type: 0}); !errors.Is(err, ErrJournalFailed) {
+	if _, err := c.Admin(context.Background(), &AdminMachineRequest{Op: "add", Type: 0}); !errors.Is(err, ErrJournalFailed) {
 		t.Fatalf("admin over a failed journal: %v, want ErrJournalFailed", err)
 	}
 	resp, err := srv.Client().Get(srv.URL + "/readyz")
@@ -720,7 +720,7 @@ func TestAuditNamesAddedMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	added := admin(t, c, AdminMachineRequest{Op: AdminOpAdd, Type: 0})
+	added := admin(t, c, AdminMachineRequest{Op: "add", Type: 0})
 	if added.Machine != len(c.matrix.Machines()) || added.MachineName != "added-0#0" {
 		t.Fatalf("added machine = %d %q", added.Machine, added.MachineName)
 	}

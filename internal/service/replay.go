@@ -27,10 +27,10 @@ import (
 // There is one interpreter of input records (shard.apply) and one walk over
 // a log (shard.replayLog). hcreplay -verify is the walk from genesis on a
 // shard openReplay obtains from build, the constructor service.New serves
-// from; crash recovery is the same walk from the newest checkpoint on the
-// shard about to be served (shard.recover); both apply the records through
-// the methods the live loop runs (see "One shard state machine" in the
-// package doc), so replay == live and recovered == uninterrupted by
+// from; crash recovery is the same walk from the newest checkpoint but one
+// on the shard about to be served (shard.recover); both apply the records
+// through the methods the live loop runs (see "One shard state machine" in
+// the package doc), so replay == live and recovered == uninterrupted by
 // construction. What stays independent, and is what verification tests, is
 // the comparison: the bytes on disk against a re-derivation.
 
@@ -60,8 +60,7 @@ func openReplay(root string, s int, cold bool) (*shard, error) {
 }
 
 // VerifyStats summarizes one walk over a shard's log (replayLog): the whole
-// log under hcreplay -verify, the tail behind the newest checkpoint at
-// recovery.
+// log under hcreplay -verify, the tail journal.Recover plans at recovery.
 type VerifyStats struct {
 	Shard       int
 	Records     int // logged records consumed
@@ -117,8 +116,8 @@ func (sh *shard) apply(rec *journal.Record) (Decision, error) {
 
 // replayLog is the one walk over a shard's log, on a shard in replay mode
 // (emit queues what the shard derives in sh.gen): from genesis on a fresh
-// shard (VerifyShard), or — fromCheckpoint — from the newest checkpoint
-// that reads back, restored first (recovery). It applies every input
+// shard (VerifyShard), or — fromCheckpoint — from the checkpoint
+// journal.Recover picks, restored first (recovery). It applies every input
 // record through apply, calling visit (when non-nil) with the record and
 // apply's decision; matches every logged decision, event and drain marker
 // against the derived stream; and compares every checkpoint it passes
@@ -292,12 +291,9 @@ var errAuditStop = errors.New("audit: stop")
 // each queue, and finally the re-derived decision next to the logged one.
 // verbose additionally prints the candidate's full completion-time PMFs.
 //
-// Machines are printed under their matrix-wide index. For a runtime-added
-// machine that is the index the replaying controller's directory assigns
-// it — on a one-shard journal the live server's; on a multi-shard journal
-// the live numbering interleaved adds across shards in an order one
-// shard's log does not record, so the index can differ from the one the
-// live server answered with (the name and the shard-local index cannot).
+// Machines are printed under their matrix-wide index, runtime-added ones
+// included: it is arithmetic on what the manifest and the shard's own log
+// pin (sim.Cluster.Global), so it is the one the live server answered with.
 func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) error {
 	sh, err := openReplay(root, s, false)
 	if err != nil {
@@ -392,7 +388,7 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	fmt.Fprintf(w, "queues and Eq. 1 forecasts (deferred batch %d, pressure %.3f):\n", live.Batch, pressure)
 	for i, m := range eng.Machines() {
 		mt := m.Spec.Type
-		g := sh.global[i]
+		g := sh.c.cl.Global(s, i)
 		if out[i] {
 			fmt.Fprintf(w, "  machine %d %q (local %d): removed from the live set\n", g, m.Spec.Name, i)
 			continue

@@ -41,8 +41,8 @@
 // walk over the segments — it applies the inputs, matches every logged
 // decision, event and drain marker against what emit derives, and compares
 // the checkpoints it passes. hcreplay -verify is that walk from genesis;
-// crash recovery is the same walk from the newest checkpoint, on the shard
-// about to be served, so a server resumes only on a tail its own
+// crash recovery is the same walk from the newest checkpoint but one, on
+// the shard about to be served, so a server resumes only on a tail its own
 // re-execution reproduces. The live loop, recovery, hcreplay -verify and
 // hcreplay -decision differ only in where records come from and where emit
 // sends them, so replay == live and recovered == uninterrupted by
@@ -68,6 +68,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,11 +227,7 @@ type Controller struct {
 	// journaling is off (Config.JournalDir empty).
 	fsyncLatency *telemetry.Histogram
 
-	// dir is the matrix-wide machine directory (names, types, shard
-	// ownership), covering runtime-added machines past the matrix.
-	dir *machineDir
-	// memberOps counts membership operations by journal action
-	// (MemberAdd/MemberRemove/MemberRevive).
+	// memberOps counts membership operations by sim.MemberKind.
 	memberOps [3]atomic.Int64
 
 	mu       sync.Mutex // guards draining flag and final result
@@ -261,8 +258,7 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // build resolves the specs, obtains the (cached) PET matrix and assembles
-// the cluster, its shards and the machine directory — everything short of
-// serving: no journal is touched and no goroutine started. It is the one
+// the cluster and its shards — everything short of serving: no journal is touched and no goroutine started. It is the one
 // constructor of a shard: New serves what it returns, and offline replay
 // (openReplay) re-executes a journal on what it returns for the manifest's
 // Config, so the two cannot be assembled differently. cold disables the
@@ -277,14 +273,6 @@ func build(cfg Config, cold bool) (*Controller, error) {
 	policy, err := router.FromSpec(cfg.Router)
 	if err != nil {
 		return nil, err
-	}
-	owned, err := partitionSize(cfg.Partition, len(matrix.Machines()))
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Shards < 1 || cfg.Shards > owned {
-		return nil, fmt.Errorf("service: %d shards for %d machines, want 1..%d",
-			cfg.Shards, owned, owned)
 	}
 	if cfg.QueueCap < 1 {
 		return nil, fmt.Errorf("service: queue cap %d, want >= 1", cfg.QueueCap)
@@ -351,7 +339,6 @@ func build(cfg Config, cold bool) (*Controller, error) {
 			c:         c,
 			eng:       cl.Shards()[s],
 			view:      cl.View(s),
-			global:    cl.GlobalMachines(s),
 			metrics:   newMetrics(),
 			rec:       tel.Shard(s),
 			cmds:      make(chan func(), mailboxDepth),
@@ -359,14 +346,8 @@ func build(cfg Config, cold bool) (*Controller, error) {
 			watermark: -1,
 		}
 		sh.hookEngine()
-		c.shards[s] = sh
-	}
-	c.dir = newMachineDir(matrix.Machines())
-	for s, sh := range c.shards {
-		for local, g := range sh.global {
-			c.dir.claim(g, s, local)
-		}
 		sh.updateMembershipGauges()
+		c.shards[s] = sh
 	}
 	return c, nil
 }
@@ -387,37 +368,18 @@ func parsePartition(s string, machines int) (k, total int, err error) {
 	return k, total, nil
 }
 
-// partitionSize returns the machine count of the owned partition (the
-// whole matrix when the spec is empty).
-func partitionSize(s string, machines int) (int, error) {
-	if s == "" {
-		return machines, nil
-	}
-	k, total, err := parsePartition(s, machines)
-	if err != nil {
-		return 0, err
-	}
-	// Round-robin deal: part k gets one extra machine while k < machines%total.
-	size := machines / total
-	if k < machines%total {
-		size++
-	}
-	return size, nil
-}
-
 // buildCluster constructs the controller's shard cluster. An empty
 // partition owns the whole matrix; "k/K" takes part k of the matrix-wide
 // round-robin deal and sub-shards it locally.
 func buildCluster(matrix *pet.Matrix, partition string, shards int, pol router.Policy, perShard sim.ShardBuilder, simCfg sim.Config) (*sim.Cluster, error) {
-	if partition == "" {
-		return sim.NewCluster(matrix, shards, pol, perShard, simCfg)
+	k, total := 0, 1
+	if partition != "" {
+		var err error
+		if k, total, err = parsePartition(partition, len(matrix.Machines())); err != nil {
+			return nil, err
+		}
 	}
-	k, total, err := parsePartition(partition, len(matrix.Machines()))
-	if err != nil {
-		return nil, err
-	}
-	parts, globals := sim.PartitionMachines(matrix, total)
-	return sim.NewClusterOver(matrix, parts[k], globals[k], shards, pol, perShard, simCfg)
+	return sim.NewClusterOver(matrix, k, total, shards, pol, perShard, simCfg)
 }
 
 // Matrix returns the served system's PET matrix.
@@ -564,11 +526,19 @@ func (c *Controller) makeTask(spec *TaskSpec, id int) *workload.Task {
 
 // Snapshot is a point-in-time view of the controller's live state, merged
 // across shards: the most advanced shard clock, the summed lifecycle
-// census, and per-machine queue depths in matrix-wide machine order.
+// census, and every owned machine's queue in matrix-wide index order.
 type Snapshot struct {
-	Now         pmf.Tick `json:"now"`
-	Live        sim.Live `json:"live"`
-	QueueDepths []int    `json:"queue_depths"`
+	Now    pmf.Tick       `json:"now"`
+	Live   sim.Live       `json:"live"`
+	Queues []MachineQueue `json:"queues"`
+}
+
+// MachineQueue is one machine of a Snapshot: its matrix-wide index, its
+// name and its queue length (including the running task).
+type MachineQueue struct {
+	Machine int    `json:"machine"`
+	Name    string `json:"name"`
+	Depth   int    `json:"depth"`
 }
 
 // Stats snapshots the merged engine state through the shard loops. Once
@@ -576,14 +546,12 @@ type Snapshot struct {
 // (potentially long) drain commands — a metrics scrape must not stall on
 // shutdown.
 func (c *Controller) Stats(ctx context.Context) (Snapshot, error) {
-	shards, err := c.ShardStats(ctx)
+	shards, names, err := c.shardStats(ctx)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	// Sized by the directory, not the matrix: runtime-added machines get
-	// indexes past the matrix.
-	snap := Snapshot{QueueDepths: make([]int, c.dir.size())}
-	for _, ss := range shards {
+	var snap Snapshot
+	for s, ss := range shards {
 		if ss.Now > snap.Now {
 			snap.Now = ss.Now
 		}
@@ -596,15 +564,13 @@ func (c *Controller) Stats(ctx context.Context) (Snapshot, error) {
 		snap.Live.DroppedReactive += ss.Live.DroppedReactive
 		snap.Live.DroppedProactive += ss.Live.DroppedProactive
 		snap.Live.Failed += ss.Live.Failed
+		// Only machines a shard holds: the index space has no entry for a
+		// place of the add lattice nothing has been added to yet.
 		for local, depth := range ss.QueueDepths {
-			g := ss.Machines[local]
-			for g >= len(snap.QueueDepths) {
-				// An add raced the directory read; grow to cover it.
-				snap.QueueDepths = append(snap.QueueDepths, 0)
-			}
-			snap.QueueDepths[g] = depth
+			snap.Queues = append(snap.Queues, MachineQueue{ss.Machines[local], names[s][local], depth})
 		}
 	}
+	sort.Slice(snap.Queues, func(i, j int) bool { return snap.Queues[i].Machine < snap.Queues[j].Machine })
 	return snap, nil
 }
 
@@ -613,28 +579,36 @@ func (c *Controller) Stats(ctx context.Context) (Snapshot, error) {
 // slots, per-class robustness estimates) and the shard's decision
 // counters. Fails fast with ErrDraining once a drain has begun.
 func (c *Controller) ShardStats(ctx context.Context) ([]ShardSnapshot, error) {
+	out, _, err := c.shardStats(ctx)
+	return out, err
+}
+
+// shardStats is ShardStats plus, per shard, the names of its machines
+// (names[s][i] names out[s].Machines[i]) for Stats' merged queue list.
+func (c *Controller) shardStats(ctx context.Context) (out []ShardSnapshot, names [][]string, err error) {
 	if c.Draining() {
-		return nil, ErrDraining
+		return nil, nil, ErrDraining
 	}
 	// Fan out like Drain does: a scrape pays the slowest shard's loop
 	// queue wait, not the sum across shards.
-	out := make([]ShardSnapshot, len(c.shards))
+	out = make([]ShardSnapshot, len(c.shards))
+	names = make([][]string, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for s, sh := range c.shards {
 		wg.Add(1)
 		go func(s int, sh *shard) {
 			defer wg.Done()
-			out[s], errs[s] = sh.snapshot(ctx)
+			out[s], names[s], errs[s] = sh.snapshot(ctx)
 		}(s, sh)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return out, names, nil
 }
 
 // Drain gracefully shuts the controller down: new Decide calls are

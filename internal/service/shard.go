@@ -19,13 +19,10 @@ import (
 // concurrency unit, multiplied: all determinism arguments (decisions are a
 // pure function of the shard's request sequence) hold per shard.
 type shard struct {
-	id   int
-	c    *Controller
-	eng  *sim.Engine
-	view *router.ShardView
-	// global translates shard-local machine indexes to matrix-wide ones
-	// for wire decisions and merged gauges.
-	global  []int
+	id      int
+	c       *Controller
+	eng     *sim.Engine
+	view    *router.ShardView
 	metrics *Metrics
 	// rec is the shard's trace recorder (always non-nil; inert when
 	// sampling is off).
@@ -231,14 +228,13 @@ func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Active) Deci
 		sh.rec.End()
 	}
 	// The wire decision: the action the task's status encodes and, when
-	// mapped, the machine's matrix-wide index (global translates the
-	// shard-local one) and name. A shard engine carries every machine's own
-	// name — partitioning re-indexes specs and nothing else, and a
-	// runtime-added machine enters the controller's directory under its
-	// engine name — so the name needs no second lookup.
+	// mapped, the machine's matrix-wide index (arithmetic on the shard-local
+	// one, sim.Cluster.Global) and name. A shard engine carries every
+	// machine's own name — partitioning re-indexes specs and nothing else,
+	// and AddMachine names what it adds — so neither needs a lookup table.
 	d := Decision{ID: id, Seq: task.ID, Shard: sh.id, Machine: -1, Action: actionOf(ts.Status)}
 	if d.Action == ActionMap {
-		d.Machine = sh.global[ts.Machine]
+		d.Machine = sh.c.cl.Global(sh.id, ts.Machine)
 		d.MachineName = sh.eng.Machines()[ts.Machine].Spec.Name
 	}
 	seq := int64(task.ID)
@@ -327,35 +323,36 @@ func actionOf(st sim.Status) Action {
 	}
 }
 
-// snapshot reads the shard's live engine state through its decision loop.
-func (sh *shard) snapshot(ctx context.Context) (ShardSnapshot, error) {
-	var snap ShardSnapshot
+// snapshot reads the shard's live engine state through its decision loop;
+// names[i] is the name of snap.Machines[i], which is not on the wire.
+func (sh *shard) snapshot(ctx context.Context) (snap ShardSnapshot, names []string, err error) {
 	ok := false
-	err := sh.do(ctx, func() {
+	err = sh.do(ctx, func() {
 		if sh.stopped {
 			return
 		}
 		snap = ShardSnapshot{
-			Shard:       sh.id,
-			Now:         sh.eng.Now(),
-			Live:        sh.eng.LiveCounts(),
-			QueueDepths: sh.eng.QueueDepths(),
-			// Copied: membership operations append to sh.global on the loop
-			// while earlier snapshots may still be marshaling.
-			Machines:     append([]int(nil), sh.global...),
+			Shard:        sh.id,
+			Now:          sh.eng.Now(),
+			Live:         sh.eng.LiveCounts(),
+			QueueDepths:  sh.eng.QueueDepths(),
 			LiveMachines: sh.eng.LiveMachines(),
 			SeqWatermark: sh.watermark,
 		}
+		for l, m := range sh.eng.Machines() {
+			snap.Machines = append(snap.Machines, sh.c.cl.Global(sh.id, l))
+			names = append(names, m.Spec.Name)
+		}
 		for _, ri := range sh.eng.RemovedMachines() {
-			snap.Removed = append(snap.Removed, sh.global[ri])
+			snap.Removed = append(snap.Removed, sh.c.cl.Global(sh.id, ri))
 		}
 		ok = true
 	})
 	if err != nil {
-		return ShardSnapshot{}, err
+		return ShardSnapshot{}, nil, err
 	}
 	if !ok {
-		return ShardSnapshot{}, ErrDraining
+		return ShardSnapshot{}, nil, ErrDraining
 	}
 	// Lock-free annotations: router view and shard counters.
 	snap.QueueMass = sh.view.QueueMass()
@@ -369,7 +366,7 @@ func (sh *shard) snapshot(ctx context.Context) (ShardSnapshot, error) {
 	snap.Mapped = sh.metrics.mapped.Load()
 	snap.Deferred = sh.metrics.deferred.Load()
 	snap.Dropped = sh.metrics.dropped.Load()
-	return snap, nil
+	return snap, names, nil
 }
 
 // drain runs the shard's virtual system to completion — the terminal

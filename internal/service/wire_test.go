@@ -127,13 +127,13 @@ func TestWireGoldenFixtures(t *testing.T) {
 	// Admin membership operations (dynamic membership): hcload's churn
 	// plans and operational tooling speak these across versions.
 	golden(t,
-		&AdminMachineRequest{Op: AdminOpRemove, Machine: 3, Handoff: true},
+		&AdminMachineRequest{Op: "remove", Machine: 3, Handoff: true},
 		`{"op":"remove","machine":3,"handoff":true}`)
 	golden(t,
-		&AdminMachineRequest{Op: AdminOpAdd, Shard: 1, Type: 2},
+		&AdminMachineRequest{Op: "add", Shard: 1, Type: 2},
 		`{"op":"add","shard":1,"type":2}`)
 	golden(t,
-		&AdminMachineResponse{Op: AdminOpRemove, Shard: 1, Machine: 3, MachineName: "fast#1", Now: 512, LiveMachines: 3},
+		&AdminMachineResponse{Op: "remove", Shard: 1, Machine: 3, MachineName: "fast#1", Now: 512, LiveMachines: 3},
 		`{"op":"remove","shard":1,"machine":3,"machine_name":"fast#1","now":512,"live_machines":3}`)
 }
 

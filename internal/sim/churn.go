@@ -27,37 +27,13 @@ type ChurnConfig struct {
 // Enabled reports whether churn injection is active.
 func (c ChurnConfig) Enabled() bool { return c.MeanInterval > 0 }
 
-// ChurnOp is one kind of membership change.
-type ChurnOp int
-
-const (
-	// ChurnRemove takes a machine out of the live set (queue handed off).
-	ChurnRemove ChurnOp = iota
-	// ChurnRevive returns a removed machine to the live set.
-	ChurnRevive
-	// ChurnAdd grows the live set with a machine of an existing type.
-	ChurnAdd
-)
-
-// String names the op for plan displays and logs.
-func (op ChurnOp) String() string {
-	switch op {
-	case ChurnRemove:
-		return "remove"
-	case ChurnRevive:
-		return "revive"
-	case ChurnAdd:
-		return "add"
-	}
-	return "unknown"
-}
-
-// ChurnEvent is one timed membership change in a churn plan.
+// ChurnEvent is one timed membership change in a churn plan: the operation
+// (Machine is matrix-wide, see Cluster.Global), when it happens, and the
+// shard an added machine joins.
 type ChurnEvent struct {
-	At      pmf.Tick
-	Op      ChurnOp
-	Machine int // matrix-wide machine index (remove/revive)
-	Type    int // machine type (add)
+	At pmf.Tick
+	MemberOp
+	Shard int
 }
 
 // GenerateChurn builds a deterministic churn plan over the arrival window:
@@ -88,7 +64,7 @@ func GenerateChurn(machines int, window pmf.Tick, cfg ChurnConfig) []ChurnEvent 
 		// membership.
 		for i := 0; i < machines; i++ {
 			if reviveAt[i] != noCompletion && reviveAt[i] <= t {
-				evs = append(evs, ChurnEvent{At: reviveAt[i], Op: ChurnRevive, Machine: i})
+				evs = append(evs, ChurnEvent{At: reviveAt[i], MemberOp: MemberOp{Kind: MemberRevive, Machine: i}})
 				reviveAt[i] = noCompletion
 				down--
 			}
@@ -100,13 +76,13 @@ func GenerateChurn(machines int, window pmf.Tick, cfg ChurnConfig) []ChurnEvent 
 		for reviveAt[pick] != noCompletion {
 			pick = rng.Intn(machines)
 		}
-		evs = append(evs, ChurnEvent{At: t, Op: ChurnRemove, Machine: pick})
+		evs = append(evs, ChurnEvent{At: t, MemberOp: MemberOp{Kind: MemberRemove, Machine: pick, Handoff: true}})
 		reviveAt[pick] = t + 1 + pmf.Tick(rng.Exponential(float64(cfg.MeanDown)))
 		down++
 	}
 	for i := 0; i < machines; i++ {
 		if reviveAt[i] != noCompletion && reviveAt[i] < window {
-			evs = append(evs, ChurnEvent{At: reviveAt[i], Op: ChurnRevive, Machine: i})
+			evs = append(evs, ChurnEvent{At: reviveAt[i], MemberOp: MemberOp{Kind: MemberRevive, Machine: i}})
 		}
 	}
 	sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })

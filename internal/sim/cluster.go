@@ -151,8 +151,12 @@ type Cluster struct {
 	matrix  *pet.Matrix
 	engines []*Engine
 	views   []*router.ShardView
-	global  [][]int
 	policy  router.Policy
+	// part of parts is the matrix partition the cluster covers (0 of 1: the
+	// whole matrix) and dealt[s] the number of its machines the deal gave
+	// shard s — with the shard count, all that Global and Locate read.
+	part, parts int
+	dealt       []int
 	// machines is the number of machines the cluster covers — the whole
 	// matrix for NewCluster, one partition's worth for NewClusterOver.
 	machines int
@@ -170,32 +174,37 @@ func NewCluster(m *pet.Matrix, n int, pol router.Policy, build ShardBuilder, cfg
 	if m == nil {
 		return nil, fmt.Errorf("sim: cluster over nil matrix")
 	}
-	all := m.Machines()
-	return NewClusterOver(m, all, identity(len(all)), n, pol, build, cfg)
+	return NewClusterOver(m, 0, 1, n, pol, build, cfg)
 }
 
-// NewClusterOver builds a cluster over an arbitrary machine subset of the
-// matrix — the multi-process form: a shard server owns one
-// PartitionMachines part of the matrix and sub-shards it locally, so K
-// servers of N shards each cover the matrix exactly once. global[i] is
-// machines[i]'s matrix-wide index.
-func NewClusterOver(m *pet.Matrix, machines []pet.MachineSpec, global []int, n int, pol router.Policy, build ShardBuilder, cfg Config) (*Cluster, error) {
+// NewClusterOver builds a cluster over part k of the K parts
+// PartitionMachines deals the matrix into — the multi-process form: a shard
+// server owns one part and sub-shards it locally, so K servers of N shards
+// each cover the matrix exactly once.
+func NewClusterOver(m *pet.Matrix, k, K, n int, pol router.Policy, build ShardBuilder, cfg Config) (*Cluster, error) {
 	if m == nil {
 		return nil, fmt.Errorf("sim: cluster over nil matrix")
 	}
+	if K < 1 || K > len(m.Machines()) || k < 0 || k >= K {
+		return nil, fmt.Errorf("sim: part %d of %d over %d machines", k, K, len(m.Machines()))
+	}
+	owned, global := PartitionMachines(m, K)
+	machines := owned[k]
 	if n < 1 || n > len(machines) {
 		return nil, fmt.Errorf("sim: %d shards for %d machines, want 1..%d", n, len(machines), len(machines))
 	}
 	if pol == nil && n > 1 {
 		return nil, fmt.Errorf("sim: multi-shard cluster without a routing policy")
 	}
-	parts, globals := PartitionSpecs(machines, global, n)
+	parts, _ := PartitionSpecs(machines, global[k], n)
 	cl := &Cluster{
 		matrix:   m,
 		engines:  make([]*Engine, n),
 		views:    make([]*router.ShardView, n),
-		global:   globals,
 		policy:   pol,
+		part:     k,
+		parts:    K,
+		dealt:    make([]int, n),
 		machines: len(machines),
 	}
 	for s := 0; s < n; s++ {
@@ -208,6 +217,7 @@ func NewClusterOver(m *pet.Matrix, machines []pet.MachineSpec, global []int, n i
 		if shardCfg.Failures.Enabled() {
 			shardCfg.Failures.Seed += int64(s)
 		}
+		cl.dealt[s] = len(parts[s])
 		cl.engines[s] = NewOpenShard(m, parts[s], mapper, dropper, shardCfg)
 		cl.views[s] = router.NewShardView(m.NumTaskTypes())
 		cl.engines[s].PublishLoad(cl.views[s])
@@ -229,73 +239,67 @@ func (cl *Cluster) Shards() []*Engine { return cl.engines }
 // View returns shard s's router-visible state.
 func (cl *Cluster) View(s int) *router.ShardView { return cl.views[s] }
 
-// GlobalMachines returns shard s's machines as matrix-wide indexes, in
-// shard-local order.
-func (cl *Cluster) GlobalMachines(s int) []int { return cl.global[s] }
-
-// locate translates a matrix-wide machine index into (shard, local).
-func (cl *Cluster) locate(global int) (shard, local int, err error) {
-	for s, g := range cl.global {
-		for l, gi := range g {
-			if gi == global {
-				return s, l, nil
-			}
-		}
+// Global returns the matrix-wide index of shard s's local machine l. Both
+// deals are round-robin, so the index is arithmetic on what a deployment
+// pins — partition, shard count, shard, local index — and needs no table:
+// a dealt machine sits at position l·S+s of part k, which is matrix machine
+// (l·S+s)·K+k; the machines added at runtime take the same lattice again
+// past the matrix's M machines, M + ((l−n_s)·S+s)·K + k. A machine's index
+// therefore never depends on the order adds reached different shards or
+// processes, survives a restart, and is what one shard's journal alone
+// re-derives; on one unpartitioned shard it counts M, M+1, ….
+func (cl *Cluster) Global(s, l int) int {
+	base := 0
+	if n := cl.dealt[s]; l >= n {
+		base, l = len(cl.matrix.Machines()), l-n
 	}
-	return -1, -1, fmt.Errorf("sim: machine %d is not in this cluster", global)
+	return base + (l*len(cl.engines)+s)*cl.parts + cl.part
 }
 
-// RemoveMachine takes the matrix-wide machine out of its shard's live set
-// at time at (advancing that shard's clock there first), handing its
-// pending queue back to the shard's batch. The shard's router view is
-// republished so routing steers away immediately.
-func (cl *Cluster) RemoveMachine(global int, at pmf.Tick, handoff bool) error {
-	s, l, err := cl.locate(global)
-	if err != nil {
-		return err
+// Locate is Global's inverse: the shard and local index a matrix-wide
+// index names, ok false when another partition owns it. The local index
+// may lie past the shard's last machine — the lattice has a place for
+// every add yet to come — which is for the engine to refuse.
+func (cl *Cluster) Locate(g int) (s, l int, ok bool) {
+	m := len(cl.matrix.Machines())
+	added := g >= m
+	if added {
+		g -= m
 	}
-	eng := cl.engines[s]
-	if at > eng.Now() {
-		eng.AdvanceTo(at)
+	if g < 0 || g%cl.parts != cl.part {
+		return 0, 0, false
 	}
-	if err := eng.RemoveMachine(l, handoff); err != nil {
-		return err
+	p, S := g/cl.parts, len(cl.engines)
+	s, l = p%S, p/S
+	if added {
+		l += cl.dealt[s]
 	}
-	eng.PublishLoad(cl.views[s])
-	return nil
+	return s, l, true
 }
 
-// ReviveMachine returns the matrix-wide machine to its shard's live set at
-// time at and republishes the shard's router view.
-func (cl *Cluster) ReviveMachine(global int, at pmf.Tick) error {
-	s, l, err := cl.locate(global)
-	if err != nil {
-		return err
-	}
-	eng := cl.engines[s]
-	if at > eng.Now() {
-		eng.AdvanceTo(at)
-	}
-	if err := eng.ReviveMachine(l); err != nil {
-		return err
-	}
-	eng.PublishLoad(cl.views[s])
-	return nil
-}
-
-// ApplyChurn applies one plan event to the cluster. Remove events hand the
-// dead machine's queue back to its shard's batch (the offline analogue of
-// the service's handoff semantics); Add events are not part of generated
-// plans and are rejected here.
+// ApplyChurn applies one plan event to the cluster at time ev.At
+// (advancing the target shard's clock there first) and republishes the
+// shard's router view so routing steers around, or back to, the changed
+// capacity immediately.
 func (cl *Cluster) ApplyChurn(ev ChurnEvent) error {
-	switch ev.Op {
-	case ChurnRemove:
-		return cl.RemoveMachine(ev.Machine, ev.At, true)
-	case ChurnRevive:
-		return cl.ReviveMachine(ev.Machine, ev.At)
-	default:
-		return fmt.Errorf("sim: churn op %v not supported by the offline cluster driver", ev.Op)
+	s, op := ev.Shard, ev.MemberOp
+	if op.Kind != MemberAdd {
+		var ok bool
+		if s, op.Machine, ok = cl.Locate(ev.Machine); !ok {
+			return fmt.Errorf("sim: machine %d is not in this cluster", ev.Machine)
+		}
+	} else if s < 0 || s >= len(cl.engines) {
+		return fmt.Errorf("sim: add to shard %d of %d", s, len(cl.engines))
 	}
+	eng := cl.engines[s]
+	if ev.At > eng.Now() {
+		eng.AdvanceTo(ev.At)
+	}
+	if _, err := eng.ApplyMember(op); err != nil {
+		return err
+	}
+	eng.PublishLoad(cl.views[s])
+	return nil
 }
 
 // Route picks the shard the seq-th arriving task is admitted through. It

@@ -88,11 +88,8 @@ type Engine struct {
 	batch      []*TaskState
 	totalSlots int
 	failures   []machineFailureState
-	// removed flags machines taken out of the live set at runtime (nil
-	// until the first RemoveMachine); addedTypes records the types of
-	// runtime-added machines in order. Both serialize via EngineSnapshot;
-	// an engine that never churns carries no membership state at all.
-	removed    []bool
+	// addedTypes records the types of runtime-added machines in order (nil
+	// on an engine that never grew); it serializes via EngineSnapshot.
 	addedTypes []int
 	// coldChains disables the persistent chain caches (every machine's is
 	// invalidated at each event), restoring the wipe-everything recycle

@@ -18,6 +18,9 @@ type Machine struct {
 
 	queue   []*TaskState
 	running bool
+	// removed marks a machine taken out of the live set (RemoveMachine)
+	// until ReviveMachine returns it.
+	removed bool
 	// completeAt is the absolute completion time of the running task, or
 	// noCompletion when idle.
 	completeAt pmf.Tick
@@ -58,9 +61,6 @@ type Machine struct {
 
 // Type returns the machine's PET column.
 func (m *Machine) Type() pet.MachineType { return m.Spec.Type }
-
-// QueueLen returns the number of queued tasks, including the running one.
-func (m *Machine) QueueLen() int { return len(m.queue) }
 
 // Queue returns the queue contents (head first). The slice is shared and
 // must be treated as read-only by callers.

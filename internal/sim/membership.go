@@ -21,40 +21,94 @@ import (
 // its snapshots and decisions are byte-identical to the pre-membership
 // engine.
 
-// removedAt reports whether machine i is currently out of the live set.
-func (e *Engine) removedAt(i int) bool {
-	return e.removed != nil && e.removed[i]
+// MemberKind is one kind of membership change. The values are the codes a
+// journal membership record carries (journal.MemberAdd, ...).
+type MemberKind uint8
+
+// The three membership operations.
+const (
+	// MemberAdd grows the live set with a machine of an existing type.
+	MemberAdd MemberKind = iota
+	// MemberRemove takes a machine out of the live set.
+	MemberRemove
+	// MemberRevive returns a removed machine to the live set.
+	MemberRevive
+)
+
+var memberKindNames = [...]string{"add", "remove", "revive"}
+
+// String names the operation as the admin endpoint, churn plans, metric
+// labels and logs spell it.
+func (k MemberKind) String() string {
+	if int(k) < len(memberKindNames) {
+		return memberKindNames[k]
+	}
+	return fmt.Sprintf("MemberKind(%d)", uint8(k))
 }
+
+// ParseMemberKind is String's inverse.
+func ParseMemberKind(s string) (MemberKind, bool) {
+	for k, name := range memberKindNames {
+		if s == name {
+			return MemberKind(k), true
+		}
+	}
+	return 0, false
+}
+
+// MemberOp is one membership operation on an engine: add a machine of
+// Type, remove machine Machine (handing its pending queue back to the batch
+// when Handoff, force-dropping it otherwise), or revive it.
+type MemberOp struct {
+	Kind    MemberKind
+	Machine int
+	Type    pet.MachineType
+	Handoff bool
+}
+
+// ApplyMember applies one membership operation at the current clock and
+// returns the index of the machine it touched (for an add, the one the new
+// machine was given). It is the one place an operation kind selects an
+// engine method: the offline cluster driver and the admission service's
+// shards both change membership through it.
+func (e *Engine) ApplyMember(op MemberOp) (int, error) {
+	switch op.Kind {
+	case MemberAdd:
+		return e.AddMachine(op.Type)
+	case MemberRemove:
+		return op.Machine, e.RemoveMachine(op.Machine, op.Handoff)
+	case MemberRevive:
+		return op.Machine, e.ReviveMachine(op.Machine)
+	}
+	return -1, fmt.Errorf("sim: membership op %v", op.Kind)
+}
+
+// removedAt reports whether machine i is currently out of the live set.
+func (e *Engine) removedAt(i int) bool { return e.machines[i].removed }
 
 // LiveMachines returns the number of machines currently in the live set.
 // A failed-but-repairing machine still counts as live; only RemoveMachine
 // shrinks this.
 func (e *Engine) LiveMachines() int {
-	n := len(e.machines)
-	for _, r := range e.removed {
-		if r {
-			n--
+	n := 0
+	for _, m := range e.machines {
+		if !m.removed {
+			n++
 		}
 	}
 	return n
 }
 
 // RemovedMachines returns the indexes of removed machines, ascending
-// (nil when membership never shrank).
+// (nil when none is).
 func (e *Engine) RemovedMachines() []int {
 	var out []int
-	for i, r := range e.removed {
-		if r {
+	for i, m := range e.machines {
+		if m.removed {
 			out = append(out, i)
 		}
 	}
 	return out
-}
-
-// AddedMachineTypes returns the machine types of runtime-added machines in
-// order of addition (nil when membership never grew).
-func (e *Engine) AddedMachineTypes() []int {
-	return append([]int(nil), e.addedTypes...)
 }
 
 // RemoveMachine takes machine i out of the live set at the current clock.
@@ -92,10 +146,7 @@ func (e *Engine) detachMachine(i int, handoff bool) {
 	}
 	m.tailValid = false
 	m.cache.Invalidate(core.InvalidateChurn)
-	if e.removed == nil {
-		e.removed = make([]bool, len(e.machines))
-	}
-	e.removed[i] = true
+	m.removed = true
 	e.totalSlots -= e.cfg.QueueCap
 }
 
@@ -110,7 +161,7 @@ func (e *Engine) ReviveMachine(i int) error {
 	if !e.removedAt(i) {
 		return fmt.Errorf("sim: machine %d is not removed", i)
 	}
-	e.removed[i] = false
+	e.machines[i].removed = false
 	e.totalSlots += e.cfg.QueueCap
 	e.machines[i].cache.Invalidate(core.InvalidateChurn)
 	e.machines[i].tailValid = false
@@ -171,9 +222,6 @@ func (e *Engine) attachMachine(mt pet.MachineType) (int, error) {
 		PriceHour: price,
 	}
 	e.machines = append(e.machines, &Machine{Spec: spec, completeAt: noCompletion, cache: e.calc.NewChainCache()})
-	if e.removed != nil {
-		e.removed = append(e.removed, false)
-	}
 	if e.failures != nil {
 		e.failures = append(e.failures, e.newFailureCursor(i))
 	}

@@ -120,9 +120,6 @@ func TestAddMachine(t *testing.T) {
 	if spec.PriceHour != e.Machines()[0].Spec.PriceHour {
 		t.Fatalf("added machine price %v, want cloned %v", spec.PriceHour, e.Machines()[0].Spec.PriceHour)
 	}
-	if got := e.AddedMachineTypes(); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("AddedMachineTypes = %v, want [0]", got)
-	}
 	if got := e.LiveMachines(); got != 4 {
 		t.Fatalf("LiveMachines = %d, want 4", got)
 	}
@@ -239,8 +236,8 @@ func TestGenerateChurnProperties(t *testing.T) {
 			t.Fatalf("plan out of order at %+v", ev)
 		}
 		last = ev.At
-		switch ev.Op {
-		case ChurnRemove:
+		switch ev.Kind {
+		case MemberRemove:
 			if down[ev.Machine] {
 				t.Fatalf("machine %d removed twice without revive", ev.Machine)
 			}
@@ -248,13 +245,13 @@ func TestGenerateChurnProperties(t *testing.T) {
 			if len(down) >= machines {
 				t.Fatal("plan killed the last live machine")
 			}
-		case ChurnRevive:
+		case MemberRevive:
 			if !down[ev.Machine] {
 				t.Fatalf("machine %d revived while live", ev.Machine)
 			}
 			delete(down, ev.Machine)
 		default:
-			t.Fatalf("unexpected op %v in generated plan", ev.Op)
+			t.Fatalf("unexpected op %v in generated plan", ev.Kind)
 		}
 		if ev.At >= window {
 			t.Fatalf("event at %d past window %d", ev.At, window)
@@ -270,8 +267,10 @@ func TestGenerateChurnProperties(t *testing.T) {
 }
 
 // TestClusterChurn drives a generated plan through the cluster driver:
-// every event applies cleanly, the run is reproducible, and an Add event
-// (not part of generated plans) is rejected.
+// every event applies cleanly and the run is reproducible. An Add event
+// (not part of generated plans) lands on the shard it names under the index
+// Global gives it, which later events address it by; an index of the
+// lattice no machine holds yet is refused.
 func TestClusterChurn(t *testing.T) {
 	m, tr := clusterTestSystem(t, 400, 9)
 	cfg := Config{QueueCap: 6}
@@ -314,7 +313,19 @@ func TestClusterChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.ApplyChurn(ChurnEvent{Op: ChurnAdd, Type: 0}); err == nil {
-		t.Fatal("cluster driver accepted an Add churn event")
+	nm := len(m.Machines())
+	if err := cl.ApplyChurn(ChurnEvent{MemberOp: MemberOp{Kind: MemberAdd, Type: 0}, Shard: 1}); err != nil {
+		t.Fatal(err)
+	}
+	eng := cl.Shards()[1]
+	added := len(eng.Machines()) - 1
+	if g := cl.Global(1, added); g != nm+1 || eng.Machines()[added].Spec.Name != "added-0#0" {
+		t.Fatalf("first add on shard 1 of 2 is machine %d %q, want %d \"added-0#0\"", g, eng.Machines()[added].Spec.Name, nm+1)
+	}
+	if err := cl.ApplyChurn(ChurnEvent{MemberOp: MemberOp{Kind: MemberRemove, Machine: nm}}); err == nil {
+		t.Fatalf("removed machine %d, the place of shard 0's first add, which nothing holds", nm)
+	}
+	if err := cl.ApplyChurn(ChurnEvent{MemberOp: MemberOp{Kind: MemberRemove, Machine: nm + 1}}); err != nil || eng.LiveMachines() != added {
+		t.Fatalf("remove of the added machine: %v, %d live on its shard, want %d", err, eng.LiveMachines(), added)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // multi-process deployment performs: PartitionMachines splits the matrix
 // across server processes, PartitionSpecs sub-shards one process's part,
 // and the composed translations must still be covering, disjoint and
-// matrix-wide.
+// matrix-wide — and be what a cluster over that part computes, both ways,
+// without holding them (Cluster.Global, Cluster.Locate).
 func TestPartitionSpecsComposesGlobals(t *testing.T) {
 	m, err := pet.CachedMatrix("video")
 	if err != nil {
@@ -21,8 +22,16 @@ func TestPartitionSpecsComposesGlobals(t *testing.T) {
 	parts, globals := PartitionMachines(m, 2)
 
 	seen := make(map[int]int) // matrix-wide index → count
+	added := make(map[int]int)
 	for k := range parts {
 		shards, subGlobals := PartitionSpecs(parts[k], globals[k], 2)
+		cl, err := NewClusterOver(m, k, 2, 2, router.NewRoundRobin(), pamHeuristic(t), Config{QueueCap: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := cl.Locate(1 - k); ok {
+			t.Fatalf("part %d locates machine %d, which part %d owns", k, 1-k, 1-k)
+		}
 		for s := range shards {
 			if len(shards[s]) != len(subGlobals[s]) {
 				t.Fatalf("part %d shard %d: %d specs vs %d globals", k, s, len(shards[s]), len(subGlobals[s]))
@@ -32,6 +41,12 @@ func TestPartitionSpecsComposesGlobals(t *testing.T) {
 					t.Fatalf("part %d shard %d machine %d: local Index %d", k, s, local, spec.Index)
 				}
 				g := subGlobals[s][local]
+				if got := cl.Global(s, local); got != g {
+					t.Fatalf("part %d: Global(%d, %d) = %d, the deal says %d", k, s, local, got, g)
+				}
+				if ls, ll, ok := cl.Locate(g); !ok || ls != s || ll != local {
+					t.Fatalf("part %d: Locate(%d) = (%d, %d, %v), want (%d, %d)", k, g, ls, ll, ok, s, local)
+				}
 				if g < 0 || g >= total {
 					t.Fatalf("part %d shard %d: global index %d outside matrix of %d", k, s, g, total)
 				}
@@ -42,6 +57,19 @@ func TestPartitionSpecsComposesGlobals(t *testing.T) {
 				}
 				seen[g]++
 			}
+			// Past the deal: the places of machines yet to be added.
+			for l := len(shards[s]); l < len(shards[s])+3; l++ {
+				g := cl.Global(s, l)
+				if ls, ll, ok := cl.Locate(g); g < total || !ok || ls != s || ll != l {
+					t.Fatalf("part %d: add %d of shard %d is machine %d, which locates to (%d, %d, %v)", k, l, s, g, ls, ll, ok)
+				}
+				added[g]++
+			}
+		}
+	}
+	for g, n := range added {
+		if n != 1 {
+			t.Fatalf("added machine %d is named by %d (part, shard, local) places", g, n)
 		}
 	}
 	if len(seen) != total {
@@ -62,11 +90,11 @@ func TestPartitionSpecsComposesGlobals(t *testing.T) {
 // sums to the matrix).
 func TestNewClusterOverEqualsFullClusterUnion(t *testing.T) {
 	m, tr := clusterTestSystem(t, 600, 3)
-	parts, globals := PartitionMachines(m, 2)
+	parts, _ := PartitionMachines(m, 2)
 
 	clusters := make([]*Cluster, 2)
 	for k := range clusters {
-		cl, err := NewClusterOver(m, parts[k], globals[k], 1, router.NewRoundRobin(), pamHeuristic(t), Config{QueueCap: 6})
+		cl, err := NewClusterOver(m, k, 2, 1, router.NewRoundRobin(), pamHeuristic(t), Config{QueueCap: 6})
 		if err != nil {
 			t.Fatal(err)
 		}

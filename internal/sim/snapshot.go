@@ -238,13 +238,10 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 		if ri < 0 || ri >= len(e.machines) {
 			return fmt.Errorf("sim: snapshot removes machine %d of %d", ri, len(e.machines))
 		}
-		if e.removed == nil {
-			e.removed = make([]bool, len(e.machines))
-		}
-		if e.removed[ri] {
+		if e.machines[ri].removed {
 			return fmt.Errorf("sim: snapshot removes machine %d twice", ri)
 		}
-		e.removed[ri] = true
+		e.machines[ri].removed = true
 		e.totalSlots -= e.cfg.QueueCap
 	}
 

@@ -41,11 +41,11 @@ func TestResultFromTallyMatchesRecount(t *testing.T) {
 							at := tr.Tasks[i].Arrival
 							switch i {
 							case n / 3:
-								err = cl.RemoveMachine(1, at, false)
+								err = cl.ApplyChurn(ChurnEvent{At: at, MemberOp: MemberOp{Kind: MemberRemove, Machine: 1}})
 							case n / 2:
-								err = cl.ReviveMachine(1, at)
+								err = cl.ApplyChurn(ChurnEvent{At: at, MemberOp: MemberOp{Kind: MemberRevive, Machine: 1}})
 							case 2 * n / 3:
-								err = cl.RemoveMachine(2, at, true)
+								err = cl.ApplyChurn(ChurnEvent{At: at, MemberOp: MemberOp{Kind: MemberRemove, Machine: 2, Handoff: true}})
 							}
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)

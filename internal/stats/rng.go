@@ -93,12 +93,3 @@ func (g *RNG) Gamma(shape, scale float64) float64 {
 		}
 	}
 }
-
-// GammaWithMean returns a Gamma sample with the given mean and scale θ
-// (shape derived as mean/θ). This is the parameterization of §V-A: "the
-// mean of the Gamma distribution was determined based on execution time
-// results … the scale parameter … was chosen uniformly from the range
-// [1,20]".
-func (g *RNG) GammaWithMean(mean, scale float64) float64 {
-	return g.Gamma(mean/scale, scale)
-}

@@ -91,19 +91,6 @@ func TestGammaMoments(t *testing.T) {
 	}
 }
 
-func TestGammaWithMean(t *testing.T) {
-	g := NewRNG(10)
-	const n = 100_000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += g.GammaWithMean(120, 15)
-	}
-	mean := sum / n
-	if math.Abs(mean-120) > 2 {
-		t.Fatalf("GammaWithMean mean = %v, want ≈120", mean)
-	}
-}
-
 func TestGammaPanicsOnBadParams(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewRNG(1).Gamma(0, 1) },
@@ -289,14 +276,5 @@ func TestIndependentDiffDegenerate(t *testing.T) {
 	d = IndependentDiff(Summary{N: 5, Mean: 4}, Summary{N: 5, Mean: 1})
 	if d.Mean != 3 || d.CI95 != 0 {
 		t.Fatalf("zero-variance independent diff = %+v", d)
-	}
-}
-
-func TestMeanOf(t *testing.T) {
-	if MeanOf(nil) != 0 {
-		t.Fatal("MeanOf(nil) != 0")
-	}
-	if got := MeanOf([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("MeanOf = %v", got)
 	}
 }

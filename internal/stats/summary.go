@@ -84,15 +84,3 @@ func tCritical95(df int) float64 {
 	frac := float64(df-lo) / float64(hi-lo)
 	return fl + frac*(fh-fl)
 }
-
-// MeanOf returns the arithmetic mean of xs (0 for empty input).
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

@@ -25,6 +25,15 @@ type TimedPolicy struct {
 // audit output must see the real policy).
 func (p TimedPolicy) Name() string { return p.Inner.Name() }
 
+// StableDecision forwards the wrapped policy's core.StableDecider answer
+// (false when it makes none): the engine asks the policy it was handed, and
+// a wrapper that hid the answer would cost the served engine the
+// unchanged-queue skip the offline engine takes.
+func (p TimedPolicy) StableDecision() bool {
+	sd, ok := p.Inner.(core.StableDecider)
+	return ok && sd.StableDecision()
+}
+
 // Decide delegates to the wrapped policy, timing the call when a trace is
 // in flight.
 func (p TimedPolicy) Decide(ctx *core.Context) []int {

@@ -6,7 +6,8 @@
 # decides with 429 + Retry-After instead of accepting work it cannot run,
 # (3) the membership metric families to lint clean and be present, (4) a
 # kill -9 + restart to recover the exact post-churn membership
-# (byte-identical /v1/stats), and (5) `hcreplay -verify` to re-derive
+# (byte-identical /v1/stats, machine indexes included, after adds that
+# reached shard 1 before shard 0), and (5) `hcreplay -verify` to re-derive
 # every logged decision across the membership records.
 #
 # Usage: scripts/churn_smoke.sh
@@ -51,9 +52,24 @@ echo "$out1"
 echo "$out1" | grep -q "churn ops             4" ||
     { echo "FAIL: hcload did not report 4 churn ops" >&2; exit 1; }
 
-# Fully degrade the server: remove every remaining live machine (0..8
-# minus the already-removed 5), including the runtime-added machine 8.
-for m in 0 1 2 3 4 6 7 8; do
+# A second machine, on shard 0, after the plan's add on shard 1. A machine's
+# index is arithmetic on (partition, shards, shard, order within the shard)
+# — README, "Machine indexes" — so shard 1's first add is M+1 whenever it
+# came, shard 0's is M, and the restart below, which recovers shard 0
+# first, finds both where they were. The script takes the index from the
+# add's answer, not from that rule.
+added=$(admin '{"op":"add","shard":0,"type":1}' | sed -n 's/.*"machine":\([0-9]*\).*/\1/p')
+[ -n "$added" ] || { echo "FAIL: add answered no machine index" >&2; exit 1; }
+machines=$(curl -sf "http://$ADDR/v1/stats" | grep -o '"machines":\[[0-9,]*\]' | grep -o '[0-9]\+' | sort -n)
+echo "$machines" | grep -qx "$added" ||
+    { echo "FAIL: /v1/stats does not list added machine $added" >&2; exit 1; }
+echo "machines after churn:" $machines "(added on shard 0: $added)"
+
+# Fully degrade the server: remove every remaining live machine — all that
+# /v1/stats lists, both runtime-added ones included, minus the
+# already-removed 5.
+for m in $machines; do
+    [ "$m" = 5 ] && continue
     admin "{\"op\":\"remove\",\"machine\":$m,\"handoff\":true}" >/dev/null
 done
 
@@ -77,7 +93,7 @@ grep -q 'taskdrop_membership_degraded{shard="0"} 1' "$BIN/metrics.degraded" ||
     { echo "FAIL: shard 0 not reported degraded" >&2; exit 1; }
 
 # Revive everything: capacity restored, decides flow again.
-for m in 0 1 2 3 4 5 6 7 8; do
+for m in $machines; do
     admin "{\"op\":\"revive\",\"machine\":$m}" >/dev/null
 done
 curl -sf "http://$ADDR/metrics" -o "$BIN/metrics.revived"
@@ -108,8 +124,8 @@ kill -TERM "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
-# The journal re-derives every decision across 21 membership records
-# (4 planned churn ops + 8 removes + 9 revives).
+# The journal re-derives every decision across 24 membership records
+# (4 planned churn ops + 1 add + 9 removes + 10 revives).
 verify=$("$BIN/hcreplay" -dir "$JDIR" -verify)
 echo "$verify"
 echo "$verify" | grep -q "membership ops applied" ||
