@@ -4,9 +4,9 @@
 // logged decisions, terminal events and checkpoints are redundant by
 // construction — and therefore checkable.
 //
-// Verify mode replays every shard's log from scratch through a fresh
-// engine built from the journal's manifest and fails on the first record
-// or checkpoint where the recomputation disagrees with the recording:
+// Verify mode replays every shard's log through a fresh engine built from
+// the journal's manifest and fails on the first record or checkpoint where
+// the recomputation disagrees with the recording:
 //
 //	hcreplay -dir /var/lib/hcserve/journal -verify
 //
@@ -16,11 +16,26 @@
 // candidate on every machine, the dropping policy's verdict, and the
 // re-derived decision next to the logged one:
 //
+//	hcreplay -dir /var/lib/hcserve/journal -shard 0 -decision 421 -v
+//
 // Audit output includes the decision's recorded stage timings (route,
 // mailbox wait, calculus, dropper, journal, ack) when the server traced it
 // (hcserve -trace-sample).
 //
-//	hcreplay -dir /var/lib/hcserve/journal -shard 0 -decision 421 -v
+// # Trimmed logs
+//
+// Every checkpoint hcserve writes deletes the history recovery no longer
+// reads, so a log keeps its two newest checkpoints and the segments after
+// the older one. Both modes start where the log does: from genesis while
+// segment 0 is on disk, otherwise from the checkpoint just before the first
+// segment, or the next one should that not read. That checkpoint is taken
+// as given — its CRC is checked, its
+// contents are not re-derived, since the records that produced it are
+// gone. Every retained record and every later checkpoint is re-derived as
+// before. A decision older than the retained segments cannot be audited:
+// -decision refuses it, naming the oldest sequence number it can explain.
+// hcserve -snapshot-every -1 checkpoints only at a graceful drain, so a
+// log served in one run keeps everything.
 package main
 
 import (
@@ -36,7 +51,7 @@ func main() {
 	var (
 		dir       = flag.String("dir", "", "journal root directory (hcserve -journal-dir)")
 		shard     = flag.Int("shard", -1, "shard to operate on (-1 = all shards, verify mode only)")
-		verify    = flag.Bool("verify", false, "replay the log from scratch and check it against the recorded decisions, events and checkpoints")
+		verify    = flag.Bool("verify", false, "replay the log from its oldest retained start and check it against the recorded decisions, events and checkpoints")
 		decision  = flag.Int64("decision", -1, "audit this decision sequence number (requires -shard)")
 		verbose   = flag.Bool("v", false, "audit mode: print full completion-time PMFs")
 		logFormat = flag.String("log-format", "text", "log output format: text | json")

@@ -24,10 +24,26 @@
 //
 // Snapshot K captures the state after every record of segments <= K; the
 // writer rotates to segment K+1 immediately after writing snapshot K.
-// Recovery restores the highest snapshot that decodes cleanly and replays
-// only the segments after it; with no usable snapshot it replays from
-// segment 0. Snapshots are written to a temp file, fsynced and renamed,
-// so a crash mid-snapshot leaves the previous one intact.
+// Recovery (Recover) restores the newest readable snapshot older than the
+// newest one and replays the segments after it, so its tail always holds a
+// whole segment and reaches the newest snapshot by replay; with a single
+// snapshot it replays from segment 0, and when nothing older reads it
+// starts on the newest snapshot itself. Snapshots are written to a temp
+// file, fsynced and renamed, so a crash mid-snapshot leaves the previous
+// one intact.
+//
+// # Retention
+//
+// Once snapshot K is renamed and segment K+1 open, the writer asks Recover
+// for its base P — on a healthy log the checkpoint written before K — and
+// deletes every segment <= P and every snapshot < P: what stays is exactly
+// Recover's plan — snapshot P, snapshot K and the segments after P. A log
+// therefore holds two snapshots and, between checkpoints, two segments,
+// however long the shard has run. The oldest start a trimmed log supports
+// (Oldest) is the snapshot just before its first segment, or the next one
+// when that does not read; segment 0 on disk means genesis. A planned walk
+// never steps over a missing segment: both planners refuse a tail that
+// does not continue its base.
 //
 // # Record framing
 //
@@ -107,6 +123,24 @@ func Segments(dir string) ([]int, error) { return listNumbered(dir, segPrefix, s
 
 // Snapshots returns the sorted indexes of the snapshots present in dir.
 func Snapshots(dir string) ([]int, error) { return listNumbered(dir, snapPrefix, snapSuffix) }
+
+// diskBytes sums the sizes of the segments and snapshots in dir.
+func diskBytes(dir string) int64 {
+	ents, _ := os.ReadDir(dir)
+	var n int64
+	for _, e := range ents {
+		name := e.Name()
+		seg := strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix)
+		snap := strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix)
+		if !seg && !snap {
+			continue
+		}
+		if fi, err := e.Info(); err == nil {
+			n += fi.Size()
+		}
+	}
+	return n
+}
 
 // syncDir fsyncs a directory so renames and creates inside it survive a
 // crash. Best effort: some filesystems reject directory fsync.

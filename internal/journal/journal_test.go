@@ -2,10 +2,12 @@ package journal
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
@@ -176,6 +178,20 @@ func TestTraceRecordBounds(t *testing.T) {
 	}
 }
 
+// replayed plans a walk over dir and returns the records its tail holds.
+func replayed(t *testing.T, dir string, planner func(string) (*Recovery, error)) []Record {
+	t.Helper()
+	rec, err := planner(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []Record{} // an empty tail DeepEquals an empty recs[i:i]
+	if err := rec.Replay(dir, func(r *Record) error { got = append(got, *r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestWriterAppendScan(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWriter(dir, WriterOptions{Policy: SyncNever})
@@ -194,10 +210,7 @@ func TestWriterAppendScan(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	if err := ReplayAll(dir, func(r *Record) error { got = append(got, *r); return nil }); err != nil {
-		t.Fatal(err)
-	}
+	got := replayed(t, dir, Recover)
 	if !reflect.DeepEqual(recs, got) {
 		t.Fatalf("scan mismatch: %d in, %d out", len(recs), len(got))
 	}
@@ -339,16 +352,20 @@ func TestCheckpointRotationAndRecover(t *testing.T) {
 	if string(rec.Snapshot) != "state-after-10" || rec.SnapshotSeg != 0 {
 		t.Fatalf("recover picked snapshot %d %q", rec.SnapshotSeg, rec.Snapshot)
 	}
-	var tail []Record
-	if err := rec.Replay(dir, func(r *Record) error { tail = append(tail, *r); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tail, recs[10:30]) {
+	if tail := replayed(t, dir, Recover); !reflect.DeepEqual(tail, recs[10:30]) {
 		t.Fatalf("tail replay got %d records, want 20", len(tail))
 	}
+	// The second checkpoint trimmed segment 0, which no recovery reads: the
+	// oldest walk the log supports is the same one.
+	if segs, _ := Segments(dir); !reflect.DeepEqual(segs, []int{1, 2}) {
+		t.Fatalf("segments on disk %v, want [1 2]", segs)
+	}
+	if tail := replayed(t, dir, Oldest); !reflect.DeepEqual(tail, recs[10:30]) {
+		t.Fatalf("oldest walk got %d records, want 20", len(tail))
+	}
 
-	// Corrupt the newest snapshot: one readable snapshot is left, so
-	// recovery falls back to genesis and replays everything.
+	// Corrupt the newest snapshot: recovery still bases on the older
+	// retained one, and its tail still holds a whole segment.
 	if err := os.WriteFile(SnapshotPath(dir, 1), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -356,24 +373,166 @@ func TestCheckpointRotationAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot != nil || rec.SnapshotSeg != -1 {
-		t.Fatalf("fallback picked snapshot %d %q, want genesis", rec.SnapshotSeg, rec.Snapshot)
+	if string(rec.Snapshot) != "state-after-10" || rec.SnapshotSeg != 0 {
+		t.Fatalf("fallback picked snapshot %d %q, want 0", rec.SnapshotSeg, rec.Snapshot)
 	}
-	tail = tail[:0]
-	if err := rec.Replay(dir, func(r *Record) error { tail = append(tail, *r); return nil }); err != nil {
+	// With both corrupt nothing stands for the trimmed segment 0: refused,
+	// not replayed onto an empty state.
+	if err := os.WriteFile(SnapshotPath(dir, 0), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tail, recs) {
-		t.Fatalf("fallback tail got %d records, want 30", len(tail))
+	if _, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "segment 0 is missing") {
+		t.Fatalf("recover over a trimmed log without a readable checkpoint: %v", err)
 	}
+}
 
-	// From-scratch replay sees everything.
-	var all []Record
-	if err := ReplayAll(dir, func(r *Record) error { all = append(all, *r); return nil }); err != nil {
-		t.Fatal(err)
+// TestTrimCrashPoints builds a log to just before its fourth checkpoint
+// (snapshots 1 and 2, segments 2 and 3, ten records a segment) and stops
+// that checkpoint at each step — snapshot renamed, segment rotated, trim
+// half done, trim done — and corrupts what it kept. Every crash point plans
+// the uninterrupted recovery (base snapshot 2, segment 3's records), the
+// oldest walk starts on a checkpoint, and the next checkpoint leaves
+// exactly two snapshots and two segments. A corrupt newest snapshot still
+// recovers from the older one, a corrupt older one from the newest; with
+// both corrupt the plan is refused.
+func TestTrimCrashPoints(t *testing.T) {
+	recs := sampleRecords(50, 6)
+	state := func(n int) []byte { return fmt.Appendf(nil, "state-after-%d", n) }
+	garbage := func(t *testing.T, dir string, seg int) {
+		if err := os.WriteFile(SnapshotPath(dir, seg), []byte("garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !reflect.DeepEqual(all, recs) {
-		t.Fatalf("ReplayAll got %d records, want %d", len(all), len(recs))
+	checkpoint := func(t *testing.T, dir string, from, to int) *Writer {
+		w, err := OpenWriter(dir, WriterOptions{Policy: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := from; i < to; i++ {
+			if err := w.Append(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+			if i%10 == 9 && i+1 < to {
+				if err := w.Checkpoint(state(i + 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Checkpoint(state(to)); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	// The steps of checkpoint 3, cumulatively.
+	renamed := func(t *testing.T, dir string) {
+		if err := writeSnapshotFile(dir, 3, state(40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rotated := func(t *testing.T, dir string) {
+		renamed(t, dir)
+		if err := os.WriteFile(SegmentPath(dir, 4), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trimmed := func(t *testing.T, dir string) { checkpoint(t, dir, 40, 40).Close() }
+	for _, tc := range []struct {
+		name  string
+		crash func(t *testing.T, dir string)
+		// base is the snapshot recovery plans from, and next the one it
+		// plans from after the next checkpoint — where that checkpoint trims.
+		base, next int
+		want       string // a refusal: neither planner finds a start
+	}{
+		{"after snapshot rename", renamed, 2, 3, ""},
+		{"after rotation", rotated, 2, 3, ""},
+		{"mid-trim", func(t *testing.T, dir string) {
+			rotated(t, dir)
+			if err := os.Remove(SegmentPath(dir, 2)); err != nil { // snapshot 1 not yet
+				t.Fatal(err)
+			}
+		}, 2, 3, ""},
+		{"trimmed", trimmed, 2, 3, ""},
+		// The unreadable newest is kept until a newer base covers it.
+		{"newest snapshot corrupt", func(t *testing.T, dir string) {
+			trimmed(t, dir)
+			garbage(t, dir, 3)
+		}, 2, 2, ""},
+		// Nothing older reads: the walks start on the newest, an empty tail.
+		{"older retained snapshot corrupt", func(t *testing.T, dir string) {
+			trimmed(t, dir)
+			garbage(t, dir, 2)
+		}, 3, 3, ""},
+		{"both retained snapshots corrupt", func(t *testing.T, dir string) {
+			trimmed(t, dir)
+			garbage(t, dir, 2)
+			garbage(t, dir, 3)
+		}, 0, 0, "segment 0 is missing: the log resumes at segment 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := checkpoint(t, dir, 0, 30)
+			for i := 30; i < 40; i++ {
+				if err := w.Append(&recs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.crash(t, dir)
+
+			rec, err := Recover(dir)
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("recover: %v, want an error containing %q", err, tc.want)
+				}
+				if _, err := Oldest(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("oldest: %v, want an error containing %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			from := 10 * (tc.base + 1)
+			if rec.SnapshotSeg != tc.base || !bytes.Equal(rec.Snapshot, state(from)) {
+				t.Fatalf("recover based on snapshot %d %q, want %d", rec.SnapshotSeg, rec.Snapshot, tc.base)
+			}
+			if tail := replayed(t, dir, Recover); !reflect.DeepEqual(tail, recs[from:40]) {
+				t.Fatalf("recovery tail holds %d records, want %d", len(tail), 40-from)
+			}
+			old, err := Oldest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from = 10 * (old.SnapshotSeg + 1)
+			if !bytes.Equal(old.Snapshot, state(from)) {
+				t.Fatalf("oldest walk based on snapshot %d %q", old.SnapshotSeg, old.Snapshot)
+			}
+			if tail := replayed(t, dir, Oldest); !reflect.DeepEqual(tail, recs[from:40]) {
+				t.Fatalf("oldest walk holds %d records, want %d", len(tail), 40-from)
+			}
+
+			// The next checkpoint finishes whatever trim the crash cut short,
+			// keeping recovery's plan: snapshots next..4, segments after next.
+			w = checkpoint(t, dir, 40, 50)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var wantSegs, wantSnaps []int
+			for s := tc.next; s <= 4; s++ {
+				wantSnaps, wantSegs = append(wantSnaps, s), append(wantSegs, s+1)
+			}
+			segs, _ := Segments(dir)
+			snaps, _ := Snapshots(dir)
+			if !reflect.DeepEqual(segs, wantSegs) || !reflect.DeepEqual(snaps, wantSnaps) {
+				t.Fatalf("after the next checkpoint: segments %v, snapshots %v; want %v, %v", segs, snaps, wantSegs, wantSnaps)
+			}
+			if got, want := w.DiskBytes(), diskBytes(dir); got != want {
+				t.Fatalf("DiskBytes() = %d, directory holds %d", got, want)
+			}
+		})
 	}
 }
 

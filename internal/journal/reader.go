@@ -115,16 +115,34 @@ func (r *Recovery) Replay(dir string, fn func(*Record) error) error {
 	return nil
 }
 
-// Recover plans a shard's recovery: it bases the walk on the newest
-// snapshot but one whose payload verifies (genesis when fewer than two do;
-// a torn snapshot just means replaying a longer tail) and lists the
-// segments after it. The tail therefore always spans at least one whole
+// Recover plans a shard's crash recovery: it bases the walk on the newest
+// readable snapshot older than the newest snapshot on disk (genesis when
+// there is none; a torn or corrupt snapshot just means a longer tail) and
+// lists the segments after it. The tail therefore spans at least one whole
 // segment: the newest snapshot is reached by replay and checked against it
-// instead of trusted, and what the caller rebuilds from the tail alone — the
-// service's window of acknowledged decision IDs — is never empty because
-// the last commit happened to land on a checkpoint. An absent or empty
-// directory recovers to the empty plan.
-func Recover(dir string) (*Recovery, error) {
+// instead of trusted, and what the caller rebuilds from the tail alone —
+// the service's window of acknowledged decision IDs — is never empty
+// because the last commit happened to land on a checkpoint. Only when no
+// older start reads — a trimmed log whose older retained snapshot is
+// corrupt — does the walk start on the newest snapshot, taken as given,
+// with the segments after it as the whole tail. This is the history the
+// writer's trim keeps. An absent or empty directory recovers to the empty
+// plan.
+func Recover(dir string) (*Recovery, error) { return plan(dir, false) }
+
+// Oldest plans the longest walk a (possibly trimmed) log supports — how
+// hcreplay verifies and audits: from genesis when segment 0 is on disk,
+// otherwise from the oldest readable snapshot the segments after it
+// continue (on a trimmed log, the one just before the first segment), which
+// the walk takes as given (it is CRC-checked, not re-derived).
+func Oldest(dir string) (*Recovery, error) { return plan(dir, true) }
+
+// plan is the one planner of a walk's start (Recover, Oldest): the first
+// candidate base, in the planner's order of preference, that reads and that
+// the segments on disk follow (see follow). Genesis is always a candidate,
+// so when none works the error is genesis's, naming the first segment of
+// history nothing on disk stands for — never a walk that skips it.
+func plan(dir string, oldest bool) (*Recovery, error) {
 	segs, err := Segments(dir)
 	if err != nil {
 		return nil, err
@@ -133,36 +151,64 @@ func Recover(dir string) (*Recovery, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Recovery{SnapshotSeg: -1}
-	for i, readable := len(snaps)-1, 0; i >= 0; i-- {
-		payload, err := ReadSnapshotFile(SnapshotPath(dir, snaps[i]))
+	newest := -1
+	if n := len(snaps); n > 0 {
+		newest = snaps[n-1]
+	}
+	// Candidate bases, -1 standing for genesis: Oldest from the earliest
+	// on; Recover from the newest snapshot but one back to genesis, then
+	// the newest itself.
+	var bases []int
+	if oldest {
+		bases = append([]int{-1}, snaps...)
+	} else {
+		for i := len(snaps) - 2; i >= 0; i-- {
+			bases = append(bases, snaps[i])
+		}
+		bases = append(bases, -1)
+		if newest >= 0 {
+			bases = append(bases, newest)
+		}
+	}
+	var refusal error
+	for _, base := range bases {
+		tail, err := follow(dir, segs, base, newest)
+		if base < 0 {
+			refusal = err
+		}
 		if err != nil {
-			continue // fall back to the previous snapshot
+			continue
 		}
-		if readable++; readable == 2 {
-			r.SnapshotSeg, r.Snapshot = snaps[i], payload
-			break
+		r := &Recovery{SnapshotSeg: base, TailSegments: tail}
+		if base >= 0 {
+			if r.Snapshot, err = ReadSnapshotFile(SnapshotPath(dir, base)); err != nil {
+				continue
+			}
 		}
+		return r, nil
 	}
-	for _, s := range segs {
-		if s > r.SnapshotSeg {
-			r.TailSegments = append(r.TailSegments, s)
-		}
-	}
-	return r, nil
+	return nil, refusal
 }
 
-// ReplayAll streams every record of every segment in dir through fn, from
-// segment 0 — how hcreplay -decision finds and replays up to one decision.
-func ReplayAll(dir string, fn func(*Record) error) error {
-	segs, err := Segments(dir)
-	if err != nil {
-		return err
-	}
-	for _, seg := range segs {
-		if err := ScanSegment(SegmentPath(dir, seg), fn); err != nil {
-			return err
+// follow lists the segments after base (-1: genesis), the tail of a walk
+// from it. They must continue base segment by segment and reach the newest
+// snapshot on disk, so the walk neither steps over missing history nor
+// stops short of state a checkpoint holds.
+func follow(dir string, segs []int, base, newest int) ([]int, error) {
+	var tail []int
+	next := base + 1
+	for _, s := range segs {
+		if s <= base {
+			continue
 		}
+		if s != next {
+			return nil, fmt.Errorf("journal: %s: segment %d is missing: the log resumes at segment %d with no readable checkpoint in between", dir, next, s)
+		}
+		tail = append(tail, s)
+		next++
 	}
-	return nil
+	if next <= newest {
+		return nil, fmt.Errorf("journal: %s: segment %d is missing: the log ends before checkpoint %d", dir, next, newest)
+	}
+	return tail, nil
 }

@@ -98,6 +98,9 @@ type Writer struct {
 	fsyncs   atomic.Int64
 	bytes    atomic.Int64
 	snaps    atomic.Int64
+	// diskBase is the directory's segment and snapshot bytes at the last
+	// open or trim, less bytes at that moment: DiskBytes adds bytes back.
+	diskBase atomic.Int64
 	closed   chan struct{}
 	syncDone chan struct{}
 
@@ -161,6 +164,7 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	w.f = f
 	w.bw = bufio.NewWriterSize(f, 64<<10)
 	w.recsInSeg = nrec
+	w.diskBase.Store(diskBytes(dir))
 	syncDir(dir)
 
 	if opts.Policy == SyncInterval {
@@ -198,6 +202,10 @@ func (w *Writer) Bytes() int64 { return w.bytes.Load() }
 
 // Checkpoints returns the number of snapshots written.
 func (w *Writer) Checkpoints() int64 { return w.snaps.Load() }
+
+// DiskBytes returns the segment and snapshot bytes in the log directory:
+// its size at the last open or trim plus what has been appended since.
+func (w *Writer) DiskBytes() int64 { return w.diskBase.Load() + w.bytes.Load() }
 
 // Err returns the writer's latched failure, if any.
 func (w *Writer) Err() error { return w.err }
@@ -286,11 +294,12 @@ func (w *Writer) syncLoop() {
 }
 
 // Checkpoint writes the caller's snapshot payload as snapshot K (K = the
-// current segment), then rotates to segment K+1. The sequence is
-// crash-ordered: the old segment is flushed and fsynced before the
-// snapshot, the snapshot is written to a temp file, fsynced and renamed,
-// and only then does the new segment open — so at every instant the
-// directory holds a consistent (snapshot, tail) pair.
+// current segment), rotates to segment K+1 and trims the history behind
+// the checkpoint before K. The sequence is crash-ordered: the old segment
+// is flushed and fsynced before the snapshot, the snapshot is written to a
+// temp file, fsynced and renamed, only then does the new segment open, and
+// only then does anything go — so at every instant the directory holds
+// Recover's (base, newest, tail).
 func (w *Writer) Checkpoint(payload []byte) error {
 	if w.err != nil {
 		return w.err
@@ -324,8 +333,45 @@ func (w *Writer) Checkpoint(payload []byte) error {
 	w.bw.Reset(next)
 	w.seg++
 	w.recsInSeg = 0
-	syncDir(w.dir)
+	w.trim()
 	return nil
+}
+
+// trim deletes what recovery no longer reads: with keep the base Recover
+// plans now — the newest readable checkpoint before the one just written,
+// on a healthy log P — every segment <= keep, then every snapshot < keep
+// (nothing while recovery starts from genesis or cannot plan). Retention is
+// Recover's plan by construction, and the history behind a base that has
+// become unreadable stays until a newer base covers it. Segments go oldest
+// first and before any snapshot, so a crash mid-trim leaves a log that
+// still starts on a checkpoint (Oldest) and that the next checkpoint
+// finishes trimming; a segment that will not go stops the trim there,
+// keeping the snapshot before it. A file left behind is retried at the next
+// checkpoint and stays in DiskBytes meanwhile.
+func (w *Writer) trim() {
+	keep := -1
+	if p, err := Recover(w.dir); err == nil {
+		keep = p.SnapshotSeg
+	}
+	segs, _ := Segments(w.dir)
+	snaps, _ := Snapshots(w.dir)
+	for _, s := range segs {
+		if s > keep {
+			break
+		}
+		if err := os.Remove(SegmentPath(w.dir, s)); err != nil && !os.IsNotExist(err) {
+			keep = s - 1
+			break
+		}
+	}
+	for _, s := range snaps {
+		if s >= keep {
+			break
+		}
+		_ = os.Remove(SnapshotPath(w.dir, s))
+	}
+	syncDir(w.dir)
+	w.diskBase.Store(diskBytes(w.dir) - w.bytes.Load())
 }
 
 // writeSnapshotFile frames payload as one WAL-style frame (sealFrame) into

@@ -151,19 +151,21 @@ var journalFsyncBuckets = []float64{
 // callbacks feed (decide loops under SyncAlways, background syncers under
 // SyncInterval).
 func writeJournalMetrics(x *telemetry.Writer, c *Controller) {
-	var records, bytes, fsyncs, snaps, lag int64
+	var records, bytes, fsyncs, snaps, lag, disk int64
 	for _, sh := range c.shards {
 		records += sh.jw.Appended()
 		bytes += sh.jw.Bytes()
 		fsyncs += sh.jw.Fsyncs()
 		snaps += sh.jw.Checkpoints()
 		lag += sh.jw.Lag()
+		disk += sh.jw.DiskBytes()
 	}
 	x.Counter("taskdrop_journal_records_total", "Journal records appended across shards.").Int(records)
 	x.Counter("taskdrop_journal_bytes_total", "Journal bytes appended across shards.").Int(bytes)
 	x.Counter("taskdrop_journal_fsyncs_total", "Completed journal fdatasyncs.").Int(fsyncs)
 	x.Counter("taskdrop_journal_snapshots_total", "Journal checkpoints written.").Int(snaps)
 	x.Gauge("taskdrop_journal_lag_records", "Appended records not yet covered by an fsync.").Int(lag)
+	x.Gauge("taskdrop_journal_disk_bytes", "Journal segment and snapshot bytes on disk across shards.").Int(disk)
 	x.Histogram("taskdrop_journal_fsync_latency_seconds", "Journal fdatasync latency.").Observed(c.fsyncLatency)
 }
 
@@ -229,7 +231,8 @@ func (c *Controller) initJournal() error {
 	// the partially-applied arrivals. Seeding covers the batches of the
 	// recovered tail, which journal.Recover makes at least one whole segment
 	// (SnapshotEvery records) long however close to a checkpoint the crash
-	// fell; a retry of something older than that is executed again.
+	// fell — unless only the newest checkpoint reads; a retry of something
+	// older than the tail is executed again.
 	c.seedDedup()
 
 	// Writers open after recovery: OpenWriter truncates any torn tail, so

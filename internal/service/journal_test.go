@@ -329,13 +329,16 @@ func TestJournalBadFsyncSpec(t *testing.T) {
 
 // TestVerifyShardCleanAndCrashed proves hcreplay's core claim on real
 // journals: a drained log and a crashed log both verify — every logged
-// decision and event matches the from-scratch deterministic replay (what a
-// tampered log does is TestVerifyDetectsTampering's).
+// decision and event matches the deterministic replay (what a tampered log
+// does is TestVerifyDetectsTampering's). The drained log checkpoints only
+// at the drain, so it keeps segment 0 and verifies from genesis; the
+// crashed one is continued under a checkpoint cadence that trims it and
+// verifies from its oldest retained checkpoint, every record on disk.
 func TestVerifyShardCleanAndCrashed(t *testing.T) {
 	tr := testTrace(t, 300, 11)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 50,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -364,15 +367,48 @@ func TestVerifyShardCleanAndCrashed(t *testing.T) {
 	}
 
 	// Crashed journal: reopen, feed more, kill. Still verifies.
+	cfg.SnapshotEvery = 50
 	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	decideRange(t, c2, tr, 200, 300, 8)
 	crash(c2)
-	if _, err := VerifyAll(cfg.JournalDir); err != nil {
+	stats, err = VerifyAll(cfg.JournalDir)
+	if err != nil {
 		t.Fatalf("crashed journal failed verification: %v", err)
 	}
+	for _, st := range stats {
+		if segs, _ := journal.Segments(ShardJournalDir(cfg.JournalDir, st.Shard)); len(segs) == 0 || segs[0] == 0 {
+			t.Errorf("shard %d: crashed log not trimmed (segments %v)", st.Shard, segs)
+		}
+		if want := logged(t, cfg.JournalDir, st.Shard, journal.KindArrive); st.Arrives != want {
+			t.Errorf("shard %d: verified %d arrives, its log holds %d", st.Shard, st.Arrives, want)
+		}
+	}
+}
+
+// logged counts the records of one kind in the segments shard s's log holds
+// on disk — what a verification walk must cover, trimmed or not.
+func logged(t *testing.T, root string, s int, kind journal.Kind) int {
+	t.Helper()
+	dir := ShardJournalDir(root, s)
+	segs, err := journal.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, seg := range segs {
+		if err := journal.ScanSegment(journal.SegmentPath(dir, seg), func(r *journal.Record) error {
+			if r.Kind == kind {
+				n++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
 }
 
 // rewriteSegment replaces segment seg of a shard log with edit's output
@@ -438,13 +474,13 @@ func rewriteSnapshot(t *testing.T, dir string, seg int, edit func(*ShardCheckpoi
 
 // TestVerifyDetectsTampering pins what stays independent now that replay
 // runs the live path's code: the comparison of the bytes on disk against a
-// from-scratch re-derivation. One edit to a copied 2-shard journal with
-// checkpoints — a derived record, an input record, a snapshot — must fail
-// verification and name the record or snapshot; the untouched copy passes.
-// Recovery is the same walk from the newest checkpoint, so New refuses the
-// one edit that lands after it and resumes the untouched copy where the
-// live controller stood; an edit behind the newest checkpoint is in bytes
-// recovery never reads and stays hcreplay -verify's to find.
+// re-derivation. One edit to a copied 2-shard journal with checkpoints — a
+// derived record or an input record of the oldest retained segment, the
+// newest snapshot, a forged record at the end — must fail verification and
+// name the record or snapshot; the untouched copy passes. The checkpoints
+// trimmed everything behind the newest one but one, so what the log retains
+// is recovery's tail: New refuses every edit as verification does, and
+// resumes the untouched copy where the live controller stood.
 func TestVerifyDetectsTampering(t *testing.T) {
 	tr := testTrace(t, 300, 11)
 	cfg := Config{
@@ -469,9 +505,19 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	if _, err := c.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	segs, err := journal.Segments(ShardJournalDir(live, 0))
+	if err != nil || len(segs) == 0 || segs[0] == 0 {
+		t.Fatalf("shard 0's log was not trimmed: segments %v (%v)", segs, err)
+	}
+	snaps, err := journal.Snapshots(ShardJournalDir(live, 0))
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("shard 0 retains snapshots %v (%v), want two", snaps, err)
+	}
+	oldest, newest := segs[0], snaps[1]
+	newestName := fmt.Sprintf("snapshot %d", newest)
 
-	// firstOf returns the index of the first record of segment 0 that
-	// satisfies pick, past the segment's first few records (interior).
+	// firstOf returns the index of the first record of the oldest retained
+	// segment that satisfies pick, past its first few records (interior).
 	firstOf := func(t *testing.T, recs []journal.Record, pick func(*journal.Record) bool) int {
 		t.Helper()
 		for i := 5; i < len(recs)-5; i++ {
@@ -479,7 +525,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 				return i
 			}
 		}
-		t.Fatal("segment 0 holds no such record")
+		t.Fatalf("segment %d holds no such record", oldest)
 		return -1
 	}
 	isMap := func(r *journal.Record) bool { return r.Kind == journal.KindDecision && r.Action == journal.ActMap }
@@ -491,19 +537,19 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	}{
 		{"untouched", func(*testing.T, string) {}, "", ""},
 		{"decision machine changed", func(t *testing.T, dir string) {
-			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
+			rewriteSegment(t, dir, oldest, func(recs []journal.Record) []journal.Record {
 				recs[firstOf(t, recs, isMap)].Machine++
 				return recs
 			})
-		}, "record ", ""},
+		}, "record ", "record "},
 		{"terminal event removed", func(t *testing.T, dir string) {
-			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
+			rewriteSegment(t, dir, oldest, func(recs []journal.Record) []journal.Record {
 				i := firstOf(t, recs, func(r *journal.Record) bool { return r.Kind == journal.KindEvent })
 				return append(recs[:i], recs[i+1:]...)
 			})
-		}, "record ", ""},
+		}, "record ", "record "},
 		{"arrive deadline changed", func(t *testing.T, dir string) {
-			rewriteSegment(t, dir, 0, func(recs []journal.Record) []journal.Record {
+			rewriteSegment(t, dir, oldest, func(recs []journal.Record) []journal.Record {
 				// A mapped task whose deadline had passed on arrival is
 				// dropped reactively instead: the arrive precedes its decision.
 				i := firstOf(t, recs, isMap)
@@ -513,10 +559,10 @@ func TestVerifyDetectsTampering(t *testing.T) {
 				recs[i].Deadline = recs[i].Tick - 1
 				return recs
 			})
-		}, "record ", ""},
+		}, "record ", "record "},
 		{"checkpoint counter changed", func(t *testing.T, dir string) {
-			rewriteSnapshot(t, dir, 0, func(cp *ShardCheckpoint) { cp.Mapped++ })
-		}, "snapshot 0", ""},
+			rewriteSnapshot(t, dir, newest, func(cp *ShardCheckpoint) { cp.Mapped++ })
+		}, newestName, newestName},
 		{"forged trailing decision", func(t *testing.T, dir string) {
 			// The replay cannot derive a record nothing in the log leads to.
 			w, err := journal.OpenWriter(dir, journal.WriterOptions{Policy: journal.SyncNever})
@@ -573,10 +619,13 @@ func TestVerifyDetectsTampering(t *testing.T) {
 }
 
 // TestCheckpointCostIsFlat: a checkpoint holds what the shard has queued,
-// not what it has ever admitted, so the 12 000th task's checkpoint is no
-// bigger than an early one (allowing 2x for queue depth and digit widths).
-// When the engine snapshot listed every task fed, each checkpoint grew by
-// some 135 B per task admitted since the one before.
+// not what it has ever admitted, and each one deletes the history behind the
+// checkpoint before it, so after 12 000 tasks neither the newest checkpoint
+// nor the shard's log directory is bigger than after 2 400 (allowing 2x for
+// queue depth, digit widths and where in a segment the run stops). When the
+// engine snapshot listed every task fed, each checkpoint grew by some 135 B
+// per task admitted since the one before; while no segment was ever
+// deleted, the directory grew by some 155 B per task.
 func TestCheckpointCostIsFlat(t *testing.T) {
 	tr := testTrace(t, 12000, 31)
 	cfg := Config{
@@ -587,22 +636,124 @@ func TestCheckpointCostIsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decideRange(t, c, tr, 0, len(tr.Tasks), 16)
-	crash(c) // no drain: the last checkpoint is one the cadence wrote under load
 	dir := ShardJournalDir(cfg.JournalDir, 0)
-	snaps, err := journal.Snapshots(dir)
-	if err != nil || len(snaps) < 10 {
-		t.Fatalf("%d checkpoints (%v), want at least 10", len(snaps), err)
-	}
-	size := func(seg int) int64 {
-		fi, err := os.Stat(journal.SnapshotPath(dir, seg))
+	jw := c.shards[0].jw
+	// sizes returns the newest checkpoint's size and the directory's, which
+	// the writer's disk gauge must match once every ack is flushed.
+	sizes := func() (newest, total int64) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fi.Size()
+		for _, e := range ents {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += fi.Size()
+			if strings.HasSuffix(e.Name(), ".snap") {
+				newest = fi.Size() // ReadDir sorts by name: the last is the newest
+			}
+		}
+		if got := jw.DiskBytes(); got != total {
+			t.Fatalf("taskdrop_journal_disk_bytes reads %d B, the directory holds %d B", got, total)
+		}
+		return newest, total
 	}
-	if first, last := size(snaps[0]), size(snaps[len(snaps)-1]); last > 2*first {
-		t.Fatalf("checkpoint %d of %d is %d B, the first was %d B", len(snaps), len(snaps), last, first)
+	decideRange(t, c, tr, 0, 2400, 16)
+	snapEarly, dirEarly := sizes()
+	decideRange(t, c, tr, 2400, len(tr.Tasks), 16)
+	crash(c) // no drain: the last checkpoint is one the cadence wrote under load
+	snapLate, dirLate := sizes()
+	if n := jw.Checkpoints(); n < 10 {
+		t.Fatalf("%d checkpoints, want at least 10", n)
+	}
+	if snapLate > 2*snapEarly {
+		t.Fatalf("checkpoint after 12 000 tasks is %d B, after 2 400 it was %d B", snapLate, snapEarly)
+	}
+	if dirLate > 2*dirEarly {
+		t.Fatalf("log directory after 12 000 tasks is %d B, after 2 400 it was %d B", dirLate, dirEarly)
+	}
+	if snaps, err := journal.Snapshots(dir); err != nil || len(snaps) != 2 {
+		t.Fatalf("the log retains snapshots %v (%v), want two", snaps, err)
+	}
+	t.Logf("checkpoint %d -> %d B, directory %d -> %d B, %d checkpoints", snapEarly, snapLate, dirEarly, dirLate, jw.Checkpoints())
+}
+
+// TestRecoveryOverCorruptCheckpoint: a trimmed log keeps two checkpoints.
+// With the newest unreadable, recovery bases on the older one — its tail
+// is still a whole segment — and with the older unreadable, on the newest;
+// either way the restarted controller reports the uninterrupted run's
+// /v1/stats, goes on deciding as it does and leaves a log that verifies.
+// With both unreadable nothing stands for the deleted history: New refuses,
+// naming the missing segment, instead of replaying the tail onto an empty
+// shard.
+func TestRecoveryOverCorruptCheckpoint(t *testing.T) {
+	tr := testTrace(t, 300, 7)
+	cfg := Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", Fsync: "never", SnapshotEvery: 60}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := decideRange(t, ref, tr, 0, len(tr.Tasks), 4)
+	const cut = 200
+	cfg.JournalDir = t.TempDir()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, cut, 4)
+	pre, err := c.ShardStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(c)
+	dir := ShardJournalDir(cfg.JournalDir, 0)
+	snaps, err := journal.Snapshots(dir)
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("the log retains snapshots %v (%v), want two", snaps, err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt []int // the retained snapshots made unreadable
+	}{
+		{"newest", snaps[1:]},
+		{"older", snaps[:1]},
+		{"both", snaps},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cc := cfg
+			cc.JournalDir = t.TempDir()
+			if err := os.CopyFS(cc.JournalDir, os.DirFS(cfg.JournalDir)); err != nil {
+				t.Fatal(err)
+			}
+			for _, seg := range tc.corrupt {
+				if err := os.WriteFile(journal.SnapshotPath(ShardJournalDir(cc.JournalDir, 0), seg), []byte("garbage"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c2, err := New(cc)
+			if len(tc.corrupt) == len(snaps) {
+				if err == nil || !strings.Contains(err.Error(), "segment 0 is missing") {
+					t.Fatalf("New over a trimmed log with no readable checkpoint: %v, want a refusal naming segment 0", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("recovery past a corrupt checkpoint: %v", err)
+			}
+			if post, err := c2.ShardStats(context.Background()); err != nil || !reflect.DeepEqual(post, pre) {
+				t.Fatalf("recovered /v1/stats diverged (%v):\n pre %+v\npost %+v", err, pre, post)
+			}
+			if got := decideRange(t, c2, tr, cut, len(tr.Tasks), 4); !reflect.DeepEqual(got, want[cut:]) {
+				t.Fatal("recovered controller diverged from the uninterrupted one")
+			}
+			crash(c2)
+			if _, err := VerifyAll(cc.JournalDir); err != nil {
+				t.Fatalf("journal continued past a corrupt checkpoint: %v", err)
+			}
+		})
 	}
 }
 
@@ -753,12 +904,14 @@ func TestAuditNamesAddedMachine(t *testing.T) {
 // replay (caches on, hcreplay's default) and against a cold replay
 // (ColdChains — every cache invalidated at each event). If signature-gated
 // reuse ever changed a single decision, the cold pass would diverge from
-// the warm recording on that record.
+// the warm recording on that record. The server checkpoints only at the
+// drain, so nothing is trimmed and both passes re-derive the recording from
+// genesis.
 func TestVerifyWarmJournalColdReplay(t *testing.T) {
 	tr := testTrace(t, 260, 17)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 40,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
 	}
 	c, err := New(cfg)
 	if err != nil {

@@ -24,15 +24,18 @@ import (
 // replayLog recomputes the derived stream and fails on the first record
 // where the recomputation and the recording disagree.
 //
-// There is one interpreter of input records (shard.apply) and one walk over
-// a log (shard.replayLog). hcreplay -verify is the walk from genesis on a
-// shard openReplay obtains from build, the constructor service.New serves
-// from; crash recovery is the same walk from the newest checkpoint but one
-// on the shard about to be served (shard.recover); both apply the records
-// through the methods the live loop runs (see "One shard state machine" in
-// the package doc), so replay == live and recovered == uninterrupted by
-// construction. What stays independent, and is what verification tests, is
-// the comparison: the bytes on disk against a re-derivation.
+// There is one interpreter of input records (shard.apply), one choice of
+// where a walk starts (shard.startLog) and one walk over a log
+// (shard.replayLog). hcreplay -verify is the walk from the oldest start the
+// log supports — genesis, or on a log the journal writer has trimmed the
+// checkpoint just before its first segment — on a shard openReplay obtains
+// from build, the constructor service.New serves from; crash recovery is
+// the same walk from the newest checkpoint but one on the shard about to be
+// served (shard.recover); both apply the records through the methods the
+// live loop runs (see "One shard state machine" in the package doc), so
+// replay == live and recovered == uninterrupted by construction. What
+// stays independent, and is what verification tests, is the comparison:
+// the bytes on disk against a re-derivation.
 
 // robustnessTol bounds the acceptable divergence when comparing replayed
 // router EWMAs against checkpointed ones. Both sides run the same float
@@ -59,8 +62,9 @@ func openReplay(root string, s int, cold bool) (*shard, error) {
 	return c.shards[s], nil
 }
 
-// VerifyStats summarizes one walk over a shard's log (replayLog): the whole
-// log under hcreplay -verify, the tail journal.Recover plans at recovery.
+// VerifyStats summarizes one walk over a shard's log (replayLog): all the
+// log retains under hcreplay -verify, the tail journal.Recover plans at
+// recovery.
 type VerifyStats struct {
 	Shard       int
 	Records     int // logged records consumed
@@ -79,12 +83,14 @@ type VerifyStats struct {
 	FinalSeqWatermark int64
 }
 
-// VerifyShard replays shard s's journal from scratch and proves the log
-// self-consistent: every logged decision, terminal event and drain marker
-// must equal the one the deterministic re-execution derives, and every
-// checkpoint must equal the replayed state at its segment boundary. A
-// truncated tail (crash) is tolerated — the log is then a prefix of the
-// derived stream — but any interior disagreement is an error.
+// VerifyShard replays shard s's journal from the oldest start it supports
+// (journal.Oldest) and proves the log self-consistent: every logged
+// decision, terminal event and drain marker must equal the one the
+// deterministic re-execution derives, and every checkpoint after the start
+// must equal the replayed state at its segment boundary. On a trimmed log
+// the start is a checkpoint, taken as given. A truncated tail (crash) is
+// tolerated — the log is then a prefix of the derived stream — but any
+// interior disagreement is an error.
 func VerifyShard(root string, s int) (*VerifyStats, error) {
 	sh, err := openReplay(root, s, false)
 	if err != nil {
@@ -114,26 +120,16 @@ func (sh *shard) apply(rec *journal.Record) (Decision, error) {
 	return Decision{}, nil
 }
 
-// replayLog is the one walk over a shard's log, on a shard in replay mode
-// (emit queues what the shard derives in sh.gen): from genesis on a fresh
-// shard (VerifyShard), or — fromCheckpoint — from the checkpoint
-// journal.Recover picks, restored first (recovery). It applies every input
-// record through apply, calling visit (when non-nil) with the record and
-// apply's decision; matches every logged decision, event and drain marker
-// against the derived stream; and compares every checkpoint it passes
-// against the replayed state. Derived records past the end of the log are
-// the suffix a crash cut off (Unflushed); logged ones the replay cannot
-// explain are an error.
-func (sh *shard) replayLog(root string, fromCheckpoint bool, visit func(*journal.Record, Decision)) (*VerifyStats, error) {
-	s := sh.id
-	dir := ShardJournalDir(root, s)
-	plan := &journal.Recovery{}
-	var err error
-	if fromCheckpoint {
-		plan, err = journal.Recover(dir)
-	} else {
-		plan.TailSegments, err = journal.Segments(dir)
+// startLog chooses where a walk over the shard's log starts and restores
+// that state on the fresh shard: for recovery the newest checkpoint but one
+// (journal.Recover), otherwise the oldest start the log supports
+// (journal.Oldest). It returns the plan whose tail the walk reads.
+func (sh *shard) startLog(root string, recovery bool) (*journal.Recovery, error) {
+	planner := journal.Oldest
+	if recovery {
+		planner = journal.Recover
 	}
+	plan, err := planner(ShardJournalDir(root, sh.id))
 	if err != nil {
 		return nil, err
 	}
@@ -141,6 +137,25 @@ func (sh *shard) replayLog(root string, fromCheckpoint bool, visit func(*journal
 		if err := sh.restore(plan.Snapshot); err != nil {
 			return nil, err
 		}
+	}
+	return plan, nil
+}
+
+// replayLog is the one walk over a shard's log, on a shard in replay mode
+// (emit queues what the shard derives in sh.gen), from where startLog puts
+// it: the oldest start (VerifyShard) or the recovery base. It applies every
+// input record through apply, calling visit (when non-nil) with the record
+// and apply's decision; matches every logged decision, event and drain
+// marker against the derived stream; and compares every checkpoint it
+// passes against the replayed state. Derived records past the end of the
+// log are the suffix a crash cut off (Unflushed); logged ones the replay
+// cannot explain are an error.
+func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Record, Decision)) (*VerifyStats, error) {
+	s := sh.id
+	dir := ShardJournalDir(root, s)
+	plan, err := sh.startLog(root, recovery)
+	if err != nil {
+		return nil, err
 	}
 
 	st := &VerifyStats{Shard: s}
@@ -290,6 +305,9 @@ var errAuditStop = errors.New("audit: stop")
 // arriving candidate on every machine, the dropping policy's verdict over
 // each queue, and finally the re-derived decision next to the logged one.
 // verbose additionally prints the candidate's full completion-time PMFs.
+// The replay starts where hcreplay -verify's does (shard.startLog), so on a
+// trimmed log a decision older than the retained segments is refused with
+// the oldest one that can be audited.
 //
 // Machines are printed under their matrix-wide index, runtime-added ones
 // included: it is arithmetic on what the manifest and the shard's own log
@@ -301,6 +319,10 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	}
 	eng, cfg := sh.eng, sh.c.cfg
 	dir := ShardJournalDir(root, s)
+	plan, err := sh.startLog(root, false)
+	if err != nil {
+		return err
+	}
 
 	// First pass: find the target arrive and capture the logged derived
 	// records for it (they follow the arrive in the log), plus its stage
@@ -309,9 +331,13 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	var loggedDecision *journal.Record
 	var loggedTrace *journal.Record
 	var loggedEvents []journal.Record
-	err = journal.ReplayAll(dir, func(rec *journal.Record) error {
+	oldest := int64(-1) // the first arrive the walk holds
+	err = plan.Replay(dir, func(rec *journal.Record) error {
 		switch rec.Kind {
 		case journal.KindArrive:
+			if oldest < 0 {
+				oldest = rec.Seq
+			}
 			if rec.Seq == seq {
 				c := *rec
 				target = &c
@@ -339,12 +365,15 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 		return err
 	}
 	if target == nil {
+		if plan.SnapshotSeg >= 0 && oldest >= 0 && seq < oldest {
+			return fmt.Errorf("service: decision %d precedes the retained log of shard %d in %s (oldest auditable sequence number: %d)", seq, s, root, oldest)
+		}
 		return fmt.Errorf("service: no arrive record with seq %d in shard %d of %s", seq, s, root)
 	}
 
 	// Second pass: apply every record before the target arrive, so the
 	// engine holds the exact pre-decision state.
-	err = journal.ReplayAll(dir, func(rec *journal.Record) error {
+	err = plan.Replay(dir, func(rec *journal.Record) error {
 		if rec.Kind == journal.KindArrive && rec.Seq == seq {
 			return errAuditStop
 		}

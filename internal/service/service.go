@@ -40,10 +40,11 @@
 // input record by calling those methods, and shard.replayLog is the one
 // walk over the segments — it applies the inputs, matches every logged
 // decision, event and drain marker against what emit derives, and compares
-// the checkpoints it passes. hcreplay -verify is that walk from genesis;
-// crash recovery is the same walk from the newest checkpoint but one, on
-// the shard about to be served, so a server resumes only on a tail its own
-// re-execution reproduces. The live loop, recovery, hcreplay -verify and
+// the checkpoints it passes. hcreplay -verify is that walk from the oldest
+// start the log retains (genesis, or the checkpoint before its first
+// segment); crash recovery is the same walk from the newest checkpoint but
+// one, on the shard about to be served, so a server resumes only on a tail
+// its own re-execution reproduces. The live loop, recovery, hcreplay -verify and
 // hcreplay -decision differ only in where records come from and where emit
 // sends them, so replay == live and recovered == uninterrupted by
 // construction.
@@ -58,9 +59,11 @@
 // arrivals), and the drain Result is read off those, exactly as an offline
 // trial's is. Memory, a checkpoint's size and the time to write, restore
 // or verify one therefore follow what is queued now, not how many tasks
-// the shard has ever admitted; live gauges are O(1). What still grows with
-// tasks served is the journal's segment files, which nothing deletes yet,
-// and the bounded dedup window and trace ring do not.
+// the shard has ever admitted; live gauges are O(1). So does the journal
+// on disk: each checkpoint deletes the history recovery no longer reads,
+// leaving two checkpoints and the segments after the older one
+// (internal/journal, "Retention"). The dedup window and trace ring are
+// bounded by constants.
 package service
 
 import (

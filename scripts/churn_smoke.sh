@@ -8,7 +8,8 @@
 # kill -9 + restart to recover the exact post-churn membership
 # (byte-identical /v1/stats, machine indexes included, after adds that
 # reached shard 1 before shard 0), and (5) `hcreplay -verify` to re-derive
-# every logged decision across the membership records.
+# the killed log's decisions across the membership records its tail holds,
+# and the drained log to verify.
 #
 # Usage: scripts/churn_smoke.sh
 set -euo pipefail
@@ -108,6 +109,13 @@ kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
+# The killed log's tail holds the admin operations above (an add, the
+# removes and the revives): the verifier re-applies them as inputs.
+verify=$("$BIN/hcreplay" -dir "$JDIR" -verify)
+echo "$verify"
+echo "$verify" | grep -q "membership ops applied" ||
+    { echo "FAIL: hcreplay -verify saw no membership records in the killed log" >&2; exit 1; }
+
 serve
 curl -sf "http://$ADDR/v1/stats" >"$BIN/post.json"
 if ! diff -u "$BIN/pre.json" "$BIN/post.json"; then
@@ -124,11 +132,11 @@ kill -TERM "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
-# The journal re-derives every decision across 24 membership records
-# (4 planned churn ops + 1 add + 9 removes + 10 revives).
+# Each checkpoint since has deleted the history behind the one before it;
+# what the drained log retains still re-derives.
 verify=$("$BIN/hcreplay" -dir "$JDIR" -verify)
 echo "$verify"
-echo "$verify" | grep -q "membership ops applied" ||
-    { echo "FAIL: hcreplay -verify saw no membership records" >&2; exit 1; }
+echo "$verify" | grep -q "journal verified" ||
+    { echo "FAIL: the drained journal did not verify" >&2; exit 1; }
 
 echo "OK: churn plan fired, degraded shed 429, membership survived kill -9, journal verifies"

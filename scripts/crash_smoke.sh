@@ -3,9 +3,12 @@
 # on the same journal, and require (1) the recovered /v1/stats to be
 # byte-identical to the snapshot scraped just before the kill, (2) the
 # resumed replay to finish with robustness within tolerance of the offline
-# simulator, and (3) `hcreplay -verify` to prove the log re-derives every
-# recorded decision. This is the journal's end-to-end contract: a crashed
-# server recovers every shard to its exact pre-crash state.
+# simulator, (3) `hcreplay -verify` to prove the log re-derives every
+# decision it retains, and (4) every shard directory to end
+# with exactly the two checkpoints recovery reads — each checkpoint deletes
+# the history behind the one before it. This is the journal's end-to-end
+# contract: a crashed server recovers every shard to its exact pre-crash
+# state, on a log whose size does not grow with the tasks it has served.
 #
 # Usage: scripts/crash_smoke.sh [shards] [tolerance_pp]
 set -euo pipefail
@@ -71,3 +74,9 @@ awk -v a="$offline" -v b="$online" -v tol="$TOL" 'BEGIN {
 }'
 
 "$BIN/hcreplay" -dir "$JDIR" -verify
+
+for d in "$JDIR"/shard-*; do
+    n=$(ls "$d" | grep -c '\.snap$' || true)
+    [ "$n" -eq 2 ] || { echo "FAIL: $d ends with $n snapshots, want 2" >&2; ls -l "$d" >&2; exit 1; }
+done
+echo "every shard directory ends with exactly two checkpoints"

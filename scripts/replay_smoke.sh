@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Replay-determinism smoke: run a journaling hcserve through a full load,
 # shut it down gracefully with SIGTERM, and require (1) `hcreplay -verify`
-# to re-derive every recorded decision, event and checkpoint from scratch
-# with nothing left past a torn tail (a clean shutdown writes a final
-# checkpoint, so recovery replays nothing), and (2) the audit mode to
-# explain a specific decision from the log alone.
+# to re-derive every decision, event and checkpoint the log retains with
+# nothing left past a torn tail (a clean shutdown writes a final
+# checkpoint, so recovery replays nothing), (2) the audit mode to refuse a
+# decision the checkpoints trimmed, naming the oldest one it can explain,
+# and (3) to explain that one from the log alone.
 #
 # Usage: scripts/replay_smoke.sh
 set -euo pipefail
@@ -43,9 +44,18 @@ if ! echo "$verify" | grep -q "journal verified"; then
     exit 1
 fi
 
-# A sequence number lives on exactly one shard; try both.
-audit=$("$BIN/hcreplay" -dir "$JDIR" -shard 0 -decision 100 2>/dev/null) ||
-    audit=$("$BIN/hcreplay" -dir "$JDIR" -shard 1 -decision 100)
+# Every checkpoint deletes the history behind the one before it, so at
+# -snapshot-every 400 decision 100 is long gone: the audit must refuse it
+# and name the oldest sequence number shard 0's retained log can explain.
+if early=$("$BIN/hcreplay" -dir "$JDIR" -shard 0 -decision 100 2>&1); then
+    echo "FAIL: audit of decision 100 succeeded on a trimmed log" >&2
+    exit 1
+fi
+echo "$early"
+oldest=$(echo "$early" | sed -n 's/.*precedes the retained log.*oldest auditable sequence number: \([0-9]*\).*/\1/p')
+[ -n "$oldest" ] || { echo "FAIL: audit of decision 100 did not say it precedes the retained log" >&2; exit 1; }
+
+audit=$("$BIN/hcreplay" -dir "$JDIR" -shard 0 -decision "$oldest")
 echo "$audit"
 echo "$audit" | grep -q "replayed decision:" || { echo "FAIL: audit produced no decision" >&2; exit 1; }
-echo "$audit" | grep -q "logged decision:   decision seq=100" || { echo "FAIL: audit found no logged decision" >&2; exit 1; }
+echo "$audit" | grep -q "logged decision:   decision seq=$oldest" || { echo "FAIL: audit found no logged decision" >&2; exit 1; }
