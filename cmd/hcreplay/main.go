@@ -6,7 +6,9 @@
 //
 // Verify mode replays every shard's log through a fresh engine built from
 // the journal's manifest and fails on the first record or checkpoint where
-// the recomputation disagrees with the recording:
+// the recomputation disagrees with the recording, or on a log of another
+// record format version. Inputs precede their effects, so a log a crash cut
+// anywhere verifies:
 //
 //	hcreplay -dir /var/lib/hcserve/journal -verify
 //

@@ -241,9 +241,8 @@ func main() {
 		logger.Error("drain failed", "err", err)
 		os.Exit(1)
 	}
-	mm := ctrl.Metrics()
 	fmt.Printf("drained: %d tasks decided (%.1f/s mean), drop rate %.2f %%\n",
-		res.Total, mm.DecisionsPerSecond(), 100*mm.DropRate())
+		res.Total, ctrl.DecisionsPerSecond(), 100*ctrl.Metrics().DropRate())
 	fmt.Printf("robustness            %6.2f %% of measured tasks completed on time\n", res.RobustnessPct)
 	fmt.Printf("completed on time     %d\n", res.MOnTime)
 	fmt.Printf("completed late        %d\n", res.MLate)

@@ -229,9 +229,6 @@ func (f *Front) Policy() router.Policy { return f.policy }
 // Dedup returns the front's idempotency window.
 func (f *Front) Dedup() *service.DedupWindow { return f.dedup }
 
-// Telemetry returns the front's stage tracer.
-func (f *Front) Telemetry() *telemetry.Telemetry { return f.tel }
-
 // Close stops the pollers. It does NOT drain the backends — draining is a
 // client decision (POST /v1/drain); a router restart must not destroy
 // fleet state.

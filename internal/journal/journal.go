@@ -79,6 +79,7 @@ const (
 	segSuffix  = ".wal"
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
+	snapTemp   = snapPrefix + "*.tmp" // a snapshot before its rename
 )
 
 // SegmentPath returns the path of WAL segment n inside dir.

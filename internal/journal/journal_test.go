@@ -323,8 +323,8 @@ func TestCheckpointRotationAndRecover(t *testing.T) {
 	if err := w.Checkpoint([]byte("state-after-10")); err != nil {
 		t.Fatal(err)
 	}
-	if w.Segment() != 1 || w.RecordsInSegment() != 0 {
-		t.Fatalf("after checkpoint: seg %d recs %d, want 1/0", w.Segment(), w.RecordsInSegment())
+	if w.seg != 1 || w.RecordsInSegment() != 0 {
+		t.Fatalf("after checkpoint: seg %d recs %d, want 1/0", w.seg, w.RecordsInSegment())
 	}
 	for i := 10; i < 20; i++ {
 		if err := w.Append(&recs[i]); err != nil {
@@ -562,11 +562,37 @@ func TestReopenAfterSnapshotWithoutSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Segment() != 1 {
-		t.Fatalf("reopened into segment %d, want 1", w.Segment())
+	if w.seg != 1 {
+		t.Fatalf("reopened into segment %d, want 1", w.seg)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenWriterRemovesTempSnapshots models a crash between a snapshot's
+// temp write and its rename: reopening the log deletes the orphaned temp
+// file, and no other file.
+func TestOpenWriterRemovesTempSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	orphan, other := filepath.Join(dir, "snap-2718281.tmp"), filepath.Join(dir, "notes.tmp")
+	for _, p := range []string{orphan, other} {
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := OpenWriter(dir, WriterOptions{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("orphaned temp snapshot survived the reopen (%v)", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("reopen deleted a file that is no temp snapshot: %v", err)
 	}
 }
 

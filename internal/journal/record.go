@@ -15,10 +15,9 @@ type Kind uint8
 const (
 	// KindBatch marks a decide sub-batch boundary: NTasks arrivals follow.
 	// Replay counts one shard request per batch record. ID optionally
-	// carries the request's idempotent decision ID (an encoding-level
-	// trailing field: absent in logs written before decision IDs existed),
-	// which lets recovery re-seed the server's dedup window so a retried
-	// request straddling a crash still gets its original decisions back.
+	// carries the request's idempotent decision ID (a trailing field, absent
+	// when the request had none), which lets recovery re-seed the server's
+	// dedup window so a retry straddling a crash gets its original decisions.
 	KindBatch Kind = 1
 	// KindArrive is one admitted arrival: the cluster-wide sequence number
 	// and the full task (type, arrival, deadline, realized execution times,
@@ -37,9 +36,9 @@ const (
 	// tick it happened at. Seq is the task's cluster-wide sequence number;
 	// Action carries the sim.Status code.
 	KindEvent Kind = 4
-	// KindDrain marks a graceful drain: the shard ran its queued work to
-	// completion at Tick and wrote a final snapshot. A log ending in a
-	// drain record never needs tail replay.
+	// KindDrain marks a graceful drain: an input, logged at the clock the
+	// drain starts (Tick), before the terminal events of the work it runs to
+	// completion; a graceful shutdown follows it with a final snapshot.
 	KindDrain Kind = 5
 	// KindTrace is the observational stage timing of one sampled decision
 	// (internal/telemetry): per-stage [start, end) wall-clock offsets in
@@ -55,8 +54,9 @@ const (
 	// type (adds only), NTasks the remove handoff flag (1 = pending queue
 	// handed back to the batch, 0 = force-dropped), and Tick the shard
 	// clock the op executed at. Membership records are replay *inputs* like
-	// arrives — recovery and hcreplay -verify re-apply them to the engine
-	// at the recorded point, re-deriving the decision stream across churn.
+	// arrives, logged before the terminal events they cause — recovery and
+	// hcreplay -verify re-apply them to the engine at the recorded point,
+	// re-deriving the decision stream across churn.
 	KindMembership Kind = 7
 )
 
@@ -119,12 +119,14 @@ type SpanRec struct {
 // a dozen machine types and a long label stays under 300 bytes); the caps
 // exist so a corrupt length field cannot make the reader allocate wildly.
 const (
-	frameHeader   = 8       // u32 length + u32 crc
-	maxPayload    = 1 << 20 // 1 MiB
-	maxExecTypes  = 4096
-	maxIDLen      = 1 << 16
-	maxSpans      = 64
-	recordVersion = 1 // payload leading byte, bumped on incompatible change
+	frameHeader  = 8       // u32 length + u32 crc
+	maxPayload   = 1 << 20 // 1 MiB
+	maxExecTypes = 4096
+	maxIDLen     = 1 << 16
+	maxSpans     = 64
+	// recordVersion leads every payload. 2: each input record precedes the
+	// records it causes (1 logged drain and membership after theirs).
+	recordVersion = 2
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -140,9 +142,8 @@ func AppendRecord(buf []byte, r *Record) []byte {
 	switch r.Kind {
 	case KindBatch:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.NTasks))
-		// The decision ID is a trailing optional field: old logs (and
-		// ID-less batches) end after NTasks, and the decoder only reads the
-		// length prefix when payload bytes remain — no version bump needed.
+		// The decision ID is a trailing optional field: an ID-less batch ends
+		// after NTasks, and the decoder reads it only when bytes remain.
 		if r.ID != "" {
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.ID)))
 			buf = append(buf, r.ID...)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,6 +122,14 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	// A crash between a snapshot's temp write and its rename leaves a temp
+	// file that nothing else reads or deletes.
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if tmp, _ := filepath.Match(snapTemp, e.Name()); tmp {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 	segs, err := Segments(dir)
 	if err != nil {
 		return nil, err
@@ -175,12 +184,6 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	return w, nil
 }
 
-// Dir returns the log directory.
-func (w *Writer) Dir() string { return w.dir }
-
-// Segment returns the index of the segment currently being appended.
-func (w *Writer) Segment() int { return w.seg }
-
 // RecordsInSegment returns the number of records in the current segment —
 // the tail a crash right now would replay.
 func (w *Writer) RecordsInSegment() int { return w.recsInSeg }
@@ -206,9 +209,6 @@ func (w *Writer) Checkpoints() int64 { return w.snaps.Load() }
 // DiskBytes returns the segment and snapshot bytes in the log directory:
 // its size at the last open or trim plus what has been appended since.
 func (w *Writer) DiskBytes() int64 { return w.diskBase.Load() + w.bytes.Load() }
-
-// Err returns the writer's latched failure, if any.
-func (w *Writer) Err() error { return w.err }
 
 // Append buffers one record. Records become readable by a concurrent
 // scan only after Commit and durable per the sync policy.
@@ -380,7 +380,7 @@ func writeSnapshotFile(dir string, seg int, payload []byte) error {
 	if len(payload) > maxSnapshotPayload {
 		return fmt.Errorf("journal: snapshot payload %d bytes exceeds %d", len(payload), maxSnapshotPayload)
 	}
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+	tmp, err := os.CreateTemp(dir, snapTemp)
 	if err != nil {
 		return err
 	}

@@ -107,11 +107,12 @@ func (c *Controller) Admin(ctx context.Context, req *AdminMachineRequest) (*Admi
 }
 
 // adminOn executes one validated membership operation on sh's loop: it
-// applies the record it is about to log — the call recovery and replay
-// make on the records they read — so the log cannot say one thing and the
-// engine have done another. local is the shard-local index Locate derived
-// for a remove or revive: any place of the lattice, so it stays an int until
-// the loop has checked it against the machines the shard holds.
+// applies the record it logs — the call recovery and replay make on the
+// records they read — so the log cannot say one thing and the engine have
+// done another; the record is logged once the engine accepts it, ahead of
+// its effects. local is the shard-local index Locate derived for a remove
+// or revive: any place of the lattice, so it stays an int until the loop
+// has checked it against the machines the shard holds.
 func (c *Controller) adminOn(ctx context.Context, sh *shard, rec journal.Record, local int) (*AdminMachineResponse, error) {
 	var resp *AdminMachineResponse
 	var aerr error
@@ -125,27 +126,24 @@ func (c *Controller) adminOn(ctx context.Context, sh *shard, rec journal.Record,
 			return
 		}
 		kind := sim.MemberKind(rec.Action)
-		if kind != sim.MemberAdd {
-			// Whether the shard holds the machine the index names, and which
-			// type the record logs for it, only the loop can say.
-			ms := sh.eng.Machines()
-			if local >= len(ms) {
-				aerr = errNotOwned(c.cl.Global(sh.id, local))
-				return
-			}
-			rec.Machine, rec.Type = int32(local), int32(ms[local].Spec.Type)
+		// Whether the shard holds the machine the index names, which type the
+		// record logs for it and which index an add gets, only the loop can say.
+		ms := sh.eng.Machines()
+		switch {
+		case kind == sim.MemberAdd:
+			local = len(ms)
+		case local >= len(ms):
+			aerr = errNotOwned(c.cl.Global(sh.id, local))
+			return
+		default:
+			rec.Type = int32(ms[local].Spec.Type)
 		}
 		// Membership never moves the clock: the tick is the operation's.
-		rec.Tick = sh.eng.Now()
-		var err error
-		if local, err = sh.applyMembership(&rec); err != nil {
+		rec.Machine, rec.Tick = int32(local), sh.eng.Now()
+		if err := sh.applyMembership(&rec, func() { sh.emit(&rec) }); err != nil {
 			aerr = fmt.Errorf("%w: %v", errAdminConflict, err)
 			return
 		}
-		// The record follows the terminal events the operation triggered,
-		// and an add learns its index by being applied.
-		rec.Machine = int32(local)
-		sh.emit(&rec)
 		if sh.jw != nil {
 			// Commit-before-ack, like a decide sub-batch: the membership
 			// record is durable before the client sees the acknowledgement,
@@ -173,19 +171,19 @@ func (c *Controller) adminOn(ctx context.Context, sh *shard, rec journal.Record,
 	return resp, aerr
 }
 
-// applyMembership applies one KindMembership record to the shard's engine
-// and returns the shard-local index of the machine it touched — the
-// service's one call into the engine's membership. The live loop applies
-// the record it is about to log, recovery and replay the records they
-// read: membership records are replay inputs like arrives, and their
-// action codes are sim's operation kinds.
-func (sh *shard) applyMembership(r *journal.Record) (int, error) {
+// applyMembership applies one KindMembership record to the shard's engine —
+// the service's one call into the engine's membership; accepted (nil off
+// the live path) runs between the engine's checks and the effects. The live
+// loop applies the record it logs, recovery and replay the records they
+// read: membership records are replay inputs like arrives, and their action
+// codes are sim's operation kinds.
+func (sh *shard) applyMembership(r *journal.Record, accepted func()) error {
 	return sh.eng.ApplyMember(sim.MemberOp{
 		Kind:    sim.MemberKind(r.Action),
 		Machine: int(r.Machine),
 		Type:    pet.MachineType(r.Type),
 		Handoff: r.NTasks != 0,
-	})
+	}, accepted)
 }
 
 // updateMembershipGauges refreshes the shard's lock-free membership

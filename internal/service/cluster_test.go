@@ -240,7 +240,7 @@ func TestShardedConcurrentClients(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := c.metrics.tasks.Load(); got != int64(clients*per) {
+	if got := c.Metrics().Total(); got != int64(clients*per) {
 		t.Fatalf("decided %d tasks, want %d", got, clients*per)
 	}
 	res, err := c.Drain(context.Background())

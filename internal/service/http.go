@@ -38,7 +38,7 @@ const maxDecideBody = 16 << 20
 // dedup window (see DecideHandler).
 func NewHandler(c *Controller) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/decide", DecideHandler("service", c.Decide, c.dedup, decideError, &c.metrics.rejected, c.metrics.latency))
+	mux.Handle("POST /v1/decide", DecideHandler("service", c.Decide, c.dedup, decideError, &c.rejected, c.latency))
 	mux.HandleFunc("POST /v1/admin/machines", func(w http.ResponseWriter, r *http.Request) {
 		var req AdminMachineRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -109,7 +109,7 @@ func NewHandler(c *Controller) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		x := telemetry.NewWriter(w)
-		c.metrics.write(x)
+		c.writeMetrics(x)
 		writeShardGauges(x, c)
 		writeMembershipGauges(x, c)
 		writeCalcMetrics(x, c)

@@ -23,12 +23,12 @@ import (
 //	shard-000/         shard 0's segmented WAL + snapshots (internal/journal)
 //	shard-001/         ...
 //
-// Every shard loop appends its admission events (batch boundaries,
-// arrivals, decisions, terminal task events, drain) to its own WAL and
-// commits before acknowledging a decide sub-batch. Because a shard engine
-// is deterministic, the input records alone reconstruct its exact state by
-// replay; decision and event records make the log auditable (recovery and
-// cmd/hcreplay re-derive and compare them, see shard.replayLog).
+// Every shard loop appends to its own WAL its inputs (batch boundaries,
+// arrivals, membership changes, drain), each before the decisions and
+// terminal task events it causes, and commits before acknowledging. A shard
+// engine is deterministic, so the inputs alone reconstruct its state by
+// replay, from any prefix of the log; decision and event records make it
+// auditable (recovery and cmd/hcreplay re-derive them, see shard.replayLog).
 
 // manifestName is the manifest file inside the journal root.
 const manifestName = "manifest.json"
@@ -131,11 +131,8 @@ type ShardCheckpoint struct {
 	Deferred     int64 `json:"deferred"`
 	Dropped      int64 `json:"dropped"`
 	// Robustness[class] is the router view's per-class EWMA.
-	Robustness []float64 `json:"robustness_by_class"`
-	// Drained marks the final checkpoint of a graceful drain: the log is
-	// complete and recovery needs no tail replay.
-	Drained bool                `json:"drained,omitempty"`
-	Engine  *sim.EngineSnapshot `json:"engine"`
+	Robustness []float64           `json:"robustness_by_class"`
+	Engine     *sim.EngineSnapshot `json:"engine"`
 }
 
 // journalFsyncBuckets are the upper bounds (seconds) of the fsync-latency
@@ -237,10 +234,10 @@ func (c *Controller) initJournal() error {
 
 	// Writers open after recovery: OpenWriter truncates any torn tail, so
 	// it must not run until the replay has consumed the valid prefix. What
-	// the walk derived past the end of the log (the records of the last
-	// inputs a crash cut off) is what the shard was about to write: it goes
-	// to the log first, riding the next commit, so the continued log is the
-	// one an uninterrupted shard leaves and keeps re-deriving.
+	// the walk derived past the end of the log (what a crash cut off behind
+	// the last inputs) is what the shard was about to write: it goes to the
+	// log first, riding the next commit, so the continued log is the one an
+	// uninterrupted shard leaves and keeps re-deriving.
 	for _, sh := range c.shards {
 		w, err := journal.OpenWriter(ShardJournalDir(root, sh.id), journal.WriterOptions{
 			Policy:   policy,
@@ -336,7 +333,7 @@ var errTornBatch = errors.New("batch torn by crash (journaled arrivals incomplet
 // recover rebuilds one shard's state from its log: replayLog from the
 // checkpoint journal.Recover picks, on the served shard itself (which
 // initJournal holds in replay mode meanwhile), so the tail is applied by the statements that
-// wrote it and every decision, event and drain marker it holds is checked
+// wrote it and every decision and event it holds is checked
 // against what they derive — a tail that does not re-derive refuses the
 // start, naming the record, instead of serving on state the log
 // contradicts. The walk's visitor keeps the dedup bookkeeping: each
@@ -456,7 +453,7 @@ func (sh *shard) journalTrace(tr *telemetry.Trace) {
 func (sh *shard) commitJournal() error {
 	err := sh.jw.Commit()
 	if every := sh.c.cfg.SnapshotEvery; err == nil && every > 0 && sh.jw.RecordsInSegment() >= every {
-		err = sh.checkpoint(false)
+		err = sh.checkpoint()
 	}
 	if err != nil {
 		sh.journalFailed.Store(true)
@@ -467,7 +464,7 @@ func (sh *shard) commitJournal() error {
 
 // checkpoint writes the shard's full state as a journal snapshot and
 // rotates the segment. Runs on the decision loop.
-func (sh *shard) checkpoint(drained bool) error {
+func (sh *shard) checkpoint() error {
 	nt := sh.c.matrix.NumTaskTypes()
 	cp := ShardCheckpoint{
 		Shard:        sh.id,
@@ -477,7 +474,6 @@ func (sh *shard) checkpoint(drained bool) error {
 		Deferred:     sh.metrics.deferred.Load(),
 		Dropped:      sh.metrics.dropped.Load(),
 		Robustness:   make([]float64, nt),
-		Drained:      drained,
 		Engine:       sh.eng.Snapshot(),
 	}
 	for class := 0; class < nt; class++ {
@@ -504,17 +500,11 @@ func (sh *shard) restore(payload []byte) error {
 		return err
 	}
 	sh.watermark = cp.SeqWatermark
-	// Into the shard's counters and the controller's aggregate alike, as
-	// apply counts the tail: decision counts re-derive exactly; the
-	// aggregate request counter is approximated by the sum of shard
-	// sub-batches (a multi-shard batch counted once per shard).
-	for _, m := range []*Metrics{sh.metrics, sh.c.metrics} {
-		m.requests.Add(cp.Requests)
-		m.mapped.Add(cp.Mapped)
-		m.deferred.Add(cp.Deferred)
-		m.dropped.Add(cp.Dropped)
-		m.tasks.Add(cp.Mapped + cp.Deferred + cp.Dropped)
-	}
+	m := sh.metrics
+	m.requests.Add(cp.Requests)
+	m.mapped.Add(cp.Mapped)
+	m.deferred.Add(cp.Deferred)
+	m.dropped.Add(cp.Dropped)
 	for class, p := range cp.Robustness {
 		sh.view.SetClassRobustness(class, p)
 	}

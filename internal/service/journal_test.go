@@ -2,17 +2,21 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/hpcclab/taskdrop/internal/journal"
+	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
@@ -192,10 +196,10 @@ func TestJournalGracefulDrainThenReopen(t *testing.T) {
 		t.Fatalf("recovered watermark %d, want %d", maxWatermark, len(tr.Tasks)-1)
 	}
 	// The aggregate counters come back as the sum of the shards'.
-	if got := c2.metrics.tasks.Load(); got != int64(len(tr.Tasks)) {
+	if got := c2.Metrics().Total(); got != int64(len(tr.Tasks)) {
 		t.Fatalf("recovered aggregate decided %d tasks, want %d", got, len(tr.Tasks))
 	}
-	if got, want := c2.metrics.requests.Load(), stats[0].Requests+stats[1].Requests; got != want {
+	if got, want := c2.Metrics().requests.Load(), stats[0].Requests+stats[1].Requests; got != want {
 		t.Fatalf("recovered aggregate requests %d, want the shards' %d", got, want)
 	}
 
@@ -213,56 +217,44 @@ func TestJournalGracefulDrainThenReopen(t *testing.T) {
 	crash(c2)
 }
 
-// TestJournalRecoversDrainMarker kills the server between drainCmd's commit
-// of the drain marker and its final checkpoint: the marker is an input
-// record like any other, so the recovered shard is drained — not serving
-// the pre-drain queues under a log that says they are gone — takes the rest
-// of the trace, and its journal verifies.
-func TestJournalRecoversDrainMarker(t *testing.T) {
-	tr := testTrace(t, 200, 9)
-	cfg := Config{
-		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 40,
+// frameBounds returns the byte offset of every record frame of a segment
+// (u32 payload length, u32 CRC-32C, payload), then the segment's length.
+func frameBounds(seg []byte) []int {
+	var bounds []int
+	for off := 0; off < len(seg); off += 8 + int(binary.LittleEndian.Uint32(seg[off:])) {
+		bounds = append(bounds, off)
 	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decideRange(t, c, tr, 0, 120, 8)
-	sh := c.shards[0]
-	var cerr error
-	if err := sh.do(context.Background(), func() { sh.drain(); cerr = sh.jw.Commit() }); err != nil || cerr != nil {
-		t.Fatal(err, cerr)
-	}
-	crash(c)
-
-	c2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("recovery across a drain marker: %v", err)
-	}
-	snap, err := c2.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Live.Batch != 0 || snap.Live.Queued != 0 || snap.Live.Running != 0 {
-		t.Fatalf("shard recovered un-drained past its drain marker: %+v", snap.Live)
-	}
-	if got := decideRange(t, c2, tr, 120, len(tr.Tasks), 8); got[0].Seq != 120 {
-		t.Fatalf("first post-recovery seq = %d, want 120", got[0].Seq)
-	}
-	crash(c2)
-	if _, err := VerifyAll(cfg.JournalDir); err != nil {
-		t.Fatalf("journal continued past a recovered drain marker: %v", err)
-	}
+	return append(bounds, len(seg))
 }
 
-// TestJournalTornTailStaysVerifiable cuts a crashed log inside a sub-batch,
-// after an arrive whose decision never reached the disk: recovery
-// re-derives the decision, poisons nothing it should not, and logs what
-// the crash cut off before anything new, so the continued journal verifies
-// and recovers a second time.
-func TestJournalTornTailStaysVerifiable(t *testing.T) {
-	tr := testTrace(t, 200, 9)
+// isInput reports whether a record kind is an input of the shard (the kinds
+// shard.apply changes it by), as opposed to one an input derives.
+func isInput(k journal.Kind) bool {
+	return k == journal.KindBatch || k == journal.KindArrive || k == journal.KindMembership || k == journal.KindDrain
+}
+
+// TestEveryPrefixRecovers is the oracle of the log's one ordering rule —
+// an input record precedes every record it causes — which makes every
+// prefix of a log one that recovery can continue. It records one shard's
+// journal through decide batches, a remove with handoff, a remove without,
+// an add, a refused revive (which must log nothing), a revive and a drain,
+// and leaves it as a kill -9 just before the drain's final checkpoint would.
+// Then it cuts a copy at every record boundary and inside every record, and
+// on each copy:
+//   - hcreplay -verify (VerifyAll) is clean and New starts;
+//   - the recovered /v1/stats equal those of an unjournaled controller fed
+//     the inputs the copy holds through Decide and Admin; past the drain marker,
+//     the recovered shard is drained and its census is the reference's
+//     after Drain;
+//   - the recovered controller continues the sequence, and after another
+//     kill recovers a second time to what it stood at, on a log that
+//     verifies.
+//
+// -short strides the cuts but keeps every one next to a membership record
+// and every one among the records of the drain.
+func TestEveryPrefixRecovers(t *testing.T) {
+	ctx := context.Background()
+	tr := testTrace(t, 90, 5)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
 		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
@@ -271,24 +263,293 @@ func TestJournalTornTailStaysVerifiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decideRange(t, c, tr, 0, 80, 8)
-	crash(c)
-	rewriteSegment(t, ShardJournalDir(cfg.JournalDir, 0), 0, func(recs []journal.Record) []journal.Record {
-		if last := recs[len(recs)-1]; last.Kind != journal.KindDecision {
-			t.Fatalf("log ends in %s, want the last arrive's decision", last.String())
+	fed := 0
+	decide := func(n int) { decideRange(t, c, tr, fed, fed+n, 6); fed += n }
+	decide(18)
+	admin(t, c, AdminMachineRequest{Op: "remove", Machine: 2, Handoff: true})
+	decide(12)
+	admin(t, c, AdminMachineRequest{Op: "remove", Machine: 5})
+	decide(12)
+	admin(t, c, AdminMachineRequest{Op: "add", Type: 0})
+	decide(12)
+	appended := c.shards[0].jw.Appended()
+	if _, err := c.Admin(ctx, &AdminMachineRequest{Op: "revive", Machine: 3}); !errors.Is(err, errAdminConflict) {
+		t.Fatalf("revive of a live machine: %v, want a conflict", err)
+	}
+	if n := c.shards[0].jw.Appended() - appended; n != 0 {
+		t.Fatalf("a refused membership operation logged %d records", n)
+	}
+	admin(t, c, AdminMachineRequest{Op: "revive", Machine: 2})
+	decide(12)
+	if _, err := c.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The drain's checkpoint is the log's only one: without it and the empty
+	// segment after it, the log is what a kill -9 just before it leaves.
+	dir := ShardJournalDir(cfg.JournalDir, 0)
+	for _, p := range []string{journal.SnapshotPath(dir, 0), journal.SegmentPath(dir, 1)} {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
 		}
-		return recs[:len(recs)-1]
-	})
-	for _, upTo := range []int{140, 200} {
-		c, err = New(cfg)
+	}
+	manifest, err := os.ReadFile(filepath.Join(cfg.JournalDir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(journal.SegmentPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []journal.Record
+	if err := journal.ScanSegment(journal.SegmentPath(dir, 0), func(r *journal.Record) error {
+		recs = append(recs, *r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	bounds := frameBounds(seg)
+	// What follows the last decision is the drain: its marker and the
+	// terminal events of the work it ran to completion.
+	drainAt, lastDecision, members := -1, -1, map[int]bool{}
+	for i, r := range recs {
+		switch r.Kind {
+		case journal.KindDrain:
+			drainAt = i
+		case journal.KindDecision:
+			lastDecision = i
+		case journal.KindMembership:
+			members[i] = true
+		}
+	}
+	if len(bounds) != len(recs)+1 || drainAt < 0 || len(recs)-lastDecision < 10 || len(members) != 4 {
+		t.Fatalf("recorded %d records in %d frames, %d after the last decision, %d membership records", len(recs), len(bounds)-1, len(recs)-1-lastDecision, len(members))
+	}
+
+	// reference feeds an unjournaled controller the inputs among recs, as
+	// the live one received them, and returns its /v1/stats — or, once the
+	// inputs hold the drain, its census after Drain.
+	rcfg := cfg
+	rcfg.JournalDir = ""
+	type refState struct {
+		stats  []ShardSnapshot
+		census sim.Live
+	}
+	reference := func(recs []journal.Record) refState {
+		ref, err := New(rcfg)
 		if err != nil {
-			t.Fatalf("recovery before task %d: %v", upTo, err)
+			t.Fatal(err)
 		}
-		decideRange(t, c, tr, upTo-60, upTo, 8)
-		crash(c)
-		if _, err := VerifyAll(cfg.JournalDir); err != nil {
-			t.Fatalf("journal continued past a torn tail (to task %d): %v", upTo, err)
+		var batch []TaskSpec
+		flush := func() {
+			if len(batch) > 0 {
+				if _, err := ref.Decide(ctx, &DecideRequest{Tasks: batch}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch = nil
 		}
+		for _, r := range recs {
+			switch {
+			case !isInput(r.Kind):
+				continue
+			case r.Kind == journal.KindArrive:
+				batch = append(batch, TaskSpec{ID: r.ID, Type: int(r.Type), Arrival: r.Tick, Deadline: r.Deadline, ExecByType: r.Exec})
+				continue
+			}
+			flush()
+			switch r.Kind {
+			case journal.KindMembership:
+				admin(t, ref, AdminMachineRequest{Op: sim.MemberKind(r.Action).String(), Machine: ref.cl.Global(0, int(r.Machine)), Type: int(r.Type), Handoff: r.NTasks != 0})
+			case journal.KindDrain:
+				if _, err := ref.Drain(ctx); err != nil {
+					t.Fatal(err)
+				}
+				return refState{census: ref.shards[0].eng.LiveCounts()}
+			}
+		}
+		flush()
+		stats, err := ref.ShardStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crash(ref)
+		return refState{stats: stats}
+	}
+	refs := map[int]refState{} // by the number of inputs fed
+
+	for i := 0; i <= len(recs); i++ {
+		if testing.Short() && i%4 != 0 && i <= lastDecision && !members[i-1] && !members[i] && !members[i+1] {
+			continue
+		}
+		type cut struct {
+			name string
+			off  int
+		}
+		cuts := []cut{{fmt.Sprintf("record-%03d/before", i), bounds[i]}}
+		if i < len(recs) {
+			kind := strings.Fields(recs[i].String())[0]
+			cuts[0].name = fmt.Sprintf("record-%03d-%s/before", i, kind)
+			cuts = append(cuts, cut{fmt.Sprintf("record-%03d-%s/inside", i, kind), (bounds[i] + bounds[i+1]) / 2})
+		}
+		kept := recs[:i] // a torn record is no record
+		inputs, arrives, lastInput := 0, 0, journal.Kind(0)
+		for _, r := range kept {
+			if isInput(r.Kind) {
+				inputs, lastInput = inputs+1, r.Kind
+			}
+			if r.Kind == journal.KindArrive {
+				arrives++
+			}
+		}
+		want, ok := refs[inputs]
+		if !ok {
+			want = reference(kept)
+			refs[inputs] = want
+		}
+		for _, cut := range cuts {
+			t.Run(cut.name, func(t *testing.T) {
+				cc := cfg
+				cc.JournalDir = t.TempDir()
+				cdir := ShardJournalDir(cc.JournalDir, 0)
+				if err := os.MkdirAll(cdir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(cc.JournalDir, manifestName), manifest, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(journal.SegmentPath(cdir, 0), seg[:cut.off], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := VerifyAll(cc.JournalDir); err != nil {
+					t.Fatalf("verify: %v", err)
+				}
+				c2, err := New(cc)
+				if err != nil {
+					t.Fatalf("recovery: %v", err)
+				}
+				if want.stats == nil {
+					snap, err := c2.Stats(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if snap.Live != want.census || snap.Live.Batch+snap.Live.Queued+snap.Live.Running != 0 {
+						t.Fatalf("recovered census past the drain marker %+v, the drained reference's %+v", snap.Live, want.census)
+					}
+				} else {
+					got, err := c2.ShardStats(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := append([]ShardSnapshot(nil), want.stats...)
+					if lastInput == journal.KindBatch {
+						// A batch record whose arrivals the cut took entirely
+						// counts a sub-batch no reference request can carry.
+						w[0].Requests++
+					}
+					if !reflect.DeepEqual(got, w) {
+						t.Fatalf("recovered /v1/stats diverged from the reference:\n got %+v\nwant %+v", got, w)
+					}
+				}
+				// The recovered controller goes on where the copy stops, and a
+				// second kill recovers it to where it stood.
+				if d := decideRange(t, c2, tr, arrives, arrives+6, 6); d[0].Seq != arrives {
+					t.Fatalf("first post-recovery seq = %d, want %d", d[0].Seq, arrives)
+				}
+				pre, err := c2.ShardStats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				crash(c2)
+				c3, err := New(cc)
+				if err != nil {
+					t.Fatalf("second recovery: %v", err)
+				}
+				post, err := c3.ShardStats(ctx)
+				crash(c3)
+				if err != nil || !reflect.DeepEqual(post, pre) {
+					t.Fatalf("second recovery diverged (%v):\n pre %+v\npost %+v", err, pre, post)
+				}
+				if _, err := VerifyAll(cc.JournalDir); err != nil {
+					t.Fatalf("verify after continuing: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestJournalRefusesRecordVersion1: a log written before every input record
+// preceded its effects carries record version 1; the restart and hcreplay
+// -verify refuse it naming the version instead of walking it under the
+// present order. The records are this build's with the version byte set
+// back — a decide-only log, which version 1 ordered the same.
+func TestJournalRefusesRecordVersion1(t *testing.T) {
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, testTrace(t, 40, 3), 0, 40, 8)
+	crash(c)
+	path := journal.SegmentPath(ShardJournalDir(cfg.JournalDir, 0), 0)
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := frameBounds(seg)
+	for i := 0; i+1 < len(bounds); i++ {
+		frame := seg[bounds[i]:bounds[i+1]]
+		frame[8] = 1 // the payload's leading byte
+		binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)))
+	}
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "record version 1") {
+		t.Fatalf("restart on a version-1 log: %v, want a refusal naming record version 1", err)
+	}
+	if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), "record version 1") {
+		t.Fatalf("verify of a version-1 log: %v, want a failure naming record version 1", err)
+	}
+}
+
+// TestAggregateMetricsSurviveRecovery: the aggregate decision series are the
+// shards' counters summed when scraped, so a restarted server reports on
+// /metrics what the uninterrupted one did. While the controller counted
+// client requests beside its shards, 20 requests split over 2 shards read
+// 20 live and 40 — the shards' sub-batches — after recovery.
+func TestAggregateMetricsSurviveRecovery(t *testing.T) {
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 60,
+	}
+	aggregate := func(c *Controller) []string {
+		var out []string
+		for _, line := range strings.Split(getText(t, newTestServerFor(t, c), "/metrics"), "\n") {
+			for _, family := range []string{"taskdrop_decide_requests_total ", "taskdrop_decisions_total{", "taskdrop_drop_rate "} {
+				if strings.HasPrefix(line, family) {
+					out = append(out, line)
+				}
+			}
+		}
+		return out
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, testTrace(t, 160, 3), 0, 160, 8)
+	live := aggregate(c)
+	crash(c)
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crash(c2)
+	if got := aggregate(c2); len(live) != 5 || !reflect.DeepEqual(got, live) {
+		t.Fatalf("aggregate series after recovery:\n%s\nlive:\n%s", strings.Join(got, "\n"), strings.Join(live, "\n"))
 	}
 }
 

@@ -15,25 +15,13 @@ var latencyBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 1,
 }
 
-// Metrics aggregates the service's operational counters. Counters are
-// atomics: the decision loop is the single writer for decision counters,
-// but HTTP handler goroutines record latencies and scrapes read everything
-// concurrently.
+// Metrics is one shard's decision counters, written by its loop and read by
+// scrapes — or, from Controller.Metrics, their sum: each decision, shed and
+// sub-batch is counted once, so recovery restores the aggregate with them.
 type Metrics struct {
-	start time.Time
-
-	requests atomic.Int64 // decide requests processed
-	tasks    atomic.Int64 // tasks decided
-	ActionCounts
-	rejected atomic.Int64 // malformed specs rejected before reaching the loop
-	shed     atomic.Int64 // sub-batches shed by a degraded shard (429)
-	// latency is the end-to-end decision latency over HTTP: request receipt
-	// to decision, including queueing behind the single-writer loop.
-	latency *telemetry.Histogram
-}
-
-func newMetrics() *Metrics {
-	return &Metrics{start: time.Now(), latency: telemetry.NewHistogram(latencyBuckets)}
+	requests     atomic.Int64 // decide sub-batches processed
+	ActionCounts              // tasks decided, by action
+	shed         atomic.Int64 // sub-batches shed by a degraded shard (429)
 }
 
 // ActionCounts tallies admission decisions by action: the counter triple
@@ -53,6 +41,9 @@ func (c *ActionCounts) Count(a Action) {
 	}
 }
 
+// Total is the number of decisions tallied.
+func (c *ActionCounts) Total() int64 { return c.mapped.Load() + c.deferred.Load() + c.dropped.Load() }
+
 // WriteActions writes the map/defer/drop samples of the current family, after
 // the given leading labels.
 func (c *ActionCounts) WriteActions(x *telemetry.Writer, labels ...string) {
@@ -61,39 +52,48 @@ func (c *ActionCounts) WriteActions(x *telemetry.Writer, labels ...string) {
 	x.Int(c.dropped.Load(), append(labels, "action", "drop")...)
 }
 
-// countDecision tallies one admission decision.
-func (m *Metrics) countDecision(a Action) {
-	m.tasks.Add(1)
-	m.Count(a)
-}
-
 // DropRate returns the fraction of decided tasks rejected at admission.
 func (m *Metrics) DropRate() float64 {
-	t := m.tasks.Load()
+	t := m.Total()
 	if t == 0 {
 		return 0
 	}
 	return float64(m.dropped.Load()) / float64(t)
 }
 
+// Metrics returns the controller's aggregate decision counters, summed now.
+func (c *Controller) Metrics() *Metrics {
+	m := &Metrics{}
+	for _, sh := range c.shards {
+		o := sh.metrics
+		m.requests.Add(o.requests.Load())
+		m.mapped.Add(o.mapped.Load())
+		m.deferred.Add(o.deferred.Load())
+		m.dropped.Add(o.dropped.Load())
+		m.shed.Add(o.shed.Load())
+	}
+	return m
+}
+
 // DecisionsPerSecond returns the mean decision throughput since start.
-func (m *Metrics) DecisionsPerSecond() float64 {
-	el := time.Since(m.start).Seconds()
+func (c *Controller) DecisionsPerSecond() float64 {
+	el := time.Since(c.start).Seconds()
 	if el <= 0 {
 		return 0
 	}
-	return float64(m.tasks.Load()) / el
+	return float64(c.Metrics().Total()) / el
 }
 
-// write renders the aggregate decision series. Engine gauges (queue
-// depths, live task census) are appended by the controller, which owns
-// that state.
-func (m *Metrics) write(x *telemetry.Writer) {
-	x.Counter("taskdrop_decide_requests_total", "Decide requests processed.").Int(m.requests.Load())
+// writeMetrics renders the aggregate decision series: the shards' counters
+// summed, and the controller's own rejections and latency. Engine gauges
+// (queue depths, live task census) follow separately.
+func (c *Controller) writeMetrics(x *telemetry.Writer) {
+	m := c.Metrics()
+	x.Counter("taskdrop_decide_requests_total", "Decide sub-batches processed, summed over shards.").Int(m.requests.Load())
 	x.Counter("taskdrop_decisions_total", "Admission decisions by action.")
 	m.WriteActions(x)
-	x.Counter("taskdrop_rejected_requests_total", "Requests rejected before decision (validation).").Int(m.rejected.Load())
+	x.Counter("taskdrop_rejected_requests_total", "Requests rejected before decision (validation).").Int(c.rejected.Load())
 	x.Gauge("taskdrop_drop_rate", "Fraction of decided tasks dropped at admission.").Float(m.DropRate())
-	x.Gauge("taskdrop_decisions_per_second", "Mean decision throughput since start.").Float(m.DecisionsPerSecond())
-	x.Histogram("taskdrop_decision_latency_seconds", "Decision latency (receipt to decision).").Observed(m.latency)
+	x.Gauge("taskdrop_decisions_per_second", "Mean decision throughput since start.").Float(c.DecisionsPerSecond())
+	x.Histogram("taskdrop_decision_latency_seconds", "Decision latency (receipt to decision).").Observed(c.latency)
 }

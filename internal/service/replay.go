@@ -69,7 +69,7 @@ type VerifyStats struct {
 	Shard       int
 	Records     int // logged records consumed
 	Arrives     int
-	Derived     int // logged decision/event/drain records matched
+	Derived     int // logged decision/event records matched
 	Checkpoints int // snapshots compared against the replayed state
 	// Traces counts stage-timing trace records skipped: they carry
 	// wall-clock observations replay cannot re-derive.
@@ -85,8 +85,8 @@ type VerifyStats struct {
 
 // VerifyShard replays shard s's journal from the oldest start it supports
 // (journal.Oldest) and proves the log self-consistent: every logged
-// decision, terminal event and drain marker must equal the one the
-// deterministic re-execution derives, and every checkpoint after the start
+// decision and terminal event must equal the one the deterministic
+// re-execution derives, and every checkpoint after the start
 // must equal the replayed state at its segment boundary. On a trimmed log
 // the start is a checkpoint, taken as given. A truncated tail (crash) is
 // tolerated — the log is then a prefix of the derived stream — but any
@@ -107,11 +107,10 @@ func (sh *shard) apply(rec *journal.Record) (Decision, error) {
 	switch rec.Kind {
 	case journal.KindBatch:
 		sh.metrics.requests.Add(1)
-		sh.c.metrics.requests.Add(1)
 	case journal.KindArrive:
 		return sh.admit(arriveTask(rec), rec.ID, nil), nil
 	case journal.KindMembership:
-		if _, err := sh.applyMembership(rec); err != nil {
+		if err := sh.applyMembership(rec, nil); err != nil {
 			return Decision{}, fmt.Errorf("membership replay: %w", err)
 		}
 	case journal.KindDrain:
@@ -145,11 +144,11 @@ func (sh *shard) startLog(root string, recovery bool) (*journal.Recovery, error)
 // (emit queues what the shard derives in sh.gen), from where startLog puts
 // it: the oldest start (VerifyShard) or the recovery base. It applies every
 // input record through apply, calling visit (when non-nil) with the record
-// and apply's decision; matches every logged decision, event and drain
-// marker against the derived stream; and compares every checkpoint it
-// passes against the replayed state. Derived records past the end of the
-// log are the suffix a crash cut off (Unflushed); logged ones the replay
-// cannot explain are an error.
+// and apply's decision; matches every logged decision and event against the
+// derived stream; and compares every checkpoint it passes against the
+// replayed state. Inputs precede their effects, so derived records past the
+// end of the log are the suffix a crash cut off (Unflushed); logged ones the
+// inputs before them cannot explain are an error.
 func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Record, Decision)) (*VerifyStats, error) {
 	s := sh.id
 	dir := ShardJournalDir(root, s)
@@ -190,11 +189,10 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 				st.Arrives++
 			case journal.KindMembership:
 				st.Membership++
-			case journal.KindDrain:
-				// The events the drain derives precede the marker in the log
-				// and are still queued in logged; applying it generates their
-				// counterparts and the marker's.
-				logged = append(logged, *rec)
+			}
+			if len(logged) > 0 { // an input precedes every record it causes
+				return fmt.Errorf("shard %d: record %d (%s): the log holds %s before it, which nothing before derives",
+					s, st.Records, rec.String(), logged[0].String())
 			}
 			d, err := sh.apply(rec)
 			if err != nil {

@@ -31,23 +31,23 @@
 //
 // # One shard state machine
 //
-// A shard's state is a deterministic function of the records applied to
-// it, and each kind is applied by one piece of code: build assembles the
+// A shard's state is a deterministic function of the input records applied
+// to it, and each kind is applied by one piece of code: build assembles the
 // shard (New serves it; replay takes the one the manifest pins),
 // shard.admit applies an arrival, shard.applyMembership a membership
-// operation, shard.drain the drain, and every derived record leaves through
-// shard.emit. Reading a log back is as single: shard.apply interprets an
-// input record by calling those methods, and shard.replayLog is the one
-// walk over the segments — it applies the inputs, matches every logged
-// decision, event and drain marker against what emit derives, and compares
-// the checkpoints it passes. hcreplay -verify is that walk from the oldest
-// start the log retains (genesis, or the checkpoint before its first
-// segment); crash recovery is the same walk from the newest checkpoint but
-// one, on the shard about to be served, so a server resumes only on a tail
-// its own re-execution reproduces. The live loop, recovery, hcreplay -verify and
-// hcreplay -decision differ only in where records come from and where emit
-// sends them, so replay == live and recovered == uninterrupted by
-// construction.
+// operation, shard.drain the drain — each logged before it is applied, so
+// what it causes follows it — and every record leaves through shard.emit.
+// Reading a log back is as single: shard.apply interprets an input record
+// by calling those methods, and shard.replayLog is the one walk over the
+// segments — it applies the inputs, matches every logged decision and event
+// against what emit derives, and compares the checkpoints it passes.
+// hcreplay -verify is that walk from the oldest start the log retains
+// (genesis, or the checkpoint before its first segment); crash recovery is
+// the same walk from the newest checkpoint but one, on the shard about to
+// be served, so a server resumes only on a tail its own re-execution
+// reproduces. The live loop, recovery, hcreplay -verify and hcreplay
+// -decision differ only in where records come from and where emit sends
+// them, so replay == live and recovered == uninterrupted by construction.
 //
 // # Memory model
 //
@@ -208,14 +208,18 @@ func (c Config) withDefaults() Config {
 // by a lock-free shard router. It decides map/defer/drop for every
 // arriving task.
 type Controller struct {
-	cfg     Config
-	matrix  *pet.Matrix
-	metrics *Metrics
-	policy  router.Policy
-	cl      *sim.Cluster
-	shards  []*shard
-	tel     *telemetry.Telemetry
-	log     *slog.Logger
+	cfg    Config
+	matrix *pet.Matrix
+	policy router.Policy
+	cl     *sim.Cluster
+	shards []*shard
+	tel    *telemetry.Telemetry
+	log    *slog.Logger
+
+	// Beside its shards' Metrics: start, rejected requests, decide latency.
+	start    time.Time
+	rejected atomic.Int64
+	latency  *telemetry.Histogram
 
 	// dedup retains the last DefaultDedupWindow acknowledged responses by
 	// decision ID for idempotent retries. The HTTP layer consults it
@@ -327,12 +331,13 @@ func build(cfg Config, cold bool) (*Controller, error) {
 	c := &Controller{
 		cfg:     cfg,
 		matrix:  matrix,
-		metrics: newMetrics(),
 		policy:  policy,
 		cl:      cl,
 		shards:  make([]*shard, cfg.Shards),
 		tel:     tel,
 		log:     cfg.Logger,
+		start:   time.Now(),
+		latency: telemetry.NewHistogram(latencyBuckets),
 		dedup:   NewDedupWindow(DefaultDedupWindow),
 		drained: make(chan struct{}),
 	}
@@ -342,7 +347,7 @@ func build(cfg Config, cold bool) (*Controller, error) {
 			c:         c,
 			eng:       cl.Shards()[s],
 			view:      cl.View(s),
-			metrics:   newMetrics(),
+			metrics:   &Metrics{},
 			rec:       tel.Shard(s),
 			cmds:      make(chan func(), mailboxDepth),
 			loopDone:  make(chan struct{}),
@@ -388,9 +393,6 @@ func buildCluster(matrix *pet.Matrix, partition string, shards int, pol router.P
 // Matrix returns the served system's PET matrix.
 func (c *Controller) Matrix() *pet.Matrix { return c.matrix }
 
-// Metrics returns the controller's aggregate operational counters.
-func (c *Controller) Metrics() *Metrics { return c.metrics }
-
 // NumShards returns the number of admission shards.
 func (c *Controller) NumShards() int { return len(c.shards) }
 
@@ -418,7 +420,7 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	nt, nm := c.matrix.NumTaskTypes(), c.matrix.NumMachineTypes()
 	for i := range req.Tasks {
 		if err := req.Tasks[i].Validate(nt, nm); err != nil {
-			c.metrics.rejected.Add(1)
+			c.rejected.Add(1)
 			return nil, err
 		}
 	}
@@ -428,7 +430,6 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	if draining {
 		return nil, ErrDraining
 	}
-	c.metrics.requests.Add(1)
 
 	n := len(req.Tasks)
 	base := c.seq.Add(int64(n)) - int64(n)

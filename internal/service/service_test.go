@@ -203,11 +203,11 @@ func TestControllerConcurrentClients(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			c.metrics.DropRate()
+			c.Metrics().DropRate()
 		}
 	}()
 	wg.Wait()
-	if got := c.metrics.tasks.Load(); got != int64(clients*per) {
+	if got := c.Metrics().Total(); got != int64(clients*per) {
 		t.Fatalf("decided %d tasks, want %d", got, clients*per)
 	}
 	res, err := c.Drain(context.Background())

@@ -141,7 +141,6 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			// run — shed the sub-batch instead (429 on the wire) and let the
 			// client retry after a revive or an add.
 			sh.metrics.shed.Add(1)
-			sh.c.metrics.shed.Add(1)
 			ferr = ErrShardDegraded
 			return
 		}
@@ -208,8 +207,8 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 // admit is the one place an arrival changes a shard: the live loop calls it
 // on the task it just logged, apply — for crash recovery and offline replay
 // — on arriveTask of the record it read. It feeds the engine, assembles the
-// wire decision, folds the outcome into the router view and both counter
-// sets, emits the derived decision record and advances the watermark — so
+// wire decision, folds the outcome into the router view and the shard's
+// counters, emits the derived decision record and advances the watermark — so
 // a recovered or replayed shard lands where the live one stood because it
 // ran the same statements, not a copy of them. id is the client's task
 // label; a is the sampled in-flight trace (nil when unsampled, and always
@@ -239,8 +238,7 @@ func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Active) Deci
 	}
 	seq := int64(task.ID)
 	sh.eng.ObserveDecision(sh.view, ts)
-	sh.metrics.countDecision(d.Action)
-	sh.c.metrics.countDecision(d.Action)
+	sh.metrics.Count(d.Action)
 	rec := decisionRecord(seq, d.Action, ts.Machine, sh.eng.Now())
 	sh.emitTimed(&rec, a)
 	if seq > sh.watermark {
@@ -370,24 +368,23 @@ func (sh *shard) snapshot(ctx context.Context) (snap ShardSnapshot, names []stri
 }
 
 // drain runs the shard's virtual system to completion — the terminal
-// events stream out through the engine hook — and emits the drain marker.
-// The engine is not reusable afterwards.
+// events stream out through the engine hook. Not reusable afterwards.
 func (sh *shard) drain() {
 	sh.final = sh.eng.Drain()
-	sh.emit(&journal.Record{Kind: journal.KindDrain, Tick: sh.eng.Now()})
 }
 
 // drainCmd drains the shard on the loop and stops it. Executed as the
-// loop's final command. With journaling on, a final checkpoint after the
-// drain marker makes the log self-contained — recovery after a graceful
-// shutdown restores the checkpoint and replays nothing; killed between the
-// two, it replays the marker and drains again — and the writer closes with
-// a last fsync.
+// loop's final command. The drain marker is an input, logged before the
+// events it causes. With journaling on, a final checkpoint makes the log
+// self-contained — recovery after a graceful shutdown restores it and
+// replays nothing; killed before it, it replays the marker and drains again
+// — and the writer closes with a last fsync.
 func (sh *shard) drainCmd() {
+	sh.emit(&journal.Record{Kind: journal.KindDrain, Tick: sh.eng.Now()})
 	sh.drain()
 	if sh.jw != nil {
 		_ = sh.jw.Commit()
-		_ = sh.checkpoint(true)
+		_ = sh.checkpoint()
 		_ = sh.jw.Close()
 	}
 	sh.stopped = true

@@ -295,7 +295,7 @@ func (cl *Cluster) ApplyChurn(ev ChurnEvent) error {
 	if ev.At > eng.Now() {
 		eng.AdvanceTo(ev.At)
 	}
-	if _, err := eng.ApplyMember(op); err != nil {
+	if err := eng.ApplyMember(op, nil); err != nil {
 		return err
 	}
 	eng.PublishLoad(cl.views[s])

@@ -66,21 +66,46 @@ type MemberOp struct {
 	Handoff bool
 }
 
-// ApplyMember applies one membership operation at the current clock and
-// returns the index of the machine it touched (for an add, the one the new
-// machine was given). It is the one place an operation kind selects an
-// engine method: the offline cluster driver and the admission service's
-// shards both change membership through it.
-func (e *Engine) ApplyMember(op MemberOp) (int, error) {
+// ApplyMember applies one membership operation at the current clock: the one
+// place an operation kind selects an engine method, for the offline cluster
+// driver and the service's shards alike. A refused operation changes
+// nothing; accepted (when non-nil) runs once op has passed the checks and
+// before any effect — where the service logs op, ahead of what it causes.
+func (e *Engine) ApplyMember(op MemberOp, accepted func()) error {
+	if err := e.checkMember(op); err != nil {
+		return err
+	}
+	if accepted != nil {
+		accepted()
+	}
 	switch op.Kind {
 	case MemberAdd:
-		return e.AddMachine(op.Type)
+		_, err := e.AddMachine(op.Type)
+		return err
 	case MemberRemove:
-		return op.Machine, e.RemoveMachine(op.Machine, op.Handoff)
-	case MemberRevive:
-		return op.Machine, e.ReviveMachine(op.Machine)
+		return e.RemoveMachine(op.Machine, op.Handoff)
 	}
-	return -1, fmt.Errorf("sim: membership op %v", op.Kind)
+	return e.ReviveMachine(op.Machine)
+}
+
+// checkMember is why the engine refuses op, or nil: the checks of all three
+// operations, written once.
+func (e *Engine) checkMember(op MemberOp) error {
+	i := op.Machine
+	switch {
+	case op.Kind == MemberAdd:
+		_, err := e.priceOf(op.Type)
+		return err
+	case op.Kind > MemberRevive:
+		return fmt.Errorf("sim: membership op %v", op.Kind)
+	case i < 0 || i >= len(e.machines):
+		return fmt.Errorf("sim: %v of machine %d of %d", op.Kind, i, len(e.machines))
+	case op.Kind == MemberRemove && e.removedAt(i):
+		return fmt.Errorf("sim: machine %d already removed", i)
+	case op.Kind == MemberRevive && !e.removedAt(i):
+		return fmt.Errorf("sim: machine %d is not removed", i)
+	}
+	return nil
 }
 
 // removedAt reports whether machine i is currently out of the live set.
@@ -118,11 +143,8 @@ func (e *Engine) RemovedMachines() []int {
 // cache is invalidated and the mapping pipeline runs so handed-off tasks
 // are reconsidered immediately.
 func (e *Engine) RemoveMachine(i int, handoff bool) error {
-	if i < 0 || i >= len(e.machines) {
-		return fmt.Errorf("sim: RemoveMachine(%d) of %d machines", i, len(e.machines))
-	}
-	if e.removedAt(i) {
-		return fmt.Errorf("sim: machine %d already removed", i)
+	if err := e.checkMember(MemberOp{Kind: MemberRemove, Machine: i}); err != nil {
+		return err
 	}
 	e.detachMachine(i, handoff)
 	e.mappingEvent(true)
@@ -155,11 +177,8 @@ func (e *Engine) detachMachine(i int, handoff bool) {
 // schedule that came due while the machine was out is stale (it would move
 // the clock backwards); the process is re-armed from now.
 func (e *Engine) ReviveMachine(i int) error {
-	if i < 0 || i >= len(e.machines) {
-		return fmt.Errorf("sim: ReviveMachine(%d) of %d machines", i, len(e.machines))
-	}
-	if !e.removedAt(i) {
-		return fmt.Errorf("sim: machine %d is not removed", i)
+	if err := e.checkMember(MemberOp{Kind: MemberRevive, Machine: i}); err != nil {
+		return err
 	}
 	e.machines[i].removed = false
 	e.totalSlots += e.cfg.QueueCap
@@ -193,26 +212,9 @@ func (e *Engine) AddMachine(mt pet.MachineType) (int, error) {
 
 // attachMachine is AddMachine without the mapping pipeline.
 func (e *Engine) attachMachine(mt pet.MachineType) (int, error) {
-	if int(mt) < 0 || int(mt) >= e.pet.NumMachineTypes() {
-		return -1, fmt.Errorf("sim: AddMachine with machine type %d of %d", mt, e.pet.NumMachineTypes())
-	}
-	price := -1.0
-	for _, m := range e.machines {
-		if m.Spec.Type == mt {
-			price = m.Spec.PriceHour
-			break
-		}
-	}
-	if price < 0 {
-		for _, s := range e.pet.Machines() {
-			if s.Type == mt {
-				price = s.PriceHour
-				break
-			}
-		}
-	}
-	if price < 0 {
-		return -1, fmt.Errorf("sim: no machine of type %d to derive pricing from", mt)
+	price, err := e.priceOf(mt)
+	if err != nil {
+		return -1, err
 	}
 	i := len(e.machines)
 	spec := pet.MachineSpec{
@@ -228,6 +230,17 @@ func (e *Engine) attachMachine(mt pet.MachineType) (int, error) {
 	e.addedTypes = append(e.addedTypes, int(mt))
 	e.totalSlots += e.cfg.QueueCap
 	return i, nil
+}
+
+// priceOf is the hourly price of an added machine of type mt: the one every
+// machine of that type has. A type no machine has cannot be added.
+func (e *Engine) priceOf(mt pet.MachineType) (float64, error) {
+	for _, s := range e.pet.Machines() {
+		if s.Type == mt {
+			return s.PriceHour, nil
+		}
+	}
+	return 0, fmt.Errorf("sim: no machine of type %d to derive pricing from", mt)
 }
 
 // newFailureCursor seeds the failure process of a runtime-added machine.

@@ -128,6 +128,39 @@ func TestAddMachine(t *testing.T) {
 	}
 }
 
+// TestApplyMemberAcceptsBeforeEffects pins the order a journal relies on:
+// ApplyMember reports an accepted operation before any of its effects (the
+// census still holds the tasks a remove kills; an add has not yet attached
+// its machine), and a refused one is never reported and changes nothing.
+func TestApplyMemberAcceptsBeforeEffects(t *testing.T) {
+	e := membershipEngine(t, 40)
+	var seen []Live
+	note := func() { seen = append(seen, e.LiveCounts()) }
+	before := e.LiveCounts()
+	if err := e.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 1}, note); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[0] != before || e.LiveCounts() == before {
+		t.Fatalf("remove reported %v; census before %+v, after %+v", seen, before, e.LiveCounts())
+	}
+	after := e.Snapshot()
+	for _, op := range []MemberOp{
+		{Kind: MemberRemove, Machine: 1}, {Kind: MemberRevive, Machine: 0}, {Kind: MemberRemove, Machine: 99},
+		{Kind: MemberRevive, Machine: -1}, {Kind: MemberAdd, Type: 7}, {Kind: MemberRevive + 1},
+	} {
+		if err := e.ApplyMember(op, note); err == nil {
+			t.Errorf("%+v accepted", op)
+		}
+	}
+	if len(seen) != 1 || !reflect.DeepEqual(e.Snapshot(), after) {
+		t.Fatalf("refused operations were reported (%d) or changed the engine", len(seen)-1)
+	}
+	held := -1
+	if err := e.ApplyMember(MemberOp{Kind: MemberAdd, Type: 0}, func() { held = len(e.Machines()) }); err != nil || held != 3 || len(e.Machines()) != 4 {
+		t.Fatalf("add: %v; reported with %d machines attached, then %d", err, held, len(e.Machines()))
+	}
+}
+
 // TestMembershipSnapshotRoundTrip extends the replay property to churned
 // engines: snapshot a live engine mid-churn (machine removed, machine
 // added), restore into a fresh replica, and require identical decisions,

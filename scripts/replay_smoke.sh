@@ -5,7 +5,8 @@
 # nothing left past a torn tail (a clean shutdown writes a final
 # checkpoint, so recovery replays nothing), (2) the audit mode to refuse a
 # decision the checkpoints trimmed, naming the oldest one it can explain,
-# and (3) to explain that one from the log alone.
+# (3) to explain that one from the log alone, and (4) a copy of the log cut
+# inside the drain, as a kill -9 there leaves it, to verify and recover.
 #
 # Usage: scripts/replay_smoke.sh
 set -euo pipefail
@@ -59,3 +60,27 @@ audit=$("$BIN/hcreplay" -dir "$JDIR" -shard 0 -decision "$oldest")
 echo "$audit"
 echo "$audit" | grep -q "replayed decision:" || { echo "FAIL: audit produced no decision" >&2; exit 1; }
 echo "$audit" | grep -q "logged decision:   decision seq=$oldest" || { echo "FAIL: audit found no logged decision" >&2; exit 1; }
+
+# (4) A kill -9 inside the drain: on a copy of the log, drop each shard's
+# final checkpoint and the empty segment after it, and cut 100 bytes (about
+# four records) off the segment the drain wrote. The drain marker precedes
+# the events it causes, so the cut leaves an input and a prefix of its
+# effects: the copy must verify, and hcserve must recover it and turn ready.
+smoke_tmpdir CUT
+cp -r "$JDIR"/. "$CUT"
+for d in "$CUT"/shard-*; do
+    last_seg=$(ls "$d"/seg-*.wal | tail -n 1)
+    [ ! -s "$last_seg" ] || { echo "FAIL: $last_seg after the final checkpoint is not empty" >&2; exit 1; }
+    rm "$(ls "$d"/snap-*.snap | tail -n 1)" "$last_seg"
+    truncate -s -100 "$(ls "$d"/seg-*.wal | tail -n 1)"
+done
+"$BIN/hcreplay" -dir "$CUT" -verify || { echo "FAIL: a log cut inside the drain did not verify" >&2; exit 1; }
+CUT_ADDR=127.0.0.1:18191
+"$BIN/hcserve" -addr "$CUT_ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
+    -shards 2 -router rr -journal-dir "$CUT" -fsync interval -snapshot-every 400 &
+SERVER_PID=$!
+wait_http "http://$CUT_ADDR/readyz" || { echo "FAIL: hcserve did not recover a log cut inside the drain" >&2; exit 1; }
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || true
+SERVER_PID=""
+"$BIN/hcreplay" -dir "$CUT" -verify | grep -q "journal verified" || { echo "FAIL: the recovered log did not verify" >&2; exit 1; }
