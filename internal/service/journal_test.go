@@ -477,6 +477,89 @@ func TestEveryPrefixRecovers(t *testing.T) {
 	}
 }
 
+// TestJournalRecoversDrainMarker kills the server between drainCmd's commit
+// of the drain marker and the events it caused, and its final checkpoint:
+// the marker is an input record like any other, so the recovered shard is
+// drained — not serving the pre-drain queues under a log that says they are
+// gone — takes the rest of the trace, and its journal verifies.
+func TestJournalRecoversDrainMarker(t *testing.T) {
+	tr := testTrace(t, 200, 9)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 40,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, 120, 8)
+	sh := c.shards[0]
+	var cerr error
+	if err := sh.do(context.Background(), func() {
+		sh.emit(&journal.Record{Kind: journal.KindDrain, Tick: sh.eng.Now()})
+		sh.drain()
+		cerr = sh.jw.Commit()
+	}); err != nil || cerr != nil {
+		t.Fatal(err, cerr)
+	}
+	crash(c)
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("recovery across a drain marker: %v", err)
+	}
+	snap, err := c2.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Live.Batch != 0 || snap.Live.Queued != 0 || snap.Live.Running != 0 {
+		t.Fatalf("shard recovered un-drained past its drain marker: %+v", snap.Live)
+	}
+	if got := decideRange(t, c2, tr, 120, len(tr.Tasks), 8); got[0].Seq != 120 {
+		t.Fatalf("first post-recovery seq = %d, want 120", got[0].Seq)
+	}
+	crash(c2)
+	if _, err := VerifyAll(cfg.JournalDir); err != nil {
+		t.Fatalf("journal continued past a recovered drain marker: %v", err)
+	}
+}
+
+// TestJournalTornTailStaysVerifiable cuts a crashed log inside a sub-batch,
+// after an arrive whose decision never reached the disk: recovery
+// re-derives the decision, poisons nothing it should not, and logs what
+// the crash cut off before anything new, so the continued journal verifies
+// and recovers a second time.
+func TestJournalTornTailStaysVerifiable(t *testing.T) {
+	tr := testTrace(t, 200, 9)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, 80, 8)
+	crash(c)
+	rewriteSegment(t, ShardJournalDir(cfg.JournalDir, 0), 0, func(recs []journal.Record) []journal.Record {
+		if last := recs[len(recs)-1]; last.Kind != journal.KindDecision {
+			t.Fatalf("log ends in %s, want the last arrive's decision", last.String())
+		}
+		return recs[:len(recs)-1]
+	})
+	for _, upTo := range []int{140, 200} {
+		c, err = New(cfg)
+		if err != nil {
+			t.Fatalf("recovery before task %d: %v", upTo, err)
+		}
+		decideRange(t, c, tr, upTo-60, upTo, 8)
+		crash(c)
+		if _, err := VerifyAll(cfg.JournalDir); err != nil {
+			t.Fatalf("journal continued past a torn tail (to task %d): %v", upTo, err)
+		}
+	}
+}
+
 // TestJournalRefusesRecordVersion1: a log written before every input record
 // preceded its effects carries record version 1; the restart and hcreplay
 // -verify refuse it naming the version instead of walking it under the
