@@ -39,6 +39,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,7 +288,7 @@ func (f *Front) Ready() bool {
 
 // nextSubID generates a fresh decision ID for one proxied sub-request.
 func (f *Front) nextSubID() string {
-	return fmt.Sprintf("%s-%d", f.cfg.IDNonce, f.subID.Add(1))
+	return f.cfg.IDNonce + "-" + strconv.FormatInt(f.subID.Add(1), 10)
 }
 
 // subBatch is one backend's slice of a decide request during fan-out.
@@ -373,15 +374,22 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	resp := &service.DecideResponse{Decisions: make([]service.Decision, len(req.Tasks))}
 	errs := make([]error, len(subs))
 	nows := make([]pmf.Tick, len(subs))
-	var wg sync.WaitGroup
-	for k := range subs {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			defer subs[k].b.release()
-			nows[k], errs[k] = f.proxy(ctx, req, resp, subs[k], ready)
-		}(k)
+	proxy := func(k int) {
+		defer subs[k].b.release()
+		nows[k], errs[k] = f.proxy(ctx, req, resp, subs[k], ready)
 	}
+	// Each sub-batch on a goroutine of its own but the last, which runs on
+	// the caller's.
+	var wg sync.WaitGroup
+	last := len(subs) - 1
+	for k := range last {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			proxy(k)
+		}()
+	}
+	proxy(last)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -449,34 +457,24 @@ func (f *Front) proxy(ctx context.Context, req *service.DecideRequest, resp *ser
 	return 0, fmt.Errorf("%w: backend %d failed with no surviving backend to reroute to: %v", errUpstream, sb.b.id, err)
 }
 
-// send proxies idxs of req to backend b as one decide sub-request and
-// writes the returned decisions into their request slots, stamped with
-// the backend's index.
+// send proxies idxs of req to backend b as one decide sub-request, encoded
+// straight from req's tasks, and decodes the returned decisions straight
+// into their request slots, stamped with the backend's index.
 func (f *Front) send(ctx context.Context, req *service.DecideRequest, resp *service.DecideResponse, b *backend, idxs []int) (pmf.Tick, error) {
-	sub := service.DecideRequest{
-		DecisionID: f.nextSubID(),
-		Tasks:      make([]service.TaskSpec, len(idxs)),
-	}
-	for j, i := range idxs {
-		sub.Tasks[j] = req.Tasks[i]
-	}
 	b.proxied.Add(1)
 	t0 := time.Now()
-	var out service.DecideResponse
-	err := f.client.PostJSON(ctx, b.url+"/v1/decide", &sub, &out)
+	now, n, err := f.client.Decide(ctx, b.url, f.nextSubID(), req.Tasks, idxs, resp.Decisions)
 	f.metrics.upstream.Observe(time.Since(t0))
 	if err != nil {
 		return 0, err
 	}
-	if len(out.Decisions) != len(idxs) {
-		return 0, fmt.Errorf("%w: backend %d answered %d decisions for %d tasks", errUpstream, b.id, len(out.Decisions), len(idxs))
+	if n != len(idxs) {
+		return 0, fmt.Errorf("%w: backend %d answered %d decisions for %d tasks", errUpstream, b.id, n, len(idxs))
 	}
-	for j, i := range idxs {
-		d := out.Decisions[j]
-		d.Backend = b.id
-		resp.Decisions[i] = d
+	for _, i := range idxs {
+		resp.Decisions[i].Backend = b.id
 	}
-	return out.Now, nil
+	return now, nil
 }
 
 // markDown removes a backend from rotation until its poller sees it ready

@@ -12,8 +12,8 @@ import (
 )
 
 // Dynamic membership: POST /v1/admin/machines changes a running
-// controller's machine set. Each operation executes on the target shard's
-// decision loop — serialized against admissions exactly like a decide
+// controller's machine set. Each operation executes under the target
+// shard's turn — serialized against admissions exactly like a decide
 // sub-batch — and is journaled as a KindMembership record and committed
 // before it is acknowledged, so a crashed server recovers its post-churn
 // membership and hcreplay re-derives the decision stream across it.
@@ -70,8 +70,8 @@ func errNotOwned(g int) error {
 	return fmt.Errorf("service: machine %d is not owned by this server", g)
 }
 
-// Admin applies one membership operation. The operation runs on the
-// target shard's decision loop, is journaled and committed before the
+// Admin applies one membership operation. The operation runs under the
+// target shard's turn, is journaled and committed before the
 // acknowledgement, and updates the shard's router view so the routing
 // tier steers around (or back to) the changed capacity immediately.
 func (c *Controller) Admin(ctx context.Context, req *AdminMachineRequest) (*AdminMachineResponse, error) {
@@ -106,28 +106,24 @@ func (c *Controller) Admin(ctx context.Context, req *AdminMachineRequest) (*Admi
 	return c.adminOn(ctx, c.shards[s], rec, local)
 }
 
-// adminOn executes one validated membership operation on sh's loop: it
+// adminOn executes one validated membership operation under sh's turn: it
 // applies the record it logs — the call recovery and replay make on the
 // records they read — so the log cannot say one thing and the engine have
 // done another; the record is logged once the engine accepts it, ahead of
 // its effects. local is the shard-local index Locate derived for a remove
-// or revive: any place of the lattice, so it stays an int until the loop
-// has checked it against the machines the shard holds.
+// or revive: any place of the lattice, so it stays an int until the turn's
+// holder has checked it against the machines the shard holds.
 func (c *Controller) adminOn(ctx context.Context, sh *shard, rec journal.Record, local int) (*AdminMachineResponse, error) {
 	var resp *AdminMachineResponse
 	var aerr error
 	err := sh.do(ctx, func() {
-		if sh.stopped {
-			aerr = ErrDraining
-			return
-		}
 		if sh.journalFailed.Load() {
 			aerr = ErrJournalFailed
 			return
 		}
 		kind := sim.MemberKind(rec.Action)
 		// Whether the shard holds the machine the index names, which type the
-		// record logs for it and which index an add gets, only the loop can say.
+		// record logs for it and which index an add gets, only the turn can say.
 		ms := sh.eng.Machines()
 		switch {
 		case kind == sim.MemberAdd:
@@ -174,7 +170,7 @@ func (c *Controller) adminOn(ctx context.Context, sh *shard, rec journal.Record,
 // applyMembership applies one KindMembership record to the shard's engine —
 // the service's one call into the engine's membership; accepted (nil off
 // the live path) runs between the engine's checks and the effects. The live
-// loop applies the record it logs, recovery and replay the records they
+// shard applies the record it logs, recovery and replay the records they
 // read: membership records are replay inputs like arrives, and their action
 // codes are sim's operation kinds.
 func (sh *shard) applyMembership(r *journal.Record, accepted func()) error {
@@ -187,8 +183,8 @@ func (sh *shard) applyMembership(r *journal.Record, accepted func()) error {
 }
 
 // updateMembershipGauges refreshes the shard's lock-free membership
-// gauges from the engine. Runs on the decision loop (or during recovery,
-// before the loop starts).
+// gauges from the engine. Runs under the shard's turn (or during recovery,
+// before New returns).
 func (sh *shard) updateMembershipGauges() {
 	sh.liveMachines.Store(int64(sh.eng.LiveMachines()))
 	sh.removedMachines.Store(int64(len(sh.eng.RemovedMachines())))

@@ -247,7 +247,7 @@ func TestJournalCrashRecoveryWithMembership(t *testing.T) {
 	}
 	churn(AdminMachineRequest{Op: "revive", Machine: 2})
 	// Shard 1's next add would be machine added+2; until then the index is
-	// refused on the loop and logs nothing (the verifier counts below).
+	// refused under the turn and logs nothing (the verifier counts below).
 	if _, err := jc.Admin(context.Background(), &AdminMachineRequest{Op: "remove", Machine: added.Machine + 2}); err == nil {
 		t.Fatalf("removed machine %d, which nothing holds", added.Machine+2)
 	}

@@ -6,14 +6,14 @@ import (
 )
 
 // maxControllerDecideAllocs bounds the steady-state allocation count of
-// one full Controller.Decide round trip (request validation, event-loop
-// hand-off, engine feed including the completion-time calculus, decision
+// one full Controller.Decide round trip (request validation, the shard's
+// turn, engine feed including the completion-time calculus, decision
 // assembly). The calculus itself is allocation-free once warm; what
-// remains is the per-request wiring (task state, response, channel
-// closures). The pre-arena baseline was ~250 allocs/op, so this budget
-// catches any regression that reintroduces per-convolution slices. CI's
-// alloc-regression job runs this test.
-const maxControllerDecideAllocs = 48
+// remains is the per-request wiring (task state, response). The pre-arena
+// baseline was ~250 allocs/op, so this budget catches any regression that
+// reintroduces per-convolution slices. CI's alloc-regression job runs this
+// test.
+const maxControllerDecideAllocs = 24
 
 func TestControllerDecideAllocsSteadyState(t *testing.T) {
 	if raceEnabled {

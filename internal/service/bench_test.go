@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
@@ -59,26 +63,26 @@ func BenchmarkEngineFeed(b *testing.B) {
 }
 
 // BenchmarkControllerDecide measures the full decision path — request
-// validation, event-loop round trip, decision assembly — one task per
+// validation, the shard's turn, decision assembly — one task per
 // request.
 func BenchmarkControllerDecide(b *testing.B) {
 	benchDecide(b, 1)
 }
 
-// BenchmarkControllerDecideBatch16 amortizes the loop round trip over a
+// BenchmarkControllerDecideBatch16 amortizes the per-request cost over a
 // 16-task batch (the load generator's default shape). ns/op is per task.
 func BenchmarkControllerDecideBatch16(b *testing.B) {
 	benchDecide(b, 16)
 }
 
 // BenchmarkServiceDecide is the shard-scaling run: the full decision path
-// (routing, per-shard loop hand-off, engine feed, decision assembly) at
+// (routing, per-shard turns, engine feed, decision assembly) at
 // 1/2/4/8 shards over the 8-machine video system, driven concurrently so
-// multi-core hosts also exercise loop parallelism. ns/op is per task;
+// multi-core hosts also exercise shard parallelism. ns/op is per task;
 // aggregate decide throughput is its inverse. Scaling has two sources:
 // per-decision work shrinks with the shard's machine count (the mapper
 // and dropper scan shard-local queues only — the shard-local calculus
-// argument), and on multi-core hosts the shard loops advance in parallel.
+// argument), and on multi-core hosts the shards advance in parallel.
 func BenchmarkServiceDecide(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -186,6 +190,46 @@ func BenchmarkServiceDecideTelemetry(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkDecideHandler is one POST /v1/decide through NewHandler over an
+// in-memory request and recorder: body read, decode, Controller.Decide,
+// encode — a shard server's request path short of the socket. Bodies are
+// hcload's (labels t<ID>), encoded before the timer starts. ns/op is per
+// request.
+func BenchmarkDecideHandler(b *testing.B) {
+	for _, batch := range []int{1, 16} {
+		b.Run(fmt.Sprintf("tasks=%d", batch), func(b *testing.B) {
+			c, err := New(Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			h := NewHandler(c)
+			tasks := benchTasks(b, b.N*batch)
+			bodies := make([][]byte, b.N)
+			for i := range bodies {
+				req := DecideRequest{Tasks: make([]TaskSpec, batch)}
+				for j := range req.Tasks {
+					t := &tasks[i*batch+j]
+					req.Tasks[j] = TaskSpec{ID: fmt.Sprintf("t%d", t.ID), Type: int(t.Type), Arrival: t.Arrival,
+						Deadline: t.Deadline, ExecByType: t.ExecByType}
+				}
+				if bodies[i], err = json.Marshal(&req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(bodies[i])))
+				if w.Code != http.StatusOK {
+					b.Fatalf("HTTP %d: %s", w.Code, w.Body)
+				}
+			}
 		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
@@ -105,9 +106,8 @@ func retryable(err error) bool {
 }
 
 // PostJSON posts body (nil for empty) to url and decodes the response
-// into out, retrying per the client's config. The sleep before attempt k
-// is Backoff·2^(k-1) stretched by up to 50% deterministic jitter and
-// capped at 2s — unless the server sent Retry-After, which wins.
+// into out (nil: the response is read and dropped), retrying per the
+// client's config. Decide requests go through Decide.
 func (cl *Client) PostJSON(ctx context.Context, url string, body, out any) error {
 	var data []byte
 	if body != nil {
@@ -116,9 +116,51 @@ func (cl *Client) PostJSON(ctx context.Context, url string, body, out any) error
 			return err
 		}
 	}
+	return cl.post(ctx, url, data, jsonInto(out))
+}
+
+// Decide posts one decide request to base's /v1/decide — under decision ID
+// id (empty: none), the tasks idxs selects from tasks (nil: all of them),
+// encoded by the decide codec — retrying per the client's config, and
+// decodes the answer in place: decision j lands in dst[idxs[j]] (dst[j]
+// when idxs is nil), decisions past those slots are read and dropped. It
+// returns the server's clock and how many decisions it answered, which the
+// caller holds against the tasks it sent.
+func (cl *Client) Decide(ctx context.Context, base, id string, tasks []TaskSpec, idxs []int, dst []Decision) (now pmf.Tick, n int, err error) {
+	slots := len(dst)
+	if idxs != nil {
+		slots = len(idxs)
+	}
+	data := appendDecideRequest(make([]byte, 0, 128*slots+64), id, tasks, idxs)
+	var spare Decision
+	at := func(j int) *Decision {
+		switch {
+		case j >= slots:
+			return &spare
+		case idxs != nil:
+			return &dst[idxs[j]]
+		}
+		return &dst[j]
+	}
+	err = cl.post(ctx, base+"/v1/decide", data, func(resp *http.Response) error {
+		body, err := readBody(resp.Body, resp.ContentLength)
+		if err != nil {
+			return err
+		}
+		n, err = decodeDecideResponse(body, &now, at)
+		return err
+	})
+	return now, n, err
+}
+
+// post posts data to url and hands a 2xx response to decode (nil: none),
+// retrying per the client's config. The sleep before attempt k is
+// Backoff·2^(k-1) stretched by up to 50% deterministic jitter and capped at
+// 2s — unless the server sent Retry-After, which wins.
+func (cl *Client) post(ctx context.Context, url string, data []byte, decode func(*http.Response) error) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		lastErr = cl.attempt(ctx, http.MethodPost, url, data, out)
+		lastErr = cl.attempt(ctx, http.MethodPost, url, data, decode)
 		if lastErr == nil || attempt >= cl.cfg.Retries || !retryable(lastErr) {
 			return lastErr
 		}
@@ -141,6 +183,15 @@ func (cl *Client) PostJSON(ctx context.Context, url string, body, out any) error
 	}
 }
 
+// jsonInto decodes a response body into out with encoding/json; nil when
+// out is nil.
+func jsonInto(out any) func(*http.Response) error {
+	if out == nil {
+		return nil
+	}
+	return func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(out) }
+}
+
 // Attempts returns the total HTTP attempts made (first tries + retries).
 func (cl *Client) Attempts() int64 { return cl.attempts.Load() }
 
@@ -151,11 +202,18 @@ func (cl *Client) Shed429() int64 { return cl.shed429.Load() }
 // attempt under the per-attempt timeout — no retries. Health and stats
 // probes want fast failure, not a retry budget: the caller polls anyway.
 func (cl *Client) GetJSON(ctx context.Context, u string, out any) error {
-	return cl.attempt(ctx, http.MethodGet, u, nil, out)
+	return cl.attempt(ctx, http.MethodGet, u, nil, jsonInto(out))
 }
 
-// attempt runs one request under the per-attempt timeout.
-func (cl *Client) attempt(ctx context.Context, method, u string, data []byte, out any) error {
+// maxDrain bounds what an attempt reads off a response nothing decodes to
+// its end — an error body's tail, a body the caller did not want.
+const maxDrain = 1 << 16
+
+// attempt runs one request under the per-attempt timeout. Whatever the
+// decoder leaves of the body, up to maxDrain bytes, is read before the body
+// closes: the transport reuses a connection only once its response was read
+// to EOF.
+func (cl *Client) attempt(ctx context.Context, method, u string, data []byte, decode func(*http.Response) error) error {
 	cl.attempts.Add(1)
 	if cl.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -177,14 +235,17 @@ func (cl *Client) attempt(ctx context.Context, method, u string, data []byte, ou
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode/100 != 2 {
 		if resp.StatusCode == http.StatusTooManyRequests {
 			cl.shed429.Add(1)
 		}
 		he := &HTTPError{Status: resp.StatusCode, URL: u}
 		var eb errorBody
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb) == nil {
+		if json.NewDecoder(io.LimitReader(resp.Body, maxDrain)).Decode(&eb) == nil {
 			he.Msg = eb.Error
 		}
 		if s := resp.Header.Get("Retry-After"); s != "" {
@@ -194,10 +255,10 @@ func (cl *Client) attempt(ctx context.Context, method, u string, data []byte, ou
 		}
 		return he
 	}
-	if out == nil {
+	if decode == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decode(resp)
 }
 
 // jitter advances the deterministic splitmix64 stream by one draw.
@@ -351,14 +412,15 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 		if hi > len(tasks) {
 			hi = len(tasks)
 		}
-		req := DecideRequest{Tasks: make([]TaskSpec, hi-lo)}
+		specs := make([]TaskSpec, hi-lo)
+		var id string
 		if cfg.Retries > 0 {
 			// A stable per-request ID makes the retry idempotent: a repeat
 			// after a timed-out-but-committed attempt replays the original.
-			req.DecisionID = fmt.Sprintf("%s-%d-%06d", cfg.DecisionIDPrefix, cfg.From, rep.Requests)
+			id = fmt.Sprintf("%s-%d-%06d", cfg.DecisionIDPrefix, cfg.From, rep.Requests)
 		}
 		for i, t := range tasks[lo:hi] {
-			req.Tasks[i] = TaskSpec{
+			specs[i] = TaskSpec{
 				ID:         fmt.Sprintf("t%d", t.ID),
 				Type:       int(t.Type),
 				Arrival:    t.Arrival,
@@ -380,9 +442,16 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 		t0 := time.Now()
 		attemptsBefore := cl.Attempts()
 		shedBefore := cl.Shed429()
-		var resp DecideResponse
-		if err := cl.PostJSON(ctx, baseURL+"/v1/decide", &req, &resp); err != nil {
+		// The decisions land straight in the report.
+		k := len(rep.Decisions)
+		rep.Decisions = append(rep.Decisions, make([]Decision, len(specs))...)
+		got := rep.Decisions[k:]
+		_, n, err := cl.Decide(ctx, baseURL, id, specs, nil, got)
+		if err != nil {
 			return nil, err
+		}
+		if n != len(specs) {
+			return nil, fmt.Errorf("service: %s answered %d decisions for %d tasks", baseURL, n, len(specs))
 		}
 		if cl.Attempts() > attemptsBefore+1 {
 			rep.Retried++
@@ -397,7 +466,7 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 		lats = append(lats, lat)
 		rep.Requests++
 		seen := map[int]bool{}
-		for _, d := range resp.Decisions {
+		for _, d := range got {
 			switch d.Action {
 			case ActionMap:
 				rep.Mapped++
@@ -417,7 +486,6 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 				shardLats[d.Shard] = append(shardLats[d.Shard], lat)
 			}
 		}
-		rep.Decisions = append(rep.Decisions, resp.Decisions...)
 	}
 
 	// Trailing churn actions (scheduled at or past the end of the window)

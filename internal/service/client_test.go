@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,5 +144,49 @@ func TestClientContextCancelsBackoffSleep(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("context cancellation did not cut the Retry-After sleep (%s)", waited)
+	}
+}
+
+// TestClientReusesConnections posts ten times per response shape and
+// requires one TCP connection each time: the transport reuses a connection
+// only after the previous response was read to EOF, so a body the client
+// does not decode — an admin post's answer, an error body — must still be
+// read off.
+func TestClientReusesConnections(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status int
+		out    any
+	}{
+		{"nil out", http.StatusOK, nil},
+		{"decoded out", http.StatusOK, &struct{}{}},
+		{"error body", http.StatusConflict, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var conns atomic.Int64
+			srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(tc.status)
+				// Past what a JSON decoder buffers, so decoding alone does not
+				// reach EOF.
+				fmt.Fprintf(w, "{\"error\":\"x\"}\n%s\n", strings.Repeat(" ", 4096))
+			}))
+			srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+				if st == http.StateNew {
+					conns.Add(1)
+				}
+			}
+			srv.Start()
+			defer srv.Close()
+			cl := NewClient(srv.Client(), ClientConfig{})
+			for i := 0; i < 10; i++ {
+				err := cl.PostJSON(context.Background(), srv.URL, nil, tc.out)
+				if (err != nil) != (tc.status != http.StatusOK) {
+					t.Fatalf("post %d: %v", i, err)
+				}
+			}
+			if n := conns.Load(); n != 1 {
+				t.Fatalf("10 posts opened %d connections, want 1", n)
+			}
+		})
 	}
 }

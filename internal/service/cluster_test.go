@@ -443,7 +443,7 @@ func newTestServerFor(t testing.TB, c *Controller) *httptest.Server {
 
 // newOfflineCluster builds the offline twin of newShardedController: the
 // same matrix, partition, specs and router seed, driven directly instead
-// of through per-shard loops.
+// of through per-shard turns.
 func newOfflineCluster(t testing.TB, shards int, routerSpec string) *sim.Cluster {
 	t.Helper()
 	m, err := pet.CachedMatrix("video")

@@ -1,13 +1,17 @@
 package service
 
-// StallShards parks every shard loop behind the commands already queued,
-// so a Decide submitted next stays in flight until release is called.
+// StallShards takes every shard's turn, behind the operations already
+// waiting for it, so a Decide submitted next stays in flight until release
+// gives the turns back.
 func StallShards(c *Controller) (release func()) {
-	gate := make(chan struct{})
 	for _, sh := range c.shards {
-		sh.cmds <- func() { <-gate }
+		sh.turn <- struct{}{}
 	}
-	return func() { close(gate) }
+	return func() {
+		for _, sh := range c.shards {
+			<-sh.turn
+		}
+	}
 }
 
 // DedupOf exposes the controller's idempotency window to package

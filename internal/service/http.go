@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -120,7 +122,7 @@ func NewHandler(c *Controller) http.Handler {
 		}
 		x.Counter("taskdrop_dedup_hits_total", "Duplicate decision-ID requests served from the dedup window.").Int(c.dedup.Hits())
 		x.Gauge("taskdrop_dedup_entries", "Decision IDs currently retained in the dedup window.").Int(int64(c.dedup.Len()))
-		// Engine gauges come from the decision loops; skip them once drained
+		// Engine gauges are read under the shards' turns; skip them once drained
 		// (counters above still tell the whole story).
 		if snap, err := c.Stats(r.Context()); err == nil {
 			writeEngineGauges(x, snap)
@@ -154,9 +156,7 @@ func DecideHandler(
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		var req DecideRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDecideBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := readDecideRequest(w, r, &req); err != nil {
 			rejected.Add(1)
 			WriteError(w, http.StatusBadRequest, fmt.Errorf("%s: bad decide body: %w", tier, err))
 			return
@@ -187,15 +187,7 @@ func DecideHandler(
 			fail(w, err)
 			return
 		}
-		data, err := json.Marshal(resp)
-		if err != nil {
-			if owner {
-				dedup.Fail(id, err)
-			}
-			WriteError(w, http.StatusInternalServerError, err)
-			return
-		}
-		data = append(data, '\n')
+		data := append(appendDecideResponse(make([]byte, 0, 96*len(resp.Decisions)+32), resp), '\n')
 		if owner {
 			// The exact bytes being acknowledged: what makes a replayed
 			// duplicate byte-identical to the original response.
@@ -208,10 +200,43 @@ func DecideHandler(
 	})
 }
 
+// readDecideRequest reads a decide body once — pre-sized from
+// Content-Length, bounded by maxDecideBody — and decodes it
+// (decodeDecideRequest). When the read fails, a body over the bound
+// included, encoding/json gets the bytes read and then the error: what
+// the streaming decoder reading the body before saw, so a first value
+// complete within the bound still decodes and anything else answers with
+// the read error. (The server then closes such a connection, which the
+// streaming decoder left open when it stopped reading early.)
+func readDecideRequest(w http.ResponseWriter, r *http.Request, req *DecideRequest) error {
+	data, err := readBody(http.MaxBytesReader(w, r.Body, maxDecideBody), r.ContentLength)
+	if err != nil {
+		return decodeStrict(io.MultiReader(bytes.NewReader(data), errReader{err}), req)
+	}
+	return decodeDecideRequest(data, req)
+}
+
+// readBody reads r to EOF into a buffer pre-sized from size, the length
+// the sender declared (-1: unknown; sizes over maxDecideBody are not
+// trusted for the allocation).
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if size > 0 && size <= maxDecideBody {
+		buf.Grow(int(size) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
 // writeShardGauges renders the per-shard series: decision counters from
 // each shard's metrics and load/robustness gauges from the lock-free
-// router views — none of it goes through a decision loop, so the scrape
-// stays cheap and never stalls behind admission work.
+// router views — none of it takes a shard's turn, so the scrape stays
+// cheap and never stalls behind admission work.
 func writeShardGauges(x *telemetry.Writer, c *Controller) {
 	x.Counter("taskdrop_shard_decisions_total", "Admission decisions by shard and action.")
 	for _, sh := range c.shards {
@@ -239,7 +264,7 @@ func writeShardGauges(x *telemetry.Writer, c *Controller) {
 // writeMembershipGauges renders the dynamic-membership series: operation
 // counts, per-shard live/removed machine census, degraded flags and shed
 // (429) counters. Everything reads atomics or the lock-free router views —
-// no decision loop is touched.
+// no shard's turn is taken.
 func writeMembershipGauges(x *telemetry.Writer, c *Controller) {
 	x.Counter("taskdrop_membership_ops_total", "Membership operations applied, by op.")
 	for k := range c.memberOps {

@@ -175,6 +175,31 @@ func TestDecideHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestDecideBodyOverBound: a body past maxDecideBody answers as the
+// streaming decoder that read it before did — a first value complete
+// within the bound is decided and the rest never read, one cut off by the
+// bound is refused with the read error.
+func TestDecideBodyOverBound(t *testing.T) {
+	c := newTestController(t)
+	defer c.Close()
+	h := NewHandler(c)
+	pad := strings.Repeat(" ", maxDecideBody)
+	for _, tc := range []struct {
+		body string
+		code int
+		text string
+	}{
+		{`{"tasks":[{"type":0,"arrival":1,"deadline":2}]}` + pad, http.StatusOK, `"decisions"`},
+		{`{"tasks":[` + pad + `{"type":0,"arrival":1,"deadline":2}]}`, http.StatusBadRequest, "request body too large"},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/decide", strings.NewReader(tc.body)))
+		if w.Code != tc.code || !strings.Contains(w.Body.String(), tc.text) {
+			t.Errorf("%d-byte body: HTTP %d %s, want %d with %q", len(tc.body), w.Code, w.Body, tc.code, tc.text)
+		}
+	}
+}
+
 func getJSON(t testing.TB, srv *httptest.Server, path string, out any) {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + path)

@@ -23,7 +23,7 @@ import (
 //	shard-000/         shard 0's segmented WAL + snapshots (internal/journal)
 //	shard-001/         ...
 //
-// Every shard loop appends to its own WAL its inputs (batch boundaries,
+// Every shard appends to its own WAL its inputs (batch boundaries,
 // arrivals, membership changes, drain), each before the decisions and
 // terminal task events it causes, and commits before acknowledging. A shard
 // engine is deterministic, so the inputs alone reconstruct its state by
@@ -145,7 +145,7 @@ var journalFsyncBuckets = []float64{
 
 // writeJournalMetrics renders the journal's series: totals read straight
 // off the shard writers at scrape time, and the fsync histogram their
-// callbacks feed (decide loops under SyncAlways, background syncers under
+// callbacks feed (decide turns under SyncAlways, background syncers under
 // SyncInterval).
 func writeJournalMetrics(x *telemetry.Writer, c *Controller) {
 	var records, bytes, fsyncs, snaps, lag, disk int64
@@ -166,8 +166,8 @@ func writeJournalMetrics(x *telemetry.Writer, c *Controller) {
 	x.Histogram("taskdrop_journal_fsync_latency_seconds", "Journal fdatasync latency.").Observed(c.fsyncLatency)
 }
 
-// initJournal brings the controller's journal up before the shard loops
-// start: validate (or create) the manifest, recover every shard from its
+// initJournal brings the controller's journal up before any shard serves:
+// validate (or create) the manifest, recover every shard from its
 // log — restore the newest checkpoint but one, then walk the tail as
 // hcreplay -verify would (shard.replayLog) — and only then open the writers,
 // which turns emit from the walk's matching queue into the log. Returns an error
@@ -261,7 +261,7 @@ func (c *Controller) initJournal() error {
 // window. A multi-shard request journaled one sub-batch per shard under
 // the same ID; its decisions merge back into request order by sequence
 // number (Decide assigns them contiguously in request order). Runs before
-// the shard loops start.
+// any shard serves.
 func (c *Controller) seedDedup() {
 	type mergedBatch struct {
 		decisions []Decision
@@ -298,12 +298,9 @@ func (c *Controller) seedDedup() {
 			continue
 		}
 		sort.Slice(m.decisions, func(i, j int) bool { return m.decisions[i].Seq < m.decisions[j].Seq })
-		data, err := json.Marshal(&DecideResponse{Now: m.now, Decisions: m.decisions})
-		if err != nil {
-			continue
-		}
-		// The trailing newline matches the live ack path (one Encode/Marshal
-		// write), keeping a replayed duplicate byte-identical.
+		// The encoding and trailing newline of the live ack path
+		// (DecideHandler), keeping a replayed duplicate byte-identical.
+		data := appendDecideResponse(nil, &DecideResponse{Now: m.now, Decisions: m.decisions})
 		c.dedup.Seed(id, append(data, '\n'), len(m.decisions))
 		seeded++
 	}
@@ -339,7 +336,7 @@ var errTornBatch = errors.New("batch torn by crash (journaled arrivals incomplet
 // contradicts. The walk's visitor keeps the dedup bookkeeping: each
 // ID-carrying sub-batch of the tail, complete or torn, lands in
 // sh.recovered; what the walk derived past the end of the log stays in
-// sh.gen for initJournal. Runs before the shard loop starts; no
+// sh.gen for initJournal. Runs before the shard serves; no
 // synchronization needed.
 func (sh *shard) recover() (*VerifyStats, error) {
 	// open is the decide sub-batch being replayed, when it carries a
@@ -447,7 +444,7 @@ func (sh *shard) journalTrace(tr *telemetry.Trace) {
 
 // commitJournal makes the sub-batch durable per the fsync policy and
 // checkpoints when the segment has grown past the snapshot cadence. Called
-// on the decision loop before the sub-batch (or membership operation) is
+// under the shard's turn before the sub-batch (or membership operation) is
 // acknowledged — the shard's one commit point, so a failure here fails the
 // request with ErrJournalFailed and latches the shard out of service.
 func (sh *shard) commitJournal() error {
@@ -463,7 +460,7 @@ func (sh *shard) commitJournal() error {
 }
 
 // checkpoint writes the shard's full state as a journal snapshot and
-// rotates the segment. Runs on the decision loop.
+// rotates the segment. Runs under the shard's turn.
 func (sh *shard) checkpoint() error {
 	nt := sh.c.matrix.NumTaskTypes()
 	cp := ShardCheckpoint{

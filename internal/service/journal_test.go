@@ -20,17 +20,17 @@ import (
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
-// crash hard-stops a controller's shard loops without draining, final
-// checkpoints or writer closes — the in-process stand-in for kill -9. The
-// on-disk journal is left exactly as the last acknowledged commit wrote
-// it, which is what recovery must be able to continue from.
+// crash hard-stops a controller's shards without draining, final
+// checkpoints or writer closes — the in-process stand-in for kill -9: it
+// takes every shard's turn and never gives it back. The on-disk journal is
+// left exactly as the last acknowledged commit wrote it, which is what
+// recovery must be able to continue from.
 func crash(c *Controller) {
 	c.mu.Lock()
 	c.draining = true
 	c.mu.Unlock()
 	for _, sh := range c.shards {
-		close(sh.cmds)
-		<-sh.loopDone
+		sh.turn <- struct{}{}
 	}
 }
 

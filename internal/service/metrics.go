@@ -15,7 +15,7 @@ var latencyBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 1,
 }
 
-// Metrics is one shard's decision counters, written by its loop and read by
+// Metrics is one shard's decision counters, written under its turn and read by
 // scrapes — or, from Controller.Metrics, their sum: each decision, shed and
 // sub-batch is counted once, so recovery restores the aggregate with them.
 type Metrics struct {

@@ -32,7 +32,7 @@ import (
 // from build, the constructor service.New serves from; crash recovery is
 // the same walk from the newest checkpoint but one on the shard about to be
 // served (shard.recover); both apply the records through the methods the
-// live loop runs (see "One shard state machine" in the package doc), so
+// live shard runs (see "One shard state machine" in the package doc), so
 // replay == live and recovered == uninterrupted by construction. What
 // stays independent, and is what verification tests, is the comparison:
 // the bytes on disk against a re-derivation.
@@ -100,7 +100,7 @@ func VerifyShard(root string, s int) (*VerifyStats, error) {
 }
 
 // apply is the one interpreter of the journal's input records: it changes
-// the shard as the live loop did when it wrote rec, through the same
+// the shard as the live shard did when it wrote rec, through the same
 // methods, and returns the wire decision of an arrive. The derived records
 // this produces leave through emit.
 func (sh *shard) apply(rec *journal.Record) (Decision, error) {

@@ -2,20 +2,22 @@
 // online admission controller — the serving layer over the same machinery
 // the offline simulator uses.
 //
-// # Concurrency model: per-shard single-writer loops behind a router
+// # Concurrency model: one turn per shard behind a router
 //
 // The cluster's machines are partitioned into N shards (default 1). Each
 // shard owns all mutable state for its machines — a shard-scoped open
 // simulation engine, its machine queues, the completion-time calculus with
-// its convolution workspace — inside ONE goroutine; HTTP handlers submit
-// closures over the shard's channel and wait for the reply. A lock-free
-// router front-end (internal/router) picks the shard for every arriving
-// task by policy (round-robin, least-queue-mass, or power-of-two-choices
-// over per-class robustness estimates), reading only atomics the shard
-// loops publish. The single-writer core remains the unit of determinism:
+// its convolution workspace — behind ONE turn: a token only one goroutine
+// holds at a time. An HTTP handler waits for the turn, runs the operation
+// on its own goroutine and hands the turn to the next waiter, in arrival
+// order. A lock-free router front-end (internal/router) picks the shard
+// for every arriving task by policy (round-robin, least-queue-mass, or
+// power-of-two-choices over per-class robustness estimates), reading only
+// atomics the shards publish. The single-writer core remains the unit of
+// determinism:
 //
 //   - each calculus reuses a pmf.Workspace whose dense scratch array is
-//     inherently single-threaded — sharding gives every loop its own;
+//     inherently single-threaded — sharding gives every shard its own;
 //   - probabilistic pruning is shard-local by construction (a task's
 //     completion-time PMF depends only on the queues of the machines it
 //     may run on), so the paper's calculus inside a shard is exactly the
@@ -27,7 +29,7 @@
 //
 // Decide throughput multiplies twice over: per-decision work shrinks with
 // the shard's machine count (the mapper and dropper scan shard-local
-// queues only), and on multi-core hosts the loops advance in parallel.
+// queues only), and on multi-core hosts the shards advance in parallel.
 //
 // # One shard state machine
 //
@@ -45,7 +47,7 @@
 // (genesis, or the checkpoint before its first segment); crash recovery is
 // the same walk from the newest checkpoint but one, on the shard about to
 // be served, so a server resumes only on a tail its own re-execution
-// reproduces. The live loop, recovery, hcreplay -verify and hcreplay
+// reproduces. The live shard, recovery, hcreplay -verify and hcreplay
 // -decision differ only in where records come from and where emit sends
 // them, so replay == live and recovered == uninterrupted by construction.
 //
@@ -98,12 +100,6 @@ var ErrDraining = errors.New("service: controller is draining")
 // recovers the state of the last good commit.
 var ErrJournalFailed = errors.New("service: journal write failed; shard stopped admitting")
 
-// mailboxDepth bounds the commands queued behind each shard's decision
-// loop before submitters block. Deep enough that a burst of HTTP handlers
-// never blocks on a healthy loop, shallow enough that a stalled one pushes
-// back within a few hundred requests.
-const mailboxDepth = 256
-
 // Config assembles an admission controller. Profile, Mapper, Dropper and
 // Router are registry specs — the same grammar as the CLI flags and the
 // Scenario API (see internal/spec).
@@ -115,7 +111,7 @@ type Config struct {
 	// Dropper is the dropping policy spec (default "heuristic").
 	Dropper string
 	// Shards partitions the machines into independent admission shards,
-	// each with its own single-writer decision loop (default 1; must not
+	// each with its own single-writer turn (default 1; must not
 	// exceed the profile's machine count).
 	Shards int
 	// Router is the shard-routing policy spec: "rr", "mass",
@@ -204,7 +200,7 @@ func (c Config) withDefaults() Config {
 
 // Controller is the online admission service: a cluster of shard-scoped
 // open engines, each keeping live queue state and incrementally-maintained
-// completion-time PMFs behind its own single-writer decision loop, fronted
+// completion-time PMFs behind its own single-writer turn, fronted
 // by a lock-free shard router. It decides map/defer/drop for every
 // arriving task.
 type Controller struct {
@@ -243,23 +239,20 @@ type Controller struct {
 	drained  chan struct{} // closed once every shard drained and results merged
 }
 
-// New builds the controller, recovers every shard from its journal (when
-// journaling is on) and starts one decision loop per shard.
+// New builds the controller and recovers every shard from its journal
+// (when journaling is on); the shards serve from the moment it returns.
 func New(cfg Config) (*Controller, error) {
 	c, err := build(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	// Recovery runs before the loops start: each shard restores its newest
-	// checkpoint and replays and checks its log tail single-threaded, then
-	// the writers open (truncating any torn tail) and the loops take over.
+	// Recovery runs before anything can take a turn: each shard restores its
+	// newest checkpoint and replays and checks its log tail single-threaded,
+	// then the writers open (truncating any torn tail).
 	if c.cfg.JournalDir != "" {
 		if err := c.initJournal(); err != nil {
 			return nil, err
 		}
-	}
-	for _, sh := range c.shards {
-		go sh.loop()
 	}
 	return c, nil
 }
@@ -309,7 +302,7 @@ func build(cfg Config, cold bool) (*Controller, error) {
 		ColdChains:        cold,
 	}
 	tel := telemetry.New(cfg.Shards, cfg.TraceSample, telemetry.DefaultRingSize)
-	// Each shard resolves its own mapper and dropper instances: shard loops
+	// Each shard resolves its own mapper and dropper instances: shards
 	// advance concurrently and must not share stateful components. The
 	// dropper is wrapped with the shard's trace recorder so a sampled
 	// decision attributes the verdict time to its dropper span (a pure
@@ -349,8 +342,7 @@ func build(cfg Config, cold bool) (*Controller, error) {
 			view:      cl.View(s),
 			metrics:   &Metrics{},
 			rec:       tel.Shard(s),
-			cmds:      make(chan func(), mailboxDepth),
-			loopDone:  make(chan struct{}),
+			turn:      make(chan struct{}, 1),
 			watermark: -1,
 		}
 		sh.hookEngine()
@@ -404,7 +396,7 @@ func (c *Controller) NumMachines() int { return c.cl.NumMachines() }
 // each through its shard's pipeline (reactive drop of expired tasks,
 // proactive dropping policy, mapping heuristic), returning one decision
 // per task in request order. Routing reads only lock-free shard views;
-// per-shard sub-batches are processed by the shard loops concurrently.
+// per-shard sub-batches are processed by their shards concurrently.
 // For a sequential client the whole sequence — routing included — is
 // deterministic.
 //
@@ -466,30 +458,37 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	}
 
 	// Route every task up front (deterministic for a sequential client),
-	// then fan the per-shard sub-batches out to their loops.
+	// then fan the per-shard sub-batches out: each on a goroutine of its own
+	// but the last, which runs on the caller's.
 	byShard := make([][]int, len(c.shards))
+	last := 0
 	for i := range req.Tasks {
 		t := &req.Tasks[i]
 		s := c.cl.Route(seqs[i], pet.TaskType(t.Type), t.Arrival, t.Deadline)
 		byShard[s] = append(byShard[s], i)
+		last = max(last, s)
 	}
 	type result struct {
 		now pmf.Tick
 		err error
 	}
 	results := make([]result, len(c.shards))
+	decideOn := func(s int) {
+		now, err := c.shards[s].decide(ctx, req, resp, byShard[s], seqs, traces)
+		results[s] = result{now: now, err: err}
+	}
 	var wg sync.WaitGroup
-	for s, idxs := range byShard {
-		if len(idxs) == 0 {
+	for s := range last {
+		if len(byShard[s]) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(s int, idxs []int) {
+		go func() {
 			defer wg.Done()
-			now, err := c.shards[s].decide(ctx, req, resp, idxs, seqs, traces)
-			results[s] = result{now: now, err: err}
-		}(s, idxs)
+			decideOn(s)
+		}()
 	}
+	decideOn(last)
 	wg.Wait()
 	for s := range results {
 		if err := results[s].err; err != nil {
@@ -545,7 +544,7 @@ type MachineQueue struct {
 	Depth   int    `json:"depth"`
 }
 
-// Stats snapshots the merged engine state through the shard loops. Once
+// Stats snapshots the merged engine state under the shards' turns. Once
 // draining it fails fast with ErrDraining rather than queueing behind the
 // (potentially long) drain commands — a metrics scrape must not stall on
 // shutdown.
@@ -579,7 +578,7 @@ func (c *Controller) Stats(ctx context.Context) (Snapshot, error) {
 }
 
 // ShardStats snapshots every shard: live census and clock through the
-// shard's decision loop, plus the lock-free router view (queue mass, free
+// shard's turn, plus the lock-free router view (queue mass, free
 // slots, per-class robustness estimates) and the shard's decision
 // counters. Fails fast with ErrDraining once a drain has begun.
 func (c *Controller) ShardStats(ctx context.Context) ([]ShardSnapshot, error) {
@@ -593,8 +592,8 @@ func (c *Controller) shardStats(ctx context.Context) (out []ShardSnapshot, names
 	if c.Draining() {
 		return nil, nil, ErrDraining
 	}
-	// Fan out like Drain does: a scrape pays the slowest shard's loop
-	// queue wait, not the sum across shards.
+	// Fan out like Drain does: a scrape pays the slowest shard's turn
+	// wait, not the sum across shards.
 	out = make([]ShardSnapshot, len(c.shards))
 	names = make([][]string, len(c.shards))
 	errs := make([]error, len(c.shards))
@@ -619,11 +618,10 @@ func (c *Controller) shardStats(ctx context.Context) (out []ShardSnapshot, names
 // rejected immediately, every shard's virtual system runs its queued work
 // to completion concurrently, and the merged trial Result (robustness,
 // drops, cost) is returned. Draining is committed the moment Drain is
-// first called: whatever happens to ctx afterwards, the drain commands are
-// enqueued (in the background if need be) and run to completion, so a
-// caller whose ctx expires still finds the result later through
-// FinalResult or another Drain call — and concurrent waiters can rely on
-// every loop terminating.
+// first called: whatever happens to ctx afterwards, every shard's drain
+// runs (in the background if need be) to completion, so a caller whose ctx
+// expires still finds the result later through FinalResult or another
+// Drain call — and concurrent waiters can rely on every shard stopping.
 func (c *Controller) Drain(ctx context.Context) (*sim.Result, error) {
 	c.mu.Lock()
 	first := !c.draining
@@ -632,19 +630,24 @@ func (c *Controller) Drain(ctx context.Context) (*sim.Result, error) {
 
 	if first {
 		c.log.Info("drain initiated", "shards", len(c.shards))
-		// The sends are unbounded-blocking by design: each loop is consuming
-		// its queue, so it always eventually accepts, and only this command
-		// can stop it. Goroutines decouple the waits from ctx and drain the
-		// shards concurrently.
-		for _, sh := range c.shards {
-			go func(sh *shard) { sh.cmds <- sh.drainCmd }(sh)
-		}
+		// Each drain waits for its shard's turn behind the operations already
+		// waiting, with no deadline: the holders always give the turn back,
+		// and only the drain stops the shard. Goroutines decouple the waits
+		// from ctx and drain the shards concurrently.
 		go func() {
 			parts := make([]*sim.Result, len(c.shards))
+			var wg sync.WaitGroup
 			for s, sh := range c.shards {
-				<-sh.loopDone // loop exit happens after drainCmd stored sh.final
-				parts[s] = sh.final
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = sh.do(context.Background(), func() {
+						sh.drainCmd()
+						parts[s] = sh.final
+					})
+				}()
 			}
+			wg.Wait()
 			merged := sim.MergeResults(parts, c.cl.NumMachines())
 			c.mu.Lock()
 			c.final = merged

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -13,11 +16,12 @@ import (
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
-// shard is one admission shard: a shard-scoped open engine owned by one
-// single-writer decision loop, plus the shard's operational counters and
-// its lock-free router view. It is the old single-engine controller's
-// concurrency unit, multiplied: all determinism arguments (decisions are a
-// pure function of the shard's request sequence) hold per shard.
+// shard is one admission shard: a shard-scoped open engine that one
+// goroutine at a time may touch — the holder of the shard's turn — plus the
+// shard's operational counters and its lock-free router view. It is the old
+// single-engine controller's concurrency unit, multiplied: all determinism
+// arguments (decisions are a pure function of the shard's request sequence)
+// hold per shard.
 type shard struct {
 	id      int
 	c       *Controller
@@ -28,22 +32,24 @@ type shard struct {
 	// sampling is off).
 	rec *telemetry.ShardRecorder
 
-	cmds     chan func()
-	loopDone chan struct{}
+	// turn is the shard's single-writer token, a 1-slot channel: whoever
+	// has a value in it holds the shard (do). Blocked senders queue in
+	// arrival order, so operations run in submission order.
+	turn chan struct{}
 
 	// liveMachines/removedMachines mirror the engine's membership census
-	// for lock-free scrapes; the loop refreshes them after every
+	// for lock-free scrapes; the turn's holder refreshes them after every
 	// membership operation (updateMembershipGauges).
 	liveMachines    atomic.Int64
 	removedMachines atomic.Int64
 
 	// jw is the shard's write-ahead log; nil when journaling is off.
-	// Written only by the shard loop (and recovery, before the loop
-	// starts); the writer synchronizes its background syncer internally.
+	// Written only under the turn (and by recovery, before New returns);
+	// the writer synchronizes its background syncer internally.
 	jw *journal.Writer
 	// journalFailed mirrors the writer's latched error (set by emit and
-	// commitJournal on the loop) so HTTP goroutines can read it: once true
-	// the shard refuses every state change with ErrJournalFailed.
+	// commitJournal under the turn) so HTTP goroutines can read it: once
+	// true the shard refuses every state change with ErrJournalFailed.
 	journalFailed atomic.Bool
 	// replay marks a shard walking a log (openReplay's offline one, or the
 	// served one while it recovers): emit queues its records in gen, for
@@ -51,7 +57,7 @@ type shard struct {
 	replay bool
 	gen    []journal.Record
 
-	// Loop-owned state: touched only by the goroutine running loop().
+	// Turn-owned state: touched only by the holder of the turn.
 	stopped bool
 	final   *sim.Result
 	// watermark is the highest cluster-wide sequence number this shard has
@@ -59,75 +65,81 @@ type shard struct {
 	// it so a restart never reissues a sequence number.
 	watermark int64
 	// recovered holds the ID-carrying sub-batches journal recovery
-	// re-derived; initJournal drains it into the dedup window before the
-	// loop starts.
+	// re-derived; initJournal drains it into the dedup window before New
+	// returns.
 	recovered []recoveredBatch
 }
 
-// loop is the shard's single writer: it executes submitted closures in
-// submission order until the drain command flips stopped.
-func (sh *shard) loop() {
-	defer close(sh.loopDone)
-	for fn := range sh.cmds {
-		fn()
-		if sh.stopped {
-			return
-		}
+// do runs fn on the caller's goroutine holding the shard's turn: it waits
+// for the turn behind the callers already waiting (giving up when ctx
+// ends), runs fn and gives the turn back. Once the drain has stopped the
+// shard it returns ErrDraining without running fn.
+func (sh *shard) do(ctx context.Context, fn func()) error {
+	select {
+	case sh.turn <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
+	if sh.stopped {
+		<-sh.turn
+		return ErrDraining
+	}
+	ran := false
+	defer func() {
+		if !ran {
+			if v := recover(); v != nil {
+				fatalPanic(sh.id, v)
+			}
+		}
+		<-sh.turn
+		if len(sh.turn) != 0 {
+			// The turn went straight to a waiter, readied onto this P's
+			// run-next slot, where it would wait — the shard idle — until
+			// this goroutine blocks or another P steals it. Yield to it.
+			runtime.Gosched()
+		}
+	}()
+	fn()
+	ran = true
+	return nil
 }
 
-// do runs fn on the shard's decision loop and waits for it to finish.
-func (sh *shard) do(ctx context.Context, fn func()) error {
-	done := make(chan struct{})
-	wrapped := func() { defer close(done); fn() }
-	select {
-	case sh.cmds <- wrapped:
-	case <-sh.loopDone:
-		return ErrDraining
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case <-done:
-		return nil
-	case <-sh.loopDone:
-		// The loop exited with wrapped still queued; it will never run.
-		select {
-		case <-done:
-			return nil
-		default:
-			return ErrDraining
-		}
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+// fatalPanic ends the process over a panic raised while holding shard id's
+// turn. The holder is usually an HTTP handler's goroutine, and net/http
+// recovers a handler's panic and keeps serving — here, on a shard left
+// halfway through an operation. A panic on a fresh goroutine, which nothing
+// recovers, ends the process instead; its message carries the original
+// stack.
+func fatalPanic(id int, v any) {
+	msg := fmt.Sprintf("service: shard %d panicked: %v\n\n%s", id, v, debug.Stack())
+	go func() { panic(msg) }()
+	select {}
 }
 
 // decide admits the request tasks selected by idxs (nil = all, the
 // single-shard fast path) through this shard's engine, writing each
 // decision into its request slot of resp. seqs carries the cluster-wide
 // sequence number per request index; traces the sampled in-flight traces
-// (nil when tracing is off — the loop then reads no clock for telemetry).
-// Returns the shard clock after the sub-batch, and ErrDraining if the
-// shard drained before processing.
+// (nil when tracing is off — no clock is then read for telemetry). Returns
+// the shard clock after the sub-batch, and ErrDraining if the shard drained
+// before its turn came.
 func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideResponse, idxs []int, seqs []int64, traces []*telemetry.Active) (pmf.Tick, error) {
 	var now pmf.Tick
-	var ferr error // why the loop refused or failed the sub-batch
-	committed := false
+	var ferr error // why the turn refused or failed the sub-batch
 	n := len(idxs)
 	if idxs == nil {
 		n = len(req.Tasks)
 	}
 	var submit time.Time
 	if traces != nil {
-		// Route span: origin (request receipt) to shard-loop submission.
+		// Route span: origin (request receipt) to asking for the turn.
 		submit = time.Now()
 		markRoute(traces, idxs, n, submit)
 	}
 	err := sh.do(ctx, func() {
-		if sh.stopped || ctx.Err() != nil {
-			// Drained, or the submitter already gave up: leave the engine
-			// untouched so the failed request has no effect.
+		if ferr = ctx.Err(); ferr != nil {
+			// The caller gave up while waiting: leave the engine untouched so
+			// the failed request has no effect.
 			return
 		}
 		if sh.journalFailed.Load() {
@@ -145,8 +157,7 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			return
 		}
 		if traces != nil {
-			// Wait span: submission until the single-writer loop picked the
-			// sub-batch up.
+			// Wait span: asking for the turn until holding it.
 			markSpans(traces, idxs, n, telemetry.StageWait, submit, time.Now())
 		}
 		sh.metrics.requests.Add(1)
@@ -181,7 +192,6 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			}
 		}
 		now = sh.eng.Now()
-		committed = true
 		if traces != nil && ferr == nil {
 			sh.finishTraces(resp, idxs, n, traces)
 		}
@@ -192,19 +202,10 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 	if ferr != nil {
 		return 0, ferr
 	}
-	if !committed {
-		// The closure skipped: either the submitter's ctx was cancelled as
-		// it ran (a client problem, not a server state) or the shard drained
-		// underneath it.
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return 0, ErrDraining
-	}
 	return now, nil
 }
 
-// admit is the one place an arrival changes a shard: the live loop calls it
+// admit is the one place an arrival changes a shard: the live decide calls it
 // on the task it just logged, apply — for crash recovery and offline replay
 // — on arriveTask of the record it read. It feeds the engine, assembles the
 // wire decision, folds the outcome into the router view and the shard's
@@ -321,14 +322,10 @@ func actionOf(st sim.Status) Action {
 	}
 }
 
-// snapshot reads the shard's live engine state through its decision loop;
-// names[i] is the name of snap.Machines[i], which is not on the wire.
+// snapshot reads the shard's live engine state under its turn; names[i]
+// is the name of snap.Machines[i], which is not on the wire.
 func (sh *shard) snapshot(ctx context.Context) (snap ShardSnapshot, names []string, err error) {
-	ok := false
 	err = sh.do(ctx, func() {
-		if sh.stopped {
-			return
-		}
 		snap = ShardSnapshot{
 			Shard:        sh.id,
 			Now:          sh.eng.Now(),
@@ -344,13 +341,9 @@ func (sh *shard) snapshot(ctx context.Context) (snap ShardSnapshot, names []stri
 		for _, ri := range sh.eng.RemovedMachines() {
 			snap.Removed = append(snap.Removed, sh.c.cl.Global(sh.id, ri))
 		}
-		ok = true
 	})
 	if err != nil {
 		return ShardSnapshot{}, nil, err
-	}
-	if !ok {
-		return ShardSnapshot{}, nil, ErrDraining
 	}
 	// Lock-free annotations: router view and shard counters.
 	snap.QueueMass = sh.view.QueueMass()
@@ -373,8 +366,8 @@ func (sh *shard) drain() {
 	sh.final = sh.eng.Drain()
 }
 
-// drainCmd drains the shard on the loop and stops it. Executed as the
-// loop's final command. The drain marker is an input, logged before the
+// drainCmd drains the shard and stops it: the last operation Drain runs
+// under the shard's turn. The drain marker is an input, logged before the
 // events it causes. With journaling on, a final checkpoint makes the log
 // self-contained — recovery after a graceful shutdown restores it and
 // replays nothing; killed before it, it replays the marker and drains again

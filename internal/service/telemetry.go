@@ -27,7 +27,7 @@ func eachTrace(traces []*telemetry.Active, idxs []int, n int, fn func(*telemetry
 }
 
 // markRoute closes the route span of every sampled trace in the
-// sub-batch: trace origin (request receipt) to shard-loop submission.
+// sub-batch: trace origin (request receipt) to asking for the shard's turn.
 func markRoute(traces []*telemetry.Active, idxs []int, n int, end time.Time) {
 	eachTrace(traces, idxs, n, func(a *telemetry.Active) {
 		a.Mark(telemetry.StageRoute, a.Origin(), end)
@@ -48,7 +48,7 @@ func extendSpans(traces []*telemetry.Active, idxs []int, n int, st telemetry.Sta
 
 // finishTraces seals the sub-batch's sampled traces after the commit:
 // marks the ack span, publishes each into the shard's ring and appends
-// its journal trace record. Runs on the decision loop.
+// its journal trace record. Runs under the shard's turn.
 func (sh *shard) finishTraces(resp *DecideResponse, idxs []int, n int, traces []*telemetry.Active) {
 	ackStart := time.Now()
 	eachIdx(idxs, n, func(i int) {
@@ -83,7 +83,7 @@ func (c *Controller) Traces() TraceSnapshot {
 // writeCalcMetrics renders the completion-time calculus' introspection
 // series, aggregated across the shard calculi (chain-trie effectiveness,
 // impulse-width distribution) plus the per-shard arena high-water gauge.
-// Reads only atomics — never goes through a decision loop.
+// Reads only atomics — never takes a shard's turn.
 func writeCalcMetrics(x *telemetry.Writer, c *Controller) {
 	var agg core.CalcStats
 	shardHW := make([]int64, len(c.shards))

@@ -118,7 +118,7 @@ type ReadyResponse struct {
 }
 
 // ShardSnapshot is one shard's entry in GET /v1/stats: the live engine
-// state read through the shard's decision loop, the lock-free router view
+// state read under the shard's turn, the lock-free router view
 // (queue mass, free slots, per-class robustness estimates), and the
 // shard's decision counters.
 type ShardSnapshot struct {

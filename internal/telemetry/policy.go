@@ -9,8 +9,8 @@ import (
 // TimedPolicy wraps a dropping policy to attribute its verdict time to
 // the dropper span of the shard's in-flight trace. It is a pure
 // pass-through — the verdict, and therefore every decision, is identical
-// with or without it — and it reads the recorder's loop-owned active
-// field, so it must run on the shard's decision loop (which the engine
+// with or without it — and it reads the recorder's turn-owned active
+// field, so it must run under the shard's turn (which the engine
 // guarantees: the dropper is only invoked from Feed/Drain).
 //
 // One admission triggers one Decide per machine per mapping event; Extend

@@ -18,10 +18,10 @@
 //     without reading a clock. A disabled tracer (every = 0) costs one
 //     predictable branch per request and zero allocations.
 //   - An Active trace is a single small allocation owned by the request's
-//     goroutine and then by the shard loop; stages record (start, end)
+//     goroutine and then by the shard's turn holder; stages record (start, end)
 //     offsets from one origin timestamp into a fixed array, no locks.
 //   - Completed traces are published into a per-shard lock-free ring of
-//     atomic pointers: the shard loop stores, scrapes load. No scrape can
+//     atomic pointers: the shard's turn holder stores, scrapes load. No scrape can
 //     ever stall a decision.
 //   - Tracing is observational by construction: it never influences
 //     routing, sequencing or the dropper verdict, so sampled and unsampled
@@ -42,11 +42,11 @@ import (
 type Stage uint8
 
 const (
-	// StageRoute covers request receipt to shard-loop submission:
+	// StageRoute covers request receipt to asking for the shard's turn:
 	// validation, sequence assignment and the router's shard pick.
 	StageRoute Stage = iota
-	// StageWait is the mailbox wait: submission until the shard's
-	// single-writer loop picks the sub-batch up.
+	// StageWait is the wait for the shard's turn: asking for it until
+	// holding it, behind the operations that asked first.
 	StageWait
 	// StageCalculus is the engine feed: clock advance, reactive sweep,
 	// the Eq. 1 completion-time chains and the mapping event.
@@ -58,8 +58,8 @@ const (
 	// StageJournal covers WAL record encoding and the commit (flush +
 	// fsync under SyncAlways) that makes the sub-batch durable.
 	StageJournal
-	// StageAck is the loop-side tail after durability: response slots are
-	// filled and the closure hands control back to the submitter.
+	// StageAck is the tail after durability, under the shard's turn:
+	// response slots are filled and the traces sealed.
 	StageAck
 	// StageProxy is the router tier's upstream hop: the proxied decide
 	// request leaving the front-end until the backend's response is decoded
@@ -157,8 +157,9 @@ func (t *Trace) Duration() time.Duration {
 }
 
 // Active is an in-flight trace. It is plain data owned by exactly one
-// goroutine at a time (the request goroutine until submission, the shard
-// loop after), so Mark and Extend need no synchronization.
+// goroutine at a time (the request goroutine until it asks for the shard's
+// turn, the turn's holder after), so Mark and Extend need no
+// synchronization.
 type Active struct {
 	seq    int64
 	origin time.Time
@@ -210,8 +211,8 @@ func (a *Active) Extend(st Stage, start, end time.Time) {
 	}
 }
 
-// ring is a lock-free bounded buffer of completed traces: a single shard
-// loop stores into successive slots, concurrent scrapes load. Readers may
+// ring is a lock-free bounded buffer of completed traces: one shard's
+// turn holder stores into successive slots, concurrent scrapes load. Readers may
 // observe a torn window across a wrap (a mix of generations), never a torn
 // trace.
 type ring struct {
@@ -249,21 +250,21 @@ var stageLatencyBuckets = []float64{
 // ShardRecorder is one shard's tracer endpoint. The active field makes
 // the in-flight trace visible to instrumentation nested inside the engine
 // feed (TimedPolicy) without threading it through the sim package: it is
-// written and read only by the shard's decision loop.
+// written and read only by the holder of the shard's turn.
 type ShardRecorder struct {
 	t      *Telemetry
 	ring   *ring
 	active *Active
 }
 
-// Begin installs a as the loop's in-flight trace (nested instrumentation
-// picks it up). Decision-loop-only.
+// Begin installs a as the shard's in-flight trace (nested instrumentation
+// picks it up). Turn holder only.
 func (r *ShardRecorder) Begin(a *Active) { r.active = a }
 
-// End clears the in-flight trace. Decision-loop-only.
+// End clears the in-flight trace. Turn holder only.
 func (r *ShardRecorder) End() { r.active = nil }
 
-// Active returns the loop's in-flight trace, nil outside a sampled feed.
+// Active returns the shard's in-flight trace, nil outside a sampled feed.
 func (r *ShardRecorder) Active() *Active { return r.active }
 
 // Finish seals a into an immutable Trace, feeds the per-stage latency
