@@ -10,12 +10,17 @@
 // The router polls each backend's /readyz and /v1/stats: a backend joins
 // the rotation once ready and its live load and per-class robustness
 // estimates feed the routing policy (-router hash|rr|mass|p2c; default
-// hash — task-class partitioning). Every proxied sub-request carries a
-// router-generated decision ID, so retrying a timed-out-but-committed
-// sub-batch against a journaling backend replays the original decisions
-// instead of double-admitting; a backend that stays down has its
+// hash — task-class partitioning). A backend that stays down has its
 // sub-batches rerouted to a survivor. Per-backend in-flight windows
 // (-window) shed excess load with 429 + Retry-After instead of queueing.
+//
+// The router holds no identity of its own: a sub-request's decision ID is
+// derived from the client's DecisionID, the backend and the slots it
+// carries, so a client's same-ID retry through a restarted router replays
+// the backends' journaled decisions when it splits the same way (-router
+// hash, rotation unchanged). Under rr / mass / p2c only the router's own
+// dedup window, lost on restart, protects a retry (internal/front, "Fault
+// model").
 //
 // Endpoints match hcserve: POST /v1/decide, POST /v1/drain (fleet drain,
 // merged Result), GET /v1/stats (per-backend rotation state), /healthz,
@@ -92,11 +97,7 @@ func main() {
 		Retries:     *retries,
 		Backoff:     *backoff,
 		TraceSample: *traceSample,
-		// Startup nanoseconds namespace the generated sub-request IDs so a
-		// router restart can never collide with IDs a previous incarnation
-		// left in the backends' dedup windows.
-		IDNonce: fmt.Sprintf("r%x", time.Now().UnixNano()),
-		Logger:  logger,
+		Logger:      logger,
 	})
 	if err != nil {
 		logger.Error("startup failed", "err", err)

@@ -11,14 +11,16 @@ import (
 )
 
 // backend is one shard-server process behind the router: its rotation
-// state, its in-flight window and the RemoteView the routing policy reads.
+// state, its in-flight window and the ShardView the routing policy reads.
 type backend struct {
 	id  int
 	url string
 	// view mirrors the backend's aggregate load and per-class robustness,
 	// fed by the poller from GET /v1/stats and between polls by the
-	// front's own admission observations.
-	view *router.RemoteView
+	// front's own admission observations. Policies read it lock-free; its
+	// writers (the poller, every decide) take mu: a ShardView has one
+	// writer by contract. SetDown is one atomic and needs no lock.
+	view *router.ShardView
 	// ready gates rotation membership: set by the poller when /readyz
 	// answers 200 ready, cleared by the poller or by a failed proxy.
 	ready atomic.Bool
@@ -67,7 +69,7 @@ func (b *backend) lastError() string {
 
 // poller drives one backend's rotation membership and routing view: every
 // Poll it checks /readyz, and while the backend is ready it refreshes the
-// RemoteView from /v1/stats (summing the backend's shard snapshots into
+// view from /v1/stats (summing the backend's shard snapshots into
 // one per-process load gauge). Polling uses plain one-shot requests — a
 // probe that fails should fail fast, not burn the client's retry budget.
 func (f *Front) poller(b *backend) {
@@ -127,7 +129,12 @@ func (f *Front) pollOnce(b *backend, probe *service.Client) {
 			}
 		}
 	}
-	b.view.ApplyStats(batch, queued, free, robustness)
+	b.mu.Lock()
+	b.view.SetLoad(batch, queued, free)
+	for class, p := range robustness {
+		b.view.SetClassRobustness(class, p)
+	}
+	b.mu.Unlock()
 	// A backend whose every shard has zero live machines (runtime removals)
 	// can only answer 429s: keep it in rotation — it is healthy and will
 	// recover on a revive — but steer routing away until machines return.

@@ -6,9 +6,9 @@
 // (sim.PartitionMachines, hcserve -partition k/K).
 //
 // The front reuses the in-process routing machinery wholesale: each
-// backend is represented by a router.RemoteView — the same lock-free
-// ShardView the shard loops publish, fed over HTTP from the backend's
-// /v1/stats instead of from a decision loop — so the rr/mass/p2c/hash
+// backend is represented by a router.ShardView — the same lock-free view
+// the shards publish, fed from the backend's /v1/stats and the front's own
+// admission observations instead of from a shard — so the rr/mass/p2c/hash
 // policies route across processes exactly as they route across in-process
 // shards. The default policy is "hash" (task-class partitioning): every
 // class consistently lands on one backend, which keeps each backend's
@@ -20,11 +20,20 @@
 // Backends are health-gated (GET /readyz, polled): a backend joins the
 // rotation only once ready and leaves it on the first failed proxy or
 // poll. A decide sub-batch that fails on its backend is rerouted once to
-// a surviving backend under a fresh decision ID. Every proxied request
-// carries a front-generated DecisionID, so the retry of a
-// timed-out-but-committed sub-batch replays the backend's journaled
-// original instead of double-admitting — at-least-once delivery with
-// exactly-once admission effects.
+// a surviving backend.
+//
+// The router keeps no identity of its own: a sub-request's decision ID is
+// derived from the client's DecisionID, the backend and the request slots
+// it carries (subID), so a retried sub-batch replays the backend's
+// journaled original, whichever router process forwards it. A client's
+// same-ID retry through a restarted router is therefore exactly-once when
+// it splits the same way — under "hash" while the rotation is unchanged;
+// under rr / mass / p2c only the router's own dedup window, lost on
+// restart, protects it. A reroute goes out under the survivor's ID; a
+// request that failed after some sub-batches committed spends its ID
+// (service.PartialCommit); a backend restarted from a crash remembers
+// about one journal segment of IDs. A request without a DecisionID is
+// keyed by a random token drawn in New and its request number.
 //
 // Bounded in-flight windows per backend shed load early: when every
 // routed backend is at its window, the front answers 429 with
@@ -33,7 +42,12 @@
 package front
 
 import (
+	"cmp"
 	"context"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -91,11 +105,6 @@ type Config struct {
 	// TraceSample stage-traces every Nth proxied request (route → proxy →
 	// ack); 0 disables.
 	TraceSample int
-	// IDNonce namespaces the front-generated sub-request decision IDs.
-	// Must differ between router restarts against the same backends (the
-	// CLI stamps startup nanoseconds) or stale dedup entries could answer
-	// new sub-requests.
-	IDNonce string
 	// HTTPClient is the transport for proxying and polling (default: a
 	// dedicated client; Timeout governs per-attempt deadlines).
 	HTTPClient *http.Client
@@ -122,9 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.Retries == 0 {
 		c.Retries = 2
 	}
-	if c.IDNonce == "" {
-		c.IDNonce = "front"
-	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{}
 	}
@@ -147,12 +153,13 @@ type Front struct {
 	log      *slog.Logger
 	metrics  *metrics
 
-	// seq numbers proxied requests front-locally (telemetry sampling);
-	// taskSeq numbers routed tasks (router.Task.Seq; from 0 with the
-	// process); subID numbers generated sub-request decision IDs.
+	// token and seq key a request that arrives without a DecisionID: a
+	// random token drawn in New and the request's number (seq also picks
+	// the traced requests); taskSeq numbers routed tasks (router.Task.Seq;
+	// from 0 with the process).
+	token   string
 	seq     atomic.Int64
 	taskSeq atomic.Int64
-	subID   atomic.Int64
 
 	mu       sync.Mutex
 	draining bool
@@ -196,6 +203,7 @@ func New(cfg Config) (*Front, error) {
 		log:     cfg.Logger,
 		dedup:   service.NewDedupWindow(service.DefaultDedupWindow),
 		metrics: newMetrics(),
+		token:   rand.Text(),
 		drained: make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
@@ -204,7 +212,7 @@ func New(cfg Config) (*Front, error) {
 		b := &backend{
 			id:     i,
 			url:    u,
-			view:   router.NewRemoteView(nt),
+			view:   router.NewShardView(nt),
 			window: make(chan struct{}, cfg.Window),
 		}
 		// Wall-clock staleness decay: a backend that stops being polled
@@ -220,9 +228,6 @@ func New(cfg Config) (*Front, error) {
 	}
 	return f, nil
 }
-
-// Matrix returns the served system's PET matrix.
-func (f *Front) Matrix() *pet.Matrix { return f.matrix }
 
 // Policy returns the resolved routing policy.
 func (f *Front) Policy() router.Policy { return f.policy }
@@ -253,7 +258,7 @@ func (f *Front) readySet() ([]*backend, []*router.ShardView) {
 	for _, b := range f.backends {
 		if b.ready.Load() {
 			ready = append(ready, b)
-			views = append(views, b.view.View())
+			views = append(views, b.view)
 		}
 	}
 	return ready, views
@@ -286,9 +291,18 @@ func (f *Front) Ready() bool {
 	return f.NumReady() > 0
 }
 
-// nextSubID generates a fresh decision ID for one proxied sub-request.
-func (f *Front) nextSubID() string {
-	return f.cfg.IDNonce + "-" + strconv.FormatInt(f.subID.Add(1), 10)
+// subID is the decision ID of the sub-request carrying slots idxs
+// (ascending) of the request keyed key to the backend at url: 120 bits of
+// SHA-256 over the three, length-prefixed, as 20 base64url characters.
+func subID(key, url string, idxs []int) string {
+	b := make([]byte, 0, 2*binary.MaxVarintLen64+len(key)+len(url)+2*len(idxs))
+	b = append(binary.AppendUvarint(b, uint64(len(key))), key...)
+	b = append(binary.AppendUvarint(b, uint64(len(url))), url...)
+	for _, i := range idxs {
+		b = binary.AppendUvarint(b, uint64(i))
+	}
+	sum := sha256.Sum256(b)
+	return base64.RawURLEncoding.EncodeToString(sum[:15])
 }
 
 // subBatch is one backend's slice of a decide request during fan-out.
@@ -319,6 +333,10 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	f.metrics.requests.Add(1)
 
 	seq := f.seq.Add(1) - 1
+	key := req.DecisionID
+	if key == "" {
+		key = f.token + strconv.FormatInt(seq, 10)
+	}
 	var act *telemetry.Active
 	var origin time.Time
 	if f.tel.Enabled() {
@@ -376,7 +394,7 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	nows := make([]pmf.Tick, len(subs))
 	proxy := func(k int) {
 		defer subs[k].b.release()
-		nows[k], errs[k] = f.proxy(ctx, req, resp, subs[k], ready)
+		nows[k], errs[k] = f.proxy(ctx, key, req, resp, subs[k], ready)
 	}
 	// Each sub-batch on a goroutine of its own but the last, which runs on
 	// the caller's.
@@ -391,28 +409,36 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	}
 	proxy(last)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	var err error
+	committed := false
+	for k := range subs {
+		if errs[k] != nil {
+			err = cmp.Or(err, errs[k])
+		} else {
+			committed = true
+			resp.Now = max(resp.Now, nows[k])
 		}
 	}
-	for _, now := range nows {
-		if now > resp.Now {
-			resp.Now = now
+	if err != nil {
+		if committed {
+			err = service.PartialCommit(err)
 		}
+		return nil, err
 	}
 
 	// Fold the outcomes into the per-backend robustness EWMAs — the
 	// between-polls routing signal (1 = the class got a slot, 0 = not).
-	for k := range subs {
-		for _, i := range subs[k].idxs {
+	for _, sb := range subs {
+		sb.b.mu.Lock()
+		for _, i := range sb.idxs {
 			p := 0.0
 			if resp.Decisions[i].Action == service.ActionMap {
 				p = 1.0
 			}
-			subs[k].b.view.ObserveAdmission(req.Tasks[i].Type, p)
+			sb.b.view.ObserveAdmission(req.Tasks[i].Type, p)
 			f.metrics.Count(resp.Decisions[i].Action)
 		}
+		sb.b.mu.Unlock()
 	}
 
 	if act != nil {
@@ -424,19 +450,19 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	return resp, nil
 }
 
-// proxy sends one sub-batch to its backend (the client retries transport
-// errors, 5xx and 429 with the SAME decision ID), and on final failure
-// marks the backend down and reroutes ONCE to another ready backend under
-// a fresh ID. Returns the sub-response's clock.
-func (f *Front) proxy(ctx context.Context, req *service.DecideRequest, resp *service.DecideResponse, sb subBatch, ready []*backend) (pmf.Tick, error) {
-	now, err := f.send(ctx, req, resp, sb.b, sb.idxs)
+// proxy sends one sub-batch of the request keyed key to its backend (the
+// client retries transport errors, 5xx and 429 with the SAME decision ID),
+// and on final failure marks the backend down and reroutes ONCE to another
+// ready backend, whose sub-ID differs. Returns the sub-response's clock.
+func (f *Front) proxy(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, sb subBatch, ready []*backend) (pmf.Tick, error) {
+	now, err := f.send(ctx, key, req, resp, sb.b, sb.idxs)
 	if err == nil {
 		return now, nil
 	}
 	f.markDown(sb.b, err)
 	// Reroute once: any other ready backend with window room takes over.
-	// A fresh decision ID is mandatory — the failed backend may yet commit
-	// the original sub-batch, and the two IDs must stay distinct.
+	// The backend is an input to the sub-ID, so the failed backend, which
+	// may yet commit the original sub-batch, and the survivor see two IDs.
 	for _, alt := range ready {
 		if alt == sb.b || !alt.ready.Load() {
 			continue
@@ -446,7 +472,7 @@ func (f *Front) proxy(ctx context.Context, req *service.DecideRequest, resp *ser
 		}
 		f.metrics.reroutes.Add(1)
 		f.log.Warn("rerouting sub-batch", "from_backend", sb.b.id, "to_backend", alt.id, "tasks", len(sb.idxs), "err", err)
-		now, rerr := f.send(ctx, req, resp, alt, sb.idxs)
+		now, rerr := f.send(ctx, key, req, resp, alt, sb.idxs)
 		alt.release()
 		if rerr != nil {
 			f.markDown(alt, rerr)
@@ -457,13 +483,14 @@ func (f *Front) proxy(ctx context.Context, req *service.DecideRequest, resp *ser
 	return 0, fmt.Errorf("%w: backend %d failed with no surviving backend to reroute to: %v", errUpstream, sb.b.id, err)
 }
 
-// send proxies idxs of req to backend b as one decide sub-request, encoded
-// straight from req's tasks, and decodes the returned decisions straight
-// into their request slots, stamped with the backend's index.
-func (f *Front) send(ctx context.Context, req *service.DecideRequest, resp *service.DecideResponse, b *backend, idxs []int) (pmf.Tick, error) {
+// send proxies idxs of req, keyed key, to backend b as one decide
+// sub-request, encoded straight from req's tasks, and decodes the returned
+// decisions straight into their request slots, stamped with the backend's
+// index.
+func (f *Front) send(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, b *backend, idxs []int) (pmf.Tick, error) {
 	b.proxied.Add(1)
 	t0 := time.Now()
-	now, n, err := f.client.Decide(ctx, b.url, f.nextSubID(), req.Tasks, idxs, resp.Decisions)
+	now, n, err := f.client.Decide(ctx, b.url, subID(key, b.url, idxs), req.Tasks, idxs, resp.Decisions)
 	f.metrics.upstream.Observe(time.Since(t0))
 	if err != nil {
 		return 0, err
@@ -578,16 +605,15 @@ type StatsResponse struct {
 func (f *Front) Stats() *StatsResponse {
 	st := &StatsResponse{Router: f.policy.Name()}
 	for _, b := range f.backends {
-		v := b.view.View()
 		st.Backends = append(st.Backends, BackendStatus{
 			Backend:   b.id,
 			URL:       b.url,
 			Ready:     b.ready.Load(),
-			Degraded:  v.Down(),
+			Degraded:  b.view.Down(),
 			Inflight:  b.inflight(),
 			Window:    cap(b.window),
-			QueueMass: v.QueueMass(),
-			FreeSlots: v.FreeSlots(),
+			QueueMass: b.view.QueueMass(),
+			FreeSlots: b.view.FreeSlots(),
 			Proxied:   b.proxied.Load(),
 			LastError: b.lastError(),
 		})

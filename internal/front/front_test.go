@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,7 +68,6 @@ func newFront(t testing.TB, urls []string, mutate func(*Config)) *Front {
 		Poll:     10 * time.Millisecond,
 		Timeout:  2 * time.Second,
 		Backoff:  time.Millisecond,
-		IDNonce:  fmt.Sprintf("test-%s", t.Name()),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -166,10 +166,10 @@ func TestFrontDeterministicAcrossRestarts(t *testing.T) {
 	// Same trace, same backends-per-partition, same routing policy: the
 	// decision sequence is reproducible (the hash router is stateless and
 	// the backends are deterministic engines).
-	run := func(nonce string) []service.Decision {
+	run := func() []service.Decision {
 		tr := testTrace(t, 200, 9)
 		urls := newBackends(t, 2)
-		f := newFront(t, urls, func(c *Config) { c.IDNonce = nonce })
+		f := newFront(t, urls, nil)
 		srv := httptest.NewServer(NewHandler(f))
 		defer srv.Close()
 		rep, err := service.Replay(context.Background(), srv.Client(), srv.URL, tr, service.ReplayConfig{BatchSize: 16})
@@ -178,10 +178,124 @@ func TestFrontDeterministicAcrossRestarts(t *testing.T) {
 		}
 		return rep.Decisions
 	}
-	a, b := run("nonce-a"), run("nonce-b")
+	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("decision sequences diverged across identical fleets")
 	}
+}
+
+// decideBody encodes trace tasks [lo, hi) as a decide request under id.
+func decideBody(t testing.TB, tr *workload.Trace, id string, lo, hi int) []byte {
+	t.Helper()
+	req := service.DecideRequest{DecisionID: id}
+	for _, task := range tr.Tasks[lo:hi] {
+		req.Tasks = append(req.Tasks, service.TaskSpec{ID: fmt.Sprintf("t%d", task.ID), Type: int(task.Type),
+			Arrival: task.Arrival, Deadline: task.Deadline, ExecByType: task.ExecByType})
+	}
+	body, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// postBody POSTs a decide body to srv and returns the status and reply.
+func postBody(t testing.TB, srv *httptest.Server, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := srv.Client().Post(srv.URL+"/v1/decide", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// TestRetryThroughRestartedRouter: a client's retry through a restarted
+// router, which has lost its own dedup window, splits the same way under
+// hash routing and so reaches every backend under the sub-IDs of the
+// original — byte-identical reply, nothing admitted twice.
+func TestRetryThroughRestartedRouter(t *testing.T) {
+	tr := testTrace(t, 40, 3)
+	urls, ctrls := newBackendControllers(t, 2)
+	requests := func() (n int64) {
+		for _, c := range ctrls {
+			shards, err := c.ShardStats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range shards {
+				n += sh.Requests
+			}
+		}
+		return n
+	}
+	body := decideBody(t, tr, "client-retry-1", 0, 16)
+	// Built the way hcrouter builds a router, once per process.
+	decide := func() []byte {
+		f := newFront(t, urls, nil)
+		defer f.Close()
+		srv := httptest.NewServer(NewHandler(f))
+		defer srv.Close()
+		code, data := postBody(t, srv, body)
+		if code != http.StatusOK {
+			t.Fatalf("decide: HTTP %d: %s", code, data)
+		}
+		return data
+	}
+
+	first := decide()
+	var out service.DecideResponse
+	if err := json.Unmarshal(first, &out); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, d := range out.Decisions {
+		seen[d.Backend] = true
+	}
+	if len(seen) != 2 {
+		t.Fatalf("vacuous: the batch went to backends %v, want both", seen)
+	}
+	fed := requests()
+	again := decide()
+	if !bytes.Equal(first, again) {
+		t.Fatalf("retry through a restarted router not byte-identical:\nfirst %s\nagain %s", first, again)
+	}
+	if got := requests(); got != fed {
+		t.Fatalf("the retry fed the backends again: %d sub-batches, want %d", got, fed)
+	}
+}
+
+// TestBackendViewConcurrentWriters: a backend's view has two writers — its
+// poller and every decide folding in its admissions — and lock-free
+// readers in the routing policy and Stats. Run under -race.
+func TestBackendViewConcurrentWriters(t *testing.T) {
+	tr := testTrace(t, 320, 4)
+	urls := newBackends(t, 2)
+	f := newFront(t, urls, func(c *Config) { c.Router = "p2c"; c.Poll = time.Millisecond })
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := w * 80; lo < (w+1)*80; lo += 8 {
+				req := service.DecideRequest{Tasks: make([]service.TaskSpec, 8)}
+				for i, task := range tr.Tasks[lo : lo+8] {
+					req.Tasks[i] = service.TaskSpec{Type: int(task.Type), Arrival: task.Arrival,
+						Deadline: task.Deadline, ExecByType: task.ExecByType}
+				}
+				if _, err := f.Decide(context.Background(), &req); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = f.Stats()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFrontIdempotentDuplicateBytes(t *testing.T) {
@@ -191,26 +305,12 @@ func TestFrontIdempotentDuplicateBytes(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(f))
 	defer srv.Close()
 
-	req := service.DecideRequest{DecisionID: "client-idem-1", Tasks: make([]service.TaskSpec, 8)}
-	for i, task := range tr.Tasks[:8] {
-		req.Tasks[i] = service.TaskSpec{ID: fmt.Sprintf("t%d", task.ID), Type: int(task.Type),
-			Arrival: task.Arrival, Deadline: task.Deadline, ExecByType: task.ExecByType}
-	}
-	post := func() (int, []byte) {
-		body, _ := json.Marshal(&req)
-		resp, err := srv.Client().Post(srv.URL+"/v1/decide", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, data
-	}
-	code, first := post()
+	body := decideBody(t, tr, "client-idem-1", 0, 8)
+	code, first := postBody(t, srv, body)
 	if code != http.StatusOK {
 		t.Fatalf("decide: HTTP %d: %s", code, first)
 	}
-	code, again := post()
+	code, again := postBody(t, srv, body)
 	if code != http.StatusOK {
 		t.Fatalf("duplicate decide: HTTP %d", code)
 	}

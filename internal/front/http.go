@@ -62,9 +62,11 @@ func (m *metrics) write(x *telemetry.Writer) {
 //
 // Client-supplied DecisionIDs are deduplicated at this tier exactly as a
 // single server would (service.DecideHandler): a retry replays the
-// originally acknowledged bytes. A failed fan-out acknowledged nothing and
-// releases the ID; the per-backend sub-IDs keep any upstream partial
-// commits idempotent independently.
+// originally acknowledged bytes. A fan-out that failed with nothing
+// committed releases the ID; one that failed after some sub-batches
+// committed spends it (409 on a retry). The sub-IDs are derived from the
+// request, so a retry through a restarted router that splits the same way
+// replays at the backends instead (see "Fault model").
 func NewHandler(f *Front) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/decide", service.DecideHandler("front", f.Decide, f.dedup, decideError, &f.metrics.rejected, nil))

@@ -157,7 +157,7 @@ func TestSeriesInventoryGolden(t *testing.T) {
 
 	t.Run("front", func(t *testing.T) {
 		urls, ctrls := newBackendControllers(t, 2)
-		f := newFront(t, urls, func(c *Config) { c.TraceSample = 1; c.IDNonce = "inv" })
+		f := newFront(t, urls, func(c *Config) { c.TraceSample = 1 })
 		srv := httptest.NewServer(NewHandler(f))
 		defer srv.Close()
 		driveInventoryTrace(t, srv, testTrace(t, 320, 2))

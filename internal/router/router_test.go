@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/hpcclab/taskdrop/internal/pmf"
 )
 
 func views(n int) []*ShardView {
@@ -313,5 +315,49 @@ func TestAllShardsDownStillRoutes(t *testing.T) {
 				t.Fatalf("%s returned out-of-range shard %d with all down", spec, got)
 			}
 		}
+	}
+}
+
+func TestClassHashDeterministicAndInRange(t *testing.T) {
+	p := NewClassHash(7)
+	vs := views(5)
+	for class := 0; class < 64; class++ {
+		first := p.Route(Task{Class: class}, vs)
+		if first < 0 || first >= len(vs) {
+			t.Fatalf("class %d routed to %d, outside [0,%d)", class, first, len(vs))
+		}
+		for i := 0; i < 10; i++ {
+			if got := p.Route(Task{Class: class, Arrival: pmf.Tick(i)}, vs); got != first {
+				t.Fatalf("class %d route changed: %d then %d (must be a pure function of the class)", class, first, got)
+			}
+		}
+	}
+}
+
+func TestClassHashSpreadsClasses(t *testing.T) {
+	p := NewClassHash(1)
+	vs := views(4)
+	counts := make([]int, 4)
+	for class := 0; class < 400; class++ {
+		counts[p.Route(Task{Class: class}, vs)]++
+	}
+	for s, n := range counts {
+		if n == 0 {
+			t.Fatalf("shard %d received no classes: %v", s, counts)
+		}
+	}
+}
+
+func TestClassHashSeedsDiffer(t *testing.T) {
+	a, b := NewClassHash(1), NewClassHash(2)
+	vs := views(8)
+	same := 0
+	for class := 0; class < 256; class++ {
+		if a.Route(Task{Class: class}, vs) == b.Route(Task{Class: class}, vs) {
+			same++
+		}
+	}
+	if same == 256 {
+		t.Fatal("seeds 1 and 2 produce identical class assignments")
 	}
 }

@@ -71,7 +71,7 @@ func newFrontTier(t *testing.T) decideTier {
 		urls[k] = srv.URL
 	}
 	f, err := front.New(front.Config{Backends: urls, Profile: "video", Poll: 10 * time.Millisecond,
-		Timeout: 5 * time.Second, IDNonce: t.Name()})
+		Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

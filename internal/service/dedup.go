@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -21,9 +22,11 @@ import (
 //     Committed entries are evicted FIFO once the window exceeds its
 //     capacity (a retry older than the window re-executes — by then the
 //     journal already holds the original, and the client gave up long ago).
-//   - poisoned: recovery found the ID's journaled batch torn by a crash
-//     (some arrivals re-applied, the rest lost), so neither replaying nor
-//     re-executing is safe; duplicates get a permanent error.
+//   - poisoned: the ID's request took effect in part — recovery found its
+//     journaled batch torn by a crash, or it failed after some of its
+//     sub-batches committed — so neither replaying nor re-executing is
+//     safe; duplicates get a permanent error (409), and the entry is
+//     evicted FIFO like a committed one.
 type DedupWindow struct {
 	mu      sync.Mutex
 	cap     int
@@ -41,6 +44,16 @@ type dedupEntry struct {
 	n    int    // task count of the original request
 	err  error  // permanent failure (poisoned entries)
 }
+
+// errPartialCommit marks a decide that failed after at least one of its
+// sub-batches committed: the request took effect in part, so DecideHandler
+// poisons its decision ID instead of releasing it.
+var errPartialCommit = errors.New("some sub-batches committed before the failure")
+
+// PartialCommit wraps the error of a decide that failed after at least one
+// of its sub-batches committed (a multi-shard Controller.Decide, a
+// multi-backend Front.Decide). The error's status mapping is unchanged.
+func PartialCommit(err error) error { return fmt.Errorf("%w (%w)", err, errPartialCommit) }
 
 // DefaultDedupWindow is the retained-response capacity of both tiers'
 // windows: a documented constant, not a setting.
@@ -81,19 +94,10 @@ func (e *dedupEntry) Await(ctx context.Context) (data []byte, n int, err error) 
 	}
 }
 
-// Commit stores the acknowledged response bytes for the ID and releases
-// any waiting duplicates. Owner-only.
-func (w *DedupWindow) Commit(id string, data []byte, n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e, ok := w.entries[id]
-	if !ok {
-		return
-	}
-	e.data, e.n = data, n
-	close(e.done)
-	w.retain(id)
-}
+// Commit stores the response bytes for the ID — its owner's acknowledged
+// response, or one journal recovery re-derived before serving — and
+// releases any waiting duplicates.
+func (w *DedupWindow) Commit(id string, data []byte, n int) { w.settle(id, data, n, nil) }
 
 // Fail abandons an in-flight ID after a clean error: the entry is removed
 // so a retry re-executes (an errored Decide left no state behind), and
@@ -110,32 +114,33 @@ func (w *DedupWindow) Fail(id string, err error) {
 	close(e.done)
 }
 
-// Seed installs a recovered response — journal recovery re-deriving the
-// decisions of a fully-journaled batch. Pre-serving only; not
-// concurrency-safe with live traffic.
-func (w *DedupWindow) Seed(id string, data []byte, n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.entries[id]; ok {
-		return
-	}
-	e := &dedupEntry{done: make(chan struct{}), data: data, n: n}
-	close(e.done)
-	w.entries[id] = e
-	w.retain(id)
+// Poison permanently fails an ID whose request took effect in part, so
+// neither replaying nor re-executing it is safe: recovery found its
+// journaled batch torn, or its owner failed after some of its sub-batches
+// committed. An in-flight owner's entry resolves with the error; an absent
+// ID is installed poisoned.
+func (w *DedupWindow) Poison(id string, err error) {
+	w.settle(id, nil, 0, fmt.Errorf("service: decision id %q: %w", id, err))
 }
 
-// Poison permanently fails an ID — recovery found its journaled batch
-// torn, so a retry must not re-execute. Pre-serving only.
-func (w *DedupWindow) Poison(id string, err error) {
+// settle resolves id — installing it if absent — with a response or a
+// permanent error, releases its waiting duplicates and queues it for FIFO
+// eviction. An ID already resolved keeps its first outcome.
+func (w *DedupWindow) settle(id string, data []byte, n int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.entries[id]; ok {
-		return
+	e, ok := w.entries[id]
+	if !ok {
+		e = &dedupEntry{done: make(chan struct{})}
+		w.entries[id] = e
 	}
-	e := &dedupEntry{done: make(chan struct{}), err: fmt.Errorf("service: decision id %q: %w", id, err)}
+	select {
+	case <-e.done:
+		return
+	default:
+	}
+	e.data, e.n, e.err = data, n, err
 	close(e.done)
-	w.entries[id] = e
 	w.retain(id)
 }
 

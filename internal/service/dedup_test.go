@@ -93,8 +93,8 @@ func TestDedupPoisonIsPermanent(t *testing.T) {
 
 func TestDedupSeedSkipsExistingAndServes(t *testing.T) {
 	w := NewDedupWindow(8)
-	w.Seed("a", []byte("original\n"), 2)
-	w.Seed("a", []byte("imposter\n"), 2)
+	w.Commit("a", []byte("original\n"), 2)
+	w.Commit("a", []byte("imposter\n"), 2)
 	dup, owner := w.Begin("a")
 	if owner {
 		t.Fatal("Begin on a seeded ID claims ownership")

@@ -139,7 +139,8 @@ func NewHandler(c *Controller) http.Handler {
 // owns execution and commits the exact bytes it acknowledges to dedup; a
 // duplicate waits out an in-flight owner and replays those bytes, or gets
 // 409 when the original was acknowledged for a different task count, failed
-// while the duplicate waited, or was found torn by recovery. A failed
+// while the duplicate waited, or took effect in part (torn by a crash, or
+// failed after some sub-batches committed: PartialCommit). Any other failed
 // decide left no state behind, so it releases the ID and a retry
 // re-executes. tier prefixes the handler's own error texts; fail maps a
 // decide error onto the tier's status; rejected counts bodies refused
@@ -181,7 +182,11 @@ func DecideHandler(
 		}
 		resp, err := decide(r.Context(), &req)
 		if err != nil {
-			if owner {
+			switch {
+			case !owner:
+			case errors.Is(err, errPartialCommit):
+				dedup.Poison(id, err)
+			default:
 				dedup.Fail(id, err)
 			}
 			fail(w, err)

@@ -105,6 +105,43 @@ func TestHTTPIdempotentDecisionIDs(t *testing.T) {
 	}
 }
 
+// TestPartialCommitPoisonsDecisionID: a batch that one shard committed and
+// another refused took effect in part, so its decision ID is spent — a
+// same-ID retry is refused with 409 instead of feeding the committed
+// shard's tasks a second time.
+func TestPartialCommitPoisonsDecisionID(t *testing.T) {
+	c := newShardedController(t, 2, "rr")
+	defer c.Close()
+	srv := newTestServerFor(t, c)
+	for g := range c.matrix.Machines() {
+		if s, _, _ := c.cl.Locate(g); s == 1 {
+			admin(t, c, AdminMachineRequest{Op: "remove", Machine: g})
+		}
+	}
+	// The removals landing between routing and shard 1's turn: rr still
+	// sends the batch's second task to shard 1.
+	c.shards[1].view.SetDown(false)
+
+	tr := testTrace(t, 8, 3)
+	req := DecideRequest{DecisionID: "partial", Tasks: make([]TaskSpec, 2)}
+	for i, task := range tr.Tasks[:2] {
+		req.Tasks[i] = TaskSpec{Type: int(task.Type), Arrival: task.Arrival, Deadline: task.Deadline, ExecByType: task.ExecByType}
+	}
+	if code, body := postDecide(t, srv, &req); code != http.StatusTooManyRequests {
+		t.Fatalf("batch over a degraded shard: HTTP %d (want 429): %s", code, body)
+	}
+	fed := c.shards[0].metrics.requests.Load()
+	if fed != 1 {
+		t.Fatalf("shard 0 fed %d sub-batches, want 1 (vacuous: nothing committed)", fed)
+	}
+	if code, body := postDecide(t, srv, &req); code != http.StatusConflict {
+		t.Fatalf("same-ID retry of a partly committed batch: HTTP %d (want 409): %s", code, body)
+	}
+	if got := c.shards[0].metrics.requests.Load(); got != fed {
+		t.Fatalf("the retry fed shard 0 again: %d sub-batches, want %d", got, fed)
+	}
+}
+
 // TestJournalReseedsDedupAfterCrash proves idempotency survives a process
 // crash: decision IDs acknowledged before a kill -9 are re-seeded from the
 // journal on recovery, and a post-restart retry returns the byte-identical

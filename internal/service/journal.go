@@ -301,7 +301,7 @@ func (c *Controller) seedDedup() {
 		// The encoding and trailing newline of the live ack path
 		// (DecideHandler), keeping a replayed duplicate byte-identical.
 		data := appendDecideResponse(nil, &DecideResponse{Now: m.now, Decisions: m.decisions})
-		c.dedup.Seed(id, append(data, '\n'), len(m.decisions))
+		c.dedup.Commit(id, append(data, '\n'), len(m.decisions))
 		seeded++
 	}
 	if seeded+poisoned > 0 {

@@ -69,6 +69,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -400,11 +401,12 @@ func (c *Controller) NumMachines() int { return c.cl.NumMachines() }
 // For a sequential client the whole sequence — routing included — is
 // deterministic.
 //
-// A request whose ctx is cancelled while still queued is skipped — an
-// errored Decide on a single shard leaves no state behind, so clients may
-// safely retry. A cancellation racing the processing itself, or an error
-// on one shard of a multi-shard batch, can commit a sub-batch the client
-// never saw; resubmitting after such a race double-feeds.
+// A sub-batch either commits or leaves its shard untouched (a request
+// whose ctx is cancelled while still queued is skipped; a journal failure,
+// which fed the engine but did not commit, stops admission until a
+// restart). When one shard of a multi-shard batch fails after another
+// committed, the error wraps PartialCommit and DecideHandler spends the
+// request's decision ID.
 func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideResponse, error) {
 	if req == nil || len(req.Tasks) == 0 {
 		return nil, fmt.Errorf("service: empty decide request")
@@ -490,13 +492,22 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	}
 	decideOn(last)
 	wg.Wait()
+	var err error
+	committed := false
 	for s := range results {
-		if err := results[s].err; err != nil {
-			return nil, err
+		switch {
+		case results[s].err != nil:
+			err = cmp.Or(err, results[s].err)
+		case len(byShard[s]) > 0:
+			committed = true
+			resp.Now = max(resp.Now, results[s].now)
 		}
-		if results[s].now > resp.Now {
-			resp.Now = results[s].now
+	}
+	if err != nil {
+		if committed {
+			err = PartialCommit(err)
 		}
+		return nil, err
 	}
 	return resp, nil
 }

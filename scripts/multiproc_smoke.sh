@@ -4,8 +4,10 @@
 # replay through the router to achieve robustness within tolerance of the
 # offline simulator, with zero duplicate-acked tasks, (2) a duplicated
 # decision-ID request to return the byte-identical original decisions,
-# (3) the router's /metrics to lint clean against the Prometheus text
-# grammar, and (4) on a fresh fleet, kill -9 of one backend mid-replay to
+# (3) the same request retried through a restarted router — which has
+# lost its own dedup window — to return those bytes again, the sub-requests
+# meeting their own IDs in the backends' windows, (4) the router's /metrics
+# to lint clean against the Prometheus text grammar, and (5) on a fresh fleet, kill -9 of one backend mid-replay to
 # shed its traffic onto the survivor — the retried replay must still
 # complete with zero duplicate acks.
 #
@@ -51,6 +53,10 @@ start_fleet() {
     B1_PID=$(start_backend "$B1" "$JDIR1" 1/2)
     wait_ready "$B0"
     wait_ready "$B1"
+    start_router
+}
+
+start_router() {
     "$BIN/hcrouter" -addr "$FRONT" -backends "http://$B0,http://$B1" \
         -profile "$PROFILE" -router hash -poll 100ms -retries 2 &
     ROUTER_PID=$!
@@ -81,6 +87,18 @@ if ! diff -u "$BIN/dup1.json" "$BIN/dup2.json"; then
     exit 1
 fi
 echo "duplicate decision-ID request is byte-identical"
+
+# The same request through a restarted router: its window is gone, but the
+# retry splits the same way under hash, so every sub-request meets its own
+# ID in a backend's window and the reply is the original's bytes.
+kill -TERM "$ROUTER_PID"; wait "$ROUTER_PID" 2>/dev/null || true
+start_router
+curl -sf -H 'Content-Type: application/json' -d "$req" "http://$FRONT/v1/decide" >"$BIN/dup3.json"
+if ! diff -u "$BIN/dup1.json" "$BIN/dup3.json"; then
+    echo "FAIL: the retry through a restarted router was admitted again" >&2
+    exit 1
+fi
+echo "retry through a restarted router is byte-identical"
 
 out=$("$BIN/hcload" -addr "http://$FRONT" -profile "$PROFILE" \
     -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" -retries 2)
@@ -127,4 +145,4 @@ up=$(curl -sf "http://$FRONT/metrics" | awk '/^taskdrop_router_backend_up{backen
 [ "$up" = "0" ] || { echo "FAIL: killed backend still marked up ($up)" >&2; exit 1; }
 echo "router marked the killed backend down; survivor carried the load"
 
-echo "OK: replay within ${TOL}pp of offline, idempotent duplicates, clean metrics, zero duplicate acks through a backend kill"
+echo "OK: replay within ${TOL}pp of offline, idempotent duplicates (across a router restart too), clean metrics, zero duplicate acks through a backend kill"
