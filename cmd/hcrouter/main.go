@@ -7,20 +7,20 @@
 //	hcserve -addr :8082 -partition 1/2 -journal-dir /var/lib/taskdrop/b1 &
 //	hcrouter -addr :8080 -backends http://127.0.0.1:8081,http://127.0.0.1:8082
 //
-// The router polls each backend's /readyz and /v1/stats: a backend joins
-// the rotation once ready and its live load and per-class robustness
-// estimates feed the routing policy (-router hash|rr|mass|p2c; default
-// hash — task-class partitioning). A backend that stays down has its
-// sub-batches rerouted to a survivor. Per-backend in-flight windows
-// (-window) shed excess load with 429 + Retry-After instead of queueing.
+// The router partitions by task class: every task of a class goes to the
+// class's home backend (-router hash[:seed=N], the only spec accepted), and
+// to the next backend up only while that home is down. It polls each
+// backend's /readyz, and /v1/stats for one bit — every shard of the
+// backend has zero live machines — and mirrors no backend load. A backend
+// that fails mid-request has its sub-batches rerouted to a survivor.
+// Per-backend in-flight windows (-window) shed excess load with 429 +
+// Retry-After instead of queueing.
 //
 // The router holds no identity of its own: a sub-request's decision ID is
 // derived from the client's DecisionID, the backend and the slots it
 // carries, so a client's same-ID retry through a restarted router replays
-// the backends' journaled decisions when it splits the same way (-router
-// hash, rotation unchanged). Under rr / mass / p2c only the router's own
-// dedup window, lost on restart, protects a retry (internal/front, "Fault
-// model").
+// the backends' journaled decisions while its classes' home backends are
+// up (internal/front, "Fault model").
 //
 // Endpoints match hcserve: POST /v1/decide, POST /v1/drain (fleet drain,
 // merged Result), GET /v1/stats (per-backend rotation state), /healthz,
@@ -52,7 +52,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		backends    = flag.String("backends", "", "comma-separated backend base URLs (required), e.g. http://127.0.0.1:8081,http://127.0.0.1:8082")
 		profileSpec = flag.String("profile", "spec", "system profile spec; must match every backend's")
-		routerSpec  = flag.String("router", "hash", "backend-routing policy spec: hash | rr | mass | p2c[:seed=..]")
+		routerSpec  = flag.String("router", "hash", "backend-routing policy spec; the router partitions by task class: hash[:seed=N] only")
 		window      = flag.Int("window", 32, "max in-flight decide sub-requests per backend (excess sheds with 429)")
 		poll        = flag.Duration("poll", 250*time.Millisecond, "backend health/stats polling period")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-attempt upstream request timeout")
@@ -107,7 +107,7 @@ func main() {
 
 	logger.Info("routing",
 		"profile", *profileSpec,
-		"router", f.Policy().Name(),
+		"router", *routerSpec,
 		"backends", len(urls),
 		"window", *window,
 		"addr", *addr)

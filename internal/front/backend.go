@@ -15,11 +15,9 @@ import (
 type backend struct {
 	id  int
 	url string
-	// view mirrors the backend's aggregate load and per-class robustness,
-	// fed by the poller from GET /v1/stats and between polls by the
-	// front's own admission observations. Policies read it lock-free; its
-	// writers (the poller, every decide) take mu: a ShardView has one
-	// writer by contract. SetDown is one atomic and needs no lock.
+	// view carries the one bit routing reads: down — not ready, or every
+	// shard of the backend has zero live machines. Down from New until the
+	// first good poll; written by the poller and markDown, read lock-free.
 	view *router.ShardView
 	// ready gates rotation membership: set by the poller when /readyz
 	// answers 200 ready, cleared by the poller or by a failed proxy.
@@ -68,10 +66,10 @@ func (b *backend) lastError() string {
 }
 
 // poller drives one backend's rotation membership and routing view: every
-// Poll it checks /readyz, and while the backend is ready it refreshes the
-// view from /v1/stats (summing the backend's shard snapshots into
-// one per-process load gauge). Polling uses plain one-shot requests — a
-// probe that fails should fail fast, not burn the client's retry budget.
+// Poll it checks /readyz, and while the backend is ready it reads
+// /v1/stats for whether the backend is degraded. Polling uses plain
+// one-shot requests — a probe that fails should fail fast, not burn the
+// client's retry budget.
 func (f *Front) poller(b *backend) {
 	defer f.pollWG.Done()
 	probe := service.NewClient(f.cfg.HTTPClient, service.ClientConfig{Timeout: f.cfg.Timeout})
@@ -113,31 +111,15 @@ func (f *Front) pollOnce(b *backend, probe *service.Client) {
 		}
 		return
 	}
-	var batch, queued, free int
-	degraded := len(stats.Shards) > 0
-	robustness := make([]float64, f.matrix.NumTaskTypes())
-	for _, sh := range stats.Shards {
-		batch += sh.Live.Batch
-		queued += sh.Live.Queued + sh.Live.Running // in machine queues, as sim.Engine.PublishLoad counts them
-		free += int(sh.FreeSlots)
-		if sh.LiveMachines > 0 {
-			degraded = false
-		}
-		for c := range robustness {
-			if c < len(sh.Robustness) {
-				robustness[c] += sh.Robustness[c] / float64(len(stats.Shards))
-			}
-		}
-	}
-	b.mu.Lock()
-	b.view.SetLoad(batch, queued, free)
-	for class, p := range robustness {
-		b.view.SetClassRobustness(class, p)
-	}
-	b.mu.Unlock()
 	// A backend whose every shard has zero live machines (runtime removals)
 	// can only answer 429s: keep it in rotation — it is healthy and will
 	// recover on a revive — but steer routing away until machines return.
+	degraded := len(stats.Shards) > 0
+	for _, sh := range stats.Shards {
+		if sh.LiveMachines > 0 {
+			degraded = false
+		}
+	}
 	b.view.SetDown(degraded)
 	b.setErr(nil)
 	if b.ready.CompareAndSwap(false, true) {

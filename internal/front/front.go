@@ -5,15 +5,17 @@
 // each owning one disjoint machine partition of the profile
 // (sim.PartitionMachines, hcserve -partition k/K).
 //
-// The front reuses the in-process routing machinery wholesale: each
-// backend is represented by a router.ShardView — the same lock-free view
-// the shards publish, fed from the backend's /v1/stats and the front's own
-// admission observations instead of from a shard — so the rr/mass/p2c/hash
-// policies route across processes exactly as they route across in-process
-// shards. The default policy is "hash" (task-class partitioning): every
-// class consistently lands on one backend, which keeps each backend's
-// per-class robustness EWMAs and queue state meaningful and makes a
-// sequential client's routing independent of poll timing.
+// The router tier partitions by task class and nothing else
+// (router.ClassHash, spec hash[:seed=N]; New refuses any other policy).
+// The paper's calculus is local to a machine queue — Eq. 1 depends only on
+// the queues a task may run on — so any partition of the machines keeps
+// the dropping decisions right, and class hashing is the one that keeps a
+// retry's split equal to its original's. Each backend has a
+// router.ShardView that carries one bit: down, meaning not ready or
+// degraded (every shard of the backend has zero live machines). A class
+// routes to its home backend, the hash of the class modulo the number of
+// backends, and moves to the next backend up only while its home is down.
+// The router mirrors no backend load; each backend exports its own.
 //
 // # Fault model
 //
@@ -26,14 +28,13 @@
 // derived from the client's DecisionID, the backend and the request slots
 // it carries (subID), so a retried sub-batch replays the backend's
 // journaled original, whichever router process forwards it. A client's
-// same-ID retry through a restarted router is therefore exactly-once when
-// it splits the same way — under "hash" while the rotation is unchanged;
-// under rr / mass / p2c only the router's own dedup window, lost on
-// restart, protects it. A reroute goes out under the survivor's ID; a
-// request that failed after some sub-batches committed spends its ID
-// (service.PartialCommit); a backend restarted from a crash remembers
-// about one journal segment of IDs. A request without a DecisionID is
-// keyed by a random token drawn in New and its request number.
+// same-ID retry through a restarted router is therefore exactly-once while
+// the home backends of its classes are up, as they were for the original.
+// A reroute goes out under the survivor's ID; a request that failed after
+// some sub-batches committed spends its ID (service.FanOut marks it); a
+// backend restarted from a crash remembers about one journal segment of
+// IDs. A request without a DecisionID is keyed by a random token drawn in
+// New and its request number.
 //
 // Bounded in-flight windows per backend shed load early: when every
 // routed backend is at its window, the front answers 429 with
@@ -42,7 +43,6 @@
 package front
 
 import (
-	"cmp"
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -87,8 +86,9 @@ type Config struct {
 	// Profile is the system profile spec; it must match every backend's
 	// (validated against each backend's /healthz on the first poll).
 	Profile string
-	// Router is the backend-routing policy spec (internal/router grammar);
-	// default "hash" — task-class partitioning.
+	// Router is the backend-routing policy spec; the class-hash spec
+	// hash[:seed=N] (internal/router grammar) is the only one accepted.
+	// Default "hash".
 	Router string
 	// Window bounds in-flight decide sub-requests per backend (default 32).
 	Window int
@@ -145,21 +145,21 @@ func (c Config) withDefaults() Config {
 type Front struct {
 	cfg      Config
 	matrix   *pet.Matrix
-	policy   router.Policy
+	policy   router.ClassHash
 	backends []*backend
-	client   *service.Client
-	dedup    *service.DedupWindow
-	tel      *telemetry.Telemetry
-	log      *slog.Logger
-	metrics  *metrics
+	// views are the backends' views in backend order, the policy's input.
+	views   []*router.ShardView
+	client  *service.Client
+	dedup   *service.DedupWindow
+	tel     *telemetry.Telemetry
+	log     *slog.Logger
+	metrics *metrics
 
 	// token and seq key a request that arrives without a DecisionID: a
 	// random token drawn in New and the request's number (seq also picks
-	// the traced requests); taskSeq numbers routed tasks (router.Task.Seq;
-	// from 0 with the process).
-	token   string
-	seq     atomic.Int64
-	taskSeq atomic.Int64
+	// the traced requests).
+	token string
+	seq   atomic.Int64
 
 	mu       sync.Mutex
 	draining bool
@@ -184,9 +184,13 @@ func New(cfg Config) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy, err := router.FromSpec(cfg.Router)
+	p, err := router.FromSpec(cfg.Router)
 	if err != nil {
 		return nil, err
+	}
+	policy, ok := p.(router.ClassHash)
+	if !ok {
+		return nil, fmt.Errorf("front: routing policy %q: the router tier partitions by task class: hash[:seed=N]", cfg.Router)
 	}
 	if cfg.Window < 1 {
 		return nil, fmt.Errorf("front: window %d, want >= 1", cfg.Window)
@@ -207,20 +211,16 @@ func New(cfg Config) (*Front, error) {
 		drained: make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
-	nt := matrix.NumTaskTypes()
 	for i, u := range cfg.Backends {
 		b := &backend{
 			id:     i,
 			url:    u,
-			view:   router.NewShardView(nt),
+			view:   router.NewShardView(0), // the down bit only
 			window: make(chan struct{}, cfg.Window),
 		}
-		// Wall-clock staleness decay: a backend that stops being polled
-		// successfully (outage, crash) must not keep winning p2c on its
-		// frozen last-good estimates. Half-life of four poll periods — a
-		// couple of missed polls and the estimate is sliding to neutral.
-		b.view.EnableDecay((4 * cfg.Poll).Milliseconds(), func() int64 { return time.Now().UnixMilli() })
+		b.view.SetDown(true) // until its first good poll
 		f.backends = append(f.backends, b)
+		f.views = append(f.views, b.view)
 	}
 	for _, b := range f.backends {
 		f.pollWG.Add(1)
@@ -228,9 +228,6 @@ func New(cfg Config) (*Front, error) {
 	}
 	return f, nil
 }
-
-// Policy returns the resolved routing policy.
-func (f *Front) Policy() router.Policy { return f.policy }
 
 // Dedup returns the front's idempotency window.
 func (f *Front) Dedup() *service.DedupWindow { return f.dedup }
@@ -248,20 +245,6 @@ func (f *Front) Draining() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.draining
-}
-
-// readySet snapshots the backends currently in rotation, with their views
-// in matching order for the routing policy.
-func (f *Front) readySet() ([]*backend, []*router.ShardView) {
-	ready := make([]*backend, 0, len(f.backends))
-	views := make([]*router.ShardView, 0, len(f.backends))
-	for _, b := range f.backends {
-		if b.ready.Load() {
-			ready = append(ready, b)
-			views = append(views, b.view)
-		}
-	}
-	return ready, views
 }
 
 // NumReady returns how many backends are currently in rotation.
@@ -305,17 +288,12 @@ func subID(key, url string, idxs []int) string {
 	return base64.RawURLEncoding.EncodeToString(sum[:15])
 }
 
-// subBatch is one backend's slice of a decide request during fan-out.
-type subBatch struct {
-	b    *backend
-	idxs []int // request-order indexes routed to this backend
-}
-
-// Decide validates and routes one decide batch across the ready backends,
-// proxies the per-backend sub-batches concurrently (with retry and
-// one-shot reroute), and merges the decisions back into request order.
-// Decision sequence numbers are per backend: behind the router a
-// decision's identity is (Backend, Seq).
+// Decide validates one decide batch, routes each task to its class's home
+// backend (or the next one up while the home is down), proxies the
+// per-backend sub-batches concurrently (with retry and one-shot reroute),
+// and merges the decisions back into request order. Decision sequence
+// numbers are per backend: behind the router a decision's identity is
+// (Backend, Seq).
 func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*service.DecideResponse, error) {
 	if req == nil || len(req.Tasks) == 0 {
 		return nil, fmt.Errorf("front: empty decide request")
@@ -344,42 +322,31 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 		act = f.tel.Begin(seq, origin)
 	}
 
-	ready, views := f.readySet()
-	if len(ready) == 0 {
+	if f.NumReady() == 0 {
 		return nil, ErrNoBackends
 	}
 
-	// Route every task over the ready set (deterministic for a sequential
-	// client under a fixed rotation), then group into per-backend
-	// sub-batches preserving request order.
-	byBackend := make([][]int, len(ready))
-	n := int64(len(req.Tasks))
-	base := f.taskSeq.Add(n) - n
+	// Route every task over the whole fleet, not the backends in rotation,
+	// so a class leaves its home only while that home is down; then group
+	// into per-backend sub-batches preserving request order.
+	byBackend := make([][]int, len(f.backends))
 	for i := range req.Tasks {
-		t := &req.Tasks[i]
-		s := 0
-		if len(ready) > 1 {
-			s = f.policy.Route(router.Task{Seq: base + int64(i), Class: t.Type, Arrival: t.Arrival, Deadline: t.Deadline}, views)
-		}
+		s := f.policy.Route(router.Task{Class: req.Tasks[i].Type}, f.views)
 		byBackend[s] = append(byBackend[s], i)
-	}
-	var subs []subBatch
-	for s, idxs := range byBackend {
-		if len(idxs) > 0 {
-			subs = append(subs, subBatch{b: ready[s], idxs: idxs})
-		}
 	}
 
 	// One window token per involved backend, acquired non-blocking: if any
 	// backend is saturated, shed the whole request now (429) rather than
 	// block behind it.
-	for i, sb := range subs {
-		if !sb.b.tryAcquire() {
-			for _, held := range subs[:i] {
-				held.b.release()
+	for s, idxs := range byBackend {
+		if len(idxs) > 0 && !f.backends[s].tryAcquire() {
+			for held := range s {
+				if len(byBackend[held]) > 0 {
+					f.backends[held].release()
+				}
 			}
 			f.metrics.shed.Add(1)
-			return nil, fmt.Errorf("%w (backend %d)", ErrWindowFull, sb.b.id)
+			return nil, fmt.Errorf("%w (backend %d)", ErrWindowFull, s)
 		}
 	}
 
@@ -390,55 +357,16 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	}
 
 	resp := &service.DecideResponse{Decisions: make([]service.Decision, len(req.Tasks))}
-	errs := make([]error, len(subs))
-	nows := make([]pmf.Tick, len(subs))
-	proxy := func(k int) {
-		defer subs[k].b.release()
-		nows[k], errs[k] = f.proxy(ctx, key, req, resp, subs[k], ready)
-	}
-	// Each sub-batch on a goroutine of its own but the last, which runs on
-	// the caller's.
-	var wg sync.WaitGroup
-	last := len(subs) - 1
-	for k := range last {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			proxy(k)
-		}()
-	}
-	proxy(last)
-	wg.Wait()
-	var err error
-	committed := false
-	for k := range subs {
-		if errs[k] != nil {
-			err = cmp.Or(err, errs[k])
-		} else {
-			committed = true
-			resp.Now = max(resp.Now, nows[k])
-		}
-	}
+	now, err := service.FanOut(byBackend, func(s int) (pmf.Tick, error) {
+		defer f.backends[s].release()
+		return f.proxy(ctx, key, req, resp, f.backends[s], byBackend[s])
+	})
 	if err != nil {
-		if committed {
-			err = service.PartialCommit(err)
-		}
 		return nil, err
 	}
-
-	// Fold the outcomes into the per-backend robustness EWMAs — the
-	// between-polls routing signal (1 = the class got a slot, 0 = not).
-	for _, sb := range subs {
-		sb.b.mu.Lock()
-		for _, i := range sb.idxs {
-			p := 0.0
-			if resp.Decisions[i].Action == service.ActionMap {
-				p = 1.0
-			}
-			sb.b.view.ObserveAdmission(req.Tasks[i].Type, p)
-			f.metrics.Count(resp.Decisions[i].Action)
-		}
-		sb.b.mu.Unlock()
+	resp.Now = now
+	for i := range resp.Decisions {
+		f.metrics.Count(resp.Decisions[i].Action)
 	}
 
 	if act != nil {
@@ -450,37 +378,37 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	return resp, nil
 }
 
-// proxy sends one sub-batch of the request keyed key to its backend (the
-// client retries transport errors, 5xx and 429 with the SAME decision ID),
-// and on final failure marks the backend down and reroutes ONCE to another
-// ready backend, whose sub-ID differs. Returns the sub-response's clock.
-func (f *Front) proxy(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, sb subBatch, ready []*backend) (pmf.Tick, error) {
-	now, err := f.send(ctx, key, req, resp, sb.b, sb.idxs)
+// proxy sends slots idxs of the request keyed key to backend b (the client
+// retries transport errors, 5xx and 429 with the SAME decision ID), and on
+// final failure marks b down and reroutes ONCE to another ready backend,
+// whose sub-ID differs. Returns the sub-response's clock.
+func (f *Front) proxy(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, b *backend, idxs []int) (pmf.Tick, error) {
+	now, err := f.send(ctx, key, req, resp, b, idxs)
 	if err == nil {
 		return now, nil
 	}
-	f.markDown(sb.b, err)
+	f.markDown(b, err)
 	// Reroute once: any other ready backend with window room takes over.
 	// The backend is an input to the sub-ID, so the failed backend, which
 	// may yet commit the original sub-batch, and the survivor see two IDs.
-	for _, alt := range ready {
-		if alt == sb.b || !alt.ready.Load() {
+	for _, alt := range f.backends {
+		if alt == b || !alt.ready.Load() {
 			continue
 		}
 		if !alt.tryAcquire() {
 			continue
 		}
 		f.metrics.reroutes.Add(1)
-		f.log.Warn("rerouting sub-batch", "from_backend", sb.b.id, "to_backend", alt.id, "tasks", len(sb.idxs), "err", err)
-		now, rerr := f.send(ctx, key, req, resp, alt, sb.idxs)
+		f.log.Warn("rerouting sub-batch", "from_backend", b.id, "to_backend", alt.id, "tasks", len(idxs), "err", err)
+		now, rerr := f.send(ctx, key, req, resp, alt, idxs)
 		alt.release()
 		if rerr != nil {
 			f.markDown(alt, rerr)
-			return 0, fmt.Errorf("%w: backend %d failed (%v); reroute to %d failed: %v", errUpstream, sb.b.id, err, alt.id, rerr)
+			return 0, fmt.Errorf("%w: backend %d failed (%v); reroute to %d failed: %v", errUpstream, b.id, err, alt.id, rerr)
 		}
 		return now, nil
 	}
-	return 0, fmt.Errorf("%w: backend %d failed with no surviving backend to reroute to: %v", errUpstream, sb.b.id, err)
+	return 0, fmt.Errorf("%w: backend %d failed with no surviving backend to reroute to: %v", errUpstream, b.id, err)
 }
 
 // send proxies idxs of req, keyed key, to backend b as one decide
@@ -504,9 +432,8 @@ func (f *Front) send(ctx context.Context, key string, req *service.DecideRequest
 	return now, nil
 }
 
-// markDown removes a backend from rotation until its poller sees it ready
-// again, and flips its routing view down so policies steer away from it
-// immediately (not just after the next readySet snapshot).
+// markDown removes a backend from rotation, and its classes to the next
+// backend up, until its poller sees it ready again.
 func (f *Front) markDown(b *backend, err error) {
 	if b.ready.CompareAndSwap(true, false) {
 		f.log.Warn("backend down", "backend", b.id, "url", b.url, "err", err)
@@ -581,15 +508,12 @@ type BackendStatus struct {
 	Backend int    `json:"backend"`
 	URL     string `json:"url"`
 	Ready   bool   `json:"ready"`
-	// Degraded mirrors the routing view's down bit: the backend is
-	// unreachable or every shard it serves has zero live machines.
+	// Degraded mirrors the routing view's down bit: the backend is not
+	// ready (unreachable, booting, never polled) or every shard it serves
+	// has zero live machines.
 	Degraded bool `json:"degraded,omitempty"`
 	Inflight int  `json:"inflight"`
 	Window   int  `json:"window"`
-	// QueueMass and FreeSlots mirror the backend's last-polled aggregate
-	// load gauges — what the routing policy currently sees.
-	QueueMass int64 `json:"queue_mass"`
-	FreeSlots int64 `json:"free_slots"`
 	// Proxied counts decide sub-requests sent to this backend.
 	Proxied   int64  `json:"proxied_requests"`
 	LastError string `json:"last_error,omitempty"`
@@ -612,12 +536,9 @@ func (f *Front) Stats() *StatsResponse {
 			Degraded:  b.view.Down(),
 			Inflight:  b.inflight(),
 			Window:    cap(b.window),
-			QueueMass: b.view.QueueMass(),
-			FreeSlots: b.view.FreeSlots(),
 			Proxied:   b.proxied.Load(),
 			LastError: b.lastError(),
 		})
 	}
-	sort.Slice(st.Backends, func(i, j int) bool { return st.Backends[i].Backend < st.Backends[j].Backend })
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/taskdrop/internal/pet"
+	"github.com/hpcclab/taskdrop/internal/router"
 	"github.com/hpcclab/taskdrop/internal/service"
 	"github.com/hpcclab/taskdrop/internal/telemetry"
 	"github.com/hpcclab/taskdrop/internal/workload"
@@ -126,39 +128,145 @@ func TestFrontReplayAcrossPartitions(t *testing.T) {
 	}
 }
 
-// TestFrontQueueMassCountsRunningTasks: the load the router tier routes
-// and reports by is the load each backend publishes for itself — batch plus
-// everything in machine queues, the running heads included — not a lighter
-// reading that forgets up to one task per machine.
-func TestFrontQueueMassCountsRunningTasks(t *testing.T) {
+// TestFrontRoutesByClassOnly: the router tier refuses every policy but
+// the class hash, naming the rule.
+func TestFrontRoutesByClassOnly(t *testing.T) {
+	urls := newBackends(t, 1)
+	for _, spec := range []string{"rr", "mass", "p2c", "p2c:seed=3"} {
+		_, err := New(Config{Backends: urls, Profile: "video", Router: spec})
+		if err == nil || !strings.Contains(err.Error(), "the router tier partitions by task class: hash[:seed=N]") {
+			t.Errorf("Router %q: err = %v, want the class-hash rule", spec, err)
+		}
+	}
+	for _, spec := range []string{"", "hash", "hash:seed=3"} {
+		f, err := New(Config{Backends: urls, Profile: "video", Router: spec})
+		if err != nil {
+			t.Fatalf("Router %q: %v", spec, err)
+		}
+		f.Close()
+	}
+}
+
+// decideTasks decides trace tasks [lo, hi) through f and returns the
+// decisions in request order.
+func decideTasks(t testing.TB, f *Front, tr *workload.Trace, lo, hi int) []service.Decision {
+	t.Helper()
+	resp, err := f.Decide(context.Background(), &service.DecideRequest{Tasks: specsOf(tr, lo, hi)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Decisions
+}
+
+// TestClassHomesSurviveAnotherBackendLeaving: a class's home is the hash
+// over the whole fleet, so a backend leaving the rotation moves its own
+// classes and no other — routing over the backends still in rotation
+// re-dealt every class.
+func TestClassHomesSurviveAnotherBackendLeaving(t *testing.T) {
+	tr := testTrace(t, 240, 6)
+	f := newFront(t, newBackends(t, 3), nil)
+	// Freeze the rotation and take backend 2 out, as a failed proxy does.
+	f.stopOnce.Do(func() { close(f.stop) })
+	f.pollWG.Wait()
+	f.markDown(f.backends[2], errors.New("taken out"))
+
+	up := []*router.ShardView{router.NewShardView(0), router.NewShardView(0), router.NewShardView(0)}
+	home := func(class int) int { return router.NewClassHash(1).Route(router.Task{Class: class}, up) }
+	stayed := 0
+	for lo := 0; lo < tr.Len(); lo += 8 {
+		for i, d := range decideTasks(t, f, tr, lo, min(lo+8, tr.Len())) {
+			h := home(int(tr.Tasks[lo+i].Type))
+			if h == 2 {
+				continue
+			}
+			if d.Backend != h {
+				t.Fatalf("task %d of class %d went to backend %d while its home %d is up", lo+i, tr.Tasks[lo+i].Type, d.Backend, h)
+			}
+			stayed++
+		}
+	}
+	if stayed == 0 {
+		t.Fatal("vacuous: no task is homed on backend 0 or 1")
+	}
+}
+
+// TestFrontSteersAroundDegradedBackend: the stats poll feeds routing one
+// bit. A backend whose every machine is removed stays in rotation but
+// reports degraded, and its classes go to the other backend until the
+// machines are revived.
+func TestFrontSteersAroundDegradedBackend(t *testing.T) {
+	tr := testTrace(t, 240, 8)
 	urls, ctrls := newBackendControllers(t, 2)
 	f := newFront(t, urls, nil)
 	srv := httptest.NewServer(NewHandler(f))
 	defer srv.Close()
-	if _, err := service.Replay(context.Background(), srv.Client(), srv.URL, testTrace(t, 240, 9), service.ReplayConfig{
-		BatchSize: 8, Timeout: 5 * time.Second,
-	}); err != nil {
+	ctx := context.Background()
+	cl := service.NewClient(srv.Client(), service.ClientConfig{Timeout: 5 * time.Second})
+
+	homes := map[int]int{}
+	for i, d := range decideTasks(t, f, tr, 0, 80) {
+		homes[int(tr.Tasks[i].Type)] = d.Backend
+	}
+	shards, err := ctrls[0].ShardStats(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range ctrls {
-		shards, err := c.ShardStats(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		running := 0
-		for _, sh := range shards {
-			running += sh.Live.Running
-		}
-		if running == 0 {
-			t.Fatalf("vacuous: the load left backend %d nothing running", i)
+	var machines []int
+	for _, sh := range shards {
+		machines = append(machines, sh.Machines...)
+	}
+	member := func(op string) {
+		t.Helper()
+		for _, g := range machines {
+			var out service.AdminMachineResponse
+			if err := cl.PostJSON(ctx, urls[0]+"/v1/admin/machines", &service.AdminMachineRequest{Op: op, Machine: g}, &out); err != nil {
+				t.Fatalf("%s machine %d: %v", op, g, err)
+			}
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !polledStateCurrent(t, f, ctrls) {
-		if time.Now().After(deadline) {
-			t.Fatalf("polled backend load never equalled the backends' own queue mass: %+v", f.Stats().Backends)
+	degraded := func(want bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			var st StatsResponse
+			if err := cl.GetJSON(ctx, srv.URL+"/v1/stats", &st); err != nil {
+				t.Fatal(err)
+			}
+			if b := st.Backends[0]; b.Degraded == want {
+				if !b.Ready {
+					t.Fatalf("backend 0 left the rotation: %+v", b)
+				}
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("backend 0 never reported degraded=%v", want)
+			}
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+
+	member("remove")
+	degraded(true)
+	for i, d := range decideTasks(t, f, tr, 80, 160) {
+		if d.Backend != 1 {
+			t.Fatalf("task %d went to degraded backend %d", 80+i, d.Backend)
+		}
+	}
+	member("revive")
+	degraded(false)
+	back := 0
+	for i, d := range decideTasks(t, f, tr, 160, 240) {
+		h, ok := homes[int(tr.Tasks[160+i].Type)]
+		if !ok {
+			continue
+		}
+		if d.Backend != h {
+			t.Fatalf("task %d went to backend %d, its class's home is %d", 160+i, d.Backend, h)
+		}
+		if h == 0 {
+			back++
+		}
+	}
+	if back == 0 {
+		t.Fatal("vacuous: no class homed on backend 0 came back to it")
 	}
 }
 
@@ -269,13 +377,13 @@ func TestRetryThroughRestartedRouter(t *testing.T) {
 	}
 }
 
-// TestBackendViewConcurrentWriters: a backend's view has two writers — its
-// poller and every decide folding in its admissions — and lock-free
-// readers in the routing policy and Stats. Run under -race.
+// TestBackendViewConcurrentWriters: a backend's view is written by its
+// poller and by markDown, and read lock-free by routing and Stats. Run
+// under -race.
 func TestBackendViewConcurrentWriters(t *testing.T) {
 	tr := testTrace(t, 320, 4)
 	urls := newBackends(t, 2)
-	f := newFront(t, urls, func(c *Config) { c.Router = "p2c"; c.Poll = time.Millisecond })
+	f := newFront(t, urls, func(c *Config) { c.Poll = time.Millisecond })
 	var wg sync.WaitGroup
 	for w := range 4 {
 		wg.Add(1)
@@ -292,6 +400,9 @@ func TestBackendViewConcurrentWriters(t *testing.T) {
 					return
 				}
 				_ = f.Stats()
+				if w == 0 {
+					f.markDown(f.backends[0], errors.New("flap")) // the poller brings it back
+				}
 			}
 		}()
 	}

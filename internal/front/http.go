@@ -65,8 +65,9 @@ func (m *metrics) write(x *telemetry.Writer) {
 // originally acknowledged bytes. A fan-out that failed with nothing
 // committed releases the ID; one that failed after some sub-batches
 // committed spends it (409 on a retry). The sub-IDs are derived from the
-// request, so a retry through a restarted router that splits the same way
-// replays at the backends instead (see "Fault model").
+// request, so a retry through a restarted router, which splits by class
+// the way its original did, replays at the backends instead (see "Fault
+// model").
 func NewHandler(f *Front) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/decide", service.DecideHandler("front", f.Decide, f.dedup, decideError, &f.metrics.rejected, nil))
@@ -144,10 +145,6 @@ func writeBackendGauges(x *telemetry.Writer, f *Front) {
 	perBackend(func(b *BackendStatus) int64 { return int64(b.Inflight) })
 	x.Counter("taskdrop_router_proxy_requests_total", "Decide sub-requests proxied per backend.")
 	perBackend(func(b *BackendStatus) int64 { return b.Proxied })
-	x.Gauge("taskdrop_router_backend_queue_mass", "Last-polled outstanding tasks per backend.")
-	perBackend(func(b *BackendStatus) int64 { return b.QueueMass })
-	x.Gauge("taskdrop_router_backend_free_slots", "Last-polled open queue slots per backend.")
-	perBackend(func(b *BackendStatus) int64 { return b.FreeSlots })
 }
 
 // decideError maps front errors onto HTTP statuses: window shed → 429

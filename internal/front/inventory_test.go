@@ -2,7 +2,6 @@ package front
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/hpcclab/taskdrop/internal/service"
 	"github.com/hpcclab/taskdrop/internal/telemetry"
@@ -156,43 +154,10 @@ func TestSeriesInventoryGolden(t *testing.T) {
 	})
 
 	t.Run("front", func(t *testing.T) {
-		urls, ctrls := newBackendControllers(t, 2)
-		f := newFront(t, urls, func(c *Config) { c.TraceSample = 1 })
+		f := newFront(t, newBackends(t, 2), func(c *Config) { c.TraceSample = 1 })
 		srv := httptest.NewServer(NewHandler(f))
 		defer srv.Close()
 		driveInventoryTrace(t, srv, testTrace(t, 320, 2))
-
-		// The per-backend load gauges are last-polled values: wait until the
-		// pollers have seen the backends' final (now static) state.
-		deadline := time.Now().Add(5 * time.Second)
-		for !polledStateCurrent(t, f, ctrls) {
-			if time.Now().After(deadline) {
-				t.Fatal("pollers never caught up with the backends' final state")
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
 		check(t, "metrics_front.golden", scrape(t, srv))
 	})
-}
-
-// polledStateCurrent reports whether every backend's polled load gauges
-// equal what the backend would answer right now.
-func polledStateCurrent(t *testing.T, f *Front, ctrls []*service.Controller) bool {
-	t.Helper()
-	st := f.Stats()
-	for i, c := range ctrls {
-		shards, err := c.ShardStats(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mass, free int64
-		for _, sh := range shards {
-			mass += sh.QueueMass
-			free += sh.FreeSlots
-		}
-		if st.Backends[i].QueueMass != mass || st.Backends[i].FreeSlots != free {
-			return false
-		}
-	}
-	return true
 }

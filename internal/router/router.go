@@ -21,6 +21,11 @@
 // at ≤ 2 allocations (all built-in policies allocate zero); CI asserts the
 // budget.
 //
+// All four policies route in-process shards (service.Controller, the
+// offline sim.Cluster). The cross-process router tier (internal/front)
+// accepts ClassHash only: its views carry nothing but the down bit, so a
+// backend's load and robustness stay inside the backend.
+//
 // Policies resolve through the same parameterized spec grammar as
 // mappers, droppers and profiles (internal/spec):
 //
@@ -58,8 +63,7 @@ const EWMAAlpha = 0.125
 type Task struct {
 	// Seq is the task's position in the caller's arrival order — the
 	// controller's cluster-wide sequence number, the offline trace's task
-	// ID, the router tier's own count. rr and p2c derive their choice from
-	// it and keep no cursor.
+	// ID. rr and p2c derive their choice from it and keep no cursor.
 	Seq int64
 	// Class is the task's PET row (task type).
 	Class int
@@ -86,14 +90,6 @@ type ShardView struct {
 
 	// robustness[class] holds math.Float64bits of the per-class EWMA.
 	robustness []atomic.Uint64
-
-	// Optional read-side decay (EnableDecay): lastObs[class] is the
-	// decayNow() stamp of the class's latest observation, decayHalf the
-	// half-life in the same units. Nil lastObs disables decay entirely,
-	// keeping the default view deterministic for offline simulation.
-	lastObs   []atomic.Int64
-	decayHalf float64
-	decayNow  func() int64
 }
 
 // NewShardView builds a view for a shard serving numClasses task types.
@@ -144,7 +140,6 @@ func (v *ShardView) ObserveAdmission(class int, p float64) {
 	// Clamp accumulated rounding drift: estimates are probabilities.
 	next = math.Max(0, math.Min(1, next))
 	v.robustness[class].Store(math.Float64bits(next))
-	v.touch(class)
 }
 
 // SetClassRobustness overwrites one class's robustness estimate — the
@@ -155,62 +150,16 @@ func (v *ShardView) SetClassRobustness(class int, p float64) {
 		return
 	}
 	v.robustness[class].Store(math.Float64bits(math.Max(0, math.Min(1, p))))
-	v.touch(class)
-}
-
-// decayPrior is the neutral estimate a stale view slides toward under
-// EnableDecay. 0.5 — not the optimistic 1.0 cold-start — so a dead
-// backend's last-good (or never-observed) estimate stops beating live
-// shards that are reporting real numbers.
-const decayPrior = 0.5
-
-// EnableDecay turns on read-side staleness decay for the robustness
-// estimates: a class whose estimate has not been refreshed for one
-// half-life (in now()'s units) reads as halfway between its stored value
-// and the neutral prior 0.5, and slides the rest of the way exponentially.
-// Without decay a view nobody updates — a dead backend, an outage — keeps
-// its last-good estimate forever and p2c keeps preferring it. Decay is off
-// by default (offline simulation must stay a pure function of the decision
-// stream); the front tier enables it with a wall clock. Call before the
-// view is shared; every class reads as freshly observed at that instant.
-func (v *ShardView) EnableDecay(halfLife int64, now func() int64) {
-	if halfLife <= 0 || now == nil {
-		panic("router: EnableDecay needs a positive half-life and a clock")
-	}
-	v.lastObs = make([]atomic.Int64, len(v.robustness))
-	v.decayHalf = float64(halfLife)
-	v.decayNow = now
-	t := now()
-	for i := range v.lastObs {
-		v.lastObs[i].Store(t)
-	}
-}
-
-// touch stamps a class's estimate as freshly observed.
-func (v *ShardView) touch(class int) {
-	if v.lastObs != nil {
-		v.lastObs[class].Store(v.decayNow())
-	}
 }
 
 // ClassRobustness returns the shard's current expected on-time probability
 // for the given task class (1.0 before any observation, or for an unknown
-// class), decayed toward the neutral prior when EnableDecay is on and the
-// class has gone unobserved.
+// class).
 func (v *ShardView) ClassRobustness(class int) float64 {
 	if class < 0 || class >= len(v.robustness) {
 		return 1.0
 	}
-	est := math.Float64frombits(v.robustness[class].Load())
-	if v.lastObs == nil {
-		return est
-	}
-	elapsed := v.decayNow() - v.lastObs[class].Load()
-	if elapsed <= 0 {
-		return est
-	}
-	f := math.Exp2(-float64(elapsed) / v.decayHalf)
-	return decayPrior + (est-decayPrior)*f
+	return math.Float64frombits(v.robustness[class].Load())
 }
 
 // Policy picks the shard an arriving task is admitted through. Route is
@@ -343,10 +292,11 @@ func (p PowerOfTwo) Route(t Task, views []*ShardView) int {
 
 // ClassHash partitions the task classes across the shards: every task of
 // one class always routes to the same shard (splitmix64 of the class,
-// seeded, modulo the shard count). This is the router tier's default —
-// with task classes as partition keys, each backend's per-class EWMAs and
-// queue state see a stable workload mix, and a sequential client's routing
-// is a pure function of the task stream regardless of shard load.
+// seeded, modulo the shard count). It is the one policy the cross-process
+// router tier accepts: with task classes as partition keys, each backend
+// sees a stable workload mix, a route is a pure function of the task's
+// class and which views are down, and a retry splits the way its original
+// did.
 type ClassHash struct {
 	seed uint64
 }

@@ -210,54 +210,13 @@ func TestRouterRouteAllocsSteadyState(t *testing.T) {
 	}
 }
 
-func TestShardViewDecayTowardPrior(t *testing.T) {
-	const half = 100
-	clock := int64(0)
-	v := NewShardView(2)
-	v.EnableDecay(half, func() int64 { return clock })
-	for i := 0; i < 400; i++ {
-		v.ObserveAdmission(0, 0.25)
-	}
-	if got := v.ClassRobustness(0); math.Abs(got-0.25) > 1e-6 {
-		t.Fatalf("fresh estimate = %v, want 0.25", got)
-	}
-	// One half-life of silence: halfway from the estimate to the 0.5 prior.
-	clock += half
-	if got, want := v.ClassRobustness(0), 0.375; math.Abs(got-want) > 1e-6 {
-		t.Fatalf("estimate after one half-life = %v, want %v", got, want)
-	}
-	// A long outage: the stale view reads as the neutral prior, not the
-	// last-good 0.25, so p2c stops preferring a dead backend.
-	clock += 20 * half
-	if got := v.ClassRobustness(0); math.Abs(got-0.5) > 1e-4 {
-		t.Fatalf("estimate after long outage = %v, want ≈ 0.5", got)
-	}
-	// A fresh observation re-arms the clock: the decayed value is gone and
-	// reads track the EWMA again.
-	for i := 0; i < 400; i++ {
-		v.ObserveAdmission(0, 0.25)
-	}
-	if got := v.ClassRobustness(0); math.Abs(got-0.25) > 1e-6 {
-		t.Fatalf("estimate after re-observation = %v, want 0.25", got)
-	}
-	clock += half / 2
-	mid := v.ClassRobustness(0)
-	if mid <= 0.25 || mid >= 0.375 {
-		t.Fatalf("partial-half-life estimate = %v, want in (0.25, 0.375)", mid)
-	}
-	// Untouched classes decay from the optimistic cold start too.
-	if got := v.ClassRobustness(1); got >= 1.0 {
-		t.Fatalf("cold class with decay = %v, want < 1.0", got)
-	}
-}
-
 func TestShardViewDecayOffByDefault(t *testing.T) {
 	v := NewShardView(1)
 	for i := 0; i < 400; i++ {
 		v.ObserveAdmission(0, 0.25)
 	}
-	// Without EnableDecay the estimate is clock-free and sticky — exactly
-	// the deterministic offline behavior the cluster path depends on.
+	// The estimate is clock-free and sticky — exactly the deterministic
+	// offline behavior the cluster path depends on.
 	if got := v.ClassRobustness(0); math.Abs(got-0.25) > 1e-6 {
 		t.Fatalf("estimate = %v, want sticky 0.25", got)
 	}

@@ -46,14 +46,9 @@ type dedupEntry struct {
 }
 
 // errPartialCommit marks a decide that failed after at least one of its
-// sub-batches committed: the request took effect in part, so DecideHandler
-// poisons its decision ID instead of releasing it.
+// sub-batches committed (FanOut wraps it): the request took effect in part,
+// so DecideHandler poisons its decision ID instead of releasing it.
 var errPartialCommit = errors.New("some sub-batches committed before the failure")
-
-// PartialCommit wraps the error of a decide that failed after at least one
-// of its sub-batches committed (a multi-shard Controller.Decide, a
-// multi-backend Front.Decide). The error's status mapping is unchanged.
-func PartialCommit(err error) error { return fmt.Errorf("%w (%w)", err, errPartialCommit) }
 
 // DefaultDedupWindow is the retained-response capacity of both tiers'
 // windows: a documented constant, not a setting.

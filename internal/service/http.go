@@ -140,7 +140,7 @@ func NewHandler(c *Controller) http.Handler {
 // duplicate waits out an in-flight owner and replays those bytes, or gets
 // 409 when the original was acknowledged for a different task count, failed
 // while the duplicate waited, or took effect in part (torn by a crash, or
-// failed after some sub-batches committed: PartialCommit). Any other failed
+// failed after some sub-batches committed: FanOut). Any other failed
 // decide left no state behind, so it releases the ID and a retry
 // re-executes. tier prefixes the handler's own error texts; fail maps a
 // decide error onto the tier's status; rejected counts bodies refused

@@ -3,12 +3,17 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"github.com/hpcclab/taskdrop/internal/pmf"
 )
 
 // postDecide POSTs one decide request and returns the raw response bytes.
@@ -139,6 +144,43 @@ func TestPartialCommitPoisonsDecisionID(t *testing.T) {
 	}
 	if got := c.shards[0].metrics.requests.Load(); got != fed {
 		t.Fatalf("the retry fed shard 0 again: %d sub-batches, want %d", got, fed)
+	}
+}
+
+// TestFanOutPartialCommitRule pins the one fan-out both tiers decide
+// through: only non-empty groups run, the latest clock wins, the first
+// error goes by group order, and it is marked a partial commit exactly
+// when another group committed.
+func TestFanOutPartialCommitRule(t *testing.T) {
+	errA, errB := errors.New("a"), errors.New("b")
+	run := func(groups [][]int, errs map[int]error) (pmf.Tick, []int, error) {
+		var mu sync.Mutex
+		var ran []int
+		now, err := FanOut(groups, func(g int) (pmf.Tick, error) {
+			mu.Lock()
+			ran = append(ran, g)
+			mu.Unlock()
+			return pmf.Tick(10 * (g + 1)), errs[g]
+		})
+		slices.Sort(ran)
+		return now, ran, err
+	}
+
+	now, ran, err := run([][]int{{0}, nil, {1}, {2}, nil}, nil)
+	if err != nil || now != 40 || !slices.Equal(ran, []int{0, 2, 3}) {
+		t.Fatalf("all commit: now %d, ran %v, err %v; want 40, [0 2 3], nil", now, ran, err)
+	}
+	if now, ran, err := run([][]int{nil, nil}, nil); err != nil || now != 0 || len(ran) != 0 {
+		t.Fatalf("no groups: now %d, ran %v, err %v", now, ran, err)
+	}
+	// Nothing committed: the first error by group order, unmarked.
+	if _, _, err := run([][]int{{0}, nil, {1}}, map[int]error{0: errA, 2: errB}); !errors.Is(err, errA) || errors.Is(err, errPartialCommit) {
+		t.Fatalf("nothing committed: err %v, want the plain first error %v", err, errA)
+	}
+	// Group 0 committed: group 1's error, marked; group 2's is not the one.
+	_, _, err = run([][]int{{0}, {1}, {2}}, map[int]error{1: errB, 2: errA})
+	if !errors.Is(err, errB) || errors.Is(err, errA) || !errors.Is(err, errPartialCommit) {
+		t.Fatalf("something committed: err %v, want %v marked as a partial commit", err, errB)
 	}
 }
 

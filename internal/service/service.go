@@ -405,8 +405,8 @@ func (c *Controller) NumMachines() int { return c.cl.NumMachines() }
 // whose ctx is cancelled while still queued is skipped; a journal failure,
 // which fed the engine but did not commit, stops admission until a
 // restart). When one shard of a multi-shard batch fails after another
-// committed, the error wraps PartialCommit and DecideHandler spends the
-// request's decision ID.
+// committed, FanOut marks the error a partial commit and DecideHandler
+// spends the request's decision ID.
 func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideResponse, error) {
 	if req == nil || len(req.Tasks) == 0 {
 		return nil, fmt.Errorf("service: empty decide request")
@@ -460,56 +460,72 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	}
 
 	// Route every task up front (deterministic for a sequential client),
-	// then fan the per-shard sub-batches out: each on a goroutine of its own
-	// but the last, which runs on the caller's.
+	// then fan the per-shard sub-batches out.
 	byShard := make([][]int, len(c.shards))
-	last := 0
 	for i := range req.Tasks {
 		t := &req.Tasks[i]
 		s := c.cl.Route(seqs[i], pet.TaskType(t.Type), t.Arrival, t.Deadline)
 		byShard[s] = append(byShard[s], i)
-		last = max(last, s)
 	}
+	now, err := FanOut(byShard, func(s int) (pmf.Tick, error) {
+		return c.shards[s].decide(ctx, req, resp, byShard[s], seqs, traces)
+	})
+	if err != nil {
+		return nil, err
+	}
+	resp.Now = now
+	return resp, nil
+}
+
+// FanOut runs decide(g) for every non-empty group of groups — each on a
+// goroutine of its own but the last, which runs on the caller's — and
+// returns the latest clock they answered. It is the one fan-out of a decide
+// request, over a controller's shards and over the router tier's backends.
+// When a group fails it returns the first error in group order, marked as a
+// partial commit (errPartialCommit) when another group committed.
+func FanOut(groups [][]int, decide func(g int) (pmf.Tick, error)) (pmf.Tick, error) {
 	type result struct {
 		now pmf.Tick
 		err error
 	}
-	results := make([]result, len(c.shards))
-	decideOn := func(s int) {
-		now, err := c.shards[s].decide(ctx, req, resp, byShard[s], seqs, traces)
-		results[s] = result{now: now, err: err}
+	results := make([]result, len(groups))
+	last := -1
+	for g := range groups {
+		if len(groups[g]) > 0 {
+			last = g
+		}
 	}
 	var wg sync.WaitGroup
-	for s := range last {
-		if len(byShard[s]) == 0 {
+	for g := range last {
+		if len(groups[g]) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			decideOn(s)
+			results[g].now, results[g].err = decide(g)
 		}()
 	}
-	decideOn(last)
+	if last >= 0 {
+		results[last].now, results[last].err = decide(last)
+	}
 	wg.Wait()
+	var now pmf.Tick
 	var err error
 	committed := false
-	for s := range results {
+	for g := range results {
 		switch {
-		case results[s].err != nil:
-			err = cmp.Or(err, results[s].err)
-		case len(byShard[s]) > 0:
+		case results[g].err != nil:
+			err = cmp.Or(err, results[g].err)
+		case len(groups[g]) > 0:
 			committed = true
-			resp.Now = max(resp.Now, results[s].now)
+			now = max(now, results[g].now)
 		}
 	}
-	if err != nil {
-		if committed {
-			err = PartialCommit(err)
-		}
-		return nil, err
+	if err != nil && committed {
+		err = fmt.Errorf("%w (%w)", err, errPartialCommit)
 	}
-	return resp, nil
+	return now, err
 }
 
 // makeTask converts a wire spec into an engine task, filling missing
