@@ -142,8 +142,8 @@ func main() {
 	}
 	if len(rep.PerShard) > 1 {
 		for _, sl := range rep.PerShard {
-			fmt.Printf("  shard %-3d           p50 %s   p99 %s   (%d requests)\n",
-				sl.Shard, sl.P50.Round(time.Microsecond), sl.P99.Round(time.Microsecond), sl.Requests)
+			fmt.Printf("  backend %d shard %-3d p50 %s   p99 %s   (%d requests)\n",
+				sl.Backend, sl.Shard, sl.P50.Round(time.Microsecond), sl.P99.Round(time.Microsecond), sl.Requests)
 		}
 	}
 	if rep.Final != nil {

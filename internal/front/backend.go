@@ -72,7 +72,7 @@ func (b *backend) lastError() string {
 // client's retry budget.
 func (f *Front) poller(b *backend) {
 	defer f.pollWG.Done()
-	probe := service.NewClient(f.cfg.HTTPClient, service.ClientConfig{Timeout: f.cfg.Timeout})
+	probe := service.NewClient(nil, service.ClientConfig{Timeout: f.cfg.Timeout})
 	tick := time.NewTicker(f.cfg.Poll)
 	defer tick.Stop()
 	for {

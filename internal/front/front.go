@@ -24,6 +24,17 @@
 // poll. A decide sub-batch that fails on its backend is rerouted once to
 // a surviving backend.
 //
+// The decide hop runs on the goroutine that handles the client's request
+// (service.Client.StartDecide / DecideCall.Wait, through
+// service.FanOutPhased): every sub-request is written, then each answer is
+// read in backend order, and retries and the reroute follow a failed read
+// there, under the same sub-IDs. Each backend's connections are the
+// client's own keep-alive ones. An idle one is peeked before reuse, so a
+// backend restarted while the router sat idle costs no failed attempt; a
+// connection that fails is closed together with every idle one to its
+// backend. A backend never stalls behind an unread answer: its handler
+// writes the answer after the shard's turn is released.
+//
 // The router keeps no identity of its own: a sub-request's decision ID is
 // derived from the client's DecisionID, the backend and the request slots
 // it carries (subID), so a retried sub-batch replays the backend's
@@ -51,7 +62,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -105,9 +115,6 @@ type Config struct {
 	// TraceSample stage-traces every Nth proxied request (route → proxy →
 	// ack); 0 disables.
 	TraceSample int
-	// HTTPClient is the transport for proxying and polling (default: a
-	// dedicated client; Timeout governs per-attempt deadlines).
-	HTTPClient *http.Client
 	// Logger receives structured diagnostics.
 	Logger *slog.Logger
 }
@@ -130,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -202,7 +206,7 @@ func New(cfg Config) (*Front, error) {
 		cfg:     cfg,
 		matrix:  matrix,
 		policy:  policy,
-		client:  service.NewClient(cfg.HTTPClient, service.ClientConfig{Timeout: cfg.Timeout, Retries: cfg.Retries, Backoff: cfg.Backoff}),
+		client:  service.NewClient(nil, service.ClientConfig{Timeout: cfg.Timeout, Retries: cfg.Retries, Backoff: cfg.Backoff}),
 		tel:     telemetry.New(1, cfg.TraceSample, telemetry.DefaultRingSize),
 		log:     cfg.Logger,
 		dedup:   service.NewDedupWindow(service.DefaultDedupWindow),
@@ -232,12 +236,13 @@ func New(cfg Config) (*Front, error) {
 // Dedup returns the front's idempotency window.
 func (f *Front) Dedup() *service.DedupWindow { return f.dedup }
 
-// Close stops the pollers. It does NOT drain the backends — draining is a
-// client decision (POST /v1/drain); a router restart must not destroy
-// fleet state.
+// Close stops the pollers and closes the idle upstream connections. It
+// does NOT drain the backends — draining is a client decision (POST
+// /v1/drain); a router restart must not destroy fleet state.
 func (f *Front) Close() {
 	f.stopOnce.Do(func() { close(f.stop) })
 	f.pollWG.Wait()
+	f.client.CloseIdle()
 }
 
 // Draining reports whether a fleet drain has begun.
@@ -278,22 +283,24 @@ func (f *Front) Ready() bool {
 // (ascending) of the request keyed key to the backend at url: 120 bits of
 // SHA-256 over the three, length-prefixed, as 20 base64url characters.
 func subID(key, url string, idxs []int) string {
-	b := make([]byte, 0, 2*binary.MaxVarintLen64+len(key)+len(url)+2*len(idxs))
-	b = append(binary.AppendUvarint(b, uint64(len(key))), key...)
+	var buf [256]byte
+	b := append(binary.AppendUvarint(buf[:0], uint64(len(key))), key...)
 	b = append(binary.AppendUvarint(b, uint64(len(url))), url...)
 	for _, i := range idxs {
 		b = binary.AppendUvarint(b, uint64(i))
 	}
 	sum := sha256.Sum256(b)
-	return base64.RawURLEncoding.EncodeToString(sum[:15])
+	return string(base64.RawURLEncoding.AppendEncode(buf[:0], sum[:15]))
 }
 
 // Decide validates one decide batch, routes each task to its class's home
 // backend (or the next one up while the home is down), proxies the
-// per-backend sub-batches concurrently (with retry and one-shot reroute),
-// and merges the decisions back into request order. Decision sequence
-// numbers are per backend: behind the router a decision's identity is
-// (Backend, Seq).
+// per-backend sub-batches (with retry and one-shot reroute), and merges the
+// decisions back into request order. It runs wholly on the caller's
+// goroutine: every sub-request is written before the first answer is read,
+// so the backends decide concurrently while the router waits. Decision
+// sequence numbers are per backend: behind the router a decision's
+// identity is (Backend, Seq).
 func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*service.DecideResponse, error) {
 	if req == nil || len(req.Tasks) == 0 {
 		return nil, fmt.Errorf("front: empty decide request")
@@ -332,6 +339,9 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	byBackend := make([][]int, len(f.backends))
 	for i := range req.Tasks {
 		s := f.policy.Route(router.Task{Class: req.Tasks[i].Type}, f.views)
+		if byBackend[s] == nil {
+			byBackend[s] = make([]int, 0, len(req.Tasks)-i)
+		}
 		byBackend[s] = append(byBackend[s], i)
 	}
 
@@ -357,9 +367,12 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	}
 
 	resp := &service.DecideResponse{Decisions: make([]service.Decision, len(req.Tasks))}
-	now, err := service.FanOut(byBackend, func(s int) (pmf.Tick, error) {
+	subs := make([]subRequest, len(f.backends))
+	now, err := service.FanOutPhased(byBackend, func(s int) {
+		subs[s] = f.send(ctx, key, req, resp, f.backends[s], byBackend[s])
+	}, func(s int) (pmf.Tick, error) {
 		defer f.backends[s].release()
-		return f.proxy(ctx, key, req, resp, f.backends[s], byBackend[s])
+		return f.proxy(ctx, key, req, resp, &subs[s])
 	})
 	if err != nil {
 		return nil, err
@@ -378,15 +391,24 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	return resp, nil
 }
 
-// proxy sends slots idxs of the request keyed key to backend b (the client
-// retries transport errors, 5xx and 429 with the SAME decision ID), and on
-// final failure marks b down and reroutes ONCE to another ready backend,
-// whose sub-ID differs. Returns the sub-response's clock.
-func (f *Front) proxy(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, b *backend, idxs []int) (pmf.Tick, error) {
-	now, err := f.send(ctx, key, req, resp, b, idxs)
+// subRequest is one backend's sub-batch of a decide request, under way.
+type subRequest struct {
+	b    *backend
+	idxs []int
+	call service.DecideCall
+	t0   time.Time
+}
+
+// proxy finishes sub (the client retries transport errors, 5xx and 429
+// with the SAME decision ID), and on final failure marks its backend down
+// and reroutes ONCE to another ready backend, whose sub-ID differs.
+// Returns the sub-response's clock.
+func (f *Front) proxy(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, sub *subRequest) (pmf.Tick, error) {
+	now, err := f.wait(sub, resp)
 	if err == nil {
 		return now, nil
 	}
+	b, idxs := sub.b, sub.idxs
 	f.markDown(b, err)
 	// Reroute once: any other ready backend with window room takes over.
 	// The backend is an input to the sub-ID, so the failed backend, which
@@ -400,7 +422,8 @@ func (f *Front) proxy(ctx context.Context, key string, req *service.DecideReques
 		}
 		f.metrics.reroutes.Add(1)
 		f.log.Warn("rerouting sub-batch", "from_backend", b.id, "to_backend", alt.id, "tasks", len(idxs), "err", err)
-		now, rerr := f.send(ctx, key, req, resp, alt, idxs)
+		re := f.send(ctx, key, req, resp, alt, idxs)
+		now, rerr := f.wait(&re, resp)
 		alt.release()
 		if rerr != nil {
 			f.markDown(alt, rerr)
@@ -411,23 +434,29 @@ func (f *Front) proxy(ctx context.Context, key string, req *service.DecideReques
 	return 0, fmt.Errorf("%w: backend %d failed with no surviving backend to reroute to: %v", errUpstream, b.id, err)
 }
 
-// send proxies idxs of req, keyed key, to backend b as one decide
-// sub-request, encoded straight from req's tasks, and decodes the returned
-// decisions straight into their request slots, stamped with the backend's
-// index.
-func (f *Front) send(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, b *backend, idxs []int) (pmf.Tick, error) {
+// send starts slots idxs of req, keyed key, on backend b as one decide
+// sub-request, encoded straight from req's tasks: it writes the request,
+// and wait reads the answer.
+func (f *Front) send(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, b *backend, idxs []int) subRequest {
 	b.proxied.Add(1)
 	t0 := time.Now()
-	now, n, err := f.client.Decide(ctx, b.url, subID(key, b.url, idxs), req.Tasks, idxs, resp.Decisions)
-	f.metrics.upstream.Observe(time.Since(t0))
+	call := f.client.StartDecide(ctx, b.url, subID(key, b.url, idxs), req.Tasks, idxs, resp.Decisions)
+	return subRequest{b: b, idxs: idxs, call: call, t0: t0}
+}
+
+// wait finishes sub: it decodes the returned decisions straight into their
+// request slots, stamped with the backend's index.
+func (f *Front) wait(sub *subRequest, resp *service.DecideResponse) (pmf.Tick, error) {
+	now, n, err := sub.call.Wait()
+	f.metrics.upstream.Observe(time.Since(sub.t0))
 	if err != nil {
 		return 0, err
 	}
-	if n != len(idxs) {
-		return 0, fmt.Errorf("%w: backend %d answered %d decisions for %d tasks", errUpstream, b.id, n, len(idxs))
+	if n != len(sub.idxs) {
+		return 0, fmt.Errorf("%w: backend %d answered %d decisions for %d tasks", errUpstream, sub.b.id, n, len(sub.idxs))
 	}
-	for _, i := range idxs {
-		resp.Decisions[i].Backend = b.id
+	for _, i := range sub.idxs {
+		resp.Decisions[i].Backend = sub.b.id
 	}
 	return now, nil
 }

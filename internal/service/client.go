@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,12 +10,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
@@ -34,15 +36,25 @@ type ClientConfig struct {
 	Backoff time.Duration
 }
 
-// Client wraps an http.Client with bounded retries and exponential
-// backoff for the service's POST endpoints. Safe for concurrent use.
+// Client is the service's retrying client, with exponential backoff. Safe
+// for concurrent use.
+//
+// Decide, the hot path, speaks HTTP/1.1 itself (hop.go): on the caller's
+// goroutine, over keep-alive connections the Client owns per endpoint, with
+// no http.Transport in between; an idle connection is peeked before reuse
+// and a failed one takes the endpoint's idle ones with it. PostJSON and
+// GetJSON — drain, admin, polls — go through the wrapped http.Client.
 //
 // Retrying a decide is only harmless when the request carries a
-// DecisionID (the server then deduplicates); Replay stamps one on every
-// request whenever retries are enabled.
+// DecisionID (the server then deduplicates), so Decide never sends an
+// ID-less request twice; Replay stamps an ID on every request whenever
+// retries are enabled.
 type Client struct {
 	http *http.Client
 	cfg  ClientConfig
+	// endpoints holds the decide hop's connections, by base URL.
+	mu        sync.RWMutex
+	endpoints map[string]*endpoint
 	// jitterState drives a counter-based splitmix64 stream — deterministic
 	// jitter, no wall-clock randomness, same idiom as router.PowerOfTwo.
 	jitterState atomic.Uint64
@@ -59,8 +71,8 @@ const (
 	maxBackoff     = 2 * time.Second
 )
 
-// NewClient builds a retrying client over hc (nil means
-// http.DefaultClient).
+// NewClient builds a retrying client whose PostJSON and GetJSON go through
+// hc (nil means http.DefaultClient); Decide uses its own connections.
 func NewClient(hc *http.Client, cfg ClientConfig) *Client {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -71,7 +83,7 @@ func NewClient(hc *http.Client, cfg ClientConfig) *Client {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = defaultBackoff
 	}
-	return &Client{http: hc, cfg: cfg}
+	return &Client{http: hc, cfg: cfg, endpoints: map[string]*endpoint{}}
 }
 
 // HTTPError is a non-2xx response, carrying the status and the server's
@@ -100,7 +112,8 @@ func retryable(err error) bool {
 		return he.Status >= 500 || he.Status == http.StatusTooManyRequests
 	}
 	// Transport-level failure (connection refused, reset, per-attempt
-	// timeout): http.Client.Do wraps them all in *url.Error.
+	// timeout): http.Client.Do and the decide hop wrap them all in
+	// *url.Error.
 	var ue *url.Error
 	return errors.As(err, &ue)
 }
@@ -119,68 +132,46 @@ func (cl *Client) PostJSON(ctx context.Context, url string, body, out any) error
 	return cl.post(ctx, url, data, jsonInto(out))
 }
 
-// Decide posts one decide request to base's /v1/decide — under decision ID
-// id (empty: none), the tasks idxs selects from tasks (nil: all of them),
-// encoded by the decide codec — retrying per the client's config, and
-// decodes the answer in place: decision j lands in dst[idxs[j]] (dst[j]
-// when idxs is nil), decisions past those slots are read and dropped. It
-// returns the server's clock and how many decisions it answered, which the
-// caller holds against the tasks it sent.
-func (cl *Client) Decide(ctx context.Context, base, id string, tasks []TaskSpec, idxs []int, dst []Decision) (now pmf.Tick, n int, err error) {
-	slots := len(dst)
-	if idxs != nil {
-		slots = len(idxs)
-	}
-	data := appendDecideRequest(make([]byte, 0, 128*slots+64), id, tasks, idxs)
-	var spare Decision
-	at := func(j int) *Decision {
-		switch {
-		case j >= slots:
-			return &spare
-		case idxs != nil:
-			return &dst[idxs[j]]
-		}
-		return &dst[j]
-	}
-	err = cl.post(ctx, base+"/v1/decide", data, func(resp *http.Response) error {
-		body, err := readBody(resp.Body, resp.ContentLength)
-		if err != nil {
+// post posts data to url and hands a 2xx response to decode (nil: none),
+// retrying per the client's config.
+func (cl *Client) post(ctx context.Context, url string, data []byte, decode func(*http.Response) error) error {
+	for attempt := 0; ; attempt++ {
+		err := cl.attempt(ctx, http.MethodPost, url, data, decode)
+		if err == nil || attempt >= cl.cfg.Retries || !retryable(err) || !cl.pause(ctx, attempt, err) {
 			return err
 		}
-		n, err = decodeDecideResponse(body, &now, at)
-		return err
-	})
-	return now, n, err
+	}
 }
 
-// post posts data to url and hands a 2xx response to decode (nil: none),
-// retrying per the client's config. The sleep before attempt k is
-// Backoff·2^(k-1) stretched by up to 50% deterministic jitter and capped at
-// 2s — unless the server sent Retry-After, which wins.
-func (cl *Client) post(ctx context.Context, url string, data []byte, decode func(*http.Response) error) error {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		lastErr = cl.attempt(ctx, http.MethodPost, url, data, decode)
-		if lastErr == nil || attempt >= cl.cfg.Retries || !retryable(lastErr) {
-			return lastErr
-		}
-		delay := cl.cfg.Backoff << attempt
-		if delay > maxBackoff {
-			delay = maxBackoff
-		}
-		// Up to +50% jitter desynchronizes retry storms across clients
-		// without reading a wall clock for randomness.
-		delay += time.Duration(cl.jitter() % uint64(delay/2+1))
-		var he *HTTPError
-		if errors.As(lastErr, &he) && he.RetryAfter > 0 {
-			delay = he.RetryAfter
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return lastErr
-		}
+// pause sleeps before the retry that follows attempt, which failed with
+// err: the backoff, or the server's Retry-After when it sent one. It
+// reports false when ctx ended first.
+func (cl *Client) pause(ctx context.Context, attempt int, err error) bool {
+	delay := backoff(cl.cfg.Backoff, attempt, cl.jitter())
+	var he *HTTPError
+	if errors.As(err, &he) && he.RetryAfter > 0 {
+		delay = he.RetryAfter
 	}
+	t := time.NewTimer(delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// backoff is the sleep after attempt: first, doubled per earlier attempt up
+// to maxBackoff, stretched by up to 50% from the jitter draw j. The jitter
+// desynchronizes retry storms across clients without reading a wall clock
+// for randomness.
+func backoff(first time.Duration, attempt int, j uint64) time.Duration {
+	d := min(first, maxBackoff)
+	for k := 0; k < attempt && d < maxBackoff; k++ {
+		d = min(2*d, maxBackoff)
+	}
+	return d + time.Duration(j%uint64(d/2+1))
 }
 
 // jsonInto decodes a response body into out with encoding/json; nil when
@@ -240,25 +231,31 @@ func (cl *Client) attempt(ctx context.Context, method, u string, data []byte, de
 		resp.Body.Close()
 	}()
 	if resp.StatusCode/100 != 2 {
-		if resp.StatusCode == http.StatusTooManyRequests {
-			cl.shed429.Add(1)
-		}
-		he := &HTTPError{Status: resp.StatusCode, URL: u}
-		var eb errorBody
-		if json.NewDecoder(io.LimitReader(resp.Body, maxDrain)).Decode(&eb) == nil {
-			he.Msg = eb.Error
-		}
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
-				he.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return he
+		return cl.statusError(resp, u, io.LimitReader(resp.Body, maxDrain))
 	}
 	if decode == nil {
 		return nil
 	}
 	return decode(resp)
+}
+
+// statusError is the HTTPError of a non-2xx answer from u, whose body reads
+// from body; it counts a 429.
+func (cl *Client) statusError(resp *http.Response, u string, body io.Reader) *HTTPError {
+	if resp.StatusCode == http.StatusTooManyRequests {
+		cl.shed429.Add(1)
+	}
+	he := &HTTPError{Status: resp.StatusCode, URL: u}
+	var eb errorBody
+	if json.NewDecoder(body).Decode(&eb) == nil {
+		he.Msg = eb.Error
+	}
+	if s := resp.Header.Get("Retry-After"); s != "" {
+		if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
+			he.RetryAfter = time.Duration(secs) * time.Second
+		}
+	}
+	return he
 }
 
 // jitter advances the deterministic splitmix64 stream by one draw.
@@ -306,10 +303,13 @@ type ReplayConfig struct {
 }
 
 // ShardLatency is the client-observed decide latency attributed to one
-// admission shard: a request's latency counts toward every shard that
-// decided part of it, so with single-task batches the attribution is
-// exact and with larger batches it bounds each shard's contribution.
+// admission shard — shard Shard of backend Backend behind a router, where
+// every backend numbers its shards from 0: a request's latency counts
+// toward every shard that decided part of it, so with single-task batches
+// the attribution is exact and with larger batches it bounds each shard's
+// contribution.
 type ShardLatency struct {
+	Backend  int           `json:"backend,omitempty"`
 	Shard    int           `json:"shard"`
 	Requests int           `json:"requests"`
 	P50      time.Duration `json:"latency_p50_ns"`
@@ -328,8 +328,8 @@ type ReplayReport struct {
 	// LatencyP50/P99 are client-observed decide-request latencies.
 	LatencyP50 time.Duration `json:"latency_p50_ns"`
 	LatencyP99 time.Duration `json:"latency_p99_ns"`
-	// PerShard breaks the latencies down by the shard(s) that served each
-	// request, in shard order (one entry on an unsharded server).
+	// PerShard breaks the latencies down by the (backend, shard) pairs that
+	// served each request, in that order (one entry on an unsharded server).
 	PerShard []ShardLatency `json:"per_shard,omitempty"`
 	// Retried counts decide requests that needed more than one attempt.
 	Retried int `json:"retried,omitempty"`
@@ -384,7 +384,8 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 	tasks = tasks[cfg.From:]
 	rep := &ReplayReport{Tasks: len(tasks)}
 	lats := make([]time.Duration, 0, (len(tasks)+cfg.BatchSize-1)/cfg.BatchSize)
-	shardLats := map[int][]time.Duration{}
+	type shardKey struct{ backend, shard int }
+	shardLats := map[shardKey][]time.Duration{}
 	acked := make(map[string]bool, len(tasks))
 
 	// Churn plan, ordered by firing point. Actions fire between batches so
@@ -465,7 +466,7 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 		}
 		lats = append(lats, lat)
 		rep.Requests++
-		seen := map[int]bool{}
+		seen := map[shardKey]bool{}
 		for _, d := range got {
 			switch d.Action {
 			case ActionMap:
@@ -481,9 +482,9 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 				}
 				acked[d.ID] = true
 			}
-			if !seen[d.Shard] {
-				seen[d.Shard] = true
-				shardLats[d.Shard] = append(shardLats[d.Shard], lat)
+			if k := (shardKey{d.Backend, d.Shard}); !seen[k] {
+				seen[k] = true
+				shardLats[k] = append(shardLats[k], lat)
 			}
 		}
 	}
@@ -507,16 +508,19 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	rep.LatencyP50 = percentile(lats, 0.50)
 	rep.LatencyP99 = percentile(lats, 0.99)
-	shardIDs := make([]int, 0, len(shardLats))
-	for s := range shardLats {
-		shardIDs = append(shardIDs, s)
+	keys := make([]shardKey, 0, len(shardLats))
+	for k := range shardLats {
+		keys = append(keys, k)
 	}
-	sort.Ints(shardIDs)
-	for _, s := range shardIDs {
-		sl := shardLats[s]
+	slices.SortFunc(keys, func(a, b shardKey) int {
+		return cmp.Or(cmp.Compare(a.backend, b.backend), cmp.Compare(a.shard, b.shard))
+	})
+	for _, k := range keys {
+		sl := shardLats[k]
 		sort.Slice(sl, func(i, j int) bool { return sl[i] < sl[j] })
 		rep.PerShard = append(rep.PerShard, ShardLatency{
-			Shard:    s,
+			Backend:  k.backend,
+			Shard:    k.shard,
 			Requests: len(sl),
 			P50:      percentile(sl, 0.50),
 			P99:      percentile(sl, 0.99),

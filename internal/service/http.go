@@ -214,23 +214,23 @@ func DecideHandler(
 // the read error. (The server then closes such a connection, which the
 // streaming decoder left open when it stopped reading early.)
 func readDecideRequest(w http.ResponseWriter, r *http.Request, req *DecideRequest) error {
-	data, err := readBody(http.MaxBytesReader(w, r.Body, maxDecideBody), r.ContentLength)
+	data, err := readBody(nil, http.MaxBytesReader(w, r.Body, maxDecideBody), r.ContentLength)
 	if err != nil {
 		return decodeStrict(io.MultiReader(bytes.NewReader(data), errReader{err}), req)
 	}
 	return decodeDecideRequest(data, req)
 }
 
-// readBody reads r to EOF into a buffer pre-sized from size, the length
-// the sender declared (-1: unknown; sizes over maxDecideBody are not
-// trusted for the allocation).
-func readBody(r io.Reader, size int64) ([]byte, error) {
-	var buf bytes.Buffer
+// readBody reads r to EOF into buf's storage (nil: a new buffer), grown
+// once from size, the length the sender declared (-1: unknown; sizes over
+// maxDecideBody are not trusted for the allocation).
+func readBody(buf []byte, r io.Reader, size int64) ([]byte, error) {
+	b := bytes.NewBuffer(buf[:0])
 	if size > 0 && size <= maxDecideBody {
-		buf.Grow(int(size) + bytes.MinRead)
+		b.Grow(int(size) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
 // errReader fails every read with err.

@@ -477,12 +477,42 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	return resp, nil
 }
 
-// FanOut runs decide(g) for every non-empty group of groups — each on a
-// goroutine of its own but the last, which runs on the caller's — and
-// returns the latest clock they answered. It is the one fan-out of a decide
-// request, over a controller's shards and over the router tier's backends.
-// When a group fails it returns the first error in group order, marked as a
-// partial commit (errPartialCommit) when another group committed.
+// FanOutPhased is the one fan-out of a decide request, over a controller's
+// shards (FanOut) and over the router tier's backends. It calls start(g)
+// for every non-empty group of groups, then wait(g) for each in order, and
+// returns the latest clock they answered. When a group fails it returns the
+// first error in group order, marked as a partial commit
+// (errPartialCommit) when another group committed. Every started group is
+// waited on, whatever the others answered.
+func FanOutPhased(groups [][]int, start func(g int), wait func(g int) (pmf.Tick, error)) (pmf.Tick, error) {
+	for g := range groups {
+		if len(groups[g]) > 0 {
+			start(g)
+		}
+	}
+	var now pmf.Tick
+	var err error
+	committed := false
+	for g := range groups {
+		if len(groups[g]) == 0 {
+			continue
+		}
+		if gnow, gerr := wait(g); gerr != nil {
+			err = cmp.Or(err, gerr)
+		} else {
+			committed = true
+			now = max(now, gnow)
+		}
+	}
+	if err != nil && committed {
+		err = fmt.Errorf("%w (%w)", err, errPartialCommit)
+	}
+	return now, err
+}
+
+// FanOut is FanOutPhased over a decide that computes in place: each
+// non-empty group runs on a goroutine of its own but the last, which runs
+// on the caller's once the others have started.
 func FanOut(groups [][]int, decide func(g int) (pmf.Tick, error)) (pmf.Tick, error) {
 	type result struct {
 		now pmf.Tick
@@ -496,36 +526,20 @@ func FanOut(groups [][]int, decide func(g int) (pmf.Tick, error)) (pmf.Tick, err
 		}
 	}
 	var wg sync.WaitGroup
-	for g := range last {
-		if len(groups[g]) == 0 {
-			continue
+	return FanOutPhased(groups, func(g int) {
+		if g == last {
+			results[g].now, results[g].err = decide(g)
+			return
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			results[g].now, results[g].err = decide(g)
 		}()
-	}
-	if last >= 0 {
-		results[last].now, results[last].err = decide(last)
-	}
-	wg.Wait()
-	var now pmf.Tick
-	var err error
-	committed := false
-	for g := range results {
-		switch {
-		case results[g].err != nil:
-			err = cmp.Or(err, results[g].err)
-		case len(groups[g]) > 0:
-			committed = true
-			now = max(now, results[g].now)
-		}
-	}
-	if err != nil && committed {
-		err = fmt.Errorf("%w (%w)", err, errPartialCommit)
-	}
-	return now, err
+	}, func(g int) (pmf.Tick, error) {
+		wg.Wait()
+		return results[g].now, results[g].err
+	})
 }
 
 // makeTask converts a wire spec into an engine task, filling missing

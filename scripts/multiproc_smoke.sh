@@ -7,9 +7,13 @@
 # (3) the same request retried through a restarted router — which has
 # lost its own dedup window — to return those bytes again, the sub-requests
 # meeting their own IDs in the backends' windows, (4) the router's /metrics
-# to lint clean against the Prometheus text grammar, and (5) on a fresh fleet, kill -9 of one backend mid-replay to
-# shed its traffic onto the survivor — the retried replay must still
-# complete with zero duplicate acks.
+# to lint clean against the Prometheus text grammar, (5) on a fresh fleet,
+# kill -9 of one backend mid-replay to shed its traffic onto the survivor
+# — the retried replay must still complete with zero duplicate acks — and
+# (6) the killed backend, restarted on its journal, to rejoin: once the
+# router's /v1/stats shows it ready, the rest of the trace replays with
+# zero duplicate acks and no sub-batch rerouted (the router's connections
+# to the dead process are gone, not reused).
 #
 # Usage: scripts/multiproc_smoke.sh [tolerance_pp]
 set -euo pipefail
@@ -120,29 +124,51 @@ stop_fleet
 
 ### Phase 2: fresh fleet — kill -9 one backend mid-replay; the router
 ### sheds its classes onto the survivor and the replay still completes
-### with zero duplicate acks.
+### with zero duplicate acks. Then the backend restarts on its journal,
+### rejoins, and the rest of the trace goes through without a reroute.
 smoke_tmpdir JDIR0
 smoke_tmpdir JDIR1
 start_fleet
 echo "fresh fleet up for the kill test"
 
-( sleep 2 && kill -9 "$B1_PID" 2>/dev/null && echo "killed backend 1 (pid $B1_PID) with SIGKILL" ) &
+( sleep 1.5 && kill -9 "$B1_PID" 2>/dev/null && echo "killed backend 1 (pid $B1_PID) with SIGKILL" ) &
 KILLER=$!
 
-# -speed 2 paces the replay over ~half the trace window (a few seconds),
-# so the 2 s kill below lands while requests are still in flight.
+# -speed 2 paces the replay over ~half the trace window; the first SPLIT
+# tasks take ~2.6 s, so the 1.5 s kill lands while requests are in flight.
+SPLIT=1200
 out=$("$BIN/hcload" -addr "http://$FRONT" -profile "$PROFILE" \
-    -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" -retries 3 -speed 2)
+    -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" -retries 3 -speed 2 -to "$SPLIT" -no-drain)
 wait "$KILLER" 2>/dev/null || true
 B1_PID=""
 echo "$out"
-online2=$(echo "$out" | awk '/^achieved robustness/{print $3}')
 dups2=$(echo "$out" | awk '/^duplicate acks/{print $3}')
 [ "$dups2" = "0" ] || { echo "FAIL: $dups2 duplicate acks through the backend kill" >&2; exit 1; }
-echo "online (1 backend killed mid-replay): $online2 %"
 
 up=$(curl -sf "http://$FRONT/metrics" | awk '/^taskdrop_router_backend_up{backend="1"}/{print $2}')
 [ "$up" = "0" ] || { echo "FAIL: killed backend still marked up ($up)" >&2; exit 1; }
 echo "router marked the killed backend down; survivor carried the load"
 
-echo "OK: replay within ${TOL}pp of offline, idempotent duplicates (across a router restart too), clean metrics, zero duplicate acks through a backend kill"
+# Rejoin: the same address, the same journal.
+B1_PID=$(start_backend "$B1" "$JDIR1" 1/2)
+for _ in $(seq 1 100); do
+    curl -sf "http://$FRONT/v1/stats" | grep -q '"backend":1,"url":"[^"]*","ready":true' && break
+    sleep 0.2
+done
+curl -sf "http://$FRONT/v1/stats" | grep -q '"backend":1,"url":"[^"]*","ready":true' ||
+    { echo "FAIL: the restarted backend never rejoined the rotation" >&2; exit 1; }
+echo "restarted backend 1 rejoined the rotation"
+
+reroutes() { curl -sf "http://$FRONT/metrics" | awk '/^taskdrop_router_reroutes_total /{print $2}'; }
+before=$(reroutes)
+out=$("$BIN/hcload" -addr "http://$FRONT" -profile "$PROFILE" \
+    -tasks "$TASKS" -scale "$SCALE" -seed "$SEED" -retries 3 -from "$SPLIT")
+echo "$out"
+online2=$(echo "$out" | awk '/^achieved robustness/{print $3}')
+dups3=$(echo "$out" | awk '/^duplicate acks/{print $3}')
+[ "$dups3" = "0" ] || { echo "FAIL: $dups3 duplicate acks after the rejoin" >&2; exit 1; }
+after=$(reroutes)
+[ "$after" = "$before" ] || { echo "FAIL: $((after - before)) sub-batches rerouted after the rejoin" >&2; exit 1; }
+echo "online (1 backend killed mid-replay, then rejoined): $online2 %; reroutes $before before and after the rejoin"
+
+echo "OK: replay within ${TOL}pp of offline, idempotent duplicates (across a router restart too), clean metrics, zero duplicate acks through a backend kill and its rejoin"
