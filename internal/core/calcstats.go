@@ -37,18 +37,19 @@ func widthBucket(n int) int {
 // observeWidth records the impulse count of one freshly computed (not
 // memoized) Eq. 1 completion PMF.
 func (c *Calculus) observeWidth(n int) {
-	c.widths[widthBucket(n)].Add(1)
-	c.widthSum.Add(uint64(n))
+	b := &c.widths[widthBucket(n)]
+	b.Store(b.Load() + 1)
+	c.widthSum.Store(c.widthSum.Load() + uint64(n))
 }
 
 // CountCandidate records one mapper candidate (a tentative append of a
 // batch task to a machine's tail) whose completion PMF was evaluated.
-func (c *Calculus) CountCandidate() { c.candEval.Add(1) }
+func (c *Calculus) CountCandidate() { c.candEval.Store(c.candEval.Load() + 1) }
 
 // CountPruned records n mapper candidates skipped unconvolved because the
 // mapper could show — from their mean lower bound, or from its own
 // ordering rule — that they could not change its choice.
-func (c *Calculus) CountPruned(n int) { c.candPruned.Add(uint64(n)) }
+func (c *Calculus) CountPruned(n int) { c.candPruned.Store(c.candPruned.Load() + uint64(n)) }
 
 // CalcStats is a point-in-time snapshot of a calculus' introspection
 // counters. Counts are cumulative since construction (Recycle does not

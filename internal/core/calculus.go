@@ -90,9 +90,10 @@ type Calculus struct {
 	scratchF []float64
 
 	// Introspection counters (see Stats). Atomics because metrics scrapes
-	// read them while the owning decision loop writes; uncontended adds on
-	// the single writer cost a few nanoseconds against microseconds per
-	// convolution.
+	// read them while the owning decision loop writes. That loop is the
+	// only writer, so each count is bumped as Store(Load()+n), a load and
+	// a store rather than an atomic read-modify-write: no increment can be
+	// lost, and a reader still sees each value whole.
 	chainHits   atomic.Uint64
 	chainMisses atomic.Uint64
 	rootHits    atomic.Uint64
@@ -272,14 +273,14 @@ func (s ChainState) Append(t pet.TaskType, dl pmf.Tick) ChainState {
 	edges := tr.nodes[s.node].edges
 	for i, e := range edges {
 		if e.key == key {
-			c.chainHits.Add(1)
+			c.chainHits.Store(c.chainHits.Load() + 1)
 			if i > 0 {
 				edges[i-1], edges[i] = edges[i], edges[i-1]
 			}
 			return ChainState{c: c, cc: s.cc, mt: s.mt, node: e.node}
 		}
 	}
-	c.chainMisses.Add(1)
+	c.chainMisses.Store(c.chainMisses.Load() + 1)
 	prev := tr.nodes[s.node].cp
 	cp := s.cc.adopt(prev, c.appendPMF(prev, t, dl, s.mt))
 	id := tr.newNode(cp) // may grow tr.nodes; re-take the parent below

@@ -156,11 +156,11 @@ func (cc *ChainCache) resetFor(reason InvalidationReason) {
 	cc.gen++
 	switch reason {
 	case InvalidateEvent:
-		cc.c.invEvent.Add(1)
+		cc.c.invEvent.Store(cc.c.invEvent.Load() + 1)
 	case InvalidateChurn:
-		cc.c.invChurn.Add(1)
+		cc.c.invChurn.Store(cc.c.invChurn.Load() + 1)
 	case InvalidateOverflow:
-		cc.c.invOverflow.Add(1)
+		cc.c.invOverflow.Store(cc.c.invOverflow.Load() + 1)
 	}
 }
 
@@ -252,10 +252,10 @@ func (c *Calculus) ChainStartCached(cc *ChainCache, mt pet.MachineType, now pmf.
 	}
 	cc.checked = c.epoch + 1
 	if cc.valid {
-		c.rootHits.Add(1)
+		c.rootHits.Store(c.rootHits.Load() + 1)
 		return ChainState{c: c, cc: cc, mt: mt, node: cc.root}, first
 	}
-	c.rootMisses.Add(1)
+	c.rootMisses.Store(c.rootMisses.Load() + 1)
 	avail := cc.pin.pin(c, c.availability(mt, now, q))
 	if cc.pin.committed > cc.maxPinned {
 		cc.overflowed = true
@@ -311,7 +311,7 @@ func (a *pinArena) pin(c *Calculus, p pmf.PMF) pmf.PMF {
 	out, _ := p.CloneInto(a.block[a.used : a.used : a.used+n])
 	a.used += n
 	a.committed += n
-	c.pinnedBytes.Add(int64(n) * pinImpulseBytes)
+	c.pinnedBytes.Store(c.pinnedBytes.Load() + int64(n)*pinImpulseBytes)
 	return out
 }
 
@@ -320,7 +320,7 @@ func (a *pinArena) pin(c *Calculus, p pmf.PMF) pmf.PMF {
 // references them (stale states are fenced off by the generation bump).
 func (a *pinArena) reset(c *Calculus) {
 	if a.committed > 0 {
-		c.pinnedBytes.Add(-int64(a.committed) * pinImpulseBytes)
+		c.pinnedBytes.Store(c.pinnedBytes.Load() - int64(a.committed)*pinImpulseBytes)
 	}
 	a.old = nil
 	a.used = 0

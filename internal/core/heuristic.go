@@ -134,12 +134,12 @@ func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc, dlOf de
 		// its chains are never convolved. (β=+Inf over vKeep=0 is NaN and
 		// falls through to the full comparison, which it also fails.)
 		if beta*vKeep >= float64(window)+valueSlack {
-			calc.winBounded.Add(1)
+			calc.winBounded.Store(calc.winBounded.Load() + 1)
 			prev = head
 			i++
 			continue
 		}
-		calc.winEval.Add(1)
+		calc.winEval.Store(calc.winEval.Load() + 1)
 		vDrop, _ := chainValue(prev, work[i+1:], window)
 
 		if vDrop > beta*vKeep {

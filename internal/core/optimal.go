@@ -74,11 +74,11 @@ func (s *optimalSearch) walk(i int, prev ChainState, sum float64, mask uint32) {
 	// leaf the comparison below would accept, so skipping it changes
 	// neither the chosen mask nor the order in which ties are met.
 	if s.haveBest && sum+float64(len(s.cands)-i+len(s.tail))+valueSlack < s.bestR-1e-12 {
-		s.calc.winBounded.Add(1)
+		s.calc.winBounded.Store(s.calc.winBounded.Load() + 1)
 		return
 	}
 	if i == len(s.cands) {
-		s.calc.winEval.Add(1)
+		s.calc.winEval.Store(s.calc.winEval.Load() + 1)
 		for _, qt := range s.tail {
 			prev = prev.AppendTask(qt)
 			sum += prev.PMF().MassBefore(qt.Deadline)

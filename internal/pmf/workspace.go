@@ -1,6 +1,7 @@
 package pmf
 
 import (
+	"math"
 	mathbits "math/bits"
 	"sync/atomic"
 )
@@ -24,6 +25,14 @@ import (
 // load-add-store loop and the harvest is one range scan. An output span
 // past maxDenseSpan (0 of the 26.3 M kernel calls of `hcexp -fig all`) is
 // handed to the portable PMF.NextCompletion.
+//
+// The chain step of the calculus (NextCompletionCompact) harvests
+// differently: both dense paths bin the window straight into the budget's
+// compaction windows with one function, binCompact, which range-scans four
+// windows in lockstep with no per-cell branch and uses the bitmap, when
+// there is one, only to skip untouched groups and strips. Its cost tracks
+// the span, not the contribution count; the calculus' windows are mostly
+// 40–85 % touched, where that is the cheaper trade.
 //
 // Every path sums equal-time contributions in ascending left-impulse
 // order — the floating-point addition order of the naive nested loop, and
@@ -71,12 +80,13 @@ const (
 // depend on the span.
 const maxDenseSpan = 1 << 17
 
-// linearFillFactor selects between the two dense harvests: when the
-// window averages at least this many contributions per cell, nearly every
-// cell is occupied, so the straight window scan (no bitmap maintenance in
-// the accumulation loop, branch-predictable range passes to harvest) beats
+// linearFillFactor selects between the two dense paths: when the window
+// averages at least this many contributions per cell, nearly every cell is
+// occupied, so the straight window scan (no bitmap maintenance in the
+// accumulation loop, branch-predictable range passes to harvest) beats
 // flagging and walking touched words. Sparser windows keep the bitmap:
-// there the harvest cost tracks the contribution count, not the span.
+// there the raw harvest cost tracks the contribution count, not the span,
+// and the binning skips the untouched stretches.
 const linearFillFactor = 2
 
 // Reset recycles the arena. Every PMF previously returned by this
@@ -135,8 +145,8 @@ func (w *Workspace) NextCompletion(prev, exec PMF, dl Tick) PMF {
 
 // nextCompletion is NextCompletion with an optional compaction budget:
 // with maxN > 0 the dense kernel bins over-budget output directly from the
-// accumulation window (identical to harvesting then compacting, without
-// materializing the intermediate impulses). maxN <= 0 harvests raw. The
+// accumulation window (binCompact: identical to harvesting then compacting,
+// without materializing the intermediate impulses). maxN <= 0 harvests raw. The
 // wide-span fallback, the single-impulse shift-scale path and the
 // pass-through fast paths ignore maxN; the caller compacts those. pat, when non-nil,
 // is exec's precomputed occupancy pattern (see Pattern) — callers chaining
@@ -210,7 +220,7 @@ func (w *Workspace) nextCompletion(prev, exec PMF, dl Tick, maxN int, pat []uint
 				d[a.T-lo] += a.P
 			}
 			if maxN > 0 {
-				return w.harvestCompactLinear(d, lo, maxN)
+				return w.binCompact(d, nil, lo, maxN)
 			}
 			return w.harvestLinear(d, lo, total)
 		}
@@ -240,7 +250,7 @@ func (w *Workspace) nextCompletion(prev, exec PMF, dl Tick, maxN int, pat []uint
 			bits[i>>6] |= 1 << (i & 63)
 		}
 		if maxN > 0 {
-			return w.harvestCompact(d, bits, lo, maxN, total)
+			return w.binCompact(d, bits, lo, maxN)
 		}
 		return w.harvest(d, bits, lo, total)
 	}
@@ -367,168 +377,226 @@ func (w *Workspace) harvestLinear(d []float64, lo Tick, total int) PMF {
 	return w.commit(base, len(out))
 }
 
-// harvestCompactLinear is harvestCompact for the bitmap-free dense path:
-// the same fused windowed compaction, with the support-bound and window
-// walks as straight range scans. Bit-identical to harvestCompact over the
-// same window.
-func (w *Workspace) harvestCompactLinear(d []float64, lo Tick, maxN int) PMF {
-	first, last := 0, len(d)-1
-	for first < len(d) && d[first] <= massEps {
-		first++
-	}
-	if first == len(d) {
-		return Zero()
-	}
-	for d[last] <= massEps {
-		last--
-	}
-	w.ensure(last - first + 1)
-	base := w.used
-	out := w.block[base:base]
-	span := Tick(last-first) + 1
-	width := span / Tick(maxN)
-	if span%Tick(maxN) != 0 {
-		width++
-	}
-	if width < 1 {
-		width = 1
-	}
-	count := 0
-	var mass, weighted float64
-	flush := func() {
-		if mass > massEps {
-			out = append(out, Impulse{T: Tick(weighted/mass + 0.5), P: mass})
-		}
-		mass, weighted = 0, 0
-	}
-	nextBound := first // the first cell always opens a window
-	for j, v := range d[first : last+1] {
-		if v <= massEps {
-			continue
-		}
-		count++
-		i := first + j
-		if i >= nextBound {
-			flush()
-			nextBound = first + (int(Tick(i-first)/width)+1)*int(width)
-		}
-		t := lo + Tick(i)
-		mass += v
-		weighted += float64(t) * v
-	}
-	flush()
-	if count <= maxN {
-		// Within budget after all: Compact would have left the impulses
-		// alone, so discard the windowed merge and harvest plain.
-		out = out[:0]
-		for i, v := range d[first : last+1] {
-			if v > massEps {
-				out = append(out, Impulse{T: lo + Tick(first+i), P: v})
-			}
-		}
-		return w.commit(base, len(out))
-	}
-	// Fold adjacent windows rounded to the same tick, as Compact does.
-	merged := out[:0]
-	for _, im := range out {
-		if n := len(merged); n > 0 && merged[n-1].T == im.T {
-			merged[n-1].P += im.P
-		} else {
-			merged = append(merged, im)
-		}
-	}
-	return w.commit(base, len(merged))
-}
-
-// harvestCompact harvests the dense window and compacts to at most maxN
-// impulses in a single arena allocation, without materializing the raw
-// impulse list. The result is identical to harvest followed by Compact.
-// The support bounds come from two short directional scans; one bitmap
-// walk then accumulates Compact's equal-width windows while counting the
-// non-negligible cells, and the rare within-budget outcome (count ≤ maxN)
-// re-walks as a plain harvest. total bounds the number of non-zero cells.
-func (w *Workspace) harvestCompact(d []float64, bits []uint64, lo Tick, maxN, total int) PMF {
+// binCompact harvests the dense window and compacts it to at most maxN
+// impulses in one arena allocation, without materializing the raw impulse
+// list: the result is identical to harvest followed by Compact. Both dense
+// paths call it; bits is the touched-cell bitmap of the bitmap path and nil
+// on the linear one, where every cell counts as touched.
+//
+// It is compactInto's windowed merge read off cells instead of impulses.
+// The support [first, last] is cut into the same equal-width windows, and
+// each window sums its cells in ascending order starting from 0, so every
+// mass, weighted time, rounded tick and merged tick is bit-identical. Four
+// adjacent windows accumulate side by side (binFour), so the eight sums
+// are independent add chains the CPU overlaps instead of one serial chain,
+// and no cell takes a data-dependent branch: a cell at or below massEps
+// adds +0 through a bit mask, and the cells above it are counted. What is
+// left after the last whole group of four (up to three windows and a
+// partial last one) accumulates one window at a time (binOne). With a
+// bitmap, a group whose words are all zero is skipped, and so is every
+// word-sized strip of a wider group or window that no flagged word
+// covers: untouched cells are zero, so a skip changes no sum. When the
+// count is within the budget after all, Compact would have left the
+// impulses alone, so the binned output is discarded and the plain harvest
+// runs instead.
+func (w *Workspace) binCompact(d []float64, bits []uint64, lo Tick, maxN int) PMF {
 	first, last, ok := supportBounds(d, bits)
 	if !ok {
 		return Zero()
 	}
-	if total > len(d) {
-		total = len(d)
-	}
-	w.ensure(total)
+	span := last - first + 1
+	width := (span + maxN - 1) / maxN
+	w.ensure(min(maxN, span))
 	base := w.used
 	out := w.block[base:base]
-	// The windowed merge of compactInto, reading cells instead of
-	// impulses. Same window arithmetic, same accumulation and flush
-	// order, bit-identical results.
-	span := Tick(last-first) + 1
-	width := span / Tick(maxN)
-	if span%Tick(maxN) != 0 {
-		width++
-	}
-	if width < 1 {
-		width = 1
-	}
-	count := 0
-	var mass, weighted float64
-	flush := func() {
-		if mass > massEps {
-			out = append(out, Impulse{T: Tick(weighted/mass + 0.5), P: mass})
+	var count uint64
+	s := first
+	for ; s+4*width <= last+1; s += 4 * width {
+		if !touched(bits, s, s+4*width) {
+			continue // four empty windows
 		}
-		mass, weighted = 0, 0
-	}
-	nextBound := first // the first cell always opens a window
-	for wi := first >> 6; wi <= last>>6; wi++ {
-		word := bits[wi]
-		for word != 0 {
-			i := wi<<6 + mathbits.TrailingZeros64(word)
-			word &= word - 1
-			v := d[i]
-			if v <= massEps {
-				continue
+		var win [4]window
+		for j := 0; j < width; j += 64 {
+			n := min(64, width-j)
+			busy := uint(0b1111)
+			if n < width {
+				// Windows wider than a word: skip the idle lanes of each
+				// word-sized strip.
+				busy = busyLanes(bits, s+j, n, width)
 			}
-			count++
-			if i >= nextBound {
-				flush()
-				nextBound = first + (int(Tick(i-first)/width)+1)*int(width)
-			}
-			t := lo + Tick(i)
-			mass += v
-			weighted += float64(t) * v
-		}
-	}
-	flush()
-	if count <= maxN {
-		// Within budget after all: Compact would have left the impulses
-		// alone, so discard the windowed merge and harvest plain.
-		out = out[:0]
-		for wi := first >> 6; wi <= last>>6; wi++ {
-			word := bits[wi]
-			for word != 0 {
-				i := wi<<6 + mathbits.TrailingZeros64(word)
-				word &= word - 1
-				if v := d[i]; v > massEps {
-					out = append(out, Impulse{T: lo + Tick(i), P: v})
-				}
+			switch {
+			case busy == 0: // four idle lanes
+			case busy&(busy-1) == 0:
+				// One busy lane: it alone is cheaper than four in lockstep.
+				k := mathbits.TrailingZeros(busy)
+				c := s + k*width + j
+				count += binOne(&win[k], d[c:c+n], lo+Tick(c))
+			default:
+				count += binFour(&win, d[s+j:s+3*width+j+n], width, n, lo+Tick(s+j))
 			}
 		}
-		return w.commit(base, len(out))
-	}
-	// Fold adjacent windows rounded to the same tick, as Compact does.
-	merged := out[:0]
-	for _, im := range out {
-		if n := len(merged); n > 0 && merged[n-1].T == im.T {
-			merged[n-1].P += im.P
-		} else {
-			merged = append(merged, im)
+		for i := range win {
+			out = win[i].emit(out)
 		}
 	}
-	return w.commit(base, len(merged))
+	for ; s <= last; s += width {
+		e := min(s+width, last+1)
+		var b window
+		for j := s; j < e; j += 64 {
+			if n := min(64, e-j); touched(bits, j, j+n) {
+				count += binOne(&b, d[j:j+n], lo+Tick(j))
+			}
+		}
+		out = b.emit(out)
+	}
+	if count <= uint64(maxN) {
+		if bits == nil {
+			return w.harvestLinear(d, lo, int(count))
+		}
+		return w.harvest(d, bits, lo, int(count))
+	}
+	return w.commit(base, len(out))
 }
 
-// supportBounds finds the first and last window cells above massEps via
-// two directional bitmap scans; ok is false when no cell qualifies.
+// window is one compaction window's running sums: its mass and its
+// mass-weighted time.
+type window struct{ mass, weighted float64 }
+
+// emit appends the window's merged impulse, if it holds any mass, as
+// compactInto's flush does, folding it into the previous impulse when both
+// round to the same tick, as compactInto's final pass does (in the same
+// order, so with the same sums).
+func (b window) emit(out []Impulse) []Impulse {
+	if b.mass <= massEps {
+		return out
+	}
+	t := Tick(b.weighted/b.mass + 0.5)
+	if n := len(out); n > 0 && out[n-1].T == t {
+		out[n-1].P += b.mass
+		return out
+	}
+	return append(out, Impulse{T: t, P: b.mass})
+}
+
+// binFour adds cells [0, n) of the four lanes g[k·width:], k = 0…3, to
+// win[k] in ascending order; cell j of lane 0 is tick t. The lanes are four
+// adjacent compaction windows advancing in lockstep.
+func binFour(win *[4]window, g []float64, width, n int, t Tick) (count uint64) {
+	eps := math.Float64bits(massEps)
+	m0, m1, m2, m3 := win[0].mass, win[1].mass, win[2].mass, win[3].mass
+	x0, x1, x2, x3 := win[0].weighted, win[1].weighted, win[2].weighted, win[3].weighted
+	d0 := g[:n]
+	d1 := g[width:][:len(d0)]
+	d2 := g[2*width:][:len(d0)]
+	d3 := g[3*width:][:len(d0)]
+	tw := Tick(width)
+	for j, v := range d0 {
+		// A non-negative float64's bit pattern orders like its value, so
+		// k is all ones for a cell above massEps and zero otherwise.
+		tj := t + Tick(j)
+		b := math.Float64bits(v)
+		k := uint64(int64(eps-b) >> 63)
+		f := math.Float64frombits(b & k)
+		count -= k
+		m0 += f
+		x0 += float64(tj) * f
+		b = math.Float64bits(d1[j])
+		k = uint64(int64(eps-b) >> 63)
+		f = math.Float64frombits(b & k)
+		count -= k
+		m1 += f
+		x1 += float64(tj+tw) * f
+		b = math.Float64bits(d2[j])
+		k = uint64(int64(eps-b) >> 63)
+		f = math.Float64frombits(b & k)
+		count -= k
+		m2 += f
+		x2 += float64(tj+2*tw) * f
+		b = math.Float64bits(d3[j])
+		k = uint64(int64(eps-b) >> 63)
+		f = math.Float64frombits(b & k)
+		count -= k
+		m3 += f
+		x3 += float64(tj+3*tw) * f
+	}
+	win[0], win[1], win[2], win[3] = window{m0, x0}, window{m1, x1}, window{m2, x2}, window{m3, x3}
+	return count
+}
+
+// binOne is binFour for one lane: it adds the cells of g, the first at
+// tick t, to win.
+func binOne(win *window, g []float64, t Tick) (count uint64) {
+	eps := math.Float64bits(massEps)
+	m, x := win.mass, win.weighted
+	for j, v := range g {
+		b := math.Float64bits(v)
+		k := uint64(int64(eps-b) >> 63)
+		f := math.Float64frombits(b & k)
+		count -= k
+		m += f
+		x += float64(t+Tick(j)) * f
+	}
+	*win = window{m, x}
+	return count
+}
+
+// touched reports whether the touched bitmap flags a word covering any
+// of the cells [from, to), testing four words per step. Without a bitmap
+// (the linear path) every cell counts as touched.
+func touched(bits []uint64, from, to int) bool {
+	if bits == nil {
+		return true
+	}
+	ws := bits[from>>6 : (to-1)>>6+1]
+	for len(ws) >= 4 {
+		if ws[0]|ws[1]|ws[2]|ws[3] != 0 {
+			return true
+		}
+		ws = ws[4:]
+	}
+	for _, word := range ws {
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// busyLanes returns the mask of the lanes k < 4 whose cells
+// [a+k·width, a+k·width+n), n ≤ 64, lie in a flagged bitmap word (two words
+// at most per lane). A lane outside the mask holds only zero cells, so
+// skipping it is exact. Without a bitmap every lane is busy.
+func busyLanes(bits []uint64, a, n, width int) uint {
+	if bits == nil {
+		return 0b1111
+	}
+	var busy uint
+	for k := range 4 {
+		c := a + k*width
+		if bits[c>>6]|bits[(c+n-1)>>6] != 0 {
+			busy |= 1 << k
+		}
+	}
+	return busy
+}
+
+// supportBounds finds the first and last window cells above massEps: two
+// directional bitmap scans, or two range scans with no bitmap. ok is false
+// when no cell qualifies.
 func supportBounds(d []float64, bits []uint64) (first, last int, ok bool) {
+	if bits == nil {
+		for first < len(d) && d[first] <= massEps {
+			first++
+		}
+		if first == len(d) {
+			return 0, 0, false
+		}
+		last = len(d) - 1
+		for d[last] <= massEps {
+			last--
+		}
+		return first, last, true
+	}
 	for wi, word := range bits {
 		for word != 0 {
 			i := wi<<6 + mathbits.TrailingZeros64(word)

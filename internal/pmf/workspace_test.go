@@ -129,6 +129,59 @@ func BenchmarkNextCompletionCompactWorkspace(b *testing.B) {
 	}
 }
 
+// spreadPMF builds a PMF of exactly n impulses at distinct ticks drawn from
+// [base, base+span), with random masses scaled to total mass.
+func spreadPMF(r *rand.Rand, n int, base Tick, span int, mass float64) PMF {
+	imps := make([]Impulse, n)
+	sum := 0.0
+	for i, off := range r.Perm(span)[:n] {
+		imps[i] = Impulse{T: base + Tick(off), P: r.Float64() + 1e-3}
+		sum += imps[i].P
+	}
+	for i := range imps {
+		imps[i].P *= mass / sum
+	}
+	return FromImpulses(imps)
+}
+
+// BenchmarkNextCompletionCompactChainShape is one Eq. 1 append at the
+// shape the calculus feeds the kernel: a compacted chain state of 32
+// impulses over ~400 ticks, a matrix cell of 22 impulses over ~150 ticks,
+// and a deadline that lets most of the state execute. The output window
+// spans ~550 ticks (the bitmap path), so the fused harvest-compaction
+// costs as much as the accumulation.
+func BenchmarkNextCompletionCompactChainShape(b *testing.B) {
+	r := rand.New(rand.NewSource(33))
+	prev := spreadPMF(r, 32, 1000, 400, 0.9)
+	exec := spreadPMF(r, 22, 20, 150, 1)
+	pat := Pattern(exec)
+	var ws Workspace
+	b.ReportAllocs()
+	for b.Loop() {
+		ws.Reset()
+		ws.NextCompletionCompactPattern(prev, exec, 1300, DefaultMaxImpulses, pat)
+	}
+}
+
+// BenchmarkNextCompletionCompactSparseWide is a chain state in two
+// clusters 60 000 ticks apart: the output window spans ~60 000 ticks of
+// which ~700 are touched, so a harvest that scans the span instead of
+// skipping untouched words costs far more than the accumulation.
+func BenchmarkNextCompletionCompactSparseWide(b *testing.B) {
+	r := rand.New(rand.NewSource(34))
+	a := spreadPMF(r, 16, 1000, 200, 0.45).Impulses()
+	c := spreadPMF(r, 16, 61000, 200, 0.45).Impulses()
+	prev := FromImpulses(append(append([]Impulse{}, a...), c...))
+	exec := spreadPMF(r, 22, 20, 150, 1)
+	pat := Pattern(exec)
+	var ws Workspace
+	b.ReportAllocs()
+	for b.Loop() {
+		ws.Reset()
+		ws.NextCompletionCompactPattern(prev, exec, 70000, DefaultMaxImpulses, pat)
+	}
+}
+
 func BenchmarkCompact(b *testing.B) {
 	r := rand.New(rand.NewSource(32))
 	p := randomPMF(r, 200, 5000)
