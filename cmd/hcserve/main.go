@@ -8,7 +8,7 @@
 //
 // With -shards N the machines are partitioned into N independent
 // admission shards, each with its own single-writer decision loop, behind
-// a routing policy (-router rr|mass|p2c|hash) — the sharded cluster
+// a routing policy (-router rr|p2c|hash) — the sharded cluster
 // architecture that multiplies decision throughput while keeping the
 // paper's calculus exact per shard.
 //
@@ -102,7 +102,7 @@ func main() {
 		dropperSpec   = flag.String("dropper", "heuristic", "dropping policy spec: reactdrop | heuristic[:beta=..,eta=..] | optimal | threshold[:base=..,adaptive] | approx[:grace=..]")
 		shards        = flag.Int("shards", 1, "admission shards (independent decision loops over partitioned machines)")
 		partition     = flag.String("partition", "", "own only machine partition k/K of the profile (e.g. 0/2); empty serves the whole matrix")
-		routerSpec    = flag.String("router", "rr", "shard-routing policy spec: rr | mass | p2c[:seed=..] | hash")
+		routerSpec    = flag.String("router", "rr", "shard-routing policy spec: rr | p2c[:seed=..] | hash[:seed=..]")
 		queueCap      = flag.Int("queue", 6, "machine queue capacity incl. running task")
 		grace         = flag.Int64("grace", 0, "reactive-drop grace window in ms (approximate-computing extension)")
 		dropOnArrival = flag.Bool("drop-on-arrival", false, "engage the proactive dropper on arrival events too (strict Fig. 4)")

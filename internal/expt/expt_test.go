@@ -220,7 +220,7 @@ func TestSweepFromSpecAxes(t *testing.T) {
 		"grace=0,150;tasks=100",
 		"budget=8,64;tasks=100",
 		"shards=1,2,4;tasks=100",
-		"router=rr|mass|p2c:seed=3;tasks=100",
+		"router=rr|hash|p2c:seed=3;tasks=100",
 		"mtbf=0,10000;tasks=100",
 	} {
 		items, err := SweepFromSpec(g)

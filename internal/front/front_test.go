@@ -132,7 +132,7 @@ func TestFrontReplayAcrossPartitions(t *testing.T) {
 // the class hash, naming the rule.
 func TestFrontRoutesByClassOnly(t *testing.T) {
 	urls := newBackends(t, 1)
-	for _, spec := range []string{"rr", "mass", "p2c", "p2c:seed=3"} {
+	for _, spec := range []string{"rr", "p2c", "p2c:seed=3"} {
 		_, err := New(Config{Backends: urls, Profile: "video", Router: spec})
 		if err == nil || !strings.Contains(err.Error(), "the router tier partitions by task class: hash[:seed=N]") {
 			t.Errorf("Router %q: err = %v, want the class-hash rule", spec, err)

@@ -21,16 +21,17 @@
 // at ≤ 2 allocations (all built-in policies allocate zero); CI asserts the
 // budget.
 //
-// All four policies route in-process shards (service.Controller, the
+// All three policies route in-process shards (service.Controller, the
 // offline sim.Cluster). The cross-process router tier (internal/front)
 // accepts ClassHash only: its views carry nothing but the down bit, so a
-// backend's load and robustness stay inside the backend.
+// backend's robustness stays inside the backend. In-process views carry
+// the down bit and the per-class robustness EWMA p2c ranks by; a shard's
+// load is in its /v1/stats census, not in the view.
 //
 // Policies resolve through the same parameterized spec grammar as
 // mappers, droppers and profiles (internal/spec):
 //
 //	rr                          round-robin (aliases roundrobin, round-robin)
-//	mass                        least queue mass (aliases leastmass, least-queue-mass, lqm)
 //	p2c[:seed=<int64>]          power-of-two-choices over per-class
 //	                            robustness estimates (aliases poweroftwo,
 //	                            power-of-two)
@@ -73,16 +74,13 @@ type Task struct {
 }
 
 // ShardView is the router-visible state of one shard, published lock-free:
-// the shard's single-writer decision loop stores into the atomics after
-// every event, and any number of front-end goroutines read them when
-// routing. It carries the two signals the built-in policies consume —
-// queue-mass load gauges and a per-task-class EWMA of the on-time
-// probability the shard recently delivered at admission.
+// the shard's single-writer decision loop stores into the atomics, and any
+// number of front-end goroutines read them when routing. It carries the two
+// signals the built-in policies consume — whether the shard can admit at
+// all, and a per-task-class EWMA of the on-time probability the shard
+// recently delivered at admission. Load is not mirrored: no policy routes
+// on it.
 type ShardView struct {
-	batch  atomic.Int64 // deferred tasks waiting unmapped
-	queued atomic.Int64 // tasks in machine queues (incl. running)
-	free   atomic.Int64 // open queue slots across the shard
-
 	// down marks a shard that cannot currently admit anything — every
 	// machine removed, or its backend unreachable. Policies steer around
 	// down views and only land on one when every view is down.
@@ -104,14 +102,6 @@ func NewShardView(numClasses int) *ShardView {
 	return v
 }
 
-// SetLoad publishes the shard's load gauges (single writer: the shard's
-// decision loop).
-func (v *ShardView) SetLoad(batch, queued, free int) {
-	v.batch.Store(int64(batch))
-	v.queued.Store(int64(queued))
-	v.free.Store(int64(free))
-}
-
 // SetDown publishes whether the shard is unable to admit work (degraded to
 // zero live machines, or its backend gone). Single writer per transition;
 // any goroutine may read concurrently.
@@ -119,13 +109,6 @@ func (v *ShardView) SetDown(down bool) { v.down.Store(down) }
 
 // Down reports whether the shard is currently marked unable to admit work.
 func (v *ShardView) Down() bool { return v.down.Load() }
-
-// QueueMass returns the shard's outstanding work: tasks in machine queues
-// plus deferred tasks waiting in the batch.
-func (v *ShardView) QueueMass() int64 { return v.queued.Load() + v.batch.Load() }
-
-// FreeSlots returns the shard's open queue slots.
-func (v *ShardView) FreeSlots() int64 { return v.free.Load() }
 
 // ObserveAdmission folds one admission outcome for a task of the given
 // class into the per-class robustness EWMA: p is the chance of success the
@@ -198,39 +181,13 @@ func (RoundRobin) Route(t Task, views []*ShardView) int {
 	return int(base % n)
 }
 
-// LeastMass routes to the shard with the least outstanding work (machine
-// queues plus deferred batch), breaking ties toward the lower shard index
-// so the policy is a pure function of the published views.
-type LeastMass struct{}
-
-// Name implements Policy.
-func (LeastMass) Name() string { return "mass" }
-
-// Route implements Policy.
-func (LeastMass) Route(_ Task, views []*ShardView) int {
-	best, bestMass := -1, int64(0)
-	for i := 0; i < len(views); i++ {
-		if views[i].Down() {
-			continue
-		}
-		if m := views[i].QueueMass(); best < 0 || m < bestMass {
-			best, bestMass = i, m
-		}
-	}
-	if best < 0 {
-		best = 0 // everything down: shard 0 sheds the request
-	}
-	return best
-}
-
 // PowerOfTwo samples two distinct shards and admits through the one whose
 // robustness estimate for the task's class — the expected on-time
 // probability the shard has recently delivered to that class — is higher,
-// breaking ties toward the lighter queue and then the lower index. Two
-// choices give most of the benefit of a full scan at O(1) cost, and the
-// sampling keeps a persistently-misestimated shard from starving
-// (Mitzenmacher's power of two choices, applied to robustness instead of
-// queue length).
+// breaking ties toward the lower index. Two choices give most of the
+// benefit of a full scan at O(1) cost, and the sampling keeps a
+// persistently-misestimated shard from starving (Mitzenmacher's power of
+// two choices, applied to robustness instead of queue length).
 //
 // The RNG is a counter-based splitmix64 whose counter is the task's
 // sequence number, so a fixed seed makes a request stream's routing
@@ -331,15 +288,11 @@ func (p ClassHash) Route(t Task, views []*ShardView) int {
 }
 
 // better reports whether shard a beats shard b for task t: higher
-// robustness estimate for the class, then lighter queue, then lower index.
+// robustness estimate for the class, then lower index.
 func better(t Task, views []*ShardView, a, b int) bool {
 	ra, rb := views[a].ClassRobustness(t.Class), views[b].ClassRobustness(t.Class)
 	if ra != rb {
 		return ra > rb
-	}
-	ma, mb := views[a].QueueMass(), views[b].QueueMass()
-	if ma != mb {
-		return ma < mb
 	}
 	return a < b
 }
@@ -356,8 +309,6 @@ func FromSpec(s string) (Policy, error) {
 	switch name {
 	case "rr", "roundrobin", "round-robin":
 		p = NewRoundRobin()
-	case "mass", "leastmass", "least-queue-mass", "lqm":
-		p = LeastMass{}
 	case "p2c", "poweroftwo", "power-of-two":
 		p = NewPowerOfTwo(params.Int64("seed", 1))
 	case "hash", "class", "class-hash":
@@ -373,7 +324,7 @@ func FromSpec(s string) (Policy, error) {
 
 // Names lists the canonical routing-policy names.
 func Names() []string {
-	out := []string{"rr", "mass", "p2c", "hash"}
+	out := []string{"rr", "p2c", "hash"}
 	sort.Strings(out)
 	return out
 }

@@ -3,6 +3,7 @@ package router
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
@@ -18,16 +19,14 @@ func views(n int) []*ShardView {
 
 func TestFromSpec(t *testing.T) {
 	for spec, want := range map[string]string{
-		"rr":               "rr",
-		"RoundRobin":       "rr",
-		"round-robin":      "rr",
-		"mass":             "mass",
-		"leastmass":        "mass",
-		"least-queue-mass": "mass",
-		"lqm":              "mass",
-		"p2c":              "p2c",
-		"p2c:seed=42":      "p2c",
-		"PowerOfTwo":       "p2c",
+		"rr":          "rr",
+		"RoundRobin":  "rr",
+		"round-robin": "rr",
+		"p2c":         "p2c",
+		"p2c:seed=42": "p2c",
+		"PowerOfTwo":  "p2c",
+		"hash":        "hash",
+		"class-hash":  "hash",
 	} {
 		p, err := FromSpec(spec)
 		if err != nil {
@@ -41,6 +40,16 @@ func TestFromSpec(t *testing.T) {
 		if _, err := FromSpec(bad); err == nil {
 			t.Errorf("FromSpec(%q) accepted", bad)
 		}
+	}
+	// Least queue mass lost to rr in every measured cell and was deleted
+	// with the load mirror it read: its names are refused, naming the rest.
+	for _, gone := range []string{"mass", "leastmass", "least-queue-mass", "lqm"} {
+		if _, err := FromSpec(gone); err == nil || !strings.Contains(err.Error(), "(known: hash, p2c, rr)") {
+			t.Errorf("FromSpec(%q): err = %v, want refused naming hash, p2c, rr", gone, err)
+		}
+	}
+	if got := Names(); !reflect.DeepEqual(got, []string{"hash", "p2c", "rr"}) {
+		t.Errorf("Names() = %v", got)
 	}
 }
 
@@ -92,14 +101,20 @@ func TestRoundRobinCycles(t *testing.T) {
 	}
 }
 
-func TestLeastMassPicksLightestWithDeterministicTies(t *testing.T) {
-	vs := views(4)
-	vs[0].SetLoad(1, 5, 0) // mass 6
-	vs[1].SetLoad(0, 4, 2) // mass 4
-	vs[2].SetLoad(2, 2, 2) // mass 4
-	vs[3].SetLoad(3, 4, 0) // mass 7
-	if got := (LeastMass{}).Route(Task{}, vs); got != 1 {
-		t.Fatalf("least mass = %d, want 1 (lowest index among ties)", got)
+// TestPowerOfTwoTieGoesToLowerIndex: with equal robustness estimates for
+// the class, p2c admits through the lower-indexed of its two picks — with
+// two shards it compares both on every route, so a tie always lands on 0.
+func TestPowerOfTwoTieGoesToLowerIndex(t *testing.T) {
+	p := NewPowerOfTwo(11)
+	vs := views(2)
+	for _, v := range vs {
+		v.ObserveAdmission(2, 0.5)
+	}
+	vs[0].ObserveAdmission(1, 0) // another class's estimate breaks no tie
+	for i := 0; i < 200; i++ {
+		if got := p.Route(Task{Seq: int64(i), Class: 2}, vs); got != 0 {
+			t.Fatalf("task %d: tied estimates routed to shard %d, want 0", i, got)
+		}
 	}
 }
 
@@ -195,9 +210,9 @@ const maxRouteAllocs = 2
 func TestRouterRouteAllocsSteadyState(t *testing.T) {
 	vs := views(8)
 	for i, v := range vs {
-		v.SetLoad(i, 2*i, 8-i)
+		v.ObserveAdmission(1, float64(i)/8)
 	}
-	for _, spec := range []string{"rr", "mass", "p2c:seed=5"} {
+	for _, spec := range []string{"rr", "p2c:seed=5", "hash"} {
 		p, err := FromSpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -223,15 +238,12 @@ func TestShardViewDecayOffByDefault(t *testing.T) {
 }
 
 func TestPoliciesSteerAroundDownShards(t *testing.T) {
-	for _, spec := range []string{"rr", "mass", "p2c:seed=3", "hash:seed=3"} {
+	for _, spec := range []string{"rr", "p2c:seed=3", "hash:seed=3"} {
 		p, err := FromSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		vs := views(4)
-		for i, v := range vs {
-			v.SetLoad(i, i, 4)
-		}
 		vs[1].SetDown(true)
 		vs[2].SetDown(true)
 		for i := 0; i < 200; i++ {
@@ -240,14 +252,10 @@ func TestPoliciesSteerAroundDownShards(t *testing.T) {
 				t.Fatalf("%s routed task %d to down shard %d", spec, i, got)
 			}
 		}
-		// Recovery: once back up — and now lightest — the shard re-enters
-		// rotation under every policy.
+		// Recovery: once back up, the shards re-enter rotation under every
+		// policy.
 		vs[1].SetDown(false)
 		vs[2].SetDown(false)
-		vs[0].SetLoad(0, 100, 4)
-		vs[3].SetLoad(3, 100, 4)
-		vs[1].SetLoad(1, 0, 4)
-		vs[2].SetLoad(2, 0, 4)
 		hit := make(map[int]bool)
 		for i := 0; i < 200; i++ {
 			hit[p.Route(Task{Seq: int64(i), Class: i % 4}, vs)] = true
@@ -259,7 +267,7 @@ func TestPoliciesSteerAroundDownShards(t *testing.T) {
 }
 
 func TestAllShardsDownStillRoutes(t *testing.T) {
-	for _, spec := range []string{"rr", "mass", "p2c:seed=3", "hash:seed=3"} {
+	for _, spec := range []string{"rr", "p2c:seed=3", "hash:seed=3"} {
 		p, err := FromSpec(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -149,7 +149,7 @@ func (c *Controller) adminOn(ctx context.Context, sh *shard, rec journal.Record,
 				return
 			}
 		}
-		sh.eng.PublishLoad(sh.view)
+		sh.eng.PublishDown(sh.view)
 		sh.updateMembershipGauges()
 		c.memberOps[kind].Add(1)
 		resp = &AdminMachineResponse{

@@ -34,7 +34,7 @@ func newShardedController(t testing.TB, shards int, routerSpec string) *Controll
 // task.
 func TestShardedControllerConserves(t *testing.T) {
 	tr := testTrace(t, 500, 3)
-	for _, routerSpec := range []string{"rr", "mass", "p2c:seed=4"} {
+	for _, routerSpec := range []string{"rr", "p2c:seed=4"} {
 		c := newShardedController(t, 4, routerSpec)
 		decisions := decideAll(t, c, tr, 16)
 		if len(decisions) != tr.Len() {
@@ -208,7 +208,7 @@ func TestControllerMatchesOfflineClusterUnderMembership(t *testing.T) {
 // every task.
 func TestShardedConcurrentClients(t *testing.T) {
 	tr := testTrace(t, 300, 4)
-	c := newShardedController(t, 4, "mass")
+	c := newShardedController(t, 4, "p2c")
 	const clients = 8
 	per := tr.Len() / clients
 	var wg sync.WaitGroup
@@ -330,8 +330,6 @@ func TestStatsEndpointAndShardMetrics(t *testing.T) {
 		`taskdrop_queue_depth{machine="` + strconv.Itoa(nm+3) + `",name="added-0#1"}`,
 		`taskdrop_shard_decisions_total{shard="0",action="map"}`,
 		`taskdrop_shard_decisions_total{shard="1",action="map"}`,
-		`taskdrop_shard_queue_mass{shard="0"}`,
-		`taskdrop_shard_free_slots{shard="1"}`,
 		`taskdrop_shard_robustness_estimate{shard="0"}`,
 	} {
 		if !strings.Contains(body, want) {

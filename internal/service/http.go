@@ -239,21 +239,13 @@ type errReader struct{ err error }
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // writeShardGauges renders the per-shard series: decision counters from
-// each shard's metrics and load/robustness gauges from the lock-free
-// router views — none of it takes a shard's turn, so the scrape stays
-// cheap and never stalls behind admission work.
+// each shard's metrics and the robustness gauge from the lock-free router
+// views — none of it takes a shard's turn, so the scrape stays cheap and
+// never stalls behind admission work.
 func writeShardGauges(x *telemetry.Writer, c *Controller) {
 	x.Counter("taskdrop_shard_decisions_total", "Admission decisions by shard and action.")
 	for _, sh := range c.shards {
 		sh.metrics.WriteActions(x, "shard", strconv.Itoa(sh.id))
-	}
-	x.Gauge("taskdrop_shard_queue_mass", "Outstanding tasks per shard (machine queues + deferred batch).")
-	for _, sh := range c.shards {
-		x.Int(sh.view.QueueMass(), "shard", strconv.Itoa(sh.id))
-	}
-	x.Gauge("taskdrop_shard_free_slots", "Open queue slots per shard.")
-	for _, sh := range c.shards {
-		x.Int(sh.view.FreeSlots(), "shard", strconv.Itoa(sh.id))
 	}
 	x.Gauge("taskdrop_shard_robustness_estimate", "Mean expected on-time probability across task classes per shard.")
 	nt := c.matrix.NumTaskTypes()

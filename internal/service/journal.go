@@ -76,13 +76,14 @@ func manifestFor(cfg Config) Manifest {
 // config is manifestFor's inverse: the Config a manifest pins, every other
 // field left to its default. Offline replay hands it to build — the call
 // the server made — so a replayed shard is assembled as the served one was.
+// Router is left to its default too: replay never routes, so a log stays
+// replayable after the policy it was served under is renamed or removed.
 func (m Manifest) config() Config {
 	return Config{
 		Profile:           m.Profile,
 		Mapper:            m.Mapper,
 		Dropper:           m.Dropper,
 		Shards:            m.Shards,
-		Router:            m.Router,
 		QueueCap:          m.QueueCap,
 		Grace:             m.Grace,
 		DropOnArrival:     m.DropOnArrival,
@@ -371,10 +372,10 @@ func (sh *shard) recover() (*VerifyStats, error) {
 	// A log ending mid-batch is the torn tail of a crash.
 	closeOpen()
 	// Republish after the tail: membership may have changed mid-log, and
-	// PublishLoad marks a fully-removed shard down so the router steers
+	// PublishDown marks a fully-removed shard down so the router steers
 	// around it from the first post-recovery request.
 	sh.updateMembershipGauges()
-	sh.eng.PublishLoad(sh.view)
+	sh.eng.PublishDown(sh.view)
 	return st, err
 }
 
@@ -505,6 +506,6 @@ func (sh *shard) restore(payload []byte) error {
 	for class, p := range cp.Robustness {
 		sh.view.SetClassRobustness(class, p)
 	}
-	sh.eng.PublishLoad(sh.view)
+	sh.eng.PublishDown(sh.view)
 	return nil
 }

@@ -148,7 +148,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		router string
 		shards int
-	}{{"rr", 2}, {"mass", 2}, {"p2c", 3}} {
+	}{{"rr", 2}, {"hash", 2}, {"p2c", 3}} {
 		t.Run(fmt.Sprintf("sweep/%s/shards=%d", tc.router, tc.shards), func(t *testing.T) {
 			cfg := base
 			cfg.Shards, cfg.Router, cfg.SnapshotEvery = tc.shards, tc.router, 60
@@ -655,7 +655,7 @@ func TestJournalManifestMismatch(t *testing.T) {
 
 	// A router change is allowed: it shapes future routing, not replay.
 	ok := cfg
-	ok.Router = "mass"
+	ok.Router = "p2c"
 	c2, err := New(ok)
 	if err != nil {
 		t.Fatalf("router-only change rejected: %v", err)
@@ -1326,4 +1326,56 @@ func TestAuditDecision(t *testing.T) {
 	if err := AuditDecision(io.Discard, cfg.JournalDir, 0, 99999, false); err == nil {
 		t.Error("unknown decision seq accepted")
 	}
+}
+
+// TestReplayIgnoresManifestRouter: replay never routes — each shard's log is
+// already routed — so a journal stays verifiable and auditable when the
+// policy its manifest names no longer resolves.
+func TestReplayIgnoresManifestRouter(t *testing.T) {
+	tr := testTrace(t, 120, 17)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "p2c",
+		JournalDir: t.TempDir(), Fsync: "never",
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decisions := decideRange(t, c, tr, 0, len(tr.Tasks), 4)
+	crash(c)
+
+	man, err := LoadManifest(cfg.JournalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Router = "retired-policy"
+	blob, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cfg.JournalDir, manifestName), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := VerifyAll(cfg.JournalDir)
+	if err != nil {
+		t.Fatalf("journal under an unknown manifest router failed verification: %v", err)
+	}
+	if len(stats) != 2 || stats[0].Arrives+stats[1].Arrives != len(tr.Tasks) {
+		t.Fatalf("verified %d shards, want 2 covering %d arrives: %+v", len(stats), len(tr.Tasks), stats)
+	}
+	for _, d := range decisions {
+		if d.Shard != 1 {
+			continue
+		}
+		var buf strings.Builder
+		if err := AuditDecision(&buf, cfg.JournalDir, 1, int64(d.Seq), false); err != nil {
+			t.Fatalf("audit of shard 1 seq %d: %v", d.Seq, err)
+		}
+		if want := fmt.Sprintf("replayed decision: %s", d.Action); !strings.Contains(buf.String(), want) {
+			t.Fatalf("audit output missing %q:\n%s", want, buf.String())
+		}
+		return
+	}
+	t.Fatal("p2c routed nothing to shard 1")
 }

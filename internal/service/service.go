@@ -11,8 +11,8 @@
 // holds at a time. An HTTP handler waits for the turn, runs the operation
 // on its own goroutine and hands the turn to the next waiter, in arrival
 // order. A lock-free router front-end (internal/router) picks the shard
-// for every arriving task by policy (round-robin, least-queue-mass, or
-// power-of-two-choices over per-class robustness estimates), reading only
+// for every arriving task by policy (round-robin, power-of-two-choices over
+// per-class robustness estimates, or task-class hashing), reading only
 // atomics the shards publish. The single-writer core remains the unit of
 // determinism:
 //
@@ -115,9 +115,8 @@ type Config struct {
 	// each with its own single-writer turn (default 1; must not
 	// exceed the profile's machine count).
 	Shards int
-	// Router is the shard-routing policy spec: "rr", "mass",
-	// "p2c[:seed=..]" or "hash[:seed=..]" (default "rr"; irrelevant with
-	// one shard).
+	// Router is the shard-routing policy spec: "rr", "p2c[:seed=..]" or
+	// "hash[:seed=..]" (default "rr"; irrelevant with one shard).
 	Router string
 	// Partition scopes the controller to one machine partition of the
 	// profile, written "k/K": the matrix's machines are dealt round-robin
@@ -619,9 +618,9 @@ func (c *Controller) Stats(ctx context.Context) (Snapshot, error) {
 }
 
 // ShardStats snapshots every shard: live census and clock through the
-// shard's turn, plus the lock-free router view (queue mass, free
-// slots, per-class robustness estimates) and the shard's decision
-// counters. Fails fast with ErrDraining once a drain has begun.
+// shard's turn, plus the lock-free router view's per-class robustness
+// estimates and the shard's decision counters. Fails fast with ErrDraining
+// once a drain has begun.
 func (c *Controller) ShardStats(ctx context.Context) ([]ShardSnapshot, error) {
 	out, _, err := c.shardStats(ctx)
 	return out, err

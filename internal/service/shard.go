@@ -346,8 +346,6 @@ func (sh *shard) snapshot(ctx context.Context) (snap ShardSnapshot, names []stri
 		return ShardSnapshot{}, nil, err
 	}
 	// Lock-free annotations: router view and shard counters.
-	snap.QueueMass = sh.view.QueueMass()
-	snap.FreeSlots = sh.view.FreeSlots()
 	nt := sh.c.matrix.NumTaskTypes()
 	snap.Robustness = make([]float64, nt)
 	for class := 0; class < nt; class++ {

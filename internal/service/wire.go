@@ -118,9 +118,9 @@ type ReadyResponse struct {
 }
 
 // ShardSnapshot is one shard's entry in GET /v1/stats: the live engine
-// state read under the shard's turn, the lock-free router view
-// (queue mass, free slots, per-class robustness estimates), and the
-// shard's decision counters.
+// state read under the shard's turn (its load is Live and QueueDepths), the
+// lock-free router view's per-class robustness estimates, and the shard's
+// decision counters.
 type ShardSnapshot struct {
 	Shard int      `json:"shard"`
 	Now   pmf.Tick `json:"now"`
@@ -134,9 +134,6 @@ type ShardSnapshot struct {
 	// membership, POST /v1/admin/machines).
 	LiveMachines int   `json:"live_machines"`
 	Removed      []int `json:"removed_machines,omitempty"`
-	// QueueMass and FreeSlots are the router's load gauges for the shard.
-	QueueMass int64 `json:"queue_mass"`
-	FreeSlots int64 `json:"free_slots"`
 	// Robustness[class] is the shard's expected on-time probability for
 	// the task class (EWMA of admission-time chances of success).
 	Robustness []float64 `json:"robustness_by_class"`

@@ -104,8 +104,6 @@ func TestWireGoldenFixtures(t *testing.T) {
 			QueueDepths:  []int{2, 3},
 			Machines:     []int{0, 2},
 			LiveMachines: 2,
-			QueueMass:    5,
-			FreeSlots:    7,
 			Robustness:   []float64{0.9, 0.5},
 			Requests:     3,
 			Mapped:       6,
@@ -116,7 +114,7 @@ func TestWireGoldenFixtures(t *testing.T) {
 		`{"router":"hash","shards":[{"shard":0,"now":512,`+
 			`"live":{"arrived":9,"batch":1,"queued":4,"running":2,"on_time":1,"late":1,`+
 			`"dropped_reactive":0,"dropped_proactive":0,"failed":0},`+
-			`"queue_depths":[2,3],"machines":[0,2],"live_machines":2,"queue_mass":5,"free_slots":7,`+
+			`"queue_depths":[2,3],"machines":[0,2],"live_machines":2,`+
 			`"robustness_by_class":[0.9,0.5],"requests":3,"mapped":6,"deferred":2,"dropped":1,`+
 			`"seq_watermark":8}]}`)
 

@@ -112,22 +112,19 @@ func (e *Engine) CoreQueue(i int) []core.QueueTask {
 	return e.machines[i].coreQueue(e.clock)
 }
 
-// PublishLoad stores the engine's load gauges into a router view: deferred
-// batch size, tasks in machine queues (including running), and open queue
-// slots.
-func (e *Engine) PublishLoad(v *router.ShardView) {
-	inQueues := e.live.Queued + e.live.Running
-	v.SetLoad(e.live.Batch, inQueues, e.totalSlots-inQueues)
+// PublishDown marks a router view down while the engine has no live
+// machine. Only membership changes that, so callers republish after a
+// membership operation, a restore or a recovery — not per decision.
+func (e *Engine) PublishDown(v *router.ShardView) {
 	v.SetDown(e.LiveMachines() == 0)
 }
 
-// ObserveDecision publishes the engine's router-visible state after one
-// admission decision: the load gauges, and the task's forecast chance of
-// success folded into the per-class robustness EWMA (0 when the task was
-// deferred or dropped — the shard could not give the class a timely slot).
+// ObserveDecision folds one admission decision into a router view: the
+// task's forecast chance of success enters the per-class robustness EWMA (0
+// when the task was deferred or dropped — the shard could not give the
+// class a timely slot).
 func (e *Engine) ObserveDecision(v *router.ShardView, ts *TaskState) {
 	v.ObserveAdmission(int(ts.Task.Type), e.QueuedSuccessProbability(ts))
-	e.PublishLoad(v)
 }
 
 // ShardBuilder supplies one shard's mapper and dropping policy. Shard
@@ -220,7 +217,6 @@ func NewClusterOver(m *pet.Matrix, k, K, n int, pol router.Policy, build ShardBu
 		cl.dealt[s] = len(parts[s])
 		cl.engines[s] = NewOpenShard(m, parts[s], mapper, dropper, shardCfg)
 		cl.views[s] = router.NewShardView(m.NumTaskTypes())
-		cl.engines[s].PublishLoad(cl.views[s])
 	}
 	return cl, nil
 }
@@ -298,7 +294,7 @@ func (cl *Cluster) ApplyChurn(ev ChurnEvent) error {
 	if err := eng.ApplyMember(op, nil); err != nil {
 		return err
 	}
-	eng.PublishLoad(cl.views[s])
+	eng.PublishDown(cl.views[s])
 	return nil
 }
 

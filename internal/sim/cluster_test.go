@@ -155,7 +155,7 @@ func TestOneShardClusterMatchesEngine(t *testing.T) {
 func TestClusterReproducible(t *testing.T) {
 	m, tr := clusterTestSystem(t, 500, 5)
 	cfg := Config{QueueCap: 6}
-	for _, spec := range []string{"rr", "mass", "p2c:seed=11"} {
+	for _, spec := range []string{"rr", "p2c:seed=11"} {
 		polA, err := router.FromSpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -235,34 +235,70 @@ func TestMergeResults(t *testing.T) {
 	}
 }
 
-// TestShardViewPublishing: the engine's router-view hooks track the live
-// census, and admissions fold real success probabilities into the class
-// EWMA.
+// TestShardViewPublishing: a view carries the down bit and the per-class
+// EWMA and nothing else. Each admission folds exactly the task's forecast
+// chance of success into its class's estimate, and the down bit follows
+// membership: set when a shard loses its last machine, cleared on revive.
 func TestShardViewPublishing(t *testing.T) {
 	m, tr := clusterTestSystem(t, 200, 2)
-	pol, _ := router.FromSpec("mass")
+	pol, _ := router.FromSpec("p2c")
 	cl, err := NewCluster(m, 2, pol, pamHeuristic(t), Config{QueueCap: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// shadow[s] folds what ObserveDecision must have folded into view s.
+	shadow := []*router.ShardView{router.NewShardView(m.NumTaskTypes()), router.NewShardView(m.NumTaskTypes())}
 	sawDegraded := false
-	for i := range tr.Tasks {
-		s, _ := cl.Feed(&tr.Tasks[i])
+	feed := func(i int) {
+		s, ts := cl.Feed(&tr.Tasks[i])
 		eng, v := cl.Shards()[s], cl.View(s)
-		live := eng.LiveCounts()
-		if got, want := v.QueueMass(), int64(live.Batch+live.Queued+live.Running); got != want {
-			t.Fatalf("task %d shard %d: view mass %d, live %d", i, s, got, want)
-		}
+		shadow[s].ObserveAdmission(int(ts.Task.Type), eng.QueuedSuccessProbability(ts))
 		for class := 0; class < m.NumTaskTypes(); class++ {
-			if r := v.ClassRobustness(class); r < 0 || r > 1 {
-				t.Fatalf("robustness estimate out of [0,1]: %v", r)
-			} else if r < 1 {
+			r := v.ClassRobustness(class)
+			if want := shadow[s].ClassRobustness(class); r != want {
+				t.Fatalf("task %d shard %d class %d: estimate %v, want %v", i, s, class, r, want)
+			}
+			if r < 1 {
 				sawDegraded = true
 			}
 		}
+		if v.Down() {
+			t.Fatalf("task %d: shard %d with %d live machines published down", i, s, eng.LiveMachines())
+		}
+	}
+	half := len(tr.Tasks) / 2
+	for i := 0; i < half; i++ {
+		feed(i)
 	}
 	if !sawDegraded {
 		t.Fatal("oversubscribed run never moved a robustness estimate below 1.0")
+	}
+
+	// Shard 1 loses every machine: down, and routing steers around it.
+	at := tr.Tasks[half].Arrival
+	owned := len(cl.Shards()[1].Machines())
+	for l := 0; l < owned; l++ {
+		if cl.View(1).Down() {
+			t.Fatalf("shard 1 down with %d of %d machines removed", l, owned)
+		}
+		if err := cl.ApplyChurn(ChurnEvent{At: at, MemberOp: MemberOp{Kind: MemberRemove, Machine: cl.Global(1, l)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !cl.View(1).Down() {
+		t.Fatal("shard 1 with no live machine not published down")
+	}
+	if s := cl.Route(int64(half), tr.Tasks[half].Type, at, tr.Tasks[half].Deadline); s != 0 {
+		t.Fatalf("routed to down shard %d", s)
+	}
+	if err := cl.ApplyChurn(ChurnEvent{At: at, MemberOp: MemberOp{Kind: MemberRevive, Machine: cl.Global(1, 0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if cl.View(1).Down() {
+		t.Fatal("shard 1 still down after a revive")
+	}
+	for i := half; i < len(tr.Tasks); i++ {
+		feed(i)
 	}
 	res := cl.Drain()
 	if err := res.Validate(); err != nil {

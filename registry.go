@@ -49,14 +49,15 @@ func NewProfile(spec string) (Profile, error) { return pet.ProfileFromSpec(spec)
 // WithRouter). Recognized components:
 //
 //	rr (aliases: roundrobin, round-robin)
-//	mass (aliases: leastmass, least-queue-mass, lqm)
 //	p2c:seed=<int64> (aliases: poweroftwo, power-of-two)
+//	hash:seed=<int64> (aliases: class, class-hash)
 //
-// "rr" cycles shards; "mass" routes to the least outstanding work; "p2c"
-// samples two shards and admits through the one whose robustness estimate
-// for the task's class — the expected on-time probability it recently
-// delivered — is higher. Policies carry routing state (cursor, RNG), so
-// each call constructs a fresh instance.
+// "rr" cycles shards; "p2c" samples two shards and admits through the one
+// whose robustness estimate for the task's class — the expected on-time
+// probability it recently delivered — is higher; "hash" sends every task
+// of one class to the same shard. Policies keep no state of their own: a
+// route is a function of the task's sequence number, its class and the
+// shards' published views.
 func NewRouter(spec string) (RouterPolicy, error) { return router.FromSpec(spec) }
 
 // MapperNames lists the built-in mapping heuristics.

@@ -185,8 +185,8 @@ func WithShards(n int) ScenarioOption {
 }
 
 // WithRouter selects the shard-routing policy by registry spec: "rr"
-// (round-robin), "mass" (least queue mass) or "p2c[:seed=..]"
-// (power-of-two-choices over per-class robustness estimates; see
+// (round-robin), "p2c[:seed=..]" (power-of-two-choices over per-class
+// robustness estimates) or "hash[:seed=..]" (task-class partitioning; see
 // NewRouter for the grammar). The default is "rr"; irrelevant unless
 // WithShards(n > 1).
 func WithRouter(spec string) ScenarioOption {

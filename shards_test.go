@@ -35,7 +35,7 @@ func TestScenarioWithShardsRuns(t *testing.T) {
 		t.Fatalf("WithShards(1) diverged from the unsharded scenario:\n%+v\n%+v", r1.Trials[0], rp.Trials[0])
 	}
 
-	for _, routerSpec := range []string{"rr", "mass", "p2c:seed=9"} {
+	for _, routerSpec := range []string{"rr", "p2c:seed=9"} {
 		sharded, err := NewScenario("video", append(append([]ScenarioOption{}, base...), WithShards(4), WithRouter(routerSpec))...)
 		if err != nil {
 			t.Fatal(err)
@@ -81,8 +81,8 @@ func TestScenarioShardValidation(t *testing.T) {
 	if _, err := NewRouter("p2c:seed=2"); err != nil {
 		t.Errorf("NewRouter: %v", err)
 	}
-	// rr, mass, p2c, and the router tier's class-hash policy.
-	if got := RouterNames(); len(got) != 4 {
+	// rr, p2c, and the router tier's class-hash policy.
+	if got := RouterNames(); len(got) != 3 {
 		t.Errorf("RouterNames() = %v", got)
 	}
 }

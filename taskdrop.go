@@ -23,10 +23,10 @@
 //   - a sharded cluster architecture (WithShards / WithRouter, the
 //     Shards and Routers sweep axes, hcserve -shards): machines
 //     partition into shard-scoped engines behind pluggable routing
-//     policies (round-robin, least-queue-mass, power-of-two-choices over
-//     per-class robustness estimates), multiplying decision throughput
-//     while preserving the calculus — pruning is shard-local by
-//     construction.
+//     policies (round-robin, power-of-two-choices over per-class
+//     robustness estimates, task-class hashing), multiplying decision
+//     throughput while preserving the calculus — pruning is shard-local
+//     by construction.
 //
 // # Quick start
 //
