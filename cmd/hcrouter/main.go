@@ -9,10 +9,10 @@
 //
 // The router partitions by task class: every task of a class goes to the
 // class's home backend (-router hash[:seed=N], the only spec accepted), and
-// to the next backend up only while that home is down. It polls each
-// backend's /readyz, and /v1/stats for one bit — every shard of the
-// backend has zero live machines — and mirrors no backend load. A backend
-// that fails mid-request has its sub-batches rerouted to a survivor.
+// to the next backend up only while that home is down. Its one probe of a
+// backend is /readyz, 503 while the backend can admit nothing (every shard
+// at zero live machines included), and it mirrors no backend load. A
+// backend that fails mid-request has its sub-batches rerouted.
 // Per-backend in-flight windows (-window) shed excess load with 429 +
 // Retry-After instead of queueing.
 //
@@ -25,7 +25,8 @@
 // Endpoints match hcserve: POST /v1/decide, POST /v1/drain (fleet drain,
 // merged Result), GET /v1/stats (per-backend rotation state), /healthz,
 // /readyz (200 once every backend has been polled and >= 1 is in
-// rotation), /metrics (taskdrop_router_* families), /debug/traces.
+// rotation; 503 "no-backends" when none is), /metrics
+// (taskdrop_router_* families), /debug/traces.
 //
 // On SIGTERM/SIGINT the router stops its listener and pollers and exits.
 // It does NOT drain the backends — a router restart must not destroy
@@ -54,7 +55,7 @@ func main() {
 		profileSpec = flag.String("profile", "spec", "system profile spec; must match every backend's")
 		routerSpec  = flag.String("router", "hash", "backend-routing policy spec; the router partitions by task class: hash[:seed=N] only")
 		window      = flag.Int("window", 32, "max in-flight decide sub-requests per backend (excess sheds with 429)")
-		poll        = flag.Duration("poll", 250*time.Millisecond, "backend health/stats polling period")
+		poll        = flag.Duration("poll", 250*time.Millisecond, "backend /readyz polling period")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-attempt upstream request timeout")
 		retries     = flag.Int("retries", 2, "upstream retry budget per sub-request (same backend, same decision ID; 0 = none)")
 		backoff     = flag.Duration("backoff", 50*time.Millisecond, "first upstream retry delay (doubles per attempt, jittered)")

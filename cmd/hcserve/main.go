@@ -22,8 +22,9 @@
 //	GET  /v1/stats    per-shard queue depths, robustness estimates, drop counts
 //	GET  /healthz     liveness + served configuration
 //	GET  /readyz      readiness: 503 while the server boots (journal
-//	                  recovery, shard start) or drains, 200 once serving —
-//	                  what hcrouter gates rotation membership on
+//	                  recovery, shard start), drains, has a failed journal
+//	                  or has zero live machines on every shard; 200 once
+//	                  serving — the one probe hcrouter gates rotation on
 //	GET  /metrics     Prometheus text (decisions/s, drop rate, queue depths,
 //	                  decision-latency histogram, per-shard series, calculus
 //	                  introspection, Go runtime gauges)

@@ -2,10 +2,13 @@ package front
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/hpcclab/taskdrop/internal/pet"
 	"github.com/hpcclab/taskdrop/internal/router"
 	"github.com/hpcclab/taskdrop/internal/service"
 )
@@ -15,13 +18,11 @@ import (
 type backend struct {
 	id  int
 	url string
-	// view carries the one bit routing reads: down — not ready, or every
-	// shard of the backend has zero live machines. Down from New until the
-	// first good poll; written by the poller and markDown, read lock-free.
+	// view carries the one bit both routing and rotation membership read:
+	// down — never polled, /readyz did not answer 200 on the last poll, or a
+	// proxy to the backend failed since. Written by the poller and markDown,
+	// read lock-free.
 	view *router.ShardView
-	// ready gates rotation membership: set by the poller when /readyz
-	// answers 200 ready, cleared by the poller or by a failed proxy.
-	ready atomic.Bool
 	// polled is set when the backend's first poll has finished, whatever
 	// its outcome: the router is not ready until every backend has been
 	// heard from (or given up on) once, so the first requests are routed
@@ -35,6 +36,9 @@ type backend struct {
 	mu      sync.Mutex
 	lastErr error
 }
+
+// ready reports whether the backend is in rotation.
+func (b *backend) ready() bool { return !b.view.Down() }
 
 // tryAcquire claims an in-flight window slot without blocking.
 func (b *backend) tryAcquire() bool {
@@ -65,11 +69,11 @@ func (b *backend) lastError() string {
 	return b.lastErr.Error()
 }
 
-// poller drives one backend's rotation membership and routing view: every
-// Poll it checks /readyz, and while the backend is ready it reads
-// /v1/stats for whether the backend is degraded. Polling uses plain
-// one-shot requests — a probe that fails should fail fast, not burn the
-// client's retry budget.
+// poller drives one backend's rotation membership: every Poll it asks
+// /readyz, the backend's one health bit — a backend that is booting,
+// draining, fail-stopped or degraded (no live machine) answers 503 there.
+// Polling uses plain one-shot requests — a probe that fails should fail
+// fast, not burn the client's retry budget.
 func (f *Front) poller(b *backend) {
 	defer f.pollWG.Done()
 	probe := service.NewClient(nil, service.ClientConfig{Timeout: f.cfg.Timeout})
@@ -90,39 +94,34 @@ func (f *Front) pollOnce(b *backend, probe *service.Client) {
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Timeout)
 	defer cancel()
 
-	var ready service.ReadyResponse
-	if err := probe.GetJSON(ctx, b.url+"/readyz", &ready); err != nil || !ready.Ready {
-		if err != nil {
-			b.setErr(err)
-		}
-		b.view.SetDown(true)
-		if b.ready.CompareAndSwap(true, false) {
-			f.log.Warn("backend left rotation", "backend", b.id, "url", b.url, "status", ready.Status, "err", err)
-		}
-		return
+	// The status code is the bit: 200 ready, anything else not.
+	err := probe.GetJSON(ctx, b.url+"/readyz", nil)
+	if err == nil && !b.ready() { // joining: new, or restarted since
+		err = f.checkProfile(ctx, b, probe)
 	}
-
-	var stats service.StatsResponse
-	if err := probe.GetJSON(ctx, b.url+"/v1/stats", &stats); err != nil {
-		b.setErr(err)
-		b.view.SetDown(true)
-		if b.ready.CompareAndSwap(true, false) {
+	b.setErr(err)
+	if err != nil {
+		if !b.view.SetDown(true) {
 			f.log.Warn("backend left rotation", "backend", b.id, "url", b.url, "err", err)
 		}
 		return
 	}
-	// A backend whose every shard has zero live machines (runtime removals)
-	// can only answer 429s: keep it in rotation — it is healthy and will
-	// recover on a revive — but steer routing away until machines return.
-	degraded := len(stats.Shards) > 0
-	for _, sh := range stats.Shards {
-		if sh.LiveMachines > 0 {
-			degraded = false
-		}
+	if b.view.SetDown(false) {
+		f.log.Info("backend joined rotation", "backend", b.id, "url", b.url)
 	}
-	b.view.SetDown(degraded)
-	b.setErr(nil)
-	if b.ready.CompareAndSwap(false, true) {
-		f.log.Info("backend joined rotation", "backend", b.id, "url", b.url, "shards", len(stats.Shards), "degraded", degraded)
+}
+
+// checkProfile requires the profile the backend's /healthz names to
+// resolve to the router's system: "transcoding" matches "video",
+// "spec:seed=7" does not match "spec".
+func (f *Front) checkProfile(ctx context.Context, b *backend, probe *service.Client) error {
+	var st service.StatusResponse
+	if err := probe.GetJSON(ctx, b.url+"/healthz", &st); err != nil {
+		return err
 	}
+	p, err := pet.ProfileFromSpec(st.Profile)
+	if err != nil || !reflect.DeepEqual(p, f.matrix.Profile()) {
+		return fmt.Errorf("front: backend %d serves profile %q, the router %q", b.id, st.Profile, f.cfg.Profile)
+	}
+	return nil
 }

@@ -11,18 +11,21 @@
 // the queues a task may run on — so any partition of the machines keeps
 // the dropping decisions right, and class hashing is the one that keeps a
 // retry's split equal to its original's. Each backend has a
-// router.ShardView that carries one bit: down, meaning not ready or
-// degraded (every shard of the backend has zero live machines). A class
-// routes to its home backend, the hash of the class modulo the number of
-// backends, and moves to the next backend up only while its home is down.
-// The router mirrors no backend load; each backend exports its own.
+// router.ShardView that carries one bit: down, meaning out of rotation. A
+// class routes to its home backend, the hash of the class modulo the
+// number of backends, and moves to the next backend up only while its home
+// is down. The router mirrors no backend load; each backend exports its
+// own.
 //
 // # Fault model
 //
-// Backends are health-gated (GET /readyz, polled): a backend joins the
-// rotation only once ready and leaves it on the first failed proxy or
-// poll. A decide sub-batch that fails on its backend is rerouted once to
-// a surviving backend.
+// Backends are health-gated by one probe, GET /readyz, polled: a backend
+// joins the rotation once it answers 200 (and its /healthz names the
+// router's profile), and leaves it on the first failed proxy or poll. A
+// backend that can admit nothing, degraded ones included, answers 503
+// there, so it is never a reroute target; with none in rotation a decide
+// gets 503 and no upstream attempt. A decide sub-batch that fails on its
+// backend is rerouted once to a backend in rotation.
 //
 // The decide hop runs on the goroutine that handles the client's request
 // (service.Client.StartDecide / DecideCall.Wait, through
@@ -77,8 +80,8 @@ import (
 
 // Front-end failure modes surfaced to HTTP.
 var (
-	// ErrNoBackends: no backend is currently ready (all booting, down, or
-	// draining).
+	// ErrNoBackends: no backend is currently ready (all booting, down,
+	// draining or degraded).
 	ErrNoBackends = errors.New("front: no ready backends")
 	// ErrWindowFull: a routed backend is at its in-flight window; the
 	// client should back off and retry (HTTP 429 + Retry-After).
@@ -93,8 +96,9 @@ type Config struct {
 	// "http://127.0.0.1:8081"). Together they should cover the profile's
 	// machine partition exactly once (hcserve -partition 0/K .. K-1/K).
 	Backends []string
-	// Profile is the system profile spec; it must match every backend's
-	// (validated against each backend's /healthz on the first poll).
+	// Profile is the system profile spec; it must resolve to every
+	// backend's (checked against the backend's /healthz each time it joins
+	// the rotation; a backend serving another profile stays out of it).
 	Profile string
 	// Router is the backend-routing policy spec; the class-hash spec
 	// hash[:seed=N] (internal/router grammar) is the only one accepted.
@@ -102,7 +106,7 @@ type Config struct {
 	Router string
 	// Window bounds in-flight decide sub-requests per backend (default 32).
 	Window int
-	// Poll is the health/stats polling period per backend (default 250ms).
+	// Poll is the /readyz polling period per backend (default 250ms).
 	Poll time.Duration
 	// Timeout, Retries and Backoff configure the upstream client (see
 	// service.ClientConfig; defaults 5s, 2, 50ms). Retries re-send the SAME
@@ -177,7 +181,7 @@ type Front struct {
 }
 
 // New resolves the profile and policy, registers the backends and starts
-// their health/stats pollers. Backends need not be up yet: they join the
+// their health pollers. Backends need not be up yet: they join the
 // rotation when their /readyz first answers 200.
 func New(cfg Config) (*Front, error) {
 	cfg = cfg.withDefaults()
@@ -256,27 +260,30 @@ func (f *Front) Draining() bool {
 func (f *Front) NumReady() int {
 	n := 0
 	for _, b := range f.backends {
-		if b.ready.Load() {
+		if b.ready() {
 			n++
 		}
 	}
 	return n
 }
 
-// Ready reports whether the router should take traffic: not draining,
-// every backend polled at least once, and at least one in rotation.
-// Gating on the first backend alone let early requests route over a
-// partial fleet and decide differently from a run that saw all of it.
-func (f *Front) Ready() bool {
+// readiness is the router's /readyz status: "draining", else "booting"
+// until every backend has been polled once (going ready on the first one
+// routed early requests over a partial fleet), then "no-backends" while
+// none is in rotation, else "ok".
+func (f *Front) readiness() string {
 	if f.Draining() {
-		return false
+		return "draining"
 	}
 	for _, b := range f.backends {
 		if !b.polled.Load() {
-			return false
+			return "booting"
 		}
 	}
-	return f.NumReady() > 0
+	if f.NumReady() == 0 {
+		return "no-backends"
+	}
+	return "ok"
 }
 
 // subID is the decision ID of the sub-request carrying slots idxs
@@ -414,7 +421,7 @@ func (f *Front) proxy(ctx context.Context, key string, req *service.DecideReques
 	// The backend is an input to the sub-ID, so the failed backend, which
 	// may yet commit the original sub-batch, and the survivor see two IDs.
 	for _, alt := range f.backends {
-		if alt == b || !alt.ready.Load() {
+		if alt == b || !alt.ready() {
 			continue
 		}
 		if !alt.tryAcquire() {
@@ -464,11 +471,10 @@ func (f *Front) wait(sub *subRequest, resp *service.DecideResponse) (pmf.Tick, e
 // markDown removes a backend from rotation, and its classes to the next
 // backend up, until its poller sees it ready again.
 func (f *Front) markDown(b *backend, err error) {
-	if b.ready.CompareAndSwap(true, false) {
+	b.setErr(err)
+	if !b.view.SetDown(true) {
 		f.log.Warn("backend down", "backend", b.id, "url", b.url, "err", err)
 	}
-	b.view.SetDown(true)
-	b.setErr(err)
 }
 
 // Drain drains the whole fleet: every backend that answers gets POST
@@ -536,11 +542,8 @@ func (f *Front) Drain(ctx context.Context) (*sim.Result, error) {
 type BackendStatus struct {
 	Backend int    `json:"backend"`
 	URL     string `json:"url"`
-	Ready   bool   `json:"ready"`
-	// Degraded mirrors the routing view's down bit: the backend is not
-	// ready (unreachable, booting, never polled) or every shard it serves
-	// has zero live machines.
-	Degraded bool `json:"degraded,omitempty"`
+	// Ready is rotation membership, the routing view's bit negated.
+	Ready    bool `json:"ready"`
 	Inflight int  `json:"inflight"`
 	Window   int  `json:"window"`
 	// Proxied counts decide sub-requests sent to this backend.
@@ -561,8 +564,7 @@ func (f *Front) Stats() *StatsResponse {
 		st.Backends = append(st.Backends, BackendStatus{
 			Backend:   b.id,
 			URL:       b.url,
-			Ready:     b.ready.Load(),
-			Degraded:  b.view.Down(),
+			Ready:     b.ready(),
 			Inflight:  b.inflight(),
 			Window:    cap(b.window),
 			Proxied:   b.proxied.Load(),

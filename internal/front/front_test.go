@@ -190,83 +190,235 @@ func TestClassHomesSurviveAnotherBackendLeaving(t *testing.T) {
 	}
 }
 
-// TestFrontSteersAroundDegradedBackend: the stats poll feeds routing one
-// bit. A backend whose every machine is removed stays in rotation but
-// reports degraded, and its classes go to the other backend until the
-// machines are revived.
+// memberAll applies op ("remove" or "revive") to every machine the backend
+// at url, whose controller is c, owns.
+func memberAll(t testing.TB, url string, c *service.Controller, op string) {
+	t.Helper()
+	ctx := context.Background()
+	shards, err := c.ShardStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := service.NewClient(nil, service.ClientConfig{Timeout: 5 * time.Second})
+	for _, sh := range shards {
+		for _, g := range sh.Machines {
+			if err := cl.PostJSON(ctx, url+"/v1/admin/machines", &service.AdminMachineRequest{Op: op, Machine: g}, nil); err != nil {
+				t.Fatalf("%s machine %d: %v", op, g, err)
+			}
+		}
+	}
+}
+
+// waitUntil polls cond for up to 5 s and fails the test naming what never
+// happened.
+func waitUntil(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestFrontSteersAroundDegradedBackend: a backend whose every machine is
+// removed answers /readyz 503 and leaves the rotation, and its classes go
+// to the other backend; after the revive it rejoins and they come home.
+// Routing is the class hash over the whole fleet in all three phases.
 func TestFrontSteersAroundDegradedBackend(t *testing.T) {
 	tr := testTrace(t, 240, 8)
 	urls, ctrls := newBackendControllers(t, 2)
 	f := newFront(t, urls, nil)
 	srv := httptest.NewServer(NewHandler(f))
 	defer srv.Close()
-	ctx := context.Background()
 	cl := service.NewClient(srv.Client(), service.ClientConfig{Timeout: 5 * time.Second})
 
-	homes := map[int]int{}
-	for i, d := range decideTasks(t, f, tr, 0, 80) {
-		homes[int(tr.Tasks[i].Type)] = d.Backend
-	}
-	shards, err := ctrls[0].ShardStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var machines []int
-	for _, sh := range shards {
-		machines = append(machines, sh.Machines...)
-	}
-	member := func(op string) {
+	up := []*router.ShardView{router.NewShardView(0), router.NewShardView(0)}
+	home := func(class int) int { return router.NewClassHash(1).Route(router.Task{Class: class}, up) }
+	// phase decides tasks [lo, hi) and requires each on backend to(class).
+	phase := func(lo, hi int, to func(class int) int) (onZero int) {
 		t.Helper()
-		for _, g := range machines {
-			var out service.AdminMachineResponse
-			if err := cl.PostJSON(ctx, urls[0]+"/v1/admin/machines", &service.AdminMachineRequest{Op: op, Machine: g}, &out); err != nil {
-				t.Fatalf("%s machine %d: %v", op, g, err)
+		for i, d := range decideTasks(t, f, tr, lo, hi) {
+			class := int(tr.Tasks[lo+i].Type)
+			if want := to(class); d.Backend != want {
+				t.Fatalf("task %d of class %d went to backend %d, want %d", lo+i, class, d.Backend, want)
+			}
+			if d.Backend == 0 {
+				onZero++
 			}
 		}
+		return onZero
 	}
-	degraded := func(want bool) {
+	// inRotation waits until the router's /v1/stats shows backend 0's
+	// rotation membership as want, and backend 1 in rotation throughout.
+	inRotation := func(want bool) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		waitUntil(t, fmt.Sprintf("backend 0 ready=%v", want), func() bool {
 			var st StatsResponse
-			if err := cl.GetJSON(ctx, srv.URL+"/v1/stats", &st); err != nil {
+			if err := cl.GetJSON(context.Background(), srv.URL+"/v1/stats", &st); err != nil {
 				t.Fatal(err)
 			}
-			if b := st.Backends[0]; b.Degraded == want {
-				if !b.Ready {
-					t.Fatalf("backend 0 left the rotation: %+v", b)
-				}
-				return
+			if !st.Backends[1].Ready {
+				t.Fatalf("backend 1 left the rotation: %+v", st.Backends[1])
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("backend 0 never reported degraded=%v", want)
-			}
-		}
+			return st.Backends[0].Ready == want
+		})
 	}
 
-	member("remove")
-	degraded(true)
-	for i, d := range decideTasks(t, f, tr, 80, 160) {
-		if d.Backend != 1 {
-			t.Fatalf("task %d went to degraded backend %d", 80+i, d.Backend)
-		}
+	if phase(0, 80, home) == 0 {
+		t.Fatal("vacuous: no task is homed on backend 0")
 	}
-	member("revive")
-	degraded(false)
-	back := 0
-	for i, d := range decideTasks(t, f, tr, 160, 240) {
-		h, ok := homes[int(tr.Tasks[160+i].Type)]
-		if !ok {
-			continue
-		}
-		if d.Backend != h {
-			t.Fatalf("task %d went to backend %d, its class's home is %d", 160+i, d.Backend, h)
-		}
-		if h == 0 {
-			back++
-		}
-	}
-	if back == 0 {
+	memberAll(t, urls[0], ctrls[0], "remove")
+	inRotation(false)
+	phase(80, 160, func(int) int { return 1 })
+	memberAll(t, urls[0], ctrls[0], "revive")
+	inRotation(true)
+	if phase(160, 240, home) == 0 {
 		t.Fatal("vacuous: no class homed on backend 0 came back to it")
+	}
+}
+
+// TestFrontAllDegradedAnswers503: a fleet whose every backend is degraded
+// has none in rotation, so a decide answers 503 at once without an
+// upstream attempt (in place of a 429 from each backend and a 502).
+func TestFrontAllDegradedAnswers503(t *testing.T) {
+	tr := testTrace(t, 20, 2)
+	urls, ctrls := newBackendControllers(t, 2)
+	f := newFront(t, urls, func(c *Config) { c.Retries = -1 })
+	srv := httptest.NewServer(NewHandler(f))
+	defer srv.Close()
+	for k := range urls {
+		memberAll(t, urls[k], ctrls[k], "remove")
+	}
+	waitUntil(t, "both backends are down", func() bool { return f.backends[0].view.Down() && f.backends[1].view.Down() })
+
+	attempts := func() string {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ln := range strings.Split(string(data), "\n") {
+			if v, ok := strings.CutPrefix(ln, "taskdrop_router_upstream_attempts_total "); ok {
+				return v
+			}
+		}
+		t.Fatal("no taskdrop_router_upstream_attempts_total sample")
+		return ""
+	}
+	before := attempts()
+	code, body := postBody(t, srv, decideBody(t, tr, "", 0, 4))
+	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "no ready backends") {
+		t.Fatalf("decide over an all-degraded fleet: HTTP %d %s, want 503 no ready backends", code, body)
+	}
+	if after := attempts(); after != before {
+		t.Fatalf("upstream attempts moved %s -> %s over a fleet with none in rotation", before, after)
+	}
+}
+
+// TestPollerAsksReadyzOnly: a backend's health is one probe. The poller
+// sends one GET /readyz per poll, reads /healthz once when the backend
+// joins the rotation, and never reads /v1/stats.
+func TestPollerAsksReadyzOnly(t *testing.T) {
+	urls, _ := newBackendControllers(t, 1)
+	var mu sync.Mutex
+	seen := map[string]int{}
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.URL.Path]++
+		mu.Unlock()
+		resp, err := http.Get(urls[0] + r.URL.Path)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+	}))
+	defer proxy.Close()
+	f := newFront(t, []string{proxy.URL}, func(c *Config) { c.Poll = time.Millisecond })
+	count := func(path string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen[path]
+	}
+	waitUntil(t, "20 polls", func() bool { return count("/readyz") >= 20 })
+	f.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if seen["/v1/stats"] != 0 || seen["/healthz"] != 1 || len(seen) != 2 {
+		t.Fatalf("the poller's requests by path: %v, want /readyz and one /healthz", seen)
+	}
+}
+
+// TestFrontKeepsOtherProfilesOut: a backend joins the rotation only when
+// the profile its /healthz names resolves to the router's system. An alias
+// joins; another profile, or another seed of the same one, stays out, and
+// its last error names both profiles.
+func TestFrontKeepsOtherProfilesOut(t *testing.T) {
+	for _, tc := range []struct {
+		router, backend string
+		joins           bool
+	}{
+		{"video", "transcoding", true},
+		{"spec", "spec:seed=42", true},
+		{"video", "spec", false},
+		{"spec", "spec:seed=7", false},
+	} {
+		c, err := service.New(service.Config{Profile: tc.backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(service.NewHandler(c))
+		f, err := New(Config{Backends: []string{srv.URL}, Profile: tc.router, Poll: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := f.backends[0]
+		waitUntil(t, "the first polls", func() bool { return b.polled.Load() && (b.ready() || b.lastError() != "") })
+		st := f.Stats().Backends[0]
+		f.Close()
+		srv.Close()
+		if st.Ready != tc.joins {
+			t.Errorf("router %q over backend %q: ready=%v, want %v (%s)", tc.router, tc.backend, st.Ready, tc.joins, st.LastError)
+		}
+		if !tc.joins && (!strings.Contains(st.LastError, fmt.Sprintf("%q", tc.router)) || !strings.Contains(st.LastError, fmt.Sprintf("%q", tc.backend))) {
+			t.Errorf("router %q over backend %q: last error %q, want both profiles named", tc.router, tc.backend, st.LastError)
+		}
+	}
+}
+
+// TestRerouteSkipsDegradedBackend: a sub-batch rerouted off a failed
+// backend goes to a backend in rotation, never to a degraded one, which
+// could only shed it.
+func TestRerouteSkipsDegradedBackend(t *testing.T) {
+	tr := testTrace(t, 120, 11)
+	urls, ctrls := newBackendControllers(t, 3)
+	f := newFront(t, urls, func(c *Config) { c.Retries = -1 })
+	memberAll(t, urls[1], ctrls[1], "remove")
+	waitUntil(t, "backend 1 is down", func() bool { return f.backends[1].view.Down() })
+	// Freeze the rotation, then let backend 0 die in it, as in
+	// TestFrontReroutesOffDeadBackend: the decide path finds out.
+	f.stopOnce.Do(func() { close(f.stop) })
+	f.pollWG.Wait()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	f.backends[0].url = dead.URL
+
+	for lo := 0; lo < tr.Len(); lo += 8 {
+		for i, d := range decideTasks(t, f, tr, lo, lo+8) {
+			if d.Backend != 2 {
+				t.Fatalf("task %d went to backend %d, want 2, the one backend in rotation", lo+i, d.Backend)
+			}
+		}
+	}
+	if f.metrics.reroutes.Load() == 0 {
+		t.Fatal("vacuous: no sub-batch was rerouted off the dead backend")
 	}
 }
 
@@ -518,7 +670,7 @@ func TestFrontReroutesOffDeadBackend(t *testing.T) {
 	if decided != 32 {
 		t.Fatalf("decided %d/32 tasks", decided)
 	}
-	if f.backends[0].ready.Load() {
+	if f.backends[0].ready() {
 		t.Fatal("dead backend still in rotation")
 	}
 	if f.metrics.reroutes.Load() == 0 {

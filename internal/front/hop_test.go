@@ -18,8 +18,8 @@ import (
 )
 
 // instantBackend serves a backend that answers at once and without
-// net/http: /readyz ready, /v1/stats one shard with a live machine, and a
-// decide with a map decision per task. In steady state it allocates
+// net/http: /readyz ready, /healthz the video profile, and a decide with a
+// map decision per task. In steady state it allocates
 // nothing, so what a Front.Decide over it allocates is the router's own.
 // hold, when set, runs before each decide is answered.
 func instantBackend(t testing.TB, hold func()) string {
@@ -74,7 +74,7 @@ func serveInstant(nc net.Conn, hold func()) {
 		case get && ready:
 			ans = append(ans[:0], `{"ready":true,"status":"ok"}`...)
 		case get:
-			ans = append(ans[:0], `{"router":"hash","shards":[{"shard":0,"live_machines":1}]}`...)
+			ans = append(ans[:0], `{"status":"ok","profile":"video"}`...)
 		default:
 			if hold != nil {
 				hold()

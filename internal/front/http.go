@@ -56,7 +56,8 @@ func (m *metrics) write(x *telemetry.Writer) {
 //	GET  /v1/stats   — per-backend rotation state (front.StatsResponse)
 //	GET  /healthz    — liveness + fleet summary
 //	GET  /readyz     — 200 once every backend has been polled and at
-//	                   least one is in rotation (Front.Ready)
+//	                   least one is in rotation; 503 "booting" before the
+//	                   first polls, "no-backends" after them, "draining"
 //	GET  /metrics    — Prometheus text exposition (taskdrop_router_*)
 //	GET  /debug/traces — retained route→proxy→ack traces
 //
@@ -96,14 +97,11 @@ func NewHandler(f *Front) http.Handler {
 		service.WriteJSON(w, http.StatusOK, &st)
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case f.Draining():
-			service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "draining"})
-		case !f.Ready():
-			service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "booting"})
-		default:
-			service.WriteJSON(w, http.StatusOK, &service.ReadyResponse{Ready: true, Status: "ok"})
+		if st := f.readiness(); st != "ok" {
+			service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: st})
+			return
 		}
+		service.WriteJSON(w, http.StatusOK, &service.ReadyResponse{Ready: true, Status: "ok"})
 	})
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, f.tel.Traces())
@@ -131,16 +129,13 @@ func writeBackendGauges(x *telemetry.Writer, f *Front) {
 			x.Int(v(&backends[i]), "backend", strconv.Itoa(backends[i].Backend))
 		}
 	}
-	flag := func(on bool) int64 {
-		if on {
+	x.Gauge("taskdrop_router_backend_up", "Backend rotation membership (1 = ready).")
+	perBackend(func(b *BackendStatus) int64 {
+		if b.Ready {
 			return 1
 		}
 		return 0
-	}
-	x.Gauge("taskdrop_router_backend_up", "Backend rotation membership (1 = ready).")
-	perBackend(func(b *BackendStatus) int64 { return flag(b.Ready) })
-	x.Gauge("taskdrop_router_backend_degraded", "Backend routing exclusion (1 = unreachable or zero live machines).")
-	perBackend(func(b *BackendStatus) int64 { return flag(b.Degraded) })
+	})
 	x.Gauge("taskdrop_router_backend_inflight", "In-flight decide sub-requests per backend.")
 	perBackend(func(b *BackendStatus) int64 { return int64(b.Inflight) })
 	x.Counter("taskdrop_router_proxy_requests_total", "Decide sub-requests proxied per backend.")

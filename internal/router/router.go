@@ -103,9 +103,10 @@ func NewShardView(numClasses int) *ShardView {
 }
 
 // SetDown publishes whether the shard is unable to admit work (degraded to
-// zero live machines, or its backend gone). Single writer per transition;
-// any goroutine may read concurrently.
-func (v *ShardView) SetDown(down bool) { v.down.Store(down) }
+// zero live machines, or its backend gone) and returns the bit it replaced,
+// so a writer can act on transitions only. Any goroutine may read
+// concurrently.
+func (v *ShardView) SetDown(down bool) (was bool) { return v.down.Swap(down) }
 
 // Down reports whether the shard is currently marked unable to admit work.
 func (v *ShardView) Down() bool { return v.down.Load() }

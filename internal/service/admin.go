@@ -149,8 +149,7 @@ func (c *Controller) adminOn(ctx context.Context, sh *shard, rec journal.Record,
 				return
 			}
 		}
-		sh.eng.PublishDown(sh.view)
-		sh.updateMembershipGauges()
+		sh.publishMembership()
 		c.memberOps[kind].Add(1)
 		resp = &AdminMachineResponse{
 			Op:           kind.String(),
@@ -182,10 +181,12 @@ func (sh *shard) applyMembership(r *journal.Record, accepted func()) error {
 	}, accepted)
 }
 
-// updateMembershipGauges refreshes the shard's lock-free membership
-// gauges from the engine. Runs under the shard's turn (or during recovery,
-// before New returns).
-func (sh *shard) updateMembershipGauges() {
+// publishMembership publishes the shard's membership to its lock-free
+// readers: the machine gauges and the view's down bit (no live machine),
+// which /readyz, routing and the degraded gauge read. Runs under the
+// shard's turn (or during recovery, before New returns).
+func (sh *shard) publishMembership() {
 	sh.liveMachines.Store(int64(sh.eng.LiveMachines()))
 	sh.removedMachines.Store(int64(len(sh.eng.RemovedMachines())))
+	sh.view.SetDown(sh.eng.LiveMachines() == 0)
 }

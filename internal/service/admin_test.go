@@ -196,6 +196,42 @@ func TestAdminHTTP(t *testing.T) {
 	}
 }
 
+// TestReadyzReportsDegraded: a server whose every shard has zero live
+// machines can admit nothing, and says so on /readyz — 503 "degraded" —
+// while one live machine on any shard keeps it ready.
+func TestReadyzReportsDegraded(t *testing.T) {
+	c := newShardedController(t, 2, "rr")
+	srv := newTestServerFor(t, c)
+	readyz := func() (int, ReadyResponse) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rr ReadyResponse
+		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, rr
+	}
+	nm := len(c.matrix.Machines())
+	for m := 0; m < nm; m++ {
+		admin(t, c, AdminMachineRequest{Op: "remove", Machine: m, Handoff: true})
+		code, rr := readyz()
+		if m < nm-1 && (code != http.StatusOK || !rr.Ready || rr.Status != "ok") {
+			t.Fatalf("/readyz with %d of %d machines removed = %d %+v, want 200 ok", m+1, nm, code, rr)
+		}
+		if m == nm-1 && (code != http.StatusServiceUnavailable || rr.Ready || rr.Status != "degraded") {
+			t.Fatalf("/readyz with every machine removed = %d %+v, want 503 degraded", code, rr)
+		}
+	}
+	admin(t, c, AdminMachineRequest{Op: "revive", Machine: nm - 1})
+	if code, rr := readyz(); code != http.StatusOK || rr.Status != "ok" {
+		t.Fatalf("/readyz after a revive = %d %+v, want 200 ok", code, rr)
+	}
+}
+
 // TestJournalCrashRecoveryWithMembership extends the crash-recovery
 // tentpole across churn: membership operations mid-trace are journaled
 // inputs, so a killed server recovers its post-churn machine set and the

@@ -390,13 +390,19 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 
 	// Churn plan, ordered by firing point. Actions fire between batches so
 	// every membership change lands at a deterministic decision boundary.
+	// Each is sent once: membership is not idempotent (a lost add's retry
+	// adds twice), so a failed one fails the replay.
 	churn := append([]ChurnAction(nil), cfg.Churn...)
 	sort.SliceStable(churn, func(i, j int) bool { return churn[i].AtTask < churn[j].AtTask })
 	fireChurn := func(upto int) error {
 		for len(churn) > 0 && churn[0].AtTask <= upto {
 			a := churn[0]
 			churn = churn[1:]
-			if err := cl.PostJSON(ctx, baseURL+"/v1/admin/machines", &a.Req, nil); err != nil {
+			body, err := json.Marshal(&a.Req)
+			if err == nil {
+				err = cl.attempt(ctx, http.MethodPost, baseURL+"/v1/admin/machines", body, nil)
+			}
+			if err != nil {
 				return fmt.Errorf("service: churn action at task %d (%s): %w", a.AtTask, a.Req.Op, err)
 			}
 			rep.ChurnOps++

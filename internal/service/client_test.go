@@ -113,6 +113,38 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 	}
 }
 
+// TestReplaySendsChurnOnce: a membership operation is not idempotent, so
+// Replay sends each churn action once whatever its retry budget. A server
+// that applies an add and then drops the connection applies it once, and
+// the replay fails with the lost answer's error.
+func TestReplaySendsChurnOnce(t *testing.T) {
+	var applied atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/admin/machines" {
+			http.Error(w, "unexpected request", http.StatusNotFound)
+			return
+		}
+		applied.Add(1)
+		conn, _, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	defer srv.Close()
+	_, err := Replay(context.Background(), srv.Client(), srv.URL, testTrace(t, 20, 1), ReplayConfig{
+		Retries: 2, Backoff: time.Millisecond,
+		Churn: []ChurnAction{{AtTask: 0, Req: AdminMachineRequest{Op: "add", Shard: 0, Type: 1}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "churn action at task 0 (add)") {
+		t.Fatalf("replay over a lost admin answer: %v, want the churn action's error", err)
+	}
+	if n := applied.Load(); n != 1 {
+		t.Fatalf("the add was applied %d times, want once", n)
+	}
+}
+
 func TestClientPerAttemptTimeout(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int64

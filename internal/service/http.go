@@ -28,10 +28,10 @@ const maxDecideBody = 16 << 20
 //	                   drop counts
 //	GET  /healthz    — liveness + served (profile, mapper, dropper,
 //	                   shards, router, partition)
-//	GET  /readyz     — readiness: 200 once serving, 503 while draining or
-//	                   after a shard's journal failed (cmd/hcserve
-//	                   additionally 503s during journal recovery and shard
-//	                   boot; the router tier gates on it)
+//	GET  /readyz     — 200 once serving, else 503 with why (ReadyResponse:
+//	                   draining, journal failed, every shard at zero live
+//	                   machines; cmd/hcserve adds booting) — the router
+//	                   tier's one probe of a backend
 //	GET  /metrics    — Prometheus text exposition (aggregate + per-shard)
 //	GET  /debug/traces — retained stage-timed decision traces (JSON; empty
 //	                   unless Config.TraceSample > 0)
@@ -96,14 +96,11 @@ func NewHandler(c *Controller) http.Handler {
 		WriteJSON(w, http.StatusOK, &st)
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case c.Draining():
-			WriteJSON(w, http.StatusServiceUnavailable, &ReadyResponse{Status: "draining"})
-		case c.journalFailed():
-			WriteJSON(w, http.StatusServiceUnavailable, &ReadyResponse{Status: "journal-failed"})
-		default:
-			WriteJSON(w, http.StatusOK, &ReadyResponse{Ready: true, Status: "ok"})
+		if st := c.readiness(); st != "ok" {
+			WriteJSON(w, http.StatusServiceUnavailable, &ReadyResponse{Status: st})
+			return
 		}
+		WriteJSON(w, http.StatusOK, &ReadyResponse{Ready: true, Status: "ok"})
 	})
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, c.Traces())
@@ -278,7 +275,7 @@ func writeMembershipGauges(x *telemetry.Writer, c *Controller) {
 	x.Gauge("taskdrop_membership_degraded", "Whether the shard has no live machines (sheds with 429).")
 	for _, sh := range c.shards {
 		var d int64
-		if sh.liveMachines.Load() == 0 {
+		if sh.view.Down() {
 			d = 1
 		}
 		x.Int(d, "shard", strconv.Itoa(sh.id))

@@ -36,16 +36,15 @@ const manifestName = "manifest.json"
 // Manifest pins the configuration a journal was written under. Reopening
 // a journal with a different engine configuration would replay arrivals
 // into a different system and silently diverge, so New refuses a manifest
-// mismatch on every field that shapes decisions. Router is recorded for
-// hcreplay but not matched: it only affects how future arrivals are
-// routed, never how logged ones replay (each shard's log is already
-// routed).
+// mismatch on every field. The routing policy is not pinned: it only
+// affects how future arrivals are routed, never how logged ones replay
+// (each shard's log is already routed). A manifest written with a "router"
+// key still loads; the key is ignored.
 type Manifest struct {
 	Profile           string   `json:"profile"`
 	Mapper            string   `json:"mapper"`
 	Dropper           string   `json:"dropper"`
 	Shards            int      `json:"shards"`
-	Router            string   `json:"router"`
 	QueueCap          int      `json:"queue_cap"`
 	Grace             pmf.Tick `json:"grace"`
 	DropOnArrival     bool     `json:"drop_on_arrival"`
@@ -64,7 +63,6 @@ func manifestFor(cfg Config) Manifest {
 		Mapper:            cfg.Mapper,
 		Dropper:           cfg.Dropper,
 		Shards:            cfg.Shards,
-		Router:            cfg.Router,
 		QueueCap:          cfg.QueueCap,
 		Grace:             cfg.Grace,
 		DropOnArrival:     cfg.DropOnArrival,
@@ -76,7 +74,7 @@ func manifestFor(cfg Config) Manifest {
 // config is manifestFor's inverse: the Config a manifest pins, every other
 // field left to its default. Offline replay hands it to build — the call
 // the server made — so a replayed shard is assembled as the served one was.
-// Router is left to its default too: replay never routes, so a log stays
+// The router is the default: replay never routes, so a log stays
 // replayable after the policy it was served under is renamed or removed.
 func (m Manifest) config() Config {
 	return Config{
@@ -90,13 +88,6 @@ func (m Manifest) config() Config {
 		BoundaryExclusion: m.BoundaryExclusion,
 		Partition:         m.Partition,
 	}
-}
-
-// matches reports whether two manifests agree on every decision-shaping
-// field (Router intentionally excluded).
-func (m Manifest) matches(o Manifest) bool {
-	m.Router, o.Router = "", ""
-	return m == o
 }
 
 // LoadManifest reads the manifest of a journal root directory.
@@ -181,7 +172,7 @@ func (c *Controller) initJournal() error {
 	want := manifestFor(c.cfg)
 	switch have, err := LoadManifest(root); {
 	case err == nil:
-		if !have.matches(want) {
+		if have != want {
 			return fmt.Errorf("service: journal %s was written under a different configuration (%+v); refusing to continue it with %+v", root, have, want)
 		}
 	case os.IsNotExist(err):
@@ -371,11 +362,9 @@ func (sh *shard) recover() (*VerifyStats, error) {
 	})
 	// A log ending mid-batch is the torn tail of a crash.
 	closeOpen()
-	// Republish after the tail: membership may have changed mid-log, and
-	// PublishDown marks a fully-removed shard down so the router steers
-	// around it from the first post-recovery request.
-	sh.updateMembershipGauges()
-	sh.eng.PublishDown(sh.view)
+	// Republish after the tail: membership may have changed mid-log, and a
+	// fully-removed shard is down from the first post-recovery request.
+	sh.publishMembership()
 	return st, err
 }
 
@@ -506,6 +495,5 @@ func (sh *shard) restore(payload []byte) error {
 	for class, p := range cp.Robustness {
 		sh.view.SetClassRobustness(class, p)
 	}
-	sh.eng.PublishDown(sh.view)
 	return nil
 }

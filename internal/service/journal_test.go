@@ -1344,18 +1344,28 @@ func TestReplayIgnoresManifestRouter(t *testing.T) {
 	decisions := decideRange(t, c, tr, 0, len(tr.Tasks), 4)
 	crash(c)
 
-	man, err := LoadManifest(cfg.JournalDir)
+	// A manifest written while Manifest recorded the router carries the key.
+	path := filepath.Join(cfg.JournalDir, manifestName)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	man.Router = "retired-policy"
-	blob, err := json.Marshal(man)
+	var man map[string]any
+	if err := json.Unmarshal(blob, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["router"] = "retired-policy"
+	if blob, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("restart on a manifest with a router key: %v", err)
 	}
-	if err := os.WriteFile(filepath.Join(cfg.JournalDir, manifestName), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	crash(c2)
 
 	stats, err := VerifyAll(cfg.JournalDir)
 	if err != nil {

@@ -346,7 +346,7 @@ func build(cfg Config, cold bool) (*Controller, error) {
 			watermark: -1,
 		}
 		sh.hookEngine()
-		sh.updateMembershipGauges()
+		sh.publishMembership()
 		c.shards[s] = sh
 	}
 	return c, nil
@@ -714,16 +714,23 @@ func (c *Controller) Draining() bool {
 	return c.draining
 }
 
-// journalFailed reports whether any shard's write-ahead log has failed
-// (see ErrJournalFailed). Lock-free; /readyz answers 503 while it holds so
-// the router tier takes the server out of rotation.
-func (c *Controller) journalFailed() bool {
+// readiness is the server's /readyz status (ReadyResponse): "ok", or why
+// it can admit nothing. Lock-free past the drain flag.
+func (c *Controller) readiness() string {
+	if c.Draining() {
+		return "draining"
+	}
+	degraded := true
 	for _, sh := range c.shards {
 		if sh.journalFailed.Load() {
-			return true
+			return "journal-failed"
 		}
+		degraded = degraded && sh.view.Down()
 	}
-	return false
+	if degraded {
+		return "degraded"
+	}
+	return "ok"
 }
 
 // FinalResult returns the merged drain result once available.

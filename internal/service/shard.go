@@ -39,7 +39,7 @@ type shard struct {
 
 	// liveMachines/removedMachines mirror the engine's membership census
 	// for lock-free scrapes; the turn's holder refreshes them after every
-	// membership operation (updateMembershipGauges).
+	// membership operation (publishMembership).
 	liveMachines    atomic.Int64
 	removedMachines atomic.Int64
 

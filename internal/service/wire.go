@@ -109,12 +109,15 @@ type StatusResponse struct {
 	Partition string `json:"partition,omitempty"`
 }
 
-// ReadyResponse is the body returned by GET /readyz. Ready is false while
-// the server boots (journal recovery, shard start) or drains; the router
-// tier admits a backend into its rotation only once Ready is true.
+// ReadyResponse is the body returned by GET /readyz: 200 with Ready and
+// Status "ok" while serving, else 503 with Status "booting" (journal
+// recovery, shard start), "draining", "journal-failed" (fail-stop until a
+// restart) or "degraded" (every shard at zero live machines, until a
+// revive or an add). The router tier keeps a backend in rotation only
+// while it answers 200; its own /readyz adds "no-backends".
 type ReadyResponse struct {
 	Ready  bool   `json:"ready"`
-	Status string `json:"status"` // "booting", "ok" or "draining"
+	Status string `json:"status"`
 }
 
 // ShardSnapshot is one shard's entry in GET /v1/stats: the live engine

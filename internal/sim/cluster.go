@@ -112,13 +112,6 @@ func (e *Engine) CoreQueue(i int) []core.QueueTask {
 	return e.machines[i].coreQueue(e.clock)
 }
 
-// PublishDown marks a router view down while the engine has no live
-// machine. Only membership changes that, so callers republish after a
-// membership operation, a restore or a recovery — not per decision.
-func (e *Engine) PublishDown(v *router.ShardView) {
-	v.SetDown(e.LiveMachines() == 0)
-}
-
 // ObserveDecision folds one admission decision into a router view: the
 // task's forecast chance of success enters the per-class robustness EWMA (0
 // when the task was deferred or dropped — the shard could not give the
@@ -294,7 +287,9 @@ func (cl *Cluster) ApplyChurn(ev ChurnEvent) error {
 	if err := eng.ApplyMember(op, nil); err != nil {
 		return err
 	}
-	eng.PublishDown(cl.views[s])
+	// A view is down while its shard has no live machine; only membership
+	// changes that.
+	cl.views[s].SetDown(eng.LiveMachines() == 0)
 	return nil
 }
 
