@@ -28,6 +28,9 @@
 // rotation; 503 "no-backends" when none is), /metrics
 // (taskdrop_router_* families), /debug/traces.
 //
+// The listener is served by service.Server, as hcserve's is: a goroutine
+// per client connection, and none started per request.
+//
 // On SIGTERM/SIGINT the router stops its listener and pollers and exits.
 // It does NOT drain the backends — a router restart must not destroy
 // fleet state; drain explicitly via POST /v1/drain (hcload -drain).
@@ -37,7 +40,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -45,6 +48,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/taskdrop/internal/front"
+	"github.com/hpcclab/taskdrop/internal/service"
 	"github.com/hpcclab/taskdrop/internal/telemetry"
 )
 
@@ -113,9 +117,14 @@ func main() {
 		"window", *window,
 		"addr", *addr)
 
-	srv := &http.Server{Addr: *addr, Handler: front.NewHandler(f)}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("listen failed", "addr", *addr, "err", err)
+		os.Exit(1)
+	}
+	srv := service.NewServer(front.NewHandler(f))
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

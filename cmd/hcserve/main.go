@@ -49,9 +49,11 @@
 // timings next to the replayed audit. Sampling off (the default) costs the
 // decide path nothing.
 //
-// With -debug-addr a second HTTP server exposes net/http/pprof under
+// With -debug-addr a second listener exposes net/http/pprof under
 // /debug/pprof/ plus the same /metrics and /debug/traces, so profiling
-// traffic never competes with admission traffic on the main listener.
+// traffic never competes with admission traffic on the main listener. Both
+// listeners are served by service.Server, which buffers each answer: a
+// pprof profile or trace arrives whole when the capture ends.
 //
 // Logs are structured (log/slog): -log-format text|json, -log-level
 // debug|info|warn|error.
@@ -74,7 +76,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -140,9 +142,9 @@ func main() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, `{"ready":false,"status":"booting"}`)
 	})})
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := service.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		live.Load().(handlerBox).h.ServeHTTP(w, r)
-	})}
+	}))
 	errCh := make(chan error, 2)
 	go func() { errCh <- srv.Serve(ln) }()
 
@@ -193,20 +195,21 @@ func main() {
 	// The debug server shares the controller's observability surface and
 	// adds the pprof handlers. A separate listener keeps profile captures
 	// (which can run for tens of seconds) off the admission port.
-	var dbg *http.Server
+	var dbg *service.Server
 	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			logger.Error("debug listen failed", "addr", *debugAddr, "err", err)
+			os.Exit(1)
+		}
 		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux) // where net/http/pprof registers
 		mux.Handle("/debug/traces", handler)
 		mux.Handle("/metrics", handler)
-		dbg = &http.Server{Addr: *debugAddr, Handler: mux}
+		dbg = service.NewServer(mux)
 		logger.Info("debug server listening", "addr", *debugAddr)
 		go func() {
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := dbg.Serve(dln); err != http.ErrServerClosed {
 				errCh <- err
 			}
 		}()

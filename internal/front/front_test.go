@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -54,11 +55,32 @@ func newBackendControllers(t testing.TB, n int) ([]string, []*service.Controller
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(service.NewHandler(c))
-		t.Cleanup(srv.Close)
-		urls[k], ctrls[k] = srv.URL, c
+		urls[k], ctrls[k] = serve(t, service.NewHandler(c)), c
 	}
 	return urls, ctrls
+}
+
+// serve serves h on a service.Server, as hcserve and hcrouter serve their
+// listeners, over a loopback port until the test ends; it returns the base
+// URL.
+func serve(t testing.TB, h http.Handler) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.NewServer(h)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		<-served
+	})
+	return "http://" + ln.Addr().String()
 }
 
 // newFront builds a Front over the backends and waits for full rotation.
@@ -93,10 +115,9 @@ func TestFrontReplayAcrossPartitions(t *testing.T) {
 	tr := testTrace(t, 400, 5)
 	urls := newBackends(t, 2)
 	f := newFront(t, urls, nil)
-	srv := httptest.NewServer(NewHandler(f))
-	defer srv.Close()
+	base := serve(t, NewHandler(f))
 
-	rep, err := service.Replay(context.Background(), srv.Client(), srv.URL, tr, service.ReplayConfig{
+	rep, err := service.Replay(context.Background(), http.DefaultClient, base, tr, service.ReplayConfig{
 		BatchSize: 16, Drain: true, Retries: 2, Timeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -228,9 +249,8 @@ func TestFrontSteersAroundDegradedBackend(t *testing.T) {
 	tr := testTrace(t, 240, 8)
 	urls, ctrls := newBackendControllers(t, 2)
 	f := newFront(t, urls, nil)
-	srv := httptest.NewServer(NewHandler(f))
-	defer srv.Close()
-	cl := service.NewClient(srv.Client(), service.ClientConfig{Timeout: 5 * time.Second})
+	base := serve(t, NewHandler(f))
+	cl := service.NewClient(nil, service.ClientConfig{Timeout: 5 * time.Second})
 
 	up := []*router.ShardView{router.NewShardView(0), router.NewShardView(0)}
 	home := func(class int) int { return router.NewClassHash(1).Route(router.Task{Class: class}, up) }
@@ -254,7 +274,7 @@ func TestFrontSteersAroundDegradedBackend(t *testing.T) {
 		t.Helper()
 		waitUntil(t, fmt.Sprintf("backend 0 ready=%v", want), func() bool {
 			var st StatsResponse
-			if err := cl.GetJSON(context.Background(), srv.URL+"/v1/stats", &st); err != nil {
+			if err := cl.GetJSON(context.Background(), base+"/v1/stats", &st); err != nil {
 				t.Fatal(err)
 			}
 			if !st.Backends[1].Ready {
@@ -284,8 +304,7 @@ func TestFrontAllDegradedAnswers503(t *testing.T) {
 	tr := testTrace(t, 20, 2)
 	urls, ctrls := newBackendControllers(t, 2)
 	f := newFront(t, urls, func(c *Config) { c.Retries = -1 })
-	srv := httptest.NewServer(NewHandler(f))
-	defer srv.Close()
+	base := serve(t, NewHandler(f))
 	for k := range urls {
 		memberAll(t, urls[k], ctrls[k], "remove")
 	}
@@ -293,7 +312,7 @@ func TestFrontAllDegradedAnswers503(t *testing.T) {
 
 	attempts := func() string {
 		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + "/metrics")
+		resp, err := http.DefaultClient.Get(base + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +330,7 @@ func TestFrontAllDegradedAnswers503(t *testing.T) {
 		return ""
 	}
 	before := attempts()
-	code, body := postBody(t, srv, decideBody(t, tr, "", 0, 4))
+	code, body := postBody(t, base, decideBody(t, tr, "", 0, 4))
 	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "no ready backends") {
 		t.Fatalf("decide over an all-degraded fleet: HTTP %d %s, want 503 no ready backends", code, body)
 	}
@@ -327,7 +346,7 @@ func TestPollerAsksReadyzOnly(t *testing.T) {
 	urls, _ := newBackendControllers(t, 1)
 	var mu sync.Mutex
 	seen := map[string]int{}
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	proxy := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		seen[r.URL.Path]++
 		mu.Unlock()
@@ -340,8 +359,7 @@ func TestPollerAsksReadyzOnly(t *testing.T) {
 		w.WriteHeader(resp.StatusCode)
 		_, _ = io.Copy(w, resp.Body)
 	}))
-	defer proxy.Close()
-	f := newFront(t, []string{proxy.URL}, func(c *Config) { c.Poll = time.Millisecond })
+	f := newFront(t, []string{proxy}, func(c *Config) { c.Poll = time.Millisecond })
 	count := func(path string) int {
 		mu.Lock()
 		defer mu.Unlock()
@@ -374,8 +392,7 @@ func TestFrontKeepsOtherProfilesOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(service.NewHandler(c))
-		f, err := New(Config{Backends: []string{srv.URL}, Profile: tc.router, Poll: time.Millisecond})
+		f, err := New(Config{Backends: []string{serve(t, service.NewHandler(c))}, Profile: tc.router, Poll: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +400,6 @@ func TestFrontKeepsOtherProfilesOut(t *testing.T) {
 		waitUntil(t, "the first polls", func() bool { return b.polled.Load() && (b.ready() || b.lastError() != "") })
 		st := f.Stats().Backends[0]
 		f.Close()
-		srv.Close()
 		if st.Ready != tc.joins {
 			t.Errorf("router %q over backend %q: ready=%v, want %v (%s)", tc.router, tc.backend, st.Ready, tc.joins, st.LastError)
 		}
@@ -430,9 +446,8 @@ func TestFrontDeterministicAcrossRestarts(t *testing.T) {
 		tr := testTrace(t, 200, 9)
 		urls := newBackends(t, 2)
 		f := newFront(t, urls, nil)
-		srv := httptest.NewServer(NewHandler(f))
-		defer srv.Close()
-		rep, err := service.Replay(context.Background(), srv.Client(), srv.URL, tr, service.ReplayConfig{BatchSize: 16})
+		base := serve(t, NewHandler(f))
+		rep, err := service.Replay(context.Background(), http.DefaultClient, base, tr, service.ReplayConfig{BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,10 +474,11 @@ func decideBody(t testing.TB, tr *workload.Trace, id string, lo, hi int) []byte 
 	return body
 }
 
-// postBody POSTs a decide body to srv and returns the status and reply.
-func postBody(t testing.TB, srv *httptest.Server, body []byte) (int, []byte) {
+// postBody POSTs a decide body to the server at base and returns the
+// status and reply.
+func postBody(t testing.TB, base string, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := srv.Client().Post(srv.URL+"/v1/decide", "application/json", bytes.NewReader(body))
+	resp, err := http.DefaultClient.Post(base+"/v1/decide", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,9 +514,8 @@ func TestRetryThroughRestartedRouter(t *testing.T) {
 	decide := func() []byte {
 		f := newFront(t, urls, nil)
 		defer f.Close()
-		srv := httptest.NewServer(NewHandler(f))
-		defer srv.Close()
-		code, data := postBody(t, srv, body)
+		base := serve(t, NewHandler(f))
+		code, data := postBody(t, base, body)
 		if code != http.StatusOK {
 			t.Fatalf("decide: HTTP %d: %s", code, data)
 		}
@@ -565,15 +580,14 @@ func TestFrontIdempotentDuplicateBytes(t *testing.T) {
 	tr := testTrace(t, 40, 3)
 	urls := newBackends(t, 2)
 	f := newFront(t, urls, nil)
-	srv := httptest.NewServer(NewHandler(f))
-	defer srv.Close()
+	base := serve(t, NewHandler(f))
 
 	body := decideBody(t, tr, "client-idem-1", 0, 8)
-	code, first := postBody(t, srv, body)
+	code, first := postBody(t, base, body)
 	if code != http.StatusOK {
 		t.Fatalf("decide: HTTP %d: %s", code, first)
 	}
-	code, again := postBody(t, srv, body)
+	code, again := postBody(t, base, body)
 	if code != http.StatusOK {
 		t.Fatalf("duplicate decide: HTTP %d", code)
 	}
@@ -589,8 +603,7 @@ func TestFrontShedsOnFullWindow(t *testing.T) {
 	tr := testTrace(t, 20, 1)
 	urls := newBackends(t, 2)
 	f := newFront(t, urls, func(c *Config) { c.Window = 1 })
-	srv := httptest.NewServer(NewHandler(f))
-	defer srv.Close()
+	base := serve(t, NewHandler(f))
 
 	// Exhaust every backend's single window slot, then decide: whichever
 	// backend the batch routes to is saturated → 429 + Retry-After.
@@ -609,7 +622,7 @@ func TestFrontShedsOnFullWindow(t *testing.T) {
 		Deadline: tr.Tasks[0].Deadline, ExecByType: tr.Tasks[0].ExecByType,
 	}}}
 	body, _ := json.Marshal(&req)
-	resp, err := srv.Client().Post(srv.URL+"/v1/decide", "application/json", bytes.NewReader(body))
+	resp, err := http.DefaultClient.Post(base+"/v1/decide", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,8 +651,6 @@ func TestFrontReroutesOffDeadBackend(t *testing.T) {
 
 	// Negative = no retries (zero would mean the default 2).
 	f := newFront(t, []string{urls[0], urls[1]}, func(c *Config) { c.Retries = -1 })
-	srv := httptest.NewServer(NewHandler(f))
-	defer srv.Close()
 
 	// Freeze the rotation state (stop the pollers), then swap backend 0's
 	// URL for the dead address, as if the process died after joining the
@@ -688,17 +699,16 @@ func TestFrontMetricsPassLint(t *testing.T) {
 	tr := testTrace(t, 40, 2)
 	urls := newBackends(t, 2)
 	f := newFront(t, urls, func(c *Config) { c.TraceSample = 1 })
-	srv := httptest.NewServer(NewHandler(f))
-	defer srv.Close()
+	base := serve(t, NewHandler(f))
 
-	rep, err := service.Replay(context.Background(), srv.Client(), srv.URL, tr, service.ReplayConfig{BatchSize: 8})
+	rep, err := service.Replay(context.Background(), http.DefaultClient, base, tr, service.ReplayConfig{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Tasks != tr.Len() {
 		t.Fatalf("replayed %d/%d", rep.Tasks, tr.Len())
 	}
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	resp, err := http.DefaultClient.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,14 +761,13 @@ func TestFrontReadyWaitsForEveryBackend(t *testing.T) {
 	urls := newBackends(t, 2)
 	// The second backend's /readyz hangs until released.
 	release := make(chan struct{})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-release
 		service.WriteJSON(w, http.StatusServiceUnavailable, &service.ReadyResponse{Status: "booting"})
 	}))
-	defer slow.Close()
 
 	f, err := New(Config{
-		Backends: []string{urls[0], slow.URL}, Profile: "video",
+		Backends: []string{urls[0], slow}, Profile: "video",
 		Poll: 10 * time.Millisecond, Timeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -766,10 +775,9 @@ func TestFrontReadyWaitsForEveryBackend(t *testing.T) {
 	}
 	defer f.Close()
 	defer close(release) // before f.Close: it waits out the in-flight poll
-	srv := httptest.NewServer(NewHandler(f))
-	defer srv.Close()
+	base := serve(t, NewHandler(f))
 	readyz := func() int {
-		resp, err := srv.Client().Get(srv.URL + "/readyz")
+		resp, err := http.DefaultClient.Get(base + "/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,6 +113,7 @@ func NewHandler(f *Front) http.Handler {
 		writeBackendGauges(x, f)
 		x.Counter("taskdrop_router_dedup_hits_total", "Duplicate decision-ID requests served from the router's dedup window.").Int(f.dedup.Hits())
 		x.Gauge("taskdrop_router_dedup_entries", "Decision IDs currently retained in the router's dedup window.").Int(int64(f.dedup.Len()))
+		x.Gauge("taskdrop_router_dedup_capacity", "Decision IDs the router's dedup window retains at most.").Int(service.DefaultDedupWindow)
 		x.Counter("taskdrop_router_upstream_attempts_total", "Upstream HTTP attempts (first tries and retries).").Int(f.client.Attempts())
 		f.tel.WritePrometheus(x)
 		telemetry.WriteRuntimeMetrics(x)

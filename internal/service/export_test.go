@@ -14,6 +14,9 @@ func StallShards(c *Controller) (release func()) {
 	}
 }
 
+// RaceEnabled exposes raceEnabled to package service_test.
+const RaceEnabled = raceEnabled
+
 // DedupOf exposes the controller's idempotency window to package
 // service_test.
 func DedupOf(c *Controller) *DedupWindow { return c.dedup }

@@ -119,6 +119,7 @@ func NewHandler(c *Controller) http.Handler {
 		}
 		x.Counter("taskdrop_dedup_hits_total", "Duplicate decision-ID requests served from the dedup window.").Int(c.dedup.Hits())
 		x.Gauge("taskdrop_dedup_entries", "Decision IDs currently retained in the dedup window.").Int(int64(c.dedup.Len()))
+		x.Gauge("taskdrop_dedup_capacity", "Decision IDs the dedup window retains at most.").Int(DefaultDedupWindow)
 		// Engine gauges are read under the shards' turns; skip them once drained
 		// (counters above still tell the whole story).
 		if snap, err := c.Stats(r.Context()); err == nil {
@@ -208,8 +209,8 @@ func DecideHandler(
 // included, encoding/json gets the bytes read and then the error: what
 // the streaming decoder reading the body before saw, so a first value
 // complete within the bound still decodes and anything else answers with
-// the read error. (The server then closes such a connection, which the
-// streaming decoder left open when it stopped reading early.)
+// the read error. (The server then discards what is left of the body, up
+// to maxUnreadBody, or closes the connection.)
 func readDecideRequest(w http.ResponseWriter, r *http.Request, req *DecideRequest) error {
 	data, err := readBody(nil, http.MaxBytesReader(w, r.Body, maxDecideBody), r.ContentLength)
 	if err != nil {
