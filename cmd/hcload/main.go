@@ -24,7 +24,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"time"
@@ -107,7 +106,7 @@ func main() {
 	// The retrying client owns per-attempt deadlines; a time-nonced ID
 	// prefix keeps separate hcload runs against one server from colliding
 	// in its dedup window.
-	rep, err := service.Replay(ctx, &http.Client{}, *addr, tr, service.ReplayConfig{
+	rep, err := service.Replay(ctx, *addr, tr, service.ReplayConfig{
 		BatchSize:        *batch,
 		Speed:            *speed,
 		Drain:            !*noDrain,

@@ -55,7 +55,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		backends    = flag.String("backends", "", "comma-separated backend base URLs (required), e.g. http://127.0.0.1:8081,http://127.0.0.1:8082")
+		backends    = flag.String("backends", "", "comma-separated backend base URLs, http://host:port (required), e.g. http://127.0.0.1:8081,http://127.0.0.1:8082")
 		profileSpec = flag.String("profile", "spec", "system profile spec; must match every backend's")
 		routerSpec  = flag.String("router", "hash", "backend-routing policy spec; the router partitions by task class: hash[:seed=N] only")
 		window      = flag.Int("window", 32, "max in-flight decide sub-requests per backend (excess sheds with 429)")
@@ -79,7 +79,7 @@ func main() {
 	var urls []string
 	for _, u := range strings.Split(*backends, ",") {
 		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
+			urls = append(urls, u)
 		}
 	}
 	if len(urls) == 0 {

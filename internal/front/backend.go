@@ -72,11 +72,13 @@ func (b *backend) lastError() string {
 // poller drives one backend's rotation membership: every Poll it asks
 // /readyz, the backend's one health bit — a backend that is booting,
 // draining, fail-stopped or degraded (no live machine) answers 503 there.
-// Polling uses plain one-shot requests — a probe that fails should fail
-// fast, not burn the client's retry budget.
+// The probe is a client of its own, one attempt per request — a probe that
+// fails should fail fast, not burn a retry budget — whose requests stay out
+// of the router's upstream attempt count.
 func (f *Front) poller(b *backend) {
 	defer f.pollWG.Done()
 	probe := service.NewClient(nil, service.ClientConfig{Timeout: f.cfg.Timeout})
+	defer probe.CloseIdle()
 	tick := time.NewTicker(f.cfg.Poll)
 	defer tick.Stop()
 	for {

@@ -36,7 +36,10 @@
 // backend restarted while the router sat idle costs no failed attempt; a
 // connection that fails is closed together with every idle one to its
 // backend. A backend never stalls behind an unread answer: its handler
-// writes the answer after the shard's turn is released.
+// writes the answer after the shard's turn is released. The polls and the
+// drain take the same exchange and follow no redirect, so New refuses a
+// backend URL with a path (one trailing "/" is trimmed), query or scheme
+// other than http.
 //
 // The router keeps no identity of its own: a sub-request's decision ID is
 // derived from the client's DecisionID, the backend and the request slots
@@ -65,7 +68,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,9 +97,10 @@ var (
 
 // Config assembles a router tier.
 type Config struct {
-	// Backends are the shard servers' base URLs (e.g.
-	// "http://127.0.0.1:8081"). Together they should cover the profile's
-	// machine partition exactly once (hcserve -partition 0/K .. K-1/K).
+	// Backends are the shard servers' base URLs, http://host:port (e.g.
+	// "http://127.0.0.1:8081"; one trailing "/" is trimmed). Together they
+	// should cover the profile's machine partition exactly once (hcserve
+	// -partition 0/K .. K-1/K).
 	Backends []string
 	// Profile is the system profile spec; it must resolve to every
 	// backend's (checked against the backend's /healthz each time it joins
@@ -219,7 +225,12 @@ func New(cfg Config) (*Front, error) {
 		drained: make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
-	for i, u := range cfg.Backends {
+	for i, raw := range cfg.Backends {
+		// The router appends its own paths and follows no redirect.
+		u := strings.TrimSuffix(raw, "/")
+		if pu, err := url.Parse(u); err != nil || pu.Host == "" || u != "http://"+pu.Host {
+			return nil, fmt.Errorf("front: backend %q: want http://host:port", raw)
+		}
 		b := &backend{
 			id:     i,
 			url:    u,

@@ -117,7 +117,7 @@ func TestFrontReplayAcrossPartitions(t *testing.T) {
 	f := newFront(t, urls, nil)
 	base := serve(t, NewHandler(f))
 
-	rep, err := service.Replay(context.Background(), http.DefaultClient, base, tr, service.ReplayConfig{
+	rep, err := service.Replay(context.Background(), base, tr, service.ReplayConfig{
 		BatchSize: 16, Drain: true, Retries: 2, Timeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -447,7 +447,7 @@ func TestFrontDeterministicAcrossRestarts(t *testing.T) {
 		urls := newBackends(t, 2)
 		f := newFront(t, urls, nil)
 		base := serve(t, NewHandler(f))
-		rep, err := service.Replay(context.Background(), http.DefaultClient, base, tr, service.ReplayConfig{BatchSize: 16})
+		rep, err := service.Replay(context.Background(), base, tr, service.ReplayConfig{BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -701,7 +701,7 @@ func TestFrontMetricsPassLint(t *testing.T) {
 	f := newFront(t, urls, func(c *Config) { c.TraceSample = 1 })
 	base := serve(t, NewHandler(f))
 
-	rep, err := service.Replay(context.Background(), http.DefaultClient, base, tr, service.ReplayConfig{BatchSize: 8})
+	rep, err := service.Replay(context.Background(), base, tr, service.ReplayConfig{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -803,5 +803,30 @@ func TestFrontReadyWaitsForEveryBackend(t *testing.T) {
 			t.Fatal("/readyz never turned 200 after every backend was polled")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFrontBackendURLTrailingSlash: New trims one trailing "/" from a
+// backend URL, so the router's polls and decides reach the backend's own
+// paths — untrimmed, a poll followed the backend's redirect into the
+// rotation while every decide answered 502 — and refuses any other path, a
+// query or a scheme but http, naming the URL.
+func TestFrontBackendURLTrailingSlash(t *testing.T) {
+	urls := newBackends(t, 2)
+	f := newFront(t, []string{urls[0] + "/", urls[1] + "/"}, nil)
+	if got := decideTasks(t, f, testTrace(t, 160, 5), 0, 16); len(got) != 16 {
+		t.Fatalf("%d decisions for 16 tasks", len(got))
+	}
+	for _, bad := range []string{
+		urls[0] + "//", urls[0] + "/v1", urls[0] + "?x=1",
+		"https" + strings.TrimPrefix(urls[0], "http"), strings.TrimPrefix(urls[0], "http://"),
+	} {
+		f, err := New(Config{Backends: []string{bad}, Profile: "video"})
+		if err == nil {
+			f.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("backend %q: err = %v, want it refused by name", bad, err)
+		}
 	}
 }

@@ -225,7 +225,7 @@ func TestReplayReportsEveryBackendShard(t *testing.T) {
 	f := newFront(t, newBackends(t, 2), nil)
 	srv := httptest.NewServer(NewHandler(f))
 	defer srv.Close()
-	rep, err := service.Replay(context.Background(), nil, srv.URL, tr, service.ReplayConfig{BatchSize: 16})
+	rep, err := service.Replay(context.Background(), srv.URL, tr, service.ReplayConfig{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

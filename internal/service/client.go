@@ -1,13 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"slices"
@@ -39,22 +37,22 @@ type ClientConfig struct {
 // Client is the service's retrying client, with exponential backoff. Safe
 // for concurrent use.
 //
-// Decide, the hot path, speaks HTTP/1.1 itself (hop.go): on the caller's
-// goroutine, over keep-alive connections the Client owns per endpoint, with
-// no http.Transport in between; an idle connection is peeked before reuse
-// and a failed one takes the endpoint's idle ones with it. PostJSON and
-// GetJSON — drain, admin, polls — go through the wrapped http.Client.
+// Every request it makes — Decide, the hot path, and PostJSON and GetJSON
+// (drain, admin, polls) — is HTTP/1.1 it speaks itself (hop.go): on the
+// caller's goroutine, over keep-alive connections the Client owns per
+// server, with no net/http Transport in between. An idle connection is
+// peeked before reuse, a failed one takes the server's idle ones with it,
+// and no redirect is followed.
 //
 // Retrying a decide is only harmless when the request carries a
 // DecisionID (the server then deduplicates), so Decide never sends an
 // ID-less request twice; Replay stamps an ID on every request whenever
 // retries are enabled.
 type Client struct {
-	http *http.Client
-	cfg  ClientConfig
-	// endpoints holds the decide hop's connections, by base URL.
-	mu        sync.RWMutex
-	endpoints map[string]*endpoint
+	cfg ClientConfig
+	// origins holds the connections, by server base URL.
+	mu      sync.RWMutex
+	origins map[string]*origin
 	// jitterState drives a counter-based splitmix64 stream — deterministic
 	// jitter, no wall-clock randomness, same idiom as router.PowerOfTwo.
 	jitterState atomic.Uint64
@@ -71,19 +69,17 @@ const (
 	maxBackoff     = 2 * time.Second
 )
 
-// NewClient builds a retrying client whose PostJSON and GetJSON go through
-// hc (nil means http.DefaultClient); Decide uses its own connections.
-func NewClient(hc *http.Client, cfg ClientConfig) *Client {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
+// NewClient builds a retrying client. Its first parameter is unused — the
+// client makes every request over its own connections — and stays only
+// while bench/hcbench passes nil there.
+func NewClient(_ *http.Client, cfg ClientConfig) *Client {
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = defaultBackoff
 	}
-	return &Client{http: hc, cfg: cfg, endpoints: map[string]*endpoint{}}
+	return &Client{cfg: cfg, origins: map[string]*origin{}}
 }
 
 // HTTPError is a non-2xx response, carrying the status and the server's
@@ -105,15 +101,15 @@ func (e *HTTPError) Error() string {
 
 // retryable reports whether err is worth another attempt: transport
 // failures, server errors and backpressure (429). Client errors (other
-// 4xx) and JSON decode failures repeat identically, so they are final.
+// 4xx), redirects (3xx, never followed) and JSON decode failures repeat
+// identically, so they are final.
 func retryable(err error) bool {
 	var he *HTTPError
 	if errors.As(err, &he) {
 		return he.Status >= 500 || he.Status == http.StatusTooManyRequests
 	}
 	// Transport-level failure (connection refused, reset, per-attempt
-	// timeout): http.Client.Do and the decide hop wrap them all in
-	// *url.Error.
+	// timeout): the hop wraps them all in *url.Error.
 	var ue *url.Error
 	return errors.As(err, &ue)
 }
@@ -122,25 +118,7 @@ func retryable(err error) bool {
 // into out (nil: the response is read and dropped), retrying per the
 // client's config. Decide requests go through Decide.
 func (cl *Client) PostJSON(ctx context.Context, url string, body, out any) error {
-	var data []byte
-	if body != nil {
-		var err error
-		if data, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
-	return cl.post(ctx, url, data, jsonInto(out))
-}
-
-// post posts data to url and hands a 2xx response to decode (nil: none),
-// retrying per the client's config.
-func (cl *Client) post(ctx context.Context, url string, data []byte, decode func(*http.Response) error) error {
-	for attempt := 0; ; attempt++ {
-		err := cl.attempt(ctx, http.MethodPost, url, data, decode)
-		if err == nil || attempt >= cl.cfg.Retries || !retryable(err) || !cl.pause(ctx, attempt, err) {
-			return err
-		}
-	}
+	return cl.exchange(ctx, "Post", url, body, out, cl.cfg.Retries)
 }
 
 // pause sleeps before the retry that follows attempt, which failed with
@@ -174,15 +152,6 @@ func backoff(first time.Duration, attempt int, j uint64) time.Duration {
 	return d + time.Duration(j%uint64(d/2+1))
 }
 
-// jsonInto decodes a response body into out with encoding/json; nil when
-// out is nil.
-func jsonInto(out any) func(*http.Response) error {
-	if out == nil {
-		return nil
-	}
-	return func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(out) }
-}
-
 // Attempts returns the total HTTP attempts made (first tries + retries).
 func (cl *Client) Attempts() int64 { return cl.attempts.Load() }
 
@@ -193,61 +162,18 @@ func (cl *Client) Shed429() int64 { return cl.shed429.Load() }
 // attempt under the per-attempt timeout — no retries. Health and stats
 // probes want fast failure, not a retry budget: the caller polls anyway.
 func (cl *Client) GetJSON(ctx context.Context, u string, out any) error {
-	return cl.attempt(ctx, http.MethodGet, u, nil, jsonInto(out))
+	return cl.exchange(ctx, "Get", u, nil, out, 0)
 }
 
-// maxDrain bounds what an attempt reads off a response nothing decodes to
-// its end — an error body's tail, a body the caller did not want.
-const maxDrain = 1 << 16
-
-// attempt runs one request under the per-attempt timeout. Whatever the
-// decoder leaves of the body, up to maxDrain bytes, is read before the body
-// closes: the transport reuses a connection only once its response was read
-// to EOF.
-func (cl *Client) attempt(ctx context.Context, method, u string, data []byte, decode func(*http.Response) error) error {
-	cl.attempts.Add(1)
-	if cl.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cl.cfg.Timeout)
-		defer cancel()
-	}
-	var rd io.Reader
-	if data != nil {
-		rd = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
-	if err != nil {
-		return err
-	}
-	if method == http.MethodPost {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := cl.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode/100 != 2 {
-		return cl.statusError(resp, u, io.LimitReader(resp.Body, maxDrain))
-	}
-	if decode == nil {
-		return nil
-	}
-	return decode(resp)
-}
-
-// statusError is the HTTPError of a non-2xx answer from u, whose body reads
-// from body; it counts a 429.
-func (cl *Client) statusError(resp *http.Response, u string, body io.Reader) *HTTPError {
+// statusError is the HTTPError of a non-2xx answer from u with body; it
+// counts a 429.
+func (cl *Client) statusError(resp *http.Response, u string, body []byte) *HTTPError {
 	if resp.StatusCode == http.StatusTooManyRequests {
 		cl.shed429.Add(1)
 	}
 	he := &HTTPError{Status: resp.StatusCode, URL: u}
 	var eb errorBody
-	if json.NewDecoder(body).Decode(&eb) == nil {
+	if json.Unmarshal(body, &eb) == nil {
 		he.Msg = eb.Error
 	}
 	if s := resp.Header.Get("Retry-After"); s != "" {
@@ -366,8 +292,9 @@ func (r *ReplayReport) Robustness() float64 {
 // same request sequence, so replays are reproducible end to end. With
 // cfg.Retries > 0, failed requests are retried with backoff under stamped
 // decision IDs (idempotent against dedup-aware servers).
-func Replay(ctx context.Context, client *http.Client, baseURL string, tr *workload.Trace, cfg ReplayConfig) (*ReplayReport, error) {
-	cl := NewClient(client, ClientConfig{Timeout: cfg.Timeout, Retries: cfg.Retries, Backoff: cfg.Backoff})
+func Replay(ctx context.Context, baseURL string, tr *workload.Trace, cfg ReplayConfig) (*ReplayReport, error) {
+	cl := NewClient(nil, ClientConfig{Timeout: cfg.Timeout, Retries: cfg.Retries, Backoff: cfg.Backoff})
+	defer cl.CloseIdle()
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 16
 	}
@@ -398,11 +325,7 @@ func Replay(ctx context.Context, client *http.Client, baseURL string, tr *worklo
 		for len(churn) > 0 && churn[0].AtTask <= upto {
 			a := churn[0]
 			churn = churn[1:]
-			body, err := json.Marshal(&a.Req)
-			if err == nil {
-				err = cl.attempt(ctx, http.MethodPost, baseURL+"/v1/admin/machines", body, nil)
-			}
-			if err != nil {
+			if err := cl.exchange(ctx, "Post", baseURL+"/v1/admin/machines", &a.Req, nil, 0); err != nil {
 				return fmt.Errorf("service: churn action at task %d (%s): %w", a.AtTask, a.Req.Op, err)
 			}
 			rep.ChurnOps++

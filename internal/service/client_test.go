@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -35,7 +37,7 @@ func flakyServer(t *testing.T, n int, status int, retryAfter string) (*httptest.
 
 func TestClientRetriesServerErrors(t *testing.T) {
 	srv, calls := flakyServer(t, 2, http.StatusInternalServerError, "")
-	cl := NewClient(srv.Client(), ClientConfig{Retries: 3, Backoff: time.Millisecond})
+	cl := NewClient(nil, ClientConfig{Retries: 3, Backoff: time.Millisecond})
 	var out struct {
 		OK bool `json:"ok"`
 	}
@@ -55,7 +57,7 @@ func TestClientRetriesServerErrors(t *testing.T) {
 
 func TestClientStopsWhenBudgetSpent(t *testing.T) {
 	srv, calls := flakyServer(t, 100, http.StatusInternalServerError, "")
-	cl := NewClient(srv.Client(), ClientConfig{Retries: 2, Backoff: time.Millisecond})
+	cl := NewClient(nil, ClientConfig{Retries: 2, Backoff: time.Millisecond})
 	err := cl.PostJSON(context.Background(), srv.URL, nil, nil)
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != http.StatusInternalServerError {
@@ -71,7 +73,7 @@ func TestClientStopsWhenBudgetSpent(t *testing.T) {
 
 func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	srv, calls := flakyServer(t, 100, http.StatusBadRequest, "")
-	cl := NewClient(srv.Client(), ClientConfig{Retries: 5, Backoff: time.Millisecond})
+	cl := NewClient(nil, ClientConfig{Retries: 5, Backoff: time.Millisecond})
 	err := cl.PostJSON(context.Background(), srv.URL, nil, nil)
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != http.StatusBadRequest {
@@ -85,7 +87,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 func TestClientHonorsRetryAfterOn429(t *testing.T) {
 	srv, calls := flakyServer(t, 1, http.StatusTooManyRequests, "1")
 	// Backoff would be instant; Retry-After must stretch the sleep to ~1s.
-	cl := NewClient(srv.Client(), ClientConfig{Retries: 1, Backoff: time.Millisecond})
+	cl := NewClient(nil, ClientConfig{Retries: 1, Backoff: time.Millisecond})
 	start := time.Now()
 	if err := cl.PostJSON(context.Background(), srv.URL, nil, nil); err != nil {
 		t.Fatal(err)
@@ -133,7 +135,7 @@ func TestReplaySendsChurnOnce(t *testing.T) {
 		conn.Close()
 	}))
 	defer srv.Close()
-	_, err := Replay(context.Background(), srv.Client(), srv.URL, testTrace(t, 20, 1), ReplayConfig{
+	_, err := Replay(context.Background(), srv.URL, testTrace(t, 20, 1), ReplayConfig{
 		Retries: 2, Backoff: time.Millisecond,
 		Churn: []ChurnAction{{AtTask: 0, Req: AdminMachineRequest{Op: "add", Shard: 0, Type: 1}}},
 	})
@@ -156,7 +158,7 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 	}))
 	defer srv.Close()
 	defer close(release)
-	cl := NewClient(srv.Client(), ClientConfig{Timeout: 50 * time.Millisecond, Retries: 1, Backoff: time.Millisecond})
+	cl := NewClient(nil, ClientConfig{Timeout: 50 * time.Millisecond, Retries: 1, Backoff: time.Millisecond})
 	if err := cl.PostJSON(context.Background(), srv.URL, nil, nil); err != nil {
 		t.Fatalf("second attempt should have succeeded: %v", err)
 	}
@@ -167,7 +169,7 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 
 func TestClientContextCancelsBackoffSleep(t *testing.T) {
 	srv, _ := flakyServer(t, 100, http.StatusInternalServerError, "60")
-	cl := NewClient(srv.Client(), ClientConfig{Retries: 1, Backoff: time.Millisecond})
+	cl := NewClient(nil, ClientConfig{Retries: 1, Backoff: time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -180,10 +182,10 @@ func TestClientContextCancelsBackoffSleep(t *testing.T) {
 }
 
 // TestClientReusesConnections posts ten times per response shape and
-// requires one TCP connection each time: the transport reuses a connection
-// only after the previous response was read to EOF, so a body the client
-// does not decode — an admin post's answer, an error body — must still be
-// read off.
+// requires one TCP connection each time: a connection is reused only after
+// the previous response was read to EOF, so a body the client does not
+// decode — an admin post's answer, an error body — must still be read off.
+// GetJSON, PostJSON and Decide to one server share its connections.
 func TestClientReusesConnections(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -209,7 +211,7 @@ func TestClientReusesConnections(t *testing.T) {
 			}
 			srv.Start()
 			defer srv.Close()
-			cl := NewClient(srv.Client(), ClientConfig{})
+			cl := NewClient(nil, ClientConfig{})
 			for i := 0; i < 10; i++ {
 				err := cl.PostJSON(context.Background(), srv.URL, nil, tc.out)
 				if (err != nil) != (tc.status != http.StatusOK) {
@@ -220,5 +222,126 @@ func TestClientReusesConnections(t *testing.T) {
 				t.Fatalf("10 posts opened %d connections, want 1", n)
 			}
 		})
+	}
+	t.Run("get, post and decide", func(t *testing.T) {
+		srv, conns := hopServer(t, "", func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/decide" {
+				answerDecide(w, r)
+				return
+			}
+			fmt.Fprintln(w, `{}`)
+		})
+		cl := NewClient(nil, ClientConfig{})
+		ctx := context.Background()
+		for range 3 {
+			if err := cl.GetJSON(ctx, srv.URL+"/healthz", &struct{}{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.PostJSON(ctx, srv.URL+"/v1/drain", nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			decideOK(t, cl, srv.URL, hopTasks(2))
+		}
+		if n := conns.Load(); n != 1 {
+			t.Fatalf("gets, posts and decides to one server opened %d connections, want 1", n)
+		}
+	})
+}
+
+// rawServer answers every request on a loopback port with answer, byte for
+// byte, hanging up after each answer when hangUp is set; it counts the
+// connections it accepts.
+func rawServer(t *testing.T, answer string, hangUp bool) (string, *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var conns atomic.Int64
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer nc.Close()
+				br := bufio.NewReader(nc)
+				for {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					_, _ = io.Copy(io.Discard, req.Body)
+					if _, err := io.WriteString(nc, answer); err != nil || hangUp {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String(), &conns
+}
+
+// TestJSONAnswerParity: GetJSON and PostJSON read the answers the decide
+// hop reads — chunked, Connection: close, HTTP/1.0 read to EOF — and a 204
+// without a body and a 503, decode each, and keep the connection exactly
+// when the answer allows it.
+func TestJSONAnswerParity(t *testing.T) {
+	const ok = "{\"ok\":true}\n"
+	for _, tc := range []struct {
+		name   string
+		answer string
+		hangUp bool
+		conns  int64 // dialled for three exchanges
+		body   bool  // the answer is {"ok":true}
+		status int   // the HTTPError's status; 0: none
+	}{
+		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"ok\"\r\n7\r\n:true}\n\r\n0\r\n\r\n", false, 1, true, 0},
+		{"connection close", "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 12\r\n\r\n" + ok, true, 3, true, 0},
+		{"HTTP/1.0", "HTTP/1.0 200 OK\r\n\r\n" + ok, true, 3, true, 0},
+		{"204", "HTTP/1.1 204 No Content\r\n\r\n", false, 1, false, 0},
+		{"503", "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 21\r\n\r\n{\"error\":\"draining\"}\n", false, 1, false, http.StatusServiceUnavailable},
+	} {
+		for _, post := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s post=%v", tc.name, post), func(t *testing.T) {
+				base, conns := rawServer(t, tc.answer, tc.hangUp)
+				cl := NewClient(nil, ClientConfig{Timeout: 5 * time.Second})
+				defer cl.CloseIdle()
+				u := base + "/v1/x"
+				for range 3 {
+					var got struct {
+						OK bool `json:"ok"`
+					}
+					var out any
+					if tc.body {
+						out = &got
+					}
+					var err error
+					if post {
+						err = cl.PostJSON(context.Background(), u, nil, out)
+					} else {
+						err = cl.GetJSON(context.Background(), u, out)
+					}
+					var he *HTTPError
+					switch {
+					case tc.status != 0:
+						want := HTTPError{Status: tc.status, URL: u, Msg: "draining", RetryAfter: 2 * time.Second}
+						if !errors.As(err, &he) || *he != want {
+							t.Fatalf("err = %v, want %+v", err, want)
+						}
+					case err != nil:
+						t.Fatal(err)
+					case got.OK != tc.body:
+						t.Fatalf("decoded ok=%v, want %v", got.OK, tc.body)
+					}
+				}
+				if n := conns.Load(); n != tc.conns {
+					t.Fatalf("three exchanges dialled %d connections, want %d", n, tc.conns)
+				}
+			})
+		}
 	}
 }

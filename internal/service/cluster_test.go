@@ -263,7 +263,7 @@ func TestStatsEndpointAndShardMetrics(t *testing.T) {
 	srv := newTestServerFor(t, c)
 	ctx := context.Background()
 
-	rep, err := Replay(ctx, srv.Client(), srv.URL, tr, ReplayConfig{BatchSize: 4})
+	rep, err := Replay(ctx, srv.URL, tr, ReplayConfig{BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

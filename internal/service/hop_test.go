@@ -218,7 +218,7 @@ func TestDecideChunkedAndCloseAnswers(t *testing.T) {
 			if n := conns.Load(); n != tc.conns {
 				t.Fatalf("3 decides dialed %d connections, want %d", n, tc.conns)
 			}
-			if n := len(cl.endpoints[srv.URL].idle); n != tc.idle {
+			if n := len(cl.origins[srv.URL].idle); n != tc.idle {
 				t.Fatalf("%d idle connections kept, want %d", n, tc.idle)
 			}
 		})

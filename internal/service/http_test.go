@@ -33,7 +33,7 @@ func TestEndToEndReplay(t *testing.T) {
 	ctx := context.Background()
 
 	_, srv1 := newTestServer(t)
-	rep1, err := Replay(ctx, srv1.Client(), srv1.URL, tr, ReplayConfig{BatchSize: 32, Drain: true})
+	rep1, err := Replay(ctx, srv1.URL, tr, ReplayConfig{BatchSize: 32, Drain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestEndToEndReplay(t *testing.T) {
 	// Determinism holds online: a fresh server replaying the same trace
 	// yields the identical decision sequence.
 	_, srv2 := newTestServer(t)
-	rep2, err := Replay(ctx, srv2.Client(), srv2.URL, tr, ReplayConfig{BatchSize: 32, Drain: true})
+	rep2, err := Replay(ctx, srv2.URL, tr, ReplayConfig{BatchSize: 32, Drain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("healthz = %+v", st)
 	}
 
-	if _, err := Replay(ctx, srv.Client(), srv.URL, tr, ReplayConfig{BatchSize: 8}); err != nil {
+	if _, err := Replay(ctx, srv.URL, tr, ReplayConfig{BatchSize: 8}); err != nil {
 		t.Fatal(err)
 	}
 	body := getText(t, srv, "/metrics")
