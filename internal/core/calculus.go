@@ -76,11 +76,10 @@ type Calculus struct {
 	epoch uint64
 	own   *ChainCache
 
-	// cells lazily caches, per PET cell (task type × machine type), what
-	// the kernels derive from the execution PMF alone: execution PMFs are
-	// matrix constants, so every Eq. 1 append reuses the occupancy pattern
-	// and every mean lower bound the moments instead of re-walking exec.
-	cells []execCell
+	// moments lazily caches, per PET cell (task type × machine type), the
+	// moments of the execution PMF: execution PMFs are matrix constants,
+	// so every mean lower bound reuses them instead of re-walking exec.
+	moments []pmf.Moments
 
 	// Policy scratch, reused across Decide calls (see heuristicWalk,
 	// CompletionPMFs, SuccessProbs).
@@ -108,13 +107,6 @@ type Calculus struct {
 	candPruned  atomic.Uint64
 	winBounded  atomic.Uint64
 	winEval     atomic.Uint64
-}
-
-// execCell is the per-PET-cell cache entry: the kernel occupancy pattern
-// and the moments of the cell's execution PMF. pat is nil until built.
-type execCell struct {
-	pat []uint64
-	mom pmf.Moments
 }
 
 // chainKey identifies one Eq. 1 transition out of a chain node: appending
@@ -194,25 +186,25 @@ func (c *Calculus) exec(t pet.TaskType, mt pet.MachineType) pmf.PMF {
 	return c.PET.ExecPMF(t, mt)
 }
 
-// cell returns the cached kernel inputs for (t, mt), building them on
-// first use.
-func (c *Calculus) cell(t pet.TaskType, mt pet.MachineType) *execCell {
+// execMoments returns the cached moments of the (t, mt) execution PMF,
+// computing them on first use. A massless cell is recomputed each time, at
+// no cost.
+func (c *Calculus) execMoments(t pet.TaskType, mt pet.MachineType) pmf.Moments {
 	nm := c.PET.NumMachineTypes()
-	if c.cells == nil {
-		c.cells = make([]execCell, c.PET.NumTaskTypes()*nm)
+	if c.moments == nil {
+		c.moments = make([]pmf.Moments, c.PET.NumTaskTypes()*nm)
 	}
-	ce := &c.cells[int(t)*nm+int(mt)]
-	if ce.pat == nil {
-		exec := c.exec(t, mt)
-		ce.pat, ce.mom = pmf.Pattern(exec), exec.Moments()
+	m := &c.moments[int(t)*nm+int(mt)]
+	if m.Mass == 0 {
+		*m = c.exec(t, mt).Moments()
 	}
-	return ce
+	return *m
 }
 
 // appendPMF chains Eq. 1 once through the workspace kernel and compacts
 // the result (in place when freshly produced) to the calculus budget.
 func (c *Calculus) appendPMF(prev pmf.PMF, t pet.TaskType, dl pmf.Tick, mt pet.MachineType) pmf.PMF {
-	cp := c.ws.NextCompletionCompactPattern(prev, c.exec(t, mt), dl, c.MaxImpulses, c.cell(t, mt).pat)
+	cp := c.ws.NextCompletionCompact(prev, c.exec(t, mt), dl, c.MaxImpulses)
 	c.observeWidth(cp.Len())
 	return cp
 }
@@ -294,7 +286,7 @@ func (s ChainState) Append(t pet.TaskType, dl pmf.Tick) ChainState {
 // see pmf.NextCompletionMeanLowerBound). Mappers use it to skip candidates
 // that cannot beat their incumbent.
 func (s ChainState) MeanLowerBound(t pet.TaskType, dl pmf.Tick) float64 {
-	return pmf.NextCompletionMeanLowerBound(s.PMF(), s.c.exec(t, s.mt), s.c.cell(t, s.mt).mom, dl)
+	return pmf.NextCompletionMeanLowerBound(s.PMF(), s.c.exec(t, s.mt), s.c.execMoments(t, s.mt), dl)
 }
 
 // AppendTask is Append for a QueueTask (strict-deadline truncation).

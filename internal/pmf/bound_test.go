@@ -53,13 +53,15 @@ func TestNextCompletionMeanLowerBound(t *testing.T) {
 		bounded bool // the bound must be finite
 		gen     func(r *rand.Rand) operands
 	}{
-		// Sparse operands over a wide window: the touched-cell bitmap.
-		{"dense-bitmap", true, func(r *rand.Rand) operands {
+		// Sparse operands over a wide window: the dense window, or the
+		// portable reference where it would hold over 64 cells per
+		// contribution.
+		{"sparse", true, func(r *rand.Rand) operands {
 			prev := prevOf(r, Tick(r.Int63n(5000)), 1500)
 			return operands{prev, boundPMF(r, 1+r.Intn(25), 1, 1, 400), anyDeadline(r, prev)}
 		}},
 		// Consecutive ticks on both sides and everything executing: at
-		// least two contributions per window cell, the bitmap-free scan.
+		// least two contributions per window cell.
 		{"dense-linear", true, func(r *rand.Rand) operands {
 			prev := boundPMF(r, 24+r.Intn(9), 0.5+0.5*r.Float64(), Tick(r.Int63n(5000)), 32)
 			return operands{prev, boundPMF(r, 25, 1, 1, 25), prev.Max() + 1}

@@ -120,14 +120,16 @@ func TestKernelDifferentialMerge(t *testing.T) {
 	}
 }
 
-// TestBinningEdgeCases holds the dense kernels' binning compaction to the
+// TestBinningEdgeCases holds the dense kernel's binning compaction to the
 // portable chain step, bit for bit, on the layouts the binning must get
 // right: dense cells in (0, massEps] beside ordinary ones and windows made
 // only of them (they add nothing and are not counted), a partial last
 // window, budgets 1–9 (0–3 windows left outside a group of four), width 1,
-// ticks near 2^40, and two clusters 60 000 ticks apart (untouched groups
-// and strips are skipped). Each case runs on both dense paths where it
-// can: the bitmap path (sparse window) and the linear one (tight window).
+// ticks near 2^40, two clusters 60 000 ticks apart (the portable route),
+// and the edges of the unchecked binning (binnedUnchecked): one cell in
+// (0, massEps], a carried impulse of exactly massEps, and windows of
+// exactly maxN and maxN+1 non-zero cells. Each case runs on a sparse
+// window and a tight one where it can.
 func TestBinningEdgeCases(t *testing.T) {
 	imps := func(pairs ...float64) PMF {
 		var out []Impulse
@@ -145,9 +147,9 @@ func TestBinningEdgeCases(t *testing.T) {
 	tinyPrev := imps(100, 0.3, 101, 0.3, 102, 0.3, 300, 4e-7, 301, 4.5e-7, 302, 3e-7, 600, 0.09)
 	tinyExec := imps(1, 1-4e-6, 40, 1e-6, 41, 1e-6, 200, 1e-6, 201, 1e-6)
 
-	// Tight (the linear path: ≥ 2 contributions per cell): 30 ordinary and
-	// two near-threshold predecessors over 25 ordinary, two near-threshold
-	// and one small exec impulse. Cells 91 and 92 hold only near-threshold
+	// Tight (≥ 2 contributions per cell): 30 ordinary and two
+	// near-threshold predecessors over 25 ordinary, two near-threshold and
+	// one small exec impulse. Cells 91 and 92 hold only near-threshold
 	// products, inside the support [1, 151].
 	var dense []float64
 	for i := 0; i < 30; i++ {
@@ -165,19 +167,43 @@ func TestBinningEdgeCases(t *testing.T) {
 	wide := FromImpulses(append(cluster(1000), cluster(61000)...))
 	wideExec := spreadPMF(r, 22, 20, 150, 1)
 
+	// Arithmetic progressions of one step: 20 executing ticks and 16 exec
+	// ticks make exactly 35 cells, so budgets raw.Len()−1 and raw.Len()
+	// (below) bin unchecked and harvest. Then the same with one cell in
+	// (0, massEps], the last: 5e-7 at 195 times 1.5e-6 at 300 is 7.5e-13
+	// at 495, where nothing else lands. Then a carried impulse of exactly
+	// massEps, the last cell again (FromImpulses would drop it).
+	var ap []float64
+	for i := 0; i < 20; i++ {
+		ap = append(ap, float64(10*i), 0.05)
+	}
+	apPrev := imps(ap...)
+	ap = ap[:0]
+	for i := 0; i < 16; i++ {
+		ap = append(ap, float64(1+10*i), 1.0/16)
+	}
+	apExec := imps(ap...)
+	plus := func(p PMF, im Impulse) []Impulse { return append(append([]Impulse{}, p.imp...), im) }
+	subEpsPrev := FromImpulses(plus(apPrev, Impulse{T: 195, P: 5e-7}))
+	subEpsExec := FromImpulses(plus(apExec, Impulse{T: 300, P: 1.5e-6}))
+	epsCarry := PMF{imp: plus(apPrev, Impulse{T: 400, P: massEps})}
+
 	cases := []struct {
 		name       string
 		prev, exec PMF
 		dl         Tick
 	}{
-		{"sub-eps/bitmap", tinyPrev, tinyExec, 1000},
-		{"sub-eps/bitmap/carry", tinyPrev, tinyExec, 301},
+		{"sub-eps/sparse", tinyPrev, tinyExec, 1000},
+		{"sub-eps/sparse/carry", tinyPrev, tinyExec, 301},
 		{"sub-eps/linear", densePrev, denseExec, 1000},
-		{"sub-eps/bitmap/2^40", tinyPrev.Shift(1 << 40), tinyExec, 1<<40 + 1000},
+		{"sub-eps/sparse/2^40", tinyPrev.Shift(1 << 40), tinyExec, 1<<40 + 1000},
 		{"sub-eps/linear/2^40", densePrev.Shift(1<<40 - 7), denseExec, 1<<40 + 1000},
 		{"clusters-60k", wide, wideExec, 70000},
 		{"clusters-60k/carry", wide, wideExec, 61100},
 		{"clusters-60k/tiny", plantTiny(r, wide, 3), plantTiny(r, wideExec, 3), 70000},
+		{"unchecked/k+m-1", apPrev, apExec, 1000},
+		{"unchecked/one-sub-eps", subEpsPrev, subEpsExec, 1000},
+		{"unchecked/eps-carry", epsCarry, apExec, 195},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
@@ -193,14 +219,12 @@ func TestBinningEdgeCases(t *testing.T) {
 				if got := ws.NextCompletionCompact(c.prev, c.exec, c.dl, budget); !got.Equal(want) {
 					t.Fatalf("budget %d:\n got %v\nwant %v", budget, got.Impulses(), want.Impulses())
 				}
-				if got := ws.NextCompletionCompactPattern(c.prev, c.exec, c.dl, budget, Pattern(c.exec)); !got.Equal(want) {
-					t.Fatalf("budget %d (pattern):\n got %v\nwant %v", budget, got.Impulses(), want.Impulses())
-				}
 				width := (span + budget - 1) / budget
 				windows := (span + width - 1) / width
 				seen[fmt.Sprintf("%d windows outside a group of four", windows%4)] = true
 				seen[fmt.Sprint("partial last window ", span%width != 0)] = true
 				seen[fmt.Sprint("width 1 ", width == 1)] = true
+				seen[kernelPath(c.prev, c.exec, c.dl, budget)] = true
 			}
 		})
 	}
@@ -208,6 +232,7 @@ func TestBinningEdgeCases(t *testing.T) {
 		"0 windows outside a group of four", "1 windows outside a group of four",
 		"2 windows outside a group of four", "3 windows outside a group of four",
 		"partial last window true", "partial last window false", "width 1 true",
+		"dense-checked", "dense-unchecked", "sparse",
 	} {
 		if !seen[want] {
 			t.Errorf("no case covers %q", want)
@@ -224,6 +249,12 @@ func FuzzNextCompletionDifferential(f *testing.F) {
 	f.Add(int64(42), int64(5000), uint8(32), uint8(25), uint8(0))
 	f.Add(int64(7), int64(1), uint8(1), uint8(0), uint8(0))
 	f.Add(int64(3), int64(2500), uint8(40), uint8(30), uint8(1))
+	// One seed per route out of the dense window (see kernelPath): over 64
+	// cells per contribution (the portable reference), the unchecked
+	// binning, and the checked one (planted near-threshold masses).
+	f.Add(int64(1), int64(3999), uint8(3), uint8(1), uint8(0))
+	f.Add(int64(2), int64(3999), uint8(40), uint8(30), uint8(0))
+	f.Add(int64(2), int64(3999), uint8(40), uint8(30), uint8(1))
 	f.Fuzz(func(t *testing.T, seed, dlRaw int64, nPrev, nExec, tiny uint8) {
 		r := rand.New(rand.NewSource(seed))
 		prev := randomSubPMF(r, int(nPrev%64), Tick(r.Int63n(300)), 3000)

@@ -6,9 +6,10 @@ import (
 )
 
 // kernelPath names the branch Workspace.nextCompletion takes for these
-// non-zero operands. It mirrors the kernel's selection so the mass property
-// below can assert that it drove every path rather than assume it.
-func kernelPath(prev, exec PMF, dl Tick) string {
+// non-zero operands at budget maxN. It mirrors the kernel's selection so the
+// mass property below can assert that it drove every path rather than
+// assume it.
+func kernelPath(prev, exec PMF, dl Tick, maxN int) string {
 	k := searchImpulses(prev.imp, dl)
 	switch {
 	case k == 0:
@@ -24,10 +25,12 @@ func kernelPath(prev, exec PMF, dl Tick) string {
 	switch {
 	case span > maxDenseSpan:
 		return "wide-span"
-	case span*linearFillFactor <= total:
-		return "dense-linear"
+	case span > maxSpanPerContribution*total:
+		return "sparse"
+	case binnedUnchecked(prev.imp, exec.imp, k, maxN):
+		return "dense-unchecked"
 	}
-	return "dense-bitmap"
+	return "dense-checked"
 }
 
 // TestChainMassNeverExceedsOne is the premise of the droppers' "no task is
@@ -85,7 +88,7 @@ func TestChainMassNeverExceedsOne(t *testing.T) {
 			default: // the deadline splits the predecessor
 				dl = cur.Min() + Tick(r.Int63n(int64(cur.Max()-cur.Min())+2))
 			}
-			path := kernelPath(cur, exec, dl)
+			path := kernelPath(cur, exec, dl, budget)
 			paths[path]++
 			cur = ws.NextCompletionCompact(cur, exec, dl, budget)
 			if cur.Len() > budget {
@@ -94,7 +97,7 @@ func TestChainMassNeverExceedsOne(t *testing.T) {
 			check(chain, link, path, cur, dl)
 		}
 	}
-	for _, path := range []string{"single-impulse", "dense-bitmap", "dense-linear", "carry-through", "wide-span"} {
+	for _, path := range []string{"single-impulse", "dense-checked", "dense-unchecked", "sparse", "carry-through", "wide-span"} {
 		if paths[path] < 50 {
 			t.Errorf("kernel path %s driven %d times, want at least 50 (all: %v)", path, paths[path], paths)
 		}

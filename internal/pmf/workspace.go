@@ -2,7 +2,6 @@ package pmf
 
 import (
 	"math"
-	mathbits "math/bits"
 	"sync/atomic"
 )
 
@@ -14,25 +13,23 @@ import (
 // per simulation engine) calls it once per dropping decision.
 //
 // One accumulation kernel replaces the append-then-sort of the portable
-// PMF methods: masses accumulate into a reusable time-indexed dense window,
-// whose non-zero cells are harvested in order into the arena — O(n1·n2 +
-// span). Completion PMFs in this system span a few thousand ticks, so this
-// is the cache-friendly case. It accumulates one of two ways, chosen by
-// contributions per cell: sparse windows flag written cells in a bitmap so
-// the harvest cost tracks the contribution count, not the span; when the
-// window is tight relative to the contribution count (linearFillFactor)
-// the bitmap is skipped entirely — accumulation is a pure strided
-// load-add-store loop and the harvest is one range scan. An output span
-// past maxDenseSpan (0 of the 26.3 M kernel calls of `hcexp -fig all`) is
-// handed to the portable PMF.NextCompletion.
+// PMF methods: masses accumulate into a reusable time-indexed dense window
+// — a strided load-add-store loop per predecessor, with no bookkeeping of
+// which cells were written — whose non-zero cells are harvested in order
+// into the arena by one range scan: O(n1·n2 + span). Completion PMFs in
+// this system span a few thousand ticks with a few contributions per
+// cell, so this is the cache-friendly case. A window wider than
+// maxSpanPerContribution cells per contribution, or wider than
+// maxDenseSpan, would cost its span rather than its contributions and is
+// handed to the portable PMF.NextCompletion instead.
 //
 // The chain step of the calculus (NextCompletionCompact) harvests
-// differently: both dense paths bin the window straight into the budget's
-// compaction windows with one function, binCompact, which range-scans four
-// windows in lockstep with no per-cell branch and uses the bitmap, when
-// there is one, only to skip untouched groups and strips. Its cost tracks
-// the span, not the contribution count; the calculus' windows are mostly
-// 40–85 % touched, where that is the cheaper trade.
+// differently: binCompact bins the window straight into the budget's
+// compaction windows, four windows in lockstep with no per-cell branch.
+// When no touched cell can be at or below massEps and the count of them
+// is sure to exceed the budget (binnedUnchecked), it bins the whole
+// window as it stands; otherwise one pass first zeroes the negligible
+// cells and counts the rest.
 //
 // Every path sums equal-time contributions in ascending left-impulse
 // order — the floating-point addition order of the naive nested loop, and
@@ -46,8 +43,6 @@ type Workspace struct {
 	used    int       // committed impulses in block
 	lastOff int       // offset of the most recent allocation, for in-place compaction
 	dense   []float64 // dense accumulation window, reused across calls
-	touched []uint64  // bitmap of written dense cells, so harvest skips zero runs
-	ebits   []uint64  // per-call bitmap of the exec impulse pattern, reused
 
 	// peak is the arena high-water mark in impulses, and peakBytes its
 	// byte value published for concurrent metrics scrapes. commit guards
@@ -80,14 +75,13 @@ const (
 // depend on the span.
 const maxDenseSpan = 1 << 17
 
-// linearFillFactor selects between the two dense paths: when the window
-// averages at least this many contributions per cell, nearly every cell is
-// occupied, so the straight window scan (no bitmap maintenance in the
-// accumulation loop, branch-predictable range passes to harvest) beats
-// flagging and walking touched words. Sparser windows keep the bitmap:
-// there the raw harvest cost tracks the contribution count, not the span,
-// and the binning skips the untouched stretches.
-const linearFillFactor = 2
+// maxSpanPerContribution bounds the dense window relative to the work it
+// holds: a window of more cells than this many per contribution is mostly
+// empty, and its range scans would cost more than the accumulation, so it
+// goes to the portable reference too. The calculus' windows hold at most
+// one cell in 15 per contribution; two chain states 60 000 ticks apart
+// hold about one in 85.
+const maxSpanPerContribution = 64
 
 // Reset recycles the arena. Every PMF previously returned by this
 // workspace (and everything derived from one by in-place compaction) is
@@ -140,19 +134,16 @@ func (w *Workspace) commit(base, n int) PMF {
 //
 // The returned PMF may alias workspace memory; it is valid until Reset.
 func (w *Workspace) NextCompletion(prev, exec PMF, dl Tick) PMF {
-	return w.nextCompletion(prev, exec, dl, 0, nil)
+	return w.nextCompletion(prev, exec, dl, 0)
 }
 
 // nextCompletion is NextCompletion with an optional compaction budget:
 // with maxN > 0 the dense kernel bins over-budget output directly from the
 // accumulation window (binCompact: identical to harvesting then compacting,
-// without materializing the intermediate impulses). maxN <= 0 harvests raw. The
-// wide-span fallback, the single-impulse shift-scale path and the
-// pass-through fast paths ignore maxN; the caller compacts those. pat, when non-nil,
-// is exec's precomputed occupancy pattern (see Pattern) — callers chaining
-// the same immutable exec PMFs repeatedly (the calculus, whose exec PMFs
-// are PET matrix cells) build each pattern once instead of per call.
-func (w *Workspace) nextCompletion(prev, exec PMF, dl Tick, maxN int, pat []uint64) PMF {
+// without materializing the intermediate impulses). maxN <= 0 harvests raw.
+// The portable route, the single-impulse shift-scale path and the
+// pass-through fast paths ignore maxN; the caller compacts those.
+func (w *Workspace) nextCompletion(prev, exec PMF, dl Tick, maxN int) PMF {
 	if prev.IsZero() {
 		return Zero()
 	}
@@ -201,168 +192,85 @@ func (w *Workspace) nextCompletion(prev, exec PMF, dl Tick, maxN int, pat []uint
 		}
 	}
 	total := k*len(exec.imp) + (len(prev.imp) - k)
-	if span := int(hi-lo) + 1; span > 0 && span <= maxDenseSpan {
-		if span*linearFillFactor <= total {
-			// Tight window: accumulate without bitmap maintenance. The
-			// inner loop strides one subslice of the window per
-			// predecessor (row), so the generated code is a plain
-			// load-fma-store sequence the CPU pipelines well.
-			d := w.denseLinearWindow(span)
-			e0 := exec.imp[0].T
-			for _, a := range prev.imp[:k] {
-				row := d[a.T+e0-lo:]
-				ap := a.P
-				for _, b := range exec.imp {
-					row[b.T-e0] += ap * b.P
-				}
-			}
-			for _, a := range prev.imp[k:] {
-				d[a.T-lo] += a.P
-			}
-			if maxN > 0 {
-				return w.binCompact(d, nil, lo, maxN)
-			}
-			return w.harvestLinear(d, lo, total)
-		}
-		d, bits := w.denseWindow(span)
-		// Every executing predecessor touches the same exec-shaped cell
-		// pattern, shifted by its completion time. Accumulate row-wise (a
-		// strided load-fma-store loop, as in the linear path) and OR the
-		// pattern's precomputed bitmap into the touched words — a handful of
-		// word operations per row instead of one read-modify-write per
-		// contribution.
-		eb := pat
-		if eb == nil {
-			eb = w.execPattern(exec)
-		}
-		e0 := exec.imp[0].T
-		for _, a := range prev.imp[:k] {
-			row := d[a.T+e0-lo:]
-			ap := a.P
-			for _, b := range exec.imp {
-				row[b.T-e0] += ap * b.P
-			}
-			orShifted(bits, eb, int(a.T+e0-lo))
-		}
-		for _, a := range prev.imp[k:] {
-			i := uint(a.T - lo)
-			d[i] += a.P
-			bits[i>>6] |= 1 << (i & 63)
-		}
-		if maxN > 0 {
-			return w.binCompact(d, bits, lo, maxN)
-		}
-		return w.harvest(d, bits, lo, total)
+	span := int(hi-lo) + 1
+	if span <= 0 || span > maxDenseSpan || span > maxSpanPerContribution*total {
+		// Too wide for the dense window, or too sparse for it to pay: the
+		// portable reference, in storage of its own rather than the arena's.
+		return prev.NextCompletion(exec, dl)
 	}
-	// Wider than the dense window: the portable reference, in storage of
-	// its own rather than the arena's.
-	return prev.NextCompletion(exec, dl)
-}
-
-// denseWindow returns the zeroed span-cell accumulation window and its
-// touched-cell bitmap.
-func (w *Workspace) denseWindow(span int) ([]float64, []uint64) {
-	d := w.denseLinearWindow(span)
-	bits := w.touched[:(span+63)/64]
-	clear(bits)
-	return d, bits
-}
-
-// denseLinearWindow returns the zeroed span-cell accumulation window alone,
-// for the linear (bitmap-free) dense path.
-func (w *Workspace) denseLinearWindow(span int) []float64 {
+	// The inner loop strides one subslice of the window per predecessor
+	// (row), so the generated code is a plain load-fma-store sequence the
+	// CPU pipelines well.
 	if cap(w.dense) < span {
 		w.dense = make([]float64, span)
-		w.touched = make([]uint64, (cap(w.dense)+63)/64)
 	}
 	d := w.dense[:span]
 	clear(d)
-	return d
-}
-
-// Pattern builds the occupancy bitmap of p's impulse times relative to its
-// first impulse, in fresh storage: the form the dense kernel ORs into its
-// touched-word bitmap once per accumulation row. Callers that convolve the
-// same immutable PMF repeatedly (execution-time PMFs are matrix constants)
-// build the pattern once and pass it to NextCompletionCompactPattern.
-func Pattern(p PMF) []uint64 {
-	if p.IsZero() {
-		return []uint64{}
-	}
-	p0 := p.imp[0].T
-	out := make([]uint64, int(p.imp[len(p.imp)-1].T-p0)>>6+1)
-	for _, b := range p.imp {
-		i := uint(b.T - p0)
-		out[i>>6] |= 1 << (i & 63)
-	}
-	return out
-}
-
-// execPattern builds the occupancy bitmap of exec's impulse times relative
-// to its first impulse, reused word-wise by every accumulation row.
-func (w *Workspace) execPattern(exec PMF) []uint64 {
 	e0 := exec.imp[0].T
-	words := int(exec.imp[len(exec.imp)-1].T-e0)>>6 + 1
-	if cap(w.ebits) < words {
-		w.ebits = make([]uint64, words)
+	for _, a := range prev.imp[:k] {
+		row := d[a.T+e0-lo:]
+		ap := a.P
+		for _, b := range exec.imp {
+			row[b.T-e0] += ap * b.P
+		}
 	}
-	eb := w.ebits[:words]
-	clear(eb)
-	for _, b := range exec.imp {
-		i := uint(b.T - e0)
-		eb[i>>6] |= 1 << (i & 63)
+	for _, a := range prev.imp[k:] {
+		d[a.T-lo] += a.P
 	}
-	return eb
+	if maxN <= 0 {
+		return w.harvest(d, lo, total)
+	}
+	if !binnedUnchecked(prev.imp, exec.imp, k, maxN) {
+		first, last, ok := supportBounds(d)
+		if !ok {
+			return Zero()
+		}
+		d, lo = d[first:last+1], lo+Tick(first)
+		if n := dropNegligible(d); n <= maxN {
+			// Within the budget after all: Compact would leave the
+			// impulses alone.
+			return w.harvest(d, lo, n)
+		}
+	}
+	return w.binCompact(d, lo, maxN)
 }
 
-// orShifted ORs the pattern src, shifted left by off cells, into dst. The
-// caller guarantees every shifted bit lands inside dst.
-func orShifted(dst, src []uint64, off int) {
-	base, sh := off>>6, uint(off&63)
-	if sh == 0 {
-		for i, s := range src {
-			dst[base+i] |= s
-		}
-		return
-	}
-	carry := uint64(0)
-	for i, s := range src {
-		dst[base+i] |= s<<sh | carry
-		carry = s >> (64 - sh)
-	}
-	if carry != 0 {
-		dst[base+len(src)] |= carry
-	}
+// binnedUnchecked reports whether the dense window of a chain step needs
+// neither the massEps check of its cells nor their count before binning:
+// when the least executing predecessor mass times the least exec mass
+// exceeds massEps and so does every carried mass, every touched cell
+// exceeds it too (rounding is monotone, and adding a non-negative term
+// never lowers a sum), and untouched cells are exactly zero. k executing
+// ticks and len(exec) exec ticks, each set distinct, make at least
+// k+len(exec)−1 distinct sums, so when that exceeds maxN so does the count
+// of touched cells — Compact would bin — and the window's first and last
+// cells are the first and last touched ones.
+func binnedUnchecked(prev, exec []Impulse, k, maxN int) bool {
+	return k+len(exec)-1 > maxN && minMass(prev[:k])*minMass(exec) > massEps && minMass(prev[k:]) > massEps
 }
+
+// minMass returns the least impulse mass of imps, +Inf for none.
+func minMass(imps []Impulse) float64 {
+	m := math.Inf(1)
+	for _, im := range imps {
+		if im.P < m {
+			m = im.P
+		}
+	}
+	return m
+}
+
+// Pattern returns nil: the dense kernel keeps no occupancy bitmap, so
+// there is nothing to precompute. It stays, with
+// NextCompletionCompactPattern, because the benchmark harness
+// (bench/hcbench) calls both.
+func Pattern(PMF) []uint64 { return nil }
 
 // harvest collects the non-negligible cells of the dense window, in time
-// order, into fresh arena space. Only cells flagged in the touched bitmap
-// are inspected, so the cost scales with the contribution count, not the
-// window span. total bounds the number of non-zero cells.
-func (w *Workspace) harvest(d []float64, bits []uint64, lo Tick, total int) PMF {
-	if total > len(d) {
-		total = len(d)
-	}
-	w.ensure(total)
-	base := w.used
-	out := w.block[base:base]
-	for wi, word := range bits {
-		for word != 0 {
-			i := wi<<6 + mathbits.TrailingZeros64(word)
-			word &= word - 1
-			if v := d[i]; v > massEps {
-				out = append(out, Impulse{T: lo + Tick(i), P: v})
-			}
-		}
-	}
-	return w.commit(base, len(out))
-}
-
-// harvestLinear is harvest for the bitmap-free dense path: one ascending
-// range pass over the window (bounds-check-free — the loop variable is the
-// slice's own index) appending every non-negligible cell. Untouched cells
-// are exactly zero, so the output is identical to the bitmap harvest.
-func (w *Workspace) harvestLinear(d []float64, lo Tick, total int) PMF {
+// order, into fresh arena space: one ascending range pass over the window
+// (bounds-check-free — the loop variable is the slice's own index). total
+// bounds the number of non-zero cells.
+func (w *Workspace) harvest(d []float64, lo Tick, total int) PMF {
 	if total > len(d) {
 		total = len(d)
 	}
@@ -377,83 +285,52 @@ func (w *Workspace) harvestLinear(d []float64, lo Tick, total int) PMF {
 	return w.commit(base, len(out))
 }
 
-// binCompact harvests the dense window and compacts it to at most maxN
-// impulses in one arena allocation, without materializing the raw impulse
-// list: the result is identical to harvest followed by Compact. Both dense
-// paths call it; bits is the touched-cell bitmap of the bitmap path and nil
-// on the linear one, where every cell counts as touched.
+// dropNegligible zeroes every cell of d at or below massEps and returns the
+// number of cells left, with no per-cell branch: a non-negative float64's
+// bit pattern orders like its value, so the mask is all ones for a cell
+// above massEps and zero otherwise.
+func dropNegligible(d []float64) (n int) {
+	eps := math.Float64bits(massEps)
+	for i, v := range d {
+		b := math.Float64bits(v)
+		k := uint64(int64(eps-b) >> 63)
+		d[i] = math.Float64frombits(b & k)
+		n += int(k & 1)
+	}
+	return n
+}
+
+// binCompact compacts the dense window d, whose first cell is tick lo, to
+// at most maxN impulses in one arena allocation, without materializing the
+// raw impulse list: the result is identical to harvest followed by
+// Compact. The caller guarantees what Compact's binning presumes: d's
+// first and last cells are the support's, every non-zero cell exceeds
+// massEps, and there are more than maxN of them.
 //
 // It is compactInto's windowed merge read off cells instead of impulses.
-// The support [first, last] is cut into the same equal-width windows, and
-// each window sums its cells in ascending order starting from 0, so every
-// mass, weighted time, rounded tick and merged tick is bit-identical. Four
-// adjacent windows accumulate side by side (binFour), so the eight sums
-// are independent add chains the CPU overlaps instead of one serial chain,
-// and no cell takes a data-dependent branch: a cell at or below massEps
-// adds +0 through a bit mask, and the cells above it are counted. What is
-// left after the last whole group of four (up to three windows and a
-// partial last one) accumulates one window at a time (binOne). With a
-// bitmap, a group whose words are all zero is skipped, and so is every
-// word-sized strip of a wider group or window that no flagged word
-// covers: untouched cells are zero, so a skip changes no sum. When the
-// count is within the budget after all, Compact would have left the
-// impulses alone, so the binned output is discarded and the plain harvest
-// runs instead.
-func (w *Workspace) binCompact(d []float64, bits []uint64, lo Tick, maxN int) PMF {
-	first, last, ok := supportBounds(d, bits)
-	if !ok {
-		return Zero()
-	}
-	span := last - first + 1
+// The support is cut into the same equal-width windows, and each window
+// sums its cells in ascending order starting from 0, so every mass,
+// weighted time, rounded tick and merged tick is bit-identical (a zero
+// cell adds +0 to both sums). Four adjacent windows accumulate side by
+// side (binFour), so the eight sums are independent add chains the CPU
+// overlaps instead of one serial chain. What is left after the last whole
+// group of four (up to three windows and a partial last one) accumulates
+// one window at a time (binOne).
+func (w *Workspace) binCompact(d []float64, lo Tick, maxN int) PMF {
+	span := len(d)
 	width := (span + maxN - 1) / maxN
-	w.ensure(min(maxN, span))
+	w.ensure(maxN)
 	base := w.used
 	out := w.block[base:base]
-	var count uint64
-	s := first
-	for ; s+4*width <= last+1; s += 4 * width {
-		if !touched(bits, s, s+4*width) {
-			continue // four empty windows
-		}
-		var win [4]window
-		for j := 0; j < width; j += 64 {
-			n := min(64, width-j)
-			busy := uint(0b1111)
-			if n < width {
-				// Windows wider than a word: skip the idle lanes of each
-				// word-sized strip.
-				busy = busyLanes(bits, s+j, n, width)
-			}
-			switch {
-			case busy == 0: // four idle lanes
-			case busy&(busy-1) == 0:
-				// One busy lane: it alone is cheaper than four in lockstep.
-				k := mathbits.TrailingZeros(busy)
-				c := s + k*width + j
-				count += binOne(&win[k], d[c:c+n], lo+Tick(c))
-			default:
-				count += binFour(&win, d[s+j:s+3*width+j+n], width, n, lo+Tick(s+j))
-			}
-		}
+	s := 0
+	for ; s+4*width <= span; s += 4 * width {
+		win := binFour(d[s:s+4*width], width, float64(lo+Tick(s)))
 		for i := range win {
 			out = win[i].emit(out)
 		}
 	}
-	for ; s <= last; s += width {
-		e := min(s+width, last+1)
-		var b window
-		for j := s; j < e; j += 64 {
-			if n := min(64, e-j); touched(bits, j, j+n) {
-				count += binOne(&b, d[j:j+n], lo+Tick(j))
-			}
-		}
-		out = b.emit(out)
-	}
-	if count <= uint64(maxN) {
-		if bits == nil {
-			return w.harvestLinear(d, lo, int(count))
-		}
-		return w.harvest(d, bits, lo, int(count))
+	for ; s < span; s += width {
+		out = binOne(d[s:min(s+width, span)], float64(lo+Tick(s))).emit(out)
 	}
 	return w.commit(base, len(out))
 }
@@ -478,148 +355,64 @@ func (b window) emit(out []Impulse) []Impulse {
 	return append(out, Impulse{T: t, P: b.mass})
 }
 
-// binFour adds cells [0, n) of the four lanes g[k·width:], k = 0…3, to
-// win[k] in ascending order; cell j of lane 0 is tick t. The lanes are four
-// adjacent compaction windows advancing in lockstep.
-func binFour(win *[4]window, g []float64, width, n int, t Tick) (count uint64) {
-	eps := math.Float64bits(massEps)
-	m0, m1, m2, m3 := win[0].mass, win[1].mass, win[2].mass, win[3].mass
-	x0, x1, x2, x3 := win[0].weighted, win[1].weighted, win[2].weighted, win[3].weighted
-	d0 := g[:n]
+// binFour sums the four adjacent width-cell lanes of g, in ascending order
+// and in lockstep, into one window each; the first cell is tick t. Each
+// lane carries its tick as a float64 counter, exact for integer ticks, so
+// it equals the converted tick the weighted sum of compactInto uses.
+func binFour(g []float64, width int, t float64) [4]window {
+	var m0, m1, m2, m3, x0, x1, x2, x3 float64
+	d0 := g[:width]
 	d1 := g[width:][:len(d0)]
 	d2 := g[2*width:][:len(d0)]
 	d3 := g[3*width:][:len(d0)]
-	tw := Tick(width)
+	fw := float64(width)
+	t0, t1, t2, t3 := t, t+fw, t+2*fw, t+3*fw
 	for j, v := range d0 {
-		// A non-negative float64's bit pattern orders like its value, so
-		// k is all ones for a cell above massEps and zero otherwise.
-		tj := t + Tick(j)
-		b := math.Float64bits(v)
-		k := uint64(int64(eps-b) >> 63)
-		f := math.Float64frombits(b & k)
-		count -= k
-		m0 += f
-		x0 += float64(tj) * f
-		b = math.Float64bits(d1[j])
-		k = uint64(int64(eps-b) >> 63)
-		f = math.Float64frombits(b & k)
-		count -= k
-		m1 += f
-		x1 += float64(tj+tw) * f
-		b = math.Float64bits(d2[j])
-		k = uint64(int64(eps-b) >> 63)
-		f = math.Float64frombits(b & k)
-		count -= k
-		m2 += f
-		x2 += float64(tj+2*tw) * f
-		b = math.Float64bits(d3[j])
-		k = uint64(int64(eps-b) >> 63)
-		f = math.Float64frombits(b & k)
-		count -= k
-		m3 += f
-		x3 += float64(tj+3*tw) * f
+		m0 += v
+		x0 += t0 * v
+		v = d1[j]
+		m1 += v
+		x1 += t1 * v
+		v = d2[j]
+		m2 += v
+		x2 += t2 * v
+		v = d3[j]
+		m3 += v
+		x3 += t3 * v
+		t0++
+		t1++
+		t2++
+		t3++
 	}
-	win[0], win[1], win[2], win[3] = window{m0, x0}, window{m1, x1}, window{m2, x2}, window{m3, x3}
-	return count
+	return [4]window{{m0, x0}, {m1, x1}, {m2, x2}, {m3, x3}}
 }
 
-// binOne is binFour for one lane: it adds the cells of g, the first at
-// tick t, to win.
-func binOne(win *window, g []float64, t Tick) (count uint64) {
-	eps := math.Float64bits(massEps)
-	m, x := win.mass, win.weighted
-	for j, v := range g {
-		b := math.Float64bits(v)
-		k := uint64(int64(eps-b) >> 63)
-		f := math.Float64frombits(b & k)
-		count -= k
-		m += f
-		x += float64(t+Tick(j)) * f
+// binOne is binFour for one lane: it sums the cells of g, the first at
+// tick t, into one window.
+func binOne(g []float64, t float64) window {
+	var m, x float64
+	for _, v := range g {
+		m += v
+		x += t * v
+		t++
 	}
-	*win = window{m, x}
-	return count
+	return window{m, x}
 }
 
-// touched reports whether the touched bitmap flags a word covering any
-// of the cells [from, to), testing four words per step. Without a bitmap
-// (the linear path) every cell counts as touched.
-func touched(bits []uint64, from, to int) bool {
-	if bits == nil {
-		return true
+// supportBounds finds the first and last window cells above massEps by two
+// range scans. ok is false when no cell qualifies.
+func supportBounds(d []float64) (first, last int, ok bool) {
+	for first < len(d) && d[first] <= massEps {
+		first++
 	}
-	ws := bits[from>>6 : (to-1)>>6+1]
-	for len(ws) >= 4 {
-		if ws[0]|ws[1]|ws[2]|ws[3] != 0 {
-			return true
-		}
-		ws = ws[4:]
+	if first == len(d) {
+		return 0, 0, false
 	}
-	for _, word := range ws {
-		if word != 0 {
-			return true
-		}
+	last = len(d) - 1
+	for d[last] <= massEps {
+		last--
 	}
-	return false
-}
-
-// busyLanes returns the mask of the lanes k < 4 whose cells
-// [a+k·width, a+k·width+n), n ≤ 64, lie in a flagged bitmap word (two words
-// at most per lane). A lane outside the mask holds only zero cells, so
-// skipping it is exact. Without a bitmap every lane is busy.
-func busyLanes(bits []uint64, a, n, width int) uint {
-	if bits == nil {
-		return 0b1111
-	}
-	var busy uint
-	for k := range 4 {
-		c := a + k*width
-		if bits[c>>6]|bits[(c+n-1)>>6] != 0 {
-			busy |= 1 << k
-		}
-	}
-	return busy
-}
-
-// supportBounds finds the first and last window cells above massEps: two
-// directional bitmap scans, or two range scans with no bitmap. ok is false
-// when no cell qualifies.
-func supportBounds(d []float64, bits []uint64) (first, last int, ok bool) {
-	if bits == nil {
-		for first < len(d) && d[first] <= massEps {
-			first++
-		}
-		if first == len(d) {
-			return 0, 0, false
-		}
-		last = len(d) - 1
-		for d[last] <= massEps {
-			last--
-		}
-		return first, last, true
-	}
-	for wi, word := range bits {
-		for word != 0 {
-			i := wi<<6 + mathbits.TrailingZeros64(word)
-			word &= word - 1
-			if d[i] > massEps {
-				first = i
-				goto forward
-			}
-		}
-	}
-	return 0, 0, false
-forward:
-	for wi := len(bits) - 1; wi >= 0; wi-- {
-		word := bits[wi]
-		for word != 0 {
-			i := wi<<6 + 63 - mathbits.LeadingZeros64(word)
-			if d[i] > massEps {
-				return first, i, true
-			}
-			word &^= 1 << uint(i&63)
-		}
-	}
-	return first, first, true
+	return first, last, true
 }
 
 // NextCompletionCompact fuses NextCompletion with compaction to maxN
@@ -632,18 +425,10 @@ forward:
 // still read — so an over-budget pass-through is compacted into fresh
 // storage instead of being mutated in place.
 func (w *Workspace) NextCompletionCompact(prev, exec PMF, dl Tick, maxN int) PMF {
-	return w.NextCompletionCompactPattern(prev, exec, dl, maxN, nil)
-}
-
-// NextCompletionCompactPattern is NextCompletionCompact with exec's
-// precomputed occupancy pattern (Pattern). The pattern must have been
-// built from this exact exec PMF; callers that chain immutable execution
-// PMFs repeatedly amortize the pattern across every append.
-func (w *Workspace) NextCompletionCompactPattern(prev, exec PMF, dl Tick, maxN int, pat []uint64) PMF {
 	if maxN <= 0 {
 		panic("pmf: non-positive impulse budget")
 	}
-	next := w.nextCompletion(prev, exec, dl, maxN, pat)
+	next := w.nextCompletion(prev, exec, dl, maxN)
 	if len(next.imp) <= maxN {
 		return next
 	}
@@ -651,6 +436,12 @@ func (w *Workspace) NextCompletionCompactPattern(prev, exec PMF, dl Tick, maxN i
 		return next.Compact(maxN)
 	}
 	return w.CompactTail(next, maxN)
+}
+
+// NextCompletionCompactPattern is NextCompletionCompact; its last argument
+// is ignored (see Pattern).
+func (w *Workspace) NextCompletionCompactPattern(prev, exec PMF, dl Tick, maxN int, _ []uint64) PMF {
+	return w.NextCompletionCompact(prev, exec, dl, maxN)
 }
 
 // CompactTail compacts p to at most maxN impulses, preserving total mass

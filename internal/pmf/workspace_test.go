@@ -148,37 +148,35 @@ func spreadPMF(r *rand.Rand, n int, base Tick, span int, mass float64) PMF {
 // shape the calculus feeds the kernel: a compacted chain state of 32
 // impulses over ~400 ticks, a matrix cell of 22 impulses over ~150 ticks,
 // and a deadline that lets most of the state execute. The output window
-// spans ~550 ticks (the bitmap path), so the fused harvest-compaction
-// costs as much as the accumulation.
+// spans ~550 ticks and no cell can fall under massEps, so the binning runs
+// unchecked and costs about as much as the accumulation.
 func BenchmarkNextCompletionCompactChainShape(b *testing.B) {
 	r := rand.New(rand.NewSource(33))
 	prev := spreadPMF(r, 32, 1000, 400, 0.9)
 	exec := spreadPMF(r, 22, 20, 150, 1)
-	pat := Pattern(exec)
 	var ws Workspace
 	b.ReportAllocs()
 	for b.Loop() {
 		ws.Reset()
-		ws.NextCompletionCompactPattern(prev, exec, 1300, DefaultMaxImpulses, pat)
+		ws.NextCompletionCompact(prev, exec, 1300, DefaultMaxImpulses)
 	}
 }
 
 // BenchmarkNextCompletionCompactSparseWide is a chain state in two
-// clusters 60 000 ticks apart: the output window spans ~60 000 ticks of
-// which ~700 are touched, so a harvest that scans the span instead of
-// skipping untouched words costs far more than the accumulation.
+// clusters 60 000 ticks apart: the output window spans ~60 000 ticks for
+// 704 contributions, over maxSpanPerContribution cells each, so the step
+// takes the portable reference, whose cost tracks the contributions.
 func BenchmarkNextCompletionCompactSparseWide(b *testing.B) {
 	r := rand.New(rand.NewSource(34))
 	a := spreadPMF(r, 16, 1000, 200, 0.45).Impulses()
 	c := spreadPMF(r, 16, 61000, 200, 0.45).Impulses()
 	prev := FromImpulses(append(append([]Impulse{}, a...), c...))
 	exec := spreadPMF(r, 22, 20, 150, 1)
-	pat := Pattern(exec)
 	var ws Workspace
 	b.ReportAllocs()
 	for b.Loop() {
 		ws.Reset()
-		ws.NextCompletionCompactPattern(prev, exec, 70000, DefaultMaxImpulses, pat)
+		ws.NextCompletionCompact(prev, exec, 70000, DefaultMaxImpulses)
 	}
 }
 
