@@ -281,12 +281,16 @@ func (s ChainState) Append(t pet.TaskType, dl pmf.Tick) ChainState {
 	return ChainState{c: c, cc: s.cc, mt: s.mt, node: id}
 }
 
-// MeanLowerBound returns a lower bound on s.Append(t, dl).PMF().Mean()
-// without convolving or touching the trie (-Inf when none can be given;
-// see pmf.NextCompletionMeanLowerBound). Mappers use it to skip candidates
-// that cannot beat their incumbent.
+// MeanLowerBound returns pmf.NextCompletionMeanLowerBound(s.PMF(),
+// exec, exec.Moments(), dl) for the (t, mt) execution PMF — a lower bound
+// on s.Append(t, dl).PMF().Mean(), -Inf when none can be given — without
+// convolving or touching the trie. Mappers use it to skip candidates that
+// cannot beat their incumbent. The state's split moments at dl come from
+// its cache's memo, so asking one state at many deadlines walks each split
+// of its PMF once.
 func (s ChainState) MeanLowerBound(t pet.TaskType, dl pmf.Tick) float64 {
-	return pmf.NextCompletionMeanLowerBound(s.PMF(), s.c.exec(t, s.mt), s.c.execMoments(t, s.mt), dl)
+	prev := s.PMF()
+	return pmf.SplitMeanLowerBound(prev, s.c.exec(t, s.mt), s.c.execMoments(t, s.mt), s.cc.bound.at(s.node, prev, prev.Rank(dl-1)))
 }
 
 // AppendTask is Append for a QueueTask (strict-deadline truncation).

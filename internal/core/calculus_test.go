@@ -301,3 +301,121 @@ func TestChainKeyIsTypeAndSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestMeanLowerBoundMemoMatchesBound holds ChainState.MeanLowerBound, whose
+// split moments come from its cache's memo, to
+// pmf.NextCompletionMeanLowerBound bit for bit: random queues on the SPEC
+// matrix, every task type at deadlines on every split index of the asked
+// state's PMF, and cache resets of every kind between rounds (root drift,
+// churn, pin overflow, Recycle of the calculus-owned cache), after which
+// the trie hands the same node indexes to other PMFs. Each round asks its
+// tail first and last, as a mapping event's scans do, so a memo that
+// outlived a reset is asked again on the node index it holds; the test
+// requires that to happen.
+func TestMeanLowerBoundMemoMatchesBound(t *testing.T) {
+	m := pet.Build(pet.SPECProfile(pet.DefaultProfileSeed), pet.DefaultProfileSeed, pet.DefaultBuildOptions())
+	nt := m.NumTaskTypes()
+	r := rand.New(rand.NewSource(44))
+	c := NewCalculus(m)
+	persistent := c.NewChainCache()
+	persistent.maxPinned = 400 // a few rounds' nodes: overflow resets too
+	type asked struct {
+		cc   *ChainCache
+		node int32
+		gen  uint64
+		p    pmf.PMF
+	}
+	var last asked
+	reused := 0
+	check := func(s ChainState) {
+		p := s.PMF()
+		if last.cc == s.cc && last.node == s.node && last.gen != s.cc.Gen() && !last.p.Equal(p) {
+			reused++
+		}
+		imps := p.Impulses()
+		for k := 0; k <= len(imps); k++ {
+			// Deadlines that split p at k: impulse k's own tick and one
+			// past impulse k-1, or well before and past the support.
+			var dls []pmf.Tick
+			switch {
+			case len(imps) == 0:
+				dls = []pmf.Tick{100}
+			case k == 0:
+				dls = []pmf.Tick{imps[0].T - 50, imps[0].T}
+			case k == len(imps):
+				dls = []pmf.Tick{imps[k-1].T + 1, imps[k-1].T + 1000}
+			default:
+				dls = []pmf.Tick{imps[k-1].T + 1, imps[k].T}
+			}
+			for _, dl := range dls {
+				if got := p.Rank(dl - 1); len(imps) > 0 && got != k {
+					t.Fatalf("deadline %d splits at %d, want %d", dl, got, k)
+				}
+				for ty := 0; ty < nt; ty++ {
+					exec := m.ExecPMF(pet.TaskType(ty), s.mt)
+					want := pmf.NextCompletionMeanLowerBound(p, exec, exec.Moments(), dl)
+					if got := s.MeanLowerBound(pet.TaskType(ty), dl); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("node %d split %d type %d deadline %d: memoized bound %v, want %v (PMF %v)",
+							s.node, k, ty, dl, got, want, p)
+					}
+				}
+			}
+		}
+		last = asked{s.cc, s.node, s.cc.Gen(), p}
+	}
+	// The root (machine type, clock, running head) drifts in one round of
+	// three, so the persistent trie also grows across rounds until its pin
+	// budget overflows.
+	var (
+		mt   pet.MachineType
+		now  pmf.Tick
+		head QueueTask
+	)
+	for round := 0; round < 300; round++ {
+		c.Recycle()
+		cc := persistent
+		if round%4 == 3 {
+			cc = c.own
+		}
+		if r.Intn(6) == 0 {
+			persistent.Invalidate(InvalidateChurn)
+		}
+		if round == 0 || r.Intn(3) == 0 {
+			mt = pet.MachineType(r.Intn(m.NumMachineTypes()))
+			now = pmf.Tick(100 + 50*r.Intn(3))
+			head = QueueTask{Type: pet.TaskType(r.Intn(nt)), Deadline: now + 500}
+			if r.Intn(2) == 0 {
+				head.Running, head.Elapsed = true, pmf.Tick(r.Intn(200))
+			}
+		}
+		q := make([]QueueTask, 1+r.Intn(5))
+		q[0] = head
+		for i := 1; i < len(q); i++ {
+			q[i] = QueueTask{Type: pet.TaskType(r.Intn(nt)), Deadline: now + pmf.Tick(100+r.Intn(2000))}
+		}
+		s, start := c.ChainStartCached(cc, mt, now, q)
+		states := []ChainState{s}
+		for _, qt := range q[start:] {
+			s = s.AppendTask(qt)
+			states = append(states, s)
+		}
+		check(s)
+		// Candidates branch off the tail, as a mapper's do.
+		for i := 0; i < 3; i++ {
+			check(s.Append(pet.TaskType(r.Intn(nt)), now+pmf.Tick(100+r.Intn(2000))))
+		}
+		for _, st := range states {
+			check(st)
+		}
+	}
+	st := c.Stats()
+	if st.InvalidationsEvent == 0 || st.InvalidationsChurn == 0 || st.InvalidationsOverflow == 0 {
+		t.Fatalf("resets by reason: event %d churn %d overflow %d; every reason must occur",
+			st.InvalidationsEvent, st.InvalidationsChurn, st.InvalidationsOverflow)
+	}
+	if reused == 0 {
+		t.Fatal("no node index was asked again under a new generation with another PMF")
+	}
+	t.Logf("%d asks of a reused node index, resets: event %d churn %d overflow %d",
+		reused, st.InvalidationsEvent, st.InvalidationsChurn, st.InvalidationsOverflow)
+}

@@ -62,6 +62,43 @@ type ChainCache struct {
 	// the decision in flight keeps its pinned PMFs.
 	overflowed bool
 	maxPinned  int
+	// bound memoizes split moments for ChainState.MeanLowerBound.
+	bound splitMemo
+}
+
+// splitMemo holds the split moments of the one trie node MeanLowerBound
+// was last asked on — during a mapping event, the machine's tail, which
+// every candidate task asks at its own deadline — per split index k, each
+// computed once by pmf.PMF.SplitMoments, so the bound stays bit-identical
+// to pmf.NextCompletionMeanLowerBound. Node indexes are reused after a
+// reset, so resetFor empties it.
+type splitMemo struct {
+	node   int32
+	splits []memoSplit // one per split index of node's PMF; empty: no node held
+}
+
+type memoSplit struct {
+	sp pmf.Split
+	ok bool
+}
+
+// at returns p.SplitMoments(k) for p, the PMF of trie node node, from the
+// memo when it holds them.
+func (m *splitMemo) at(node int32, p pmf.PMF, k int) pmf.Split {
+	if len(m.splits) == 0 || m.node != node {
+		n := p.Len() + 1
+		if cap(m.splits) < n {
+			m.splits = make([]memoSplit, n)
+		}
+		m.splits = m.splits[:n]
+		clear(m.splits)
+		m.node = node
+	}
+	e := &m.splits[k]
+	if !e.ok {
+		e.sp, e.ok = p.SplitMoments(k), true
+	}
+	return e.sp
 }
 
 // rootSig captures, bitwise, everything a machine's availability root PMF
@@ -153,6 +190,7 @@ func (cc *ChainCache) resetFor(reason InvalidationReason) {
 	cc.pin.reset(cc.c)
 	cc.valid = false
 	cc.overflowed = false
+	cc.bound.splits = cc.bound.splits[:0]
 	cc.gen++
 	switch reason {
 	case InvalidateEvent:

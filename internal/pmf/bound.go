@@ -49,6 +49,26 @@ const meanBoundMinMass = 0.5
 // mean by under 0.04 ticks. Outside those two conditions (and for a zero
 // operand, whose result is not an Eq. 1 mixture) there is no bound.
 func NextCompletionMeanLowerBound(prev, exec PMF, em Moments, dl Tick) float64 {
+	return SplitMeanLowerBound(prev, exec, em, prev.SplitMoments(searchImpulses(prev.imp, dl)))
+}
+
+// Split is the moments of a PMF's impulses before a split index (Run, the
+// predecessors whose successor executes) and from it on (Carry, those
+// carried through).
+type Split struct{ Run, Carry Moments }
+
+// SplitMoments returns p's moments split at impulse index k, each side
+// summed in ascending time order — the sums NextCompletionMeanLowerBound
+// takes at k = p.Rank(dl-1). A caller that asks one PMF for many deadlines
+// may memoize them per k.
+func (p PMF) SplitMoments(k int) Split {
+	return Split{Run: PMF{imp: p.imp[:k]}.Moments(), Carry: PMF{imp: p.imp[k:]}.Moments()}
+}
+
+// SplitMeanLowerBound is NextCompletionMeanLowerBound(prev, exec, em, dl)
+// with prev's split at dl supplied by the caller: sp must be
+// prev.SplitMoments(prev.Rank(dl-1)), or a memo of it.
+func SplitMeanLowerBound(prev, exec PMF, em Moments, sp Split) float64 {
 	if prev.IsZero() || exec.IsZero() {
 		return math.Inf(-1)
 	}
@@ -56,11 +76,9 @@ func NextCompletionMeanLowerBound(prev, exec PMF, em Moments, dl Tick) float64 {
 	if prev.Max()-prev.Min()+max(exec.Max(), 0)-min(exec.Min(), 0) >= maxDenseSpan {
 		return math.Inf(-1)
 	}
-	k := searchImpulses(prev.imp, dl)
-	run, carry := PMF{imp: prev.imp[:k]}.Moments(), PMF{imp: prev.imp[k:]}.Moments()
-	mass := em.Mass*run.Mass + carry.Mass
+	mass := em.Mass*sp.Run.Mass + sp.Carry.Mass
 	if mass < meanBoundMinMass {
 		return math.Inf(-1)
 	}
-	return (em.Mass*run.First+em.First*run.Mass+carry.First)/mass - 1
+	return (em.Mass*sp.Run.First+em.First*sp.Run.Mass+sp.Carry.First)/mass - 1
 }

@@ -129,7 +129,9 @@ func TestKernelDifferentialMerge(t *testing.T) {
 // and the edges of the unchecked binning (binnedUnchecked): one cell in
 // (0, massEps], a carried impulse of exactly massEps, and windows of
 // exactly maxN and maxN+1 non-zero cells. Each case runs on a sparse
-// window and a tight one where it can.
+// window and a tight one where it can. Fully dense windows then meet each
+// end of binCompact's group loop: exactly 4g compaction windows, and 4g+1,
+// 4g+2 and 4g+3 with the last one partial.
 func TestBinningEdgeCases(t *testing.T) {
 	imps := func(pairs ...float64) PMF {
 		var out []Impulse
@@ -227,6 +229,48 @@ func TestBinningEdgeCases(t *testing.T) {
 				seen[kernelPath(c.prev, c.exec, c.dl, budget)] = true
 			}
 		})
+	}
+	// Group boundaries of binCompact: a window of span consecutive cells
+	// (every cell above massEps, so it bins unchecked) cut by the budget
+	// into exactly 4g compaction windows, then 4g+1, 4g+2 and 4g+3 with
+	// the last one partial, so the four-lane group loop ends on a whole
+	// group and binOne gets one, two and three remainder windows, the last
+	// partial; 4g with the last partial sends the whole last group to
+	// binOne.
+	for _, c := range []struct {
+		span, budget, windows int
+		partial               bool
+	}{
+		{64, 8, 8, false}, {70, 9, 9, true}, {75, 10, 10, true}, {84, 11, 11, true}, {60, 8, 8, true},
+		{128, 16, 16, false}, {133, 17, 17, true}, {155, 18, 18, true}, {165, 19, 19, true},
+	} {
+		width := (c.span + c.budget - 1) / c.budget
+		if got := (c.span + width - 1) / width; got != c.windows {
+			t.Fatalf("span %d budget %d: %d windows, the case wants %d", c.span, c.budget, got, c.windows)
+		}
+		partial := c.span%width != 0
+		if partial != c.partial {
+			t.Fatalf("span %d budget %d: partial last window %v, the case wants %v", c.span, c.budget, partial, c.partial)
+		}
+		np := c.span / 2
+		ne := c.span - np + 1
+		var pp, ep []float64
+		for i := 0; i < np; i++ {
+			pp = append(pp, float64(1000+i), 1/float64(np))
+		}
+		for i := 0; i < ne; i++ {
+			ep = append(ep, float64(1+i), float64(i+1)/float64(ne*(ne+1)/2))
+		}
+		prev, exec := imps(pp...), imps(ep...)
+		name := fmt.Sprintf("groups/%d-windows/partial-%v", c.windows, partial)
+		if path := kernelPath(prev, exec, 1<<20, c.budget); path != "dense-unchecked" {
+			t.Fatalf("%s: kernel path %s, want dense-unchecked", name, path)
+		}
+		want := prev.NextCompletion(exec, 1<<20).Compact(c.budget)
+		var ws Workspace
+		if got := ws.NextCompletionCompact(prev, exec, 1<<20, c.budget); !got.Equal(want) {
+			t.Fatalf("%s:\n got %v\nwant %v", name, got.Impulses(), want.Impulses())
+		}
 	}
 	for _, want := range []string{
 		"0 windows outside a group of four", "1 windows outside a group of four",

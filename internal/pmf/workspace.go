@@ -25,7 +25,9 @@ import (
 //
 // The chain step of the calculus (NextCompletionCompact) harvests
 // differently: binCompact bins the window straight into the budget's
-// compaction windows, four windows in lockstep with no per-cell branch.
+// compaction windows, each group of four in one loop, lanes in lockstep
+// with no per-cell branch, and emits the group's impulses from the lane
+// sums.
 // When no touched cell can be at or below massEps and the count of them
 // is sure to exceed the budget (binnedUnchecked), it bins the whole
 // window as it stands; otherwise one pass first zeroes the negligible
@@ -311,23 +313,51 @@ func dropNegligible(d []float64) (n int) {
 // The support is cut into the same equal-width windows, and each window
 // sums its cells in ascending order starting from 0, so every mass,
 // weighted time, rounded tick and merged tick is bit-identical (a zero
-// cell adds +0 to both sums). Four adjacent windows accumulate side by
-// side (binFour), so the eight sums are independent add chains the CPU
-// overlaps instead of one serial chain. What is left after the last whole
-// group of four (up to three windows and a partial last one) accumulates
-// one window at a time (binOne).
+// cell adds +0 to both sums). Each group of four adjacent windows
+// accumulates side by side in one loop, four lanes in lockstep, so the
+// eight sums are independent add chains the CPU overlaps instead of one
+// serial chain; each lane carries its tick as a float64 counter, exact for
+// integer ticks, so it equals the converted tick the weighted sum of
+// compactInto uses. The four windows are emitted straight from the lane
+// sums. What is left after the last whole group (up to three windows and
+// a partial last one) accumulates one window at a time (binOne).
 func (w *Workspace) binCompact(d []float64, lo Tick, maxN int) PMF {
 	span := len(d)
 	width := (span + maxN - 1) / maxN
 	w.ensure(maxN)
 	base := w.used
 	out := w.block[base:base]
+	fw := float64(width)
 	s := 0
 	for ; s+4*width <= span; s += 4 * width {
-		win := binFour(d[s:s+4*width], width, float64(lo+Tick(s)))
-		for i := range win {
-			out = win[i].emit(out)
+		var m0, m1, m2, m3, x0, x1, x2, x3 float64
+		d0 := d[s : s+width]
+		d1 := d[s+width:][:len(d0)]
+		d2 := d[s+2*width:][:len(d0)]
+		d3 := d[s+3*width:][:len(d0)]
+		t0 := float64(lo + Tick(s))
+		t1, t2, t3 := t0+fw, t0+2*fw, t0+3*fw
+		for j, v := range d0 {
+			m0 += v
+			x0 += t0 * v
+			v = d1[j]
+			m1 += v
+			x1 += t1 * v
+			v = d2[j]
+			m2 += v
+			x2 += t2 * v
+			v = d3[j]
+			m3 += v
+			x3 += t3 * v
+			t0++
+			t1++
+			t2++
+			t3++
 		}
+		out = window{m0, x0}.emit(out)
+		out = window{m1, x1}.emit(out)
+		out = window{m2, x2}.emit(out)
+		out = window{m3, x3}.emit(out)
 	}
 	for ; s < span; s += width {
 		out = binOne(d[s:min(s+width, span)], float64(lo+Tick(s))).emit(out)
@@ -355,40 +385,8 @@ func (b window) emit(out []Impulse) []Impulse {
 	return append(out, Impulse{T: t, P: b.mass})
 }
 
-// binFour sums the four adjacent width-cell lanes of g, in ascending order
-// and in lockstep, into one window each; the first cell is tick t. Each
-// lane carries its tick as a float64 counter, exact for integer ticks, so
-// it equals the converted tick the weighted sum of compactInto uses.
-func binFour(g []float64, width int, t float64) [4]window {
-	var m0, m1, m2, m3, x0, x1, x2, x3 float64
-	d0 := g[:width]
-	d1 := g[width:][:len(d0)]
-	d2 := g[2*width:][:len(d0)]
-	d3 := g[3*width:][:len(d0)]
-	fw := float64(width)
-	t0, t1, t2, t3 := t, t+fw, t+2*fw, t+3*fw
-	for j, v := range d0 {
-		m0 += v
-		x0 += t0 * v
-		v = d1[j]
-		m1 += v
-		x1 += t1 * v
-		v = d2[j]
-		m2 += v
-		x2 += t2 * v
-		v = d3[j]
-		m3 += v
-		x3 += t3 * v
-		t0++
-		t1++
-		t2++
-		t3++
-	}
-	return [4]window{{m0, x0}, {m1, x1}, {m2, x2}, {m3, x3}}
-}
-
-// binOne is binFour for one lane: it sums the cells of g, the first at
-// tick t, into one window.
+// binOne is one lane of binCompact's group loop: it sums the cells of g,
+// the first at tick t, into one window.
 func binOne(g []float64, t float64) window {
 	var m, x float64
 	for _, v := range g {

@@ -245,7 +245,7 @@ func writeShardGauges(x *telemetry.Writer, c *Controller) {
 	for _, sh := range c.shards {
 		sh.metrics.WriteActions(x, "shard", strconv.Itoa(sh.id))
 	}
-	x.Gauge("taskdrop_shard_robustness_estimate", "Mean expected on-time probability across task classes per shard.")
+	x.Gauge("taskdrop_shard_robustness_estimate", "Per-shard mean over task classes of the per-class EWMA of the Eq. 2 success forecast made at admission; a forecast, not an observed on-time share.")
 	nt := c.matrix.NumTaskTypes()
 	for _, sh := range c.shards {
 		sum := 0.0
