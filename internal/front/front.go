@@ -323,12 +323,9 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	if req == nil || len(req.Tasks) == 0 {
 		return nil, fmt.Errorf("front: empty decide request")
 	}
-	nt, nm := f.matrix.NumTaskTypes(), f.matrix.NumMachineTypes()
-	for i := range req.Tasks {
-		if err := req.Tasks[i].Validate(nt, nm); err != nil {
-			f.metrics.rejected.Add(1)
-			return nil, err
-		}
+	if err := req.Validate(f.matrix.NumTaskTypes(), f.matrix.NumMachineTypes()); err != nil {
+		f.metrics.rejected.Add(1)
+		return nil, err
 	}
 	if f.Draining() {
 		return nil, ErrDraining

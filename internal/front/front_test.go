@@ -599,6 +599,32 @@ func TestFrontIdempotentDuplicateBytes(t *testing.T) {
 	}
 }
 
+// TestFrontRefusesOverlongIDs: the router answers 400 to a task label or
+// decision ID past journal.MaxIDLen before routing it, as a backend does.
+func TestFrontRefusesOverlongIDs(t *testing.T) {
+	tr := testTrace(t, 8, 3)
+	f := newFront(t, newBackends(t, 2), nil)
+	base := serve(t, NewHandler(f))
+	long := strings.Repeat("x", 70000)
+	label := service.DecideRequest{Tasks: []service.TaskSpec{{ID: long, Type: int(tr.Tasks[0].Type),
+		Arrival: tr.Tasks[0].Arrival, Deadline: tr.Tasks[0].Deadline, ExecByType: tr.Tasks[0].ExecByType}}}
+	labelBody, err := json.Marshal(&label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"label":       labelBody,
+		"decision id": decideBody(t, tr, long, 0, 1),
+	} {
+		if code, reply := postBody(t, base, body); code != http.StatusBadRequest || !strings.Contains(string(reply), "cap 65536") {
+			t.Fatalf("70000-byte %s: HTTP %d %.120s, want 400 naming the cap", name, code, reply)
+		}
+	}
+	if code, reply := postBody(t, base, decideBody(t, tr, "ok", 0, 8)); code != http.StatusOK {
+		t.Fatalf("decide after the refusals: HTTP %d %s", code, reply)
+	}
+}
+
 func TestFrontShedsOnFullWindow(t *testing.T) {
 	tr := testTrace(t, 20, 1)
 	urls := newBackends(t, 2)

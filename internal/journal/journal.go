@@ -55,6 +55,14 @@
 // crash mid-write — is detected on open; the reader surfaces the valid
 // prefix and the writer truncates the tail before appending again.
 //
+// The payload is a version byte (recordVersion, now 3), a kind byte and
+// the kind's fields: signed integers as zigzag varints, lengths, counts
+// and trace span offsets as unsigned varints, actions, the span count and
+// stage codes as single bytes. Fields are independent (no deltas), and
+// DecodeRecord accepts only the canonical encoding, so a payload it
+// accepts re-encodes to the same bytes. A payload of another version is
+// refused by name: there is one reader.
+//
 // # Durability policies
 //
 // The fsync cost is tunable per deployment (SyncAlways / SyncInterval /

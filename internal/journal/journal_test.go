@@ -2,7 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,11 +15,27 @@ import (
 	"github.com/hpcclab/taskdrop/internal/pmf"
 )
 
-// sampleRecords builds a deterministic mixed-kind record sequence.
+// sampleRecords builds a deterministic mixed-kind record sequence. Its
+// fields reach the edges of the encoding at fixed strides: every 16
+// records one sequence number and one tick are the int64 minimum and one
+// of each the maximum, and every eighth arrive carries an empty label, the
+// one after it a cap-length one. Decision machines include -1.
 func sampleRecords(n int, seed int64) []Record {
 	rng := rand.New(rand.NewSource(seed))
+	edge := func(i, at int, v int64) int64 {
+		switch i % 16 {
+		case at:
+			return math.MinInt64
+		case at + 8:
+			return math.MaxInt64
+		}
+		return v
+	}
+	capLabel := strings.Repeat("x", MaxIDLen)
+	arrives := 0
 	out := make([]Record, n)
 	for i := range out {
+		seq, tick := edge(i, 3, int64(i)), pmf.Tick(edge(i, 5, int64(rng.Intn(100000))))
 		switch rng.Intn(7) {
 		case 0:
 			out[i] = Record{Kind: KindBatch, NTasks: int32(1 + rng.Intn(32))}
@@ -26,17 +44,25 @@ func sampleRecords(n int, seed int64) []Record {
 			for j := range exec {
 				exec[j] = pmf.Tick(1 + rng.Intn(1000))
 			}
+			label := "t-abc"
+			switch arrives % 8 {
+			case 6:
+				label = ""
+			case 7:
+				label = capLabel
+			}
+			arrives++
 			out[i] = Record{
-				Kind: KindArrive, Seq: int64(i), Type: int32(rng.Intn(30)),
-				Tick: pmf.Tick(rng.Intn(100000)), Deadline: pmf.Tick(rng.Intn(200000)),
-				Exec: exec, ID: "t-abc",
+				Kind: KindArrive, Seq: seq, Type: int32(rng.Intn(30)),
+				Tick: tick, Deadline: pmf.Tick(rng.Intn(200000)),
+				Exec: exec, ID: label,
 			}
 		case 2:
-			out[i] = Record{Kind: KindDecision, Seq: int64(i), Action: uint8(rng.Intn(3)),
-				Machine: int32(rng.Intn(8) - 1), Tick: pmf.Tick(rng.Intn(100000))}
+			out[i] = Record{Kind: KindDecision, Seq: seq, Action: uint8(rng.Intn(3)),
+				Machine: int32(rng.Intn(8) - 1), Tick: tick}
 		case 3:
-			out[i] = Record{Kind: KindEvent, Seq: int64(i), Action: uint8(3 + rng.Intn(5)),
-				Tick: pmf.Tick(rng.Intn(100000))}
+			out[i] = Record{Kind: KindEvent, Seq: seq, Action: uint8(3 + rng.Intn(5)),
+				Tick: tick}
 		case 4:
 			spans := make([]SpanRec, 1+rng.Intn(6))
 			off := uint64(0)
@@ -46,20 +72,21 @@ func sampleRecords(n int, seed int64) []Record {
 				spans[j] = SpanRec{Stage: uint8(j), StartNS: start, EndNS: end}
 				off = start
 			}
-			out[i] = Record{Kind: KindTrace, Seq: int64(i), Spans: spans}
+			out[i] = Record{Kind: KindTrace, Seq: seq, Spans: spans}
 		case 5:
 			out[i] = Record{Kind: KindMembership, Action: uint8(rng.Intn(3)),
 				Machine: int32(rng.Intn(16)), Type: int32(rng.Intn(8)),
-				NTasks: int32(rng.Intn(2)), Tick: pmf.Tick(rng.Intn(100000))}
+				NTasks: int32(rng.Intn(2)), Tick: tick}
 		default:
-			out[i] = Record{Kind: KindDrain, Tick: pmf.Tick(rng.Intn(100000))}
+			out[i] = Record{Kind: KindDrain, Tick: tick}
 		}
 	}
 	return out
 }
 
 func TestRecordRoundTrip(t *testing.T) {
-	for _, r := range sampleRecords(200, 1) {
+	recs := sampleRecords(200, 1)
+	for _, r := range recs {
 		buf := AppendRecord(nil, &r)
 		got, err := DecodeRecord(buf[frameHeader:])
 		if err != nil {
@@ -67,6 +94,107 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r, got) {
 			t.Fatalf("round trip mismatch:\n in %+v\nout %+v", r, got)
+		}
+	}
+	// The sample reaches every edge it promises.
+	edges := map[string]bool{}
+	for _, r := range recs {
+		edges["seq min"] = edges["seq min"] || r.Seq == math.MinInt64
+		edges["seq max"] = edges["seq max"] || r.Seq == math.MaxInt64
+		edges["tick min"] = edges["tick min"] || r.Tick == math.MinInt64
+		edges["tick max"] = edges["tick max"] || r.Tick == math.MaxInt64
+		edges["machine -1"] = edges["machine -1"] || (r.Kind == KindDecision && r.Machine == -1)
+		edges["empty label"] = edges["empty label"] || (r.Kind == KindArrive && r.ID == "")
+		edges["cap label"] = edges["cap label"] || (r.Kind == KindArrive && len(r.ID) == MaxIDLen)
+	}
+	for _, e := range []string{"seq min", "seq max", "tick min", "tick max", "machine -1", "empty label", "cap label"} {
+		if !edges[e] {
+			t.Errorf("sampleRecords(200, 1) holds no record with %s", e)
+		}
+	}
+}
+
+// TestRecordSizes pins what the varint payloads cost for the values a
+// served log holds: small sequence numbers, ticks and machine indexes.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		r    Record
+		want int
+	}{
+		{Record{Kind: KindBatch, NTasks: 1}, 3},
+		{Record{Kind: KindArrive, Seq: 7000, Type: 3, Tick: 50000, Deadline: 60000,
+			Exec: []pmf.Tick{100, 200, 300, 400}, ID: "t-7000"}, 27},
+		{Record{Kind: KindDecision, Seq: 7000, Action: ActMap, Machine: 5, Tick: 50000}, 9},
+		{Record{Kind: KindEvent, Seq: 7000, Action: 3, Tick: 50000}, 8},
+		{Record{Kind: KindDrain, Tick: 50000}, 5},
+	} {
+		if got := len(AppendRecord(nil, &c.r)) - frameHeader; got != c.want {
+			t.Errorf("%s: %d-byte payload, want %d", c.r.String(), got, c.want)
+		}
+	}
+}
+
+// TestIDCap pins MaxIDLen past its edge (sampleRecords holds IDs at it):
+// AppendRecord panics on a longer ID, and the decoder refuses a length
+// past the cap.
+func TestIDCap(t *testing.T) {
+	for _, over := range []Record{
+		{Kind: KindBatch, NTasks: 1, ID: strings.Repeat("d", MaxIDLen+1)},
+		{Kind: KindArrive, Exec: []pmf.Tick{1}, ID: strings.Repeat("t", MaxIDLen+1)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AppendRecord accepted a %d-byte %v id", len(over.ID), over.Kind)
+				}
+			}()
+			AppendRecord(nil, &over)
+		}()
+	}
+	forged := []byte{recordVersion, byte(KindBatch), 2}
+	forged = binary.AppendUvarint(forged, MaxIDLen+1)
+	forged = append(forged, strings.Repeat("d", MaxIDLen+1)...)
+	if _, err := DecodeRecord(forged); err == nil {
+		t.Fatal("id past the cap decoded")
+	}
+}
+
+// refusedPayloads are well-framed payloads off the canonical form, each
+// of which DecodeRecord must refuse; FuzzDecodeRecord seeds from them.
+func refusedPayloads() map[string][]byte {
+	p := func(kind Kind, fields ...[]byte) []byte {
+		out := []byte{recordVersion, byte(kind)}
+		for _, f := range fields {
+			out = append(out, f...)
+		}
+		return out
+	}
+	v := func(x int64) []byte { return binary.AppendVarint(nil, x) }
+	u := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
+	return map[string][]byte{
+		"version 2":               {2, byte(KindDrain), 0},
+		"overlong tick":           p(KindDrain, []byte{0x80, 0x00}),
+		"overlong zero":           p(KindEvent, v(1), []byte{3}, []byte{0x80, 0x80, 0x00}),
+		"overlong exec count":     p(KindArrive, v(0), v(0), v(0), v(0), []byte{0x81, 0x00}, v(1), u(0)),
+		"varint past 64 bits":     p(KindDrain, bytes.Repeat([]byte{0xff}, 10), []byte{0x01}),
+		"machine overflows int32": p(KindDecision, v(0), []byte{ActMap}, v(math.MaxInt32+1), v(0)),
+		"type underflows int32":   p(KindArrive, v(0), v(math.MinInt32-1), v(0), v(0), u(0), u(0)),
+		"ntasks overflows int32":  p(KindBatch, v(math.MaxInt32+1)),
+		"negative ntasks":         p(KindBatch, v(-1)),
+		"exec count past bytes":   p(KindArrive, v(0), v(0), v(0), v(0), u(5), v(1), v(2)),
+		"exec count past cap":     p(KindArrive, v(0), v(0), v(0), v(0), u(1<<40)),
+		"id length past bytes":    p(KindArrive, v(0), v(0), v(0), v(0), u(0), u(9), []byte("abc")),
+		"empty trailing batch id": p(KindBatch, v(1), u(0)),
+		"span count past bytes":   p(KindTrace, v(0), []byte{3}, []byte{1, 0, 0}),
+		"trailing byte":           p(KindDrain, v(0), []byte{0}),
+		"truncated decision":      p(KindDecision, v(0), []byte{ActMap}),
+	}
+}
+
+func TestDecodeRefusesNonCanonical(t *testing.T) {
+	for name, payload := range refusedPayloads() {
+		if r, err := DecodeRecord(payload); err == nil {
+			t.Errorf("%s: %x decoded as %s", name, payload, r.String())
 		}
 	}
 }
@@ -169,10 +297,10 @@ func TestTraceRecordBounds(t *testing.T) {
 	if _, err := DecodeRecord(payload[:len(payload)-5]); err == nil {
 		t.Fatal("truncated trace payload decoded")
 	}
-	// Patch the count byte (version u8 + kind u8 + seq u64 = offset 10)
-	// past the cap.
+	// Patch the count byte (version u8 + kind u8 + seq varint) past the
+	// cap.
 	forged := append([]byte(nil), payload...)
-	forged[10] = maxSpans + 1
+	forged[2+len(binary.AppendVarint(nil, small.Seq))] = maxSpans + 1
 	if _, err := DecodeRecord(forged); err == nil {
 		t.Fatal("forged span count decoded")
 	}

@@ -116,24 +116,34 @@ type SpanRec struct {
 }
 
 // Frame and payload limits. A record payload is tiny (an arrive with
-// a dozen machine types and a long label stays under 300 bytes); the caps
+// a dozen machine types and a short label stays under 100 bytes); the caps
 // exist so a corrupt length field cannot make the reader allocate wildly.
 const (
 	frameHeader  = 8       // u32 length + u32 crc
 	maxPayload   = 1 << 20 // 1 MiB
 	maxExecTypes = 4096
-	maxIDLen     = 1 << 16
 	maxSpans     = 64
 	// recordVersion leads every payload. 2: each input record precedes the
 	// records it causes (1 logged drain and membership after theirs).
-	recordVersion = 2
+	// 3: every integer field is a varint (2 wrote them fixed-width).
+	recordVersion = 3
 )
+
+// MaxIDLen caps a record's ID: a task's client label (arrive records) or
+// a request's decision ID (batch records). Admission refuses a longer one,
+// and AppendRecord panics on it, so no log holds an ID its reader refuses.
+const MaxIDLen = 1 << 16
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendRecord appends the framed encoding of r to buf and returns the
 // extended slice. It allocates only when buf lacks capacity, so a
 // single-writer loop reusing its buffer appends allocation-free.
+//
+// Every signed field is a zigzag varint, every length, count and span
+// offset an unsigned varint; the version, kind, action, span-count and
+// stage fields are single bytes. Each field stands alone (no deltas), so
+// one record decodes without its neighbours.
 func AppendRecord(buf []byte, r *Record) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
@@ -141,51 +151,49 @@ func AppendRecord(buf []byte, r *Record) []byte {
 	buf = append(buf, recordVersion, byte(r.Kind))
 	switch r.Kind {
 	case KindBatch:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.NTasks))
+		buf = binary.AppendVarint(buf, int64(r.NTasks))
 		// The decision ID is a trailing optional field: an ID-less batch ends
 		// after NTasks, and the decoder reads it only when bytes remain.
 		if r.ID != "" {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.ID)))
-			buf = append(buf, r.ID...)
+			buf = appendID(buf, r.ID)
 		}
 	case KindArrive:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Seq))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Type))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Tick))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Deadline))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Exec)))
+		buf = binary.AppendVarint(buf, r.Seq)
+		buf = binary.AppendVarint(buf, int64(r.Type))
+		buf = binary.AppendVarint(buf, int64(r.Tick))
+		buf = binary.AppendVarint(buf, int64(r.Deadline))
+		buf = binary.AppendUvarint(buf, uint64(len(r.Exec)))
 		for _, x := range r.Exec {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+			buf = binary.AppendVarint(buf, int64(x))
 		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.ID)))
-		buf = append(buf, r.ID...)
+		buf = appendID(buf, r.ID)
 	case KindDecision:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Seq))
+		buf = binary.AppendVarint(buf, r.Seq)
 		buf = append(buf, r.Action)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Machine))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Tick))
+		buf = binary.AppendVarint(buf, int64(r.Machine))
+		buf = binary.AppendVarint(buf, int64(r.Tick))
 	case KindEvent:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Seq))
+		buf = binary.AppendVarint(buf, r.Seq)
 		buf = append(buf, r.Action)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Tick))
+		buf = binary.AppendVarint(buf, int64(r.Tick))
 	case KindDrain:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Tick))
+		buf = binary.AppendVarint(buf, int64(r.Tick))
 	case KindMembership:
 		buf = append(buf, r.Action)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Machine))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Type))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.NTasks))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Tick))
+		buf = binary.AppendVarint(buf, int64(r.Machine))
+		buf = binary.AppendVarint(buf, int64(r.Type))
+		buf = binary.AppendVarint(buf, int64(r.NTasks))
+		buf = binary.AppendVarint(buf, int64(r.Tick))
 	case KindTrace:
 		if len(r.Spans) > maxSpans {
 			panic(fmt.Sprintf("journal: trace record with %d spans, cap %d", len(r.Spans), maxSpans))
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Seq))
+		buf = binary.AppendVarint(buf, r.Seq)
 		buf = append(buf, uint8(len(r.Spans)))
 		for _, sp := range r.Spans {
 			buf = append(buf, sp.Stage)
-			buf = binary.LittleEndian.AppendUint64(buf, sp.StartNS)
-			buf = binary.LittleEndian.AppendUint64(buf, sp.EndNS)
+			buf = binary.AppendUvarint(buf, sp.StartNS)
+			buf = binary.AppendUvarint(buf, sp.EndNS)
 		}
 	default:
 		panic(fmt.Sprintf("journal: encoding unknown record kind %d", r.Kind))
@@ -193,6 +201,15 @@ func AppendRecord(buf []byte, r *Record) []byte {
 
 	sealFrame(buf[start:])
 	return buf
+}
+
+// appendID appends id length-prefixed, refusing one past MaxIDLen.
+func appendID(buf []byte, id string) []byte {
+	if len(id) > MaxIDLen {
+		panic(fmt.Sprintf("journal: %d-byte id, cap %d", len(id), MaxIDLen))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(id)))
+	return append(buf, id...)
 }
 
 // sealFrame fills in the header of frame — frameHeader placeholder bytes
@@ -204,8 +221,10 @@ func sealFrame(frame []byte) {
 }
 
 // DecodeRecord parses one record payload (the bytes after the frame
-// header, CRC already verified). It never panics on hostile input; any
-// structural violation returns an error.
+// header, CRC already verified). It never panics on hostile input and
+// accepts only the canonical encoding: an overlong varint, a value outside
+// its field's type, or a count or length past the bytes left is an error,
+// so every payload it accepts re-encodes to itself.
 func DecodeRecord(payload []byte) (Record, error) {
 	var r Record
 	d := decoder{buf: payload}
@@ -216,73 +235,58 @@ func DecodeRecord(payload []byte) (Record, error) {
 	r.Kind = Kind(d.u8())
 	switch r.Kind {
 	case KindBatch:
-		r.NTasks = int32(d.u32())
+		r.NTasks = d.i32()
 		if r.NTasks < 0 {
 			return r, fmt.Errorf("journal: batch record with %d tasks", r.NTasks)
 		}
 		if d.err == nil && d.remaining() > 0 {
-			idLen := int(d.u16())
-			if idLen > maxIDLen {
-				return r, fmt.Errorf("journal: batch record with %d-byte id", idLen)
+			// Present only when non-empty: an empty trailing ID is not the
+			// canonical form of an ID-less batch.
+			if r.ID = d.id(); d.err == nil && r.ID == "" {
+				return r, fmt.Errorf("journal: batch record with an empty trailing id")
 			}
-			r.ID = string(d.bytes(idLen))
 		}
 	case KindArrive:
-		r.Seq = int64(d.u64())
-		r.Type = int32(d.u32())
-		r.Tick = pmf.Tick(d.u64())
-		r.Deadline = pmf.Tick(d.u64())
-		n := int(d.u16())
-		if n > maxExecTypes {
-			return r, fmt.Errorf("journal: arrive record with %d exec entries", n)
-		}
-		if d.err == nil && n > 0 {
-			if d.remaining() < 8*n {
-				return r, fmt.Errorf("journal: arrive record truncated in exec entries")
-			}
+		r.Seq = d.varint()
+		r.Type = d.i32()
+		r.Tick = pmf.Tick(d.varint())
+		r.Deadline = pmf.Tick(d.varint())
+		// Each entry takes at least one byte: a count past the bytes left
+		// fails here, before the slice is allocated.
+		if n := d.bound(d.uvarint(), maxExecTypes, 1); n > 0 {
 			r.Exec = make([]pmf.Tick, n)
 			for i := range r.Exec {
-				r.Exec[i] = pmf.Tick(d.u64())
+				r.Exec[i] = pmf.Tick(d.varint())
 			}
 		}
-		idLen := int(d.u16())
-		if idLen > maxIDLen {
-			return r, fmt.Errorf("journal: arrive record with %d-byte id", idLen)
-		}
-		r.ID = string(d.bytes(idLen))
+		r.ID = d.id()
 	case KindDecision:
-		r.Seq = int64(d.u64())
+		r.Seq = d.varint()
 		r.Action = d.u8()
-		r.Machine = int32(d.u32())
-		r.Tick = pmf.Tick(d.u64())
+		r.Machine = d.i32()
+		r.Tick = pmf.Tick(d.varint())
 	case KindEvent:
-		r.Seq = int64(d.u64())
+		r.Seq = d.varint()
 		r.Action = d.u8()
-		r.Tick = pmf.Tick(d.u64())
+		r.Tick = pmf.Tick(d.varint())
 	case KindDrain:
-		r.Tick = pmf.Tick(d.u64())
+		r.Tick = pmf.Tick(d.varint())
 	case KindMembership:
 		r.Action = d.u8()
-		r.Machine = int32(d.u32())
-		r.Type = int32(d.u32())
-		r.NTasks = int32(d.u32())
-		r.Tick = pmf.Tick(d.u64())
-		if r.Action > MemberRevive {
+		r.Machine = d.i32()
+		r.Type = d.i32()
+		r.NTasks = d.i32()
+		r.Tick = pmf.Tick(d.varint())
+		if d.err == nil && r.Action > MemberRevive {
 			return r, fmt.Errorf("journal: membership record with op %d", r.Action)
 		}
 	case KindTrace:
-		r.Seq = int64(d.u64())
-		n := int(d.u8())
-		if n > maxSpans {
-			return r, fmt.Errorf("journal: trace record with %d spans", n)
-		}
-		if d.err == nil && n > 0 {
-			if d.remaining() < 17*n {
-				return r, fmt.Errorf("journal: trace record truncated in spans")
-			}
+		r.Seq = d.varint()
+		// A span is a stage byte and two varints: three bytes at least.
+		if n := d.bound(uint64(d.u8()), maxSpans, 3); n > 0 {
 			r.Spans = make([]SpanRec, n)
 			for i := range r.Spans {
-				r.Spans[i] = SpanRec{Stage: d.u8(), StartNS: d.u64(), EndNS: d.u64()}
+				r.Spans[i] = SpanRec{Stage: d.u8(), StartNS: d.uvarint(), EndNS: d.uvarint()}
 			}
 		}
 	default:
@@ -297,8 +301,9 @@ func DecodeRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// decoder is a bounds-checked little-endian cursor: reads past the end
-// set err instead of panicking, so DecodeRecord survives any input.
+// decoder is a bounds-checked cursor over one payload: a read past the
+// end or off the canonical form sets err (the first one sticks) and
+// returns zero instead of panicking, so DecodeRecord survives any input.
 type decoder struct {
 	buf []byte
 	off int
@@ -307,15 +312,15 @@ type decoder struct {
 
 func (d *decoder) remaining() int { return len(d.buf) - d.off }
 
-func (d *decoder) fail() {
+func (d *decoder) failf(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("journal: record payload truncated at byte %d", d.off)
+		d.err = fmt.Errorf("journal: "+format, args...)
 	}
 }
 
 func (d *decoder) u8() uint8 {
 	if d.remaining() < 1 {
-		d.fail()
+		d.failf("record payload truncated at byte %d", d.off)
 		return 0
 	}
 	v := d.buf[d.off]
@@ -323,42 +328,67 @@ func (d *decoder) u8() uint8 {
 	return v
 }
 
-func (d *decoder) u16() uint16 {
-	if d.remaining() < 2 {
-		d.fail()
+// uvarint reads one unsigned varint in its shortest form: a multi-byte
+// encoding whose last byte is zero spells the same value longer.
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
 		return 0
 	}
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
+	v, n := binary.Uvarint(d.buf[d.off:])
+	switch {
+	case n == 0:
+		d.failf("record payload truncated at byte %d", d.off)
+		return 0
+	case n < 0:
+		d.failf("varint overflows 64 bits at byte %d", d.off)
+		return 0
+	case n > 1 && d.buf[d.off+n-1] == 0:
+		d.failf("overlong varint at byte %d", d.off)
+		return 0
+	}
+	d.off += n
 	return v
 }
 
-func (d *decoder) u32() uint32 {
-	if d.remaining() < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
+// varint reads one zigzag varint.
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (d *decoder) u64() uint64 {
-	if d.remaining() < 8 {
-		d.fail()
+// i32 reads one zigzag varint into an int32 field, refusing a value the
+// field cannot hold.
+func (d *decoder) i32() int32 {
+	at := d.off
+	v := d.varint()
+	if int64(int32(v)) != v {
+		d.failf("varint %d at byte %d overflows int32", v, at)
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
+	return int32(v)
 }
 
-func (d *decoder) bytes(n int) []byte {
-	if n < 0 || d.remaining() < n {
-		d.fail()
-		return nil
+// bound checks an element count just read: it refuses one above limit
+// or one whose elements, each at least each bytes, cannot fit in the bytes
+// left — before the caller allocates for them.
+func (d *decoder) bound(n uint64, limit, each int) int {
+	if d.err != nil {
+		return 0
 	}
-	v := d.buf[d.off : d.off+n]
+	if n > uint64(limit) || n*uint64(each) > uint64(d.remaining()) {
+		d.failf("count %d at byte %d exceeds its cap %d or the bytes left", n, d.off, limit)
+		return 0
+	}
+	return int(n)
+}
+
+// id reads a length-prefixed ID.
+func (d *decoder) id() string {
+	n := d.bound(d.uvarint(), MaxIDLen, 1)
+	if d.err != nil {
+		return ""
+	}
+	v := string(d.buf[d.off : d.off+n])
 	d.off += n
 	return v
 }

@@ -560,12 +560,56 @@ func TestJournalTornTailStaysVerifiable(t *testing.T) {
 	}
 }
 
-// TestJournalRefusesRecordVersion1: a log written before every input record
-// preceded its effects carries record version 1; the restart and hcreplay
-// -verify refuse it naming the version instead of walking it under the
-// present order. The records are this build's with the version byte set
-// back — a decide-only log, which version 1 ordered the same.
-func TestJournalRefusesRecordVersion1(t *testing.T) {
+// TestJournalRefusesOldRecordVersions: a log of an earlier record format —
+// version 1 logged drain and membership records after their effects,
+// version 2 wrote every integer fixed-width — is refused at restart and by
+// hcreplay -verify naming its version, not read under the present format.
+// The records are this build's with the version byte set back: the
+// refusal comes before any field is read.
+func TestJournalRefusesOldRecordVersions(t *testing.T) {
+	for _, version := range []byte{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			cfg := Config{
+				Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+				JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
+			}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decideRange(t, c, testTrace(t, 40, 3), 0, 40, 8)
+			crash(c)
+			path := journal.SegmentPath(ShardJournalDir(cfg.JournalDir, 0), 0)
+			seg, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds := frameBounds(seg)
+			for i := 0; i+1 < len(bounds); i++ {
+				frame := seg[bounds[i]:bounds[i+1]]
+				frame[8] = version // the payload's leading byte
+				binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)))
+			}
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("record version %d", version)
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("restart on a version-%d log: %v, want a refusal naming %s", version, err, want)
+			}
+			if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("verify of a version-%d log: %v, want a failure naming %s", version, err, want)
+			}
+		})
+	}
+}
+
+// TestOverlongIDsRefusedAtAdmission: a task label or a decision ID past
+// journal.MaxIDLen is answered 400 and logged nowhere, so the restart and
+// hcreplay -verify read the log. While admission let a 70 000-byte label
+// through, the decide was acknowledged and the restart failed with
+// trailing bytes after the batch record.
+func TestOverlongIDsRefusedAtAdmission(t *testing.T) {
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
 		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
@@ -574,27 +618,28 @@ func TestJournalRefusesRecordVersion1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decideRange(t, c, testTrace(t, 40, 3), 0, 40, 8)
+	srv := newTestServerFor(t, c)
+	tr := testTrace(t, 8, 3)
+	long := strings.Repeat("x", 70000)
+	for i, req := range []DecideRequest{
+		{Tasks: []TaskSpec{{ID: long, Type: int(tr.Tasks[0].Type), Arrival: tr.Tasks[0].Arrival,
+			Deadline: tr.Tasks[0].Deadline, ExecByType: tr.Tasks[0].ExecByType}}},
+		{DecisionID: long, Tasks: []TaskSpec{{ID: "t0", Type: int(tr.Tasks[0].Type), Arrival: tr.Tasks[0].Arrival,
+			Deadline: tr.Tasks[0].Deadline, ExecByType: tr.Tasks[0].ExecByType}}},
+	} {
+		if code, body := postDecide(t, srv, &req); code != http.StatusBadRequest || !strings.Contains(string(body), "cap 65536") {
+			t.Fatalf("request %d with a 70000-byte id: HTTP %d %.120s, want 400 naming the cap", i, code, body)
+		}
+	}
+	decideRange(t, c, tr, 0, 8, 4)
 	crash(c)
-	path := journal.SegmentPath(ShardJournalDir(cfg.JournalDir, 0), 0)
-	seg, err := os.ReadFile(path)
+	c2, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("restart: %v", err)
 	}
-	bounds := frameBounds(seg)
-	for i := 0; i+1 < len(bounds); i++ {
-		frame := seg[bounds[i]:bounds[i+1]]
-		frame[8] = 1 // the payload's leading byte
-		binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)))
-	}
-	if err := os.WriteFile(path, seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "record version 1") {
-		t.Fatalf("restart on a version-1 log: %v, want a refusal naming record version 1", err)
-	}
-	if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), "record version 1") {
-		t.Fatalf("verify of a version-1 log: %v, want a failure naming record version 1", err)
+	crash(c2)
+	if _, err := VerifyAll(cfg.JournalDir); err != nil {
+		t.Fatalf("verify: %v", err)
 	}
 }
 

@@ -410,12 +410,9 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	if req == nil || len(req.Tasks) == 0 {
 		return nil, fmt.Errorf("service: empty decide request")
 	}
-	nt, nm := c.matrix.NumTaskTypes(), c.matrix.NumMachineTypes()
-	for i := range req.Tasks {
-		if err := req.Tasks[i].Validate(nt, nm); err != nil {
-			c.rejected.Add(1)
-			return nil, err
-		}
+	if err := req.Validate(c.matrix.NumTaskTypes(), c.matrix.NumMachineTypes()); err != nil {
+		c.rejected.Add(1)
+		return nil, err
 	}
 	c.mu.Lock()
 	draining := c.draining

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 
+	"github.com/hpcclab/taskdrop/internal/journal"
 	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/sim"
 )
@@ -16,7 +17,8 @@ import (
 // follows the arrival ticks it is fed, which is what makes a replayed
 // trace reproduce the offline simulation exactly.
 type TaskSpec struct {
-	// ID is an optional client-chosen label echoed back in the decision.
+	// ID is an optional client-chosen label echoed back in the decision,
+	// at most journal.MaxIDLen bytes.
 	ID string `json:"id,omitempty"`
 	// Type is the task's PET row.
 	Type int `json:"type"`
@@ -41,7 +43,7 @@ type DecideRequest struct {
 	// window, and answers a repeat of the same ID with the byte-identical
 	// original decisions instead of re-admitting. This is what lets a
 	// client (or the router tier) retry a timed-out request at-least-once
-	// without double-feeding the engine.
+	// without double-feeding the engine. At most journal.MaxIDLen bytes.
 	DecisionID string     `json:"decision_id,omitempty"`
 	Tasks      []TaskSpec `json:"tasks"`
 }
@@ -158,8 +160,26 @@ type StatsResponse struct {
 	Shards []ShardSnapshot `json:"shards"`
 }
 
-// Validate checks one task spec against the served system.
+// Validate checks a decide request against the served system: its
+// decision ID and every task. Both tiers admit only what it passes.
+func (r *DecideRequest) Validate(numTaskTypes, numMachineTypes int) error {
+	if len(r.DecisionID) > journal.MaxIDLen {
+		return fmt.Errorf("service: decision_id of %d bytes, cap %d", len(r.DecisionID), journal.MaxIDLen)
+	}
+	for i := range r.Tasks {
+		if err := r.Tasks[i].Validate(numTaskTypes, numMachineTypes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Validate checks one task spec against the served system. A label past
+// journal.MaxIDLen is refused: the log could not hold it.
 func (t *TaskSpec) Validate(numTaskTypes, numMachineTypes int) error {
+	if len(t.ID) > journal.MaxIDLen {
+		return fmt.Errorf("service: task id of %d bytes, cap %d", len(t.ID), journal.MaxIDLen)
+	}
 	if t.Type < 0 || t.Type >= numTaskTypes {
 		return fmt.Errorf("service: task type %d out of range [0,%d)", t.Type, numTaskTypes)
 	}
