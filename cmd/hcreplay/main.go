@@ -6,10 +6,13 @@
 //
 // Verify mode replays every shard's log through a fresh engine built from
 // the journal's manifest and fails on the first record or checkpoint where
-// the recomputation disagrees with the recording, or on a log of another
-// record format version (this build reads version 3, varint fields; it
-// refuses versions 1 and 2 naming them). Inputs precede their effects, so
-// a log a crash cut anywhere verifies:
+// the recomputation disagrees with the recording, on a log that ends
+// without a record its inputs derive, or on a log of another record format
+// version (this build reads version 4, one CRC-checked frame per commit with
+// varint fields; it refuses versions 1 to 3 naming them). Inputs precede
+// their effects and a commit reaches the log whole or not at all — a crash
+// mid-write tears one frame, which the reader drops — so a log a crash cut
+// anywhere verifies:
 //
 //	hcreplay -dir /var/lib/hcserve/journal -verify
 //
@@ -103,9 +106,6 @@ func main() {
 			}
 			if st.Traces > 0 {
 				fmt.Printf(", %d stage traces skipped", st.Traces)
-			}
-			if st.Unflushed > 0 {
-				fmt.Printf(", %d derived records past the torn tail", st.Unflushed)
 			}
 			fmt.Println()
 		}

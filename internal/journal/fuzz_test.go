@@ -1,33 +1,30 @@
 package journal
 
 import (
-	"reflect"
+	"bytes"
 	"testing"
 )
 
-// FuzzDecodeRecord hammers the payload decoder with arbitrary bytes: it
-// must never panic, and any payload it accepts must re-encode to an
-// identical payload (the format is canonical). The refused payloads seed
-// it next to the encodings of valid records.
+// FuzzDecodeRecord hammers the commit frame decoder with arbitrary frame
+// payloads: it must never panic, and any payload it accepts must re-encode
+// to an identical payload (the format is canonical, frame and records
+// alike). The refused payloads seed it next to frames of valid records.
 func FuzzDecodeRecord(f *testing.F) {
-	for _, r := range sampleRecords(32, 9) {
-		buf := AppendRecord(nil, &r)
-		f.Add(buf[frameHeader:])
+	recs := sampleRecords(32, 9)
+	for i := range recs {
+		f.Add(frame(recs[i])[frameHeader:])
 	}
+	f.Add(frame(recs[:5]...)[frameHeader:])
 	for _, payload := range refusedPayloads() {
 		f.Add(payload)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{recordVersion})
-	f.Add([]byte{recordVersion, byte(KindArrive)})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		r, err := DecodeRecord(payload)
-		if err != nil {
+		var recs []Record
+		if _, err := decodeFrame(payload, func(r *Record) error { recs = append(recs, *r); return nil }); err != nil {
 			return
 		}
-		re := AppendRecord(nil, &r)
-		if !reflect.DeepEqual(re[frameHeader:], payload) {
-			t.Fatalf("accepted payload is not canonical:\n in  %x\n out %x", payload, re[frameHeader:])
+		if re := frame(recs...)[frameHeader:]; !bytes.Equal(re, payload) {
+			t.Fatalf("accepted payload is not canonical:\n in  %x\n out %x", payload, re)
 		}
 	})
 }

@@ -1,15 +1,15 @@
 // Package journal implements the event-sourced decision log of the
 // admission service: a per-shard append-only write-ahead log (WAL) of
-// immutable, length-prefixed, CRC-checked records, with periodic state
-// snapshots so recovery replays only the log tail.
+// immutable records, sealed one CRC-checked frame per commit, with periodic
+// state snapshots so recovery replays only the log tail.
 //
 // Every admission shard is a deterministic single-writer loop — decisions
 // are a pure function of the fed task sequence — which is precisely the
 // event-sourcing sweet spot: journaling the arrivals (plus the decisions
 // and terminal task events they caused, for audit) is enough to
 // reconstruct the exact pre-crash engine by replay. The package is
-// deliberately generic: it stores framed Records and opaque snapshot
-// payloads; what goes inside them is the caller's contract
+// deliberately generic: it stores Records in commit frames and opaque
+// snapshot payloads; what goes inside them is the caller's contract
 // (internal/service encodes shard checkpoints, cmd/hcreplay re-derives
 // past decisions).
 //
@@ -45,28 +45,36 @@
 // never steps over a missing segment: both planners refuse a tail that
 // does not continue its base.
 //
-// # Record framing
+// # Commit framing
 //
-// Each record is framed as
+// The unit on disk is the commit — what one acknowledgement covers. Append
+// adds a record to the open commit in memory; Commit seals it as one frame
+// and writes it in one write:
 //
 //	u32 payload length | u32 CRC-32C of payload | payload
+//	payload = version byte (frameVersion, now 4) | record | record | ...
+//	record  = uvarint length | kind byte | the kind's fields
 //
-// (little-endian). A torn tail — a partial frame or a CRC mismatch from a
-// crash mid-write — is detected on open; the reader surfaces the valid
-// prefix and the writer truncates the tail before appending again.
+// (the header little-endian). Checkpoint and Close seal the open commit
+// first, so no frame spans two segments. A crash mid-write tears at most the
+// last frame — a partial frame or a CRC mismatch — and a torn frame drops
+// its whole commit: the reader surfaces the whole frames before it, and the
+// writer truncates the tail before appending again. So a commit is on disk
+// whole or not at all. A frame is bounded by the bytes left in its segment,
+// not by a cap, so a commit of any size reads back.
 //
-// The payload is a version byte (recordVersion, now 3), a kind byte and
-// the kind's fields: signed integers as zigzag varints, lengths, counts
+// A record's fields are signed integers as zigzag varints, lengths, counts
 // and trace span offsets as unsigned varints, actions, the span count and
-// stage codes as single bytes. Fields are independent (no deltas), and
-// DecodeRecord accepts only the canonical encoding, so a payload it
-// accepts re-encodes to the same bytes. A payload of another version is
-// refused by name: there is one reader.
+// stage codes as single bytes. Fields are independent (no deltas), and the
+// reader accepts only the canonical encoding — shortest varints, every
+// record exactly as long as its length says, at least one record a frame —
+// so a frame it accepts re-encodes to the same bytes. A frame of another
+// version is refused by name: there is one reader.
 //
 // # Durability policies
 //
 // The fsync cost is tunable per deployment (SyncAlways / SyncInterval /
-// SyncNever): every Commit flushes records to the OS, and the policy
+// SyncNever): every Commit writes its frame to the OS, and the policy
 // decides when fdatasync pins them to the platter — always before the
 // decision is acknowledged, on a background interval, or never (the OS
 // page cache decides). The log is prefix-consistent under all three; the

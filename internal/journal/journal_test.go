@@ -84,17 +84,35 @@ func sampleRecords(n int, seed int64) []Record {
 	return out
 }
 
+// frame returns the commit frame a writer seals over recs.
+func frame(recs ...Record) []byte {
+	buf := openFrame(nil)
+	for i := range recs {
+		buf = AppendRecord(buf, &recs[i])
+	}
+	sealFrame(buf)
+	return buf
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	recs := sampleRecords(200, 1)
 	for _, r := range recs {
-		buf := AppendRecord(nil, &r)
-		got, err := DecodeRecord(buf[frameHeader:])
+		got, err := DecodeRecord(appendBody(nil, &r))
 		if err != nil {
 			t.Fatalf("decode %v: %v", r.Kind, err)
 		}
 		if !reflect.DeepEqual(r, got) {
 			t.Fatalf("round trip mismatch:\n in %+v\nout %+v", r, got)
 		}
+	}
+	// One frame holds them all, lengths of one varint byte and of three
+	// (the cap-length labels) alike.
+	var got []Record
+	if _, err := decodeFrame(frame(recs...)[frameHeader:], func(r *Record) error { got = append(got, *r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recs, got) {
+		t.Fatalf("frame round trip mismatch: %d in, %d out", len(recs), len(got))
 	}
 	// The sample reaches every edge it promises.
 	edges := map[string]bool{}
@@ -114,23 +132,33 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins what the varint payloads cost for the values a
-// served log holds: small sequence numbers, ticks and machine indexes.
+// TestRecordSizes pins what a record costs inside a commit frame — its
+// length byte, kind byte and varint fields — for the values a served log
+// holds (small sequence numbers, ticks and machine indexes), and what a
+// single-task decide's commit costs: the 9 bytes of frame header and
+// version once, then its batch, arrive, decision and one terminal event.
 func TestRecordSizes(t *testing.T) {
+	batch := Record{Kind: KindBatch, NTasks: 1}
+	arrive := Record{Kind: KindArrive, Seq: 7000, Type: 3, Tick: 50000, Deadline: 60000,
+		Exec: []pmf.Tick{100, 200, 300, 400}, ID: "t-7000"}
+	decision := Record{Kind: KindDecision, Seq: 7000, Action: ActMap, Machine: 5, Tick: 50000}
+	event := Record{Kind: KindEvent, Seq: 6990, Action: 3, Tick: 50000}
 	for _, c := range []struct {
 		r    Record
 		want int
 	}{
-		{Record{Kind: KindBatch, NTasks: 1}, 3},
-		{Record{Kind: KindArrive, Seq: 7000, Type: 3, Tick: 50000, Deadline: 60000,
-			Exec: []pmf.Tick{100, 200, 300, 400}, ID: "t-7000"}, 27},
-		{Record{Kind: KindDecision, Seq: 7000, Action: ActMap, Machine: 5, Tick: 50000}, 9},
-		{Record{Kind: KindEvent, Seq: 7000, Action: 3, Tick: 50000}, 8},
+		{batch, 3},
+		{arrive, 27},
+		{decision, 9},
+		{event, 8},
 		{Record{Kind: KindDrain, Tick: 50000}, 5},
 	} {
-		if got := len(AppendRecord(nil, &c.r)) - frameHeader; got != c.want {
-			t.Errorf("%s: %d-byte payload, want %d", c.r.String(), got, c.want)
+		if got := len(AppendRecord(nil, &c.r)); got != c.want {
+			t.Errorf("%s: %d bytes, want %d", c.r.String(), got, c.want)
 		}
+	}
+	if got, want := len(frame(batch, arrive, decision, event)), 56; got != want {
+		t.Errorf("single-task commit: %d bytes, want %d", got, want)
 	}
 }
 
@@ -151,7 +179,7 @@ func TestIDCap(t *testing.T) {
 			AppendRecord(nil, &over)
 		}()
 	}
-	forged := []byte{recordVersion, byte(KindBatch), 2}
+	forged := []byte{byte(KindBatch), 2}
 	forged = binary.AppendUvarint(forged, MaxIDLen+1)
 	forged = append(forged, strings.Repeat("d", MaxIDLen+1)...)
 	if _, err := DecodeRecord(forged); err == nil {
@@ -159,20 +187,32 @@ func TestIDCap(t *testing.T) {
 	}
 }
 
-// refusedPayloads are well-framed payloads off the canonical form, each
-// of which DecodeRecord must refuse; FuzzDecodeRecord seeds from them.
+// refusedPayloads are frame payloads that pass their CRC and are off the
+// canonical form — in a record or in the frame around it — each of which
+// decodeFrame must refuse; FuzzDecodeRecord seeds from them.
 func refusedPayloads() map[string][]byte {
+	// p frames one record of kind made of fields, its length the length of
+	// its bytes.
 	p := func(kind Kind, fields ...[]byte) []byte {
-		out := []byte{recordVersion, byte(kind)}
+		rec := []byte{byte(kind)}
 		for _, f := range fields {
-			out = append(out, f...)
+			rec = append(rec, f...)
 		}
-		return out
+		return append(binary.AppendUvarint([]byte{frameVersion}, uint64(len(rec))), rec...)
 	}
 	v := func(x int64) []byte { return binary.AppendVarint(nil, x) }
 	u := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
+	drain := p(KindDrain, v(7))
 	return map[string][]byte{
+		"no version byte":         {},
+		"empty frame":             {frameVersion},
+		"version 3":               append([]byte{3}, drain[1:]...),
 		"version 2":               {2, byte(KindDrain), 0},
+		"version 1":               append([]byte{1}, drain[1:]...),
+		"zero-length record":      {frameVersion, 0},
+		"record past the frame":   {frameVersion, 5, byte(KindDrain), 0},
+		"second record torn":      append(append([]byte(nil), drain...), 3, byte(KindDrain)),
+		"overlong record length":  {frameVersion, 0x82, 0x00, byte(KindDrain), 0},
 		"overlong tick":           p(KindDrain, []byte{0x80, 0x00}),
 		"overlong zero":           p(KindEvent, v(1), []byte{3}, []byte{0x80, 0x80, 0x00}),
 		"overlong exec count":     p(KindArrive, v(0), v(0), v(0), v(0), []byte{0x81, 0x00}, v(1), u(0)),
@@ -193,8 +233,8 @@ func refusedPayloads() map[string][]byte {
 
 func TestDecodeRefusesNonCanonical(t *testing.T) {
 	for name, payload := range refusedPayloads() {
-		if r, err := DecodeRecord(payload); err == nil {
-			t.Errorf("%s: %x decoded as %s", name, payload, r.String())
+		if n, err := decodeFrame(payload, nil); err == nil {
+			t.Errorf("%s: %x decoded as %d records", name, payload, n)
 		}
 	}
 }
@@ -206,8 +246,8 @@ func TestDecodeRefusesNonCanonical(t *testing.T) {
 // String for hcreplay audits.
 func TestBatchDecisionIDRoundTrip(t *testing.T) {
 	with := Record{Kind: KindBatch, NTasks: 16, ID: "replay-0-000042"}
-	buf := AppendRecord(nil, &with)
-	got, err := DecodeRecord(buf[frameHeader:])
+	buf := appendBody(nil, &with)
+	got, err := DecodeRecord(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +259,11 @@ func TestBatchDecisionIDRoundTrip(t *testing.T) {
 	}
 
 	without := Record{Kind: KindBatch, NTasks: 16}
-	plain := AppendRecord(nil, &without)
+	plain := appendBody(nil, &without)
 	if len(plain) >= len(buf) {
 		t.Fatalf("ID-less batch (%d bytes) not shorter than ID-carrying batch (%d bytes): the ID is not a trailing optional field", len(plain), len(buf))
 	}
-	back, err := DecodeRecord(plain[frameHeader:])
+	back, err := DecodeRecord(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +283,7 @@ func TestMembershipRecordRoundTrip(t *testing.T) {
 		{Kind: KindMembership, Action: MemberRemove, Machine: 0, NTasks: 0, Tick: 0},
 		{Kind: KindMembership, Action: MemberRevive, Machine: 3, Tick: 100000},
 	} {
-		buf := AppendRecord(nil, &r)
-		got, err := DecodeRecord(buf[frameHeader:])
+		got, err := DecodeRecord(appendBody(nil, &r))
 		if err != nil {
 			t.Fatalf("decode %+v: %v", r, err)
 		}
@@ -256,9 +295,8 @@ func TestMembershipRecordRoundTrip(t *testing.T) {
 	if s := rm.String(); !bytes.Contains([]byte(s), []byte("op=1")) || !bytes.Contains([]byte(s), []byte("machine=7")) {
 		t.Fatalf("String() = %q, want the op and machine", s)
 	}
-	forged := AppendRecord(nil, &rm)[frameHeader:]
-	forged = append([]byte(nil), forged...)
-	forged[2] = MemberRevive + 1 // version u8 + kind u8, then the op byte
+	forged := appendBody(nil, &rm)
+	forged[1] = MemberRevive + 1 // the kind byte, then the op byte
 	if _, err := DecodeRecord(forged); err == nil {
 		t.Fatal("out-of-range membership op decoded")
 	}
@@ -273,8 +311,7 @@ func TestTraceRecordBounds(t *testing.T) {
 		spans[i] = SpanRec{Stage: uint8(i), StartNS: uint64(i * 10), EndNS: uint64(i*10 + 5)}
 	}
 	r := Record{Kind: KindTrace, Seq: 9, Spans: spans}
-	buf := AppendRecord(nil, &r)
-	got, err := DecodeRecord(buf[frameHeader:])
+	got, err := DecodeRecord(appendBody(nil, &r))
 	if err != nil {
 		t.Fatalf("decode at cap: %v", err)
 	}
@@ -293,14 +330,13 @@ func TestTraceRecordBounds(t *testing.T) {
 	}()
 
 	small := Record{Kind: KindTrace, Seq: 2, Spans: []SpanRec{{Stage: 1, StartNS: 10, EndNS: 20}}}
-	payload := AppendRecord(nil, &small)[frameHeader:]
-	if _, err := DecodeRecord(payload[:len(payload)-5]); err == nil {
-		t.Fatal("truncated trace payload decoded")
+	body := appendBody(nil, &small)
+	if _, err := DecodeRecord(body[:len(body)-5]); err == nil {
+		t.Fatal("truncated trace record decoded")
 	}
-	// Patch the count byte (version u8 + kind u8 + seq varint) past the
-	// cap.
-	forged := append([]byte(nil), payload...)
-	forged[2+len(binary.AppendVarint(nil, small.Seq))] = maxSpans + 1
+	// Patch the count byte (kind u8 + seq varint) past the cap.
+	forged := append([]byte(nil), body...)
+	forged[1+len(binary.AppendVarint(nil, small.Seq))] = maxSpans + 1
 	if _, err := DecodeRecord(forged); err == nil {
 		t.Fatal("forged span count decoded")
 	}
@@ -347,23 +383,32 @@ func TestWriterAppendScan(t *testing.T) {
 	}
 }
 
-// TestTornTailRecovery cuts a segment at every possible byte length and
-// checks that (a) the scan recovers exactly the records whose frames
-// survived intact and (b) a writer reopening the cut log truncates the
-// tail and appends cleanly after it.
+// commits groups recs into commits of 1, 2, 3, 1, 2, 3, ... records and
+// returns the segment a writer leaves after committing each, and the number
+// of records in the commits before each frame boundary: bounds[k] and
+// kept[k] hold the byte offset and record count after commit k-1.
+func commits(recs []Record) (seg []byte, bounds, kept []int) {
+	bounds, kept = []int{0}, []int{0}
+	for i, size := 0, 1; i < len(recs); i, size = i+size, size%3+1 {
+		seg = append(seg, frame(recs[i:min(i+size, len(recs))]...)...)
+		bounds, kept = append(bounds, len(seg)), append(kept, min(i+size, len(recs)))
+	}
+	return seg, bounds, kept
+}
+
+// TestTornTailRecovery cuts a segment of multi-record commits at every
+// seventh byte and checks that (a) the scan recovers exactly the records of
+// the commits whose frames survived whole — a torn commit vanishes with all
+// its records — and (b) a writer reopening the cut log truncates the tail,
+// counts the records it kept, and appends cleanly after them.
 func TestTornTailRecovery(t *testing.T) {
 	recs := sampleRecords(12, 3)
-	var full []byte
-	var bounds []int // byte offset after each record
-	for i := range recs {
-		full = AppendRecord(full, &recs[i])
-		bounds = append(bounds, len(full))
-	}
+	full, bounds, kept := commits(recs)
 	wholeAt := func(cut int) int {
 		n := 0
-		for _, b := range bounds {
+		for k, b := range bounds {
 			if b <= cut {
-				n++
+				n = kept[k]
 			}
 		}
 		return n
@@ -387,10 +432,13 @@ func TestTornTailRecovery(t *testing.T) {
 		}
 
 		// Reopen for append: the torn bytes must be truncated, and a fresh
-		// record must land right after the valid prefix.
+		// commit must land right after the valid prefix.
 		w, err := OpenWriter(dir, WriterOptions{Policy: SyncNever})
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if w.RecordsInSegment() != want {
+			t.Fatalf("cut %d: reopened writer counts %d records, want %d", cut, w.RecordsInSegment(), want)
 		}
 		extra := Record{Kind: KindDrain, Tick: 42}
 		if err := w.Append(&extra); err != nil {
@@ -409,19 +457,12 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestCorruptedMiddleStopsScan flips a byte inside an early record: the
-// scan must stop at the corruption and surface only the prefix.
+// TestCorruptedMiddleStopsScan flips a byte inside the second commit: the
+// scan must stop at the corruption and surface only the first commit.
 func TestCorruptedMiddleStopsScan(t *testing.T) {
 	recs := sampleRecords(10, 4)
-	var full []byte
-	firstLen := 0
-	for i := range recs {
-		full = AppendRecord(full, &recs[i])
-		if i == 0 {
-			firstLen = len(full)
-		}
-	}
-	full[firstLen+frameHeader+1] ^= 0xFF // corrupt record 1's payload
+	full, bounds, kept := commits(recs)
+	full[bounds[1]+frameHeader+1] ^= 0xFF // corrupt commit 1's first record
 	dir := t.TempDir()
 	path := SegmentPath(dir, 0)
 	if err := os.WriteFile(path, full, 0o644); err != nil {
@@ -431,8 +472,74 @@ func TestCorruptedMiddleStopsScan(t *testing.T) {
 	if err := ScanSegment(path, func(r *Record) error { got = append(got, *r); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("scan past corruption: got %d records, want 1", len(got))
+	if len(got) != kept[1] {
+		t.Fatalf("scan past corruption: got %d records, want %d", len(got), kept[1])
+	}
+}
+
+// TestWriterFramesEachCommit pins the writer's side of the format: each
+// Commit writes what was appended since the last as one frame, nothing
+// reaches the file before it, the record counters count records whatever
+// the frames, and Checkpoint and Close seal the open commit first, so no
+// frame spans two segments.
+func TestWriterFramesEachCommit(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWriter(dir, WriterOptions{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords(9, 7)
+	path := SegmentPath(dir, 0)
+	size := func() int {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(fi.Size())
+	}
+	var want []byte
+	for _, c := range [][2]int{{0, 4}, {4, 5}, {5, 7}} {
+		for i := c[0]; i < c[1]; i++ {
+			if err := w.Append(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if size() != len(want) {
+			t.Fatalf("records reached the file before their commit: %d bytes, want %d", size(), len(want))
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, frame(recs[c[0]:c[1]]...)...)
+		if data, _ := os.ReadFile(path); !bytes.Equal(data, want) {
+			t.Fatalf("commit of records [%d,%d) wrote %x, want %x", c[0], c[1], data, want)
+		}
+	}
+	if err := w.Commit(); err != nil { // nothing open: nothing written
+		t.Fatal(err)
+	}
+	if w.Appended() != 7 || w.RecordsInSegment() != 7 || w.Bytes() != int64(len(want)) || size() != len(want) {
+		t.Fatalf("after three commits: %d appended, %d in segment, %d bytes (file %d), want 7, 7, %d",
+			w.Appended(), w.RecordsInSegment(), w.Bytes(), size(), len(want))
+	}
+	// The open commit lands in segment 0, before the snapshot.
+	if err := w.Append(&recs[7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Checkpoint([]byte("state-after-8")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); !bytes.Equal(data, append(want, frame(recs[7])...)) {
+		t.Fatal("Checkpoint did not seal the open commit into the segment it closes")
+	}
+	if err := w.Append(&recs[8]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(SegmentPath(dir, 1)); !bytes.Equal(data, frame(recs[8])) {
+		t.Fatal("Close did not seal the open commit")
 	}
 }
 

@@ -38,37 +38,40 @@ func readFrame(br *bufio.Reader, buf []byte, limit int) (payload []byte, ok bool
 	return buf, crc32.Checksum(buf, crcTable) == crc
 }
 
-// scanFrames is the one loop over a segment's frames: it decodes every
-// record of r's longest valid prefix, hands it to fn (when non-nil), and
-// returns the prefix's byte length and record count — where the writer
-// truncates a torn tail and resumes. The scan ends silently where readFrame
-// stops; a payload that passes its checksum and does not decode is no torn
-// write — the format itself is off (foreign file, incompatible version) —
-// and is an error, as is one from fn.
-func scanFrames(name string, r io.Reader, fn func(*Record) error) (offset int64, records int, err error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+// scanFrames is the one loop over a segment's commit frames: it decodes
+// every record of f's longest prefix of whole frames, hands each to fn
+// (decodeFrame), and returns the prefix's byte length and record count —
+// where the writer truncates a torn tail and resumes. The scan ends
+// silently where readFrame stops, so a commit a crash tore is dropped
+// whole; a frame longer than the bytes left in the file is such a tear, so
+// no commit is too large to read and no corrupt length makes the reader
+// allocate past the file. A payload that passes its checksum and does not
+// decode is no torn write — the format itself is off (foreign file,
+// incompatible version) — and is an error, as is one from fn; both name
+// the file and the commit.
+func scanFrames(name string, f *os.File, fn func(*Record) error) (offset int64, records int, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	br := bufio.NewReaderSize(f, 64<<10)
 	var payload []byte
 	for {
 		var ok bool
-		if payload, ok = readFrame(br, payload, maxPayload); !ok {
+		if payload, ok = readFrame(br, payload, int(fi.Size()-offset)-frameHeader); !ok {
 			return offset, records, nil
 		}
-		rec, err := DecodeRecord(payload)
+		n, err := decodeFrame(payload, fn)
 		if err != nil {
-			return offset, records, fmt.Errorf("journal: %s: record %d: %w", name, records, err)
-		}
-		if fn != nil {
-			if err := fn(&rec); err != nil {
-				return offset, records, err
-			}
+			return offset, records, fmt.Errorf("journal: %s: commit at byte %d: %w", name, offset, err)
 		}
 		offset += frameHeader + int64(len(payload))
-		records++
+		records += n
 	}
 }
 
-// ScanSegment streams every valid record of one segment file through fn,
-// stopping silently at a torn tail. fn errors abort the scan.
+// ScanSegment streams every record of one segment file's whole commits
+// through fn, stopping silently at a torn tail. fn errors abort the scan.
 func ScanSegment(path string, fn func(*Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {

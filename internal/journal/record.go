@@ -115,18 +115,20 @@ type SpanRec struct {
 	EndNS   uint64
 }
 
-// Frame and payload limits. A record payload is tiny (an arrive with
-// a dozen machine types and a short label stays under 100 bytes); the caps
-// exist so a corrupt length field cannot make the reader allocate wildly.
+// Frame and record limits. A record is tiny (an arrive with a dozen machine
+// types and a short label stays under 100 bytes); the caps exist so a
+// corrupt count cannot make the reader allocate wildly. A frame is bounded
+// by the bytes its segment holds, not by a cap (see scanFrames).
 const (
-	frameHeader  = 8       // u32 length + u32 crc
-	maxPayload   = 1 << 20 // 1 MiB
+	frameHeader  = 8 // u32 length + u32 crc
 	maxExecTypes = 4096
 	maxSpans     = 64
-	// recordVersion leads every payload. 2: each input record precedes the
-	// records it causes (1 logged drain and membership after theirs).
-	// 3: every integer field is a varint (2 wrote them fixed-width).
-	recordVersion = 3
+	// frameVersion leads every commit frame's payload. 2: each input record
+	// precedes the records it causes (1 logged drain and membership after
+	// theirs). 3: every integer field is a varint (2 wrote them fixed-width).
+	// 4: one frame per commit, its records length-delimited (3 framed and
+	// versioned each record).
+	frameVersion = 4
 )
 
 // MaxIDLen caps a record's ID: a task's client label (arrive records) or
@@ -136,19 +138,36 @@ const MaxIDLen = 1 << 16
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendRecord appends the framed encoding of r to buf and returns the
+// AppendRecord appends r as a commit frame holds it — its encoding's
+// length as an unsigned varint, then the encoding — and returns the
 // extended slice. It allocates only when buf lacks capacity, so a
 // single-writer loop reusing its buffer appends allocation-free.
 //
-// Every signed field is a zigzag varint, every length, count and span
-// offset an unsigned varint; the version, kind, action, span-count and
-// stage fields are single bytes. Each field stands alone (no deltas), so
-// one record decodes without its neighbours.
+// The encoding is the kind byte and the kind's fields. Every signed field
+// is a zigzag varint, every length, count and span offset an unsigned
+// varint; the action, span-count and stage fields are single bytes. Each
+// field stands alone (no deltas), so one record decodes without its
+// neighbours.
 func AppendRecord(buf []byte, r *Record) []byte {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+	at := len(buf)
+	buf = append(buf, 0) // the length: one byte holds any under 128
+	buf = appendBody(buf, r)
+	n := len(buf) - at - 1
+	if n < 0x80 {
+		buf[at] = byte(n)
+		return buf
+	}
+	var l [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(l[:], uint64(n))
+	buf = append(buf, l[1:k]...)
+	copy(buf[at+k:], buf[at+1:at+1+n])
+	copy(buf[at:], l[:k])
+	return buf
+}
 
-	buf = append(buf, recordVersion, byte(r.Kind))
+// appendBody appends r's encoding: its kind byte and fields.
+func appendBody(buf []byte, r *Record) []byte {
+	buf = append(buf, byte(r.Kind))
 	switch r.Kind {
 	case KindBatch:
 		buf = binary.AppendVarint(buf, int64(r.NTasks))
@@ -198,8 +217,6 @@ func AppendRecord(buf []byte, r *Record) []byte {
 	default:
 		panic(fmt.Sprintf("journal: encoding unknown record kind %d", r.Kind))
 	}
-
-	sealFrame(buf[start:])
 	return buf
 }
 
@@ -212,6 +229,13 @@ func appendID(buf []byte, id string) []byte {
 	return append(buf, id...)
 }
 
+// openFrame appends the start of a commit frame to buf: a frameHeader
+// placeholder sealFrame fills in, then the version byte. AppendRecord adds
+// the records.
+func openFrame(buf []byte) []byte {
+	return append(buf, 0, 0, 0, 0, 0, 0, 0, 0, frameVersion)
+}
+
 // sealFrame fills in the header of frame — frameHeader placeholder bytes
 // and the payload after them — with the payload's length and CRC-32C.
 func sealFrame(frame []byte) {
@@ -220,18 +244,58 @@ func sealFrame(frame []byte) {
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
 }
 
-// DecodeRecord parses one record payload (the bytes after the frame
-// header, CRC already verified). It never panics on hostile input and
-// accepts only the canonical encoding: an overlong varint, a value outside
-// its field's type, or a count or length past the bytes left is an error,
-// so every payload it accepts re-encodes to itself.
-func DecodeRecord(payload []byte) (Record, error) {
-	var r Record
-	d := decoder{buf: payload}
-	ver := d.u8()
-	if ver != recordVersion {
-		return r, fmt.Errorf("journal: record version %d, want %d", ver, recordVersion)
+// decodeFrame parses one commit frame's payload (the bytes after the frame
+// header, CRC already verified) and hands each of its records to fn (when
+// non-nil), returning how many it decoded. It accepts only what a writer
+// seals: the present version, at least one record, and each record's length
+// a canonical varint, non-zero, within the frame and exactly its record's
+// canonical encoding (DecodeRecord) — so every payload it accepts
+// re-encodes to itself. A frame of another version is refused by name
+// before any record is read: there is one reader. An error from fn stops
+// the decode and is returned as it is.
+func decodeFrame(payload []byte, fn func(*Record) error) (int, error) {
+	if len(payload) == 0 {
+		return 0, fmt.Errorf("journal: empty frame")
 	}
+	if v := payload[0]; v != frameVersion {
+		return 0, fmt.Errorf("journal: record version %d, want %d", v, frameVersion)
+	}
+	if len(payload) == 1 {
+		return 0, fmt.Errorf("journal: frame holds no record")
+	}
+	d := decoder{buf: payload, off: 1}
+	i := 0
+	for ; d.remaining() > 0; i++ {
+		n := d.bound(d.uvarint(), d.remaining(), 1)
+		if d.err != nil {
+			return i, fmt.Errorf("journal: record %d: %w", i, d.err)
+		}
+		if n == 0 {
+			return i, fmt.Errorf("journal: record %d is empty", i)
+		}
+		r, err := DecodeRecord(payload[d.off : d.off+n])
+		if err != nil {
+			return i, fmt.Errorf("journal: record %d: %w", i, err)
+		}
+		d.off += n
+		if fn != nil {
+			if err := fn(&r); err != nil {
+				return i, err
+			}
+		}
+	}
+	return i, nil
+}
+
+// DecodeRecord parses one record's encoding (its kind byte and fields, the
+// bytes its length in the frame delimits). It never panics on hostile
+// input and accepts only the canonical encoding: an overlong varint, a
+// value outside its field's type, a count or length past the bytes left,
+// or a byte after the last field is an error, so every encoding it accepts
+// re-encodes to itself.
+func DecodeRecord(b []byte) (Record, error) {
+	var r Record
+	d := decoder{buf: b}
 	r.Kind = Kind(d.u8())
 	switch r.Kind {
 	case KindBatch:
@@ -301,9 +365,10 @@ func DecodeRecord(payload []byte) (Record, error) {
 	return r, nil
 }
 
-// decoder is a bounds-checked cursor over one payload: a read past the
-// end or off the canonical form sets err (the first one sticks) and
-// returns zero instead of panicking, so DecodeRecord survives any input.
+// decoder is a bounds-checked cursor over one frame payload or record: a
+// read past the end or off the canonical form sets err (the first one
+// sticks) and returns zero instead of panicking, so decodeFrame and
+// DecodeRecord survive any input.
 type decoder struct {
 	buf []byte
 	off int
@@ -320,7 +385,7 @@ func (d *decoder) failf(format string, args ...any) {
 
 func (d *decoder) u8() uint8 {
 	if d.remaining() < 1 {
-		d.failf("record payload truncated at byte %d", d.off)
+		d.failf("record truncated at byte %d", d.off)
 		return 0
 	}
 	v := d.buf[d.off]
@@ -337,7 +402,7 @@ func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.buf[d.off:])
 	switch {
 	case n == 0:
-		d.failf("record payload truncated at byte %d", d.off)
+		d.failf("record truncated at byte %d", d.off)
 		return 0
 	case n < 0:
 		d.failf("varint overflows 64 bits at byte %d", d.off)

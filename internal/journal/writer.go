@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -73,8 +72,8 @@ type WriterOptions struct {
 	OnFsync func(time.Duration)
 }
 
-// Writer appends framed records to a shard's segmented WAL. It is owned
-// by one goroutine (the shard's decision loop): Append, Commit,
+// Writer appends records to a shard's segmented WAL, one frame per commit.
+// It is owned by one goroutine (the shard's decision loop): Append, Commit,
 // Checkpoint and Close must not race each other. The background interval
 // syncer is the only concurrent toucher and is synchronized internally.
 type Writer struct {
@@ -86,18 +85,20 @@ type Writer struct {
 	fmu sync.Mutex
 	f   *os.File
 
-	bw  *bufio.Writer
 	seg int
-	// recsInSeg counts records appended to the current segment — the
-	// snapshot cadence is measured in records, not bytes, because replay
-	// cost scales with records.
+	// recsInSeg counts records appended to the current segment, the open
+	// commit's included — the snapshot cadence is measured in records, not
+	// bytes, because replay cost scales with records.
 	recsInSeg int
-	buf       []byte
+	// pending is the open commit: a frame opened by openFrame and every
+	// record appended since the last seal.
+	pending []byte
 
-	appended atomic.Int64 // records appended (flushed or not)
+	appended atomic.Int64 // records appended (sealed or pending)
+	written  atomic.Int64 // records in frames written to the file
 	durable  atomic.Int64 // records covered by the last completed fsync
 	fsyncs   atomic.Int64
-	bytes    atomic.Int64
+	bytes    atomic.Int64 // bytes written to segments
 	snaps    atomic.Int64
 	// diskBase is the directory's segment and snapshot bytes at the last
 	// open or trim, less bytes at that moment: DiskBytes adds bytes back.
@@ -112,7 +113,7 @@ type Writer struct {
 
 // OpenWriter opens (or creates) a shard log directory for appending. An
 // existing log is continued: the writer scans the last segment, truncates
-// any torn tail left by a crash, and appends after the last valid record.
+// any torn tail left by a crash, and appends after the last whole commit.
 // Call Recover first to rebuild state from the log — opening the writer
 // does not replay anything.
 func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
@@ -138,7 +139,7 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, opts: opts, closed: make(chan struct{}), syncDone: make(chan struct{})}
+	w := &Writer{dir: dir, opts: opts, pending: openFrame(nil), closed: make(chan struct{}), syncDone: make(chan struct{})}
 
 	// The appending segment is the last one on disk; a snapshot written
 	// without its successor segment (crash between snapshot and rotation)
@@ -156,7 +157,7 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Truncate a torn tail so appends continue at a record boundary.
+	// Truncate a torn tail so appends continue after the last whole commit.
 	valid, nrec, err := scanFrames(path, f, nil)
 	if err != nil {
 		f.Close()
@@ -171,7 +172,6 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 		return nil, err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 64<<10)
 	w.recsInSeg = nrec
 	w.diskBase.Store(diskBytes(dir))
 	syncDir(dir)
@@ -200,44 +200,58 @@ func (w *Writer) Lag() int64 { return w.appended.Load() - w.durable.Load() }
 // Fsyncs returns the number of completed fdatasyncs.
 func (w *Writer) Fsyncs() int64 { return w.fsyncs.Load() }
 
-// Bytes returns the total bytes appended.
+// Bytes returns the total bytes written to segments.
 func (w *Writer) Bytes() int64 { return w.bytes.Load() }
 
 // Checkpoints returns the number of snapshots written.
 func (w *Writer) Checkpoints() int64 { return w.snaps.Load() }
 
 // DiskBytes returns the segment and snapshot bytes in the log directory:
-// its size at the last open or trim plus what has been appended since.
+// its size at the last open or trim plus what has been written since.
 func (w *Writer) DiskBytes() int64 { return w.diskBase.Load() + w.bytes.Load() }
 
-// Append buffers one record. Records become readable by a concurrent
-// scan only after Commit and durable per the sync policy.
+// Append adds one record to the open commit. Records reach the file, and
+// a concurrent scan, only when Commit seals the commit, and are durable
+// per the sync policy.
 func (w *Writer) Append(r *Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = AppendRecord(w.buf[:0], r)
-	n, err := w.bw.Write(w.buf)
-	w.bytes.Add(int64(n))
-	if err != nil {
-		w.err = fmt.Errorf("journal: append: %w", err)
-		return w.err
-	}
+	w.pending = AppendRecord(w.pending, r)
 	w.recsInSeg++
 	w.appended.Add(1)
 	return nil
 }
 
+// seal writes the open commit, if it holds a record, as one frame in one
+// write and opens the next: a crash leaves the whole frame or a torn one,
+// which the reader drops whole.
+func (w *Writer) seal() error {
+	if len(w.pending) == frameHeader+1 {
+		return nil
+	}
+	sealFrame(w.pending)
+	n, err := w.f.Write(w.pending)
+	w.bytes.Add(int64(n))
+	w.pending = w.pending[:frameHeader+1]
+	if err != nil {
+		return fmt.Errorf("journal: write: %w", err)
+	}
+	w.written.Store(w.appended.Load())
+	return nil
+}
+
 // Commit makes everything appended so far crash-safe per the sync
-// policy: flush to the OS always, plus an inline fdatasync under
-// SyncAlways. The admission loop calls Commit after journaling a decide
-// sub-batch and before acknowledging it.
+// policy: the records go to the OS as one frame, plus an inline fdatasync
+// under SyncAlways. The admission loop calls Commit after journaling a
+// decide sub-batch and before acknowledging it, so the frame holds exactly
+// what one acknowledgement covers.
 func (w *Writer) Commit() error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.err = fmt.Errorf("journal: flush: %w", err)
+	if err := w.seal(); err != nil {
+		w.err = err
 		return w.err
 	}
 	if w.opts.Policy == SyncAlways {
@@ -251,7 +265,7 @@ func (w *Writer) Commit() error {
 
 // fsync pins the current file's written data and accounts it.
 func (w *Writer) fsync() error {
-	mark := w.appended.Load()
+	mark := w.written.Load()
 	w.fmu.Lock()
 	f := w.f
 	var err error
@@ -275,8 +289,7 @@ func (w *Writer) fsync() error {
 }
 
 // syncLoop is the SyncInterval background syncer. It only ever syncs
-// data the loop already flushed; records still in the bufio buffer wait
-// for the next Commit.
+// frames already written; the open commit waits for the next Commit.
 func (w *Writer) syncLoop() {
 	defer close(w.syncDone)
 	t := time.NewTicker(w.opts.Interval)
@@ -286,7 +299,7 @@ func (w *Writer) syncLoop() {
 		case <-w.closed:
 			return
 		case <-t.C:
-			if w.durable.Load() < w.appended.Load() {
+			if w.durable.Load() < w.written.Load() {
 				_ = w.fsync() // the next Commit surfaces persistent failures
 			}
 		}
@@ -295,8 +308,9 @@ func (w *Writer) syncLoop() {
 
 // Checkpoint writes the caller's snapshot payload as snapshot K (K = the
 // current segment), rotates to segment K+1 and trims the history behind
-// the checkpoint before K. The sequence is crash-ordered: the old segment
-// is flushed and fsynced before the snapshot, the snapshot is written to a
+// the checkpoint before K. The sequence is crash-ordered: the open commit
+// is sealed into the old segment, so no frame spans two, and the segment is
+// fsynced before the snapshot, the snapshot is written to a
 // temp file, fsynced and renamed, only then does the new segment open, and
 // only then does anything go — so at every instant the directory holds
 // Recover's (base, newest, tail).
@@ -304,8 +318,8 @@ func (w *Writer) Checkpoint(payload []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.err = fmt.Errorf("journal: flush: %w", err)
+	if err := w.seal(); err != nil {
+		w.err = err
 		return w.err
 	}
 	if err := w.fsync(); err != nil {
@@ -330,7 +344,6 @@ func (w *Writer) Checkpoint(payload []byte) error {
 	w.f = next
 	w.fmu.Unlock()
 	_ = old.Close()
-	w.bw.Reset(next)
 	w.seg++
 	w.recsInSeg = 0
 	w.trim()
@@ -403,8 +416,8 @@ func writeSnapshotFile(dir string, seg int, payload []byte) error {
 	return nil
 }
 
-// Close flushes, fsyncs (under any policy — closing is the final commit)
-// and stops the background syncer.
+// Close seals the open commit, fsyncs (under any policy — closing is the
+// final commit) and stops the background syncer.
 func (w *Writer) Close() error {
 	select {
 	case <-w.closed:
@@ -413,7 +426,10 @@ func (w *Writer) Close() error {
 	}
 	close(w.closed)
 	<-w.syncDone
-	ferr := w.bw.Flush()
+	var ferr error
+	if w.err == nil {
+		ferr = w.seal()
+	}
 	serr := w.fsync()
 	w.fmu.Lock()
 	cerr := w.f.Close()

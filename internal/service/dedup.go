@@ -22,10 +22,9 @@ import (
 //     Committed entries are evicted FIFO once the window exceeds its
 //     capacity (a retry older than the window re-executes — by then the
 //     journal already holds the original, and the client gave up long ago).
-//   - poisoned: the ID's request took effect in part — recovery found its
-//     journaled batch torn by a crash, or it failed after some of its
-//     sub-batches committed — so neither replaying nor re-executing is
-//     safe; duplicates get a permanent error (409), and the entry is
+//   - poisoned: the ID's request took effect in part — it failed after
+//     some of its sub-batches committed — so neither replaying nor
+//     re-executing is safe; duplicates get a permanent error (409), and the entry is
 //     evicted FIFO like a committed one.
 type DedupWindow struct {
 	mu      sync.Mutex

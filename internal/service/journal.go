@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,10 +24,12 @@ import (
 //
 // Every shard appends to its own WAL its inputs (batch boundaries,
 // arrivals, membership changes, drain), each before the decisions and
-// terminal task events it causes, and commits before acknowledging. A shard
-// engine is deterministic, so the inputs alone reconstruct its state by
-// replay, from any prefix of the log; decision and event records make it
-// auditable (recovery and cmd/hcreplay re-derive them, see shard.replayLog).
+// terminal task events it causes, and commits before acknowledging: one
+// frame per commit, so the log holds every acknowledged operation whole and
+// nothing of one a crash cut short. A shard engine is deterministic, so the
+// inputs alone reconstruct its state by replay; decision and event records
+// make it auditable (recovery and cmd/hcreplay re-derive them, see
+// shard.replayLog).
 
 // manifestName is the manifest file inside the journal root.
 const manifestName = "manifest.json"
@@ -216,20 +217,16 @@ func (c *Controller) initJournal() error {
 
 	// Re-seed the dedup window from the recovered batches: a request that
 	// committed before the crash answers its retry with its original
-	// decisions; a torn batch poisons its ID so a retry cannot double-feed
-	// the partially-applied arrivals. Seeding covers the batches of the
-	// recovered tail, which journal.Recover makes at least one whole segment
-	// (SnapshotEvery records) long however close to a checkpoint the crash
-	// fell — unless only the newest checkpoint reads; a retry of something
-	// older than the tail is executed again.
+	// decisions. A commit the crash tore is not on the log, so its retry
+	// executes afresh. Seeding covers the batches of the recovered tail,
+	// which journal.Recover makes at least one whole segment (SnapshotEvery
+	// records) long however close to a checkpoint the crash fell — unless
+	// only the newest checkpoint reads; a retry of something older than the
+	// tail is executed again.
 	c.seedDedup()
 
 	// Writers open after recovery: OpenWriter truncates any torn tail, so
-	// it must not run until the replay has consumed the valid prefix. What
-	// the walk derived past the end of the log (what a crash cut off behind
-	// the last inputs) is what the shard was about to write: it goes to the
-	// log first, riding the next commit, so the continued log is the one an
-	// uninterrupted shard leaves and keeps re-deriving.
+	// it must not run until the replay has consumed the valid prefix.
 	for _, sh := range c.shards {
 		w, err := journal.OpenWriter(ShardJournalDir(root, sh.id), journal.WriterOptions{
 			Policy:   policy,
@@ -239,26 +236,21 @@ func (c *Controller) initJournal() error {
 		if err != nil {
 			return err
 		}
-		sh.jw = w
-		for i := range sh.gen {
-			sh.emit(&sh.gen[i])
-		}
-		sh.replay, sh.gen = false, nil
+		sh.jw, sh.replay = w, false
 	}
 	return nil
 }
 
 // seedDedup merges the shards' recovered batches per decision ID and
-// installs each ID's original response (or its poison) in the dedup
-// window. A multi-shard request journaled one sub-batch per shard under
-// the same ID; its decisions merge back into request order by sequence
-// number (Decide assigns them contiguously in request order). Runs before
-// any shard serves.
+// installs each ID's original response in the dedup window. A multi-shard
+// request journaled one sub-batch per shard under the same ID; its
+// decisions merge back into request order by sequence number (Decide
+// assigns them contiguously in request order). Runs before any shard
+// serves.
 func (c *Controller) seedDedup() {
 	type mergedBatch struct {
 		decisions []Decision
 		now       pmf.Tick
-		err       error
 	}
 	byID := make(map[string]*mergedBatch)
 	var order []string
@@ -271,9 +263,6 @@ func (c *Controller) seedDedup() {
 				byID[rb.id] = m
 				order = append(order, rb.id)
 			}
-			if rb.err != nil && m.err == nil {
-				m.err = rb.err
-			}
 			m.decisions = append(m.decisions, rb.decisions...)
 			if rb.now > m.now {
 				m.now = rb.now
@@ -281,87 +270,55 @@ func (c *Controller) seedDedup() {
 		}
 		sh.recovered = nil
 	}
-	seeded, poisoned := 0, 0
 	for _, id := range order {
 		m := byID[id]
-		if m.err != nil {
-			c.dedup.Poison(id, m.err)
-			poisoned++
-			continue
-		}
 		sort.Slice(m.decisions, func(i, j int) bool { return m.decisions[i].Seq < m.decisions[j].Seq })
 		// The encoding and trailing newline of the live ack path
 		// (DecideHandler), keeping a replayed duplicate byte-identical.
 		data := appendDecideResponse(nil, &DecideResponse{Now: m.now, Decisions: m.decisions})
 		c.dedup.Commit(id, append(data, '\n'), len(m.decisions))
-		seeded++
 	}
-	if seeded+poisoned > 0 {
-		c.log.Info("dedup window re-seeded from journal", "seeded", seeded, "poisoned", poisoned)
+	if len(order) > 0 {
+		c.log.Info("dedup window re-seeded from journal", "seeded", len(order))
 	}
 }
 
 // recoveredBatch is one journaled decide sub-batch carrying a decision ID,
 // re-derived during recovery: the decisions the shard acknowledged under
-// the ID, or the tear a crash left mid-batch. initJournal merges the
-// per-shard parts of each ID and re-seeds the dedup window, so a client
-// retrying across the crash still gets its original decisions back.
+// the ID. initJournal merges the per-shard parts of each ID and re-seeds
+// the dedup window, so a client retrying across the crash still gets its
+// original decisions back.
 type recoveredBatch struct {
 	id        string
-	expect    int
 	decisions []Decision
 	now       pmf.Tick
-	err       error // non-nil: the batch is torn (poison the ID)
 }
-
-// errTornBatch marks a journaled batch the crash cut mid-write: some of
-// its arrivals were re-applied during recovery, the rest never reached the
-// log, so neither replaying nor re-executing the request is safe.
-var errTornBatch = errors.New("batch torn by crash (journaled arrivals incomplete)")
 
 // recover rebuilds one shard's state from its log: replayLog from the
 // checkpoint journal.Recover picks, on the served shard itself (which
-// initJournal holds in replay mode meanwhile), so the tail is applied by the statements that
-// wrote it and every decision and event it holds is checked
-// against what they derive — a tail that does not re-derive refuses the
-// start, naming the record, instead of serving on state the log
-// contradicts. The walk's visitor keeps the dedup bookkeeping: each
-// ID-carrying sub-batch of the tail, complete or torn, lands in
-// sh.recovered; what the walk derived past the end of the log stays in
-// sh.gen for initJournal. Runs before the shard serves; no
-// synchronization needed.
+// initJournal holds in replay mode meanwhile), so the tail is applied by
+// the statements that wrote it and every decision and event it holds is
+// checked against what they derive — a tail that does not re-derive
+// refuses the start, naming the record, instead of serving on state the log
+// contradicts. The walk's visitor lands each ID-carrying sub-batch of the
+// tail in sh.recovered; every one is whole, because a commit reaches the
+// log whole or not at all. Runs before the shard serves; no synchronization
+// needed.
 func (sh *shard) recover() (*VerifyStats, error) {
-	// open is the decide sub-batch being replayed, when it carries a
-	// decision ID; closeOpen retires it (complete or torn) into sh.recovered.
-	var open *recoveredBatch
-	closeOpen := func() {
-		if open == nil {
-			return
-		}
-		if len(open.decisions) < open.expect {
-			open.err = errTornBatch
-		}
-		sh.recovered = append(sh.recovered, *open)
-		open = nil
-	}
+	open := false // the sub-batch being replayed carries an ID, in the newest entry
 	st, err := sh.replayLog(sh.c.cfg.JournalDir, true, func(r *journal.Record, d Decision) {
 		switch {
 		case r.Kind == journal.KindBatch:
-			closeOpen()
-			if r.ID != "" {
-				open = &recoveredBatch{id: r.ID, expect: int(r.NTasks)}
+			if open = r.ID != ""; open {
+				sh.recovered = append(sh.recovered, recoveredBatch{id: r.ID})
 			}
-		case r.Kind == journal.KindArrive && open != nil:
+		case r.Kind == journal.KindArrive && open:
 			// d is the wire decision the live server acknowledged, re-derived.
-			open.decisions = append(open.decisions, d)
-			open.now = sh.eng.Now()
-			if len(open.decisions) == open.expect {
-				closeOpen()
-			}
+			rb := &sh.recovered[len(sh.recovered)-1]
+			rb.decisions = append(rb.decisions, d)
+			rb.now = sh.eng.Now()
 		}
 	})
-	// A log ending mid-batch is the torn tail of a crash.
-	closeOpen()
 	// Republish after the tail: membership may have changed mid-log, and a
 	// fully-removed shard is down from the first post-recovery request.
 	sh.publishMembership()

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -217,7 +219,7 @@ func TestJournalGracefulDrainThenReopen(t *testing.T) {
 	crash(c2)
 }
 
-// frameBounds returns the byte offset of every record frame of a segment
+// frameBounds returns the byte offset of every commit frame of a segment
 // (u32 payload length, u32 CRC-32C, payload), then the segment's length.
 func frameBounds(seg []byte) []int {
 	var bounds []int
@@ -227,6 +229,19 @@ func frameBounds(seg []byte) []int {
 	return append(bounds, len(seg))
 }
 
+// recordEnds returns the offset within one commit frame after each of its
+// records: the payload is a version byte, then each record as its uvarint
+// length and its bytes.
+func recordEnds(frame []byte) []int {
+	var ends []int
+	for off := 9; off < len(frame); {
+		n, k := binary.Uvarint(frame[off:])
+		off += k + int(n)
+		ends = append(ends, off)
+	}
+	return ends
+}
+
 // isInput reports whether a record kind is an input of the shard (the kinds
 // shard.apply changes it by), as opposed to one an input derives.
 func isInput(k journal.Kind) bool {
@@ -234,24 +249,23 @@ func isInput(k journal.Kind) bool {
 }
 
 // TestEveryPrefixRecovers is the oracle of the log's one ordering rule —
-// an input record precedes every record it causes — which makes every
-// prefix of a log one that recovery can continue. It records one shard's
-// journal through decide batches, a remove with handoff, a remove without,
-// an add, a refused revive (which must log nothing), a revive and a drain,
-// and leaves it as a kill -9 just before the drain's final checkpoint would.
-// Then it cuts a copy at every record boundary and inside every record, and
-// on each copy:
+// an input record precedes every record it causes — and of its framing —
+// each commit reaches the log whole or not at all — which together make
+// every prefix of a log one that recovery can continue. It records one
+// shard's journal through decide batches, a remove with handoff, a remove
+// without, an add, a refused revive (which must log nothing), a revive and a
+// drain, and leaves it as a kill -9 just before the drain's final
+// checkpoint would. Then it cuts a copy at every record boundary and inside
+// every record — before every commit frame and all through the inside of
+// each — and on each copy:
 //   - hcreplay -verify (VerifyAll) is clean and New starts;
 //   - the recovered /v1/stats equal those of an unjournaled controller fed
-//     the inputs the copy holds through Decide and Admin; past the drain marker,
-//     the recovered shard is drained and its census is the reference's
-//     after Drain;
+//     the inputs of the copy's whole commits through Decide and Admin; past
+//     the drain, the recovered shard is drained and its census is the
+//     reference's after Drain;
 //   - the recovered controller continues the sequence, and after another
 //     kill recovers a second time to what it stood at, on a log that
 //     verifies.
-//
-// -short strides the cuts but keeps every one next to a membership record
-// and every one among the records of the drain.
 func TestEveryPrefixRecovers(t *testing.T) {
 	ctx := context.Background()
 	tr := testTrace(t, 90, 5)
@@ -308,6 +322,19 @@ func TestEveryPrefixRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	bounds := frameBounds(seg)
+	commits := len(bounds) - 1
+	// Record i spans [start[i], end[i]) of the segment, in commit frame
+	// frameOf[i]; kept[k] counts the records of the commits before frame k.
+	var start, end, frameOf []int
+	kept := []int{0}
+	for k := 0; k < commits; k++ {
+		at := bounds[k] + 9 // past the frame header and the version byte
+		for _, e := range recordEnds(seg[bounds[k]:bounds[k+1]]) {
+			start, end, frameOf = append(start, at), append(end, bounds[k]+e), append(frameOf, k)
+			at = bounds[k] + e
+		}
+		kept = append(kept, len(start))
+	}
 	// What follows the last decision is the drain: its marker and the
 	// terminal events of the work it ran to completion.
 	drainAt, lastDecision, members := -1, -1, map[int]bool{}
@@ -321,8 +348,11 @@ func TestEveryPrefixRecovers(t *testing.T) {
 			members[i] = true
 		}
 	}
-	if len(bounds) != len(recs)+1 || drainAt < 0 || len(recs)-lastDecision < 10 || len(members) != 4 {
-		t.Fatalf("recorded %d records in %d frames, %d after the last decision, %d membership records", len(recs), len(bounds)-1, len(recs)-1-lastDecision, len(members))
+	// Eleven decides of six tasks, four membership operations and the drain:
+	// one commit each.
+	if commits != 16 || kept[commits] != len(recs) || drainAt < 0 || len(recs)-lastDecision < 10 || len(members) != 4 {
+		t.Fatalf("recorded %d records (%d framed) in %d commits, %d after the last decision, %d membership records",
+			len(recs), kept[commits], commits, len(recs)-1-lastDecision, len(members))
 	}
 
 	// reference feeds an unjournaled controller the inputs among recs, as
@@ -378,24 +408,29 @@ func TestEveryPrefixRecovers(t *testing.T) {
 	refs := map[int]refState{} // by the number of inputs fed
 
 	for i := 0; i <= len(recs); i++ {
-		if testing.Short() && i%4 != 0 && i <= lastDecision && !members[i-1] && !members[i] && !members[i+1] {
-			continue
-		}
 		type cut struct {
 			name string
 			off  int
 		}
-		cuts := []cut{{fmt.Sprintf("record-%03d/before", i), bounds[i]}}
+		cuts := []cut{{fmt.Sprintf("record-%03d/before", i), len(seg)}}
+		whole := recs // a torn commit is no commit
 		if i < len(recs) {
+			// Before the first record of a commit is before its frame.
+			before, k := start[i], frameOf[i]
+			if i == kept[k] {
+				before = bounds[k]
+			}
 			kind := strings.Fields(recs[i].String())[0]
-			cuts[0].name = fmt.Sprintf("record-%03d-%s/before", i, kind)
-			cuts = append(cuts, cut{fmt.Sprintf("record-%03d-%s/inside", i, kind), (bounds[i] + bounds[i+1]) / 2})
+			cuts = []cut{
+				{fmt.Sprintf("record-%03d-%s/before", i, kind), before},
+				{fmt.Sprintf("record-%03d-%s/inside", i, kind), (start[i] + end[i]) / 2},
+			}
+			whole = recs[:kept[k]]
 		}
-		kept := recs[:i] // a torn record is no record
-		inputs, arrives, lastInput := 0, 0, journal.Kind(0)
-		for _, r := range kept {
+		inputs, arrives := 0, 0
+		for _, r := range whole {
 			if isInput(r.Kind) {
-				inputs, lastInput = inputs+1, r.Kind
+				inputs++
 			}
 			if r.Kind == journal.KindArrive {
 				arrives++
@@ -403,7 +438,7 @@ func TestEveryPrefixRecovers(t *testing.T) {
 		}
 		want, ok := refs[inputs]
 		if !ok {
-			want = reference(kept)
+			want = reference(whole)
 			refs[inputs] = want
 		}
 		for _, cut := range cuts {
@@ -440,14 +475,8 @@ func TestEveryPrefixRecovers(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					w := append([]ShardSnapshot(nil), want.stats...)
-					if lastInput == journal.KindBatch {
-						// A batch record whose arrivals the cut took entirely
-						// counts a sub-batch no reference request can carry.
-						w[0].Requests++
-					}
-					if !reflect.DeepEqual(got, w) {
-						t.Fatalf("recovered /v1/stats diverged from the reference:\n got %+v\nwant %+v", got, w)
+					if !reflect.DeepEqual(got, want.stats) {
+						t.Fatalf("recovered /v1/stats diverged from the reference:\n got %+v\nwant %+v", got, want.stats)
 					}
 				}
 				// The recovered controller goes on where the copy stops, and a
@@ -524,13 +553,124 @@ func TestJournalRecoversDrainMarker(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailStaysVerifiable cuts a crashed log inside a sub-batch,
-// after an arrive whose decision never reached the disk: recovery
-// re-derives the decision, poisons nothing it should not, and logs what
-// the crash cut off before anything new, so the continued journal verifies
-// and recovers a second time.
-func TestJournalTornTailStaysVerifiable(t *testing.T) {
-	tr := testTrace(t, 200, 9)
+// TestCrashInsideCommitDoesNotPoisonRetry: a crash inside a commit tears
+// its frame, which the journal drops whole, so on disk the commit never
+// happened. A single-shard controller acks 4-task requests under decision
+// IDs; its segment is cut inside the last commit, right after that commit's
+// second arrive. After the restart a retry of that ID executes afresh and
+// answers 200, byte-identical to an uninterrupted controller's answer, and
+// the continued journal verifies and recovers a second time. While every
+// record had a frame of its own, the cut kept the batch record and two of
+// its arrives, and recovery poisoned the ID: the retry answered 409.
+func TestCrashInsideCommitDoesNotPoisonRetry(t *testing.T) {
+	tr := testTrace(t, 40, 9)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
+	}
+	request := func(k int) *DecideRequest {
+		req := &DecideRequest{DecisionID: fmt.Sprintf("commit-%d", k), Tasks: make([]TaskSpec, 4)}
+		for i, task := range tr.Tasks[4*k : 4*k+4] {
+			req.Tasks[i] = TaskSpec{ID: fmt.Sprintf("t%d", task.ID), Type: int(task.Type),
+				Arrival: task.Arrival, Deadline: task.Deadline, ExecByType: task.ExecByType}
+		}
+		return req
+	}
+	decide := func(srv *httptest.Server, k int) []byte {
+		t.Helper()
+		code, data := postDecide(t, srv, request(k))
+		if code != http.StatusOK {
+			t.Fatalf("decide %d: HTTP %d: %s", k, code, data)
+		}
+		return data
+	}
+	rcfg := cfg
+	rcfg.JournalDir = ""
+	ref, err := New(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crash(ref)
+	refSrv := newTestServerFor(t, ref)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(c))
+	const last = 5
+	var want [][]byte // the uninterrupted answers
+	for k := 0; k <= last+1; k++ {
+		want = append(want, decide(refSrv, k))
+		if k <= last {
+			decide(srv, k)
+		}
+	}
+	srv.Close()
+	crash(c)
+
+	path := journal.SegmentPath(ShardJournalDir(cfg.JournalDir, 0), 0)
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []journal.Record
+	if err := journal.ScanSegment(path, func(r *journal.Record) error { recs = append(recs, *r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	bounds := frameBounds(seg)
+	at := bounds[len(bounds)-2] // the last commit
+	ends := recordEnds(seg[at:])
+	cut, arrives := -1, 0
+	for i, r := range recs[len(recs)-len(ends):] {
+		if r.Kind == journal.KindArrive {
+			if arrives++; arrives == 2 {
+				cut = at + ends[i]
+				break
+			}
+		}
+	}
+	if cut < 0 || recs[len(recs)-len(ends)].ID != request(last).DecisionID {
+		t.Fatalf("the last commit (%d records) is not request %d's", len(ends), last)
+	}
+	if err := os.WriteFile(path, seg[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	srv = newTestServerFor(t, c)
+	if got := decide(srv, last); !bytes.Equal(got, want[last]) {
+		t.Fatalf("retry of the torn commit:\n got %s\nwant %s", got, want[last])
+	}
+	if got := decide(srv, last+1); !bytes.Equal(got, want[last+1]) {
+		t.Fatalf("the request after it:\n got %s\nwant %s", got, want[last+1])
+	}
+	pre, err := c.ShardStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(c)
+	if _, err := VerifyAll(cfg.JournalDir); err != nil {
+		t.Fatalf("journal continued past a torn commit: %v", err)
+	}
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	defer crash(c)
+	if post, err := c.ShardStats(context.Background()); err != nil || !reflect.DeepEqual(post, pre) {
+		t.Fatalf("second recovery diverged (%v):\n pre %+v\npost %+v", err, pre, post)
+	}
+}
+
+// TestCommitLargerThanARecordCap: a commit is bounded by its segment, not
+// by a per-record cap. A 20-task decide with cap-length labels commits a
+// frame over 1 MiB; it is acknowledged, survives a crash and a restart,
+// and the journal verifies.
+func TestCommitLargerThanARecordCap(t *testing.T) {
+	tr := testTrace(t, 40, 5)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
 		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
@@ -539,35 +679,48 @@ func TestJournalTornTailStaysVerifiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decideRange(t, c, tr, 0, 80, 8)
+	req := DecideRequest{DecisionID: "large", Tasks: make([]TaskSpec, 20)}
+	for i, task := range tr.Tasks[:20] {
+		label := fmt.Sprintf("%05d", i) + strings.Repeat("l", journal.MaxIDLen-5)
+		req.Tasks[i] = TaskSpec{ID: label, Type: int(task.Type),
+			Arrival: task.Arrival, Deadline: task.Deadline, ExecByType: task.ExecByType}
+	}
+	if _, err := c.Decide(context.Background(), &req); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.shards[0].jw.Bytes(); n <= 1<<20 {
+		t.Fatalf("the commit wrote %d bytes, want over 1 MiB", n)
+	}
+	pre, err := c.ShardStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	crash(c)
-	rewriteSegment(t, ShardJournalDir(cfg.JournalDir, 0), 0, func(recs []journal.Record) []journal.Record {
-		if last := recs[len(recs)-1]; last.Kind != journal.KindDecision {
-			t.Fatalf("log ends in %s, want the last arrive's decision", last.String())
-		}
-		return recs[:len(recs)-1]
-	})
-	for _, upTo := range []int{140, 200} {
-		c, err = New(cfg)
-		if err != nil {
-			t.Fatalf("recovery before task %d: %v", upTo, err)
-		}
-		decideRange(t, c, tr, upTo-60, upTo, 8)
-		crash(c)
-		if _, err := VerifyAll(cfg.JournalDir); err != nil {
-			t.Fatalf("journal continued past a torn tail (to task %d): %v", upTo, err)
-		}
+	c, err = New(cfg)
+	if err != nil {
+		t.Fatalf("recovery over a commit past 1 MiB: %v", err)
+	}
+	defer crash(c)
+	if post, err := c.ShardStats(context.Background()); err != nil || !reflect.DeepEqual(post, pre) {
+		t.Fatalf("recovered stats diverged (%v):\n pre %+v\npost %+v", err, pre, post)
+	}
+	if post := decideRange(t, c, tr, 20, 40, 4); post[0].Seq != 20 {
+		t.Fatalf("first post-recovery seq = %d, want 20", post[0].Seq)
+	}
+	if _, err := VerifyAll(cfg.JournalDir); err != nil {
+		t.Fatalf("verify: %v", err)
 	}
 }
 
 // TestJournalRefusesOldRecordVersions: a log of an earlier record format —
 // version 1 logged drain and membership records after their effects,
-// version 2 wrote every integer fixed-width — is refused at restart and by
-// hcreplay -verify naming its version, not read under the present format.
-// The records are this build's with the version byte set back: the
-// refusal comes before any field is read.
+// version 2 wrote every integer fixed-width, version 3 framed and versioned
+// each record — is refused at restart and by hcreplay -verify naming its
+// version, not read under the present format. The frames are this build's
+// with the version byte set back: the refusal comes before any record is
+// read.
 func TestJournalRefusesOldRecordVersions(t *testing.T) {
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			cfg := Config{
 				Profile: "video", Mapper: "PAM", Dropper: "heuristic",
@@ -747,9 +900,6 @@ func TestVerifyShardCleanAndCrashed(t *testing.T) {
 		if st.Checkpoints == 0 {
 			t.Errorf("shard %d verified no checkpoints", st.Shard)
 		}
-		if st.Unflushed != 0 {
-			t.Errorf("shard %d: %d unflushed records after a graceful drain", st.Shard, st.Unflushed)
-		}
 	}
 	if arrives != 200 {
 		t.Errorf("verified %d arrives, want 200", arrives)
@@ -864,9 +1014,10 @@ func rewriteSnapshot(t *testing.T, dir string, seg int, edit func(*ShardCheckpoi
 // TestVerifyDetectsTampering pins what stays independent now that replay
 // runs the live path's code: the comparison of the bytes on disk against a
 // re-derivation. One edit to a copied 2-shard journal with checkpoints — a
-// derived record or an input record of the oldest retained segment, the
-// newest snapshot, a forged record at the end — must fail verification and
-// name the record or snapshot; the untouched copy passes. The checkpoints
+// derived record or an input record of the oldest retained segment, the last
+// derived record of the newest, the newest snapshot, a forged record at the
+// end — must fail verification and name the record or snapshot; the
+// untouched copy passes. The checkpoints
 // trimmed everything behind the newest one but one, so what the log retains
 // is recovery's tail: New refuses every edit as verification does, and
 // resumes the untouched copy where the live controller stood.
@@ -949,6 +1100,16 @@ func TestVerifyDetectsTampering(t *testing.T) {
 				return recs
 			})
 		}, "record ", "record "},
+		{"last derived record removed", func(t *testing.T, dir string) {
+			// What a crash inside the last commit could leave while records
+			// had frames of their own; commits are whole now, so it is a defect.
+			rewriteSegment(t, dir, segs[len(segs)-1], func(recs []journal.Record) []journal.Record {
+				if isInput(recs[len(recs)-1].Kind) {
+					t.Fatalf("segment %d ends in %s, want a derived record", segs[len(segs)-1], recs[len(recs)-1].String())
+				}
+				return recs[:len(recs)-1]
+			})
+		}, "the log ends without 1 records", "the log ends without 1 records"},
 		{"checkpoint counter changed", func(t *testing.T, dir string) {
 			rewriteSnapshot(t, dir, newest, func(cp *ShardCheckpoint) { cp.Mapped++ })
 		}, newestName, newestName},

@@ -76,9 +76,6 @@ type VerifyStats struct {
 	Traces int
 	// Membership counts membership records re-applied as replay inputs.
 	Membership int
-	// Unflushed counts derived records the replay produced past the end of
-	// the log — the suffix a crash cut off before it was committed.
-	Unflushed int
 	// FinalSeqWatermark is the replayed shard's highest decided sequence.
 	FinalSeqWatermark int64
 }
@@ -88,9 +85,10 @@ type VerifyStats struct {
 // decision and terminal event must equal the one the deterministic
 // re-execution derives, and every checkpoint after the start
 // must equal the replayed state at its segment boundary. On a trimmed log
-// the start is a checkpoint, taken as given. A truncated tail (crash) is
-// tolerated — the log is then a prefix of the derived stream — but any
-// interior disagreement is an error.
+// the start is a checkpoint, taken as given. A commit a crash tore is not
+// on the log (the journal drops it whole), so the log holds every record its
+// inputs derive: a record missing after its input is an error like any
+// other disagreement.
 func VerifyShard(root string, s int) (*VerifyStats, error) {
 	sh, err := openReplay(root, s, false)
 	if err != nil {
@@ -146,9 +144,9 @@ func (sh *shard) startLog(root string, recovery bool) (*journal.Recovery, error)
 // input record through apply, calling visit (when non-nil) with the record
 // and apply's decision; matches every logged decision and event against the
 // derived stream; and compares every checkpoint it passes against the
-// replayed state. Inputs precede their effects, so derived records past the
-// end of the log are the suffix a crash cut off (Unflushed); logged ones the
-// inputs before them cannot explain are an error.
+// replayed state. Inputs precede their effects and commits are whole, so
+// derived records the log ends without, like logged ones the inputs before
+// them cannot explain, are an error.
 func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Record, Decision)) (*VerifyStats, error) {
 	s := sh.id
 	dir := ShardJournalDir(root, s)
@@ -221,15 +219,14 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 		st.Checkpoints++
 	}
 
-	// A crash may have cut the log after the engine advanced: derived
-	// records the replay produced but the log never committed are the
-	// expected torn suffix. Logged records the replay cannot explain are
-	// not.
 	if len(logged) > 0 {
 		return st, fmt.Errorf("shard %d: %d logged records beyond what replay derives (first: %s)",
 			s, len(logged), logged[0].String())
 	}
-	st.Unflushed = len(sh.gen)
+	if len(sh.gen) > 0 {
+		return st, fmt.Errorf("shard %d: the log ends without %d records its inputs derive (first: %s)",
+			s, len(sh.gen), sh.gen[0].String())
+	}
 	st.FinalSeqWatermark = sh.watermark
 	return st, nil
 }
