@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
+	"github.com/hpcclab/taskdrop/internal/varint"
 )
 
 // Kind discriminates journal records.
@@ -263,21 +264,20 @@ func decodeFrame(payload []byte, fn func(*Record) error) (int, error) {
 	if len(payload) == 1 {
 		return 0, fmt.Errorf("journal: frame holds no record")
 	}
-	d := decoder{buf: payload, off: 1}
+	d := varint.NewReader(payload[1:], "journal:")
 	i := 0
-	for ; d.remaining() > 0; i++ {
-		n := d.bound(d.uvarint(), d.remaining(), 1)
-		if d.err != nil {
-			return i, fmt.Errorf("journal: record %d: %w", i, d.err)
+	for ; d.Remaining() > 0; i++ {
+		n := d.Count(d.Remaining(), 1)
+		if d.Err() != nil {
+			return i, fmt.Errorf("journal: record %d: %w", i, d.Err())
 		}
 		if n == 0 {
 			return i, fmt.Errorf("journal: record %d is empty", i)
 		}
-		r, err := DecodeRecord(payload[d.off : d.off+n])
+		r, err := DecodeRecord(d.Bytes(n))
 		if err != nil {
 			return i, fmt.Errorf("journal: record %d: %w", i, err)
 		}
-		d.off += n
 		if fn != nil {
 			if err := fn(&r); err != nil {
 				return i, err
@@ -295,167 +295,76 @@ func decodeFrame(payload []byte, fn func(*Record) error) (int, error) {
 // re-encodes to itself.
 func DecodeRecord(b []byte) (Record, error) {
 	var r Record
-	d := decoder{buf: b}
-	r.Kind = Kind(d.u8())
+	d := varint.NewReader(b, "journal: record")
+	r.Kind = Kind(d.U8())
 	switch r.Kind {
 	case KindBatch:
-		r.NTasks = d.i32()
+		r.NTasks = d.Int32()
 		if r.NTasks < 0 {
 			return r, fmt.Errorf("journal: batch record with %d tasks", r.NTasks)
 		}
-		if d.err == nil && d.remaining() > 0 {
+		if d.Err() == nil && d.Remaining() > 0 {
 			// Present only when non-empty: an empty trailing ID is not the
 			// canonical form of an ID-less batch.
-			if r.ID = d.id(); d.err == nil && r.ID == "" {
+			if r.ID = readID(&d); d.Err() == nil && r.ID == "" {
 				return r, fmt.Errorf("journal: batch record with an empty trailing id")
 			}
 		}
 	case KindArrive:
-		r.Seq = d.varint()
-		r.Type = d.i32()
-		r.Tick = pmf.Tick(d.varint())
-		r.Deadline = pmf.Tick(d.varint())
+		r.Seq = d.Varint()
+		r.Type = d.Int32()
+		r.Tick = pmf.Tick(d.Varint())
+		r.Deadline = pmf.Tick(d.Varint())
 		// Each entry takes at least one byte: a count past the bytes left
 		// fails here, before the slice is allocated.
-		if n := d.bound(d.uvarint(), maxExecTypes, 1); n > 0 {
+		if n := d.Count(maxExecTypes, 1); n > 0 {
 			r.Exec = make([]pmf.Tick, n)
 			for i := range r.Exec {
-				r.Exec[i] = pmf.Tick(d.varint())
+				r.Exec[i] = pmf.Tick(d.Varint())
 			}
 		}
-		r.ID = d.id()
+		r.ID = readID(&d)
 	case KindDecision:
-		r.Seq = d.varint()
-		r.Action = d.u8()
-		r.Machine = d.i32()
-		r.Tick = pmf.Tick(d.varint())
+		r.Seq = d.Varint()
+		r.Action = d.U8()
+		r.Machine = d.Int32()
+		r.Tick = pmf.Tick(d.Varint())
 	case KindEvent:
-		r.Seq = d.varint()
-		r.Action = d.u8()
-		r.Tick = pmf.Tick(d.varint())
+		r.Seq = d.Varint()
+		r.Action = d.U8()
+		r.Tick = pmf.Tick(d.Varint())
 	case KindDrain:
-		r.Tick = pmf.Tick(d.varint())
+		r.Tick = pmf.Tick(d.Varint())
 	case KindMembership:
-		r.Action = d.u8()
-		r.Machine = d.i32()
-		r.Type = d.i32()
-		r.NTasks = d.i32()
-		r.Tick = pmf.Tick(d.varint())
-		if d.err == nil && r.Action > MemberRevive {
+		r.Action = d.U8()
+		r.Machine = d.Int32()
+		r.Type = d.Int32()
+		r.NTasks = d.Int32()
+		r.Tick = pmf.Tick(d.Varint())
+		if d.Err() == nil && r.Action > MemberRevive {
 			return r, fmt.Errorf("journal: membership record with op %d", r.Action)
 		}
 	case KindTrace:
-		r.Seq = d.varint()
+		r.Seq = d.Varint()
 		// A span is a stage byte and two varints: three bytes at least.
-		if n := d.bound(uint64(d.u8()), maxSpans, 3); n > 0 {
+		if n := d.Bound(uint64(d.U8()), maxSpans, 3); n > 0 {
 			r.Spans = make([]SpanRec, n)
 			for i := range r.Spans {
-				r.Spans[i] = SpanRec{Stage: d.u8(), StartNS: d.uvarint(), EndNS: d.uvarint()}
+				r.Spans[i] = SpanRec{Stage: d.U8(), StartNS: d.Uvarint(), EndNS: d.Uvarint()}
 			}
 		}
 	default:
 		return r, fmt.Errorf("journal: unknown record kind %d", r.Kind)
 	}
-	if d.err != nil {
-		return r, d.err
-	}
-	if d.remaining() != 0 {
-		return r, fmt.Errorf("journal: %d trailing bytes after %v record", d.remaining(), r.Kind)
+	if err := d.Finish(); err != nil {
+		return r, fmt.Errorf("%w (kind %d)", err, r.Kind)
 	}
 	return r, nil
 }
 
-// decoder is a bounds-checked cursor over one frame payload or record: a
-// read past the end or off the canonical form sets err (the first one
-// sticks) and returns zero instead of panicking, so decodeFrame and
-// DecodeRecord survive any input.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) remaining() int { return len(d.buf) - d.off }
-
-func (d *decoder) failf(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("journal: "+format, args...)
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.remaining() < 1 {
-		d.failf("record truncated at byte %d", d.off)
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-// uvarint reads one unsigned varint in its shortest form: a multi-byte
-// encoding whose last byte is zero spells the same value longer.
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	switch {
-	case n == 0:
-		d.failf("record truncated at byte %d", d.off)
-		return 0
-	case n < 0:
-		d.failf("varint overflows 64 bits at byte %d", d.off)
-		return 0
-	case n > 1 && d.buf[d.off+n-1] == 0:
-		d.failf("overlong varint at byte %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// varint reads one zigzag varint.
-func (d *decoder) varint() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// i32 reads one zigzag varint into an int32 field, refusing a value the
-// field cannot hold.
-func (d *decoder) i32() int32 {
-	at := d.off
-	v := d.varint()
-	if int64(int32(v)) != v {
-		d.failf("varint %d at byte %d overflows int32", v, at)
-		return 0
-	}
-	return int32(v)
-}
-
-// bound checks an element count just read: it refuses one above limit
-// or one whose elements, each at least each bytes, cannot fit in the bytes
-// left — before the caller allocates for them.
-func (d *decoder) bound(n uint64, limit, each int) int {
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(limit) || n*uint64(each) > uint64(d.remaining()) {
-		d.failf("count %d at byte %d exceeds its cap %d or the bytes left", n, d.off, limit)
-		return 0
-	}
-	return int(n)
-}
-
-// id reads a length-prefixed ID.
-func (d *decoder) id() string {
-	n := d.bound(d.uvarint(), MaxIDLen, 1)
-	if d.err != nil {
-		return ""
-	}
-	v := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return v
+// readID reads a length-prefixed ID.
+func readID(d *varint.Reader) string {
+	return string(d.Bytes(d.Count(MaxIDLen, 1)))
 }
 
 // String renders a record for logs and the hcreplay audit listing.

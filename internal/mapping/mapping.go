@@ -77,17 +77,6 @@ func Names() []string {
 	return []string{"MinMin", "MSD", "PAM", "FCFS", "SJF", "EDF", "MCT", "MET", "Sufferage", "KPB", "Random"}
 }
 
-// freeMachines returns the machines that currently have an open slot.
-func freeMachines(ev *sim.MappingEvent) []*sim.Machine {
-	var out []*sim.Machine
-	for _, m := range ev.Machines() {
-		if ev.FreeSlots(m) > 0 {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // bestByECT returns the free machine giving task ts the minimum expected
 // completion time (ECT: the mean of the Eq. 1 candidate completion PMF),
 // and that minimum. cutoff is the ECT the caller's incumbent holds (+Inf
@@ -144,7 +133,7 @@ func (MinMin) Name() string { return "MinMin" }
 // Map implements sim.Mapper.
 func (MinMin) Map(ev *sim.MappingEvent) {
 	for {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 || len(ev.Batch()) == 0 {
 			return
 		}
@@ -177,7 +166,7 @@ func (MSD) Name() string { return "MSD" }
 // Map implements sim.Mapper.
 func (MSD) Map(ev *sim.MappingEvent) {
 	for {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 || len(ev.Batch()) == 0 {
 			return
 		}
@@ -224,7 +213,7 @@ func (PAM) Name() string { return "PAM" }
 // Map implements sim.Mapper.
 func (PAM) Map(ev *sim.MappingEvent) {
 	for {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 || len(ev.Batch()) == 0 {
 			return
 		}
@@ -284,7 +273,7 @@ func (FCFS) Name() string { return "FCFS" }
 // Map implements sim.Mapper.
 func (FCFS) Map(ev *sim.MappingEvent) {
 	for len(ev.Batch()) > 0 {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 {
 			return
 		}
@@ -304,7 +293,7 @@ func (SJF) Name() string { return "SJF" }
 // Map implements sim.Mapper.
 func (SJF) Map(ev *sim.MappingEvent) {
 	for len(ev.Batch()) > 0 {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 {
 			return
 		}
@@ -338,7 +327,7 @@ func (EDF) Name() string { return "EDF" }
 // Map implements sim.Mapper.
 func (EDF) Map(ev *sim.MappingEvent) {
 	for len(ev.Batch()) > 0 {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 {
 			return
 		}
@@ -372,7 +361,7 @@ func (MET) Name() string { return "MET" }
 // Map implements sim.Mapper.
 func (MET) Map(ev *sim.MappingEvent) {
 	for len(ev.Batch()) > 0 {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 {
 			return
 		}
@@ -401,7 +390,7 @@ func (Sufferage) Name() string { return "Sufferage" }
 // Map implements sim.Mapper.
 func (Sufferage) Map(ev *sim.MappingEvent) {
 	for len(ev.Batch()) > 0 {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 {
 			return
 		}
@@ -455,7 +444,7 @@ func (k KPB) Map(ev *sim.MappingEvent) {
 		pct = 25
 	}
 	for len(ev.Batch()) > 0 {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 {
 			return
 		}
@@ -487,7 +476,7 @@ func (*Random) Name() string { return "Random" }
 // Map implements sim.Mapper.
 func (r *Random) Map(ev *sim.MappingEvent) {
 	for len(ev.Batch()) > 0 {
-		free := freeMachines(ev)
+		free := ev.FreeMachines()
 		if len(free) == 0 {
 			return
 		}

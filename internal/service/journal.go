@@ -1,8 +1,10 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,6 +15,7 @@ import (
 	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/telemetry"
+	"github.com/hpcclab/taskdrop/internal/varint"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
@@ -112,7 +115,8 @@ func ShardJournalDir(root string, s int) string {
 // ShardCheckpoint is the snapshot payload a shard writes at every journal
 // checkpoint: the full engine snapshot plus the shard-level state replay
 // cannot re-derive from the engine alone (sequence watermark, decision
-// counters, router robustness EWMAs).
+// counters, router robustness EWMAs). The journal holds its binary encoding
+// (appendCheckpoint), never JSON; the tags name the fields for diagnostics.
 type ShardCheckpoint struct {
 	Shard int `json:"shard"`
 	// SeqWatermark is the highest cluster-wide sequence number the shard
@@ -126,6 +130,46 @@ type ShardCheckpoint struct {
 	// Robustness[class] is the router view's per-class EWMA.
 	Robustness []float64           `json:"robustness_by_class"`
 	Engine     *sim.EngineSnapshot `json:"engine"`
+}
+
+// appendCheckpoint appends cp's encoding to buf: the engine snapshot's
+// (sim.AppendSnapshot, whose leading byte is the format version, so one
+// byte versions the whole checkpoint), then the shard fields as zigzag
+// varints, then the robustness count and each class's 8 IEEE bytes. The
+// form is canonical: decodeCheckpoint accepts exactly what this writes, so
+// two checkpoints hold the same state exactly when their bytes are equal.
+func appendCheckpoint(buf []byte, cp *ShardCheckpoint) []byte {
+	buf = sim.AppendSnapshot(buf, cp.Engine)
+	for _, n := range [...]int64{int64(cp.Shard), cp.SeqWatermark, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped} {
+		buf = binary.AppendVarint(buf, n)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(cp.Robustness)))
+	for _, p := range cp.Robustness {
+		buf = varint.AppendFloat(buf, p)
+	}
+	return buf
+}
+
+// decodeCheckpoint is appendCheckpoint's inverse. It refuses a checkpoint
+// of another format by its leading byte — a JSON one, as builds before the
+// binary form wrote, by name — and anything off the canonical form: an
+// overlong varint, a count past the bytes left, a trailing byte. It never
+// panics on hostile input.
+func decodeCheckpoint(b []byte) (*ShardCheckpoint, error) {
+	r := varint.NewReader(b, "service: checkpoint")
+	cp := &ShardCheckpoint{Engine: sim.ReadSnapshot(&r)}
+	cp.Shard = r.Int()
+	cp.SeqWatermark, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped = r.Varint(), r.Varint(), r.Varint(), r.Varint(), r.Varint()
+	if n := r.Count(math.MaxInt32, 8); n > 0 {
+		cp.Robustness = make([]float64, n)
+		for i := range cp.Robustness {
+			cp.Robustness[i] = r.Float()
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return cp, nil
 }
 
 // journalFsyncBuckets are the upper bounds (seconds) of the fsync-latency
@@ -406,39 +450,37 @@ func (sh *shard) commitJournal() error {
 	return nil
 }
 
-// checkpoint writes the shard's full state as a journal snapshot and
-// rotates the segment. Runs under the shard's turn.
-func (sh *shard) checkpoint() error {
-	nt := sh.c.matrix.NumTaskTypes()
-	cp := ShardCheckpoint{
+// checkpointState captures the shard's state as a checkpoint. Runs under the
+// shard's turn, or on a shard in replay mode.
+func (sh *shard) checkpointState() *ShardCheckpoint {
+	cp := &ShardCheckpoint{
 		Shard:        sh.id,
 		SeqWatermark: sh.watermark,
 		Requests:     sh.metrics.requests.Load(),
 		Mapped:       sh.metrics.mapped.Load(),
 		Deferred:     sh.metrics.deferred.Load(),
 		Dropped:      sh.metrics.dropped.Load(),
-		Robustness:   make([]float64, nt),
+		Robustness:   make([]float64, sh.c.matrix.NumTaskTypes()),
 		Engine:       sh.eng.Snapshot(),
 	}
-	for class := 0; class < nt; class++ {
+	for class := range cp.Robustness {
 		cp.Robustness[class] = sh.view.ClassRobustness(class)
 	}
-	blob, err := json.Marshal(&cp)
-	if err != nil {
-		return err
-	}
-	return sh.jw.Checkpoint(blob)
+	return cp
+}
+
+// checkpoint writes the shard's full state as a journal snapshot and
+// rotates the segment. Runs under the shard's turn.
+func (sh *shard) checkpoint() error {
+	return sh.jw.Checkpoint(appendCheckpoint(nil, sh.checkpointState()))
 }
 
 // restore is checkpoint's inverse: it loads one snapshot payload into a
 // freshly built shard.
 func (sh *shard) restore(payload []byte) error {
-	var cp ShardCheckpoint
-	if err := json.Unmarshal(payload, &cp); err != nil {
-		return fmt.Errorf("checkpoint decode: %w", err)
-	}
-	if cp.Engine == nil {
-		return fmt.Errorf("checkpoint without engine snapshot")
+	cp, err := decodeCheckpoint(payload)
+	if err != nil {
+		return err
 	}
 	if err := sh.eng.RestoreSnapshot(cp.Engine); err != nil {
 		return err

@@ -980,21 +980,25 @@ func rewriteSegment(t *testing.T, dir string, seg int, edit func([]journal.Recor
 }
 
 // rewriteSnapshot replaces snapshot seg of a shard log with its edited
-// checkpoint, re-framed (length + CRC) by a real journal.Writer.
+// checkpoint, re-encoded.
 func rewriteSnapshot(t *testing.T, dir string, seg int, edit func(*ShardCheckpoint)) {
 	t.Helper()
 	payload, err := journal.ReadSnapshotFile(journal.SnapshotPath(dir, seg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cp ShardCheckpoint
-	if err := json.Unmarshal(payload, &cp); err != nil {
+	cp, err := decodeCheckpoint(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	edit(&cp)
-	if payload, err = json.Marshal(&cp); err != nil {
-		t.Fatal(err)
-	}
+	edit(cp)
+	writeSnapshot(t, dir, seg, appendCheckpoint(nil, cp))
+}
+
+// writeSnapshot replaces snapshot seg of a shard log with payload, framed
+// (length + CRC) by a real journal.Writer.
+func writeSnapshot(t *testing.T, dir string, seg int, payload []byte) {
+	t.Helper()
 	tmp := t.TempDir()
 	w, err := journal.OpenWriter(tmp, journal.WriterOptions{Policy: journal.SyncNever})
 	if err != nil {
@@ -1112,6 +1116,17 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		}, "the log ends without 1 records", "the log ends without 1 records"},
 		{"checkpoint counter changed", func(t *testing.T, dir string) {
 			rewriteSnapshot(t, dir, newest, func(cp *ShardCheckpoint) { cp.Mapped++ })
+		}, newestName, newestName},
+		{"checkpoint live task changed", func(t *testing.T, dir string) {
+			rewriteSnapshot(t, dir, newest, func(cp *ShardCheckpoint) {
+				for _, m := range cp.Engine.Machines {
+					if len(m.Queue) > 0 {
+						m.Queue[len(m.Queue)-1].Deadline++
+						return
+					}
+				}
+				t.Fatalf("snapshot %d holds no queued task", newest)
+			})
 		}, newestName, newestName},
 		{"forged trailing decision", func(t *testing.T, dir string) {
 			// The replay cannot derive a record nothing in the log leads to.
@@ -1335,6 +1350,49 @@ func TestRecoveryRefusesOldCheckpointFormat(t *testing.T) {
 	}
 	if _, err := VerifyShard(cfg.JournalDir, 0); err == nil || !strings.Contains(err.Error(), "format version 0") {
 		t.Fatalf("verify over an old-format checkpoint: %v, want a failure naming format version 0", err)
+	}
+}
+
+// TestRecoveryRefusesJSONCheckpoint: a journal whose newest checkpoint is
+// the JSON builds before the binary codec wrote is refused at restart and
+// by verification, naming JSON — not misread as binary.
+func TestRecoveryRefusesJSONCheckpoint(t *testing.T) {
+	tr := testTrace(t, 120, 7)
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 50,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, tr, 0, len(tr.Tasks), 4)
+	crash(c)
+	dir := ShardJournalDir(cfg.JournalDir, 0)
+	snaps, err := journal.Snapshots(dir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no checkpoint to age (%v)", err)
+	}
+	newest := snaps[len(snaps)-1]
+	payload, err := journal.ReadSnapshotFile(journal.SnapshotPath(dir, newest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := decodeCheckpoint(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Engine.Version = 2 // the last JSON format
+	blob, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSnapshot(t, dir, newest, blob)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Fatalf("restart on a JSON checkpoint: %v, want a refusal naming JSON", err)
+	}
+	if _, err := VerifyShard(cfg.JournalDir, 0); err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Fatalf("verify over a JSON checkpoint: %v, want a failure naming JSON", err)
 	}
 }
 

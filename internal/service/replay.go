@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"github.com/hpcclab/taskdrop/internal/core"
@@ -36,12 +34,6 @@ import (
 // replay == live and recovered == uninterrupted by construction. What
 // stays independent, and is what verification tests, is the comparison:
 // the bytes on disk against a re-derivation.
-
-// robustnessTol bounds the acceptable divergence when comparing replayed
-// router EWMAs against checkpointed ones. Both sides run the same float
-// operations in the same order, so anything beyond noise is a real
-// divergence.
-const robustnessTol = 1e-9
 
 // openReplay returns shard s of the controller a journal root's manifest
 // pins, in replay mode: never served, no writer, emit queueing every
@@ -232,40 +224,29 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 }
 
 // compareCheckpoint matches one checkpoint payload against the replayed
-// state. Engine snapshots are compared through their canonical JSON so
-// both sides share one serialization (the stored one already did the
-// round trip).
+// state. The encoding is canonical, so the state matches exactly when the
+// payload equals the encoding of the replayed shard's own checkpoint; the
+// shard-level fields are compared first to name the one that differs.
 func (sh *shard) compareCheckpoint(payload []byte, seg int) error {
 	s := sh.id
-	var cp ShardCheckpoint
-	if err := json.Unmarshal(payload, &cp); err != nil {
+	cp, err := decodeCheckpoint(payload)
+	if err != nil {
 		return fmt.Errorf("shard %d: snapshot %d: %w", s, seg, err)
 	}
-	if cp.SeqWatermark != sh.watermark {
-		return fmt.Errorf("shard %d: snapshot %d: watermark %d, replay at %d", s, seg, cp.SeqWatermark, sh.watermark)
+	got := sh.checkpointState()
+	if cp.SeqWatermark != got.SeqWatermark {
+		return fmt.Errorf("shard %d: snapshot %d: watermark %d, replay at %d", s, seg, cp.SeqWatermark, got.SeqWatermark)
 	}
-	m := sh.metrics
-	if cp.Requests != m.requests.Load() || cp.Mapped != m.mapped.Load() || cp.Deferred != m.deferred.Load() || cp.Dropped != m.dropped.Load() {
+	if cp.Requests != got.Requests || cp.Mapped != got.Mapped || cp.Deferred != got.Deferred || cp.Dropped != got.Dropped {
 		return fmt.Errorf("shard %d: snapshot %d: counters (req %d map %d defer %d drop %d), replay (req %d map %d defer %d drop %d)",
-			s, seg, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped, m.requests.Load(), m.mapped.Load(), m.deferred.Load(), m.dropped.Load())
+			s, seg, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped, got.Requests, got.Mapped, got.Deferred, got.Dropped)
 	}
 	for class, p := range cp.Robustness {
-		if got := sh.view.ClassRobustness(class); math.Abs(got-p) > robustnessTol {
-			return fmt.Errorf("shard %d: snapshot %d: class %d robustness %g, replay %g", s, seg, class, p, got)
+		if class < len(got.Robustness) && got.Robustness[class] != p {
+			return fmt.Errorf("shard %d: snapshot %d: class %d robustness %g, replay %g", s, seg, class, p, got.Robustness[class])
 		}
 	}
-	if cp.Engine == nil {
-		return fmt.Errorf("shard %d: snapshot %d: no engine snapshot", s, seg)
-	}
-	want, err := json.Marshal(cp.Engine)
-	if err != nil {
-		return err
-	}
-	got, err := json.Marshal(sh.eng.Snapshot())
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(appendCheckpoint(nil, got), payload) {
 		return fmt.Errorf("shard %d: snapshot %d: engine state diverged from replay", s, seg)
 	}
 	return nil

@@ -390,7 +390,7 @@ func TestServerStartsNoGoroutinePerRequest(t *testing.T) {
 // http.ReadRequest's request, headers and body, the request's context)
 // and the handler with its Controller.Decide. CI's alloc-regression job
 // runs this test.
-const maxServerDecideAllocs = 52
+const maxServerDecideAllocs = 43
 
 func TestServerDecideAllocsSteadyState(t *testing.T) {
 	if service.RaceEnabled {

@@ -103,6 +103,9 @@ type Engine struct {
 	// tasks that have settled: Result is a read of the two.
 	live  Live
 	tally Tally
+	// event is the mapper's window, kept across mapping events so its
+	// scratch is allocated once per engine, not once per round.
+	event MappingEvent
 	// journal, when set, observes every terminal transition (completion,
 	// failure, drop) with the tick it happened at — the admission service's
 	// WAL hook, or a Recorder (see SetJournal).
@@ -324,8 +327,8 @@ func (e *Engine) mappingEvent(fromCompletion bool) {
 	if fromCompletion || reacted || e.cfg.DropOnArrival {
 		e.proactiveDrops()
 	}
-	ev := MappingEvent{e: e}
-	e.mapper.Map(&ev)
+	e.event.e = e
+	e.mapper.Map(&e.event)
 	e.startIdle()
 }
 

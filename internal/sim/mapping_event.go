@@ -14,6 +14,8 @@ import (
 // the Assign commit operation.
 type MappingEvent struct {
 	e *Engine
+	// free is FreeMachines' scratch, reused across the engine's events.
+	free []*Machine
 }
 
 // Now returns the event time.
@@ -37,6 +39,19 @@ func (ev *MappingEvent) FreeSlots(m *Machine) int {
 		return 0
 	}
 	return ev.e.cfg.QueueCap - len(m.queue)
+}
+
+// FreeMachines returns the machines with an open slot (FreeSlots > 0), in
+// index order. The slice is the event's scratch: the mapper may reorder it,
+// and it holds until the next FreeMachines call, which overwrites it.
+func (ev *MappingEvent) FreeMachines() []*Machine {
+	ev.free = ev.free[:0]
+	for _, m := range ev.e.machines {
+		if ev.FreeSlots(m) > 0 {
+			ev.free = append(ev.free, m)
+		}
+	}
+	return ev.free
 }
 
 // CandidateCompletion returns the completion-time PMF task ts would have

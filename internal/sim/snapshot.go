@@ -1,29 +1,33 @@
 package sim
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/hpcclab/taskdrop/internal/core"
 	"github.com/hpcclab/taskdrop/internal/pet"
 	"github.com/hpcclab/taskdrop/internal/pmf"
+	"github.com/hpcclab/taskdrop/internal/varint"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
-// snapshotVersion is the EngineSnapshot format this build writes and
-// reads. Version 2 holds live tasks and the tally; its predecessor
-// (unversioned, so it reads as 0) held every task the engine had ever been
-// fed, under some of the same keys.
-const snapshotVersion = 2
+// snapshotVersion is the checkpoint format this build writes and reads:
+// the leading byte of an encoding (AppendSnapshot). Version 3 is the
+// binary form below. Version 2 was JSON, and its predecessor (unversioned,
+// so it read as 0) held every task the engine had ever been fed; a JSON
+// encoding of either leads with '{' and is refused by name.
+const snapshotVersion = 3
 
-// EngineSnapshot is the complete serializable state of an engine between
-// events: the tasks it holds — batch and machine queues — the census and
-// tally of the ones it has settled, the clock, and the failure-process
-// cursors. Its size follows what is queued, not what was ever admitted. An
-// engine restored from a snapshot produces exactly the same decisions, and
-// drains to the same Result, as the original for any subsequent Feed
-// sequence — the admission service's journal checkpoints are JSON encodings
-// of this struct.
+// EngineSnapshot is the complete state of an engine between events: the
+// tasks it holds — batch and machine queues — the census and tally of the
+// ones it has settled, the clock, and the failure-process cursors. Its size
+// follows what is queued, not what was ever admitted. An engine restored
+// from a snapshot produces exactly the same decisions, and drains to the
+// same Result, as the original for any subsequent Feed sequence. The
+// admission service's journal checkpoints hold its binary encoding
+// (AppendSnapshot, ReadSnapshot); the JSON tags serve diagnostics and
+// benchmarks only.
 type EngineSnapshot struct {
 	Version int      `json:"version"`
 	Clock   pmf.Tick `json:"clock"`
@@ -36,26 +40,10 @@ type EngineSnapshot struct {
 	Failures []FailureSnapshot `json:"failures,omitempty"`
 	// Added lists the machine types of runtime-added machines (AddMachine)
 	// in order of addition; Removed lists the machine indexes currently out
-	// of the live set. Both are omitted on an engine whose membership never
+	// of the live set. Both are empty on an engine whose membership never
 	// changed.
 	Added   []int `json:"added,omitempty"`
 	Removed []int `json:"removed,omitempty"`
-}
-
-// UnmarshalJSON decodes a snapshot of this build's format and refuses any
-// other by version, before a field of it is interpreted.
-func (s *EngineSnapshot) UnmarshalJSON(b []byte) error {
-	var v struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	if v.Version != snapshotVersion {
-		return fmt.Errorf("sim: engine snapshot is format version %d, this build reads version %d only", v.Version, snapshotVersion)
-	}
-	type fields EngineSnapshot // the same fields without this method
-	return json.Unmarshal(b, (*fields)(s))
 }
 
 // TaskSnapshot is one live task: the immutable arrival data, its arrival
@@ -133,6 +121,179 @@ func restoreTasks(q []TaskSnapshot, machine int, headRunning bool) []*TaskState 
 		out = append(out, ts)
 	}
 	return out
+}
+
+// AppendSnapshot appends s's encoding to buf and returns the extended
+// slice: the format byte (s.Version), then every field in declaration order
+// — each integer a zigzag varint, each count an unsigned varint before its
+// elements, each flag and status one byte. Fields stand alone (no deltas),
+// and the form is canonical: ReadSnapshot accepts exactly what this writes.
+func AppendSnapshot(buf []byte, s *EngineSnapshot) []byte {
+	buf = append(buf, byte(s.Version))
+	buf = binary.AppendVarint(buf, int64(s.Clock))
+	l := &s.Live
+	for _, n := range [...]int{l.Arrived, l.Batch, l.Queued, l.Running} {
+		buf = binary.AppendVarint(buf, int64(n))
+	}
+	buf = appendOutcomes(buf, &l.Outcomes)
+	t := &s.Tally
+	buf = binary.AppendVarint(buf, int64(t.Credit))
+	buf = appendOutcomes(buf, &t.Head)
+	buf = binary.AppendVarint(buf, int64(t.HeadCredit))
+	buf = binary.AppendUvarint(buf, uint64(len(t.Tail)))
+	for _, st := range t.Tail {
+		buf = append(buf, byte(st.Status))
+		buf = binary.AppendVarint(buf, int64(st.Credit))
+	}
+	buf = appendTasks(buf, s.Batch)
+	buf = binary.AppendUvarint(buf, uint64(len(s.Machines)))
+	for i := range s.Machines {
+		m := &s.Machines[i]
+		buf = appendTasks(buf, m.Queue)
+		buf = varint.AppendBool(buf, m.Running)
+		buf = binary.AppendVarint(buf, int64(m.CompleteAt))
+		buf = binary.AppendVarint(buf, int64(m.Busy))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(s.Failures)))
+	for _, f := range s.Failures {
+		buf = binary.AppendVarint(buf, f.Draws)
+		buf = binary.AppendVarint(buf, int64(f.NextFailAt))
+		buf = binary.AppendVarint(buf, int64(f.RepairAt))
+	}
+	buf = appendInts(buf, s.Added)
+	return appendInts(buf, s.Removed)
+}
+
+func appendOutcomes(buf []byte, o *Outcomes) []byte {
+	for _, n := range [...]int{o.OnTime, o.Late, o.DroppedReactive, o.DroppedProactive, o.Failed} {
+		buf = binary.AppendVarint(buf, int64(n))
+	}
+	return buf
+}
+
+func appendTasks(buf []byte, q []TaskSnapshot) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(q)))
+	for i := range q {
+		t := &q[i]
+		buf = binary.AppendVarint(buf, int64(t.ID))
+		buf = binary.AppendVarint(buf, int64(t.Seq))
+		buf = binary.AppendVarint(buf, int64(t.Type))
+		buf = binary.AppendVarint(buf, int64(t.Arrival))
+		buf = binary.AppendVarint(buf, int64(t.Deadline))
+		buf = binary.AppendUvarint(buf, uint64(len(t.Exec)))
+		for _, x := range t.Exec {
+			buf = binary.AppendVarint(buf, int64(x))
+		}
+		buf = binary.AppendVarint(buf, int64(t.Start))
+	}
+	return buf
+}
+
+func appendInts(buf []byte, xs []int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(xs)))
+	for _, x := range xs {
+		buf = binary.AppendVarint(buf, int64(x))
+	}
+	return buf
+}
+
+// The fewest bytes one element of each list takes: ReadSnapshot refuses a
+// count whose elements cannot fit in the bytes left before it allocates.
+const (
+	minSettledBytes = 2 // status, credit
+	minTaskBytes    = 7 // five fields, the exec count, start
+	minMachineBytes = 4 // queue count, running, complete_at, busy
+	minFailureBytes = 3
+	maxCount        = math.MaxInt32
+)
+
+// ReadSnapshot decodes one AppendSnapshot encoding at r's position,
+// leaving r after it (a checkpoint continues past the snapshot). It refuses
+// another format by its leading byte before reading a field — a JSON
+// encoding by name — and a varint off its shortest form, a flag other than
+// 0 or 1, or a count past the bytes left; the error sticks in r, which the
+// caller checks (its Finish also refuses trailing bytes). It never panics
+// on hostile input.
+func ReadSnapshot(r *varint.Reader) *EngineSnapshot {
+	switch v := r.U8(); {
+	case r.Err() != nil:
+		return nil
+	case v == '{':
+		r.Failf("is JSON, the format of an older build; this build reads format version %d only", snapshotVersion)
+		return nil
+	case v != snapshotVersion:
+		r.Failf("is format version %d, this build reads version %d only", v, snapshotVersion)
+		return nil
+	}
+	s := &EngineSnapshot{Version: snapshotVersion, Clock: pmf.Tick(r.Varint())}
+	l := &s.Live
+	l.Arrived, l.Batch, l.Queued, l.Running = r.Int(), r.Int(), r.Int(), r.Int()
+	readOutcomes(r, &l.Outcomes)
+	t := &s.Tally
+	t.Credit = pmf.Tick(r.Varint())
+	readOutcomes(r, &t.Head)
+	t.HeadCredit = pmf.Tick(r.Varint())
+	if n := r.Count(maxCount, minSettledBytes); n > 0 {
+		t.Tail = make([]Settled, n)
+		for i := range t.Tail {
+			t.Tail[i] = Settled{Status: Status(r.U8()), Credit: pmf.Tick(r.Varint())}
+		}
+	}
+	s.Batch = readTasks(r)
+	s.Machines = make([]MachineSnapshot, r.Count(maxCount, minMachineBytes))
+	for i := range s.Machines {
+		m := &s.Machines[i]
+		m.Queue = readTasks(r)
+		m.Running = r.Bool()
+		m.CompleteAt = pmf.Tick(r.Varint())
+		m.Busy = pmf.Tick(r.Varint())
+	}
+	if n := r.Count(maxCount, minFailureBytes); n > 0 {
+		s.Failures = make([]FailureSnapshot, n)
+		for i := range s.Failures {
+			s.Failures[i] = FailureSnapshot{Draws: r.Varint(), NextFailAt: pmf.Tick(r.Varint()), RepairAt: pmf.Tick(r.Varint())}
+		}
+	}
+	s.Added = readInts(r)
+	s.Removed = readInts(r)
+	return s
+}
+
+func readOutcomes(r *varint.Reader, o *Outcomes) {
+	o.OnTime, o.Late, o.DroppedReactive, o.DroppedProactive, o.Failed = r.Int(), r.Int(), r.Int(), r.Int(), r.Int()
+}
+
+func readTasks(r *varint.Reader) []TaskSnapshot {
+	n := r.Count(maxCount, minTaskBytes)
+	if n == 0 {
+		return nil
+	}
+	q := make([]TaskSnapshot, n)
+	for i := range q {
+		t := &q[i]
+		t.ID, t.Seq, t.Type = r.Int(), r.Int(), r.Int()
+		t.Arrival, t.Deadline = pmf.Tick(r.Varint()), pmf.Tick(r.Varint())
+		if n := r.Count(maxCount, 1); n > 0 {
+			t.Exec = make([]pmf.Tick, n)
+			for j := range t.Exec {
+				t.Exec[j] = pmf.Tick(r.Varint())
+			}
+		}
+		t.Start = pmf.Tick(r.Varint())
+	}
+	return q
+}
+
+func readInts(r *varint.Reader) []int {
+	n := r.Count(maxCount, 1)
+	if n == 0 {
+		return nil
+	}
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = r.Int()
+	}
+	return xs
 }
 
 // Snapshot captures the engine's state between events.

@@ -1,13 +1,14 @@
 package sim
 
 import (
-	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/stats"
+	"github.com/hpcclab/taskdrop/internal/varint"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
 
@@ -32,6 +33,17 @@ func randomOpenTasks(n int, seed int64) []workload.Task {
 		}
 	}
 	return tasks
+}
+
+// decodeSnapshot decodes an encoding that holds one snapshot and nothing
+// after it.
+func decodeSnapshot(b []byte) (*EngineSnapshot, error) {
+	r := varint.NewReader(b, "sim: engine snapshot")
+	s := ReadSnapshot(&r)
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // snapshotEngines builds a live engine and a same-config fresh replica.
@@ -61,15 +73,11 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				snap := live.Snapshot()
 
 				// The snapshot must survive its serialization format.
-				blob, err := json.Marshal(snap)
+				decoded, err := decodeSnapshot(AppendSnapshot(nil, snap))
 				if err != nil {
 					t.Fatal(err)
 				}
-				var decoded EngineSnapshot
-				if err := json.Unmarshal(blob, &decoded); err != nil {
-					t.Fatal(err)
-				}
-				if err := replica.RestoreSnapshot(&decoded); err != nil {
+				if err := replica.RestoreSnapshot(decoded); err != nil {
 					t.Fatalf("cut %d: restore: %v", cut, err)
 				}
 
@@ -203,10 +211,7 @@ func TestSnapshotHoldsOnlyLiveTasks(t *testing.T) {
 			if want := lc.Batch + lc.Queued + lc.Running; held != want || lc.total() == 0 {
 				t.Fatalf("after %d feeds the snapshot holds %d tasks, the engine %d live (census %+v)", n, held, want, lc)
 			}
-			blob, err := json.Marshal(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+			blob := AppendSnapshot(nil, s)
 			if first == 0 {
 				first = len(blob)
 			} else if len(blob) > 2*first {
@@ -216,21 +221,24 @@ func TestSnapshotHoldsOnlyLiveTasks(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesOldSnapshotFormat: the unversioned format that listed
-// every task ever fed shares keys with this one ("machines", "batch",
-// "queue") under other meanings; decoding refuses it by version, and names
-// the version, before any of them is read.
+// TestRestoreRefusesOldSnapshotFormat: a snapshot of another format is
+// refused by its leading byte before any field is read, naming the format:
+// the JSON of older builds (version 2, and the unversioned one before it
+// that listed every task ever fed) by name, a binary one by its version.
 func TestRestoreRefusesOldSnapshotFormat(t *testing.T) {
 	old := `{"clock":40,"tasks":[{"id":0,"type":0,"arrival":0,"deadline":50,"exec":[10],"status":2,"machine":0,"start":0,"finish":0}],` +
 		`"machines":[{"queue":[0],"running":true,"complete_at":10,"busy":0},{"running":false,"complete_at":-1,"busy":0}]}`
-	var s EngineSnapshot
-	err := json.Unmarshal([]byte(old), &s)
-	if err == nil || !strings.Contains(err.Error(), "version 0") {
-		t.Fatalf("old-format snapshot decoded: %v, want an error naming version 0", err)
+	if _, err := decodeSnapshot([]byte(old)); err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Fatalf("JSON snapshot decoded: %v, want an error naming JSON", err)
 	}
-	future := strings.Replace(old, `{"clock"`, `{"version":3,"clock"`, 1)
-	if err := json.Unmarshal([]byte(future), &s); err == nil || !strings.Contains(err.Error(), "version 3") {
-		t.Fatalf("version-3 snapshot decoded: %v, want an error naming version 3", err)
+	e, _ := snapshotEngines(t, cfgNoExclusion())
+	for _, v := range []int{0, 2, 4} {
+		s := e.Snapshot()
+		s.Version = v
+		_, err := decodeSnapshot(AppendSnapshot(nil, s))
+		if want := fmt.Sprintf("format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d snapshot decoded: %v, want an error naming %s", v, err, want)
+		}
 	}
 }
 
