@@ -79,7 +79,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -91,10 +90,6 @@ import (
 // drainTimeout is the graceful-shutdown budget: HTTP shutdown plus the
 // drain of every shard.
 const drainTimeout = 30 * time.Second
-
-// handlerBox wraps the live handler so the boot→serving swap stores one
-// concrete type in the atomic.Value.
-type handlerBox struct{ h http.Handler }
 
 func main() {
 	var (
@@ -130,20 +125,16 @@ func main() {
 	// Bind the listener BEFORE booting the controller: journal recovery can
 	// take a while, and a probing supervisor (or the router tier's /readyz
 	// poll) should see 503 "booting" rather than connection refused. The
-	// handler is swapped in atomically once the controller is up.
+	// server swaps the controller's handler in once the controller is up.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Error("listen failed", "addr", *addr, "err", err)
 		os.Exit(1)
 	}
-	var live atomic.Value // of handlerBox: atomic.Value wants one concrete type
-	live.Store(handlerBox{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := service.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, `{"ready":false,"status":"booting"}`)
-	})})
-	srv := service.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		live.Load().(handlerBox).h.ServeHTTP(w, r)
 	}))
 	errCh := make(chan error, 2)
 	go func() { errCh <- srv.Serve(ln) }()
@@ -190,7 +181,7 @@ func main() {
 	}
 
 	handler := service.NewHandler(ctrl)
-	live.Store(handlerBox{handler})
+	srv.SetHandler(handler)
 
 	// The debug server shares the controller's observability surface and
 	// adds the pprof handlers. A separate listener keeps profile captures

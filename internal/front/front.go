@@ -69,6 +69,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -320,15 +321,26 @@ func subID(key, url string, idxs []int) string {
 // sequence numbers are per backend: behind the router a decision's
 // identity is (Backend, Seq).
 func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*service.DecideResponse, error) {
+	resp := new(service.DecideResponse)
+	if err := f.decide(ctx, req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// decide is Decide answering into resp, whose Decisions storage it reuses
+// (the decide route's form, service.DecideHandler). On an error resp holds
+// nothing to read.
+func (f *Front) decide(ctx context.Context, req *service.DecideRequest, resp *service.DecideResponse) error {
 	if req == nil || len(req.Tasks) == 0 {
-		return nil, fmt.Errorf("front: empty decide request")
+		return fmt.Errorf("front: empty decide request")
 	}
 	if err := req.Validate(f.matrix.NumTaskTypes(), f.matrix.NumMachineTypes()); err != nil {
 		f.metrics.rejected.Add(1)
-		return nil, err
+		return err
 	}
 	if f.Draining() {
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	f.metrics.requests.Add(1)
 
@@ -345,7 +357,7 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 	}
 
 	if f.NumReady() == 0 {
-		return nil, ErrNoBackends
+		return ErrNoBackends
 	}
 
 	// Route every task over the whole fleet, not the backends in rotation,
@@ -371,7 +383,7 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 				}
 			}
 			f.metrics.shed.Add(1)
-			return nil, fmt.Errorf("%w (backend %d)", ErrWindowFull, s)
+			return fmt.Errorf("%w (backend %d)", ErrWindowFull, s)
 		}
 	}
 
@@ -381,7 +393,7 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 		act.Mark(telemetry.StageRoute, origin, proxyStart)
 	}
 
-	resp := &service.DecideResponse{Decisions: make([]service.Decision, len(req.Tasks))}
+	resp.Now, resp.Decisions = 0, slices.Grow(resp.Decisions[:0], len(req.Tasks))[:len(req.Tasks)]
 	subs := make([]subRequest, len(f.backends))
 	now, err := service.FanOutPhased(byBackend, func(s int) {
 		subs[s] = f.send(ctx, key, req, resp, f.backends[s], byBackend[s])
@@ -390,7 +402,7 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 		return f.proxy(ctx, key, req, resp, &subs[s])
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp.Now = now
 	for i := range resp.Decisions {
@@ -403,7 +415,7 @@ func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*servic
 		act.Mark(telemetry.StageAck, done, time.Now())
 		f.tel.Shard(0).Finish(act, 0, "proxy")
 	}
-	return resp, nil
+	return nil
 }
 
 // subRequest is one backend's sub-batch of a decide request, under way.

@@ -71,7 +71,6 @@ func (m *metrics) write(x *telemetry.Writer) {
 // model").
 func NewHandler(f *Front) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/decide", service.DecideHandler("front", f.Decide, f.dedup, decideError, &f.metrics.rejected, nil))
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
 		res, err := f.Drain(r.Context())
 		if err != nil {
@@ -118,7 +117,7 @@ func NewHandler(f *Front) http.Handler {
 		f.tel.WritePrometheus(x)
 		telemetry.WriteRuntimeMetrics(x)
 	})
-	return mux
+	return service.MountDecide(mux, service.DecideHandler("front", f.decide, f.dedup, decideError, &f.metrics.rejected, nil))
 }
 
 // writeBackendGauges renders the per-backend rotation series from the

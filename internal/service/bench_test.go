@@ -115,16 +115,18 @@ func BenchmarkServiceDecide(b *testing.B) {
 // BenchmarkServiceDecideJournal is BenchmarkServiceDecide/shards=1 with
 // the decision journal on: every decision appends its WAL records and
 // commits before acknowledging. The fsync=interval sub-run is the deployed
-// default (buffered flush per ack, background fdatasync). Its absolute
-// overhead (~25-30 us/op: record encoding, bufio flush, amortized
-// checkpoint) has been stable across recordings; its *percentage* over
+// default (one frame written per ack, background fdatasync). Its absolute
+// overhead (~25-30 us/op: record encoding, sealing the commit's frame
+// under its length and CRC-32C and writing it, amortized checkpoint) has
+// been stable across recordings; its *percentage* over
 // the unjournaled baseline grows every time the decision path itself gets
 // faster (the original <= 15% bar was set against a ~155 us decision; see
 // the BENCH_service.json notes for the history). fsync=always pays an
 // fdatasync inside every ack and is bounded by the storage device, not
 // the calculus; it is recorded for the durability-cost table, not gated.
-// Checkpoint cost (engine-snapshot marshal every SnapshotEvery records)
-// amortizes into the per-op figure at the default cadence.
+// Checkpoint cost (the binary checkpoint codec's encoding of the shard
+// every SnapshotEvery records) amortizes into the per-op figure at the
+// default cadence.
 func BenchmarkServiceDecideJournal(b *testing.B) {
 	for _, fsync := range []string{"interval", "always"} {
 		b.Run("fsync="+fsync, func(b *testing.B) {

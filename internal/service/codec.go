@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -174,10 +175,15 @@ func appendString(b []byte, s string) []byte {
 
 // decodeDecideRequest decodes a decide request body as the endpoint always
 // has — the first JSON value, unknown fields refused (decodeStrict) — with
-// the canonical form read without reflection.
+// the canonical form read without reflection, into the storage of
+// req.Tasks: a server reuses one request per connection. Execution times
+// reuse the storage of the slot they land in, as the engine keeps a copy
+// (Controller.makeTask); labels are new strings.
 func decodeDecideRequest(data []byte, req *DecideRequest) error {
+	tasks := req.Tasks[:0]
+	*req = DecideRequest{}
 	d := decoder{b: data}
-	if d.decideRequest(req) {
+	if d.decideRequest(req, tasks) {
 		return nil
 	}
 	*req = DecideRequest{}
@@ -221,7 +227,8 @@ type decoder struct {
 	i int
 }
 
-func (d *decoder) decideRequest(req *DecideRequest) bool {
+// decideRequest decodes into req, appending its tasks to tasks.
+func (d *decoder) decideRequest(req *DecideRequest, tasks []TaskSpec) bool {
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "decision_id":
@@ -229,17 +236,27 @@ func (d *decoder) decideRequest(req *DecideRequest) bool {
 		case "tasks":
 			// A capacity hint only: the tasks of a canonical body, counted by
 			// their one key every encoder writes.
-			req.Tasks = make([]TaskSpec, 0, bytes.Count(d.b[d.i:], []byte(`"arrival"`)))
+			req.Tasks = slices.Grow(tasks, bytes.Count(d.b[d.i:], []byte(`"arrival"`)))
+			if req.Tasks == nil {
+				req.Tasks = []TaskSpec{} // encoding/json reads [] as empty, not nil
+			}
 			return d.array(func() bool {
+				// The execution times the slot held are storage to reuse:
+				// the engine keeps a copy (Controller.makeTask).
+				var spare []pmf.Tick
+				if k := len(req.Tasks); k < cap(req.Tasks) {
+					spare = req.Tasks[:cap(req.Tasks)][k].ExecByType[:0]
+				}
 				req.Tasks = append(req.Tasks, TaskSpec{})
-				return d.taskSpec(&req.Tasks[len(req.Tasks)-1])
+				return d.taskSpec(&req.Tasks[len(req.Tasks)-1], spare)
 			})
 		}
 		return false
 	})
 }
 
-func (d *decoder) taskSpec(t *TaskSpec) bool {
+// taskSpec decodes into t, its execution times into spare's storage.
+func (d *decoder) taskSpec(t *TaskSpec, spare []pmf.Tick) bool {
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "id":
@@ -259,7 +276,10 @@ func (d *decoder) taskSpec(t *TaskSpec) bool {
 				xs = append(xs, x)
 				return ok
 			})
-			t.ExecByType = append(make([]pmf.Tick, 0, len(xs)), xs...)
+			if spare == nil {
+				spare = make([]pmf.Tick, 0, len(xs)) // not nil: encoding/json reads [] as empty
+			}
+			t.ExecByType = append(spare, xs...)
 			return ok
 		}
 		return false

@@ -55,7 +55,7 @@ func TestCodecGoldenFixtures(t *testing.T) {
 		t.Errorf("request:\n got: %s\nwant: %s", got, reqGolden)
 	}
 	var back DecideRequest
-	if d := (decoder{b: []byte(reqGolden)}); !d.decideRequest(&back) || !reflect.DeepEqual(&back, req) {
+	if d := (decoder{b: []byte(reqGolden)}); !d.decideRequest(&back, nil) || !reflect.DeepEqual(&back, req) {
 		t.Errorf("request fixture does not decode back on the fast path: %+v", back)
 	}
 
@@ -178,7 +178,7 @@ func TestCodecFastPath(t *testing.T) {
 	}
 	for _, body := range canonical {
 		var req DecideRequest
-		if !(&decoder{b: []byte(body)}).decideRequest(&req) {
+		if !(&decoder{b: []byte(body)}).decideRequest(&req, nil) {
 			t.Errorf("canonical body left to encoding/json: %s", body)
 		}
 		checkDecodeRequest(t, []byte(body))
@@ -186,7 +186,7 @@ func TestCodecFastPath(t *testing.T) {
 	for _, body := range decideRequestSeeds {
 		var req DecideRequest
 		d := decoder{b: []byte(body)}
-		if !d.decideRequest(&req) {
+		if !d.decideRequest(&req, nil) {
 			continue
 		}
 		var want DecideRequest
@@ -209,6 +209,13 @@ func checkDecodeRequest(t *testing.T, data []byte) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%q:\n got: %#v\nwant: %#v", data, got, want)
+	}
+	// A server decodes into one request per connection: what the last
+	// request left there must not show through.
+	reused := DecideRequest{DecisionID: "stale", Tasks: []TaskSpec{{ID: "stale", Type: 9, ExecByType: []pmf.Tick{9}}, {}}}
+	rerr := decodeDecideRequest(data, &reused)
+	if errText(rerr) != errText(werr) || !reflect.DeepEqual(reused, want) {
+		t.Fatalf("%q into reused storage:\n got: %#v, %v\nwant: %#v, %v", data, reused, rerr, want, werr)
 	}
 }
 

@@ -20,3 +20,10 @@ const RaceEnabled = raceEnabled
 // DedupOf exposes the controller's idempotency window to package
 // service_test.
 func DedupOf(c *Controller) *DedupWindow { return c.dedup }
+
+// ReadDecideHead exposes the server's in-place decide head reader to
+// package service_test: what it found, and whether it read the head.
+func ReadDecideHead(buf []byte) (host string, length int, close bool, n int, ok bool) {
+	h, n, ok := readDecideHead(buf)
+	return string(h.host), h.length, h.close, n, ok
+}

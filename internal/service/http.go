@@ -40,7 +40,6 @@ const maxDecideBody = 16 << 20
 // dedup window (see DecideHandler).
 func NewHandler(c *Controller) http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/decide", DecideHandler("service", c.Decide, c.dedup, decideError, &c.rejected, c.latency))
 	mux.HandleFunc("POST /v1/admin/machines", func(w http.ResponseWriter, r *http.Request) {
 		var req AdminMachineRequest
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -128,7 +127,7 @@ func NewHandler(c *Controller) http.Handler {
 			x.Gauge("taskdrop_final_robustness_pct", "Robustness of the drained run.").Float(res.RobustnessPct)
 		}
 	})
-	return mux
+	return MountDecide(mux, DecideHandler("service", c.decide, c.dedup, decideError, &c.rejected, c.latency))
 }
 
 // DecideHandler is POST /v1/decide for both tiers — a shard server over
@@ -140,81 +139,114 @@ func NewHandler(c *Controller) http.Handler {
 // while the duplicate waited, or took effect in part (failed after some
 // sub-batches committed: FanOut). Any other failed
 // decide left no state behind, so it releases the ID and a retry
-// re-executes. tier prefixes the handler's own error texts; fail maps a
-// decide error onto the tier's status; rejected counts bodies refused
-// before decide; latency (nil for a tier that keeps none) observes
+// re-executes. tier prefixes the handler's own error texts; decide answers
+// into the response it is given, whose Decisions storage it may reuse;
+// fail maps a decide error onto the tier's status; rejected counts bodies
+// refused before decide; latency (nil for a tier that keeps none) observes
 // receipt-to-decision time of executed requests.
+//
+// The route has two entries: ServeHTTP, for a request net/http's reader
+// built, and the one Server takes for a plain request it read in place
+// (MountDecide). Both read the whole body and hand it to serve.
 func DecideHandler(
 	tier string,
-	decide func(context.Context, *DecideRequest) (*DecideResponse, error),
+	decide func(context.Context, *DecideRequest, *DecideResponse) error,
 	dedup *DedupWindow,
 	fail func(http.ResponseWriter, error),
 	rejected *atomic.Int64,
 	latency *telemetry.Histogram,
-) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		var req DecideRequest
-		if err := readDecideRequest(w, r, &req); err != nil {
-			rejected.Add(1)
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("%s: bad decide body: %w", tier, err))
-			return
-		}
-		id := req.DecisionID
-		owner := false
-		if id != "" {
-			var e *dedupEntry
-			if e, owner = dedup.Begin(id); !owner {
-				data, n, err := e.Await(r.Context())
-				switch {
-				case err != nil:
-					WriteError(w, http.StatusConflict, fmt.Errorf("%s: duplicate decision id %q: %w", tier, id, err))
-				case n != len(req.Tasks):
-					WriteError(w, http.StatusConflict, fmt.Errorf(
-						"%s: decision id %q was acknowledged for %d tasks, retried with %d", tier, id, n, len(req.Tasks)))
-				default:
-					WriteRawJSON(w, http.StatusOK, data)
-				}
-				return
-			}
-		}
-		resp, err := decide(r.Context(), &req)
-		if err != nil {
-			switch {
-			case !owner:
-			case errors.Is(err, errPartialCommit):
-				dedup.Poison(id, err)
-			default:
-				dedup.Fail(id, err)
-			}
-			fail(w, err)
-			return
-		}
-		data := append(appendDecideResponse(make([]byte, 0, 96*len(resp.Decisions)+32), resp), '\n')
-		if owner {
-			// The exact bytes being acknowledged: what makes a replayed
-			// duplicate byte-identical to the original response.
-			dedup.Commit(id, data, len(req.Tasks))
-		}
-		if latency != nil {
-			latency.Observe(time.Since(start))
-		}
-		WriteRawJSON(w, http.StatusOK, data)
-	})
+) *Decider {
+	return &Decider{tier: tier, decide: decide, dedup: dedup, fail: fail, rejected: rejected, latency: latency}
 }
 
-// readDecideRequest reads a decide body once — pre-sized from
-// Content-Length, bounded by maxDecideBody — and decodes it
-// (decodeDecideRequest). When the read fails, a body over the bound
-// included, encoding/json gets the bytes read and then the error: what
-// the streaming decoder reading the body before saw, so a first value
-// complete within the bound still decodes and anything else answers with
-// the read error. (The server then discards what is left of the body, up
-// to maxUnreadBody, or closes the connection.)
-func readDecideRequest(w http.ResponseWriter, r *http.Request, req *DecideRequest) error {
+// Decider is a tier's POST /v1/decide (DecideHandler).
+type Decider struct {
+	tier     string
+	decide   func(context.Context, *DecideRequest, *DecideResponse) error
+	dedup    *DedupWindow
+	fail     func(http.ResponseWriter, error)
+	rejected *atomic.Int64
+	latency  *telemetry.Histogram
+}
+
+// decideScratch is what one decide exchange decodes into and encodes from.
+// Server keeps one per connection; the net/http entry uses a fresh one.
+type decideScratch struct {
+	req  DecideRequest
+	resp DecideResponse
+	out  []byte
+}
+
+// ServeHTTP reads the body — pre-sized from Content-Length, bounded by
+// maxDecideBody — and serves it. (The server then discards what is left of
+// a body over the bound, up to maxUnreadBody, or closes the connection.)
+func (d *Decider) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	data, err := readBody(nil, http.MaxBytesReader(w, r.Body, maxDecideBody), r.ContentLength)
-	if err != nil {
-		return decodeStrict(io.MultiReader(bytes.NewReader(data), errReader{err}), req)
+	d.serve(r.Context(), w, new(decideScratch), data, err, start)
+}
+
+// serve answers the decide request whose body is data — all of it, or what
+// was read before the read failed with readErr — received at start,
+// decoding into and encoding from x. Only what outlives the exchange is
+// copied out of x: the bytes the dedup window keeps.
+func (d *Decider) serve(ctx context.Context, w http.ResponseWriter, x *decideScratch, data []byte, readErr error, start time.Time) {
+	req := &x.req
+	if err := decodeBody(data, readErr, req); err != nil {
+		d.rejected.Add(1)
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("%s: bad decide body: %w", d.tier, err))
+		return
+	}
+	id := req.DecisionID
+	owner := false
+	if id != "" {
+		var e *dedupEntry
+		if e, owner = d.dedup.Begin(id); !owner {
+			data, n, err := e.Await(ctx)
+			switch {
+			case err != nil:
+				WriteError(w, http.StatusConflict, fmt.Errorf("%s: duplicate decision id %q: %w", d.tier, id, err))
+			case n != len(req.Tasks):
+				WriteError(w, http.StatusConflict, fmt.Errorf(
+					"%s: decision id %q was acknowledged for %d tasks, retried with %d", d.tier, id, n, len(req.Tasks)))
+			default:
+				WriteRawJSON(w, http.StatusOK, data)
+			}
+			return
+		}
+	}
+	if err := d.decide(ctx, req, &x.resp); err != nil {
+		switch {
+		case !owner:
+		case errors.Is(err, errPartialCommit):
+			d.dedup.Poison(id, err)
+		default:
+			d.dedup.Fail(id, err)
+		}
+		d.fail(w, err)
+		return
+	}
+	x.out = append(appendDecideResponse(x.out[:0], &x.resp), '\n')
+	if owner {
+		// The exact bytes being acknowledged: what makes a replayed
+		// duplicate byte-identical to the original response.
+		d.dedup.Commit(id, bytes.Clone(x.out), len(req.Tasks))
+	}
+	if d.latency != nil {
+		d.latency.Observe(time.Since(start))
+	}
+	WriteRawJSON(w, http.StatusOK, x.out)
+}
+
+// decodeBody decodes a decide body into req (decodeDecideRequest). When
+// the read failed, a body over the bound included, encoding/json gets the
+// bytes read and then the error: what the streaming decoder reading the
+// body before saw, so a first value complete within the bound still
+// decodes and anything else answers with the read error.
+func decodeBody(data []byte, readErr error, req *DecideRequest) error {
+	if readErr != nil {
+		*req = DecideRequest{}
+		return decodeStrict(io.MultiReader(bytes.NewReader(data), errReader{readErr}), req)
 	}
 	return decodeDecideRequest(data, req)
 }
@@ -330,9 +362,14 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// jsonContentType is the Content-Type of every JSON answer, one slice
+// shared by their header maps (a header's values are replaced, never
+// written in place), so setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON writes v as a JSON response with the given status.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -341,7 +378,7 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // — the dedup path, where the response must be byte-identical to the
 // original acknowledgement.
 func WriteRawJSON(w http.ResponseWriter, code int, data []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_, _ = w.Write(data)
 }

@@ -2,15 +2,18 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,10 +25,21 @@ const (
 
 // Server serves an http.Handler over HTTP/1.1, the serve side of the
 // decide hop and of every listener. Each connection's one goroutine loops:
-// read a request with http.ReadRequest on the connection's bufio.Reader,
-// run the handler against a response buffered in the connection, write
-// status line, headers and body with one Write. net/http's server starts
-// a background reader per request; this starts no goroutine per request.
+// read a request, run the handler against a response buffered in the
+// connection, write status line, headers and body with one Write. net/http's
+// server starts a background reader per request; this starts no goroutine
+// per request.
+//
+// A request is read one of two ways. A decide in the plain shape every
+// client here sends — "POST /v1/decide HTTP/1.1", one Host, one
+// Content-Length within maxDecideBody, no Transfer-Encoding or Expect, no
+// folded or bare-LF line, the whole head already buffered — to a handler
+// that mounts a Decider (MountDecide) is read in place (readDecideHead):
+// its body goes into the connection's buffer and the Decider serves it from
+// there, decoding into and encoding from storage the connection keeps, so
+// such an exchange allocates only what outlives it. Every other request is
+// read by http.ReadRequest on the connection's bufio.Reader, which stays the
+// reference: FuzzDecideHead holds the in-place reader to it.
 //
 // As under net/http (TestServerMatchesNetHTTP), a connection closes after
 // "Connection: close", HTTP/1.0, a body left over maxUnreadBody unread, a
@@ -36,7 +50,7 @@ const (
 // as the dedup window allows for. A handler's panic ends the process.
 // TLS, HTTP/2, streamed responses and timeouts are not served.
 type Server struct {
-	handler http.Handler
+	handler atomic.Pointer[serverHandler]
 	ctx     context.Context // every request's; Shutdown ends it
 	cancel  context.CancelFunc
 	mu      sync.Mutex
@@ -45,10 +59,43 @@ type Server struct {
 	conns   map[*serverConn]bool // each open connection: a request in flight?
 }
 
+// serverHandler is what a Server answers with: the handler and, when it
+// mounts one, its decide route.
+type serverHandler struct {
+	h      http.Handler
+	decide *Decider // nil: every request goes to h
+}
+
+// decideMux is a mux whose POST /v1/decide is a Decider (MountDecide).
+type decideMux struct {
+	*http.ServeMux
+	decide *Decider
+}
+
+// MountDecide registers d as mux's POST /v1/decide and returns mux marked
+// so that a Server serving it reads that route's plain requests in place
+// (Server). Both tiers' handlers are built this way.
+func MountDecide(mux *http.ServeMux, d *Decider) http.Handler {
+	mux.Handle("POST /v1/decide", d)
+	return &decideMux{ServeMux: mux, decide: d}
+}
+
 // NewServer returns a Server that answers every request with h.
 func NewServer(h http.Handler) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{handler: h, ctx: ctx, cancel: cancel, conns: map[*serverConn]bool{}}
+	s := &Server{ctx: ctx, cancel: cancel, conns: map[*serverConn]bool{}}
+	s.SetHandler(h)
+	return s
+}
+
+// SetHandler answers every request read from now on with h: hcserve
+// listens before its controller is up and swaps its booting handler out.
+func (s *Server) SetHandler(h http.Handler) {
+	sh := &serverHandler{h: h}
+	if m, ok := h.(*decideMux); ok {
+		sh.decide = m.decide
+	}
+	s.handler.Store(sh)
 }
 
 // Serve accepts connections on ln until Shutdown closes it, then returns
@@ -71,8 +118,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			ln.Close()
 			return err
 		}
-		c := &serverConn{s: s, nc: nc, head: io.LimitedReader{R: nc}, w: response{header: http.Header{}}}
-		c.br = bufio.NewReader(&c.head)
+		c := newServerConn(s, nc)
 		if !s.track(c, false) {
 			nc.Close()
 			return http.ErrServerClosed
@@ -132,7 +178,15 @@ type serverConn struct {
 	br   *bufio.Reader
 	body requestBody
 	w    response
-	out  []byte // the answer as written
+	out  []byte        // the answer as written
+	in   []byte        // a decide body read in place
+	dx   decideScratch // what a decide read in place decodes into and encodes from
+}
+
+func newServerConn(s *Server, nc net.Conn) *serverConn {
+	c := &serverConn{s: s, nc: nc, head: io.LimitedReader{R: nc}, w: response{header: http.Header{}}}
+	c.br = bufio.NewReader(&c.head)
+	return c
 }
 
 // serve runs the connection's request loop, then closes it.
@@ -153,6 +207,13 @@ func (c *serverConn) serve() {
 // exchange reads a request, runs the handler and writes the answer. It
 // reports whether the connection may carry another request.
 func (c *serverConn) exchange() bool {
+	sh := c.s.handler.Load()
+	if sh.decide != nil {
+		buf, _ := c.br.Peek(c.br.Buffered())
+		if h, n, ok := readDecideHead(buf); ok {
+			return c.decide(sh.decide, h, n)
+		}
+	}
 	req, err := http.ReadRequest(c.br)
 	var ne net.Error
 	switch {
@@ -173,7 +234,7 @@ func (c *serverConn) exchange() bool {
 		c.body = requestBody{c: c, rc: req.Body, cont: cont}
 		req.Body = &c.body
 	}
-	c.s.handler.ServeHTTP(&c.w, req.WithContext(c.s.ctx))
+	sh.h.ServeHTTP(&c.w, req.WithContext(c.s.ctx))
 	keep, linger := !req.Close, false
 	if hasBody && !c.body.eof {
 		if c.body.cont {
@@ -182,20 +243,141 @@ func (c *serverConn) exchange() bool {
 			keep, linger = false, err == nil
 		}
 	}
-	keep = c.respond(req, keep)
+	keep = c.respond(keep && req.ProtoAtLeast(1, 1), req.Method == http.MethodHead)
 	if linger {
 		c.linger()
 	}
 	return keep
 }
 
-// respond writes the handler's answer with one Write and reports whether
-// the connection stays open: keep, unless the answer closes it.
-func (c *serverConn) respond(req *http.Request, keep bool) bool {
+// decide serves a decide request whose head readDecideHead read from the
+// buffer, n bytes long: it reads the body into the connection's buffer and
+// has d serve it there. A body cut short is served as far as it came, as
+// net/http's reader would hand it over, and the connection then closes.
+func (c *serverConn) decide(d *Decider, h decideHead, n int) bool {
+	c.br.Discard(n)
+	c.head.N = 1 << 62
+	start := time.Now()
+	c.in = slices.Grow(c.in[:0], h.length)[:h.length]
+	got, err := io.ReadFull(c.br, c.in)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	d.serve(c.s.ctx, &c.w, &c.dx, c.in[:got], err, start)
+	return c.respond(!h.close && err == nil, false)
+}
+
+// decideHead is what a plain decide request's head says (readDecideHead).
+type decideHead struct {
+	host   []byte // the Host value; aliases the buffer read
+	length int    // Content-Length
+	close  bool   // Connection: close
+}
+
+// decideRequestLine is the one request line read in place.
+const decideRequestLine = "POST /v1/decide HTTP/1.1\r\n"
+
+// readDecideHead reads buf as the head of a decide request in the plain
+// shape (Server) and returns what it says and its length in bytes, the
+// blank line included. Anything else — another request line; a head not
+// all in buf; a line not ended by CRLF; a folded line; a field name
+// outside the token bytes or a value byte net/http refuses; a
+// Transfer-Encoding or an Expect; no Host, an empty or a repeated one; no
+// Content-Length, a repeated one, or one not all digits or over
+// maxDecideBody; a Connection other than one close or keep-alive — is not
+// ok and is left to http.ReadRequest. Whatever it accepts, http.ReadRequest
+// reads the same way (FuzzDecideHead).
+func readDecideHead(buf []byte) (h decideHead, n int, ok bool) {
+	if !bytes.HasPrefix(buf, []byte(decideRequestLine)) {
+		return h, 0, false
+	}
+	n = len(decideRequestLine)
+	hosts, lengths, conns := 0, 0, 0
+	for {
+		end := bytes.IndexByte(buf[n:], '\n')
+		if end < 1 || buf[n+end-1] != '\r' {
+			return h, 0, false // not all buffered, or a bare LF
+		}
+		line := buf[n : n+end-1]
+		n += end + 1
+		if len(line) == 0 {
+			break
+		}
+		name, value, found := bytes.Cut(line, []byte(":"))
+		if !found || len(name) == 0 || !all(name, isTokenByte) || !all(value, isFieldValueByte) {
+			return h, 0, false
+		}
+		value = bytes.Trim(value, " \t")
+		switch {
+		case asciiFold(name, "host"):
+			hosts++
+			h.host = value
+		case asciiFold(name, "content-length"):
+			lengths++
+			if len(value) == 0 || len(value) > 9 || !all(value, isDigit) {
+				return h, 0, false
+			}
+			h.length = 0
+			for _, c := range value {
+				h.length = 10*h.length + int(c-'0')
+			}
+		case asciiFold(name, "connection"):
+			conns++
+			h.close = asciiFold(value, "close")
+			if !h.close && !asciiFold(value, "keep-alive") {
+				return h, 0, false
+			}
+		case asciiFold(name, "transfer-encoding"), asciiFold(name, "expect"):
+			return h, 0, false
+		}
+	}
+	ok = hosts == 1 && len(h.host) > 0 && lengths == 1 && h.length <= maxDecideBody && conns <= 1
+	return h, n, ok
+}
+
+// all reports whether every byte of b passes is.
+func all(b []byte, is func(byte) bool) bool {
+	for _, c := range b {
+		if !is(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// isTokenByte reports whether c may appear in a field name (RFC 9110 tchar).
+func isTokenByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || isDigit(c) || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0
+}
+
+// isFieldValueByte reports whether c may appear in a field value as
+// net/http reads one: visible ASCII, space, tab and obs-text.
+func isFieldValueByte(c byte) bool { return c == '\t' || c >= ' ' && c != 0x7f }
+
+// asciiFold reports whether b is lower, ASCII letters compared without case.
+func asciiFold(b []byte, lower string) bool {
+	if len(b) != len(lower) {
+		return false
+	}
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// respond writes the handler's answer, without its body when head (a HEAD
+// request), with one Write and reports whether the connection stays open:
+// keep, unless the answer closes it.
+func (c *serverConn) respond(keep, head bool) bool {
 	w := &c.w
 	w.WriteHeader(http.StatusOK)
 	h, body := w.header, w.body
-	keep = keep && req.ProtoAtLeast(1, 1) && h.Get("Connection") != "close"
+	keep = keep && h.Get("Connection") != "close"
 	b := strconv.AppendInt(append(c.out[:0], "HTTP/1.1 "...), int64(w.status), 10)
 	b = append(append(append(b, ' '), http.StatusText(w.status)...), "\r\n"...)
 	for k, vs := range h {
@@ -220,7 +402,7 @@ func (c *serverConn) respond(req *http.Request, keep bool) bool {
 		b = append(b, "Connection: close\r\n"...)
 	}
 	b = append(b, "\r\n"...)
-	if req.Method != http.MethodHead {
+	if !head {
 		b = append(b, body...)
 	}
 	_, err := c.nc.Write(b)

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -385,12 +386,15 @@ func TestServerStartsNoGoroutinePerRequest(t *testing.T) {
 }
 
 // maxServerDecideAllocs bounds the steady-state allocation count of one
-// single-task decide over a keep-alive connection to a service.Server:
-// both ends of the hop (service.Client.Decide and the server's loop:
-// http.ReadRequest's request, headers and body, the request's context)
-// and the handler with its Controller.Decide. CI's alloc-regression job
+// single-task decide over a keep-alive connection to a service.Server,
+// both ends of the hop. The client makes about 11: http.ReadResponse's
+// response, its header map and lines and its body reader, and the decoded
+// decision's machine name. The server makes under 3, counted alone by
+// TestServerExchangeAllocsSteadyState: the task with its execution times,
+// its TaskState, and now and then a drop list or a chain-trie edge. The
+// budget is that sum, 14, plus a margin of 3. CI's alloc-regression job
 // runs this test.
-const maxServerDecideAllocs = 43
+const maxServerDecideAllocs = 17
 
 func TestServerDecideAllocsSteadyState(t *testing.T) {
 	if service.RaceEnabled {
@@ -425,5 +429,94 @@ func TestServerDecideAllocsSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, decide); avg > maxServerDecideAllocs {
 		t.Fatalf("steady-state decide over service.Server allocates %.1f/op, budget %d", avg, maxServerDecideAllocs)
+	}
+}
+
+// FuzzDecideHead is differential: whenever the server's in-place reader
+// accepts a decide head, http.ReadRequest, which reads every other
+// request, accepts the same bytes and reads them the same way — method,
+// path, protocol, Host, Content-Length, Close and the bytes the head takes.
+// Seeds are TestServerMatchesNetHTTP's requests and request-smuggling
+// shapes the in-place reader must leave to net/http.
+func FuzzDecideHead(f *testing.F) {
+	for _, tc := range diffCases() {
+		if !tc.big {
+			f.Add([]byte(tc.raw))
+		}
+	}
+	body := decideJSON("fuzz", 40)
+	for _, extra := range []string{
+		"Transfer-Encoding: chunked\r\n",
+		"Content-Length: 1\r\n",
+		"Content-Length: " + strconv.Itoa(len(body)) + "\r\n",
+		"X-Folded: a\r\n b\r\n",
+		"Host: y\r\n",
+		"Connection: keep-alive\r\n",
+		"Connection: close, keep-alive\r\n",
+		"content-length : 5\r\n",
+		"X-Bare: lf\n",
+	} {
+		f.Add([]byte(postRaw("/v1/decide", body, extra)))
+	}
+	f.Add([]byte("POST /v1/decide HTTP/1.1\nHost: x\nContent-Length: 2\n\n{}"))
+	f.Add([]byte("POST /v1/decide HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"))
+	f.Add([]byte("POST /v1/decide HTTP/1.1\r\n Host: x\r\nContent-Length: 2\r\n\r\n{}"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		host, length, closing, n, ok := service.ReadDecideHead(raw)
+		if !ok {
+			return
+		}
+		rd := bytes.NewReader(raw)
+		br := bufio.NewReader(rd)
+		req, err := http.ReadRequest(br)
+		if err != nil {
+			t.Fatalf("%q: read in place (Host %q, Content-Length %d), http.ReadRequest refused: %v", raw, host, length, err)
+		}
+		consumed := len(raw) - br.Buffered() - rd.Len()
+		if req.Method != http.MethodPost || req.URL.Path != "/v1/decide" || req.Proto != "HTTP/1.1" ||
+			req.Host != host || req.ContentLength != int64(length) || req.Close != closing || consumed != n {
+			t.Fatalf("%q: in place %s %q %d close=%v head %d B; http.ReadRequest %s %s %s %q %d close=%v head %d B",
+				raw, "POST /v1/decide HTTP/1.1", host, length, closing, n,
+				req.Method, req.URL.Path, req.Proto, req.Host, req.ContentLength, req.Close, consumed)
+		}
+	})
+}
+
+// TestDecideHeadShapes: the in-place reader takes the shapes clients send
+// — service.Client's, net/http's — and leaves the rest to http.ReadRequest.
+func TestDecideHeadShapes(t *testing.T) {
+	body := decideJSON("shapes", 40)
+	plain := postRaw("/v1/decide", body, "")
+	cases := []struct {
+		name, raw string
+		ok, close bool
+	}{
+		{"service.Client", plain, true, false},
+		{"net/http client", postRaw("/v1/decide", body, "User-Agent: Go-http-client/1.1\r\nAccept-Encoding: gzip\r\n"), true, false},
+		{"Connection: close", postRaw("/v1/decide", body, "Connection: close\r\n"), true, true},
+		{"Connection: keep-alive", postRaw("/v1/decide", body, "connection: Keep-Alive\r\n"), true, false},
+		{"Transfer-Encoding", postRaw("/v1/decide", body, "Transfer-Encoding: chunked\r\n"), false, false},
+		{"duplicate Content-Length", postRaw("/v1/decide", body, "Content-Length: "+strconv.Itoa(len(body))+"\r\n"), false, false},
+		{"duplicate Host", postRaw("/v1/decide", body, "Host: x\r\n"), false, false},
+		{"folded line", postRaw("/v1/decide", body, "X-Folded: a\r\n b\r\n"), false, false},
+		{"Expect", postRaw("/v1/decide", body, "Expect: 100-continue\r\n"), false, false},
+		{"bare LF", postRaw("/v1/decide", body, "X-Bare: lf\n"), false, false},
+		{"space before colon", postRaw("/v1/decide", body, "X-Space : a\r\n"), false, false},
+		{"other Connection", postRaw("/v1/decide", body, "Connection: close, upgrade\r\n"), false, false},
+		{"head not all buffered", plain[:strings.Index(plain, "\r\n\r\n")+2], false, false},
+		{"query", postRaw("/v1/decide?x=1", body, ""), false, false},
+		{"HTTP/1.0", strings.Replace(plain, "HTTP/1.1", "HTTP/1.0", 1), false, false},
+		{"other route", postRaw("/v1/drain", body, ""), false, false},
+		{"body over the bound", "POST /v1/decide HTTP/1.1\r\nHost: x\r\nContent-Length: 16777217\r\n\r\n", false, false},
+	}
+	for _, tc := range cases {
+		host, length, closing, n, ok := service.ReadDecideHead([]byte(tc.raw))
+		if ok != tc.ok {
+			t.Errorf("%s: read in place %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if ok && (host != "x" || length != len(body) || closing != tc.close || n != len(tc.raw)-len(body)) {
+			t.Errorf("%s: Host %q, Content-Length %d, close %v, head %d B", tc.name, host, length, closing, n)
+		}
 	}
 }

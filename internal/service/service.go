@@ -74,6 +74,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -407,27 +408,35 @@ func (c *Controller) NumMachines() int { return c.cl.NumMachines() }
 // committed, FanOut marks the error a partial commit and DecideHandler
 // spends the request's decision ID.
 func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideResponse, error) {
+	resp := new(DecideResponse)
+	if err := c.decide(ctx, req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// decide is Decide answering into resp, whose Decisions storage it reuses:
+// the decide route's form (DecideHandler), which keeps one response per
+// connection. On an error resp holds nothing to read.
+func (c *Controller) decide(ctx context.Context, req *DecideRequest, resp *DecideResponse) error {
 	if req == nil || len(req.Tasks) == 0 {
-		return nil, fmt.Errorf("service: empty decide request")
+		return fmt.Errorf("service: empty decide request")
 	}
 	if err := req.Validate(c.matrix.NumTaskTypes(), c.matrix.NumMachineTypes()); err != nil {
 		c.rejected.Add(1)
-		return nil, err
+		return err
 	}
 	c.mu.Lock()
 	draining := c.draining
 	c.mu.Unlock()
 	if draining {
-		return nil, ErrDraining
+		return ErrDraining
 	}
 
+	// Task i of the request takes sequence number base+i.
 	n := len(req.Tasks)
 	base := c.seq.Add(int64(n)) - int64(n)
-	seqs := make([]int64, n)
-	for i := range seqs {
-		seqs[i] = base + int64(i)
-	}
-	resp := &DecideResponse{Decisions: make([]Decision, n)}
+	resp.Now, resp.Decisions = 0, slices.Grow(resp.Decisions[:0], n)[:n]
 
 	// Stage tracing: sampled requests get an Active trace whose origin is
 	// taken once per batch (one clock read amortized over the sub-batches).
@@ -436,8 +445,8 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	var traces []*telemetry.Active
 	if c.tel.Enabled() {
 		origin := time.Now()
-		for i := range seqs {
-			if a := c.tel.Begin(seqs[i], origin); a != nil {
+		for i := range n {
+			if a := c.tel.Begin(base+int64(i), origin); a != nil {
 				if traces == nil {
 					traces = make([]*telemetry.Active, n)
 				}
@@ -447,12 +456,9 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	}
 
 	if len(c.shards) == 1 {
-		now, err := c.shards[0].decide(ctx, req, resp, nil, seqs, traces)
-		if err != nil {
-			return nil, err
-		}
+		now, err := c.shards[0].decide(ctx, req, resp, nil, base, traces)
 		resp.Now = now
-		return resp, nil
+		return err
 	}
 
 	// Route every task up front (deterministic for a sequential client),
@@ -460,17 +466,14 @@ func (c *Controller) Decide(ctx context.Context, req *DecideRequest) (*DecideRes
 	byShard := make([][]int, len(c.shards))
 	for i := range req.Tasks {
 		t := &req.Tasks[i]
-		s := c.cl.Route(seqs[i], pet.TaskType(t.Type), t.Arrival, t.Deadline)
+		s := c.cl.Route(base+int64(i), pet.TaskType(t.Type), t.Arrival, t.Deadline)
 		byShard[s] = append(byShard[s], i)
 	}
 	now, err := FanOut(byShard, func(s int) (pmf.Tick, error) {
-		return c.shards[s].decide(ctx, req, resp, byShard[s], seqs, traces)
+		return c.shards[s].decide(ctx, req, resp, byShard[s], base, traces)
 	})
-	if err != nil {
-		return nil, err
-	}
 	resp.Now = now
-	return resp, nil
+	return err
 }
 
 // FanOutPhased is the one fan-out of a decide request, over a controller's
@@ -541,27 +544,41 @@ func FanOut(groups [][]int, decide func(g int) (pmf.Tick, error)) (pmf.Tick, err
 // makeTask converts a wire spec into an engine task, filling missing
 // realized execution times with the PET cell means (rounded to ticks) so
 // generic clients need not carry a trace. The id is the cluster-wide
-// arrival sequence number.
+// arrival sequence number. The task owns a copy of the execution times,
+// in the same allocation up to maxInlineExec machine types: a server
+// decodes each request into storage it reuses.
 func (c *Controller) makeTask(spec *TaskSpec, id int) *workload.Task {
-	exec := spec.ExecByType
-	if len(exec) == 0 {
-		nm := c.matrix.NumMachineTypes()
-		exec = make([]pmf.Tick, nm)
+	nm := c.matrix.NumMachineTypes()
+	st := new(servedTask)
+	exec := st.exec[:0]
+	if nm > len(st.exec) {
+		exec = make([]pmf.Tick, 0, nm)
+	}
+	if len(spec.ExecByType) != 0 {
+		exec = append(exec, spec.ExecByType...)
+	} else {
 		for j := 0; j < nm; j++ {
-			e := pmf.Tick(c.matrix.CellMean(pet.TaskType(spec.Type), pet.MachineType(j)) + 0.5)
-			if e < 1 {
-				e = 1
-			}
-			exec[j] = e
+			exec = append(exec, max(1, pmf.Tick(c.matrix.CellMean(pet.TaskType(spec.Type), pet.MachineType(j))+0.5)))
 		}
 	}
-	return &workload.Task{
+	st.task = workload.Task{
 		ID:         id,
 		Type:       pet.TaskType(spec.Type),
 		Arrival:    spec.Arrival,
 		Deadline:   spec.Deadline,
 		ExecByType: exec,
 	}
+	return &st.task
+}
+
+// maxInlineExec is the most machine types whose execution times a served
+// task holds inline; every built-in profile has at most eight.
+const maxInlineExec = 8
+
+// servedTask is a served task and its execution times, one allocation.
+type servedTask struct {
+	task workload.Task
+	exec [maxInlineExec]pmf.Tick
 }
 
 // Snapshot is a point-in-time view of the controller's live state, merged

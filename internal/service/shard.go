@@ -118,12 +118,12 @@ func fatalPanic(id int, v any) {
 
 // decide admits the request tasks selected by idxs (nil = all, the
 // single-shard fast path) through this shard's engine, writing each
-// decision into its request slot of resp. seqs carries the cluster-wide
-// sequence number per request index; traces the sampled in-flight traces
+// decision into its request slot of resp. The task in request slot i takes
+// cluster-wide sequence number base+i; traces the sampled in-flight traces
 // (nil when tracing is off — no clock is then read for telemetry). Returns
 // the shard clock after the sub-batch, and ErrDraining if the shard drained
 // before its turn came.
-func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideResponse, idxs []int, seqs []int64, traces []*telemetry.Active) (pmf.Tick, error) {
+func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideResponse, idxs []int, base int64, traces []*telemetry.Active) (pmf.Tick, error) {
 	var now pmf.Tick
 	var ferr error // why the turn refused or failed the sub-batch
 	n := len(idxs)
@@ -171,7 +171,7 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			if traces != nil {
 				a = traces[i]
 			}
-			task := sh.c.makeTask(spec, int(seqs[i]))
+			task := sh.c.makeTask(spec, int(base)+i)
 			// The arrive record precedes the feed so the terminal events the
 			// feed triggers (via the engine hook) land after it in the log.
 			rec := arriveRecord(task, spec.ID)

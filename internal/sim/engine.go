@@ -106,6 +106,9 @@ type Engine struct {
 	// event is the mapper's window, kept across mapping events so its
 	// scratch is allocated once per engine, not once per round.
 	event MappingEvent
+	// dctx is the dropper's context, refilled for every machine walked: a
+	// local one would escape through Policy.Decide once per machine.
+	dctx core.Context
 	// journal, when set, observes every terminal transition (completion,
 	// failure, drop) with the tick it happened at — the admission service's
 	// WAL hook, or a Recorder (see SetJournal).
@@ -382,7 +385,7 @@ func (e *Engine) proactiveDrops() {
 			m.decGen == m.cache.Gen() && e.calc.RootStable(m.cache, m.Type(), e.clock, q) {
 			continue
 		}
-		ctx := core.Context{
+		e.dctx = core.Context{
 			Calc:          e.calc,
 			Cache:         m.cache,
 			Machine:       m.Type(),
@@ -391,7 +394,7 @@ func (e *Engine) proactiveDrops() {
 			BatchPressure: pressure,
 			Grace:         e.cfg.ReactiveGrace,
 		}
-		idxs := e.dropper.Decide(&ctx)
+		idxs := e.dropper.Decide(&e.dctx)
 		m.decGen, m.decVer, m.decNone = m.cache.Gen(), m.version, len(idxs) == 0
 		if len(idxs) == 0 {
 			continue
