@@ -43,7 +43,7 @@
 //
 // The router keeps no identity of its own: a sub-request's decision ID is
 // derived from the client's DecisionID, the backend and the request slots
-// it carries (subID), so a retried sub-batch replays the backend's
+// it carries (route.subID), so a retried sub-batch replays the backend's
 // journaled original, whichever router process forwards it. A client's
 // same-ID retry through a restarted router is therefore exactly-once while
 // the home backends of its classes are up, as they were for the original.
@@ -213,11 +213,17 @@ func New(cfg Config) (*Front, error) {
 	if cfg.TraceSample < 0 {
 		return nil, fmt.Errorf("front: trace sample %d, want >= 0", cfg.TraceSample)
 	}
+	names := make([]string, len(matrix.Machines()))
+	for i, m := range matrix.Machines() {
+		names[i] = m.Name
+	}
 	f := &Front{
-		cfg:     cfg,
-		matrix:  matrix,
-		policy:  policy,
-		client:  service.NewClient(nil, service.ClientConfig{Timeout: cfg.Timeout, Retries: cfg.Retries, Backoff: cfg.Backoff}),
+		cfg:    cfg,
+		matrix: matrix,
+		policy: policy,
+		client: service.NewClient(nil, service.ClientConfig{
+			Timeout: cfg.Timeout, Retries: cfg.Retries, Backoff: cfg.Backoff, MachineNames: names,
+		}),
 		tel:     telemetry.New(1, cfg.TraceSample, telemetry.DefaultRingSize),
 		log:     cfg.Logger,
 		dedup:   service.NewDedupWindow(service.DefaultDedupWindow),
@@ -298,18 +304,32 @@ func (f *Front) readiness() string {
 	return "ok"
 }
 
-// subID is the decision ID of the sub-request carrying slots idxs
-// (ascending) of the request keyed key to the backend at url: 120 bits of
-// SHA-256 over the three, length-prefixed, as 20 base64url characters.
-func subID(key, url string, idxs []int) string {
-	var buf [256]byte
-	b := append(binary.AppendUvarint(buf[:0], uint64(len(key))), key...)
+// route is the storage one connection's decides are routed and fanned out
+// in (Front.decide), kept from request to request so that a decide in
+// steady state allocates none of it.
+type route struct {
+	// key is the request's key: its DecisionID, or the router's token and
+	// the request's number. hash is a sub-ID's hash input.
+	key, hash []byte
+	// byBackend and subs are, per backend, the request slots it takes and
+	// its sub-request under way.
+	byBackend [][]int
+	subs      []subRequest
+}
+
+// subID appends to id[:0] the decision ID of the sub-request carrying slots
+// idxs (ascending) of the request keyed x.key to the backend at url: 120
+// bits of SHA-256 over the three, length-prefixed, as 20 base64url
+// characters.
+func (x *route) subID(id []byte, url string, idxs []int) []byte {
+	b := append(binary.AppendUvarint(x.hash[:0], uint64(len(x.key))), x.key...)
 	b = append(binary.AppendUvarint(b, uint64(len(url))), url...)
 	for _, i := range idxs {
 		b = binary.AppendUvarint(b, uint64(i))
 	}
+	x.hash = b
 	sum := sha256.Sum256(b)
-	return string(base64.RawURLEncoding.AppendEncode(buf[:0], sum[:15]))
+	return base64.RawURLEncoding.AppendEncode(id[:0], sum[:15])
 }
 
 // Decide validates one decide batch, routes each task to its class's home
@@ -322,16 +342,25 @@ func subID(key, url string, idxs []int) string {
 // identity is (Backend, Seq).
 func (f *Front) Decide(ctx context.Context, req *service.DecideRequest) (*service.DecideResponse, error) {
 	resp := new(service.DecideResponse)
-	if err := f.decide(ctx, req, resp); err != nil {
+	if err := f.decide(ctx, req, resp, new(route)); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-// decide is Decide answering into resp, whose Decisions storage it reuses
-// (the decide route's form, service.DecideHandler). On an error resp holds
-// nothing to read.
-func (f *Front) decide(ctx context.Context, req *service.DecideRequest, resp *service.DecideResponse) error {
+// decider hands one connection of the router's decide route
+// (service.DecideHandler) its decide: Front.decide over routing storage of
+// the connection's own.
+func (f *Front) decider() service.DecideFunc {
+	x := new(route)
+	return func(ctx context.Context, req *service.DecideRequest, resp *service.DecideResponse) error {
+		return f.decide(ctx, req, resp, x)
+	}
+}
+
+// decide is Decide answering into resp, whose Decisions storage it reuses,
+// and routing in x. On an error resp holds nothing to read.
+func (f *Front) decide(ctx context.Context, req *service.DecideRequest, resp *service.DecideResponse, x *route) error {
 	if req == nil || len(req.Tasks) == 0 {
 		return fmt.Errorf("front: empty decide request")
 	}
@@ -345,9 +374,9 @@ func (f *Front) decide(ctx context.Context, req *service.DecideRequest, resp *se
 	f.metrics.requests.Add(1)
 
 	seq := f.seq.Add(1) - 1
-	key := req.DecisionID
-	if key == "" {
-		key = f.token + strconv.FormatInt(seq, 10)
+	x.key = append(x.key[:0], req.DecisionID...)
+	if req.DecisionID == "" {
+		x.key = strconv.AppendInt(append(x.key, f.token...), seq, 10)
 	}
 	var act *telemetry.Active
 	var origin time.Time
@@ -363,12 +392,16 @@ func (f *Front) decide(ctx context.Context, req *service.DecideRequest, resp *se
 	// Route every task over the whole fleet, not the backends in rotation,
 	// so a class leaves its home only while that home is down; then group
 	// into per-backend sub-batches preserving request order.
-	byBackend := make([][]int, len(f.backends))
+	if x.byBackend == nil {
+		x.byBackend = make([][]int, len(f.backends))
+		x.subs = make([]subRequest, len(f.backends))
+	}
+	byBackend := x.byBackend
+	for s := range byBackend {
+		byBackend[s] = byBackend[s][:0]
+	}
 	for i := range req.Tasks {
 		s := f.policy.Route(router.Task{Class: req.Tasks[i].Type}, f.views)
-		if byBackend[s] == nil {
-			byBackend[s] = make([]int, 0, len(req.Tasks)-i)
-		}
 		byBackend[s] = append(byBackend[s], i)
 	}
 
@@ -394,12 +427,11 @@ func (f *Front) decide(ctx context.Context, req *service.DecideRequest, resp *se
 	}
 
 	resp.Now, resp.Decisions = 0, slices.Grow(resp.Decisions[:0], len(req.Tasks))[:len(req.Tasks)]
-	subs := make([]subRequest, len(f.backends))
 	now, err := service.FanOutPhased(byBackend, func(s int) {
-		subs[s] = f.send(ctx, key, req, resp, f.backends[s], byBackend[s])
+		f.send(ctx, x, req, resp, &x.subs[s], f.backends[s], byBackend[s])
 	}, func(s int) (pmf.Tick, error) {
 		defer f.backends[s].release()
-		return f.proxy(ctx, key, req, resp, &subs[s])
+		return f.proxy(ctx, x, req, resp, &x.subs[s])
 	})
 	if err != nil {
 		return err
@@ -422,6 +454,7 @@ func (f *Front) decide(ctx context.Context, req *service.DecideRequest, resp *se
 type subRequest struct {
 	b    *backend
 	idxs []int
+	id   []byte // its sub-ID (route.subID)
 	call service.DecideCall
 	t0   time.Time
 }
@@ -430,7 +463,7 @@ type subRequest struct {
 // with the SAME decision ID), and on final failure marks its backend down
 // and reroutes ONCE to another ready backend, whose sub-ID differs.
 // Returns the sub-response's clock.
-func (f *Front) proxy(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, sub *subRequest) (pmf.Tick, error) {
+func (f *Front) proxy(ctx context.Context, x *route, req *service.DecideRequest, resp *service.DecideResponse, sub *subRequest) (pmf.Tick, error) {
 	now, err := f.wait(sub, resp)
 	if err == nil {
 		return now, nil
@@ -449,7 +482,8 @@ func (f *Front) proxy(ctx context.Context, key string, req *service.DecideReques
 		}
 		f.metrics.reroutes.Add(1)
 		f.log.Warn("rerouting sub-batch", "from_backend", b.id, "to_backend", alt.id, "tasks", len(idxs), "err", err)
-		re := f.send(ctx, key, req, resp, alt, idxs)
+		var re subRequest
+		f.send(ctx, x, req, resp, &re, alt, idxs)
 		now, rerr := f.wait(&re, resp)
 		alt.release()
 		if rerr != nil {
@@ -461,14 +495,14 @@ func (f *Front) proxy(ctx context.Context, key string, req *service.DecideReques
 	return 0, fmt.Errorf("%w: backend %d failed with no surviving backend to reroute to: %v", errUpstream, b.id, err)
 }
 
-// send starts slots idxs of req, keyed key, on backend b as one decide
-// sub-request, encoded straight from req's tasks: it writes the request,
-// and wait reads the answer.
-func (f *Front) send(ctx context.Context, key string, req *service.DecideRequest, resp *service.DecideResponse, b *backend, idxs []int) subRequest {
+// send starts slots idxs of req, keyed x.key, on backend b as one decide
+// sub-request, sub, encoded straight from req's tasks: it writes the
+// request, and wait reads the answer.
+func (f *Front) send(ctx context.Context, x *route, req *service.DecideRequest, resp *service.DecideResponse, sub *subRequest, b *backend, idxs []int) {
 	b.proxied.Add(1)
-	t0 := time.Now()
-	call := f.client.StartDecide(ctx, b.url, subID(key, b.url, idxs), req.Tasks, idxs, resp.Decisions)
-	return subRequest{b: b, idxs: idxs, call: call, t0: t0}
+	sub.b, sub.idxs, sub.t0 = b, idxs, time.Now()
+	sub.id = x.subID(sub.id, b.url, idxs)
+	sub.call = f.client.StartDecide(ctx, b.url, sub.id, req.Tasks, idxs, resp.Decisions)
 }
 
 // wait finishes sub: it decodes the returned decisions straight into their

@@ -117,7 +117,7 @@ func NewHandler(f *Front) http.Handler {
 		f.tel.WritePrometheus(x)
 		telemetry.WriteRuntimeMetrics(x)
 	})
-	return service.MountDecide(mux, service.DecideHandler("front", f.decide, f.dedup, decideError, &f.metrics.rejected, nil))
+	return service.MountDecide(mux, service.DecideHandler("front", f.decider, f.dedup, decideError, &f.metrics.rejected, nil))
 }
 
 // writeBackendGauges renders the per-backend rotation series from the

@@ -95,13 +95,16 @@ func TestServerExchangeAllocsSteadyState(t *testing.T) {
 
 // scriptedConn is a client that is all wire and no allocations: each Read
 // hands over the next of reqs whole, as one segment, and each Write is an
-// answer, counted when it is a 200. It reads the allocation counters as it
-// hands over request mark and when it runs out.
+// answer, counted when it is a 200 and kept in answers when keep is set.
+// It reads the allocation counters as it hands over request mark and when
+// it runs out.
 type scriptedConn struct {
 	reqs       [][]byte
 	next, mark int
 	ok         int
 	start, end runtime.MemStats
+	keep       bool
+	answers    [][]byte
 }
 
 func (s *scriptedConn) Read(p []byte) (int, error) {
@@ -122,6 +125,9 @@ func (s *scriptedConn) Read(p []byte) (int, error) {
 func (s *scriptedConn) Write(p []byte) (int, error) {
 	if bytes.HasPrefix(p, []byte("HTTP/1.1 200 OK\r\n")) {
 		s.ok++
+	}
+	if s.keep {
+		s.answers = append(s.answers, bytes.Clone(p))
 	}
 	return len(p), nil
 }

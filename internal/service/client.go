@@ -32,6 +32,10 @@ type ClientConfig struct {
 	// maxBackoff, each sleep stretched by up to 50% deterministic jitter
 	// (default 50ms). A server's Retry-After overrides the computed delay.
 	Backoff time.Duration
+	// MachineNames are the served matrix's machine names by matrix-wide
+	// index (nil: none). A decision's machine_name equal to its index's name
+	// is that string, not a new one.
+	MachineNames []string
 }
 
 // Client is the service's retrying client, with exponential backoff. Safe
@@ -165,23 +169,27 @@ func (cl *Client) GetJSON(ctx context.Context, u string, out any) error {
 	return cl.exchange(ctx, "Get", u, nil, out, 0)
 }
 
-// statusError is the HTTPError of a non-2xx answer from u with body; it
-// counts a 429.
-func (cl *Client) statusError(resp *http.Response, u string, body []byte) *HTTPError {
-	if resp.StatusCode == http.StatusTooManyRequests {
+// statusError is the HTTPError of a non-2xx answer from u with body and
+// the given Retry-After delay; it counts a 429.
+func (cl *Client) statusError(status int, retryAfter time.Duration, u string, body []byte) *HTTPError {
+	if status == http.StatusTooManyRequests {
 		cl.shed429.Add(1)
 	}
-	he := &HTTPError{Status: resp.StatusCode, URL: u}
+	he := &HTTPError{Status: status, URL: u, RetryAfter: retryAfter}
 	var eb errorBody
 	if json.Unmarshal(body, &eb) == nil {
 		he.Msg = eb.Error
 	}
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
-			he.RetryAfter = time.Duration(secs) * time.Second
-		}
-	}
 	return he
+}
+
+// retryAfterOf is the delay a Retry-After value in whole seconds asks for:
+// 0 when v is empty or not such a value.
+func retryAfterOf(v string) time.Duration {
+	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
+		return time.Duration(secs) * time.Second
+	}
+	return 0
 }
 
 // jitter advances the deterministic splitmix64 stream by one draw.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
@@ -178,7 +179,7 @@ func appendString(b []byte, s string) []byte {
 // the canonical form read without reflection, into the storage of
 // req.Tasks: a server reuses one request per connection. Execution times
 // reuse the storage of the slot they land in, as the engine keeps a copy
-// (Controller.makeTask); labels are new strings.
+// (Controller.makeTask); labels are new strings, one per labelBatch tasks.
 func decodeDecideRequest(data []byte, req *DecideRequest) error {
 	tasks := req.Tasks[:0]
 	*req = DecideRequest{}
@@ -201,10 +202,12 @@ func decodeStrict(r io.Reader, req *DecideRequest) error {
 // decodeDecideResponse decodes a decide response body as the client always
 // has — the first JSON value, unknown fields ignored — with the canonical
 // form read without reflection: the clock into *now, decision j into the
-// slot at(j) hands out. It returns how many decisions the body holds.
-func decodeDecideResponse(data []byte, now *pmf.Tick, at func(j int) *Decision) (int, error) {
+// slot at(j) hands out. A decision's label is the one at(j) names when the
+// bytes are equal, and its machine name names[machine] likewise; either is
+// a new string otherwise. It returns how many decisions the body holds.
+func decodeDecideResponse(data []byte, now *pmf.Tick, names []string, at func(j int) (*Decision, string)) (int, error) {
 	d := decoder{b: data}
-	if n, ok := d.decideResponse(now, at); ok {
+	if n, ok := d.decideResponse(now, names, at); ok {
 		return n, nil
 	}
 	var resp DecideResponse
@@ -213,7 +216,8 @@ func decodeDecideResponse(data []byte, now *pmf.Tick, at func(j int) *Decision) 
 	}
 	*now = resp.Now
 	for j := range resp.Decisions {
-		*at(j) = resp.Decisions[j]
+		x, _ := at(j)
+		*x = resp.Decisions[j]
 	}
 	return len(resp.Decisions), nil
 }
@@ -227,8 +231,10 @@ type decoder struct {
 	i int
 }
 
-// decideRequest decodes into req, appending its tasks to tasks.
+// decideRequest decodes into req, appending its tasks to tasks. The tasks'
+// labels are substrings of one string per labelBatch of them (labels).
 func (d *decoder) decideRequest(req *DecideRequest, tasks []TaskSpec) bool {
+	var labs labels
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "decision_id":
@@ -240,7 +246,7 @@ func (d *decoder) decideRequest(req *DecideRequest, tasks []TaskSpec) bool {
 			if req.Tasks == nil {
 				req.Tasks = []TaskSpec{} // encoding/json reads [] as empty, not nil
 			}
-			return d.array(func() bool {
+			ok := d.array(func() bool {
 				// The execution times the slot held are storage to reuse:
 				// the engine keeps a copy (Controller.makeTask).
 				var spare []pmf.Tick
@@ -248,19 +254,33 @@ func (d *decoder) decideRequest(req *DecideRequest, tasks []TaskSpec) bool {
 					spare = req.Tasks[:cap(req.Tasks)][k].ExecByType[:0]
 				}
 				req.Tasks = append(req.Tasks, TaskSpec{})
-				return d.taskSpec(&req.Tasks[len(req.Tasks)-1], spare)
+				var label []byte
+				if !d.taskSpec(&req.Tasks[len(req.Tasks)-1], spare, &label) {
+					return false
+				}
+				if len(label) > 0 {
+					labs.add(req.Tasks, len(req.Tasks)-1, label)
+				}
+				return true
 			})
+			if ok {
+				labs.flush(req.Tasks)
+			}
+			return ok
 		}
 		return false
 	})
 }
 
-// taskSpec decodes into t, its execution times into spare's storage.
-func (d *decoder) taskSpec(t *TaskSpec, spare []pmf.Tick) bool {
+// taskSpec decodes into t, its execution times into spare's storage and
+// its label into *label, aliasing the document.
+func (d *decoder) taskSpec(t *TaskSpec, spare []pmf.Tick, label *[]byte) bool {
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "id":
-			return d.str(&t.ID)
+			var ok bool
+			*label, ok = d.text()
+			return ok
 		case "type":
 			return d.int(&t.Type)
 		case "arrival":
@@ -286,17 +306,59 @@ func (d *decoder) taskSpec(t *TaskSpec, spare []pmf.Tick) bool {
 	})
 }
 
-func (d *decoder) decideResponse(now *pmf.Tick, at func(j int) *Decision) (n int, ok bool) {
+// labelBatch is how many task labels share one string.
+const labelBatch = 32
+
+// labels are task labels a decoder read, aliasing the document, that it
+// makes one string and hands out as substrings of it: a request's labels
+// are then one allocation per labelBatch, not one each.
+type labels struct {
+	n  int
+	at [labelBatch]struct {
+		task  int
+		label []byte
+	}
+}
+
+// add holds label as the label of tasks[task].
+func (l *labels) add(tasks []TaskSpec, task int, label []byte) {
+	if l.n == labelBatch {
+		l.flush(tasks)
+	}
+	l.at[l.n].task, l.at[l.n].label = task, label
+	l.n++
+}
+
+// flush copies the labels held into one string and sets each task's ID to
+// its part.
+func (l *labels) flush(tasks []TaskSpec) {
+	size := 0
+	for _, a := range l.at[:l.n] {
+		size += len(a.label)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, a := range l.at[:l.n] {
+		b.Write(a.label)
+	}
+	all := b.String()
+	for _, a := range l.at[:l.n] {
+		tasks[a.task].ID, all = all[:len(a.label)], all[len(a.label):]
+	}
+	l.n = 0
+}
+
+func (d *decoder) decideResponse(now *pmf.Tick, names []string, at func(j int) (*Decision, string)) (n int, ok bool) {
 	ok = d.object(func(key []byte) bool {
 		switch string(key) {
 		case "now":
 			return d.tick(now)
 		case "decisions":
 			return d.array(func() bool {
-				x := at(n)
+				x, label := at(n)
 				*x = Decision{}
 				n++
-				return d.decision(x)
+				return d.decision(x, label, names)
 			})
 		}
 		return false
@@ -304,11 +366,14 @@ func (d *decoder) decideResponse(now *pmf.Tick, at func(j int) *Decision) (n int
 	return n, ok
 }
 
-func (d *decoder) decision(x *Decision) bool {
+// decision decodes into x, sharing label and names' strings (decodeDecideResponse).
+func (d *decoder) decision(x *Decision, label string, names []string) bool {
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "id":
-			return d.str(&x.ID)
+			s, ok := d.text()
+			x.ID = known(s, label)
+			return ok
 		case "seq":
 			return d.int(&x.Seq)
 		case "action":
@@ -331,10 +396,25 @@ func (d *decoder) decision(x *Decision) bool {
 		case "machine":
 			return d.int(&x.Machine)
 		case "machine_name":
-			return d.str(&x.MachineName)
+			s, ok := d.text()
+			name := ""
+			if x.Machine >= 0 && x.Machine < len(names) {
+				name = names[x.Machine]
+			}
+			x.MachineName = known(s, name)
+			return ok
 		}
 		return false
 	})
+}
+
+// known is s as a string: want itself when the bytes are equal, else a
+// new string.
+func known(s []byte, want string) string {
+	if string(s) == want {
+		return want
+	}
+	return string(s)
 }
 
 // maxMembers bounds the members of one canonical object (a Decision has

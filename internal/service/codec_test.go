@@ -72,7 +72,7 @@ func TestCodecGoldenFixtures(t *testing.T) {
 			t.Errorf("decision %d:\n got: %s\nwant: %s", i, got, goldens[i])
 		}
 		var back Decision
-		if d := (decoder{b: []byte(goldens[i])}); !d.decision(&back) || back != decisions[i] {
+		if d := (decoder{b: []byte(goldens[i])}); !d.decision(&back, "", nil) || back != decisions[i] {
 			t.Errorf("decision fixture %d does not decode back on the fast path: %+v", i, back)
 		}
 	}
@@ -83,7 +83,7 @@ func TestCodecGoldenFixtures(t *testing.T) {
 	}
 	var now pmf.Tick
 	got := make([]Decision, 2)
-	if n, ok := (&decoder{b: []byte(respGolden)}).decideResponse(&now, func(j int) *Decision { return &got[j] }); !ok || n != 2 || now != 512 || !reflect.DeepEqual(got, decisions) {
+	if n, ok := (&decoder{b: []byte(respGolden)}).decideResponse(&now, nil, func(j int) (*Decision, string) { return &got[j], "" }); !ok || n != 2 || now != 512 || !reflect.DeepEqual(got, decisions) {
 		t.Errorf("response fixture does not decode back on the fast path: now %d, %d decisions %+v", now, n, got)
 	}
 }
@@ -222,16 +222,17 @@ func checkDecodeRequest(t *testing.T, data []byte) {
 // checkDecodeResponse requires decodeDecideResponse to agree with
 // encoding/json's reading of data as a client reads it (first value,
 // unknown fields ignored): the same clock and decisions, and the same
-// error text or none.
+// error text or none. The decoder is handed labels and machine names to
+// share, some equal to what data holds.
 func checkDecodeResponse(t *testing.T, data []byte) {
 	t.Helper()
 	var now pmf.Tick
 	var slots []Decision
-	n, gerr := decodeDecideResponse(data, &now, func(j int) *Decision {
+	n, gerr := decodeDecideResponse(data, &now, []string{"m", "m", "fast#1", "", "fast#1"}, func(j int) (*Decision, string) {
 		for len(slots) <= j {
 			slots = append(slots, Decision{Action: "stale"})
 		}
-		return &slots[j]
+		return &slots[j], []string{"t7", "a", "", "t8"}[j%4]
 	})
 	var want DecideResponse
 	werr := json.NewDecoder(bytes.NewReader(data)).Decode(&want)

@@ -17,7 +17,9 @@ import (
 // Entries move through three states:
 //
 //   - in-flight: the first request with the ID owns execution; concurrent
-//     duplicates block on the entry until the owner commits or fails.
+//     duplicates block on the entry until the owner commits or fails. The
+//     channel they block on is made when the first of them arrives, so an
+//     ID no duplicate asks for costs none.
 //   - committed: the response bytes are stored; duplicates replay them.
 //     Committed entries are evicted FIFO once the window exceeds its
 //     capacity (a retry older than the window re-executes — by then the
@@ -30,18 +32,23 @@ type DedupWindow struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*dedupEntry
-	// order is the FIFO eviction queue of committed/poisoned IDs.
+	// order is the FIFO eviction queue of committed/poisoned IDs: it grows
+	// to cap, then is a ring whose oldest ID is at next.
 	order []string
+	next  int
 	hits  int64
 }
 
-// dedupEntry is one decision ID's lifecycle. done is closed when the entry
-// leaves the in-flight state; data/n/err are immutable afterwards.
+// dedupEntry is one decision ID's lifecycle. settled is set, under the
+// window's lock, when the entry leaves the in-flight state; data/n/err are
+// immutable afterwards. done, made for the first duplicate that finds the
+// entry in flight, is closed when it settles.
 type dedupEntry struct {
-	done chan struct{}
-	data []byte // stored response bytes (committed entries)
-	n    int    // task count of the original request
-	err  error  // permanent failure (poisoned entries)
+	settled bool
+	done    chan struct{}
+	data    []byte // stored response bytes (committed entries)
+	n       int    // task count of the original request
+	err     error  // permanent failure (poisoned entries)
 }
 
 // errPartialCommit marks a decide that failed after at least one of its
@@ -70,22 +77,28 @@ func (w *DedupWindow) Begin(id string) (e *dedupEntry, owner bool) {
 	defer w.mu.Unlock()
 	if e, ok := w.entries[id]; ok {
 		w.hits++
+		if !e.settled && e.done == nil {
+			e.done = make(chan struct{})
+		}
 		return e, false
 	}
-	e = &dedupEntry{done: make(chan struct{})}
+	e = new(dedupEntry)
 	w.entries[id] = e
 	return e, true
 }
 
 // Await blocks until the entry's owner resolved it, returning the stored
 // response bytes and original task count, or the entry's permanent error.
+// Only a caller Begin handed e as a duplicate may await it.
 func (e *dedupEntry) Await(ctx context.Context) (data []byte, n int, err error) {
-	select {
-	case <-e.done:
-		return e.data, e.n, e.err
-	case <-ctx.Done():
-		return nil, 0, ctx.Err()
+	if e.done != nil {
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		}
 	}
+	return e.data, e.n, e.err
 }
 
 // Commit stores the response bytes for the ID — its owner's acknowledged
@@ -105,7 +118,16 @@ func (w *DedupWindow) Fail(id string, err error) {
 	}
 	delete(w.entries, id)
 	e.err = err
-	close(e.done)
+	e.resolve()
+}
+
+// resolve marks e settled and releases its waiting duplicates. Callers
+// hold the window's lock.
+func (e *dedupEntry) resolve() {
+	e.settled = true
+	if e.done != nil {
+		close(e.done)
+	}
 }
 
 // Poison permanently fails an ID whose request took effect in part, so
@@ -125,28 +147,27 @@ func (w *DedupWindow) settle(id string, data []byte, n int, err error) {
 	defer w.mu.Unlock()
 	e, ok := w.entries[id]
 	if !ok {
-		e = &dedupEntry{done: make(chan struct{})}
+		e = new(dedupEntry)
 		w.entries[id] = e
 	}
-	select {
-	case <-e.done:
+	if e.settled {
 		return
-	default:
 	}
 	e.data, e.n, e.err = data, n, err
-	close(e.done)
+	e.resolve()
 	w.retain(id)
 }
 
-// retain enqueues a resolved ID for FIFO eviction and evicts past
-// capacity. Callers hold w.mu.
+// retain enqueues a resolved ID for FIFO eviction, evicting the oldest
+// once cap are queued. Callers hold w.mu.
 func (w *DedupWindow) retain(id string) {
-	w.order = append(w.order, id)
-	for len(w.order) > w.cap {
-		old := w.order[0]
-		w.order = w.order[1:]
-		delete(w.entries, old)
+	if len(w.order) < w.cap {
+		w.order = append(w.order, id)
+		return
 	}
+	delete(w.entries, w.order[w.next])
+	w.order[w.next] = id
+	w.next = (w.next + 1) % w.cap
 }
 
 // Hits returns how many duplicate IDs were served from the window.

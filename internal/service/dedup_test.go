@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -125,5 +127,34 @@ func TestDedupFIFOEviction(t *testing.T) {
 	// The newest survive.
 	if _, owner := w.Begin("id-4"); owner {
 		t.Fatal("id-4 evicted out of FIFO order")
+	}
+}
+
+// TestDedupFreshIDAllocsSteadyState: once the window is full, a fresh
+// ID's Begin and Commit allocate at most the entry, the key and the stored
+// bytes — no channel for a duplicate that never comes, and no eviction
+// queue moved as IDs leave it.
+func TestDedupFreshIDAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	const capacity = 64
+	w := NewDedupWindow(capacity)
+	data := []byte("{}\n")
+	i := 0
+	fresh := func() {
+		id := strconv.Itoa(1_000_000 + i) // the key
+		i++
+		w.Begin(id) // the entry
+		w.Commit(id, bytes.Clone(data), 1)
+	}
+	for range 4 * capacity { // fill the ring and go round it
+		fresh()
+	}
+	if avg := testing.AllocsPerRun(4000, fresh); avg > 3 {
+		t.Fatalf("a fresh ID's Begin and Commit allocate %.2f/op, want at most 3 (entry, key, stored bytes)", avg)
+	}
+	if got := w.Len(); got != capacity {
+		t.Fatalf("Len = %d, want the capacity %d", got, capacity)
 	}
 }

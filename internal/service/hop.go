@@ -2,9 +2,11 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -22,14 +24,26 @@ import (
 // Client owns, one idle list per origin server (http://host:port). An
 // attempt takes the most recent idle connection that is still open
 // (conn.open) or dials one, writes the request line, headers and body with
-// one Write, and reads the answer with http.ReadResponse on the
-// connection's own bufio.Reader. No redirect is followed: a 3xx is an
-// HTTPError like any other non-2xx answer. The connection goes back to the
-// idle list once its answer was read to EOF and did not ask to close; the
-// list is thus bounded by the peak number of exchanges in flight. The
-// attempt's timeout is the connection's deadline, and a cancelled context
-// moves that deadline into the past. A connection that fails is closed,
-// and every idle connection to the origin with it.
+// one Write, and reads the answer on the connection's own bufio.Reader.
+//
+// A decide's answer in the plain shape Server writes — "HTTP/1.1", a
+// 3-digit status, one Content-Length, at most a Connection of close or
+// keep-alive, no Transfer-Encoding, the head already buffered — is read in
+// place (readAnswerHead): its body goes into the connection's buffer and
+// its decisions into the caller's slots, sharing the request's task labels
+// and the client's machine names where the bytes match, so such an
+// exchange allocates nothing. Every other answer, and every JSON
+// exchange's, is read by http.ReadResponse, which stays the reference:
+// FuzzDecideAnswerHead holds the in-place reader to it.
+//
+// No redirect is followed: a 3xx is an HTTPError like any other non-2xx
+// answer. The connection goes back to the idle list once its answer was
+// read whole and did not ask to close; the list is thus bounded by the peak
+// number of exchanges in flight. The attempt's timeout is the connection's
+// deadline, and the end of its context moves that deadline into the past,
+// through a hook registered once per connection and context (conn.watch).
+// A connection that fails is closed, and every idle connection to the
+// origin with it.
 
 // A DecideCall is one exchange: a decide begun by Client.StartDecide, the
 // request of its first attempt written and the answer not yet read, or a
@@ -38,7 +52,7 @@ type DecideCall struct {
 	cl    *Client
 	ctx   context.Context
 	o     *origin
-	id    string
+	id    []byte
 	tasks []TaskSpec
 	idxs  []int
 	dst   []Decision
@@ -52,12 +66,10 @@ type DecideCall struct {
 	retries int
 	// written: a request of this exchange reached a connection whole.
 	written bool
-	// The attempt in flight: its connection (nil when the attempt failed
-	// before its read, with err) and the hook that moves the connection's
-	// deadline into the past when ctx ends.
-	c    *conn
-	err  error
-	stop func() bool
+	// The attempt in flight: its connection, nil when the attempt failed
+	// before its read, with err.
+	c   *conn
+	err error
 }
 
 // origin is one server, http://host:port, and its idle connections.
@@ -78,33 +90,40 @@ type conn struct {
 	br *bufio.Reader
 	// buf holds a decide request's bytes, then the answer's body.
 	buf []byte
-	// expire moves the deadline into the past: the hook an attempt hands
-	// context.AfterFunc, made once per connection.
-	expire func()
-	peek   peeker
+	// The hook that moves the deadline into the past when a context ends
+	// (watch): done is that context's end, unwatch undoes the hook, and the
+	// hook acts only while gen, under mu, is the one it was registered
+	// under.
+	done    <-chan struct{}
+	unwatch func() bool
+	mu      sync.Mutex
+	gen     uint64
+	peek    peeker
 }
 
 // Decide posts one decide request to base's /v1/decide — under decision ID
 // id (empty: none), the tasks idxs selects from tasks (nil: all of them),
 // encoded by the decide codec — retrying per the client's config, and
 // decodes the answer in place: decision j lands in dst[idxs[j]] (dst[j]
-// when idxs is nil), decisions past those slots are read and dropped. It
-// returns the server's clock and how many decisions it answered, which the
-// caller holds against the tasks it sent.
+// when idxs is nil), decisions past those slots are read and dropped. A
+// decision's label is its task's string when the two are equal, and its
+// machine name the client's (ClientConfig.MachineNames). It returns the
+// server's clock and how many decisions it answered, which the caller
+// holds against the tasks it sent.
 //
 // A request without a decision ID reaches the server at most once: once
 // one attempt's request was written whole, a failure is final whatever the
 // retry budget, because a second copy would be admitted again.
 func (cl *Client) Decide(ctx context.Context, base, id string, tasks []TaskSpec, idxs []int, dst []Decision) (now pmf.Tick, n int, err error) {
-	dc := cl.StartDecide(ctx, base, id, tasks, idxs, dst)
+	dc := cl.StartDecide(ctx, base, []byte(id), tasks, idxs, dst)
 	return dc.Wait()
 }
 
 // StartDecide begins Decide: it writes the first attempt's request and
 // reads nothing, so a caller can start exchanges with several backends
 // before it waits on the first. Wait finishes the exchange; until then the
-// call holds a connection, and tasks and dst must stay as they are.
-func (cl *Client) StartDecide(ctx context.Context, base, id string, tasks []TaskSpec, idxs []int, dst []Decision) DecideCall {
+// call holds a connection, and id, tasks and dst must stay as they are.
+func (cl *Client) StartDecide(ctx context.Context, base string, id []byte, tasks []TaskSpec, idxs []int, dst []Decision) DecideCall {
 	dc := DecideCall{cl: cl, ctx: ctx, id: id, tasks: tasks, idxs: idxs, dst: dst, op: "Post", retries: cl.cfg.Retries}
 	if dc.o, dc.err = cl.origin(base); dc.err == nil {
 		dc.url = dc.o.decide
@@ -147,7 +166,7 @@ func (dc *DecideCall) Wait() (now pmf.Tick, n int, err error) {
 	for attempt := 0; ; attempt++ {
 		now, n, err = dc.recv()
 		if err == nil || dc.o == nil || attempt >= dc.retries || !retryable(err) ||
-			(dc.req == nil && dc.id == "" && dc.written) || !dc.cl.pause(dc.ctx, attempt, err) {
+			(dc.req == nil && len(dc.id) == 0 && dc.written) || !dc.cl.pause(dc.ctx, attempt, err) {
 			return now, n, err
 		}
 		dc.send()
@@ -157,10 +176,6 @@ func (dc *DecideCall) Wait() (now pmf.Tick, n int, err error) {
 // send makes an attempt: it takes a connection and writes the request.
 func (dc *DecideCall) send() {
 	dc.cl.attempts.Add(1)
-	if err := dc.ctx.Err(); err != nil {
-		dc.err = dc.fail(nil, err)
-		return
-	}
 	var deadline time.Time
 	if t := dc.cl.cfg.Timeout; t > 0 {
 		deadline = time.Now().Add(t)
@@ -170,8 +185,12 @@ func (dc *DecideCall) send() {
 		dc.err = dc.fail(nil, err)
 		return
 	}
-	if dc.ctx.Done() != nil {
-		dc.stop = context.AfterFunc(dc.ctx, c.expire)
+	if err := dc.ctx.Err(); err != nil {
+		// ctx ended, and its hook may have run before get set the deadline:
+		// the connection carried nothing and goes back.
+		dc.release(c, true)
+		dc.err = dc.fail(nil, err)
+		return
 	}
 	req := dc.req
 	if req == nil {
@@ -193,47 +212,144 @@ func (dc *DecideCall) recv() (now pmf.Tick, n int, err error) {
 		return 0, 0, dc.err
 	}
 	dc.c = nil
-	resp, err := http.ReadResponse(c.br, nil)
-	if err == nil {
-		c.buf, err = readBody(c.buf, resp.Body, resp.ContentLength)
-		resp.Body.Close()
-	}
+	h, err := c.readAnswer(dc.req == nil)
 	if err != nil {
 		return 0, 0, dc.fail(c, err)
 	}
 	switch {
-	case resp.StatusCode/100 != 2:
-		err = dc.cl.statusError(resp, dc.url, c.buf)
+	case h.status/100 != 2:
+		err = dc.cl.statusError(h.status, h.retryAfter, dc.url, c.buf)
 	case dc.req == nil:
-		n, err = decodeDecideResponse(c.buf, &now, dc.slot)
+		n, err = decodeDecideResponse(c.buf, &now, dc.cl.cfg.MachineNames, dc.slot)
 	case dc.out != nil:
 		err = json.Unmarshal(c.buf, dc.out)
 	}
-	// The body was read to EOF, so the connection is at a response boundary.
-	dc.release(c, !resp.Close)
+	// The body was read whole, so the connection is at an answer boundary.
+	dc.release(c, !h.close)
 	return now, n, err
 }
 
-// slot is where the answer's decision j lands.
-func (dc *DecideCall) slot(j int) *Decision {
-	switch {
-	case dc.idxs != nil && j < len(dc.idxs):
-		return &dc.dst[dc.idxs[j]]
-	case dc.idxs == nil && j < len(dc.dst):
-		return &dc.dst[j]
+// readAnswer reads the answer to the request written on c, its body into
+// c.buf: in place when inPlace and its head is in the plain shape
+// (readAnswerHead), else by http.ReadResponse.
+func (c *conn) readAnswer(inPlace bool) (h answerHead, err error) {
+	if inPlace {
+		// Wait for the answer's first bytes; the head is read in place when
+		// all of it came with them.
+		if _, err := c.br.Peek(1); err != nil {
+			return h, unexpected(err)
+		}
+		buf, _ := c.br.Peek(c.br.Buffered())
+		if h, n, ok := readAnswerHead(buf); ok {
+			c.br.Discard(n)
+			c.buf = slices.Grow(c.buf[:0], h.length)[:h.length]
+			_, err := io.ReadFull(c.br, c.buf)
+			return h, unexpected(err)
+		}
 	}
-	return new(Decision)
+	resp, err := http.ReadResponse(c.br, nil)
+	if err != nil {
+		return h, err
+	}
+	c.buf, err = readBody(c.buf, resp.Body, resp.ContentLength)
+	resp.Body.Close()
+	return answerHead{status: resp.StatusCode, close: resp.Close, retryAfter: retryAfterOf(resp.Header.Get("Retry-After"))}, err
+}
+
+// unexpected is err with an EOF before the answer was whole made
+// io.ErrUnexpectedEOF, as net/http reports it.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// answerHead is what an answer's head says (readAnswerHead).
+type answerHead struct {
+	status     int
+	length     int           // Content-Length
+	close      bool          // Connection: close
+	retryAfter time.Duration // the first Retry-After in whole seconds (retryAfterOf)
+}
+
+// answerStatusLine is how the one status line read in place begins.
+const answerStatusLine = "HTTP/1.1 "
+
+// readAnswerHead reads buf as the head of an answer in the plain shape
+// Server writes and returns what it says and its length in bytes, the
+// blank line included. Anything else — a status line not "HTTP/1.1", a
+// space and a status of 200–599 other than 204 and 304 (whose bodies
+// net/http reads as empty), then nothing or a space and a reason; a head
+// not all in buf; a line not ended by CRLF; a folded line; a field name
+// outside the token bytes or a value byte net/http refuses; a
+// Transfer-Encoding; no Content-Length, a repeated one, or one not all
+// digits or over maxDecideBody; a Connection other than one close or
+// keep-alive — is not ok and is left to http.ReadResponse. Whatever it
+// accepts, http.ReadResponse reads the same way (FuzzDecideAnswerHead).
+func readAnswerHead(buf []byte) (h answerHead, n int, ok bool) {
+	end := bytes.IndexByte(buf, '\n')
+	if end < 1 || buf[end-1] != '\r' {
+		return h, 0, false
+	}
+	line, found := bytes.CutPrefix(buf[:end-1], []byte(answerStatusLine))
+	if !found || len(line) < 3 || !all(line[:3], isDigit) || len(line) > 3 && line[3] != ' ' {
+		return h, 0, false
+	}
+	h.status = 100*int(line[0]-'0') + 10*int(line[1]-'0') + int(line[2]-'0')
+	if h.status < 200 || h.status > 599 || h.status == http.StatusNoContent || h.status == http.StatusNotModified {
+		return h, 0, false
+	}
+	lengths, conns, retries := 0, 0, 0
+	n, ok = readFields(buf, end+1, func(name, value []byte) bool {
+		switch {
+		case asciiFold(name, "content-length"):
+			lengths++
+			var valid bool
+			h.length, valid = contentLength(value)
+			return valid
+		case asciiFold(name, "connection"):
+			conns++
+			h.close = asciiFold(value, "close")
+			return h.close || asciiFold(value, "keep-alive")
+		case asciiFold(name, "retry-after"):
+			if retries++; retries == 1 {
+				h.retryAfter = retryAfterOf(string(value))
+			}
+		case asciiFold(name, "transfer-encoding"):
+			return false
+		}
+		return true
+	})
+	ok = ok && lengths == 1 && h.length <= maxDecideBody && conns <= 1
+	return h, n, ok
+}
+
+// slot is where the answer's decision j lands, and the label its task
+// carries, which the decision echoes.
+func (dc *DecideCall) slot(j int) (*Decision, string) {
+	i := j
+	if dc.idxs != nil {
+		if j >= len(dc.idxs) {
+			return new(Decision), ""
+		}
+		i = dc.idxs[j]
+	}
+	if i >= len(dc.dst) {
+		return new(Decision), ""
+	}
+	label := ""
+	if i < len(dc.tasks) {
+		label = dc.tasks[i].ID
+	}
+	return &dc.dst[i], label
 }
 
 // release ends the attempt on c, which carried a whole exchange: c goes
-// back to the idle list when reuse holds and ctx left its deadline alone.
+// back to the idle list when reuse holds.
 func (dc *DecideCall) release(c *conn, reuse bool) {
-	if dc.stop != nil && !dc.stop() {
-		reuse = false
-	}
-	dc.stop = nil
 	if !reuse {
-		c.nc.Close()
+		c.close()
 		return
 	}
 	dc.o.mu.Lock()
@@ -246,12 +362,8 @@ func (dc *DecideCall) release(c *conn, reuse bool) {
 // restarted or dead server left them all behind. The error is ctx's when
 // ctx ended, as a transport failure (retryable).
 func (dc *DecideCall) fail(c *conn, err error) error {
-	if dc.stop != nil {
-		dc.stop()
-		dc.stop = nil
-	}
 	if c != nil {
-		c.nc.Close()
+		c.close()
 		dc.o.closeIdle()
 	}
 	if ctxErr := dc.ctx.Err(); ctxErr != nil {
@@ -309,11 +421,13 @@ func (o *origin) get(ctx context.Context, deadline time.Time) (*conn, error) {
 	}
 	o.mu.Unlock()
 	if c != nil {
-		// The deadline first: the peek fails on one that passed while idle.
+		// The hook first, then the deadline: the peek fails on one that
+		// passed while idle.
+		c.watch(ctx)
 		if c.nc.SetDeadline(deadline) == nil && c.open() {
 			return c, nil
 		}
-		c.nc.Close()
+		c.close()
 		o.closeIdle()
 	}
 	d := net.Dialer{Deadline: deadline}
@@ -326,8 +440,45 @@ func (o *origin) get(ctx context.Context, deadline time.Time) (*conn, error) {
 		return nil, err
 	}
 	c = &conn{nc: nc, br: bufio.NewReader(nc)}
-	c.expire = func() { c.nc.SetDeadline(time.Unix(1, 0)) }
+	c.watch(ctx)
 	return c, nil
+}
+
+// watch makes the end of ctx expire c — move its deadline into the past —
+// unless c already watches a context that ends with ctx: the hook is
+// registered once per connection and context, and stays while c sits idle.
+// A hook of the context c watched before is undone, and should it be under
+// way already, it finds its generation gone and leaves the deadline alone.
+func (c *conn) watch(ctx context.Context) {
+	done := ctx.Done()
+	if done == c.done {
+		return
+	}
+	if c.unwatch != nil {
+		c.unwatch()
+	}
+	c.mu.Lock()
+	c.gen++
+	gen := c.gen
+	c.mu.Unlock()
+	c.done, c.unwatch = done, nil
+	if done != nil {
+		c.unwatch = context.AfterFunc(ctx, func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if c.gen == gen {
+				c.nc.SetDeadline(time.Unix(1, 0))
+			}
+		})
+	}
+}
+
+// close closes c and undoes its hook.
+func (c *conn) close() {
+	if c.unwatch != nil {
+		c.unwatch()
+	}
+	c.nc.Close()
 }
 
 // closeIdle closes the origin's idle connections.
@@ -337,7 +488,7 @@ func (o *origin) closeIdle() {
 	o.idle = nil
 	o.mu.Unlock()
 	for _, c := range idle {
-		c.nc.Close()
+		c.close()
 	}
 }
 
@@ -345,14 +496,14 @@ func (o *origin) closeIdle() {
 // offset it starts at: the codec encodes the body after room left for the
 // request line and headers, which are then written right-aligned against
 // it, so the body is encoded in place and the request leaves in one Write.
-func (o *origin) request(buf []byte, id string, tasks []TaskSpec, idxs []int) ([]byte, int) {
+func (o *origin) request(buf []byte, id []byte, tasks []TaskSpec, idxs []int) ([]byte, int) {
 	slots := len(tasks)
 	if idxs != nil {
 		slots = len(idxs)
 	}
 	room := len(o.head) + 24 // the Content-Length value and the blank line
 	buf = slices.Grow(buf[:0], room+128*slots+64)[:room]
-	buf = appendDecideRequest(buf, id, tasks, idxs)
+	buf = appendDecideRequest(buf, string(id), tasks, idxs)
 	var tail [24]byte
 	t := append(strconv.AppendInt(tail[:0], int64(len(buf)-room), 10), "\r\n\r\n"...)
 	off := room - len(t) - len(o.head)

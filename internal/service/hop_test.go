@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -171,6 +174,175 @@ func TestDecideCancelMidRead(t *testing.T) {
 	if n := conns.Load(); n != 2 {
 		t.Fatalf("%d connections, want 2: the cancelled one must not be reused", n)
 	}
+}
+
+// TestDecideReusesConnAfterContextEnds: the hook that expires a
+// connection when its context ends stays registered while the connection
+// sits idle; a decide under a new context after that context ended undoes
+// it and reuses the connection, and one under the same context as the
+// decide before registers nothing new.
+func TestDecideReusesConnAfterContextEnds(t *testing.T) {
+	srv, conns := hopServer(t, "", answerDecide)
+	cl := NewClient(nil, ClientConfig{Timeout: 5 * time.Second})
+	tasks := hopTasks(4)
+	dst := make([]Decision, len(tasks))
+	for range 3 {
+		ctx, cancel := context.WithCancel(context.Background())
+		for range 2 {
+			if _, _, err := cl.Decide(ctx, srv.URL, "", tasks, nil, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cancel()
+		time.Sleep(10 * time.Millisecond) // the hook has run
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("6 decides under 3 contexts, each ended after its decides, dialed %d connections, want 1", n)
+	}
+}
+
+// TestDecideAnswerHeadShapes: the in-place reader takes the answers
+// service.Server and net/http's server write and leaves the rest to
+// http.ReadResponse.
+func TestDecideAnswerHeadShapes(t *testing.T) {
+	const body = `{"now":1,"decisions":[]}`
+	answer := func(status, extra string) string {
+		return "HTTP/1.1 " + status + "\r\nContent-Type: application/json\r\n" + extra +
+			fmt.Sprintf("Content-Length: %d\r\n\r\n", len(body)) + body
+	}
+	cases := []struct {
+		name, raw  string
+		ok, close  bool
+		status     int
+		retryAfter time.Duration
+	}{
+		{"200", answer("200 OK", "Date: Sun, 18 Oct 2026 01:00:00 GMT\r\n"), true, false, 200, 0},
+		{"no reason", answer("200", ""), true, false, 200, 0},
+		{"429 Retry-After", answer("429 Too Many Requests", "Retry-After: 1\r\nRetry-After: 9\r\n"), true, false, 429, time.Second},
+		{"503", answer("503 Service Unavailable", ""), true, false, 503, 0},
+		{"Connection: close", answer("200 OK", "Connection: close\r\n"), true, true, 200, 0},
+		{"Connection: keep-alive", answer("200 OK", "connection: Keep-Alive\r\n"), true, false, 200, 0},
+		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", false, false, 0, 0},
+		{"no Content-Length", "HTTP/1.1 200 OK\r\n\r\n" + body, false, false, 0, 0},
+		{"duplicate Content-Length", answer("200 OK", fmt.Sprintf("Content-Length: %d\r\n", len(body))), false, false, 0, 0},
+		{"HTTP/1.0", strings.Replace(answer("200 OK", ""), "HTTP/1.1", "HTTP/1.0", 1), false, false, 0, 0},
+		{"bare LF", answer("200 OK", "X-Bare: lf\n"), false, false, 0, 0},
+		{"folded line", answer("200 OK", "X-Folded: a\r\n b\r\n"), false, false, 0, 0},
+		{"space before colon", answer("200 OK", "X-Space : a\r\n"), false, false, 0, 0},
+		{"other Connection", answer("200 OK", "Connection: close, upgrade\r\n"), false, false, 0, 0},
+		{"status glued to reason", answer("200OK", ""), false, false, 0, 0},
+		{"204", answer("204 No Content", ""), false, false, 0, 0},
+		{"1xx first", "HTTP/1.1 100 Continue\r\n\r\n" + answer("200 OK", ""), false, false, 0, 0},
+		{"head not all buffered", answer("200 OK", "")[:40], false, false, 0, 0},
+	}
+	for _, tc := range cases {
+		h, n, ok := readAnswerHead([]byte(tc.raw))
+		if ok != tc.ok {
+			t.Errorf("%s: read in place %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if ok && (h.status != tc.status || h.length != len(body) || h.close != tc.close || h.retryAfter != tc.retryAfter || n != len(tc.raw)-len(body)) {
+			t.Errorf("%s: %+v, head %d B", tc.name, h, n)
+		}
+	}
+}
+
+// serverAnswers are answers as Server writes them: a decide's 200, a bad
+// body's 400, an unknown route's 404, a method's 405, a shed 429 with its
+// Retry-After and a draining 503.
+func serverAnswers(tb testing.TB) [][]byte {
+	tb.Helper()
+	c, err := New(Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer c.Close()
+	mux := http.NewServeMux()
+	mux.Handle("/", NewHandler(c))
+	mux.HandleFunc("POST /shed", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		WriteError(w, http.StatusTooManyRequests, ErrShardDegraded)
+	})
+	mux.HandleFunc("GET /drain", func(w http.ResponseWriter, r *http.Request) {
+		WriteError(w, http.StatusServiceUnavailable, ErrDraining)
+	})
+	post := func(path, body string) []byte {
+		return fmt.Appendf(nil, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", path, len(body), body)
+	}
+	nc := &scriptedConn{mark: -1, keep: true, reqs: [][]byte{
+		post("/v1/decide", `{"decision_id":"a","tasks":[{"id":"t1","type":1,"arrival":5,"deadline":900}]}`),
+		post("/v1/decide", `{"tasks":[`),
+		[]byte("GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n"),
+		[]byte("GET /v1/decide HTTP/1.1\r\nHost: x\r\n\r\n"),
+		post("/shed", "{}"),
+		[]byte("GET /drain HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"),
+	}}
+	newServerConn(NewServer(mux), nc).serve()
+	if len(nc.answers) != len(nc.reqs) {
+		tb.Fatalf("%d answers to %d requests", len(nc.answers), len(nc.reqs))
+	}
+	return nc.answers
+}
+
+// FuzzDecideAnswerHead is differential: whenever the hop's in-place
+// reader accepts an answer's head, http.ReadResponse, which reads every
+// other answer, accepts the same bytes and reads them the same way —
+// status, Content-Length, Close, the first Retry-After, the bytes the head
+// takes and the body. Seeds are Server's own answers and shapes the
+// in-place reader must leave to net/http.
+func FuzzDecideAnswerHead(f *testing.F) {
+	for _, a := range serverAnswers(f) {
+		f.Add(a)
+	}
+	for _, s := range []string{
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{} ",
+		"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\nContent-Length: 2\n\n{}",
+		"HTTP/1.1 200 OK\r\nX-Folded: a\r\n b\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\n X-Lead: a\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nConnection: keep-alive, close\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 2\r\nRetry-After: 7\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 503 Service Unavailable\r\nRetry-After: soon\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 204 No Content\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1  200 OK\r\nContent-Length: 2\r\n\r\n{}",
+		"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{}",
+		"HTTP/1.1 200 O\rK\r\nX-Ctl: a\x01b\r\nContent-Length: 2\r\n\r\n{}",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		h, n, ok := readAnswerHead(raw)
+		if !ok {
+			return
+		}
+		rd := bytes.NewReader(raw)
+		br := bufio.NewReader(rd)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%q: read in place (%+v), http.ReadResponse refused: %v", raw, h, err)
+		}
+		consumed := len(raw) - br.Buffered() - rd.Len()
+		body, berr := io.ReadAll(resp.Body)
+		whole := len(raw)-n >= h.length
+		if resp.StatusCode != h.status || resp.ContentLength != int64(h.length) || resp.Close != h.close ||
+			retryAfterOf(resp.Header.Get("Retry-After")) != h.retryAfter || consumed != n {
+			t.Fatalf("%q: in place %+v head %d B; http.ReadResponse status %d length %d close %v Retry-After %q head %d B",
+				raw, h, n, resp.StatusCode, resp.ContentLength, resp.Close, resp.Header.Get("Retry-After"), consumed)
+		}
+		if (berr == nil) != whole || whole && !bytes.Equal(body, raw[n:n+h.length]) {
+			t.Fatalf("%q: in place a body of %d B (%v there); http.ReadResponse read %q, %v", raw, h.length, whole, body, berr)
+		}
+	})
 }
 
 // TestDecideChunkedAndCloseAnswers: an answer chunked past the server's

@@ -127,7 +127,7 @@ func NewHandler(c *Controller) http.Handler {
 			x.Gauge("taskdrop_final_robustness_pct", "Robustness of the drained run.").Float(res.RobustnessPct)
 		}
 	})
-	return MountDecide(mux, DecideHandler("service", c.decide, c.dedup, decideError, &c.rejected, c.latency))
+	return MountDecide(mux, DecideHandler("service", func() DecideFunc { return c.decide }, c.dedup, decideError, &c.rejected, c.latency))
 }
 
 // DecideHandler is POST /v1/decide for both tiers — a shard server over
@@ -139,42 +139,50 @@ func NewHandler(c *Controller) http.Handler {
 // while the duplicate waited, or took effect in part (failed after some
 // sub-batches committed: FanOut). Any other failed
 // decide left no state behind, so it releases the ID and a retry
-// re-executes. tier prefixes the handler's own error texts; decide answers
-// into the response it is given, whose Decisions storage it may reuse;
-// fail maps a decide error onto the tier's status; rejected counts bodies
-// refused before decide; latency (nil for a tier that keeps none) observes
-// receipt-to-decision time of executed requests.
+// re-executes. tier prefixes the handler's own error texts; decider hands
+// each connection the DecideFunc it decides with, so a tier can keep
+// storage per connection; fail maps a decide error onto the tier's status;
+// rejected counts bodies refused before decide; latency (nil for a tier
+// that keeps none) observes receipt-to-decision time of executed requests.
 //
 // The route has two entries: ServeHTTP, for a request net/http's reader
 // built, and the one Server takes for a plain request it read in place
 // (MountDecide). Both read the whole body and hand it to serve.
 func DecideHandler(
 	tier string,
-	decide func(context.Context, *DecideRequest, *DecideResponse) error,
+	decider func() DecideFunc,
 	dedup *DedupWindow,
 	fail func(http.ResponseWriter, error),
 	rejected *atomic.Int64,
 	latency *telemetry.Histogram,
 ) *Decider {
-	return &Decider{tier: tier, decide: decide, dedup: dedup, fail: fail, rejected: rejected, latency: latency}
+	return &Decider{tier: tier, decider: decider, dedup: dedup, fail: fail, rejected: rejected, latency: latency}
 }
+
+// A DecideFunc is a tier's decide: it answers req into resp, whose
+// Decisions storage it may reuse; on an error resp holds nothing to read.
+type DecideFunc func(context.Context, *DecideRequest, *DecideResponse) error
 
 // Decider is a tier's POST /v1/decide (DecideHandler).
 type Decider struct {
 	tier     string
-	decide   func(context.Context, *DecideRequest, *DecideResponse) error
+	decider  func() DecideFunc
 	dedup    *DedupWindow
 	fail     func(http.ResponseWriter, error)
 	rejected *atomic.Int64
 	latency  *telemetry.Histogram
 }
 
-// decideScratch is what one decide exchange decodes into and encodes from.
-// Server keeps one per connection; the net/http entry uses a fresh one.
+// decideScratch is what one decide exchange decodes into, decides with and
+// encodes from. Server keeps one per connection; the net/http entry uses a
+// fresh one.
 type decideScratch struct {
 	req  DecideRequest
 	resp DecideResponse
 	out  []byte
+	// decide is the tier's decide for this connection, made by from.
+	from   *Decider
+	decide DecideFunc
 }
 
 // ServeHTTP reads the body — pre-sized from Content-Length, bounded by
@@ -215,7 +223,10 @@ func (d *Decider) serve(ctx context.Context, w http.ResponseWriter, x *decideScr
 			return
 		}
 	}
-	if err := d.decide(ctx, req, &x.resp); err != nil {
+	if x.from != d {
+		x.from, x.decide = d, d.decider()
+	}
+	if err := x.decide(ctx, req, &x.resp); err != nil {
 		switch {
 		case !owner:
 		case errors.Is(err, errPartialCommit):

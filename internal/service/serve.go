@@ -45,7 +45,8 @@ const (
 // "Connection: close", HTTP/1.0, a body left over maxUnreadBody unread, a
 // 431 past the header bound or a 400 for a malformed request;
 // Expect: 100-continue is answered on the first body read; answers carry
-// Date and, unless set, a sniffed Content-Type. A request's context ends
+// Date, formatted at most once a second, and, unless set, a sniffed
+// Content-Type. A request's context ends
 // with Shutdown's, not when the client hangs up: the answer is then lost,
 // as the dedup window allows for. A handler's panic ends the process.
 // TLS, HTTP/2, streamed responses and timeouts are not served.
@@ -57,6 +58,25 @@ type Server struct {
 	ln      net.Listener
 	closing bool
 	conns   map[*serverConn]bool // each open connection: a request in flight?
+	date    atomic.Pointer[dateValue]
+}
+
+// dateValue is a Date header value and the second it names.
+type dateValue struct {
+	unix int64
+	text []byte
+}
+
+// dateOf is the Date value for now: http.TimeFormat, formatted at most
+// once per second per Server.
+func (s *Server) dateOf(now time.Time) []byte {
+	unix := now.Unix()
+	if d := s.date.Load(); d != nil && d.unix == unix {
+		return d.text
+	}
+	d := &dateValue{unix: unix, text: now.UTC().AppendFormat(nil, http.TimeFormat)}
+	s.date.Store(d)
+	return d.text
 }
 
 // serverHandler is what a Server answers with: the handler and, when it
@@ -291,48 +311,66 @@ func readDecideHead(buf []byte) (h decideHead, n int, ok bool) {
 	if !bytes.HasPrefix(buf, []byte(decideRequestLine)) {
 		return h, 0, false
 	}
-	n = len(decideRequestLine)
 	hosts, lengths, conns := 0, 0, 0
-	for {
-		end := bytes.IndexByte(buf[n:], '\n')
-		if end < 1 || buf[n+end-1] != '\r' {
-			return h, 0, false // not all buffered, or a bare LF
-		}
-		line := buf[n : n+end-1]
-		n += end + 1
-		if len(line) == 0 {
-			break
-		}
-		name, value, found := bytes.Cut(line, []byte(":"))
-		if !found || len(name) == 0 || !all(name, isTokenByte) || !all(value, isFieldValueByte) {
-			return h, 0, false
-		}
-		value = bytes.Trim(value, " \t")
+	n, ok = readFields(buf, len(decideRequestLine), func(name, value []byte) bool {
 		switch {
 		case asciiFold(name, "host"):
 			hosts++
 			h.host = value
 		case asciiFold(name, "content-length"):
 			lengths++
-			if len(value) == 0 || len(value) > 9 || !all(value, isDigit) {
-				return h, 0, false
-			}
-			h.length = 0
-			for _, c := range value {
-				h.length = 10*h.length + int(c-'0')
-			}
+			var valid bool
+			h.length, valid = contentLength(value)
+			return valid
 		case asciiFold(name, "connection"):
 			conns++
 			h.close = asciiFold(value, "close")
-			if !h.close && !asciiFold(value, "keep-alive") {
-				return h, 0, false
-			}
+			return h.close || asciiFold(value, "keep-alive")
 		case asciiFold(name, "transfer-encoding"), asciiFold(name, "expect"):
-			return h, 0, false
+			return false
+		}
+		return true
+	})
+	ok = ok && hosts == 1 && len(h.host) > 0 && lengths == 1 && h.length <= maxDecideBody && conns <= 1
+	return h, n, ok
+}
+
+// readFields reads the header lines of a head from buf[n:] up to the blank
+// line that ends it, handing field each name and value, the value without
+// the spaces and tabs around it, and returns the head's length in bytes,
+// the blank line included. It is not ok — and the head is left to
+// net/http's reader — when a line is not all in buf or not ended by CRLF,
+// a line is folded, a name holds a byte outside the token bytes or a value
+// a byte net/http refuses, or field returns false.
+func readFields(buf []byte, n int, field func(name, value []byte) bool) (int, bool) {
+	for {
+		end := bytes.IndexByte(buf[n:], '\n')
+		if end < 1 || buf[n+end-1] != '\r' {
+			return 0, false // not all buffered, or a bare LF
+		}
+		line := buf[n : n+end-1]
+		n += end + 1
+		if len(line) == 0 {
+			return n, true
+		}
+		name, value, found := bytes.Cut(line, []byte(":"))
+		if !found || len(name) == 0 || !all(name, isTokenByte) || !all(value, isFieldValueByte) ||
+			!field(name, bytes.Trim(value, " \t")) {
+			return 0, false
 		}
 	}
-	ok = hosts == 1 && len(h.host) > 0 && lengths == 1 && h.length <= maxDecideBody && conns <= 1
-	return h, n, ok
+}
+
+// contentLength reads a Content-Length value in place: 1 to 9 digits.
+func contentLength(v []byte) (int, bool) {
+	if len(v) == 0 || len(v) > 9 || !all(v, isDigit) {
+		return 0, false
+	}
+	n := 0
+	for _, c := range v {
+		n = 10*n + int(c-'0')
+	}
+	return n, true
 }
 
 // all reports whether every byte of b passes is.
@@ -388,7 +426,7 @@ func (c *serverConn) respond(keep, head bool) bool {
 		}
 	}
 	if _, ok := h["Date"]; !ok {
-		b = append(time.Now().UTC().AppendFormat(append(b, "Date: "...), http.TimeFormat), "\r\n"...)
+		b = append(append(append(b, "Date: "...), c.s.dateOf(time.Now())...), "\r\n"...)
 	}
 	if status := w.status; status < 200 || status == http.StatusNoContent || status == http.StatusNotModified {
 		body = nil
