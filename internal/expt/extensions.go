@@ -42,7 +42,7 @@ func Extensions() []Figure {
 			Title: "Extension: all mapping heuristics ± proactive dropping (30k tasks)",
 			Items: func(o Options) []taskdrop.SweepItem {
 				return gridItems("spec", middleLevel(o.Levels),
-					[]string{"MinMin", "MSD", "PAM", "FCFS", "SJF", "EDF", "MCT", "MET", "Sufferage", "KPB", "Random"})
+					[]string{"MinMin", "MSD", "PAM", "FCFS", "SJF", "EDF", "MET", "KPB"})
 			},
 			Pivots: func(o Options) []taskdrop.Pivot {
 				return gridPivots("spec", middleLevel(o.Levels))

@@ -30,7 +30,7 @@ var figureGolden = map[string]string{
 	"ext-gamma":    "699ba3fc83f39b62a6c05162dc696717c3891ec0bf1dbfd7eaaab60e3b511b98",
 	"ext-queue":    "f71102fc2d83288a47435a451e6072ec4cee9ccec52a5d622232444faac765fa",
 	"ext-budget":   "4e9fdfe711e7ec4558dc9146646f597f37dab7d14027c290939c3120ebe50edb",
-	"ext-mappers":  "2f7b05affce0df55f1fd789b3b205c2f0a4cf4cb34756da778c31ad61f51900f",
+	"ext-mappers":  "1b79577f30a1b51e0c531f4d5b984ee2cf4640b2e494fbe47633c7b7471a3def",
 	"ext-failures": "d6ff016b8634d39e298ada7f7f2e3ed8e41e62500af6aa46fb0f3a7aefb728a7",
 	"ext-approx":   "c946b775c519d73d5667d36fd712b54d8c5a8e2a1067dd6654382ad2ff8637ea",
 }

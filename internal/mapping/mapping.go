@@ -1,12 +1,11 @@
 // Package mapping implements the mapping heuristics of §V-B: the
 // heterogeneous-system two-phase batch heuristics MinMin (MM), MSD and PAM,
-// the homogeneous-system queue disciplines FCFS, SJF and EDF, and several
-// classic HC heuristics (MCT, MET, Sufferage, KPB, Random) used for the
-// ablation study of the "a good dropper forgives a poor mapper"
-// observation.
+// the homogeneous-system queue disciplines FCFS, SJF and EDF, and two
+// classic HC heuristics, MET and KPB, which each beat PAM in some cell of
+// a paired sweep (README, "Mapping heuristics").
 //
-// All heuristics implement sim.Mapper and are constructed by name through
-// New.
+// Every heuristic is a stateless value implementing sim.Mapper, so one
+// instance serves any number of engines; FromSpec constructs them by name.
 package mapping
 
 import (
@@ -16,16 +15,16 @@ import (
 
 	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/spec"
-	"github.com/hpcclab/taskdrop/internal/stats"
 )
 
 // FromSpec constructs a mapper from a parameterized spec string (see
 // package spec for the grammar). Recognized components: MinMin/MM, MSD,
-// PAM, FCFS, SJF, EDF, MCT, MET, Sufferage, KPB and Random; the last two
-// take parameters:
+// PAM, FCFS, SJF, EDF, MET and KPB; the last takes a parameter:
 //
 //	kpb:percent=<int in (0,100]>
-//	random:seed=<int64>
+//
+// The value returned keeps no state, so callers resolve a spec once and
+// share the mapper across engines and goroutines.
 func FromSpec(s string) (sim.Mapper, error) {
 	name, params, err := spec.Parse(s)
 	if err != nil {
@@ -45,20 +44,14 @@ func FromSpec(s string) (sim.Mapper, error) {
 		m = SJF{}
 	case "edf":
 		m = EDF{}
-	case "mct":
-		m = MCT{}
 	case "met":
 		m = MET{}
-	case "sufferage":
-		m = Sufferage{}
 	case "kpb":
 		k := KPB{Percent: params.Int("percent", 25)}
 		if k.Percent <= 0 || k.Percent > 100 {
 			return nil, fmt.Errorf("mapping: kpb percent must be in (0,100], got %q", s)
 		}
 		m = k
-	case "random":
-		m = NewRandom(params.Int64("seed", 1))
 	default:
 		return nil, fmt.Errorf("mapping: unknown heuristic %q", s)
 	}
@@ -68,13 +61,9 @@ func FromSpec(s string) (sim.Mapper, error) {
 	return m, nil
 }
 
-// New constructs a mapper by (case-insensitive) name or parameterized
-// spec; it is the same resolution path as FromSpec.
-func New(name string) (sim.Mapper, error) { return FromSpec(name) }
-
 // Names lists the constructible heuristic names.
 func Names() []string {
-	return []string{"MinMin", "MSD", "PAM", "FCFS", "SJF", "EDF", "MCT", "MET", "Sufferage", "KPB", "Random"}
+	return []string{"MinMin", "MSD", "PAM", "FCFS", "SJF", "EDF", "MET", "KPB"}
 }
 
 // bestByECT returns the free machine giving task ts the minimum expected
@@ -342,14 +331,6 @@ func (EDF) Map(ev *sim.MappingEvent) {
 	}
 }
 
-// MCT (Minimum Completion Time) maps tasks in arrival order, each to the
-// machine minimizing its expected completion time — FCFS under the name
-// the mapping literature gives it.
-type MCT struct{ FCFS }
-
-// Name implements sim.Mapper.
-func (MCT) Name() string { return "MCT" }
-
 // MET (Minimum Execution Time) maps tasks in arrival order, each to the
 // machine with its smallest mean execution time, ignoring queue state —
 // the classic load-blind baseline.
@@ -376,53 +357,6 @@ func (MET) Map(ev *sim.MappingEvent) {
 			}
 		}
 		ev.Assign(ts, pick)
-	}
-}
-
-// Sufferage commits the task that would "suffer" most if denied its best
-// machine: the task maximizing the gap between its second-best and best
-// expected completion times.
-type Sufferage struct{}
-
-// Name implements sim.Mapper.
-func (Sufferage) Name() string { return "Sufferage" }
-
-// Map implements sim.Mapper.
-func (Sufferage) Map(ev *sim.MappingEvent) {
-	for len(ev.Batch()) > 0 {
-		free := ev.FreeMachines()
-		if len(free) == 0 {
-			return
-		}
-		var (
-			pick     *sim.TaskState
-			pickMach *sim.Machine
-			pickSuf  = math.Inf(-1)
-		)
-		for _, ts := range ev.Batch() {
-			best, second := math.Inf(1), math.Inf(1)
-			var bm *sim.Machine
-			for _, m := range free {
-				ect := ev.CandidateCompletion(ts, m).Mean()
-				switch {
-				case ect < best:
-					second, best, bm = best, ect, m
-				case ect < second:
-					second = ect
-				}
-			}
-			suf := second - best
-			if math.IsInf(second, 1) {
-				suf = 0 // single free machine: no alternative to suffer against
-			}
-			if suf > pickSuf {
-				pick, pickMach, pickSuf = ts, bm, suf
-			}
-		}
-		if pick == nil {
-			return
-		}
-		ev.Assign(pick, pickMach)
 	}
 }
 
@@ -458,28 +392,5 @@ func (k KPB) Map(ev *sim.MappingEvent) {
 		}
 		m, _ := bestByECT(ev, ts, free[:n], noCutoff)
 		ev.Assign(ts, m)
-	}
-}
-
-// Random maps tasks in arrival order to uniformly random free machines.
-// It is the floor any sensible heuristic must beat.
-type Random struct {
-	rng *stats.RNG
-}
-
-// NewRandom returns a Random mapper with its own seeded stream.
-func NewRandom(seed int64) *Random { return &Random{rng: stats.NewRNG(seed)} }
-
-// Name implements sim.Mapper.
-func (*Random) Name() string { return "Random" }
-
-// Map implements sim.Mapper.
-func (r *Random) Map(ev *sim.MappingEvent) {
-	for len(ev.Batch()) > 0 {
-		free := ev.FreeMachines()
-		if len(free) == 0 {
-			return
-		}
-		ev.Assign(ev.Batch()[0], free[r.rng.Intn(len(free))])
 	}
 }

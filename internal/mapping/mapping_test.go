@@ -44,7 +44,7 @@ func run2(t testing.TB, m *pet.Matrix, mapperName string, tasks []workload.Task)
 // runWith is run2 with an explicit queue capacity (0 = default).
 func runWith(t testing.TB, m *pet.Matrix, mapperName string, tasks []workload.Task, queueCap int) []sim.TaskState {
 	t.Helper()
-	mapper, err := mapping.New(mapperName)
+	mapper, err := mapping.FromSpec(mapperName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,22 +98,22 @@ func task(id int, tt pet.TaskType, arr, dl pmf.Tick, exec0, exec1 pmf.Tick) work
 
 func TestNewAndNames(t *testing.T) {
 	for _, name := range mapping.Names() {
-		m, err := mapping.New(name)
+		m, err := mapping.FromSpec(name)
 		if err != nil {
-			t.Errorf("New(%q): %v", name, err)
+			t.Errorf("FromSpec(%q): %v", name, err)
 			continue
 		}
 		if m.Name() == "" {
 			t.Errorf("%q has empty Name()", name)
 		}
 	}
-	if _, err := mapping.New("minmin"); err != nil {
+	if _, err := mapping.FromSpec("minmin"); err != nil {
 		t.Error("lower-case alias failed")
 	}
-	if _, err := mapping.New("mm"); err != nil {
+	if _, err := mapping.FromSpec("mm"); err != nil {
 		t.Error("MM alias failed")
 	}
-	if _, err := mapping.New("unknown-heuristic"); err == nil {
+	if _, err := mapping.FromSpec("unknown-heuristic"); err == nil {
 		t.Error("unknown name must error")
 	}
 }
@@ -227,7 +227,8 @@ func TestPAMPrefersChanceOfSuccessOverECT(t *testing.T) {
 
 func TestMETIsLoadBlind(t *testing.T) {
 	// m0 marginally faster in execution: MET stacks everything on m0;
-	// MCT spreads to the idle m1 when m0's queue grows.
+	// FCFS, which minimizes expected completion, spreads to the idle m1
+	// when m0's queue grows.
 	m := matrix2(t, [2]pmf.PMF{pmf.Delta(10), pmf.Delta(12)})
 	mk := func() []workload.Task {
 		return []workload.Task{
@@ -242,46 +243,15 @@ func TestMETIsLoadBlind(t *testing.T) {
 			t.Fatalf("MET task %d on machine %d, want 0", i, st.Machine)
 		}
 	}
-	mct := run2(t, m, "MCT", mk())
+	fcfs := run2(t, m, "FCFS", mk())
 	onM1 := 0
-	for _, st := range mct {
+	for _, st := range fcfs {
 		if st.Machine == 1 {
 			onM1++
 		}
 	}
 	if onM1 == 0 {
-		t.Fatal("MCT never used the idle slower machine")
-	}
-}
-
-func TestSufferagePrioritizesHighRegret(t *testing.T) {
-	// Sufferage only differs from arrival order when several machines free
-	// up at once. Both queues (capacity 2) hold a long-running blocker
-	// plus a pending filler that expires at t=50; the arrival at t=60
-	// reactively frees one slot on each machine in a single mapping event.
-	// Batch order is then [Y, X, E]; X (regret 90) must preempt Y
-	// (regret 2) for machine 0.
-	m := matrix2(t,
-		[2]pmf.PMF{pmf.Delta(100), pmf.Delta(100)}, // type 0: blocker
-		[2]pmf.PMF{pmf.Delta(10), pmf.Delta(10)},   // type 1: filler
-		[2]pmf.PMF{pmf.Delta(12), pmf.Delta(14)},   // type 2: Y (low regret)
-		[2]pmf.PMF{pmf.Delta(10), pmf.Delta(100)},  // type 3: X (high regret)
-	)
-	tasks := []workload.Task{
-		task(0, 0, 0, 10000, 100, 100), // blocker → m0
-		task(1, 0, 0, 10000, 100, 100), // blocker → m1
-		task(2, 1, 1, 50, 10, 10),      // filler → m0, expires t=50
-		task(3, 1, 2, 50, 10, 10),      // filler → m1, expires t=50
-		task(4, 2, 3, 10000, 12, 14),   // Y, batched (queues full)
-		task(5, 3, 4, 10000, 10, 100),  // X, batched
-		task(6, 1, 60, 10000, 10, 10),  // E: triggers the double-free event
-	}
-	sts := runWith(t, m, "Sufferage", tasks, 2)
-	if sts[5].Machine != 0 {
-		t.Fatalf("X on machine %d, want 0 (high sufferage wins its best machine)", sts[5].Machine)
-	}
-	if sts[4].Machine != 1 {
-		t.Fatalf("Y on machine %d, want 1", sts[4].Machine)
+		t.Fatal("FCFS never used the idle slower machine")
 	}
 }
 
@@ -308,46 +278,6 @@ func TestKPBRestrictsToBestExecSubset(t *testing.T) {
 	}
 }
 
-func TestRandomAssignsEverythingDeterministically(t *testing.T) {
-	m := matrix2(t, [2]pmf.PMF{pmf.Delta(10), pmf.Delta(10)})
-	mk := func() []workload.Task {
-		var ts []workload.Task
-		for i := 0; i < 20; i++ {
-			ts = append(ts, task(i, 0, pmf.Tick(i), 10000, 10, 10))
-		}
-		return ts
-	}
-	run := func() []int {
-		tr := &workload.Trace{Tasks: mk(), Cfg: workload.Config{TotalTasks: 20, Window: 1}}
-		cfg := sim.DefaultConfig()
-		cfg.BoundaryExclusion = 0
-		e := sim.New(m, tr, mapping.NewRandom(3), core.ReactiveOnly{}, cfg)
-		rec := sim.Record(e)
-		e.Run()
-		var machines []int
-		for _, st := range rec.TaskStates() {
-			if st.Status != sim.StatusCompletedOnTime {
-				t.Fatalf("task %d status %v", st.Task.ID, st.Status)
-			}
-			machines = append(machines, st.Machine)
-		}
-		return machines
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Random mapper with same seed must be deterministic")
-		}
-	}
-	saw := map[int]bool{}
-	for _, mi := range a {
-		saw[mi] = true
-	}
-	if len(saw) < 2 {
-		t.Fatal("Random mapper never used the second machine in 20 draws")
-	}
-}
-
 // TestAllMappersSurviveRealisticWorkload is the integration smoke test:
 // every registered heuristic must drain a generated oversubscribed trace
 // without violating engine invariants, under every dropping policy.
@@ -357,7 +287,7 @@ func TestAllMappersSurviveRealisticWorkload(t *testing.T) {
 	droppers := []core.Policy{core.ReactiveOnly{}, core.NewHeuristic(), core.Optimal{}, core.NewThreshold()}
 	for _, name := range mapping.Names() {
 		for _, dp := range droppers {
-			mapper, err := mapping.New(name)
+			mapper, err := mapping.FromSpec(name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hpcclab/taskdrop/internal/core"
 	"github.com/hpcclab/taskdrop/internal/journal"
+	"github.com/hpcclab/taskdrop/internal/mapping"
 	"github.com/hpcclab/taskdrop/internal/sim"
 	"github.com/hpcclab/taskdrop/internal/workload"
 )
@@ -59,6 +61,73 @@ func decideRange(t testing.TB, c *Controller, tr *workload.Trace, lo, hi, batch 
 	return out
 }
 
+// crashRecover runs the trace through an unjournaled reference controller,
+// then, for each cut, through a journaling controller that crashes after
+// task cut and recovers: the recovered controller must report the shard
+// stats it crashed with, make the reference's decisions for the rest of
+// the trace, drain to the reference's Result and leave a journal that
+// verifies.
+func crashRecover(t *testing.T, jcfg Config, tr *workload.Trace, batch int, cuts []int) {
+	t.Helper()
+	rcfg := jcfg
+	rcfg.JournalDir = ""
+	ref, err := New(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := decideRange(t, ref, tr, 0, len(tr.Tasks), batch)
+	wantResult, err := ref.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range cuts {
+		jcfg.JournalDir = t.TempDir()
+		jc, err := New(jcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := decideRange(t, jc, tr, 0, cut, batch); !reflect.DeepEqual(got, want[:cut]) {
+			t.Fatalf("cut %d: journaled controller diverged from reference before the crash", cut)
+		}
+		pre, err := jc.ShardStats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		crash(jc)
+
+		jc2, err := New(jcfg)
+		if err != nil {
+			t.Fatalf("cut %d: recovery: %v", cut, err)
+		}
+		post, err := jc2.ShardStats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(post, pre) {
+			t.Fatalf("cut %d: recovered shard stats diverged:\n pre %+v\npost %+v", cut, pre, post)
+		}
+		gotTail := decideRange(t, jc2, tr, cut, len(tr.Tasks), batch)
+		if gotTail[0].Seq != cut {
+			t.Fatalf("cut %d: first post-recovery seq = %d (no reissue, no gap)", cut, gotTail[0].Seq)
+		}
+		for i, d := range gotTail {
+			if d != want[cut+i] {
+				t.Fatalf("cut %d: recovered controller diverged from reference at task %d:\n got %+v\nwant %+v", cut, cut+i, d, want[cut+i])
+			}
+		}
+		got, err := jc2.Drain(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantResult) {
+			t.Fatalf("cut %d: drained results diverged:\n got %+v\nwant %+v", cut, got, wantResult)
+		}
+		if _, err := VerifyAll(jcfg.JournalDir); err != nil {
+			t.Fatalf("cut %d: journal after crash and recovery: %v", cut, err)
+		}
+	}
+}
+
 // TestJournalCrashRecovery is the tentpole property end to end: kill a
 // journaling controller mid-stream, reopen the journal, and the recovered
 // controller must (a) report byte-identical shard stats, (b) make exactly
@@ -66,68 +135,9 @@ func decideRange(t testing.TB, c *Controller, tr *workload.Trace, lo, hi, batch 
 // of the stream — sequence numbers and routing included — (c) drain to the
 // identical final Result, and (d) leave a journal that verifies. The kill
 // point is an input: four checkpoint cadences at one point, then every
-// point across two checkpoint intervals under each routing policy that
-// reads a position (rr, p2c) or the recovered views (mass).
+// point across two checkpoint intervals under each routing policy: the
+// two that read a position (rr, p2c) and the class hash.
 func TestJournalCrashRecovery(t *testing.T) {
-	run := func(t *testing.T, jcfg Config, tr *workload.Trace, batch int, cuts []int) {
-		rcfg := jcfg
-		rcfg.JournalDir = ""
-		ref, err := New(rcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := decideRange(t, ref, tr, 0, len(tr.Tasks), batch)
-		wantResult, err := ref.Drain(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cut := range cuts {
-			jcfg.JournalDir = t.TempDir()
-			jc, err := New(jcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := decideRange(t, jc, tr, 0, cut, batch); !reflect.DeepEqual(got, want[:cut]) {
-				t.Fatalf("cut %d: journaled controller diverged from reference before the crash", cut)
-			}
-			pre, err := jc.ShardStats(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			crash(jc)
-
-			jc2, err := New(jcfg)
-			if err != nil {
-				t.Fatalf("cut %d: recovery: %v", cut, err)
-			}
-			post, err := jc2.ShardStats(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(post, pre) {
-				t.Fatalf("cut %d: recovered shard stats diverged:\n pre %+v\npost %+v", cut, pre, post)
-			}
-			gotTail := decideRange(t, jc2, tr, cut, len(tr.Tasks), batch)
-			if gotTail[0].Seq != cut {
-				t.Fatalf("cut %d: first post-recovery seq = %d (no reissue, no gap)", cut, gotTail[0].Seq)
-			}
-			for i, d := range gotTail {
-				if d != want[cut+i] {
-					t.Fatalf("cut %d: recovered controller diverged from reference at task %d:\n got %+v\nwant %+v", cut, cut+i, d, want[cut+i])
-				}
-			}
-			got, err := jc2.Drain(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, wantResult) {
-				t.Fatalf("cut %d: drained results diverged:\n got %+v\nwant %+v", cut, got, wantResult)
-			}
-			if _, err := VerifyAll(jcfg.JournalDir); err != nil {
-				t.Fatalf("cut %d: journal after crash and recovery: %v", cut, err)
-			}
-		}
-	}
 	base := Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", Fsync: "never"}
 	for _, tc := range []struct {
 		shards, snapEvery int
@@ -140,7 +150,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d/snap=%d", tc.shards, tc.snapEvery), func(t *testing.T) {
 			cfg := base
 			cfg.Shards, cfg.Router, cfg.SnapshotEvery = tc.shards, "rr", tc.snapEvery
-			run(t, cfg, testTrace(t, 400, 7), 8, []int{250})
+			crashRecover(t, cfg, testTrace(t, 400, 7), 8, []int{250})
 		})
 	}
 	var sweep []int
@@ -154,7 +164,37 @@ func TestJournalCrashRecovery(t *testing.T) {
 		t.Run(fmt.Sprintf("sweep/%s/shards=%d", tc.router, tc.shards), func(t *testing.T) {
 			cfg := base
 			cfg.Shards, cfg.Router, cfg.SnapshotEvery = tc.shards, tc.router, 60
-			run(t, cfg, testTrace(t, 200, 7), 1, sweep)
+			crashRecover(t, cfg, testTrace(t, 200, 7), 1, sweep)
+		})
+	}
+}
+
+// TestEveryPolicyRecoversAcrossCheckpoint runs the crash-and-recover
+// property under every built-in mapper (with the heuristic dropper) and
+// every built-in dropper (with PAM), checkpointing and with a grace window.
+// Recovery restores a checkpoint and re-executes the tail on freshly built
+// shards, so a policy carrying state the engine snapshot does not hold —
+// a mapper's own random stream, say — replays to different decisions and
+// fails here.
+func TestEveryPolicyRecoversAcrossCheckpoint(t *testing.T) {
+	type policies struct{ mapper, dropper string }
+	var cases []policies
+	for _, m := range mapping.Names() {
+		cases = append(cases, policies{m, "heuristic"})
+	}
+	for _, d := range core.PolicyNames() {
+		if !strings.EqualFold(d, "heuristic") {
+			cases = append(cases, policies{"PAM", d})
+		}
+	}
+	tr := testTrace(t, 400, 7)
+	for _, pc := range cases {
+		t.Run(pc.mapper+"+"+pc.dropper, func(t *testing.T) {
+			cfg := Config{
+				Profile: "video", Mapper: pc.mapper, Dropper: pc.dropper,
+				Fsync: "never", SnapshotEvery: 60, Grace: 40,
+			}
+			crashRecover(t, cfg, tr, 8, []int{250})
 		})
 	}
 }
@@ -1652,4 +1692,41 @@ func TestReplayIgnoresManifestRouter(t *testing.T) {
 		return
 	}
 	t.Fatal("p2c routed nothing to shard 1")
+}
+
+// TestManifestUnderDeletedMapperRefused: unlike the router, the mapper
+// decides what a log's tail replays to, so a journal whose manifest names
+// a mapper the registry no longer has can be neither restarted nor
+// verified, and both refusals name the mapper.
+func TestManifestUnderDeletedMapperRefused(t *testing.T) {
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never",
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, testTrace(t, 40, 3), 0, 40, 4)
+	crash(c)
+
+	path := filepath.Join(cfg.JournalDir, manifestName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = bytes.Replace(blob, []byte(`"mapper": "PAM"`), []byte(`"mapper": "Random"`), 1)
+	if !bytes.Contains(blob, []byte(`"Random"`)) {
+		t.Fatalf("manifest has no mapper field to rewrite: %s", blob)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mapper = "Random"
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `"Random"`) {
+		t.Fatalf("restart under a deleted mapper: %v, want a refusal naming it", err)
+	}
+	if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), `"Random"`) {
+		t.Fatalf("verify under a deleted mapper: %v, want a refusal naming it", err)
+	}
 }

@@ -302,22 +302,23 @@ func build(cfg Config, cold bool) (*Controller, error) {
 		ReactiveGrace:     cfg.Grace,
 		ColdChains:        cold,
 	}
+	// Every built-in mapper and dropper is a stateless value, so the shards
+	// share one of each. A spec the registry no longer knows (a journal
+	// served under a since-deleted policy) is refused here, by name.
+	mapper, err := mapping.FromSpec(cfg.Mapper)
+	if err != nil {
+		return nil, err
+	}
+	dropper, err := core.PolicyFromSpec(cfg.Dropper)
+	if err != nil {
+		return nil, err
+	}
 	tel := telemetry.New(cfg.Shards, cfg.TraceSample, telemetry.DefaultRingSize)
-	// Each shard resolves its own mapper and dropper instances: shards
-	// advance concurrently and must not share stateful components. The
-	// dropper is wrapped with the shard's trace recorder so a sampled
-	// decision attributes the verdict time to its dropper span (a pure
-	// pass-through; verdicts are unchanged).
+	// Each shard's dropper is wrapped with the shard's trace recorder so a
+	// sampled decision attributes the verdict time to its dropper span (a
+	// pure pass-through; verdicts are unchanged).
 	cl, err := buildCluster(matrix, cfg.Partition, cfg.Shards, policy, func(s int) (sim.Mapper, core.Policy, error) {
-		m, err := mapping.FromSpec(cfg.Mapper)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := core.PolicyFromSpec(cfg.Dropper)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, telemetry.TimedPolicy{Inner: d, Rec: tel.Shard(s)}, nil
+		return mapper, telemetry.TimedPolicy{Inner: dropper, Rec: tel.Shard(s)}, nil
 	}, simCfg)
 	if err != nil {
 		return nil, err

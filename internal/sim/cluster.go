@@ -120,10 +120,10 @@ func (e *Engine) ObserveDecision(v *router.ShardView, ts *TaskState) {
 	v.ObserveAdmission(int(ts.Task.Type), e.QueuedSuccessProbability(ts))
 }
 
-// ShardBuilder supplies one shard's mapper and dropping policy. Shard
-// engines must not share stateful components across concurrently-advancing
-// loops, so the Cluster constructs each shard through this hook; builders
-// typically resolve the same registry specs once per shard.
+// ShardBuilder supplies one shard's mapper and dropping policy. The
+// built-in mappers and droppers are stateless values, so a builder may hand
+// every shard the same ones; the hook is per shard for what does differ,
+// such as the service's per-shard trace recorder around the dropper.
 type ShardBuilder func(shard int) (Mapper, core.Policy, error)
 
 // Cluster is a set of shard-scoped engines behind a routing policy —

@@ -19,11 +19,12 @@ import (
 // Unknown names, unknown parameters and out-of-range values are errors.
 
 // NewMapper resolves a mapper spec. Recognized components: MinMin (alias
-// MM), MSD, PAM, FCFS, SJF, EDF, MCT, MET, Sufferage, KPB and Random;
-// parameterized forms:
+// MM), MSD, PAM, FCFS, SJF, EDF, MET and KPB; parameterized form:
 //
 //	kpb:percent=<int in (0,100]>
-//	random:seed=<int64>
+//
+// Every built-in mapper is a stateless value, safe to share across
+// concurrent trials and shards.
 func NewMapper(spec string) (Mapper, error) { return mapping.FromSpec(spec) }
 
 // NewDropper resolves a dropping-policy spec. Recognized components:

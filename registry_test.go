@@ -37,12 +37,12 @@ func TestNewDropperSpecs(t *testing.T) {
 }
 
 func TestNewMapperSpecs(t *testing.T) {
-	for _, spec := range []string{"PAM", "minmin", "MM", "kpb:percent=30", "random:seed=9"} {
+	for _, spec := range []string{"PAM", "minmin", "MM", "kpb:percent=30"} {
 		if _, err := taskdrop.NewMapper(spec); err != nil {
 			t.Errorf("NewMapper(%q): %v", spec, err)
 		}
 	}
-	for _, bad := range []string{"", "warp", "kpb:percent=0", "kpb:percent=101", "pam:x=1", "random:seed=soon"} {
+	for _, bad := range []string{"", "warp", "kpb:percent=0", "kpb:percent=101", "pam:x=1", "mct", "sufferage", "random"} {
 		if _, err := taskdrop.NewMapper(bad); err == nil {
 			t.Errorf("NewMapper(%q) should error", bad)
 		}

@@ -31,6 +31,7 @@ type Scenario struct {
 	mapperSpecSet bool
 	mapperImpl    Mapper
 	mapperImplSet bool
+	mapper        Mapper
 
 	dropperSpec    string
 	dropperSpecSet bool
@@ -76,9 +77,8 @@ func WithMapper(spec string) ScenarioOption {
 
 // WithMapperImpl plugs in a custom Mapper implementation. With more than
 // one worker the same value is shared across concurrent trials, so custom
-// mappers must be stateless or safe for concurrent use; built-in mappers
-// selected by spec are constructed fresh per trial and have no such
-// requirement.
+// mappers must be stateless or safe for concurrent use, as every built-in
+// mapper is.
 func WithMapperImpl(m Mapper) ScenarioOption {
 	return func(s *Scenario) { s.mapperImpl = m; s.mapperImplSet = true }
 }
@@ -249,10 +249,14 @@ func (s *Scenario) validate() error {
 	if s.mapperImplSet && s.mapperImpl == nil {
 		return fmt.Errorf("taskdrop: WithMapperImpl(nil); use a WithMapper spec instead")
 	}
-	if s.mapperImpl == nil {
-		if _, err := mapping.FromSpec(s.mapperSpec); err != nil {
+	if s.mapperImplSet {
+		s.mapper = s.mapperImpl
+	} else {
+		m, err := mapping.FromSpec(s.mapperSpec)
+		if err != nil {
 			return err
 		}
+		s.mapper = m
 	}
 	if s.dropperSpecSet && s.dropperImplSet {
 		return fmt.Errorf("taskdrop: scenario sets both WithDropper and WithDropperPolicy")
@@ -315,16 +319,6 @@ func (s *Scenario) WorkloadConfig() WorkloadConfig {
 	return workload.Config{TotalTasks: s.tasks, Window: s.window, GammaSlack: s.gamma}
 }
 
-// newMapper returns the mapper for one trial: custom implementations are
-// shared, spec-selected mappers are constructed fresh so stateful built-ins
-// (e.g. Random) never race across workers.
-func (s *Scenario) newMapper() (Mapper, error) {
-	if s.mapperImpl != nil {
-		return s.mapperImpl, nil
-	}
-	return mapping.FromSpec(s.mapperSpec)
-}
-
 // simConfig assembles the engine configuration for one trial.
 func (s *Scenario) simConfig(trial int) SimConfig {
 	cfg := sim.DefaultConfig()
@@ -370,11 +364,7 @@ func (s *Scenario) Engine(trial int) (*Engine, error) {
 	if trial < 0 || trial >= s.trials {
 		return nil, fmt.Errorf("taskdrop: trial %d out of range [0,%d)", trial, s.trials)
 	}
-	mapper, err := s.newMapper()
-	if err != nil {
-		return nil, err
-	}
-	eng := sim.New(s.Matrix(), s.trace(trial), mapper, s.dropper, s.simConfig(trial))
+	eng := sim.New(s.Matrix(), s.trace(trial), s.mapper, s.dropper, s.simConfig(trial))
 	if s.maxImpulses > 0 {
 		eng.Calc().MaxImpulses = s.maxImpulses
 	}
@@ -399,11 +389,7 @@ func (s *Scenario) runTrial(ctx context.Context, trial int) (*Result, CalcStats,
 		return nil, calc, err
 	}
 	cl, err := sim.NewCluster(s.Matrix(), s.shards, pol, func(int) (sim.Mapper, core.Policy, error) {
-		m, err := s.newMapper()
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, s.dropper, nil
+		return s.mapper, s.dropper, nil
 	}, s.simConfig(trial))
 	if err != nil {
 		return nil, calc, err
