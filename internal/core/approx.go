@@ -50,10 +50,11 @@ const FollowEngineGrace pmf.Tick = -1
 // ApproxHeuristic is the proactive dropping heuristic driven by expected
 // utility instead of the chance of success: with a non-zero grace window a
 // slightly-late task retains value, so the policy drops less aggressively
-// than the strict-deadline heuristic. Consistently, its completion-time
-// chains truncate Eq. 1 at deadline+Grace — a task is only "reactively
-// dropped" in the forecast once it can no longer earn any value. With
-// Grace = 0 its decisions are identical to Heuristic.
+// than the heuristic. Its completion-time chains truncate Eq. 1 at
+// deadline+Grace, as the heuristic's do at the engine's grace — a task is
+// only "reactively dropped" in the forecast once the engine would no
+// longer start it. With Grace = 0 its decisions are identical to
+// Heuristic.
 //
 // Grace = FollowEngineGrace (the spec default) tracks the engine's
 // sim.Config.ReactiveGrace automatically; an explicit Grace ≥ 0 overrides
@@ -87,9 +88,10 @@ func (a ApproxHeuristic) Decide(ctx *Context) []int {
 	if !(a.Beta >= 1) || a.Eta < 1 || grace < 0 {
 		panic(fmt.Sprintf("core: invalid approx heuristic parameters β=%v η=%d g=%d", a.Beta, a.Eta, grace))
 	}
-	value := func(cp pmf.PMF, qt QueueTask) float64 {
-		return ExpectedUtility(cp, qt.Deadline, grace)
-	}
-	graced := func(qt QueueTask) pmf.Tick { return qt.Deadline + grace }
-	return heuristicWalk(ctx, a.Beta, a.Eta, value, graced)
+	return heuristicWalk(ctx, a.Beta, a.Eta, expectedUtility, grace)
+}
+
+// expectedUtility is ExpectedUtility as a valueFunc.
+func expectedUtility(cp pmf.PMF, qt QueueTask, grace pmf.Tick) float64 {
+	return ExpectedUtility(cp, qt.Deadline, grace)
 }

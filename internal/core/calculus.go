@@ -82,9 +82,11 @@ type Calculus struct {
 	moments []pmf.Moments
 
 	// Policy scratch, reused across Decide calls (see heuristicWalk,
-	// CompletionPMFs, SuccessProbs).
+	// CompletionPMFs, SuccessProbs); scratchD backs the heuristic's drop
+	// list.
 	scratchQ []QueueTask
 	scratchI []int
+	scratchD []int
 	scratchP []pmf.PMF
 	scratchF []float64
 
@@ -281,8 +283,9 @@ func (s ChainState) Append(t pet.TaskType, dl pmf.Tick) ChainState {
 	return ChainState{c: c, cc: s.cc, mt: s.mt, node: id}
 }
 
-// MeanLowerBound returns pmf.NextCompletionMeanLowerBound(s.PMF(),
-// exec, exec.Moments(), dl) for the (t, mt) execution PMF — a lower bound
+// MeanLowerBound returns pmf.SplitMeanLowerBound(s.PMF(), exec,
+// exec.Moments(), s.PMF().SplitMoments(s.PMF().Rank(dl-1))) for the
+// (t, mt) execution PMF — a lower bound
 // on s.Append(t, dl).PMF().Mean(), -Inf when none can be given — without
 // convolving or touching the trie. Mappers use it to skip candidates that
 // cannot beat their incumbent. The state's split moments at dl come from
@@ -296,17 +299,6 @@ func (s ChainState) MeanLowerBound(t pet.TaskType, dl pmf.Tick) float64 {
 // AppendTask is Append for a QueueTask (strict-deadline truncation).
 func (s ChainState) AppendTask(qt QueueTask) ChainState {
 	return s.Append(qt.Type, qt.Deadline)
-}
-
-// Availability returns the PMF of the absolute time at which the machine
-// becomes free for the first pending task, together with the index of the
-// first pending (droppable) entry in q. If the head of q is running, the
-// availability is its conditional completion time; otherwise the machine is
-// free now. The PMF is pinned in the calculus-owned cache (see the memory
-// contract).
-func (c *Calculus) Availability(mt pet.MachineType, now pmf.Tick, q []QueueTask) (avail pmf.PMF, firstPending int) {
-	s, first := c.ChainStart(mt, now, q)
-	return s.PMF(), first
 }
 
 // CompletionPMFs returns the completion-time PMF of every task in the

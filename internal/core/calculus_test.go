@@ -50,8 +50,8 @@ func twoPoint(t1 pmf.Tick, p float64, t2 pmf.Tick) pmf.PMF {
 func TestAvailabilityIdle(t *testing.T) {
 	m := testMatrix(t, [][]pmf.PMF{{delta(10)}})
 	c := NewCalculus(m)
-	avail, first := c.Availability(0, 100, nil)
-	if first != 0 || !avail.Equal(pmf.Delta(100)) {
+	s, first := c.ChainStart(0, 100, nil)
+	if avail := s.PMF(); first != 0 || !avail.Equal(pmf.Delta(100)) {
 		t.Fatalf("idle availability = %v (first %d)", avail, first)
 	}
 }
@@ -60,7 +60,8 @@ func TestAvailabilityRunning(t *testing.T) {
 	m := testMatrix(t, [][]pmf.PMF{{twoPoint(10, 0.5, 20)}})
 	c := NewCalculus(m)
 	q := []QueueTask{{Type: 0, Deadline: 1000, Running: true, Elapsed: 12}}
-	avail, first := c.Availability(0, 100, q)
+	s, first := c.ChainStart(0, 100, q)
+	avail := s.PMF()
 	if first != 1 {
 		t.Fatalf("first pending = %d, want 1", first)
 	}
@@ -195,6 +196,14 @@ func testMatrixFromCells(cells [][]pmf.PMF) *pet.Matrix {
 	return pet.FromPMFs(p, cells)
 }
 
+// runningAvailability is the availability of a machine whose head has
+// run elapsed ticks as of now: the fused kernel, in a workspace of its own,
+// which pmf's tests hold bit for bit to the portable conditional form.
+func runningAvailability(exec pmf.PMF, elapsed, now pmf.Tick) pmf.PMF {
+	var ws pmf.Workspace
+	return ws.ConditionalRemainingShift(exec, elapsed, now)
+}
+
 // refCompletions is an independent reference implementation of the queue
 // completion chain (Eq. 1) using only the portable pmf operations.
 func refCompletions(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask, budget int) []pmf.PMF {
@@ -202,7 +211,7 @@ func refCompletions(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTa
 	var prev pmf.PMF
 	start := 0
 	if len(q) > 0 && q[0].Running {
-		prev = m.ExecPMF(q[0].Type, mt).ConditionalRemaining(q[0].Elapsed).Shift(now)
+		prev = runningAvailability(m.ExecPMF(q[0].Type, mt), q[0].Elapsed, now)
 		out[0] = prev
 		start = 1
 	} else {
@@ -303,8 +312,8 @@ func TestChainKeyIsTypeAndSplit(t *testing.T) {
 }
 
 // TestMeanLowerBoundMemoMatchesBound holds ChainState.MeanLowerBound, whose
-// split moments come from its cache's memo, to
-// pmf.NextCompletionMeanLowerBound bit for bit: random queues on the SPEC
+// split moments come from its cache's memo, to pmf.SplitMeanLowerBound
+// over a freshly taken split bit for bit: random queues on the SPEC
 // matrix, every task type at deadlines on every split index of the asked
 // state's PMF, and cache resets of every kind between rounds (root drift,
 // churn, pin overflow, Recycle of the calculus-owned cache), after which
@@ -353,7 +362,7 @@ func TestMeanLowerBoundMemoMatchesBound(t *testing.T) {
 				}
 				for ty := 0; ty < nt; ty++ {
 					exec := m.ExecPMF(pet.TaskType(ty), s.mt)
-					want := pmf.NextCompletionMeanLowerBound(p, exec, exec.Moments(), dl)
+					want := pmf.SplitMeanLowerBound(p, exec, exec.Moments(), p.SplitMoments(p.Rank(dl-1)))
 					if got := s.MeanLowerBound(pet.TaskType(ty), dl); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("node %d split %d type %d deadline %d: memoized bound %v, want %v (PMF %v)",
 							s.node, k, ty, dl, got, want, p)

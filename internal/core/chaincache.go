@@ -70,8 +70,8 @@ type ChainCache struct {
 // was last asked on — during a mapping event, the machine's tail, which
 // every candidate task asks at its own deadline — per split index k, each
 // computed once by pmf.PMF.SplitMoments, so the bound stays bit-identical
-// to pmf.NextCompletionMeanLowerBound. Node indexes are reused after a
-// reset, so resetFor empties it.
+// to pmf.SplitMeanLowerBound over a fresh split. Node indexes are reused
+// after a reset, so resetFor empties it.
 type splitMemo struct {
 	node   int32
 	splits []memoSplit // one per split index of node's PMF; empty: no node held
@@ -353,12 +353,19 @@ func (a *pinArena) pin(c *Calculus, p pmf.PMF) pmf.PMF {
 	return out
 }
 
-// reset drops all pinned storage. The current block is kept for reuse;
-// full blocks are released to the collector once no stale ChainState
-// references them (stale states are fenced off by the generation bump).
+// reset drops all pinned storage. The current block is kept for reuse
+// (stale states are fenced off by the generation bump); when the cycle
+// outgrew it, the next cycle starts in one block that holds all the cycle
+// pinned, up to the block cap, so a cache that pins about as much each
+// cycle stops allocating. Full blocks are released to the collector.
 func (a *pinArena) reset(c *Calculus) {
 	if a.committed > 0 {
 		c.pinnedBytes.Store(c.pinnedBytes.Load() - int64(a.committed)*pinImpulseBytes)
+	}
+	if len(a.old) > 0 {
+		if size := min(a.committed, maxPinBlockImpulses); size > len(a.block) {
+			a.block = make([]pmf.Impulse, size)
+		}
 	}
 	a.old = nil
 	a.used = 0

@@ -38,23 +38,29 @@ func NewHeuristic() Heuristic { return Heuristic{Beta: DefaultBeta, Eta: Default
 func (h Heuristic) Name() string { return "Heuristic" }
 
 // StableDecision implements StableDecider: the walk reads only the
-// availability root, the queue's types and deadlines, and β/η.
+// availability root, the queue's types and deadlines, β/η and the engine's
+// grace window (an engine constant).
 func (h Heuristic) StableDecision() bool { return true }
 
-// Decide implements Policy.
+// Decide implements Policy. Its chains truncate Eq. 1 where the engine
+// stops starting a waiting task, at deadline + Context.Grace, and score
+// Eq. 2 at the deadline: a task past its deadline but inside the grace
+// window is worth nothing and still occupies its machine. With no grace
+// this is the paper's rule.
 func (h Heuristic) Decide(ctx *Context) []int {
 	if !(h.Beta >= 1) || h.Eta < 1 { // written so that a NaN β fails
 		panic(fmt.Sprintf("core: invalid heuristic parameters β=%v η=%d", h.Beta, h.Eta))
 	}
-	return heuristicWalk(ctx, h.Beta, h.Eta, chanceOfSuccess, strictDeadline)
+	return heuristicWalk(ctx, h.Beta, h.Eta, chanceOfSuccess, ctx.Grace)
 }
 
-// valueFunc scores one task's completion PMF; the heuristic maximizes the
-// window sum of this value. The paper's heuristic uses the chance of
-// success (Eq. 2); the approximate-computing extension uses expected
-// utility. Contract: the score is at most the PMF's total mass, i.e. ≤ 1 —
-// heuristicWalk and Optimal bound unevaluated scenarios by it.
-type valueFunc func(cp pmf.PMF, qt QueueTask) float64
+// valueFunc scores one task's completion PMF given the walk's grace
+// window; the heuristic maximizes the window sum of this value. The
+// paper's heuristic uses the chance of success (Eq. 2); the
+// approximate-computing extension uses expected utility. Contract: the
+// score is at most the PMF's total mass, i.e. ≤ 1 — heuristicWalk and
+// Optimal bound unevaluated scenarios by it.
+type valueFunc func(cp pmf.PMF, qt QueueTask, grace pmf.Tick) float64
 
 // valueSlack pads the "no task is worth more than 1" bound for the few
 // ulps by which float summation may leave a chain PMF's mass above 1
@@ -64,26 +70,20 @@ type valueFunc func(cp pmf.PMF, qt QueueTask) float64
 const valueSlack = 1e-9
 
 // chanceOfSuccess is Eq. 2 as a valueFunc.
-func chanceOfSuccess(cp pmf.PMF, qt QueueTask) float64 {
+func chanceOfSuccess(cp pmf.PMF, qt QueueTask, _ pmf.Tick) float64 {
 	return cp.MassBefore(qt.Deadline)
 }
 
-// deadlineFunc yields the Eq. 1 truncation point for a queued task: the
-// latest start time after which executing it has no value. The paper's
-// model truncates at the task deadline; the approximate-computing
-// extension pushes it out by the grace window.
-type deadlineFunc func(qt QueueTask) pmf.Tick
-
-// strictDeadline is the paper's truncation rule.
-func strictDeadline(qt QueueTask) pmf.Tick { return qt.Deadline }
-
 // heuristicWalk is the single head-to-tail pass of Fig. 4 parameterized by
-// the per-task value function and truncation rule. Chains run through the
-// calculus' shared-prefix cache, so the keep/drop scenario windows of
-// consecutive candidates — which overlap heavily — convolve each distinct
-// prefix only once, and the walk's working slices live in calculus-owned
-// scratch: a steady-state decision allocates nothing until it drops.
-func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc, dlOf deadlineFunc) []int {
+// the per-task value function and the grace window: every chain truncates
+// Eq. 1 at deadline + grace, the latest start the engine still makes.
+// Chains run through the calculus' shared-prefix cache, so the keep/drop
+// scenario windows of consecutive candidates — which overlap heavily —
+// convolve each distinct prefix only once, and the walk's working slices
+// and the drop list it returns live in calculus-owned scratch: a
+// steady-state decision allocates nothing. The list is valid until the
+// calculus' next decision.
+func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc, grace pmf.Tick) []int {
 	q := ctx.Queue
 	first, _ := droppableBounds(q)
 	if len(q)-first < 2 {
@@ -110,16 +110,16 @@ func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc, dlOf de
 		sum := 0.0
 		head := s
 		for k := 0; k < n && k < len(tasks); k++ {
-			s = s.Append(tasks[k].Type, dlOf(tasks[k]))
+			s = s.Append(tasks[k].Type, tasks[k].Deadline+grace)
 			if k == 0 {
 				head = s
 			}
-			sum += value(s.PMF(), tasks[k])
+			sum += value(s.PMF(), tasks[k], grace)
 		}
 		return sum, head
 	}
 
-	var drops []int
+	drops := calc.scratchD[:0]
 	prev := start
 	i := 0
 	for i < len(work)-1 { // the final task is never a candidate
@@ -152,6 +152,10 @@ func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc, dlOf de
 		// Advance: the chain state of kept task i heads the next window.
 		prev = head
 		i++
+	}
+	calc.scratchD = drops
+	if len(drops) == 0 {
+		return nil
 	}
 	return drops
 }

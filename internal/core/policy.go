@@ -24,9 +24,10 @@ type Context struct {
 	// threshold to system load); the paper's autonomous policies ignore it.
 	BatchPressure float64
 	// Grace is the engine's reactive grace window (sim.Config.ReactiveGrace):
-	// how long past its deadline a waiting task is still kept. Policies that
-	// value late completions (ApproxHeuristic with FollowEngineGrace)
-	// consult it so their forecasts match the engine's leeway.
+	// how long past its deadline a waiting task is still kept and started.
+	// Heuristic truncates its chains there, and ApproxHeuristic with
+	// FollowEngineGrace values late completions by it, so their forecasts
+	// match the engine's leeway.
 	Grace pmf.Tick
 }
 
@@ -39,7 +40,8 @@ func (ctx *Context) ChainStart() (ChainState, int) {
 
 // Policy decides, for one machine queue, which pending tasks to
 // proactively drop. Decide returns indexes into ctx.Queue, in ascending
-// order. Policies must never return the index of a running task.
+// order; the slice may be scratch of ctx.Calc, valid until its next
+// decision. Policies must never return the index of a running task.
 type Policy interface {
 	// Name identifies the policy in experiment tables (e.g. "Heuristic").
 	Name() string

@@ -106,13 +106,18 @@ func TestHeuristicPanicsOnBadParams(t *testing.T) {
 
 // refHeuristic is an independent single-pass implementation of Fig. 4 /
 // Eq. 8 built directly on the portable pmf operations: every keep and drop
-// scenario is convolved in full. grace > 0 is the approximate-computing
-// variant (expected utility, chains truncated at deadline+grace).
-func refHeuristic(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask, beta float64, eta, budget int, grace pmf.Tick) []int {
+// scenario is convolved in full. Chains truncate at deadline+grace; utility
+// scores each task by expected utility over the grace window (the
+// approximate-computing variant), otherwise by the chance of success.
+func refHeuristic(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask, beta float64, eta, budget int, grace pmf.Tick, utility bool) []int {
+	vgrace := pmf.Tick(0)
+	if utility {
+		vgrace = grace
+	}
 	first := 0
 	var prev pmf.PMF
 	if len(q) > 0 && q[0].Running {
-		prev = m.ExecPMF(q[0].Type, mt).ConditionalRemaining(q[0].Elapsed).Shift(now)
+		prev = runningAvailability(m.ExecPMF(q[0].Type, mt), q[0].Elapsed, now)
 		first = 1
 	} else {
 		prev = pmf.Delta(now)
@@ -133,7 +138,7 @@ func refHeuristic(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask
 			if k == 0 {
 				head = cur
 			}
-			sum += ExpectedUtility(cur, tasks[k].Deadline, grace)
+			sum += ExpectedUtility(cur, tasks[k].Deadline, vgrace)
 		}
 		return sum, head
 	}
@@ -160,17 +165,20 @@ func refHeuristic(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []QueueTask
 // from the kept window alone whenever it can — to the reference that never
 // does, on three kinds of queue: tight deadlines (many doomed tasks, drop
 // scenarios evaluated), generous ones (tasks likely to succeed, where the
-// bound fires) and the utility-driven variant with a grace window.
+// bound fires), the heuristic under the engine's grace window, and the
+// utility-driven variant with a grace window.
 func TestHeuristicMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	for _, v := range []struct {
 		name   string
 		slack  int // extra deadline slack, drawn per task from [0, slack]
+		graced bool
 		approx bool
 	}{
-		{"tight", 0, false},
-		{"generous", 400, false},
-		{"approx", 200, true},
+		{"tight", 0, false, false},
+		{"generous", 400, false, false},
+		{"graced", 0, true, false},
+		{"approx", 200, true, true},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			var seen CalcStats
@@ -184,12 +192,14 @@ func TestHeuristicMatchesReference(t *testing.T) {
 				eta := 1 + r.Intn(3)
 				var p Policy = Heuristic{Beta: beta, Eta: eta}
 				grace := pmf.Tick(0)
-				if v.approx {
+				if v.graced {
 					grace = 1 + pmf.Tick(r.Intn(60))
-					p = ApproxHeuristic{Beta: beta, Eta: eta, Grace: grace}
 				}
-				got := p.Decide(&Context{Calc: c, Machine: 0, Now: now, Queue: q})
-				want := refHeuristic(m, 0, now, q, beta, eta, c.MaxImpulses, grace)
+				if v.approx {
+					p = ApproxHeuristic{Beta: beta, Eta: eta, Grace: FollowEngineGrace}
+				}
+				got := p.Decide(&Context{Calc: c, Machine: 0, Now: now, Queue: q, Grace: grace})
+				want := refHeuristic(m, 0, now, q, beta, eta, c.MaxImpulses, grace, v.approx)
 				if !reflect.DeepEqual(normalizeNil(got), normalizeNil(want)) {
 					t.Fatalf("case %d (β=%.2f η=%d g=%d queue=%d): got %v, want %v", i, beta, eta, grace, len(q), got, want)
 				}
@@ -315,7 +325,7 @@ func refOptimalRobustness(m *pet.Matrix, mt pet.MachineType, now pmf.Tick, q []Q
 	first := 0
 	var avail pmf.PMF
 	if len(q) > 0 && q[0].Running {
-		avail = m.ExecPMF(q[0].Type, mt).ConditionalRemaining(q[0].Elapsed).Shift(now)
+		avail = runningAvailability(m.ExecPMF(q[0].Type, mt), q[0].Elapsed, now)
 		first = 1
 	} else {
 		avail = pmf.Delta(now)
@@ -583,4 +593,30 @@ func normalizeNil(xs []int) []int {
 		return nil
 	}
 	return xs
+}
+
+// TestHeuristicForecastsTheEnginesGrace holds the heuristic's Eq. 1 chains
+// to the engine's rule for starting a task: under a reactive grace window
+// the engine still starts a waiting task until deadline + grace and runs
+// it whole. The droppable task here is past its deadline but inside the
+// grace window, so it has no value left and still delays the feasible task
+// behind it. A forecast that truncates at the bare deadline prices the
+// doomed task at nothing and keeps it; the engine's truncation drops it.
+// Eq. 2 still scores at the deadline, so with no grace the same queue
+// keeps its head (the engine drops it reactively instead).
+func TestHeuristicForecastsTheEnginesGrace(t *testing.T) {
+	m := testMatrix(t, [][]pmf.PMF{{delta(100)}})
+	q := []QueueTask{
+		{Type: 0, Deadline: 990}, // past due at now 1000, inside grace 300
+		{Type: 0, Deadline: 1150},
+	}
+	h := NewHeuristic()
+	ctx := &Context{Calc: NewCalculus(m), Machine: 0, Now: 1000, Queue: q, Grace: 300}
+	if got := h.Decide(ctx); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("grace 300: dropped %v, want [0]: the doomed task the engine would still start delays the last one past its deadline", got)
+	}
+	ctx = &Context{Calc: NewCalculus(m), Machine: 0, Now: 1000, Queue: q}
+	if got := h.Decide(ctx); got != nil {
+		t.Fatalf("no grace: dropped %v, want nothing", got)
+	}
 }

@@ -32,7 +32,7 @@ var figureGolden = map[string]string{
 	"ext-budget":   "4e9fdfe711e7ec4558dc9146646f597f37dab7d14027c290939c3120ebe50edb",
 	"ext-mappers":  "1b79577f30a1b51e0c531f4d5b984ee2cf4640b2e494fbe47633c7b7471a3def",
 	"ext-failures": "d6ff016b8634d39e298ada7f7f2e3ed8e41e62500af6aa46fb0f3a7aefb728a7",
-	"ext-approx":   "c946b775c519d73d5667d36fd712b54d8c5a8e2a1067dd6654382ad2ff8637ea",
+	"ext-approx":   "2c3cf9a931514811264906d61fd9f6c7855d6d14d663bc0c7da5147cac57951e",
 }
 
 func TestFigureGolden(t *testing.T) {

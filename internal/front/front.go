@@ -255,9 +255,6 @@ func New(cfg Config) (*Front, error) {
 	return f, nil
 }
 
-// Dedup returns the front's idempotency window.
-func (f *Front) Dedup() *service.DedupWindow { return f.dedup }
-
 // Close stops the pollers and closes the idle upstream connections. It
 // does NOT drain the backends — draining is a client decision (POST
 // /v1/drain); a router restart must not destroy fleet state.

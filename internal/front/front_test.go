@@ -594,8 +594,8 @@ func TestFrontIdempotentDuplicateBytes(t *testing.T) {
 	if !bytes.Equal(first, again) {
 		t.Fatalf("duplicate not byte-identical:\nfirst %s\nagain %s", first, again)
 	}
-	if f.Dedup().Hits() != 1 {
-		t.Fatalf("dedup hits = %d, want 1", f.Dedup().Hits())
+	if f.dedup.Hits() != 1 {
+		t.Fatalf("dedup hits = %d, want 1", f.dedup.Hits())
 	}
 }
 

@@ -20,7 +20,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var recs []Record
-		if _, err := decodeFrame(payload, func(r *Record) error { recs = append(recs, *r); return nil }); err != nil {
+		if _, err := decodeFrame(payload, new(Record), func(r *Record) error { recs = append(recs, r.Clone()); return nil }); err != nil {
 			return
 		}
 		if re := frame(recs...)[frameHeader:]; !bytes.Equal(re, payload) {

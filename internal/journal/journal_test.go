@@ -108,7 +108,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	// One frame holds them all, lengths of one varint byte and of three
 	// (the cap-length labels) alike.
 	var got []Record
-	if _, err := decodeFrame(frame(recs...)[frameHeader:], func(r *Record) error { got = append(got, *r); return nil }); err != nil {
+	if _, err := decodeFrame(frame(recs...)[frameHeader:], new(Record), func(r *Record) error { got = append(got, r.Clone()); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(recs, got) {
@@ -233,7 +233,7 @@ func refusedPayloads() map[string][]byte {
 
 func TestDecodeRefusesNonCanonical(t *testing.T) {
 	for name, payload := range refusedPayloads() {
-		if n, err := decodeFrame(payload, nil); err == nil {
+		if n, err := decodeFrame(payload, new(Record), nil); err == nil {
 			t.Errorf("%s: %x decoded as %d records", name, payload, n)
 		}
 	}
@@ -350,7 +350,7 @@ func replayed(t *testing.T, dir string, planner func(string) (*Recovery, error))
 		t.Fatal(err)
 	}
 	got := []Record{} // an empty tail DeepEquals an empty recs[i:i]
-	if err := rec.Replay(dir, func(r *Record) error { got = append(got, *r); return nil }); err != nil {
+	if err := rec.Replay(dir, func(r *Record) error { got = append(got, r.Clone()); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -420,7 +420,7 @@ func TestTornTailRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []Record
-		if err := ScanSegment(path, func(r *Record) error { got = append(got, *r); return nil }); err != nil {
+		if err := ScanSegment(path, func(r *Record) error { got = append(got, r.Clone()); return nil }); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		want := wholeAt(cut)
@@ -448,7 +448,7 @@ func TestTornTailRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = got[:0]
-		if err := ScanSegment(path, func(r *Record) error { got = append(got, *r); return nil }); err != nil {
+		if err := ScanSegment(path, func(r *Record) error { got = append(got, r.Clone()); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != want+1 || !reflect.DeepEqual(got[want], extra) {
@@ -469,7 +469,7 @@ func TestCorruptedMiddleStopsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Record
-	if err := ScanSegment(path, func(r *Record) error { got = append(got, *r); return nil }); err != nil {
+	if err := ScanSegment(path, func(r *Record) error { got = append(got, r.Clone()); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != kept[1] {

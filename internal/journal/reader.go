@@ -29,7 +29,7 @@ func readFrame(br *bufio.Reader, buf []byte, limit int) (payload []byte, ok bool
 	}
 	_, _ = br.Discard(frameHeader) // just peeked: cannot fail
 	if cap(buf) < n {
-		buf = make([]byte, n)
+		buf = make([]byte, n, max(n, 2*cap(buf)))
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(br, buf); err != nil {
@@ -39,9 +39,9 @@ func readFrame(br *bufio.Reader, buf []byte, limit int) (payload []byte, ok bool
 }
 
 // scanFrames is the one loop over a segment's commit frames: it decodes
-// every record of f's longest prefix of whole frames, hands each to fn
-// (decodeFrame), and returns the prefix's byte length and record count —
-// where the writer truncates a torn tail and resumes. The scan ends
+// every record of f's longest prefix of whole frames into one Record,
+// hands it to fn (decodeFrame), and returns the prefix's byte length and
+// record count — where the writer truncates a torn tail and resumes. The scan ends
 // silently where readFrame stops, so a commit a crash tore is dropped
 // whole; a frame longer than the bytes left in the file is such a tear, so
 // no commit is too large to read and no corrupt length makes the reader
@@ -55,13 +55,14 @@ func scanFrames(name string, f *os.File, fn func(*Record) error) (offset int64, 
 		return 0, 0, err
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
-	var payload []byte
+	payload := make([]byte, 0, 4<<10) // a commit of a few dozen tasks fits
+	var rec Record
 	for {
 		var ok bool
 		if payload, ok = readFrame(br, payload, int(fi.Size()-offset)-frameHeader); !ok {
 			return offset, records, nil
 		}
-		n, err := decodeFrame(payload, fn)
+		n, err := decodeFrame(payload, &rec, fn)
 		if err != nil {
 			return offset, records, fmt.Errorf("journal: %s: commit at byte %d: %w", name, offset, err)
 		}
@@ -72,6 +73,8 @@ func scanFrames(name string, f *os.File, fn func(*Record) error) (offset int64, 
 
 // ScanSegment streams every record of one segment file's whole commits
 // through fn, stopping silently at a torn tail. fn errors abort the scan.
+// The *Record fn is handed is reused for the next record: fn copies what
+// it keeps (Record.Clone).
 func ScanSegment(path string, fn func(*Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -108,7 +111,8 @@ type Recovery struct {
 	TailSegments []int
 }
 
-// Replay streams the tail segments' records through fn in order.
+// Replay streams the tail segments' records through fn in order, under
+// ScanSegment's contract: the *Record fn is handed is reused.
 func (r *Recovery) Replay(dir string, fn func(*Record) error) error {
 	for _, seg := range r.TailSegments {
 		if err := ScanSegment(SegmentPath(dir, seg), fn); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/varint"
@@ -246,15 +247,17 @@ func sealFrame(frame []byte) {
 }
 
 // decodeFrame parses one commit frame's payload (the bytes after the frame
-// header, CRC already verified) and hands each of its records to fn (when
-// non-nil), returning how many it decoded. It accepts only what a writer
-// seals: the present version, at least one record, and each record's length
-// a canonical varint, non-zero, within the frame and exactly its record's
-// canonical encoding (DecodeRecord) — so every payload it accepts
-// re-encodes to itself. A frame of another version is refused by name
+// header, CRC already verified), decoding each of its records into r and
+// handing r to fn (when non-nil), and returns how many it decoded. r's
+// storage is reused from record to record, so fn copies what it keeps
+// (Record.Clone). It accepts only what a writer seals: the present
+// version, at least one record, and each record's length a canonical
+// varint, non-zero, within the frame and exactly its record's canonical
+// encoding (DecodeRecord) — so every payload it accepts re-encodes to
+// itself. A frame of another version is refused by name
 // before any record is read: there is one reader. An error from fn stops
 // the decode and is returned as it is.
-func decodeFrame(payload []byte, fn func(*Record) error) (int, error) {
+func decodeFrame(payload []byte, r *Record, fn func(*Record) error) (int, error) {
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("journal: empty frame")
 	}
@@ -274,12 +277,11 @@ func decodeFrame(payload []byte, fn func(*Record) error) (int, error) {
 		if n == 0 {
 			return i, fmt.Errorf("journal: record %d is empty", i)
 		}
-		r, err := DecodeRecord(d.Bytes(n))
-		if err != nil {
+		if err := r.decode(d.Bytes(n)); err != nil {
 			return i, fmt.Errorf("journal: record %d: %w", i, err)
 		}
 		if fn != nil {
-			if err := fn(&r); err != nil {
+			if err := fn(r); err != nil {
 				return i, err
 			}
 		}
@@ -295,19 +297,27 @@ func decodeFrame(payload []byte, fn func(*Record) error) (int, error) {
 // re-encodes to itself.
 func DecodeRecord(b []byte) (Record, error) {
 	var r Record
+	err := r.decode(b)
+	return r, err
+}
+
+// decode is DecodeRecord into r, reusing the storage of r's Exec and
+// Spans: a scan decodes every record of a segment into one Record.
+func (r *Record) decode(b []byte) error {
+	*r = Record{Exec: r.Exec[:0], Spans: r.Spans[:0]}
 	d := varint.NewReader(b, "journal: record")
 	r.Kind = Kind(d.U8())
 	switch r.Kind {
 	case KindBatch:
 		r.NTasks = d.Int32()
 		if r.NTasks < 0 {
-			return r, fmt.Errorf("journal: batch record with %d tasks", r.NTasks)
+			return fmt.Errorf("journal: batch record with %d tasks", r.NTasks)
 		}
 		if d.Err() == nil && d.Remaining() > 0 {
 			// Present only when non-empty: an empty trailing ID is not the
 			// canonical form of an ID-less batch.
 			if r.ID = readID(&d); d.Err() == nil && r.ID == "" {
-				return r, fmt.Errorf("journal: batch record with an empty trailing id")
+				return fmt.Errorf("journal: batch record with an empty trailing id")
 			}
 		}
 	case KindArrive:
@@ -318,7 +328,7 @@ func DecodeRecord(b []byte) (Record, error) {
 		// Each entry takes at least one byte: a count past the bytes left
 		// fails here, before the slice is allocated.
 		if n := d.Count(maxExecTypes, 1); n > 0 {
-			r.Exec = make([]pmf.Tick, n)
+			r.Exec = slices.Grow(r.Exec, n)[:n]
 			for i := range r.Exec {
 				r.Exec[i] = pmf.Tick(d.Varint())
 			}
@@ -342,24 +352,39 @@ func DecodeRecord(b []byte) (Record, error) {
 		r.NTasks = d.Int32()
 		r.Tick = pmf.Tick(d.Varint())
 		if d.Err() == nil && r.Action > MemberRevive {
-			return r, fmt.Errorf("journal: membership record with op %d", r.Action)
+			return fmt.Errorf("journal: membership record with op %d", r.Action)
 		}
 	case KindTrace:
 		r.Seq = d.Varint()
 		// A span is a stage byte and two varints: three bytes at least.
 		if n := d.Bound(uint64(d.U8()), maxSpans, 3); n > 0 {
-			r.Spans = make([]SpanRec, n)
+			r.Spans = slices.Grow(r.Spans, n)[:n]
 			for i := range r.Spans {
 				r.Spans[i] = SpanRec{Stage: d.U8(), StartNS: d.Uvarint(), EndNS: d.Uvarint()}
 			}
 		}
 	default:
-		return r, fmt.Errorf("journal: unknown record kind %d", r.Kind)
+		return fmt.Errorf("journal: unknown record kind %d", r.Kind)
 	}
 	if err := d.Finish(); err != nil {
-		return r, fmt.Errorf("%w (kind %d)", err, r.Kind)
+		return fmt.Errorf("%w (kind %d)", err, r.Kind)
 	}
-	return r, nil
+	return nil
+}
+
+// Clone returns a copy of r that shares no storage with it, an empty Exec
+// or Spans nil as DecodeRecord leaves it: what a scan callback keeps of
+// the record it is handed, which the scan reuses.
+func (r *Record) Clone() Record {
+	c := *r
+	c.Exec, c.Spans = nil, nil
+	if len(r.Exec) > 0 {
+		c.Exec = slices.Clone(r.Exec)
+	}
+	if len(r.Spans) > 0 {
+		c.Spans = slices.Clone(r.Spans)
+	}
+	return c
 }
 
 // readID reads a length-prefixed ID.

@@ -229,16 +229,6 @@ func (m *Matrix) TypeMean(t TaskType) float64 { return m.typeMean[t] }
 // time over all PET cells, in ms.
 func (m *Matrix) MeanAll() float64 { return m.meanAll }
 
-// TrueDist returns the ground-truth Gamma law of cell (t, mt). For
-// matrices built with FromPMFs (no Gamma ground truth) it returns the zero
-// GammaDist.
-func (m *Matrix) TrueDist(t TaskType, mt MachineType) GammaDist {
-	if m.dists == nil {
-		return GammaDist{}
-	}
-	return m.dists[t][mt]
-}
-
 // Draw samples a realized execution time for task type t on machine type
 // mt from the ground-truth law — the Gamma distribution for Build
 // matrices, the cell PMF itself for FromPMFs matrices.

@@ -234,7 +234,7 @@ func TestMachinesExpansion(t *testing.T) {
 func TestDrawMatchesDistribution(t *testing.T) {
 	m := buildSPEC(t)
 	rng := stats.NewRNG(17)
-	d := m.TrueDist(0, 0)
+	d := m.dists[0][0] // the cell's ground-truth Gamma law
 	const n = 50_000
 	var sum float64
 	for i := 0; i < n; i++ {

@@ -29,7 +29,7 @@ func boundPMF(r *rand.Rand, n int, mass float64, base, span Tick) PMF {
 }
 
 // TestNextCompletionMeanLowerBound is the soundness property the mappers'
-// candidate pruning rests on: for random predecessors of 1–32 impulses and
+// candidate pruning rests on (SplitMeanLowerBound at the split of dl): for random predecessors of 1–32 impulses and
 // mass in [0.5, 1], the bound never exceeds the mean of what the kernel
 // returns — raw, at the calculus budget and at a tight one — on each of the
 // kernel's paths, and where it is offered it is tight to within two ticks.
@@ -94,7 +94,7 @@ func TestNextCompletionMeanLowerBound(t *testing.T) {
 			for i := 0; i < 1500; i++ {
 				ws.Reset()
 				op := path.gen(r)
-				lb := NextCompletionMeanLowerBound(op.prev, op.exec, op.exec.Moments(), op.dl)
+				lb := nextCompletionMeanLowerBound(op.prev, op.exec, op.exec.Moments(), op.dl)
 				if finite := !math.IsInf(lb, -1); finite != path.bounded {
 					t.Fatalf("case %d: bound %v, want finite = %v (prev %v exec %v dl %d)", i, lb, path.bounded, op.prev, op.exec, op.dl)
 				}
@@ -125,9 +125,9 @@ func TestNextCompletionMeanLowerBoundDeclines(t *testing.T) {
 	exec := FromImpulses([]Impulse{{T: 5, P: 0.5}, {T: 9, P: 0.5}})
 	thin := FromImpulses([]Impulse{{T: 100, P: 0.2}, {T: 130, P: 0.2}})
 	for name, lb := range map[string]float64{
-		"zero prev": NextCompletionMeanLowerBound(Zero(), exec, exec.Moments(), 50),
-		"zero exec": NextCompletionMeanLowerBound(thin, Zero(), Moments{}, 50),
-		"thin prev": NextCompletionMeanLowerBound(thin, exec, exec.Moments(), 120),
+		"zero prev": nextCompletionMeanLowerBound(Zero(), exec, exec.Moments(), 50),
+		"zero exec": nextCompletionMeanLowerBound(thin, Zero(), Moments{}, 50),
+		"thin prev": nextCompletionMeanLowerBound(thin, exec, exec.Moments(), 120),
 	} {
 		if !math.IsInf(lb, -1) {
 			t.Errorf("%s: bound %v, want -Inf", name, lb)

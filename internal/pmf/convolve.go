@@ -2,28 +2,6 @@ package pmf
 
 import "sort"
 
-// Convolve returns the distribution of X+Y for independent X ~ p and Y ~ q.
-// Total mass of the result is the product of the input masses.
-func (p PMF) Convolve(q PMF) PMF {
-	if p.IsZero() || q.IsZero() {
-		return Zero()
-	}
-	// Fast paths for deterministic operands.
-	if len(p.imp) == 1 && p.imp[0].P == 1 {
-		return q.Shift(p.imp[0].T)
-	}
-	if len(q.imp) == 1 && q.imp[0].P == 1 {
-		return p.Shift(q.imp[0].T)
-	}
-	acc := newAccumulator(len(p.imp) * len(q.imp))
-	for _, a := range p.imp {
-		for _, b := range q.imp {
-			acc.add(a.T+b.T, a.P*b.P)
-		}
-	}
-	return acc.finish()
-}
-
 // NextCompletion implements Eq. 1 of the paper: given the completion-time
 // PMF of the predecessor task (the receiver, c_{i-1}) and the execution-time
 // PMF of the pending task (exec, e_i) with hard deadline dl (δ_i), it
@@ -49,36 +27,6 @@ func (p PMF) NextCompletion(exec PMF, dl Tick) PMF {
 		}
 	}
 	return acc.finish()
-}
-
-// ConditionalRemaining returns the distribution of the remaining execution
-// time of a task that has already been running for `elapsed` ticks:
-// P(X − elapsed = r | X > elapsed), normalized to mass 1.
-//
-// If the task has outlived every impulse of its execution-time model (no
-// conditioning mass remains), the model has been proven wrong by
-// observation; we return Delta(1), i.e. "completes on the next tick", the
-// most optimistic consistent belief.
-func (p PMF) ConditionalRemaining(elapsed Tick) PMF {
-	if elapsed <= 0 {
-		return p
-	}
-	var tail []Impulse
-	mass := 0.0
-	for _, im := range p.imp {
-		if im.T > elapsed {
-			tail = append(tail, Impulse{T: im.T - elapsed, P: im.P})
-			mass += im.P
-		}
-	}
-	if mass <= massEps {
-		return Delta(1)
-	}
-	inv := 1 / mass
-	for i := range tail {
-		tail[i].P *= inv
-	}
-	return PMF{imp: tail}
 }
 
 // accumulator gathers (time, mass) contributions and merges them into a

@@ -9,7 +9,7 @@ import (
 func TestConvolveSimple(t *testing.T) {
 	a := FromImpulses([]Impulse{{T: 1, P: 0.5}, {T: 2, P: 0.5}})
 	b := FromImpulses([]Impulse{{T: 10, P: 0.5}, {T: 20, P: 0.5}})
-	c := a.Convolve(b)
+	c := convolve(a, b)
 	want := FromImpulses([]Impulse{
 		{T: 11, P: 0.25}, {T: 12, P: 0.25}, {T: 21, P: 0.25}, {T: 22, P: 0.25},
 	})
@@ -20,10 +20,10 @@ func TestConvolveSimple(t *testing.T) {
 
 func TestConvolveDeltaFastPath(t *testing.T) {
 	p := FromImpulses([]Impulse{{T: 3, P: 0.4}, {T: 5, P: 0.6}})
-	if got := Delta(10).Convolve(p); !got.Equal(p.Shift(10)) {
+	if got := convolve(Delta(10), p); !got.Equal(p.Shift(10)) {
 		t.Fatalf("Delta⊛p = %v", got)
 	}
-	if got := p.Convolve(Delta(10)); !got.Equal(p.Shift(10)) {
+	if got := convolve(p, Delta(10)); !got.Equal(p.Shift(10)) {
 		t.Fatalf("p⊛Delta = %v", got)
 	}
 }
@@ -33,7 +33,7 @@ func TestConvolveProperties(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := randomPMF(r, 15, 400)
 		b := randomPMF(r, 15, 400)
-		c := a.Convolve(b)
+		c := convolve(a, b)
 		// Mass multiplies.
 		if !almost(c.TotalMass(), a.TotalMass()*b.TotalMass(), 1e-9) {
 			t.Fatalf("mass: %v != %v*%v", c.TotalMass(), a.TotalMass(), b.TotalMass())
@@ -48,7 +48,7 @@ func TestConvolveProperties(t *testing.T) {
 			t.Fatalf("variance: %v != %v+%v", c.Variance(), a.Variance(), b.Variance())
 		}
 		// Commutativity.
-		if !c.ApproxEqual(b.Convolve(a), 1e-12) {
+		if !c.ApproxEqual(convolve(b, a), 1e-12) {
 			t.Fatal("convolution not commutative")
 		}
 		// Support bounds.
@@ -93,7 +93,7 @@ func TestNextCompletionNoCarry(t *testing.T) {
 	prev := FromImpulses([]Impulse{{T: 10, P: 0.5}, {T: 12, P: 0.5}})
 	exec := FromImpulses([]Impulse{{T: 2, P: 0.5}, {T: 4, P: 0.5}})
 	got := prev.NextCompletion(exec, 1000)
-	want := prev.Convolve(exec)
+	want := convolve(prev, exec)
 	if !got.ApproxEqual(want, 1e-12) {
 		t.Fatalf("no-carry = %v, want convolution %v", got, want)
 	}
@@ -103,7 +103,7 @@ func TestNextCompletionMassConservation(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for i := 0; i < 300; i++ {
 		prev := randomPMF(r, 20, 600)
-		exec := randomPMF(r, 10, 100).Normalize()
+		exec := normalize(randomPMF(r, 10, 100))
 		dl := Tick(r.Int63n(800))
 		got := prev.NextCompletion(exec, dl)
 		if !almost(got.TotalMass(), prev.TotalMass(), 1e-9) {
@@ -117,7 +117,7 @@ func TestNextCompletionSplitIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 200; i++ {
 		prev := randomPMF(r, 20, 500)
-		exec := randomPMF(r, 10, 80).Normalize()
+		exec := normalize(randomPMF(r, 10, 80))
 		dl := Tick(r.Int63n(600))
 		var below, atOrAbove []Impulse
 		for _, im := range prev.Impulses() {
@@ -127,7 +127,7 @@ func TestNextCompletionSplitIdentity(t *testing.T) {
 				atOrAbove = append(atOrAbove, im)
 			}
 		}
-		want := FromImpulses(below).Convolve(exec).Add(FromImpulses(atOrAbove))
+		want := convolve(FromImpulses(below), exec).Add(FromImpulses(atOrAbove))
 		got := prev.NextCompletion(exec, dl)
 		if !got.ApproxEqual(want, 1e-9) {
 			t.Fatalf("split identity failed (dl=%d):\n got %v\nwant %v", dl, got, want)
@@ -139,33 +139,41 @@ func TestConditionalRemaining(t *testing.T) {
 	e := FromImpulses([]Impulse{{T: 10, P: 0.25}, {T: 20, P: 0.5}, {T: 30, P: 0.25}})
 
 	// No elapsed time: unchanged.
-	if got := e.ConditionalRemaining(0); !got.Equal(e) {
+	if got := conditionalRemaining(e, 0); !got.Equal(e) {
 		t.Fatalf("elapsed=0 changed PMF: %v", got)
 	}
 	// elapsed=10 removes the first impulse and renormalizes.
-	got := e.ConditionalRemaining(10)
+	got := conditionalRemaining(e, 10)
 	want := FromImpulses([]Impulse{{T: 10, P: 0.5 / 0.75}, {T: 20, P: 0.25 / 0.75}})
 	if !got.ApproxEqual(want, 1e-12) {
 		t.Fatalf("ConditionalRemaining(10) = %v, want %v", got, want)
 	}
 	// elapsed beyond the support: optimistic Delta(1).
-	if got := e.ConditionalRemaining(100); !got.Equal(Delta(1)) {
+	if got := conditionalRemaining(e, 100); !got.Equal(Delta(1)) {
 		t.Fatalf("ConditionalRemaining beyond support = %v, want Delta(1)", got)
 	}
 }
 
+// TestConditionalRemainingProperties checks the portable form's mass and
+// support, and holds the calculus' fused kernel to it bit for bit.
 func TestConditionalRemainingProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
+	var ws Workspace
 	for i := 0; i < 200; i++ {
-		e := randomPMF(r, 15, 300).Normalize()
+		e := normalize(randomPMF(r, 15, 300))
 		elapsed := Tick(r.Int63n(350))
-		got := e.ConditionalRemaining(elapsed)
+		got := conditionalRemaining(e, elapsed)
 		if !almost(got.TotalMass(), 1, 1e-9) {
 			t.Fatalf("conditional mass = %v", got.TotalMass())
 		}
 		if got.Min() < 1 {
 			t.Fatalf("remaining time %d < 1", got.Min())
 		}
+		now := Tick(r.Int63n(1000))
+		if fused := ws.ConditionalRemainingShift(e, elapsed, now); !fused.Equal(got.Shift(now)) {
+			t.Fatalf("elapsed %d now %d: fused kernel %v, portable %v", elapsed, now, fused, got.Shift(now))
+		}
+		ws.Reset()
 	}
 }
 
@@ -175,8 +183,8 @@ func TestConvolveAssociativityApprox(t *testing.T) {
 		a := randomPMF(r, 8, 100)
 		b := randomPMF(r, 8, 100)
 		c := randomPMF(r, 8, 100)
-		left := a.Convolve(b).Convolve(c)
-		right := a.Convolve(b.Convolve(c))
+		left := convolve(convolve(a, b), c)
+		right := convolve(a, convolve(b, c))
 		if !left.ApproxEqual(right, 1e-9) {
 			t.Fatal("convolution not associative")
 		}
@@ -188,7 +196,7 @@ func TestConvolveHugeMassStaysFinite(t *testing.T) {
 	p := FromImpulses([]Impulse{{T: 1, P: 0.5}, {T: 2, P: 0.5}})
 	acc := p
 	for i := 0; i < 10; i++ {
-		acc = acc.Convolve(p).Compact(DefaultMaxImpulses)
+		acc = convolve(acc, p).Compact(DefaultMaxImpulses)
 	}
 	if math.IsNaN(acc.Mean()) || math.IsInf(acc.Mean(), 0) {
 		t.Fatalf("mean degenerated: %v", acc.Mean())

@@ -30,7 +30,7 @@ func TestWorkspaceHighWater(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	acc := randomPMF(r, 25, 2000)
 	for i := 0; i < 8; i++ {
-		acc = ws.NextCompletionCompact(acc, randomPMF(r, 20, 400).Normalize(), 1<<30, DefaultMaxImpulses)
+		acc = ws.NextCompletionCompact(acc, normalize(randomPMF(r, 20, 400)), 1<<30, DefaultMaxImpulses)
 	}
 	grown := ws.HighWaterBytes()
 	if grown <= hw {

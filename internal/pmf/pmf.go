@@ -247,16 +247,6 @@ func (p PMF) Add(q PMF) PMF {
 	return PMF{imp: out}
 }
 
-// Normalize returns the PMF rescaled to total mass 1. Returns the empty PMF
-// unchanged.
-func (p PMF) Normalize() PMF {
-	m := p.TotalMass()
-	if m == 0 || math.Abs(m-1) < massEps {
-		return p
-	}
-	return p.Scale(1 / m)
-}
-
 // CloneInto copies p's impulses into buf (reusing its capacity when
 // sufficient) and returns both the copy and the possibly-grown buffer for
 // the caller to reuse. It is the pinning operation of the calculus' memory

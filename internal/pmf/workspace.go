@@ -483,10 +483,11 @@ func (w *Workspace) Delta(t Tick) PMF {
 }
 
 // ConditionalRemainingShift is the fused availability operation of the
-// calculus: it returns p.ConditionalRemaining(elapsed).Shift(now) — the
-// absolute completion time of a task that has been running for elapsed
-// ticks as of now — with arena storage and identical arithmetic. The
-// returned PMF is valid until Reset.
+// calculus: the absolute completion time of a task that has been running
+// for elapsed ticks as of now, P(X − elapsed = r | X > elapsed) shifted to
+// now and normalized to mass 1, in arena storage. A task that has outlived
+// every impulse of its model completes at now+1, the most optimistic
+// belief the observation allows. The returned PMF is valid until Reset.
 func (w *Workspace) ConditionalRemainingShift(p PMF, elapsed, now Tick) PMF {
 	if elapsed <= 0 {
 		if p.IsZero() {
@@ -512,7 +513,7 @@ func (w *Workspace) ConditionalRemainingShift(p PMF, elapsed, now Tick) PMF {
 	}
 	if mass <= massEps {
 		// The task has outlived its model; assume completion on the next
-		// tick (see PMF.ConditionalRemaining).
+		// tick.
 		return w.Delta(now + 1)
 	}
 	inv := 1 / mass

@@ -13,7 +13,7 @@ func TestWorkspaceMatchesPortable(t *testing.T) {
 	var ws Workspace
 	for i := 0; i < 500; i++ {
 		prev := randomPMF(r, 25, 2000)
-		exec := randomPMF(r, 20, 400).Normalize()
+		exec := normalize(randomPMF(r, 20, 400))
 		dl := Tick(r.Int63n(2500))
 
 		want := prev.NextCompletion(exec, dl)
@@ -98,7 +98,7 @@ func TestWorkspaceReuseDoesNotLeakState(t *testing.T) {
 func BenchmarkNextCompletionPortable(b *testing.B) {
 	r := rand.New(rand.NewSource(31))
 	prev := randomPMF(r, 32, 2000)
-	exec := randomPMF(r, 25, 300).Normalize()
+	exec := normalize(randomPMF(r, 25, 300))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = prev.NextCompletion(exec, 1500)
@@ -108,7 +108,7 @@ func BenchmarkNextCompletionPortable(b *testing.B) {
 func BenchmarkNextCompletionWorkspace(b *testing.B) {
 	r := rand.New(rand.NewSource(31))
 	prev := randomPMF(r, 32, 2000)
-	exec := randomPMF(r, 25, 300).Normalize()
+	exec := normalize(randomPMF(r, 25, 300))
 	var ws Workspace
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -120,7 +120,7 @@ func BenchmarkNextCompletionWorkspace(b *testing.B) {
 func BenchmarkNextCompletionCompactWorkspace(b *testing.B) {
 	r := rand.New(rand.NewSource(31))
 	prev := randomPMF(r, 32, 2000)
-	exec := randomPMF(r, 25, 300).Normalize()
+	exec := normalize(randomPMF(r, 25, 300))
 	var ws Workspace
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

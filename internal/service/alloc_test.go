@@ -14,12 +14,13 @@ import (
 // maxControllerDecideAllocs bounds the steady-state allocation count of
 // one full Controller.Decide round trip (request validation, the shard's
 // turn, engine feed including the completion-time calculus, decision
-// assembly). The calculus itself is allocation-free once warm; what
-// remains is the per-request wiring (task state, response). The pre-arena
-// baseline was ~250 allocs/op, so this budget catches any regression that
-// reintroduces per-convolution slices. CI's alloc-regression job runs this
-// test.
-const maxControllerDecideAllocs = 24
+// assembly). The calculus is allocation-free once warm and the engine
+// reuses a settled task's state, so what remains is the per-request
+// wiring: the response Decide returns, its decisions and the request this
+// test builds, 5 in all. The budget is that plus a margin of 3 (24 while
+// the engine allocated each task's state; the pre-arena baseline was ~250
+// allocs/op). CI's alloc-regression job runs this test.
+const maxControllerDecideAllocs = 8
 
 func TestControllerDecideAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -56,11 +57,14 @@ func TestControllerDecideAllocsSteadyState(t *testing.T) {
 // steady-state single-task decide allocates over a keep-alive connection:
 // the head read in place, the body read into the connection's buffer, the
 // decode into the connection's request, Controller.Decide into its
-// response, the answer encoded and written from its buffers. What is left
-// is the task's own state, which outlives the exchange: its execution
-// times, its workload.Task and its TaskState (a label would add its
-// string). CI's alloc-regression job runs this test.
-const maxServerExchangeAllocs = 3
+// response, the answer encoded and written from its buffers. The task
+// borrows the request's storage and the engine copies it into a settled
+// task's state, so nothing is left per decide (a label would add its
+// string): what the average counts, about 0.4, is a chain-trie edge or a
+// pinned block now and then. It was 3 while each task took a
+// workload.Task with its execution times and a TaskState. CI's
+// alloc-regression job runs this test.
+const maxServerExchangeAllocs = 1
 
 func TestServerExchangeAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -138,3 +142,44 @@ func (s *scriptedConn) RemoteAddr() net.Addr             { return nil }
 func (s *scriptedConn) SetDeadline(time.Time) error      { return nil }
 func (s *scriptedConn) SetReadDeadline(time.Time) error  { return nil }
 func (s *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
+
+// maxRecoveryBytes bounds what recovering a kill -9 journal of the
+// serve-recover benchmark's shape allocates: 7 000 single-task decides of
+// a 12 000-task trace, labelled, checkpointed every 5 000 records, so the
+// tail holds two segments. The scan decodes into one record, the engine
+// reuses each settled task's state and the replay queues their storage,
+// so what recovery allocates is the restored checkpoint, the labels and
+// the calculus warming up — under the collector's 4 MiB floor, so a
+// recovered process starts without a collection.
+const maxRecoveryBytes = 1 << 20
+
+func TestRecoveryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("serves 7 000 journaled decides")
+	}
+	cfg := Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", JournalDir: t.TempDir(), Fsync: "never"}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, testTrace(t, 12000, 1), 0, 7000, 1)
+	crash(c)
+	c = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("recovery allocates %d B in %d mallocs, %d collections", bytes, mallocs, after.NumGC-before.NumGC)
+	if bytes > maxRecoveryBytes {
+		t.Fatalf("recovery allocates %d B, budget %d", bytes, maxRecoveryBytes)
+	}
+}

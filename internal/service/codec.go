@@ -179,7 +179,7 @@ func appendString(b []byte, s string) []byte {
 // the canonical form read without reflection, into the storage of
 // req.Tasks: a server reuses one request per connection. Execution times
 // reuse the storage of the slot they land in, as the engine keeps a copy
-// (Controller.makeTask); labels are new strings, one per labelBatch tasks.
+// (sim.Engine.Feed); labels are new strings, one per labelBatch tasks.
 func decodeDecideRequest(data []byte, req *DecideRequest) error {
 	tasks := req.Tasks[:0]
 	*req = DecideRequest{}
@@ -248,7 +248,7 @@ func (d *decoder) decideRequest(req *DecideRequest, tasks []TaskSpec) bool {
 			}
 			ok := d.array(func() bool {
 				// The execution times the slot held are storage to reuse:
-				// the engine keeps a copy (Controller.makeTask).
+				// the engine keeps a copy (sim.Engine.Feed).
 				var spare []pmf.Tick
 				if k := len(req.Tasks); k < cap(req.Tasks) {
 					spare = req.Tasks[:cap(req.Tasks)][k].ExecByType[:0]

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ type decideTier struct {
 	// prefix leads the handler's own error texts; rejected names the
 	// tier's refused-body counter on /metrics.
 	prefix, rejected string
-	dedup            *service.DedupWindow
+	dedup            dedupView
 	// stall holds every decide submitted next in flight until release.
 	stall func() (release func())
 }
@@ -81,7 +82,7 @@ func newFrontTier(t *testing.T) decideTier {
 	t.Cleanup(srv.Close)
 	return decideTier{
 		srv: srv, prefix: "front", rejected: "taskdrop_router_rejected_total",
-		dedup: f.Dedup(),
+		dedup: routerDedup{srv},
 		stall: func() func() {
 			g := make(chan struct{})
 			mu.Lock()
@@ -139,22 +140,55 @@ func errorText(t *testing.T, data []byte) string {
 // counter reads one unlabelled sample off the tier's /metrics.
 func (d decideTier) counter(t *testing.T, name string) string {
 	t.Helper()
-	resp, err := d.srv.Client().Get(d.srv.URL + "/metrics")
+	v, err := sample(d.srv, name)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return v
+}
+
+// sample reads one unlabelled sample off srv's /metrics.
+func sample(srv *httptest.Server, name string) (string, error) {
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		return "", err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	for _, ln := range strings.Split(string(data), "\n") {
 		if v, ok := strings.CutPrefix(ln, name+" "); ok {
-			return v
+			return v, nil
 		}
 	}
-	t.Fatalf("/metrics has no %s", name)
-	return ""
+	return "", fmt.Errorf("/metrics has no %s", name)
+}
+
+// dedupView is what the cases read of a tier's dedup window: a
+// controller's own (service.DedupOf), the router's off its /metrics.
+type dedupView interface {
+	Hits() int64
+	Len() int
+}
+
+// routerDedup reads a router's dedup window off its /metrics, which serves
+// while its backends are stalled. A failed read panics, failing the test.
+type routerDedup struct{ srv *httptest.Server }
+
+func (r routerDedup) Hits() int64 { return int64(r.read("taskdrop_router_dedup_hits_total")) }
+func (r routerDedup) Len() int    { return r.read("taskdrop_router_dedup_entries") }
+
+func (r routerDedup) read(name string) int {
+	v, err := sample(r.srv, name)
+	if err == nil {
+		var n int
+		if n, err = strconv.Atoi(v); err == nil {
+			return n
+		}
+	}
+	panic(err)
 }
 
 // TestDecideHandlerExactlyOnce runs the exactly-once cases the per-tier

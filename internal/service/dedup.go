@@ -2,14 +2,19 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+
+	"github.com/hpcclab/taskdrop/internal/pmf"
+	"github.com/hpcclab/taskdrop/internal/varint"
 )
 
 // DedupWindow is the serve-side half of idempotent decision IDs: a bounded
-// map from decision ID to the byte-exact response the server first
-// acknowledged under that ID. A retried request (same ID) replays the
+// map from decision ID to the response the server first acknowledged under
+// that ID, in the compact form appendAnswer writes. A retried request (same ID) replays the
 // stored bytes instead of re-feeding the engine, which is what makes
 // at-least-once delivery through the router tier safe — a timeout whose
 // request actually committed cannot double-admit.
@@ -182,4 +187,86 @@ func (w *DedupWindow) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.entries)
+}
+
+// A dedup window keeps each acknowledged answer as appendAnswer's compact
+// form, under a fifth of its JSON: the machine names that fill most of the
+// JSON are written once per answer, not once per decision. A duplicate's
+// answer is rendered back through the encoder the original went through
+// (readAnswer, then appendDecideResponse), so its bytes are the original's.
+// The form: the clock; the answer's distinct action and machine-name
+// strings, each once; then the decision count plus one (zero for a null
+// list) and per decision its label, sequence number, action index, shard,
+// backend, machine and name index.
+
+// appendAnswer appends resp's compact form to buf.
+func appendAnswer(buf []byte, resp *DecideResponse) []byte {
+	var table [8]string // a partition's machines and the three actions fit
+	strs := table[:0]
+	for i := range resp.Decisions {
+		d := &resp.Decisions[i]
+		for _, s := range [...]string{string(d.Action), d.MachineName} {
+			if !slices.Contains(strs, s) {
+				strs = append(strs, s)
+			}
+		}
+	}
+	buf = binary.AppendVarint(buf, int64(resp.Now))
+	buf = binary.AppendUvarint(buf, uint64(len(strs)))
+	for _, s := range strs {
+		buf = appendBytes(buf, s)
+	}
+	if resp.Decisions == nil {
+		return append(buf, 0)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(resp.Decisions))+1)
+	for i := range resp.Decisions {
+		d := &resp.Decisions[i]
+		buf = appendBytes(buf, d.ID)
+		for _, n := range [...]int{d.Seq, d.Shard, d.Backend, d.Machine} {
+			buf = binary.AppendVarint(buf, int64(n))
+		}
+		buf = binary.AppendUvarint(buf, uint64(slices.Index(strs, string(d.Action))))
+		buf = binary.AppendUvarint(buf, uint64(slices.Index(strs, d.MachineName)))
+	}
+	return buf
+}
+
+// appendBytes appends s with its length before it.
+func appendBytes(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
+// readAnswer is appendAnswer's inverse: it decodes b into resp, reusing
+// resp's Decisions storage.
+func readAnswer(b []byte, resp *DecideResponse) error {
+	r := varint.NewReader(b, "service: dedup answer")
+	str := func() string { return string(r.Bytes(r.Count(r.Remaining(), 1))) }
+	resp.Now = pmf.Tick(r.Varint())
+	strs := make([]string, r.Count(r.Remaining(), 1))
+	for i := range strs {
+		strs[i] = str()
+	}
+	index := func() string {
+		if i := r.Uvarint(); i < uint64(len(strs)) {
+			return strs[i]
+		}
+		r.Failf("string index past its table of %d", len(strs))
+		return ""
+	}
+	n := r.Uvarint()
+	switch {
+	case n == 0:
+		resp.Decisions = nil
+	case resp.Decisions == nil:
+		resp.Decisions = []Decision{} // encoded as [], not null
+	default:
+		resp.Decisions = resp.Decisions[:0]
+	}
+	for range r.Bound(max(n, 1)-1, r.Remaining(), 1) {
+		d := Decision{ID: str(), Seq: r.Int(), Shard: r.Int(), Backend: r.Int(), Machine: r.Int()}
+		d.Action, d.MachineName = Action(index()), index()
+		resp.Decisions = append(resp.Decisions, d)
+	}
+	return r.Finish()
 }

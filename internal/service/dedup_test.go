@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"testing"
 	"time"
+
+	"github.com/hpcclab/taskdrop/internal/pmf"
 )
 
 func TestDedupOwnerThenDuplicate(t *testing.T) {
@@ -156,5 +159,51 @@ func TestDedupFreshIDAllocsSteadyState(t *testing.T) {
 	}
 	if got := w.Len(); got != capacity {
 		t.Fatalf("Len = %d, want the capacity %d", got, capacity)
+	}
+}
+
+// TestDedupAnswerRendersTheOriginalBytes holds the dedup window's compact
+// answer to the JSON it stands for: rendered back, every answer is the
+// bytes the live path encoded — null and empty decision lists, labels and
+// names that need escaping, more distinct strings than the encoder's
+// inline table, negative machines — and a 16-task answer of the kind a
+// partition backend keeps costs under a fifth of its JSON.
+func TestDedupAnswerRendersTheOriginalBytes(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	names := []string{"", "GPU (g4dn.xlarge)#0", "CPU-Optimized (c5.xlarge)#1", `quote " and \ backslash`, "ünïcode ", "m5", "m6", "m7", "m8", "m9"}
+	actions := []Action{ActionMap, ActionDefer, ActionDrop, "other"}
+	answers := []DecideResponse{{Now: 3}, {Now: -1, Decisions: []Decision{}}}
+	for range 200 {
+		resp := DecideResponse{Now: pmf.Tick(r.Int63n(1 << 40))}
+		for i := range r.Intn(20) {
+			d := Decision{Seq: r.Intn(1 << 30), Action: actions[r.Intn(len(actions))], Shard: r.Intn(4),
+				Backend: r.Intn(3), Machine: r.Intn(12) - 1, MachineName: names[r.Intn(len(names))]}
+			if r.Intn(4) > 0 {
+				d.ID = fmt.Sprintf("t%d\t%d", i, r.Intn(1000))
+			}
+			resp.Decisions = append(resp.Decisions, d)
+		}
+		answers = append(answers, resp)
+	}
+	var got DecideResponse
+	for i := range answers {
+		want := appendDecideResponse(nil, &answers[i])
+		if err := readAnswer(appendAnswer(nil, &answers[i]), &got); err != nil {
+			t.Fatalf("answer %d: %v", i, err)
+		}
+		if back := appendDecideResponse(nil, &got); !bytes.Equal(back, want) {
+			t.Fatalf("answer %d renders\n %s\nwant\n %s", i, back, want)
+		}
+	}
+	fleet := DecideResponse{Now: 120_345}
+	for i := range 16 {
+		fleet.Decisions = append(fleet.Decisions, Decision{ID: fmt.Sprintf("t%d", 14_000+i), Seq: 7_000 + i,
+			Action: ActionMap, Machine: i % 4, MachineName: names[1+i%3]})
+	}
+	if compact, json := len(appendAnswer(nil, &fleet)), len(appendDecideResponse(nil, &fleet)); 5*compact > json {
+		t.Fatalf("a 16-task answer keeps %d B of its %d B of JSON", compact, json)
+	}
+	if err := readAnswer([]byte{2, 9}, &got); err == nil {
+		t.Fatal("a truncated answer decoded")
 	}
 }

@@ -180,6 +180,9 @@ type decideScratch struct {
 	req  DecideRequest
 	resp DecideResponse
 	out  []byte
+	// ans is where an answer's compact form is encoded before the dedup
+	// window takes its copy.
+	ans []byte
 	// decide is the tier's decide for this connection, made by from.
 	from   *Decider
 	decide DecideFunc
@@ -197,7 +200,7 @@ func (d *Decider) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serve answers the decide request whose body is data — all of it, or what
 // was read before the read failed with readErr — received at start,
 // decoding into and encoding from x. Only what outlives the exchange is
-// copied out of x: the bytes the dedup window keeps.
+// copied out of x: the answer the dedup window keeps.
 func (d *Decider) serve(ctx context.Context, w http.ResponseWriter, x *decideScratch, data []byte, readErr error, start time.Time) {
 	req := &x.req
 	if err := decodeBody(data, readErr, req); err != nil {
@@ -218,7 +221,12 @@ func (d *Decider) serve(ctx context.Context, w http.ResponseWriter, x *decideScr
 				WriteError(w, http.StatusConflict, fmt.Errorf(
 					"%s: decision id %q was acknowledged for %d tasks, retried with %d", d.tier, id, n, len(req.Tasks)))
 			default:
-				WriteRawJSON(w, http.StatusOK, data)
+				if err := readAnswer(data, &x.resp); err != nil {
+					d.fail(w, err)
+					return
+				}
+				x.out = append(appendDecideResponse(x.out[:0], &x.resp), '\n')
+				WriteRawJSON(w, http.StatusOK, x.out)
 			}
 			return
 		}
@@ -239,9 +247,10 @@ func (d *Decider) serve(ctx context.Context, w http.ResponseWriter, x *decideScr
 	}
 	x.out = append(appendDecideResponse(x.out[:0], &x.resp), '\n')
 	if owner {
-		// The exact bytes being acknowledged: what makes a replayed
-		// duplicate byte-identical to the original response.
-		d.dedup.Commit(id, bytes.Clone(x.out), len(req.Tasks))
+		// The answer being acknowledged, from which a replayed duplicate's
+		// bytes are rendered the same way.
+		x.ans = appendAnswer(x.ans[:0], &x.resp)
+		d.dedup.Commit(id, bytes.Clone(x.ans), len(req.Tasks))
 	}
 	if d.latency != nil {
 		d.latency.Observe(time.Since(start))

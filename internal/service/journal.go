@@ -317,10 +317,9 @@ func (c *Controller) seedDedup() {
 	for _, id := range order {
 		m := byID[id]
 		sort.Slice(m.decisions, func(i, j int) bool { return m.decisions[i].Seq < m.decisions[j].Seq })
-		// The encoding and trailing newline of the live ack path
-		// (DecideHandler), keeping a replayed duplicate byte-identical.
-		data := appendDecideResponse(nil, &DecideResponse{Now: m.now, Decisions: m.decisions})
-		c.dedup.Commit(id, append(data, '\n'), len(m.decisions))
+		// The answer the live ack path (DecideHandler) kept, so a replayed
+		// duplicate renders byte-identical.
+		c.dedup.Commit(id, appendAnswer(nil, &DecideResponse{Now: m.now, Decisions: m.decisions}), len(m.decisions))
 	}
 	if len(order) > 0 {
 		c.log.Info("dedup window re-seeded from journal", "seeded", len(order))
@@ -386,9 +385,11 @@ func arriveRecord(t *workload.Task, id string) journal.Record {
 
 // arriveTask reconstructs the engine task of one arrive record — the
 // inverse of arriveRecord, for shard.apply (the recorded Exec already
-// carries the resolved execution times, so no PET fallback is needed).
-func arriveTask(rec *journal.Record) *workload.Task {
-	return &workload.Task{
+// carries the resolved execution times, so no PET fallback is needed). The
+// task borrows rec.Exec, which the journal's scan reuses for the next
+// record; the engine copies what it keeps.
+func arriveTask(rec *journal.Record) workload.Task {
+	return workload.Task{
 		ID:         int(rec.Seq),
 		Type:       pet.TaskType(rec.Type),
 		Arrival:    rec.Tick,
@@ -470,9 +471,11 @@ func (sh *shard) checkpointState() *ShardCheckpoint {
 }
 
 // checkpoint writes the shard's full state as a journal snapshot and
-// rotates the segment. Runs under the shard's turn.
+// rotates the segment, encoding into the shard's checkpoint buffer (the
+// writer keeps nothing of the payload). Runs under the shard's turn.
 func (sh *shard) checkpoint() error {
-	return sh.jw.Checkpoint(appendCheckpoint(nil, sh.checkpointState()))
+	sh.cpBuf = appendCheckpoint(sh.cpBuf[:0], sh.checkpointState())
+	return sh.jw.Checkpoint(sh.cpBuf)
 }
 
 // restore is checkpoint's inverse: it loads one snapshot payload into a

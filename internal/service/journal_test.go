@@ -356,7 +356,7 @@ func TestEveryPrefixRecovers(t *testing.T) {
 	}
 	var recs []journal.Record
 	if err := journal.ScanSegment(journal.SegmentPath(dir, 0), func(r *journal.Record) error {
-		recs = append(recs, *r)
+		recs = append(recs, r.Clone())
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -654,7 +654,7 @@ func TestCrashInsideCommitDoesNotPoisonRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recs []journal.Record
-	if err := journal.ScanSegment(path, func(r *journal.Record) error { recs = append(recs, *r); return nil }); err != nil {
+	if err := journal.ScanSegment(path, func(r *journal.Record) error { recs = append(recs, r.Clone()); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	bounds := frameBounds(seg)
@@ -996,7 +996,7 @@ func rewriteSegment(t *testing.T, dir string, seg int, edit func([]journal.Recor
 	t.Helper()
 	var recs []journal.Record
 	if err := journal.ScanSegment(journal.SegmentPath(dir, seg), func(r *journal.Record) error {
-		recs = append(recs, *r)
+		recs = append(recs, r.Clone())
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -98,7 +98,8 @@ func (sh *shard) apply(rec *journal.Record) (Decision, error) {
 	case journal.KindBatch:
 		sh.metrics.requests.Add(1)
 	case journal.KindArrive:
-		return sh.admit(arriveTask(rec), rec.ID, nil), nil
+		t := arriveTask(rec)
+		return sh.admit(&t, rec.ID, nil), nil
 	case journal.KindMembership:
 		if err := sh.applyMembership(rec, nil); err != nil {
 			return Decision{}, fmt.Errorf("membership replay: %w", err)
@@ -148,11 +149,15 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 	}
 
 	st := &VerifyStats{Shard: s}
-	var logged []journal.Record // unmatched logged derived records
+	// logged holds the logged derived records not matched yet, sh.gen the
+	// derived ones. match consumes their common prefix and moves what is
+	// left of each to the front of its storage, so neither queue
+	// reallocates as the walk goes.
+	var logged []journal.Record
 	match := func() error {
-		for len(logged) > 0 && len(sh.gen) > 0 {
-			want, got := logged[0], sh.gen[0]
-			logged, sh.gen = logged[1:], sh.gen[1:]
+		n := min(len(logged), len(sh.gen))
+		for k := 0; k < n; k++ {
+			want, got := &logged[k], &sh.gen[k]
 			if want.Kind != got.Kind || want.Seq != got.Seq || want.Tick != got.Tick ||
 				want.Action != got.Action || want.Machine != got.Machine {
 				return fmt.Errorf("shard %d: record %d: log has %s, replay derives %s",
@@ -160,6 +165,8 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 			}
 			st.Derived++
 		}
+		logged = logged[:copy(logged, logged[n:])]
+		sh.gen = sh.gen[:copy(sh.gen, sh.gen[n:])]
 		return nil
 	}
 
@@ -173,6 +180,8 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 				st.Traces++
 				return nil
 			case journal.KindDecision, journal.KindEvent:
+				// These kinds carry no Exec or Spans, so the copy keeps
+				// nothing of the storage the scan reuses.
 				logged = append(logged, *rec)
 				return match()
 			case journal.KindArrive:
@@ -303,6 +312,7 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	// First pass: find the target arrive and capture the logged derived
 	// records for it (they follow the arrive in the log), plus its stage
 	// trace if the decision was sampled (trace records trail by a commit).
+	// The scan reuses the record it hands over, so what is kept is cloned.
 	var target *journal.Record
 	var loggedDecision *journal.Record
 	var loggedTrace *journal.Record
@@ -315,24 +325,24 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 				oldest = rec.Seq
 			}
 			if rec.Seq == seq {
-				c := *rec
+				c := rec.Clone()
 				target = &c
 			}
 		case journal.KindDecision:
 			if rec.Seq == seq {
-				c := *rec
+				c := rec.Clone()
 				loggedDecision = &c
 			}
 		case journal.KindTrace:
 			if rec.Seq == seq {
-				c := *rec
+				c := rec.Clone()
 				loggedTrace = &c
 			}
 		case journal.KindEvent:
 			if target != nil && loggedDecision == nil {
 				// Terminal events logged between the arrive and its decision:
 				// the side effects of admitting this task.
-				loggedEvents = append(loggedEvents, *rec)
+				loggedEvents = append(loggedEvents, rec.Clone())
 			}
 		}
 		return nil
@@ -428,7 +438,7 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	}
 
 	// Re-derive the decision and set it against the logged record.
-	d := sh.admit(t, "", nil)
+	d := sh.admit(&t, "", nil)
 	if d.Action == ActionMap {
 		fmt.Fprintf(w, "replayed decision: %s -> machine %d %q\n", d.Action, d.Machine, d.MachineName)
 	} else {

@@ -212,6 +212,9 @@ type Controller struct {
 	shards []*shard
 	tel    *telemetry.Telemetry
 	log    *slog.Logger
+	// meanExec[type] is the execution times of a task whose spec carries
+	// none (makeTask).
+	meanExec [][]pmf.Tick
 
 	// Beside its shards' Metrics: start, rejected requests, decide latency.
 	start    time.Time
@@ -324,17 +327,18 @@ func build(cfg Config, cold bool) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:     cfg,
-		matrix:  matrix,
-		policy:  policy,
-		cl:      cl,
-		shards:  make([]*shard, cfg.Shards),
-		tel:     tel,
-		log:     cfg.Logger,
-		start:   time.Now(),
-		latency: telemetry.NewHistogram(latencyBuckets),
-		dedup:   NewDedupWindow(DefaultDedupWindow),
-		drained: make(chan struct{}),
+		cfg:      cfg,
+		matrix:   matrix,
+		meanExec: meanExecByType(matrix),
+		policy:   policy,
+		cl:       cl,
+		shards:   make([]*shard, cfg.Shards),
+		tel:      tel,
+		log:      cfg.Logger,
+		start:    time.Now(),
+		latency:  telemetry.NewHistogram(latencyBuckets),
+		dedup:    NewDedupWindow(DefaultDedupWindow),
+		drained:  make(chan struct{}),
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		sh := &shard{
@@ -543,43 +547,35 @@ func FanOut(groups [][]int, decide func(g int) (pmf.Tick, error)) (pmf.Tick, err
 }
 
 // makeTask converts a wire spec into an engine task, filling missing
-// realized execution times with the PET cell means (rounded to ticks) so
-// generic clients need not carry a trace. The id is the cluster-wide
-// arrival sequence number. The task owns a copy of the execution times,
-// in the same allocation up to maxInlineExec machine types: a server
-// decodes each request into storage it reuses.
-func (c *Controller) makeTask(spec *TaskSpec, id int) *workload.Task {
-	nm := c.matrix.NumMachineTypes()
-	st := new(servedTask)
-	exec := st.exec[:0]
-	if nm > len(st.exec) {
-		exec = make([]pmf.Tick, 0, nm)
+// realized execution times with the PET cell means (rounded to ticks,
+// meanExec) so generic clients need not carry a trace. The id is the
+// cluster-wide arrival sequence number. The task borrows its execution
+// times — the spec's or the controller's — and allocates nothing: the
+// engine copies what it keeps (sim.Engine.Feed).
+func (c *Controller) makeTask(spec *TaskSpec, id int) workload.Task {
+	exec := spec.ExecByType
+	if len(exec) == 0 {
+		exec = c.meanExec[spec.Type]
 	}
-	if len(spec.ExecByType) != 0 {
-		exec = append(exec, spec.ExecByType...)
-	} else {
-		for j := 0; j < nm; j++ {
-			exec = append(exec, max(1, pmf.Tick(c.matrix.CellMean(pet.TaskType(spec.Type), pet.MachineType(j))+0.5)))
-		}
-	}
-	st.task = workload.Task{
+	return workload.Task{
 		ID:         id,
 		Type:       pet.TaskType(spec.Type),
 		Arrival:    spec.Arrival,
 		Deadline:   spec.Deadline,
 		ExecByType: exec,
 	}
-	return &st.task
 }
 
-// maxInlineExec is the most machine types whose execution times a served
-// task holds inline; every built-in profile has at most eight.
-const maxInlineExec = 8
-
-// servedTask is a served task and its execution times, one allocation.
-type servedTask struct {
-	task workload.Task
-	exec [maxInlineExec]pmf.Tick
+// meanExecByType is every task type's PET cell means, rounded to ticks and
+// at least 1: the execution times makeTask gives a spec that carries none.
+func meanExecByType(m *pet.Matrix) [][]pmf.Tick {
+	out := make([][]pmf.Tick, m.NumTaskTypes())
+	for tt := range out {
+		for mt := 0; mt < m.NumMachineTypes(); mt++ {
+			out[tt] = append(out[tt], max(1, pmf.Tick(m.CellMean(pet.TaskType(tt), pet.MachineType(mt))+0.5)))
+		}
+	}
+	return out
 }
 
 // Snapshot is a point-in-time view of the controller's live state, merged

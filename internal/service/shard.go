@@ -47,6 +47,8 @@ type shard struct {
 	// Written only under the turn (and by recovery, before New returns);
 	// the writer synchronizes its background syncer internally.
 	jw *journal.Writer
+	// cpBuf is the storage checkpoint encodes into, reused.
+	cpBuf []byte
 	// journalFailed mirrors the writer's latched error (set by emit and
 	// commitJournal under the turn) so HTTP goroutines can read it: once
 	// true the shard refuses every state change with ErrJournalFailed.
@@ -174,9 +176,9 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 			task := sh.c.makeTask(spec, int(base)+i)
 			// The arrive record precedes the feed so the terminal events the
 			// feed triggers (via the engine hook) land after it in the log.
-			rec := arriveRecord(task, spec.ID)
+			rec := arriveRecord(&task, spec.ID)
 			sh.emitTimed(&rec, a)
-			resp.Decisions[i] = sh.admit(task, spec.ID, a)
+			resp.Decisions[i] = sh.admit(&task, spec.ID, a)
 		})
 		if sh.jw != nil {
 			// Durability before acknowledgement: the sub-batch is committed
@@ -213,7 +215,8 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 // a recovered or replayed shard lands where the live one stood because it
 // ran the same statements, not a copy of them. id is the client's task
 // label; a is the sampled in-flight trace (nil when unsampled, and always
-// nil off the live path).
+// nil off the live path). The engine copies task in, so it may be storage
+// the caller reuses.
 func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Active) Decision {
 	var feedStart time.Time
 	if a != nil {
@@ -284,7 +287,8 @@ func (sh *shard) emitTimed(rec *journal.Record, a *telemetry.Active) {
 // failure, reactive/proactive drop) into emit. Installed once, at build,
 // for every shard: the hook runs inside feeds, membership operations and
 // drains, so on a served shard the appends are single-writer like every
-// other journal write.
+// other journal write. The record copies the fields it needs: the engine
+// reuses the state once the hook returns.
 func (sh *shard) hookEngine() {
 	sh.eng.SetJournal(func(ts *sim.TaskState, now pmf.Tick) {
 		sh.emit(&journal.Record{

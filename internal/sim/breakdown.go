@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/hpcclab/taskdrop/internal/pet"
 	"github.com/hpcclab/taskdrop/internal/pmf"
@@ -53,14 +54,17 @@ func Record(e *Engine) *Recorder {
 		for len(r.states) <= ts.Seq {
 			r.states = append(r.states, TaskState{})
 		}
+		// The engine reuses ts once the hook returns: keep a copy whose
+		// execution times are the recorder's own.
 		r.states[ts.Seq] = *ts
+		r.states[ts.Seq].Task.ExecByType = slices.Clone(ts.Task.ExecByType)
 	})
 	return r
 }
 
 // TaskStates returns the records in arrival order. After Run or Drain it
-// holds every task; before, a task still live is a zero TaskState (nil
-// Task). The slice is the recorder's own.
+// holds every task; before, a task still live is a zero TaskState (status
+// batch, a zero Task). The slice is the recorder's own.
 func (r *Recorder) TaskStates() []TaskState { return r.states }
 
 // Breakdown aggregates per-type and per-machine statistics of a finished

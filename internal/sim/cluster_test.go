@@ -26,7 +26,7 @@ func (pamLike) Map(ev *MappingEvent) {
 			if ev.FreeSlots(m) <= 0 {
 				continue
 			}
-			if p := ev.SuccessProbability(ts, m); p > bestP {
+			if p := ev.CandidateCompletion(ts, m).MassBefore(ts.Task.Deadline); p > bestP {
 				best, bestP = m, p
 			}
 		}
@@ -123,13 +123,13 @@ func TestOneShardClusterMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := make([]*TaskState, len(tr.Tasks))
+	// The engine reuses a settled task's state, so the per-task records
+	// come from a recorder, as the reference's do.
+	crec := Record(cl.Shards()[0])
 	for i := range tr.Tasks {
-		s, ts := cl.Feed(&tr.Tasks[i])
-		if s != 0 {
+		if s, _ := cl.Feed(&tr.Tasks[i]); s != 0 {
 			t.Fatalf("1-shard cluster routed task %d to shard %d", i, s)
 		}
-		states[i] = ts
 	}
 	got := cl.Drain()
 
@@ -141,10 +141,11 @@ func TestOneShardClusterMatchesEngine(t *testing.T) {
 	ref := New(m, tr, pamLike{}, core.NewHeuristic(), cfg)
 	rec := Record(ref)
 	ref.Run()
+	states := crec.TaskStates()
 	for i, rs := range rec.TaskStates() {
 		cs := states[i]
 		if cs.Status != rs.Status || cs.Machine != rs.Machine || cs.Start != rs.Start || cs.Finish != rs.Finish {
-			t.Fatalf("task %d diverged: cluster %+v vs engine %+v", i, *cs, rs)
+			t.Fatalf("task %d diverged: cluster %+v vs engine %+v", i, cs, rs)
 		}
 	}
 }

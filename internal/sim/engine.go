@@ -103,6 +103,8 @@ type Engine struct {
 	// tasks that have settled: Result is a read of the two.
 	live  Live
 	tally Tally
+	// free holds the states of settled tasks for newTask to reuse.
+	free []*TaskState
 	// event is the mapper's window, kept across mapping events so its
 	// scratch is allocated once per engine, not once per round.
 	event MappingEvent
@@ -119,14 +121,16 @@ type Engine struct {
 // fn fires inside every transition to a terminal status, in event order,
 // before the transition's mapping pipeline continues, with the task's
 // record complete (Finish set). It is the last the engine shows of the
-// task. The hook must not mutate the engine.
+// task: the engine reuses the state afterwards, so fn copies what it
+// keeps. The hook must not mutate the engine.
 func (e *Engine) SetJournal(fn func(*TaskState, pmf.Tick)) { e.journal = fn }
 
 // transition moves an arrived task to a new lifecycle state, keeping the
-// live census in sync; a terminal state folds the task into the tally and
-// shows it to the journal hook. Every post-arrival status change must go
-// through here (TestLiveCountsStayConsistent cross-checks against a full
-// recount).
+// live census in sync; a terminal state folds the task into the tally,
+// shows it to the journal hook and frees its state for newTask (the state
+// stays intact until then: only Feed and a restore take one). Every
+// post-arrival status change must go through here
+// (TestLiveCountsStayConsistent cross-checks against a full recount).
 func (e *Engine) transition(ts *TaskState, to Status) {
 	e.live.add(ts.Status, -1)
 	ts.Status = to
@@ -138,6 +142,7 @@ func (e *Engine) transition(ts *TaskState, to Status) {
 	if e.journal != nil {
 		e.journal(ts, e.clock)
 	}
+	e.free = append(e.free, ts)
 }
 
 // New builds an engine that RunContext drives over the trace: every task

@@ -81,12 +81,6 @@ func (ev *MappingEvent) CandidateMeanLowerBound(ts *TaskState, m *Machine) float
 // them (the "pruned" side of taskdrop_mapper_candidates_total).
 func (ev *MappingEvent) Pruned(n int) { ev.e.calc.CountPruned(n) }
 
-// SuccessProbability returns the chance of success (Eq. 2) task ts would
-// have if appended to machine m now.
-func (ev *MappingEvent) SuccessProbability(ts *TaskState, m *Machine) float64 {
-	return ev.CandidateCompletion(ts, m).MassBefore(ts.Task.Deadline)
-}
-
 // ExpectedExec returns the mean execution time (ms) of ts on machine m
 // according to the PET.
 func (ev *MappingEvent) ExpectedExec(ts *TaskState, m *Machine) float64 {

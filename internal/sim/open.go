@@ -34,6 +34,10 @@ func NewOpen(m *pet.Matrix, mapper Mapper, dropper core.Policy, cfg Config) *Eng
 // Arrivals must be fed in non-decreasing time order; a task whose Arrival
 // lies before the engine clock is treated as arriving now (the clock never
 // moves backwards).
+//
+// Feed copies *t, execution times included, so the caller may reuse t at
+// once. The returned state is the engine's own and valid until the next
+// call into the engine (see TaskState).
 func (e *Engine) Feed(t *workload.Task) *TaskState {
 	if t == nil {
 		panic("sim: Feed(nil)")
@@ -41,11 +45,30 @@ func (e *Engine) Feed(t *workload.Task) *TaskState {
 	if t.Arrival > e.clock {
 		e.AdvanceTo(t.Arrival)
 	}
-	ts := &TaskState{Task: t, Seq: e.live.Arrived, Status: StatusBatch, Machine: -1}
+	ts := e.newTask(t)
+	ts.Seq, ts.Status = e.live.Arrived, StatusBatch
 	e.live.Arrived++
 	e.live.Batch++
 	e.batch = append(e.batch, ts)
 	e.mappingEvent(false)
+	return ts
+}
+
+// newTask returns a state holding a copy of t, not yet placed anywhere
+// (Machine −1): the storage of a settled task when the engine holds one,
+// its execution-time storage included, else a new one. It is the engine's
+// one allocation site of task storage, so the engine's task memory is its
+// live set's high-water mark, not its history.
+func (e *Engine) newTask(t *workload.Task) *TaskState {
+	var ts *TaskState
+	if n := len(e.free); n > 0 {
+		ts, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		ts = new(TaskState)
+	}
+	exec := append(ts.Task.ExecByType[:0], t.ExecByType...)
+	*ts = TaskState{Task: *t, Machine: -1}
+	ts.Task.ExecByType = exec
 	return ts
 }
 

@@ -1,0 +1,7 @@
+//go:build !race
+
+package sim
+
+// raceEnabled reports that the race detector is active; allocation-budget
+// assertions are skipped because instrumentation changes alloc counts.
+const raceEnabled = false

@@ -121,7 +121,7 @@ func recount(e *Engine, rec *Recorder) Live {
 		}
 	}
 	for _, ts := range rec.TaskStates() {
-		if ts.Task != nil { // a zero record is a task still live, counted above
+		if ts.Status.Terminal() { // a zero record is a task still live, counted above
 			lc.add(ts.Status, 1)
 		}
 	}

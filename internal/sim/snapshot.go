@@ -95,23 +95,19 @@ func snapshotTasks(q []*TaskState) []TaskSnapshot {
 }
 
 // restoreTasks is snapshotTasks' inverse for a queue of machine (−1: the
-// batch) whose head is running when headRunning.
-func restoreTasks(q []TaskSnapshot, machine int, headRunning bool) []*TaskState {
-	var out []*TaskState
-	for i, t := range q {
-		ts := &TaskState{
-			Task: &workload.Task{
-				ID:         t.ID,
-				Type:       pet.TaskType(t.Type),
-				Arrival:    t.Arrival,
-				Deadline:   t.Deadline,
-				ExecByType: append([]pmf.Tick(nil), t.Exec...),
-			},
-			Seq:     t.Seq,
-			Status:  StatusQueued,
-			Machine: machine,
-			Start:   t.Start,
-		}
+// batch) whose head is running when headRunning: it appends the queue's
+// states, drawn from newTask like a fed task's, to out.
+func (e *Engine) restoreTasks(out []*TaskState, q []TaskSnapshot, machine int, headRunning bool) []*TaskState {
+	for i := range q {
+		t := &q[i]
+		ts := e.newTask(&workload.Task{
+			ID:         t.ID,
+			Type:       pet.TaskType(t.Type),
+			Arrival:    t.Arrival,
+			Deadline:   t.Deadline,
+			ExecByType: t.Exec,
+		})
+		ts.Seq, ts.Status, ts.Machine, ts.Start = t.Seq, StatusQueued, machine, t.Start
 		switch {
 		case machine < 0:
 			ts.Status = StatusBatch
@@ -359,7 +355,7 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 		if ms.Running && len(ms.Queue) == 0 {
 			return fmt.Errorf("sim: snapshot machine %d running with empty queue", i)
 		}
-		m.queue = append(m.queue[:0], restoreTasks(ms.Queue, i, ms.Running)...)
+		m.queue = e.restoreTasks(m.queue[:0], ms.Queue, i, ms.Running)
 		m.running = ms.Running
 		m.completeAt = ms.CompleteAt
 		m.busy = ms.Busy
@@ -375,7 +371,7 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 			held.Running++
 		}
 	}
-	e.batch = append(e.batch[:0], restoreTasks(s.Batch, -1, false)...)
+	e.batch = e.restoreTasks(e.batch[:0], s.Batch, -1, false)
 	if held != s.Live || held.Batch+held.Queued+held.Running+held.total() != held.Arrived {
 		return fmt.Errorf("sim: snapshot census %+v does not count the tasks it holds (%d batch, %d queued, %d running)",
 			s.Live, held.Batch, held.Queued, held.Running)

@@ -73,10 +73,15 @@ func (s Status) String() string {
 }
 
 // TaskState is the simulator's mutable record of one task. The engine
-// holds it while the task is live (in the batch or on a machine queue) and
-// lets go of it the moment it turns terminal.
+// owns it: Feed copies the task in, the engine holds the state while the
+// task is live (in the batch or on a machine queue) and reuses its storage
+// for a later arrival once the task has turned terminal and the terminal
+// hook has run. A *TaskState the engine hands out is valid until the next
+// call into the engine; whoever keeps one longer keeps a copy (Recorder).
 type TaskState struct {
-	Task *workload.Task
+	// Task is the engine's copy of the task as fed. Its ExecByType is
+	// engine-owned storage, reused with the state.
+	Task workload.Task
 	// Seq is the task's arrival ordinal in its engine: 0 for the first
 	// task fed, counting every arrival since.
 	Seq     int

@@ -10,7 +10,7 @@ import (
 
 func mkState(status Status, deadline, finish pmf.Tick) TaskState {
 	return TaskState{
-		Task:   &workload.Task{Deadline: deadline},
+		Task:   workload.Task{Deadline: deadline},
 		Status: status,
 		Finish: finish,
 	}

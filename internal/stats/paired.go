@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // PairedDiff summarizes the element-wise differences x[i] − y[i] as a
 // mean ± 95% CI. This is the paired-difference analysis: when the two
@@ -21,30 +18,4 @@ func PairedDiff(x, y []float64) (Summary, error) {
 		d[i] = x[i] - y[i]
 	}
 	return Summarize(d), nil
-}
-
-// IndependentDiff summarizes the difference of two independent sample
-// means, x − y, with a Welch-approximate 95% CI — the analysis forced on a
-// reader who only has the two per-cell summaries. It exists as the
-// comparison point for PairedDiff: on positively correlated (paired) data
-// the paired CI is no wider, usually far narrower.
-func IndependentDiff(x, y Summary) Summary {
-	out := Summary{N: x.N, Mean: x.Mean - y.Mean}
-	if y.N < out.N {
-		out.N = y.N
-	}
-	if x.N < 2 || y.N < 2 {
-		return out
-	}
-	vx := x.StdDev * x.StdDev / float64(x.N)
-	vy := y.StdDev * y.StdDev / float64(y.N)
-	se := math.Sqrt(vx + vy)
-	out.StdDev = se
-	if se == 0 {
-		return out
-	}
-	// Welch–Satterthwaite effective degrees of freedom.
-	df := (vx + vy) * (vx + vy) / (vx*vx/float64(x.N-1) + vy*vy/float64(y.N-1))
-	out.CI95 = tCritical95(int(df)) * se
-	return out
 }

@@ -226,7 +226,7 @@ func TestPairedDiffCancelsCommonNoise(t *testing.T) {
 	if d.Mean != 7 || d.StdDev != 0 || d.CI95 != 0 {
 		t.Fatalf("paired diff of offset series = %+v, want exactly 7 ± 0", d)
 	}
-	if indep := IndependentDiff(Summarize(x), Summarize(y)); indep.CI95 <= 0 {
+	if indep := independentDiff(Summarize(x), Summarize(y)); indep.CI95 <= 0 {
 		t.Fatalf("independent CI = %v, want > 0", indep.CI95)
 	}
 }
@@ -252,7 +252,7 @@ func TestIndependentDiffHandComputed(t *testing.T) {
 	// Equal variances and sizes: Welch df = 2n−2 = 18, se = √(4/10+4/10).
 	x := Summary{N: 10, Mean: 5, StdDev: 2}
 	y := Summary{N: 10, Mean: 3, StdDev: 2}
-	d := IndependentDiff(x, y)
+	d := independentDiff(x, y)
 	if d.N != 10 || math.Abs(d.Mean-2) > 1e-12 {
 		t.Fatalf("independent diff = %+v", d)
 	}
@@ -268,13 +268,39 @@ func TestIndependentDiffHandComputed(t *testing.T) {
 
 func TestIndependentDiffDegenerate(t *testing.T) {
 	// Too few observations on either side: mean only, zero CI.
-	d := IndependentDiff(Summary{N: 1, Mean: 4}, Summary{N: 30, Mean: 1, StdDev: 2})
+	d := independentDiff(Summary{N: 1, Mean: 4}, Summary{N: 30, Mean: 1, StdDev: 2})
 	if d.N != 1 || d.Mean != 3 || d.CI95 != 0 {
 		t.Fatalf("degenerate independent diff = %+v", d)
 	}
 	// Zero variance on both sides: exact difference, zero CI.
-	d = IndependentDiff(Summary{N: 5, Mean: 4}, Summary{N: 5, Mean: 1})
+	d = independentDiff(Summary{N: 5, Mean: 4}, Summary{N: 5, Mean: 1})
 	if d.Mean != 3 || d.CI95 != 0 {
 		t.Fatalf("zero-variance independent diff = %+v", d)
 	}
+}
+
+// independentDiff summarizes the difference of two independent sample
+// means, x − y, with a Welch-approximate 95% CI — the analysis forced on a
+// reader who only has the two per-cell summaries. It is the comparison
+// point for PairedDiff: on positively correlated (paired) data the paired
+// CI is no wider, usually far narrower.
+func independentDiff(x, y Summary) Summary {
+	out := Summary{N: x.N, Mean: x.Mean - y.Mean}
+	if y.N < out.N {
+		out.N = y.N
+	}
+	if x.N < 2 || y.N < 2 {
+		return out
+	}
+	vx := x.StdDev * x.StdDev / float64(x.N)
+	vy := y.StdDev * y.StdDev / float64(y.N)
+	se := math.Sqrt(vx + vy)
+	out.StdDev = se
+	if se == 0 {
+		return out
+	}
+	// Welch–Satterthwaite effective degrees of freedom.
+	df := (vx + vy) * (vx + vy) / (vx*vx/float64(x.N-1) + vy*vy/float64(y.N-1))
+	out.CI95 = tCritical95(int(df)) * se
+	return out
 }

@@ -33,9 +33,6 @@ type Task struct {
 	ExecByType []pmf.Tick
 }
 
-// Slack returns the deadline slack at arrival, δ − arr.
-func (t *Task) Slack() pmf.Tick { return t.Deadline - t.Arrival }
-
 // Config parameterizes trace generation.
 type Config struct {
 	// TotalTasks is the number of arrivals (the paper's oversubscription

@@ -50,7 +50,7 @@ func TestDeadlineRule(t *testing.T) {
 	tr := Generate(m, cfg, 2)
 	for _, task := range tr.Tasks {
 		wantSlack := pmf.Tick(m.TypeMean(task.Type) + cfg.GammaSlack*m.MeanAll() + 0.5)
-		if got := task.Slack(); got != wantSlack {
+		if got := task.Deadline - task.Arrival; got != wantSlack {
 			t.Fatalf("task %d slack = %d, want %d (δ = arr + avg_i + γ·avg_all)", task.ID, got, wantSlack)
 		}
 	}
@@ -66,8 +66,8 @@ func TestEveryTaskIndividuallyFeasible(t *testing.T) {
 		for j := 0; j < m.NumMachineTypes(); j++ {
 			best = math.Min(best, m.CellMean(task.Type, pet.MachineType(j)))
 		}
-		if float64(task.Slack()) <= best {
-			t.Fatalf("task %d slack %d <= best mean exec %v", task.ID, task.Slack(), best)
+		if slack := task.Deadline - task.Arrival; float64(slack) <= best {
+			t.Fatalf("task %d slack %d <= best mean exec %v", task.ID, slack, best)
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestExecDrawsFollowPET(t *testing.T) {
 	for i := 0; i < m.NumTaskTypes(); i++ {
 		for j := 0; j < m.NumMachineTypes(); j++ {
 			got := sums[i][j] / float64(counts[i])
-			want := m.TrueDist(pet.TaskType(i), pet.MachineType(j)).Mean()
+			want := m.Profile().MeanMS[i][j] // the ground-truth Gamma law's mean
 			if math.Abs(got-want) > 0.08*want+1 {
 				t.Fatalf("realized mean (%d,%d) = %v, want ≈%v", i, j, got, want)
 			}

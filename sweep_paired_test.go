@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
-
-	"github.com/hpcclab/taskdrop/internal/stats"
 )
 
 // TestSweepPairedCellsShareTraces is the pairing acceptance test: cells of
@@ -92,9 +91,12 @@ func TestSweepPairedCellsShareTraces(t *testing.T) {
 			paired, _ := c.VsBaseline.Stat(string(m))
 			sx, _ := c.Stat(m)
 			sy, _ := base.Stat(m)
-			indep := stats.IndependentDiff(sx, sy)
-			if paired.CI95 > indep.CI95+1e-9 {
-				t.Fatalf("metric %s: paired CI %v wider than independent CI %v", m, paired.CI95, indep.CI95)
+			// The independent-samples (Welch) CI of the same difference is
+			// t·se with t ≥ 1.96 whatever its degrees of freedom: the
+			// paired CI must not be wider even than 1.96·se.
+			indep := 1.96 * math.Sqrt(sx.StdDev*sx.StdDev/float64(sx.N)+sy.StdDev*sy.StdDev/float64(sy.N))
+			if paired.CI95 > indep+1e-9 {
+				t.Fatalf("metric %s: paired CI %v wider than the independent CI's floor %v", m, paired.CI95, indep)
 			}
 			checked++
 		}
