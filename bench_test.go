@@ -106,10 +106,14 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportMetric(float64(2000*b.N)/b.Elapsed().Seconds(), "tasks/s")
 }
 
-// benchDecide measures a single dropping decision over a representative
-// full queue.
-func benchDecide(b *testing.B, policy core.Policy) {
+// benchDecide measures a single dropping decision of the spec's dropper
+// over a representative full queue.
+func benchDecide(b *testing.B, spec string) {
 	b.Helper()
+	policy, err := core.PolicyFromSpec(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
 	m := pet.Build(pet.SPECProfile(pet.DefaultProfileSeed), pet.DefaultProfileSeed, pet.DefaultBuildOptions())
 	calc := core.NewCalculus(m)
 	queue := []core.QueueTask{
@@ -132,9 +136,9 @@ func benchDecide(b *testing.B, policy core.Policy) {
 	}
 }
 
-func BenchmarkDecideHeuristic(b *testing.B) { benchDecide(b, core.NewHeuristic()) }
-func BenchmarkDecideOptimal(b *testing.B)   { benchDecide(b, core.Optimal{}) }
-func BenchmarkDecideThreshold(b *testing.B) { benchDecide(b, core.NewThreshold()) }
+func BenchmarkDecideHeuristic(b *testing.B) { benchDecide(b, "heuristic") }
+func BenchmarkDecideOptimal(b *testing.B)   { benchDecide(b, "optimal") }
+func BenchmarkDecideThreshold(b *testing.B) { benchDecide(b, "threshold") }
 
 // BenchmarkMapperStep measures one full PAM mapping pass over a loaded
 // batch (25 unmapped tasks, one free slot per machine).
@@ -243,7 +247,7 @@ func BenchmarkAblationCompactionBudget(b *testing.B) {
 func BenchmarkAblationEta(b *testing.B) {
 	for eta := 1; eta <= 5; eta++ {
 		b.Run(fmt.Sprintf("eta=%d", eta), func(b *testing.B) {
-			benchDecide(b, core.Heuristic{Beta: 1, Eta: eta})
+			benchDecide(b, fmt.Sprintf("heuristic:beta=1,eta=%d", eta))
 		})
 	}
 }

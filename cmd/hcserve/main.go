@@ -97,7 +97,7 @@ func main() {
 		debugAddr     = flag.String("debug-addr", "", "debug listen address: net/http/pprof, /metrics and /debug/traces on a separate server (empty disables)")
 		profileSpec   = flag.String("profile", "spec", "system profile spec: spec | video | homog (e.g. spec:seed=7)")
 		mapperSpec    = flag.String("mapper", "PAM", "mapping heuristic spec (MinMin, MSD, PAM, FCFS, SJF, EDF, kpb:percent=30, ...)")
-		dropperSpec   = flag.String("dropper", "heuristic", "dropping policy spec: reactdrop | heuristic[:beta=..,eta=..] | optimal | threshold[:base=..,adaptive] | approx[:grace=..]")
+		dropperSpec   = flag.String("dropper", "heuristic", "dropping policy spec: reactdrop | heuristic[:beta=..,eta=..] | optimal | threshold[:base=..,adaptive] | approx[:beta=..,eta=..]")
 		shards        = flag.Int("shards", 1, "admission shards (independent decision loops over partitioned machines)")
 		partition     = flag.String("partition", "", "own only machine partition k/K of the profile (e.g. 0/2); empty serves the whole matrix")
 		routerSpec    = flag.String("router", "rr", "shard-routing policy spec: rr | p2c[:seed=..] | hash[:seed=..]")

@@ -33,7 +33,7 @@ func main() {
 	var (
 		profileSpec = flag.String("profile", "spec", "system profile spec: spec | video | homog (e.g. spec:seed=7)")
 		mapperSpec  = flag.String("mapper", "PAM", "mapping heuristic spec (MinMin, MSD, PAM, FCFS, SJF, EDF, kpb:percent=30, ...)")
-		dropperSpec = flag.String("dropper", "heuristic", "dropping policy spec: reactdrop | heuristic[:beta=..,eta=..] | optimal | threshold[:base=..,adaptive] | approx[:grace=..]")
+		dropperSpec = flag.String("dropper", "heuristic", "dropping policy spec: reactdrop | heuristic[:beta=..,eta=..] | optimal | threshold[:base=..,adaptive] | approx[:beta=..,eta=..]")
 		tasks       = flag.Int("tasks", 30000, "number of arriving tasks per trial (oversubscription level)")
 		window      = flag.Int64("window", int64(taskdrop.StandardWindow), "arrival window in ms")
 		gamma       = flag.Float64("gamma", taskdrop.DefaultGammaSlack, "deadline slack coefficient γ")

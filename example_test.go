@@ -122,11 +122,14 @@ func ExampleScenario_Trace() {
 	// true
 }
 
-// ExampleHeuristicDropperWith tunes the heuristic's aggressiveness: β
-// close to 1 drops on any improvement, larger β is more conservative
+// ExampleNewDropper tunes the heuristic's aggressiveness through its spec:
+// β close to 1 drops on any improvement, larger β is more conservative
 // (Fig. 6 of the paper).
-func ExampleHeuristicDropperWith() {
-	conservative := taskdrop.HeuristicDropperWith(2.0, 2)
+func ExampleNewDropper() {
+	conservative, err := taskdrop.NewDropper("heuristic:beta=2,eta=2")
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(conservative.Name())
 	// Output:
 	// Heuristic

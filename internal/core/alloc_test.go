@@ -109,7 +109,7 @@ func TestPolicyDecideAllocsSteadyState(t *testing.T) {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
 	calc := allocCalculus(t)
-	for _, policy := range []Policy{NewHeuristic(), NewThreshold(), Optimal{}} {
+	for _, policy := range []Policy{paperHeuristic, paperThreshold, Optimal{}} {
 		t.Run(policy.Name(), func(t *testing.T) {
 			ctx := &Context{Calc: calc, Machine: 2, Now: 100, Queue: allocQueue(), BatchPressure: 1.5}
 			decide := func() {

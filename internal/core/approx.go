@@ -40,35 +40,15 @@ func ExpectedUtility(cp pmf.PMF, deadline pmf.Tick, grace pmf.Tick) float64 {
 	return u
 }
 
-// FollowEngineGrace, as ApproxHeuristic.Grace, makes the policy adopt the
-// engine's reactive grace window (Context.Grace) at every decision — so
-// policy and engine always assume the same leeway without the caller
-// keeping two knobs in sync. It is the default of the "approx" spec when
-// no explicit grace parameter is given.
-const FollowEngineGrace pmf.Tick = -1
-
 // ApproxHeuristic is the proactive dropping heuristic driven by expected
-// utility instead of the chance of success: with a non-zero grace window a
-// slightly-late task retains value, so the policy drops less aggressively
-// than the heuristic. Its completion-time chains truncate Eq. 1 at
-// deadline+Grace, as the heuristic's do at the engine's grace — a task is
-// only "reactively dropped" in the forecast once the engine would no
-// longer start it. With Grace = 0 its decisions are identical to
-// Heuristic.
-//
-// Grace = FollowEngineGrace (the spec default) tracks the engine's
-// sim.Config.ReactiveGrace automatically; an explicit Grace ≥ 0 overrides
-// it, in which case pair it with the engine's grace yourself.
+// utility instead of the chance of success: under the engine's grace
+// window (Context.Grace) a slightly-late task retains value, so the policy
+// drops less aggressively than the heuristic. Its chains run to the same
+// horizon as every dropper's (Context.Append). With no grace its decisions
+// are identical to Heuristic.
 type ApproxHeuristic struct {
-	Beta  float64  // robustness improvement factor (β), ≥ 1
-	Eta   int      // effective depth (η), ≥ 1
-	Grace pmf.Tick // linear value decay window after the deadline
-}
-
-// NewApproxHeuristic returns the utility-driven heuristic with the tuned
-// η=2, β=1 and the given grace window.
-func NewApproxHeuristic(grace pmf.Tick) ApproxHeuristic {
-	return ApproxHeuristic{Beta: DefaultBeta, Eta: DefaultEta, Grace: grace}
+	Beta float64 // robustness improvement factor (β), ≥ 1
+	Eta  int     // effective depth (η), ≥ 1
 }
 
 // Name implements Policy.
@@ -76,19 +56,15 @@ func (ApproxHeuristic) Name() string { return "ApproxHeuristic" }
 
 // StableDecision implements StableDecider: Context.Grace is an engine
 // constant, so the walk's inputs reduce to the availability root, the
-// queue's types and deadlines, and β/η/grace.
+// queue's types and deadlines, and β/η.
 func (ApproxHeuristic) StableDecision() bool { return true }
 
 // Decide implements Policy.
 func (a ApproxHeuristic) Decide(ctx *Context) []int {
-	grace := a.Grace
-	if grace == FollowEngineGrace {
-		grace = ctx.Grace
+	if !(a.Beta >= 1) || a.Eta < 1 {
+		panic(fmt.Sprintf("core: invalid approx heuristic parameters β=%v η=%d", a.Beta, a.Eta))
 	}
-	if !(a.Beta >= 1) || a.Eta < 1 || grace < 0 {
-		panic(fmt.Sprintf("core: invalid approx heuristic parameters β=%v η=%d g=%d", a.Beta, a.Eta, grace))
-	}
-	return heuristicWalk(ctx, a.Beta, a.Eta, expectedUtility, grace)
+	return heuristicWalk(ctx, a.Beta, a.Eta, expectedUtility)
 }
 
 // expectedUtility is ExpectedUtility as a valueFunc.

@@ -66,8 +66,8 @@ func TestExpectedUtilityBounds(t *testing.T) {
 
 func TestApproxHeuristicZeroGraceMatchesHeuristic(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
-	h := NewHeuristic()
-	a := NewApproxHeuristic(0)
+	h := paperHeuristic
+	a := ApproxHeuristic{Beta: DefaultBeta, Eta: DefaultEta}
 	for i := 0; i < 300; i++ {
 		m, q, now := randomQueueCase(r)
 		c := NewCalculus(m)
@@ -92,31 +92,13 @@ func TestApproxHeuristicSparesSlightlyLateTasks(t *testing.T) {
 		{Type: 0, Deadline: 90},
 		{Type: 1, Deadline: 50},
 	}
-	strict := NewHeuristic().Decide(&Context{Calc: c, Machine: 0, Now: 0, Queue: q})
+	strict := paperHeuristic.Decide(&Context{Calc: c, Machine: 0, Now: 0, Queue: q})
 	if !reflect.DeepEqual(strict, []int{0}) {
 		t.Fatalf("strict heuristic: got %v, want [0]", strict)
 	}
-	approx := NewApproxHeuristic(200).Decide(&Context{Calc: c, Machine: 0, Now: 0, Queue: q})
+	approx := ApproxHeuristic{Beta: DefaultBeta, Eta: DefaultEta}.Decide(&Context{Calc: c, Machine: 0, Now: 0, Queue: q, Grace: 200})
 	if approx != nil {
 		t.Fatalf("approx heuristic dropped %v; grace should spare task 0", approx)
-	}
-}
-
-func TestApproxHeuristicFollowsEngineGrace(t *testing.T) {
-	// With Grace = FollowEngineGrace the policy must behave exactly like an
-	// explicit-grace policy given the same window through Context.Grace.
-	r := rand.New(rand.NewSource(63))
-	follower := ApproxHeuristic{Beta: DefaultBeta, Eta: DefaultEta, Grace: FollowEngineGrace}
-	for i := 0; i < 200; i++ {
-		m, q, now := randomQueueCase(r)
-		c := NewCalculus(m)
-		grace := pmf.Tick(r.Intn(300))
-		ctx := &Context{Calc: c, Machine: 0, Now: now, Queue: q, Grace: grace}
-		got := follower.Decide(ctx)
-		want := NewApproxHeuristic(grace).Decide(ctx)
-		if !reflect.DeepEqual(normalizeNil(got), normalizeNil(want)) {
-			t.Fatalf("case %d (grace %d): follower %v != explicit %v", i, grace, got, want)
-		}
 	}
 }
 
@@ -125,9 +107,8 @@ func TestApproxHeuristicPanicsOnBadParams(t *testing.T) {
 	ctx := &Context{Calc: NewCalculus(m), Machine: 0, Now: 0,
 		Queue: []QueueTask{{Type: 0, Deadline: 100}, {Type: 1, Deadline: 100}}}
 	for _, a := range []ApproxHeuristic{
-		{Beta: 0.5, Eta: 2, Grace: 10},
-		{Beta: 1, Eta: 0, Grace: 10},
-		{Beta: 1, Eta: 2, Grace: -2},
+		{Beta: 0.5, Eta: 2},
+		{Beta: 1, Eta: 0},
 	} {
 		func() {
 			defer func() {
@@ -141,7 +122,7 @@ func TestApproxHeuristicPanicsOnBadParams(t *testing.T) {
 }
 
 func TestApproxHeuristicName(t *testing.T) {
-	if NewApproxHeuristic(10).Name() != "ApproxHeuristic" {
+	if (ApproxHeuristic{}).Name() != "ApproxHeuristic" {
 		t.Fatal("bad name")
 	}
 }

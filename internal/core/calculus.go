@@ -296,7 +296,15 @@ func (s ChainState) MeanLowerBound(t pet.TaskType, dl pmf.Tick) float64 {
 	return pmf.SplitMeanLowerBound(prev, s.c.exec(t, s.mt), s.c.execMoments(t, s.mt), s.cc.bound.at(s.node, prev, prev.Rank(dl-1)))
 }
 
-// AppendTask is Append for a QueueTask (strict-deadline truncation).
+// AppendTask is Append for a QueueTask truncated at its bare deadline: the
+// mapper's tail chains and the admission forecast price a queue this way.
+// Droppers chain to the engine's horizon instead (Context.Append). The
+// mapper stays strict because one horizon for the whole calculus costs
+// robustness: on spec at 30 000 tasks, PAM, grace 300 (4 trials, seed 7,
+// 2 vCPUs), a mapper graced like the droppers cut the heuristic from 52.81
+// to 43.95 % and Optimal from 55.06 to 49.78 %, while graced droppers over
+// this strict mapper moved no Optimal cell by more than 0.15 pp and left
+// Heuristic and ApproxHeuristic bit-identical.
 func (s ChainState) AppendTask(qt QueueTask) ChainState {
 	return s.Append(qt.Type, qt.Deadline)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/hpcclab/taskdrop/internal/pmf"
 	"github.com/hpcclab/taskdrop/internal/spec"
 )
 
@@ -15,14 +14,13 @@ import (
 //	heuristic:beta=<float ≥1>,eta=<int ≥1>
 //	optimal
 //	threshold:base=<float in [0,1]>,adaptive[=bool]
-//	approx:grace=<ticks ≥0>,beta=<float ≥1>,eta=<int ≥1>
+//	approx:beta=<float ≥1>,eta=<int ≥1>
 //
-// An omitted approx grace (or the explicit sentinel grace=-1) yields
-// FollowEngineGrace: the policy adopts the engine's reactive grace window.
-// Other omitted parameters take the paper's tuned defaults. Unknown names,
-// unknown parameters and out-of-range values are errors, so every
-// resolution path (CLI, experiment harness, Scenario API) fails loudly on
-// a mistyped spec.
+// Every dropper forecasts under the engine's grace window
+// (Context.Grace), which approx also values late completions by; omitted
+// parameters take the paper's tuned defaults. Unknown names, unknown
+// parameters and out-of-range values are errors, so every resolution path
+// (CLI, experiment harness, Scenario API) fails loudly on a mistyped spec.
 func PolicyFromSpec(s string) (Policy, error) {
 	name, params, err := spec.Parse(s)
 	if err != nil {
@@ -47,13 +45,9 @@ func PolicyFromSpec(s string) (Policy, error) {
 		}
 		p = t
 	case "approx":
-		a := ApproxHeuristic{
-			Beta:  params.Float("beta", DefaultBeta),
-			Eta:   params.Int("eta", DefaultEta),
-			Grace: pmf.Tick(params.Int64("grace", int64(FollowEngineGrace))),
-		}
-		if !(a.Beta >= 1) || a.Eta < 1 || (a.Grace < 0 && a.Grace != FollowEngineGrace) {
-			return nil, fmt.Errorf("core: approx requires beta >= 1, eta >= 1 and grace >= 0 (or -1 to follow the engine grace), got %q", s)
+		a := ApproxHeuristic{Beta: params.Float("beta", DefaultBeta), Eta: params.Int("eta", DefaultEta)}
+		if !(a.Beta >= 1) || a.Eta < 1 {
+			return nil, fmt.Errorf("core: approx requires beta >= 1 and eta >= 1, got %q", s)
 		}
 		p = a
 	default:

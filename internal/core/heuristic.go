@@ -30,10 +30,6 @@ type Heuristic struct {
 	Eta  int     // effective depth (η), ≥ 1
 }
 
-// NewHeuristic returns the heuristic with the paper's tuned parameters
-// (η=2, β=1).
-func NewHeuristic() Heuristic { return Heuristic{Beta: DefaultBeta, Eta: DefaultEta} }
-
 // Name implements Policy.
 func (h Heuristic) Name() string { return "Heuristic" }
 
@@ -42,19 +38,18 @@ func (h Heuristic) Name() string { return "Heuristic" }
 // grace window (an engine constant).
 func (h Heuristic) StableDecision() bool { return true }
 
-// Decide implements Policy. Its chains truncate Eq. 1 where the engine
-// stops starting a waiting task, at deadline + Context.Grace, and score
-// Eq. 2 at the deadline: a task past its deadline but inside the grace
-// window is worth nothing and still occupies its machine. With no grace
-// this is the paper's rule.
+// Decide implements Policy. Its chains run to the engine's horizon
+// (Context.Append) and score Eq. 2 at the deadline: a task past its
+// deadline but inside the grace window is worth nothing and still occupies
+// its machine. With no grace this is the paper's rule.
 func (h Heuristic) Decide(ctx *Context) []int {
 	if !(h.Beta >= 1) || h.Eta < 1 { // written so that a NaN β fails
 		panic(fmt.Sprintf("core: invalid heuristic parameters β=%v η=%d", h.Beta, h.Eta))
 	}
-	return heuristicWalk(ctx, h.Beta, h.Eta, chanceOfSuccess, ctx.Grace)
+	return heuristicWalk(ctx, h.Beta, h.Eta, chanceOfSuccess)
 }
 
-// valueFunc scores one task's completion PMF given the walk's grace
+// valueFunc scores one task's completion PMF given the engine's grace
 // window; the heuristic maximizes the window sum of this value. The
 // paper's heuristic uses the chance of success (Eq. 2); the
 // approximate-computing extension uses expected utility. Contract: the
@@ -75,15 +70,15 @@ func chanceOfSuccess(cp pmf.PMF, qt QueueTask, _ pmf.Tick) float64 {
 }
 
 // heuristicWalk is the single head-to-tail pass of Fig. 4 parameterized by
-// the per-task value function and the grace window: every chain truncates
-// Eq. 1 at deadline + grace, the latest start the engine still makes.
+// the per-task value function; every chain runs to the engine's horizon
+// (Context.Append).
 // Chains run through the calculus' shared-prefix cache, so the keep/drop
 // scenario windows of consecutive candidates — which overlap heavily —
 // convolve each distinct prefix only once, and the walk's working slices
 // and the drop list it returns live in calculus-owned scratch: a
 // steady-state decision allocates nothing. The list is valid until the
 // calculus' next decision.
-func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc, grace pmf.Tick) []int {
+func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc) []int {
 	q := ctx.Queue
 	first, _ := droppableBounds(q)
 	if len(q)-first < 2 {
@@ -110,11 +105,11 @@ func heuristicWalk(ctx *Context, beta float64, eta int, value valueFunc, grace p
 		sum := 0.0
 		head := s
 		for k := 0; k < n && k < len(tasks); k++ {
-			s = s.Append(tasks[k].Type, tasks[k].Deadline+grace)
+			s = ctx.Append(s, tasks[k])
 			if k == 0 {
 				head = s
 			}
-			sum += value(s.PMF(), tasks[k], grace)
+			sum += value(s.PMF(), tasks[k], ctx.Grace)
 		}
 		return sum, head
 	}

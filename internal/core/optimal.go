@@ -23,12 +23,13 @@ type Optimal struct{}
 func (Optimal) Name() string { return "Optimal" }
 
 // StableDecision implements StableDecider: the subset enumeration reads
-// only the availability root and the queue's types and deadlines.
+// only the availability root, the queue's types and deadlines and the
+// engine's grace window (an engine constant).
 func (Optimal) StableDecision() bool { return true }
 
 // optimalSearch carries the shared state of one decision-tree walk.
 type optimalSearch struct {
-	calc  *Calculus
+	ctx   *Context
 	cands []QueueTask // droppable tasks (queue[first:last])
 	tail  []QueueTask // tasks after the candidates (at least the final one)
 
@@ -38,7 +39,8 @@ type optimalSearch struct {
 	haveBest bool
 }
 
-// Decide implements Policy.
+// Decide implements Policy. Its chains run to the engine's horizon
+// (Context.Append) and score Eq. 2 at the deadline.
 func (Optimal) Decide(ctx *Context) []int {
 	q := ctx.Queue
 	first, last := droppableBounds(q)
@@ -47,7 +49,7 @@ func (Optimal) Decide(ctx *Context) []int {
 	}
 	start, _ := ctx.ChainStart()
 	s := &optimalSearch{
-		calc:  ctx.Calc,
+		ctx:   ctx,
 		cands: q[first:last],
 		tail:  q[last:],
 	}
@@ -74,13 +76,13 @@ func (s *optimalSearch) walk(i int, prev ChainState, sum float64, mask uint32) {
 	// leaf the comparison below would accept, so skipping it changes
 	// neither the chosen mask nor the order in which ties are met.
 	if s.haveBest && sum+float64(len(s.cands)-i+len(s.tail))+valueSlack < s.bestR-1e-12 {
-		s.calc.winBounded.Store(s.calc.winBounded.Load() + 1)
+		s.ctx.Calc.winBounded.Store(s.ctx.Calc.winBounded.Load() + 1)
 		return
 	}
 	if i == len(s.cands) {
-		s.calc.winEval.Store(s.calc.winEval.Load() + 1)
+		s.ctx.Calc.winEval.Store(s.ctx.Calc.winEval.Load() + 1)
 		for _, qt := range s.tail {
-			prev = prev.AppendTask(qt)
+			prev = s.ctx.Append(prev, qt)
 			sum += prev.PMF().MassBefore(qt.Deadline)
 		}
 		size := bits.OnesCount32(mask)
@@ -91,7 +93,7 @@ func (s *optimalSearch) walk(i int, prev ChainState, sum float64, mask uint32) {
 	}
 	qt := s.cands[i]
 	// Keep candidate i.
-	kept := prev.AppendTask(qt)
+	kept := s.ctx.Append(prev, qt)
 	s.walk(i+1, kept, sum+kept.PMF().MassBefore(qt.Deadline), mask)
 	// Drop candidate i: the chain passes through unchanged.
 	s.walk(i+1, prev, sum, mask|1<<i)

@@ -25,10 +25,20 @@ type Context struct {
 	BatchPressure float64
 	// Grace is the engine's reactive grace window (sim.Config.ReactiveGrace):
 	// how long past its deadline a waiting task is still kept and started.
-	// Heuristic truncates its chains there, and ApproxHeuristic with
-	// FollowEngineGrace values late completions by it, so their forecasts
-	// match the engine's leeway.
+	// Heuristic, ApproxHeuristic, Optimal and Threshold all truncate their
+	// chains there (Append), so each forecast runs a task the engine would
+	// still start; ApproxHeuristic also values late completions by it.
+	// ReactDrop forecasts nothing.
 	Grace pmf.Tick
+}
+
+// Append chains queue task qt onto s up to the droppers' horizon: Eq. 1
+// truncated at qt.Deadline + Grace, the latest start the engine still
+// makes. Eq. 2 keeps scoring at the deadline. It is the one place a
+// dropper's chain truncates; the mapper and the admission forecast keep
+// the bare deadline (ChainState.AppendTask).
+func (ctx *Context) Append(s ChainState, qt QueueTask) ChainState {
+	return s.Append(qt.Type, qt.Deadline+ctx.Grace)
 }
 
 // ChainStart returns the chain state at the context queue's availability

@@ -11,6 +11,13 @@ import (
 	"github.com/hpcclab/taskdrop/internal/pmf"
 )
 
+// The paper's tuned heuristic and the adaptive threshold baseline, as the
+// "heuristic" and "threshold" specs build them.
+var (
+	paperHeuristic = Heuristic{Beta: DefaultBeta, Eta: DefaultEta}
+	paperThreshold = Threshold{Base: DefaultThresholdBase, Adaptive: true}
+)
+
 func TestReactiveOnlyNeverDrops(t *testing.T) {
 	m := testMatrix(t, [][]pmf.PMF{{delta(100)}})
 	ctx := &Context{
@@ -38,7 +45,7 @@ func TestHeuristicDropsHopelessHead(t *testing.T) {
 		{Type: 0, Deadline: 150},
 		{Type: 1, Deadline: 30},
 	}
-	h := NewHeuristic()
+	h := paperHeuristic
 	if got := h.Decide(&Context{Calc: c, Machine: 0, Now: 0, Queue: q}); got != nil {
 		t.Fatalf("tie must not drop, got %v", got)
 	}
@@ -59,7 +66,7 @@ func TestHeuristicNeverDropsRunningOrLast(t *testing.T) {
 		{Type: 0, Deadline: 90, Running: true, Elapsed: 5},
 		{Type: 0, Deadline: 95}, // doomed but last → empty influence zone
 	}
-	if got := NewHeuristic().Decide(&Context{Calc: c, Machine: 0, Now: 50, Queue: q}); got != nil {
+	if got := paperHeuristic.Decide(&Context{Calc: c, Machine: 0, Now: 50, Queue: q}); got != nil {
 		t.Fatalf("dropped %v; running and last tasks are not candidates", got)
 	}
 }
@@ -196,7 +203,7 @@ func TestHeuristicMatchesReference(t *testing.T) {
 					grace = 1 + pmf.Tick(r.Intn(60))
 				}
 				if v.approx {
-					p = ApproxHeuristic{Beta: beta, Eta: eta, Grace: FollowEngineGrace}
+					p = ApproxHeuristic{Beta: beta, Eta: eta}
 				}
 				got := p.Decide(&Context{Calc: c, Machine: 0, Now: now, Queue: q, Grace: grace})
 				want := refHeuristic(m, 0, now, q, beta, eta, c.MaxImpulses, grace, v.approx)
@@ -213,7 +220,8 @@ func TestHeuristicMatchesReference(t *testing.T) {
 }
 
 // refOptimalDrops is Optimal.Decide without branch and bound: every leaf
-// of the keep-first decision tree is scored, under the same tie rule.
+// of the keep-first decision tree is scored, under the same tie rule, with
+// chains truncated at deadline + ctx.Grace.
 func refOptimalDrops(ctx *Context) []int {
 	q := ctx.Queue
 	first, last := droppableBounds(q)
@@ -228,7 +236,7 @@ func refOptimalDrops(ctx *Context) []int {
 	walk = func(i int, prev ChainState, sum float64, mask uint32) {
 		if i == len(cands) {
 			for _, qt := range tail {
-				prev = prev.AppendTask(qt)
+				prev = prev.Append(qt.Type, qt.Deadline+ctx.Grace)
 				sum += prev.PMF().MassBefore(qt.Deadline)
 			}
 			size := bits.OnesCount32(mask)
@@ -237,7 +245,7 @@ func refOptimalDrops(ctx *Context) []int {
 			}
 			return
 		}
-		kept := prev.AppendTask(cands[i])
+		kept := prev.Append(cands[i].Type, cands[i].Deadline+ctx.Grace)
 		walk(i+1, kept, sum+kept.PMF().MassBefore(cands[i].Deadline), mask)
 		walk(i+1, prev, sum, mask|1<<i)
 	}
@@ -253,8 +261,9 @@ func refOptimalDrops(ctx *Context) []int {
 
 // TestOptimalMatchesExhaustiveDropSet: the pruned subset search must pick
 // the very drop set the exhaustive one picks — not merely an equally
-// robust one — on random queues and on queues built to tie: identical
-// tasks, all hopeless (every p = 0), all certain (every p = 1).
+// robust one — on random queues, on random queues under a grace window,
+// and on queues built to tie: identical tasks, all hopeless (every p = 0),
+// all certain (every p = 1).
 func TestOptimalMatchesExhaustiveDropSet(t *testing.T) {
 	r := rand.New(rand.NewSource(56))
 	same := func(n int, dl pmf.Tick) []QueueTask {
@@ -267,9 +276,10 @@ func TestOptimalMatchesExhaustiveDropSet(t *testing.T) {
 	two := testMatrix(t, [][]pmf.PMF{{twoPoint(10, 0.5, 60)}})
 	det := testMatrix(t, [][]pmf.PMF{{delta(10)}, {delta(30)}})
 	type queueCase struct {
-		m   *pet.Matrix
-		q   []QueueTask
-		now pmf.Tick
+		m     *pet.Matrix
+		q     []QueueTask
+		now   pmf.Tick
+		grace pmf.Tick
 	}
 	cases := []struct {
 		name string
@@ -277,14 +287,18 @@ func TestOptimalMatchesExhaustiveDropSet(t *testing.T) {
 	}{
 		{"random", func() queueCase {
 			m, q, now := randomQueueCase(r)
-			return queueCase{m, q, now}
+			return queueCase{m, q, now, 0}
 		}},
 		{"generous", func() queueCase {
 			m, q, now := randomQueueCase(r)
 			for k := range q {
 				q[k].Deadline += pmf.Tick(r.Intn(400))
 			}
-			return queueCase{m, q, now}
+			return queueCase{m, q, now, 0}
+		}},
+		{"graced", func() queueCase {
+			m, q, now := randomQueueCase(r)
+			return queueCase{m, q, now, 1 + pmf.Tick(r.Intn(60))}
 		}},
 		// Deterministic executions: every p is 0 or 1, robustness is an
 		// integer, and a subtree's ceiling is often exactly the incumbent.
@@ -293,23 +307,23 @@ func TestOptimalMatchesExhaustiveDropSet(t *testing.T) {
 			for i := range q {
 				q[i] = QueueTask{Type: pet.TaskType(r.Intn(2)), Deadline: pmf.Tick(5 + r.Intn(90))}
 			}
-			return queueCase{det, q, 0}
+			return queueCase{det, q, 0, 0}
 		}},
 		// Same type, same deadline, some of them bound to miss it: every
 		// drop set of one size ties.
-		{"identical", func() queueCase { return queueCase{two, same(2+r.Intn(5), pmf.Tick(30+r.Intn(150))), 0} }},
-		{"hopeless", func() queueCase { return queueCase{two, same(2+r.Intn(5), 5), 0} }},
-		{"certain", func() queueCase { return queueCase{two, same(2+r.Intn(5), 1000), 0} }},
+		{"identical", func() queueCase { return queueCase{two, same(2+r.Intn(5), pmf.Tick(30+r.Intn(150))), 0, 0} }},
+		{"hopeless", func() queueCase { return queueCase{two, same(2+r.Intn(5), 5), 0, 0} }},
+		{"certain", func() queueCase { return queueCase{two, same(2+r.Intn(5), 1000), 0, 0} }},
 	}
 	var seen CalcStats
 	for _, tc := range cases {
 		for i := 0; i < 150; i++ {
 			qc := tc.gen()
 			c := NewCalculus(qc.m)
-			got := (Optimal{}).Decide(&Context{Calc: c, Machine: 0, Now: qc.now, Queue: qc.q})
-			want := refOptimalDrops(&Context{Calc: NewCalculus(qc.m), Machine: 0, Now: qc.now, Queue: qc.q})
+			got := (Optimal{}).Decide(&Context{Calc: c, Machine: 0, Now: qc.now, Queue: qc.q, Grace: qc.grace})
+			want := refOptimalDrops(&Context{Calc: NewCalculus(qc.m), Machine: 0, Now: qc.now, Queue: qc.q, Grace: qc.grace})
 			if !reflect.DeepEqual(normalizeNil(got), normalizeNil(want)) {
-				t.Fatalf("%s case %d (queue %v): dropped %v, exhaustive search %v", tc.name, i, qc.q, got, want)
+				t.Fatalf("%s case %d (queue %v, grace %d): dropped %v, exhaustive search %v", tc.name, i, qc.q, qc.grace, got, want)
 			}
 			seen.Add(c.Stats())
 		}
@@ -401,7 +415,7 @@ func TestOptimalAtLeastHeuristic(t *testing.T) {
 	// §V-F: optimal and heuristic perform nearly the same, with optimal
 	// never worse in instantaneous robustness at the decision point.
 	r := rand.New(rand.NewSource(54))
-	h := NewHeuristic()
+	h := paperHeuristic
 	for i := 0; i < 200; i++ {
 		m, q, now := randomQueueCase(r)
 		c := NewCalculus(m)
@@ -509,15 +523,14 @@ func TestPolicyFromSpec(t *testing.T) {
 		spec string
 		want Policy
 	}{
-		{"heuristic", NewHeuristic()},
+		{"heuristic", paperHeuristic},
 		{"heuristic:beta=1.5,eta=3", Heuristic{Beta: 1.5, Eta: 3}},
 		{"Heuristic:ETA=4", Heuristic{Beta: DefaultBeta, Eta: 4}},
-		{"threshold", NewThreshold()},
+		{"threshold", paperThreshold},
 		{"threshold:base=0.3,adaptive", Threshold{Base: 0.3, Adaptive: true}},
 		{"threshold:base=0.3,adaptive=false", Threshold{Base: 0.3}},
-		{"approx:grace=200,beta=2,eta=3", ApproxHeuristic{Beta: 2, Eta: 3, Grace: 200}},
-		{"approx", ApproxHeuristic{Beta: DefaultBeta, Eta: DefaultEta, Grace: FollowEngineGrace}},
-		{"approx:grace=-1", ApproxHeuristic{Beta: DefaultBeta, Eta: DefaultEta, Grace: FollowEngineGrace}},
+		{"approx:beta=2,eta=3", ApproxHeuristic{Beta: 2, Eta: 3}},
+		{"approx", ApproxHeuristic{Beta: DefaultBeta, Eta: DefaultEta}},
 		{"optimal", Optimal{}},
 		{"none", ReactiveOnly{}},
 		// β = +Inf is the documented way to disable proactive dropping.
@@ -544,7 +557,7 @@ func TestPolicyFromSpec(t *testing.T) {
 		"heuristic:beta=nan",      // NaN fails every < and > test: Eq. 8 would never fire
 		"approx:beta=NaN",         // same walk, same guard
 		"threshold:base=nan",      // ... nor would the threshold comparison
-		"approx:grace=-2",         // out of range (−1 is the follow-engine sentinel)
+		"approx:grace=200",        // the engine's grace window is the only one
 		"optimal:anything=1",      // parameters on a parameterless policy
 		"heuristic:beta=1,beta=2", // duplicate key
 	} {
@@ -557,10 +570,10 @@ func TestPolicyFromSpec(t *testing.T) {
 func TestPolicyNamesMatch(t *testing.T) {
 	cases := map[string]Policy{
 		"ReactDrop":       ReactiveOnly{},
-		"Heuristic":       NewHeuristic(),
+		"Heuristic":       paperHeuristic,
 		"Optimal":         Optimal{},
-		"Threshold":       NewThreshold(),
-		"ApproxHeuristic": NewApproxHeuristic(0),
+		"Threshold":       paperThreshold,
+		"ApproxHeuristic": ApproxHeuristic{},
 	}
 	for want, p := range cases {
 		if got := p.Name(); got != want {
@@ -595,28 +608,53 @@ func normalizeNil(xs []int) []int {
 	return xs
 }
 
-// TestHeuristicForecastsTheEnginesGrace holds the heuristic's Eq. 1 chains
-// to the engine's rule for starting a task: under a reactive grace window
-// the engine still starts a waiting task until deadline + grace and runs
-// it whole. The droppable task here is past its deadline but inside the
-// grace window, so it has no value left and still delays the feasible task
-// behind it. A forecast that truncates at the bare deadline prices the
-// doomed task at nothing and keeps it; the engine's truncation drops it.
-// Eq. 2 still scores at the deadline, so with no grace the same queue
-// keeps its head (the engine drops it reactively instead).
+// TestHeuristicForecastsTheEnginesGrace holds every dropper's Eq. 1
+// chains to the engine's rule for starting a task: under a reactive grace
+// window the engine still starts a waiting task until deadline + grace and
+// runs it whole. A forecast that truncates at the bare deadline prices such
+// a task's late start at nothing; the engine's truncation (Context.Append)
+// charges it to the tasks behind. Eq. 2 still scores at the deadline, so
+// with no grace the same queues keep what they keep under the paper's rule.
+//
+// On the two-task queue the droppable task is past its deadline but inside
+// the grace window: it has no value left and still delays the feasible
+// task behind it, so Heuristic and Optimal drop it (with no grace they
+// keep it and the engine drops it reactively; Optimal's tie then goes to
+// fewer drops). Threshold drops that task at any grace, its p being 0, so
+// it gets a queue of its own: every task keeps p ≥ θ = 0.3, but task 1 may
+// start after its deadline, and under the grace window that late start
+// pushes task 2's chance of success from 0.45 to 0.2.
 func TestHeuristicForecastsTheEnginesGrace(t *testing.T) {
-	m := testMatrix(t, [][]pmf.PMF{{delta(100)}})
-	q := []QueueTask{
+	late := testMatrix(t, [][]pmf.PMF{{delta(100)}})
+	lateQ := []QueueTask{
 		{Type: 0, Deadline: 990}, // past due at now 1000, inside grace 300
 		{Type: 0, Deadline: 1150},
 	}
-	h := NewHeuristic()
-	ctx := &Context{Calc: NewCalculus(m), Machine: 0, Now: 1000, Queue: q, Grace: 300}
-	if got := h.Decide(ctx); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("grace 300: dropped %v, want [0]: the doomed task the engine would still start delays the last one past its deadline", got)
+	pushed := testMatrix(t, [][]pmf.PMF{{twoPoint(100, 0.5, 300)}, {twoPoint(50, 0.8, 400)}, {twoPoint(50, 0.5, 500)}})
+	pushedQ := []QueueTask{
+		{Type: 0, Deadline: 1150}, // done at 1100 or 1300: p 0.5
+		{Type: 1, Deadline: 1250}, // p 0.4; starts at 1300 half the time
+		{Type: 2, Deadline: 1400},
 	}
-	ctx = &Context{Calc: NewCalculus(m), Machine: 0, Now: 1000, Queue: q}
-	if got := h.Decide(ctx); got != nil {
-		t.Fatalf("no grace: dropped %v, want nothing", got)
+	for _, tc := range []struct {
+		policy         Policy
+		m              *pet.Matrix
+		q              []QueueTask
+		graced, strict []int
+	}{
+		{paperHeuristic, late, lateQ, []int{0}, nil},
+		{Optimal{}, late, lateQ, []int{0}, nil},
+		{Threshold{Base: 0.3}, pushed, pushedQ, []int{2}, nil},
+	} {
+		for _, grace := range []pmf.Tick{300, 0} {
+			want := tc.strict
+			if grace > 0 {
+				want = tc.graced
+			}
+			ctx := &Context{Calc: NewCalculus(tc.m), Machine: 0, Now: 1000, Queue: tc.q, Grace: grace}
+			if got := tc.policy.Decide(ctx); !reflect.DeepEqual(normalizeNil(got), want) {
+				t.Errorf("%s at grace %d: dropped %v, want %v", tc.policy.Name(), grace, got, want)
+			}
+		}
 	}
 }

@@ -11,8 +11,8 @@ package core
 // This is exactly the kind of fine-grained, user-supplied parameter the
 // paper's autonomous mechanism exists to remove.
 type Threshold struct {
-	// Base is the predetermined chance-of-success threshold θ (default
-	// 0.25 via NewThreshold).
+	// Base is the predetermined chance-of-success threshold θ (the spec's
+	// default is DefaultThresholdBase).
 	Base float64
 	// Adaptive enables the per-event load adjustment.
 	Adaptive bool
@@ -22,16 +22,15 @@ type Threshold struct {
 // when the user provides none.
 const DefaultThresholdBase = 0.25
 
-// NewThreshold returns the adaptive baseline with the default threshold.
-func NewThreshold() Threshold { return Threshold{Base: DefaultThresholdBase, Adaptive: true} }
-
 // Name implements Policy.
 func (Threshold) Name() string { return "Threshold" }
 
 // Decide implements Policy. It walks the queue head to tail; each pending
 // task whose chance of success under the current (post-drop) chain falls
 // below the effective threshold is dropped, which immediately improves the
-// odds of the tasks behind it.
+// odds of the tasks behind it. Its chains run to the engine's horizon
+// (Context.Append): a kept task the engine would start late still delays
+// the tasks behind it.
 func (t Threshold) Decide(ctx *Context) []int {
 	theta := t.Base
 	if t.Adaptive {
@@ -58,7 +57,7 @@ func (t Threshold) Decide(ctx *Context) []int {
 	// pending task including the last: its criterion is the task's own
 	// chance of success, not its influence zone.
 	for i := first; i < len(q); i++ {
-		next := prev.AppendTask(q[i])
+		next := ctx.Append(prev, q[i])
 		if next.PMF().MassBefore(q[i].Deadline) < theta {
 			drops = append(drops, i)
 			// prev unchanged: the chain skips the dropped task.

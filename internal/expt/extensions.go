@@ -170,12 +170,14 @@ func extFailuresPivots(Options) []taskdrop.Pivot {
 	}}
 }
 
-// extApproxItems compares the strict-deadline heuristic against the
-// utility-driven ApproxHeuristic across grace windows, scoring both by
-// realized utility (§VI future work: approximately computing tasks). The
-// "approx" spec follows the engine's grace automatically, so grace and
-// policy are independent axes — the grace axis moves both the engine's
-// leeway and the approximate policy's value ramp together. Windows scale
+// extApproxItems compares the heuristic, which scores the chance of
+// success, against the utility-driven ApproxHeuristic across grace
+// windows, scoring both by realized utility (§VI future work:
+// approximately computing tasks). Both droppers forecast under the
+// engine's grace window and approx values late completions by it, so
+// grace and policy are independent axes — the grace axis moves the
+// engine's leeway, both forecasts' horizon and the approximate policy's
+// value ramp together. Windows scale
 // with the workload's mean deadline slack: γ·100 ms is a stable proxy for
 // the SPEC system's (1+γ)·130 ms mean slack.
 func extApproxItems(o Options) []taskdrop.SweepItem {

@@ -183,7 +183,7 @@ func TestPrunedMappersMatchExhaustive(t *testing.T) {
 			}.Scaled(0.025), seed)
 			var dropper core.Policy = core.ReactiveOnly{}
 			if seed%2 == 0 {
-				dropper = core.NewHeuristic()
+				dropper = core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}
 			}
 			for _, mp := range mappers {
 				t.Run(fmt.Sprintf("%s/seed%d/%s", p.name, seed, mp.ref.name), func(t *testing.T) {

@@ -284,7 +284,7 @@ func TestKPBRestrictsToBestExecSubset(t *testing.T) {
 func TestAllMappersSurviveRealisticWorkload(t *testing.T) {
 	m := pet.Build(pet.VideoProfile(), 1, pet.BuildOptions{SamplesPerCell: 150, BinsPerPMF: 15})
 	tr := workload.Generate(m, workload.Config{TotalTasks: 500, Window: 2500, GammaSlack: 2}, 13)
-	droppers := []core.Policy{core.ReactiveOnly{}, core.NewHeuristic(), core.Optimal{}, core.NewThreshold()}
+	droppers := []core.Policy{core.ReactiveOnly{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, core.Optimal{}, core.Threshold{Base: core.DefaultThresholdBase, Adaptive: true}}
 	for _, name := range mapping.Names() {
 		for _, dp := range droppers {
 			mapper, err := mapping.FromSpec(name)

@@ -1699,6 +1699,22 @@ func TestReplayIgnoresManifestRouter(t *testing.T) {
 // a mapper the registry no longer has can be neither restarted nor
 // verified, and both refusals name the mapper.
 func TestManifestUnderDeletedMapperRefused(t *testing.T) {
+	requireManifestRefused(t, `"mapper": "PAM"`, `"mapper": "Random"`, func(c *Config) { c.Mapper = "Random" }, `"Random"`)
+}
+
+// TestManifestUnderDeletedDropperParamRefused: approx once took a grace of
+// its own; it now reads the engine's, so a journal whose manifest pins
+// approx:grace=N is refused the same way, naming the parameter.
+func TestManifestUnderDeletedDropperParamRefused(t *testing.T) {
+	requireManifestRefused(t, `"dropper": "heuristic"`, `"dropper": "approx:grace=200"`, func(c *Config) { c.Dropper = "approx:grace=200" }, "grace")
+}
+
+// requireManifestRefused serves a short journal, rewrites its manifest
+// from old to new (and the config by edit, as an operator restarting under
+// the manifest's settings would), then requires both a restart and
+// VerifyAll to refuse it with an error that contains name.
+func requireManifestRefused(t *testing.T, old, new string, edit func(*Config), name string) {
+	t.Helper()
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
 		JournalDir: t.TempDir(), Fsync: "never",
@@ -1715,18 +1731,18 @@ func TestManifestUnderDeletedMapperRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob = bytes.Replace(blob, []byte(`"mapper": "PAM"`), []byte(`"mapper": "Random"`), 1)
-	if !bytes.Contains(blob, []byte(`"Random"`)) {
-		t.Fatalf("manifest has no mapper field to rewrite: %s", blob)
+	if !bytes.Contains(blob, []byte(old)) {
+		t.Fatalf("manifest has no %s to rewrite: %s", old, blob)
 	}
+	blob = bytes.Replace(blob, []byte(old), []byte(new), 1)
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Mapper = "Random"
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), `"Random"`) {
-		t.Fatalf("restart under a deleted mapper: %v, want a refusal naming it", err)
+	edit(&cfg)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("restart under %s: %v, want a refusal naming %s", new, err, name)
 	}
-	if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), `"Random"`) {
-		t.Fatalf("verify under a deleted mapper: %v, want a refusal naming it", err)
+	if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("verify under %s: %v, want a refusal naming %s", new, err, name)
 	}
 }

@@ -234,7 +234,7 @@ func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Active) Deci
 	// mapped, the machine's matrix-wide index (arithmetic on the shard-local
 	// one, sim.Cluster.Global) and name. A shard engine carries every
 	// machine's own name — partitioning re-indexes specs and nothing else,
-	// and AddMachine names what it adds — so neither needs a lookup table.
+	// and an add names what it adds — so neither needs a lookup table.
 	d := Decision{ID: id, Seq: task.ID, Shard: sh.id, Machine: -1, Action: actionOf(ts.Status)}
 	if d.Action == ActionMap {
 		d.Machine = sh.c.cl.Global(sh.id, ts.Machine)

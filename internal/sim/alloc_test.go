@@ -29,7 +29,7 @@ func TestFeedAllocsSteadyState(t *testing.T) {
 	// The paper's arrival intensity, 30 000 tasks per standard window.
 	tr := workload.Generate(m, workload.Config{TotalTasks: warm + measured, Window: 2 * workload.StandardWindow,
 		GammaSlack: workload.DefaultGammaSlack}, 11)
-	e := NewOpen(m, pamLike{}, core.NewHeuristic(), DefaultConfig())
+	e := NewOpen(m, pamLike{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, DefaultConfig())
 	for i := range tr.Tasks[:warm] {
 		e.Feed(&tr.Tasks[i])
 	}

@@ -13,7 +13,7 @@ import (
 func TestBreakdownConservation(t *testing.T) {
 	m := pet.Build(pet.VideoProfile(), 1, pet.BuildOptions{SamplesPerCell: 150, BinsPerPMF: 15})
 	tr := workload.Generate(m, workload.Config{TotalTasks: 500, Window: 2500, GammaSlack: 2}, 31)
-	e := New(m, tr, fifoMapper{}, core.NewHeuristic(), DefaultConfig())
+	e := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, DefaultConfig())
 	rec := Record(e)
 	res := e.Run()
 

@@ -54,7 +54,7 @@ func clusterTestSystem(t testing.TB, tasks int, seed int64) (*pet.Matrix, *workl
 func pamHeuristic(t testing.TB) ShardBuilder {
 	t.Helper()
 	return func(int) (Mapper, core.Policy, error) {
-		return pamLike{}, core.NewHeuristic(), nil
+		return pamLike{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, nil
 	}
 }
 
@@ -133,12 +133,12 @@ func TestOneShardClusterMatchesEngine(t *testing.T) {
 	}
 	got := cl.Drain()
 
-	want := New(m, tr, pamLike{}, core.NewHeuristic(), cfg).Run()
+	want := New(m, tr, pamLike{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg).Run()
 	if *got != *want {
 		t.Fatalf("1-shard cluster Result = %+v\nwant (engine)        %+v", got, want)
 	}
 	// Per-task states match the engine's too, machine for machine.
-	ref := New(m, tr, pamLike{}, core.NewHeuristic(), cfg)
+	ref := New(m, tr, pamLike{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg)
 	rec := Record(ref)
 	ref.Run()
 	states := crec.TaskStates()
@@ -197,7 +197,7 @@ func TestClusterReproducible(t *testing.T) {
 func TestClusterRobustnessTracksOffline(t *testing.T) {
 	m, tr := clusterTestSystem(t, 1000, 7)
 	cfg := Config{QueueCap: 6}
-	offline := New(m, tr, pamLike{}, core.NewHeuristic(), cfg).Run()
+	offline := New(m, tr, pamLike{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg).Run()
 
 	pol, _ := router.FromSpec("p2c:seed=1")
 	_, sharded := runCluster(t, m, tr, 4, pol, cfg)

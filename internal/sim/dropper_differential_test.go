@@ -80,7 +80,7 @@ func TestHeuristicBoundMatchesExhaustiveRun(t *testing.T) {
 				return e, rec.TaskStates(), res
 			}
 			ref, ws, want := run(exhaustiveHeuristic{})
-			eng, gs, got := run(core.NewHeuristic())
+			eng, gs, got := run(core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta})
 			if *got != *want {
 				t.Fatalf("results differ:\n got %+v\nwant %+v", got, want)
 			}

@@ -297,7 +297,7 @@ func TestDeterministicReplay(t *testing.T) {
 	cfg := workload.Config{TotalTasks: 400, Window: 4000, GammaSlack: 2}
 	tr := workload.Generate(m, cfg, 9)
 	run := func() *Result {
-		return New(m, tr, fifoMapper{}, core.NewHeuristic(), DefaultConfig()).Run()
+		return New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, DefaultConfig()).Run()
 	}
 	a, b := run(), run()
 	if *a != *b {
@@ -309,7 +309,7 @@ func TestConservationAcrossDroppers(t *testing.T) {
 	m := pet.Build(pet.VideoProfile(), 1, pet.BuildOptions{SamplesPerCell: 150, BinsPerPMF: 15})
 	cfg := workload.Config{TotalTasks: 600, Window: 3000, GammaSlack: 2}
 	tr := workload.Generate(m, cfg, 10)
-	droppers := []core.Policy{nil, core.ReactiveOnly{}, core.NewHeuristic(), core.Optimal{}, core.NewThreshold()}
+	droppers := []core.Policy{nil, core.ReactiveOnly{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, core.Optimal{}, core.Threshold{Base: core.DefaultThresholdBase, Adaptive: true}}
 	for i, dp := range droppers {
 		res := New(m, tr, fifoMapper{}, dp, DefaultConfig()).Run()
 		if err := res.Validate(); err != nil {
@@ -488,7 +488,7 @@ func TestRunContextCancellation(t *testing.T) {
 func TestUtilizationBounds(t *testing.T) {
 	m := pet.Build(pet.VideoProfile(), 1, pet.BuildOptions{SamplesPerCell: 150, BinsPerPMF: 15})
 	tr := workload.Generate(m, workload.Config{TotalTasks: 300, Window: 3000, GammaSlack: 2}, 11)
-	res := New(m, tr, fifoMapper{}, core.NewHeuristic(), DefaultConfig()).Run()
+	res := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, DefaultConfig()).Run()
 	if res.UtilizationPct < 0 || res.UtilizationPct > 100 {
 		t.Fatalf("utilization = %v", res.UtilizationPct)
 	}

@@ -69,7 +69,7 @@ func (e *Engine) nextFailureEvent() (machine int, at pmf.Tick, isRepair bool) {
 	for i := range e.failures {
 		fs := &e.failures[i]
 		if e.removedAt(i) {
-			// A removed machine's failure process is frozen; ReviveMachine
+			// A removed machine's failure process is frozen; a revive
 			// re-arms any schedule that went stale in the interim.
 			continue
 		}

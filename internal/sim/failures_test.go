@@ -26,7 +26,7 @@ func TestFailuresKillRunningTasks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BoundaryExclusion = 0
 	cfg.Failures = FailureConfig{MTBF: 50, MeanRepair: 20, Seed: 1}
-	res := New(m, tr, fifoMapper{}, core.NewHeuristic(), cfg).Run()
+	res := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg).Run()
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +39,12 @@ func TestFailuresReduceRobustness(t *testing.T) {
 	m := pet.Build(pet.VideoProfile(), 1, pet.BuildOptions{SamplesPerCell: 150, BinsPerPMF: 15})
 	tr := workload.Generate(m, workload.Config{TotalTasks: 400, Window: 4000, GammaSlack: 3}, 22)
 
-	healthy := New(m, tr, fifoMapper{}, core.NewHeuristic(), DefaultConfig())
+	healthy := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, DefaultConfig())
 	resH := healthy.Run()
 
 	cfg := DefaultConfig()
 	cfg.Failures = FailureConfig{MTBF: 200, MeanRepair: 100, Seed: 2}
-	resF := New(m, tr, fifoMapper{}, core.NewHeuristic(), cfg).Run()
+	resF := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg).Run()
 
 	if err := resF.Validate(); err != nil {
 		t.Fatal(err)
@@ -60,10 +60,10 @@ func TestFailuresDisabledMatchesBaseline(t *testing.T) {
 	// pre-extension behaviour.
 	m := pet.Build(pet.VideoProfile(), 1, pet.BuildOptions{SamplesPerCell: 150, BinsPerPMF: 15})
 	tr := workload.Generate(m, workload.Config{TotalTasks: 300, Window: 3000, GammaSlack: 2}, 23)
-	a := New(m, tr, fifoMapper{}, core.NewHeuristic(), DefaultConfig()).Run()
+	a := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, DefaultConfig()).Run()
 	cfg := DefaultConfig()
 	cfg.Failures = FailureConfig{} // explicit zero
-	b := New(m, tr, fifoMapper{}, core.NewHeuristic(), cfg).Run()
+	b := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg).Run()
 	if *a != *b {
 		t.Fatalf("disabled failures changed results:\n%+v\n%+v", a, b)
 	}
@@ -77,13 +77,13 @@ func TestFailuresDeterministic(t *testing.T) {
 	tr := workload.Generate(m, workload.Config{TotalTasks: 300, Window: 3000, GammaSlack: 2}, 24)
 	cfg := DefaultConfig()
 	cfg.Failures = FailureConfig{MTBF: 300, MeanRepair: 50, Seed: 9}
-	a := New(m, tr, fifoMapper{}, core.NewHeuristic(), cfg).Run()
-	b := New(m, tr, fifoMapper{}, core.NewHeuristic(), cfg).Run()
+	a := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg).Run()
+	b := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg).Run()
 	if *a != *b {
 		t.Fatalf("same failure seed, different results:\n%+v\n%+v", a, b)
 	}
 	cfg.Failures.Seed = 10
-	c := New(m, tr, fifoMapper{}, core.NewHeuristic(), cfg).Run()
+	c := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg).Run()
 	if *a == *c {
 		t.Fatal("different failure seeds should (overwhelmingly) differ")
 	}

@@ -30,11 +30,11 @@ func TestEngineInvariantSweep(t *testing.T) {
 	droppers := []core.Policy{
 		nil,
 		core.ReactiveOnly{},
-		core.NewHeuristic(),
+		core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta},
 		core.Heuristic{Beta: 1.5, Eta: 1},
 		core.Optimal{},
-		core.NewThreshold(),
-		core.NewApproxHeuristic(80),
+		core.Threshold{Base: core.DefaultThresholdBase, Adaptive: true},
+		core.ApproxHeuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta},
 	}
 
 	r := rand.New(rand.NewSource(99))
@@ -48,6 +48,9 @@ func TestEngineInvariantSweep(t *testing.T) {
 		cfg.DropOnArrival = r.Intn(2) == 0
 		if r.Intn(3) == 0 {
 			cfg.ReactiveGrace = pmf.Tick(r.Intn(200))
+		}
+		if _, ok := dropper.(core.ApproxHeuristic); ok && cfg.ReactiveGrace == 0 {
+			cfg.ReactiveGrace = 80 // approx values late completions by the engine's grace alone
 		}
 		if r.Intn(3) == 0 {
 			cfg.Failures = FailureConfig{
@@ -131,7 +134,7 @@ func TestDropOnArrivalDiffersOnlyInProactivity(t *testing.T) {
 		t.Fatalf("DropOnArrival changed a reactive-only run:\n%+v\n%+v", a, b)
 	}
 
-	c := New(m, tr, fifoMapper{}, core.NewHeuristic(), strict).Run()
+	c := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, strict).Run()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}

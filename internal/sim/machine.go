@@ -18,8 +18,8 @@ type Machine struct {
 
 	queue   []*TaskState
 	running bool
-	// removed marks a machine taken out of the live set (RemoveMachine)
-	// until ReviveMachine returns it.
+	// removed marks a machine taken out of the live set (MemberRemove)
+	// until a MemberRevive returns it.
 	removed bool
 	// completeAt is the absolute completion time of the running task, or
 	// noCompletion when idle.

@@ -10,10 +10,10 @@ import (
 )
 
 // Dynamic membership: an engine's machine set can change between
-// events. RemoveMachine takes a machine out of the live set (killing its
+// events. A remove takes a machine out of the live set (killing its
 // running task and either handing its pending queue back to the batch or
-// force-dropping it), ReviveMachine brings it back, and AddMachine grows
-// the set with a new machine of an existing type. Each operation executes
+// force-dropping it), a revive brings it back, and an add grows the set
+// with a new machine of an existing type. Each operation executes
 // at the engine's current clock and runs the full mapping pipeline, so the
 // decision stream stays deterministic: replaying the same arrivals and the
 // same membership operations at the same points reproduces the same
@@ -66,13 +66,26 @@ type MemberOp struct {
 	Handoff bool
 }
 
-// ApplyMember applies one membership operation at the current clock: the one
-// place an operation kind selects an engine method, for the offline cluster
-// driver and the service's shards alike. A refused operation changes
-// nothing; accepted (when non-nil) runs once op has passed the checks and
-// before any effect — where the service logs op, ahead of what it causes.
+// ApplyMember applies one membership operation at the current clock, the
+// one entry point for the offline cluster driver and the service's shards
+// alike. A refused operation changes nothing; accepted (when non-nil) runs
+// once op has passed the checks and before any effect — where the service
+// logs op, ahead of what it causes. Then the mapping pipeline runs, so
+// handed-off tasks are reconsidered and deferred batch tasks can claim a
+// revived or added machine's slots at once.
+//
+//   - MemberRemove: the machine's running task dies (StatusFailed, like a
+//     machine failure); its pending queue is handed back to the batch when
+//     op.Handoff, force-dropped as failed otherwise.
+//   - MemberRevive: the machine returns with an empty queue. Under failure
+//     injection, a failure schedule that came due while it was out is
+//     stale (it would move the clock backwards), so the process is
+//     re-armed from now.
+//   - MemberAdd: a machine of op.Type joins at index len(Machines()), idle,
+//     priced like every machine of its type.
 func (e *Engine) ApplyMember(op MemberOp, accepted func()) error {
-	if err := e.checkMember(op); err != nil {
+	price, err := e.checkMember(op)
+	if err != nil {
 		return err
 	}
 	if accepted != nil {
@@ -80,39 +93,52 @@ func (e *Engine) ApplyMember(op MemberOp, accepted func()) error {
 	}
 	switch op.Kind {
 	case MemberAdd:
-		_, err := e.AddMachine(op.Type)
-		return err
+		e.attachMachine(op.Type, price)
 	case MemberRemove:
-		return e.RemoveMachine(op.Machine, op.Handoff)
+		e.detachMachine(op.Machine, op.Handoff)
+	default:
+		m := e.machines[op.Machine]
+		m.removed = false
+		e.totalSlots += e.cfg.QueueCap
+		m.cache.Invalidate(core.InvalidateChurn)
+		m.tailValid = false
+		if e.failures != nil {
+			fs := &e.failures[op.Machine]
+			if fs.repairAt != noCompletion || (fs.nextFailAt != noCompletion && fs.nextFailAt <= e.clock) {
+				fs.repairAt = noCompletion
+				fs.nextFailAt = e.clock + 1 + pmf.Tick(fs.rng.Exponential(float64(e.cfg.Failures.MTBF)))
+				fs.draws++
+			}
+		}
 	}
-	return e.ReviveMachine(op.Machine)
+	e.mappingEvent(true)
+	return nil
 }
 
 // checkMember is why the engine refuses op, or nil: the checks of all three
-// operations, written once.
-func (e *Engine) checkMember(op MemberOp) error {
+// operations, written once. An add's check is its machine's price.
+func (e *Engine) checkMember(op MemberOp) (price float64, err error) {
 	i := op.Machine
 	switch {
 	case op.Kind == MemberAdd:
-		_, err := e.priceOf(op.Type)
-		return err
+		return e.priceOf(op.Type)
 	case op.Kind > MemberRevive:
-		return fmt.Errorf("sim: membership op %v", op.Kind)
+		return 0, fmt.Errorf("sim: membership op %v", op.Kind)
 	case i < 0 || i >= len(e.machines):
-		return fmt.Errorf("sim: %v of machine %d of %d", op.Kind, i, len(e.machines))
+		return 0, fmt.Errorf("sim: %v of machine %d of %d", op.Kind, i, len(e.machines))
 	case op.Kind == MemberRemove && e.removedAt(i):
-		return fmt.Errorf("sim: machine %d already removed", i)
+		return 0, fmt.Errorf("sim: machine %d already removed", i)
 	case op.Kind == MemberRevive && !e.removedAt(i):
-		return fmt.Errorf("sim: machine %d is not removed", i)
+		return 0, fmt.Errorf("sim: machine %d is not removed", i)
 	}
-	return nil
+	return 0, nil
 }
 
 // removedAt reports whether machine i is currently out of the live set.
 func (e *Engine) removedAt(i int) bool { return e.machines[i].removed }
 
 // LiveMachines returns the number of machines currently in the live set.
-// A failed-but-repairing machine still counts as live; only RemoveMachine
+// A failed-but-repairing machine still counts as live; only a remove
 // shrinks this.
 func (e *Engine) LiveMachines() int {
 	n := 0
@@ -136,22 +162,8 @@ func (e *Engine) RemovedMachines() []int {
 	return out
 }
 
-// RemoveMachine takes machine i out of the live set at the current clock.
-// Its running task dies (StatusFailed, like a machine failure); pending
-// queue entries are handed back to the batch for remapping when handoff is
-// true, or force-dropped as failed otherwise. The machine's chain-state
-// cache is invalidated and the mapping pipeline runs so handed-off tasks
-// are reconsidered immediately.
-func (e *Engine) RemoveMachine(i int, handoff bool) error {
-	if err := e.checkMember(MemberOp{Kind: MemberRemove, Machine: i}); err != nil {
-		return err
-	}
-	e.detachMachine(i, handoff)
-	e.mappingEvent(true)
-	return nil
-}
-
-// detachMachine is RemoveMachine without the mapping pipeline.
+// detachMachine is a remove's effect on machine i, without the mapping
+// pipeline.
 func (e *Engine) detachMachine(i int, handoff bool) {
 	m := e.machines[i]
 	e.killRunning(m)
@@ -172,50 +184,10 @@ func (e *Engine) detachMachine(i int, handoff bool) {
 	e.totalSlots -= e.cfg.QueueCap
 }
 
-// ReviveMachine returns removed machine i to the live set at the current
-// clock with an empty queue. If failure injection is on, any failure
-// schedule that came due while the machine was out is stale (it would move
-// the clock backwards); the process is re-armed from now.
-func (e *Engine) ReviveMachine(i int) error {
-	if err := e.checkMember(MemberOp{Kind: MemberRevive, Machine: i}); err != nil {
-		return err
-	}
-	e.machines[i].removed = false
-	e.totalSlots += e.cfg.QueueCap
-	e.machines[i].cache.Invalidate(core.InvalidateChurn)
-	e.machines[i].tailValid = false
-	if e.failures != nil {
-		fs := &e.failures[i]
-		if fs.repairAt != noCompletion || (fs.nextFailAt != noCompletion && fs.nextFailAt <= e.clock) {
-			fs.repairAt = noCompletion
-			fs.nextFailAt = e.clock + 1 + pmf.Tick(fs.rng.Exponential(float64(e.cfg.Failures.MTBF)))
-			fs.draws++
-		}
-	}
-	e.mappingEvent(true)
-	return nil
-}
-
-// AddMachine grows the live set with a new machine of type mt at the
-// current clock and returns its index. Pricing is cloned from an existing
-// machine of the same type (a type with no reference machine cannot be
-// added). The new machine starts idle with an empty queue; the mapping
-// pipeline runs so deferred batch tasks can claim its slots immediately.
-func (e *Engine) AddMachine(mt pet.MachineType) (int, error) {
-	i, err := e.attachMachine(mt)
-	if err != nil {
-		return -1, err
-	}
-	e.mappingEvent(true)
-	return i, nil
-}
-
-// attachMachine is AddMachine without the mapping pipeline.
-func (e *Engine) attachMachine(mt pet.MachineType) (int, error) {
-	price, err := e.priceOf(mt)
-	if err != nil {
-		return -1, err
-	}
+// attachMachine appends a machine of type mt at the given hourly price:
+// an add's effect without the mapping pipeline, and how RestoreSnapshot
+// re-attaches the machines a snapshot's engine added.
+func (e *Engine) attachMachine(mt pet.MachineType, price float64) {
 	i := len(e.machines)
 	spec := pet.MachineSpec{
 		Index:     i,
@@ -229,7 +201,6 @@ func (e *Engine) attachMachine(mt pet.MachineType) (int, error) {
 	}
 	e.addedTypes = append(e.addedTypes, int(mt))
 	e.totalSlots += e.cfg.QueueCap
-	return i, nil
 }
 
 // priceOf is the hourly price of an added machine of type mt: the one every

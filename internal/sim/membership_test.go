@@ -28,7 +28,7 @@ func TestRemoveMachineHandoff(t *testing.T) {
 	if before.Queued == 0 {
 		t.Fatal("setup: no queued work to hand off")
 	}
-	if err := e.RemoveMachine(1, true); err != nil {
+	if err := e.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 1, Handoff: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.LiveMachines(); got != 2 {
@@ -54,10 +54,10 @@ func TestRemoveMachineHandoff(t *testing.T) {
 	}
 
 	// Double-remove and out-of-range are errors.
-	if err := e.RemoveMachine(1, true); err == nil {
+	if err := e.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 1, Handoff: true}, nil); err == nil {
 		t.Fatal("second remove of machine 1 accepted")
 	}
-	if err := e.RemoveMachine(99, true); err == nil {
+	if err := e.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 99, Handoff: true}, nil); err == nil {
 		t.Fatal("remove of machine 99 accepted")
 	}
 }
@@ -65,7 +65,7 @@ func TestRemoveMachineHandoff(t *testing.T) {
 func TestRemoveMachineForceDrop(t *testing.T) {
 	e := membershipEngine(t, 40)
 	before := e.LiveCounts()
-	if err := e.RemoveMachine(0, false); err != nil {
+	if err := e.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := e.LiveCounts()
@@ -79,13 +79,13 @@ func TestRemoveMachineForceDrop(t *testing.T) {
 
 func TestReviveMachine(t *testing.T) {
 	e := membershipEngine(t, 20)
-	if err := e.ReviveMachine(2); err == nil {
+	if err := e.ApplyMember(MemberOp{Kind: MemberRevive, Machine: 2}, nil); err == nil {
 		t.Fatal("revive of a live machine accepted")
 	}
-	if err := e.RemoveMachine(2, true); err != nil {
+	if err := e.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 2, Handoff: true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ReviveMachine(2); err != nil {
+	if err := e.ApplyMember(MemberOp{Kind: MemberRevive, Machine: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.LiveMachines(); got != 3 {
@@ -106,12 +106,12 @@ func TestReviveMachine(t *testing.T) {
 
 func TestAddMachine(t *testing.T) {
 	e := membershipEngine(t, 10)
-	i, err := e.AddMachine(0)
-	if err != nil {
+	if err := e.ApplyMember(MemberOp{Kind: MemberAdd, Type: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
+	i := len(e.Machines()) - 1
 	if i != 3 {
-		t.Fatalf("AddMachine index = %d, want 3", i)
+		t.Fatalf("added machine index = %d, want 3", i)
 	}
 	spec := e.Machines()[i].Spec
 	if spec.Name != "added-0#0" || int(spec.Type) != 0 {
@@ -123,8 +123,8 @@ func TestAddMachine(t *testing.T) {
 	if got := e.LiveMachines(); got != 4 {
 		t.Fatalf("LiveMachines = %d, want 4", got)
 	}
-	if _, err := e.AddMachine(7); err == nil {
-		t.Fatal("AddMachine with unknown type accepted")
+	if err := e.ApplyMember(MemberOp{Kind: MemberAdd, Type: 7}, nil); err == nil {
+		t.Fatal("add of an unknown type accepted")
 	}
 }
 
@@ -172,10 +172,10 @@ func TestMembershipSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		live.Feed(&tasks[i])
 	}
-	if err := live.RemoveMachine(1, true); err != nil {
+	if err := live.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 1, Handoff: true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := live.AddMachine(0); err != nil {
+	if err := live.ApplyMember(MemberOp{Kind: MemberAdd, Type: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 50; i < 60; i++ {
@@ -204,10 +204,10 @@ func TestMembershipSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// A revive after restore behaves identically too.
-	if err := live.ReviveMachine(1); err != nil {
+	if err := live.ApplyMember(MemberOp{Kind: MemberRevive, Machine: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.ReviveMachine(1); err != nil {
+	if err := replica.ApplyMember(MemberOp{Kind: MemberRevive, Machine: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := replica.Snapshot(), live.Snapshot(); !reflect.DeepEqual(got, want) {

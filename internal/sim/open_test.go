@@ -33,7 +33,7 @@ func parityMatrixAndTrace(t *testing.T, seed int64) (*pet.Matrix, *workload.Trac
 // reproduce the trace-driven run exactly — same per-task terminal states,
 // same machines, same Result.
 func TestOpenEngineMatchesTraceDriven(t *testing.T) {
-	for _, dropper := range []core.Policy{nil, core.NewHeuristic()} {
+	for _, dropper := range []core.Policy{nil, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}} {
 		m, tr := parityMatrixAndTrace(t, 11)
 		cfg := cfgNoExclusion()
 
@@ -79,10 +79,10 @@ func TestOpenEngineMatchesTraceDrivenWithFailures(t *testing.T) {
 	cfg := cfgNoExclusion()
 	cfg.Failures = FailureConfig{MTBF: 900, MeanRepair: 120, Seed: 3}
 
-	offline := New(m, tr, fifoMapper{}, core.NewHeuristic(), cfg)
+	offline := New(m, tr, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg)
 	wantRes := offline.Run()
 
-	open := NewOpen(m, fifoMapper{}, core.NewHeuristic(), cfg)
+	open := NewOpen(m, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg)
 	for i := range tr.Tasks {
 		open.Feed(&tr.Tasks[i])
 	}
@@ -118,7 +118,7 @@ func TestLiveCountsStayConsistent(t *testing.T) {
 	m, tr := parityMatrixAndTrace(t, 21)
 	cfg := cfgNoExclusion()
 	cfg.Failures = FailureConfig{MTBF: 700, MeanRepair: 90, Seed: 8}
-	open := NewOpen(m, fifoMapper{}, core.NewHeuristic(), cfg)
+	open := NewOpen(m, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg)
 	rec := Record(open)
 	for i := range tr.Tasks {
 		open.Feed(&tr.Tasks[i])

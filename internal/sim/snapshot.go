@@ -38,7 +38,7 @@ type EngineSnapshot struct {
 	Machines []MachineSnapshot `json:"machines"`
 	// Failures holds one cursor per machine when failure injection is on.
 	Failures []FailureSnapshot `json:"failures,omitempty"`
-	// Added lists the machine types of runtime-added machines (AddMachine)
+	// Added lists the machine types of runtime-added machines (MemberAdd)
 	// in order of addition; Removed lists the machine indexes currently out
 	// of the live set. Both are empty on an engine whose membership never
 	// changed.
@@ -335,9 +335,11 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 	// engine was built over the original machine set, the snapshot covers
 	// the grown one.
 	for _, mt := range s.Added {
-		if _, err := e.attachMachine(pet.MachineType(mt)); err != nil {
+		price, err := e.priceOf(pet.MachineType(mt))
+		if err != nil {
 			return err
 		}
+		e.attachMachine(pet.MachineType(mt), price)
 	}
 	if len(s.Machines) != len(e.machines) {
 		return fmt.Errorf("sim: snapshot has %d machines, engine has %d", len(s.Machines), len(e.machines))

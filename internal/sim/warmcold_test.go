@@ -63,10 +63,10 @@ func TestWarmVsColdDifferentialSweep(t *testing.T) {
 	}
 	droppers := []func() core.Policy{
 		func() core.Policy { return nil },
-		func() core.Policy { return core.NewHeuristic() },
+		func() core.Policy { return core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta} },
 		func() core.Policy { return core.Optimal{} },
-		func() core.Policy { return core.NewThreshold() },
-		func() core.Policy { return core.NewApproxHeuristic(80) },
+		func() core.Policy { return core.Threshold{Base: core.DefaultThresholdBase, Adaptive: true} },
+		func() core.Policy { return core.ApproxHeuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta} },
 	}
 	r := rand.New(rand.NewSource(42))
 	const cases = 12
@@ -79,6 +79,9 @@ func TestWarmVsColdDifferentialSweep(t *testing.T) {
 		cfg.DropOnArrival = r.Intn(2) == 0
 		if r.Intn(3) == 0 {
 			cfg.ReactiveGrace = pmf.Tick(r.Intn(100))
+		}
+		if _, ok := mk().(core.ApproxHeuristic); ok && cfg.ReactiveGrace == 0 {
+			cfg.ReactiveGrace = 80 // approx values late completions by the engine's grace alone
 		}
 		if r.Intn(3) == 0 {
 			cfg.Failures = FailureConfig{MTBF: pmf.Tick(300 + r.Intn(1500)), MeanRepair: pmf.Tick(20 + r.Intn(150)), Seed: int64(i)}
@@ -119,7 +122,7 @@ func churnScript(t *testing.T, e *Engine, tasks []workload.Task, seed int64, mac
 				for removed[j] {
 					j = (j + 1) % machines
 				}
-				if err := e.RemoveMachine(j, r.Intn(2) == 0); err != nil {
+				if err := e.ApplyMember(MemberOp{Kind: MemberRemove, Machine: j, Handoff: r.Intn(2) == 0}, nil); err != nil {
 					t.Fatalf("remove %d: %v", j, err)
 				}
 				removed[j], nRemoved = true, nRemoved+1
@@ -130,13 +133,13 @@ func churnScript(t *testing.T, e *Engine, tasks []workload.Task, seed int64, mac
 				for !removed[j] {
 					j = (j + 1) % machines
 				}
-				if err := e.ReviveMachine(j); err != nil {
+				if err := e.ApplyMember(MemberOp{Kind: MemberRevive, Machine: j}, nil); err != nil {
 					t.Fatalf("revive %d: %v", j, err)
 				}
 				removed[j], nRemoved = false, nRemoved-1
 			}
 		case 3: // grow the cluster (added machines are never removed here)
-			if _, err := e.AddMachine(0); err != nil {
+			if err := e.ApplyMember(MemberOp{Kind: MemberAdd, Type: 0}, nil); err != nil {
 				t.Fatalf("add: %v", err)
 			}
 		}
@@ -152,8 +155,8 @@ func churnScript(t *testing.T, e *Engine, tasks []workload.Task, seed int64, mac
 func TestWarmVsColdChurnDifferential(t *testing.T) {
 	const machines = 4
 	for _, dropper := range []func() core.Policy{
-		func() core.Policy { return core.NewHeuristic() },
-		func() core.Policy { return core.NewThreshold() },
+		func() core.Policy { return core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta} },
+		func() core.Policy { return core.Threshold{Base: core.DefaultThresholdBase, Adaptive: true} },
 	} {
 		m := testMatrix(t, machines, pmf.Delta(10), pmf.Delta(25))
 		tasks := randomOpenTasks(160, 7)
@@ -258,7 +261,7 @@ func FuzzWarmVsColdFeed(f *testing.F) {
 			cfg := cfgNoExclusion()
 			cfg.QueueCap = 2 + int(data[0])%4
 			cfg.ColdChains = cold
-			e := NewOpen(m, fifoMapper{}, core.NewHeuristic(), cfg)
+			e := NewOpen(m, fifoMapper{}, core.Heuristic{Beta: core.DefaultBeta, Eta: core.DefaultEta}, cfg)
 			rec := Record(e)
 			clock, id := pmf.Tick(0), 0
 			removed := false
@@ -277,14 +280,14 @@ func FuzzWarmVsColdFeed(f *testing.F) {
 				switch data[i] % 11 {
 				case 9:
 					if !removed {
-						if err := e.RemoveMachine(1, data[i+1]%2 == 0); err != nil {
+						if err := e.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 1, Handoff: data[i+1]%2 == 0}, nil); err != nil {
 							t.Fatal(err)
 						}
 						removed = true
 					}
 				case 10:
 					if removed {
-						if err := e.ReviveMachine(1); err != nil {
+						if err := e.ApplyMember(MemberOp{Kind: MemberRevive, Machine: 1}, nil); err != nil {
 							t.Fatal(err)
 						}
 						removed = false

@@ -33,12 +33,12 @@ func NewMapper(spec string) (Mapper, error) { return mapping.FromSpec(spec) }
 //	heuristic:beta=<float ≥1>,eta=<int ≥1>
 //	optimal
 //	threshold:base=<float in [0,1]>,adaptive[=bool]
-//	approx:grace=<ticks ≥0>,beta=<float ≥1>,eta=<int ≥1>
+//	approx:beta=<float ≥1>,eta=<int ≥1>
 //
 // Omitted parameters take the paper's tuned defaults (β=1, η=2, θ=0.25,
-// adaptive threshold). An omitted approx grace follows the engine's
-// reactive grace window (WithGrace), keeping policy and engine leeway in
-// sync automatically.
+// adaptive threshold). Every dropper forecasts under the engine's
+// reactive grace window (WithGrace), and approx values late completions by
+// it: there is no second grace to keep in sync.
 func NewDropper(spec string) (DropPolicy, error) { return core.PolicyFromSpec(spec) }
 
 // NewProfile resolves a system-profile spec: "spec" (aliases specint, hc;

@@ -16,7 +16,7 @@ func TestNewDropperSpecs(t *testing.T) {
 		"threshold":                   "Threshold",
 		"Threshold:base=0.3,adaptive": "Threshold",
 		"threshold:adaptive=false":    "Threshold",
-		"approx:grace=200,beta=2":     "ApproxHeuristic",
+		"approx:beta=2":               "ApproxHeuristic",
 		"THRESHOLD:BASE=0.5":          "Threshold",
 	}
 	for spec, want := range cases {
@@ -29,7 +29,7 @@ func TestNewDropperSpecs(t *testing.T) {
 			t.Errorf("NewDropper(%q).Name() = %q, want %q", spec, p.Name(), want)
 		}
 	}
-	for _, bad := range []string{"", "bogus", "heuristic:beta=no", "heuristic:eta=0", "threshold:base=2", "optimal:x=1"} {
+	for _, bad := range []string{"", "bogus", "heuristic:beta=no", "heuristic:eta=0", "threshold:base=2", "optimal:x=1", "approx:grace=200"} {
 		if _, err := taskdrop.NewDropper(bad); err == nil {
 			t.Errorf("NewDropper(%q) should error", bad)
 		}

@@ -228,6 +228,10 @@ func TestScenarioOnTrialDone(t *testing.T) {
 }
 
 func TestScenarioOptionValidation(t *testing.T) {
+	optimal, err := taskdrop.NewDropper("optimal")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		opts []taskdrop.ScenarioOption
@@ -246,7 +250,7 @@ func TestScenarioOptionValidation(t *testing.T) {
 		{"mapper set twice", []taskdrop.ScenarioOption{
 			taskdrop.WithMapper("PAM"), taskdrop.WithMapperImpl(greedy{})}},
 		{"dropper set twice", []taskdrop.ScenarioOption{
-			taskdrop.WithDropper("optimal"), taskdrop.WithDropperPolicy(taskdrop.OptimalDropper())}},
+			taskdrop.WithDropper("optimal"), taskdrop.WithDropperPolicy(optimal)}},
 		{"nil dropper policy", []taskdrop.ScenarioOption{taskdrop.WithDropperPolicy(nil)}},
 		{"nil mapper impl", []taskdrop.ScenarioOption{taskdrop.WithMapperImpl(nil)}},
 	}
@@ -292,7 +296,7 @@ func TestScenarioEngineIntrospection(t *testing.T) {
 func TestScenarioFailuresAndGrace(t *testing.T) {
 	sc := tinyScenario(t,
 		taskdrop.WithTrials(1),
-		taskdrop.WithDropper("approx:grace=150"),
+		taskdrop.WithDropper("approx"),
 		taskdrop.WithGrace(150),
 		taskdrop.WithFailures(taskdrop.FailureConfig{MTBF: 30, MeanRepair: 20, Seed: 5}),
 	)

@@ -188,28 +188,6 @@ const (
 	DefaultBeta = core.DefaultBeta
 )
 
-// HeuristicDropper returns the paper's autonomous proactive dropping
-// heuristic with the tuned parameters η=2, β=1.
-func HeuristicDropper() DropPolicy { return core.NewHeuristic() }
-
-// HeuristicDropperWith returns the heuristic with explicit β ≥ 1 and
-// η ≥ 1.
-func HeuristicDropperWith(beta float64, eta int) DropPolicy {
-	return core.Heuristic{Beta: beta, Eta: eta}
-}
-
-// OptimalDropper returns the optimal subset-enumeration dropper (§IV-D).
-func OptimalDropper() DropPolicy { return core.Optimal{} }
-
-// ThresholdDropper returns the prior-work baseline: prune tasks whose
-// chance of success falls below base, adapted to load when adaptive.
-func ThresholdDropper(base float64, adaptive bool) DropPolicy {
-	return core.Threshold{Base: base, Adaptive: adaptive}
-}
-
-// ReactiveDropper returns the no-proactive-dropping baseline.
-func ReactiveDropper() DropPolicy { return core.ReactiveOnly{} }
-
 // SPECProfile, VideoProfile and HomogeneousProfile re-export the raw
 // profile constructors.
 func SPECProfile(seed int64) Profile { return pet.SPECProfile(seed) }

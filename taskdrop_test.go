@@ -51,28 +51,6 @@ func TestSimulateUnknownMapper(t *testing.T) {
 	}
 }
 
-func TestDropperConstructors(t *testing.T) {
-	names := map[string]taskdrop.DropPolicy{
-		"ReactDrop": taskdrop.ReactiveDropper(),
-		"Heuristic": taskdrop.HeuristicDropper(),
-		"Optimal":   taskdrop.OptimalDropper(),
-		"Threshold": taskdrop.ThresholdDropper(0.25, true),
-	}
-	for want, p := range names {
-		if p.Name() != want {
-			t.Errorf("%T.Name() = %q, want %q", p, p.Name(), want)
-		}
-	}
-	if hp := taskdrop.HeuristicDropperWith(2.0, 3); hp.Name() != "Heuristic" {
-		t.Error("HeuristicDropperWith broken")
-	}
-	for _, name := range []string{"reactdrop", "heuristic", "optimal", "threshold"} {
-		if _, err := taskdrop.NewDropper(name); err != nil {
-			t.Errorf("NewDropper(%q): %v", name, err)
-		}
-	}
-}
-
 func TestMapperRegistryExposed(t *testing.T) {
 	names := taskdrop.MapperNames()
 	if len(names) < 6 {
@@ -92,8 +70,8 @@ func TestProactiveDropperImprovesOversubscribedSystem(t *testing.T) {
 	// seeds to keep the assertion stable.
 	var withDrop, without float64
 	for seed := int64(1); seed <= 4; seed++ {
-		withDrop += oneTrial(t, "spec", 2000, 13000, seed, taskdrop.WithDropperPolicy(taskdrop.HeuristicDropper())).RobustnessPct
-		without += oneTrial(t, "spec", 2000, 13000, seed, taskdrop.WithDropperPolicy(taskdrop.ReactiveDropper())).RobustnessPct
+		withDrop += oneTrial(t, "spec", 2000, 13000, seed, taskdrop.WithDropper("heuristic")).RobustnessPct
+		without += oneTrial(t, "spec", 2000, 13000, seed, taskdrop.WithDropper("reactdrop")).RobustnessPct
 	}
 	if withDrop <= without {
 		t.Fatalf("proactive dropping did not help: %.1f%% vs %.1f%%", withDrop/4, without/4)
@@ -102,7 +80,7 @@ func TestProactiveDropperImprovesOversubscribedSystem(t *testing.T) {
 
 func TestCustomMapperPluggable(t *testing.T) {
 	res := oneTrial(t, "video", 300, 2000, 2,
-		taskdrop.WithMapperImpl(greedy{}), taskdrop.WithDropperPolicy(taskdrop.HeuristicDropper()))
+		taskdrop.WithMapperImpl(greedy{}), taskdrop.WithDropper("heuristic"))
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
 	}
