@@ -1,16 +1,19 @@
 // Command hcreplay audits and verifies the admission service's decision
 // journal (hcserve -journal-dir). A shard's log is event-sourced: its
-// arrive records alone deterministically re-derive every decision, so the
-// logged decisions, terminal events and checkpoints are redundant by
-// construction — and therefore checkable.
+// input records alone deterministically re-derive every decision, so the
+// log keeps the decisions and terminal events only as one digest per
+// commit, and its checkpoints are redundant by construction — both
+// therefore checkable.
 //
 // Verify mode replays every shard's log through a fresh engine built from
-// the journal's manifest and fails on the first record or checkpoint where
-// the recomputation disagrees with the recording, on a log that ends
-// without a record its inputs derive, or on a log of another record format
-// version (this build reads version 4, one CRC-checked frame per commit with
-// varint fields; it refuses versions 1 to 3 naming them). Inputs precede
-// their effects and a commit reaches the log whole or not at all — a crash
+// the journal's manifest and fails on the first commit whose digest, or
+// checkpoint whose state, the recomputation does not reproduce — naming the
+// commit by its first sequence number and listing the records replay
+// derived — on a log that ends without the digest of what its inputs
+// derive, or on a log of another record format version (this build reads
+// version 5, one CRC-checked frame per commit holding its inputs and one
+// digest; it refuses versions 1 to 4 naming them). Inputs precede their
+// effects and a commit reaches the log whole or not at all — a crash
 // mid-write tears one frame, which the reader drops — so a log a crash cut
 // anywhere verifies:
 //
@@ -19,8 +22,9 @@
 // Audit mode explains one decision: it replays the shard up to the moment
 // the task arrived, prints the queue state the admission saw, the Eq. 1
 // completion-time PMF forecast for every queued task and for the arriving
-// candidate on every machine, the dropping policy's verdict, and the
-// re-derived decision next to the logged one:
+// candidate on every machine, the dropping policy's verdict, the re-derived
+// decision with the records its admission derived, and whether its
+// commit's logged digest matches the re-derivation (exit 1 when not):
 //
 //	hcreplay -dir /var/lib/hcserve/journal -shard 0 -decision 421 -v
 //
@@ -57,7 +61,7 @@ func main() {
 	var (
 		dir       = flag.String("dir", "", "journal root directory (hcserve -journal-dir)")
 		shard     = flag.Int("shard", -1, "shard to operate on (-1 = all shards, verify mode only)")
-		verify    = flag.Bool("verify", false, "replay the log from its oldest retained start and check it against the recorded decisions, events and checkpoints")
+		verify    = flag.Bool("verify", false, "replay the log from its oldest retained start and check it against the recorded commit digests and checkpoints")
 		decision  = flag.Int64("decision", -1, "audit this decision sequence number (requires -shard)")
 		verbose   = flag.Bool("v", false, "audit mode: print full completion-time PMFs")
 		logFormat = flag.String("log-format", "text", "log output format: text | json")
@@ -99,8 +103,8 @@ func main() {
 			stats, err = service.VerifyAll(*dir)
 		}
 		for _, st := range stats {
-			fmt.Printf("shard %d: %d records (%d arrives, %d derived matched), %d checkpoints verified, watermark %d",
-				st.Shard, st.Records, st.Arrives, st.Derived, st.Checkpoints, st.FinalSeqWatermark)
+			fmt.Printf("shard %d: %d records (%d arrives, %d commit digests matched over %d derived records), %d checkpoints verified, watermark %d",
+				st.Shard, st.Records, st.Arrives, st.Digests, st.Derived, st.Checkpoints, st.FinalSeqWatermark)
 			if st.Membership > 0 {
 				fmt.Printf(", %d membership ops applied", st.Membership)
 			}
@@ -113,7 +117,7 @@ func main() {
 			logger.Error("verification FAILED", "err", err)
 			os.Exit(1)
 		}
-		fmt.Println("journal verified: every logged decision, event and checkpoint matches the deterministic replay")
+		fmt.Println("journal verified: every commit digest and checkpoint matches the deterministic replay")
 	default:
 		logger.Error("nothing to do: pass -verify, or -shard and -decision to audit one decision")
 		os.Exit(1)

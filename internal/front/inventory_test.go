@@ -141,7 +141,7 @@ func TestSeriesInventoryGolden(t *testing.T) {
 	t.Run("controller", func(t *testing.T) {
 		c, err := service.New(service.Config{
 			Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
-			JournalDir: t.TempDir(), Fsync: "always", SnapshotEvery: 100,
+			JournalDir: t.TempDir(), Fsync: "always", SnapshotEvery: 25,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,8 @@ package journal
 import (
 	"bytes"
 	"testing"
+
+	"github.com/hpcclab/taskdrop/internal/pmf"
 )
 
 // FuzzDecodeRecord hammers the commit frame decoder with arbitrary frame
@@ -15,6 +17,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		f.Add(frame(recs[i])[frameHeader:])
 	}
 	f.Add(frame(recs[:5]...)[frameHeader:])
+	// A served commit: its inputs, then the digest of what they derived.
+	f.Add(frame(Record{Kind: KindBatch, NTasks: 1}, Record{Kind: KindArrive, Seq: 7, Tick: 9, Deadline: 99, Exec: []pmf.Tick{3, 4}},
+		Record{Kind: KindDigest, Digest: 0x0123456789abcdef})[frameHeader:])
 	for _, payload := range refusedPayloads() {
 		f.Add(payload)
 	}

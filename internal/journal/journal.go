@@ -5,9 +5,10 @@
 //
 // Every admission shard is a deterministic single-writer loop — decisions
 // are a pure function of the fed task sequence — which is precisely the
-// event-sourcing sweet spot: journaling the arrivals (plus the decisions
-// and terminal task events they caused, for audit) is enough to
-// reconstruct the exact pre-crash engine by replay. The package is
+// event-sourcing sweet spot: journaling the arrivals is enough to
+// reconstruct the exact pre-crash engine by replay, and one digest per
+// commit of the decisions and terminal task events they caused (Digest,
+// Writer.Fold) is enough to audit it. The package is
 // deliberately generic: it stores Records in commit frames and opaque
 // snapshot payloads; what goes inside them is the caller's contract
 // (internal/service encodes shard checkpoints, cmd/hcreplay re-derives
@@ -48,11 +49,12 @@
 // # Commit framing
 //
 // The unit on disk is the commit — what one acknowledgement covers. Append
-// adds a record to the open commit in memory; Commit seals it as one frame
-// and writes it in one write:
+// adds a record to the open commit in memory, Fold adds one to the
+// commit's digest instead; Commit seals it as one frame, ending in a digest
+// record when anything was folded, and writes it in one write:
 //
 //	u32 payload length | u32 CRC-32C of payload | payload
-//	payload = version byte (frameVersion, now 4) | record | record | ...
+//	payload = version byte (frameVersion, now 5) | record | ... [| digest]
 //	record  = uvarint length | kind byte | the kind's fields
 //
 // (the header little-endian). Checkpoint and Close seal the open commit
@@ -65,8 +67,9 @@
 //
 // A record's fields are signed integers as zigzag varints, lengths, counts
 // and trace span offsets as unsigned varints, actions, the span count and
-// stage codes as single bytes. Fields are independent (no deltas), and the
-// reader accepts only the canonical encoding — shortest varints, every
+// stage codes as single bytes, a digest as 8 bytes. Fields are independent
+// (no deltas), and the reader accepts only the canonical encoding —
+// shortest varints, every
 // record exactly as long as its length says, at least one record a frame —
 // so a frame it accepts re-encodes to the same bytes. A frame of another
 // version is refused by name: there is one reader.

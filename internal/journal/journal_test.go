@@ -78,10 +78,26 @@ func sampleRecords(n int, seed int64) []Record {
 				Machine: int32(rng.Intn(16)), Type: int32(rng.Intn(8)),
 				NTasks: int32(rng.Intn(2)), Tick: tick}
 		default:
+			// Every other one a digest: its value is drawn from no stream, so
+			// the records after it are what they were before digests existed.
 			out[i] = Record{Kind: KindDrain, Tick: tick}
+			if i%2 == 1 {
+				out[i] = Record{Kind: KindDigest, Digest: uint64(edge(i, 3, int64(i))) * 0x9e3779b97f4a7c15}
+			}
 		}
 	}
 	return out
+}
+
+// arrivals counts the arrive records among recs.
+func arrivals(recs []Record) int {
+	n := 0
+	for i := range recs {
+		if recs[i].Kind == KindArrive {
+			n++
+		}
+	}
+	return n
 }
 
 // frame returns the commit frame a writer seals over recs.
@@ -136,7 +152,9 @@ func TestRecordRoundTrip(t *testing.T) {
 // length byte, kind byte and varint fields — for the values a served log
 // holds (small sequence numbers, ticks and machine indexes), and what a
 // single-task decide's commit costs: the 9 bytes of frame header and
-// version once, then its batch, arrive, decision and one terminal event.
+// version once, then its batch, its arrive and the digest of its decision
+// and one terminal event — 49 bytes, where format 4 logged the decision
+// and the event themselves in 56.
 func TestRecordSizes(t *testing.T) {
 	batch := Record{Kind: KindBatch, NTasks: 1}
 	arrive := Record{Kind: KindArrive, Seq: 7000, Type: 3, Tick: 50000, Deadline: 60000,
@@ -152,13 +170,20 @@ func TestRecordSizes(t *testing.T) {
 		{decision, 9},
 		{event, 8},
 		{Record{Kind: KindDrain, Tick: 50000}, 5},
+		{Record{Kind: KindDigest, Digest: 1 << 63}, 10},
 	} {
 		if got := len(AppendRecord(nil, &c.r)); got != c.want {
 			t.Errorf("%s: %d bytes, want %d", c.r.String(), got, c.want)
 		}
 	}
-	if got, want := len(frame(batch, arrive, decision, event)), 56; got != want {
+	var dig Digest
+	dig.Fold(&decision)
+	dig.Fold(&event)
+	if got, want := len(frame(batch, arrive, Record{Kind: KindDigest, Digest: dig.Sum()})), 49; got != want {
 		t.Errorf("single-task commit: %d bytes, want %d", got, want)
+	}
+	if got, want := len(frame(batch, arrive, decision, event)), 56; got != want {
+		t.Errorf("single-task commit with its derived records logged: %d bytes, want %d", got, want)
 	}
 }
 
@@ -206,6 +231,7 @@ func refusedPayloads() map[string][]byte {
 	return map[string][]byte{
 		"no version byte":         {},
 		"empty frame":             {frameVersion},
+		"version 4":               append([]byte{4}, drain[1:]...),
 		"version 3":               append([]byte{3}, drain[1:]...),
 		"version 2":               {2, byte(KindDrain), 0},
 		"version 1":               append([]byte{1}, drain[1:]...),
@@ -228,6 +254,8 @@ func refusedPayloads() map[string][]byte {
 		"span count past bytes":   p(KindTrace, v(0), []byte{3}, []byte{1, 0, 0}),
 		"trailing byte":           p(KindDrain, v(0), []byte{0}),
 		"truncated decision":      p(KindDecision, v(0), []byte{ActMap}),
+		"truncated digest":        p(KindDigest, []byte{1, 2, 3, 4, 5, 6, 7}),
+		"digest trailing byte":    p(KindDigest, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}),
 	}
 }
 
@@ -400,7 +428,7 @@ func commits(recs []Record) (seg []byte, bounds, kept []int) {
 // seventh byte and checks that (a) the scan recovers exactly the records of
 // the commits whose frames survived whole — a torn commit vanishes with all
 // its records — and (b) a writer reopening the cut log truncates the tail,
-// counts the records it kept, and appends cleanly after them.
+// counts the arrivals it kept, and appends cleanly after them.
 func TestTornTailRecovery(t *testing.T) {
 	recs := sampleRecords(12, 3)
 	full, bounds, kept := commits(recs)
@@ -437,8 +465,8 @@ func TestTornTailRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		if w.RecordsInSegment() != want {
-			t.Fatalf("cut %d: reopened writer counts %d records, want %d", cut, w.RecordsInSegment(), want)
+		if n := arrivals(recs[:want]); w.ArrivalsInSegment() != n {
+			t.Fatalf("cut %d: reopened writer counts %d arrivals, want %d", cut, w.ArrivalsInSegment(), n)
 		}
 		extra := Record{Kind: KindDrain, Tick: 42}
 		if err := w.Append(&extra); err != nil {
@@ -480,7 +508,7 @@ func TestCorruptedMiddleStopsScan(t *testing.T) {
 // TestWriterFramesEachCommit pins the writer's side of the format: each
 // Commit writes what was appended since the last as one frame, nothing
 // reaches the file before it, the record counters count records whatever
-// the frames, and Checkpoint and Close seal the open commit first, so no
+// the frames, the segment's arrival counter its arrivals, and Checkpoint and Close seal the open commit first, so no
 // frame spans two segments.
 func TestWriterFramesEachCommit(t *testing.T) {
 	dir := t.TempDir()
@@ -518,9 +546,9 @@ func TestWriterFramesEachCommit(t *testing.T) {
 	if err := w.Commit(); err != nil { // nothing open: nothing written
 		t.Fatal(err)
 	}
-	if w.Appended() != 7 || w.RecordsInSegment() != 7 || w.Bytes() != int64(len(want)) || size() != len(want) {
-		t.Fatalf("after three commits: %d appended, %d in segment, %d bytes (file %d), want 7, 7, %d",
-			w.Appended(), w.RecordsInSegment(), w.Bytes(), size(), len(want))
+	if n := arrivals(recs[:7]); w.Appended() != 7 || w.ArrivalsInSegment() != n || w.Bytes() != int64(len(want)) || size() != len(want) {
+		t.Fatalf("after three commits: %d appended, %d arrivals in segment, %d bytes (file %d), want 7, %d, %d",
+			w.Appended(), w.ArrivalsInSegment(), w.Bytes(), size(), n, len(want))
 	}
 	// The open commit lands in segment 0, before the snapshot.
 	if err := w.Append(&recs[7]); err != nil {
@@ -558,8 +586,8 @@ func TestCheckpointRotationAndRecover(t *testing.T) {
 	if err := w.Checkpoint([]byte("state-after-10")); err != nil {
 		t.Fatal(err)
 	}
-	if w.seg != 1 || w.RecordsInSegment() != 0 {
-		t.Fatalf("after checkpoint: seg %d recs %d, want 1/0", w.seg, w.RecordsInSegment())
+	if w.seg != 1 || w.ArrivalsInSegment() != 0 {
+		t.Fatalf("after checkpoint: seg %d arrivals %d, want 1/0", w.seg, w.ArrivalsInSegment())
 	}
 	for i := 10; i < 20; i++ {
 		if err := w.Append(&recs[i]); err != nil {
@@ -660,7 +688,7 @@ func TestTrimCrashPoints(t *testing.T) {
 	}
 	// The steps of checkpoint 3, cumulatively.
 	renamed := func(t *testing.T, dir string) {
-		if err := writeSnapshotFile(dir, 3, state(40)); err != nil {
+		if err := (&Writer{dir: dir, seg: 3}).writeSnapshot(state(40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -833,7 +861,7 @@ func TestOpenWriterRemovesTempSnapshots(t *testing.T) {
 
 func TestSnapshotFileCRC(t *testing.T) {
 	dir := t.TempDir()
-	if err := writeSnapshotFile(dir, 0, []byte("hello snapshot")); err != nil {
+	if err := (&Writer{dir: dir}).writeSnapshot([]byte("hello snapshot")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSnapshotFile(SnapshotPath(dir, 0))

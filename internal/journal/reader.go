@@ -40,8 +40,8 @@ func readFrame(br *bufio.Reader, buf []byte, limit int) (payload []byte, ok bool
 
 // scanFrames is the one loop over a segment's commit frames: it decodes
 // every record of f's longest prefix of whole frames into one Record,
-// hands it to fn (decodeFrame), and returns the prefix's byte length and
-// record count — where the writer truncates a torn tail and resumes. The scan ends
+// hands it to fn (decodeFrame), and returns the prefix's byte length —
+// where the writer truncates a torn tail and resumes. The scan ends
 // silently where readFrame stops, so a commit a crash tore is dropped
 // whole; a frame longer than the bytes left in the file is such a tear, so
 // no commit is too large to read and no corrupt length makes the reader
@@ -49,10 +49,10 @@ func readFrame(br *bufio.Reader, buf []byte, limit int) (payload []byte, ok bool
 // decode is no torn write — the format itself is off (foreign file,
 // incompatible version) — and is an error, as is one from fn; both name
 // the file and the commit.
-func scanFrames(name string, f *os.File, fn func(*Record) error) (offset int64, records int, err error) {
+func scanFrames(name string, f *os.File, fn func(*Record) error) (offset int64, err error) {
 	fi, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
 	payload := make([]byte, 0, 4<<10) // a commit of a few dozen tasks fits
@@ -60,14 +60,12 @@ func scanFrames(name string, f *os.File, fn func(*Record) error) (offset int64, 
 	for {
 		var ok bool
 		if payload, ok = readFrame(br, payload, int(fi.Size()-offset)-frameHeader); !ok {
-			return offset, records, nil
+			return offset, nil
 		}
-		n, err := decodeFrame(payload, &rec, fn)
-		if err != nil {
-			return offset, records, fmt.Errorf("journal: %s: commit at byte %d: %w", name, offset, err)
+		if _, err := decodeFrame(payload, &rec, fn); err != nil {
+			return offset, fmt.Errorf("journal: %s: commit at byte %d: %w", name, offset, err)
 		}
 		offset += frameHeader + int64(len(payload))
-		records += n
 	}
 }
 
@@ -81,7 +79,7 @@ func ScanSegment(path string, fn func(*Record) error) error {
 		return err
 	}
 	defer f.Close()
-	_, _, err = scanFrames(path, f, fn)
+	_, err = scanFrames(path, f, fn)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"hash/crc64"
 	"slices"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
@@ -30,13 +31,15 @@ const (
 	// KindDecision is the admission outcome the shard acknowledged for one
 	// arrival: action, shard-local machine (-1 when unmapped) and the shard
 	// clock after the decision. Redundant given the arrives (replay
-	// re-derives it) — which is exactly what makes the log auditable:
-	// hcreplay -verify recomputes and compares.
+	// re-derives it), so a shard's log holds it only folded into its
+	// commit's digest (KindDigest); the kind stays the vocabulary the
+	// digest hashes, and a Writer still stores one appended to it.
 	KindDecision Kind = 3
 	// KindEvent is a terminal task transition after admission: completion
 	// (on time or late), failure, or a reactive/proactive drop, with the
 	// tick it happened at. Seq is the task's cluster-wide sequence number;
-	// Action carries the sim.Status code.
+	// Action carries the sim.Status code. Derived like a decision, and
+	// logged like one: folded into its commit's digest.
 	KindEvent Kind = 4
 	// KindDrain marks a graceful drain: an input, logged at the clock the
 	// drain starts (Tick), before the terminal events of the work it runs to
@@ -60,6 +63,12 @@ const (
 	// hcreplay -verify re-apply them to the engine at the recorded point,
 	// re-deriving the decision stream across churn.
 	KindMembership Kind = 7
+	// KindDigest ends a commit whose inputs derived records: Digest is the
+	// Digest of those records (decisions and terminal events, in derivation
+	// order), 8 bytes little-endian. It is what makes the log auditable
+	// without storing what replay re-derives: recovery and hcreplay -verify
+	// re-derive the commit and compare the two sums.
+	KindDigest Kind = 8
 )
 
 // Decision actions on the wire (KindDecision.Action).
@@ -106,6 +115,8 @@ type Record struct {
 	ID string
 	// Spans is the per-stage timing of a sampled decision (trace records).
 	Spans []SpanRec
+	// Digest is the sum of a commit's derived records (digest records).
+	Digest uint64
 }
 
 // SpanRec is one stage span of a trace record: the stage code (the
@@ -129,8 +140,9 @@ const (
 	// precedes the records it causes (1 logged drain and membership after
 	// theirs). 3: every integer field is a varint (2 wrote them fixed-width).
 	// 4: one frame per commit, its records length-delimited (3 framed and
-	// versioned each record).
-	frameVersion = 4
+	// versioned each record). 5: a commit logs its inputs and one digest of
+	// what they derive (4 logged each decision and terminal event).
+	frameVersion = 5
 )
 
 // MaxIDLen caps a record's ID: a task's client label (arrive records) or
@@ -147,7 +159,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //
 // The encoding is the kind byte and the kind's fields. Every signed field
 // is a zigzag varint, every length, count and span offset an unsigned
-// varint; the action, span-count and stage fields are single bytes. Each
+// varint; the action, span-count and stage fields are single bytes, a
+// digest 8 bytes little-endian. Each
 // field stands alone (no deltas), so one record decodes without its
 // neighbours.
 func AppendRecord(buf []byte, r *Record) []byte {
@@ -199,6 +212,8 @@ func appendBody(buf []byte, r *Record) []byte {
 		buf = binary.AppendVarint(buf, int64(r.Tick))
 	case KindDrain:
 		buf = binary.AppendVarint(buf, int64(r.Tick))
+	case KindDigest:
+		buf = binary.LittleEndian.AppendUint64(buf, r.Digest)
 	case KindMembership:
 		buf = append(buf, r.Action)
 		buf = binary.AppendVarint(buf, int64(r.Machine))
@@ -345,6 +360,10 @@ func (r *Record) decode(b []byte) error {
 		r.Tick = pmf.Tick(d.Varint())
 	case KindDrain:
 		r.Tick = pmf.Tick(d.Varint())
+	case KindDigest:
+		if b := d.Bytes(8); b != nil {
+			r.Digest = binary.LittleEndian.Uint64(b)
+		}
 	case KindMembership:
 		r.Action = d.U8()
 		r.Machine = d.Int32()
@@ -387,6 +406,37 @@ func (r *Record) Clone() Record {
 	return c
 }
 
+// Digest is the running sum of a commit's derived records: CRC-64 (ECMA)
+// over each record's AppendRecord form, in the order folded. A served shard
+// folds every decision and terminal event its inputs derive into the open
+// commit's Digest (Writer.Fold) instead of logging it; a shard replaying
+// the log folds what it re-derives into its own and compares the two at
+// the commit's digest record. Folding reuses the Digest's buffer, so it
+// allocates nothing once the buffer holds a record.
+type Digest struct {
+	sum uint64
+	n   int
+	buf []byte
+}
+
+var digestTable = crc64.MakeTable(crc64.ECMA)
+
+// Fold adds r to the sum.
+func (d *Digest) Fold(r *Record) {
+	d.buf = AppendRecord(d.buf[:0], r)
+	d.sum = crc64.Update(d.sum, digestTable, d.buf)
+	d.n++
+}
+
+// Sum returns the sum of the records folded since the last Reset.
+func (d *Digest) Sum() uint64 { return d.sum }
+
+// Len returns the number of records folded since the last Reset.
+func (d *Digest) Len() int { return d.n }
+
+// Reset empties the sum for the next commit.
+func (d *Digest) Reset() { d.sum, d.n = 0, 0 }
+
 // readID reads a length-prefixed ID.
 func readID(d *varint.Reader) string {
 	return string(d.Bytes(d.Count(MaxIDLen, 1)))
@@ -413,6 +463,8 @@ func (r *Record) String() string {
 		return fmt.Sprintf("event seq=%d status=%d t=%d", r.Seq, r.Action, r.Tick)
 	case KindDrain:
 		return fmt.Sprintf("drain t=%d", r.Tick)
+	case KindDigest:
+		return fmt.Sprintf("digest %016x", r.Digest)
 	case KindMembership:
 		return fmt.Sprintf("membership op=%d machine=%d type=%d handoff=%d t=%d", r.Action, r.Machine, r.Type, r.NTasks, r.Tick)
 	case KindTrace:

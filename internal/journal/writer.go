@@ -86,13 +86,20 @@ type Writer struct {
 	f   *os.File
 
 	seg int
-	// recsInSeg counts records appended to the current segment, the open
-	// commit's included — the snapshot cadence is measured in records, not
-	// bytes, because replay cost scales with records.
-	recsInSeg int
+	// arrivesInSeg counts the arrive records appended to the current
+	// segment, the open commit's included — the snapshot cadence is
+	// measured in arrivals, not records or bytes: replay cost scales with
+	// the tasks it re-admits, and the records each one logs depend on the
+	// format and the batch size.
+	arrivesInSeg int
 	// pending is the open commit: a frame opened by openFrame and every
 	// record appended since the last seal.
 	pending []byte
+	// dig sums the records folded into the open commit (Fold); seal logs it
+	// as the commit's last record.
+	dig Digest
+	// snapBuf is the storage a snapshot is framed in, reused.
+	snapBuf []byte
 
 	appended atomic.Int64 // records appended (sealed or pending)
 	written  atomic.Int64 // records in frames written to the file
@@ -157,8 +164,15 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Truncate a torn tail so appends continue after the last whole commit.
-	valid, nrec, err := scanFrames(path, f, nil)
+	// Truncate a torn tail so appends continue after the last whole commit,
+	// and resume the segment's arrival count.
+	arrives := 0
+	valid, err := scanFrames(path, f, func(r *Record) error {
+		if r.Kind == KindArrive {
+			arrives++
+		}
+		return nil
+	})
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -172,7 +186,7 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 		return nil, err
 	}
 	w.f = f
-	w.recsInSeg = nrec
+	w.arrivesInSeg = arrives
 	w.diskBase.Store(diskBytes(dir))
 	syncDir(dir)
 
@@ -184,11 +198,12 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	return w, nil
 }
 
-// RecordsInSegment returns the number of records in the current segment —
-// the tail a crash right now would replay.
-func (w *Writer) RecordsInSegment() int { return w.recsInSeg }
+// ArrivalsInSegment returns the number of arrive records in the current
+// segment — the tasks a crash right now would replay.
+func (w *Writer) ArrivalsInSegment() int { return w.arrivesInSeg }
 
-// Appended returns the total records appended through this writer.
+// Appended returns the total records appended through this writer, digest
+// records included and folded records not.
 func (w *Writer) Appended() int64 { return w.appended.Load() }
 
 // Lag returns the number of appended records not yet covered by a
@@ -218,15 +233,28 @@ func (w *Writer) Append(r *Record) error {
 		return w.err
 	}
 	w.pending = AppendRecord(w.pending, r)
-	w.recsInSeg++
+	if r.Kind == KindArrive {
+		w.arrivesInSeg++
+	}
 	w.appended.Add(1)
 	return nil
 }
 
-// seal writes the open commit, if it holds a record, as one frame in one
-// write and opens the next: a crash leaves the whole frame or a torn one,
-// which the reader drops whole.
+// Fold adds a record the open commit's inputs derived to the commit's
+// digest instead of the commit: the commit logs one digest record in its
+// place (see seal).
+func (w *Writer) Fold(r *Record) { w.dig.Fold(r) }
+
+// seal ends the open commit with its digest, if anything was folded into
+// it, writes the commit, if it holds a record, as one frame in one write
+// and opens the next: a crash leaves the whole frame or a torn one, which
+// the reader drops whole.
 func (w *Writer) seal() error {
+	if w.dig.Len() > 0 {
+		w.pending = AppendRecord(w.pending, &Record{Kind: KindDigest, Digest: w.dig.Sum()})
+		w.appended.Add(1)
+		w.dig.Reset()
+	}
 	if len(w.pending) == frameHeader+1 {
 		return nil
 	}
@@ -327,7 +355,7 @@ func (w *Writer) Checkpoint(payload []byte) error {
 		return w.err
 	}
 
-	if err := writeSnapshotFile(w.dir, w.seg, payload); err != nil {
+	if err := w.writeSnapshot(payload); err != nil {
 		w.err = err
 		return w.err
 	}
@@ -345,7 +373,7 @@ func (w *Writer) Checkpoint(payload []byte) error {
 	w.fmu.Unlock()
 	_ = old.Close()
 	w.seg++
-	w.recsInSeg = 0
+	w.arrivesInSeg = 0
 	w.trim()
 	return nil
 }
@@ -387,20 +415,21 @@ func (w *Writer) trim() {
 	w.diskBase.Store(diskBytes(w.dir) - w.bytes.Load())
 }
 
-// writeSnapshotFile frames payload as one WAL-style frame (sealFrame) into
-// snap-<seg> via a fsynced temp-and-rename.
-func writeSnapshotFile(dir string, seg int, payload []byte) error {
+// writeSnapshot frames payload as one WAL-style frame (sealFrame) in the
+// writer's snapshot buffer, reused from checkpoint to checkpoint, and
+// writes it to snap-<seg> via a fsynced temp-and-rename.
+func (w *Writer) writeSnapshot(payload []byte) error {
 	if len(payload) > maxSnapshotPayload {
 		return fmt.Errorf("journal: snapshot payload %d bytes exceeds %d", len(payload), maxSnapshotPayload)
 	}
-	tmp, err := os.CreateTemp(dir, snapTemp)
+	tmp, err := os.CreateTemp(w.dir, snapTemp)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	frame := append(make([]byte, frameHeader, frameHeader+len(payload)), payload...)
-	sealFrame(frame)
-	if _, err = tmp.Write(frame); err == nil {
+	w.snapBuf = append(append(w.snapBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0), payload...) // frameHeader, then payload
+	sealFrame(w.snapBuf)
+	if _, err = tmp.Write(w.snapBuf); err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -409,10 +438,10 @@ func writeSnapshotFile(dir string, seg int, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("journal: snapshot write: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), SnapshotPath(dir, seg)); err != nil {
+	if err := os.Rename(tmp.Name(), SnapshotPath(w.dir, w.seg)); err != nil {
 		return fmt.Errorf("journal: snapshot rename: %w", err)
 	}
-	syncDir(dir)
+	syncDir(w.dir)
 	return nil
 }
 

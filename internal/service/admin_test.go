@@ -244,7 +244,7 @@ func TestJournalCrashRecoveryWithMembership(t *testing.T) {
 	jcfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
 		Shards: 2, Router: "rr",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 60,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 15,
 	}
 	rcfg := jcfg
 	rcfg.JournalDir = ""

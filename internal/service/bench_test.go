@@ -125,7 +125,7 @@ func BenchmarkServiceDecide(b *testing.B) {
 // fdatasync inside every ack and is bounded by the storage device, not
 // the calculus; it is recorded for the durability-cost table, not gated.
 // Checkpoint cost (the binary checkpoint codec's encoding of the shard
-// every SnapshotEvery records) amortizes into the per-op figure at the
+// every SnapshotEvery arrivals) amortizes into the per-op figure at the
 // default cadence.
 func BenchmarkServiceDecideJournal(b *testing.B) {
 	for _, fsync := range []string{"interval", "always"} {

@@ -26,12 +26,13 @@ import (
 //	shard-001/         ...
 //
 // Every shard appends to its own WAL its inputs (batch boundaries,
-// arrivals, membership changes, drain), each before the decisions and
-// terminal task events it causes, and commits before acknowledging: one
-// frame per commit, so the log holds every acknowledged operation whole and
-// nothing of one a crash cut short. A shard engine is deterministic, so the
-// inputs alone reconstruct its state by replay; decision and event records
-// make it auditable (recovery and cmd/hcreplay re-derive them, see
+// arrivals, membership changes, drain) and commits before acknowledging:
+// one frame per commit, so the log holds every acknowledged operation whole
+// and nothing of one a crash cut short. A shard engine is deterministic, so
+// the inputs alone reconstruct its state by replay. The decisions and
+// terminal task events they derive are not logged; a commit ends with one
+// digest of them (record format 5), which makes the log auditable: recovery
+// and cmd/hcreplay re-derive each commit and compare digests (see
 // shard.replayLog).
 
 // manifestName is the manifest file inside the journal root.
@@ -264,7 +265,7 @@ func (c *Controller) initJournal() error {
 	// decisions. A commit the crash tore is not on the log, so its retry
 	// executes afresh. Seeding covers the batches of the recovered tail,
 	// which journal.Recover makes at least one whole segment (SnapshotEvery
-	// records) long however close to a checkpoint the crash fell — unless
+	// arrivals) long however close to a checkpoint the crash fell — unless
 	// only the newest checkpoint reads; a retry of something older than the
 	// tail is executed again.
 	c.seedDedup()
@@ -340,10 +341,10 @@ type recoveredBatch struct {
 // recover rebuilds one shard's state from its log: replayLog from the
 // checkpoint journal.Recover picks, on the served shard itself (which
 // initJournal holds in replay mode meanwhile), so the tail is applied by
-// the statements that wrote it and every decision and event it holds is
-// checked against what they derive — a tail that does not re-derive
-// refuses the start, naming the record, instead of serving on state the log
-// contradicts. The walk's visitor lands each ID-carrying sub-batch of the
+// the statements that wrote it and every commit's digest is checked
+// against the digest of what its inputs derive — a tail that does not
+// re-derive refuses the start, naming the commit, instead of serving on
+// state the log contradicts. The walk's visitor lands each ID-carrying sub-batch of the
 // tail in sh.recovered; every one is whole, because a commit reaches the
 // log whole or not at all. Runs before the shard serves; no synchronization
 // needed.
@@ -435,13 +436,13 @@ func (sh *shard) journalTrace(tr *telemetry.Trace) {
 }
 
 // commitJournal makes the sub-batch durable per the fsync policy and
-// checkpoints when the segment has grown past the snapshot cadence. Called
+// checkpoints when the segment holds SnapshotEvery arrivals. Called
 // under the shard's turn before the sub-batch (or membership operation) is
 // acknowledged — the shard's one commit point, so a failure here fails the
 // request with ErrJournalFailed and latches the shard out of service.
 func (sh *shard) commitJournal() error {
 	err := sh.jw.Commit()
-	if every := sh.c.cfg.SnapshotEvery; err == nil && every > 0 && sh.jw.RecordsInSegment() >= every {
+	if every := sh.c.cfg.SnapshotEvery; err == nil && every > 0 && sh.jw.ArrivalsInSegment() >= every {
 		err = sh.checkpoint()
 	}
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,9 +143,9 @@ func TestJournalCrashRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		shards, snapEvery int
 	}{
-		{1, 60},   // checkpoints + tail replay
+		{1, 15},   // checkpoints + tail replay
 		{1, -1},   // no checkpoints: full replay from segment 0
-		{2, 60},   // sharded logs recover independently
+		{2, 15},   // sharded logs recover independently
 		{2, 7000}, // cadence never reached: snapshot exists only if drained
 	} {
 		t.Run(fmt.Sprintf("shards=%d/snap=%d", tc.shards, tc.snapEvery), func(t *testing.T) {
@@ -163,7 +164,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}{{"rr", 2}, {"hash", 2}, {"p2c", 3}} {
 		t.Run(fmt.Sprintf("sweep/%s/shards=%d", tc.router, tc.shards), func(t *testing.T) {
 			cfg := base
-			cfg.Shards, cfg.Router, cfg.SnapshotEvery = tc.shards, tc.router, 60
+			cfg.Shards, cfg.Router, cfg.SnapshotEvery = tc.shards, tc.router, 15
 			crashRecover(t, cfg, testTrace(t, 200, 7), 1, sweep)
 		})
 	}
@@ -192,7 +193,7 @@ func TestEveryPolicyRecoversAcrossCheckpoint(t *testing.T) {
 		t.Run(pc.mapper+"+"+pc.dropper, func(t *testing.T) {
 			cfg := Config{
 				Profile: "video", Mapper: pc.mapper, Dropper: pc.dropper,
-				Fsync: "never", SnapshotEvery: 60, Grace: 40,
+				Fsync: "never", SnapshotEvery: 15, Grace: 40,
 			}
 			crashRecover(t, cfg, tr, 8, []int{250})
 		})
@@ -206,7 +207,7 @@ func TestJournalGracefulDrainThenReopen(t *testing.T) {
 	tr := testTrace(t, 150, 9)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 40,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 10,
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -295,9 +296,16 @@ func isInput(k journal.Kind) bool {
 // shard's journal through decide batches, a remove with handoff, a remove
 // without, an add, a refused revive (which must log nothing), a revive and a
 // drain, and leaves it as a kill -9 just before the drain's final
-// checkpoint would. Then it cuts a copy at every record boundary and inside
-// every record — before every commit frame and all through the inside of
-// each — and on each copy:
+// checkpoint would. The log is format 5: each commit frame holds its inputs
+// and ends with the digest of what they derive. The cuts are named by the
+// derivation stream — every input and, after it, each record it derives,
+// as format 4 logged them — so each names the point in its commit it falls
+// at: an input is cut before and inside its bytes, a derived record, which
+// lives on disk only in its commit's digest, right after the inputs before
+// it ("before") and inside that digest ("inside"); each digest is cut
+// before and inside as well. So the copy is cut at every record boundary
+// and inside every record — before every commit frame and all through the
+// inside of each — and on each copy:
 //   - hcreplay -verify (VerifyAll) is clean and New starts;
 //   - the recovered /v1/stats equal those of an unjournaled controller fed
 //     the inputs of the copy's whole commits through Decide and Admin; past
@@ -354,26 +362,78 @@ func TestEveryPrefixRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []journal.Record
+	var disk []journal.Record
 	if err := journal.ScanSegment(journal.SegmentPath(dir, 0), func(r *journal.Record) error {
-		recs = append(recs, r.Clone())
+		disk = append(disk, r.Clone())
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// derivedBy[i] holds what replay derives from disk record i.
+	var derivedBy [][]journal.Record
+	rsh, err := openReplay(cfg.JournalDir, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0
+	if _, err := rsh.replayLog(cfg.JournalDir, false, func(r *journal.Record, _ Decision) {
+		if r.Kind == journal.KindDigest {
+			prev = 0 // the walk has matched and emptied its queue
+		}
+		derivedBy = append(derivedBy, slices.Clone(rsh.gen[prev:]))
+		prev = len(rsh.gen)
+	}); err != nil || len(derivedBy) != len(disk) {
+		t.Fatalf("replaying the recorded log: %v (%d of %d records)", err, len(derivedBy), len(disk))
+	}
 	bounds := frameBounds(seg)
 	commits := len(bounds) - 1
-	// Record i spans [start[i], end[i]) of the segment, in commit frame
-	// frameOf[i]; kept[k] counts the records of the commits before frame k.
-	var start, end, frameOf []int
+	// recs is the derivation stream. Record i is cut at before[i] and
+	// inside[i] of the segment, in commit frame frameOf[i]; kept[k] counts
+	// the records of the commits before frame k. digests holds the span of
+	// each commit's digest record.
+	var recs []journal.Record
+	var before, inside, frameOf []int
+	var digests [][2]int
 	kept := []int{0}
-	for k := 0; k < commits; k++ {
+	for k, d := 0, 0; k < commits; k++ {
+		ends := recordEnds(seg[bounds[k]:bounds[k+1]])
 		at := bounds[k] + 9 // past the frame header and the version byte
-		for _, e := range recordEnds(seg[bounds[k]:bounds[k+1]]) {
-			start, end, frameOf = append(start, at), append(end, bounds[k]+e), append(frameOf, k)
+		digestMid, derives := -1, false
+		for j, e := range ends {
+			if disk[d+j].Kind == journal.KindDigest {
+				if j != len(ends)-1 {
+					t.Fatalf("commit %d holds a digest that does not end it", k)
+				}
+				digests = append(digests, [2]int{at, bounds[k] + e})
+				digestMid = (at + bounds[k] + e) / 2
+			}
+			derives = derives || len(derivedBy[d+j]) > 0
 			at = bounds[k] + e
 		}
-		kept = append(kept, len(start))
+		if derives != (digestMid >= 0) {
+			t.Fatalf("commit %d derives records: %v, ends in a digest: %v", k, derives, digestMid >= 0)
+		}
+		at = bounds[k] + 9
+		for j, e := range ends {
+			r := &disk[d+j]
+			switch r.Kind {
+			case journal.KindDecision, journal.KindEvent:
+				t.Fatalf("commit %d logs %s", k, r.String())
+			case journal.KindDigest:
+				continue
+			}
+			cut := at
+			if j == 0 {
+				cut = bounds[k] // before the first record of a commit is before its frame
+			}
+			recs, before, inside, frameOf = append(recs, *r), append(before, cut), append(inside, (at+bounds[k]+e)/2), append(frameOf, k)
+			at = bounds[k] + e
+			for _, dr := range derivedBy[d+j] {
+				recs, before, inside, frameOf = append(recs, dr), append(before, at), append(inside, digestMid), append(frameOf, k)
+			}
+		}
+		d += len(ends)
+		kept = append(kept, len(recs))
 	}
 	// What follows the last decision is the drain: its marker and the
 	// terminal events of the work it ran to completion.
@@ -391,7 +451,7 @@ func TestEveryPrefixRecovers(t *testing.T) {
 	// Eleven decides of six tasks, four membership operations and the drain:
 	// one commit each.
 	if commits != 16 || kept[commits] != len(recs) || drainAt < 0 || len(recs)-lastDecision < 10 || len(members) != 4 {
-		t.Fatalf("recorded %d records (%d framed) in %d commits, %d after the last decision, %d membership records",
+		t.Fatalf("derived %d records (%d framed) in %d commits, %d after the last decision, %d membership records",
 			len(recs), kept[commits], commits, len(recs)-1-lastDecision, len(members))
 	}
 
@@ -455,17 +515,22 @@ func TestEveryPrefixRecovers(t *testing.T) {
 		cuts := []cut{{fmt.Sprintf("record-%03d/before", i), len(seg)}}
 		whole := recs // a torn commit is no commit
 		if i < len(recs) {
-			// Before the first record of a commit is before its frame.
-			before, k := start[i], frameOf[i]
-			if i == kept[k] {
-				before = bounds[k]
-			}
 			kind := strings.Fields(recs[i].String())[0]
 			cuts = []cut{
-				{fmt.Sprintf("record-%03d-%s/before", i, kind), before},
-				{fmt.Sprintf("record-%03d-%s/inside", i, kind), (start[i] + end[i]) / 2},
+				{fmt.Sprintf("record-%03d-%s/before", i, kind), before[i]},
+				{fmt.Sprintf("record-%03d-%s/inside", i, kind), inside[i]},
 			}
-			whole = recs[:kept[k]]
+			whole = recs[:kept[frameOf[i]]]
+			if i+1 == len(recs) || frameOf[i+1] != frameOf[i] {
+				// The commit's last derived record: cut its digest too.
+				for n, dg := range digests {
+					if dg[1] == bounds[frameOf[i]+1] {
+						cuts = append(cuts,
+							cut{fmt.Sprintf("commit-%02d-digest/before", n), dg[0]},
+							cut{fmt.Sprintf("commit-%02d-digest/inside", n), (dg[0] + dg[1]) / 2})
+					}
+				}
+			}
 		}
 		inputs, arrives := 0, 0
 		for _, r := range whole {
@@ -555,7 +620,7 @@ func TestJournalRecoversDrainMarker(t *testing.T) {
 	tr := testTrace(t, 200, 9)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 40,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 10,
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -755,12 +820,12 @@ func TestCommitLargerThanARecordCap(t *testing.T) {
 // TestJournalRefusesOldRecordVersions: a log of an earlier record format —
 // version 1 logged drain and membership records after their effects,
 // version 2 wrote every integer fixed-width, version 3 framed and versioned
-// each record — is refused at restart and by hcreplay -verify naming its
-// version, not read under the present format. The frames are this build's
-// with the version byte set back: the refusal comes before any record is
-// read.
+// each record, version 4 logged every decision and terminal event — is
+// refused at restart and by hcreplay -verify naming its version, not read
+// under the present format. The frames are this build's with the version
+// byte set back: the refusal comes before any record is read.
 func TestJournalRefusesOldRecordVersions(t *testing.T) {
-	for _, version := range []byte{1, 2, 3} {
+	for _, version := range []byte{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			cfg := Config{
 				Profile: "video", Mapper: "PAM", Dropper: "heuristic",
@@ -792,6 +857,101 @@ func TestJournalRefusesOldRecordVersions(t *testing.T) {
 			}
 			if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("verify of a version-%d log: %v, want a failure naming %s", version, err, want)
+			}
+		})
+	}
+}
+
+// TestVerifyRefusesFlippedDigest: a log whose commit digest has one bit
+// flipped, its frame re-sealed so the CRC holds, reads as a whole commit
+// that does not re-derive. The restart and hcreplay -verify refuse it,
+// naming the commit by its first sequence number and listing what replay
+// derived; the audit of a decision in it explains the decision and reports
+// that the digest differs.
+func TestVerifyRefusesFlippedDigest(t *testing.T) {
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, testTrace(t, 48, 3), 0, 48, 6)
+	crash(c)
+	path := journal.SegmentPath(ShardJournalDir(cfg.JournalDir, 0), 0)
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fifth commit decides tasks 24..29; its digest is its last record.
+	bounds := frameBounds(seg)
+	if len(bounds) != 9 {
+		t.Fatalf("%d commits, want 8", len(bounds)-1)
+	}
+	frame := seg[bounds[4]:bounds[5]]
+	ends := recordEnds(frame)
+	digest := frame[ends[len(ends)-2]:]
+	if len(digest) != 10 || journal.Kind(digest[1]) != journal.KindDigest {
+		t.Fatalf("commit 4 ends in %x, want a 10-byte digest record", digest)
+	}
+	digest[5] ^= 0x10
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"commit from seq 24:", "digest mismatch", "decision seq=24 action="} {
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("restart on a flipped digest: %v, want a refusal naming %q", err, want)
+		}
+		if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("verify of a flipped digest: %v, want a failure naming %q", err, want)
+		}
+	}
+	var buf strings.Builder
+	if err := AuditDecision(&buf, cfg.JournalDir, 0, 26, false); !errors.Is(err, errDigestMismatch) {
+		t.Fatalf("audit of a decision under a flipped digest: %v, want a digest mismatch", err)
+	}
+	for _, want := range []string{"replayed decision: ", "derived:           decision seq=26", "commit digest:     differs: shard 0: commit from seq 24:"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("audit output wants %q:\n%s", want, buf.String())
+		}
+	}
+	if err := AuditDecision(io.Discard, cfg.JournalDir, 0, 30, false); err == nil || !strings.Contains(err.Error(), "commit from seq 24:") {
+		t.Fatalf("audit of a decision after the flipped digest: %v, want the earlier commit named", err)
+	}
+}
+
+// TestCheckpointCadenceCountsArrivals: the checkpoint cadence is counted in
+// arrive records, so it does not move with the batch size or with what a
+// record format logs per task. One 4 000-task trace decided at batch 1 and
+// at batch 16 under the default cadence checkpoints three times either way,
+// each time at the first commit that brings the segment to 1 250 arrivals:
+// after arrivals 1 250, 2 500 and 3 750 at batch 1, and after the 16-task
+// commits that cross them at batch 16. While the cadence counted records
+// (5 000 by default), the batch-16 run checkpointed about every 1 600 tasks,
+// the batch-1 run about every 1 250.
+func TestCheckpointCadenceCountsArrivals(t *testing.T) {
+	tr := testTrace(t, 4000, 19)
+	for _, batch := range []int{1, 16} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			c, err := New(Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", JournalDir: t.TempDir(), Fsync: "never"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer crash(c)
+			jw := c.shards[0].jw
+			var got []int
+			for lo := 0; lo < len(tr.Tasks); lo += batch {
+				n := jw.Checkpoints()
+				decideRange(t, c, tr, lo, lo+batch, batch)
+				if jw.Checkpoints() != n {
+					got = append(got, lo+batch)
+				}
+			}
+			per := (1250 + batch - 1) / batch * batch // the commit that reaches 1 250
+			if want := []int{per, 2 * per, 3 * per}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("checkpoints after arrivals %v, want %v", got, want)
 			}
 		})
 	}
@@ -844,7 +1004,7 @@ func TestOverlongIDsRefusedAtAdmission(t *testing.T) {
 func TestAggregateMetricsSurviveRecovery(t *testing.T) {
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 60,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 15,
 	}
 	aggregate := func(c *Controller) []string {
 		var out []string
@@ -946,7 +1106,7 @@ func TestVerifyShardCleanAndCrashed(t *testing.T) {
 	}
 
 	// Crashed journal: reopen, feed more, kill. Still verifies.
-	cfg.SnapshotEvery = 50
+	cfg.SnapshotEvery = 12
 	c2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1055,21 +1215,72 @@ func writeSnapshot(t *testing.T, dir string, seg int, payload []byte) {
 	}
 }
 
+// derivedUnder walks shard s's log as VerifyShard does and returns, for
+// every segment it walks, the records replay derives under each of the
+// segment's digest records, in order.
+func derivedUnder(t *testing.T, root string, s int) map[int][][]journal.Record {
+	t.Helper()
+	dir := ShardJournalDir(root, s)
+	plan, err := journal.Oldest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := openReplay(root, s, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur []journal.Record
+	var all [][]journal.Record
+	if _, err := sh.replayLog(root, false, func(r *journal.Record, _ Decision) {
+		if r.Kind == journal.KindDigest {
+			all, cur = append(all, cur), nil
+			return
+		}
+		cur = slices.Clone(sh.gen)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out := map[int][][]journal.Record{}
+	for _, seg := range plan.TailSegments {
+		n := 0
+		if err := journal.ScanSegment(journal.SegmentPath(dir, seg), func(r *journal.Record) error {
+			if r.Kind == journal.KindDigest {
+				n++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		out[seg], all = all[:n], all[n:]
+	}
+	return out
+}
+
+// digestOf returns the digest a commit that derived recs logs.
+func digestOf(recs []journal.Record) uint64 {
+	var d journal.Digest
+	for i := range recs {
+		d.Fold(&recs[i])
+	}
+	return d.Sum()
+}
+
 // TestVerifyDetectsTampering pins what stays independent now that replay
 // runs the live path's code: the comparison of the bytes on disk against a
 // re-derivation. One edit to a copied 2-shard journal with checkpoints — a
-// derived record or an input record of the oldest retained segment, the last
-// derived record of the newest, the newest snapshot, a forged record at the
-// end — must fail verification and name the record or snapshot; the
-// untouched copy passes. The checkpoints
-// trimmed everything behind the newest one but one, so what the log retains
-// is recovery's tail: New refuses every edit as verification does, and
-// resumes the untouched copy where the live controller stood.
+// commit digest re-sealed over an edited derivation (a decision's machine
+// changed, a terminal event removed) or an input record of the oldest
+// retained segment, the newest segment's last digest removed, the newest
+// snapshot, a forged decision record at the end — must fail verification
+// and name the commit, record or snapshot; the untouched copy passes. The
+// checkpoints trimmed everything behind the newest one but one, so what the
+// log retains is recovery's tail: New refuses every edit as verification
+// does, and resumes the untouched copy where the live controller stood.
 func TestVerifyDetectsTampering(t *testing.T) {
 	tr := testTrace(t, 300, 11)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic", Shards: 2, Router: "rr",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 50,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 12,
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -1099,20 +1310,37 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	}
 	oldest, newest := segs[0], snaps[1]
 	newestName := fmt.Sprintf("snapshot %d", newest)
+	derived := derivedUnder(t, live, 0)[oldest]
 
-	// firstOf returns the index of the first record of the oldest retained
-	// segment that satisfies pick, past its first few records (interior).
-	firstOf := func(t *testing.T, recs []journal.Record, pick func(*journal.Record) bool) int {
+	// redigest re-seals the first interior commit of the oldest retained
+	// segment that edit changes: its digest becomes that of the edited
+	// derivation, as a log recording a different decision would hold.
+	redigest := func(t *testing.T, dir string, edit func([]journal.Record) ([]journal.Record, bool)) {
 		t.Helper()
-		for i := 5; i < len(recs)-5; i++ {
-			if pick(&recs[i]) {
-				return i
+		rewriteSegment(t, dir, oldest, func(recs []journal.Record) []journal.Record {
+			k := 0
+			for i := range recs {
+				if recs[i].Kind != journal.KindDigest {
+					continue
+				}
+				if k++; k < 3 {
+					continue
+				}
+				if d, ok := edit(slices.Clone(derived[k-1])); ok {
+					recs[i].Digest = digestOf(d)
+					return recs
+				}
 			}
-		}
-		t.Fatalf("segment %d holds no such record", oldest)
-		return -1
+			t.Fatalf("segment %d holds no commit to edit", oldest)
+			return nil
+		})
 	}
-	isMap := func(r *journal.Record) bool { return r.Kind == journal.KindDecision && r.Action == journal.ActMap }
+	// mapped returns the index of a map decision among recs, -1 without one.
+	mapped := func(recs []journal.Record) int {
+		return slices.IndexFunc(recs, func(r journal.Record) bool {
+			return r.Kind == journal.KindDecision && r.Action == journal.ActMap
+		})
+	}
 	for _, tc := range []struct {
 		name   string
 		tamper func(t *testing.T, shardDir string)
@@ -1121,39 +1349,52 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	}{
 		{"untouched", func(*testing.T, string) {}, "", ""},
 		{"decision machine changed", func(t *testing.T, dir string) {
-			rewriteSegment(t, dir, oldest, func(recs []journal.Record) []journal.Record {
-				recs[firstOf(t, recs, isMap)].Machine++
-				return recs
+			redigest(t, dir, func(d []journal.Record) ([]journal.Record, bool) {
+				i := mapped(d)
+				if i >= 0 {
+					d[i].Machine++
+				}
+				return d, i >= 0
 			})
-		}, "record ", "record "},
+		}, "digest mismatch", "digest mismatch"},
 		{"terminal event removed", func(t *testing.T, dir string) {
-			rewriteSegment(t, dir, oldest, func(recs []journal.Record) []journal.Record {
-				i := firstOf(t, recs, func(r *journal.Record) bool { return r.Kind == journal.KindEvent })
-				return append(recs[:i], recs[i+1:]...)
+			redigest(t, dir, func(d []journal.Record) ([]journal.Record, bool) {
+				i := slices.IndexFunc(d, func(r journal.Record) bool { return r.Kind == journal.KindEvent })
+				if i < 0 {
+					return nil, false
+				}
+				return slices.Delete(d, i, i+1), true
 			})
-		}, "record ", "record "},
+		}, "digest mismatch", "digest mismatch"},
 		{"arrive deadline changed", func(t *testing.T, dir string) {
+			// A mapped task whose deadline had passed on arrival is dropped
+			// reactively instead.
+			seq := int64(-1)
+			for _, d := range derived[2:] {
+				if i := mapped(d); i >= 0 {
+					seq = d[i].Seq
+					break
+				}
+			}
 			rewriteSegment(t, dir, oldest, func(recs []journal.Record) []journal.Record {
-				// A mapped task whose deadline had passed on arrival is
-				// dropped reactively instead: the arrive precedes its decision.
-				i := firstOf(t, recs, isMap)
-				for recs[i].Kind != journal.KindArrive {
-					i--
+				i := slices.IndexFunc(recs, func(r journal.Record) bool { return r.Kind == journal.KindArrive && r.Seq == seq })
+				if i < 0 {
+					t.Fatalf("segment %d holds no mapped arrive", oldest)
 				}
 				recs[i].Deadline = recs[i].Tick - 1
 				return recs
 			})
-		}, "record ", "record "},
+		}, "digest mismatch", "digest mismatch"},
 		{"last derived record removed", func(t *testing.T, dir string) {
-			// What a crash inside the last commit could leave while records
-			// had frames of their own; commits are whole now, so it is a defect.
+			// The records the last commit derived live on disk as its
+			// digest: without it, the log ends short of them.
 			rewriteSegment(t, dir, segs[len(segs)-1], func(recs []journal.Record) []journal.Record {
-				if isInput(recs[len(recs)-1].Kind) {
-					t.Fatalf("segment %d ends in %s, want a derived record", segs[len(segs)-1], recs[len(recs)-1].String())
+				if last := recs[len(recs)-1]; last.Kind != journal.KindDigest {
+					t.Fatalf("segment %d ends in %s, want a digest", segs[len(segs)-1], last.String())
 				}
 				return recs[:len(recs)-1]
 			})
-		}, "the log ends without 1 records", "the log ends without 1 records"},
+		}, "the log ends without the digest", "the log ends without the digest"},
 		{"checkpoint counter changed", func(t *testing.T, dir string) {
 			rewriteSnapshot(t, dir, newest, func(cp *ShardCheckpoint) { cp.Mapped++ })
 		}, newestName, newestName},
@@ -1180,7 +1421,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}, "logged records beyond", "logged records beyond"},
+		}, "only as commit digests", "only as commit digests"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -1235,7 +1476,7 @@ func TestCheckpointCostIsFlat(t *testing.T) {
 	tr := testTrace(t, 12000, 31)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic", BoundaryExclusion: 100,
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 400,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 100,
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -1296,7 +1537,7 @@ func TestCheckpointCostIsFlat(t *testing.T) {
 // shard.
 func TestRecoveryOverCorruptCheckpoint(t *testing.T) {
 	tr := testTrace(t, 300, 7)
-	cfg := Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", Fsync: "never", SnapshotEvery: 60}
+	cfg := Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic", Fsync: "never", SnapshotEvery: 15}
 	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1371,7 +1612,7 @@ func TestRecoveryRefusesOldCheckpointFormat(t *testing.T) {
 	tr := testTrace(t, 120, 7)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 50,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 12,
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -1400,7 +1641,7 @@ func TestRecoveryRefusesJSONCheckpoint(t *testing.T) {
 	tr := testTrace(t, 120, 7)
 	cfg := Config{
 		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
-		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 50,
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 12,
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -1597,7 +1838,8 @@ func TestVerifyWarmJournalColdReplay(t *testing.T) {
 	}
 }
 
-// TestAuditDecision replays up to one logged decision and explains it.
+// TestAuditDecision replays up to one logged decision, explains it and
+// checks its commit's digest.
 func TestAuditDecision(t *testing.T) {
 	tr := testTrace(t, 120, 13)
 	cfg := Config{
@@ -1618,7 +1860,8 @@ func TestAuditDecision(t *testing.T) {
 	out := buf.String()
 	for _, needle := range []string{
 		"decision seq 60", "queues and Eq. 1 forecasts", "candidate: P(on time)=",
-		fmt.Sprintf("replayed decision: %s", want[60].Action), "logged decision:   decision seq=60",
+		fmt.Sprintf("replayed decision: %s", want[60].Action), "derived:           decision seq=60",
+		"commit digest:     matched (commit from seq 60,",
 	} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("audit output missing %q:\n%s", needle, out)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"github.com/hpcclab/taskdrop/internal/core"
@@ -16,11 +17,12 @@ import (
 //
 // The journal's input records (batch, arrive, membership, drain) are the
 // ground truth: a shard is deterministic, so applying them to a shard built
-// from the manifest re-derives every decision and terminal event. The
-// logged decision/event records and the checkpoints are therefore redundant
-// by construction — which is exactly what makes the log auditable:
-// replayLog recomputes the derived stream and fails on the first record
-// where the recomputation and the recording disagree.
+// from the manifest re-derives every decision and terminal event. The log
+// therefore keeps those only as one digest per commit, and the checkpoints
+// are redundant by construction — which is exactly what makes the log
+// auditable: replayLog recomputes the derived stream and fails on the first
+// commit whose digest, or checkpoint whose state, the recomputation does
+// not reproduce.
 //
 // There is one interpreter of input records (shard.apply), one choice of
 // where a walk starts (shard.startLog) and one walk over a log
@@ -36,8 +38,8 @@ import (
 // the bytes on disk against a re-derivation.
 
 // openReplay returns shard s of the controller a journal root's manifest
-// pins, in replay mode: never served, no writer, emit queueing every
-// derived record in shard.gen for matching. cold is build's.
+// pins, in replay mode: never served, no writer, emit folding every derived
+// record into the shard's digest for matching. cold is build's.
 func openReplay(root string, s int, cold bool) (*shard, error) {
 	man, err := LoadManifest(root)
 	if err != nil {
@@ -58,10 +60,13 @@ func openReplay(root string, s int, cold bool) (*shard, error) {
 // log retains under hcreplay -verify, the tail journal.Recover plans at
 // recovery.
 type VerifyStats struct {
-	Shard       int
-	Records     int // logged records consumed
-	Arrives     int
-	Derived     int // logged decision/event records matched
+	Shard   int
+	Records int // logged records consumed
+	Arrives int
+	// Digests counts the commit digests matched, Derived the decisions and
+	// terminal events re-derived under them.
+	Digests     int
+	Derived     int
 	Checkpoints int // snapshots compared against the replayed state
 	// Traces counts stage-timing trace records skipped: they carry
 	// wall-clock observations replay cannot re-derive.
@@ -73,14 +78,14 @@ type VerifyStats struct {
 }
 
 // VerifyShard replays shard s's journal from the oldest start it supports
-// (journal.Oldest) and proves the log self-consistent: every logged
-// decision and terminal event must equal the one the deterministic
-// re-execution derives, and every checkpoint after the start
-// must equal the replayed state at its segment boundary. On a trimmed log
-// the start is a checkpoint, taken as given. A commit a crash tore is not
-// on the log (the journal drops it whole), so the log holds every record its
-// inputs derive: a record missing after its input is an error like any
-// other disagreement.
+// (journal.Oldest) and proves the log self-consistent: every commit's
+// digest must equal the digest of the decisions and terminal events the
+// deterministic re-execution of its inputs derives, and every checkpoint
+// after the start must equal the replayed state at its segment boundary. On
+// a trimmed log the start is a checkpoint, taken as given. A commit a crash
+// tore is not on the log (the journal drops it whole), so every commit that
+// derived a record ends in its digest: derived records the log ends without
+// a digest for are an error like any other disagreement.
 func VerifyShard(root string, s int) (*VerifyStats, error) {
 	sh, err := openReplay(root, s, false)
 	if err != nil {
@@ -123,6 +128,7 @@ func (sh *shard) startLog(root string, recovery bool) (*journal.Recovery, error)
 	if err != nil {
 		return nil, err
 	}
+	sh.commitSeq = -1
 	if plan.Snapshot != nil {
 		if err := sh.restore(plan.Snapshot); err != nil {
 			return nil, err
@@ -131,15 +137,13 @@ func (sh *shard) startLog(root string, recovery bool) (*journal.Recovery, error)
 	return plan, nil
 }
 
-// replayLog is the one walk over a shard's log, on a shard in replay mode
-// (emit queues what the shard derives in sh.gen), from where startLog puts
-// it: the oldest start (VerifyShard) or the recovery base. It applies every
-// input record through apply, calling visit (when non-nil) with the record
-// and apply's decision; matches every logged decision and event against the
-// derived stream; and compares every checkpoint it passes against the
-// replayed state. Inputs precede their effects and commits are whole, so
-// derived records the log ends without, like logged ones the inputs before
-// them cannot explain, are an error.
+// replayLog is the one walk over a shard's log, on a shard in replay mode,
+// from where startLog puts it: the oldest start (VerifyShard) or the
+// recovery base. It takes every record through step, calling visit (when
+// non-nil) with the record and step's decision, and compares every
+// checkpoint it passes against the replayed state. Inputs precede their
+// effects and commits are whole, so derived records the log ends without a
+// digest for are an error.
 func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Record, Decision)) (*VerifyStats, error) {
 	s := sh.id
 	dir := ShardJournalDir(root, s)
@@ -149,58 +153,13 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 	}
 
 	st := &VerifyStats{Shard: s}
-	// logged holds the logged derived records not matched yet, sh.gen the
-	// derived ones. match consumes their common prefix and moves what is
-	// left of each to the front of its storage, so neither queue
-	// reallocates as the walk goes.
-	var logged []journal.Record
-	match := func() error {
-		n := min(len(logged), len(sh.gen))
-		for k := 0; k < n; k++ {
-			want, got := &logged[k], &sh.gen[k]
-			if want.Kind != got.Kind || want.Seq != got.Seq || want.Tick != got.Tick ||
-				want.Action != got.Action || want.Machine != got.Machine {
-				return fmt.Errorf("shard %d: record %d: log has %s, replay derives %s",
-					s, st.Records, want.String(), got.String())
-			}
-			st.Derived++
-		}
-		logged = logged[:copy(logged, logged[n:])]
-		sh.gen = sh.gen[:copy(sh.gen, sh.gen[n:])]
-		return nil
-	}
-
 	for _, seg := range plan.TailSegments {
 		err := journal.ScanSegment(journal.SegmentPath(dir, seg), func(rec *journal.Record) error {
-			st.Records++
-			switch rec.Kind {
-			case journal.KindTrace:
-				// Stage timings are wall-clock observations — replay cannot
-				// re-derive them, so the walk skips them by design.
-				st.Traces++
-				return nil
-			case journal.KindDecision, journal.KindEvent:
-				// These kinds carry no Exec or Spans, so the copy keeps
-				// nothing of the storage the scan reuses.
-				logged = append(logged, *rec)
-				return match()
-			case journal.KindArrive:
-				st.Arrives++
-			case journal.KindMembership:
-				st.Membership++
-			}
-			if len(logged) > 0 { // an input precedes every record it causes
-				return fmt.Errorf("shard %d: record %d (%s): the log holds %s before it, which nothing before derives",
-					s, st.Records, rec.String(), logged[0].String())
-			}
-			d, err := sh.apply(rec)
-			if err != nil {
-				return err
-			}
-			if visit != nil {
+			d, err := sh.step(rec, st)
+			if err == nil && visit != nil {
 				visit(rec, d)
 			}
-			return match()
+			return err
 		})
 		if err != nil {
 			return st, err
@@ -220,16 +179,81 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 		st.Checkpoints++
 	}
 
-	if len(logged) > 0 {
-		return st, fmt.Errorf("shard %d: %d logged records beyond what replay derives (first: %s)",
-			s, len(logged), logged[0].String())
-	}
-	if len(sh.gen) > 0 {
-		return st, fmt.Errorf("shard %d: the log ends without %d records its inputs derive (first: %s)",
-			s, len(sh.gen), sh.gen[0].String())
+	if sh.dig.Len() > 0 {
+		return st, fmt.Errorf("shard %d: %s: the log ends without the digest of the %d records its inputs derive: %s",
+			s, sh.commitName(st), sh.dig.Len(), sh.derivedList())
 	}
 	st.FinalSeqWatermark = sh.watermark
 	return st, nil
+}
+
+// errDigestMismatch marks a commit whose logged digest is not the digest
+// of what replay derives from its inputs.
+var errDigestMismatch = errors.New("digest mismatch")
+
+// step takes one logged record on a shard walking its log: an input is
+// applied (apply) and its decision returned, a digest is matched against
+// the digest of what the inputs since the last one derived, a trace is
+// skipped. A decision or event record is refused: the log holds those only
+// as its commits' digests. A mismatch wraps errDigestMismatch and names the
+// commit — its shard and first sequence number — and lists the records
+// replay derived.
+func (sh *shard) step(rec *journal.Record, st *VerifyStats) (Decision, error) {
+	st.Records++
+	switch rec.Kind {
+	case journal.KindTrace:
+		// Stage timings are wall-clock observations — replay cannot
+		// re-derive them, so the walk skips them by design.
+		st.Traces++
+		return Decision{}, nil
+	case journal.KindDigest:
+		var err error
+		if sh.dig.Len() == 0 || sh.dig.Sum() != rec.Digest {
+			err = fmt.Errorf("shard %d: %s: %w: the log has %016x, replay derives %016x from %d records: %s",
+				sh.id, sh.commitName(st), errDigestMismatch, rec.Digest, sh.dig.Sum(), sh.dig.Len(), sh.derivedList())
+		} else {
+			st.Digests++
+			st.Derived += sh.dig.Len()
+		}
+		sh.dig.Reset()
+		sh.gen = sh.gen[:0]
+		sh.commitSeq = -1
+		return Decision{}, err
+	case journal.KindDecision, journal.KindEvent:
+		return Decision{}, fmt.Errorf("shard %d: record %d (%s): the log holds what its inputs derive only as commit digests",
+			sh.id, st.Records, rec.String())
+	case journal.KindArrive:
+		st.Arrives++
+		if sh.commitSeq < 0 {
+			sh.commitSeq = rec.Seq
+		}
+	case journal.KindMembership:
+		st.Membership++
+	}
+	return sh.apply(rec)
+}
+
+// commitName names the commit a walk is in: by its first arrive's sequence
+// number, or by the record the walk is at when it holds no arrive.
+func (sh *shard) commitName(st *VerifyStats) string {
+	if sh.commitSeq >= 0 {
+		return fmt.Sprintf("commit from seq %d", sh.commitSeq)
+	}
+	return fmt.Sprintf("commit ending at record %d (no arrive)", st.Records)
+}
+
+// derivedList renders the records the walked commit's inputs derived.
+func (sh *shard) derivedList() string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for i := range sh.gen {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		b.WriteString(sh.gen[i].String())
+	}
+	b.WriteByte(']')
+	return b.String()
 }
 
 // compareCheckpoint matches one checkpoint payload against the replayed
@@ -280,19 +304,23 @@ func VerifyAll(root string) ([]*VerifyStats, error) {
 	return out, nil
 }
 
-// errAuditStop aborts the audit's replay scan once the target decision is
-// reached.
+// errAuditStop aborts the audit's replay scan once the target decision's
+// commit digest is reached.
 var errAuditStop = errors.New("audit: stop")
 
 // AuditDecision replays shard s's journal up to (but not including)
 // decision seq, then explains that decision: the queue state the admission
 // saw, the Eq. 1 completion-time forecast of every queued task and of the
 // arriving candidate on every machine, the dropping policy's verdict over
-// each queue, and finally the re-derived decision next to the logged one.
-// verbose additionally prints the candidate's full completion-time PMFs.
-// The replay starts where hcreplay -verify's does (shard.startLog), so on a
-// trimmed log a decision older than the retained segments is refused with
-// the oldest one that can be audited.
+// each queue, the re-derived decision and the records its admission
+// derived, and whether the digest its commit logged matches what replay
+// derives from the commit's inputs (an error when it does not). verbose
+// additionally prints the candidate's full completion-time PMFs. The replay
+// starts where hcreplay -verify's does (shard.startLog) and takes each
+// record through the same step, so a commit before the decision's that
+// does not re-derive fails the audit; on a trimmed log a decision older
+// than the retained segments is refused with the oldest one that can be
+// audited.
 //
 // Machines are printed under their matrix-wide index, runtime-added ones
 // included: it is arithmetic on what the manifest and the shard's own log
@@ -302,47 +330,27 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	if err != nil {
 		return err
 	}
-	eng, cfg := sh.eng, sh.c.cfg
 	dir := ShardJournalDir(root, s)
 	plan, err := sh.startLog(root, false)
 	if err != nil {
 		return err
 	}
 
-	// First pass: find the target arrive and capture the logged derived
-	// records for it (they follow the arrive in the log), plus its stage
-	// trace if the decision was sampled (trace records trail by a commit).
-	// The scan reuses the record it hands over, so what is kept is cloned.
-	var target *journal.Record
-	var loggedDecision *journal.Record
-	var loggedTrace *journal.Record
-	var loggedEvents []journal.Record
+	// First pass: find the target arrive, plus its stage trace if the
+	// decision was sampled (trace records trail by a commit). The scan
+	// reuses the record it hands over, so what is kept is cloned.
+	var target, loggedTrace *journal.Record
 	oldest := int64(-1) // the first arrive the walk holds
 	err = plan.Replay(dir, func(rec *journal.Record) error {
-		switch rec.Kind {
-		case journal.KindArrive:
-			if oldest < 0 {
-				oldest = rec.Seq
-			}
-			if rec.Seq == seq {
-				c := rec.Clone()
+		if rec.Kind == journal.KindArrive && oldest < 0 {
+			oldest = rec.Seq
+		}
+		if rec.Seq == seq && (rec.Kind == journal.KindArrive || rec.Kind == journal.KindTrace) {
+			c := rec.Clone()
+			if rec.Kind == journal.KindArrive {
 				target = &c
-			}
-		case journal.KindDecision:
-			if rec.Seq == seq {
-				c := rec.Clone()
-				loggedDecision = &c
-			}
-		case journal.KindTrace:
-			if rec.Seq == seq {
-				c := rec.Clone()
+			} else {
 				loggedTrace = &c
-			}
-		case journal.KindEvent:
-			if target != nil && loggedDecision == nil {
-				// Terminal events logged between the arrive and its decision:
-				// the side effects of admitting this task.
-				loggedEvents = append(loggedEvents, rec.Clone())
 			}
 		}
 		return nil
@@ -357,21 +365,81 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 		return fmt.Errorf("service: no arrive record with seq %d in shard %d of %s", seq, s, root)
 	}
 
-	// Second pass: apply every record before the target arrive, so the
-	// engine holds the exact pre-decision state.
+	// Second pass: walk every record before the target arrive, so the engine
+	// holds the exact pre-decision state; explain it; admit the target; and
+	// walk on to its commit's digest.
+	st := &VerifyStats{Shard: s}
+	var verdict error
+	var commit string
+	var derived int
+	reached := false
 	err = plan.Replay(dir, func(rec *journal.Record) error {
 		if rec.Kind == journal.KindArrive && rec.Seq == seq {
+			reached = true
+			from := len(sh.gen)
+			if err := sh.explain(w, root, rec, verbose); err != nil {
+				return err
+			}
+			d, err := sh.step(rec, st)
+			if err != nil {
+				return err
+			}
+			if d.Action == ActionMap {
+				fmt.Fprintf(w, "replayed decision: %s -> machine %d %q\n", d.Action, d.Machine, d.MachineName)
+			} else {
+				fmt.Fprintf(w, "replayed decision: %s\n", d.Action)
+			}
+			for _, r := range sh.gen[from:] {
+				fmt.Fprintf(w, "derived:           %s\n", r.String())
+			}
+			return nil
+		}
+		if reached && rec.Kind == journal.KindDigest {
+			commit, derived = sh.commitName(st), sh.dig.Len()
+			_, verdict = sh.step(rec, st)
 			return errAuditStop
 		}
-		_, err := sh.apply(rec)
+		_, err := sh.step(rec, st)
 		return err
 	})
-	if err != nil && !errors.Is(err, errAuditStop) {
+	switch {
+	case errors.Is(err, errAuditStop) && verdict == nil:
+		fmt.Fprintf(w, "commit digest:     matched (%s, %d records derived)\n", commit, derived)
+	case errors.Is(err, errAuditStop):
+		fmt.Fprintf(w, "commit digest:     differs: %v\n", verdict)
+	case err != nil:
 		return err
+	default:
+		fmt.Fprintf(w, "commit digest:     none (the log ends before it)\n")
 	}
 
-	t := arriveTask(target)
-	fmt.Fprintf(w, "decision seq %d (shard %d of %s)\n", seq, s, root)
+	// Stage timings of the live decision, if it was sampled: the one part
+	// of the audit replay cannot re-derive (wall clocks do not replay).
+	if loggedTrace != nil {
+		fmt.Fprintf(w, "recorded stage timings (offsets from request receipt):\n")
+		for _, sp := range loggedTrace.Spans {
+			fmt.Fprintf(w, "  %-8s %12s  [+%s, +%s]\n",
+				telemetry.Stage(sp.Stage).String(),
+				time.Duration(sp.EndNS-sp.StartNS),
+				time.Duration(sp.StartNS),
+				time.Duration(sp.EndNS))
+		}
+	} else {
+		fmt.Fprintf(w, "recorded stage timings: none (trace sampling off, seq unsampled, or the trace record was not committed)\n")
+	}
+	return verdict
+}
+
+// explain prints the state the admission of the arrive rec saw: the clock,
+// every machine's queue with the Eq. 1 forecasts of its tasks and of the
+// candidate appended at its tail, and the dropping policy's verdict. It
+// advances the engine to the arrival, as the admission does first, without
+// feeding; what the advance derives is the admission's and leaves through
+// emit as the feed's would.
+func (sh *shard) explain(w io.Writer, root string, rec *journal.Record, verbose bool) error {
+	eng, cfg, s := sh.eng, sh.c.cfg, sh.id
+	t := arriveTask(rec)
+	fmt.Fprintf(w, "decision seq %d (shard %d of %s)\n", rec.Seq, s, root)
 	fmt.Fprintf(w, "task: type=%d arrival=%d deadline=%d exec_by_type=%v\n", t.Type, t.Arrival, t.Deadline, t.ExecByType)
 
 	// The admission pipeline advances the clock to the arrival, runs the
@@ -437,35 +505,5 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 		}
 	}
 
-	// Re-derive the decision and set it against the logged record.
-	d := sh.admit(&t, "", nil)
-	if d.Action == ActionMap {
-		fmt.Fprintf(w, "replayed decision: %s -> machine %d %q\n", d.Action, d.Machine, d.MachineName)
-	} else {
-		fmt.Fprintf(w, "replayed decision: %s\n", d.Action)
-	}
-	for _, ev := range loggedEvents {
-		fmt.Fprintf(w, "logged side effect: %s\n", ev.String())
-	}
-	if loggedDecision != nil {
-		fmt.Fprintf(w, "logged decision:   %s\n", loggedDecision.String())
-	} else {
-		fmt.Fprintf(w, "logged decision:   (not committed — the log ends before it)\n")
-	}
-
-	// Stage timings of the live decision, if it was sampled: the one part
-	// of the audit replay cannot re-derive (wall clocks do not replay).
-	if loggedTrace != nil {
-		fmt.Fprintf(w, "recorded stage timings (offsets from request receipt):\n")
-		for _, sp := range loggedTrace.Spans {
-			fmt.Fprintf(w, "  %-8s %12s  [+%s, +%s]\n",
-				telemetry.Stage(sp.Stage).String(),
-				time.Duration(sp.EndNS-sp.StartNS),
-				time.Duration(sp.StartNS),
-				time.Duration(sp.EndNS))
-		}
-	} else {
-		fmt.Fprintf(w, "recorded stage timings: none (trace sampling off, seq unsampled, or the trace record was not committed)\n")
-	}
 	return nil
 }

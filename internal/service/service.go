@@ -41,8 +41,9 @@
 // what it causes follows it — and every record leaves through shard.emit.
 // Reading a log back is as single: shard.apply interprets an input record
 // by calling those methods, and shard.replayLog is the one walk over the
-// segments — it applies the inputs, matches every logged decision and event
-// against what emit derives, and compares the checkpoints it passes.
+// segments — it applies the inputs, matches every commit's logged digest
+// against the digest of what emit derives, and compares the checkpoints it
+// passes.
 // hcreplay -verify is that walk from the oldest start the log retains
 // (genesis, or the checkpoint before its first segment); crash recovery is
 // the same walk from the newest checkpoint but one, on the shard about to
@@ -152,9 +153,9 @@ type Config struct {
 	// FsyncInterval is the background fsync period under the "interval"
 	// policy (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery checkpoints a shard's full state after this many
-	// records in the current WAL segment, bounding recovery replay
-	// (default 5000). Negative checkpoints only at drain.
+	// SnapshotEvery checkpoints a shard's full state once the current WAL
+	// segment holds this many arrive records, bounding recovery replay
+	// (default 1250). Negative checkpoints only at drain.
 	SnapshotEvery int
 	// TraceSample enables stage-timed decision tracing: every Nth decision
 	// (by cluster-wide sequence number) is traced through route, mailbox
@@ -191,7 +192,7 @@ func (c Config) withDefaults() Config {
 		c.Fsync = "interval"
 	}
 	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 5000
+		c.SnapshotEvery = 1250
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)

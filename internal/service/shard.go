@@ -54,10 +54,15 @@ type shard struct {
 	// true the shard refuses every state change with ErrJournalFailed.
 	journalFailed atomic.Bool
 	// replay marks a shard walking a log (openReplay's offline one, or the
-	// served one while it recovers): emit queues its records in gen, for
-	// replayLog to match against the logged ones.
-	replay bool
-	gen    []journal.Record
+	// served one while it recovers): emit folds the records it derives into
+	// dig and queues them in gen, for the walk (shard.step) to match against
+	// the logged commit's digest and to name should the two differ.
+	// commitSeq is the sequence number of the walked commit's first arrive
+	// (-1 before one), which names the commit.
+	replay    bool
+	dig       journal.Digest
+	gen       []journal.Record
+	commitSeq int64
 
 	// Turn-owned state: touched only by the holder of the turn.
 	stopped bool
@@ -252,20 +257,27 @@ func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Active) Deci
 }
 
 // emit is the one exit of every journal record a shard produces (batch,
-// arrive, decision, terminal event, membership, drain, trace): appended to
-// the write-ahead log on a served shard, queued for matching against the
-// log on a shard replaying one (recovery included: the writer opens only
-// after the tail is consumed and matched), dropped on an unjournaled one. A
+// arrive, decision, terminal event, membership, drain, trace). On a served
+// shard an input or trace record is appended to the write-ahead log and a
+// derived one — a decision or terminal event — folded into the open
+// commit's digest, which the commit logs in its place. On a shard replaying
+// a log (recovery included: the writer opens only after the tail is
+// consumed and matched) a derived record is folded into the walk's digest
+// and queued for naming; on an unjournaled one every record is dropped. A
 // method rather than a func value so the records callers build stay on
 // their stacks. A failed append latches journalFailed; the sub-batch's
 // commit then fails the request.
 func (sh *shard) emit(rec *journal.Record) {
+	derived := rec.Kind == journal.KindDecision || rec.Kind == journal.KindEvent
 	switch {
+	case sh.jw != nil && derived:
+		sh.jw.Fold(rec)
 	case sh.jw != nil:
 		if sh.jw.Append(rec) != nil {
 			sh.journalFailed.Store(true)
 		}
-	case sh.replay:
+	case sh.replay && derived:
+		sh.dig.Fold(rec)
 		sh.gen = append(sh.gen, *rec)
 	}
 }

@@ -28,7 +28,7 @@ smoke_tmpdir JDIR
 serve() {
     "$BIN/hcserve" -addr "$ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
         -shards 2 -router rr -boundary 100 \
-        -journal-dir "$JDIR" -fsync always -snapshot-every 400 &
+        -journal-dir "$JDIR" -fsync always -snapshot-every 100 &
     SERVER_PID=$!
     wait_http "http://$ADDR/healthz"
 }

@@ -43,7 +43,7 @@ echo "offline robustness:   $cluster % ($SHARDS-shard cluster, rr)"
 serve() {
     "$BIN/hcserve" -addr "$ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
         -shards "$SHARDS" -router rr -boundary 100 \
-        -journal-dir "$JDIR" -fsync always -snapshot-every 400 &
+        -journal-dir "$JDIR" -fsync always -snapshot-every 100 &
     SERVER_PID=$!
     wait_http "http://$ADDR/healthz"
 }

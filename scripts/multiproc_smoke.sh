@@ -53,7 +53,7 @@ start_backend() { # addr journal_dir partition -> pid
     # The daemon's stdout must not inherit the command-substitution pipe,
     # or $(start_backend ...) blocks until the daemon exits.
     "$BIN/hcserve" -addr "$1" -profile "$PROFILE" -mapper PAM -dropper heuristic \
-        -partition "$3" -journal-dir "$2" -fsync always -snapshot-every 400 -boundary 50 1>&2 &
+        -partition "$3" -journal-dir "$2" -fsync always -snapshot-every 100 -boundary 50 1>&2 &
     echo $!
 }
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Replay-determinism smoke: run a journaling hcserve through a full load,
 # shut it down gracefully with SIGTERM, and require (1) `hcreplay -verify`
-# to re-derive every decision, event and checkpoint the log retains (record
-# format 4: one CRC-checked frame per commit, so a log ending without a
-# record its inputs derive fails verification), (2) the audit mode to
-# refuse a decision the checkpoints trimmed, naming the oldest one it can
-# explain, (3) to explain that one from the log alone, and (4) a copy of
+# to re-derive every commit digest and checkpoint the log retains (record
+# format 5: one CRC-checked frame per commit, its inputs and the digest of
+# what they derive, so a log ending without that digest fails
+# verification), (2) the audit mode to refuse a decision the checkpoints
+# trimmed, naming the oldest one it can explain, (3) to explain that one
+# from the log alone and match its commit's digest, and (4) a copy of
 # the log cut inside the drain's commit, as a kill -9 there leaves it, to
 # verify and recover.
 #
@@ -23,7 +24,7 @@ smoke_build hcserve hcload hcreplay
 smoke_tmpdir JDIR
 
 "$BIN/hcserve" -addr "$ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
-    -shards 2 -router rr -journal-dir "$JDIR" -fsync interval -snapshot-every 400 &
+    -shards 2 -router rr -journal-dir "$JDIR" -fsync interval -snapshot-every 100 &
 SERVER_PID=$!
 wait_http "http://$ADDR/healthz"
 
@@ -43,7 +44,7 @@ if ! echo "$verify" | grep -q "journal verified"; then
 fi
 
 # Every checkpoint deletes the history behind the one before it, so at
-# -snapshot-every 400 decision 100 is long gone: the audit must refuse it
+# -snapshot-every 100 decision 100 is long gone: the audit must refuse it
 # and name the oldest sequence number shard 0's retained log can explain.
 if early=$("$BIN/hcreplay" -dir "$JDIR" -shard 0 -decision 100 2>&1); then
     echo "FAIL: audit of decision 100 succeeded on a trimmed log" >&2
@@ -56,7 +57,8 @@ oldest=$(echo "$early" | sed -n 's/.*precedes the retained log.*oldest auditable
 audit=$("$BIN/hcreplay" -dir "$JDIR" -shard 0 -decision "$oldest")
 echo "$audit"
 echo "$audit" | grep -q "replayed decision:" || { echo "FAIL: audit produced no decision" >&2; exit 1; }
-echo "$audit" | grep -q "logged decision:   decision seq=$oldest" || { echo "FAIL: audit found no logged decision" >&2; exit 1; }
+echo "$audit" | grep -q "derived:           decision seq=$oldest " || { echo "FAIL: audit re-derived no decision" >&2; exit 1; }
+echo "$audit" | grep -q "commit digest:     matched" || { echo "FAIL: the decision's commit digest did not match" >&2; exit 1; }
 
 # (4) A kill -9 inside the drain: on a copy of the log, drop each shard's
 # final checkpoint and the empty segment after it, and cut 100 bytes off the
@@ -75,7 +77,7 @@ done
 "$BIN/hcreplay" -dir "$CUT" -verify || { echo "FAIL: a log cut inside the drain did not verify" >&2; exit 1; }
 CUT_ADDR=127.0.0.1:18191
 "$BIN/hcserve" -addr "$CUT_ADDR" -profile "$PROFILE" -mapper PAM -dropper heuristic \
-    -shards 2 -router rr -journal-dir "$CUT" -fsync interval -snapshot-every 400 &
+    -shards 2 -router rr -journal-dir "$CUT" -fsync interval -snapshot-every 100 &
 SERVER_PID=$!
 wait_http "http://$CUT_ADDR/readyz" || { echo "FAIL: hcserve did not recover a log cut inside the drain" >&2; exit 1; }
 kill -TERM "$SERVER_PID"
