@@ -19,12 +19,16 @@
 //
 //	hcreplay -dir /var/lib/hcserve/journal -verify
 //
-// Audit mode explains one decision: it replays the shard up to the moment
-// the task arrived, prints the queue state the admission saw, the Eq. 1
-// completion-time PMF forecast for every queued task and for the arriving
-// candidate on every machine, the dropping policy's verdict, the re-derived
-// decision with the records its admission derived, and whether its
-// commit's logged digest matches the re-derivation (exit 1 when not):
+// Audit mode explains one decision. It walks the shard's log as verify mode
+// does, from the same start, and at the moment the task arrived prints the
+// queue state the admission saw, the Eq. 1 completion-time PMF forecast for
+// every queued task and for the arriving candidate on every machine, the
+// dropping policy's verdict, the re-derived decision with the records its
+// admission derived, and whether its commit's logged digest matches the
+// re-derivation. The walk then goes on to the end of the log, comparing
+// every commit digest and checkpoint it crosses, so the audit fails (exit
+// 1) wherever verify mode would, and never explains a decision on a log a
+// restart refuses:
 //
 //	hcreplay -dir /var/lib/hcserve/journal -shard 0 -decision 421 -v
 //

@@ -375,7 +375,7 @@ func (f *Front) decide(ctx context.Context, req *service.DecideRequest, resp *se
 	if req.DecisionID == "" {
 		x.key = strconv.AppendInt(append(x.key, f.token...), seq, 10)
 	}
-	var act *telemetry.Active
+	var act *telemetry.Trace
 	var origin time.Time
 	if f.tel.Enabled() {
 		origin = time.Now()

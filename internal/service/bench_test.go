@@ -165,7 +165,7 @@ func BenchmarkServiceDecideJournal(b *testing.B) {
 // sample=128 (the hcserve flag's suggested production cadence) and
 // sample=1 (trace everything; the worst case, recorded not gated). The
 // journal stays off so the delta isolates tracing cost: clock reads, one
-// Active allocation per sampled decision, span marks and the ring store.
+// Trace allocation per sampled decision, span marks and the ring store.
 func BenchmarkServiceDecideTelemetry(b *testing.B) {
 	for _, sample := range []int{0, 128, 1} {
 		b.Run(fmt.Sprintf("sample=%d", sample), func(b *testing.B) {

@@ -341,16 +341,20 @@ type recoveredBatch struct {
 // recover rebuilds one shard's state from its log: replayLog from the
 // checkpoint journal.Recover picks, on the served shard itself (which
 // initJournal holds in replay mode meanwhile), so the tail is applied by
-// the statements that wrote it and every commit's digest is checked
-// against the digest of what its inputs derive — a tail that does not
-// re-derive refuses the start, naming the commit, instead of serving on
-// state the log contradicts. The walk's visitor lands each ID-carrying sub-batch of the
-// tail in sh.recovered; every one is whole, because a commit reaches the
-// log whole or not at all. Runs before the shard serves; no synchronization
-// needed.
+// the statements that wrote it and every commit's digest and checkpoint is
+// checked against the re-derivation — a tail that does not re-derive
+// refuses the start, naming the commit or checkpoint, instead of serving on
+// state the log contradicts. The walk's visitor steps each record and lands
+// each ID-carrying sub-batch of the tail in sh.recovered; every one is
+// whole, because a commit reaches the log whole or not at all. Runs before
+// the shard serves; no synchronization needed.
 func (sh *shard) recover() (*VerifyStats, error) {
 	open := false // the sub-batch being replayed carries an ID, in the newest entry
-	st, err := sh.replayLog(sh.c.cfg.JournalDir, true, func(r *journal.Record, d Decision) {
+	st, err := sh.replayLog(sh.c.cfg.JournalDir, true, func(r *journal.Record, st *VerifyStats) error {
+		d, err := sh.step(r, st)
+		if err != nil {
+			return err
+		}
 		switch {
 		case r.Kind == journal.KindBatch:
 			if open = r.ID != ""; open {
@@ -362,6 +366,7 @@ func (sh *shard) recover() (*VerifyStats, error) {
 			rb.decisions = append(rb.decisions, d)
 			rb.now = sh.eng.Now()
 		}
+		return nil
 	})
 	// Republish after the tail: membership may have changed mid-log, and a
 	// fully-removed shard is down from the first post-recovery request.
@@ -424,15 +429,11 @@ func decisionRecord(seq int64, a Action, localMachine int, now pmf.Tick) journal
 // one batch later. Traces are observational; losing a tail of them in a
 // crash loses nothing recovery or verification needs.
 func (sh *shard) journalTrace(tr *telemetry.Trace) {
-	rec := journal.Record{
-		Kind:  journal.KindTrace,
-		Seq:   tr.Seq,
-		Spans: make([]journal.SpanRec, len(tr.Spans)),
+	sh.spanBuf = sh.spanBuf[:0]
+	for _, sp := range tr.Spans {
+		sh.spanBuf = append(sh.spanBuf, journal.SpanRec{Stage: uint8(sp.Stage), StartNS: uint64(sp.StartNS), EndNS: uint64(sp.EndNS)})
 	}
-	for i, sp := range tr.Spans {
-		rec.Spans[i] = journal.SpanRec{Stage: uint8(sp.Stage), StartNS: uint64(sp.StartNS), EndNS: uint64(sp.EndNS)}
-	}
-	sh.emit(&rec)
+	sh.emit(&journal.Record{Kind: journal.KindTrace, Seq: tr.Seq, Spans: sh.spanBuf})
 }
 
 // commitJournal makes the sub-batch durable per the fsync policy and

@@ -376,12 +376,16 @@ func TestEveryPrefixRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := 0
-	if _, err := rsh.replayLog(cfg.JournalDir, false, func(r *journal.Record, _ Decision) {
+	if _, err := rsh.replayLog(cfg.JournalDir, false, func(r *journal.Record, st *VerifyStats) error {
+		if _, err := rsh.step(r, st); err != nil {
+			return err
+		}
 		if r.Kind == journal.KindDigest {
 			prev = 0 // the walk has matched and emptied its queue
 		}
 		derivedBy = append(derivedBy, slices.Clone(rsh.gen[prev:]))
 		prev = len(rsh.gen)
+		return nil
 	}); err != nil || len(derivedBy) != len(disk) {
 		t.Fatalf("replaying the recorded log: %v (%d of %d records)", err, len(derivedBy), len(disk))
 	}
@@ -1231,12 +1235,16 @@ func derivedUnder(t *testing.T, root string, s int) map[int][][]journal.Record {
 	}
 	var cur []journal.Record
 	var all [][]journal.Record
-	if _, err := sh.replayLog(root, false, func(r *journal.Record, _ Decision) {
+	if _, err := sh.replayLog(root, false, func(r *journal.Record, st *VerifyStats) error {
+		if _, err := sh.step(r, st); err != nil {
+			return err
+		}
 		if r.Kind == journal.KindDigest {
 			all, cur = append(all, cur), nil
-			return
+		} else {
+			cur = slices.Clone(sh.gen)
 		}
-		cur = slices.Clone(sh.gen)
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -1835,6 +1843,57 @@ func TestVerifyWarmJournalColdReplay(t *testing.T) {
 	}
 	if arrives != 260 {
 		t.Errorf("cold replay verified %d arrives, want 260", arrives)
+	}
+}
+
+// TestAuditChecksCheckpoints: the audit walks the log as restart and
+// hcreplay -verify do, so it compares every checkpoint it crosses. A
+// checkpoint whose class robustness has one bit flipped, its frame CRC
+// re-sealed so that it reads, is refused by all three, naming it.
+func TestAuditChecksCheckpoints(t *testing.T) {
+	cfg := Config{
+		Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+		JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: 20,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideRange(t, c, testTrace(t, 120, 13), 0, 120, 1)
+	crash(c)
+	dir := ShardJournalDir(cfg.JournalDir, 0)
+	segs, _ := journal.Segments(dir)
+	snaps, _ := journal.Snapshots(dir)
+	if !slices.Equal(snaps, []int{4, 5}) || !slices.Equal(segs, []int{5, 6}) {
+		t.Fatalf("the log retains snapshots %v and segments %v, want [4 5] and [5 6]", snaps, segs)
+	}
+	if err := AuditDecision(io.Discard, cfg.JournalDir, 0, 115, false); err != nil {
+		t.Fatalf("audit of an untouched log: %v", err)
+	}
+	path := journal.SnapshotPath(dir, 5)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := file[8:]
+	cp, err := decodeCheckpoint(payload)
+	if err != nil || len(cp.Robustness) < 4 {
+		t.Fatalf("snapshot 5 decodes to %+v (%v), want four classes or more", cp, err)
+	}
+	payload[len(payload)-8*(len(cp.Robustness)-3)+6] ^= 0x01 // class 3's mantissa
+	binary.LittleEndian.PutUint32(file[4:], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "snapshot 5: class 3 robustness"
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restart on a flipped checkpoint: %v, want a refusal naming %q", err, want)
+	}
+	if _, err := VerifyAll(cfg.JournalDir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("verify of a flipped checkpoint: %v, want a failure naming %q", err, want)
+	}
+	if err := AuditDecision(io.Discard, cfg.JournalDir, 0, 115, false); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("audit past a flipped checkpoint: %v, want a refusal naming %q", err, want)
 	}
 }
 

@@ -24,18 +24,20 @@ import (
 // commit whose digest, or checkpoint whose state, the recomputation does
 // not reproduce.
 //
-// There is one interpreter of input records (shard.apply), one choice of
-// where a walk starts (shard.startLog) and one walk over a log
-// (shard.replayLog). hcreplay -verify is the walk from the oldest start the
-// log supports — genesis, or on a log the journal writer has trimmed the
-// checkpoint just before its first segment — on a shard openReplay obtains
-// from build, the constructor service.New serves from; crash recovery is
-// the same walk from the newest checkpoint but one on the shard about to be
-// served (shard.recover); both apply the records through the methods the
-// live shard runs (see "One shard state machine" in the package doc), so
-// replay == live and recovered == uninterrupted by construction. What
-// stays independent, and is what verification tests, is the comparison:
-// the bytes on disk against a re-derivation.
+// There is one interpreter of input records (shard.apply) and one walk over
+// a log (shard.replayLog), which also chooses where it starts. hcreplay
+// -verify is the walk from the oldest start the log supports — genesis, or
+// on a log the journal writer has trimmed the checkpoint just before its
+// first segment — on a shard openReplay obtains from build, the constructor
+// service.New serves from; hcreplay -decision is the same walk with the
+// audited decision explained on the way; crash recovery is the same walk
+// from the newest checkpoint but one on the shard about to be served
+// (shard.recover). All three apply the records through the methods the live
+// shard runs (see "One shard state machine" in the package doc), so replay
+// == live and recovered == uninterrupted by construction, and all three
+// match every digest and checkpoint they cross. What stays independent, and
+// is what verification tests, is the comparison: the bytes on disk against
+// a re-derivation.
 
 // openReplay returns shard s of the controller a journal root's manifest
 // pins, in replay mode: never served, no writer, emit folding every derived
@@ -60,7 +62,10 @@ func openReplay(root string, s int, cold bool) (*shard, error) {
 // log retains under hcreplay -verify, the tail journal.Recover plans at
 // recovery.
 type VerifyStats struct {
-	Shard   int
+	Shard int
+	// Base is the checkpoint the walk starts from, taken as given: -1 for
+	// genesis.
+	Base    int
 	Records int // logged records consumed
 	Arrives int
 	// Digests counts the commit digests matched, Derived the decisions and
@@ -115,16 +120,22 @@ func (sh *shard) apply(rec *journal.Record) (Decision, error) {
 	return Decision{}, nil
 }
 
-// startLog chooses where a walk over the shard's log starts and restores
-// that state on the fresh shard: for recovery the newest checkpoint but one
-// (journal.Recover), otherwise the oldest start the log supports
-// (journal.Oldest). It returns the plan whose tail the walk reads.
-func (sh *shard) startLog(root string, recovery bool) (*journal.Recovery, error) {
+// replayLog is the one walk over a shard's log, on a shard in replay mode.
+// It starts from the newest checkpoint but one for recovery
+// (journal.Recover), otherwise from the oldest start the log supports
+// (journal.Oldest), restoring that checkpoint on the fresh shard. It hands
+// every record to visit, which takes it through step itself (nil: step
+// only), and compares every checkpoint it passes against the replayed
+// state. Inputs precede their effects and commits are whole, so derived
+// records the log ends without a digest for are an error.
+func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Record, *VerifyStats) error) (*VerifyStats, error) {
+	s := sh.id
+	dir := ShardJournalDir(root, s)
 	planner := journal.Oldest
 	if recovery {
 		planner = journal.Recover
 	}
-	plan, err := planner(ShardJournalDir(root, sh.id))
+	plan, err := planner(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -134,31 +145,14 @@ func (sh *shard) startLog(root string, recovery bool) (*journal.Recovery, error)
 			return nil, err
 		}
 	}
-	return plan, nil
-}
 
-// replayLog is the one walk over a shard's log, on a shard in replay mode,
-// from where startLog puts it: the oldest start (VerifyShard) or the
-// recovery base. It takes every record through step, calling visit (when
-// non-nil) with the record and step's decision, and compares every
-// checkpoint it passes against the replayed state. Inputs precede their
-// effects and commits are whole, so derived records the log ends without a
-// digest for are an error.
-func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Record, Decision)) (*VerifyStats, error) {
-	s := sh.id
-	dir := ShardJournalDir(root, s)
-	plan, err := sh.startLog(root, recovery)
-	if err != nil {
-		return nil, err
-	}
-
-	st := &VerifyStats{Shard: s}
+	st := &VerifyStats{Shard: s, Base: plan.SnapshotSeg}
 	for _, seg := range plan.TailSegments {
 		err := journal.ScanSegment(journal.SegmentPath(dir, seg), func(rec *journal.Record) error {
-			d, err := sh.step(rec, st)
-			if err == nil && visit != nil {
-				visit(rec, d)
+			if visit != nil {
+				return visit(rec, st)
 			}
+			_, err := sh.step(rec, st)
 			return err
 		})
 		if err != nil {
@@ -304,23 +298,18 @@ func VerifyAll(root string) ([]*VerifyStats, error) {
 	return out, nil
 }
 
-// errAuditStop aborts the audit's replay scan once the target decision's
-// commit digest is reached.
-var errAuditStop = errors.New("audit: stop")
-
-// AuditDecision replays shard s's journal up to (but not including)
-// decision seq, then explains that decision: the queue state the admission
-// saw, the Eq. 1 completion-time forecast of every queued task and of the
-// arriving candidate on every machine, the dropping policy's verdict over
-// each queue, the re-derived decision and the records its admission
-// derived, and whether the digest its commit logged matches what replay
-// derives from the commit's inputs (an error when it does not). verbose
-// additionally prints the candidate's full completion-time PMFs. The replay
-// starts where hcreplay -verify's does (shard.startLog) and takes each
-// record through the same step, so a commit before the decision's that
-// does not re-derive fails the audit; on a trimmed log a decision older
-// than the retained segments is refused with the oldest one that can be
-// audited.
+// AuditDecision walks shard s's journal as hcreplay -verify does and
+// explains decision seq on the way: the queue state the admission saw, the
+// Eq. 1 completion-time forecast of every queued task and of the arriving
+// candidate on every machine, the dropping policy's verdict over each
+// queue, the re-derived decision and the records its admission derived,
+// whether the digest its commit logged matches what replay derives from the
+// commit's inputs, and the decision's recorded stage timings when it was
+// sampled. verbose additionally prints the candidate's full completion-time
+// PMFs. The walk is shard.replayLog's, to the end of the log: a commit or
+// checkpoint anywhere in the log that does not re-derive fails the audit,
+// as it refuses a restart. On a trimmed log a decision older than the
+// retained segments is refused with the oldest one that can be audited.
 //
 // Machines are printed under their matrix-wide index, runtime-added ones
 // included: it is arithmetic on what the manifest and the shard's own log
@@ -330,104 +319,59 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 	if err != nil {
 		return err
 	}
-	dir := ShardJournalDir(root, s)
-	plan, err := sh.startLog(root, false)
-	if err != nil {
-		return err
-	}
-
-	// First pass: find the target arrive, plus its stage trace if the
-	// decision was sampled (trace records trail by a commit). The scan
-	// reuses the record it hands over, so what is kept is cloned.
-	var target, loggedTrace *journal.Record
 	oldest := int64(-1) // the first arrive the walk holds
-	err = plan.Replay(dir, func(rec *journal.Record) error {
+	reached, digested := false, false
+	var trace *journal.Record // the decision's stage timings, if it was sampled
+	st, err := sh.replayLog(root, false, func(rec *journal.Record, st *VerifyStats) error {
 		if rec.Kind == journal.KindArrive && oldest < 0 {
 			oldest = rec.Seq
 		}
-		if rec.Seq == seq && (rec.Kind == journal.KindArrive || rec.Kind == journal.KindTrace) {
-			c := rec.Clone()
-			if rec.Kind == journal.KindArrive {
-				target = &c
-			} else {
-				loggedTrace = &c
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if target == nil {
-		if plan.SnapshotSeg >= 0 && oldest >= 0 && seq < oldest {
-			return fmt.Errorf("service: decision %d precedes the retained log of shard %d in %s (oldest auditable sequence number: %d)", seq, s, root, oldest)
-		}
-		return fmt.Errorf("service: no arrive record with seq %d in shard %d of %s", seq, s, root)
-	}
-
-	// Second pass: walk every record before the target arrive, so the engine
-	// holds the exact pre-decision state; explain it; admit the target; and
-	// walk on to its commit's digest.
-	st := &VerifyStats{Shard: s}
-	var verdict error
-	var commit string
-	var derived int
-	reached := false
-	err = plan.Replay(dir, func(rec *journal.Record) error {
-		if rec.Kind == journal.KindArrive && rec.Seq == seq {
+		switch {
+		case rec.Kind == journal.KindArrive && rec.Seq == seq:
 			reached = true
-			from := len(sh.gen)
-			if err := sh.explain(w, root, rec, verbose); err != nil {
+			return sh.explain(w, root, rec, st, verbose)
+		case reached && !digested && rec.Kind == journal.KindDigest:
+			digested = true
+			commit, derived := sh.commitName(st), sh.dig.Len()
+			if _, err := sh.step(rec, st); err != nil {
+				fmt.Fprintf(w, "commit digest:     differs: %v\n", err)
 				return err
 			}
-			d, err := sh.step(rec, st)
-			if err != nil {
-				return err
-			}
-			if d.Action == ActionMap {
-				fmt.Fprintf(w, "replayed decision: %s -> machine %d %q\n", d.Action, d.Machine, d.MachineName)
-			} else {
-				fmt.Fprintf(w, "replayed decision: %s\n", d.Action)
-			}
-			for _, r := range sh.gen[from:] {
-				fmt.Fprintf(w, "derived:           %s\n", r.String())
-			}
+			fmt.Fprintf(w, "commit digest:     matched (%s, %d records derived)\n", commit, derived)
 			return nil
-		}
-		if reached && rec.Kind == journal.KindDigest {
-			commit, derived = sh.commitName(st), sh.dig.Len()
-			_, verdict = sh.step(rec, st)
-			return errAuditStop
+		case rec.Kind == journal.KindTrace && rec.Seq == seq:
+			// The trace rides the commit after the decision's; the scan
+			// reuses the record it hands over, so it is cloned.
+			c := rec.Clone()
+			trace = &c
 		}
 		_, err := sh.step(rec, st)
 		return err
 	})
 	switch {
-	case errors.Is(err, errAuditStop) && verdict == nil:
-		fmt.Fprintf(w, "commit digest:     matched (%s, %d records derived)\n", commit, derived)
-	case errors.Is(err, errAuditStop):
-		fmt.Fprintf(w, "commit digest:     differs: %v\n", verdict)
 	case err != nil:
 		return err
-	default:
-		fmt.Fprintf(w, "commit digest:     none (the log ends before it)\n")
+	case !reached && st.Base >= 0 && oldest >= 0 && seq < oldest:
+		return fmt.Errorf("service: decision %d precedes the retained log of shard %d in %s (oldest auditable sequence number: %d)", seq, s, root, oldest)
+	case !reached:
+		return fmt.Errorf("service: no arrive record with seq %d in shard %d of %s", seq, s, root)
 	}
 
 	// Stage timings of the live decision, if it was sampled: the one part
 	// of the audit replay cannot re-derive (wall clocks do not replay).
-	if loggedTrace != nil {
-		fmt.Fprintf(w, "recorded stage timings (offsets from request receipt):\n")
-		for _, sp := range loggedTrace.Spans {
-			fmt.Fprintf(w, "  %-8s %12s  [+%s, +%s]\n",
-				telemetry.Stage(sp.Stage).String(),
-				time.Duration(sp.EndNS-sp.StartNS),
-				time.Duration(sp.StartNS),
-				time.Duration(sp.EndNS))
-		}
-	} else {
+	if trace == nil {
 		fmt.Fprintf(w, "recorded stage timings: none (trace sampling off, seq unsampled, or the trace record was not committed)\n")
+		return nil
 	}
-	return verdict
+	fmt.Fprintf(w, "recorded stage timings (offsets from request receipt):\n")
+	for _, sp := range trace.Spans {
+		fmt.Fprintf(w, "  %-8s %12s  [+%s, +%s]\n",
+			telemetry.Stage(sp.Stage).String(),
+			time.Duration(sp.EndNS-sp.StartNS),
+			time.Duration(sp.StartNS),
+			time.Duration(sp.EndNS))
+	}
+	return nil
 }
 
 // explain prints the state the admission of the arrive rec saw: the clock,
@@ -435,9 +379,11 @@ func AuditDecision(w io.Writer, root string, s int, seq int64, verbose bool) err
 // candidate appended at its tail, and the dropping policy's verdict. It
 // advances the engine to the arrival, as the admission does first, without
 // feeding; what the advance derives is the admission's and leaves through
-// emit as the feed's would.
-func (sh *shard) explain(w io.Writer, root string, rec *journal.Record, verbose bool) error {
+// emit as the feed's would. It then steps rec and prints the re-derived
+// decision and the records the admission derived.
+func (sh *shard) explain(w io.Writer, root string, rec *journal.Record, st *VerifyStats, verbose bool) error {
 	eng, cfg, s := sh.eng, sh.c.cfg, sh.id
+	from := len(sh.gen)
 	t := arriveTask(rec)
 	fmt.Fprintf(w, "decision seq %d (shard %d of %s)\n", rec.Seq, s, root)
 	fmt.Fprintf(w, "task: type=%d arrival=%d deadline=%d exec_by_type=%v\n", t.Type, t.Arrival, t.Deadline, t.ExecByType)
@@ -505,5 +451,17 @@ func (sh *shard) explain(w io.Writer, root string, rec *journal.Record, verbose 
 		}
 	}
 
+	d, err := sh.step(rec, st)
+	if err != nil {
+		return err
+	}
+	if d.Action == ActionMap {
+		fmt.Fprintf(w, "replayed decision: %s -> machine %d %q\n", d.Action, d.Machine, d.MachineName)
+	} else {
+		fmt.Fprintf(w, "replayed decision: %s\n", d.Action)
+	}
+	for _, r := range sh.gen[from:] {
+		fmt.Fprintf(w, "derived:           %s\n", r.String())
+	}
 	return nil
 }

@@ -45,10 +45,11 @@
 // against the digest of what emit derives, and compares the checkpoints it
 // passes.
 // hcreplay -verify is that walk from the oldest start the log retains
-// (genesis, or the checkpoint before its first segment); crash recovery is
-// the same walk from the newest checkpoint but one, on the shard about to
-// be served, so a server resumes only on a tail its own re-execution
-// reproduces. The live shard, recovery, hcreplay -verify and hcreplay
+// (genesis, or the checkpoint before its first segment), and hcreplay
+// -decision the same walk explaining one decision on the way; crash
+// recovery is the same walk from the newest checkpoint but one, on the
+// shard about to be served, so a server resumes only on a tail its own
+// re-execution reproduces. The live shard, recovery, hcreplay -verify and hcreplay
 // -decision differ only in where records come from and where emit sends
 // them, so replay == live and recovered == uninterrupted by construction.
 //
@@ -444,17 +445,17 @@ func (c *Controller) decide(ctx context.Context, req *DecideRequest, resp *Decid
 	base := c.seq.Add(int64(n)) - int64(n)
 	resp.Now, resp.Decisions = 0, slices.Grow(resp.Decisions[:0], n)[:n]
 
-	// Stage tracing: sampled requests get an Active trace whose origin is
+	// Stage tracing: sampled requests get an in-flight Trace whose origin is
 	// taken once per batch (one clock read amortized over the sub-batches).
 	// traces stays nil when sampling is off or no sequence hit the period —
 	// the common path carries a nil slice and nothing else.
-	var traces []*telemetry.Active
+	var traces []*telemetry.Trace
 	if c.tel.Enabled() {
 		origin := time.Now()
 		for i := range n {
 			if a := c.tel.Begin(base+int64(i), origin); a != nil {
 				if traces == nil {
-					traces = make([]*telemetry.Active, n)
+					traces = make([]*telemetry.Trace, n)
 				}
 				traces[i] = a
 			}

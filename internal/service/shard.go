@@ -47,8 +47,10 @@ type shard struct {
 	// Written only under the turn (and by recovery, before New returns);
 	// the writer synchronizes its background syncer internally.
 	jw *journal.Writer
-	// cpBuf is the storage checkpoint encodes into, reused.
-	cpBuf []byte
+	// cpBuf is the storage checkpoint encodes into, spanBuf the spans
+	// journalTrace encodes from, both reused.
+	cpBuf   []byte
+	spanBuf []journal.SpanRec
 	// journalFailed mirrors the writer's latched error (set by emit and
 	// commitJournal under the turn) so HTTP goroutines can read it: once
 	// true the shard refuses every state change with ErrJournalFailed.
@@ -130,7 +132,7 @@ func fatalPanic(id int, v any) {
 // (nil when tracing is off — no clock is then read for telemetry). Returns
 // the shard clock after the sub-batch, and ErrDraining if the shard drained
 // before its turn came.
-func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideResponse, idxs []int, base int64, traces []*telemetry.Active) (pmf.Tick, error) {
+func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideResponse, idxs []int, base int64, traces []*telemetry.Trace) (pmf.Tick, error) {
 	var now pmf.Tick
 	var ferr error // why the turn refused or failed the sub-batch
 	n := len(idxs)
@@ -174,7 +176,7 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 		sh.emit(&journal.Record{Kind: journal.KindBatch, NTasks: int32(n), ID: req.DecisionID})
 		eachIdx(idxs, n, func(i int) {
 			spec := &req.Tasks[i]
-			var a *telemetry.Active
+			var a *telemetry.Trace
 			if traces != nil {
 				a = traces[i]
 			}
@@ -222,7 +224,7 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 // label; a is the sampled in-flight trace (nil when unsampled, and always
 // nil off the live path). The engine copies task in, so it may be storage
 // the caller reuses.
-func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Active) Decision {
+func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Trace) Decision {
 	var feedStart time.Time
 	if a != nil {
 		// Publish the trace to nested instrumentation (TimedPolicy carves
@@ -285,7 +287,7 @@ func (sh *shard) emit(rec *journal.Record) {
 // emitTimed is emit with the append attributed to the journal span of the
 // sampled trace a (nil when unsampled; only a journaling shard has a
 // journal span).
-func (sh *shard) emitTimed(rec *journal.Record, a *telemetry.Active) {
+func (sh *shard) emitTimed(rec *journal.Record, a *telemetry.Trace) {
 	if a == nil || sh.jw == nil {
 		sh.emit(rec)
 		return

@@ -18,7 +18,7 @@ import (
 
 // eachTrace applies fn to every sampled trace of the sub-batch selected
 // by idxs (see eachIdx).
-func eachTrace(traces []*telemetry.Active, idxs []int, n int, fn func(*telemetry.Active)) {
+func eachTrace(traces []*telemetry.Trace, idxs []int, n int, fn func(*telemetry.Trace)) {
 	eachIdx(idxs, n, func(i int) {
 		if a := traces[i]; a != nil {
 			fn(a)
@@ -28,28 +28,28 @@ func eachTrace(traces []*telemetry.Active, idxs []int, n int, fn func(*telemetry
 
 // markRoute closes the route span of every sampled trace in the
 // sub-batch: trace origin (request receipt) to asking for the shard's turn.
-func markRoute(traces []*telemetry.Active, idxs []int, n int, end time.Time) {
-	eachTrace(traces, idxs, n, func(a *telemetry.Active) {
-		a.Mark(telemetry.StageRoute, a.Origin(), end)
+func markRoute(traces []*telemetry.Trace, idxs []int, n int, end time.Time) {
+	eachTrace(traces, idxs, n, func(a *telemetry.Trace) {
+		a.Mark(telemetry.StageRoute, a.Start, end)
 	})
 }
 
 // markSpans records stage st as [start, end) on every sampled trace of
 // the sub-batch.
-func markSpans(traces []*telemetry.Active, idxs []int, n int, st telemetry.Stage, start, end time.Time) {
-	eachTrace(traces, idxs, n, func(a *telemetry.Active) { a.Mark(st, start, end) })
+func markSpans(traces []*telemetry.Trace, idxs []int, n int, st telemetry.Stage, start, end time.Time) {
+	eachTrace(traces, idxs, n, func(a *telemetry.Trace) { a.Mark(st, start, end) })
 }
 
 // extendSpans widens stage st by [start, end) on every sampled trace of
 // the sub-batch (the journal span accumulates appends and the commit).
-func extendSpans(traces []*telemetry.Active, idxs []int, n int, st telemetry.Stage, start, end time.Time) {
-	eachTrace(traces, idxs, n, func(a *telemetry.Active) { a.Extend(st, start, end) })
+func extendSpans(traces []*telemetry.Trace, idxs []int, n int, st telemetry.Stage, start, end time.Time) {
+	eachTrace(traces, idxs, n, func(a *telemetry.Trace) { a.Extend(st, start, end) })
 }
 
 // finishTraces seals the sub-batch's sampled traces after the commit:
 // marks the ack span, publishes each into the shard's ring and appends
 // its journal trace record. Runs under the shard's turn.
-func (sh *shard) finishTraces(resp *DecideResponse, idxs []int, n int, traces []*telemetry.Active) {
+func (sh *shard) finishTraces(resp *DecideResponse, idxs []int, n int, traces []*telemetry.Trace) {
 	ackStart := time.Now()
 	eachIdx(idxs, n, func(i int) {
 		a := traces[i]

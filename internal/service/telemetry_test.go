@@ -83,17 +83,20 @@ func TestTraceSamplingCapturesStages(t *testing.T) {
 	if st.Traces != len(decisions) {
 		t.Fatalf("journal holds %d trace records, want %d", st.Traces, len(decisions))
 	}
-	var buf bytes.Buffer
-	if err := AuditDecision(&buf, dir, 0, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "recorded stage timings (offsets from request receipt)") {
-		t.Fatalf("audit output lacks stage timings:\n%s", out)
-	}
-	for _, stage := range []string{"route", "wait", "calculus", "ack"} {
-		if !strings.Contains(out, stage) {
-			t.Fatalf("audit timings lack stage %q:\n%s", stage, out)
+	// The last decision's trace rides the drain's commit.
+	for _, seq := range []int64{0, int64(len(decisions) - 1)} {
+		var buf bytes.Buffer
+		if err := AuditDecision(&buf, dir, 0, seq, false); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.Contains(out, "recorded stage timings (offsets from request receipt)") {
+			t.Fatalf("audit of seq %d lacks stage timings:\n%s", seq, out)
+		}
+		for _, stage := range []string{"route", "wait", "calculus", "ack"} {
+			if !strings.Contains(out, stage) {
+				t.Fatalf("audit timings of seq %d lack stage %q:\n%s", seq, stage, out)
+			}
 		}
 	}
 }
@@ -298,7 +301,7 @@ func TestMetricsChainInvalidationFamilies(t *testing.T) {
 // TestDecideTelemetryDisabledAllocsSteadyState holds the disabled-sampling
 // decide path to the same steady-state allocation budget as the
 // pre-telemetry controller: with TraceSample 0 the telemetry wiring must
-// add zero allocations (no clock reads, no Active, no span slices). CI's
+// add zero allocations (no clock reads, no Trace, no span slices). CI's
 // alloc-regression job runs this test alongside the controller budget.
 func TestDecideTelemetryDisabledAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -329,5 +332,47 @@ func TestDecideTelemetryDisabledAllocsSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, decide); avg > maxControllerDecideAllocs {
 		t.Fatalf("disabled-telemetry Decide allocates %.1f/op, budget %d — telemetry wiring leaks onto the cold path", avg, maxControllerDecideAllocs)
+	}
+}
+
+// TestTracedDecideAllocsSteadyState holds a sampled decision to its trace
+// and the request's slot table: a journaled single-task Decide with every
+// decision traced allocates at most two more per op than the same Decide
+// untraced. The Trace is sealed and published in place, and its journal
+// record encodes from spans the shard keeps.
+func TestTracedDecideAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	tasks := benchTasks(t, 4096)
+	allocs := func(sample int) float64 {
+		c, err := New(Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic",
+			TraceSample: sample, JournalDir: t.TempDir(), Fsync: "never", SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ctx := context.Background()
+		i := 0
+		decide := func() {
+			task := &tasks[i%len(tasks)]
+			i++
+			req := DecideRequest{Tasks: []TaskSpec{{
+				Type: int(task.Type), Arrival: task.Arrival,
+				Deadline: task.Deadline, ExecByType: task.ExecByType,
+			}}}
+			if _, err := c.Decide(ctx, &req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 64; k++ {
+			decide()
+		}
+		return testing.AllocsPerRun(200, decide)
+	}
+	untraced, traced := allocs(0), allocs(1)
+	t.Logf("journaled Decide: %.1f allocs/op untraced, %.1f traced", untraced, traced)
+	if traced > untraced+2 {
+		t.Fatalf("a traced Decide allocates %.1f/op, %.1f untraced: budget is 2 more (the Trace and the request's slot table)", traced, untraced)
 	}
 }

@@ -17,9 +17,10 @@
 //     deterministic, cluster-wide consistent, and — crucially — decided
 //     without reading a clock. A disabled tracer (every = 0) costs one
 //     predictable branch per request and zero allocations.
-//   - An Active trace is a single small allocation owned by the request's
-//     goroutine and then by the shard's turn holder; stages record (start, end)
-//     offsets from one origin timestamp into a fixed array, no locks.
+//   - A sampled decision's Trace is its one allocation, owned by the
+//     request's goroutine and then by the shard's turn holder; stages record
+//     (start, end) offsets from one origin timestamp into a fixed array, no
+//     locks, and Finish seals the same value in place for publishing.
 //   - Completed traces are published into a per-shard lock-free ring of
 //     atomic pointers: the shard's turn holder stores, scrapes load. No scrape can
 //     ever stall a decision.
@@ -133,15 +134,29 @@ func (s *Span) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Trace is one sampled decision's completed stage timing. Its identity is
-// the decision's cluster-wide sequence number. A published Trace is
-// immutable: rings and scrapes share pointers to it.
+// Trace is one sampled decision's stage timing. Its identity is the
+// decision's cluster-wide sequence number. From Begin until Finish it is in
+// flight: plain data owned by exactly one goroutine at a time (the request
+// goroutine until it asks for the shard's turn, the turn's holder after),
+// so Mark and Extend need no synchronization. Finish seals it in place and
+// publishes it; a published Trace is immutable: rings and scrapes share
+// pointers to it.
 type Trace struct {
 	Seq    int64     `json:"seq"`
 	Shard  int       `json:"shard"`
 	Action string    `json:"action"`
-	Start  time.Time `json:"start"`
-	Spans  []Span    `json:"spans"`
+	Start  time.Time `json:"start"` // the origin spans are offsets from
+	// Spans are the recorded stages in timeline order, set by Finish: a
+	// view of the trace's own span array.
+	Spans []Span `json:"spans"`
+
+	mask  uint32
+	spans [NumStages]Span
+	// busy is the summed length of the intervals recorded for each stage.
+	// It equals the span for a stage recorded once; for an Extended stage
+	// the span is the hull, which also covers whatever ran between the
+	// intervals, and busy is the stage's own time.
+	busy [NumStages]time.Duration
 }
 
 // Duration returns the end offset of the last recorded span — the traced
@@ -156,37 +171,15 @@ func (t *Trace) Duration() time.Duration {
 	return time.Duration(max)
 }
 
-// Active is an in-flight trace. It is plain data owned by exactly one
-// goroutine at a time (the request goroutine until it asks for the shard's
-// turn, the turn's holder after), so Mark and Extend need no
-// synchronization.
-type Active struct {
-	seq    int64
-	origin time.Time
-	mask   uint32
-	spans  [NumStages]Span
-	// busy is the summed length of the intervals recorded for each stage.
-	// It equals the span for a stage recorded once; for an Extended stage
-	// the span is the hull, which also covers whatever ran between the
-	// intervals, and busy is the stage's own time.
-	busy [NumStages]time.Duration
-}
-
-// Seq returns the decision sequence number being traced.
-func (a *Active) Seq() int64 { return a.seq }
-
-// Origin returns the trace origin (request receipt).
-func (a *Active) Origin() time.Time { return a.origin }
-
 // Mark records stage st as [start, end), replacing any prior recording.
-func (a *Active) Mark(st Stage, start, end time.Time) {
-	a.spans[st] = Span{
+func (t *Trace) Mark(st Stage, start, end time.Time) {
+	t.spans[st] = Span{
 		Stage:   st,
-		StartNS: int64(start.Sub(a.origin)),
-		EndNS:   int64(end.Sub(a.origin)),
+		StartNS: int64(start.Sub(t.Start)),
+		EndNS:   int64(end.Sub(t.Start)),
 	}
-	a.busy[st] = end.Sub(start)
-	a.mask |= 1 << st
+	t.busy[st] = end.Sub(start)
+	t.mask |= 1 << st
 }
 
 // Extend widens stage st to cover [start, end) as well — Mark semantics on
@@ -196,17 +189,17 @@ func (a *Active) Mark(st Stage, start, end time.Time) {
 // the trace timeline; their summed length is what the stage histogram
 // observes (see Finish), so the engine feed that runs between the journal
 // appends is not counted as journal time.
-func (a *Active) Extend(st Stage, start, end time.Time) {
-	if a.mask&(1<<st) == 0 {
-		a.Mark(st, start, end)
+func (t *Trace) Extend(st Stage, start, end time.Time) {
+	if t.mask&(1<<st) == 0 {
+		t.Mark(st, start, end)
 		return
 	}
-	a.busy[st] += end.Sub(start)
-	sp := &a.spans[st]
-	if s := int64(start.Sub(a.origin)); s < sp.StartNS {
+	t.busy[st] += end.Sub(start)
+	sp := &t.spans[st]
+	if s := int64(start.Sub(t.Start)); s < sp.StartNS {
 		sp.StartNS = s
 	}
-	if e := int64(end.Sub(a.origin)); e > sp.EndNS {
+	if e := int64(end.Sub(t.Start)); e > sp.EndNS {
 		sp.EndNS = e
 	}
 }
@@ -254,45 +247,43 @@ var stageLatencyBuckets = []float64{
 type ShardRecorder struct {
 	t      *Telemetry
 	ring   *ring
-	active *Active
+	active *Trace
 }
 
-// Begin installs a as the shard's in-flight trace (nested instrumentation
+// Begin installs t as the shard's in-flight trace (nested instrumentation
 // picks it up). Turn holder only.
-func (r *ShardRecorder) Begin(a *Active) { r.active = a }
+func (r *ShardRecorder) Begin(t *Trace) { r.active = t }
 
 // End clears the in-flight trace. Turn holder only.
 func (r *ShardRecorder) End() { r.active = nil }
 
-// Active returns the shard's in-flight trace, nil outside a sampled feed.
-func (r *ShardRecorder) Active() *Active { return r.active }
-
-// Finish seals a into an immutable Trace, feeds the per-stage latency
-// histograms (each stage's busy time: the sum of its recorded intervals,
-// not the hull an Extended span displays) and publishes it into the
-// shard's ring. Returns the trace so the caller can also journal it.
-func (r *ShardRecorder) Finish(a *Active, shard int, action string) *Trace {
-	tr := &Trace{
-		Seq:    a.seq,
-		Shard:  shard,
-		Action: action,
-		Start:  a.origin,
-		Spans:  make([]Span, 0, NumStages),
-	}
+// Finish seals t in place, feeds the per-stage latency histograms (each
+// stage's busy time: the sum of its recorded intervals, not the hull an
+// Extended span displays) and publishes t into the shard's ring. Returns t
+// so the caller can also journal it; t is not marked again.
+func (r *ShardRecorder) Finish(t *Trace, shard int, action string) *Trace {
+	t.Shard, t.Action = shard, action
+	n := 0
 	for st := Stage(0); st < NumStages; st++ {
-		if a.mask&(1<<st) == 0 {
+		if t.mask&(1<<st) == 0 {
 			continue
 		}
-		sp := a.spans[st]
-		tr.Spans = append(tr.Spans, sp)
-		r.t.stages[st].Observe(a.busy[st])
+		r.t.stages[st].Observe(t.busy[st])
+		// Stage enum order is not wall-clock order (the arrive-journal
+		// write precedes the calculus): insert the span into the timeline
+		// the array's head holds, after any that start at the same time.
+		// The head ends at n <= st, so no span still to visit is moved.
+		sp, j := t.spans[st], n
+		for ; j > 0 && t.spans[j-1].StartNS > sp.StartNS; j-- {
+			t.spans[j] = t.spans[j-1]
+		}
+		t.spans[j] = sp
+		n++
 	}
-	// Stage enum order is not wall-clock order (the arrive-journal write
-	// precedes the calculus); present spans as a timeline.
-	sort.Slice(tr.Spans, func(i, j int) bool { return tr.Spans[i].StartNS < tr.Spans[j].StartNS })
+	t.Spans = t.spans[:n]
 	r.t.sampled.Add(1)
-	r.ring.put(tr)
-	return tr
+	r.ring.put(t)
+	return t
 }
 
 // Telemetry is the service-wide tracer: the sampling policy, one recorder
@@ -339,13 +330,13 @@ func (t *Telemetry) Enabled() bool { return t.every > 0 }
 // SampleEvery returns the sampling period (0 = disabled).
 func (t *Telemetry) SampleEvery() int { return int(t.every) }
 
-// Begin returns a fresh Active trace if seq is sampled, nil otherwise.
+// Begin returns a fresh in-flight Trace if seq is sampled, nil otherwise.
 // The disabled path is one branch, no clock read, no allocation.
-func (t *Telemetry) Begin(seq int64, origin time.Time) *Active {
+func (t *Telemetry) Begin(seq int64, origin time.Time) *Trace {
 	if t.every == 0 || uint64(seq)%t.every != 0 {
 		return nil
 	}
-	return &Active{seq: seq, origin: origin}
+	return &Trace{Seq: seq, Start: origin}
 }
 
 // Shard returns shard s's recorder.

@@ -28,7 +28,7 @@ func TestStageNamesRoundTrip(t *testing.T) {
 
 func TestActiveMarkAndExtend(t *testing.T) {
 	origin := time.Now()
-	a := &Active{seq: 7, origin: origin}
+	a := &Trace{Seq: 7, Start: origin}
 	a.Mark(StageCalculus, origin.Add(10*time.Microsecond), origin.Add(30*time.Microsecond))
 	// Extend on an unmarked stage behaves like Mark.
 	a.Extend(StageJournal, origin.Add(40*time.Microsecond), origin.Add(50*time.Microsecond))
@@ -63,7 +63,7 @@ func TestActiveMarkAndExtend(t *testing.T) {
 func TestStageHistogramObservesBusyTime(t *testing.T) {
 	origin := time.Now()
 	at := func(us int) time.Time { return origin.Add(time.Duration(us) * time.Microsecond) }
-	a := &Active{seq: 1, origin: origin}
+	a := &Trace{Seq: 1, Start: origin}
 	a.Extend(StageJournal, at(10), at(12))
 	a.Mark(StageCalculus, at(12), at(40))
 	a.Extend(StageJournal, at(40), at(43))
@@ -89,8 +89,8 @@ func TestSamplerSelectsBySequence(t *testing.T) {
 	for seq := int64(0); seq < 12; seq++ {
 		if a := tel.Begin(seq, origin); a != nil {
 			hits = append(hits, seq)
-			if a.Seq() != seq || !a.Origin().Equal(origin) {
-				t.Fatalf("active = seq %d origin %v", a.Seq(), a.Origin())
+			if a.Seq != seq || !a.Start.Equal(origin) {
+				t.Fatalf("trace = seq %d origin %v", a.Seq, a.Start)
 			}
 		}
 	}
@@ -118,7 +118,7 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	rec := tel.Shard(0)
 	origin := time.Now()
 	for seq := int64(0); seq < 10; seq++ {
-		a := &Active{seq: seq, origin: origin}
+		a := &Trace{Seq: seq, Start: origin}
 		a.Mark(StageAck, origin, origin.Add(time.Microsecond))
 		rec.Finish(a, 0, "map")
 	}
