@@ -197,20 +197,12 @@ func TestClientReusesConnections(t *testing.T) {
 		{"error body", http.StatusConflict, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var conns atomic.Int64
-			srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			srv := serveLoopback(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(tc.status)
 				// Past what a JSON decoder buffers, so decoding alone does not
 				// reach EOF.
 				fmt.Fprintf(w, "{\"error\":\"x\"}\n%s\n", strings.Repeat(" ", 4096))
 			}))
-			srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-				if st == http.StateNew {
-					conns.Add(1)
-				}
-			}
-			srv.Start()
-			defer srv.Close()
 			cl := NewClient(nil, ClientConfig{})
 			for i := 0; i < 10; i++ {
 				err := cl.PostJSON(context.Background(), srv.URL, nil, tc.out)
@@ -218,7 +210,7 @@ func TestClientReusesConnections(t *testing.T) {
 					t.Fatalf("post %d: %v", i, err)
 				}
 			}
-			if n := conns.Load(); n != 1 {
+			if n := srv.conns.Load(); n != 1 {
 				t.Fatalf("10 posts opened %d connections, want 1", n)
 			}
 		})
@@ -249,9 +241,9 @@ func TestClientReusesConnections(t *testing.T) {
 }
 
 // rawServer answers every request on a loopback port with answer, byte for
-// byte, hanging up after each answer when hangUp is set; it counts the
-// connections it accepts.
-func rawServer(t *testing.T, answer string, hangUp bool) (string, *atomic.Int64) {
+// byte, its parts written apart with a pause between them, hanging up after
+// each answer when hangUp is set; it counts the connections it accepts.
+func rawServer(t *testing.T, hangUp bool, answer ...string) (string, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -275,7 +267,15 @@ func rawServer(t *testing.T, answer string, hangUp bool) (string, *atomic.Int64)
 						return
 					}
 					_, _ = io.Copy(io.Discard, req.Body)
-					if _, err := io.WriteString(nc, answer); err != nil || hangUp {
+					for i, part := range answer {
+						if i > 0 {
+							time.Sleep(20 * time.Millisecond)
+						}
+						if _, err := io.WriteString(nc, part); err != nil {
+							return
+						}
+					}
+					if hangUp {
 						return
 					}
 				}
@@ -286,9 +286,11 @@ func rawServer(t *testing.T, answer string, hangUp bool) (string, *atomic.Int64)
 }
 
 // TestJSONAnswerParity: GetJSON and PostJSON read the answers the decide
-// hop reads — chunked, Connection: close, HTTP/1.0 read to EOF — and a 204
-// without a body and a 503, decode each, and keep the connection exactly
-// when the answer allows it.
+// hop reads, in the plain shape Server writes — a Connection: close, a
+// 503 — decode each, and keep the connection exactly when the answer
+// allows it. An answer in another shape — chunked, HTTP/1.0 read to EOF, a
+// 204 without a Content-Length, a head past the connection's buffer —
+// fails with errAnswerShape and its connection is closed.
 func TestJSONAnswerParity(t *testing.T) {
 	const ok = "{\"ok\":true}\n"
 	for _, tc := range []struct {
@@ -298,16 +300,18 @@ func TestJSONAnswerParity(t *testing.T) {
 		conns  int64 // dialled for three exchanges
 		body   bool  // the answer is {"ok":true}
 		status int   // the HTTPError's status; 0: none
+		shape  bool  // the answer fails with errAnswerShape
 	}{
-		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"ok\"\r\n7\r\n:true}\n\r\n0\r\n\r\n", false, 1, true, 0},
-		{"connection close", "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 12\r\n\r\n" + ok, true, 3, true, 0},
-		{"HTTP/1.0", "HTTP/1.0 200 OK\r\n\r\n" + ok, true, 3, true, 0},
-		{"204", "HTTP/1.1 204 No Content\r\n\r\n", false, 1, false, 0},
-		{"503", "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 21\r\n\r\n{\"error\":\"draining\"}\n", false, 1, false, http.StatusServiceUnavailable},
+		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"ok\"\r\n7\r\n:true}\n\r\n0\r\n\r\n", false, 3, false, 0, true},
+		{"connection close", "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 12\r\n\r\n" + ok, true, 3, true, 0, false},
+		{"HTTP/1.0", "HTTP/1.0 200 OK\r\n\r\n" + ok, true, 3, false, 0, true},
+		{"204", "HTTP/1.1 204 No Content\r\n\r\n", false, 3, false, 0, true},
+		{"head past the buffer", "HTTP/1.1 200 OK\r\nX-Pad: " + strings.Repeat("x", 4096) + "\r\nContent-Length: 12\r\n\r\n" + ok, false, 3, false, 0, true},
+		{"503", "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 21\r\n\r\n{\"error\":\"draining\"}\n", false, 1, false, http.StatusServiceUnavailable, false},
 	} {
 		for _, post := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s post=%v", tc.name, post), func(t *testing.T) {
-				base, conns := rawServer(t, tc.answer, tc.hangUp)
+				base, conns := rawServer(t, tc.hangUp, tc.answer)
 				cl := NewClient(nil, ClientConfig{Timeout: 5 * time.Second})
 				defer cl.CloseIdle()
 				u := base + "/v1/x"
@@ -327,6 +331,10 @@ func TestJSONAnswerParity(t *testing.T) {
 					}
 					var he *HTTPError
 					switch {
+					case tc.shape:
+						if !errors.Is(err, errAnswerShape) {
+							t.Fatalf("err = %v, want %v", err, errAnswerShape)
+						}
 					case tc.status != 0:
 						want := HTTPError{Status: tc.status, URL: u, Msg: "draining", RetryAfter: 2 * time.Second}
 						if !errors.As(err, &he) || *he != want {
@@ -343,5 +351,30 @@ func TestJSONAnswerParity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAnswerHeadAcrossReads: an answer whose head arrives in two reads —
+// the status line, a pause, then the rest — is read in place by a decide
+// and by a JSON exchange alike, and the connection carries them all.
+func TestAnswerHeadAcrossReads(t *testing.T) {
+	const body = `{"now":7,"decisions":[{"id":"hop-0","action":"map","seq":0}]}`
+	base, conns := rawServer(t, false, "HTTP/1.1 200 OK\r\n",
+		fmt.Sprintf("Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+	cl := NewClient(nil, ClientConfig{Timeout: 5 * time.Second})
+	defer cl.CloseIdle()
+	ctx := context.Background()
+	for range 2 {
+		decideOK(t, cl, base, hopTasks(1))
+		var got struct{ Now int }
+		if err := cl.GetJSON(ctx, base+"/v1/x", &got); err != nil || got.Now != 7 {
+			t.Fatalf("GetJSON: now %d, %v; want 7", got.Now, err)
+		}
+		if err := cl.PostJSON(ctx, base+"/v1/x", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("six exchanges dialled %d connections, want 1", n)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -431,12 +430,11 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 }
 
-// newTestServerFor wraps an existing controller in an HTTP test server.
-func newTestServerFor(t testing.TB, c *Controller) *httptest.Server {
+// newTestServerFor serves an existing controller's handler on a loopback
+// port (serveLoopback).
+func newTestServerFor(t testing.TB, c *Controller) *testServer {
 	t.Helper()
-	srv := httptest.NewServer(NewHandler(c))
-	t.Cleanup(srv.Close)
-	return srv
+	return serveLoopback(t, NewHandler(c))
 }
 
 // newOfflineCluster builds the offline twin of newShardedController: the

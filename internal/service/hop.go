@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -26,15 +27,14 @@ import (
 // (conn.open) or dials one, writes the request line, headers and body with
 // one Write, and reads the answer on the connection's own bufio.Reader.
 //
-// A decide's answer in the plain shape Server writes — "HTTP/1.1", a
-// 3-digit status, one Content-Length, at most a Connection of close or
-// keep-alive, no Transfer-Encoding, the head already buffered — is read in
-// place (readAnswerHead): its body goes into the connection's buffer and
-// its decisions into the caller's slots, sharing the request's task labels
-// and the client's machine names where the bytes match, so such an
-// exchange allocates nothing. Every other answer, and every JSON
-// exchange's, is read by http.ReadResponse, which stays the reference:
-// FuzzDecideAnswerHead holds the in-place reader to it.
+// Every answer is read in place in the plain shape Server writes
+// (readAnswerHead), its head peeked on across reads: its body goes into the
+// connection's buffer and a decide's decisions into the caller's slots,
+// sharing the request's task labels and the client's machine names where
+// the bytes match, so such an exchange allocates nothing. An answer in any
+// other shape, chunked or close-delimited say, fails the attempt with
+// errAnswerShape and closes the connection, as a malformed answer does.
+// http.ReadResponse is the reference FuzzDecideAnswerHead holds it to.
 //
 // No redirect is followed: a 3xx is an HTTPError like any other non-2xx
 // answer. The connection goes back to the idle list once its answer was
@@ -212,7 +212,7 @@ func (dc *DecideCall) recv() (now pmf.Tick, n int, err error) {
 		return 0, 0, dc.err
 	}
 	dc.c = nil
-	h, err := c.readAnswer(dc.req == nil)
+	h, err := c.readAnswer()
 	if err != nil {
 		return 0, 0, dc.fail(c, err)
 	}
@@ -229,16 +229,14 @@ func (dc *DecideCall) recv() (now pmf.Tick, n int, err error) {
 	return now, n, err
 }
 
-// readAnswer reads the answer to the request written on c, its body into
-// c.buf: in place when inPlace and its head is in the plain shape
-// (readAnswerHead), else by http.ReadResponse.
-func (c *conn) readAnswer(inPlace bool) (h answerHead, err error) {
-	if inPlace {
-		// Wait for the answer's first bytes; the head is read in place when
-		// all of it came with them.
-		if _, err := c.br.Peek(1); err != nil {
-			return h, unexpected(err)
-		}
+// errAnswerShape fails an answer not in the plain shape (readAnswerHead).
+var errAnswerShape = errors.New("service: answer not in the plain shape Server writes")
+
+// readAnswer reads the answer to the request written on c: its head in
+// place once the blank line that ends it is buffered (readAnswerHead), its
+// body into c.buf.
+func (c *conn) readAnswer() (h answerHead, err error) {
+	for {
 		buf, _ := c.br.Peek(c.br.Buffered())
 		if h, n, ok := readAnswerHead(buf); ok {
 			c.br.Discard(n)
@@ -246,14 +244,15 @@ func (c *conn) readAnswer(inPlace bool) (h answerHead, err error) {
 			_, err := io.ReadFull(c.br, c.buf)
 			return h, unexpected(err)
 		}
+		// A whole head is not plain; a part of one waits for more bytes.
+		if bytes.Contains(buf, []byte("\n\r\n")) || bytes.Contains(buf, []byte("\n\n")) {
+			return h, errAnswerShape
+		} else if _, err := c.br.Peek(len(buf) + 1); err == bufio.ErrBufferFull {
+			return h, errAnswerShape // a head past the buffer
+		} else if err != nil {
+			return h, unexpected(err)
+		}
 	}
-	resp, err := http.ReadResponse(c.br, nil)
-	if err != nil {
-		return h, err
-	}
-	c.buf, err = readBody(c.buf, resp.Body, resp.ContentLength)
-	resp.Body.Close()
-	return answerHead{status: resp.StatusCode, close: resp.Close, retryAfter: retryAfterOf(resp.Header.Get("Retry-After"))}, err
 }
 
 // unexpected is err with an EOF before the answer was whole made
@@ -285,8 +284,9 @@ const answerStatusLine = "HTTP/1.1 "
 // outside the token bytes or a value byte net/http refuses; a
 // Transfer-Encoding; no Content-Length, a repeated one, or one not all
 // digits or over maxDecideBody; a Connection other than one close or
-// keep-alive — is not ok and is left to http.ReadResponse. Whatever it
-// accepts, http.ReadResponse reads the same way (FuzzDecideAnswerHead).
+// keep-alive — is not ok: readAnswer waits for the rest of a head not all
+// in buf and fails any other with errAnswerShape. Whatever it accepts,
+// http.ReadResponse reads the same way (FuzzDecideAnswerHead).
 func readAnswerHead(buf []byte) (h answerHead, n int, ok bool) {
 	end := bytes.IndexByte(buf, '\n')
 	if end < 1 || buf[end-1] != '\r' {

@@ -345,21 +345,24 @@ func FuzzDecideAnswerHead(f *testing.F) {
 	})
 }
 
-// TestDecideChunkedAndCloseAnswers: an answer chunked past the server's
-// buffer is read to its end and keeps the connection; an answer that says
-// Connection: close is read and the connection is not kept.
+// TestDecideChunkedAndCloseAnswers: an answer that says Connection: close
+// is read and the connection is not kept. An answer chunked past the
+// server's buffer, or delimited by the close, is not in the plain shape:
+// it fails with errAnswerShape, its connection is closed, and the ID-less
+// decide is not sent again, whatever the retry budget.
 func TestDecideChunkedAndCloseAnswers(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		h     http.HandlerFunc
-		conns int64 // dialed for three decides
-		idle  int   // kept after them
-	}{
-		{"chunked", func(w http.ResponseWriter, r *http.Request) {
+	// stream answers decision by decision, flushing after each, so net/http
+	// frames the answer by te: chunked (""), or delimited by the close
+	// ("identity").
+	stream := func(te string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
 			if r.ContentLength < 4096 {
 				t.Errorf("request of %d bytes, want a batch past 4 KiB", r.ContentLength)
 			}
 			w.Header().Set("Content-Type", "application/json")
+			if te != "" {
+				w.Header().Set("Transfer-Encoding", te)
+			}
 			var req DecideRequest
 			_ = json.NewDecoder(r.Body).Decode(&req)
 			fmt.Fprint(w, `{"now":7,"decisions":[`)
@@ -371,24 +374,47 @@ func TestDecideChunkedAndCloseAnswers(t *testing.T) {
 				http.NewResponseController(w).Flush()
 			}
 			fmt.Fprintln(w, `]}`)
-		}, 1, 1},
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		h     http.HandlerFunc
+		shape bool // the answer fails with errAnswerShape
+		idle  int  // connections kept after three decides
+	}{
+		{"chunked", stream(""), true, 0},
+		{"close-delimited", stream("identity"), true, 0},
 		{"connection close", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Connection", "close")
 			answerDecide(w, r)
-		}, 3, 0},
+		}, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, conns := hopServer(t, "", tc.h)
-			cl := NewClient(nil, ClientConfig{Timeout: 5 * time.Second})
-			tasks := hopTasks(64)
-			for i := range tasks {
-				tasks[i].ID += strings.Repeat("x", 64)
+			var calls atomic.Int64
+			srv, conns := hopServer(t, "", func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				tc.h(w, r)
+			})
+			cl := NewClient(nil, ClientConfig{Timeout: 5 * time.Second, Retries: 3, Backoff: time.Millisecond})
+			tasks := hopTasks(4) // an answer under net/http's buffer carries a Content-Length
+			if tc.shape {
+				tasks = hopTasks(64)
+				for i := range tasks {
+					tasks[i].ID += strings.Repeat("x", 64)
+				}
 			}
 			for range 3 {
-				decideOK(t, cl, srv.URL, tasks)
+				if !tc.shape {
+					decideOK(t, cl, srv.URL, tasks)
+					continue
+				}
+				_, _, err := cl.Decide(context.Background(), srv.URL, "", tasks, nil, make([]Decision, len(tasks)))
+				if !errors.Is(err, errAnswerShape) {
+					t.Fatalf("err = %v, want %v", err, errAnswerShape)
+				}
 			}
-			if n := conns.Load(); n != tc.conns {
-				t.Fatalf("3 decides dialed %d connections, want %d", n, tc.conns)
+			if n, c := conns.Load(), calls.Load(); n != 3 || c != 3 {
+				t.Fatalf("3 decides dialed %d connections and reached the server %d times, want 3 and 3", n, c)
 			}
 			if n := len(cl.origins[srv.URL].idle); n != tc.idle {
 				t.Fatalf("%d idle connections kept, want %d", n, tc.idle)

@@ -188,13 +188,18 @@ type decideScratch struct {
 	decide DecideFunc
 }
 
-// ServeHTTP reads the body — pre-sized from Content-Length, bounded by
-// maxDecideBody — and serves it. (The server then discards what is left of
-// a body over the bound, up to maxUnreadBody, or closes the connection.)
+// ServeHTTP reads the body — pre-sized from a Content-Length within
+// maxDecideBody, bounded by maxDecideBody — and serves it. (The server then
+// discards what is left of a body over the bound, up to maxUnreadBody, or
+// closes the connection.)
 func (d *Decider) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	data, err := readBody(nil, http.MaxBytesReader(w, r.Body, maxDecideBody), r.ContentLength)
-	d.serve(r.Context(), w, new(decideScratch), data, err, start)
+	var b bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxDecideBody {
+		b.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, maxDecideBody))
+	d.serve(r.Context(), w, new(decideScratch), b.Bytes(), err, start)
 }
 
 // serve answers the decide request whose body is data — all of it, or what
@@ -269,18 +274,6 @@ func decodeBody(data []byte, readErr error, req *DecideRequest) error {
 		return decodeStrict(io.MultiReader(bytes.NewReader(data), errReader{readErr}), req)
 	}
 	return decodeDecideRequest(data, req)
-}
-
-// readBody reads r to EOF into buf's storage (nil: a new buffer), grown
-// once from size, the length the sender declared (-1: unknown; sizes over
-// maxDecideBody are not trusted for the allocation).
-func readBody(buf []byte, r io.Reader, size int64) ([]byte, error) {
-	b := bytes.NewBuffer(buf[:0])
-	if size > 0 && size <= maxDecideBody {
-		b.Grow(int(size) + bytes.MinRead)
-	}
-	_, err := b.ReadFrom(r)
-	return b.Bytes(), err
 }
 
 // errReader fails every read with err.

@@ -4,11 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/hpcclab/taskdrop/internal/core"
 	"github.com/hpcclab/taskdrop/internal/mapping"
@@ -16,12 +19,63 @@ import (
 	"github.com/hpcclab/taskdrop/internal/sim"
 )
 
-func newTestServer(t testing.TB) (*Controller, *httptest.Server) {
+func newTestServer(t testing.TB) (*Controller, *testServer) {
 	t.Helper()
 	c := newTestController(t)
-	srv := httptest.NewServer(NewHandler(c))
-	t.Cleanup(srv.Close)
-	return c, srv
+	return c, newTestServerFor(t, c)
+}
+
+// testServer is h served by a Server on a loopback port, as hcserve and
+// hcrouter serve their handlers, and the connections it accepted.
+type testServer struct {
+	URL    string
+	conns  atomic.Int64
+	s      *Server
+	served chan struct{}
+	client *http.Client
+}
+
+// serveLoopback serves h on a loopback port until the test ends.
+func serveLoopback(t testing.TB, h http.Handler) *testServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := &testServer{URL: "http://" + ln.Addr().String(), s: NewServer(h), served: make(chan struct{}),
+		client: &http.Client{Transport: &http.Transport{}}}
+	go func() {
+		defer close(ts.served)
+		_ = ts.s.Serve(countingListener{ln, &ts.conns}) // http.ErrServerClosed, once Close shut it down
+	}()
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// Client is a plain net/http client, for tests whose subject is the server.
+func (ts *testServer) Client() *http.Client { return ts.client }
+
+// Close shuts the server down and waits until it stopped serving.
+func (ts *testServer) Close() {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ts.s.Shutdown(ctx)
+	<-ts.served
+	ts.client.CloseIdleConnections()
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	n *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return nc, err
 }
 
 // TestEndToEndReplay is the acceptance test of the serving layer: a
@@ -200,7 +254,7 @@ func TestDecideBodyOverBound(t *testing.T) {
 	}
 }
 
-func getJSON(t testing.TB, srv *httptest.Server, path string, out any) {
+func getJSON(t testing.TB, srv *testServer, path string, out any) {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + path)
 	if err != nil {
@@ -212,7 +266,7 @@ func getJSON(t testing.TB, srv *httptest.Server, path string, out any) {
 	}
 }
 
-func getText(t testing.TB, srv *httptest.Server, path string) string {
+func getText(t testing.TB, srv *testServer, path string) string {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + path)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -17,7 +16,7 @@ import (
 )
 
 // postDecide POSTs one decide request and returns the raw response bytes.
-func postDecide(t testing.TB, srv *httptest.Server, req *DecideRequest) (int, []byte) {
+func postDecide(t testing.TB, srv *testServer, req *DecideRequest) (int, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -206,7 +205,7 @@ func reseedsDedupAfterCrash(t *testing.T, every int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := httptest.NewServer(NewHandler(c1))
+	srv1 := serveLoopback(t, NewHandler(c1))
 
 	originals := map[string][]byte{}
 	for lo := 0; lo < 40; lo += 10 {
@@ -229,7 +228,7 @@ func reseedsDedupAfterCrash(t *testing.T, every int) {
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	srv2 := httptest.NewServer(NewHandler(c2))
+	srv2 := serveLoopback(t, NewHandler(c2))
 	defer srv2.Close()
 
 	// Without checkpoints the window is the whole log; with them it reaches

@@ -10,7 +10,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -685,7 +684,7 @@ func TestCrashInsideCommitDoesNotPoisonRetry(t *testing.T) {
 		}
 		return req
 	}
-	decide := func(srv *httptest.Server, k int) []byte {
+	decide := func(srv *testServer, k int) []byte {
 		t.Helper()
 		code, data := postDecide(t, srv, request(k))
 		if code != http.StatusOK {
@@ -705,7 +704,7 @@ func TestCrashInsideCommitDoesNotPoisonRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(c))
+	srv := serveLoopback(t, NewHandler(c))
 	const last = 5
 	var want [][]byte // the uninterrupted answers
 	for k := 0; k <= last+1; k++ {

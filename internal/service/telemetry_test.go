@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -146,7 +145,7 @@ func TestConcurrentDecideMetricsTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	srv := httptest.NewServer(NewHandler(c))
+	srv := serveLoopback(t, NewHandler(c))
 	defer srv.Close()
 
 	tr := testTrace(t, 240, 13)
@@ -242,7 +241,7 @@ func TestMetricsChainInvalidationFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	srv := httptest.NewServer(NewHandler(c))
+	srv := serveLoopback(t, NewHandler(c))
 	defer srv.Close()
 
 	scrape := func() string {
