@@ -108,7 +108,7 @@ func main() {
 		journalDir    = flag.String("journal-dir", "", "enable the decision journal: per-shard WAL + snapshots under this directory (crash recovery, hcreplay)")
 		fsync         = flag.String("fsync", "interval", "journal durability policy: always | interval | never")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync period under -fsync interval")
-		snapshotEvery = flag.Int("snapshot-every", 1250, "checkpoint a shard once its WAL segment holds this many arrivals (negative: only at drain)")
+		snapshotEvery = flag.Int("snapshot-every", 1250, "checkpoint a shard once it has admitted this many arrivals since its last checkpoint (negative: only at drain)")
 		traceSample   = flag.Int("trace-sample", 0, "stage-trace every Nth decision by sequence number (0 disables tracing; the last 256 per shard are kept)")
 		logFormat     = flag.String("log-format", "text", "log output format: text | json")
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug | info | warn | error")

@@ -7,12 +7,14 @@
 // are a pure function of the fed task sequence — which is precisely the
 // event-sourcing sweet spot: journaling the arrivals is enough to
 // reconstruct the exact pre-crash engine by replay, and one digest per
-// commit of the decisions and terminal task events they caused (Digest,
-// Writer.Fold) is enough to audit it. The package is
-// deliberately generic: it stores Records in commit frames and opaque
-// snapshot payloads; what goes inside them is the caller's contract
-// (internal/service encodes shard checkpoints, cmd/hcreplay re-derives
-// past decisions).
+// commit of the decisions and terminal task events they caused (Digest) is
+// enough to audit it. The package defines the record vocabulary and its
+// codec, but the Writer is generic: it frames, writes, fsyncs, checkpoints
+// and trims whatever records and opaque snapshot payloads it is handed.
+// Which records a commit holds, the digest it ends with and when a
+// checkpoint is due are the caller's decisions (internal/service's shard
+// commit), and so is what the payloads mean (internal/service encodes
+// shard checkpoints, cmd/hcreplay re-derives past decisions).
 //
 // # On-disk layout
 //
@@ -49,9 +51,9 @@
 // # Commit framing
 //
 // The unit on disk is the commit — what one acknowledgement covers. Append
-// adds a record to the open commit in memory, Fold adds one to the
-// commit's digest instead; Commit seals it as one frame, ending in a digest
-// record when anything was folded, and writes it in one write:
+// adds a record to the open commit in memory; Commit seals it as one frame
+// and writes it in one write. The service appends a digest record last
+// when the commit's inputs derived anything:
 //
 //	u32 payload length | u32 CRC-32C of payload | payload
 //	payload = version byte (frameVersion, now 5) | record | ... [| digest]

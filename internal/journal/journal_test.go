@@ -3,14 +3,18 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"github.com/hpcclab/taskdrop/internal/pmf"
 )
@@ -87,17 +91,6 @@ func sampleRecords(n int, seed int64) []Record {
 		}
 	}
 	return out
-}
-
-// arrivals counts the arrive records among recs.
-func arrivals(recs []Record) int {
-	n := 0
-	for i := range recs {
-		if recs[i].Kind == KindArrive {
-			n++
-		}
-	}
-	return n
 }
 
 // frame returns the commit frame a writer seals over recs.
@@ -427,8 +420,8 @@ func commits(recs []Record) (seg []byte, bounds, kept []int) {
 // TestTornTailRecovery cuts a segment of multi-record commits at every
 // seventh byte and checks that (a) the scan recovers exactly the records of
 // the commits whose frames survived whole — a torn commit vanishes with all
-// its records — and (b) a writer reopening the cut log truncates the tail,
-// counts the arrivals it kept, and appends cleanly after them.
+// its records — and (b) a writer reopening the cut log truncates the tail
+// and appends cleanly after the commits it kept.
 func TestTornTailRecovery(t *testing.T) {
 	recs := sampleRecords(12, 3)
 	full, bounds, kept := commits(recs)
@@ -464,9 +457,6 @@ func TestTornTailRecovery(t *testing.T) {
 		w, err := OpenWriter(dir, WriterOptions{Policy: SyncNever})
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
-		}
-		if n := arrivals(recs[:want]); w.ArrivalsInSegment() != n {
-			t.Fatalf("cut %d: reopened writer counts %d arrivals, want %d", cut, w.ArrivalsInSegment(), n)
 		}
 		extra := Record{Kind: KindDrain, Tick: 42}
 		if err := w.Append(&extra); err != nil {
@@ -508,7 +498,7 @@ func TestCorruptedMiddleStopsScan(t *testing.T) {
 // TestWriterFramesEachCommit pins the writer's side of the format: each
 // Commit writes what was appended since the last as one frame, nothing
 // reaches the file before it, the record counters count records whatever
-// the frames, the segment's arrival counter its arrivals, and Checkpoint and Close seal the open commit first, so no
+// the frames, and Checkpoint and Close seal the open commit first, so no
 // frame spans two segments.
 func TestWriterFramesEachCommit(t *testing.T) {
 	dir := t.TempDir()
@@ -546,9 +536,9 @@ func TestWriterFramesEachCommit(t *testing.T) {
 	if err := w.Commit(); err != nil { // nothing open: nothing written
 		t.Fatal(err)
 	}
-	if n := arrivals(recs[:7]); w.Appended() != 7 || w.ArrivalsInSegment() != n || w.Bytes() != int64(len(want)) || size() != len(want) {
-		t.Fatalf("after three commits: %d appended, %d arrivals in segment, %d bytes (file %d), want 7, %d, %d",
-			w.Appended(), w.ArrivalsInSegment(), w.Bytes(), size(), n, len(want))
+	if w.Appended() != 7 || w.Bytes() != int64(len(want)) || size() != len(want) {
+		t.Fatalf("after three commits: %d appended, %d bytes (file %d), want 7, %d",
+			w.Appended(), w.Bytes(), size(), len(want))
 	}
 	// The open commit lands in segment 0, before the snapshot.
 	if err := w.Append(&recs[7]); err != nil {
@@ -586,8 +576,8 @@ func TestCheckpointRotationAndRecover(t *testing.T) {
 	if err := w.Checkpoint([]byte("state-after-10")); err != nil {
 		t.Fatal(err)
 	}
-	if w.seg != 1 || w.ArrivalsInSegment() != 0 {
-		t.Fatalf("after checkpoint: seg %d arrivals %d, want 1/0", w.seg, w.ArrivalsInSegment())
+	if w.seg != 1 {
+		t.Fatalf("after checkpoint: seg %d, want 1", w.seg)
 	}
 	for i := 10; i < 20; i++ {
 		if err := w.Append(&recs[i]); err != nil {
@@ -880,6 +870,54 @@ func TestSnapshotFileCRC(t *testing.T) {
 	}
 	if _, err := ReadSnapshotFile(bad); err == nil {
 		t.Fatal("corrupted snapshot read back without error")
+	}
+}
+
+// TestBackgroundFsyncFailureFailsCommit: under SyncInterval no Commit
+// fsyncs, so a failure of the background syncer must reach the owner
+// another way: the next Commit returns it, and every one after it. The
+// segment file is swapped for a pipe, which takes every write and refuses
+// fsync with EINVAL.
+func TestBackgroundFsyncFailureFailsCommit(t *testing.T) {
+	w, err := OpenWriter(t.TempDir(), WriterOptions{Policy: SyncInterval, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	go io.Copy(io.Discard, pr) // ends when Close closes pw
+	w.fmu.Lock()
+	seg := w.f
+	w.f = pw
+	w.fmu.Unlock()
+	seg.Close()
+
+	rec := Record{Kind: KindDrain, Tick: 1}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if err := w.Append(&rec); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		err := w.Commit()
+		if err != nil {
+			if !errors.Is(err, syscall.EINVAL) {
+				t.Fatalf("commit failed with %v, want the background fsync's EINVAL", err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("commits kept succeeding for 5 s over a segment that refuses fsync")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := w.Commit(); !errors.Is(err, syscall.EINVAL) {
+		t.Fatalf("the commit after the failure returned %v: the failure is not latched", err)
+	}
+	if err := w.Close(); !errors.Is(err, syscall.EINVAL) {
+		t.Fatalf("close returned %v, want the latched failure", err)
 	}
 }
 

@@ -407,12 +407,12 @@ func (r *Record) Clone() Record {
 }
 
 // Digest is the running sum of a commit's derived records: CRC-64 (ECMA)
-// over each record's AppendRecord form, in the order folded. A served shard
-// folds every decision and terminal event its inputs derive into the open
-// commit's Digest (Writer.Fold) instead of logging it; a shard replaying
-// the log folds what it re-derives into its own and compares the two at
-// the commit's digest record. Folding reuses the Digest's buffer, so it
-// allocates nothing once the buffer holds a record.
+// over each record's AppendRecord form, in the order folded. A shard keeps
+// one and folds every decision and terminal event its inputs derive into
+// it, whether it serves or walks its log: served, it appends the sum as
+// the commit's last record (KindDigest) in their place; walking, it
+// compares the sum with the commit's digest record. Folding reuses the
+// Digest's buffer, so it allocates nothing once the buffer holds a record.
 type Digest struct {
 	sum uint64
 	n   int

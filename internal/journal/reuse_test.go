@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -119,78 +118,11 @@ func TestScanReusesTheRecord(t *testing.T) {
 	}
 }
 
-// TestWriterDigestsFoldedRecords pins format 5's commit: the records folded
-// into it reach the file as one digest record, the commit's last, whose sum
-// is the Digest of what was folded in order; a commit with nothing folded
-// logs no digest; and Checkpoint and Close seal the digest with the commit
-// they seal, so no digest lands in a segment apart from its inputs.
-func TestWriterDigestsFoldedRecords(t *testing.T) {
-	dir := t.TempDir()
-	w, err := OpenWriter(dir, WriterOptions{Policy: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := Record{Kind: KindBatch, NTasks: 1}
-	arrive := Record{Kind: KindArrive, Seq: 4, Tick: 10, Deadline: 90, Exec: []pmf.Tick{5, 6}}
-	derived := []Record{
-		{Kind: KindEvent, Seq: 1, Action: 3, Tick: 10},
-		{Kind: KindDecision, Seq: 4, Action: ActMap, Machine: 2, Tick: 10},
-	}
-	var dig Digest
-	commit := func(fold []Record) {
-		t.Helper()
-		for _, r := range []*Record{&batch, &arrive} {
-			if err := w.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := range fold {
-			w.Fold(&fold[i])
-		}
-	}
-	commit(derived)
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	dig.Fold(&derived[0])
-	dig.Fold(&derived[1])
-	want := frame(batch, arrive, Record{Kind: KindDigest, Digest: dig.Sum()})
-	commit(nil)
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, frame(batch, arrive)...)
-	if data, _ := os.ReadFile(SegmentPath(dir, 0)); !bytes.Equal(data, want) {
-		t.Fatalf("two commits wrote %x, want %x", data, want)
-	}
-	if w.Appended() != 5 || w.ArrivalsInSegment() != 2 {
-		t.Fatalf("%d records appended, %d arrivals: want 5 (the digest counted, the folded records not) and 2", w.Appended(), w.ArrivalsInSegment())
-	}
-	commit(derived[:1])
-	if err := w.Checkpoint([]byte("state")); err != nil {
-		t.Fatal(err)
-	}
-	dig.Reset()
-	dig.Fold(&derived[0])
-	want = append(want, frame(batch, arrive, Record{Kind: KindDigest, Digest: dig.Sum()})...)
-	if data, _ := os.ReadFile(SegmentPath(dir, 0)); !bytes.Equal(data, want) {
-		t.Fatal("Checkpoint did not seal the open commit's digest into the segment it closes")
-	}
-	w.Fold(&derived[1])
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dig.Reset()
-	dig.Fold(&derived[1])
-	if data, _ := os.ReadFile(SegmentPath(dir, 1)); !bytes.Equal(data, frame(Record{Kind: KindDigest, Digest: dig.Sum()})) {
-		t.Fatal("Close did not seal the open commit's digest")
-	}
-}
-
 // TestDigestAllocsNothingPerCommit: a commit shaped like a served
 // single-task decide's — two inputs appended, a decision and a terminal
-// event folded into its digest — allocates nothing once the writer's
-// buffers have grown.
+// event folded into a Digest, the digest record appended last, as the
+// service's shard commits — allocates nothing once the writer's and the
+// digest's buffers have grown.
 func TestDigestAllocsNothingPerCommit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
@@ -204,11 +136,15 @@ func TestDigestAllocsNothingPerCommit(t *testing.T) {
 	arrive := Record{Kind: KindArrive, Seq: 4, Tick: 10, Deadline: 90, Exec: []pmf.Tick{5, 6, 7, 8}, ID: "t-4"}
 	decision := Record{Kind: KindDecision, Seq: 4, Action: ActMap, Machine: 2, Tick: 10}
 	event := Record{Kind: KindEvent, Seq: 1, Action: 3, Tick: 10}
+	var dig Digest
 	allocs := testing.AllocsPerRun(200, func() {
 		_ = w.Append(&batch)
 		_ = w.Append(&arrive)
-		w.Fold(&decision)
-		w.Fold(&event)
+		dig.Fold(&decision)
+		dig.Fold(&event)
+		sum := Record{Kind: KindDigest, Digest: dig.Sum()}
+		dig.Reset()
+		_ = w.Append(&sum)
 		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}

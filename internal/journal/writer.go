@@ -73,6 +73,8 @@ type WriterOptions struct {
 }
 
 // Writer appends records to a shard's segmented WAL, one frame per commit.
+// It frames, writes, fsyncs, checkpoints and trims; what the records mean
+// — which ones a commit holds, when a checkpoint is due — is the caller's.
 // It is owned by one goroutine (the shard's decision loop): Append, Commit,
 // Checkpoint and Close must not race each other. The background interval
 // syncer is the only concurrent toucher and is synchronized internally.
@@ -86,18 +88,9 @@ type Writer struct {
 	f   *os.File
 
 	seg int
-	// arrivesInSeg counts the arrive records appended to the current
-	// segment, the open commit's included — the snapshot cadence is
-	// measured in arrivals, not records or bytes: replay cost scales with
-	// the tasks it re-admits, and the records each one logs depend on the
-	// format and the batch size.
-	arrivesInSeg int
 	// pending is the open commit: a frame opened by openFrame and every
 	// record appended since the last seal.
 	pending []byte
-	// dig sums the records folded into the open commit (Fold); seal logs it
-	// as the commit's last record.
-	dig Digest
 	// snapBuf is the storage a snapshot is framed in, reused.
 	snapBuf []byte
 
@@ -116,6 +109,9 @@ type Writer struct {
 	// err latches the first append/flush/sync failure: a WAL with a lost
 	// write must not silently keep acknowledging decisions.
 	err error
+	// syncErr holds the background syncer's fsync failure until the owner's
+	// next Commit, Checkpoint or Close moves it into err.
+	syncErr atomic.Pointer[error]
 }
 
 // OpenWriter opens (or creates) a shard log directory for appending. An
@@ -164,15 +160,8 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Truncate a torn tail so appends continue after the last whole commit,
-	// and resume the segment's arrival count.
-	arrives := 0
-	valid, err := scanFrames(path, f, func(r *Record) error {
-		if r.Kind == KindArrive {
-			arrives++
-		}
-		return nil
-	})
+	// Truncate a torn tail so appends continue after the last whole commit.
+	valid, err := scanFrames(path, f, nil)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -186,7 +175,6 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 		return nil, err
 	}
 	w.f = f
-	w.arrivesInSeg = arrives
 	w.diskBase.Store(diskBytes(dir))
 	syncDir(dir)
 
@@ -198,12 +186,7 @@ func OpenWriter(dir string, opts WriterOptions) (*Writer, error) {
 	return w, nil
 }
 
-// ArrivalsInSegment returns the number of arrive records in the current
-// segment — the tasks a crash right now would replay.
-func (w *Writer) ArrivalsInSegment() int { return w.arrivesInSeg }
-
-// Appended returns the total records appended through this writer, digest
-// records included and folded records not.
+// Appended returns the total records appended through this writer.
 func (w *Writer) Appended() int64 { return w.appended.Load() }
 
 // Lag returns the number of appended records not yet covered by a
@@ -233,28 +216,14 @@ func (w *Writer) Append(r *Record) error {
 		return w.err
 	}
 	w.pending = AppendRecord(w.pending, r)
-	if r.Kind == KindArrive {
-		w.arrivesInSeg++
-	}
 	w.appended.Add(1)
 	return nil
 }
 
-// Fold adds a record the open commit's inputs derived to the commit's
-// digest instead of the commit: the commit logs one digest record in its
-// place (see seal).
-func (w *Writer) Fold(r *Record) { w.dig.Fold(r) }
-
-// seal ends the open commit with its digest, if anything was folded into
-// it, writes the commit, if it holds a record, as one frame in one write
-// and opens the next: a crash leaves the whole frame or a torn one, which
-// the reader drops whole.
+// seal writes the open commit, if it holds a record, as one frame in one
+// write and opens the next: a crash leaves the whole frame or a torn one,
+// which the reader drops whole.
 func (w *Writer) seal() error {
-	if w.dig.Len() > 0 {
-		w.pending = AppendRecord(w.pending, &Record{Kind: KindDigest, Digest: w.dig.Sum()})
-		w.appended.Add(1)
-		w.dig.Reset()
-	}
 	if len(w.pending) == frameHeader+1 {
 		return nil
 	}
@@ -273,9 +242,10 @@ func (w *Writer) seal() error {
 // policy: the records go to the OS as one frame, plus an inline fdatasync
 // under SyncAlways. The admission loop calls Commit after journaling a
 // decide sub-batch and before acknowledging it, so the frame holds exactly
-// what one acknowledgement covers.
+// what one acknowledgement covers. A failed background fsync fails the
+// next Commit and every one after it.
 func (w *Writer) Commit() error {
-	if w.err != nil {
+	if w.latchSyncErr() != nil {
 		return w.err
 	}
 	if err := w.seal(); err != nil {
@@ -316,8 +286,18 @@ func (w *Writer) fsync() error {
 	return nil
 }
 
+// latchSyncErr moves a background fsync failure into err and returns err.
+func (w *Writer) latchSyncErr() error {
+	if p := w.syncErr.Load(); p != nil && w.err == nil {
+		w.err = *p
+	}
+	return w.err
+}
+
 // syncLoop is the SyncInterval background syncer. It only ever syncs
-// frames already written; the open commit waits for the next Commit.
+// frames already written; the open commit waits for the next Commit. Its
+// first failure is latched for the owner's next Commit to return, and it
+// stops syncing then: the log is failed.
 func (w *Writer) syncLoop() {
 	defer close(w.syncDone)
 	t := time.NewTicker(w.opts.Interval)
@@ -328,7 +308,10 @@ func (w *Writer) syncLoop() {
 			return
 		case <-t.C:
 			if w.durable.Load() < w.written.Load() {
-				_ = w.fsync() // the next Commit surfaces persistent failures
+				if err := w.fsync(); err != nil {
+					w.syncErr.Store(&err)
+					return
+				}
 			}
 		}
 	}
@@ -343,7 +326,7 @@ func (w *Writer) syncLoop() {
 // only then does anything go — so at every instant the directory holds
 // Recover's (base, newest, tail).
 func (w *Writer) Checkpoint(payload []byte) error {
-	if w.err != nil {
+	if w.latchSyncErr() != nil {
 		return w.err
 	}
 	if err := w.seal(); err != nil {
@@ -373,7 +356,6 @@ func (w *Writer) Checkpoint(payload []byte) error {
 	w.fmu.Unlock()
 	_ = old.Close()
 	w.seg++
-	w.arrivesInSeg = 0
 	w.trim()
 	return nil
 }
@@ -455,6 +437,7 @@ func (w *Writer) Close() error {
 	}
 	close(w.closed)
 	<-w.syncDone
+	w.latchSyncErr()
 	var ferr error
 	if w.err == nil {
 		ferr = w.seal()

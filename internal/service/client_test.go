@@ -378,3 +378,30 @@ func TestAnswerHeadAcrossReads(t *testing.T) {
 		t.Fatalf("six exchanges dialled %d connections, want 1", n)
 	}
 }
+
+// TestClientReadsHeadRejectInOneAttempt: service.Server answers a request
+// head past its bound with a 431 the hop reads, so a GetJSON returns an
+// *HTTPError 431, and a PostJSON with a retry budget does so from one
+// attempt: a 4xx is final, where an answer of a shape the hop does not read
+// would be a transport error PostJSON retries.
+func TestClientReadsHeadRejectInOneAttempt(t *testing.T) {
+	srv := serveLoopback(t, NewHandler(newTestController(t)))
+	cl := NewClient(nil, ClientConfig{Retries: 3, Backoff: time.Millisecond})
+	long := srv.URL + "/" + strings.Repeat("a", 1<<20+8192)
+	for _, get := range []bool{true, false} {
+		before := cl.Attempts()
+		var err error
+		if get {
+			err = cl.GetJSON(context.Background(), long, nil)
+		} else {
+			err = cl.PostJSON(context.Background(), long, nil, nil)
+		}
+		var he *HTTPError
+		if !errors.As(err, &he) || he.Status != http.StatusRequestHeaderFieldsTooLarge {
+			t.Fatalf("get %v: err = %.200v, want an *HTTPError 431", get, err)
+		}
+		if n := cl.Attempts() - before; n != 1 {
+			t.Fatalf("get %v: %d attempts, want 1", get, n)
+		}
+	}
+}

@@ -33,7 +33,8 @@ import (
 // terminal task events they derive are not logged; a commit ends with one
 // digest of them (record format 5), which makes the log auditable: recovery
 // and cmd/hcreplay re-derive each commit and compare digests (see
-// shard.replayLog).
+// shard.replayLog). The shard, not the writer, sums the digest and counts
+// the arrivals that set the checkpoint cadence (shard.commit).
 
 // manifestName is the manifest file inside the journal root.
 const manifestName = "manifest.json"
@@ -437,20 +438,37 @@ func (sh *shard) journalTrace(tr *telemetry.Trace) {
 }
 
 // commitJournal makes the sub-batch durable per the fsync policy and
-// checkpoints when the segment holds SnapshotEvery arrivals. Called
-// under the shard's turn before the sub-batch (or membership operation) is
-// acknowledged — the shard's one commit point, so a failure here fails the
+// checkpoints once SnapshotEvery arrivals have been admitted since the last
+// checkpoint. Called under the shard's turn before the sub-batch (or
+// membership operation) is acknowledged, so a failure here fails the
 // request with ErrJournalFailed and latches the shard out of service.
 func (sh *shard) commitJournal() error {
-	err := sh.jw.Commit()
-	if every := sh.c.cfg.SnapshotEvery; err == nil && every > 0 && sh.jw.ArrivalsInSegment() >= every {
+	err := sh.commit()
+	if every := sh.c.cfg.SnapshotEvery; err == nil && every > 0 && sh.sinceCheckpoint >= every {
 		err = sh.checkpoint()
 	}
-	if err != nil {
-		sh.journalFailed.Store(true)
-		return fmt.Errorf("%w: %v", ErrJournalFailed, err)
+	return sh.failJournal(err)
+}
+
+// commit is the shard's one commit point: it ends the open commit with the
+// digest of what its inputs derived, if anything, and has the writer seal
+// it. Runs under the shard's turn.
+func (sh *shard) commit() error {
+	if sh.dig.Len() > 0 {
+		sh.emit(&journal.Record{Kind: journal.KindDigest, Digest: sh.dig.Sum()})
+		sh.dig.Reset()
 	}
-	return nil
+	return sh.jw.Commit()
+}
+
+// failJournal latches the shard out of service over a journal failure err
+// and wraps it in ErrJournalFailed; nil stays nil.
+func (sh *shard) failJournal(err error) error {
+	if err == nil {
+		return nil
+	}
+	sh.journalFailed.Store(true)
+	return fmt.Errorf("%w: %v", ErrJournalFailed, err)
 }
 
 // checkpointState captures the shard's state as a checkpoint. Runs under the
@@ -474,8 +492,10 @@ func (sh *shard) checkpointState() *ShardCheckpoint {
 
 // checkpoint writes the shard's full state as a journal snapshot and
 // rotates the segment, encoding into the shard's checkpoint buffer (the
-// writer keeps nothing of the payload). Runs under the shard's turn.
+// writer keeps nothing of the payload) and restarting the cadence count.
+// Runs under the shard's turn.
 func (sh *shard) checkpoint() error {
+	sh.sinceCheckpoint = 0
 	sh.cpBuf = appendCheckpoint(sh.cpBuf[:0], sh.checkpointState())
 	return sh.jw.Checkpoint(sh.cpBuf)
 }

@@ -635,7 +635,7 @@ func TestJournalRecoversDrainMarker(t *testing.T) {
 	if err := sh.do(context.Background(), func() {
 		sh.emit(&journal.Record{Kind: journal.KindDrain, Tick: sh.eng.Now()})
 		sh.drain()
-		cerr = sh.jw.Commit()
+		cerr = sh.commit()
 	}); err != nil || cerr != nil {
 		t.Fatal(err, cerr)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"strings"
 	"time"
 
@@ -161,9 +162,14 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 		// Snapshot seg captures the state after every record of segment seg
 		// (the writer rotates at the checkpoint): compare it field by field
 		// against the replayed state at this exact boundary. An absent one is
-		// no checkpoint, and a torn one is not a log defect — recovery falls
-		// back to an older one and replays a longer tail.
+		// no checkpoint. Any other restarts the cadence count, as writing it
+		// did; a torn one is not a log defect — recovery falls back to an
+		// older one and replays a longer tail.
 		payload, err := journal.ReadSnapshotFile(journal.SnapshotPath(dir, seg))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		sh.sinceCheckpoint = 0
 		if err != nil {
 			continue
 		}

@@ -43,7 +43,8 @@ const (
 //
 // As under net/http (TestServerMatchesNetHTTP), a connection closes after
 // "Connection: close", HTTP/1.0, a body left over maxUnreadBody unread, a
-// 431 past the header bound or a 400 for a malformed request;
+// 431 past the header bound or a 400 for a malformed request (these two
+// with a Content-Length, which net/http's lack);
 // Expect: 100-continue is answered on the first body read; answers carry
 // Date, formatted at most once a second, and, unless set, a sniffed
 // Content-Type. A request's context ends
@@ -451,8 +452,10 @@ func (c *serverConn) respond(keep, head bool) bool {
 
 // reject writes the plain-text answer net/http writes to a request it
 // could not read, status in the status line and as the body, and a close.
+// Unlike net/http's, it carries a Content-Length: the hop (Client) reads
+// no close-delimited answer, so it reads this one as the status it is.
 func (c *serverConn) reject(status string) {
-	io.WriteString(c.nc, "HTTP/1.1 "+status+"\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n"+status)
+	io.WriteString(c.nc, "HTTP/1.1 "+status+"\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: "+strconv.Itoa(len(status))+"\r\nConnection: close\r\n\r\n"+status)
 }
 
 // linger half-closes the connection and waits lingerDelay before the close.

@@ -93,7 +93,7 @@ func exchangeRaw(t *testing.T, addr string, raw []byte, n int) rawOutcome {
 			}
 			a.Status, a.Body = resp.StatusCode, string(body)
 			a.Header = map[string]string{}
-			for _, k := range []string{"Content-Type", "Retry-After", "Allow"} {
+			for _, k := range []string{"Content-Type", "Content-Length", "Retry-After", "Allow"} {
 				if v := resp.Header.Get(k); v != "" {
 					a.Header[k] = v
 				}
@@ -151,6 +151,14 @@ func diffCases() []diffCase {
 // behind service.Server answer the same raw requests with the same status,
 // headers and bytes, and keep or close the connection alike. Each side has
 // its own controller (or fleet), fed the same requests in the same order.
+//
+// Three differences are deliberate. An HTTP/1.0 request is answered in
+// HTTP/1.1 (the protocol is not compared). Date is formatted at most once
+// a second (not compared). And the 400 or 431 answer to a request the
+// server could not read carries a Content-Length, which net/http's omits,
+// so that service.Client reads it as its status rather than as an answer
+// of a shape it does not read: the net/http side's is compared as if it
+// carried one.
 func TestServerMatchesNetHTTP(t *testing.T) {
 	tiers := []struct {
 		name    string
@@ -191,6 +199,12 @@ func TestServerMatchesNetHTTP(t *testing.T) {
 					continue
 				}
 				want := exchangeRaw(t, ref.Listener.Addr().String(), []byte(tc.raw), tc.n)
+				for i := range want.Answers {
+					a := &want.Answers[i]
+					if _, ok := a.Header["Content-Length"]; !ok && (a.Status == http.StatusBadRequest || a.Status == http.StatusRequestHeaderFieldsTooLarge) {
+						a.Header["Content-Length"] = strconv.Itoa(len(a.Body))
+					}
+				}
 				got := exchangeRaw(t, shipped, []byte(tc.raw), tc.n)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s:\nservice.Server %+v\nnet/http       %+v", tc.name, got, want)

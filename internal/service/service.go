@@ -154,8 +154,8 @@ type Config struct {
 	// FsyncInterval is the background fsync period under the "interval"
 	// policy (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery checkpoints a shard's full state once the current WAL
-	// segment holds this many arrive records, bounding recovery replay
+	// SnapshotEvery checkpoints a shard's full state once it has admitted
+	// this many arrivals since its last checkpoint, bounding recovery replay
 	// (default 1250). Negative checkpoints only at drain.
 	SnapshotEvery int
 	// TraceSample enables stage-timed decision tracing: every Nth decision
@@ -242,6 +242,9 @@ type Controller struct {
 	mu       sync.Mutex // guards draining flag and final result
 	draining bool
 	final    *sim.Result
+	// drainErr is why some shard's log does not hold the drain, set with
+	// final (nil when every log does).
+	drainErr error
 	drained  chan struct{} // closed once every shard drained and results merged
 }
 
@@ -675,6 +678,8 @@ func (c *Controller) shardStats(ctx context.Context) (out []ShardSnapshot, names
 // runs (in the background if need be) to completion, so a caller whose ctx
 // expires still finds the result later through FinalResult or another
 // Drain call — and concurrent waiters can rely on every shard stopping.
+// A shard's log that fails to take the drain makes Drain return the merged
+// Result with an error wrapping ErrJournalFailed.
 func (c *Controller) Drain(ctx context.Context) (*sim.Result, error) {
 	c.mu.Lock()
 	first := !c.draining
@@ -689,13 +694,14 @@ func (c *Controller) Drain(ctx context.Context) (*sim.Result, error) {
 		// from ctx and drain the shards concurrently.
 		go func() {
 			parts := make([]*sim.Result, len(c.shards))
+			errs := make([]error, len(c.shards))
 			var wg sync.WaitGroup
 			for s, sh := range c.shards {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					_ = sh.do(context.Background(), func() {
-						sh.drainCmd()
+						errs[s] = sh.drainCmd()
 						parts[s] = sh.final
 					})
 				}()
@@ -703,7 +709,7 @@ func (c *Controller) Drain(ctx context.Context) (*sim.Result, error) {
 			wg.Wait()
 			merged := sim.MergeResults(parts, c.cl.NumMachines())
 			c.mu.Lock()
-			c.final = merged
+			c.final, c.drainErr = merged, errors.Join(errs...)
 			c.mu.Unlock()
 			close(c.drained)
 		}()
@@ -712,7 +718,7 @@ func (c *Controller) Drain(ctx context.Context) (*sim.Result, error) {
 	select {
 	case <-c.drained:
 		if final, ok := c.FinalResult(); ok {
-			return final, nil
+			return final, c.drainErr
 		}
 		return nil, ErrDraining
 	case <-ctx.Done():

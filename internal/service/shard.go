@@ -51,18 +51,21 @@ type shard struct {
 	// journalTrace encodes from, both reused.
 	cpBuf   []byte
 	spanBuf []journal.SpanRec
-	// journalFailed mirrors the writer's latched error (set by emit and
-	// commitJournal under the turn) so HTTP goroutines can read it: once
+	// journalFailed mirrors the writer's latched error (set by emit, commit
+	// and drainCmd under the turn) so HTTP goroutines can read it: once
 	// true the shard refuses every state change with ErrJournalFailed.
 	journalFailed atomic.Bool
+	// dig sums what the open commit's inputs derived: commit logs it, a walk
+	// (step) matches it. sinceCheckpoint counts the arrivals admitted since
+	// the last checkpoint, live or replayed: the cadence commitJournal reads.
+	dig             journal.Digest
+	sinceCheckpoint int
 	// replay marks a shard walking a log (openReplay's offline one, or the
-	// served one while it recovers): emit folds the records it derives into
-	// dig and queues them in gen, for the walk (shard.step) to match against
-	// the logged commit's digest and to name should the two differ.
-	// commitSeq is the sequence number of the walked commit's first arrive
-	// (-1 before one), which names the commit.
+	// served one while it recovers): emit also queues the records it derives
+	// in gen, for the walk to name should the digests differ. commitSeq is
+	// the sequence number of the walked commit's first arrive (-1 before
+	// one), which names the commit.
 	replay    bool
-	dig       journal.Digest
 	gen       []journal.Record
 	commitSeq int64
 
@@ -218,9 +221,10 @@ func (sh *shard) decide(ctx context.Context, req *DecideRequest, resp *DecideRes
 // on the task it just logged, apply — for crash recovery and offline replay
 // — on arriveTask of the record it read. It feeds the engine, assembles the
 // wire decision, folds the outcome into the router view and the shard's
-// counters, emits the derived decision record and advances the watermark — so
-// a recovered or replayed shard lands where the live one stood because it
-// ran the same statements, not a copy of them. id is the client's task
+// counters, emits the derived decision record, advances the watermark and
+// counts the arrival for the checkpoint cadence — so a recovered or
+// replayed shard lands where the live one stood because it ran the same
+// statements, not a copy of them. id is the client's task
 // label; a is the sampled in-flight trace (nil when unsampled, and always
 // nil off the live path). The engine copies task in, so it may be storage
 // the caller reuses.
@@ -255,32 +259,30 @@ func (sh *shard) admit(task *workload.Task, id string, a *telemetry.Trace) Decis
 	if seq > sh.watermark {
 		sh.watermark = seq
 	}
+	sh.sinceCheckpoint++
 	return d
 }
 
 // emit is the one exit of every journal record a shard produces (batch,
-// arrive, decision, terminal event, membership, drain, trace). On a served
-// shard an input or trace record is appended to the write-ahead log and a
-// derived one — a decision or terminal event — folded into the open
-// commit's digest, which the commit logs in its place. On a shard replaying
-// a log (recovery included: the writer opens only after the tail is
-// consumed and matched) a derived record is folded into the walk's digest
-// and queued for naming; on an unjournaled one every record is dropped. A
-// method rather than a func value so the records callers build stay on
-// their stacks. A failed append latches journalFailed; the sub-batch's
-// commit then fails the request.
+// arrive, decision, terminal event, membership, drain, digest, trace). A
+// derived record — a decision or terminal event — is folded into the open
+// commit's digest, on a served shard and on one walking a log (which also
+// queues it for naming); any other record is appended to a served shard's
+// log (the writer opens only after recovery's walk). An unjournaled shard
+// keeps nothing. A method rather than a func value so the records callers
+// build stay on their stacks. A failed append latches journalFailed; the
+// sub-batch's commit then fails the request.
 func (sh *shard) emit(rec *journal.Record) {
-	derived := rec.Kind == journal.KindDecision || rec.Kind == journal.KindEvent
 	switch {
-	case sh.jw != nil && derived:
-		sh.jw.Fold(rec)
-	case sh.jw != nil:
-		if sh.jw.Append(rec) != nil {
+	case rec.Kind != journal.KindDecision && rec.Kind != journal.KindEvent:
+		if sh.jw != nil && sh.jw.Append(rec) != nil {
 			sh.journalFailed.Store(true)
 		}
-	case sh.replay && derived:
+	case sh.jw != nil || sh.replay:
 		sh.dig.Fold(rec)
-		sh.gen = append(sh.gen, *rec)
+		if sh.replay {
+			sh.gen = append(sh.gen, *rec)
+		}
 	}
 }
 
@@ -387,14 +389,21 @@ func (sh *shard) drain() {
 // events it causes. With journaling on, a final checkpoint makes the log
 // self-contained — recovery after a graceful shutdown restores it and
 // replays nothing; killed before it, it replays the marker and drains again
-// — and the writer closes with a last fsync.
-func (sh *shard) drainCmd() {
+// — and the writer closes with a last fsync. A log that fails any of the
+// three fails the drain with ErrJournalFailed (sh.final is still set).
+func (sh *shard) drainCmd() error {
 	sh.emit(&journal.Record{Kind: journal.KindDrain, Tick: sh.eng.Now()})
 	sh.drain()
-	if sh.jw != nil {
-		_ = sh.jw.Commit()
-		_ = sh.checkpoint()
-		_ = sh.jw.Close()
-	}
 	sh.stopped = true
+	if sh.jw == nil {
+		return nil
+	}
+	err := sh.commit()
+	if err == nil {
+		err = sh.checkpoint()
+	}
+	if cerr := sh.jw.Close(); err == nil {
+		err = cerr
+	}
+	return sh.failJournal(err)
 }
