@@ -3,9 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/hpcclab/taskdrop/internal/core"
+	"github.com/hpcclab/taskdrop/internal/mapping"
+	"github.com/hpcclab/taskdrop/internal/pet"
 	"github.com/hpcclab/taskdrop/internal/sim"
 )
 
@@ -47,6 +52,80 @@ func sampleCheckpoints(t testing.TB) map[string][]byte {
 	}
 	out["drained"] = appendCheckpoint(nil, sh.checkpointState())
 	return out
+}
+
+// engineBytes is an engine's snapshot encoding, the head of every
+// checkpoint.
+func engineBytes(e *sim.Engine) []byte { return sim.AppendSnapshot(nil, e.Snapshot()) }
+
+// TestCheckpointBytes pins the checkpoint encoding byte for byte, by the
+// SHA-256 of every sample checkpoint and of a failure-injected engine's
+// snapshot at fixed cut points (a served shard never injects failures, so
+// only a bare engine writes failure cursors, here next to membership
+// churn). A log written by one build is restored and verified by the next:
+// an encoder change that moves one byte fails here.
+func TestCheckpointBytes(t *testing.T) {
+	cps := sampleCheckpoints(t)
+	for name, want := range map[string]string{
+		"drained":    "88020017bc0964526d97b5b4004607e683d873194baf816e9a68d462894ef76e",
+		"loaded":     "b11d5a0834fd0bc7be70cbd18705a4e3fa804ac8045f8881fe4a96e377f1d9b8",
+		"membership": "f88e1bf4ad2be73022d134d6daa1c759af9d3dd5dd6b73bd11f0a454ee08ceab",
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(cps[name])); got != want {
+			t.Errorf("%s checkpoint: sha256 %s, want %s", name, got, want)
+		}
+	}
+
+	m, err := pet.CachedMatrix("video")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapper, err := mapping.FromSpec("PAM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropper, err := core.PolicyFromSpec("heuristic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.BoundaryExclusion = 10
+	cfg.Failures = sim.FailureConfig{MTBF: 300, MeanRepair: 80, Seed: 5}
+	e := sim.NewOpen(m, mapper, dropper, cfg)
+	tr := testTrace(t, 200, 9)
+	want := map[int]string{
+		0:   "d1241c30caadc02c382b2b2ca3f8a61c20a25fedeb1d1d19d235b9d5f6139662",
+		1:   "377a41dcf273392b8519d126dd341827193f6827c51778274031b630c1244e2e",
+		60:  "4f6c3091ace9743501915b2f95612ceef90503618746e7bb901c0bebf4fb2406",
+		120: "9026f2c93d49e464f38d268fdd17c37192d6a6f83a1f06a56a4cd2a75d85dc08",
+		199: "7c23d8014049c76daa4cb43dcacef6e5c91f6d273830770466d288987db1a338",
+		200: "44fdde7cafd691b0bf9b421e02016b6eb6374db097b433acae503381ae98f5eb",
+	}
+	for i := 0; i <= len(tr.Tasks); i++ {
+		if h, ok := want[i]; ok {
+			if got := fmt.Sprintf("%x", sha256.Sum256(engineBytes(e))); got != h {
+				t.Errorf("engine after %d tasks: sha256 %s, want %s", i, got, h)
+			}
+		}
+		if i == len(tr.Tasks) {
+			break
+		}
+		e.Feed(&tr.Tasks[i])
+		var op *sim.MemberOp
+		switch i {
+		case 50:
+			op = &sim.MemberOp{Kind: sim.MemberRemove, Machine: 1, Handoff: true}
+		case 80:
+			op = &sim.MemberOp{Kind: sim.MemberAdd, Type: 0}
+		case 150:
+			op = &sim.MemberOp{Kind: sim.MemberRevive, Machine: 1}
+		}
+		if op != nil {
+			if err := e.ApplyMember(*op, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestCheckpointSizes pins what a checkpoint costs, as TestRecordSizes does
