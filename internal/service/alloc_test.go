@@ -53,6 +53,31 @@ func TestControllerDecideAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestCheckpointEncodeAllocsSteadyState: a checkpoint is encoded from the
+// live shard into its checkpoint buffer, so once the buffer has grown
+// encoding allocates nothing: no snapshot tree, no copy of a task. The
+// shard is loaded and churned (a machine added, one removed), so every part
+// of the encoding is walked. CI's alloc-regression job runs this test.
+func TestCheckpointEncodeAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	c := newTestController(t)
+	defer c.Close()
+	decideRange(t, c, testTrace(t, 200, 3), 0, 200, 4)
+	for _, req := range []AdminMachineRequest{{Op: "add", Type: 1}, {Op: "remove", Machine: 2, Handoff: true}} {
+		if _, err := c.Admin(context.Background(), &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := c.shards[0]
+	encode := func() { sh.cpBuf = sh.appendCheckpoint(sh.cpBuf[:0]) }
+	encode() // grow the buffer
+	if avg := testing.AllocsPerRun(100, encode); avg != 0 {
+		t.Fatalf("encoding a %d B checkpoint allocates %.1f/op, want 0", len(sh.cpBuf), avg)
+	}
+}
+
 // maxServerExchangeAllocs bounds what the server's side of one
 // steady-state single-task decide allocates over a keep-alive connection:
 // the head read in place, the body read into the connection's buffer, the

@@ -16,47 +16,46 @@ import (
 
 // sampleCheckpoints returns the checkpoints a served shard writes, encoded:
 // loaded (50 tasks decided, queues and batch holding live tasks), after
-// membership churn (Added and Removed set), carrying failure cursors (the
-// service never injects failures, so they are set by hand: the codec carries
-// what the engine hands it), and drained.
+// membership churn (Added and Removed set), and drained. A served shard
+// never injects failures; the engine's own tests carry failure cursors
+// (FuzzReadSnapshot, and TestCheckpointBytes below).
 func sampleCheckpoints(t testing.TB) map[string][]byte {
 	t.Helper()
-	c, err := New(Config{Profile: "video", Mapper: "PAM", Dropper: "heuristic"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestController(t)
 	sh := c.shards[0]
-	take := func() *ShardCheckpoint {
-		var cp *ShardCheckpoint
-		if err := sh.do(context.Background(), func() { cp = sh.checkpointState() }); err != nil {
+	take := func() []byte {
+		var b []byte
+		if err := sh.do(context.Background(), func() { b = sh.appendCheckpoint(nil) }); err != nil {
 			t.Fatal(err)
 		}
-		return cp
+		return b
 	}
 	out := make(map[string][]byte)
 	decideRange(t, c, testTrace(t, 50, 3), 0, 50, 4)
-	loaded := take()
-	out["loaded"] = appendCheckpoint(nil, loaded)
-	for i := range loaded.Engine.Machines {
-		loaded.Engine.Failures = append(loaded.Engine.Failures, sim.FailureSnapshot{Draws: int64(i + 1), NextFailAt: 90000, RepairAt: -1})
-	}
-	out["failures"] = appendCheckpoint(nil, loaded)
+	out["loaded"] = take()
 	for _, req := range []AdminMachineRequest{{Op: "add", Type: 1}, {Op: "remove", Machine: 2, Handoff: true}} {
 		if _, err := c.Admin(context.Background(), &req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out["membership"] = appendCheckpoint(nil, take())
+	out["membership"] = take()
 	if _, err := c.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	out["drained"] = appendCheckpoint(nil, sh.checkpointState())
+	out["drained"] = sh.appendCheckpoint(nil)
 	return out
 }
 
 // engineBytes is an engine's snapshot encoding, the head of every
 // checkpoint.
-func engineBytes(e *sim.Engine) []byte { return sim.AppendSnapshot(nil, e.Snapshot()) }
+func engineBytes(e *sim.Engine) []byte { return e.AppendSnapshot(nil) }
+
+// restoreFresh restores a decoded checkpoint into shard 0 of a fresh
+// controller of the sample configuration, which then encodes it back.
+func restoreFresh(t testing.TB, cp *ShardCheckpoint) (*shard, error) {
+	sh := newTestController(t).shards[0]
+	return sh, sh.restore(cp)
+}
 
 // TestCheckpointBytes pins the checkpoint encoding byte for byte, by the
 // SHA-256 of every sample checkpoint and of a failure-injected engine's
@@ -158,8 +157,9 @@ func refusedCheckpoints(valid []byte) map[string][]byte {
 	}
 }
 
-// TestCheckpointCodec: every sample checkpoint decodes and re-encodes to
-// itself, and every refused payload is refused, a JSON one by name.
+// TestCheckpointCodec: every sample checkpoint decodes, restores into a
+// fresh shard and re-encodes to itself, and every refused payload is
+// refused, a JSON one by name.
 func TestCheckpointCodec(t *testing.T) {
 	cps := sampleCheckpoints(t)
 	for name, b := range cps {
@@ -167,7 +167,11 @@ func TestCheckpointCodec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if re := appendCheckpoint(nil, cp); !bytes.Equal(re, b) {
+		sh, err := restoreFresh(t, cp)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", name, err)
+		}
+		if re := sh.appendCheckpoint(nil); !bytes.Equal(re, b) {
 			t.Fatalf("%s: re-encoding differs:\n in  %x\n out %x", name, b, re)
 		}
 	}
@@ -182,9 +186,10 @@ func TestCheckpointCodec(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCheckpoint hammers the checkpoint decoder: it must never panic,
-// and any payload it accepts must re-encode to itself (the form is
-// canonical, which is what lets verification compare checkpoint bytes).
+// FuzzDecodeCheckpoint hammers the checkpoint decoder and restore: neither
+// may panic, and any payload the decoder accepts and a fresh shard restores
+// must re-encode to itself (the form is canonical, which is what lets
+// verification compare checkpoint bytes).
 func FuzzDecodeCheckpoint(f *testing.F) {
 	cps := sampleCheckpoints(f)
 	for _, b := range cps {
@@ -198,7 +203,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if re := appendCheckpoint(nil, cp); !bytes.Equal(re, b) {
+		sh, err := restoreFresh(t, cp)
+		if err != nil {
+			return
+		}
+		if re := sh.appendCheckpoint(nil); !bytes.Equal(re, b) {
 			t.Fatalf("accepted payload is not canonical:\n in  %x\n out %x", b, re)
 		}
 	})

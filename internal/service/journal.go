@@ -34,7 +34,11 @@ import (
 // digest of them (record format 5), which makes the log auditable: recovery
 // and cmd/hcreplay re-derive each commit and compare digests (see
 // shard.replayLog). The shard, not the writer, sums the digest and counts
-// the arrivals that set the checkpoint cadence (shard.commit).
+// the arrivals that set the checkpoint cadence (shard.commit). A checkpoint
+// is encoded from the live shard (shard.appendCheckpoint) into the shard's
+// reused buffer, and a walk compares each one it crosses with the replayed
+// shard's encoding the same way; only restore, and a mismatch being named,
+// decode one.
 
 // manifestName is the manifest file inside the journal root.
 const manifestName = "manifest.json"
@@ -114,11 +118,14 @@ func ShardJournalDir(root string, s int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%03d", s))
 }
 
-// ShardCheckpoint is the snapshot payload a shard writes at every journal
-// checkpoint: the full engine snapshot plus the shard-level state replay
-// cannot re-derive from the engine alone (sequence watermark, decision
-// counters, router robustness EWMAs). The journal holds its binary encoding
-// (appendCheckpoint), never JSON; the tags name the fields for diagnostics.
+// ShardCheckpoint is the decoded view of the snapshot payload a shard
+// writes at every journal checkpoint (shard.appendCheckpoint): the engine's
+// state plus the shard-level state replay cannot re-derive from the engine
+// alone (sequence watermark, decision counters, router robustness EWMAs).
+// Restore reads the payload into it and validates it before it touches a
+// shard; nothing builds one to write or compare a checkpoint. The journal
+// holds the binary encoding, never JSON; the tags name the fields for
+// diagnostics.
 type ShardCheckpoint struct {
 	Shard int `json:"shard"`
 	// SeqWatermark is the highest cluster-wide sequence number the shard
@@ -134,20 +141,25 @@ type ShardCheckpoint struct {
 	Engine     *sim.EngineSnapshot `json:"engine"`
 }
 
-// appendCheckpoint appends cp's encoding to buf: the engine snapshot's
-// (sim.AppendSnapshot, whose leading byte is the format version, so one
-// byte versions the whole checkpoint), then the shard fields as zigzag
-// varints, then the robustness count and each class's 8 IEEE bytes. The
-// form is canonical: decodeCheckpoint accepts exactly what this writes, so
-// two checkpoints hold the same state exactly when their bytes are equal.
-func appendCheckpoint(buf []byte, cp *ShardCheckpoint) []byte {
-	buf = sim.AppendSnapshot(buf, cp.Engine)
-	for _, n := range [...]int64{int64(cp.Shard), cp.SeqWatermark, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped} {
+// appendCheckpoint appends the shard's checkpoint to buf, encoded from the
+// live state: the engine's encoding (sim.Engine.AppendSnapshot, whose
+// leading byte is the format version, so one byte versions the whole
+// checkpoint), then the shard index, watermark and decision counters as
+// zigzag varints, then the class count and each class's robustness EWMA in
+// 8 IEEE bytes. The form is canonical: decodeCheckpoint accepts exactly what
+// this writes, so two checkpoints hold the same state exactly when their
+// bytes are equal. Runs under the shard's turn, or on a shard in replay
+// mode; it allocates nothing once buf has room.
+func (sh *shard) appendCheckpoint(buf []byte) []byte {
+	buf = sh.eng.AppendSnapshot(buf)
+	m := sh.metrics
+	for _, n := range [...]int64{int64(sh.id), sh.watermark, m.requests.Load(), m.mapped.Load(), m.deferred.Load(), m.dropped.Load()} {
 		buf = binary.AppendVarint(buf, n)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(cp.Robustness)))
-	for _, p := range cp.Robustness {
-		buf = varint.AppendFloat(buf, p)
+	classes := sh.c.matrix.NumTaskTypes()
+	buf = binary.AppendUvarint(buf, uint64(classes))
+	for class := range classes {
+		buf = varint.AppendFloat(buf, sh.view.ClassRobustness(class))
 	}
 	return buf
 }
@@ -471,41 +483,26 @@ func (sh *shard) failJournal(err error) error {
 	return fmt.Errorf("%w: %v", ErrJournalFailed, err)
 }
 
-// checkpointState captures the shard's state as a checkpoint. Runs under the
-// shard's turn, or on a shard in replay mode.
-func (sh *shard) checkpointState() *ShardCheckpoint {
-	cp := &ShardCheckpoint{
-		Shard:        sh.id,
-		SeqWatermark: sh.watermark,
-		Requests:     sh.metrics.requests.Load(),
-		Mapped:       sh.metrics.mapped.Load(),
-		Deferred:     sh.metrics.deferred.Load(),
-		Dropped:      sh.metrics.dropped.Load(),
-		Robustness:   make([]float64, sh.c.matrix.NumTaskTypes()),
-		Engine:       sh.eng.Snapshot(),
-	}
-	for class := range cp.Robustness {
-		cp.Robustness[class] = sh.view.ClassRobustness(class)
-	}
-	return cp
-}
-
 // checkpoint writes the shard's full state as a journal snapshot and
 // rotates the segment, encoding into the shard's checkpoint buffer (the
 // writer keeps nothing of the payload) and restarting the cadence count.
 // Runs under the shard's turn.
 func (sh *shard) checkpoint() error {
 	sh.sinceCheckpoint = 0
-	sh.cpBuf = appendCheckpoint(sh.cpBuf[:0], sh.checkpointState())
+	sh.cpBuf = sh.appendCheckpoint(sh.cpBuf[:0])
 	return sh.jw.Checkpoint(sh.cpBuf)
 }
 
-// restore is checkpoint's inverse: it loads one snapshot payload into a
-// freshly built shard.
-func (sh *shard) restore(payload []byte) error {
-	cp, err := decodeCheckpoint(payload)
-	if err != nil {
-		return err
+// restore is checkpoint's inverse: it loads one decoded checkpoint into a
+// freshly built shard. It refuses a checkpoint the shard would not encode
+// back to the same bytes: another shard's, one with another class count,
+// or a robustness that is not a probability.
+func (sh *shard) restore(cp *ShardCheckpoint) error {
+	if cp.Shard != sh.id {
+		return fmt.Errorf("service: checkpoint of shard %d restored into shard %d", cp.Shard, sh.id)
+	}
+	if classes := sh.c.matrix.NumTaskTypes(); len(cp.Robustness) != classes {
+		return fmt.Errorf("service: checkpoint holds %d task classes, the system has %d", len(cp.Robustness), classes)
 	}
 	if err := sh.eng.RestoreSnapshot(cp.Engine); err != nil {
 		return err
@@ -518,6 +515,9 @@ func (sh *shard) restore(payload []byte) error {
 	m.dropped.Add(cp.Dropped)
 	for class, p := range cp.Robustness {
 		sh.view.SetClassRobustness(class, p)
+		if math.Float64bits(sh.view.ClassRobustness(class)) != math.Float64bits(p) {
+			return fmt.Errorf("service: checkpoint class %d robustness %g is not a probability", class, p)
+		}
 	}
 	return nil
 }

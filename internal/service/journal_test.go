@@ -1183,7 +1183,8 @@ func rewriteSegment(t *testing.T, dir string, seg int, edit func([]journal.Recor
 }
 
 // rewriteSnapshot replaces snapshot seg of a shard log with its edited
-// checkpoint, re-encoded.
+// checkpoint: decoded, edited, restored into a fresh replay shard of the
+// journal's configuration, and encoded by that shard.
 func rewriteSnapshot(t *testing.T, dir string, seg int, edit func(*ShardCheckpoint)) {
 	t.Helper()
 	payload, err := journal.ReadSnapshotFile(journal.SnapshotPath(dir, seg))
@@ -1195,7 +1196,14 @@ func rewriteSnapshot(t *testing.T, dir string, seg int, edit func(*ShardCheckpoi
 		t.Fatal(err)
 	}
 	edit(cp)
-	writeSnapshot(t, dir, seg, appendCheckpoint(nil, cp))
+	sh, err := openReplay(filepath.Dir(dir), cp.Shard, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	writeSnapshot(t, dir, seg, sh.appendCheckpoint(nil))
 }
 
 // writeSnapshot replaces snapshot seg of a shard log with payload, framed
@@ -1632,7 +1640,13 @@ func TestRecoveryRefusesOldCheckpointFormat(t *testing.T) {
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("no checkpoint to age (%v)", err)
 	}
-	rewriteSnapshot(t, dir, snaps[len(snaps)-1], func(cp *ShardCheckpoint) { cp.Engine.Version = 0 })
+	newest := snaps[len(snaps)-1]
+	payload, err := journal.ReadSnapshotFile(journal.SnapshotPath(dir, newest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[0] = 0 // the leading byte is the format version
+	writeSnapshot(t, dir, newest, payload)
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "format version 0") {
 		t.Fatalf("restart on an old-format checkpoint: %v, want a refusal naming format version 0", err)
 	}

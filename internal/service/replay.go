@@ -142,7 +142,11 @@ func (sh *shard) replayLog(root string, recovery bool, visit func(*journal.Recor
 	}
 	sh.commitSeq = -1
 	if plan.Snapshot != nil {
-		if err := sh.restore(plan.Snapshot); err != nil {
+		cp, err := decodeCheckpoint(plan.Snapshot)
+		if err == nil {
+			err = sh.restore(cp)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -258,31 +262,34 @@ func (sh *shard) derivedList() string {
 
 // compareCheckpoint matches one checkpoint payload against the replayed
 // state. The encoding is canonical, so the state matches exactly when the
-// payload equals the encoding of the replayed shard's own checkpoint; the
-// shard-level fields are compared first to name the one that differs.
+// payload equals the replayed shard's own encoding, written into its
+// checkpoint buffer. Only a mismatch decodes the payload, to name the
+// shard-level field that differs, else the engine state.
 func (sh *shard) compareCheckpoint(payload []byte, seg int) error {
+	sh.cpBuf = sh.appendCheckpoint(sh.cpBuf[:0])
+	if bytes.Equal(sh.cpBuf, payload) {
+		return nil
+	}
 	s := sh.id
 	cp, err := decodeCheckpoint(payload)
 	if err != nil {
 		return fmt.Errorf("shard %d: snapshot %d: %w", s, seg, err)
 	}
-	got := sh.checkpointState()
-	if cp.SeqWatermark != got.SeqWatermark {
-		return fmt.Errorf("shard %d: snapshot %d: watermark %d, replay at %d", s, seg, cp.SeqWatermark, got.SeqWatermark)
+	if cp.SeqWatermark != sh.watermark {
+		return fmt.Errorf("shard %d: snapshot %d: watermark %d, replay at %d", s, seg, cp.SeqWatermark, sh.watermark)
 	}
-	if cp.Requests != got.Requests || cp.Mapped != got.Mapped || cp.Deferred != got.Deferred || cp.Dropped != got.Dropped {
+	m := sh.metrics
+	req, mapped, deferred, dropped := m.requests.Load(), m.mapped.Load(), m.deferred.Load(), m.dropped.Load()
+	if cp.Requests != req || cp.Mapped != mapped || cp.Deferred != deferred || cp.Dropped != dropped {
 		return fmt.Errorf("shard %d: snapshot %d: counters (req %d map %d defer %d drop %d), replay (req %d map %d defer %d drop %d)",
-			s, seg, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped, got.Requests, got.Mapped, got.Deferred, got.Dropped)
+			s, seg, cp.Requests, cp.Mapped, cp.Deferred, cp.Dropped, req, mapped, deferred, dropped)
 	}
 	for class, p := range cp.Robustness {
-		if class < len(got.Robustness) && got.Robustness[class] != p {
-			return fmt.Errorf("shard %d: snapshot %d: class %d robustness %g, replay %g", s, seg, class, p, got.Robustness[class])
+		if got := sh.view.ClassRobustness(class); got != p {
+			return fmt.Errorf("shard %d: snapshot %d: class %d robustness %g, replay %g", s, seg, class, p, got)
 		}
 	}
-	if !bytes.Equal(appendCheckpoint(nil, got), payload) {
-		return fmt.Errorf("shard %d: snapshot %d: engine state diverged from replay", s, seg)
-	}
-	return nil
+	return fmt.Errorf("shard %d: snapshot %d: engine state diverged from replay", s, seg)
 }
 
 // VerifyAll verifies every shard of a journal root, in shard order.

@@ -182,7 +182,7 @@ func TestMembershipSnapshotRoundTrip(t *testing.T) {
 		live.Feed(&tasks[i])
 	}
 
-	decoded, err := decodeSnapshot(AppendSnapshot(nil, live.Snapshot()))
+	decoded, err := decodeSnapshot(live.AppendSnapshot(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestMembershipSnapshotRoundTrip(t *testing.T) {
 // engine that never saw a membership operation snapshots no membership —
 // its encoding ends in two empty lists, one byte each.
 func TestUnchurnedSnapshotOmitsMembership(t *testing.T) {
-	s := membershipEngine(t, 20).Snapshot()
-	if s.Added != nil || s.Removed != nil {
+	e := membershipEngine(t, 20)
+	if s := e.Snapshot(); s.Added != nil || s.Removed != nil {
 		t.Fatalf("unchurned snapshot carries membership: added %v removed %v", s.Added, s.Removed)
 	}
-	if blob := AppendSnapshot(nil, s); !bytes.HasSuffix(blob, []byte{0, 0}) {
+	if blob := e.AppendSnapshot(nil); !bytes.HasSuffix(blob, []byte{0, 0}) {
 		t.Fatalf("unchurned snapshot does not end in two empty lists: %x", blob)
 	}
 }

@@ -13,21 +13,22 @@ import (
 )
 
 // snapshotVersion is the checkpoint format this build writes and reads:
-// the leading byte of an encoding (AppendSnapshot). Version 3 is the
+// the leading byte of an encoding (Engine.AppendSnapshot). Version 3 is the
 // binary form below. Version 2 was JSON, and its predecessor (unversioned,
 // so it read as 0) held every task the engine had ever been fed; a JSON
 // encoding of either leads with '{' and is refused by name.
 const snapshotVersion = 3
 
-// EngineSnapshot is the complete state of an engine between events: the
-// tasks it holds — batch and machine queues — the census and tally of the
-// ones it has settled, the clock, and the failure-process cursors. Its size
-// follows what is queued, not what was ever admitted. An engine restored
-// from a snapshot produces exactly the same decisions, and drains to the
-// same Result, as the original for any subsequent Feed sequence. The
-// admission service's journal checkpoints hold its binary encoding
-// (AppendSnapshot, ReadSnapshot); the JSON tags serve diagnostics and
-// benchmarks only.
+// EngineSnapshot is the decoded view of an engine's encoding
+// (ReadSnapshot of Engine.AppendSnapshot): the complete state of an engine
+// between events — the tasks it holds, batch and machine queues, the census
+// and tally of the ones it has settled, the clock, and the failure-process
+// cursors. Its size follows what is queued, not what was ever admitted. An
+// engine restored from it (RestoreSnapshot, which validates the view before
+// it trusts it) produces exactly the same decisions, and drains to the same
+// Result, as the original for any subsequent Feed sequence. The engine
+// encodes itself, so nothing builds this tree to write or compare a
+// checkpoint; the JSON tags serve diagnostics and benchmarks only.
 type EngineSnapshot struct {
 	Version int      `json:"version"`
 	Clock   pmf.Tick `json:"clock"`
@@ -40,8 +41,8 @@ type EngineSnapshot struct {
 	Failures []FailureSnapshot `json:"failures,omitempty"`
 	// Added lists the machine types of runtime-added machines (MemberAdd)
 	// in order of addition; Removed lists the machine indexes currently out
-	// of the live set. Both are empty on an engine whose membership never
-	// changed.
+	// of the live set, ascending. Both are empty on an engine whose
+	// membership never changed.
 	Added   []int `json:"added,omitempty"`
 	Removed []int `json:"removed,omitempty"`
 }
@@ -77,26 +78,9 @@ type FailureSnapshot struct {
 	RepairAt   pmf.Tick `json:"repair_at"`
 }
 
-// snapshotTasks serializes one queue of live tasks.
-func snapshotTasks(q []*TaskState) []TaskSnapshot {
-	var out []TaskSnapshot
-	for _, ts := range q {
-		out = append(out, TaskSnapshot{
-			ID:       ts.Task.ID,
-			Seq:      ts.Seq,
-			Type:     int(ts.Task.Type),
-			Arrival:  ts.Task.Arrival,
-			Deadline: ts.Task.Deadline,
-			Exec:     append([]pmf.Tick(nil), ts.Task.ExecByType...),
-			Start:    ts.Start,
-		})
-	}
-	return out
-}
-
-// restoreTasks is snapshotTasks' inverse for a queue of machine (−1: the
-// batch) whose head is running when headRunning: it appends the queue's
-// states, drawn from newTask like a fed task's, to out.
+// restoreTasks loads one queue of a snapshot, of machine (−1: the batch)
+// whose head is running when headRunning: it appends the queue's states,
+// drawn from newTask like a fed task's, to out.
 func (e *Engine) restoreTasks(out []*TaskState, q []TaskSnapshot, machine int, headRunning bool) []*TaskState {
 	for i := range q {
 		t := &q[i]
@@ -119,20 +103,22 @@ func (e *Engine) restoreTasks(out []*TaskState, q []TaskSnapshot, machine int, h
 	return out
 }
 
-// AppendSnapshot appends s's encoding to buf and returns the extended
-// slice: the format byte (s.Version), then every field in declaration order
-// — each integer a zigzag varint, each count an unsigned varint before its
-// elements, each flag and status one byte. Fields stand alone (no deltas),
-// and the form is canonical: ReadSnapshot accepts exactly what this writes.
-func AppendSnapshot(buf []byte, s *EngineSnapshot) []byte {
-	buf = append(buf, byte(s.Version))
-	buf = binary.AppendVarint(buf, int64(s.Clock))
-	l := &s.Live
+// AppendSnapshot appends the engine's encoding to buf and returns the
+// extended slice: the format byte, then the state in EngineSnapshot's field
+// order — each integer a zigzag varint, each count an unsigned varint
+// before its elements, each flag and status one byte. Fields stand alone (no
+// deltas), and the form is canonical: ReadSnapshot accepts exactly what
+// this writes. It reads the engine's own state, so it allocates nothing
+// once buf has room.
+func (e *Engine) AppendSnapshot(buf []byte) []byte {
+	buf = append(buf, snapshotVersion)
+	buf = binary.AppendVarint(buf, int64(e.clock))
+	l := &e.live
 	for _, n := range [...]int{l.Arrived, l.Batch, l.Queued, l.Running} {
 		buf = binary.AppendVarint(buf, int64(n))
 	}
 	buf = appendOutcomes(buf, &l.Outcomes)
-	t := &s.Tally
+	t := &e.tally
 	buf = binary.AppendVarint(buf, int64(t.Credit))
 	buf = appendOutcomes(buf, &t.Head)
 	buf = binary.AppendVarint(buf, int64(t.HeadCredit))
@@ -141,23 +127,33 @@ func AppendSnapshot(buf []byte, s *EngineSnapshot) []byte {
 		buf = append(buf, byte(st.Status))
 		buf = binary.AppendVarint(buf, int64(st.Credit))
 	}
-	buf = appendTasks(buf, s.Batch)
-	buf = binary.AppendUvarint(buf, uint64(len(s.Machines)))
-	for i := range s.Machines {
-		m := &s.Machines[i]
-		buf = appendTasks(buf, m.Queue)
-		buf = varint.AppendBool(buf, m.Running)
-		buf = binary.AppendVarint(buf, int64(m.CompleteAt))
-		buf = binary.AppendVarint(buf, int64(m.Busy))
+	buf = appendTasks(buf, e.batch)
+	buf = binary.AppendUvarint(buf, uint64(len(e.machines)))
+	removed := 0
+	for _, m := range e.machines {
+		buf = appendTasks(buf, m.queue)
+		buf = varint.AppendBool(buf, m.running)
+		buf = binary.AppendVarint(buf, int64(m.completeAt))
+		buf = binary.AppendVarint(buf, int64(m.busy))
+		if m.removed {
+			removed++
+		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.Failures)))
-	for _, f := range s.Failures {
-		buf = binary.AppendVarint(buf, f.Draws)
-		buf = binary.AppendVarint(buf, int64(f.NextFailAt))
-		buf = binary.AppendVarint(buf, int64(f.RepairAt))
+	buf = binary.AppendUvarint(buf, uint64(len(e.failures)))
+	for i := range e.failures {
+		f := &e.failures[i]
+		buf = binary.AppendVarint(buf, f.draws)
+		buf = binary.AppendVarint(buf, int64(f.nextFailAt))
+		buf = binary.AppendVarint(buf, int64(f.repairAt))
 	}
-	buf = appendInts(buf, s.Added)
-	return appendInts(buf, s.Removed)
+	buf = appendInts(buf, e.addedTypes)
+	buf = binary.AppendUvarint(buf, uint64(removed))
+	for i, m := range e.machines {
+		if m.removed {
+			buf = binary.AppendVarint(buf, int64(i))
+		}
+	}
+	return buf
 }
 
 func appendOutcomes(buf []byte, o *Outcomes) []byte {
@@ -167,20 +163,20 @@ func appendOutcomes(buf []byte, o *Outcomes) []byte {
 	return buf
 }
 
-func appendTasks(buf []byte, q []TaskSnapshot) []byte {
+func appendTasks(buf []byte, q []*TaskState) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(q)))
-	for i := range q {
-		t := &q[i]
+	for _, ts := range q {
+		t := &ts.Task
 		buf = binary.AppendVarint(buf, int64(t.ID))
-		buf = binary.AppendVarint(buf, int64(t.Seq))
+		buf = binary.AppendVarint(buf, int64(ts.Seq))
 		buf = binary.AppendVarint(buf, int64(t.Type))
 		buf = binary.AppendVarint(buf, int64(t.Arrival))
 		buf = binary.AppendVarint(buf, int64(t.Deadline))
-		buf = binary.AppendUvarint(buf, uint64(len(t.Exec)))
-		for _, x := range t.Exec {
+		buf = binary.AppendUvarint(buf, uint64(len(t.ExecByType)))
+		for _, x := range t.ExecByType {
 			buf = binary.AppendVarint(buf, int64(x))
 		}
-		buf = binary.AppendVarint(buf, int64(t.Start))
+		buf = binary.AppendVarint(buf, int64(ts.Start))
 	}
 	return buf
 }
@@ -203,7 +199,7 @@ const (
 	maxCount        = math.MaxInt32
 )
 
-// ReadSnapshot decodes one AppendSnapshot encoding at r's position,
+// ReadSnapshot decodes one Engine.AppendSnapshot encoding at r's position,
 // leaving r after it (a checkpoint continues past the snapshot). It refuses
 // another format by its leading byte before reading a field — a JSON
 // encoding by name — and a varint off its shortest form, a flag other than
@@ -292,31 +288,11 @@ func readInts(r *varint.Reader) []int {
 	return xs
 }
 
-// Snapshot captures the engine's state between events.
+// Snapshot is the decoded view of the engine's encoding: ReadSnapshot of
+// AppendSnapshot, for comparing engines and for diagnostics.
 func (e *Engine) Snapshot() *EngineSnapshot {
-	s := &EngineSnapshot{
-		Version:  snapshotVersion,
-		Clock:    e.clock,
-		Live:     e.live,
-		Tally:    e.tally,
-		Batch:    snapshotTasks(e.batch),
-		Machines: make([]MachineSnapshot, len(e.machines)),
-	}
-	s.Tally.Tail = append([]Settled(nil), e.tally.Tail...)
-	for i, m := range e.machines {
-		s.Machines[i] = MachineSnapshot{
-			Queue: snapshotTasks(m.queue), Running: m.running, CompleteAt: m.completeAt, Busy: m.busy,
-		}
-	}
-	for i := range e.failures {
-		fs := &e.failures[i]
-		s.Failures = append(s.Failures, FailureSnapshot{
-			Draws: fs.draws, NextFailAt: fs.nextFailAt, RepairAt: fs.repairAt,
-		})
-	}
-	s.Added = append([]int(nil), e.addedTypes...)
-	s.Removed = e.RemovedMachines()
-	return s
+	r := varint.NewReader(e.AppendSnapshot(nil), "sim: engine snapshot")
+	return ReadSnapshot(&r)
 }
 
 // RestoreSnapshot loads s into e, which must be a freshly built engine
@@ -379,9 +355,13 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 			s.Live, held.Batch, held.Queued, held.Running)
 	}
 
+	// A cursor draws once at construction and then at most twice a tick (a
+	// failure or repair, and a revive re-arming it), which also bounds the
+	// stream restore replays.
+	maxDraws := 2*uint64(max(s.Clock, 0)) + 3
 	for i, fc := range s.Failures {
-		if fc.Draws < 1 {
-			return fmt.Errorf("sim: snapshot failure cursor %d with %d draws", i, fc.Draws)
+		if fc.Draws < 1 || uint64(fc.Draws) > maxDraws {
+			return fmt.Errorf("sim: snapshot failure cursor %d with %d draws by clock %d", i, fc.Draws, s.Clock)
 		}
 		fs := &e.failures[i]
 		// Construction already consumed the stream's first sample; discard
@@ -393,12 +373,12 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot) error {
 		fs.repairAt = fc.RepairAt
 	}
 
-	for _, ri := range s.Removed {
+	for j, ri := range s.Removed {
 		if ri < 0 || ri >= len(e.machines) {
 			return fmt.Errorf("sim: snapshot removes machine %d of %d", ri, len(e.machines))
 		}
-		if e.machines[ri].removed {
-			return fmt.Errorf("sim: snapshot removes machine %d twice", ri)
+		if j > 0 && ri <= s.Removed[j-1] {
+			return fmt.Errorf("sim: snapshot removes machine %d after machine %d", ri, s.Removed[j-1])
 		}
 		e.machines[ri].removed = true
 		e.totalSlots -= e.cfg.QueueCap

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -70,10 +71,8 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				for i := 0; i < cut; i++ {
 					live.Feed(&tasks[i])
 				}
-				snap := live.Snapshot()
-
 				// The snapshot must survive its serialization format.
-				decoded, err := decodeSnapshot(AppendSnapshot(nil, snap))
+				decoded, err := decodeSnapshot(live.AppendSnapshot(nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +210,7 @@ func TestSnapshotHoldsOnlyLiveTasks(t *testing.T) {
 			if want := lc.Batch + lc.Queued + lc.Running; held != want || lc.total() == 0 {
 				t.Fatalf("after %d feeds the snapshot holds %d tasks, the engine %d live (census %+v)", n, held, want, lc)
 			}
-			blob := AppendSnapshot(nil, s)
+			blob := e.AppendSnapshot(nil)
 			if first == 0 {
 				first = len(blob)
 			} else if len(blob) > 2*first {
@@ -233,13 +232,58 @@ func TestRestoreRefusesOldSnapshotFormat(t *testing.T) {
 	}
 	e, _ := snapshotEngines(t, cfgNoExclusion())
 	for _, v := range []int{0, 2, 4} {
-		s := e.Snapshot()
-		s.Version = v
-		_, err := decodeSnapshot(AppendSnapshot(nil, s))
+		blob := e.AppendSnapshot(nil)
+		blob[0] = byte(v)
+		_, err := decodeSnapshot(blob)
 		if want := fmt.Sprintf("format version %d", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("version-%d snapshot decoded: %v, want an error naming %s", v, err, want)
 		}
 	}
+}
+
+// FuzzReadSnapshot holds the engine codec to the canonical form at its own
+// layer: for any encoding ReadSnapshot accepts and RestoreSnapshot restores
+// into a fresh failure-injected engine, the restored engine encodes back to
+// the input, and neither step panics. The seeds are one engine's encodings
+// along a churned feed: failure cursors mid-stream, a removed and an added
+// machine, batch and queues, and a boundary tally.
+func FuzzReadSnapshot(f *testing.F) {
+	cfg := DefaultConfig()
+	cfg.BoundaryExclusion = 4
+	cfg.Failures = FailureConfig{MTBF: 40, MeanRepair: 15, Seed: 7}
+	m := testMatrix(f, 3, pmf.Delta(10))
+	fresh := func() *Engine { return NewOpen(m, fifoMapper{}, nil, cfg) }
+	live := fresh()
+	tasks := randomOpenTasks(120, 11)
+	for i := range tasks {
+		live.Feed(&tasks[i])
+		var err error
+		switch i {
+		case 40:
+			err = live.ApplyMember(MemberOp{Kind: MemberRemove, Machine: 1, Handoff: true}, nil)
+		case 70:
+			err = live.ApplyMember(MemberOp{Kind: MemberAdd, Type: 0}, nil)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		if i%20 == 0 {
+			f.Add(live.AppendSnapshot(nil))
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := decodeSnapshot(b)
+		if err != nil {
+			return
+		}
+		e := fresh()
+		if err := e.RestoreSnapshot(s); err != nil {
+			return
+		}
+		if re := e.AppendSnapshot(nil); !bytes.Equal(re, b) {
+			t.Fatalf("restored encoding is not the input:\n in  %x\n out %x", b, re)
+		}
+	})
 }
 
 // TestJournalHookSeesTerminalEvents checks the WAL hook fires exactly once
