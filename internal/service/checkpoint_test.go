@@ -12,6 +12,7 @@ import (
 	"github.com/hpcclab/taskdrop/internal/mapping"
 	"github.com/hpcclab/taskdrop/internal/pet"
 	"github.com/hpcclab/taskdrop/internal/sim"
+	"github.com/hpcclab/taskdrop/internal/varint"
 )
 
 // sampleCheckpoints returns the checkpoints a served shard writes, encoded:
@@ -75,22 +76,7 @@ func TestCheckpointBytes(t *testing.T) {
 		}
 	}
 
-	m, err := pet.CachedMatrix("video")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapper, err := mapping.FromSpec("PAM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropper, err := core.PolicyFromSpec("heuristic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	cfg.BoundaryExclusion = 10
-	cfg.Failures = sim.FailureConfig{MTBF: 300, MeanRepair: 80, Seed: 5}
-	e := sim.NewOpen(m, mapper, dropper, cfg)
+	e := failureEngine(t, 10)
 	tr := testTrace(t, 200, 9)
 	want := map[int]string{
 		0:   "d1241c30caadc02c382b2b2ca3f8a61c20a25fedeb1d1d19d235b9d5f6139662",
@@ -125,6 +111,49 @@ func TestCheckpointBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// failureEngine is an open engine of the sample configuration that injects
+// machine failures, so its snapshots carry failure cursors, and excludes
+// boundary tasks from its tally.
+func failureEngine(t testing.TB, boundary int) *sim.Engine {
+	t.Helper()
+	m, err := pet.CachedMatrix("video")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapper, err := mapping.FromSpec("PAM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropper, err := core.PolicyFromSpec("heuristic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.BoundaryExclusion = boundary
+	cfg.Failures = sim.FailureConfig{MTBF: 300, MeanRepair: 80, Seed: 5}
+	return sim.NewOpen(m, mapper, dropper, cfg)
+}
+
+// failureCheckpoint is a checkpoint whose engine carries failure cursors: a
+// failure-injected engine's snapshot after 60 tasks, under the shard trailer
+// (index, watermark, counters, robustness) of a valid checkpoint. It
+// decodes, and a served shard, which injects no failures, refuses to
+// restore it.
+func failureCheckpoint(t testing.TB, valid []byte) []byte {
+	t.Helper()
+	r := varint.NewReader(valid, "checkpoint")
+	sim.ReadSnapshot(&r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	e := failureEngine(t, 0)
+	tr := testTrace(t, 60, 9)
+	for i := range tr.Tasks {
+		e.Feed(&tr.Tasks[i])
+	}
+	return append(engineBytes(e), valid[len(valid)-r.Remaining():]...)
 }
 
 // TestCheckpointSizes pins what a checkpoint costs, as TestRecordSizes does
@@ -198,6 +227,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, b := range refusedCheckpoints(cps["loaded"]) {
 		f.Add(b)
 	}
+	f.Add(failureCheckpoint(f, cps["loaded"]))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		cp, err := decodeCheckpoint(b)
 		if err != nil {
